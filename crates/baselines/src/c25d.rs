@@ -74,83 +74,42 @@ impl C25d {
         self.s * self.s * self.c
     }
 
-    /// `world = l·s² + i + j·s`.
-    fn coord(&self, world: usize) -> (usize, usize, usize) {
+    /// Grid position `(i, j, l)` of a world rank (`world = l·s² + i + j·s`);
+    /// `None` for idle ranks.
+    fn active_coord(&self, world: usize) -> Option<(usize, usize, usize)> {
         let s2 = self.s * self.s;
-        (world % s2 % self.s, world % s2 / self.s, world / s2)
+        (world < self.active()).then(|| (world % s2 % self.s, world % s2 / self.s, world / s2))
     }
 
     /// Initial layout of `A`: 2D blocks on layer 0 only.
     pub fn layout_a(&self) -> Layout {
-        self.layer0_layout(
-            |t, i, j| {
-                let (r0, r1) = even_range(t.prob.m, t.s, i);
-                let (k0, k1) = even_range(t.prob.k, t.s, j);
-                Rect::new(r0, k0, r1 - r0, k1 - k0)
-            },
-            self.prob.m,
-            self.prob.k,
-        )
+        Layout::one_rect_per_rank(self.prob.m, self.prob.k, self.prob.p, |r| {
+            let (i, j, _) = self.active_coord(r).filter(|&(_, _, l)| l == 0)?;
+            let (r0, r1) = even_range(self.prob.m, self.s, i);
+            let (k0, k1) = even_range(self.prob.k, self.s, j);
+            Some(Rect::new(r0, k0, r1 - r0, k1 - k0))
+        })
     }
 
     /// Initial layout of `B`: 2D blocks on layer 0 only.
     pub fn layout_b(&self) -> Layout {
-        self.layer0_layout(
-            |t, i, j| {
-                let (k0, k1) = even_range(t.prob.k, t.s, i);
-                let (c0, c1) = even_range(t.prob.n, t.s, j);
-                Rect::new(k0, c0, k1 - k0, c1 - c0)
-            },
-            self.prob.k,
-            self.prob.n,
-        )
+        Layout::one_rect_per_rank(self.prob.k, self.prob.n, self.prob.p, |r| {
+            let (i, j, _) = self.active_coord(r).filter(|&(_, _, l)| l == 0)?;
+            let (k0, k1) = even_range(self.prob.k, self.s, i);
+            let (c0, c1) = even_range(self.prob.n, self.s, j);
+            Some(Rect::new(k0, c0, k1 - k0, c1 - c0))
+        })
     }
 
     /// Output layout: row-strip `l` of C block `(i, j)`.
     pub fn layout_c(&self) -> Layout {
-        let rects = (0..self.prob.p)
-            .map(|r| {
-                if r < self.active() {
-                    let (i, j, l) = self.coord(r);
-                    let (r0, r1) = even_range(self.prob.m, self.s, i);
-                    let (c0, c1) = even_range(self.prob.n, self.s, j);
-                    let (o0, o1) = even_range(r1 - r0, self.c, l);
-                    let rect = Rect::new(r0 + o0, c0, o1 - o0, c1 - c0);
-                    if rect.is_empty() {
-                        vec![]
-                    } else {
-                        vec![rect]
-                    }
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Layout::from_rects(self.prob.m, self.prob.n, rects)
-    }
-
-    fn layer0_layout(
-        &self,
-        f: impl Fn(&Self, usize, usize) -> Rect,
-        rows: usize,
-        cols: usize,
-    ) -> Layout {
-        let rects = (0..self.prob.p)
-            .map(|r| {
-                if r < self.s * self.s {
-                    let (i, j, _) = self.coord(r);
-                    let rect = f(self, i, j);
-                    if rect.is_empty() {
-                        vec![]
-                    } else {
-                        vec![rect]
-                    }
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Layout::from_rects(rows, cols, rects)
+        Layout::one_rect_per_rank(self.prob.m, self.prob.n, self.prob.p, |r| {
+            let (i, j, l) = self.active_coord(r)?;
+            let (r0, r1) = even_range(self.prob.m, self.s, i);
+            let (c0, c1) = even_range(self.prob.n, self.s, j);
+            let (o0, o1) = even_range(r1 - r0, self.c, l);
+            Some(Rect::new(r0 + o0, c0, o1 - o0, c1 - c0))
+        })
     }
 
     /// Native-layout multiply. Collective over `world`.
@@ -171,10 +130,7 @@ impl C25d {
             (0..c).map(|l| (l * s2..(l + 1) * s2).collect()).collect();
         let cannon_comm = world.subgroup(ctx, &cannon_groups);
 
-        if world.rank() >= self.active() {
-            return None;
-        }
-        let (i, j, l) = self.coord(world.rank());
+        let (i, j, l) = self.active_coord(world.rank())?;
         let (r0, r1) = even_range(self.prob.m, s, i);
         let (c0, c1) = even_range(self.prob.n, s, j);
         let (ka0, ka1) = even_range(self.prob.k, s, j);

@@ -42,13 +42,11 @@ impl CosmaLike {
         &self.grid
     }
 
-    fn coord(&self, world: usize) -> (usize, usize, usize) {
-        let per_kt = self.grid.pm * self.grid.pn;
-        (
-            world % per_kt % self.grid.pm,
-            world % per_kt / self.grid.pm,
-            world / per_kt,
-        )
+    /// Grid position `(i, j, kt)` of a world rank; `None` for idle ranks.
+    fn active_coord(&self, world: usize) -> Option<(usize, usize, usize)> {
+        let (pm, per_kt) = (self.grid.pm, self.grid.pm * self.grid.pn);
+        (world < self.grid.active())
+            .then(|| (world % per_kt % pm, world % per_kt / pm, world / per_kt))
     }
 
     fn k_outer(&self, kt: usize) -> (usize, usize) {
@@ -73,66 +71,33 @@ impl CosmaLike {
     /// column-slice `j` of its A block (one copy total; the row-allgather
     /// completes it).
     pub fn layout_a(&self) -> Layout {
-        self.layout_of(
-            |s, i, j, kt| {
-                let blk = s.a_block(i, kt);
-                let (o0, o1) = even_range(blk.cols, s.grid.pn, j);
-                Rect::new(blk.row0, blk.col0 + o0, blk.rows, o1 - o0)
-            },
-            self.prob.m,
-            self.prob.k,
-        )
+        Layout::one_rect_per_rank(self.prob.m, self.prob.k, self.prob.p, |r| {
+            let (i, j, kt) = self.active_coord(r)?;
+            let blk = self.a_block(i, kt);
+            let (o0, o1) = even_range(blk.cols, self.grid.pn, j);
+            Some(Rect::new(blk.row0, blk.col0 + o0, blk.rows, o1 - o0))
+        })
     }
 
     /// Native input layout of `B`: row-slice `i` of the B block.
     pub fn layout_b(&self) -> Layout {
-        self.layout_of(
-            |s, i, j, kt| {
-                let blk = s.b_block(j, kt);
-                let (o0, o1) = even_range(blk.rows, s.grid.pm, i);
-                Rect::new(blk.row0 + o0, blk.col0, o1 - o0, blk.cols)
-            },
-            self.prob.k,
-            self.prob.n,
-        )
+        Layout::one_rect_per_rank(self.prob.k, self.prob.n, self.prob.p, |r| {
+            let (i, j, kt) = self.active_coord(r)?;
+            let blk = self.b_block(j, kt);
+            let (o0, o1) = even_range(blk.rows, self.grid.pm, i);
+            Some(Rect::new(blk.row0 + o0, blk.col0, o1 - o0, blk.cols))
+        })
     }
 
     /// Native output layout of `C`: row-strip `kt` of block `(m_i, n_j)`.
     pub fn layout_c(&self) -> Layout {
-        self.layout_of(
-            |s, i, j, kt| {
-                let (r0, r1) = even_range(s.prob.m, s.grid.pm, i);
-                let (c0, c1) = even_range(s.prob.n, s.grid.pn, j);
-                let (o0, o1) = even_range(r1 - r0, s.grid.pk, kt);
-                Rect::new(r0 + o0, c0, o1 - o0, c1 - c0)
-            },
-            self.prob.m,
-            self.prob.n,
-        )
-    }
-
-    fn layout_of(
-        &self,
-        f: impl Fn(&Self, usize, usize, usize) -> Rect,
-        rows: usize,
-        cols: usize,
-    ) -> Layout {
-        let rects = (0..self.prob.p)
-            .map(|r| {
-                if r < self.grid.active() {
-                    let (i, j, kt) = self.coord(r);
-                    let rect = f(self, i, j, kt);
-                    if rect.is_empty() {
-                        vec![]
-                    } else {
-                        vec![rect]
-                    }
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Layout::from_rects(rows, cols, rects)
+        Layout::one_rect_per_rank(self.prob.m, self.prob.n, self.prob.p, |r| {
+            let (i, j, kt) = self.active_coord(r)?;
+            let (r0, r1) = even_range(self.prob.m, self.grid.pm, i);
+            let (c0, c1) = even_range(self.prob.n, self.grid.pn, j);
+            let (o0, o1) = even_range(r1 - r0, self.grid.pk, kt);
+            Some(Rect::new(r0 + o0, c0, o1 - o0, c1 - c0))
+        })
     }
 
     /// The full pipeline with user-defined layouts: the paper notes that
@@ -152,22 +117,15 @@ impl CosmaLike {
         b_blocks: &[Mat<T>],
         c_layout: &Layout,
     ) -> Vec<Mat<T>> {
-        assert_eq!(world.size(), self.prob.p, "world size must equal P");
-        ctx.set_phase("redist");
-        let la = self.layout_a();
-        let lb = self.layout_b();
-        let a_local = layout::redistribute(world, ctx, a_layout, a_blocks, &la, op_a);
-        let b_local = layout::redistribute(world, ctx, b_layout, b_blocks, &lb, op_b);
-        let c_strip = self.multiply_native(
-            ctx,
+        layout::multiply_in_layouts(
             world,
-            a_local.into_iter().next(),
-            b_local.into_iter().next(),
-        );
-        ctx.set_phase("redist");
-        let lc = self.layout_c();
-        let c_blocks: Vec<Mat<T>> = c_strip.into_iter().filter(|m| !m.is_empty()).collect();
-        layout::redistribute(world, ctx, &lc, &c_blocks, c_layout, GemmOp::NoTrans)
+            ctx,
+            (op_a, a_layout, a_blocks),
+            (op_b, b_layout, b_blocks),
+            c_layout,
+            [&self.layout_a(), &self.layout_b(), &self.layout_c()],
+            |a, b| self.multiply_native(ctx, world, a, b),
+        )
     }
 
     /// Native-layout multiply (the §III-C procedure). Collective over
@@ -180,7 +138,6 @@ impl CosmaLike {
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
         let (pm, pn, pk) = (self.grid.pm, self.grid.pn, self.grid.pk);
-        let active = self.grid.active();
 
         // Row groups (fixed i, kt): allgather A. Column groups: allgather B.
         let row_groups: Vec<Vec<usize>> = (0..pk)
@@ -200,10 +157,7 @@ impl CosmaLike {
             .collect();
         let reduce_comm = world.subgroup(ctx, &reduce_groups);
 
-        if world.rank() >= active {
-            return None;
-        }
-        let (i, j, kt) = self.coord(world.rank());
+        let (i, j, kt) = self.active_coord(world.rank())?;
 
         // Replicate A across the row (allgather of column-slices).
         ctx.set_phase("replicate_ab");

@@ -34,14 +34,11 @@ impl Orig3d {
         Orig3d { prob, q }
     }
 
-    fn active(&self) -> usize {
-        self.q * self.q * self.q
-    }
-
-    /// `world = l·q² + i + j·q`.
-    fn coord(&self, world: usize) -> (usize, usize, usize) {
+    /// Grid position `(i, j, l)` of a world rank (`world = l·q² + i + j·q`);
+    /// `None` for the surplus ranks outside the cube.
+    fn active_coord(&self, world: usize) -> Option<(usize, usize, usize)> {
         let q = self.q;
-        (world % (q * q) % q, world % (q * q) / q, world / (q * q))
+        (world < q * q * q).then(|| (world % (q * q) % q, world % (q * q) / q, world / (q * q)))
     }
 
     /// In-layer owners: `A(i, ·, l)` initially lives on the rank with
@@ -50,80 +47,33 @@ impl Orig3d {
     /// layer's A data starts on a distinct column, giving a 2D partition
     /// of A over q² ranks.
     pub fn layout_a(&self) -> Layout {
-        let q = self.q;
-        let rects = (0..self.prob.p)
-            .map(|r| {
-                if r < self.active() {
-                    let (i, j, l) = self.coord(r);
-                    if j == l {
-                        let (r0, r1) = even_range(self.prob.m, q, i);
-                        let (k0, k1) = even_range(self.prob.k, q, l);
-                        let rect = Rect::new(r0, k0, r1 - r0, k1 - k0);
-                        if rect.is_empty() {
-                            vec![]
-                        } else {
-                            vec![rect]
-                        }
-                    } else {
-                        vec![]
-                    }
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Layout::from_rects(self.prob.m, self.prob.k, rects)
+        Layout::one_rect_per_rank(self.prob.m, self.prob.k, self.prob.p, |r| {
+            let (i, _, l) = self.active_coord(r).filter(|&(_, j, l)| j == l)?;
+            let (r0, r1) = even_range(self.prob.m, self.q, i);
+            let (k0, k1) = even_range(self.prob.k, self.q, l);
+            Some(Rect::new(r0, k0, r1 - r0, k1 - k0))
+        })
     }
 
     /// `B(·, j, l)` initially on the rank with `i = l`.
     pub fn layout_b(&self) -> Layout {
-        let q = self.q;
-        let rects = (0..self.prob.p)
-            .map(|r| {
-                if r < self.active() {
-                    let (i, j, l) = self.coord(r);
-                    if i == l {
-                        let (k0, k1) = even_range(self.prob.k, q, l);
-                        let (c0, c1) = even_range(self.prob.n, q, j);
-                        let rect = Rect::new(k0, c0, k1 - k0, c1 - c0);
-                        if rect.is_empty() {
-                            vec![]
-                        } else {
-                            vec![rect]
-                        }
-                    } else {
-                        vec![]
-                    }
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Layout::from_rects(self.prob.k, self.prob.n, rects)
+        Layout::one_rect_per_rank(self.prob.k, self.prob.n, self.prob.p, |r| {
+            let (_, j, l) = self.active_coord(r).filter(|&(i, _, l)| i == l)?;
+            let (k0, k1) = even_range(self.prob.k, self.q, l);
+            let (c0, c1) = even_range(self.prob.n, self.q, j);
+            Some(Rect::new(k0, c0, k1 - k0, c1 - c0))
+        })
     }
 
     /// Output: row-strip `l` of C block `(i, j)`.
     pub fn layout_c(&self) -> Layout {
-        let q = self.q;
-        let rects = (0..self.prob.p)
-            .map(|r| {
-                if r < self.active() {
-                    let (i, j, l) = self.coord(r);
-                    let (r0, r1) = even_range(self.prob.m, q, i);
-                    let (c0, c1) = even_range(self.prob.n, q, j);
-                    let (o0, o1) = even_range(r1 - r0, q, l);
-                    let rect = Rect::new(r0 + o0, c0, o1 - o0, c1 - c0);
-                    if rect.is_empty() {
-                        vec![]
-                    } else {
-                        vec![rect]
-                    }
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Layout::from_rects(self.prob.m, self.prob.n, rects)
+        Layout::one_rect_per_rank(self.prob.m, self.prob.n, self.prob.p, |r| {
+            let (i, j, l) = self.active_coord(r)?;
+            let (r0, r1) = even_range(self.prob.m, self.q, i);
+            let (c0, c1) = even_range(self.prob.n, self.q, j);
+            let (o0, o1) = even_range(r1 - r0, self.q, l);
+            Some(Rect::new(r0 + o0, c0, o1 - o0, c1 - c0))
+        })
     }
 
     /// Native-layout multiply. Collective over `world`.
@@ -148,10 +98,7 @@ impl Orig3d {
             .collect();
         let layer_comm = world.subgroup(ctx, &layer_groups);
 
-        if world.rank() >= self.active() {
-            return None;
-        }
-        let (i, j, l) = self.coord(world.rank());
+        let (i, j, l) = self.active_coord(world.rank())?;
         let (r0, r1) = even_range(self.prob.m, q, i);
         let (c0, c1) = even_range(self.prob.n, q, j);
         let (k0, k1) = even_range(self.prob.k, q, l);
@@ -219,12 +166,10 @@ impl Orig3d {
     /// Schedule: two broadcasts, one GEMM, one reduce-scatter.
     pub fn schedule(&self, placement: &Placement, elem_bytes: f64) -> Schedule {
         let q = self.q;
-        let active = self.active();
         let mb = (self.prob.m as f64 / q as f64).ceil();
         let nb = (self.prob.n as f64 / q as f64).ceil();
         let kb = (self.prob.k as f64 / q as f64).ceil();
         let rpn = placement.ranks_per_node;
-        let _ = active;
         let mut s = Schedule::new();
         if q > 1 {
             // grid rows stride by q; grid columns are contiguous

@@ -32,71 +32,39 @@ impl SummaPgemm {
         SummaPgemm { prob, pr, pc }
     }
 
-    fn coord(&self, world: usize) -> (usize, usize) {
-        (world % self.pr, world / self.pr)
+    /// Grid position `(i, j)` of a world rank; `None` beyond the grid.
+    fn active_coord(&self, world: usize) -> Option<(usize, usize)> {
+        (world < self.pr * self.pc).then(|| (world % self.pr, world / self.pr))
     }
 
     /// Native layout of `A`: 2D blocks `m_i × ka_j` (k split `pc` ways).
     pub fn layout_a(&self) -> Layout {
-        self.layout_of(
-            |s, i, j| {
-                let (r0, r1) = even_range(s.prob.m, s.pr, i);
-                let (k0, k1) = even_range(s.prob.k, s.pc, j);
-                Rect::new(r0, k0, r1 - r0, k1 - k0)
-            },
-            self.prob.m,
-            self.prob.k,
-        )
+        Layout::one_rect_per_rank(self.prob.m, self.prob.k, self.prob.p, |r| {
+            let (i, j) = self.active_coord(r)?;
+            let (r0, r1) = even_range(self.prob.m, self.pr, i);
+            let (k0, k1) = even_range(self.prob.k, self.pc, j);
+            Some(Rect::new(r0, k0, r1 - r0, k1 - k0))
+        })
     }
 
     /// Native layout of `B`: 2D blocks `kb_i × n_j` (k split `pr` ways).
     pub fn layout_b(&self) -> Layout {
-        self.layout_of(
-            |s, i, j| {
-                let (k0, k1) = even_range(s.prob.k, s.pr, i);
-                let (c0, c1) = even_range(s.prob.n, s.pc, j);
-                Rect::new(k0, c0, k1 - k0, c1 - c0)
-            },
-            self.prob.k,
-            self.prob.n,
-        )
+        Layout::one_rect_per_rank(self.prob.k, self.prob.n, self.prob.p, |r| {
+            let (i, j) = self.active_coord(r)?;
+            let (k0, k1) = even_range(self.prob.k, self.pr, i);
+            let (c0, c1) = even_range(self.prob.n, self.pc, j);
+            Some(Rect::new(k0, c0, k1 - k0, c1 - c0))
+        })
     }
 
     /// Native layout of `C`: 2D blocks `m_i × n_j`.
     pub fn layout_c(&self) -> Layout {
-        self.layout_of(
-            |s, i, j| {
-                let (r0, r1) = even_range(s.prob.m, s.pr, i);
-                let (c0, c1) = even_range(s.prob.n, s.pc, j);
-                Rect::new(r0, c0, r1 - r0, c1 - c0)
-            },
-            self.prob.m,
-            self.prob.n,
-        )
-    }
-
-    fn layout_of(
-        &self,
-        f: impl Fn(&Self, usize, usize) -> Rect,
-        rows: usize,
-        cols: usize,
-    ) -> Layout {
-        let rects = (0..self.prob.p)
-            .map(|r| {
-                if r < self.pr * self.pc {
-                    let (i, j) = self.coord(r);
-                    let rect = f(self, i, j);
-                    if rect.is_empty() {
-                        vec![]
-                    } else {
-                        vec![rect]
-                    }
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Layout::from_rects(rows, cols, rects)
+        Layout::one_rect_per_rank(self.prob.m, self.prob.n, self.prob.p, |r| {
+            let (i, j) = self.active_coord(r)?;
+            let (r0, r1) = even_range(self.prob.m, self.pr, i);
+            let (c0, c1) = even_range(self.prob.n, self.pc, j);
+            Some(Rect::new(r0, c0, r1 - r0, c1 - c0))
+        })
     }
 
     /// The full pipeline with user-defined layouts (ScaLAPACK's `p?gemm`
@@ -115,22 +83,15 @@ impl SummaPgemm {
         b_blocks: &[Mat<T>],
         c_layout: &Layout,
     ) -> Vec<Mat<T>> {
-        assert_eq!(world.size(), self.prob.p, "world size must equal P");
-        ctx.set_phase("redist");
-        let la = self.layout_a();
-        let lb = self.layout_b();
-        let a_local = layout::redistribute(world, ctx, a_layout, a_blocks, &la, op_a);
-        let b_local = layout::redistribute(world, ctx, b_layout, b_blocks, &lb, op_b);
-        let c_local = self.multiply_native(
-            ctx,
+        layout::multiply_in_layouts(
             world,
-            a_local.into_iter().next(),
-            b_local.into_iter().next(),
-        );
-        ctx.set_phase("redist");
-        let lc = self.layout_c();
-        let c_blocks: Vec<Mat<T>> = c_local.into_iter().filter(|m| !m.is_empty()).collect();
-        layout::redistribute(world, ctx, &lc, &c_blocks, c_layout, GemmOp::NoTrans)
+            ctx,
+            (op_a, a_layout, a_blocks),
+            (op_b, b_layout, b_blocks),
+            c_layout,
+            [&self.layout_a(), &self.layout_b(), &self.layout_c()],
+            |a, b| self.multiply_native(ctx, world, a, b),
+        )
     }
 
     /// Native-layout multiply. Collective over `world`; ranks beyond the
@@ -151,10 +112,7 @@ impl SummaPgemm {
             .map(|j| (0..pr).map(|i| i + j * pr).collect())
             .collect();
         let col_comm = world.subgroup(ctx, &col_groups);
-        if world.rank() >= pr * pc {
-            return None;
-        }
-        let (i, j) = self.coord(world.rank());
+        let (i, j) = self.active_coord(world.rank())?;
         let (r0, r1) = even_range(self.prob.m, pr, i);
         let (c0, c1) = even_range(self.prob.n, pc, j);
         let (ka0, ka1) = even_range(self.prob.k, pc, j);

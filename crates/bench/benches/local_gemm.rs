@@ -124,7 +124,6 @@ fn profile_split<T: dense::Scalar>(
     let b = random_mat::<T>(k, n, 2);
     let mut c = Mat::<T>::zeros(m, n);
     pool::set_rank_gemm_threads(threads);
-    dense::set_gemm_profiling(true);
     dense::prof::begin_capture();
     gemm(
         GemmOp::NoTrans,
@@ -136,7 +135,6 @@ fn profile_split<T: dense::Scalar>(
         &mut c,
     );
     let profile = dense::prof::end_capture();
-    dense::set_gemm_profiling(false);
     pool::set_rank_gemm_threads(None);
     std::hint::black_box(&c);
     profile.map_or((0.0, 0.0, 0.0), |p| p.pct_split())
@@ -180,7 +178,6 @@ fn paired_overhead_pct<T: dense::Scalar>(m: usize, n: usize, k: usize) -> f64 {
     let mut c = Mat::<T>::zeros(m, n);
     let mut run = |prof: bool| -> f64 {
         if prof {
-            dense::set_gemm_profiling(true);
             dense::prof::begin_capture();
         }
         let t0 = std::time::Instant::now();
@@ -196,7 +193,6 @@ fn paired_overhead_pct<T: dense::Scalar>(m: usize, n: usize, k: usize) -> f64 {
         let dt = t0.elapsed().as_secs_f64();
         if prof {
             dense::prof::end_capture();
-            dense::set_gemm_profiling(false);
         }
         std::hint::black_box(&c);
         dt
@@ -224,11 +220,9 @@ fn paired_overhead_pct<T: dense::Scalar>(m: usize, n: usize, k: usize) -> f64 {
 /// overhead gate (< 2% at 1024³ f64) and `--gemm-tiers` (every recorded
 /// overhead must stay < 5%).
 fn run_profiled_overhead<T: dense::Scalar>(report: &mut BenchReport, m: usize, n: usize, k: usize) {
-    dense::set_gemm_profiling(true);
     dense::prof::begin_capture();
     run_case::<T>(report, "packed_prof", gemm, m, n, k, None);
     dense::prof::end_capture();
-    dense::set_gemm_profiling(false);
     annotate_kernel(report);
     report.annotate_last("prof_overhead_pct", paired_overhead_pct::<T>(m, n, k));
 }

@@ -181,7 +181,7 @@ fn main() {
         }
 
         if let (Some(path), true) = (report_out.as_deref(), Some(p) == sweep_max(only_ranks)) {
-            let meta = alg.report_meta(&format!("fig3_sim{variant}_p{p}"));
+            let meta = alg.report_meta(&format!("fig3_sim{variant}_p{p}"), &report);
             let json = report.to_json(meta).to_string_pretty();
             std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
             println!("run report -> {path}");

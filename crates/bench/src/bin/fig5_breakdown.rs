@@ -40,13 +40,19 @@ use dense::part::Rect;
 use dense::random::global_block;
 use dense::Mat;
 use gridopt::{Grid, Problem};
-use msgpass::{Comm, World};
+use msgpass::{Comm, RunOptions, World};
 use netmodel::eval::evaluate;
 use netmodel::Machine;
 
-/// Runs a real traced CA3DMM multiply; writes the Chrome trace and/or the
-/// RunReport artifact.
-fn traced_run(path: Option<&str>, report_out: Option<&str>, ranks: usize, size: usize) {
+/// Runs a real traced CA3DMM multiply under `opts`; writes the Chrome trace
+/// and/or the RunReport artifact.
+fn traced_run(
+    path: Option<&str>,
+    report_out: Option<&str>,
+    ranks: usize,
+    size: usize,
+    opts: RunOptions,
+) {
     let prob = Problem::new(size, size, size, ranks);
     let alg = Ca3dmm::new(prob, &Ca3dmmOptions::default());
     let gc = alg.grid_context();
@@ -63,7 +69,7 @@ fn traced_run(path: Option<&str>, report_out: Option<&str>, ranks: usize, size: 
         ranks,
         dense::pool::base_gemm_threads()
     );
-    let (_, report) = World::run_traced(ranks, |ctx| {
+    let (_, report) = World::run_opts(ranks, opts, |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
@@ -91,7 +97,7 @@ fn traced_run(path: Option<&str>, report_out: Option<&str>, ranks: usize, size: 
         println!("chrome trace -> {path}");
     }
     if let Some(path) = report_out {
-        let meta = alg.report_meta(&format!("fig5_breakdown_s{size}_p{ranks}"));
+        let meta = alg.report_meta(&format!("fig5_breakdown_s{size}_p{ranks}"), &report);
         let json = report.to_json(meta).to_string_pretty();
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("run report -> {path}");
@@ -210,6 +216,8 @@ fn main() {
     let (mut trace_out, mut report_out, mut trace_ranks, mut trace_size) =
         (None::<String>, None::<String>, 16usize, 256usize);
     let mut overlap_bench_mode = false;
+    // `gemm_prof` already follows DENSE_GEMM_PROF; `--prof` forces it on.
+    let mut run_opts = RunOptions::traced();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next()
@@ -221,7 +229,7 @@ fn main() {
             "--trace-ranks" => trace_ranks = value("--trace-ranks").parse().expect("rank count"),
             "--trace-size" => trace_size = value("--trace-size").parse().expect("problem size"),
             "--overlap-bench" => overlap_bench_mode = true,
-            "--prof" => dense::set_gemm_profiling(true),
+            "--prof" => run_opts.gemm_prof = true,
             other => panic!("unknown argument: {other}"),
         }
     }
@@ -235,6 +243,7 @@ fn main() {
             report_out.as_deref(),
             trace_ranks,
             trace_size,
+            run_opts,
         );
         return;
     }

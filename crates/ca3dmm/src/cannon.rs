@@ -49,103 +49,6 @@ fn charged_gemm<T: Scalar>(ctx: &RankCtx, a: &Mat<T>, b: &Mat<T>, c_out: &mut Ma
     }
 }
 
-/// Runs Cannon's algorithm. `a0`/`b0` are this rank's *natural* (skew-free)
-/// blocks — `A(i, j)` and `B(i, j)` in block coordinates; the initial skew
-/// is performed here, as in the original algorithm (the paper's latency
-/// analysis eq. 10 counts it: `p_s` rounds = 1 skew + `s−1` shifts).
-///
-/// `c_out` must be the `(rows of A-block) × (cols of B-block)` local result
-/// block; the product is accumulated into it.
-#[allow(clippy::too_many_arguments)]
-pub fn cannon<T: Scalar>(
-    ctx: &RankCtx,
-    group: &Comm,
-    s: usize,
-    i: usize,
-    j: usize,
-    a0: Mat<T>,
-    b0: Mat<T>,
-    c_out: &mut Mat<T>,
-) {
-    assert_eq!(group.size(), s * s, "Cannon group must have s^2 ranks");
-    assert_eq!(group.rank(), i + j * s, "rank/index mismatch");
-    if s == 1 {
-        charged_gemm(ctx, &a0, &b0, c_out);
-        return;
-    }
-    let idx = |ii: usize, jj: usize| ii + jj * s;
-    let (mut a_cur, mut b_cur) = skew(ctx, group, s, i, j, a0, b0);
-    for t in 0..s {
-        charged_gemm(ctx, &a_cur, &b_cur, c_out);
-        if t + 1 < s {
-            // circular shift: A left by one, B up by one
-            let a_dst = idx(i, (j + s - 1) % s);
-            let a_src = idx(i, (j + 1) % s);
-            a_cur = from_msg(group.sendrecv(ctx, a_dst, a_src, TAG_A, to_msg(a_cur)));
-            let b_dst = idx((i + s - 1) % s, j);
-            let b_src = idx((i + 1) % s, j);
-            b_cur = from_msg(group.sendrecv(ctx, b_dst, b_src, TAG_B, to_msg(b_cur)));
-        }
-    }
-}
-
-/// [`cannon`] with the §III-F communication/computation overlap: a
-/// double-buffered pipeline on nonblocking point-to-point. Each round
-/// posts the irecvs and isends for round *t+1* **before** running the
-/// round-*t* GEMM, then waits — on real threads the shift proceeds while
-/// the kernel runs, and under virtual time the round is charged
-/// `max(compute, shift)` instead of their sum (the model's
-/// `CannonConfig::overlap` pricing). The initial skew keeps its blocking
-/// path: nothing can overlap it.
-///
-/// Blocks travel as [`SharedBlock`]s, so the isend of the block the GEMM
-/// is reading costs one `Arc` refcount bump, and the received block is
-/// adopted without copying. Results are bitwise identical to [`cannon`]:
-/// the same blocks meet in the same GEMM order.
-#[allow(clippy::too_many_arguments)]
-pub fn cannon_overlapped<T: Scalar>(
-    ctx: &RankCtx,
-    group: &Comm,
-    s: usize,
-    i: usize,
-    j: usize,
-    a0: Mat<T>,
-    b0: Mat<T>,
-    c_out: &mut Mat<T>,
-) {
-    assert_eq!(group.size(), s * s, "Cannon group must have s^2 ranks");
-    assert_eq!(group.rank(), i + j * s, "rank/index mismatch");
-    if s == 1 {
-        charged_gemm(ctx, &a0, &b0, c_out);
-        return;
-    }
-    let idx = |ii: usize, jj: usize| ii + jj * s;
-    let (a_skewed, b_skewed) = skew(ctx, group, s, i, j, a0, b0);
-    let (mut a_cur, mut b_cur) = (Arc::new(a_skewed), Arc::new(b_skewed));
-    let (a_dst, a_src) = (idx(i, (j + s - 1) % s), idx(i, (j + 1) % s));
-    let (b_dst, b_src) = (idx((i + s - 1) % s, j), idx((i + 1) % s, j));
-    for t in 0..s {
-        if t + 1 < s {
-            // Post round-(t+1): receives first, then the sends (which only
-            // bump refcounts — the GEMM below reads the same buffers the
-            // "NIC" is shipping).
-            let ra = group.irecv::<SharedBlock<T>>(ctx, a_src, TAG_A);
-            let rb = group.irecv::<SharedBlock<T>>(ctx, b_src, TAG_B);
-            group
-                .isend(ctx, a_dst, TAG_A, SharedBlock(Arc::clone(&a_cur)))
-                .wait();
-            group
-                .isend(ctx, b_dst, TAG_B, SharedBlock(Arc::clone(&b_cur)))
-                .wait();
-            charged_gemm(ctx, &a_cur, &b_cur, c_out);
-            a_cur = ra.wait(ctx).0;
-            b_cur = rb.wait(ctx).0;
-        } else {
-            charged_gemm(ctx, &a_cur, &b_cur, c_out);
-        }
-    }
-}
-
 /// The initial skew: A(i, j) moves left by `i`, B(i, j) up by `j`.
 fn skew<T: Scalar>(
     ctx: &RankCtx,
@@ -174,24 +77,38 @@ fn skew<T: Scalar>(
     (a, b)
 }
 
-/// [`cannon`] with the §III-F multi-shift optimization: "to maintain the
+/// Runs Cannon's algorithm. `a0`/`b0` are this rank's *natural* (skew-free)
+/// blocks — `A(i, j)` and `B(i, j)` in block coordinates; the initial skew
+/// is performed here, as in the original algorithm (the paper's latency
+/// analysis eq. 10 counts it: `p_s` rounds = 1 skew + `s−1` shifts).
+/// `c_out` must be the `(rows of A-block) × (cols of B-block)` local result
+/// block; the product is accumulated into it.
+///
+/// `min_k_per_gemm` is the §III-F multi-shift optimization: "to maintain the
 /// efficiency of local matrix multiplication, we perform multiple shifts
 /// for one local matrix multiplication if A and B blocks … do not have a
-/// large enough k-dimension size."
-///
-/// When a received block's k-extent is below `min_k_per_gemm`, consecutive
-/// blocks are accumulated (A blocks concatenated column-wise, B blocks
-/// row-wise — the k-sub-ranges circulate in matching order, so the
-/// concatenations stay aligned) and multiplied in one larger GEMM.
-/// `min_k_per_gemm = 0` disables batching. Communication is unchanged —
+/// large enough k-dimension size." While the batched k-extent is below it,
+/// consecutive blocks are accumulated (A blocks concatenated column-wise, B
+/// blocks row-wise — the k-sub-ranges circulate in matching order, so the
+/// concatenations stay aligned) and multiplied in one larger GEMM. `0` is
+/// plain Cannon: one GEMM per round. Communication is the same either way —
 /// the same `s` rounds move the same bytes; only the GEMM granularity
 /// changes.
 ///
-/// `overlap` selects the §III-F pipeline ([`cannon_overlapped`]-style:
-/// post round *t+1*, flush the round-*t* batch, then wait) versus the
-/// blocking reference (each shift completes before the flush). Either way
-/// blocks circulate as [`SharedBlock`]s — the batch and the send share one
-/// allocation via `Arc`, so no round deep-copies a block.
+/// `overlap` selects the §III-F communication/computation overlap, a
+/// double-buffered pipeline on nonblocking point-to-point: each round posts
+/// the irecvs and isends for round *t+1* **before** flushing the round-*t*
+/// batch, then waits — on real threads the shift proceeds while the kernel
+/// runs, and under virtual time the round is charged `max(compute, shift)`
+/// instead of their sum (the model's `CannonConfig::overlap` pricing).
+/// `false` is the blocking reference: each shift completes before the
+/// flush. The initial skew is blocking in both: nothing can overlap it.
+/// Results are bitwise identical between the two — the same blocks meet in
+/// the same GEMM order.
+///
+/// Blocks circulate as [`SharedBlock`]s: sending the block the GEMM is
+/// reading costs one `Arc` refcount bump, and the received block is adopted
+/// without copying.
 #[allow(clippy::too_many_arguments)]
 pub fn cannon_multi_shift<T: Scalar>(
     ctx: &RankCtx,
@@ -205,19 +122,8 @@ pub fn cannon_multi_shift<T: Scalar>(
     min_k_per_gemm: usize,
     overlap: bool,
 ) {
-    if min_k_per_gemm == 0 {
-        return if overlap {
-            cannon_overlapped(ctx, group, s, i, j, a0, b0, c_out)
-        } else {
-            cannon(ctx, group, s, i, j, a0, b0, c_out)
-        };
-    }
     assert_eq!(group.size(), s * s, "Cannon group must have s^2 ranks");
     assert_eq!(group.rank(), i + j * s, "rank/index mismatch");
-    if s == 1 {
-        charged_gemm(ctx, &a0, &b0, c_out);
-        return;
-    }
     let idx = |ii: usize, jj: usize| ii + jj * s;
     let (a_skewed, b_skewed) = skew(ctx, group, s, i, j, a0, b0);
     let (mut a_cur, mut b_cur) = (Arc::new(a_skewed), Arc::new(b_skewed));
@@ -235,9 +141,8 @@ pub fn cannon_multi_shift<T: Scalar>(
     let mut batched_k = 0usize;
     for t in 0..s {
         let last = t + 1 == s;
-        // Issue the shift first (communication is identical to plain
-        // Cannon — batching only changes GEMM granularity); the batch and
-        // the outgoing message share the block through its `Arc`.
+        // Issue the shift first; the batch and the outgoing message share
+        // the block through its `Arc`.
         let next = if last {
             None
         } else if overlap {
@@ -338,41 +243,66 @@ mod tests {
     use dense::testing::assert_gemm_close;
     use msgpass::World;
 
-    /// Full end-to-end Cannon check on an s×s grid with arbitrary m, n, k.
-    fn check_cannon(m: usize, n: usize, k: usize, s: usize) {
+    /// This rank's natural blocks of the seeded global `A` (`m × k`) and
+    /// `B` (`k × n`) on an s×s grid, plus its `C` block filled with
+    /// `c_init`: A(i, j) uses k-part j, B(i, j) uses k-part i.
+    fn natural_blocks(
+        m: usize,
+        n: usize,
+        k: usize,
+        s: usize,
+        i: usize,
+        j: usize,
+        c_init: f64,
+    ) -> (Mat<f64>, Mat<f64>, Mat<f64>) {
+        let (r0, r1) = even_range(m, s, i);
+        let (c0, c1) = even_range(n, s, j);
+        let (ka0, ka1) = even_range(k, s, j);
+        let (kb0, kb1) = even_range(k, s, i);
+        (
+            global_block::<f64>(1, Rect::new(r0, ka0, r1 - r0, ka1 - ka0)),
+            global_block::<f64>(2, Rect::new(kb0, c0, kb1 - kb0, c1 - c0)),
+            Mat::from_fn(r1 - r0, c1 - c0, |_, _| c_init),
+        )
+    }
+
+    /// Full end-to-end Cannon check on an s×s grid with arbitrary m, n, k:
+    /// every rank's block of `c_init + A·B` against the serial reference
+    /// (up to summation-order rounding).
+    fn check(m: usize, n: usize, k: usize, s: usize, min_k: usize, overlap: bool, c_init: f64) {
         let results = World::run(s * s, |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let (i, j) = (me % s, me / s);
-            let (r0, r1) = even_range(m, s, i);
-            let (c0, c1) = even_range(n, s, j);
-            // natural blocks: A(i, j) uses k-part j; B(i, j) uses k-part i
-            let (ka0, ka1) = even_range(k, s, j);
-            let (kb0, kb1) = even_range(k, s, i);
-            let a = global_block::<f64>(1, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
-            let b = global_block::<f64>(2, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
-            let mut c = Mat::zeros(r1 - r0, c1 - c0);
-            cannon(ctx, &comm, s, i, j, a, b, &mut c);
+            let (a, b, mut c) = natural_blocks(m, n, k, s, i, j, c_init);
+            cannon_multi_shift(ctx, &comm, s, i, j, a, b, &mut c, min_k, overlap);
             (i, j, c)
         });
-        // serial reference
         let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
         let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-        let mut c_full = Mat::zeros(m, n);
+        let mut c_full = Mat::from_fn(m, n, |_, _| c_init);
         gemm_naive(
             GemmOp::NoTrans,
             GemmOp::NoTrans,
             1.0,
             &a_full,
             &b_full,
-            0.0,
+            1.0,
             &mut c_full,
         );
         for (i, j, c) in results {
             let (r0, r1) = even_range(m, s, i);
             let (c0, c1) = even_range(n, s, j);
             let want = c_full.block(Rect::new(r0, c0, r1 - r0, c1 - c0));
-            assert_gemm_close(&c, &want, k, &format!("cannon block ({i},{j})"));
+            let what = format!("cannon min_k={min_k} overlap={overlap} block ({i},{j})");
+            assert_gemm_close(&c, &want, k, &what);
+        }
+    }
+
+    /// Plain Cannon (`min_k = 0`), blocking and overlapped.
+    fn check_cannon(m: usize, n: usize, k: usize, s: usize) {
+        for overlap in [false, true] {
+            check(m, n, k, s, 0, overlap, 0.0);
         }
     }
 
@@ -407,81 +337,8 @@ mod tests {
     #[test]
     fn accumulates_into_existing_c() {
         // C starts at ones; after cannon it must be ones + A*B.
-        let m = 6;
-        let results = World::run(4, |ctx| {
-            let comm = Comm::world(ctx);
-            let me = comm.rank();
-            let (i, j) = (me % 2, me / 2);
-            let (r0, r1) = even_range(m, 2, i);
-            let (c0, c1) = even_range(m, 2, j);
-            let (ka0, ka1) = even_range(m, 2, j);
-            let (kb0, kb1) = even_range(m, 2, i);
-            let a = global_block::<f64>(1, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
-            let b = global_block::<f64>(2, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
-            let mut c = Mat::from_fn(r1 - r0, c1 - c0, |_, _| 1.0);
-            cannon(ctx, &comm, 2, i, j, a, b, &mut c);
-            (i, j, c)
-        });
-        let a_full = global_block::<f64>(1, Rect::new(0, 0, m, m));
-        let b_full = global_block::<f64>(2, Rect::new(0, 0, m, m));
-        let mut c_full = Mat::from_fn(m, m, |_, _| 1.0);
-        gemm_naive(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            1.0,
-            &a_full,
-            &b_full,
-            1.0,
-            &mut c_full,
-        );
-        for (i, j, c) in results {
-            let (r0, r1) = even_range(m, 2, i);
-            let (c0, c1) = even_range(m, 2, j);
-            let want = c_full.block(Rect::new(r0, c0, r1 - r0, c1 - c0));
-            assert_gemm_close(&c, &want, m, "accumulate");
-        }
-    }
-
-    /// Multi-shift batching must give bit-compatible results to plain
-    /// Cannon up to summation-order rounding, for every threshold — in
-    /// both the blocking and the overlapped pipeline.
-    fn check_multi_shift(m: usize, n: usize, k: usize, s: usize, min_k: usize, overlap: bool) {
-        let results = World::run(s * s, |ctx| {
-            let comm = Comm::world(ctx);
-            let me = comm.rank();
-            let (i, j) = (me % s, me / s);
-            let (r0, r1) = even_range(m, s, i);
-            let (c0, c1) = even_range(n, s, j);
-            let (ka0, ka1) = even_range(k, s, j);
-            let (kb0, kb1) = even_range(k, s, i);
-            let a = global_block::<f64>(1, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
-            let b = global_block::<f64>(2, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
-            let mut c = Mat::zeros(r1 - r0, c1 - c0);
-            cannon_multi_shift(ctx, &comm, s, i, j, a, b, &mut c, min_k, overlap);
-            (i, j, c)
-        });
-        let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-        let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-        let mut c_full = Mat::zeros(m, n);
-        gemm_naive(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            1.0,
-            &a_full,
-            &b_full,
-            0.0,
-            &mut c_full,
-        );
-        for (i, j, c) in results {
-            let (r0, r1) = even_range(m, s, i);
-            let (c0, c1) = even_range(n, s, j);
-            let want = c_full.block(Rect::new(r0, c0, r1 - r0, c1 - c0));
-            assert_gemm_close(
-                &c,
-                &want,
-                k,
-                &format!("multi-shift min_k={min_k} ({i},{j})"),
-            );
+        for overlap in [false, true] {
+            check(6, 6, 6, 2, 0, overlap, 1.0);
         }
     }
 
@@ -490,8 +347,9 @@ mod tests {
         // thin k per block (12/3 = 4): batch 2 blocks (min_k 8), all blocks
         // (min_k 100), or none (min_k 1, flushes every block)
         for min_k in [1usize, 4, 8, 100] {
-            check_multi_shift(9, 9, 12, 3, min_k, false);
-            check_multi_shift(9, 9, 12, 3, min_k, true);
+            for overlap in [false, true] {
+                check(9, 9, 12, 3, min_k, overlap, 0.0);
+            }
         }
     }
 
@@ -499,61 +357,60 @@ mod tests {
     fn multi_shift_uneven_blocks() {
         for min_k in [5usize, 64] {
             for overlap in [false, true] {
-                check_multi_shift(10, 11, 13, 3, min_k, overlap);
-                check_multi_shift(7, 9, 17, 4, min_k, overlap);
+                check(10, 11, 13, 3, min_k, overlap, 0.0);
+                check(7, 9, 17, 4, min_k, overlap, 0.0);
             }
         }
     }
 
-    #[test]
-    fn multi_shift_traffic_equals_plain_cannon() {
-        // Batching must not change the bytes on the wire.
-        let s = 3;
-        let m = 9;
-        let run = |min_k: usize| {
-            let (_, report) = World::run_traced(s * s, |ctx| {
-                let comm = Comm::world(ctx);
-                ctx.set_phase("cannon_shift");
-                let me = comm.rank();
-                let (i, j) = (me % s, me / s);
-                let (r0, r1) = even_range(m, s, i);
-                let (c0, c1) = even_range(m, s, j);
-                let (ka0, ka1) = even_range(m, s, j);
-                let (kb0, kb1) = even_range(m, s, i);
-                let a = global_block::<f64>(1, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
-                let b = global_block::<f64>(2, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
-                let mut c = Mat::zeros(r1 - r0, c1 - c0);
-                cannon_multi_shift(ctx, &comm, s, i, j, a, b, &mut c, min_k, false);
-            });
-            report.max_rank_bytes()
-        };
-        assert_eq!(run(0), run(1000));
-    }
-
-    #[test]
-    fn shift_traffic_is_s_rounds() {
-        // Each rank sends exactly s sendrecv rounds for A and s for B
-        // (1 skew + s-1 shifts), except ranks whose skew is a no-op.
-        let s = 3;
-        let m = 9;
+    /// One traced 3×3 Cannon run on a 9³ problem, all traffic labelled
+    /// `cannon_shift`.
+    fn traced(min_k: usize, overlap: bool) -> msgpass::RunReport {
+        let (s, m) = (3, 9);
         let (_, report) = World::run_traced(s * s, |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("cannon_shift");
             let me = comm.rank();
             let (i, j) = (me % s, me / s);
-            let (r0, r1) = even_range(m, s, i);
-            let (c0, c1) = even_range(m, s, j);
-            let (ka0, ka1) = even_range(m, s, j);
-            let (kb0, kb1) = even_range(m, s, i);
-            let a = global_block::<f64>(1, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
-            let b = global_block::<f64>(2, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
-            let mut c = Mat::zeros(r1 - r0, c1 - c0);
-            cannon(ctx, &comm, s, i, j, a, b, &mut c);
+            let (a, b, mut c) = natural_blocks(m, m, m, s, i, j, 0.0);
+            cannon_multi_shift(ctx, &comm, s, i, j, a, b, &mut c, min_k, overlap);
         });
-        // rank at (1,1): skew A + skew B + 2 shifts each = 6 messages
-        let r11 = 1 + s;
-        assert_eq!(report.phase(r11, "cannon_shift").msgs, 6);
-        // rank at (0,0): no skew, 2 shifts each = 4 messages
-        assert_eq!(report.phase(0, "cannon_shift").msgs, 4);
+        report
+    }
+
+    #[test]
+    fn multi_shift_traffic_equals_plain_cannon() {
+        // Neither batching nor overlap may change what goes on the wire:
+        // every rank-to-rank cell of plain blocking Cannon (min_k = 0) is
+        // reproduced by every batched / overlapped variant.
+        let plain = traced(0, false);
+        for (min_k, overlap) in [
+            (0, true),
+            (4, false),
+            (4, true),
+            (1000, false),
+            (1000, true),
+        ] {
+            let other = traced(min_k, overlap);
+            assert_eq!(
+                plain.matrix.nonzero_send(),
+                other.matrix.nonzero_send(),
+                "min_k={min_k} overlap={overlap}"
+            );
+        }
+    }
+
+    #[test]
+    fn shift_traffic_is_s_rounds() {
+        // Each rank sends exactly s rounds for A and s for B (1 skew + s-1
+        // shifts), except ranks whose skew is a no-op.
+        let s = 3;
+        for overlap in [false, true] {
+            let report = traced(0, overlap);
+            // rank at (1,1): skew A + skew B + 2 shifts each = 6 messages
+            assert_eq!(report.phase(1 + s, "cannon_shift").msgs, 6);
+            // rank at (0,0): no skew, 2 shifts each = 4 messages
+            assert_eq!(report.phase(0, "cannon_shift").msgs, 4);
+        }
     }
 }

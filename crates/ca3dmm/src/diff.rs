@@ -398,7 +398,9 @@ mod tests {
         );
 
         // Round-trip the run through its JSON artifact…
-        let text = report.to_json(alg.report_meta("doc_diff_test")).to_string();
+        let text = report
+            .to_json(alg.report_meta("doc_diff_test", &report))
+            .to_string();
         let doc = msgpass::RunReportDoc::parse(&text).expect("artifact parses");
         assert_eq!(doc.name(), Some("doc_diff_test"));
 

@@ -7,7 +7,7 @@ use crate::replicate::{replicate_block, slice_widths};
 use dense::gemm::GemmOp;
 use dense::{Mat, Scalar};
 use gridopt::{ca3dmm_grid_timed, Grid, Problem};
-use layout::{redistribute, Layout};
+use layout::Layout;
 use msgpass::collectives::Collectives;
 use msgpass::{Comm, RankCtx};
 
@@ -179,8 +179,9 @@ impl Ca3dmm {
     /// ([`msgpass::RunReport::to_json`]): enough of the problem and grid
     /// that `ca3dmm-report netdiff` can rebuild the schedule this run
     /// executed and price it on a model machine — without any side-channel
-    /// beyond the report file itself.
-    pub fn report_meta(&self, name: &str) -> jsonlite::Json {
+    /// beyond the report file itself. `report` is the run the meta will
+    /// describe: `gemm_prof` records whether it carries kernel profiles.
+    pub fn report_meta(&self, name: &str, report: &msgpass::RunReport) -> jsonlite::Json {
         let prob = self.gc.problem();
         let grid = self.gc.grid();
         jsonlite::Json::obj([
@@ -192,7 +193,7 @@ impl Ca3dmm {
             ("overlap", jsonlite::Json::Bool(self.overlap)),
             (
                 "gemm_prof",
-                jsonlite::Json::Bool(dense::profiling_enabled()),
+                jsonlite::Json::Bool(!report.compute.is_empty()),
             ),
             (
                 "collectives",
@@ -216,8 +217,13 @@ impl Ca3dmm {
     /// from `report_meta` because these are host-dependent — the
     /// deterministic figure artifacts (which CI diffs byte-for-byte) must
     /// not embed them, while serving reports want them front and center.
-    pub fn report_meta_serving(&self, name: &str, plan_cached: Option<bool>) -> jsonlite::Json {
-        let mut meta = self.report_meta(name);
+    pub fn report_meta_serving(
+        &self,
+        name: &str,
+        report: &msgpass::RunReport,
+        plan_cached: Option<bool>,
+    ) -> jsonlite::Json {
+        let mut meta = self.report_meta(name, report);
         if let jsonlite::Json::Obj(m) = &mut meta {
             m.insert(
                 "grid_search_secs".to_owned(),
@@ -277,40 +283,17 @@ impl Ca3dmm {
         b_blocks: &[Mat<T>],
         c_layout: &Layout,
     ) -> Vec<Mat<T>> {
-        let prob = self.gc.problem();
-        assert_eq!(
-            world.size(),
-            prob.p,
-            "world size must equal the problem's P"
-        );
-        assert_eq!(
-            c_layout.shape(),
-            (prob.m, prob.n),
-            "C layout shape mismatch"
-        );
+        let gc = &self.gc;
         let comms = self.comms(ctx, world);
-
-        // Step 4: redistribute inputs into the native layouts.
-        ctx.set_phase("redist");
-        let la = self.gc.layout_a();
-        let lb = self.gc.layout_b();
-        let a_local = redistribute(world, ctx, a_layout, a_blocks, &la, op_a);
-        let b_local = redistribute(world, ctx, b_layout, b_blocks, &lb, op_b);
-
-        // Steps 5–7 on the active ranks.
-        let c_strip = self.multiply_native_in(
-            ctx,
+        layout::multiply_in_layouts(
             world,
-            &comms,
-            a_local.into_iter().next(),
-            b_local.into_iter().next(),
-        );
-
-        // Step 8: redistribute C to the caller's layout.
-        ctx.set_phase("redist");
-        let lc = self.gc.layout_c();
-        let c_blocks: Vec<Mat<T>> = c_strip.into_iter().filter(|m| !m.is_empty()).collect();
-        redistribute(world, ctx, &lc, &c_blocks, c_layout, GemmOp::NoTrans)
+            ctx,
+            (op_a, a_layout, a_blocks),
+            (op_b, b_layout, b_blocks),
+            c_layout,
+            [&gc.layout_a(), &gc.layout_b(), &gc.layout_c()],
+            |a, b| self.multiply_native_in(ctx, world, &comms, a, b),
+        )
     }
 
     /// Builds the three sub-communicators of this grid (Cannon, replication

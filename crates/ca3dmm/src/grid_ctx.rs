@@ -249,42 +249,24 @@ impl GridContext {
     /// (idle ranks own nothing). This is the distribution Algorithm 1
     /// step 4 redistributes into.
     pub fn layout_a(&self) -> Layout {
-        self.layout_of(|ctx, coord| ctx.a_init(coord), self.prob.m, self.prob.k)
+        Layout::one_rect_per_rank(self.prob.m, self.prob.k, self.prob.p, |r| {
+            self.is_active(r).then(|| self.a_init(&self.coord_of(r)))
+        })
     }
 
     /// Native input layout of `op(B)` (`k × n`).
     pub fn layout_b(&self) -> Layout {
-        self.layout_of(|ctx, coord| ctx.b_init(coord), self.prob.k, self.prob.n)
+        Layout::one_rect_per_rank(self.prob.k, self.prob.n, self.prob.p, |r| {
+            self.is_active(r).then(|| self.b_init(&self.coord_of(r)))
+        })
     }
 
     /// Native output layout of `C` (`m × n`) — the distribution step 8
     /// redistributes out of.
     pub fn layout_c(&self) -> Layout {
-        self.layout_of(|ctx, coord| ctx.c_final(coord), self.prob.m, self.prob.n)
-    }
-
-    fn layout_of(
-        &self,
-        rect_of: impl Fn(&GridContext, &RankCoord) -> Rect,
-        rows: usize,
-        cols: usize,
-    ) -> Layout {
-        let rects = (0..self.prob.p)
-            .map(|r| {
-                if self.is_active(r) {
-                    let coord = self.coord_of(r);
-                    let rect = rect_of(self, &coord);
-                    if rect.is_empty() {
-                        vec![]
-                    } else {
-                        vec![rect]
-                    }
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Layout::from_rects(rows, cols, rects)
+        Layout::one_rect_per_rank(self.prob.m, self.prob.n, self.prob.p, |r| {
+            self.is_active(r).then(|| self.c_final(&self.coord_of(r)))
+        })
     }
 }
 

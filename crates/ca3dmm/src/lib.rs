@@ -48,7 +48,7 @@ pub mod reduce;
 pub mod replicate;
 pub mod summa2d;
 
-pub use cannon::{cannon, cannon_multi_shift, cannon_overlapped};
+pub use cannon::cannon_multi_shift;
 pub use diff::{
     diff_doc_vs_model, diff_model_vs_measured, model_phase_label, ModelDiffReport, PhaseDiff,
 };

@@ -19,7 +19,7 @@ use crate::exec::{Ca3dmm, Ca3dmmOptions, MultiplyComms};
 use dense::gemm::GemmOp;
 use dense::{Mat, Scalar};
 use gridopt::Problem;
-use layout::{redistribute_planned, Layout, RedistPlan};
+use layout::{multiply_planned, Layout, RedistPlan};
 use msgpass::{Comm, RankCtx};
 
 /// Element type of a request, as far as plan identity is concerned. The
@@ -292,28 +292,15 @@ impl Plan {
         a_blocks: &[Mat<T>],
         b_blocks: &[Mat<T>],
     ) -> Vec<Mat<T>> {
-        let prob = self.mm.grid_context().problem();
-        assert_eq!(world.size(), prob.p, "world size must equal the plan's P");
         let me = world.rank();
-
-        // Step 4 via the precomputed programs.
-        ctx.set_phase("redist");
-        let a_local = redistribute_planned(world, ctx, self.redist_a.for_rank(me), a_blocks);
-        let b_local = redistribute_planned(world, ctx, self.redist_b.for_rank(me), b_blocks);
-
-        // Steps 5–7.
-        let c_strip = self.mm.multiply_native_in(
-            ctx,
+        multiply_planned(
             world,
-            comms,
-            a_local.into_iter().next(),
-            b_local.into_iter().next(),
-        );
-
-        // Step 8.
-        ctx.set_phase("redist");
-        let c_blocks: Vec<Mat<T>> = c_strip.into_iter().filter(|m| !m.is_empty()).collect();
-        redistribute_planned(world, ctx, self.redist_c.for_rank(me), &c_blocks)
+            ctx,
+            (self.redist_a.for_rank(me), a_blocks),
+            (self.redist_b.for_rank(me), b_blocks),
+            self.redist_c.for_rank(me),
+            |a, b| self.mm.multiply_native_in(ctx, world, comms, a, b),
+        )
     }
 }
 

@@ -128,11 +128,12 @@ impl Ca3dmmSumma {
         &self.grid
     }
 
-    fn coord(&self, world_rank: usize) -> (usize, usize, usize) {
+    /// Grid position `(i, j, kt)` of a world rank; `None` for idle ranks.
+    fn active_coord(&self, world_rank: usize) -> Option<(usize, usize, usize)> {
         let per_kt = self.grid.pm * self.grid.pn;
-        let kt = world_rank / per_kt;
         let r = world_rank % per_kt;
-        (r % self.grid.pm, r / self.grid.pm, kt) // (i, j, kt)
+        (world_rank < self.grid.active())
+            .then(|| (r % self.grid.pm, r / self.grid.pm, world_rank / per_kt))
     }
 
     fn k_outer(&self, kt: usize) -> (usize, usize) {
@@ -142,69 +143,36 @@ impl Ca3dmmSumma {
     /// Native layout of `A` (`m × k`): block `(m_i, ka_j)` inside k-task
     /// group `kt`'s k-range, split `pn` ways.
     pub fn layout_a(&self) -> Layout {
-        self.layout_of(
-            |s, i, j, kt| {
-                let (r0, r1) = even_range(s.prob.m, s.grid.pm, i);
-                let (ks, ke) = s.k_outer(kt);
-                let (a, b) = even_range(ke - ks, s.grid.pn, j);
-                Rect::new(r0, ks + a, r1 - r0, b - a)
-            },
-            self.prob.m,
-            self.prob.k,
-        )
+        Layout::one_rect_per_rank(self.prob.m, self.prob.k, self.prob.p, |r| {
+            let (i, j, kt) = self.active_coord(r)?;
+            let (r0, r1) = even_range(self.prob.m, self.grid.pm, i);
+            let (ks, ke) = self.k_outer(kt);
+            let (a, b) = even_range(ke - ks, self.grid.pn, j);
+            Some(Rect::new(r0, ks + a, r1 - r0, b - a))
+        })
     }
 
     /// Native layout of `B` (`k × n`): block `(kb_i, n_j)`, k split `pm`
     /// ways inside the group's range.
     pub fn layout_b(&self) -> Layout {
-        self.layout_of(
-            |s, i, j, kt| {
-                let (ks, ke) = s.k_outer(kt);
-                let (a, b) = even_range(ke - ks, s.grid.pm, i);
-                let (c0, c1) = even_range(s.prob.n, s.grid.pn, j);
-                Rect::new(ks + a, c0, b - a, c1 - c0)
-            },
-            self.prob.k,
-            self.prob.n,
-        )
+        Layout::one_rect_per_rank(self.prob.k, self.prob.n, self.prob.p, |r| {
+            let (i, j, kt) = self.active_coord(r)?;
+            let (ks, ke) = self.k_outer(kt);
+            let (a, b) = even_range(ke - ks, self.grid.pm, i);
+            let (c0, c1) = even_range(self.prob.n, self.grid.pn, j);
+            Some(Rect::new(ks + a, c0, b - a, c1 - c0))
+        })
     }
 
     /// Native output layout of `C`: row-strip `kt` of block `(m_i, n_j)`.
     pub fn layout_c(&self) -> Layout {
-        self.layout_of(
-            |s, i, j, kt| {
-                let (r0, r1) = even_range(s.prob.m, s.grid.pm, i);
-                let (c0, c1) = even_range(s.prob.n, s.grid.pn, j);
-                let (o0, o1) = even_range(r1 - r0, s.grid.pk, kt);
-                Rect::new(r0 + o0, c0, o1 - o0, c1 - c0)
-            },
-            self.prob.m,
-            self.prob.n,
-        )
-    }
-
-    fn layout_of(
-        &self,
-        f: impl Fn(&Self, usize, usize, usize) -> Rect,
-        rows: usize,
-        cols: usize,
-    ) -> Layout {
-        let rects = (0..self.prob.p)
-            .map(|r| {
-                if r < self.grid.active() {
-                    let (i, j, kt) = self.coord(r);
-                    let rect = f(self, i, j, kt);
-                    if rect.is_empty() {
-                        vec![]
-                    } else {
-                        vec![rect]
-                    }
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Layout::from_rects(rows, cols, rects)
+        Layout::one_rect_per_rank(self.prob.m, self.prob.n, self.prob.p, |r| {
+            let (i, j, kt) = self.active_coord(r)?;
+            let (r0, r1) = even_range(self.prob.m, self.grid.pm, i);
+            let (c0, c1) = even_range(self.prob.n, self.grid.pn, j);
+            let (o0, o1) = even_range(r1 - r0, self.grid.pk, kt);
+            Some(Rect::new(r0 + o0, c0, o1 - o0, c1 - c0))
+        })
     }
 
     /// The full pipeline (Algorithm 1 with SUMMA inside the k-task
@@ -223,22 +191,15 @@ impl Ca3dmmSumma {
         b_blocks: &[Mat<T>],
         c_layout: &layout::Layout,
     ) -> Vec<Mat<T>> {
-        assert_eq!(world.size(), self.prob.p, "world size must equal P");
-        ctx.set_phase("redist");
-        let la = self.layout_a();
-        let lb = self.layout_b();
-        let a_local = layout::redistribute(world, ctx, a_layout, a_blocks, &la, op_a);
-        let b_local = layout::redistribute(world, ctx, b_layout, b_blocks, &lb, op_b);
-        let c_strip = self.multiply_native(
-            ctx,
+        layout::multiply_in_layouts(
             world,
-            a_local.into_iter().next(),
-            b_local.into_iter().next(),
-        );
-        ctx.set_phase("redist");
-        let lc = self.layout_c();
-        let c_blocks: Vec<Mat<T>> = c_strip.into_iter().filter(|m| !m.is_empty()).collect();
-        layout::redistribute(world, ctx, &lc, &c_blocks, c_layout, GemmOp::NoTrans)
+            ctx,
+            (op_a, a_layout, a_blocks),
+            (op_b, b_layout, b_blocks),
+            c_layout,
+            [&self.layout_a(), &self.layout_b(), &self.layout_c()],
+            |a, b| self.multiply_native(ctx, world, a, b),
+        )
     }
 
     /// Steps 5–7 with SUMMA: native-layout multiply. Collective over
@@ -251,7 +212,6 @@ impl Ca3dmmSumma {
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
         let (pm, pn, pk) = (self.grid.pm, self.grid.pn, self.grid.pk);
-        let active = self.grid.active();
 
         // Row comms: same (i, kt), j varies. Column comms: same (j, kt).
         let row_groups: Vec<Vec<usize>> = (0..pk)
@@ -279,10 +239,7 @@ impl Ca3dmmSumma {
             .collect();
         let reduce_comm = world.subgroup(ctx, &reduce_groups);
 
-        if world.rank() >= active {
-            return None;
-        }
-        let (i, j, kt) = self.coord(world.rank());
+        let (i, j, kt) = self.active_coord(world.rank())?;
         let (ks, ke) = self.k_outer(kt);
         let kb = ke - ks;
         let (r0, r1) = even_range(self.prob.m, pm, i);

@@ -30,9 +30,8 @@
 //!   `msgpass::World::run` applies via [`pool::set_rank_gemm_threads`]);
 //! * [`prof`] — kernel-level observability: a per-thread lock-free span
 //!   recorder plus pool telemetry, aggregated per capture into a
-//!   [`prof::KernelProfile`] with a roofline summary (enable with
-//!   `DENSE_GEMM_PROF` or [`prof::set_gemm_profiling`]; near-zero cost when
-//!   off);
+//!   [`prof::KernelProfile`] with a roofline summary (records only inside
+//!   a [`prof::begin_capture`] … [`prof::end_capture`] window);
 //! * [`part`] — block-partition arithmetic: [`part::split_even`] (the
 //!   paper's ⌈d/p⌉ / ⌊d/p⌋ partitioning), [`part::Rect`] rectangle algebra
 //!   used by the redistribution subroutine;
@@ -61,7 +60,7 @@ pub use kernel::{gemm_kernel, set_gemm_kernel, KernelKind};
 pub use mat::Mat;
 pub use part::{split_even, Rect};
 pub use pool::{gemm_threads, set_gemm_threads};
-pub use prof::{profiling_enabled, set_gemm_profiling, KernelProfile, PoolTelemetry, ProfSpan};
+pub use prof::{KernelProfile, PoolTelemetry, ProfSpan};
 pub use scalar::Scalar;
 pub use tune::{
     numa_nodes, numa_packing, probed_peak_gflops, probed_peak_gflops_for, set_gemm_blocking,

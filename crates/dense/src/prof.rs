@@ -3,7 +3,7 @@
 //!
 //! The message-passing side of this repository can attribute every byte and
 //! wait-second (`msgpass::traffic`, `msgpass::trace`); this module gives the
-//! compute side the same treatment. When profiling is on, every
+//! compute side the same treatment. Inside a capture, every
 //! [`gemm`](crate::gemm::gemm) call records *where its thread-seconds went*:
 //!
 //! * **exact aggregates** — the pack/compute phase closures bump per-call
@@ -25,22 +25,21 @@
 //!   `parallel_chunks` region count, all attributed to the capture whose
 //!   GEMM submitted the work.
 //!
-//! # Enabling
-//!
-//! Profiling is off by default and costs one relaxed atomic load per GEMM
-//! call (plus one per parallel region) when disabled — no timestamps, no
-//! ring writes, no allocation. Turn it on with the `DENSE_GEMM_PROF`
-//! environment variable (any value but `0`) or [`set_gemm_profiling`]; the
-//! explicit setter wins over the environment.
-//!
 //! # Captures
 //!
-//! Recording is scoped by *captures*: a rank thread (or a bench) calls
+//! Whether a GEMM is profiled is decided in exactly one place: *the calling
+//! thread has an open capture*. A rank thread (or a bench) calls
 //! [`begin_capture`], runs its GEMMs, and [`end_capture`] returns the
 //! aggregated [`KernelProfile`]. Every span and counter is tagged with the
-//! capture id, so concurrent ranks profiling on the shared pool do not mix.
-//! With profiling enabled but no active capture on the calling thread, the
-//! kernel records nothing.
+//! capture id, so concurrent ranks profiling on the shared pool do not mix,
+//! and a profiled run next to an unprofiled one in the same process cannot
+//! affect it. Without an open capture a GEMM call costs one thread-local
+//! read (plus one per parallel region) — no timestamps, no ring writes, no
+//! allocation.
+//!
+//! Runs ask for captures through `msgpass::RunOptions::gemm_prof`; its
+//! default is [`requested_by_env`], the `DENSE_GEMM_PROF` environment
+//! variable (any value but `0`) read once per process.
 //!
 //! # Roofline
 //!
@@ -57,8 +56,8 @@
 use crate::kernel::{self, KernelKind};
 use crate::tune;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Span records each thread's ring can hold; older records are overwritten
@@ -73,31 +72,13 @@ pub const MAX_PROFILED_THREADS: usize = 320;
 /// Words per ring record: tag (`capture_id << 8 | phase`), t0, t1.
 const REC_WORDS: usize = 3;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        let on = std::env::var("DENSE_GEMM_PROF").is_ok_and(|v| !v.is_empty() && v != "0");
-        if on {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Whether kernel profiling is currently enabled (the disabled-path guard:
-/// a completed-`Once` fast path plus one relaxed load).
-#[inline]
-pub fn profiling_enabled() -> bool {
-    init_from_env();
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables kernel profiling process-wide. Overrides
-/// `DENSE_GEMM_PROF`.
-pub fn set_gemm_profiling(on: bool) {
-    init_from_env();
-    ENABLED.store(on, Ordering::Relaxed);
+/// Whether the environment asks for kernel profiling: `DENSE_GEMM_PROF` set
+/// to anything but empty or `0`, read once per process. This only seeds the
+/// default of run options; recording itself is scoped by captures.
+pub fn requested_by_env() -> bool {
+    static REQUESTED: OnceLock<bool> = OnceLock::new();
+    *REQUESTED
+        .get_or_init(|| std::env::var("DENSE_GEMM_PROF").is_ok_and(|v| !v.is_empty() && v != "0"))
 }
 
 /// The process-wide instant all span timestamps are nanoseconds since.
@@ -310,7 +291,7 @@ pub fn begin_capture() {
 }
 
 /// Ends the calling thread's capture and returns its aggregated profile
-/// (`None` if no capture was active). Safe to call with profiling disabled.
+/// (`None` if no capture was active).
 ///
 /// Memory-order note: every worker write folded here happened before the
 /// corresponding `parallel_chunks` returned on this thread (the region's
@@ -434,15 +415,11 @@ pub fn end_capture() -> Option<KernelProfile> {
     })
 }
 
-/// Starts per-call instrumentation: `Some` only when profiling is enabled
-/// *and* the calling thread has an active capture.
+/// Starts per-call instrumentation: `Some` only when the calling thread has
+/// an active capture.
 pub(crate) fn call_begin() -> Option<CallProf> {
-    if !profiling_enabled() {
-        return None;
-    }
-    let inner = CAPTURE.with(|c| c.borrow().as_ref().map(|s| Arc::clone(&s.inner)))?;
     Some(CallProf {
-        inner,
+        inner: active_handle()?,
         started: Instant::now(),
         pack_a_ns: AtomicU64::new(0),
         pack_b_ns: AtomicU64::new(0),
@@ -516,11 +493,8 @@ pub(crate) fn record_span(inner: &CaptureInner, phase: SpanPhase, t0_ns: u64, t1
 }
 
 /// The calling thread's capture handle, for the pool to tag helper jobs
-/// with; `None` when profiling is off or no capture is active.
+/// with; `None` when no capture is active.
 pub(crate) fn active_handle() -> Option<Arc<CaptureInner>> {
-    if !profiling_enabled() {
-        return None;
-    }
     CAPTURE.with(|c| c.borrow().as_ref().map(|s| Arc::clone(&s.inner)))
 }
 
@@ -669,24 +643,24 @@ mod tests {
         fill_random(&mut a, 7);
         fill_random(&mut b, 8);
         crate::pool::set_rank_gemm_threads(Some(threads));
-        set_gemm_profiling(true);
         begin_capture();
         gemm(GemmOp::NoTrans, GemmOp::NoTrans, 1.0, &a, &b, 0.0, &mut c);
         let p = end_capture().expect("capture was active");
-        set_gemm_profiling(false);
         crate::pool::set_rank_gemm_threads(None);
         p
     }
 
     #[test]
-    fn disabled_profiler_records_nothing() {
-        set_gemm_profiling(false);
-        begin_capture();
+    fn gemm_outside_a_capture_records_nothing() {
+        assert!(call_begin().is_none() && active_handle().is_none());
         let mut a = Mat::<f64>::zeros(8, 8);
         let b = Mat::<f64>::zeros(8, 8);
         let mut c = Mat::<f64>::zeros(8, 8);
         fill_random(&mut a, 1);
         gemm(GemmOp::NoTrans, GemmOp::NoTrans, 1.0, &a, &b, 0.0, &mut c);
+        assert!(end_capture().is_none(), "no capture was opened");
+        // ... and a capture opened afterwards starts from zero.
+        begin_capture();
         let p = end_capture().expect("capture was active");
         assert_eq!(p.gemm_calls, 0);
         assert!(p.spans.is_empty());

@@ -117,6 +117,31 @@ impl Layout {
         }
     }
 
+    /// At most one rectangle per rank: rank `r` of `p` owns `rect_of(r)`,
+    /// or nothing when that is `None` or an empty rectangle. This is the
+    /// shape of every algorithm's native distribution — one block per
+    /// active grid position, idle ranks (and grid positions whose block
+    /// degenerates, e.g. more k-parts than k) own nothing.
+    ///
+    /// # Panics
+    /// As [`Layout::from_rects`].
+    pub fn one_rect_per_rank(
+        rows: usize,
+        cols: usize,
+        p: usize,
+        rect_of: impl Fn(usize) -> Option<Rect>,
+    ) -> Self {
+        let rects = (0..p)
+            .map(|r| {
+                rect_of(r)
+                    .filter(|rect| !rect.is_empty())
+                    .into_iter()
+                    .collect()
+            })
+            .collect();
+        Layout::from_rects(rows, cols, rects)
+    }
+
     /// 1D column partition: rank `r` owns a contiguous block of columns
     /// (the artifact example program's input/output layout).
     pub fn one_d_col(rows: usize, cols: usize, p: usize) -> Self {
@@ -274,6 +299,60 @@ mod tests {
             let back = l.assemble(&parts);
             assert_eq!(back.max_abs_diff(&g), 0.0);
         }
+    }
+
+    #[test]
+    fn one_rect_per_rank_cases() {
+        // A 4×6 matrix split into two row blocks, on worlds of `p` ranks.
+        fn row_block(i: usize) -> Rect {
+            Rect::new(2 * i, 0, 2, 6)
+        }
+        type Case = (&'static str, usize, fn(usize) -> Option<Rect>, Vec<usize>);
+        let cases: Vec<Case> = vec![
+            ("every rank active", 2, |r| Some(row_block(r)), vec![12, 12]),
+            (
+                "p larger than the grid: surplus ranks idle",
+                5,
+                |r| (r < 2).then(|| row_block(r)),
+                vec![12, 12, 0, 0, 0],
+            ),
+            (
+                "inactive ranks interleaved",
+                4,
+                |r| (r % 2 == 1).then(|| row_block(r / 2)),
+                vec![0, 12, 0, 12],
+            ),
+            (
+                "empty rects own nothing",
+                3,
+                |r| {
+                    Some(if r == 1 {
+                        Rect::new(2, 0, 0, 6)
+                    } else {
+                        row_block(r / 2)
+                    })
+                },
+                vec![12, 0, 12],
+            ),
+        ];
+        for (what, p, rect_of, elems) in cases {
+            let l = Layout::one_rect_per_rank(4, 6, p, rect_of);
+            assert_eq!(l.nranks(), p, "{what}");
+            for (r, &want) in elems.iter().enumerate() {
+                assert_eq!(l.owned_elems(r), want, "{what}: rank {r}");
+                assert_eq!(l.owned(r).len(), usize::from(want > 0), "{what}: rank {r}");
+            }
+        }
+        assert_eq!(
+            Layout::one_rect_per_rank(4, 6, 2, |r| Some(row_block(r))),
+            Layout::one_d_row(4, 6, 2)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sum to the matrix size")]
+    fn one_rect_per_rank_still_validates_coverage() {
+        Layout::one_rect_per_rank(4, 6, 3, |r| (r == 0).then(|| Rect::new(0, 0, 2, 6)));
     }
 
     #[test]

@@ -18,4 +18,7 @@ pub mod dist;
 pub mod redist;
 
 pub use dist::Layout;
-pub use redist::{redistribute, redistribute_planned, RankRedistPlan, RedistPlan};
+pub use redist::{
+    multiply_in_layouts, multiply_planned, redistribute, redistribute_planned, RankRedistPlan,
+    RedistPlan,
+};

@@ -239,13 +239,60 @@ pub fn redistribute<T: Scalar>(
     dst: &Layout,
     op: GemmOp,
 ) -> Vec<Mat<T>> {
-    assert_eq!(
-        src.nranks(),
-        comm.size(),
-        "src layout rank count != communicator size"
-    );
     let plan = RankRedistPlan::new(src, dst, op, comm.rank());
     redistribute_planned(comm, ctx, &plan, src_blocks)
+}
+
+/// Algorithm 1 steps 4 and 8 around a native-layout multiply, shared by
+/// every algorithm (the paper's unified view: they differ only in the native
+/// layouts and in what happens between the two redistributions).
+/// Redistributes this rank's blocks of the stored `A` and `B` into the
+/// algorithm's native layouts (each rank owns at most one native block),
+/// hands them to `multiply_native`, and redistributes the native `C` block it
+/// returns — `None` on ranks that own none — into the caller's layout.
+/// Collective over `world`; both redistribution steps are labelled `"redist"`.
+pub fn multiply_planned<T: Scalar>(
+    world: &Comm,
+    ctx: &RankCtx,
+    (redist_a, a_blocks): (&RankRedistPlan, &[Mat<T>]),
+    (redist_b, b_blocks): (&RankRedistPlan, &[Mat<T>]),
+    redist_c: &RankRedistPlan,
+    multiply_native: impl FnOnce(Option<Mat<T>>, Option<Mat<T>>) -> Option<Mat<T>>,
+) -> Vec<Mat<T>> {
+    ctx.set_phase("redist");
+    let a_local = redistribute_planned(world, ctx, redist_a, a_blocks);
+    let b_local = redistribute_planned(world, ctx, redist_b, b_blocks);
+    let c_native = multiply_native(a_local.into_iter().next(), b_local.into_iter().next());
+    ctx.set_phase("redist");
+    let c_blocks: Vec<Mat<T>> = c_native.into_iter().filter(|m| !m.is_empty()).collect();
+    redistribute_planned(world, ctx, redist_c, &c_blocks)
+}
+
+/// [`multiply_planned`] for one-shot callers: `a` and `b` are
+/// `(op, layout of the stored matrix, this rank's blocks)`, `native` the
+/// algorithm's `[A, B, C]` layouts; this rank's three redistribution
+/// programs are computed on the fly.
+///
+/// # Panics
+/// On shape or rank-count mismatches between the layouts and `world`.
+pub fn multiply_in_layouts<T: Scalar>(
+    world: &Comm,
+    ctx: &RankCtx,
+    (op_a, a_layout, a_blocks): (GemmOp, &Layout, &[Mat<T>]),
+    (op_b, b_layout, b_blocks): (GemmOp, &Layout, &[Mat<T>]),
+    c_layout: &Layout,
+    [native_a, native_b, native_c]: [&Layout; 3],
+    multiply_native: impl FnOnce(Option<Mat<T>>, Option<Mat<T>>) -> Option<Mat<T>>,
+) -> Vec<Mat<T>> {
+    let me = world.rank();
+    multiply_planned(
+        world,
+        ctx,
+        (&RankRedistPlan::new(a_layout, native_a, op_a, me), a_blocks),
+        (&RankRedistPlan::new(b_layout, native_b, op_b, me), b_blocks),
+        &RankRedistPlan::new(native_c, c_layout, GemmOp::NoTrans, me),
+        multiply_native,
+    )
 }
 
 /// The overlap of a destination rectangle (in `op(X)` coordinates) with a

@@ -209,38 +209,7 @@ impl CommMatrix {
         self.p
     }
 
-    /// Rebuilds a matrix from four `p×p` grids (the JSON wire form):
-    /// send bytes/msgs indexed `[src][dst]`, recv bytes/msgs indexed
-    /// `[dst][src]`. All four grids must be square and the same size
-    /// (callers validate shapes when parsing).
-    pub fn from_grids(
-        send_bytes: &[Vec<u64>],
-        send_msgs: &[Vec<u64>],
-        recv_bytes: &[Vec<u64>],
-        recv_msgs: &[Vec<u64>],
-    ) -> CommMatrix {
-        let p = send_bytes.len();
-        assert!(
-            [send_msgs.len(), recv_bytes.len(), recv_msgs.len()] == [p, p, p],
-            "matrix grids disagree on rank count"
-        );
-        let mut m = CommMatrix::new(p);
-        for i in 0..p {
-            for j in 0..p {
-                m.send[i * p + j] = CellCounts {
-                    bytes: send_bytes[i][j],
-                    msgs: send_msgs[i][j],
-                };
-                m.recv[i * p + j] = CellCounts {
-                    bytes: recv_bytes[i][j],
-                    msgs: recv_msgs[i][j],
-                };
-            }
-        }
-        m
-    }
-
-    /// Rebuilds a matrix from sparse cell lists (the schema-v2 JSON wire
+    /// Rebuilds a matrix from sparse cell lists (the JSON wire
     /// form): send entries are `(src, dst, counts)`, recv entries are
     /// `(dst, src, counts)`. Unlisted cells are zero. Callers validate that
     /// indices are in range when parsing.

@@ -18,21 +18,11 @@
 //! request path) must validate inputs up front, leaving only
 //! deterministic-across-ranks panics possible inside a job.
 
-use crate::chan::Receiver;
-use crate::comm::Envelope;
-use crate::trace::RawEvent;
-use crate::world::{assemble_report, Fabric, RankCtx, RunOptions, RunReport};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::world::{run_rank, RankCtx, RunOptions, RunReport, RunSetup};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
 
 /// One rank of one job: runs on the worker thread owning that rank slot.
 type Job = Box<dyn FnOnce() + Send>;
-
-/// What one rank sends back for one job: its closure result plus the trace
-/// stream, clock, and kernel profile the report assembler needs — or the
-/// stringified panic payload.
-type RankOutcome<R> = Result<(R, Vec<RawEvent>, f64, Option<dense::prof::KernelProfile>), String>;
 
 /// A rank panicked inside a [`PersistentWorld::run_job`] job.
 #[derive(Clone, Debug)]
@@ -136,32 +126,17 @@ impl PersistentWorld {
     {
         let _job = crate::lock_mutex(&self.gate);
         let p = self.p;
-        let (fabric, receivers) = Fabric::new(p);
-        let epoch = Instant::now();
-        let kernel_threads = opts
-            .kernel_threads_per_rank
-            .map_or_else(|| dense::pool::rank_threads_for(p), |n| n.max(1));
-        let topo_rpn = opts.ranks_per_node;
+        let (setup, receivers) = RunSetup::new(p, &opts, None);
+        let setup = Arc::new(setup);
         let f = Arc::new(f);
 
-        let (res_tx, res_rx) = mpsc::channel::<(usize, RankOutcome<R>)>();
+        let (res_tx, res_rx) = mpsc::channel();
         for (rank, rx) in receivers.into_iter().enumerate() {
-            let fabric = Arc::clone(&fabric);
-            let f = Arc::clone(&f);
-            let res_tx = res_tx.clone();
+            let (setup, f, res_tx) = (Arc::clone(&setup), Arc::clone(&f), res_tx.clone());
             let job: Job = Box::new(move || {
-                run_rank_job(
-                    rank,
-                    p,
-                    fabric,
-                    rx,
-                    kernel_threads,
-                    opts,
-                    epoch,
-                    topo_rpn,
-                    f,
-                    res_tx,
-                );
+                // The receiver may be gone if the caller bailed early;
+                // nothing to do.
+                let _ = res_tx.send((rank, run_rank(&setup, rank, rx, &*f)));
             });
             self.workers[rank]
                 .tx
@@ -170,37 +145,21 @@ impl PersistentWorld {
         }
         drop(res_tx);
 
-        let mut slots: Vec<Option<R>> = (0..p).map(|_| None).collect();
-        let mut streams: Vec<Vec<RawEvent>> = vec![Vec::new(); p];
-        let mut clocks = vec![0.0; p];
-        let mut profiles: Vec<Option<dense::prof::KernelProfile>> = vec![None; p];
-        let mut first_panic: Option<JobPanic> = None;
+        let mut slots: Vec<_> = (0..p).map(|_| None).collect();
         for _ in 0..p {
             let (rank, out) = res_rx.recv().expect("rank worker dropped its result");
-            match out {
-                Ok((r, events, clock, profile)) => {
-                    slots[rank] = Some(r);
-                    streams[rank] = events;
-                    clocks[rank] = clock;
-                    profiles[rank] = profile;
-                }
-                Err(message) => {
-                    let candidate = JobPanic { rank, message };
-                    if first_panic.as_ref().is_none_or(|p| candidate.rank < p.rank) {
-                        first_panic = Some(candidate);
-                    }
-                }
-            }
+            slots[rank] = Some(out);
         }
-        if let Some(panic) = first_panic {
-            return Err(panic);
-        }
-        let results: Vec<R> = slots
+        // Collecting in rank order stops at the lowest rank that panicked.
+        let outputs = slots
             .into_iter()
-            .map(|r| r.expect("every rank reported ok"))
-            .collect();
-        let report = assemble_report(&fabric, opts.trace, epoch, None, streams, clocks, profiles);
-        Ok((results, report))
+            .enumerate()
+            .map(|(rank, out)| {
+                out.expect("every rank reported")
+                    .map_err(|message| JobPanic { rank, message })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(setup.assemble_report(outputs))
     }
 }
 
@@ -217,58 +176,6 @@ impl Drop for PersistentWorld {
             }
         }
     }
-}
-
-/// One rank's execution of one job, on its worker thread.
-#[allow(clippy::too_many_arguments)]
-fn run_rank_job<R, F>(
-    rank: usize,
-    p: usize,
-    fabric: Arc<Fabric>,
-    rx: Receiver<Envelope>,
-    kernel_threads: usize,
-    opts: RunOptions,
-    epoch: Instant,
-    topo_rpn: Option<usize>,
-    f: Arc<F>,
-    res_tx: mpsc::Sender<(usize, RankOutcome<R>)>,
-) where
-    R: Send + 'static,
-    F: Fn(&RankCtx) -> R + Send + Sync + 'static,
-{
-    // Re-assert the per-job kernel budget every job: the thread persists,
-    // so the cap set by the previous job (possibly a different width) is
-    // still in place.
-    dense::pool::set_rank_gemm_threads(Some(kernel_threads));
-    let prof_on = dense::prof::profiling_enabled();
-    if prof_on {
-        dense::prof::begin_capture();
-    }
-    let out = catch_unwind(AssertUnwindSafe(|| {
-        let ctx = RankCtx::fresh(rank, p, fabric, rx, None, opts.trace, epoch, topo_rpn);
-        let r = f(&ctx);
-        let events = ctx.finish();
-        let clock = ctx.clock_secs();
-        (r, events, clock)
-    }));
-    // Always close the capture so a panicking job cannot leak an open
-    // capture into the next job on this thread.
-    let profile = if prof_on {
-        dense::prof::end_capture()
-    } else {
-        None
-    };
-    let msg = match out {
-        Ok((r, events, clock)) => Ok((r, events, clock, profile)),
-        Err(e) => Err(e
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| e.downcast_ref::<&str>().copied())
-            .unwrap_or("<non-string panic>")
-            .to_owned()),
-    };
-    // The receiver may be gone if the caller bailed early; nothing to do.
-    let _ = res_tx.send((rank, msg));
 }
 
 #[cfg(test)]

@@ -26,23 +26,23 @@ use netmodel::{Machine, Placement};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Version of the RunReport JSON schema this build writes. Version history:
+/// Version of the RunReport JSON schema this build writes — and the only one
+/// [`RunReportDoc::parse`] reads; regenerate older artifacts instead of
+/// teaching the parser their dialect. Version history:
 ///
 /// * **v1** — wall-clock only; the comm matrix is four dense `p×p` grids.
 /// * **v2** — adds `time_domain` (`"wall"` or `"virtual"`) and, for
 ///   virtual-time runs, a `sim` block (machine, placement, makespan); the
 ///   matrix switches to sparse cell lists (dense grids are ~75 MB of JSON
-///   at p = 3072). The parser still reads v1, implying `"wall"`.
+///   at p = 3072).
 /// * **v3** — adds the `compute` block: per-rank kernel profiles (GEMM
 ///   phase split, pack-volume bound, roofline, pool telemetry) captured
-///   when `DENSE_GEMM_PROF` was on during a wall-clock run; `null` when
-///   profiling was off. Aggregates only — raw spans stay in the Chrome
-///   trace. The parser still reads v1/v2, implying no compute block, and
-///   [`gate`] refuses to compare compute across schema versions.
+///   when a wall-clock run asked for them; `null` otherwise. Aggregates
+///   only — raw spans stay in the Chrome trace.
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// Oldest schema version [`RunReportDoc::parse`] still reads.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
+pub const MIN_SCHEMA_VERSION: u64 = 3;
 
 /// The `kind` discriminator of RunReport documents.
 pub const REPORT_KIND: &str = "ca3dmm_run_report";
@@ -489,7 +489,6 @@ pub struct RunReportDoc {
     /// [`SCHEMA_VERSION`] after a successful parse).
     pub schema_version: u64,
     /// `"wall"` or `"virtual"` — which clock the report's seconds are in.
-    /// Schema-v1 files imply `"wall"`.
     pub time_domain: String,
     /// The simulation block (`Some` exactly when `time_domain` is
     /// `"virtual"`).
@@ -514,8 +513,8 @@ pub struct RunReportDoc {
     pub wait_per_rank: Vec<BTreeMap<String, f64>>,
     /// Critical-path rows (None for untraced runs).
     pub critical_path: Option<Vec<CritRow>>,
-    /// Per-rank kernel profiles (None for v1/v2 artifacts and unprofiled
-    /// runs; entries are None for ranks that ran no profiled GEMM).
+    /// Per-rank kernel profiles (None for unprofiled runs; entries are None
+    /// for ranks that ran no profiled GEMM).
     pub compute: Option<Vec<Option<ComputeRow>>>,
 }
 
@@ -542,34 +541,6 @@ fn field_f64(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
     field(obj, key, what)?
         .as_f64()
         .ok_or_else(|| format!("{what}.{key} is not a number"))
-}
-
-fn parse_grid(v: &Json, p: usize, what: &str) -> Result<Vec<Vec<u64>>, String> {
-    let rows = v
-        .as_arr()
-        .ok_or_else(|| format!("{what} is not an array"))?;
-    if rows.len() != p {
-        return Err(format!("{what} has {} rows, expected {p}", rows.len()));
-    }
-    rows.iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let cells = row
-                .as_arr()
-                .ok_or_else(|| format!("{what}[{i}] is not an array"))?;
-            if cells.len() != p {
-                return Err(format!(
-                    "{what}[{i}] has {} cells, expected {p}",
-                    cells.len()
-                ));
-            }
-            cells
-                .iter()
-                .enumerate()
-                .map(|(j, c)| want_u64(c, &format!("{what}[{i}][{j}]")))
-                .collect()
-        })
-        .collect()
 }
 
 /// Parses one sparse cell list: an array of `[row, col, bytes, msgs]`
@@ -666,22 +637,18 @@ impl RunReportDoc {
         if kind != REPORT_KIND {
             return Err(format!("kind {kind:?} is not {REPORT_KIND:?}"));
         }
-        // v1 predates the field and was always wall time.
-        let time_domain = match doc.get("time_domain") {
-            None => "wall".to_owned(),
-            Some(v) => {
-                let s = v.as_str().ok_or("time_domain is not a string")?;
-                if s != "wall" && s != "virtual" {
-                    return Err(format!(
-                        "time_domain {s:?} is neither \"wall\" nor \"virtual\""
-                    ));
-                }
-                s.to_owned()
-            }
-        };
-        let sim = match doc.get("sim") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(SimBlock {
+        let time_domain = field(&doc, "time_domain", "report")?
+            .as_str()
+            .ok_or("time_domain is not a string")?
+            .to_owned();
+        if time_domain != "wall" && time_domain != "virtual" {
+            return Err(format!(
+                "time_domain {time_domain:?} is neither \"wall\" nor \"virtual\""
+            ));
+        }
+        let sim = match field(&doc, "sim", "report")? {
+            Json::Null => None,
+            v => Some(SimBlock {
                 machine: Machine::from_json(field(v, "machine", "sim")?)
                     .map_err(|e| format!("sim.machine: {e}"))?,
                 placement: Placement::from_json(field(v, "placement", "sim")?)
@@ -720,13 +687,7 @@ impl RunReportDoc {
                     recv_bytes: field_u64(ph, "recv_bytes", &what)?,
                     recv_msgs: field_u64(ph, "recv_msgs", &what)?,
                     max_rank_sent_bytes: field_u64(ph, "max_rank_sent_bytes", &what)?,
-                    // absent in artifacts written before the message-count
-                    // tier existed
-                    max_rank_sent_msgs: if ph.get("max_rank_sent_msgs").is_some() {
-                        field_u64(ph, "max_rank_sent_msgs", &what)?
-                    } else {
-                        0
-                    },
+                    max_rank_sent_msgs: field_u64(ph, "max_rank_sent_msgs", &what)?,
                     secs_max: field_f64(ph, "secs_max", &what)?,
                     secs_sum: field_f64(ph, "secs_sum", &what)?,
                     wait_max: field_f64(ph, "wait_max", &what)?,
@@ -744,27 +705,9 @@ impl RunReportDoc {
         };
 
         let mj = field(&doc, "matrix", "report")?;
-        let matrix = if mj.get("send").is_some() {
-            // v2 sparse cell lists.
-            let send = parse_sparse_cells(field(mj, "send", "matrix")?, ranks, "matrix.send")?;
-            let recv = parse_sparse_cells(field(mj, "recv", "matrix")?, ranks, "matrix.recv")?;
-            CommMatrix::from_sparse(ranks, &send, &recv)
-        } else {
-            // v1 dense p×p grids.
-            let sb = parse_grid(
-                field(mj, "send_bytes", "matrix")?,
-                ranks,
-                "matrix.send_bytes",
-            )?;
-            let sm = parse_grid(field(mj, "send_msgs", "matrix")?, ranks, "matrix.send_msgs")?;
-            let rb = parse_grid(
-                field(mj, "recv_bytes", "matrix")?,
-                ranks,
-                "matrix.recv_bytes",
-            )?;
-            let rm = parse_grid(field(mj, "recv_msgs", "matrix")?, ranks, "matrix.recv_msgs")?;
-            CommMatrix::from_grids(&sb, &sm, &rb, &rm)
-        };
+        let send = parse_sparse_cells(field(mj, "send", "matrix")?, ranks, "matrix.send")?;
+        let recv = parse_sparse_cells(field(mj, "recv", "matrix")?, ranks, "matrix.recv")?;
+        let matrix = CommMatrix::from_sparse(ranks, &send, &recv);
 
         let hj = field(&doc, "histograms", "report")?;
         let hist_by_phase =
@@ -819,11 +762,10 @@ impl RunReportDoc {
             _ => return Err("critical_path is neither null nor an array".to_owned()),
         };
 
-        // v1/v2 predate the compute block; in v3 it is `null` unless the run
-        // was profiled.
-        let compute = match doc.get("compute") {
-            None | Some(Json::Null) => None,
-            Some(Json::Arr(rows)) => {
+        // `null` unless the run was profiled.
+        let compute = match field(&doc, "compute", "report")? {
+            Json::Null => None,
+            Json::Arr(rows) => {
                 if rows.len() != ranks {
                     return Err(format!(
                         "compute has {} entries, expected {ranks}",
@@ -902,7 +844,7 @@ impl RunReportDoc {
                         .collect::<Result<Vec<_>, String>>()?,
                 )
             }
-            Some(_) => return Err("compute is neither null nor an array".to_owned()),
+            _ => return Err("compute is neither null nor an array".to_owned()),
         };
         if compute.is_some() && time_domain != "wall" {
             return Err("compute block present on a virtual-time report".to_owned());
@@ -1611,12 +1553,47 @@ mod tests {
     fn parse_rejects_malformed_reports() {
         assert!(RunReportDoc::parse("not json").is_err());
         assert!(RunReportDoc::parse("{}").is_err());
-        let wrong_version = Json::obj([
+        // Unsupported versions — a future one and a complete, formerly
+        // readable v2 document — yield the structured error, not a panic.
+        let future = Json::obj([
             ("schema_version", Json::Num(99.0)),
             ("kind", Json::Str(REPORT_KIND.into())),
         ]);
-        let e = RunReportDoc::parse(&wrong_version.to_string()).unwrap_err();
-        assert!(e.contains("schema_version"), "{e}");
+        let v2 = r#"{
+            "schema_version": 2,
+            "kind": "ca3dmm_run_report",
+            "time_domain": "wall",
+            "sim": null,
+            "meta": {"name": "v2-legacy"},
+            "machine": {"arch": "x86_64", "os": "linux"},
+            "ranks": 1,
+            "phases": [],
+            "totals": {"sent_bytes": 0, "sent_msgs": 0,
+                       "max_rank_bytes": 0, "max_rank_msgs": 0},
+            "matrix": {"format": "sparse", "send": [], "recv": []},
+            "histograms": {"by_phase": {}, "by_algo": {}},
+            "wait_per_rank": [{}],
+            "critical_path": null
+        }"#;
+        for (text, version) in [(future.to_string(), 99), (v2.to_owned(), 2)] {
+            let e = RunReportDoc::parse(&text).unwrap_err();
+            assert!(
+                e.contains(&format!("unsupported schema_version {version}")),
+                "{e}"
+            );
+        }
+        // The same document at the current version parses once it carries
+        // the v3 `compute` key — and not before.
+        let v3 = v2.replace("\"schema_version\": 2", "\"schema_version\": 3");
+        let e = RunReportDoc::parse(&v3).unwrap_err();
+        assert!(e.contains("compute"), "{e}");
+        let v3 = v3.replace(
+            "\"critical_path\": null",
+            "\"critical_path\": null, \"compute\": null",
+        );
+        let doc = RunReportDoc::parse(&v3).expect("minimal v3 parses");
+        assert!(doc.compute.is_none());
+        assert!(!doc.render_dashboard().contains("compute attribution"));
     }
 
     #[test]
@@ -1653,34 +1630,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_dense_report_still_parses_as_wall() {
-        // A minimal hand-built schema-v1 document: no time_domain, no sim,
-        // dense matrix grids. Older committed references must stay readable.
-        let v1 = r#"{
-            "schema_version": 1,
-            "kind": "ca3dmm_run_report",
-            "meta": {"name": "legacy"},
-            "machine": {"arch": "x86_64", "os": "linux"},
-            "ranks": 1,
-            "phases": [],
-            "totals": {"sent_bytes": 0, "sent_msgs": 0,
-                       "max_rank_bytes": 0, "max_rank_msgs": 0},
-            "matrix": {"send_bytes": [[0]], "send_msgs": [[0]],
-                       "recv_bytes": [[0]], "recv_msgs": [[0]]},
-            "histograms": {"by_phase": {}, "by_algo": {}},
-            "wait_per_rank": [{}],
-            "critical_path": null
-        }"#;
-        let doc = RunReportDoc::parse(v1).expect("v1 parses");
-        assert_eq!(doc.schema_version, 1);
-        assert_eq!(doc.time_domain, "wall");
-        assert!(doc.sim.is_none());
-    }
-
-    #[test]
     fn profiled_report_round_trips_compute_block() {
-        dense::set_gemm_profiling(true);
-        let (_, report) = World::run_traced(2, |ctx| {
+        let opts = crate::RunOptions {
+            gemm_prof: true,
+            ..crate::RunOptions::traced()
+        };
+        let (_, report) = World::run_opts(2, opts, |ctx| {
             ctx.set_phase("mult");
             let a = dense::random::random_mat::<f64>(96, 96, 7);
             let b = dense::random::random_mat::<f64>(96, 96, 8);
@@ -1696,7 +1651,6 @@ mod tests {
             );
             crate::collectives::barrier(&Comm::world(ctx), ctx);
         });
-        dense::set_gemm_profiling(false);
         assert_eq!(report.compute.len(), 2, "both ranks captured");
         let text = report
             .to_json(Json::obj([("name", Json::Str("prof".into()))]))
@@ -1727,33 +1681,6 @@ mod tests {
         assert!(dash.contains("compute attribution"), "{dash}");
         // Self-gate passes with compute on both sides.
         assert!(gate(&doc, &doc, &GatePolicy::default()).is_ok());
-    }
-
-    #[test]
-    fn v2_artifact_still_parses_without_compute() {
-        // A minimal schema-v2 document (no `compute` key at all), as written
-        // by the previous build. It must keep parsing, implying no compute.
-        let v2 = r#"{
-            "schema_version": 2,
-            "kind": "ca3dmm_run_report",
-            "time_domain": "wall",
-            "sim": null,
-            "meta": {"name": "v2-legacy"},
-            "machine": {"arch": "x86_64", "os": "linux"},
-            "ranks": 1,
-            "phases": [],
-            "totals": {"sent_bytes": 0, "sent_msgs": 0,
-                       "max_rank_bytes": 0, "max_rank_msgs": 0},
-            "matrix": {"format": "sparse", "send": [], "recv": []},
-            "histograms": {"by_phase": {}, "by_algo": {}},
-            "wait_per_rank": [{}],
-            "critical_path": null
-        }"#;
-        let doc = RunReportDoc::parse(v2).expect("v2 parses");
-        assert_eq!(doc.schema_version, 2);
-        assert!(doc.compute.is_none());
-        // The dashboard simply omits the compute table.
-        assert!(!doc.render_dashboard().contains("compute attribution"));
     }
 
     #[test]

@@ -181,13 +181,13 @@ impl World {
     {
         let placement = opts.placement.unwrap_or_else(|| machine.pure_mpi());
         let params = Arc::new(SimParams::new(machine, placement, opts.execute_compute));
+        // Tracing stays off, and `RunSetup::new` never captures kernel
+        // profiles under virtual time (both would measure the meaningless
+        // wall clock) and takes the node layout from `params`.
         let run_opts = RunOptions {
-            trace: false,
             kernel_threads_per_rank: opts.kernel_threads_per_rank,
             stack_size: opts.stack_size,
-            // Redundant with the sim params (which win in run_inner), but
-            // keeps the options self-describing.
-            ranks_per_node: Some(placement.ranks_per_node),
+            ..RunOptions::default()
         };
         World::run_inner(p, run_opts, Some(params), f)
     }

@@ -10,6 +10,7 @@ use crate::traffic::{RankTraffic, TrafficReport};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Deref;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -69,6 +70,12 @@ pub struct RunOptions {
     /// their flat paths. Virtual-time runs ignore this — the sim's
     /// [`crate::sim::SimOptions::placement`] is authoritative there.
     pub ranks_per_node: Option<usize>,
+    /// Capture a `dense::prof` kernel profile on every rank thread for the
+    /// duration of the run and return them in [`RunReport::compute`].
+    /// Defaults to [`dense::prof::requested_by_env`] (`DENSE_GEMM_PROF`).
+    /// Virtual-time runs never capture: wall-clock kernel spans are
+    /// meaningless there, and sim artifacts must stay byte-identical.
+    pub gemm_prof: bool,
 }
 
 impl Default for RunOptions {
@@ -78,6 +85,7 @@ impl Default for RunOptions {
             kernel_threads_per_rank: None,
             stack_size: RunOptions::DEFAULT_STACK_SIZE,
             ranks_per_node: None,
+            gemm_prof: dense::prof::requested_by_env(),
         }
     }
 }
@@ -110,11 +118,9 @@ pub struct RunReport {
     /// Set when this report came from a virtual-time run: the machine,
     /// placement, and virtual makespan. `None` means wall time.
     pub sim: Option<SimInfo>,
-    /// Per-rank kernel profiles, captured when `dense` GEMM profiling
-    /// (`DENSE_GEMM_PROF` / [`dense::prof::set_gemm_profiling`]) was enabled
-    /// during a *wall-clock* run. Empty for unprofiled and virtual-time runs
-    /// (virtual time makes wall-clock kernel spans meaningless, so sim runs
-    /// never capture). Serialized as the schema-v3 `compute` block.
+    /// Per-rank kernel profiles, captured when a *wall-clock* run asked for
+    /// them ([`RunOptions::gemm_prof`]). Empty for unprofiled and
+    /// virtual-time runs. Serialized as the schema-v3 `compute` block.
     pub compute: Vec<Option<ComputeProfile>>,
 }
 
@@ -228,38 +234,26 @@ pub struct RankCtx {
 
 impl RankCtx {
     /// Builds one rank's context for one run (or one persistent-world job).
-    /// `epoch` is the shared trace origin; `sim` carries the virtual-time
-    /// parameters (`None` for wall clock).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fresh(
-        rank: usize,
-        p: usize,
-        fabric: Arc<Fabric>,
-        rx: Receiver<Envelope>,
-        sim: Option<Arc<SimParams>>,
-        trace: bool,
-        epoch: Instant,
-        topo_rpn: Option<usize>,
-    ) -> RankCtx {
+    fn fresh(setup: &RunSetup, rank: usize, rx: Receiver<Envelope>) -> RankCtx {
         RankCtx {
             world_rank: rank,
-            world_size: p,
-            fabric,
+            world_size: setup.fabric.senders.len(),
+            fabric: Arc::clone(&setup.fabric),
             rx,
             pending: RefCell::new(Vec::new()),
             posted: RefCell::new(Vec::new()),
             post_seq: Cell::new(0),
             phase: RefCell::new(String::new()),
             phase_started: Cell::new(Instant::now()),
-            sim,
+            sim: setup.sim.clone(),
             clock: Cell::new(0.0),
             nic_clock: Cell::new(0.0),
             phase_started_v: Cell::new(0.0),
             send_seq: Cell::new(0),
             ctx_seq: Cell::new(0),
-            recorder: Recorder::new(trace, epoch),
+            recorder: Recorder::new(setup.trace, setup.epoch),
             coll: Cell::new(None),
-            topo_rpn,
+            topo_rpn: setup.topo_rpn,
         }
     }
 
@@ -318,7 +312,7 @@ impl RankCtx {
 
     /// Final bookkeeping when the rank's closure returns: closes the open
     /// phase (clock and trace span) and hands back the raw event stream.
-    pub(crate) fn finish(&self) -> Vec<RawEvent> {
+    fn finish(&self) -> Vec<RawEvent> {
         assert!(
             self.posted.borrow().is_empty(),
             "rank {} exited with {} posted receive(s) never waited on",
@@ -356,11 +350,6 @@ impl RankCtx {
     /// known.
     pub fn node_of(&self, world_rank: usize) -> Option<usize> {
         self.ranks_per_node().map(|rpn| world_rank / rpn)
-    }
-
-    /// Raw virtual clock value (0.0 in wall-clock runs) — report plumbing.
-    pub(crate) fn clock_secs(&self) -> f64 {
-        self.clock.get()
     }
 
     /// This rank's virtual clock, seconds since run start. `None` in
@@ -544,166 +533,217 @@ impl World {
         R: Send,
         F: Fn(&RankCtx) -> R + Sync,
     {
-        assert!(p > 0, "world size must be positive");
-        let (fabric, receivers) = Fabric::new(p);
-        // One epoch for the whole world so per-rank timestamps are mutually
-        // comparable in the merged timeline.
-        let epoch = Instant::now();
-        let kernel_threads = opts
-            .kernel_threads_per_rank
-            .map_or_else(|| dense::pool::rank_threads_for(p), |n| n.max(1));
-        // Sim placement is authoritative when present: the collectives must
-        // group ranks by the same node boundaries the sim charges β across.
-        let topo_rpn = sim
-            .as_ref()
-            .map(|s| s.ranks_per_node())
-            .or(opts.ranks_per_node);
-
-        let mut results = Vec::with_capacity(p);
-        let mut streams = Vec::with_capacity(p);
-        let mut clocks = Vec::with_capacity(p);
-        let mut profiles: Vec<Option<dense::prof::KernelProfile>> = Vec::with_capacity(p);
-        std::thread::scope(|s| {
+        let (setup, receivers) = RunSetup::new(p, &opts, sim);
+        let outputs = std::thread::scope(|s| {
             let handles: Vec<_> = receivers
                 .into_iter()
                 .enumerate()
                 .map(|(rank, rx)| {
-                    let fabric = Arc::clone(&fabric);
-                    let sim = sim.clone();
-                    let f = &f;
+                    let (setup, f) = (&setup, &f);
                     std::thread::Builder::new()
                         .stack_size(opts.stack_size.max(64 * 1024))
-                        .spawn_scoped(s, move || {
-                            // Cap this rank's local-GEMM parallelism so the
-                            // world's ranks together stay within the host's
-                            // kernel-thread budget (the cap is thread-local
-                            // and this thread is fresh, so it cannot leak).
-                            dense::pool::set_rank_gemm_threads(Some(kernel_threads));
-                            // Kernel profiling only makes sense on wall-clock
-                            // runs: under virtual time the rank "compute" is
-                            // charged on the sim clock, not executed at the
-                            // profiled wall speed.
-                            let prof_on = sim.is_none() && dense::prof::profiling_enabled();
-                            if prof_on {
-                                dense::prof::begin_capture();
-                            }
-                            let ctx = RankCtx::fresh(
-                                rank, p, fabric, rx, sim, opts.trace, epoch, topo_rpn,
-                            );
-                            let out = f(&ctx);
-                            let events = ctx.finish();
-                            let profile = if prof_on {
-                                dense::prof::end_capture()
-                            } else {
-                                None
-                            };
-                            (out, events, ctx.clock.get(), profile)
-                        })
+                        .spawn_scoped(s, move || run_rank(setup, rank, rx, f))
                         .expect("failed to spawn rank thread")
                 })
                 .collect();
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((out, events, clock, profile)) => {
-                        results.push(out);
-                        streams.push(events);
-                        clocks.push(clock);
-                        profiles.push(profile);
-                    }
-                    Err(e) => {
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| e.downcast_ref::<&str>().copied())
-                            .unwrap_or("<non-string panic>");
-                        panic!("rank {rank} panicked: {msg}")
-                    }
-                }
-            }
+            // The lowest panicking rank is reported; the scope joins the rest.
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(rank, h)| {
+                    h.join()
+                        .expect("run_rank contains its closure's panics")
+                        .unwrap_or_else(|msg| panic!("rank {rank} panicked: {msg}"))
+                })
+                .collect()
         });
+        setup.assemble_report(outputs)
+    }
+}
 
-        let report = assemble_report(&fabric, opts.trace, epoch, sim, streams, clocks, profiles);
+/// What every rank of one run (or one persistent-world job) shares: the
+/// fabric, the time domain and trace origin, and the per-rank settings
+/// resolved from the [`RunOptions`].
+pub(crate) struct RunSetup {
+    fabric: Arc<Fabric>,
+    /// Virtual-time charging parameters; `None` for wall clock.
+    sim: Option<Arc<SimParams>>,
+    trace: bool,
+    /// One epoch for the whole world so per-rank timestamps are mutually
+    /// comparable in the merged timeline.
+    epoch: Instant,
+    kernel_threads: usize,
+    topo_rpn: Option<usize>,
+    gemm_prof: bool,
+}
+
+/// What one rank hands back from [`run_rank`]: its closure's result plus
+/// the trace stream, final virtual clock, and kernel profile the report
+/// assembler needs.
+pub(crate) struct RankOutput<R> {
+    result: R,
+    events: Vec<RawEvent>,
+    clock: f64,
+    profile: Option<dense::prof::KernelProfile>,
+}
+
+impl RunSetup {
+    /// A fresh `p`-rank fabric under `opts`, plus each rank's mailbox.
+    pub(crate) fn new(
+        p: usize,
+        opts: &RunOptions,
+        sim: Option<Arc<SimParams>>,
+    ) -> (RunSetup, Vec<Receiver<Envelope>>) {
+        assert!(p > 0, "world size must be positive");
+        let (fabric, receivers) = Fabric::new(p);
+        let setup = RunSetup {
+            fabric,
+            trace: opts.trace,
+            epoch: Instant::now(),
+            kernel_threads: opts
+                .kernel_threads_per_rank
+                .map_or_else(|| dense::pool::rank_threads_for(p), |n| n.max(1)),
+            // Sim placement is authoritative when present: the collectives
+            // must group ranks by the same node boundaries the sim charges β
+            // across.
+            topo_rpn: sim
+                .as_ref()
+                .map(|s| s.ranks_per_node())
+                .or(opts.ranks_per_node),
+            // Kernel profiling only makes sense on wall-clock runs: under
+            // virtual time the rank "compute" is charged on the sim clock,
+            // not executed at the profiled wall speed.
+            gemm_prof: opts.gemm_prof && sim.is_none(),
+            sim,
+        };
+        (setup, receivers)
+    }
+
+    /// Aggregates the fabric counters and every rank's output (in rank
+    /// order) into the per-rank results and the run's [`RunReport`].
+    pub(crate) fn assemble_report<R>(&self, outputs: Vec<RankOutput<R>>) -> (Vec<R>, RunReport) {
+        let fabric = &self.fabric;
+        let p = fabric.traffic.len();
+        let mut per_rank = Vec::with_capacity(p);
+        let mut wait_per_rank = Vec::with_capacity(p);
+        let mut matrix = CommMatrix::new(p);
+        let mut hist_by_phase: BTreeMap<String, SizeHistogram> = BTreeMap::new();
+        let mut hist_by_algo: BTreeMap<String, SizeHistogram> = BTreeMap::new();
+        for (rank, t) in fabric.traffic.iter().enumerate() {
+            let st = lock_mutex(&t.stats);
+            per_rank.push(st.by_phase.clone());
+            wait_per_rank.push(st.wait_by_phase.clone());
+            matrix.set_send_row(rank, &st.sent_to);
+            matrix.set_recv_row(rank, &st.recv_from);
+            for (k, h) in &st.hist_by_phase {
+                hist_by_phase.entry(k.clone()).or_default().merge(h);
+            }
+            for (k, h) in &st.hist_by_algo {
+                hist_by_algo.entry(k.clone()).or_default().merge(h);
+            }
+        }
+        let traffic = TrafficReport {
+            per_rank,
+            secs_per_rank: fabric.times.iter().map(|t| lock_mutex(t).clone()).collect(),
+            wait_per_rank,
+            matrix,
+            hist_by_phase,
+            hist_by_algo,
+        };
+
+        let mut results = Vec::with_capacity(p);
+        let mut streams = Vec::with_capacity(p);
+        let mut makespan_secs = 0.0f64;
+        let mut profiles = Vec::with_capacity(p);
+        for out in outputs {
+            results.push(out.result);
+            streams.push(out.events);
+            makespan_secs = makespan_secs.max(out.clock);
+            profiles.push(out.profile);
+        }
+        let timeline = if self.trace {
+            Timeline::from_raw(streams)
+        } else {
+            Timeline::empty(p)
+        };
+        let sim = self.sim.as_ref().map(|params| SimInfo {
+            machine: params.machine.clone(),
+            placement: params.placement,
+            execute_compute: params.execute_compute,
+            makespan_secs,
+        });
+        let compute = if profiles.iter().any(Option::is_some) {
+            // Rebase profiler timestamps (ns since the profiler's process-wide
+            // epoch) onto this run's epoch. The profiler epoch may pre- or
+            // post-date the run epoch depending on which was touched first.
+            let prof_epoch = dense::prof::epoch();
+            let offset = match self.epoch.checked_duration_since(prof_epoch) {
+                Some(d) => -d.as_secs_f64(),
+                None => prof_epoch.duration_since(self.epoch).as_secs_f64(),
+            };
+            profiles
+                .into_iter()
+                .map(|p| {
+                    p.map(|profile| ComputeProfile {
+                        profile,
+                        epoch_offset_secs: offset,
+                    })
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let report = RunReport {
+            traffic,
+            timeline,
+            sim,
+            compute,
+        };
         (results, report)
     }
 }
 
-/// Aggregates one run's fabric counters, raw trace streams, virtual clocks,
-/// and kernel profiles into its [`RunReport`]. Shared by the scoped
-/// [`World::run_inner`] and the job-based [`crate::persist::PersistentWorld`].
-pub(crate) fn assemble_report(
-    fabric: &Fabric,
-    trace: bool,
-    epoch: Instant,
-    sim: Option<Arc<SimParams>>,
-    streams: Vec<Vec<RawEvent>>,
-    clocks: Vec<f64>,
-    profiles: Vec<Option<dense::prof::KernelProfile>>,
-) -> RunReport {
-    let p = fabric.traffic.len();
-    let mut per_rank = Vec::with_capacity(p);
-    let mut wait_per_rank = Vec::with_capacity(p);
-    let mut matrix = CommMatrix::new(p);
-    let mut hist_by_phase: BTreeMap<String, SizeHistogram> = BTreeMap::new();
-    let mut hist_by_algo: BTreeMap<String, SizeHistogram> = BTreeMap::new();
-    for (rank, t) in fabric.traffic.iter().enumerate() {
-        let st = lock_mutex(&t.stats);
-        per_rank.push(st.by_phase.clone());
-        wait_per_rank.push(st.wait_by_phase.clone());
-        matrix.set_send_row(rank, &st.sent_to);
-        matrix.set_recv_row(rank, &st.recv_from);
-        for (k, h) in &st.hist_by_phase {
-            hist_by_phase.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, h) in &st.hist_by_algo {
-            hist_by_algo.entry(k.clone()).or_default().merge(h);
-        }
+/// One rank's whole life inside one run, on whichever thread hosts it — a
+/// scoped thread of [`World::run_opts`] / [`World::run_sim`] or a
+/// [`crate::PersistentWorld`] worker: cap the local-GEMM width, open the
+/// kernel-profile capture if the run asked for one, build the [`RankCtx`],
+/// run `f`, and close the rank's bookkeeping. A panic in `f` is caught and
+/// returned as its stringified payload.
+pub(crate) fn run_rank<R>(
+    setup: &RunSetup,
+    rank: usize,
+    rx: Receiver<Envelope>,
+    f: impl FnOnce(&RankCtx) -> R,
+) -> Result<RankOutput<R>, String> {
+    // Cap this rank's local-GEMM parallelism so the world's ranks together
+    // stay within the host's kernel-thread budget. The cap is thread-local;
+    // persistent workers re-assert it every job because the previous job's
+    // (possibly different) width is still in place.
+    dense::pool::set_rank_gemm_threads(Some(setup.kernel_threads));
+    if setup.gemm_prof {
+        dense::prof::begin_capture();
     }
-    let traffic = TrafficReport {
-        per_rank,
-        secs_per_rank: fabric.times.iter().map(|t| lock_mutex(t).clone()).collect(),
-        wait_per_rank,
-        matrix,
-        hist_by_phase,
-        hist_by_algo,
-    };
-    let timeline = if trace {
-        Timeline::from_raw(streams)
-    } else {
-        Timeline::empty(p)
-    };
-    let sim_info = sim.map(|params| SimInfo {
-        machine: params.machine.clone(),
-        placement: params.placement,
-        execute_compute: params.execute_compute,
-        makespan_secs: clocks.iter().copied().fold(0.0, f64::max),
-    });
-    let compute = if profiles.iter().any(Option::is_some) {
-        // Rebase profiler timestamps (ns since the profiler's process-wide
-        // epoch) onto this run's epoch. The profiler epoch may pre- or
-        // post-date the run epoch depending on which was touched first.
-        let prof_epoch = dense::prof::epoch();
-        let offset = match epoch.checked_duration_since(prof_epoch) {
-            Some(d) => -d.as_secs_f64(),
-            None => prof_epoch.duration_since(epoch).as_secs_f64(),
-        };
-        profiles
-            .into_iter()
-            .map(|p| {
-                p.map(|profile| ComputeProfile {
-                    profile,
-                    epoch_offset_secs: offset,
-                })
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    RunReport {
-        traffic,
-        timeline,
-        sim: sim_info,
-        compute,
-    }
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        let ctx = RankCtx::fresh(setup, rank, rx);
+        let result = f(&ctx);
+        (result, ctx.finish(), ctx.clock.get())
+    }));
+    // Closed even when `f` panicked, so a capture cannot leak into the next
+    // job on this thread.
+    let profile = setup.gemm_prof.then(dense::prof::end_capture).flatten();
+    let (result, events, clock) = ran.map_err(|e| {
+        e.downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| e.downcast_ref::<&str>().copied())
+            .unwrap_or("<non-string panic>")
+            .to_owned()
+    })?;
+    Ok(RankOutput {
+        result,
+        events,
+        clock,
+        profile,
+    })
 }
 
 #[cfg(test)]

@@ -369,6 +369,7 @@ fn run_one_batch(shared: &Shared, engine: &Engine, batch: Vec<Queued>) {
         if trace {
             let meta = plan.ca3dmm().report_meta_serving(
                 &format!("serve_{}", item.req.id),
+                &outcome.report,
                 Some(cache_state == "hit"),
             );
             let report = outcome.report.to_json(meta);

@@ -48,8 +48,8 @@ if [ "$SIM_ONLY" = 0 ]; then
     cargo bench -q -p bench --bench grid_search > results/grid_search.txt
 fi
 
-# Executed (virtual-time) strong scaling; also refreshes the schema-v2
-# RunReport that CI's sim-smoke job gates exactly. Deterministic: the
+# Executed (virtual-time) strong scaling; also refreshes the RunReport
+# that CI's sim-smoke job gates exactly. Deterministic: the
 # regenerated artifact only changes when the algorithm's traffic or the
 # machine model does.
 echo "== fig3_sim"

@@ -4,9 +4,9 @@
 //! communication matrix, the size histograms, the JSON artifact — reconciles
 //! with every other. A profiled run additionally exercises the schema-v3
 //! `compute` block end to end: round-trip, reconciliation against the rank
-//! GEMM wall time, v2 backward compatibility, and a property test that the
-//! profiler's retained spans cover exactly its stated `coverage` fraction
-//! of the exact busy time.
+//! GEMM wall time, isolation from an unprofiled run in the same process, and
+//! a property test that the profiler's retained spans cover exactly its
+//! stated `coverage` fraction of the exact busy time.
 
 use ca3dmm::{Ca3dmm, Ca3dmmOptions};
 use dense::part::Rect;
@@ -14,7 +14,7 @@ use dense::random::global_block;
 use dense::Mat;
 use gridopt::{Grid, Problem};
 use msgpass::metrics::{bucket_label, size_bucket, HIST_BUCKETS};
-use msgpass::{Comm, GatePolicy, RunReport, RunReportDoc, SizeHistogram, World};
+use msgpass::{Comm, GatePolicy, RunOptions, RunReport, RunReportDoc, SizeHistogram, World};
 use proptest::prelude::*;
 
 /// Strategy: a `u64` with a uniformly chosen significant-bit count, so
@@ -92,9 +92,14 @@ fn bucket_edges_are_exact() {
     assert_eq!(size_bucket(u64::MAX), 64);
 }
 
-/// Runs a real 4-rank CA3DMM multiply with tracing and returns its report.
-fn traced_ca3dmm_run() -> (Ca3dmm, RunReport) {
-    let (m, n, k, p) = (48, 48, 48, 4);
+/// Ranks of [`traced_ca3dmm_run`].
+const P: usize = 4;
+
+/// Runs a real 4-rank CA3DMM multiply with tracing — and the kernel
+/// profiler iff `gemm_prof` — and returns its report. Every rank calls
+/// `before_multiply` once inside the run.
+fn traced_ca3dmm_run(gemm_prof: bool, before_multiply: impl Fn() + Sync) -> (Ca3dmm, RunReport) {
+    let (m, n, k, p) = (48, 48, 48, P);
     let prob = Problem::new(m, n, k, p);
     let alg = Ca3dmm::new(
         prob,
@@ -107,14 +112,66 @@ fn traced_ca3dmm_run() -> (Ca3dmm, RunReport) {
     let (la, lb) = (gc.layout_a(), gc.layout_b());
     let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
     let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_traced(p, |ctx| {
+    let opts = RunOptions {
+        gemm_prof,
+        ..RunOptions::traced()
+    };
+    let (_, report) = World::run_opts(p, opts, |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
+        before_multiply();
         let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
     });
     (alg, report)
+}
+
+/// The `meta.gemm_prof` flag of the artifact `alg` writes for `report`.
+fn meta_gemm_prof(alg: &Ca3dmm, report: &RunReport) -> Option<bool> {
+    alg.report_meta("metrics_report_prof", report)
+        .get("gemm_prof")
+        .and_then(jsonlite::Json::as_bool)
+}
+
+/// Whether a run is profiled is a property of that run's options, not of
+/// the process: a profiled and an unprofiled world running *at the same
+/// time* each get the compute block and `gemm_prof` meta their own
+/// `RunOptions` asked for. (A process-global switch made this racy: the
+/// run that read it last won.)
+#[test]
+fn concurrent_profiled_and_unprofiled_runs_do_not_interfere() {
+    // Every rank of both worlds meets here before any of them multiplies,
+    // so all eight rank threads are inside their runs at once.
+    let all_ranks = std::sync::Barrier::new(2 * P);
+    let run = |gemm_prof| {
+        traced_ca3dmm_run(gemm_prof, || {
+            all_ranks.wait();
+        })
+    };
+    let ((alg_on, on), (alg_off, off)) = std::thread::scope(|s| {
+        let on = s.spawn(|| run(true));
+        let off = s.spawn(|| run(false));
+        (on.join().unwrap(), off.join().unwrap())
+    });
+
+    assert_eq!(on.compute.len(), P, "every profiled rank captured");
+    let calls: u64 = on
+        .compute
+        .iter()
+        .flatten()
+        .map(|c| c.profile.gemm_calls)
+        .sum();
+    assert!(calls > 0, "the profiled world recorded its GEMMs");
+    assert_eq!(meta_gemm_prof(&alg_on, &on), Some(true));
+
+    assert!(
+        off.compute.is_empty(),
+        "the unprofiled world captured nothing"
+    );
+    assert_eq!(meta_gemm_prof(&alg_off, &off), Some(false));
+    // Both did the same communication regardless.
+    assert_eq!(on.traffic.total_bytes(), off.traffic.total_bytes());
 }
 
 /// On a real CA3DMM run, the communication matrix's row and column sums
@@ -123,7 +180,7 @@ fn traced_ca3dmm_run() -> (Ca3dmm, RunReport) {
 /// was received by someone (send columns = recv rows).
 #[test]
 fn comm_matrix_reconciles_with_phase_totals() {
-    let (_, report) = traced_ca3dmm_run();
+    let (_, report) = traced_ca3dmm_run(false, || ());
     let t = &report.traffic;
     t.check_consistency().expect("traffic views reconcile");
 
@@ -169,15 +226,12 @@ fn comm_matrix_reconciles_with_phase_totals() {
 /// (thread-seconds) within 5%, and the dashboard renders the compute table.
 #[test]
 fn profiled_run_report_compute_block_reconciles() {
-    dense::set_gemm_profiling(true);
-    let (alg, report) = traced_ca3dmm_run();
-    // `report_meta` snapshots the profiling flag, so build the meta before
-    // turning it back off.
-    let meta = alg.report_meta("metrics_report_prof");
-    dense::set_gemm_profiling(false);
+    let (alg, report) = traced_ca3dmm_run(true, || ());
     assert_eq!(report.compute.len(), 4, "all ranks captured");
 
-    let text = report.to_json(meta).to_string_pretty();
+    let text = report
+        .to_json(alg.report_meta("metrics_report_prof", &report))
+        .to_string_pretty();
     let doc = RunReportDoc::parse(&text).expect("profiled artifact parses");
     assert_eq!(doc.schema_version, msgpass::report::SCHEMA_VERSION);
     assert_eq!(
@@ -217,31 +271,6 @@ fn profiled_run_report_compute_block_reconciles() {
     msgpass::report::gate(&doc, &doc, &GatePolicy::default()).expect("profiled self gate");
 }
 
-/// Backward compatibility: a schema-v2 artifact (written by the previous
-/// build, no `compute` key) still parses, implying no compute block.
-#[test]
-fn v2_artifact_parses_without_compute_block() {
-    let v2 = r#"{
-        "schema_version": 2,
-        "kind": "ca3dmm_run_report",
-        "time_domain": "wall",
-        "sim": null,
-        "meta": {"name": "v2"},
-        "machine": {"arch": "x86_64", "os": "linux"},
-        "ranks": 1,
-        "phases": [],
-        "totals": {"sent_bytes": 0, "sent_msgs": 0,
-                   "max_rank_bytes": 0, "max_rank_msgs": 0},
-        "matrix": {"format": "sparse", "send": [], "recv": []},
-        "histograms": {"by_phase": {}, "by_algo": {}},
-        "wait_per_rank": [{}],
-        "critical_path": null
-    }"#;
-    let doc = RunReportDoc::parse(v2).expect("v2 artifact parses");
-    assert_eq!(doc.schema_version, 2);
-    assert!(doc.compute.is_none());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -255,7 +284,6 @@ proptest! {
         n in 8usize..56,
         k in 8usize..56,
     ) {
-        dense::set_gemm_profiling(true);
         dense::prof::begin_capture();
         let a = dense::random::random_mat::<f64>(m, k, 3);
         let b = dense::random::random_mat::<f64>(k, n, 4);
@@ -270,7 +298,6 @@ proptest! {
             &mut c,
         );
         let profile = dense::prof::end_capture().expect("capture was active");
-        dense::set_gemm_profiling(false);
 
         let busy_exact = profile.pack_a_secs + profile.pack_b_secs + profile.compute_secs;
         let span_busy: f64 = profile
@@ -299,9 +326,9 @@ proptest! {
 /// inconsistency) or by the gate.
 #[test]
 fn run_report_artifact_round_trips_and_gates() {
-    let (alg, report) = traced_ca3dmm_run();
+    let (alg, report) = traced_ca3dmm_run(false, || ());
     let text = report
-        .to_json(alg.report_meta("metrics_report_e2e"))
+        .to_json(alg.report_meta("metrics_report_e2e", &report))
         .to_string_pretty();
     let doc = RunReportDoc::parse(&text).expect("artifact parses");
     assert_eq!(doc.name(), Some("metrics_report_e2e"));

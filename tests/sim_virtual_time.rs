@@ -294,7 +294,9 @@ proptest! {
                     ..Default::default()
                 },
             );
-            report.to_json(alg.report_meta("determinism")).to_string_pretty()
+            report
+                .to_json(alg.report_meta("determinism", &report))
+                .to_string_pretty()
         };
         let (first, second) = (run(), run());
         prop_assert_eq!(first, second);

@@ -17,6 +17,11 @@ use netmodel::Machine;
 
 /// Runs CA3DMM (native layouts) traced and returns the report.
 fn traced_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid) -> RunReport {
+    run_ca3dmm(m, n, k, p, grid, RunOptions::traced())
+}
+
+/// Runs CA3DMM (native layouts) under `opts` and returns the report.
+fn run_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid, opts: RunOptions) -> RunReport {
     let prob = Problem::new(m, n, k, p);
     let alg = Ca3dmm::new(
         prob,
@@ -29,7 +34,7 @@ fn traced_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid) -> RunRepor
     let (la, lb) = (gc.layout_a(), gc.layout_b());
     let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
     let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_traced(p, |ctx| {
+    let (_, report) = World::run_opts(p, opts, |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
@@ -134,9 +139,11 @@ fn chrome_export_is_valid_and_balanced() {
 #[test]
 fn profiled_chrome_export_has_kernel_thread_tracks() {
     let p = 4;
-    dense::set_gemm_profiling(true);
-    let report = traced_ca3dmm(64, 64, 64, p, Grid::new(2, 1, 2));
-    dense::set_gemm_profiling(false);
+    let opts = RunOptions {
+        gemm_prof: true,
+        ..RunOptions::traced()
+    };
+    let report = run_ca3dmm(64, 64, 64, p, Grid::new(2, 1, 2), opts);
     assert_eq!(report.compute.len(), p, "all ranks captured");
 
     let text = report.to_chrome_json();
