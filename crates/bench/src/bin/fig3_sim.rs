@@ -6,7 +6,8 @@
 //! ([`Machine::phoenix_cpu`], 24 ranks/node); the local GEMMs themselves
 //! are skipped (`execute_compute = false`) — at these sizes the arithmetic
 //! would dwarf the simulation, and the flop *charge* is what the figure
-//! needs.
+//! needs. Skipping them also makes the run shape-only: the blocks are
+//! zero-sized (`dense::Shape64`), so no matrix data is stored or moved.
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig3_sim [--report-out PATH] [--overlap on|off]
@@ -23,7 +24,9 @@
 //! `--overlap off` runs and prices the blocking ablation instead.
 //! `--report-out PATH` writes the largest point's (p = 3072) schema-v2
 //! `RunReport`, the reference CI's `sim-smoke` job gates against.
-//! `--ranks P` simulates a single point instead of the sweep.
+//! `--ranks P` simulates a single point instead of the sweep. The last
+//! stdout line is the process's peak resident set (`peak RSS: N MiB`),
+//! which the same CI job holds to a budget.
 //!
 //! `--collectives flat|hier` selects the collective algorithms the executor
 //! (and the model) use: `hier` routes allgather/reduce-scatter through
@@ -192,6 +195,26 @@ fn main() {
     println!("closed-form model agree on traffic exactly; times differ only");
     println!("because the sim prices every hop individually while the model");
     println!("prices each phase's critical link.");
+    // Last line, machine-readable: CI's sim-smoke job holds it to a budget.
+    match peak_rss_mib() {
+        Some(mib) => println!("peak RSS: {mib:.1} MiB (VmHWM)"),
+        None => println!("peak RSS: unavailable (no VmHWM in /proc/self/status)"),
+    }
+}
+
+/// This process's peak resident set in MiB — `VmHWM` from
+/// `/proc/self/status`, the figure the repo benchmark reports as
+/// `peak_rss_mb`. `None` where procfs is missing.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
 }
 
 /// The sweep point whose artifact `--report-out` writes: the explicit

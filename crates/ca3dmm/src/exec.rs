@@ -5,7 +5,7 @@ use crate::grid_ctx::GridContext;
 use crate::reduce::reduce_partial_c;
 use crate::replicate::{replicate_block, slice_widths};
 use dense::gemm::GemmOp;
-use dense::{Mat, Scalar};
+use dense::{Mat, Scalar, Shape64};
 use gridopt::{ca3dmm_grid_timed, Grid, Problem};
 use layout::Layout;
 use msgpass::collectives::Collectives;
@@ -442,32 +442,35 @@ impl Ca3dmm {
     /// `machine`. This is how the strong-scaling figures run CA3DMM at
     /// paper-scale process counts (`p` in the thousands) on one host.
     ///
-    /// Each active rank starts from zero-filled blocks in the native
-    /// layouts — the communication pattern, which is what virtual time
-    /// measures, does not depend on the matrix values. Numerical output is
-    /// therefore meaningless here; use `opts.execute_compute = false` at
-    /// scale to skip the arithmetic entirely (the flops are still charged).
+    /// The communication pattern, which is what virtual time measures, does
+    /// not depend on the matrix values, so numerical output is meaningless
+    /// here. `opts.execute_compute` picks the element type the one generic
+    /// schedule runs over: `f64` zero blocks when the arithmetic is to be
+    /// executed, [`Shape64`] when it is skipped (the configuration to use at
+    /// scale) — then no block, message or partial result owns any memory
+    /// and nothing is copied or summed, while message sizes, counts, clocks
+    /// and the report are identical to the `f64` run.
     pub fn simulate_native(
         &self,
         machine: &netmodel::Machine,
         opts: msgpass::SimOptions,
     ) -> msgpass::RunReport {
-        let gc = &self.gc;
-        let p = gc.problem().p;
+        if opts.execute_compute {
+            self.simulate_native_over::<f64>(machine, opts)
+        } else {
+            self.simulate_native_over::<Shape64>(machine, opts)
+        }
+    }
+
+    fn simulate_native_over<T: Scalar>(
+        &self,
+        machine: &netmodel::Machine,
+        opts: msgpass::SimOptions,
+    ) -> msgpass::RunReport {
+        let p = self.gc.problem().p;
+        // Missing initial blocks default to zeros of the native shape.
         let (_, report) = msgpass::World::run_sim(p, machine, opts, |ctx| {
-            let world = Comm::world(ctx);
-            let (a_init, b_init) = if gc.is_active(world.rank()) {
-                let coord = gc.coord_of(world.rank());
-                let ra = gc.a_init(&coord);
-                let rb = gc.b_init(&coord);
-                (
-                    Some(Mat::<f64>::zeros(ra.rows, ra.cols)),
-                    Some(Mat::<f64>::zeros(rb.rows, rb.cols)),
-                )
-            } else {
-                (None, None)
-            };
-            self.multiply_native(ctx, &world, a_init, b_init);
+            self.multiply_native::<T>(ctx, &Comm::world(ctx), None, None);
         });
         report
     }

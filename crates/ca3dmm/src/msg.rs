@@ -23,7 +23,7 @@ pub struct BlockMsg<T: Scalar> {
 
 impl<T: Scalar> Payload for BlockMsg<T> {
     fn nbytes(&self) -> usize {
-        std::mem::size_of_val(self.data.as_slice())
+        self.data.len() * T::WIRE_BYTES
     }
 }
 
@@ -56,7 +56,7 @@ pub struct SharedBlock<T: Scalar>(pub Arc<Mat<T>>);
 
 impl<T: Scalar> Payload for SharedBlock<T> {
     fn nbytes(&self) -> usize {
-        self.0.rows() * self.0.cols() * std::mem::size_of::<T>()
+        self.0.len() * T::WIRE_BYTES
     }
 }
 
@@ -79,5 +79,17 @@ mod tests {
         assert_eq!(to_msg(m).nbytes(), 6 * 8);
         let m = Mat::<f32>::zeros(0, 5);
         assert_eq!(to_msg(m).nbytes(), 0);
+        assert_eq!(SharedBlock(Arc::new(Mat::<f32>::zeros(3, 5))).nbytes(), 60);
+    }
+
+    /// A shape-only block stores nothing and still charges the bytes of
+    /// the `f64` block it stands for, in both wire formats.
+    #[test]
+    fn shape_only_blocks_charge_f64_bytes() {
+        use dense::Shape64;
+        let m = Mat::<Shape64>::zeros(300, 700);
+        assert_eq!(to_msg(m.clone()).nbytes(), 300 * 700 * 8);
+        assert_eq!(SharedBlock(Arc::new(m.clone())).nbytes(), 300 * 700 * 8);
+        assert_eq!(from_msg(to_msg(m)).shape(), (300, 700));
     }
 }

@@ -40,19 +40,17 @@ pub fn replicate_block<T: Scalar>(
     }
     let counts: Vec<usize> = widths.iter().map(|w| rows * w).collect();
     let gathered = allgatherv_mode(mode, group, ctx, my_slice.into_vec(), &counts);
-    // Reassemble column-slices into one block.
-    let offs = offsets(widths);
-    let total_cols = offs[c];
-    let mut out = Mat::zeros(rows, total_cols);
-    let mut pos = 0;
-    for (g, &w) in widths.iter().enumerate() {
-        let slice = Mat::from_vec(rows, w, gathered[pos..pos + rows * w].to_vec());
-        pos += rows * w;
-        if w > 0 {
-            out.set_block(dense::Rect::new(0, offs[g], rows, w), &slice);
+    // Reassemble column-slices into one block: row `i` of the block is row
+    // `i` of every slice in turn, copied straight out of `gathered`.
+    let seg_starts = offsets(&counts);
+    let total_cols: usize = widths.iter().sum();
+    let mut out = Vec::with_capacity(rows * total_cols);
+    for i in 0..rows {
+        for (&start, &w) in seg_starts.iter().zip(widths) {
+            out.extend_from_slice(&gathered[start + i * w..start + (i + 1) * w]);
         }
     }
-    out
+    Mat::from_vec(rows, total_cols, out)
 }
 
 /// The slice widths of a block of `cols` columns split across `c` peers —

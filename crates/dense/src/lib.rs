@@ -6,6 +6,11 @@
 //!
 //! * [`Mat`] — an owned, row-major dense matrix over any [`Scalar`]
 //!   (`f32`/`f64`), with block read/write views;
+//! * [`scalar`] — the element abstraction: [`Scalar`], the compile-time
+//!   wire size [`WireElem::WIRE_BYTES`] every message payload is sized by,
+//!   and [`Shape64`], the zero-sized stand-in for `f64` (0 bytes stored, 8
+//!   on the wire) that compute-free simulation runs the same generic code
+//!   over;
 //! * [`gemm`](mod@gemm) — a packed, register-blocked local matrix
 //!   multiplication `C = alpha * op(A) * op(B) + beta * C` parallelized over
 //!   the persistent [`pool`] worker threads, plus a naive reference kernel
@@ -61,7 +66,7 @@ pub use mat::Mat;
 pub use part::{split_even, Rect};
 pub use pool::{gemm_threads, set_gemm_threads};
 pub use prof::{KernelProfile, PoolTelemetry, ProfSpan};
-pub use scalar::Scalar;
+pub use scalar::{Scalar, Shape64, WireElem};
 pub use tune::{
     numa_nodes, numa_packing, probed_peak_gflops, probed_peak_gflops_for, set_gemm_blocking,
     Blocking,

@@ -17,13 +17,28 @@ pub struct Mat<T: Scalar> {
     data: Vec<T>,
 }
 
+/// `n` zeros. For a zero-sized element ([`crate::Shape64`]) there is
+/// nothing to fill, yet `vec![x; n]` still clones `n` times in unoptimised
+/// builds; doubling appends reach any `n` in `log2(n)` constant-time steps.
+fn zeros_vec<T: Scalar>(n: usize) -> Vec<T> {
+    if std::mem::size_of::<T>() != 0 {
+        return vec![T::ZERO; n];
+    }
+    let mut v = vec![T::ZERO; n.min(1)];
+    while v.len() < n {
+        let take = v.len().min(n - v.len());
+        v.extend_from_within(..take);
+    }
+    v
+}
+
 impl<T: Scalar> Mat<T> {
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
-            data: vec![T::ZERO; rows * cols],
+            data: zeros_vec(rows * cols),
         }
     }
 
@@ -347,6 +362,38 @@ mod tests {
         a.scale(2.0);
         a.add_assign(&b);
         assert_eq!(a.as_slice(), &[12.0, 24.0]);
+    }
+
+    /// Shape-only matrices keep every shape and length while owning no
+    /// memory: a 2²⁰ × 2²⁰ "matrix" (8 TiB as `f64`) is built, sliced and
+    /// written in no time.
+    #[test]
+    fn shape_only_matrices_keep_shapes_and_store_nothing() {
+        use crate::Shape64;
+        const N: usize = 1 << 20;
+        let mut m = Mat::<Shape64>::zeros(N, N);
+        assert_eq!(m.shape(), (N, N));
+        assert_eq!(m.len(), N * N);
+        assert!(!m.is_empty());
+        assert_eq!(std::mem::size_of_val(m.as_slice()), 0);
+
+        let r = Rect::new(3, N / 2, N - 7, N / 2);
+        let b = m.block(r);
+        assert_eq!(b.shape(), (N - 7, N / 2));
+        m.set_block(r, &b);
+        m.add_block(Rect::new(0, 0, 5, 9), &Mat::zeros(5, 9));
+        assert_eq!(m.shape(), (N, N));
+
+        let v = b.into_vec();
+        assert_eq!(v.len(), (N - 7) * (N / 2));
+        let back = Mat::from_vec(N / 2, N - 7, v);
+        assert_eq!(back.shape(), (N / 2, N - 7));
+        assert_eq!(back.clone().into_vec().len(), back.len());
+
+        for n in [0usize, 1, 2, 3, 5, 1000, 1023] {
+            assert_eq!(Mat::<Shape64>::zeros(n, 1).len(), n, "n = {n}");
+            assert_eq!(Mat::<Shape64>::zeros(1, n).is_empty(), n == 0);
+        }
     }
 
     #[test]

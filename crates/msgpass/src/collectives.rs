@@ -15,6 +15,7 @@
 
 use crate::comm::{Comm, Payload, ReduceElem};
 use crate::world::RankCtx;
+use dense::WireElem;
 
 /// Dissemination barrier: ⌈log₂ P⌉ rounds.
 pub fn barrier(comm: &Comm, ctx: &RankCtx) {
@@ -101,16 +102,14 @@ pub fn bcast<P: Payload + Clone>(comm: &Comm, ctx: &RankCtx, root: usize, mine: 
 ///
 /// The root passes `Some(data)`; everyone returns the full buffer. All
 /// ranks must agree on `len` (the total element count).
-pub fn bcast_large<T: Copy + Send + 'static>(
+pub fn bcast_large<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     root: usize,
     mine: Option<Vec<T>>,
     len: usize,
 ) -> Vec<T> {
-    let _span = ctx.collective_scope("vdg_bcast_large", || {
-        (len * std::mem::size_of::<T>()) as u64
-    });
+    let _span = ctx.collective_scope("vdg_bcast_large", || (len * T::WIRE_BYTES) as u64);
     let g = comm.size();
     let me = comm.rank();
     assert_eq!(
@@ -169,7 +168,7 @@ pub fn bcast_large<T: Copy + Send + 'static>(
 ///
 /// # Panics
 /// If contribution lengths differ across ranks (detected at receipt).
-pub fn allgather<T: Copy + Send + 'static>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>) -> Vec<T> {
+pub fn allgather<T: WireElem>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>) -> Vec<T> {
     let n = mine.len();
     let counts = vec![n; comm.size()];
     allgatherv(comm, ctx, mine, &counts)
@@ -178,14 +177,14 @@ pub fn allgather<T: Copy + Send + 'static>(comm: &Comm, ctx: &RankCtx, mine: Vec
 /// Ring allgather with per-rank contribution sizes `counts` (known to all
 /// members, as in `MPI_Allgatherv`). Returns the concatenation in rank
 /// order.
-pub fn allgatherv<T: Copy + Send + 'static>(
+pub fn allgatherv<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     mine: Vec<T>,
     counts: &[usize],
 ) -> Vec<T> {
     let _span = ctx.collective_scope("ring_allgatherv", || {
-        (counts.iter().sum::<usize>() * std::mem::size_of::<T>()) as u64
+        (counts.iter().sum::<usize>() * T::WIRE_BYTES) as u64
     });
     let g = comm.size();
     let me = comm.rank();
@@ -318,11 +317,7 @@ pub fn allreduce<T: ReduceElem>(comm: &Comm, ctx: &RankCtx, data: Vec<T>) -> Vec
 /// goes to communicator rank `j`; returns `recvs` where `recvs[i]` came from
 /// rank `i`. Empty vectors are exchanged too (zero-byte messages), exactly
 /// like `MPI_Alltoallv` with zero counts.
-pub fn alltoallv<T: Copy + Send + 'static>(
-    comm: &Comm,
-    ctx: &RankCtx,
-    mut sends: Vec<Vec<T>>,
-) -> Vec<Vec<T>> {
+pub fn alltoallv<T: WireElem>(comm: &Comm, ctx: &RankCtx, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
     let _span = ctx.collective_scope("pairwise_alltoallv", || {
         sends.iter().map(|v| v.nbytes() as u64).sum()
     });
@@ -343,7 +338,7 @@ pub fn alltoallv<T: Copy + Send + 'static>(
 
 /// Gather with per-rank sizes: every member sends `mine` to `root`, which
 /// returns `Some(vec of contributions in rank order)`; others get `None`.
-pub fn gatherv<T: Copy + Send + 'static>(
+pub fn gatherv<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     mine: Vec<T>,
@@ -467,11 +462,7 @@ fn offsets_of(counts: &[usize]) -> Vec<usize> {
 
 /// Two-level allgather with equal contribution sizes: hierarchical when the
 /// topology engages ([`node_map`]), flat ring otherwise.
-pub fn allgather_hier<T: Copy + Send + 'static>(
-    comm: &Comm,
-    ctx: &RankCtx,
-    mine: Vec<T>,
-) -> Vec<T> {
+pub fn allgather_hier<T: WireElem>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>) -> Vec<T> {
     let counts = vec![mine.len(); comm.size()];
     allgatherv_hier(comm, ctx, mine, &counts)
 }
@@ -481,7 +472,7 @@ pub fn allgather_hier<T: Copy + Send + 'static>(
 /// step instead of one per member), and each leader hands the assembled
 /// buffer back to its members. Falls back to the flat ring when [`node_map`]
 /// declines.
-pub fn allgatherv_hier<T: Copy + Send + 'static>(
+pub fn allgatherv_hier<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     mine: Vec<T>,
@@ -491,7 +482,7 @@ pub fn allgatherv_hier<T: Copy + Send + 'static>(
         return allgatherv(comm, ctx, mine, counts);
     };
     let _span = ctx.collective_scope("hier_allgatherv", || {
-        (counts.iter().sum::<usize>() * std::mem::size_of::<T>()) as u64
+        (counts.iter().sum::<usize>() * T::WIRE_BYTES) as u64
     });
     let g = comm.size();
     let me = comm.rank();
@@ -725,7 +716,7 @@ pub fn bcast_hier<P: Payload + Clone>(
 /// Two-level large-message broadcast: same leader structure as
 /// [`bcast_hier`] (the vector crosses the network once per node). Falls back
 /// to the van de Geijn scatter+allgather when [`node_map`] declines.
-pub fn bcast_large_hier<T: Copy + Send + 'static>(
+pub fn bcast_large_hier<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     root: usize,
@@ -796,7 +787,7 @@ impl Collectives {
 }
 
 /// [`allgatherv`] or [`allgatherv_hier`], by mode.
-pub fn allgatherv_mode<T: Copy + Send + 'static>(
+pub fn allgatherv_mode<T: WireElem>(
     mode: Collectives,
     comm: &Comm,
     ctx: &RankCtx,
@@ -824,7 +815,7 @@ pub fn reduce_scatter_mode<T: ReduceElem>(
 }
 
 /// [`bcast_large`] or [`bcast_large_hier`], by mode.
-pub fn bcast_large_mode<T: Copy + Send + 'static>(
+pub fn bcast_large_mode<T: WireElem>(
     mode: Collectives,
     comm: &Comm,
     ctx: &RankCtx,

@@ -2,6 +2,7 @@
 
 use crate::trace::SpanKind;
 use crate::world::RankCtx;
+use dense::WireElem;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -13,9 +14,11 @@ pub trait Payload: Send + 'static {
     fn nbytes(&self) -> usize;
 }
 
-impl<T: Copy + Send + 'static> Payload for Vec<T> {
+/// Sized by the element type's compile-time wire size, not by the memory
+/// the buffer occupies (the two differ only for [`dense::Shape64`]).
+impl<T: WireElem> Payload for Vec<T> {
     fn nbytes(&self) -> usize {
-        std::mem::size_of_val(self.as_slice())
+        self.len() * T::WIRE_BYTES
     }
 }
 
@@ -57,8 +60,8 @@ impl<A: Payload, B: Payload, C: Payload> Payload for (A, B, C) {
 
 /// Element type collectives can reduce: needs `+=` and a zero. Implemented
 /// by `f32`/`f64` (and integers, used in tests).
-pub trait ReduceElem: Copy + Send + Default + std::ops::AddAssign + 'static {}
-impl<T: Copy + Send + Default + std::ops::AddAssign + 'static> ReduceElem for T {}
+pub trait ReduceElem: WireElem + Default + std::ops::AddAssign {}
+impl<T: WireElem + Default + std::ops::AddAssign> ReduceElem for T {}
 
 /// An in-flight message.
 pub(crate) struct Envelope {
@@ -953,5 +956,22 @@ mod tests {
         assert_eq!(vec![0f32; 3].nbytes(), 12);
         assert_eq!(7u64.nbytes(), 8);
         assert_eq!((1usize, vec![0u8; 5]).nbytes(), 8 + 5);
+        // Every primitive vector is sized by `size_of`, as before …
+        macro_rules! vec_is_size_of {
+            ($($t:ty),*) => {$(
+                assert_eq!(
+                    vec![<$t>::default(); 7].nbytes(),
+                    7 * std::mem::size_of::<$t>(),
+                    stringify!($t)
+                );
+            )*};
+        }
+        vec_is_size_of!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool, char);
+        // … and the shape-only element by the `f64` it stands for, while
+        // owning no memory.
+        let shapes = dense::Mat::<dense::Shape64>::zeros(1 << 20, 1 << 20).into_vec();
+        assert_eq!(shapes.nbytes(), 8 << 40);
+        assert_eq!(std::mem::size_of_val(shapes.as_slice()), 0);
+        assert_eq!(Vec::<dense::Shape64>::new().nbytes(), 0);
     }
 }

@@ -59,6 +59,7 @@ pub mod traffic;
 pub mod world;
 
 pub use comm::{Comm, Payload, RecvReq, ReduceElem, SendReq};
+pub use dense::WireElem;
 pub use metrics::{CellCounts, CommMatrix, SizeHistogram};
 pub use persist::{JobPanic, PersistentWorld};
 pub use report::{GatePolicy, ReportDiff, RunReportDoc};

@@ -185,28 +185,33 @@ impl CellCounts {
 /// matched from `src` (counted at `recv` time by the receiver). The two
 /// agree for every message that was both sent and consumed; a message still
 /// in a mailbox when its rank exits appears on the send side only.
+///
+/// Only touched cells are stored (one ordered map per row): a rank talks to
+/// a few dozen peers whatever the world size, so the footprint follows the
+/// traffic pattern — two dense `p²` grids would take ~300 MB at p = 3072.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommMatrix {
-    p: usize,
-    /// Row-major `p×p`: `send[src * p + dst]`.
-    send: Vec<CellCounts>,
-    /// Row-major `p×p`: `recv[dst * p + src]`.
-    recv: Vec<CellCounts>,
+    /// `send[src][dst]`; a stored cell is never all-zero.
+    send: Vec<Row>,
+    /// `recv[dst][src]`; a stored cell is never all-zero.
+    recv: Vec<Row>,
 }
+
+/// One matrix row: peer rank → counters, touched cells only.
+pub(crate) type Row = std::collections::BTreeMap<usize, CellCounts>;
 
 impl CommMatrix {
     /// An all-zero matrix for `p` ranks.
     pub fn new(p: usize) -> CommMatrix {
         CommMatrix {
-            p,
-            send: vec![CellCounts::default(); p * p],
-            recv: vec![CellCounts::default(); p * p],
+            send: vec![Row::new(); p],
+            recv: vec![Row::new(); p],
         }
     }
 
     /// World size.
     pub fn ranks(&self) -> usize {
-        self.p
+        self.send.len()
     }
 
     /// Rebuilds a matrix from sparse cell lists (the JSON wire
@@ -219,11 +224,12 @@ impl CommMatrix {
         recv: &[(usize, usize, CellCounts)],
     ) -> CommMatrix {
         let mut m = CommMatrix::new(p);
-        for &(src, dst, c) in send {
-            m.send[src * p + dst].add(c);
-        }
-        for &(dst, src, c) in recv {
-            m.recv[dst * p + src].add(c);
+        for (rows, cells) in [(&mut m.send, send), (&mut m.recv, recv)] {
+            for &(row, col, c) in cells {
+                if c != CellCounts::default() {
+                    rows[row].entry(col).or_default().add(c);
+                }
+            }
         }
         m
     }
@@ -234,57 +240,52 @@ impl CommMatrix {
     /// form: at p = 3072 the dense `p²` grids are ~75 MB of JSON while the
     /// populated cells are a few thousand rows.
     pub fn nonzero_send(&self) -> Vec<(usize, usize, CellCounts)> {
-        self.nonzero(&self.send)
+        Self::nonzero(&self.send)
     }
 
     /// Nonzero recv-side cells in row-major `(dst, src, counts)` order.
     pub fn nonzero_recv(&self) -> Vec<(usize, usize, CellCounts)> {
-        self.nonzero(&self.recv)
+        Self::nonzero(&self.recv)
     }
 
-    fn nonzero(&self, cells: &[CellCounts]) -> Vec<(usize, usize, CellCounts)> {
-        cells
-            .iter()
+    fn nonzero(rows: &[Row]) -> Vec<(usize, usize, CellCounts)> {
+        rows.iter()
             .enumerate()
-            .filter(|(_, c)| c.bytes > 0 || c.msgs > 0)
-            .map(|(i, &c)| (i / self.p, i % self.p, c))
+            .flat_map(|(i, row)| row.iter().map(move |(&j, &c)| (i, j, c)))
             .collect()
     }
 
     /// Send-side cell: what `src` sent toward `dst`.
     pub fn sent(&self, src: usize, dst: usize) -> CellCounts {
-        self.send[src * self.p + dst]
+        self.send[src].get(&dst).copied().unwrap_or_default()
     }
 
     /// Recv-side cell: what `dst` matched from `src`.
     pub fn received(&self, dst: usize, src: usize) -> CellCounts {
-        self.recv[dst * self.p + src]
+        self.recv[dst].get(&src).copied().unwrap_or_default()
     }
 
-    pub(crate) fn set_send_row(&mut self, src: usize, row: &[CellCounts]) {
-        assert_eq!(row.len(), self.p);
-        self.send[src * self.p..(src + 1) * self.p].copy_from_slice(row);
-    }
-
-    pub(crate) fn set_recv_row(&mut self, dst: usize, row: &[CellCounts]) {
-        assert_eq!(row.len(), self.p);
-        self.recv[dst * self.p..(dst + 1) * self.p].copy_from_slice(row);
+    /// Installs rank `rank`'s recorded rows (every recorded cell carries at
+    /// least one message, so none is all-zero).
+    pub(crate) fn set_rows(&mut self, rank: usize, sent_to: Row, recv_from: Row) {
+        self.send[rank] = sent_to;
+        self.recv[rank] = recv_from;
     }
 
     /// Everything rank `src` sent, over all destinations.
     pub fn send_row_total(&self, src: usize) -> CellCounts {
-        let mut t = CellCounts::default();
-        for dst in 0..self.p {
-            t.add(self.sent(src, dst));
-        }
-        t
+        Self::row_total(&self.send[src])
     }
 
     /// Everything rank `dst` received, over all sources.
     pub fn recv_row_total(&self, dst: usize) -> CellCounts {
+        Self::row_total(&self.recv[dst])
+    }
+
+    fn row_total(row: &Row) -> CellCounts {
         let mut t = CellCounts::default();
-        for src in 0..self.p {
-            t.add(self.received(dst, src));
+        for &c in row.values() {
+            t.add(c);
         }
         t
     }
@@ -293,7 +294,7 @@ impl CommMatrix {
     /// senders counted them.
     pub fn send_col_total(&self, dst: usize) -> CellCounts {
         let mut t = CellCounts::default();
-        for src in 0..self.p {
+        for src in 0..self.ranks() {
             t.add(self.sent(src, dst));
         }
         t
@@ -303,8 +304,11 @@ impl CommMatrix {
     /// receivers, shaded by bytes relative to the busiest cell.
     pub fn render_heatmap(&self) -> String {
         const SHADES: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
-        let max = (0..self.p * self.p)
-            .map(|i| self.send[i].bytes)
+        let p = self.ranks();
+        let max = self
+            .send
+            .iter()
+            .flat_map(|row| row.values().map(|c| c.bytes))
             .max()
             .unwrap_or(0);
         let mut out = String::new();
@@ -314,13 +318,13 @@ impl CommMatrix {
             fmt_bytes(max)
         );
         let _ = write!(out, "       ");
-        for dst in 0..self.p {
+        for dst in 0..p {
             let _ = write!(out, "{:>3}", dst % 100);
         }
         out.push('\n');
-        for src in 0..self.p {
+        for src in 0..p {
             let _ = write!(out, "  {src:>4} ");
-            for dst in 0..self.p {
+            for dst in 0..p {
                 let b = self.sent(src, dst).bytes;
                 let shade = if max == 0 || b == 0 {
                     SHADES[0]
@@ -346,23 +350,18 @@ mod tests {
     #[test]
     fn sparse_cells_round_trip() {
         let mut m = CommMatrix::new(4);
-        m.set_send_row(
+        m.set_rows(
             1,
-            &[
-                CellCounts::default(),
-                CellCounts::default(),
-                CellCounts { bytes: 64, msgs: 2 },
-                CellCounts { bytes: 0, msgs: 1 }, // zero-byte barrier msg
-            ],
+            Row::from([
+                (2, CellCounts { bytes: 64, msgs: 2 }),
+                (3, CellCounts { bytes: 0, msgs: 1 }), // zero-byte barrier msg
+            ]),
+            Row::new(),
         );
-        m.set_recv_row(
+        m.set_rows(
             2,
-            &[
-                CellCounts::default(),
-                CellCounts { bytes: 64, msgs: 2 },
-                CellCounts::default(),
-                CellCounts::default(),
-            ],
+            Row::new(),
+            Row::from([(1, CellCounts { bytes: 64, msgs: 2 })]),
         );
         let send = m.nonzero_send();
         let recv = m.nonzero_recv();
@@ -372,6 +371,13 @@ mod tests {
         assert_eq!(recv, vec![(2, 1, CellCounts { bytes: 64, msgs: 2 })]);
         let back = CommMatrix::from_sparse(4, &send, &recv);
         assert_eq!(back, m);
+        // An explicitly listed all-zero cell is the same matrix as an
+        // unlisted one.
+        let mut padded = send.clone();
+        padded.push((0, 3, CellCounts::default()));
+        assert_eq!(CommMatrix::from_sparse(4, &padded, &recv), m);
+        assert_eq!(m.sent(0, 3), CellCounts::default());
+        assert_eq!(m.received(3, 0), CellCounts::default());
     }
 
     #[test]
@@ -425,22 +431,13 @@ mod tests {
 
     #[test]
     fn matrix_totals() {
-        let mut m = CommMatrix::new(3);
-        m.set_send_row(
-            0,
+        let m = CommMatrix::from_sparse(
+            3,
             &[
-                CellCounts::default(),
-                CellCounts { bytes: 10, msgs: 1 },
-                CellCounts { bytes: 20, msgs: 2 },
+                (0, 1, CellCounts { bytes: 10, msgs: 1 }),
+                (0, 2, CellCounts { bytes: 20, msgs: 2 }),
             ],
-        );
-        m.set_recv_row(
-            1,
-            &[
-                CellCounts { bytes: 10, msgs: 1 },
-                CellCounts::default(),
-                CellCounts::default(),
-            ],
+            &[(1, 0, CellCounts { bytes: 10, msgs: 1 })],
         );
         assert_eq!(m.send_row_total(0), CellCounts { bytes: 30, msgs: 3 });
         assert_eq!(m.send_col_total(1), CellCounts { bytes: 10, msgs: 1 });

@@ -41,6 +41,20 @@
 //! built algorithmically on the same send/recv primitives, so their virtual
 //! cost emerges from the messages they actually exchange.
 //!
+//! # What is charged vs what is stored
+//!
+//! Every charge above is a function of a message's *size* — its
+//! [`crate::Payload::nbytes`] — never of its contents, and a `Vec<T>`
+//! payload's size is `len · T::WIRE_BYTES` ([`crate::WireElem`]), a
+//! compile-time property of the element type. A program that does not need
+//! its values (a compute-free run, `execute_compute = false`) can therefore
+//! run over the zero-sized [`dense::Shape64`] element — 0 bytes in memory,
+//! the 8 bytes of an `f64` on the wire: every buffer, copy, ring sum and
+//! message body compiles to nothing, and what remains of a simulated rank
+//! is its thread, its mailbox and its counters. Sizes, message counts,
+//! clocks and the report are identical to the `f64` run.
+//! `Ca3dmm::simulate_native` makes exactly that choice from the flag.
+//!
 //! # Determinism
 //!
 //! Virtual timestamps are bit-reproducible regardless of how the OS
@@ -74,7 +88,11 @@ pub struct SimOptions {
     /// Actually perform local GEMMs (so results are numerically checkable).
     /// Set to `false` for paper-scale runs where only the timing and
     /// traffic matter: the virtual γ·flops charge is identical either way,
-    /// but the real arithmetic is skipped.
+    /// but the real arithmetic is skipped. Nothing then reads a matrix
+    /// value, so a generic program should also *store* none: instantiate
+    /// it over [`dense::Shape64`] instead of `f64` (as
+    /// `Ca3dmm::simulate_native` does) and the run carries shapes, not
+    /// data, with an identical report.
     pub execute_compute: bool,
     /// Stack size per rank thread — see [`RunOptions::stack_size`].
     pub stack_size: usize,

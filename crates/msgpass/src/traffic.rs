@@ -16,7 +16,7 @@
 //! are not. The `report-gate` CI mode relies on exactly this split.
 
 use crate::lock_mutex;
-use crate::metrics::{CellCounts, CommMatrix, SizeHistogram};
+use crate::metrics::{CellCounts, CommMatrix, Row, SizeHistogram};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -54,10 +54,11 @@ impl PhaseCounts {
 #[derive(Default)]
 pub(crate) struct RankStats {
     pub(crate) by_phase: BTreeMap<String, PhaseCounts>,
-    /// `sent_to[dst]`: this rank's send-side matrix row.
-    pub(crate) sent_to: Vec<CellCounts>,
-    /// `recv_from[src]`: this rank's recv-side matrix row.
-    pub(crate) recv_from: Vec<CellCounts>,
+    /// `sent_to[dst]`: this rank's send-side matrix row, touched cells only
+    /// (a rank talks to a few dozen peers, whatever the world size).
+    pub(crate) sent_to: Row,
+    /// `recv_from[src]`: this rank's recv-side matrix row, touched cells only.
+    pub(crate) recv_from: Row,
     /// Send-side size histograms keyed by the sender's phase.
     pub(crate) hist_by_phase: BTreeMap<String, SizeHistogram>,
     /// Send-side size histograms keyed by the collective algorithm actually
@@ -68,24 +69,26 @@ pub(crate) struct RankStats {
     pub(crate) wait_by_phase: BTreeMap<String, f64>,
 }
 
+/// The entry for `key`, default-inserted on first use. Looks up by `&str`,
+/// so the per-message path allocates a key only the first time a label is
+/// seen (`entry(key.to_owned())` would allocate on every message).
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), V::default());
+    }
+    map.get_mut(key)
+        .expect("present: inserted above if missing")
+}
+
 /// Accumulator owned by the fabric, one per rank. Writes come from the
 /// owning thread only, but the final report is read after the threads join,
 /// so a mutex (uncontended in practice) keeps this simple and safe.
+#[derive(Default)]
 pub(crate) struct RankTraffic {
     pub(crate) stats: Mutex<RankStats>,
 }
 
 impl RankTraffic {
-    pub(crate) fn new(world_size: usize) -> RankTraffic {
-        RankTraffic {
-            stats: Mutex::new(RankStats {
-                sent_to: vec![CellCounts::default(); world_size],
-                recv_from: vec![CellCounts::default(); world_size],
-                ..RankStats::default()
-            }),
-        }
-    }
-
     /// Records one outgoing message: phase totals, the matrix row, and both
     /// histogram keyings. `algo` is the collective algorithm in scope, or
     /// `None` for a bare point-to-point send.
@@ -96,33 +99,33 @@ impl RankTraffic {
         dst_world: usize,
         bytes: u64,
     ) {
-        let mut st = lock_mutex(&self.stats);
-        let e = st.by_phase.entry(phase.to_owned()).or_default();
+        let mut guard = lock_mutex(&self.stats);
+        let st = &mut *guard;
+        let e = slot(&mut st.by_phase, phase);
         e.bytes += bytes;
         e.msgs += 1;
-        st.sent_to[dst_world].bytes += bytes;
-        st.sent_to[dst_world].msgs += 1;
-        st.hist_by_phase
-            .entry(phase.to_owned())
+        st.sent_to
+            .entry(dst_world)
             .or_default()
-            .record(bytes);
-        st.hist_by_algo
-            .entry(algo.unwrap_or("p2p").to_owned())
-            .or_default()
-            .record(bytes);
+            .add(CellCounts { bytes, msgs: 1 });
+        slot(&mut st.hist_by_phase, phase).record(bytes);
+        slot(&mut st.hist_by_algo, algo.unwrap_or("p2p")).record(bytes);
     }
 
     /// Records one matched receive: phase totals, the matrix row, and the
     /// seconds this `recv` call spent blocked waiting for the fabric.
     pub(crate) fn record_recv(&self, phase: &str, src_world: usize, bytes: u64, wait_secs: f64) {
-        let mut st = lock_mutex(&self.stats);
-        let e = st.by_phase.entry(phase.to_owned()).or_default();
+        let mut guard = lock_mutex(&self.stats);
+        let st = &mut *guard;
+        let e = slot(&mut st.by_phase, phase);
         e.recv_bytes += bytes;
         e.recv_msgs += 1;
-        st.recv_from[src_world].bytes += bytes;
-        st.recv_from[src_world].msgs += 1;
+        st.recv_from
+            .entry(src_world)
+            .or_default()
+            .add(CellCounts { bytes, msgs: 1 });
         if wait_secs > 0.0 {
-            *st.wait_by_phase.entry(phase.to_owned()).or_insert(0.0) += wait_secs;
+            *slot(&mut st.wait_by_phase, phase) += wait_secs;
         }
     }
 }
@@ -316,7 +319,7 @@ mod tests {
 
     #[test]
     fn record_and_totals() {
-        let rt = RankTraffic::new(2);
+        let rt = RankTraffic::default();
         rt.record_send("a", None, 1, 100);
         rt.record_send("a", Some("ring_allgatherv"), 1, 50);
         rt.record_send("b", None, 0, 1);
@@ -333,13 +336,14 @@ mod tests {
         );
         assert_eq!(st.by_phase["b"].bytes, 1);
         assert_eq!(
-            st.sent_to[1],
+            st.sent_to[&1],
             CellCounts {
                 bytes: 150,
                 msgs: 2
             }
         );
-        assert_eq!(st.recv_from[1], CellCounts { bytes: 30, msgs: 1 });
+        assert_eq!(st.sent_to.len(), 2, "only touched cells are stored");
+        assert_eq!(st.recv_from[&1], CellCounts { bytes: 30, msgs: 1 });
         assert_eq!(st.hist_by_phase["a"].msgs, 2);
         assert_eq!(st.hist_by_algo["p2p"].msgs, 2);
         assert_eq!(st.hist_by_algo["ring_allgatherv"].msgs, 1);

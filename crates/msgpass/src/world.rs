@@ -36,7 +36,7 @@ impl Fabric {
         }
         let fabric = Arc::new(Fabric {
             senders,
-            traffic: (0..p).map(|_| RankTraffic::new(p)).collect(),
+            traffic: (0..p).map(|_| RankTraffic::default()).collect(),
             times: (0..p).map(|_| Mutex::new(BTreeMap::new())).collect(),
         });
         (fabric, receivers)
@@ -633,8 +633,7 @@ impl RunSetup {
             let st = lock_mutex(&t.stats);
             per_rank.push(st.by_phase.clone());
             wait_per_rank.push(st.wait_by_phase.clone());
-            matrix.set_send_row(rank, &st.sent_to);
-            matrix.set_recv_row(rank, &st.recv_from);
+            matrix.set_rows(rank, st.sent_to.clone(), st.recv_from.clone());
             for (k, h) in &st.hist_by_phase {
                 hist_by_phase.entry(k.clone()).or_default().merge(h);
             }

@@ -4,19 +4,23 @@
 //! hierarchical algorithms must return bitwise-identical results to the
 //! flat ones they replace. Reductions use integer-valued `f64` payloads so
 //! a different association order could not hide behind rounding: any
-//! deviation changes bits.
+//! deviation changes bits. The allgatherv and reduce-scatter cases also
+//! run both algorithms over the zero-sized `dense::Shape64` element (phase
+//! `"shape"`) and require the same bytes and messages on every rank as the
+//! 8-byte value run (phase `"values"`).
 //!
 //! A final (non-property) test pins the leader-ring inter-node traffic of
 //! the virtual-time simulator to the closed form the `netmodel` phases
 //! price: `(L − 1) · total` bytes across the wire for both the allgather
 //! and the reduce-scatter, where `L` is the node count.
 
+use dense::Shape64;
 use msgpass::collectives::{
     allgatherv, allgatherv_hier, allreduce, allreduce_hier, bcast_large, bcast_large_hier,
     node_map, reduce_scatter, reduce_scatter_hier,
 };
 use msgpass::world::RunOptions;
-use msgpass::{Comm, SimOptions, World};
+use msgpass::{Comm, RunReport, SimOptions, World};
 use netmodel::machine::Placement;
 use netmodel::Machine;
 use proptest::prelude::*;
@@ -37,6 +41,16 @@ fn counts_from_seed(seed: u64, p: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Phases `"values"` (an 8-byte element) and `"shape"` (`Shape64`) carried
+/// the same traffic: per-rank counts both directions, and size histograms.
+fn assert_shape_traffic_equals_values(report: &RunReport) {
+    for (r, phases) in report.traffic.per_rank.iter().enumerate() {
+        assert_eq!(phases.get("values"), phases.get("shape"), "rank {r}");
+    }
+    let hist = &report.traffic.hist_by_phase;
+    assert_eq!(hist.get("values"), hist.get("shape"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -50,15 +64,22 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let counts = counts_from_seed(seed, p);
-        World::run_opts(p, topo(rpn), |ctx| {
+        let (_, report) = World::run_opts(p, topo(rpn), |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
+            ctx.set_phase("values");
             let mine: Vec<u64> =
                 (0..counts[me]).map(|i| (me * 100 + i) as u64).collect();
             let flat = allgatherv(&comm, ctx, mine.clone(), &counts);
             let hier = allgatherv_hier(&comm, ctx, mine, &counts);
             assert_eq!(flat, hier, "p={p} rpn={rpn} seed={seed:#x}");
+            ctx.set_phase("shape");
+            let mine = vec![Shape64; counts[me]];
+            let flat = allgatherv(&comm, ctx, mine.clone(), &counts);
+            let hier = allgatherv_hier(&comm, ctx, mine, &counts);
+            assert_eq!(flat.len(), hier.len());
         });
+        assert_shape_traffic_equals_values(&report);
     }
 
     /// reduce_scatter: hier pre-reduces on leaders, so its association
@@ -72,15 +93,22 @@ proptest! {
     ) {
         let counts = counts_from_seed(seed, p);
         let total: usize = counts.iter().sum();
-        World::run_opts(p, topo(rpn), |ctx| {
+        let (_, report) = World::run_opts(p, topo(rpn), |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
+            ctx.set_phase("values");
             let data: Vec<f64> =
                 (0..total).map(|i| ((me + 1) * (i + 1)) as f64).collect();
             let flat = reduce_scatter(&comm, ctx, data.clone(), &counts);
             let hier = reduce_scatter_hier(&comm, ctx, data, &counts);
             assert_eq!(flat, hier, "p={p} rpn={rpn} seed={seed:#x}");
+            ctx.set_phase("shape");
+            let data = vec![Shape64; total];
+            let flat = reduce_scatter(&comm, ctx, data.clone(), &counts);
+            let hier = reduce_scatter_hier(&comm, ctx, data, &counts);
+            assert_eq!(flat.len(), hier.len());
         });
+        assert_shape_traffic_equals_values(&report);
     }
 
     /// bcast_large from every-other root: the two-level tree must deliver

@@ -1,13 +1,27 @@
 //! Property tests for the `msgpass` collectives: every collective must
 //! agree with its obvious serial specification for arbitrary group sizes,
 //! payload sizes, and roots — including empty contributions. These are the
-//! foundations everything else stands on.
+//! foundations everything else stands on. The two ring collectives CA3DMM
+//! uses are also run over the zero-sized `Shape64` element (phase
+//! `"shape"`): same bytes and messages on every rank as over the 8-byte
+//! value type.
 
+use dense::Shape64;
 use msgpass::collectives::{
     allgatherv, allreduce, alltoallv, barrier, bcast_large, gatherv, reduce_scatter,
 };
-use msgpass::{Comm, World};
+use msgpass::{Comm, RunOptions, RunReport, World};
 use proptest::prelude::*;
+
+/// Phases `"values"` (an 8-byte element) and `"shape"` (`Shape64`) carried
+/// the same traffic: per-rank counts both directions, and size histograms.
+fn assert_shape_traffic_equals_values(report: &RunReport) {
+    for (r, phases) in report.traffic.per_rank.iter().enumerate() {
+        assert_eq!(phases.get("values"), phases.get("shape"), "rank {r}");
+    }
+    let hist = &report.traffic.hist_by_phase;
+    assert_eq!(hist.get("values"), hist.get("shape"));
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -16,12 +30,18 @@ proptest! {
     fn allgatherv_concatenates(p in 1usize..9, sizes in proptest::collection::vec(0usize..7, 1..9)) {
         let counts: Vec<usize> = (0..p).map(|r| sizes[r % sizes.len()]).collect();
         let counts2 = counts.clone();
-        let got = World::run(p, move |ctx| {
+        let total: usize = counts.iter().sum();
+        let (got, report) = World::run_opts(p, RunOptions::default(), move |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
+            ctx.set_phase("shape");
+            let shapes = allgatherv(&comm, ctx, vec![Shape64; counts2[me]], &counts2);
+            assert_eq!(shapes.len(), total);
+            ctx.set_phase("values");
             let mine: Vec<u64> = (0..counts2[me]).map(|i| (me * 100 + i) as u64).collect();
             allgatherv(&comm, ctx, mine, &counts2)
         });
+        assert_shape_traffic_equals_values(&report);
         let want: Vec<u64> = (0..p)
             .flat_map(|r| (0..counts[r]).map(move |i| (r * 100 + i) as u64))
             .collect();
@@ -35,12 +55,17 @@ proptest! {
         let counts: Vec<usize> = (0..p).map(|r| seg + r % 2).collect();
         let total: usize = counts.iter().sum();
         let counts2 = counts.clone();
-        let got = World::run(p, move |ctx| {
+        let (got, report) = World::run_opts(p, RunOptions::default(), move |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
+            ctx.set_phase("shape");
+            let shapes = reduce_scatter(&comm, ctx, vec![Shape64; total], &counts2);
+            assert_eq!(shapes.len(), counts2[me]);
+            ctx.set_phase("values");
             let data: Vec<f64> = (0..total).map(|i| (me * 31 + i) as f64).collect();
             reduce_scatter(&comm, ctx, data, &counts2)
         });
+        assert_shape_traffic_equals_values(&report);
         // serial: sum over ranks of each index
         let sums: Vec<f64> = (0..total)
             .map(|i| (0..p).map(|r| (r * 31 + i) as f64).sum())

@@ -11,7 +11,12 @@
 //!   serial GEMM;
 //! * wait attribution is in *virtual* seconds: an imbalanced 4-rank run
 //!   (one rank computes while three wait) shows the imbalance as nonzero
-//!   wait% in its dashboard.
+//!   wait% in its dashboard;
+//! * compute-free runs carry shapes, not data: `execute_compute = false`
+//!   (zero-sized `Shape64` blocks) yields the same artifact as
+//!   `execute_compute = true` (`f64` blocks, GEMMs executed) except for
+//!   the flag itself (property test over problems, overlap, collectives,
+//!   multi-shift batching and node sizes).
 
 use ca3dmm::{Ca3dmm, Ca3dmmOptions};
 use dense::gemm::{gemm_naive, GemmOp};
@@ -22,8 +27,9 @@ use dense::Mat;
 use gridopt::Problem;
 use jsonlite::Json;
 use layout::Layout;
+use msgpass::collectives::Collectives;
 use msgpass::{Comm, RunReportDoc, SimOptions, World};
-use netmodel::Machine;
+use netmodel::{Machine, Placement};
 use proptest::prelude::*;
 
 /// Ping-pong between two ranks: the makespan must be exactly two one-way
@@ -300,5 +306,53 @@ proptest! {
         };
         let (first, second) = (run(), run());
         prop_assert_eq!(first, second);
+    }
+
+    /// The contract compute-free simulation rests on: running the schedule
+    /// over zero-sized shape-only blocks (`execute_compute = false`) changes
+    /// nothing the artifact records — traffic matrix, histograms, phase
+    /// seconds, waits and makespan are bit-equal to the run that allocates
+    /// `f64` blocks and executes every GEMM. Small nodes make the
+    /// hierarchical collectives engage; a large `multi_shift_min_k` batches
+    /// every Cannon round into one GEMM.
+    #[test]
+    fn compute_free_report_equals_executed_report(
+        m in 4usize..40,
+        n in 4usize..40,
+        k in 4usize..56,
+        p in 2usize..28,
+        rpn in 1usize..7,
+        overlap in proptest::bool::ANY,
+        hier in proptest::bool::ANY,
+        batch_all in proptest::bool::ANY,
+    ) {
+        let machine = Machine::phoenix_cpu();
+        let placement = Placement { ranks_per_node: rpn, ..machine.pure_mpi() };
+        let alg = Ca3dmm::new(
+            Problem::new(m, n, k, p),
+            &Ca3dmmOptions {
+                overlap,
+                collectives: if hier { Collectives::Hier } else { Collectives::Flat },
+                multi_shift_min_k: if batch_all { usize::MAX } else { 0 },
+                ..Default::default()
+            },
+        );
+        let run = |execute_compute: bool| {
+            let report = alg.simulate_native(
+                &machine,
+                SimOptions {
+                    placement: Some(placement),
+                    execute_compute,
+                    ..Default::default()
+                },
+            );
+            prop_assert_eq!(report.sim.as_ref().map(|s| s.execute_compute), Some(execute_compute));
+            let mut doc = report.to_json(alg.report_meta("shape_only", &report));
+            let Json::Obj(top) = &mut doc else { panic!("report is an object") };
+            let Some(Json::Obj(sim)) = top.get_mut("sim") else { panic!("sim block present") };
+            prop_assert!(sim.insert("execute_compute".to_owned(), Json::Null).is_some());
+            doc.to_string_pretty()
+        };
+        prop_assert_eq!(run(true), run(false));
     }
 }
