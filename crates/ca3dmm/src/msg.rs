@@ -51,7 +51,9 @@ pub fn from_msg<T: Scalar>(msg: BlockMsg<T>) -> Mat<T> {
 ///
 /// Wire bytes still count the full element data (as [`BlockMsg`] does), so
 /// traffic accounting — and therefore the model-vs-measured validation —
-/// is unchanged by the zero-copy representation.
+/// is unchanged by the zero-copy representation. Redistribution
+/// (`layout::redist`) ships its source blocks the same way, charging each
+/// message the bytes of the pieces its receiver reads.
 pub struct SharedBlock<T: Scalar>(pub Arc<Mat<T>>);
 
 impl<T: Scalar> Payload for SharedBlock<T> {

@@ -5,7 +5,9 @@
 //! (1D, 2D, block-cyclic, …), CA3DMM converts them to its native internal
 //! distribution, and converts the final `C` back. §III-F: "The matrix
 //! redistribution subroutine … simply packs and unpacks matrix blocks and
-//! exchanges data using `MPI_Neighbor_alltoallv`."
+//! exchanges data using `MPI_Neighbor_alltoallv`." Here the exchange ships
+//! shared handles on the source blocks, charged as the packed bytes, and
+//! each receiver copies its elements once (see [`redist`]).
 //!
 //! A [`Layout`] assigns every element of a global matrix to exactly one rank
 //! as a list of rectangles per rank; [`redistribute`] moves data between any

@@ -1,53 +1,92 @@
 //! Redistribution between arbitrary layouts (Algorithm 1 steps 4 and 8).
 //!
-//! Two entry points share one engine: [`redistribute`] computes the
+//! The paper's subroutine is pack → `MPI_Neighbor_alltoallv` → unpack
+//! (§III-F). On this in-process runtime the same exchange runs as **share +
+//! gather**: every rank wraps its source blocks in one `Arc`, the pairwise
+//! exchange hands each peer a clone of it, and each receiver builds its
+//! destination blocks in one pass, reading straight from the senders'
+//! blocks (the redistribution counterpart of the Cannon pipeline's
+//! `ca3dmm::msg::SharedBlock`; MPI gets the same effect from derived
+//! datatypes over a single-copy intra-node transport).
+//!
+//! What is *charged* and what is *copied* differ on purpose. Each message
+//! is charged the bytes of the pieces its receiver reads from it (Σ piece
+//! areas × `T::WIRE_BYTES` — exactly the packed buffer of the paper's
+//! subroutine, zero-byte messages to peers that read nothing included), so
+//! traffic counters, histograms and virtual-time charges are those of
+//! pack/alltoallv/unpack. Each element is copied once, by its receiver,
+//! into an output that is appended to rather than zero-filled; no staging
+//! buffer exists, and the source blocks are freed when their last reader
+//! drops them.
+//!
+//! Two entry points share this one engine: [`redistribute`] computes the
 //! rectangle intersections on the fly (one-shot calls), while a
 //! [`RedistPlan`] precomputes them once per `(src, dst, op)` triple so an
 //! iterative caller — or the `ca3dmm-serve` plan cache — pays the geometry
-//! only on the first multiply of a shape. Both paths pack, exchange, and
-//! unpack in exactly the same order, so their results are bitwise
-//! identical.
+//! only on the first multiply of a shape. Both execute the same program, so
+//! their results are bitwise identical.
 
 use crate::dist::Layout;
 use dense::gemm::GemmOp;
 use dense::part::Rect;
 use dense::{Mat, Scalar};
 use msgpass::collectives::alltoallv;
-use msgpass::{Comm, RankCtx};
+use msgpass::{Comm, Payload, RankCtx};
+use std::sync::Arc;
 
-/// One packing step of a rank's send program: copy the `inter_dst` region
-/// (destination coordinates) out of local source block `si`.
-#[derive(Clone, Debug)]
-struct SendPiece {
+/// The overlap of one destination rectangle with one source rectangle of
+/// rank `peer` (its `si`-th), in destination coordinates.
+struct Piece {
+    peer: usize,
     si: usize,
     src_rect: Rect,
     inter_dst: Rect,
 }
 
-/// One unpacking step of a rank's receive program: fill the `inter_dst`
-/// region of local destination block `di`.
+/// One contiguous run of a destination row, `len` elements long, read from
+/// block `si` of rank `peer`. `(i0, j0)` is the source-block position of
+/// the run's first element in the first row of its [`Band`]; every further
+/// band row moves one source row down (`NoTrans`, the run lies along a
+/// source row) or one source column right (`Trans`, the run lies down a
+/// source column).
 #[derive(Clone, Debug)]
-struct RecvPiece {
-    di: usize,
-    inter_dst: Rect,
+struct Segment {
+    peer: usize,
+    si: usize,
+    i0: usize,
+    j0: usize,
+    len: usize,
+}
+
+/// Consecutive destination rows that are tiled by the same pieces: one
+/// segment per piece, left to right.
+#[derive(Clone, Debug)]
+struct Band {
+    rows: usize,
+    segs: Vec<Segment>,
+}
+
+/// The fill order of one destination block: its bands, top to bottom.
+#[derive(Clone, Debug)]
+struct DstBlock {
+    rect: Rect,
+    bands: Vec<Band>,
 }
 
 /// One rank's precomputed redistribution program for a fixed
-/// `(src, dst, op)` triple: which pieces it packs for every peer and which
-/// pieces it unpacks from every peer, in the exact order [`redistribute`]
-/// would compute them on the fly.
+/// `(src, dst, op)` triple: how many elements every peer reads from this
+/// rank's blocks (what its message to that peer is charged), and the order
+/// in which this rank gathers each of its destination blocks out of the
+/// peers' source blocks.
 #[derive(Clone, Debug)]
 pub struct RankRedistPlan {
     op: GemmOp,
-    nranks: usize,
     /// This rank's source rectangles (for validating the caller's blocks).
     src_rects: Vec<Rect>,
-    /// This rank's destination rectangles (allocation shapes of the output).
-    dst_rects: Vec<Rect>,
-    /// Per peer: the pieces packed into the buffer sent to that peer.
-    sends: Vec<Vec<SendPiece>>,
-    /// Per peer: the pieces unpacked from the buffer received from it.
-    recvs: Vec<Vec<RecvPiece>>,
+    /// Per peer: elements of this rank's blocks that peer reads.
+    send_elems: Vec<usize>,
+    /// This rank's destination blocks and their fill order.
+    dst_blocks: Vec<DstBlock>,
 }
 
 impl RankRedistPlan {
@@ -71,15 +110,29 @@ impl RankRedistPlan {
             "dst layout shape must equal op(src) shape"
         );
         assert!(me < p, "rank {me} outside the {p}-rank layouts");
-        // Send side: for each peer, intersections in (dst rect index,
-        // src rect index) order — the wire order both sides agree on.
-        let sends = (0..p)
+        let send_elems = (0..p)
             .map(|peer| {
+                dst.owned(peer)
+                    .iter()
+                    .flat_map(|dst_rect| {
+                        src.owned(me)
+                            .iter()
+                            .filter_map(|src_rect| intersect_in_dst(dst_rect, src_rect, op))
+                    })
+                    .map(|inter| inter.area())
+                    .sum()
+            })
+            .collect();
+        let dst_blocks = dst
+            .owned(me)
+            .iter()
+            .map(|dst_rect| {
                 let mut pieces = Vec::new();
-                for dst_rect in dst.owned(peer) {
-                    for (si, src_rect) in src.owned(me).iter().enumerate() {
+                for peer in 0..p {
+                    for (si, src_rect) in src.owned(peer).iter().enumerate() {
                         if let Some(inter_dst) = intersect_in_dst(dst_rect, src_rect, op) {
-                            pieces.push(SendPiece {
+                            pieces.push(Piece {
+                                peer,
                                 si,
                                 src_rect: *src_rect,
                                 inter_dst,
@@ -87,41 +140,79 @@ impl RankRedistPlan {
                         }
                     }
                 }
-                pieces
-            })
-            .collect();
-        // Receive side: the mirror image, per source peer.
-        let recvs = (0..p)
-            .map(|peer| {
-                let mut pieces = Vec::new();
-                for (di, dst_rect) in dst.owned(me).iter().enumerate() {
-                    for src_rect in src.owned(peer) {
-                        if let Some(inter_dst) = intersect_in_dst(dst_rect, src_rect, op) {
-                            pieces.push(RecvPiece { di, inter_dst });
-                        }
-                    }
+                DstBlock {
+                    rect: *dst_rect,
+                    bands: fill_order(dst_rect, pieces, op),
                 }
-                pieces
             })
             .collect();
         RankRedistPlan {
             op,
-            nranks: p,
             src_rects: src.owned(me).to_vec(),
-            dst_rects: dst.owned(me).to_vec(),
-            sends,
-            recvs,
+            send_elems,
+            dst_blocks,
         }
     }
 
-    /// Total elements this rank packs (bytes on the wire / element size).
+    /// Total elements the peers (this rank included) read from this rank's
+    /// blocks: bytes charged to its messages / element size.
     pub fn send_elems(&self) -> usize {
-        self.sends
-            .iter()
-            .flatten()
-            .map(|piece| piece.inter_dst.area())
-            .sum()
+        self.send_elems.iter().sum()
     }
+}
+
+/// Cuts `dst_rect` into bands at every row where a piece starts or ends;
+/// each band lists its pieces left to right.
+///
+/// # Panics
+/// If the pieces of a band do not tile the full width of `dst_rect`
+/// exactly — with the length check in [`gather`] this proves that they
+/// tile the block.
+fn fill_order(dst_rect: &Rect, mut pieces: Vec<Piece>, op: GemmOp) -> Vec<Band> {
+    pieces.sort_by_key(|p| (p.inter_dst.row0, p.inter_dst.col0));
+    let mut cuts: Vec<usize> = pieces
+        .iter()
+        .flat_map(|p| [p.inter_dst.row0, p.inter_dst.row_end()])
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut bands = Vec::with_capacity(cuts.len().saturating_sub(1));
+    let mut active: Vec<&Piece> = Vec::new();
+    let mut started = 0;
+    for cut in cuts.windows(2) {
+        let (top, bottom) = (cut[0], cut[1]);
+        active.retain(|p| p.inter_dst.row_end() > top);
+        while started < pieces.len() && pieces[started].inter_dst.row0 == top {
+            active.push(&pieces[started]);
+            started += 1;
+        }
+        active.sort_by_key(|p| p.inter_dst.col0);
+        let mut segs = Vec::with_capacity(active.len());
+        let mut col = dst_rect.col0;
+        for p in &active {
+            let inter = &p.inter_dst;
+            assert_eq!(inter.col0, col, "pieces overlap or leave a gap");
+            col = inter.col_end();
+            let (i0, j0) = match op {
+                GemmOp::NoTrans => (top - p.src_rect.row0, inter.col0 - p.src_rect.col0),
+                // dst (r, c) = X (c, r)
+                GemmOp::Trans => (inter.col0 - p.src_rect.row0, top - p.src_rect.col0),
+            };
+            segs.push(Segment {
+                peer: p.peer,
+                si: p.si,
+                i0,
+                j0,
+                len: inter.cols,
+            });
+        }
+        assert_eq!(col, dst_rect.col_end(), "pieces do not reach the edge");
+        bands.push(Band {
+            rows: bottom - top,
+            segs,
+        });
+    }
+    bands
 }
 
 /// A full redistribution plan: every rank's [`RankRedistPlan`] for one
@@ -153,10 +244,33 @@ impl RedistPlan {
     }
 }
 
+/// What a rank hands each peer: a handle on all of its source blocks,
+/// charged as the bytes of the pieces that peer reads from them.
+struct SharedBlocks<T: Scalar> {
+    blocks: Option<Arc<Vec<Mat<T>>>>,
+    nbytes: usize,
+}
+
+impl<T: Scalar> Default for SharedBlocks<T> {
+    fn default() -> Self {
+        SharedBlocks {
+            blocks: None,
+            nbytes: 0,
+        }
+    }
+}
+
+impl<T: Scalar> Payload for SharedBlocks<T> {
+    fn nbytes(&self) -> usize {
+        self.nbytes
+    }
+}
+
 /// Executes a precomputed redistribution program. Collective over `comm`
 /// (which must span the plan's rank count); semantically identical to
 /// [`redistribute`] on the layouts the plan was built from, without
-/// recomputing any rectangle intersection.
+/// recomputing any rectangle intersection. The borrowed blocks are cloned
+/// once so the peers can read them.
 ///
 /// # Panics
 /// If the local blocks disagree with the plan's source rectangles.
@@ -166,8 +280,22 @@ pub fn redistribute_planned<T: Scalar>(
     plan: &RankRedistPlan,
     src_blocks: &[Mat<T>],
 ) -> Vec<Mat<T>> {
-    let p = comm.size();
-    assert_eq!(plan.nranks, p, "plan rank count != communicator size");
+    share_and_gather(comm, ctx, plan, Arc::new(src_blocks.to_vec()))
+}
+
+/// The engine: shares `src_blocks` with every peer, then gathers this
+/// rank's destination blocks out of the blocks the peers shared.
+fn share_and_gather<T: Scalar>(
+    comm: &Comm,
+    ctx: &RankCtx,
+    plan: &RankRedistPlan,
+    src_blocks: Arc<Vec<Mat<T>>>,
+) -> Vec<Mat<T>> {
+    assert_eq!(
+        plan.send_elems.len(),
+        comm.size(),
+        "plan rank count != communicator size"
+    );
     assert_eq!(
         src_blocks.len(),
         plan.src_rects.len(),
@@ -177,56 +305,72 @@ pub fn redistribute_planned<T: Scalar>(
         assert_eq!(b.shape(), (r.rows, r.cols), "local block shape mismatch");
     }
 
-    // Pack each peer's buffer following the precomputed program.
-    let mut sends: Vec<Vec<T>> = Vec::with_capacity(p);
-    for pieces in &plan.sends {
-        let mut buf = Vec::new();
-        for piece in pieces {
-            pack(
-                &mut buf,
-                &src_blocks[piece.si],
-                &piece.src_rect,
-                &piece.inter_dst,
-                plan.op,
-            );
-        }
-        sends.push(buf);
-    }
-
-    let recvs = alltoallv(comm, ctx, sends);
-
-    // Unpack: mirror of the packing order, per source rank.
-    let mut out: Vec<Mat<T>> = plan
-        .dst_rects
+    let sends = plan
+        .send_elems
         .iter()
-        .map(|r| Mat::zeros(r.rows, r.cols))
+        .map(|&elems| SharedBlocks {
+            blocks: Some(Arc::clone(&src_blocks)),
+            nbytes: elems * T::WIRE_BYTES,
+        })
         .collect();
-    for (peer, buf) in recvs.iter().enumerate() {
-        let mut pos = 0usize;
-        for piece in &plan.recvs[peer] {
-            pos = unpack(
-                &mut out[piece.di],
-                &plan.dst_rects[piece.di],
-                &piece.inter_dst,
-                buf,
-                pos,
-            );
+    let recvs = alltoallv(comm, ctx, sends);
+    let shared: Vec<&[Mat<T>]> = recvs
+        .iter()
+        .map(|m| {
+            m.blocks
+                .as_ref()
+                .expect("every rank shares its blocks")
+                .as_slice()
+        })
+        .collect();
+    plan.dst_blocks
+        .iter()
+        .map(|block| gather(block, plan.op, &shared))
+        .collect()
+}
+
+/// Builds one destination block row by row, appending each row's segments
+/// left to right.
+fn gather<T: Scalar>(block: &DstBlock, op: GemmOp, shared: &[&[Mat<T>]]) -> Mat<T> {
+    let Rect { rows, cols, .. } = block.rect;
+    let mut data = Vec::with_capacity(rows * cols);
+    for band in &block.bands {
+        for r in 0..band.rows {
+            for seg in &band.segs {
+                let src = &shared[seg.peer][seg.si];
+                match op {
+                    GemmOp::NoTrans => {
+                        data.extend_from_slice(&src.row(seg.i0 + r)[seg.j0..seg.j0 + seg.len]);
+                    }
+                    GemmOp::Trans => {
+                        let first = seg.i0 * src.cols() + seg.j0 + r;
+                        data.extend(
+                            src.as_slice()[first..]
+                                .iter()
+                                .step_by(src.cols())
+                                .take(seg.len),
+                        );
+                    }
+                }
+            }
         }
-        assert_eq!(pos, buf.len(), "unconsumed bytes from rank {peer}");
     }
-    out
+    assert_eq!(data.len(), rows * cols, "pieces do not tile the block");
+    Mat::from_vec(rows, cols, data)
 }
 
 /// Moves a distributed matrix from `src` (describing `X`) to `dst`
-/// (describing `op(X)`), applying the transpose during packing when
+/// (describing `op(X)`), applying the transpose while gathering when
 /// `op == Trans`. Collective over `comm`; every rank passes its local
 /// blocks (one [`Mat`] per owned rectangle of `src`, in order) and receives
 /// its local blocks of the destination layout.
 ///
 /// This is the paper's pack → `MPI_Neighbor_alltoallv` → unpack subroutine
-/// (§III-F); it is deliberately unoptimized, as in the artifact. Internally
-/// it builds this rank's [`RankRedistPlan`] on the fly and executes it, so
-/// it is bitwise identical to the planned path.
+/// (§III-F) with the same messages and the same charged bytes — the pieces
+/// each peer needs — but each element is copied only once, by the rank
+/// that receives it (see the module docs). Internally it builds this
+/// rank's [`RankRedistPlan`] on the fly and executes it, so it is bitwise
+/// identical to the planned path.
 ///
 /// # Panics
 /// On shape mismatches between the layouts, the communicator, and the local
@@ -249,7 +393,9 @@ pub fn redistribute<T: Scalar>(
 /// Redistributes this rank's blocks of the stored `A` and `B` into the
 /// algorithm's native layouts (each rank owns at most one native block),
 /// hands them to `multiply_native`, and redistributes the native `C` block it
-/// returns — `None` on ranks that own none — into the caller's layout.
+/// returns — `None` on ranks that own none — into the caller's layout. The
+/// native `C` block is moved into that exchange and freed when its last
+/// reader is done with it; the borrowed `A` and `B` blocks are cloned.
 /// Collective over `world`; both redistribution steps are labelled `"redist"`.
 pub fn multiply_planned<T: Scalar>(
     world: &Comm,
@@ -265,7 +411,7 @@ pub fn multiply_planned<T: Scalar>(
     let c_native = multiply_native(a_local.into_iter().next(), b_local.into_iter().next());
     ctx.set_phase("redist");
     let c_blocks: Vec<Mat<T>> = c_native.into_iter().filter(|m| !m.is_empty()).collect();
-    redistribute_planned(world, ctx, redist_c, &c_blocks)
+    share_and_gather(world, ctx, redist_c, Arc::new(c_blocks))
 }
 
 /// [`multiply_planned`] for one-shot callers: `a` and `b` are
@@ -304,58 +450,6 @@ fn intersect_in_dst(dst_rect: &Rect, src_rect: &Rect, op: GemmOp) -> Option<Rect
         GemmOp::Trans => src_rect.transposed(),
     };
     dst_rect.intersect(&src_in_dst)
-}
-
-/// Serializes `inter_dst` (destination coordinates) row-major, reading from
-/// the local block that stores `src_rect`.
-fn pack<T: Scalar>(
-    buf: &mut Vec<T>,
-    block: &Mat<T>,
-    src_rect: &Rect,
-    inter_dst: &Rect,
-    op: GemmOp,
-) {
-    buf.reserve(inter_dst.area());
-    match op {
-        GemmOp::NoTrans => {
-            for r in 0..inter_dst.rows {
-                let li = inter_dst.row0 + r - src_rect.row0;
-                let lj = inter_dst.col0 - src_rect.col0;
-                let row = &block.row(li)[lj..lj + inter_dst.cols];
-                buf.extend_from_slice(row);
-            }
-        }
-        GemmOp::Trans => {
-            // dst (r, c) = X (c, r)
-            for r in 0..inter_dst.rows {
-                for c in 0..inter_dst.cols {
-                    let xi = inter_dst.col0 + c - src_rect.row0;
-                    let xj = inter_dst.row0 + r - src_rect.col0;
-                    buf.push(block.get(xi, xj));
-                }
-            }
-        }
-    }
-}
-
-/// Deserializes one intersection back into the local destination block;
-/// returns the advanced cursor.
-fn unpack<T: Scalar>(
-    block: &mut Mat<T>,
-    dst_rect: &Rect,
-    inter_dst: &Rect,
-    buf: &[T],
-    mut pos: usize,
-) -> usize {
-    for r in 0..inter_dst.rows {
-        let li = inter_dst.row0 + r - dst_rect.row0;
-        let lj = inter_dst.col0 - dst_rect.col0;
-        let n = inter_dst.cols;
-        let dst_row_start = li * dst_rect.cols + lj;
-        block.as_mut_slice()[dst_row_start..dst_row_start + n].copy_from_slice(&buf[pos..pos + n]);
-        pos += n;
-    }
-    pos
 }
 
 #[cfg(test)]

@@ -315,9 +315,12 @@ pub fn allreduce<T: ReduceElem>(comm: &Comm, ctx: &RankCtx, data: Vec<T>) -> Vec
 
 /// Pairwise-exchange all-to-all with per-destination payloads: `sends[j]`
 /// goes to communicator rank `j`; returns `recvs` where `recvs[i]` came from
-/// rank `i`. Empty vectors are exchanged too (zero-byte messages), exactly
-/// like `MPI_Alltoallv` with zero counts.
-pub fn alltoallv<T: WireElem>(comm: &Comm, ctx: &RankCtx, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
+/// rank `i`. Empty payloads are exchanged too (zero-byte messages), exactly
+/// like `MPI_Alltoallv` with zero counts. `P` is any payload — `Vec<T>`
+/// buffers, or a shared handle charged as the bytes its receiver reads
+/// (`layout::redistribute`); `P::default()` only fills the slots a payload
+/// was moved out of.
+pub fn alltoallv<P: Payload + Default>(comm: &Comm, ctx: &RankCtx, mut sends: Vec<P>) -> Vec<P> {
     let _span = ctx.collective_scope("pairwise_alltoallv", || {
         sends.iter().map(|v| v.nbytes() as u64).sum()
     });
@@ -325,7 +328,7 @@ pub fn alltoallv<T: WireElem>(comm: &Comm, ctx: &RankCtx, mut sends: Vec<Vec<T>>
     let me = comm.rank();
     assert_eq!(sends.len(), g, "need one send buffer per rank");
     let tag = comm.next_coll_tag();
-    let mut recvs: Vec<Vec<T>> = (0..g).map(|_| Vec::new()).collect();
+    let mut recvs: Vec<P> = (0..g).map(|_| P::default()).collect();
     recvs[me] = std::mem::take(&mut sends[me]);
     for off in 1..g {
         let dst = (me + off) % g;

@@ -134,7 +134,7 @@ impl Comm {
     pub fn world(ctx: &RankCtx) -> Comm {
         Comm {
             ctx_id: mix(0x5EED_0001),
-            ranks: Arc::new((0..ctx.world_size()).collect()),
+            ranks: Arc::clone(&ctx.fabric.world_ranks),
             my_idx: ctx.world_rank(),
             coll_seq: std::cell::Cell::new(0),
         }

@@ -20,6 +20,8 @@ pub(crate) struct Fabric {
     pub(crate) senders: Vec<Sender<Envelope>>,
     pub(crate) traffic: Vec<RankTraffic>,
     pub(crate) times: Vec<Mutex<BTreeMap<String, f64>>>,
+    /// `0..p`: the member list every rank's world communicator shares.
+    pub(crate) world_ranks: Arc<Vec<usize>>,
 }
 
 impl Fabric {
@@ -38,6 +40,7 @@ impl Fabric {
             senders,
             traffic: (0..p).map(|_| RankTraffic::default()).collect(),
             times: (0..p).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            world_ranks: Arc::new((0..p).collect()),
         });
         (fabric, receivers)
     }
@@ -630,10 +633,15 @@ impl RunSetup {
         let mut hist_by_phase: BTreeMap<String, SizeHistogram> = BTreeMap::new();
         let mut hist_by_algo: BTreeMap<String, SizeHistogram> = BTreeMap::new();
         for (rank, t) in fabric.traffic.iter().enumerate() {
-            let st = lock_mutex(&t.stats);
-            per_rank.push(st.by_phase.clone());
-            wait_per_rank.push(st.wait_by_phase.clone());
-            matrix.set_rows(rank, st.sent_to.clone(), st.recv_from.clone());
+            // The fabric serves one run, so its counters move into the report.
+            let mut st = lock_mutex(&t.stats);
+            per_rank.push(std::mem::take(&mut st.by_phase));
+            wait_per_rank.push(std::mem::take(&mut st.wait_by_phase));
+            matrix.set_rows(
+                rank,
+                std::mem::take(&mut st.sent_to),
+                std::mem::take(&mut st.recv_from),
+            );
             for (k, h) in &st.hist_by_phase {
                 hist_by_phase.entry(k.clone()).or_default().merge(h);
             }
@@ -643,7 +651,11 @@ impl RunSetup {
         }
         let traffic = TrafficReport {
             per_rank,
-            secs_per_rank: fabric.times.iter().map(|t| lock_mutex(t).clone()).collect(),
+            secs_per_rank: fabric
+                .times
+                .iter()
+                .map(|t| std::mem::take(&mut *lock_mutex(t)))
+                .collect(),
             wait_per_rank,
             matrix,
             hist_by_phase,

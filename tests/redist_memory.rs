@@ -1,0 +1,140 @@
+//! Memory guard for the user-layout pipeline: while a caller holds the
+//! previous result, one `Plan::multiply_in` may keep at most the inputs,
+//! the native `C` and the output `C` alive — no staging copy of `C` in
+//! between. Peak live heap bytes are counted by a `#[global_allocator]`,
+//! so the figure is deterministic where `VmHWM` is not. This binary holds
+//! exactly one test: a second one would allocate concurrently.
+
+use ca3dmm::{Ca3dmmOptions, Dtype, Plan};
+use dense::gemm::GemmOp;
+use dense::random::global_block;
+use dense::Mat;
+use gridopt::Problem;
+use layout::Layout;
+use msgpass::{Comm, PersistentWorld, RunOptions};
+use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
+
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Relaxed) + by;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// statistics and touch no memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: AllocLayout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
+        if new_size >= layout.size() {
+            grew(new_size - layout.size());
+        } else {
+            LIVE.fetch_sub(layout.size() - new_size, Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const M: usize = 2048;
+const N: usize = 2048;
+const K: usize = 48;
+const P: usize = 8;
+
+fn user_blocks(layout: &Layout, seed: u64) -> Arc<Vec<Vec<Mat<f64>>>> {
+    Arc::new(
+        (0..P)
+            .map(|r| {
+                layout
+                    .owned(r)
+                    .iter()
+                    .map(|rect| global_block(seed, *rect))
+                    .collect()
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn user_layout_multiply_holds_no_staging_copy_of_c() {
+    // The benchmark's `flat_userlayout` op: A stored transposed in column
+    // blocks, B block-cyclic, C in row blocks.
+    let (la, lb, lc) = (
+        Layout::one_d_col(K, M, P),
+        Layout::block_cyclic(K, N, 2, 4, 32, 32),
+        Layout::one_d_row(M, N, P),
+    );
+    let plan = Arc::new(Plan::build(
+        Problem::new(M, N, K, P),
+        &Ca3dmmOptions::default(),
+        Dtype::F64,
+        GemmOp::Trans,
+        &la,
+        GemmOp::NoTrans,
+        &lb,
+        &lc,
+    ));
+    let world = PersistentWorld::new(P);
+    let (a, b) = (user_blocks(&la, 1), user_blocks(&lb, 2));
+    let opts = RunOptions {
+        kernel_threads_per_rank: Some(1),
+        ..RunOptions::default()
+    };
+    let run = || {
+        let (plan, a, b) = (Arc::clone(&plan), Arc::clone(&a), Arc::clone(&b));
+        let (c, _report) = world
+            .run_job(opts, move |ctx| {
+                let comm = Comm::world(ctx);
+                let me = comm.rank();
+                let comms = plan.ca3dmm().comms(ctx, &comm);
+                plan.multiply_in(ctx, &comm, &comms, &a[me], &b[me])
+            })
+            .expect("a rank panicked");
+        c
+    };
+
+    // The warm-up op leaves behind what later ops reuse (kernel tuning,
+    // pack buffers); its result is the first "previous C".
+    let mut previous = run();
+    let idle = LIVE.load(Relaxed);
+    PEAK.store(idle, Relaxed);
+    for _ in 0..3 {
+        previous = run();
+    }
+    assert_eq!(
+        previous.iter().flatten().map(Mat::len).sum::<usize>(),
+        M * N
+    );
+
+    let c_bytes = 8 * M * N;
+    let input_bytes = 8 * (M * K + K * N);
+    let budget = input_bytes + 3 * c_bytes;
+    let peak = PEAK.load(Relaxed);
+    assert!(
+        idle >= input_bytes + c_bytes,
+        "inputs and the previous C are live between ops"
+    );
+    assert!(
+        peak <= budget + budget / 10,
+        "peak live heap {peak} B exceeds inputs + previous C + native C + output C \
+         (= {budget} B) by more than 10 %: a redistribution is staging a copy"
+    );
+}
