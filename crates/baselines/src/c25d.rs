@@ -13,21 +13,22 @@
 //! behaviours the paper cites when explaining CTF's weaker Fig. 3 results
 //! ("CTF is not fine tuned for matrix multiplication").
 
+use crate::grid3d::{Coord, Grid3d};
+use ca3dmm::model::{push_reduce_c, with_redist};
 use ca3dmm::msg::{from_msg, to_msg};
-use ca3dmm::reduce::reduce_partial_c;
 use dense::gemm::{gemm, GemmOp};
 use dense::part::{even_range, Rect};
 use dense::{Mat, Scalar};
-use gridopt::Problem;
+use gridopt::{Grid, Problem};
 use layout::Layout;
-use msgpass::collectives::bcast;
+use msgpass::collectives::{bcast, Collectives};
 use msgpass::{Comm, RankCtx};
 use netmodel::machine::Placement;
 use netmodel::{NetGroup, Phase, Schedule};
 
 /// A configured 2.5D multiplication.
 pub struct C25d {
-    prob: Problem,
+    geo: Grid3d,
     /// Cannon grid side.
     pub s: usize,
     /// Replication layers (`c | s`).
@@ -41,8 +42,7 @@ impl C25d {
     pub fn new(prob: Problem, sc_override: Option<(usize, usize)>) -> Self {
         if let Some((s, c)) = sc_override {
             assert!(c >= 1 && s >= c && s % c == 0, "need c | s");
-            assert!(s * s * c <= prob.p, "grid exceeds P");
-            return C25d { prob, s, c };
+            return C25d::on(prob, s, c);
         }
         let mut best: Option<(u128, usize, usize, usize)> = None; // (surface, -active, s, c)
         for c in 1..=prob.p {
@@ -58,7 +58,7 @@ impl C25d {
                     continue;
                 }
             }
-            let g = gridopt::Grid::new(s, s, c);
+            let g = Grid::new(s, s, c);
             let surf = g.surface(prob.m, prob.n, prob.k);
             let cand = (surf, usize::MAX - g.active(), s, c);
             if best.is_none() || cand < best.unwrap() {
@@ -66,50 +66,45 @@ impl C25d {
             }
         }
         let (_, _, s, c) = best.expect("P >= 1 always admits s = c = 1");
-        C25d { prob, s, c }
+        C25d::on(prob, s, c)
+    }
+
+    fn on(prob: Problem, s: usize, c: usize) -> Self {
+        let geo = Grid3d::new(prob, Grid::new(s, s, c));
+        C25d { geo, s, c }
     }
 
     /// Active ranks `s²·c`.
     pub fn active(&self) -> usize {
-        self.s * self.s * self.c
+        self.geo.grid().active()
     }
 
-    /// Grid position `(i, j, l)` of a world rank (`world = l·s² + i + j·s`);
-    /// `None` for idle ranks.
-    fn active_coord(&self, world: usize) -> Option<(usize, usize, usize)> {
-        let s2 = self.s * self.s;
-        (world < self.active()).then(|| (world % s2 % self.s, world % s2 / self.s, world / s2))
+    /// Layer 0 holds the one copy of `A` and `B` as 2D blocks of the
+    /// `s × s` grid: `A(m_i, k_j)`, `B(k_i, n_j)` with the whole of `k`
+    /// split `s` ways (layers select Cannon steps, not k-ranges).
+    fn native(&self, (i, j, l): Coord) -> [Option<Rect>; 2] {
+        let ((r0, r1), (c0, c1)) = (self.geo.m_range(i), self.geo.n_range(j));
+        let k = self.geo.prob().k;
+        let ((ka0, ka1), (kb0, kb1)) = (even_range(k, self.s, j), even_range(k, self.s, i));
+        [
+            (l == 0).then(|| Rect::new(r0, ka0, r1 - r0, ka1 - ka0)),
+            (l == 0).then(|| Rect::new(kb0, c0, kb1 - kb0, c1 - c0)),
+        ]
     }
 
     /// Initial layout of `A`: 2D blocks on layer 0 only.
     pub fn layout_a(&self) -> Layout {
-        Layout::one_rect_per_rank(self.prob.m, self.prob.k, self.prob.p, |r| {
-            let (i, j, _) = self.active_coord(r).filter(|&(_, _, l)| l == 0)?;
-            let (r0, r1) = even_range(self.prob.m, self.s, i);
-            let (k0, k1) = even_range(self.prob.k, self.s, j);
-            Some(Rect::new(r0, k0, r1 - r0, k1 - k0))
-        })
+        self.geo.layout_a(|at| self.native(at))
     }
 
     /// Initial layout of `B`: 2D blocks on layer 0 only.
     pub fn layout_b(&self) -> Layout {
-        Layout::one_rect_per_rank(self.prob.k, self.prob.n, self.prob.p, |r| {
-            let (i, j, _) = self.active_coord(r).filter(|&(_, _, l)| l == 0)?;
-            let (k0, k1) = even_range(self.prob.k, self.s, i);
-            let (c0, c1) = even_range(self.prob.n, self.s, j);
-            Some(Rect::new(k0, c0, k1 - k0, c1 - c0))
-        })
+        self.geo.layout_b(|at| self.native(at))
     }
 
     /// Output layout: row-strip `l` of C block `(i, j)`.
     pub fn layout_c(&self) -> Layout {
-        Layout::one_rect_per_rank(self.prob.m, self.prob.n, self.prob.p, |r| {
-            let (i, j, l) = self.active_coord(r)?;
-            let (r0, r1) = even_range(self.prob.m, self.s, i);
-            let (c0, c1) = even_range(self.prob.n, self.s, j);
-            let (o0, o1) = even_range(r1 - r0, self.c, l);
-            Some(Rect::new(r0 + o0, c0, o1 - o0, c1 - c0))
-        })
+        self.geo.layout_c()
     }
 
     /// Native-layout multiply. Collective over `world`.
@@ -120,66 +115,23 @@ impl C25d {
         a_init: Option<Mat<T>>,
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
-        let (s, c) = (self.s, self.c);
-        let s2 = s * s;
-        let layer_groups: Vec<Vec<usize>> = (0..s2)
-            .map(|idx| (0..c).map(|l| l * s2 + idx).collect())
-            .collect();
-        let layer_comm = world.subgroup(ctx, &layer_groups);
-        let cannon_groups: Vec<Vec<usize>> =
-            (0..c).map(|l| (l * s2..(l + 1) * s2).collect()).collect();
-        let cannon_comm = world.subgroup(ctx, &cannon_groups);
-
-        let (i, j, l) = self.active_coord(world.rank())?;
-        let (r0, r1) = even_range(self.prob.m, s, i);
-        let (c0, c1) = even_range(self.prob.n, s, j);
-        let (ka0, ka1) = even_range(self.prob.k, s, j);
-        let (kb0, kb1) = even_range(self.prob.k, s, i);
-
-        // Replicate A and B from layer 0 along the layer axis.
-        ctx.set_phase("replicate_ab");
-        let lc = layer_comm.as_ref().expect("active rank has a layer comm");
-        let a_blk = from_msg(bcast(
-            lc,
+        let (s, steps) = (self.s, self.s / self.c);
+        let native = |at| self.native(at);
+        self.geo.multiply_native(
             ctx,
-            0,
-            (l == 0).then(|| {
-                to_msg(
-                    a_init
-                        .clone()
-                        .unwrap_or_else(|| Mat::zeros(r1 - r0, ka1 - ka0)),
-                )
-            }),
-        ));
-        let b_blk = from_msg(bcast(
-            lc,
-            ctx,
-            0,
-            (l == 0).then(|| {
-                to_msg(
-                    b_init
-                        .clone()
-                        .unwrap_or_else(|| Mat::zeros(kb1 - kb0, c1 - c0)),
-                )
-            }),
-        ));
-
-        // Offset skew + s/c Cannon steps on this layer.
-        ctx.set_phase("cannon_shift");
-        let cc = cannon_comm.as_ref().expect("active rank has a Cannon comm");
-        let steps = s / c;
-        let off = l * steps;
-        let mut c_partial = Mat::zeros(r1 - r0, c1 - c0);
-        cannon_offset(ctx, cc, s, i, j, off, steps, a_blk, b_blk, &mut c_partial);
-
-        // Reduce across layers.
-        ctx.set_phase("reduce_c");
-        Some(reduce_partial_c(
-            ctx,
-            lc,
-            c_partial,
-            msgpass::collectives::Collectives::Flat,
-        ))
+            world,
+            [a_init, b_init],
+            native,
+            |comms, (_, _, l), [a, b]| {
+                // Replicate A and B from layer 0 along the layer axis.
+                ctx.set_phase("replicate_ab");
+                let a_blk = from_msg(bcast(&comms.depth, ctx, 0, a.map(to_msg)));
+                let b_blk = from_msg(bcast(&comms.depth, ctx, 0, b.map(to_msg)));
+                // Offset skew + s/c Cannon steps on this layer.
+                ctx.set_phase("cannon_shift");
+                cannon_offset(ctx, &comms.plane, s, l * steps, steps, a_blk, b_blk)
+            },
+        )
     }
 
     /// Schedule: layer broadcasts, unoverlapped shifts + GEMM, layer
@@ -190,29 +142,12 @@ impl C25d {
         elem_bytes: f64,
         ctf_layout_overhead: bool,
     ) -> Schedule {
-        let (s, c) = (self.s, self.c);
-        let active = self.active();
-        let mb = (self.prob.m as f64 / s as f64).ceil();
-        let nb = (self.prob.n as f64 / s as f64).ceil();
-        let kbs = (self.prob.k as f64 / s as f64).ceil();
+        let (s, c, prob) = (self.s, self.c, self.geo.prob());
+        let mb = (prob.m as f64 / s as f64).ceil();
+        let nb = (prob.n as f64 / s as f64).ceil();
+        let kbs = (prob.k as f64 / s as f64).ceil();
         let rpn = placement.ranks_per_node;
-        let _ = active;
         let mut sched = Schedule::new();
-        if ctf_layout_overhead {
-            // CTF converts every operand into its internal cyclic layout.
-            let send = (self.prob.m as f64 * self.prob.k as f64
-                + self.prob.k as f64 * self.prob.n as f64)
-                / self.prob.p as f64
-                * elem_bytes;
-            sched.push(
-                "redist",
-                Phase::Alltoallv {
-                    grp: NetGroup::scattered(self.prob.p, rpn),
-                    send_bytes: send,
-                    peers: self.prob.p.min(4 * s),
-                },
-            );
-        }
         if c > 1 {
             // layer groups stride by a whole layer (s² ranks)
             sched.push(
@@ -243,60 +178,48 @@ impl C25d {
                 flops: 2.0 * mb * nb * kbs * steps as f64,
             },
         );
-        if c > 1 {
-            sched.push(
-                "reduce_c",
-                Phase::ReduceScatter {
-                    custom_impl: false,
-                    grp: NetGroup::strided(c, s * s, rpn),
-                    total_bytes: mb * nb * elem_bytes,
-                },
-            );
-        }
+        let c_bytes = mb * nb * elem_bytes;
+        push_reduce_c(
+            &mut sched,
+            self.geo.grid(),
+            rpn,
+            c_bytes,
+            Collectives::Flat,
+            false,
+        );
         if ctf_layout_overhead {
-            let send = (self.prob.m as f64 * self.prob.n as f64) / active as f64 * elem_bytes;
-            sched.push(
-                "redist",
-                Phase::Alltoallv {
-                    grp: NetGroup::scattered(self.prob.p, rpn),
-                    send_bytes: send,
-                    peers: self.prob.p.min(4 * s),
-                },
-            );
+            // CTF converts every operand into its internal cyclic layout
+            // and the result back out of it.
+            sched = with_redist(sched, prob, self.active(), rpn, elem_bytes, 4 * s);
         }
         sched
     }
 }
 
-/// Cannon with a starting offset: computes the `steps` products
-/// `A(i, i+j+off+t)·B(i+j+off+t, j)`, `t = 0..steps`, accumulating into
-/// `c_out`. `off = 0, steps = s` is classic Cannon.
-#[allow(clippy::too_many_arguments)]
+/// Cannon with a starting offset on an `s × s` group ordered `i + j·s`:
+/// returns the sum of the `steps` products
+/// `A(i, i+j+off+t)·B(i+j+off+t, j)`, `t = 0..steps`. `off = 0, steps = s`
+/// is classic Cannon.
 fn cannon_offset<T: Scalar>(
     ctx: &RankCtx,
     group: &Comm,
     s: usize,
-    i: usize,
-    j: usize,
     off: usize,
     steps: usize,
     a0: Mat<T>,
     b0: Mat<T>,
-    c_out: &mut Mat<T>,
-) {
+) -> Mat<T> {
     const TAG_A: u64 = 201;
     const TAG_B: u64 = 202;
+    let (i, j) = (group.rank() % s, group.rank() / s);
+    let mut c_out = Mat::zeros(a0.rows(), b0.cols());
+    let mut accumulate = |a: &Mat<T>, b: &Mat<T>| {
+        let op = GemmOp::NoTrans;
+        gemm(op, op, T::ONE, a, b, T::ONE, &mut c_out);
+    };
     if s == 1 {
-        gemm(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            T::ONE,
-            &a0,
-            &b0,
-            T::ONE,
-            c_out,
-        );
-        return;
+        accumulate(&a0, &b0);
+        return c_out;
     }
     let idx = |ii: usize, jj: usize| ii + jj * s;
     // Skew A left by (i + off): rank (i, j) ends up holding A(i, i+j+off).
@@ -317,15 +240,7 @@ fn cannon_offset<T: Scalar>(
         from_msg(group.sendrecv(ctx, dst, src, TAG_B, to_msg(b0)))
     };
     for t in 0..steps {
-        gemm(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            T::ONE,
-            &a_cur,
-            &b_cur,
-            T::ONE,
-            c_out,
-        );
+        accumulate(&a_cur, &b_cur);
         if t + 1 < steps {
             let a_dst = idx(i, (j + s - 1) % s);
             let a_src = idx(i, (j + 1) % s);
@@ -335,84 +250,12 @@ fn cannon_offset<T: Scalar>(
             b_cur = from_msg(group.sendrecv(ctx, b_dst, b_src, TAG_B, to_msg(b_cur)));
         }
     }
+    c_out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dense::gemm::gemm_naive;
-    use dense::random::global_block;
-    use dense::testing::assert_gemm_close;
-    use msgpass::World;
-
-    fn check(m: usize, n: usize, k: usize, p: usize, sc: Option<(usize, usize)>) {
-        let alg = C25d::new(Problem::new(m, n, k, p), sc);
-        let la = alg.layout_a();
-        let lb = alg.layout_b();
-        let lc = alg.layout_c();
-        la.validate();
-        lb.validate();
-        lc.validate();
-        let a_full = global_block::<f64>(61, Rect::new(0, 0, m, k));
-        let b_full = global_block::<f64>(62, Rect::new(0, 0, k, n));
-        let parts = World::run(p, |ctx| {
-            let world = Comm::world(ctx);
-            let me = world.rank();
-            let a = la.extract(&a_full, me).into_iter().next();
-            let b = lb.extract(&b_full, me).into_iter().next();
-            alg.multiply_native(ctx, &world, a, b)
-                .into_iter()
-                .filter(|m: &Mat<f64>| !m.is_empty())
-                .collect::<Vec<_>>()
-        });
-        let mut c_ref = Mat::zeros(m, n);
-        gemm_naive(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            1.0,
-            &a_full,
-            &b_full,
-            0.0,
-            &mut c_ref,
-        );
-        assert_gemm_close(
-            &lc.assemble(&parts),
-            &c_ref,
-            k,
-            &format!("c25d {m}x{n}x{k} p={p} s={} c={}", alg.s, alg.c),
-        );
-    }
-
-    #[test]
-    fn c_equals_1_is_cannon() {
-        check(12, 12, 12, 4, Some((2, 1)));
-    }
-
-    #[test]
-    fn two_layers() {
-        check(16, 16, 16, 8, Some((2, 2)));
-    }
-
-    #[test]
-    fn four_by_four_two_layers() {
-        check(16, 20, 24, 32, Some((4, 2)));
-    }
-
-    #[test]
-    fn four_layers() {
-        check(16, 16, 32, 64, Some((4, 4)));
-    }
-
-    #[test]
-    fn auto_grid_and_idle_ranks() {
-        check(18, 18, 18, 11, None); // auto: likely s=3,c=1 with 2 idle
-        check(14, 15, 16, 9, None);
-    }
-
-    #[test]
-    fn uneven_dims_with_layers() {
-        check(13, 17, 19, 8, Some((2, 2)));
-    }
 
     #[test]
     fn schedule_structure() {

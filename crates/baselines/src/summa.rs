@@ -1,97 +1,201 @@
-//! SUMMA (van de Geijn & Watts \[14\]) — the ScaLAPACK-style 2D baseline.
+//! SUMMA (van de Geijn & Watts \[14\]) as the inner 2D step: the
+//! ScaLAPACK-style 2D baseline and the paper's CA3DMM-S variant (§III-E).
 //!
-//! A `pr × pc` grid with 2D-block-distributed A, B, C; the k-dimension is
-//! processed in panels, each broadcast along grid rows (A) and columns
-//! (B), with C stationary. SUMMA "cannot utilize extra memory to reduce
-//! communication costs" (§I) — no replication, no k-parallelism.
+//! * [`summa`] — the kernel on a `pr × pc` grid: panel broadcasts of `A`
+//!   along grid rows and `B` along grid columns with a stationary `C`;
+//! * [`Ca3dmmSumma`] — CA3DMM with SUMMA replacing Cannon in each k-task
+//!   group: no eq. 7 constraint, no replication step, same reduce-scatter.
+//!   The paper keeps it as the "conventional choice" it argues against by
+//!   a latency comparison (`L_SUMMA − L ≥ (pm−1)log₂pm + pm² − 2pm ≥ 0`);
+//! * [`SummaPgemm`] — its `pk = 1` instance on the `gridopt::summa_grid`:
+//!   2D-block-distributed A, B, C, no k-parallelism. SUMMA "cannot utilize
+//!   extra memory to reduce communication costs" (§I).
 
-use ca3dmm::summa2d::summa;
-use dense::gemm::GemmOp;
-use dense::part::{even_range, Rect};
+use crate::grid3d::Grid3d;
+use dense::gemm::{gemm, GemmOp};
+use dense::part::{offsets, split_even, Rect};
 use dense::{Mat, Scalar};
-use gridopt::{summa_grid, Problem};
+use gridopt::{cosma_grid, summa_grid, Grid, Problem};
 use layout::Layout;
+use msgpass::collectives::bcast_large;
 use msgpass::{Comm, RankCtx};
-use netmodel::machine::Placement;
-use netmodel::{NetGroup, Phase, Schedule};
 
-/// A configured SUMMA multiplication.
-pub struct SummaPgemm {
-    prob: Problem,
-    /// Grid rows.
-    pub pr: usize,
-    /// Grid columns.
-    pub pc: usize,
+/// SUMMA on a `pr × pc` grid (stationary C).
+///
+/// * `row_comm` connects the ranks of one grid row, ordered by column
+///   (size `pc`, this rank at index `j`);
+/// * `col_comm` connects one grid column, ordered by row (size `pr`, this
+///   rank at index `i`);
+/// * `a_blk` is this rank's `(m_i × ka_j)` block of `A`, where the
+///   k-dimension is split `pc` ways for `A`;
+/// * `b_blk` is the `(kb_i × n_j)` block of `B`, k split `pr` ways.
+///
+/// Panels are the refinement of the two k-partitions, so `pr` and `pc` may
+/// be arbitrary (and k need not divide either). The product is accumulated
+/// into `c_out`.
+pub fn summa<T: Scalar>(
+    ctx: &RankCtx,
+    row_comm: &Comm,
+    col_comm: &Comm,
+    k_total: usize,
+    a_blk: &Mat<T>,
+    b_blk: &Mat<T>,
+    c_out: &mut Mat<T>,
+) {
+    let pc = row_comm.size();
+    let pr = col_comm.size();
+    let j = row_comm.rank();
+    let i = col_comm.rank();
+    let a_offs = offsets(&split_even(k_total, pc));
+    let b_offs = offsets(&split_even(k_total, pr));
+    assert_eq!(a_blk.cols(), a_offs[j + 1] - a_offs[j], "A block k-width");
+    assert_eq!(b_blk.rows(), b_offs[i + 1] - b_offs[i], "B block k-height");
+
+    // Fine panels: union of both partitions' boundaries.
+    let mut bounds: Vec<usize> = a_offs.iter().chain(b_offs.iter()).copied().collect();
+    bounds.sort_unstable();
+    bounds.dedup();
+
+    let owner = |offs: &[usize], k0: usize| -> usize {
+        // index of the part whose [start, end) contains k0
+        match offs.binary_search(&k0) {
+            Ok(idx) => idx.min(offs.len() - 2),
+            Err(idx) => idx - 1,
+        }
+    };
+
+    for w in bounds.windows(2) {
+        let (k0, k1) = (w[0], w[1]);
+        if k0 == k1 {
+            continue;
+        }
+        // Broadcast the A panel within the grid row (every member of the
+        // row has the same block height, so the panel shape is known
+        // locally and the large-message scatter+allgather broadcast — the
+        // one `T_broadcast` prices — applies).
+        let ca = owner(&a_offs, k0);
+        let a_panel = {
+            let mine = (ca == j).then(|| {
+                let local = Rect::new(0, k0 - a_offs[j], a_blk.rows(), k1 - k0);
+                a_blk.block(local).into_vec()
+            });
+            let data = bcast_large(row_comm, ctx, ca, mine, a_blk.rows() * (k1 - k0));
+            Mat::from_vec(a_blk.rows(), k1 - k0, data)
+        };
+        // Broadcast the B panel within the grid column.
+        let rb = owner(&b_offs, k0);
+        let b_panel = {
+            let mine = (rb == i).then(|| {
+                let local = Rect::new(k0 - b_offs[i], 0, k1 - k0, b_blk.cols());
+                b_blk.block(local).into_vec()
+            });
+            let data = bcast_large(col_comm, ctx, rb, mine, (k1 - k0) * b_blk.cols());
+            Mat::from_vec(k1 - k0, b_blk.cols(), data)
+        };
+        gemm(
+            GemmOp::NoTrans,
+            GemmOp::NoTrans,
+            T::ONE,
+            &a_panel,
+            &b_panel,
+            T::ONE,
+            c_out,
+        );
+    }
 }
 
-impl SummaPgemm {
-    /// Chooses a 2D grid (or accepts one) for the problem.
-    pub fn new(prob: Problem, grid_override: Option<(usize, usize)>) -> Self {
-        let (pr, pc) = grid_override.unwrap_or_else(|| summa_grid(&prob));
-        assert!(pr * pc <= prob.p, "grid exceeds P");
-        SummaPgemm { prob, pr, pc }
+/// CA3DMM-S: SUMMA inside each k-task group of a `pm × pn × pk` grid.
+///
+/// No Cannon groups exist, so eq. 7 is not required and the default grid
+/// comes from the unconstrained search. Initially position `(i, j, kt)`
+/// holds `A(m_i, ·)` and `B(·, n_j)` restricted to slice `j` (of `pn`)
+/// resp. `i` (of `pm`) of its group's k-range.
+pub struct Ca3dmmSumma {
+    geo: Grid3d,
+}
+
+impl Ca3dmmSumma {
+    /// Chooses the (unconstrained) grid, or accepts one.
+    pub fn new(prob: Problem, grid_override: Option<Grid>) -> Self {
+        let grid = grid_override
+            .unwrap_or_else(|| cosma_grid(&prob, gridopt::DEFAULT_UTILIZATION_FLOOR).grid);
+        Ca3dmmSumma {
+            geo: Grid3d::new(prob, grid),
+        }
     }
 
-    /// Grid position `(i, j)` of a world rank; `None` beyond the grid.
-    fn active_coord(&self, world: usize) -> Option<(usize, usize)> {
-        (world < self.pr * self.pc).then(|| (world % self.pr, world / self.pr))
+    /// The grid in use.
+    pub fn grid(&self) -> &Grid {
+        self.geo.grid()
+    }
+
+    /// Native layout of `A` (`m × k`).
+    pub fn layout_a(&self) -> Layout {
+        self.geo.layout_a(|at| self.geo.slices(at))
+    }
+
+    /// Native layout of `B` (`k × n`).
+    pub fn layout_b(&self) -> Layout {
+        self.geo.layout_b(|at| self.geo.slices(at))
+    }
+
+    /// Native output layout of `C`: row-strip `kt` of block `(m_i, n_j)`.
+    pub fn layout_c(&self) -> Layout {
+        self.geo.layout_c()
+    }
+
+    /// Steps 5–7 with SUMMA: native-layout multiply. Collective over
+    /// `world`; idle ranks pass `None` and get `None`.
+    pub fn multiply_native<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        a_init: Option<Mat<T>>,
+        b_init: Option<Mat<T>>,
+    ) -> Option<Mat<T>> {
+        let native = |at| self.geo.slices(at);
+        self.geo.multiply_native(
+            ctx,
+            world,
+            [a_init, b_init],
+            native,
+            |comms, (_, _, kt), ab| {
+                let [Some(a), Some(b)] = ab else {
+                    unreachable!("every position holds an A and a B block")
+                };
+                ctx.set_phase("summa_bcast");
+                let (k0, k1) = self.geo.k_range(kt);
+                let mut c_partial = Mat::zeros(a.rows(), b.cols());
+                summa(ctx, &comms.row, &comms.col, k1 - k0, &a, &b, &mut c_partial);
+                c_partial
+            },
+        )
+    }
+}
+
+/// The 2D baseline: [`Ca3dmmSumma`] on `Grid(pr, pc, 1)`.
+pub struct SummaPgemm(Ca3dmmSumma);
+
+impl SummaPgemm {
+    /// Chooses a 2D grid `(pr, pc)` for the problem, or accepts one.
+    pub fn new(prob: Problem, grid_override: Option<(usize, usize)>) -> Self {
+        let (pr, pc) = grid_override.unwrap_or_else(|| summa_grid(&prob));
+        SummaPgemm(Ca3dmmSumma::new(prob, Some(Grid::new(pr, pc, 1))))
     }
 
     /// Native layout of `A`: 2D blocks `m_i × ka_j` (k split `pc` ways).
     pub fn layout_a(&self) -> Layout {
-        Layout::one_rect_per_rank(self.prob.m, self.prob.k, self.prob.p, |r| {
-            let (i, j) = self.active_coord(r)?;
-            let (r0, r1) = even_range(self.prob.m, self.pr, i);
-            let (k0, k1) = even_range(self.prob.k, self.pc, j);
-            Some(Rect::new(r0, k0, r1 - r0, k1 - k0))
-        })
+        self.0.layout_a()
     }
 
     /// Native layout of `B`: 2D blocks `kb_i × n_j` (k split `pr` ways).
     pub fn layout_b(&self) -> Layout {
-        Layout::one_rect_per_rank(self.prob.k, self.prob.n, self.prob.p, |r| {
-            let (i, j) = self.active_coord(r)?;
-            let (k0, k1) = even_range(self.prob.k, self.pr, i);
-            let (c0, c1) = even_range(self.prob.n, self.pc, j);
-            Some(Rect::new(k0, c0, k1 - k0, c1 - c0))
-        })
+        self.0.layout_b()
     }
 
     /// Native layout of `C`: 2D blocks `m_i × n_j`.
     pub fn layout_c(&self) -> Layout {
-        Layout::one_rect_per_rank(self.prob.m, self.prob.n, self.prob.p, |r| {
-            let (i, j) = self.active_coord(r)?;
-            let (r0, r1) = even_range(self.prob.m, self.pr, i);
-            let (c0, c1) = even_range(self.prob.n, self.pc, j);
-            Some(Rect::new(r0, c0, r1 - r0, c1 - c0))
-        })
-    }
-
-    /// The full pipeline with user-defined layouts (ScaLAPACK's `p?gemm`
-    /// accepts arbitrary block-cyclic distributions; the conversion happens
-    /// here explicitly).
-    #[allow(clippy::too_many_arguments)]
-    pub fn multiply<T: Scalar>(
-        &self,
-        ctx: &RankCtx,
-        world: &Comm,
-        op_a: GemmOp,
-        a_layout: &Layout,
-        a_blocks: &[Mat<T>],
-        op_b: GemmOp,
-        b_layout: &Layout,
-        b_blocks: &[Mat<T>],
-        c_layout: &Layout,
-    ) -> Vec<Mat<T>> {
-        layout::multiply_in_layouts(
-            world,
-            ctx,
-            (op_a, a_layout, a_blocks),
-            (op_b, b_layout, b_blocks),
-            c_layout,
-            [&self.layout_a(), &self.layout_b(), &self.layout_c()],
-            |a, b| self.multiply_native(ctx, world, a, b),
-        )
+        self.0.layout_c()
     }
 
     /// Native-layout multiply. Collective over `world`; ranks beyond the
@@ -103,119 +207,44 @@ impl SummaPgemm {
         a_init: Option<Mat<T>>,
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
-        let (pr, pc) = (self.pr, self.pc);
-        let row_groups: Vec<Vec<usize>> = (0..pr)
-            .map(|i| (0..pc).map(|j| i + j * pr).collect())
-            .collect();
-        let row_comm = world.subgroup(ctx, &row_groups);
-        let col_groups: Vec<Vec<usize>> = (0..pc)
-            .map(|j| (0..pr).map(|i| i + j * pr).collect())
-            .collect();
-        let col_comm = world.subgroup(ctx, &col_groups);
-        let (i, j) = self.active_coord(world.rank())?;
-        let (r0, r1) = even_range(self.prob.m, pr, i);
-        let (c0, c1) = even_range(self.prob.n, pc, j);
-        let (ka0, ka1) = even_range(self.prob.k, pc, j);
-        let (kb0, kb1) = even_range(self.prob.k, pr, i);
-        let a = a_init.unwrap_or_else(|| Mat::zeros(r1 - r0, ka1 - ka0));
-        let b = b_init.unwrap_or_else(|| Mat::zeros(kb1 - kb0, c1 - c0));
-        assert_eq!(a.shape(), (r1 - r0, ka1 - ka0), "A block shape");
-        assert_eq!(b.shape(), (kb1 - kb0, c1 - c0), "B block shape");
-
-        ctx.set_phase("summa_bcast");
-        let mut c_out = Mat::zeros(r1 - r0, c1 - c0);
-        summa(
-            ctx,
-            row_comm.as_ref().expect("active rank has a row comm"),
-            col_comm.as_ref().expect("active rank has a col comm"),
-            self.prob.k,
-            &a,
-            &b,
-            &mut c_out,
-        );
-        Some(c_out)
-    }
-
-    /// The SUMMA schedule: one A-panel broadcast along the row and one
-    /// B-panel broadcast along the column per panel round, GEMM after each
-    /// (§III-E analyses exactly this pattern).
-    pub fn schedule(&self, placement: &Placement, elem_bytes: f64) -> Schedule {
-        let (pr, pc) = (self.pr, self.pc);
-        let active = pr * pc;
-        let mb = (self.prob.m as f64 / pr as f64).ceil();
-        let nb = (self.prob.n as f64 / pc as f64).ceil();
-        // Fine panels: the refinement of the pr-way and pc-way k-splits.
-        let rounds = if pr == 1 && pc == 1 {
-            0
-        } else {
-            (pr + pc - 1).min(self.prob.k)
-        };
-        let kpanel = self.prob.k as f64 / (rounds.max(1)) as f64;
-        let rpn = placement.ranks_per_node;
-        // column-major rank order: grid columns are contiguous, grid rows
-        // stride by pr
-        let grp_row = NetGroup::strided(pc, pr, rpn);
-        let grp_col = NetGroup::contiguous(pr, rpn);
-        let _ = active;
-        let mut s = Schedule::new();
-        for _ in 0..rounds {
-            if pc > 1 {
-                s.push(
-                    "summa_bcast",
-                    Phase::Bcast {
-                        grp: grp_row,
-                        bytes: mb * kpanel * elem_bytes,
-                    },
-                );
-            }
-            if pr > 1 {
-                s.push(
-                    "summa_bcast",
-                    Phase::Bcast {
-                        grp: grp_col,
-                        bytes: kpanel * nb * elem_bytes,
-                    },
-                );
-            }
-        }
-        s.push(
-            "local_gemm",
-            Phase::LocalGemm {
-                flops: 2.0 * mb * nb * self.prob.k as f64,
-            },
-        );
-        s
+        self.0.multiply_native(ctx, world, a_init, b_init)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dense::gemm::{gemm_naive, GemmOp};
+    use dense::gemm::gemm_naive;
+    use dense::part::even_range;
     use dense::random::global_block;
     use dense::testing::assert_gemm_close;
     use msgpass::World;
 
-    fn check(m: usize, n: usize, k: usize, p: usize, grid: Option<(usize, usize)>) {
-        let alg = SummaPgemm::new(Problem::new(m, n, k, p), grid);
-        let la = alg.layout_a();
-        let lb = alg.layout_b();
-        let lc = alg.layout_c();
-        la.validate();
-        lb.validate();
-        lc.validate();
-        let a_full = global_block::<f64>(41, Rect::new(0, 0, m, k));
-        let b_full = global_block::<f64>(42, Rect::new(0, 0, k, n));
-        let parts = World::run(p, |ctx| {
+    fn check_summa_kernel(m: usize, n: usize, k: usize, pr: usize, pc: usize) {
+        let results = World::run(pr * pc, |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
-            let a = la.extract(&a_full, me).into_iter().next();
-            let b = lb.extract(&b_full, me).into_iter().next();
-            alg.multiply_native(ctx, &world, a, b)
-                .into_iter()
-                .filter(|m: &Mat<f64>| !m.is_empty())
-                .collect::<Vec<_>>()
+            let (i, j) = (me % pr, me / pr);
+            let row_groups: Vec<Vec<usize>> = (0..pr)
+                .map(|ri| (0..pc).map(|cj| ri + cj * pr).collect())
+                .collect();
+            let col_groups: Vec<Vec<usize>> = (0..pc)
+                .map(|cj| (0..pr).map(|ri| ri + cj * pr).collect())
+                .collect();
+            let row_comm = world.subgroup(ctx, &row_groups).unwrap();
+            let col_comm = world.subgroup(ctx, &col_groups).unwrap();
+            let (r0, r1) = even_range(m, pr, i);
+            let (c0, c1) = even_range(n, pc, j);
+            let (ka0, ka1) = even_range(k, pc, j);
+            let (kb0, kb1) = even_range(k, pr, i);
+            let a = global_block::<f64>(5, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
+            let b = global_block::<f64>(6, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
+            let mut c = Mat::zeros(r1 - r0, c1 - c0);
+            summa(ctx, &row_comm, &col_comm, k, &a, &b, &mut c);
+            (i, j, c)
         });
+        let a_full = global_block::<f64>(5, Rect::new(0, 0, m, k));
+        let b_full = global_block::<f64>(6, Rect::new(0, 0, k, n));
         let mut c_ref = Mat::zeros(m, n);
         gemm_naive(
             GemmOp::NoTrans,
@@ -226,42 +255,29 @@ mod tests {
             0.0,
             &mut c_ref,
         );
-        assert_gemm_close(
-            &lc.assemble(&parts),
-            &c_ref,
-            k,
-            &format!("summa {m}x{n}x{k} p={p}"),
-        );
+        for (i, j, c) in results {
+            let (r0, r1) = even_range(m, pr, i);
+            let (c0, c1) = even_range(n, pc, j);
+            let want = c_ref.block(Rect::new(r0, c0, r1 - r0, c1 - c0));
+            assert_gemm_close(&c, &want, k, &format!("summa ({i},{j})"));
+        }
     }
 
     #[test]
-    fn square() {
-        check(16, 16, 16, 16, None);
+    fn summa_square_grid() {
+        check_summa_kernel(12, 12, 12, 2, 2);
     }
 
     #[test]
-    fn rectangular_grids() {
-        check(20, 12, 16, 8, Some((4, 2)));
-        check(12, 20, 16, 8, Some((2, 4)));
-        check(9, 9, 9, 6, Some((2, 3)));
+    fn summa_rect_grids() {
+        check_summa_kernel(10, 14, 9, 2, 3);
+        check_summa_kernel(14, 10, 9, 3, 2);
+        check_summa_kernel(8, 8, 21, 1, 4);
+        check_summa_kernel(8, 8, 21, 4, 1);
     }
 
     #[test]
-    fn uneven_and_idle() {
-        check(17, 13, 11, 7, Some((2, 3))); // one idle rank
-        check(5, 5, 40, 4, None);
-    }
-
-    #[test]
-    fn single_rank() {
-        check(8, 8, 8, 1, None);
-    }
-
-    #[test]
-    fn schedule_has_bcast_rounds() {
-        let alg = SummaPgemm::new(Problem::new(1024, 1024, 1024, 16), Some((4, 4)));
-        let s = alg.schedule(&netmodel::Machine::uniform().pure_mpi(), 8.0);
-        let bcasts = s.items.iter().filter(|(l, _)| l == "summa_bcast").count();
-        assert_eq!(bcasts, 2 * 7); // (pr + pc - 1) rounds, 2 bcasts each
+    fn summa_uneven_k() {
+        check_summa_kernel(7, 9, 17, 3, 2);
     }
 }

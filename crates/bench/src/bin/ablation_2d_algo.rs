@@ -14,7 +14,7 @@
 //! cargo run --release -p bench --bin ablation_2d_algo
 //! ```
 
-use ca3dmm::summa2d::Ca3dmmSumma;
+use baselines::Ca3dmmSumma;
 use ca3dmm::{Ca3dmm, Ca3dmmOptions};
 use dense::part::Rect;
 use dense::random::global_block;

@@ -23,8 +23,9 @@
 //!
 //! [`exec::Ca3dmm`] orchestrates a real distributed run on the `msgpass`
 //! runtime; [`model`] builds the equivalent [`netmodel::Schedule`] and the
-//! eq. 11 memory estimate for paper-scale cost evaluation. [`summa2d`]
-//! provides the CA3DMM-S variant (§III-E) used as an ablation.
+//! eq. 11 memory estimate for paper-scale cost evaluation. The CA3DMM-S
+//! ablation variant (§III-E, SUMMA inside the k-task groups) lives with
+//! the other plain-grid algorithms, in `baselines::summa`.
 //!
 //! # Fidelity note (replication layout)
 //!
@@ -46,7 +47,6 @@ pub mod msg;
 pub mod plan;
 pub mod reduce;
 pub mod replicate;
-pub mod summa2d;
 
 pub use cannon::cannon_multi_shift;
 pub use diff::{

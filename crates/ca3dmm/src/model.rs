@@ -68,23 +68,8 @@ fn geo(prob: &Problem, grid: &Grid) -> Geo {
 pub fn ca3dmm_schedule(prob: &Problem, grid: &Grid, cfg: &ModelConfig) -> Schedule {
     let g = geo(prob, grid);
     let eb = cfg.elem_bytes;
-    let active = grid.active();
     let rpn = cfg.placement.ranks_per_node;
     let mut sched = Schedule::new();
-
-    if cfg.include_redist {
-        // Steps 4: nearly every element of the local A and B shares moves.
-        let send =
-            (prob.m as f64 * prob.k as f64 + prob.k as f64 * prob.n as f64) / prob.p as f64 * eb;
-        sched.push(
-            "redist",
-            Phase::Alltoallv {
-                grp: NetGroup::scattered(prob.p, rpn),
-                send_bytes: send,
-                peers: prob.p.min(2 * (grid.pm + grid.pn + grid.pk)),
-            },
-        );
-    }
 
     // Step 5: replicate A or B across the c Cannon groups (rank stride s²).
     if g.c > 1 {
@@ -158,39 +143,75 @@ pub fn ca3dmm_schedule(prob: &Problem, grid: &Grid, cfg: &ModelConfig) -> Schedu
         sched.push("cannon", Phase::LocalGemm { flops });
     }
 
-    // Step 7: reduce-scatter the pk partial C results.
-    if grid.pk > 1 {
-        // Reduce groups stride by a whole k-task group (pm·pn ranks).
-        let grp = NetGroup::strided(grid.pk, grid.pm * grid.pn, rpn);
-        let total_bytes = g.mb * g.nb * eb;
-        sched.push(
-            "reduce_c",
-            if cfg.collectives == Collectives::Hier && grp.hier_engages() {
-                Phase::HierReduceScatter { grp, total_bytes }
-            } else {
-                Phase::ReduceScatter {
-                    grp,
-                    total_bytes,
-                    custom_impl: false,
-                }
-            },
-        );
-    }
-
+    push_reduce_c(
+        &mut sched,
+        grid,
+        rpn,
+        g.mb * g.nb * eb,
+        cfg.collectives,
+        false,
+    );
     if cfg.include_redist {
-        // Step 8: the C strip moves out to the user layout.
-        let send = (prob.m as f64 * prob.n as f64) / active as f64 * eb;
-        sched.push(
-            "redist",
-            Phase::Alltoallv {
-                grp: NetGroup::scattered(prob.p, rpn),
-                send_bytes: send,
-                peers: prob.p.min(2 * (grid.pm + grid.pn + grid.pk)),
-            },
-        );
+        let peers = 2 * (grid.pm + grid.pn + grid.pk);
+        sched = with_redist(sched, prob, grid.active(), rpn, eb, peers);
     }
-
     sched
+}
+
+/// Brackets a native-layout schedule with the `redist` Alltoallv phases
+/// of a user-layout run. Step 4: nearly every element of a rank's `1/P`
+/// share of `A` and `B` moves; step 8: each of the `active` ranks' C
+/// strips moves out. Either way a rank talks to at most `peers` others.
+/// Shared by the CA3DMM, COSMA-like and 2.5D schedules.
+pub fn with_redist(
+    native: Schedule,
+    prob: &Problem,
+    active: usize,
+    rpn: usize,
+    elem_bytes: f64,
+    peers: usize,
+) -> Schedule {
+    let alltoallv = |elems: f64, senders: usize| Phase::Alltoallv {
+        grp: NetGroup::scattered(prob.p, rpn),
+        send_bytes: elems / senders as f64 * elem_bytes,
+        peers: prob.p.min(peers),
+    };
+    let (m, n, k) = (prob.m as f64, prob.n as f64, prob.k as f64);
+    let mut sched = Schedule::new();
+    sched.push("redist", alltoallv(m * k + k * n, prob.p));
+    sched.items.extend(native.items);
+    sched.push("redist", alltoallv(m * n, active));
+    sched
+}
+
+/// Step 7, the `reduce_c` phase: reduce-scatter of the `pk` partial C
+/// blocks (`total_bytes` each) over groups striding by a whole k-task
+/// group (`pm·pn` ranks); nothing when `pk = 1`. A hierarchical phase is
+/// emitted only where [`NetGroup::hier_engages`], like the runtime.
+pub fn push_reduce_c(
+    sched: &mut Schedule,
+    grid: &Grid,
+    rpn: usize,
+    total_bytes: f64,
+    collectives: Collectives,
+    custom_impl: bool,
+) {
+    if grid.pk == 1 {
+        return;
+    }
+    let grp = NetGroup::strided(grid.pk, grid.pm * grid.pn, rpn);
+    sched.push(
+        "reduce_c",
+        if collectives == Collectives::Hier && grp.hier_engages() {
+            Phase::HierReduceScatter { grp, total_bytes }
+        } else {
+            Phase::ReduceScatter {
+                grp,
+                total_bytes,
+                custom_impl,
+            }
+        },
+    );
 }
 
 /// The eq. 11 memory model, in elements per active rank:

@@ -5,8 +5,11 @@
 # (REPORT_fig3_sim*.json and fig3_sim*.csv). Those are exact functions of
 # the algorithm, the machine model, and the placement — no host timing
 # enters them — so CI's artifact-freshness job re-runs this mode and fails
-# if the committed copies drift from what HEAD produces. The text tables
-# carry a host wall-clock column and are left untouched in this mode.
+# if the committed copies drift from what HEAD produces. The fig3_sim*.txt
+# tables carry a host wall-clock column and are left untouched in this
+# mode. Of the figure/table binaries below only ablation_2d_algo embeds
+# wall time; the others (and grid_explorer) are analytic, and the same CI
+# job regenerates them into a temp dir and `cmp`s them against results/.
 set -e
 cd "$(dirname "$0")"
 export BENCH_CSV_DIR=results
