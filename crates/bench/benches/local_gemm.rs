@@ -32,11 +32,22 @@
 //! per-`DENSE_GEMM_KERNEL` CI loop runs: just the naive/packed pair at
 //! 512³ (annotated with the dispatched kernel, so CI can also assert the
 //! env override was honoured end to end).
+//!
+//! The full and the `=1` smoke runs close with the two memory-pass kernels
+//! a served request wraps around its multiply, at 1024×1024 f64 (8 MiB):
+//! `operand_gen/global_block-f64-1024x1024` (`dense::random::global_block`)
+//! and `serve_digest/f64-1024x1024` (`serve::engine::digest_of_global` on a
+//! one-rank layout, so it includes that function's block extraction copy).
+//! Each carries `gbs` (GB/s of the median sample) and `memcpy_gbs`, the same
+//! process's one-thread copy of a buffer of that size, as its bound.
 
 use bench::timing::{bench_throughput, BenchReport};
 use dense::gemm::{gemm, gemm_naive, gemm_unpacked, GemmOp};
-use dense::random::random_mat;
+use dense::part::Rect;
+use dense::random::{global_block, random_mat};
 use dense::{pool, KernelKind, Mat};
+use layout::Layout;
+use std::hint::black_box;
 
 type Kernel<T> = fn(GemmOp, GemmOp, T, &Mat<T>, &Mat<T>, T, &mut Mat<T>);
 
@@ -247,6 +258,34 @@ fn run_tiers<T: dense::Scalar>(report: &mut BenchReport, m: usize, n: usize, k: 
     run_profiled_overhead::<T>(report, m, n, k);
 }
 
+/// The serving path's two per-request memory passes (operand generation
+/// and the `C` digest) against this process's one-thread memcpy.
+fn run_memory_kernels(report: &mut BenchReport) {
+    let n = 1024usize;
+    let bytes = (n * n * std::mem::size_of::<f64>()) as f64;
+    let src = global_block::<f64>(1, Rect::full(n, n));
+    let mut dst = Mat::<f64>::zeros(n, n);
+    let copy = bench_throughput("memcpy/f64-1024x1024", bytes, || {
+        dst.as_mut_slice()
+            .copy_from_slice(black_box(&src).as_slice());
+        black_box(&dst);
+    });
+    let memcpy_gbs = bytes / copy.median_s / 1e9;
+    let mut record = |label: &str, pass: &mut dyn FnMut()| {
+        let stats = bench_throughput(label, bytes, pass);
+        report.push(label, stats);
+        report.annotate_last("gbs", bytes / stats.median_s / 1e9);
+        report.annotate_last("memcpy_gbs", memcpy_gbs);
+    };
+    record("operand_gen/global_block-f64-1024x1024", &mut || {
+        black_box(global_block::<f64>(black_box(1), Rect::full(n, n)));
+    });
+    let one_rank = Layout::one_d_col(n, n, 1);
+    record("serve_digest/f64-1024x1024", &mut || {
+        black_box(serve::engine::digest_of_global(black_box(&src), &one_rank));
+    });
+}
+
 fn main() {
     let smoke_var = std::env::var("GEMM_BENCH_SMOKE").unwrap_or_default();
     let smoke = smoke_var == "1";
@@ -293,6 +332,7 @@ fn main() {
         // packed_portable from these.
         run_kernel_head_to_head::<f64>(&mut report, 1024, 1024, 1024, &[Some(1)]);
         run_kernel_head_to_head::<f32>(&mut report, 1024, 1024, 1024, &[Some(1)]);
+        run_memory_kernels(&mut report);
     } else {
         // Naive is only affordable at small sizes; it anchors the scale.
         run_case::<f64>(&mut report, "naive", gemm_naive, 256, 256, 256, Some(1));
@@ -322,6 +362,7 @@ fn main() {
         // turn, serial and full-width, both element types.
         run_kernel_head_to_head::<f64>(&mut report, 1024, 1024, 1024, &[Some(1), None]);
         run_kernel_head_to_head::<f32>(&mut report, 1024, 1024, 1024, &[Some(1), None]);
+        run_memory_kernels(&mut report);
     }
 
     // Fatal, not a warning: CI and regen_results.sh consume this JSON, and a

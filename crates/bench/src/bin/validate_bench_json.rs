@@ -29,7 +29,9 @@
 //! `prof_overhead_pct` (profiled-vs-unprofiled cost of the `dense::prof`
 //! capture path, measured as interleaved pairs compared min-to-min with
 //! adaptive extension so shared-host drift cancels) is finite and below
-//! 5%.
+//! 5%. Finally it requires the two memory-pass entries of the serving path
+//! (`operand_gen/global_block-f64-1024x1024`, `serve_digest/f64-1024x1024`),
+//! each with a positive `gbs` beside the same run's `memcpy_gbs`.
 //!
 //! `--run-report` instead validates a `RunReport` artifact (the
 //! `--report-out` output of the fig/bench bins): schema version, full shape,
@@ -178,9 +180,25 @@ fn validate_gemm_tiers(path: &str, entries: &[Json]) -> Result<(), String> {
         ));
     }
 
+    // The serving path's memory passes: throughput beside its memcpy bound.
+    // Presence only — the digest is a latency chain (4 cycles an element),
+    // so its share of memcpy bandwidth is a property of the host.
+    for label in [
+        "operand_gen/global_block-f64-1024x1024",
+        "serve_digest/f64-1024x1024",
+    ] {
+        for field in ["gbs", "memcpy_gbs"] {
+            let v = entry_field(entries, label, field).map_err(|e| format!("{path}: {e}"))?;
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("{path}: entry {label:?} has {field:?} = {v}"));
+            }
+        }
+    }
+
     println!(
         "{path}: {} packed shape/type cases, all with t1/t2/t4/tauto tiers and scaling \
-         fields; {overheads} profiled entries within the 5% overhead bound",
+         fields; {overheads} profiled entries within the 5% overhead bound; \
+         operand_gen and serve_digest report GB/s beside memcpy",
         tiers_by_case.len()
     );
     Ok(())

@@ -5,10 +5,35 @@
 //! engine. A batch executes as one job: every rank generates its local
 //! input blocks deterministically from the request seeds
 //! ([`dense::random::global_block`]), runs [`Plan::multiply_batch`] (one
-//! sub-communicator build for the whole batch), and returns an order-fixed
-//! checksum of its `C` blocks. The engine combines per-rank digests into
-//! one checksum per request — equal requests always produce equal
-//! checksums, which is the observable the CI smoke test pins.
+//! sub-communicator build for the whole batch), and digests its `C` blocks.
+//!
+//! # The checksum
+//!
+//! This is the one definition; the protocol, README and DESIGN §11 refer
+//! here.
+//!
+//! * **Order.** `C`'s elements are read as one stream per rank: the rank's
+//!   blocks in the order of `c_layout.owned(rank)`, each block row-major.
+//!   Only the concatenated stream matters, not where the block boundaries
+//!   fall.
+//! * **Word fold.** Each element `x` contributes one 64-bit word, the bit
+//!   pattern of `x as f64` (exact for `f32`): starting from the FNV offset
+//!   basis `0xcbf29ce484222325`, `h = (h ^ word) · 0x100000001b3 mod 2⁶⁴`.
+//! * **Finaliser.** The rank digest is the SplitMix64 mixer applied to `h`
+//!   (the same mixer as in `dense::random`), so that the high bits of the
+//!   last words reach the low digest bits.
+//! * **Combine.** The request's checksum is the same fold and finaliser over
+//!   the `p` rank digests in rank order, printed as 16 hex digits.
+//! * **Sum.** The same pass adds the elements up — per block, then across
+//!   the rank's blocks, then across ranks — as the response's `sum`.
+//!
+//! It promises that equal requests (shape, dtype, ops, layouts, seeds, `p`)
+//! have equal checksums — cached plan or not, batched or not, whatever the
+//! kernel thread count — and that any single changed element (`+0.0` vs
+//! `-0.0` included) changes it: every fold step and the finaliser are
+//! bijections of `h`. It is not cryptographic, it is not comparable across
+//! `p` or layouts (the order is per rank), and its *values* are not part of
+//! the protocol: only their equality is.
 
 use ca3dmm::{Dtype, Plan};
 use dense::random::global_block;
@@ -18,40 +43,59 @@ use msgpass::{Comm, JobPanic, PersistentWorld, RunOptions, RunReport};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// FNV-1a over a stream of u64 words.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
+/// The word fold of the module-level checksum definition.
+struct WordHash(u64);
+
+impl WordHash {
+    fn new() -> WordHash {
+        WordHash(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Folds each item's word in and returns the sum of the items' values,
+    /// in `Iterator::sum`'s order — one pass for both.
+    fn fold_summing(&mut self, items: impl Iterator<Item = (u64, f64)>) -> f64 {
+        let values = items.map(|(word, value)| {
+            self.0 = (self.0 ^ word).wrapping_mul(0x0000_0100_0000_01B3);
+            value
+        });
+        values.sum()
+    }
+
+    /// The SplitMix64 finaliser over the folded state.
+    fn finish(self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 }
 
-/// Digest of one rank's (or one matrix region's) elements: FNV over the
-/// exact bit patterns (via `to_f64`, exact for f32), plus a plain sum.
+/// Digest and sum of one rank's (or one matrix region's) elements.
 fn digest_blocks<T: Scalar>(blocks: &[Mat<T>]) -> (u64, f64) {
-    let hash = fnv1a(
-        blocks
-            .iter()
-            .flat_map(|b| b.as_slice().iter().map(|v| v.to_f64().to_bits())),
-    );
-    let sum = blocks
+    let mut hash = WordHash::new();
+    let word_and_value = |v: &T| (v.to_f64().to_bits(), v.to_f64());
+    let per_block = blocks
         .iter()
-        .map(|b| b.as_slice().iter().map(|v| v.to_f64()).sum::<f64>())
-        .sum();
-    (hash, sum)
+        .map(|b| hash.fold_summing(b.as_slice().iter().map(word_and_value)));
+    let sum = per_block.sum();
+    (hash.finish(), sum)
+}
+
+/// Combines per-rank `(digest, sum)` pairs, in rank order, into a result.
+fn combine(per_rank: impl Iterator<Item = (u64, f64)>) -> ItemResult {
+    let mut hash = WordHash::new();
+    let sum = hash.fold_summing(per_rank);
+    ItemResult {
+        checksum: format!("{:016x}", hash.finish()),
+        sum,
+    }
 }
 
 /// The result of one multiply in a batch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ItemResult {
-    /// Hex FNV-1a digest of `C`'s elements in `(rank, block, row-major)`
-    /// order — the protocol's bitwise-identity observable.
+    /// Hex digest of `C`'s elements in `(rank, block, row-major)` order
+    /// (see the module docs) — the protocol's bitwise-identity observable.
     pub checksum: String,
     /// Plain element sum of `C` (numerically comparable to a serial
     /// reference).
@@ -126,20 +170,12 @@ impl Engine {
         };
         let t0 = Instant::now();
         let (per_rank, report) = match plan.dtype() {
-            Dtype::F64 => self.run_typed::<f64>(plan, seeds, opts)?,
-            Dtype::F32 => self.run_typed::<f32>(plan, seeds, opts)?,
+            Dtype::F64 => self.run_typed::<f64>(Arc::clone(plan), seeds.to_vec(), opts)?,
+            Dtype::F32 => self.run_typed::<f32>(Arc::clone(plan), seeds.to_vec(), opts)?,
         };
         let exec_secs = t0.elapsed().as_secs_f64();
-        // Combine: per item, hash the per-rank digests in rank order.
         let items = (0..seeds.len())
-            .map(|i| {
-                let checksum = fnv1a(per_rank.iter().map(|rank| rank[i].0));
-                let sum = per_rank.iter().map(|rank| rank[i].1).sum();
-                ItemResult {
-                    checksum: format!("{checksum:016x}"),
-                    sum,
-                }
-            })
+            .map(|i| combine(per_rank.iter().map(|rank| rank[i])))
             .collect();
         Ok(BatchOutcome {
             items,
@@ -148,15 +184,15 @@ impl Engine {
         })
     }
 
+    /// The job itself: owns `plan` and `seeds` (the job closure is
+    /// `'static`) and returns each rank's per-item `(digest, sum)`.
     #[allow(clippy::type_complexity)]
     fn run_typed<T: Scalar>(
         &self,
-        plan: &Arc<Plan>,
-        seeds: &[(u64, u64)],
+        plan: Arc<Plan>,
+        seeds: Vec<(u64, u64)>,
         opts: RunOptions,
     ) -> Result<(Vec<Vec<(u64, f64)>>, RunReport), JobPanic> {
-        let plan = Arc::clone(plan);
-        let seeds = seeds.to_vec();
         self.world.run_job(opts, move |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
@@ -191,13 +227,7 @@ pub fn seeded_blocks<T: Scalar>(layout: &Layout, me: usize, seed: u64) -> Vec<Ma
 /// elements were exactly `global` — the serial-reference counterpart of the
 /// engine's digest (same rank/block/row-major order).
 pub fn digest_of_global<T: Scalar>(global: &Mat<T>, layout: &Layout) -> ItemResult {
-    let per_rank: Vec<(u64, f64)> = (0..layout.nranks())
-        .map(|rank| digest_blocks(&layout.extract(global, rank)))
-        .collect();
-    ItemResult {
-        checksum: format!("{:016x}", fnv1a(per_rank.iter().map(|d| d.0))),
-        sum: per_rank.iter().map(|d| d.1).sum(),
-    }
+    combine((0..layout.nranks()).map(|rank| digest_blocks(&layout.extract(global, rank))))
 }
 
 #[cfg(test)]
@@ -263,6 +293,119 @@ mod tests {
             out.items[0].sum,
             reference.sum
         );
+    }
+
+    /// Two blocks of seeded values, 5 rows of 4 in all.
+    fn two_blocks() -> Vec<Mat<f64>> {
+        vec![
+            global_block(9, Rect::new(0, 0, 3, 4)),
+            global_block(9, Rect::new(3, 0, 2, 4)),
+        ]
+    }
+
+    #[test]
+    fn any_single_bit_flip_changes_the_digest() {
+        let base = digest_blocks(&two_blocks()).0;
+        for block in 0..2 {
+            for elem in 0..two_blocks()[block].len() {
+                for bit in 0..64 {
+                    let mut flipped = two_blocks();
+                    let v = &mut flipped[block].as_mut_slice()[elem];
+                    *v = f64::from_bits(v.to_bits() ^ (1 << bit));
+                    assert_ne!(
+                        digest_blocks(&flipped).0,
+                        base,
+                        "block {block} elem {elem} bit {bit}"
+                    );
+                }
+            }
+        }
+        let zeros = |z: f64| digest_blocks(&[Mat::from_vec(1, 2, vec![1.5, z])]).0;
+        assert_ne!(zeros(0.0), zeros(-0.0), "the digest reads bits, not values");
+    }
+
+    #[test]
+    fn digest_follows_the_stream_order_not_the_block_split() {
+        let base = digest_blocks(&two_blocks()).0;
+        // swapping two unequal elements, within a block and across blocks
+        let mut swapped = two_blocks();
+        swapped[0].as_mut_slice().swap(1, 10);
+        assert_ne!(digest_blocks(&swapped).0, base);
+        let mut swapped = two_blocks();
+        let (x, y) = (swapped[0].get(2, 3), swapped[1].get(0, 0));
+        assert_ne!(x, y);
+        swapped[0].set(2, 3, y);
+        swapped[1].set(0, 0, x);
+        assert_ne!(digest_blocks(&swapped).0, base);
+        // the same 20 elements split 2 + 3 rows instead of 3 + 2
+        let resplit = [
+            global_block::<f64>(9, Rect::new(0, 0, 2, 4)),
+            global_block::<f64>(9, Rect::new(2, 0, 3, 4)),
+        ];
+        assert_eq!(digest_blocks(&resplit).0, base);
+        // an empty rank still has a digest, and it is not the empty word
+        assert_ne!(digest_blocks::<f64>(&[]).0, 0);
+    }
+
+    #[test]
+    fn sum_keeps_the_two_pass_association() {
+        let blocks = [
+            global_block::<f64>(3, Rect::new(0, 0, 250, 400)),
+            global_block::<f64>(3, Rect::new(250, 0, 7, 400)),
+        ];
+        // the parent's second pass: per block, then across blocks
+        let reference: f64 = blocks
+            .iter()
+            .map(|b| b.as_slice().iter().map(|v| v.to_f64()).sum::<f64>())
+            .sum();
+        assert_eq!(digest_blocks(&blocks).1.to_bits(), reference.to_bits());
+        assert_eq!(digest_blocks::<f64>(&[]).1.to_bits(), (-0.0f64).to_bits());
+    }
+
+    /// The engine's per-rank digests equal the serial [`digest_of_global`]
+    /// of the same product, assembled from a bare job on another world.
+    fn engine_matches_serial_digest<T: Scalar>(dtype: Dtype) {
+        let (m, n, k, p) = (33, 29, 37, 4);
+        let plan = small_plan(m, n, k, p, dtype);
+        let out = Engine::new(p)
+            .run_batch(&plan, &[(3, 4)], 1, false)
+            .unwrap();
+        let parts = msgpass::World::run(p, |ctx| {
+            let world = Comm::world(ctx);
+            let a = seeded_blocks::<T>(plan.a_layout(), world.rank(), 3);
+            let b = seeded_blocks::<T>(plan.b_layout(), world.rank(), 4);
+            plan.multiply_batch(ctx, &world, &[(a, b)]).remove(0)
+        });
+        let c = plan.c_layout().assemble(&parts);
+        assert_eq!(out.items[0], digest_of_global(&c, plan.c_layout()));
+        // and that product is the right one
+        let a = global_block::<T>(3, Rect::new(0, 0, m, k));
+        let b = global_block::<T>(4, Rect::new(0, 0, k, n));
+        let mut serial = Mat::<T>::zeros(m, n);
+        let (nt, one, zero) = (GemmOp::NoTrans, T::ONE, T::ZERO);
+        gemm_naive(nt, nt, one, &a, &b, zero, &mut serial);
+        assert!(c.max_abs_diff(&serial) <= 64.0 * k as f64 * T::EPSILON.to_f64());
+    }
+
+    #[test]
+    fn engine_digest_equals_serial_digest_on_an_uneven_shape() {
+        engine_matches_serial_digest::<f64>(Dtype::F64);
+        engine_matches_serial_digest::<f32>(Dtype::F32);
+    }
+
+    #[test]
+    fn a_batch_returns_exactly_its_single_request_results() {
+        let engine = Engine::new(4);
+        let plan = small_plan(33, 29, 37, 4, Dtype::F64);
+        let seeds = [(1, 2), (3, 4), (5, 6)];
+        let batch = engine.run_batch(&plan, &seeds, 1, false).unwrap();
+        assert_eq!(batch.items.len(), 3);
+        for (pair, item) in seeds.iter().zip(&batch.items) {
+            let single = engine.run_batch(&plan, &[*pair], 1, false).unwrap();
+            assert_eq!(single.items, std::slice::from_ref(item));
+        }
+        assert_ne!(batch.items[0].checksum, batch.items[1].checksum);
+        assert_ne!(batch.items[1].checksum, batch.items[2].checksum);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! Matrices never cross the wire: inputs are generated deterministically
 //! from `(seed, rect)` on the owning rank ([`dense::random::global_block`],
 //! the same generator every figure in this repo uses), and the response
-//! carries an order-fixed checksum of `C` instead of its elements. Equal
+//! carries an order-fixed checksum of `C` (defined in [`crate::engine`])
+//! instead of its elements. Equal
 //! requests therefore have equal checksums — which is how the CI smoke test
 //! proves a cache-hit multiply is bitwise identical to the cache-miss one.
 //!
