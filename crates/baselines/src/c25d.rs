@@ -13,11 +13,10 @@
 //! behaviours the paper cites when explaining CTF's weaker Fig. 3 results
 //! ("CTF is not fine tuned for matrix multiplication").
 
-use crate::grid3d::{Coord, Grid3d};
+use ca3dmm::cannon_multi_shift;
+use ca3dmm::grid3d::{Coord, Family, Grid3d};
 use ca3dmm::model::{push_reduce_c, with_redist};
-use ca3dmm::msg::{from_msg, to_msg};
-use dense::gemm::{gemm, GemmOp};
-use dense::part::{even_range, Rect};
+use dense::part::Rect;
 use dense::{Mat, Scalar};
 use gridopt::{Grid, Problem};
 use layout::Layout;
@@ -70,7 +69,7 @@ impl C25d {
     }
 
     fn on(prob: Problem, s: usize, c: usize) -> Self {
-        let geo = Grid3d::new(prob, Grid::new(s, s, c));
+        let geo = Grid3d::new(prob, Grid::new(s, s, c), s, &[Family::Tile]);
         C25d { geo, s, c }
     }
 
@@ -83,13 +82,13 @@ impl C25d {
     /// `s × s` grid: `A(m_i, k_j)`, `B(k_i, n_j)` with the whole of `k`
     /// split `s` ways (layers select Cannon steps, not k-ranges).
     fn native(&self, (i, j, l): Coord) -> [Option<Rect>; 2] {
-        let ((r0, r1), (c0, c1)) = (self.geo.m_range(i), self.geo.n_range(j));
-        let k = self.geo.prob().k;
-        let ((ka0, ka1), (kb0, kb1)) = (even_range(k, self.s, j), even_range(k, self.s, i));
-        [
-            (l == 0).then(|| Rect::new(r0, ka0, r1 - r0, ka1 - ka0)),
-            (l == 0).then(|| Rect::new(kb0, c0, kb1 - kb0, c1 - c0)),
-        ]
+        let Problem { m, n, k, .. } = *self.geo.prob();
+        let block = |rows, cols| {
+            Rect::full(rows, cols)
+                .row_part(self.s, i)
+                .col_part(self.s, j)
+        };
+        [(l == 0).then(|| block(m, k)), (l == 0).then(|| block(k, n))]
     }
 
     /// Initial layout of `A`: 2D blocks on layer 0 only.
@@ -116,22 +115,24 @@ impl C25d {
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
         let (s, steps) = (self.s, self.s / self.c);
-        let native = |at| self.native(at);
-        self.geo.multiply_native(
-            ctx,
-            world,
-            [a_init, b_init],
-            native,
-            |comms, (_, _, l), [a, b]| {
-                // Replicate A and B from layer 0 along the layer axis.
-                ctx.set_phase("replicate_ab");
-                let a_blk = from_msg(bcast(&comms.depth, ctx, 0, a.map(to_msg)));
-                let b_blk = from_msg(bcast(&comms.depth, ctx, 0, b.map(to_msg)));
-                // Offset skew + s/c Cannon steps on this layer.
-                ctx.set_phase("cannon_shift");
-                cannon_offset(ctx, &comms.plane, s, l * steps, steps, a_blk, b_blk)
-            },
-        )
+        let comms = self.geo.comms(ctx, world)?;
+        let ((_, _, l), flat) = (comms.at(), Collectives::Flat);
+        let native = self.native(comms.at());
+        let c_strip = comms.multiply_native(ctx, [a_init, b_init], native, flat, |[a, b]| {
+            // Replicate A and B from layer 0 along the layer axis.
+            ctx.set_phase("replicate_ab");
+            let layers = comms.of(Family::Depth);
+            let a_blk: Mat<T> = bcast(layers, ctx, 0, a);
+            let b_blk: Mat<T> = bcast(layers, ctx, 0, b);
+            // This layer's s/c Cannon rounds, blocking and one GEMM per
+            // round (CTF overlaps nothing).
+            ctx.set_phase("cannon_shift");
+            let mut c_partial = Mat::zeros(a_blk.rows(), b_blk.cols());
+            let (tile, window) = (comms.of(Family::Tile), (l * steps, steps));
+            cannon_multi_shift(ctx, tile, s, window, a_blk, b_blk, &mut c_partial, 0, false);
+            c_partial
+        });
+        Some(c_strip)
     }
 
     /// Schedule: layer broadcasts, unoverlapped shifts + GEMM, layer
@@ -194,63 +195,6 @@ impl C25d {
         }
         sched
     }
-}
-
-/// Cannon with a starting offset on an `s × s` group ordered `i + j·s`:
-/// returns the sum of the `steps` products
-/// `A(i, i+j+off+t)·B(i+j+off+t, j)`, `t = 0..steps`. `off = 0, steps = s`
-/// is classic Cannon.
-fn cannon_offset<T: Scalar>(
-    ctx: &RankCtx,
-    group: &Comm,
-    s: usize,
-    off: usize,
-    steps: usize,
-    a0: Mat<T>,
-    b0: Mat<T>,
-) -> Mat<T> {
-    const TAG_A: u64 = 201;
-    const TAG_B: u64 = 202;
-    let (i, j) = (group.rank() % s, group.rank() / s);
-    let mut c_out = Mat::zeros(a0.rows(), b0.cols());
-    let mut accumulate = |a: &Mat<T>, b: &Mat<T>| {
-        let op = GemmOp::NoTrans;
-        gemm(op, op, T::ONE, a, b, T::ONE, &mut c_out);
-    };
-    if s == 1 {
-        accumulate(&a0, &b0);
-        return c_out;
-    }
-    let idx = |ii: usize, jj: usize| ii + jj * s;
-    // Skew A left by (i + off): rank (i, j) ends up holding A(i, i+j+off).
-    let sh_a = (i + off) % s;
-    let mut a_cur = if sh_a == 0 {
-        a0
-    } else {
-        let dst = idx(i, (j + s - sh_a) % s);
-        let src = idx(i, (j + sh_a) % s);
-        from_msg(group.sendrecv(ctx, dst, src, TAG_A, to_msg(a0)))
-    };
-    let sh_b = (j + off) % s;
-    let mut b_cur = if sh_b == 0 {
-        b0
-    } else {
-        let dst = idx((i + s - sh_b) % s, j);
-        let src = idx((i + sh_b) % s, j);
-        from_msg(group.sendrecv(ctx, dst, src, TAG_B, to_msg(b0)))
-    };
-    for t in 0..steps {
-        accumulate(&a_cur, &b_cur);
-        if t + 1 < steps {
-            let a_dst = idx(i, (j + s - 1) % s);
-            let a_src = idx(i, (j + 1) % s);
-            a_cur = from_msg(group.sendrecv(ctx, a_dst, a_src, TAG_A, to_msg(a_cur)));
-            let b_dst = idx((i + s - 1) % s, j);
-            let b_src = idx((i + 1) % s, j);
-            b_cur = from_msg(group.sendrecv(ctx, b_dst, b_src, TAG_B, to_msg(b_cur)));
-        }
-    }
-    c_out
 }
 
 #[cfg(test)]

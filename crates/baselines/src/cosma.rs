@@ -11,9 +11,11 @@
 //! produces the partial C; a reduce-scatter over the `pk` k-groups
 //! finishes, exactly as in CA3DMM.
 
-use crate::grid3d::{local_gemm, Grid3d};
+use crate::local_gemm;
+use ca3dmm::grid3d::{Family, Grid3d};
 use ca3dmm::model::{push_reduce_c, with_redist};
-use dense::part::{offsets, split_even, Rect};
+use ca3dmm::replicate::replicate_block;
+use dense::part::split_even;
 use dense::{Mat, Scalar};
 use gridopt::{cosma_grid, Grid, Problem};
 use layout::Layout;
@@ -34,7 +36,7 @@ impl CosmaLike {
         let grid = grid_override
             .unwrap_or_else(|| cosma_grid(&prob, gridopt::DEFAULT_UTILIZATION_FLOOR).grid);
         CosmaLike {
-            geo: Grid3d::new(prob, grid),
+            geo: Grid3d::new(prob, grid, grid.pm, &[Family::Row, Family::Col]),
         }
     }
 
@@ -70,27 +72,24 @@ impl CosmaLike {
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
         let (geo, Grid { pm, pn, .. }) = (&self.geo, *self.geo.grid());
-        let native = |at| geo.slices(at);
-        geo.multiply_native(
-            ctx,
-            world,
-            [a_init, b_init],
-            native,
-            |comms, (i, j, kt), ab| {
-                let [Some(a_slice), Some(b_slice)] = ab else {
-                    unreachable!("every position holds an A and a B slice")
-                };
-                // Replicate A across the row (allgather of column-slices) and
-                // B across the column (allgather of row-slices).
-                ctx.set_phase("replicate_ab");
-                let (a_blk, b_blk) = (geo.a_block(i, kt), geo.b_block(j, kt));
-                let a_widths = split_even(a_blk.cols, pn);
-                let a_full = gather_col_slices(ctx, &comms.row, a_slice, a_blk.rows, &a_widths);
-                let b_heights = split_even(b_blk.rows, pm);
-                let b_full = gather_row_slices(ctx, &comms.col, b_slice, b_blk.cols, &b_heights);
-                local_gemm(ctx, &a_full, &b_full)
-            },
-        )
+        let comms = geo.comms(ctx, world)?;
+        let (at, flat) = (comms.at(), Collectives::Flat);
+        let c_strip = comms.multiply_native(ctx, [a_init, b_init], geo.slices(at), flat, |ab| {
+            let [Some(a_slice), Some(b_slice)] = ab else {
+                unreachable!("every position holds an A and a B slice")
+            };
+            // Replicate A across the row (allgather of column-slices) and
+            // B across the column (allgather of row-slices).
+            ctx.set_phase("replicate_ab");
+            let (i, j, kt) = at;
+            let (a_blk, b_blk) = (geo.a_block(i, kt), geo.b_block(j, kt));
+            let (row, a_widths) = (comms.of(Family::Row), split_even(a_blk.cols, pn));
+            let a_full = replicate_block(ctx, row, a_slice, a_blk.rows, &a_widths, flat);
+            let (col, b_heights) = (comms.of(Family::Col), split_even(b_blk.rows, pm));
+            let b_full = gather_row_slices(ctx, col, b_slice, b_blk.cols, &b_heights);
+            local_gemm(ctx, &a_full, &b_full)
+        });
+        Some(c_strip)
     }
 
     /// The §III-C schedule: allgather A, allgather B, one GEMM, reduce.
@@ -158,33 +157,6 @@ impl CosmaLike {
         // the pre-replication slices and the gathered blocks alive)
         2.0 * (mk / (pm * pk) + kn / (pn * pk)) + mn / (pm * pn)
     }
-}
-
-/// Allgather of column-slices into a full block (slice `g` has width
-/// `widths[g]`).
-fn gather_col_slices<T: Scalar>(
-    ctx: &RankCtx,
-    comm: &Comm,
-    mine: Mat<T>,
-    rows: usize,
-    widths: &[usize],
-) -> Mat<T> {
-    if comm.size() == 1 {
-        return mine;
-    }
-    let counts: Vec<usize> = widths.iter().map(|w| rows * w).collect();
-    let data = allgatherv(comm, ctx, mine.into_vec(), &counts);
-    let offs = offsets(widths);
-    let mut out = Mat::zeros(rows, offs[widths.len()]);
-    let mut pos = 0;
-    for (g, &w) in widths.iter().enumerate() {
-        if w > 0 {
-            let slice = Mat::from_vec(rows, w, data[pos..pos + rows * w].to_vec());
-            out.set_block(Rect::new(0, offs[g], rows, w), &slice);
-        }
-        pos += rows * w;
-    }
-    out
 }
 
 /// Allgather of row-slices into a full block — row-major rows are

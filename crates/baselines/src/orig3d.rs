@@ -10,12 +10,13 @@
 //! `B(l, j)` on `(i = l, j, l)`-adjacent owner, broadcast along the
 //! column; one GEMM; reduce-scatter along layers.
 
-use crate::grid3d::{local_gemm, Coord, Grid3d};
+use crate::local_gemm;
+use ca3dmm::grid3d::{Coord, Family, Grid3d};
 use dense::part::Rect;
 use dense::{Mat, Scalar};
 use gridopt::{cube_grid, Problem};
 use layout::Layout;
-use msgpass::collectives::bcast_large;
+use msgpass::collectives::{bcast_large, Collectives};
 use msgpass::{Comm, RankCtx};
 
 /// A configured original-3D multiplication.
@@ -26,8 +27,9 @@ pub struct Orig3d {
 impl Orig3d {
     /// Builds the cube grid for `prob.p` ranks.
     pub fn new(prob: Problem) -> Self {
+        let grid = cube_grid(prob.p);
         Orig3d {
-            geo: Grid3d::new(prob, cube_grid(prob.p)),
+            geo: Grid3d::new(prob, grid, grid.pm, &[Family::Row, Family::Col]),
         }
     }
 
@@ -66,26 +68,26 @@ impl Orig3d {
         a_init: Option<Mat<T>>,
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
-        let (geo, native) = (&self.geo, |at| self.native(at));
-        geo.multiply_native(
-            ctx,
-            world,
-            [a_init, b_init],
-            native,
-            |comms, (i, j, l), [a, b]| {
+        let geo = &self.geo;
+        let comms = geo.comms(ctx, world)?;
+        let (at, flat) = (comms.at(), Collectives::Flat);
+        let c_strip =
+            comms.multiply_native(ctx, [a_init, b_init], self.native(at), flat, |[a, b]| {
                 // Broadcast A(i, l) from the owner column j = l along the row
                 // and B(l, j) from the owner row i = l along the column. Every
                 // member derives the block shape from the partition arithmetic,
                 // so the large-message scatter+allgather broadcast (the one
                 // T_broadcast prices) applies.
                 ctx.set_phase("replicate_ab");
+                let (i, j, l) = at;
                 let (a_blk, b_blk) = (geo.a_block(i, l), geo.b_block(j, l));
-                let a_data = bcast_large(&comms.row, ctx, l, a.map(Mat::into_vec), a_blk.area());
-                let b_data = bcast_large(&comms.col, ctx, l, b.map(Mat::into_vec), b_blk.area());
+                let (row, col) = (comms.of(Family::Row), comms.of(Family::Col));
+                let a_data = bcast_large(row, ctx, l, a.map(Mat::into_vec), a_blk.area());
+                let b_data = bcast_large(col, ctx, l, b.map(Mat::into_vec), b_blk.area());
                 let a_full = Mat::from_vec(a_blk.rows, a_blk.cols, a_data);
                 let b_full = Mat::from_vec(b_blk.rows, b_blk.cols, b_data);
                 local_gemm(ctx, &a_full, &b_full)
-            },
-        )
+            });
+        Some(c_strip)
     }
 }

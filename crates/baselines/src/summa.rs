@@ -11,13 +11,13 @@
 //!   2D-block-distributed A, B, C, no k-parallelism. SUMMA "cannot utilize
 //!   extra memory to reduce communication costs" (§I).
 
-use crate::grid3d::Grid3d;
+use ca3dmm::grid3d::{Family, Grid3d};
 use dense::gemm::{gemm, GemmOp};
 use dense::part::{offsets, split_even, Rect};
 use dense::{Mat, Scalar};
 use gridopt::{cosma_grid, summa_grid, Grid, Problem};
 use layout::Layout;
-use msgpass::collectives::bcast_large;
+use msgpass::collectives::{bcast_large, Collectives};
 use msgpass::{Comm, RankCtx};
 
 /// SUMMA on a `pr × pc` grid (stationary C).
@@ -120,7 +120,7 @@ impl Ca3dmmSumma {
         let grid = grid_override
             .unwrap_or_else(|| cosma_grid(&prob, gridopt::DEFAULT_UTILIZATION_FLOOR).grid);
         Ca3dmmSumma {
-            geo: Grid3d::new(prob, grid),
+            geo: Grid3d::new(prob, grid, grid.pm, &[Family::Row, Family::Col]),
         }
     }
 
@@ -153,23 +153,21 @@ impl Ca3dmmSumma {
         a_init: Option<Mat<T>>,
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
-        let native = |at| self.geo.slices(at);
-        self.geo.multiply_native(
-            ctx,
-            world,
-            [a_init, b_init],
-            native,
-            |comms, (_, _, kt), ab| {
-                let [Some(a), Some(b)] = ab else {
-                    unreachable!("every position holds an A and a B block")
-                };
-                ctx.set_phase("summa_bcast");
-                let (k0, k1) = self.geo.k_range(kt);
-                let mut c_partial = Mat::zeros(a.rows(), b.cols());
-                summa(ctx, &comms.row, &comms.col, k1 - k0, &a, &b, &mut c_partial);
-                c_partial
-            },
-        )
+        let comms = self.geo.comms(ctx, world)?;
+        let (at, flat) = (comms.at(), Collectives::Flat);
+        let native = self.geo.slices(at);
+        let c_strip = comms.multiply_native(ctx, [a_init, b_init], native, flat, |ab| {
+            let [Some(a), Some(b)] = ab else {
+                unreachable!("every position holds an A and a B block")
+            };
+            ctx.set_phase("summa_bcast");
+            let k_kt = self.geo.a_block(at.0, at.2).cols;
+            let (row, col) = (comms.of(Family::Row), comms.of(Family::Col));
+            let mut c_partial = Mat::zeros(a.rows(), b.cols());
+            summa(ctx, row, col, k_kt, &a, &b, &mut c_partial);
+            c_partial
+        });
+        Some(c_strip)
     }
 }
 

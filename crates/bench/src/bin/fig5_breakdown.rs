@@ -25,14 +25,6 @@
 //! schema-v3 `compute` block (per-rank GEMM phase split, roofline, pool
 //! telemetry), the Chrome trace gains per-rank kernel-thread tracks, and a
 //! per-rank compute-attribution summary is printed.
-//!
-//! `--overlap-bench` instead wall-clock times the full multiply at
-//! `--trace-ranks` ranks (default 16) on a communication-heavy shape, once
-//! with the §III-F dual-buffered Cannon pipeline and once with the blocking
-//! ablation, and records both into the shared `BENCH_overlap.json` shape
-//! (`$BENCH_JSON_DIR`, else `results/`). The two runs produce bitwise-
-//! identical C blocks (see `tests/overlap_prop.rs`); the bench is the
-//! wall-clock side of that equivalence — overlap should never be slower.
 
 use bench::{predict_with_grid, Algo, RunConfig};
 use ca3dmm::{ca3dmm_schedule, diff_model_vs_measured, Ca3dmm, Ca3dmmOptions, ModelConfig};
@@ -152,70 +144,10 @@ fn traced_run(
     );
 }
 
-/// Wall-clock A/B of the dual-buffered Cannon pipeline against its blocking
-/// ablation, on a shape whose shift traffic is large relative to the local
-/// GEMMs (thin k ⇒ small per-round flops, 4×4×1 grid ⇒ s−1 = 3 shift
-/// rounds). Both configurations compute bitwise-identical results; only the
-/// send/recv ordering inside the shift loop differs.
-fn overlap_bench(ranks: usize) {
-    let (m, n, k) = (256, 256, 128);
-    let prob = Problem::new(m, n, k, ranks);
-    let grid = *Ca3dmm::new(prob, &Ca3dmmOptions::default())
-        .grid_context()
-        .grid();
-    println!(
-        "overlap bench: {m}x{n}x{k} on {ranks} ranks (grid {}x{}x{}), {} kernel threads/rank",
-        grid.pm,
-        grid.pn,
-        grid.pk,
-        dense::pool::rank_threads_for(ranks),
-    );
-    let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-    let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-
-    let mut report = bench::timing::BenchReport::new("overlap");
-    let mut medians = [0.0f64; 2];
-    for (slot, overlap) in [(0, true), (1, false)] {
-        let alg = Ca3dmm::new(
-            prob,
-            &Ca3dmmOptions {
-                overlap,
-                ..Default::default()
-            },
-        );
-        let gc = alg.grid_context();
-        let (la, lb) = (gc.layout_a(), gc.layout_b());
-        let label = format!(
-            "ca3dmm/{m}x{n}x{k}/p{ranks}/{}",
-            if overlap { "overlap" } else { "blocking" }
-        );
-        let stats = bench::timing::bench(&label, || {
-            World::run(ranks, |ctx| {
-                let world = Comm::world(ctx);
-                let me = world.rank();
-                let a = la.extract(&a_full, me).into_iter().next();
-                let b = lb.extract(&b_full, me).into_iter().next();
-                let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
-            });
-        });
-        medians[slot] = stats.median_s;
-        report.push(&label, stats);
-    }
-    println!(
-        "overlap/blocking median ratio: {:.3} (<= 1 means the pipeline wins)",
-        medians[0] / medians[1]
-    );
-    match report.write() {
-        Ok(path) => println!("bench json -> {}", path.display()),
-        Err(e) => panic!("writing bench json: {e}"),
-    }
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let (mut trace_out, mut report_out, mut trace_ranks, mut trace_size) =
         (None::<String>, None::<String>, 16usize, 256usize);
-    let mut overlap_bench_mode = false;
     // `gemm_prof` already follows DENSE_GEMM_PROF; `--prof` forces it on.
     let mut run_opts = RunOptions::traced();
     while let Some(arg) = args.next() {
@@ -228,14 +160,9 @@ fn main() {
             "--report-out" => report_out = Some(value("--report-out")),
             "--trace-ranks" => trace_ranks = value("--trace-ranks").parse().expect("rank count"),
             "--trace-size" => trace_size = value("--trace-size").parse().expect("problem size"),
-            "--overlap-bench" => overlap_bench_mode = true,
             "--prof" => run_opts.gemm_prof = true,
             other => panic!("unknown argument: {other}"),
         }
-    }
-    if overlap_bench_mode {
-        overlap_bench(trace_ranks);
-        return;
     }
     if trace_out.is_some() || report_out.is_some() {
         traced_run(

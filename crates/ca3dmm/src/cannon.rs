@@ -1,19 +1,20 @@
 //! Cannon's algorithm on one `s × s` Cannon group (Algorithm 1 step 6).
 //!
-//! The classic algorithm (paper reference \[19\]) with two generalizations the
-//! paper's setting needs:
+//! The classic algorithm (paper reference \[19\]) with the generalizations
+//! the paper's setting needs:
 //!
 //! * **uneven blocks** — matrix dimensions need not divide `s`; blocks carry
-//!   their shape with them ([`crate::msg::BlockMsg`]) and the k-sub-ranges
-//!   circulate consistently between `A` and `B`, so inner dimensions always
-//!   agree;
+//!   their shape with them (`Mat` is a `msgpass::Payload`) and the
+//!   k-sub-ranges circulate consistently between `A` and `B`, so inner
+//!   dimensions always agree;
 //! * **degenerate grids** — `s = 1` reduces to one local GEMM, which is how
-//!   CA3DMM falls back to 1D algorithms for tall-and-skinny problems.
+//!   CA3DMM falls back to 1D algorithms for tall-and-skinny problems;
+//! * **a window of rounds** — 2.5D runs rounds `l·s/c .. (l+1)·s/c` of the
+//!   `s` on layer `l`; classic Cannon is the whole window `(0, s)`.
 //!
 //! The group communicator indexes ranks in column-major order,
 //! `idx = i + j·s`.
 
-use crate::msg::{from_msg, to_msg, SharedBlock};
 use dense::gemm::{gemm, gemm_flops, GemmOp};
 use dense::{Mat, Scalar};
 use msgpass::{Comm, RankCtx, RecvReq};
@@ -49,40 +50,42 @@ fn charged_gemm<T: Scalar>(ctx: &RankCtx, a: &Mat<T>, b: &Mat<T>, c_out: &mut Ma
     }
 }
 
-/// The initial skew: A(i, j) moves left by `i`, B(i, j) up by `j`.
+/// The initial skew to round `off`: A(i, j) moves left by `i + off`,
+/// B(i, j) up by `j + off`, so position `(i, j)` holds `A(i, i+j+off)` and
+/// `B(i+j+off, j)`.
 fn skew<T: Scalar>(
     ctx: &RankCtx,
     group: &Comm,
     s: usize,
-    i: usize,
-    j: usize,
+    off: usize,
     a0: Mat<T>,
     b0: Mat<T>,
 ) -> (Mat<T>, Mat<T>) {
+    let (i, j) = (group.rank() % s, group.rank() / s);
     let idx = |ii: usize, jj: usize| ii + jj * s;
-    let a = if i == 0 {
-        a0
-    } else {
-        let dst = idx(i, (j + s - i) % s);
-        let src = idx(i, (j + i) % s);
-        from_msg(group.sendrecv(ctx, dst, src, TAG_A, to_msg(a0)))
+    let (by_a, by_b) = ((i + off) % s, (j + off) % s);
+    let shift = |by: usize, dst: usize, src: usize, tag: u64, blk: Mat<T>| match by {
+        0 => blk,
+        _ => group.sendrecv(ctx, dst, src, tag, blk),
     };
-    let b = if j == 0 {
-        b0
-    } else {
-        let dst = idx((i + s - j) % s, j);
-        let src = idx((i + j) % s, j);
-        from_msg(group.sendrecv(ctx, dst, src, TAG_B, to_msg(b0)))
-    };
-    (a, b)
+    let (a_dst, a_src) = (idx(i, (j + s - by_a) % s), idx(i, (j + by_a) % s));
+    let (b_dst, b_src) = (idx((i + s - by_b) % s, j), idx((i + by_b) % s, j));
+    (
+        shift(by_a, a_dst, a_src, TAG_A, a0),
+        shift(by_b, b_dst, b_src, TAG_B, b0),
+    )
 }
 
-/// Runs Cannon's algorithm. `a0`/`b0` are this rank's *natural* (skew-free)
-/// blocks — `A(i, j)` and `B(i, j)` in block coordinates; the initial skew
-/// is performed here, as in the original algorithm (the paper's latency
+/// Runs rounds `off .. off + steps` of Cannon's algorithm on an `s × s`
+/// group; `(0, s)` is the classic algorithm. `a0`/`b0` are this rank's
+/// *natural* (skew-free) blocks — `A(i, j)` and `B(i, j)` in block
+/// coordinates, `(i, j) = (rank mod s, rank / s)`; the initial skew is
+/// performed here, as in the original algorithm (the paper's latency
 /// analysis eq. 10 counts it: `p_s` rounds = 1 skew + `s−1` shifts).
 /// `c_out` must be the `(rows of A-block) × (cols of B-block)` local result
-/// block; the product is accumulated into it.
+/// block; the sum of the window's products
+/// `A(i, i+j+t)·B(i+j+t, j)`, `t = off .. off + steps`, is accumulated
+/// into it.
 ///
 /// `min_k_per_gemm` is the §III-F multi-shift optimization: "to maintain the
 /// efficiency of local matrix multiplication, we perform multiple shifts
@@ -92,8 +95,7 @@ fn skew<T: Scalar>(
 /// blocks row-wise — the k-sub-ranges circulate in matching order, so the
 /// concatenations stay aligned) and multiplied in one larger GEMM. `0` is
 /// plain Cannon: one GEMM per round. Communication is the same either way —
-/// the same `s` rounds move the same bytes; only the GEMM granularity
-/// changes.
+/// the same rounds move the same bytes; only the GEMM granularity changes.
 ///
 /// `overlap` selects the §III-F communication/computation overlap, a
 /// double-buffered pipeline on nonblocking point-to-point: each round posts
@@ -106,16 +108,15 @@ fn skew<T: Scalar>(
 /// Results are bitwise identical between the two — the same blocks meet in
 /// the same GEMM order.
 ///
-/// Blocks circulate as [`SharedBlock`]s: sending the block the GEMM is
-/// reading costs one `Arc` refcount bump, and the received block is adopted
-/// without copying.
+/// Blocks circulate behind an `Arc`: sending the block the GEMM is reading
+/// costs one refcount bump, and the received block is adopted without
+/// copying.
 #[allow(clippy::too_many_arguments)]
 pub fn cannon_multi_shift<T: Scalar>(
     ctx: &RankCtx,
     group: &Comm,
     s: usize,
-    i: usize,
-    j: usize,
+    (off, steps): (usize, usize),
     a0: Mat<T>,
     b0: Mat<T>,
     c_out: &mut Mat<T>,
@@ -123,9 +124,10 @@ pub fn cannon_multi_shift<T: Scalar>(
     overlap: bool,
 ) {
     assert_eq!(group.size(), s * s, "Cannon group must have s^2 ranks");
-    assert_eq!(group.rank(), i + j * s, "rank/index mismatch");
+    assert!(steps >= 1 && off + steps <= s, "round window outside 0..s");
+    let (i, j) = (group.rank() % s, group.rank() / s);
     let idx = |ii: usize, jj: usize| ii + jj * s;
-    let (a_skewed, b_skewed) = skew(ctx, group, s, i, j, a0, b0);
+    let (a_skewed, b_skewed) = skew(ctx, group, s, off, a0, b0);
     let (mut a_cur, mut b_cur) = (Arc::new(a_skewed), Arc::new(b_skewed));
     let (a_dst, a_src) = (idx(i, (j + s - 1) % s), idx(i, (j + 1) % s));
     let (b_dst, b_src) = (idx((i + s - 1) % s, j), idx((i + 1) % s, j));
@@ -134,34 +136,26 @@ pub fn cannon_multi_shift<T: Scalar>(
     /// flush: already here (blocking mode) or still in flight (overlap).
     enum Next<T: Scalar> {
         Ready(Arc<Mat<T>>, Arc<Mat<T>>),
-        Posted(RecvReq<SharedBlock<T>>, RecvReq<SharedBlock<T>>),
+        Posted(RecvReq<Arc<Mat<T>>>, RecvReq<Arc<Mat<T>>>),
     }
 
     let mut batch: Vec<BlockPair<T>> = Vec::new();
     let mut batched_k = 0usize;
-    for t in 0..s {
-        let last = t + 1 == s;
+    for t in 0..steps {
+        let last = t + 1 == steps;
         // Issue the shift first; the batch and the outgoing message share
         // the block through its `Arc`.
         let next = if last {
             None
         } else if overlap {
-            let ra = group.irecv::<SharedBlock<T>>(ctx, a_src, TAG_A);
-            let rb = group.irecv::<SharedBlock<T>>(ctx, b_src, TAG_B);
-            group
-                .isend(ctx, a_dst, TAG_A, SharedBlock(Arc::clone(&a_cur)))
-                .wait();
-            group
-                .isend(ctx, b_dst, TAG_B, SharedBlock(Arc::clone(&b_cur)))
-                .wait();
+            let ra = group.irecv::<Arc<Mat<T>>>(ctx, a_src, TAG_A);
+            let rb = group.irecv::<Arc<Mat<T>>>(ctx, b_src, TAG_B);
+            group.isend(ctx, a_dst, TAG_A, Arc::clone(&a_cur)).wait();
+            group.isend(ctx, b_dst, TAG_B, Arc::clone(&b_cur)).wait();
             Some(Next::Posted(ra, rb))
         } else {
-            let a_next = group
-                .sendrecv(ctx, a_dst, a_src, TAG_A, SharedBlock(Arc::clone(&a_cur)))
-                .0;
-            let b_next = group
-                .sendrecv(ctx, b_dst, b_src, TAG_B, SharedBlock(Arc::clone(&b_cur)))
-                .0;
+            let a_next = group.sendrecv(ctx, a_dst, a_src, TAG_A, Arc::clone(&a_cur));
+            let b_next = group.sendrecv(ctx, b_dst, b_src, TAG_B, Arc::clone(&b_cur));
             Some(Next::Ready(a_next, b_next))
         };
         batched_k += a_cur.cols();
@@ -176,8 +170,8 @@ pub fn cannon_multi_shift<T: Scalar>(
                 b_cur = b;
             }
             Some(Next::Posted(ra, rb)) => {
-                a_cur = ra.wait(ctx).0;
-                b_cur = rb.wait(ctx).0;
+                a_cur = ra.wait(ctx);
+                b_cur = rb.wait(ctx);
             }
             None => break,
         }
@@ -268,14 +262,28 @@ mod tests {
 
     /// Full end-to-end Cannon check on an s×s grid with arbitrary m, n, k:
     /// every rank's block of `c_init + A·B` against the serial reference
-    /// (up to summation-order rounding).
-    fn check(m: usize, n: usize, k: usize, s: usize, min_k: usize, overlap: bool, c_init: f64) {
+    /// (up to summation-order rounding). The `s` rounds run as `windows`
+    /// consecutive calls of `s / windows` rounds each, all accumulating into
+    /// the same block — 2.5D's layers, one after the other.
+    fn check(
+        (m, n, k): (usize, usize, usize),
+        s: usize,
+        windows: usize,
+        min_k: usize,
+        overlap: bool,
+        c_init: f64,
+    ) {
+        let steps = s / windows;
         let results = World::run(s * s, |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let (i, j) = (me % s, me / s);
             let (a, b, mut c) = natural_blocks(m, n, k, s, i, j, c_init);
-            cannon_multi_shift(ctx, &comm, s, i, j, a, b, &mut c, min_k, overlap);
+            for l in 0..windows {
+                let window = (l * steps, steps);
+                let (a, b) = (a.clone(), b.clone());
+                cannon_multi_shift(ctx, &comm, s, window, a, b, &mut c, min_k, overlap);
+            }
             (i, j, c)
         });
         let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
@@ -294,7 +302,8 @@ mod tests {
             let (r0, r1) = even_range(m, s, i);
             let (c0, c1) = even_range(n, s, j);
             let want = c_full.block(Rect::new(r0, c0, r1 - r0, c1 - c0));
-            let what = format!("cannon min_k={min_k} overlap={overlap} block ({i},{j})");
+            let what =
+                format!("cannon windows={windows} min_k={min_k} overlap={overlap} block ({i},{j})");
             assert_gemm_close(&c, &want, k, &what);
         }
     }
@@ -302,7 +311,7 @@ mod tests {
     /// Plain Cannon (`min_k = 0`), blocking and overlapped.
     fn check_cannon(m: usize, n: usize, k: usize, s: usize) {
         for overlap in [false, true] {
-            check(m, n, k, s, 0, overlap, 0.0);
+            check((m, n, k), s, 1, 0, overlap, 0.0);
         }
     }
 
@@ -338,7 +347,19 @@ mod tests {
     fn accumulates_into_existing_c() {
         // C starts at ones; after cannon it must be ones + A*B.
         for overlap in [false, true] {
-            check(6, 6, 6, 2, 0, overlap, 1.0);
+            check((6, 6, 6), 2, 1, 0, overlap, 1.0);
+        }
+    }
+
+    #[test]
+    fn round_windows_sum_to_the_product() {
+        // 2.5D's use: layer l of c runs rounds l·s/c .. (l+1)·s/c; over all
+        // layers every A(i, ·)·B(·, j) pair meets exactly once.
+        for (s, c) in [(2, 1), (2, 2), (4, 1), (4, 2), (4, 4)] {
+            for overlap in [false, true] {
+                check((13, 10, 19), s, c, 0, overlap, 0.0);
+                check((5, 7, 3), s, c, 0, overlap, 1.0);
+            }
         }
     }
 
@@ -348,7 +369,7 @@ mod tests {
         // (min_k 100), or none (min_k 1, flushes every block)
         for min_k in [1usize, 4, 8, 100] {
             for overlap in [false, true] {
-                check(9, 9, 12, 3, min_k, overlap, 0.0);
+                check((9, 9, 12), 3, 1, min_k, overlap, 0.0);
             }
         }
     }
@@ -357,8 +378,8 @@ mod tests {
     fn multi_shift_uneven_blocks() {
         for min_k in [5usize, 64] {
             for overlap in [false, true] {
-                check(10, 11, 13, 3, min_k, overlap, 0.0);
-                check(7, 9, 17, 4, min_k, overlap, 0.0);
+                check((10, 11, 13), 3, 1, min_k, overlap, 0.0);
+                check((7, 9, 17), 4, 1, min_k, overlap, 0.0);
             }
         }
     }
@@ -373,7 +394,7 @@ mod tests {
             let me = comm.rank();
             let (i, j) = (me % s, me / s);
             let (a, b, mut c) = natural_blocks(m, m, m, s, i, j, 0.0);
-            cannon_multi_shift(ctx, &comm, s, i, j, a, b, &mut c, min_k, overlap);
+            cannon_multi_shift(ctx, &comm, s, (0, s), a, b, &mut c, min_k, overlap);
         });
         report
     }

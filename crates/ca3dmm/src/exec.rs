@@ -1,10 +1,11 @@
 //! The CA3DMM executor: Algorithm 1, steps 1–8, on the `msgpass` runtime.
 
 use crate::cannon::cannon_multi_shift;
+use crate::grid3d::{Family, GridComms};
 use crate::grid_ctx::GridContext;
-use crate::reduce::reduce_partial_c;
-use crate::replicate::{replicate_block, slice_widths};
+use crate::replicate::replicate_block;
 use dense::gemm::GemmOp;
+use dense::part::{split_even, Rect};
 use dense::{Mat, Scalar, Shape64};
 use gridopt::{ca3dmm_grid_timed, Grid, Problem};
 use layout::Layout;
@@ -73,68 +74,6 @@ pub struct Ca3dmm {
     /// Wall seconds the step-1 grid search took (0 for a forced grid).
     /// Re-running the search is exactly the cost a plan cache amortizes.
     grid_search_secs: f64,
-    /// Precomputed sub-communicator membership (steps 2–3). Pure
-    /// arithmetic, identical on every rank — solved once at construction
-    /// instead of once per multiply.
-    groups: SubgroupLists,
-}
-
-/// The three sub-communicator group lists of one grid: every Cannon group,
-/// replication group, and reduction group, as world-rank lists.
-#[derive(Clone, Debug)]
-struct SubgroupLists {
-    cannon: Vec<Vec<usize>>,
-    repl: Vec<Vec<usize>>,
-    reduce: Vec<Vec<usize>>,
-}
-
-impl SubgroupLists {
-    fn new(gc: &GridContext) -> Self {
-        let grid = gc.grid();
-        let (pk, c, s) = (grid.pk, gc.c, gc.s);
-        let cannon: Vec<Vec<usize>> = (0..pk)
-            .flat_map(|kt| (0..c).map(move |cg| gc.cannon_group(kt, cg)))
-            .collect();
-        let repl: Vec<Vec<usize>> = (0..pk)
-            .flat_map(|kt| {
-                (0..s * s).map(move |idx| {
-                    gc.replication_group(&crate::grid_ctx::RankCoord {
-                        i: idx % s,
-                        j: idx / s,
-                        cg: 0,
-                        kt,
-                    })
-                })
-            })
-            .collect();
-        let reduce: Vec<Vec<usize>> = (0..c)
-            .flat_map(|cg| {
-                (0..s * s).map(move |idx| {
-                    gc.reduce_group(&crate::grid_ctx::RankCoord {
-                        i: idx % s,
-                        j: idx / s,
-                        cg,
-                        kt: 0,
-                    })
-                })
-            })
-            .collect();
-        SubgroupLists {
-            cannon,
-            repl,
-            reduce,
-        }
-    }
-}
-
-/// The sub-communicators of one multiply, built collectively by
-/// [`Ca3dmm::comms`]. Building them is itself collective over the world, so
-/// a batch of same-shape multiplies can share one set instead of paying
-/// three `subgroup` exchanges per multiply.
-pub struct MultiplyComms {
-    cannon: Option<Comm>,
-    repl: Option<Comm>,
-    reduce: Option<Comm>,
 }
 
 impl Ca3dmm {
@@ -151,15 +90,12 @@ impl Ca3dmm {
                 (solved.choice.grid, solved.search_secs)
             }
         };
-        let gc = GridContext::new(prob, grid);
-        let groups = SubgroupLists::new(&gc);
         Ca3dmm {
-            gc,
+            gc: GridContext::new(prob, grid),
             multi_shift_min_k: opts.multi_shift_min_k,
             overlap: opts.overlap,
             collectives: opts.collectives,
             grid_search_secs: search_secs,
-            groups,
         }
     }
 
@@ -299,16 +235,12 @@ impl Ca3dmm {
     /// Builds the three sub-communicators of this grid (Cannon, replication
     /// and reduction groups). Collective over `world`; the membership lists
     /// were already solved at construction, so this only performs the
-    /// `subgroup` context exchanges. A batch of multiplies on the same grid
-    /// can reuse one [`MultiplyComms`] across every item — that is the
+    /// `subgroup` calls; `None` on idle ranks. A batch of multiplies on the
+    /// same grid can reuse one set across every item — that is the
     /// "same-shape requests share one grid launch" half of the serving
     /// batcher.
-    pub fn comms(&self, ctx: &RankCtx, world: &Comm) -> MultiplyComms {
-        MultiplyComms {
-            cannon: world.subgroup(ctx, &self.groups.cannon),
-            repl: world.subgroup(ctx, &self.groups.repl),
-            reduce: world.subgroup(ctx, &self.groups.reduce),
-        }
+    pub fn comms(&self, ctx: &RankCtx, world: &Comm) -> Option<GridComms> {
+        self.gc.geo().comms(ctx, world)
     }
 
     /// Steps 5–7 only: inputs already in the native layouts
@@ -332,107 +264,56 @@ impl Ca3dmm {
     }
 
     /// Steps 5–7 with caller-provided sub-communicators (see
-    /// [`Ca3dmm::comms`]). Collective over `world`.
+    /// [`Ca3dmm::comms`]), which must have been built over `world`: the
+    /// unified driver ([`GridComms::multiply_native`]) with CA3DMM's
+    /// closure — allgather the replicated operand over the `c` peers, then
+    /// Cannon on the tile.
     pub fn multiply_native_in<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
-        comms: &MultiplyComms,
+        comms: &Option<GridComms>,
         a_init: Option<Mat<T>>,
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
-        let gc = &self.gc;
-        let c = gc.c;
-        let s = gc.s;
-        let MultiplyComms {
-            cannon: cannon_comm,
-            repl: repl_comm,
-            reduce: reduce_comm,
-        } = comms;
-
-        if !gc.is_active(world.rank()) {
-            return None;
-        }
-        let coord = gc.coord_of(world.rank());
-
-        let a_init_rect = gc.a_init(&coord);
-        let a_blk = a_init.unwrap_or_else(|| Mat::zeros(a_init_rect.rows, a_init_rect.cols));
-        assert_eq!(
-            a_blk.shape(),
-            (a_init_rect.rows, a_init_rect.cols),
-            "A block shape disagrees with the native layout"
-        );
-        let b_init_rect = gc.b_init(&coord);
-        let b_blk = b_init.unwrap_or_else(|| Mat::zeros(b_init_rect.rows, b_init_rect.cols));
-        assert_eq!(
-            b_blk.shape(),
-            (b_init_rect.rows, b_init_rect.cols),
-            "B block shape disagrees with the native layout"
-        );
-
-        // Step 5: replicate A or B across the Cannon groups.
-        ctx.set_phase("replicate_ab");
-        let (a_full, b_full) = if c > 1 {
-            let rc = repl_comm
-                .as_ref()
-                .expect("active rank has a replication group");
-            if gc.a_replicated {
-                let blk = gc.a_block(&coord);
-                let a = replicate_block(
-                    ctx,
-                    rc,
-                    a_blk,
-                    blk.rows,
-                    &slice_widths(blk.cols, c),
-                    self.collectives,
-                );
-                (a, b_blk)
+        let (gc, comms) = (&self.gc, comms.as_ref()?);
+        debug_assert_eq!(gc.geo().coord(world.rank()), Some(comms.at()));
+        let coord = gc.coord_at(comms.at());
+        let (init, native) = ([a_init, b_init], gc.native(comms.at()));
+        let partial_c = |ab: [Option<Mat<T>>; 2]| {
+            let [Some(a_blk), Some(b_blk)] = ab else {
+                unreachable!("every position holds an A and a B block")
+            };
+            // Step 5: replicate A or B across the Cannon groups.
+            ctx.set_phase("replicate_ab");
+            let replicate = |slice: Mat<T>, blk: Rect| {
+                let widths = split_even(blk.cols, gc.c);
+                let peers = comms.of(Family::Peers);
+                replicate_block(ctx, peers, slice, blk.rows, &widths, self.collectives)
+            };
+            let (a_full, b_full) = if gc.a_replicated {
+                (replicate(a_blk, gc.a_block(&coord)), b_blk)
             } else {
-                let blk = gc.b_block(&coord);
-                let b = replicate_block(
-                    ctx,
-                    rc,
-                    b_blk,
-                    blk.rows,
-                    &slice_widths(blk.cols, c),
-                    self.collectives,
-                );
-                (a_blk, b)
-            }
-        } else {
-            (a_blk, b_blk)
+                (a_blk, replicate(b_blk, gc.b_block(&coord)))
+            };
+            // Step 6: Cannon within the group.
+            ctx.set_phase("cannon_shift");
+            let mut c_partial = Mat::zeros(a_full.rows(), b_full.cols());
+            cannon_multi_shift(
+                ctx,
+                comms.of(Family::Tile),
+                gc.s,
+                (0, gc.s),
+                a_full,
+                b_full,
+                &mut c_partial,
+                self.multi_shift_min_k,
+                self.overlap,
+            );
+            c_partial
         };
-
-        // Step 6: Cannon within the group.
-        ctx.set_phase("cannon_shift");
-        let c_rect = gc.c_block(&coord);
-        let mut c_partial = Mat::zeros(c_rect.rows, c_rect.cols);
-        cannon_multi_shift(
-            ctx,
-            cannon_comm
-                .as_ref()
-                .expect("active rank has a Cannon group"),
-            s,
-            coord.i,
-            coord.j,
-            a_full,
-            b_full,
-            &mut c_partial,
-            self.multi_shift_min_k,
-            self.overlap,
-        );
-
-        // Step 7: reduce the pk partial results.
-        ctx.set_phase("reduce_c");
-        let strip = reduce_partial_c(
-            ctx,
-            reduce_comm
-                .as_ref()
-                .expect("active rank has a reduce group"),
-            c_partial,
-            self.collectives,
-        );
-        Some(strip)
+        // Step 7, the reduction of the pk partial results, is the driver's.
+        Some(comms.multiply_native(ctx, init, native, self.collectives, partial_c))
     }
 
     /// Runs steps 5–7 under the virtual-time backend
@@ -480,7 +361,6 @@ impl Ca3dmm {
 mod tests {
     use super::*;
     use dense::gemm::gemm_naive;
-    use dense::part::Rect;
     use dense::random::global_block;
     use dense::testing::assert_gemm_close;
     use msgpass::World;

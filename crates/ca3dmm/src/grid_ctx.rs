@@ -1,10 +1,11 @@
-//! Process-grid geometry: who sits where, and which block of which matrix
-//! each rank touches (Algorithm 1 steps 2–3 and the partitionings of
-//! §III-B).
+//! CA3DMM's placement on the unified grid (Algorithm 1 steps 2–3 and the
+//! partitionings of §III-B): who sits where in which Cannon group, and
+//! which block of which matrix each rank touches.
 //!
-//! Rank order is "column-major" as in the paper: all ranks of the same
-//! k-task group are contiguous, and within it all ranks of the same Cannon
-//! group are contiguous:
+//! The geometry itself — rank order, `m`/`n`/`k` ranges, C blocks and
+//! strips, communicator membership — is [`Grid3d`] in bands of `s` grid
+//! rows, which keeps all ranks of a k-task group contiguous and, within
+//! it, all ranks of a Cannon group:
 //!
 //! ```text
 //! world_rank = kt·(pm·pn) + cg·s² + (i + j·s)
@@ -14,7 +15,8 @@
 //! in the `s × s` Cannon grid (`i` along m, `j` along n). Ranks
 //! `≥ pm·pn·pk` are idle outside the redistribution steps.
 
-use dense::part::{even_range, Rect};
+use crate::grid3d::{Coord, Family, Grid3d};
+use dense::part::Rect;
 use gridopt::{Grid, Problem};
 use layout::Layout;
 
@@ -37,8 +39,7 @@ pub struct RankCoord {
 /// CA3DMM needs no membership negotiation.
 #[derive(Clone, Debug)]
 pub struct GridContext {
-    prob: Problem,
-    grid: Grid,
+    geo: Grid3d,
     /// Cannon grid side `s = min(pm, pn)`.
     pub s: usize,
     /// Cannon groups per k-task group, `c = max(pm,pn)/min(pm,pn)` (eq. 8).
@@ -55,38 +56,45 @@ impl GridContext {
     /// If the grid violates eq. 7 or uses more ranks than the problem has.
     pub fn new(prob: Problem, grid: Grid) -> Self {
         assert!(grid.cannon_compatible(), "grid violates eq. 7: {grid:?}");
-        assert!(
-            grid.active() <= prob.p,
-            "grid {grid:?} needs more ranks than P = {}",
-            prob.p
-        );
+        let s = grid.cannon_s();
         GridContext {
-            prob,
-            grid,
-            s: grid.cannon_s(),
+            geo: Grid3d::new(prob, grid, s, &[Family::Tile, Family::Peers]),
+            s,
             c: grid.cannon_c(),
             a_replicated: grid.pn > grid.pm,
         }
     }
 
+    /// The unified grid under this placement; its communicator families
+    /// are the Cannon tile, the replication peers and the k-task depth.
+    pub fn geo(&self) -> &Grid3d {
+        &self.geo
+    }
+
     /// The problem this geometry was built for.
     pub fn problem(&self) -> &Problem {
-        &self.prob
+        self.geo.prob()
     }
 
     /// The process grid.
     pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
-    /// Number of active ranks `pm·pn·pk`.
-    pub fn active(&self) -> usize {
-        self.grid.active()
+        self.geo.grid()
     }
 
     /// Whether a world rank participates beyond redistribution.
     pub fn is_active(&self, world_rank: usize) -> bool {
-        world_rank < self.active()
+        self.geo.coord(world_rank).is_some()
+    }
+
+    /// The Cannon-group coordinate of a grid position.
+    pub fn coord_at(&self, (i, j, kt): Coord) -> RankCoord {
+        // One of pm, pn equals s, so at most one quotient is nonzero.
+        RankCoord {
+            i: i % self.s,
+            j: j % self.s,
+            cg: i / self.s + j / self.s,
+            kt,
+        }
     }
 
     /// Coordinates of an active world rank.
@@ -94,179 +102,116 @@ impl GridContext {
     /// # Panics
     /// If the rank is idle.
     pub fn coord_of(&self, world_rank: usize) -> RankCoord {
-        assert!(self.is_active(world_rank), "rank {world_rank} is idle");
-        let per_kt = self.grid.pm * self.grid.pn;
-        let kt = world_rank / per_kt;
-        let rem = world_rank % per_kt;
-        let cg = rem / (self.s * self.s);
-        let idx = rem % (self.s * self.s);
-        RankCoord {
-            i: idx % self.s,
-            j: idx / self.s,
-            cg,
-            kt,
-        }
+        let at = self.geo.coord(world_rank);
+        self.coord_at(at.unwrap_or_else(|| panic!("rank {world_rank} is idle")))
     }
 
-    /// World rank of a coordinate (inverse of [`GridContext::coord_of`]).
-    pub fn rank_of(&self, c: RankCoord) -> usize {
-        debug_assert!(c.i < self.s && c.j < self.s && c.cg < self.c && c.kt < self.grid.pk);
-        c.kt * self.grid.pm * self.grid.pn + c.cg * self.s * self.s + c.i + c.j * self.s
-    }
-
-    /// Index of this rank's row block in the global `pm`-way m-partition.
-    pub fn row_part(&self, c: &RankCoord) -> usize {
-        if self.a_replicated {
-            c.i // pm == s
-        } else {
-            c.cg * self.s + c.i
-        }
-    }
-
-    /// Index of this rank's column block in the global `pn`-way n-partition.
-    pub fn col_part(&self, c: &RankCoord) -> usize {
-        if self.a_replicated {
-            c.cg * self.s + c.j
-        } else {
-            c.j // pn == s
-        }
-    }
-
-    /// Row range `[start, end)` of m-part `idx`.
-    pub fn m_range(&self, idx: usize) -> (usize, usize) {
-        even_range(self.prob.m, self.grid.pm, idx)
-    }
-
-    /// Column range of n-part `idx`.
-    pub fn n_range(&self, idx: usize) -> (usize, usize) {
-        even_range(self.prob.n, self.grid.pn, idx)
+    /// Grid position of a coordinate (inverse of [`GridContext::coord_at`]).
+    fn at(&self, c: &RankCoord) -> Coord {
+        debug_assert!(c.i < self.s && c.j < self.s && c.cg < self.c);
+        self.geo.tile_coord(c.cg, (c.i, c.j), c.kt)
     }
 
     /// The k-range `[start, end)` of k-task group `kt` (the rank-`k/pk`
     /// update it owns).
     pub fn k_outer(&self, kt: usize) -> (usize, usize) {
-        even_range(self.prob.k, self.grid.pk, kt)
-    }
-
-    /// The `l`-th of the `s` k-sub-ranges Cannon circulates within k-task
-    /// group `kt`, in global k coordinates.
-    pub fn k_inner(&self, kt: usize, l: usize) -> (usize, usize) {
-        let (ks, ke) = self.k_outer(kt);
-        let (a, b) = even_range(ke - ks, self.s, l);
-        (ks + a, ks + b)
+        let blk = self.geo.a_block(0, kt);
+        (blk.col0, blk.col_end())
     }
 
     /// Global rectangle of the (skew-free) Cannon block of `A` at a
-    /// coordinate: row part × k-sub-range `j`.
+    /// coordinate: its row part × the `j`-th of the `s` k-sub-ranges Cannon
+    /// circulates within the k-task group.
     pub fn a_block(&self, c: &RankCoord) -> Rect {
-        let (r0, r1) = self.m_range(self.row_part(c));
-        let (k0, k1) = self.k_inner(c.kt, c.j);
-        Rect::new(r0, k0, r1 - r0, k1 - k0)
+        let (i, _, kt) = self.at(c);
+        self.geo.a_block(i, kt).col_part(self.s, c.j)
     }
 
     /// Global rectangle of the (skew-free) Cannon block of `B`:
     /// k-sub-range `i` × column part.
     pub fn b_block(&self, c: &RankCoord) -> Rect {
-        let (k0, k1) = self.k_inner(c.kt, c.i);
-        let (c0, c1) = self.n_range(self.col_part(c));
-        Rect::new(k0, c0, k1 - k0, c1 - c0)
+        let (_, j, kt) = self.at(c);
+        self.geo.b_block(j, kt).row_part(self.s, c.i)
     }
 
     /// Global rectangle of this rank's C block (the partial result its
     /// Cannon run produces).
     pub fn c_block(&self, c: &RankCoord) -> Rect {
-        let (r0, r1) = self.m_range(self.row_part(c));
-        let (c0, c1) = self.n_range(self.col_part(c));
-        Rect::new(r0, c0, r1 - r0, c1 - c0)
+        let (i, j, _) = self.at(c);
+        self.geo.c_block(i, j)
     }
 
     /// The initially stored slice of the A block: when `A` is replicated
-    /// (`pn > pm`, `c > 1`) each of the `c` peer ranks holds a distinct
-    /// `1/c` column-slice, completed by allgather (step 5); otherwise the
-    /// full block.
+    /// (`pn > pm`) each of the `c` peer ranks holds a distinct `1/c`
+    /// column-slice, completed by allgather (step 5); otherwise the full
+    /// block.
     pub fn a_init(&self, c: &RankCoord) -> Rect {
         let blk = self.a_block(c);
-        if self.a_replicated && self.c > 1 {
-            let (o0, o1) = even_range(blk.cols, self.c, c.cg);
-            Rect::new(blk.row0, blk.col0 + o0, blk.rows, o1 - o0)
+        if self.a_replicated {
+            blk.col_part(self.c, c.cg)
         } else {
             blk
         }
     }
 
     /// The initially stored slice of the B block (symmetric to
-    /// [`GridContext::a_init`]).
+    /// [`GridContext::a_init`]; with `c = 1` the one slice is the block).
     pub fn b_init(&self, c: &RankCoord) -> Rect {
         let blk = self.b_block(c);
-        if !self.a_replicated && self.c > 1 {
-            let (o0, o1) = even_range(blk.cols, self.c, c.cg);
-            Rect::new(blk.row0, blk.col0 + o0, blk.rows, o1 - o0)
-        } else {
+        if self.a_replicated {
             blk
+        } else {
+            blk.col_part(self.c, c.cg)
         }
+    }
+
+    /// The initial `[A, B]` placement of a grid position.
+    pub fn native(&self, at: Coord) -> [Option<Rect>; 2] {
+        let c = self.coord_at(at);
+        [Some(self.a_init(&c)), Some(self.b_init(&c))]
     }
 
     /// The final C strip this rank owns after the reduce-scatter (step 7):
     /// row-strip `kt` of its C block.
     pub fn c_final(&self, c: &RankCoord) -> Rect {
-        let blk = self.c_block(c);
-        let (o0, o1) = even_range(blk.rows, self.grid.pk, c.kt);
-        Rect::new(blk.row0 + o0, blk.col0, o1 - o0, blk.cols)
+        self.geo.c_strip(self.at(c))
     }
 
     /// World ranks holding slices of the same replicated block as `c` (the
     /// allgather group of step 5): same `(i, j, kt)`, all Cannon groups.
     pub fn replication_group(&self, c: &RankCoord) -> Vec<usize> {
-        (0..self.c)
-            .map(|cg| self.rank_of(RankCoord { cg, ..*c }))
-            .collect()
+        self.geo.members(Family::Peers, self.at(c))
     }
 
     /// World ranks holding partial results of the same C block (the
     /// reduce-scatter group of step 7): same `(i, j, cg)`, all k-task
     /// groups.
     pub fn reduce_group(&self, c: &RankCoord) -> Vec<usize> {
-        (0..self.grid.pk)
-            .map(|kt| self.rank_of(RankCoord { kt, ..*c }))
-            .collect()
+        self.geo.members(Family::Depth, self.at(c))
     }
 
     /// World ranks of a Cannon group, in `idx = i + j·s` order.
     pub fn cannon_group(&self, kt: usize, cg: usize) -> Vec<usize> {
-        (0..self.s * self.s)
-            .map(|idx| {
-                self.rank_of(RankCoord {
-                    i: idx % self.s,
-                    j: idx / self.s,
-                    cg,
-                    kt,
-                })
-            })
-            .collect()
+        let corner = self.geo.tile_coord(cg, (0, 0), kt);
+        self.geo.members(Family::Tile, corner)
     }
 
     /// Native input layout of `op(A)` (`m × k`) over all `P` world ranks
     /// (idle ranks own nothing). This is the distribution Algorithm 1
     /// step 4 redistributes into.
     pub fn layout_a(&self) -> Layout {
-        Layout::one_rect_per_rank(self.prob.m, self.prob.k, self.prob.p, |r| {
-            self.is_active(r).then(|| self.a_init(&self.coord_of(r)))
-        })
+        self.geo.layout_a(|at| self.native(at))
     }
 
     /// Native input layout of `op(B)` (`k × n`).
     pub fn layout_b(&self) -> Layout {
-        Layout::one_rect_per_rank(self.prob.k, self.prob.n, self.prob.p, |r| {
-            self.is_active(r).then(|| self.b_init(&self.coord_of(r)))
-        })
+        self.geo.layout_b(|at| self.native(at))
     }
 
     /// Native output layout of `C` (`m × n`) — the distribution step 8
     /// redistributes out of.
     pub fn layout_c(&self) -> Layout {
-        Layout::one_rect_per_rank(self.prob.m, self.prob.n, self.prob.p, |r| {
-            self.is_active(r).then(|| self.c_final(&self.coord_of(r)))
-        })
+        self.geo.layout_c()
     }
 }
 
@@ -281,8 +226,9 @@ mod tests {
     #[test]
     fn coord_rank_round_trip() {
         let g = ctx(64, 64, 64, 24, 4, 2, 3);
-        for r in 0..g.active() {
-            assert_eq!(g.rank_of(g.coord_of(r)), r);
+        for r in 0..g.grid().active() {
+            let c = g.coord_of(r);
+            assert_eq!(g.cannon_group(c.kt, c.cg)[c.i + c.j * g.s], r);
         }
     }
 
@@ -387,7 +333,7 @@ mod tests {
         // m × kb with multiplicity c when A is replicated, 1 otherwise.
         let g = ctx(33, 65, 17, 8, 2, 4, 1);
         let mut count = vec![0u32; 33 * 17];
-        for r in 0..g.active() {
+        for r in 0..g.grid().active() {
             let coord = g.coord_of(r);
             let blk = g.a_block(&coord);
             for i in blk.row0..blk.row_end() {
@@ -404,7 +350,7 @@ mod tests {
         // The c members of a replication group hold disjoint slices whose
         // union is the block.
         let g = ctx(17, 13, 19, 24, 2, 6, 2);
-        for r in 0..g.active() {
+        for r in 0..g.grid().active() {
             let coord = g.coord_of(r);
             let blk = g.a_block(&coord);
             let group = g.replication_group(&coord);
@@ -415,21 +361,6 @@ mod tests {
             for s in &slices {
                 assert!(blk.contains(s) || s.is_empty());
             }
-        }
-    }
-
-    #[test]
-    fn k_inner_ranges_tile_k_outer() {
-        let g = ctx(10, 10, 47, 12, 2, 2, 3);
-        for kt in 0..3 {
-            let (ks, ke) = g.k_outer(kt);
-            let mut cur = ks;
-            for l in 0..g.s {
-                let (a, b) = g.k_inner(kt, l);
-                assert_eq!(a, cur);
-                cur = b;
-            }
-            assert_eq!(cur, ke);
         }
     }
 

@@ -15,7 +15,8 @@
 //! exactly the bytes a fresh [`Ca3dmm::multiply`] would (property-tested in
 //! this module).
 
-use crate::exec::{Ca3dmm, Ca3dmmOptions, MultiplyComms};
+use crate::exec::{Ca3dmm, Ca3dmmOptions};
+use crate::grid3d::GridComms;
 use dense::gemm::GemmOp;
 use dense::{Mat, Scalar};
 use gridopt::Problem;
@@ -288,7 +289,7 @@ impl Plan {
         &self,
         ctx: &RankCtx,
         world: &Comm,
-        comms: &MultiplyComms,
+        comms: &Option<GridComms>,
         a_blocks: &[Mat<T>],
         b_blocks: &[Mat<T>],
     ) -> Vec<Mat<T>> {

@@ -6,7 +6,7 @@
 //! the flat `counts` of the reduce-scatter. (The paper allows row or column
 //! partitioning here; the artifact's examples show either. We use rows.)
 
-use dense::part::{even_range, split_even};
+use dense::part::split_even;
 use dense::{Mat, Scalar};
 use msgpass::collectives::{reduce_scatter_mode, Collectives};
 use msgpass::{Comm, RankCtx};
@@ -33,15 +33,10 @@ pub fn reduce_partial_c<T: Scalar>(
     Mat::from_vec(strip_rows[group.rank()], cols, mine)
 }
 
-/// The row range (within the block) of the strip member `kt` keeps.
-pub fn strip_range(rows: usize, pk: usize, kt: usize) -> (usize, usize) {
-    even_range(rows, pk, kt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dense::part::Rect;
+    use dense::part::{even_range, Rect};
     use dense::random::global_block;
     use msgpass::World;
 
@@ -61,7 +56,7 @@ mod tests {
             want.add_assign(&global_block::<f64>(kt as u64, Rect::new(0, 0, rows, cols)));
         }
         for (kt, strip) in results.iter().enumerate() {
-            let (r0, r1) = strip_range(rows, pk, kt);
+            let (r0, r1) = even_range(rows, pk, kt);
             let expect = want.block(Rect::new(r0, 0, r1 - r0, cols));
             assert!(strip.max_abs_diff(&expect) < 1e-12, "strip {kt}");
         }
@@ -87,7 +82,7 @@ mod tests {
             want.add_assign(&global_block::<f64>(kt as u64, Rect::new(0, 0, rows, cols)));
         }
         for (kt, strip) in results.iter().enumerate() {
-            let (r0, r1) = strip_range(rows, pk, kt);
+            let (r0, r1) = even_range(rows, pk, kt);
             let expect = want.block(Rect::new(r0, 0, r1 - r0, cols));
             assert!(strip.max_abs_diff(&expect) < 1e-12, "strip {kt}");
         }

@@ -7,7 +7,7 @@
 //! keeps the pre-replication storage of the operand at one copy, 2D
 //! partitioned over all active ranks, with balanced memory (§III-B).
 
-use dense::part::{offsets, split_even};
+use dense::part::offsets;
 use dense::{Mat, Scalar};
 use msgpass::collectives::{allgatherv_mode, Collectives};
 use msgpass::{Comm, RankCtx};
@@ -53,16 +53,10 @@ pub fn replicate_block<T: Scalar>(
     Mat::from_vec(rows, total_cols, out)
 }
 
-/// The slice widths of a block of `cols` columns split across `c` peers —
-/// the same ⌈/⌋ split used everywhere else.
-pub fn slice_widths(cols: usize, c: usize) -> Vec<usize> {
-    split_even(cols, c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dense::part::Rect;
+    use dense::part::{split_even, Rect};
     use dense::random::global_block;
     use msgpass::World;
 
@@ -71,7 +65,7 @@ mod tests {
         let rows = 5;
         let cols = 11;
         let c = 3;
-        let widths = slice_widths(cols, c);
+        let widths = split_even(cols, c);
         let offs = offsets(&widths);
         let full = global_block::<f64>(9, Rect::new(0, 0, rows, cols));
         let results = World::run(c, |ctx| {
@@ -90,7 +84,7 @@ mod tests {
         let rows = 5;
         let cols = 11;
         let c = 4;
-        let widths = slice_widths(cols, c);
+        let widths = split_even(cols, c);
         let offs = offsets(&widths);
         let full = global_block::<f64>(9, Rect::new(0, 0, rows, cols));
         // Two nodes of two ranks each — the hierarchical path engages.
@@ -125,7 +119,7 @@ mod tests {
         let rows = 3;
         let cols = 2;
         let c = 4;
-        let widths = slice_widths(cols, c);
+        let widths = split_even(cols, c);
         let offs = offsets(&widths);
         let full = global_block::<f64>(5, Rect::new(0, 0, rows, cols));
         let results = World::run(c, |ctx| {
@@ -147,7 +141,7 @@ mod tests {
         let rows = 4;
         let cols = 8;
         let c = 4;
-        let widths = slice_widths(cols, c);
+        let widths = split_even(cols, c);
         let offs = offsets(&widths);
         let full = global_block::<f64>(5, Rect::new(0, 0, rows, cols));
         let (_, report) = World::run_traced(c, |ctx| {

@@ -37,7 +37,7 @@ fn run_cannon(
         let a = global_block::<f64>(1, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
         let b = global_block::<f64>(2, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
         let mut c = Mat::zeros(r1 - r0, c1 - c0);
-        cannon_multi_shift(ctx, &comm, s, i, j, a, b, &mut c, min_k, overlap);
+        cannon_multi_shift(ctx, &comm, s, (0, s), a, b, &mut c, min_k, overlap);
         c.into_vec()
     })
 }

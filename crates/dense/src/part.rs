@@ -86,6 +86,18 @@ impl Rect {
         Rect::new(self.col0, self.row0, self.cols, self.rows)
     }
 
+    /// Row part `i` of `p` (the ⌈rows/p⌉/⌊rows/p⌋ split of [`even_range`]),
+    /// all columns.
+    pub fn row_part(&self, p: usize, i: usize) -> Rect {
+        let (r0, r1) = even_range(self.rows, p, i);
+        Rect::new(self.row0 + r0, self.col0, r1 - r0, self.cols)
+    }
+
+    /// Column part `i` of `p`, all rows.
+    pub fn col_part(&self, p: usize, i: usize) -> Rect {
+        self.transposed().row_part(p, i).transposed()
+    }
+
     /// Translates the rectangle so that it is relative to `origin`
     /// (which must contain it): used to map a global region into the local
     /// buffer that stores `origin`.
@@ -214,6 +226,15 @@ mod tests {
         let r = Rect::new(1, 2, 3, 4);
         assert_eq!(r.transposed().transposed(), r);
         assert_eq!(r.transposed(), Rect::new(2, 1, 4, 3));
+    }
+
+    #[test]
+    fn rect_parts_follow_even_range() {
+        let r = Rect::new(10, 20, 7, 5);
+        assert_eq!(r.row_part(3, 0), Rect::new(10, 20, 3, 5));
+        assert_eq!(r.row_part(3, 2), Rect::new(15, 20, 2, 5));
+        assert_eq!(r.col_part(2, 1), Rect::new(10, 23, 7, 2));
+        assert_eq!(r.col_part(1, 0), r);
     }
 
     #[test]

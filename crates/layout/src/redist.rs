@@ -6,7 +6,7 @@
 //! exchange hands each peer a clone of it, and each receiver builds its
 //! destination blocks in one pass, reading straight from the senders'
 //! blocks (the redistribution counterpart of the Cannon pipeline's
-//! `ca3dmm::msg::SharedBlock`; MPI gets the same effect from derived
+//! `Arc<Mat<T>>` payload; MPI gets the same effect from derived
 //! datatypes over a single-copy intra-node transport).
 //!
 //! What is *charged* and what is *copied* differ on purpose. Each message

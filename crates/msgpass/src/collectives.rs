@@ -817,21 +817,6 @@ pub fn reduce_scatter_mode<T: ReduceElem>(
     }
 }
 
-/// [`bcast_large`] or [`bcast_large_hier`], by mode.
-pub fn bcast_large_mode<T: WireElem>(
-    mode: Collectives,
-    comm: &Comm,
-    ctx: &RankCtx,
-    root: usize,
-    mine: Option<Vec<T>>,
-    len: usize,
-) -> Vec<T> {
-    match mode {
-        Collectives::Flat => bcast_large(comm, ctx, root, mine, len),
-        Collectives::Hier => bcast_large_hier(comm, ctx, root, mine, len),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

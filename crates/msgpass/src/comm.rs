@@ -22,6 +22,26 @@ impl<T: WireElem> Payload for Vec<T> {
     }
 }
 
+/// A matrix block: only the element data counts. In MPI the shape would be
+/// encoded by the datatype/count arguments, which the paper's volume
+/// analysis (and therefore the traffic accounting) does not charge — so
+/// blocks of uneven shape carry it with them for free.
+impl<T: dense::Scalar> Payload for dense::Mat<T> {
+    fn nbytes(&self) -> usize {
+        self.len() * T::WIRE_BYTES
+    }
+}
+
+/// A shared value is charged as the value: sending clones a reference
+/// count (an `isend` can ship a block the local GEMM is still reading) and
+/// on this in-process runtime the receiver adopts the sender's allocation,
+/// while the traffic counters see the full element data.
+impl<P: Payload + Sync> Payload for Arc<P> {
+    fn nbytes(&self) -> usize {
+        (**self).nbytes()
+    }
+}
+
 macro_rules! scalar_payload {
     ($($t:ty),*) => {$(
         impl Payload for $t {
@@ -973,5 +993,13 @@ mod tests {
         assert_eq!(shapes.nbytes(), 8 << 40);
         assert_eq!(std::mem::size_of_val(shapes.as_slice()), 0);
         assert_eq!(Vec::<dense::Shape64>::new().nbytes(), 0);
+        // A matrix block charges its elements only, shared or not; a
+        // shape-only block charges the `f64` block it stands for.
+        assert_eq!(dense::Mat::<f64>::zeros(2, 3).nbytes(), 6 * 8);
+        assert_eq!(dense::Mat::<f32>::zeros(0, 5).nbytes(), 0);
+        assert_eq!(Arc::new(dense::Mat::<f32>::zeros(3, 5)).nbytes(), 60);
+        let shape = dense::Mat::<dense::Shape64>::zeros(300, 700);
+        assert_eq!(shape.nbytes(), 300 * 700 * 8);
+        assert_eq!(Arc::new(shape).nbytes(), 300 * 700 * 8);
     }
 }

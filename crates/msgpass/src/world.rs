@@ -355,12 +355,6 @@ impl RankCtx {
         self.ranks_per_node().map(|rpn| world_rank / rpn)
     }
 
-    /// This rank's virtual clock, seconds since run start. `None` in
-    /// wall-clock runs.
-    pub fn virtual_secs(&self) -> Option<f64> {
-        self.sim.as_ref().map(|_| self.clock.get())
-    }
-
     /// Charges `flops` floating-point operations of local compute to this
     /// rank's virtual clock (γ·flops). A no-op in wall-clock runs, where
     /// compute costs what it costs. Compute-heavy call sites (the dense

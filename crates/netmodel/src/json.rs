@@ -1,14 +1,8 @@
-//! JSON (de)serialization for the schedule IR, on `jsonlite`.
-//!
-//! Schedules are the exchange format between the analytic side and external
-//! tooling (dumped by benches, diffed against measured timelines), so they
-//! need a stable text form. The encoding matches what serde's externally
-//! tagged enum representation would produce — `{"Allgather": {"grp": …,
-//! "total_bytes": …}}` — so dumps stay readable by standard tools and the
-//! format survives a future switch to serde proper.
+//! JSON (de)serialization of [`Machine`] and [`Placement`], on `jsonlite`:
+//! the `sim` block of a virtual-time `RunReport` embeds the machine a
+//! simulation ran on.
 
 use crate::machine::{Machine, Placement};
-use crate::schedule::{NetGroup, Phase, Schedule};
 use jsonlite::Json;
 
 fn num(v: f64) -> Json {
@@ -55,43 +49,6 @@ fn get_usize(obj: &Json, key: &str) -> Result<usize, String> {
         return Err(format!("field `{key}` is not a non-negative integer: {v}"));
     }
     Ok(v as usize)
-}
-
-/// `msgs_per_round` of a shift phase; schedules serialized before the field
-/// existed price one message per round.
-fn get_msgs_per_round(obj: &Json) -> Result<usize, String> {
-    if obj.get("msgs_per_round").is_none() {
-        return Ok(1);
-    }
-    get_usize(obj, "msgs_per_round")
-}
-
-fn get_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing or non-boolean field `{key}`"))
-}
-
-impl NetGroup {
-    /// JSON object form.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("size", num(self.size as f64)),
-            ("stride", num(self.stride as f64)),
-            ("ranks_per_node", num(self.ranks_per_node as f64)),
-            ("scattered", Json::Bool(self.scattered)),
-        ])
-    }
-
-    /// Parses the object form produced by [`NetGroup::to_json`].
-    pub fn from_json(j: &Json) -> Result<NetGroup, String> {
-        Ok(NetGroup {
-            size: get_usize(j, "size")?,
-            stride: get_usize(j, "stride")?,
-            ranks_per_node: get_usize(j, "ranks_per_node")?,
-            scattered: get_bool(j, "scattered")?,
-        })
-    }
 }
 
 impl Placement {
@@ -166,308 +123,9 @@ impl Machine {
     }
 }
 
-impl Phase {
-    /// Externally tagged JSON form (`{"Variant": {fields…}}`).
-    pub fn to_json(&self) -> Json {
-        let (tag, body) = match self {
-            Phase::Allgather { grp, total_bytes } => (
-                "Allgather",
-                Json::obj([("grp", grp.to_json()), ("total_bytes", num(*total_bytes))]),
-            ),
-            Phase::Bcast { grp, bytes } => (
-                "Bcast",
-                Json::obj([("grp", grp.to_json()), ("bytes", num(*bytes))]),
-            ),
-            Phase::ReduceScatter {
-                grp,
-                total_bytes,
-                custom_impl,
-            } => (
-                "ReduceScatter",
-                Json::obj([
-                    ("grp", grp.to_json()),
-                    ("total_bytes", num(*total_bytes)),
-                    ("custom_impl", Json::Bool(*custom_impl)),
-                ]),
-            ),
-            Phase::Alltoallv {
-                grp,
-                send_bytes,
-                peers,
-            } => (
-                "Alltoallv",
-                Json::obj([
-                    ("grp", grp.to_json()),
-                    ("send_bytes", num(*send_bytes)),
-                    ("peers", num(*peers as f64)),
-                ]),
-            ),
-            Phase::ShiftRounds {
-                grp,
-                rounds,
-                bytes_per_round,
-                msgs_per_round,
-            } => (
-                "ShiftRounds",
-                Json::obj([
-                    ("grp", grp.to_json()),
-                    ("rounds", num(*rounds as f64)),
-                    ("bytes_per_round", num(*bytes_per_round)),
-                    ("msgs_per_round", num(*msgs_per_round as f64)),
-                ]),
-            ),
-            Phase::HierAllgather { grp, total_bytes } => (
-                "HierAllgather",
-                Json::obj([("grp", grp.to_json()), ("total_bytes", num(*total_bytes))]),
-            ),
-            Phase::HierReduceScatter { grp, total_bytes } => (
-                "HierReduceScatter",
-                Json::obj([("grp", grp.to_json()), ("total_bytes", num(*total_bytes))]),
-            ),
-            Phase::HierBcast { grp, bytes } => (
-                "HierBcast",
-                Json::obj([("grp", grp.to_json()), ("bytes", num(*bytes))]),
-            ),
-            Phase::LocalGemm { flops } => ("LocalGemm", Json::obj([("flops", num(*flops))])),
-            Phase::CannonOverlap {
-                grp,
-                rounds,
-                bytes_per_round,
-                msgs_per_round,
-                flops,
-            } => (
-                "CannonOverlap",
-                Json::obj([
-                    ("grp", grp.to_json()),
-                    ("rounds", num(*rounds as f64)),
-                    ("bytes_per_round", num(*bytes_per_round)),
-                    ("msgs_per_round", num(*msgs_per_round as f64)),
-                    ("flops", num(*flops)),
-                ]),
-            ),
-        };
-        Json::obj([(tag, body)])
-    }
-
-    /// Parses the form produced by [`Phase::to_json`].
-    pub fn from_json(j: &Json) -> Result<Phase, String> {
-        let obj = j.as_obj().ok_or("phase must be an object")?;
-        let (tag, body) = obj.iter().next().ok_or("phase object is empty")?;
-        if obj.len() != 1 {
-            return Err(format!("phase object has {} keys, expected 1", obj.len()));
-        }
-        let grp = || {
-            body.get("grp")
-                .ok_or("missing field `grp`".to_owned())
-                .and_then(NetGroup::from_json)
-        };
-        match tag.as_str() {
-            "Allgather" => Ok(Phase::Allgather {
-                grp: grp()?,
-                total_bytes: get_f64(body, "total_bytes")?,
-            }),
-            "Bcast" => Ok(Phase::Bcast {
-                grp: grp()?,
-                bytes: get_f64(body, "bytes")?,
-            }),
-            "ReduceScatter" => Ok(Phase::ReduceScatter {
-                grp: grp()?,
-                total_bytes: get_f64(body, "total_bytes")?,
-                custom_impl: get_bool(body, "custom_impl")?,
-            }),
-            "Alltoallv" => Ok(Phase::Alltoallv {
-                grp: grp()?,
-                send_bytes: get_f64(body, "send_bytes")?,
-                peers: get_usize(body, "peers")?,
-            }),
-            "ShiftRounds" => Ok(Phase::ShiftRounds {
-                grp: grp()?,
-                rounds: get_usize(body, "rounds")?,
-                bytes_per_round: get_f64(body, "bytes_per_round")?,
-                msgs_per_round: get_msgs_per_round(body)?,
-            }),
-            "HierAllgather" => Ok(Phase::HierAllgather {
-                grp: grp()?,
-                total_bytes: get_f64(body, "total_bytes")?,
-            }),
-            "HierReduceScatter" => Ok(Phase::HierReduceScatter {
-                grp: grp()?,
-                total_bytes: get_f64(body, "total_bytes")?,
-            }),
-            "HierBcast" => Ok(Phase::HierBcast {
-                grp: grp()?,
-                bytes: get_f64(body, "bytes")?,
-            }),
-            "LocalGemm" => Ok(Phase::LocalGemm {
-                flops: get_f64(body, "flops")?,
-            }),
-            "CannonOverlap" => Ok(Phase::CannonOverlap {
-                grp: grp()?,
-                rounds: get_usize(body, "rounds")?,
-                bytes_per_round: get_f64(body, "bytes_per_round")?,
-                msgs_per_round: get_msgs_per_round(body)?,
-                flops: get_f64(body, "flops")?,
-            }),
-            other => Err(format!("unknown phase variant `{other}`")),
-        }
-    }
-}
-
-impl Schedule {
-    /// JSON form: `{"items": [[label, phase], …]}`.
-    pub fn to_json(&self) -> Json {
-        let items = self
-            .items
-            .iter()
-            .map(|(label, phase)| Json::Arr(vec![Json::Str(label.clone()), phase.to_json()]))
-            .collect();
-        Json::obj([("items", Json::Arr(items))])
-    }
-
-    /// Compact JSON text.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string()
-    }
-
-    /// Parses the form produced by [`Schedule::to_json`].
-    pub fn from_json(j: &Json) -> Result<Schedule, String> {
-        let items = j
-            .get("items")
-            .and_then(Json::as_arr)
-            .ok_or("missing `items` array")?;
-        let mut out = Schedule::new();
-        for (i, item) in items.iter().enumerate() {
-            let pair = item
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| format!("item {i} is not a [label, phase] pair"))?;
-            let label = pair[0]
-                .as_str()
-                .ok_or_else(|| format!("item {i} label is not a string"))?;
-            let phase = Phase::from_json(&pair[1]).map_err(|e| format!("item {i}: {e}"))?;
-            out.push(label, phase);
-        }
-        Ok(out)
-    }
-
-    /// Parses JSON text produced by [`Schedule::to_json_string`].
-    pub fn from_json_str(text: &str) -> Result<Schedule, String> {
-        let j = Json::parse(text).map_err(|e| e.to_string())?;
-        Schedule::from_json(&j)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Schedule {
-        let mut s = Schedule::new();
-        s.push(
-            "replicate_ab",
-            Phase::Allgather {
-                grp: NetGroup::strided(6, 4, 24),
-                total_bytes: 1.5e6,
-            },
-        );
-        s.push(
-            "replicate_ab",
-            Phase::Bcast {
-                grp: NetGroup::contiguous(3, 24),
-                bytes: 2048.0,
-            },
-        );
-        s.push(
-            "redist",
-            Phase::Alltoallv {
-                grp: NetGroup::scattered(12, 24),
-                send_bytes: 4096.0,
-                peers: 11,
-            },
-        );
-        s.push(
-            "cannon",
-            Phase::CannonOverlap {
-                grp: NetGroup::contiguous(4, 24),
-                rounds: 3,
-                bytes_per_round: 512.0,
-                msgs_per_round: 2,
-                flops: 1e9,
-            },
-        );
-        s.push(
-            "reduce_c",
-            Phase::ReduceScatter {
-                grp: NetGroup::flat(5),
-                total_bytes: 9.5e5,
-                custom_impl: true,
-            },
-        );
-        s.push("local_gemm", Phase::LocalGemm { flops: 2e9 });
-        s.push(
-            "replicate_ab",
-            Phase::HierAllgather {
-                grp: NetGroup::contiguous(8, 4),
-                total_bytes: 3.2e4,
-            },
-        );
-        s.push(
-            "reduce_c",
-            Phase::HierReduceScatter {
-                grp: NetGroup::strided(24, 128, 384),
-                total_bytes: 589_824.0,
-            },
-        );
-        s.push(
-            "replicate_ab",
-            Phase::HierBcast {
-                grp: NetGroup::contiguous(6, 3),
-                bytes: 1024.0,
-            },
-        );
-        s.push(
-            "cannon",
-            Phase::ShiftRounds {
-                grp: NetGroup::contiguous(4, 1),
-                rounds: 2,
-                bytes_per_round: 64.0,
-                msgs_per_round: 1,
-            },
-        );
-        s
-    }
-
-    #[test]
-    fn msgs_per_round_defaults_to_one_for_old_artifacts() {
-        // A ShiftRounds phase serialized before `msgs_per_round` existed.
-        let text = r#"{"items": [["cannon", {"ShiftRounds": {
-            "grp": {"size": 4, "stride": 1, "ranks_per_node": 1, "scattered": false},
-            "rounds": 3, "bytes_per_round": 64.0}}]]}"#;
-        let s = Schedule::from_json_str(text).expect("parse legacy schedule");
-        match &s.items[0].1 {
-            Phase::ShiftRounds { msgs_per_round, .. } => assert_eq!(*msgs_per_round, 1),
-            other => panic!("parsed wrong variant: {other:?}"),
-        }
-        assert!((s.message_count() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn round_trip_preserves_schedule() {
-        let s = sample();
-        let text = s.to_json_string();
-        let back = Schedule::from_json_str(&text).expect("parse back");
-        assert_eq!(back.items, s.items);
-    }
-
-    #[test]
-    fn encoding_is_externally_tagged() {
-        let s = sample();
-        let j = s.to_json();
-        let first = &j.get("items").unwrap().as_arr().unwrap()[0];
-        let pair = first.as_arr().unwrap();
-        assert_eq!(pair[0].as_str(), Some("replicate_ab"));
-        assert!(pair[1].get("Allgather").is_some());
-    }
 
     #[test]
     fn machine_round_trips_through_json() {
@@ -504,17 +162,5 @@ mod tests {
         let text = p.to_json().to_string();
         let back = Placement::from_json(&jsonlite::Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
-    }
-
-    #[test]
-    fn errors_are_reported() {
-        assert!(Schedule::from_json_str("{}").is_err());
-        assert!(Schedule::from_json_str(r#"{"items":[["x",{"Nope":{}}]]}"#).is_err());
-        assert!(
-            Schedule::from_json_str(r#"{"items":[["x",{"LocalGemm":{}}]]}"#)
-                .unwrap_err()
-                .contains("flops")
-        );
-        assert!(Schedule::from_json_str("not json").is_err());
     }
 }

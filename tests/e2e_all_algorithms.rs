@@ -2,7 +2,7 @@
 //! workspace through one harness — the paper's problem classes plus each
 //! algorithm's awkward cases (forced grids, idle ranks, `p = 1`, uneven
 //! `k`) versus the serial reference — and the pinned per-rank traffic of
-//! the five plain-grid algorithms.
+//! all six.
 
 use baselines::{C25d, Ca3dmmSumma, CosmaLike, Orig3d, SummaPgemm};
 use ca3dmm::{Ca3dmm, Ca3dmmOptions};
@@ -51,8 +51,8 @@ where
 }
 
 /// Hands a harness ([`run_native`], [`run_pipeline`]) an algorithm's own
-/// layouts and native multiply: the five plain-grid algorithms share these
-/// method names, not a trait.
+/// layouts and native multiply: the five baselines share these method
+/// names, not a trait.
 macro_rules! native {
     ($harness:ident, $name:expr, $prob:expr, $alg:expr) => {{
         let alg = $alg;
@@ -90,9 +90,13 @@ fn c25d((m, n, k, p, sc): Case<(usize, usize)>) -> Run {
     native!(run_native, "c25d", prob, C25d::new(prob, sc))
 }
 
-fn ca3dmm(m: usize, n: usize, k: usize, p: usize) -> Run {
+fn ca3dmm((m, n, k, p, grid_override): Case<Grid>) -> Run {
     let prob = Problem::new(m, n, k, p);
-    let alg = Ca3dmm::new(prob, &Ca3dmmOptions::default());
+    let opts = Ca3dmmOptions {
+        grid_override,
+        ..Default::default()
+    };
+    let alg = Ca3dmm::new(prob, &opts);
     let gc = alg.grid_context();
     let layouts = [gc.layout_a(), gc.layout_b(), gc.layout_c()];
     run_native("ca3dmm", prob, layouts, |ctx, w, a, b| {
@@ -113,7 +117,7 @@ const SHAPES: &[(usize, usize, usize)] = &[
 fn ca3dmm_native_all_shapes_all_p() {
     for &(m, n, k) in SHAPES {
         for p in [1usize, 4, 7, 12, 16] {
-            ca3dmm(m, n, k, p);
+            ca3dmm((m, n, k, p, None));
         }
     }
 }
@@ -217,7 +221,7 @@ fn ca3dmm_s_all_shapes() {
 #[test]
 fn algorithms_agree() {
     let (m, n, k, p) = (24, 28, 32, 8);
-    ca3dmm(m, n, k, p);
+    ca3dmm((m, n, k, p, None));
     ca3dmm_s((m, n, k, p, None));
     cosma((m, n, k, p, None));
     summa((m, n, k, p, None));
@@ -253,13 +257,44 @@ fn traffic_signature(report: &RunReport) -> String {
 /// A pinned row: label, the run, its [`traffic_signature`].
 type Pinned = (&'static str, fn() -> Run, &'static str);
 
-/// Per-rank, per-phase traffic of the five plain-grid algorithms on a
-/// default grid at `p = 12`, a forced non-square grid and a grid with idle
-/// ranks, recorded from the five separate implementations (commit d8cf79e)
-/// before they were re-expressed on `baselines::grid3d`.
+/// Per-rank, per-phase traffic of the six algorithms on a default grid at
+/// `p = 12`, forced grids and grids with idle ranks, recorded from the
+/// separate implementations before they were re-expressed on
+/// `ca3dmm::grid3d`: the five plain-grid algorithms at commit d8cf79e,
+/// CA3DMM on its own `GridContext` executor at commit ce5f68f.
 #[test]
-fn pinned_traffic_of_the_five_separate_implementations() {
-    let table: [Pinned; 15] = [
+fn pinned_traffic_of_the_six_separate_implementations() {
+    let table: [Pinned; 19] = [
+        (
+            "ca3dmm p=12",
+            || ca3dmm((26, 22, 30, 12, None)),
+            "cannon_shift: 1x960/2 1x1480/3 1x1400/3 1x1920/4 1x960/2 1x1480/3 1x1400/3 1x1920/4 \
+             1x960/2 1x1480/3 1x1400/3 1x1920/4; reduce_c: 4x704/2 8x792/2",
+        ),
+        (
+            "ca3dmm 2x4x1 (A replicated, c=2)",
+            || ca3dmm((13, 17, 19, 8, Some(Grid::new(2, 4, 1)))),
+            "cannon_shift: 1x960/2 1x1272/3 1x1112/3 1x1520/4 1x880/2 1x1200/3 1x1112/3 1x1520/4; \
+             replicate_ab: 1x280/1 1x240/1 1x280/1 1x240/1 1x280/1 1x240/1 1x224/1 1x192/1",
+        ),
+        (
+            "ca3dmm 6x2x2 p=25 (B replicated, c=3, band order differs from column-major)",
+            || ca3dmm((13, 17, 19, 25, Some(Grid::new(6, 2, 2)))),
+            "cannon_shift: 1x480/2 1x520/3 1x760/3 1x800/4 1x440/2 1x520/3 1x720/3 1x800/4 \
+             1x440/2 1x520/3 1x720/3 1x800/4 1x480/2 1x432/3 1x672/3 1x720/4 1x440/2 1x432/3 \
+             1x640/3 1x720/4 1x440/2 1x432/3 1x640/3 1x720/4 1x0/0; reduce_c: 2x72/1 2x64/1 \
+             2x72/1 2x64/1 2x72/1 2x64/1 1x144/1 1x72/1 1x128/1 1x64/1 2x72/1 2x64/1 2x72/1 \
+             2x64/1 1x0/0; replicate_ab: 2x240/2 2x200/2 6x240/2 2x200/2 1x240/2 1x192/2 1x200/2 \
+             1x160/2 1x240/2 1x192/2 1x240/2 1x192/2 1x240/2 1x192/2 1x200/2 1x160/2 1x0/0",
+        ),
+        (
+            "ca3dmm 2x2x4 (reduce only)",
+            || ca3dmm((13, 17, 19, 16, Some(Grid::new(2, 2, 4)))),
+            "cannon_shift: 1x384/2 1x384/3 1x432/3 1x560/4 1x384/2 1x384/3 1x432/3 1x560/4 \
+             1x384/2 1x384/3 1x432/3 1x560/4 1x256/2 1x336/3 1x368/3 1x448/4; reduce_c: 1x360/3 \
+             1x288/3 1x320/3 1x256/3 1x360/3 1x288/3 1x320/3 1x256/3 2x360/3 2x320/3 1x432/3 \
+             1x360/3 1x384/3 1x320/3",
+        ),
         (
             "summa p=12",
             || summa((26, 22, 30, 12, None)),

@@ -188,22 +188,3 @@ fn phase_times_are_recorded() {
     assert!(report.phase_secs_max("reduce_c") > 0.0);
     assert!(report.phases().contains(&"cannon_shift".to_owned()));
 }
-
-/// Schedules serialize (the bench harness dumps them as JSON artifacts).
-#[test]
-fn schedules_serde_round_trip() {
-    let prob = Problem::new(1000, 1000, 1000, 64);
-    let grid = Grid::new(4, 4, 4);
-    let cfg = ModelConfig {
-        placement: Machine::uniform().pure_mpi(),
-        elem_bytes: 8.0,
-        overlap: true,
-        include_redist: true,
-        collectives: ca3dmm::Collectives::Flat,
-    };
-    let sched = ca3dmm_schedule(&prob, &grid, &cfg);
-    let json = sched.to_json_string();
-    let back = netmodel::Schedule::from_json_str(&json).expect("deserialize");
-    assert_eq!(back.items.len(), sched.items.len());
-    assert!((back.sent_bytes() - sched.sent_bytes()).abs() < 1e-9);
-}
