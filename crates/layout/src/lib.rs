@@ -11,8 +11,8 @@
 //!
 //! A [`Layout`] assigns every element of a global matrix to exactly one rank
 //! as a list of rectangles per rank; [`redistribute`] moves data between any
-//! two layouts over the same communicator by rectangle intersection +
-//! pairwise all-to-all, optionally applying a transpose on the way (this is
+//! two layouts over the same communicator by rectangle intersection + a
+//! neighbour all-to-all, optionally applying a transpose on the way (this is
 //! how CA3DMM "utilizes the redistribution steps of A and B for computing
 //! `C = op(A) × op(B)`").
 

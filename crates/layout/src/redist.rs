@@ -2,22 +2,34 @@
 //!
 //! The paper's subroutine is pack → `MPI_Neighbor_alltoallv` → unpack
 //! (§III-F). On this in-process runtime the same exchange runs as **share +
-//! gather**: every rank wraps its source blocks in one `Arc`, the pairwise
-//! exchange hands each peer a clone of it, and each receiver builds its
+//! gather**: every rank wraps its source blocks in one `Arc`, sends a clone
+//! of it to each peer that reads from them, and each receiver builds its
 //! destination blocks in one pass, reading straight from the senders'
 //! blocks (the redistribution counterpart of the Cannon pipeline's
 //! `Arc<Mat<T>>` payload; MPI gets the same effect from derived
 //! datatypes over a single-copy intra-node transport).
 //!
+//! The exchange is a neighbour exchange, as in the paper: a message
+//! `s → d` exists iff some rectangle of `d` in the destination layout
+//! intersects one of `s` in the source layout, the piece a rank reads from
+//! its own blocks never becomes a message, and a peer that reads nothing
+//! gets nothing (not an empty message). Every rank posts all of its sends
+//! before its first receive. That is safe because sends are eager — the
+//! mailbox (`msgpass::chan`) is unbounded and a send never waits for its
+//! receiver — and it cannot hang because the two neighbour lists of a
+//! [`RankRedistPlan`] come from the same rectangle intersections: `q` is
+//! among `r`'s readers exactly when `r` is among `q`'s sources. Posting
+//! first also lets a caller put several exchanges in one epoch
+//! ([`multiply_planned`] posts `A` and `B` before completing either).
+//!
 //! What is *charged* and what is *copied* differ on purpose. Each message
 //! is charged the bytes of the pieces its receiver reads from it (Σ piece
 //! areas × `T::WIRE_BYTES` — exactly the packed buffer of the paper's
-//! subroutine, zero-byte messages to peers that read nothing included), so
-//! traffic counters, histograms and virtual-time charges are those of
-//! pack/alltoallv/unpack. Each element is copied once, by its receiver,
-//! into an output that is appended to rather than zero-filled; no staging
-//! buffer exists, and the source blocks are freed when their last reader
-//! drops them.
+//! subroutine), so traffic counters, histograms and virtual-time charges
+//! are those of pack/neighbor_alltoallv/unpack. Each element is copied
+//! once, by its receiver, into an output that is appended to rather than
+//! zero-filled; no staging buffer exists, and the source blocks are freed
+//! when their last reader drops them.
 //!
 //! Two entry points share this one engine: [`redistribute`] computes the
 //! rectangle intersections on the fly (one-shot calls), while a
@@ -30,28 +42,28 @@ use crate::dist::Layout;
 use dense::gemm::GemmOp;
 use dense::part::Rect;
 use dense::{Mat, Scalar};
-use msgpass::collectives::alltoallv;
+use msgpass::collectives::{neighbor_alltoallv_post, PostedExchange};
 use msgpass::{Comm, Payload, RankCtx};
 use std::sync::Arc;
 
-/// The overlap of one destination rectangle with one source rectangle of
-/// rank `peer` (its `si`-th), in destination coordinates.
+/// The overlap of one destination rectangle with one source rectangle (the
+/// `si`-th of the `from`-th source rank), in destination coordinates.
 struct Piece {
-    peer: usize,
+    from: usize,
     si: usize,
     src_rect: Rect,
     inter_dst: Rect,
 }
 
 /// One contiguous run of a destination row, `len` elements long, read from
-/// block `si` of rank `peer`. `(i0, j0)` is the source-block position of
-/// the run's first element in the first row of its [`Band`]; every further
-/// band row moves one source row down (`NoTrans`, the run lies along a
-/// source row) or one source column right (`Trans`, the run lies down a
-/// source column).
+/// block `si` of the rank at position `from` of [`RankRedistPlan::sources`].
+/// `(i0, j0)` is the source-block position of the run's first element in
+/// the first row of its [`Band`]; every further band row moves one source
+/// row down (`NoTrans`, the run lies along a source row) or one source
+/// column right (`Trans`, the run lies down a source column).
 #[derive(Clone, Debug)]
 struct Segment {
-    peer: usize,
+    from: usize,
     si: usize,
     i0: usize,
     j0: usize,
@@ -74,17 +86,24 @@ struct DstBlock {
 }
 
 /// One rank's precomputed redistribution program for a fixed
-/// `(src, dst, op)` triple: how many elements every peer reads from this
-/// rank's blocks (what its message to that peer is charged), and the order
-/// in which this rank gathers each of its destination blocks out of the
-/// peers' source blocks.
+/// `(src, dst, op)` triple: its two neighbour lists — who reads from this
+/// rank's blocks and how much (what each message is charged), and whose
+/// blocks this rank reads — and the order in which it gathers each of its
+/// destination blocks out of those.
 #[derive(Clone, Debug)]
 pub struct RankRedistPlan {
     op: GemmOp,
+    /// Ranks the layouts span (for validating the communicator).
+    nranks: usize,
     /// This rank's source rectangles (for validating the caller's blocks).
     src_rects: Vec<Rect>,
-    /// Per peer: elements of this rank's blocks that peer reads.
-    send_elems: Vec<usize>,
+    /// `(peer, elems)` for every rank, this one included, that reads a
+    /// non-empty piece of this rank's blocks, starting with the next rank
+    /// up so the ranks do not all address rank 0 first.
+    readers: Vec<(usize, usize)>,
+    /// The ranks, this one included, whose blocks this rank's destination
+    /// blocks read from, ascending.
+    sources: Vec<usize>,
     /// This rank's destination blocks and their fill order.
     dst_blocks: Vec<DstBlock>,
 }
@@ -110,9 +129,11 @@ impl RankRedistPlan {
             "dst layout shape must equal op(src) shape"
         );
         assert!(me < p, "rank {me} outside the {p}-rank layouts");
-        let send_elems = (0..p)
-            .map(|peer| {
-                dst.owned(peer)
+        let readers = (1..=p)
+            .map(|off| (me + off) % p)
+            .filter_map(|peer| {
+                let elems: usize = dst
+                    .owned(peer)
                     .iter()
                     .flat_map(|dst_rect| {
                         src.owned(me)
@@ -120,44 +141,58 @@ impl RankRedistPlan {
                             .filter_map(|src_rect| intersect_in_dst(dst_rect, src_rect, op))
                     })
                     .map(|inter| inter.area())
-                    .sum()
+                    .sum();
+                (elems > 0).then_some((peer, elems))
             })
             .collect();
-        let dst_blocks = dst
-            .owned(me)
-            .iter()
-            .map(|dst_rect| {
-                let mut pieces = Vec::new();
-                for peer in 0..p {
-                    for (si, src_rect) in src.owned(peer).iter().enumerate() {
-                        if let Some(inter_dst) = intersect_in_dst(dst_rect, src_rect, op) {
-                            pieces.push(Piece {
-                                peer,
-                                si,
-                                src_rect: *src_rect,
-                                inter_dst,
-                            });
+        let dst_rects = dst.owned(me);
+        let mut sources = Vec::new();
+        let mut pieces: Vec<Vec<Piece>> = dst_rects.iter().map(|_| Vec::new()).collect();
+        for peer in 0..p {
+            for (si, src_rect) in src.owned(peer).iter().enumerate() {
+                for (dst_rect, pieces) in dst_rects.iter().zip(&mut pieces) {
+                    if let Some(inter_dst) = intersect_in_dst(dst_rect, src_rect, op) {
+                        if sources.last() != Some(&peer) {
+                            sources.push(peer);
                         }
+                        pieces.push(Piece {
+                            from: sources.len() - 1,
+                            si,
+                            src_rect: *src_rect,
+                            inter_dst,
+                        });
                     }
                 }
-                DstBlock {
-                    rect: *dst_rect,
-                    bands: fill_order(dst_rect, pieces, op),
-                }
+            }
+        }
+        let dst_blocks = dst_rects
+            .iter()
+            .zip(pieces)
+            .map(|(dst_rect, pieces)| DstBlock {
+                rect: *dst_rect,
+                bands: fill_order(dst_rect, pieces, op),
             })
             .collect();
         RankRedistPlan {
             op,
+            nranks: p,
             src_rects: src.owned(me).to_vec(),
-            send_elems,
+            readers,
+            sources,
             dst_blocks,
         }
     }
 
-    /// Total elements the peers (this rank included) read from this rank's
-    /// blocks: bytes charged to its messages / element size.
-    pub fn send_elems(&self) -> usize {
-        self.send_elems.iter().sum()
+    /// `(peer, elems)` for every rank, this one included, that reads a
+    /// non-empty piece of this rank's blocks. Every peer but this rank
+    /// itself is sent one message, charged `elems` elements.
+    pub fn readers(&self) -> &[(usize, usize)] {
+        &self.readers
+    }
+
+    /// The ranks, this one included, whose blocks this rank gathers from.
+    pub fn sources(&self) -> &[usize] {
+        &self.sources
     }
 }
 
@@ -199,7 +234,7 @@ fn fill_order(dst_rect: &Rect, mut pieces: Vec<Piece>, op: GemmOp) -> Vec<Band> 
                 GemmOp::Trans => (inter.col0 - p.src_rect.row0, top - p.src_rect.col0),
             };
             segs.push(Segment {
-                peer: p.peer,
+                from: p.from,
                 si: p.si,
                 i0,
                 j0,
@@ -244,20 +279,11 @@ impl RedistPlan {
     }
 }
 
-/// What a rank hands each peer: a handle on all of its source blocks,
-/// charged as the bytes of the pieces that peer reads from them.
+/// What a rank hands each reader: a handle on all of its source blocks,
+/// charged as the bytes of the pieces that reader gathers from them.
 struct SharedBlocks<T: Scalar> {
-    blocks: Option<Arc<Vec<Mat<T>>>>,
+    blocks: Arc<Vec<Mat<T>>>,
     nbytes: usize,
-}
-
-impl<T: Scalar> Default for SharedBlocks<T> {
-    fn default() -> Self {
-        SharedBlocks {
-            blocks: None,
-            nbytes: 0,
-        }
-    }
 }
 
 impl<T: Scalar> Payload for SharedBlocks<T> {
@@ -280,19 +306,21 @@ pub fn redistribute_planned<T: Scalar>(
     plan: &RankRedistPlan,
     src_blocks: &[Mat<T>],
 ) -> Vec<Mat<T>> {
-    share_and_gather(comm, ctx, plan, Arc::new(src_blocks.to_vec()))
+    let shared = share(comm, ctx, plan, src_blocks.to_vec());
+    gather_shared(shared, comm, ctx, plan)
 }
 
-/// The engine: shares `src_blocks` with every peer, then gathers this
-/// rank's destination blocks out of the blocks the peers shared.
-fn share_and_gather<T: Scalar>(
+/// First half of the engine: hands `src_blocks` to every rank that reads
+/// from them. Nothing is received yet, so a second exchange can be posted
+/// behind this one.
+fn share<T: Scalar>(
     comm: &Comm,
     ctx: &RankCtx,
     plan: &RankRedistPlan,
-    src_blocks: Arc<Vec<Mat<T>>>,
-) -> Vec<Mat<T>> {
+    src_blocks: Vec<Mat<T>>,
+) -> PostedExchange<SharedBlocks<T>> {
     assert_eq!(
-        plan.send_elems.len(),
+        plan.nranks,
         comm.size(),
         "plan rank count != communicator size"
     );
@@ -304,40 +332,46 @@ fn share_and_gather<T: Scalar>(
     for (b, r) in src_blocks.iter().zip(&plan.src_rects) {
         assert_eq!(b.shape(), (r.rows, r.cols), "local block shape mismatch");
     }
-
+    let src_blocks = Arc::new(src_blocks);
     let sends = plan
-        .send_elems
+        .readers
         .iter()
-        .map(|&elems| SharedBlocks {
-            blocks: Some(Arc::clone(&src_blocks)),
-            nbytes: elems * T::WIRE_BYTES,
+        .map(|&(peer, elems)| {
+            let handle = SharedBlocks {
+                blocks: Arc::clone(&src_blocks),
+                nbytes: elems * T::WIRE_BYTES,
+            };
+            (peer, handle)
         })
         .collect();
-    let recvs = alltoallv(comm, ctx, sends);
-    let shared: Vec<&[Mat<T>]> = recvs
-        .iter()
-        .map(|m| {
-            m.blocks
-                .as_ref()
-                .expect("every rank shares its blocks")
-                .as_slice()
-        })
-        .collect();
+    neighbor_alltoallv_post(comm, ctx, sends)
+}
+
+/// Second half: receives the blocks of this rank's sources and gathers its
+/// destination blocks out of them.
+fn gather_shared<T: Scalar>(
+    shared: PostedExchange<SharedBlocks<T>>,
+    comm: &Comm,
+    ctx: &RankCtx,
+    plan: &RankRedistPlan,
+) -> Vec<Mat<T>> {
+    let recvs = shared.complete(comm, ctx, &plan.sources);
+    let sources: Vec<&[Mat<T>]> = recvs.iter().map(|m| m.blocks.as_slice()).collect();
     plan.dst_blocks
         .iter()
-        .map(|block| gather(block, plan.op, &shared))
+        .map(|block| gather(block, plan.op, &sources))
         .collect()
 }
 
 /// Builds one destination block row by row, appending each row's segments
 /// left to right.
-fn gather<T: Scalar>(block: &DstBlock, op: GemmOp, shared: &[&[Mat<T>]]) -> Mat<T> {
+fn gather<T: Scalar>(block: &DstBlock, op: GemmOp, sources: &[&[Mat<T>]]) -> Mat<T> {
     let Rect { rows, cols, .. } = block.rect;
     let mut data = Vec::with_capacity(rows * cols);
     for band in &block.bands {
         for r in 0..band.rows {
             for seg in &band.segs {
-                let src = &shared[seg.peer][seg.si];
+                let src = &sources[seg.from][seg.si];
                 match op {
                     GemmOp::NoTrans => {
                         data.extend_from_slice(&src.row(seg.i0 + r)[seg.j0..seg.j0 + seg.len]);
@@ -394,30 +428,34 @@ pub fn redistribute<T: Scalar>(
 /// algorithm's native layouts (each rank owns at most one native block),
 /// hands them to `multiply_native`, and redistributes the native `C` block it
 /// returns — `None` on ranks that own none — into the caller's layout. The
-/// native `C` block is moved into that exchange and freed when its last
-/// reader is done with it; the borrowed `A` and `B` blocks are cloned.
+/// `A` and `B` exchanges share one epoch: both are posted before either is
+/// completed. All three operands are moved into their exchange and freed
+/// when their last reader is done with them.
 /// Collective over `world`; both redistribution steps are labelled `"redist"`.
 pub fn multiply_planned<T: Scalar>(
     world: &Comm,
     ctx: &RankCtx,
-    (redist_a, a_blocks): (&RankRedistPlan, &[Mat<T>]),
-    (redist_b, b_blocks): (&RankRedistPlan, &[Mat<T>]),
+    (redist_a, a_blocks): (&RankRedistPlan, Vec<Mat<T>>),
+    (redist_b, b_blocks): (&RankRedistPlan, Vec<Mat<T>>),
     redist_c: &RankRedistPlan,
     multiply_native: impl FnOnce(Option<Mat<T>>, Option<Mat<T>>) -> Option<Mat<T>>,
 ) -> Vec<Mat<T>> {
     ctx.set_phase("redist");
-    let a_local = redistribute_planned(world, ctx, redist_a, a_blocks);
-    let b_local = redistribute_planned(world, ctx, redist_b, b_blocks);
+    let a_shared = share(world, ctx, redist_a, a_blocks);
+    let b_shared = share(world, ctx, redist_b, b_blocks);
+    let a_local = gather_shared(a_shared, world, ctx, redist_a);
+    let b_local = gather_shared(b_shared, world, ctx, redist_b);
     let c_native = multiply_native(a_local.into_iter().next(), b_local.into_iter().next());
     ctx.set_phase("redist");
     let c_blocks: Vec<Mat<T>> = c_native.into_iter().filter(|m| !m.is_empty()).collect();
-    share_and_gather(world, ctx, redist_c, Arc::new(c_blocks))
+    let c_shared = share(world, ctx, redist_c, c_blocks);
+    gather_shared(c_shared, world, ctx, redist_c)
 }
 
 /// [`multiply_planned`] for one-shot callers: `a` and `b` are
 /// `(op, layout of the stored matrix, this rank's blocks)`, `native` the
 /// algorithm's `[A, B, C]` layouts; this rank's three redistribution
-/// programs are computed on the fly.
+/// programs are computed on the fly and the borrowed blocks cloned.
 ///
 /// # Panics
 /// On shape or rank-count mismatches between the layouts and `world`.
@@ -434,8 +472,14 @@ pub fn multiply_in_layouts<T: Scalar>(
     multiply_planned(
         world,
         ctx,
-        (&RankRedistPlan::new(a_layout, native_a, op_a, me), a_blocks),
-        (&RankRedistPlan::new(b_layout, native_b, op_b, me), b_blocks),
+        (
+            &RankRedistPlan::new(a_layout, native_a, op_a, me),
+            a_blocks.to_vec(),
+        ),
+        (
+            &RankRedistPlan::new(b_layout, native_b, op_b, me),
+            b_blocks.to_vec(),
+        ),
         &RankRedistPlan::new(native_c, c_layout, GemmOp::NoTrans, me),
         multiply_native,
     )

@@ -1,19 +1,25 @@
 //! The share + gather redistribution engine is observably the paper's
-//! pack → alltoallv → unpack: same results, same messages, same charged
-//! bytes. The traffic expectations here are computed from the layouts'
-//! rectangles alone (what a packed buffer would hold), and the literal
-//! values in `pinned_traffic_of_the_pack_based_engine` were recorded from
-//! the pack-based engine before it was deleted.
+//! pack → neighbor_alltoallv → unpack: same results, a message exactly
+//! where a packed buffer would be non-empty, same charged bytes. The
+//! traffic expectations here are computed from the layouts' rectangles
+//! alone (what a packed buffer would hold). The byte literals in
+//! `pinned_traffic_of_the_pack_based_engine` were recorded from the
+//! pack-based engine before it was deleted; its message counts included the
+//! empty messages of a dense exchange, which are no longer sent.
 
 use dense::gemm::GemmOp;
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::{Mat, Scalar, Shape64};
 use layout::{redistribute, redistribute_planned, Layout, RedistPlan};
-use msgpass::{Comm, RunReport, SizeHistogram, World};
+use msgpass::{Comm, RunReport, SimOptions, SizeHistogram, World};
+use netmodel::Machine;
 use proptest::prelude::*;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::Duration;
 
-const ALGO: &str = "pairwise_alltoallv";
+const ALGO: &str = "neighbor_alltoallv";
 
 /// `kind` picks the family, `a`/`b` its free parameters.
 fn make_layout(rows: usize, cols: usize, p: usize, (kind, a, b): (usize, usize, usize)) -> Layout {
@@ -62,24 +68,43 @@ fn assert_pack_traffic<T: Scalar>(report: &RunReport, src: &Layout, dst: &Layout
     let p = src.nranks();
     let t = &report.traffic;
     let mut hist = SizeHistogram::new();
+    let mut received = vec![0; p];
     for s in 0..p {
-        let mut sent = 0;
+        let (mut sent, mut msgs) = (0, 0);
         for d in (0..p).filter(|&d| d != s) {
             let bytes = packed_bytes::<T>(src, dst, op, s, d);
+            let exists = u64::from(bytes > 0);
             let cell = t.matrix.sent(s, d);
-            assert_eq!((cell.bytes, cell.msgs), (bytes, 1), "message {s} -> {d}");
-            hist.record(bytes);
+            assert_eq!(
+                (cell.bytes, cell.msgs),
+                (bytes, exists),
+                "message {s} -> {d}"
+            );
+            if bytes > 0 {
+                hist.record(bytes);
+            }
             sent += bytes;
+            msgs += exists;
+            received[d] += exists;
         }
         let counts = t.phase(s, "redist");
         assert_eq!(counts.bytes, sent, "rank {s} bytes");
-        assert_eq!(counts.msgs, p as u64 - 1, "rank {s} msgs");
-        assert_eq!(counts.recv_msgs, p as u64 - 1, "rank {s} received msgs");
+        assert_eq!(counts.msgs, msgs, "rank {s} msgs");
     }
-    if p > 1 {
+    for (d, &msgs) in received.iter().enumerate() {
+        assert_eq!(
+            t.phase(d, "redist").recv_msgs,
+            msgs,
+            "rank {d} received msgs"
+        );
+    }
+    if hist.is_empty() {
+        assert!(t.hist_by_algo.is_empty(), "nothing sent, nothing recorded");
+    } else {
         let labels: Vec<&String> = t.hist_by_algo.keys().collect();
         assert_eq!(labels, [ALGO], "algorithm label");
         assert_eq!(t.hist_by_algo[ALGO], hist, "size histogram");
+        assert_eq!(t.hist_by_algo[ALGO].count(0), 0, "a 0 B message was sent");
     }
 }
 
@@ -140,6 +165,68 @@ proptest! {
     }
 }
 
+/// Runs `f` on a thread of its own and fails if it is not done in five
+/// seconds: a rank that waits for a message nobody sends blocks forever.
+fn watchdog<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(done) => done,
+        Err(RecvTimeoutError::Timeout) => panic!("redistribution hung"),
+        Err(RecvTimeoutError::Disconnected) => panic!("redistribution panicked"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// What post-all-then-receive needs to terminate: `q` reads from `r`
+    /// in `r`'s program iff `r` is a source in `q`'s. Then the exchange
+    /// itself, wall and virtual time, under a watchdog.
+    #[test]
+    fn neighbour_lists_are_symmetric_and_live(
+        rows in 1usize..24,
+        cols in 1usize..24,
+        p in 1usize..7,
+        src_params in (0usize..6, 0usize..12, 0usize..12),
+        dst_params in (0usize..6, 0usize..12, 0usize..12),
+        trans in proptest::bool::ANY,
+    ) {
+        let op = if trans { GemmOp::Trans } else { GemmOp::NoTrans };
+        let (dr, dc) = op.apply_shape(rows, cols);
+        let src = make_layout(rows, cols, p, src_params);
+        let dst = make_layout(dr, dc, p, dst_params);
+        let plan = Arc::new(RedistPlan::new(&src, &dst, op));
+        for r in 0..p {
+            for q in 0..p {
+                let r_sends_to_q = plan.for_rank(r).readers().iter().any(|&(peer, _)| peer == q);
+                let q_hears_from_r = plan.for_rank(q).sources().contains(&r);
+                prop_assert_eq!(r_sends_to_q, q_hears_from_r, "{} -> {}", r, q);
+            }
+        }
+        let global = global_block::<f64>(5, Rect::full(rows, cols));
+        let expect = match op {
+            GemmOp::NoTrans => global.clone(),
+            GemmOp::Trans => global.transpose(),
+        };
+        let (wall, sim) = watchdog(move || {
+            let go = |ctx: &msgpass::RankCtx| {
+                let comm = Comm::world(ctx);
+                let mine = src.extract(&global, comm.rank());
+                redistribute_planned(&comm, ctx, plan.for_rank(comm.rank()), &mine)
+            };
+            let wall = World::run(p, go);
+            let (sim, _) = World::run_sim(p, &Machine::uniform(), SimOptions::default(), go);
+            (wall, sim)
+        });
+        for rank in 0..p {
+            let want = dst.extract(&expect, rank);
+            prop_assert_eq!(&wall[rank], &want, "rank {}, wall", rank);
+            prop_assert_eq!(&sim[rank], &want, "rank {}, virtual time", rank);
+        }
+    }
+}
+
 /// `(bytes, msgs, recv_bytes, recv_msgs)` of every rank in phase `redist`,
 /// and the `(bucket, count)` pairs of the exchange's size histogram.
 type Pinned = (Vec<(u64, u64, u64, u64)>, Vec<(usize, u64)>);
@@ -157,9 +244,10 @@ fn observed(src: &Layout, dst: &Layout, op: GemmOp) -> Pinned {
             (c.bytes, c.msgs, c.recv_bytes, c.recv_msgs)
         })
         .collect();
-    assert_eq!(t.hist_by_algo.len(), 1);
-    assert_eq!(t.hist_by_algo[ALGO], t.hist_by_phase["redist"]);
-    (per_rank, t.hist_by_algo[ALGO].nonzero())
+    assert_eq!(t.hist_by_algo.get(ALGO), t.hist_by_phase.get("redist"));
+    assert!(t.hist_by_algo.keys().all(|algo| algo == ALGO));
+    let hist = t.hist_by_algo.get(ALGO).map_or(Vec::new(), |h| h.nonzero());
+    (per_rank, hist)
 }
 
 #[test]
@@ -168,7 +256,7 @@ fn pinned_traffic_of_the_pack_based_engine() {
     let l = Layout::one_d_col(8, 8, 4);
     assert_eq!(
         observed(&l, &l, GemmOp::NoTrans),
-        (vec![(0, 3, 0, 3); 4], vec![(0, 12)])
+        (vec![(0, 0, 0, 0); 4], vec![])
     );
     // redist.rs `planned_path_is_bitwise_identical_to_direct`: column
     // blocks of X are row blocks of Xᵀ, so nothing leaves its rank
@@ -178,7 +266,7 @@ fn pinned_traffic_of_the_pack_based_engine() {
             &Layout::two_d_block(13, 11, 5, 1),
             GemmOp::Trans
         ),
-        (vec![(0, 4, 0, 4); 5], vec![(0, 20)])
+        (vec![(0, 0, 0, 0); 5], vec![])
     );
     // redist.rs `block_cyclic_to_block`
     assert_eq!(
@@ -206,14 +294,14 @@ fn pinned_traffic_of_the_pack_based_engine() {
         ),
         (
             vec![
-                (128, 5, 64, 5),
-                (96, 5, 96, 5),
-                (64, 5, 96, 5),
-                (64, 5, 64, 5),
-                (96, 5, 128, 5),
-                (64, 5, 64, 5)
+                (128, 2, 64, 2),
+                (96, 3, 96, 3),
+                (64, 2, 96, 2),
+                (64, 2, 64, 2),
+                (96, 3, 128, 3),
+                (64, 2, 64, 2)
             ],
-            vec![(0, 16), (6, 12), (7, 2)]
+            vec![(6, 12), (7, 2)]
         )
     );
 }

@@ -3,12 +3,12 @@
 //! The implementations follow the MPICH designs described by Thakur,
 //! Rabenseifner & Gropp (the paper's reference \[27\]): binomial-tree
 //! broadcast, ring allgather/allgatherv, ring reduce-scatter, Rabenseifner
-//! allreduce (reduce-scatter + allgather), pairwise-exchange alltoallv, and
-//! a dissemination barrier. Ring variants are used for the bandwidth-bound
-//! collectives because their *per-rank byte volume is exactly* the
-//! `β·n·(P−1)/P` term of the paper's §III-D cost table for any group size —
-//! which is what the model-vs-measured tests assert. (Latency terms in the
-//! analytic model use the butterfly formulas regardless.)
+//! allreduce (reduce-scatter + allgather), a post-all-then-receive sparse
+//! alltoallv, and a dissemination barrier. Ring variants are used for the
+//! bandwidth-bound collectives because their *per-rank byte volume is
+//! exactly* the `β·n·(P−1)/P` term of the paper's §III-D cost table for any
+//! group size — which is what the model-vs-measured tests assert. (Latency
+//! terms in the analytic model use the butterfly formulas regardless.)
 //!
 //! Every collective must be called by all members of the communicator in the
 //! same order, as in MPI.
@@ -313,30 +313,99 @@ pub fn allreduce<T: ReduceElem>(comm: &Comm, ctx: &RankCtx, data: Vec<T>) -> Vec
     allgatherv(comm, ctx, mine, &counts)
 }
 
-/// Pairwise-exchange all-to-all with per-destination payloads: `sends[j]`
-/// goes to communicator rank `j`; returns `recvs` where `recvs[i]` came from
-/// rank `i`. Empty payloads are exchanged too (zero-byte messages), exactly
-/// like `MPI_Alltoallv` with zero counts. `P` is any payload — `Vec<T>`
-/// buffers, or a shared handle charged as the bytes its receiver reads
-/// (`layout::redistribute`); `P::default()` only fills the slots a payload
-/// was moved out of.
-pub fn alltoallv<P: Payload + Default>(comm: &Comm, ctx: &RankCtx, mut sends: Vec<P>) -> Vec<P> {
-    let _span = ctx.collective_scope("pairwise_alltoallv", || {
-        sends.iter().map(|v| v.nbytes() as u64).sum()
+/// The send half of a [`neighbor_alltoallv`]: every message is out, nothing
+/// has been received. Posting several exchanges before completing the first
+/// puts them in one epoch — each has its own collective tag, so their
+/// messages cannot be confused, and a rank blocks once for all of them.
+#[must_use = "a posted exchange must be completed"]
+pub struct PostedExchange<P> {
+    tag: u64,
+    /// What this rank addressed to itself; it never becomes a message.
+    own: Option<P>,
+}
+
+/// Posts every send of a sparse exchange: `sends` lists each destination
+/// (communicator rank) at most once with its payload. Sends are eager — the
+/// receiver's mailbox is unbounded — so posting all of them before any
+/// receive cannot deadlock, whatever the pattern. Collective: every member
+/// calls it, with an empty list if it sends nothing.
+pub fn neighbor_alltoallv_post<P: Payload>(
+    comm: &Comm,
+    ctx: &RankCtx,
+    sends: Vec<(usize, P)>,
+) -> PostedExchange<P> {
+    let _span = ctx.collective_scope("neighbor_alltoallv", || {
+        sends.iter().map(|(_, v)| v.nbytes() as u64).sum()
     });
-    let g = comm.size();
-    let me = comm.rank();
-    assert_eq!(sends.len(), g, "need one send buffer per rank");
     let tag = comm.next_coll_tag();
-    let mut recvs: Vec<P> = (0..g).map(|_| P::default()).collect();
-    recvs[me] = std::mem::take(&mut sends[me]);
-    for off in 1..g {
-        let dst = (me + off) % g;
-        let src = (me + g - off) % g;
-        comm.send_internal(ctx, dst, tag, std::mem::take(&mut sends[dst]));
-        recvs[src] = comm.recv_internal(ctx, src, tag);
+    let me = comm.rank();
+    let mut own = None;
+    for (dst, payload) in sends {
+        if dst != me {
+            comm.send_internal(ctx, dst, tag, payload);
+        } else if own.replace(payload).is_some() {
+            panic!("rank {me} addressed itself twice in one exchange");
+        }
     }
-    recvs
+    PostedExchange { tag, own }
+}
+
+impl<P: Payload> PostedExchange<P> {
+    /// Receives from exactly `sources` (each at most once) and returns their
+    /// payloads in that order. `q` must be in `r`'s sources iff `r` listed
+    /// `q` as a destination: a missing sender blocks forever, an unexpected
+    /// message stays in the mailbox.
+    ///
+    /// # Panics
+    /// If this rank addressed itself but is not among its own sources, or
+    /// the other way round.
+    pub fn complete(mut self, comm: &Comm, ctx: &RankCtx, sources: &[usize]) -> Vec<P> {
+        let _span = ctx.collective_scope("neighbor_alltoallv", || 0);
+        let me = comm.rank();
+        let recvs = sources
+            .iter()
+            .map(|&src| {
+                if src == me {
+                    self.own.take().expect("own payload was not posted")
+                } else {
+                    comm.recv_internal(ctx, src, self.tag)
+                }
+            })
+            .collect();
+        assert!(self.own.is_none(), "own payload posted but not received");
+        recvs
+    }
+}
+
+/// Sparse all-to-all (`MPI_Neighbor_alltoallv`): sends each `(dst, payload)`
+/// of `sends`, then receives from each of `sources`, returning their
+/// payloads in the order of `sources`. A peer that is not named gets no
+/// message, not an empty one. `P` is any payload — `Vec<T>` buffers, or a
+/// shared handle charged as the bytes its receiver reads
+/// (`layout::redistribute`).
+pub fn neighbor_alltoallv<P: Payload>(
+    comm: &Comm,
+    ctx: &RankCtx,
+    sends: Vec<(usize, P)>,
+    sources: &[usize],
+) -> Vec<P> {
+    neighbor_alltoallv_post(comm, ctx, sends).complete(comm, ctx, sources)
+}
+
+/// All-to-all with per-destination payloads: `sends[j]` goes to communicator
+/// rank `j`; returns `recvs` where `recvs[i]` came from rank `i`. Empty
+/// payloads are exchanged too (zero-byte messages), exactly like
+/// `MPI_Alltoallv` with zero counts. This is [`neighbor_alltoallv`] with
+/// every peer named, so all `g − 1` sends go out before the first receive.
+pub fn alltoallv<P: Payload + Default>(comm: &Comm, ctx: &RankCtx, sends: Vec<P>) -> Vec<P> {
+    let g = comm.size();
+    assert_eq!(sends.len(), g, "need one send buffer per rank");
+    let mut sends: Vec<(usize, P)> = sends.into_iter().enumerate().collect();
+    // Start with the right-hand neighbour so the ranks do not all address
+    // rank 0 first.
+    sends.rotate_left((comm.rank() + 1) % g);
+    let everyone: Vec<usize> = (0..g).collect();
+    neighbor_alltoallv(comm, ctx, sends, &everyone)
 }
 
 /// Gather with per-rank sizes: every member sends `mine` to `root`, which

@@ -16,8 +16,8 @@
 //! * collectives built *algorithmically* on point-to-point, the way MPICH
 //!   builds them (Thakur, Rabenseifner & Gropp — the paper's reference
 //!   \[27\]): binomial-tree broadcast, recursive-doubling / ring allgather,
-//!   ring reduce-scatter, Rabenseifner allreduce, pairwise alltoallv,
-//!   dissemination barrier;
+//!   ring reduce-scatter, Rabenseifner allreduce, sparse (neighbour)
+//!   alltoallv, dissemination barrier;
 //! * [`traffic`]: every rank counts the bytes and messages it sends *and
 //!   receives*, per named phase, plus a rank×rank communication matrix,
 //!   log2 message-size histograms keyed by phase and by collective

@@ -205,7 +205,7 @@ impl Engine {
                     )
                 })
                 .collect();
-            let outs = plan.multiply_batch(ctx, &world, &items);
+            let outs = plan.multiply_batch(ctx, &world, items);
             outs.iter()
                 .map(|blocks| digest_blocks(blocks))
                 .collect::<Vec<_>>()
@@ -374,7 +374,7 @@ mod tests {
             let world = Comm::world(ctx);
             let a = seeded_blocks::<T>(plan.a_layout(), world.rank(), 3);
             let b = seeded_blocks::<T>(plan.b_layout(), world.rank(), 4);
-            plan.multiply_batch(ctx, &world, &[(a, b)]).remove(0)
+            plan.multiply_batch(ctx, &world, vec![(a, b)]).remove(0)
         });
         let c = plan.c_layout().assemble(&parts);
         assert_eq!(out.items[0], digest_of_global(&c, plan.c_layout()));

@@ -610,6 +610,41 @@ mod tests {
         sched.shutdown();
     }
 
+    /// Values are frozen: these two checksums were recorded at `ac778a4`,
+    /// before redistribution stopped sending empty messages, and no change
+    /// to how operands travel may move them.
+    #[test]
+    fn served_checksums_are_pinned() {
+        let sched = Scheduler::new(SchedulerConfig {
+            p: P,
+            slots: 1,
+            ..SchedulerConfig::default()
+        });
+        let pins = [
+            (
+                r#"{"cmd":"multiply","id":"sq","m":128,"n":128,"k":128,"seed_a":1,"seed_b":2}"#,
+                "43edfb4b46c80c65",
+            ),
+            (
+                r#"{"cmd":"multiply","id":"flat","m":96,"n":40,"k":1000,"dtype":"f32","seed_a":3,"seed_b":4,"layout_a":"row","layout_c":"cyclic:2x2:8x8"}"#,
+                "348853ae8e6d0558",
+            ),
+        ];
+        for (line, want) in pins {
+            let (sink, rx) = channel_sink();
+            sched.submit(parse_multiply(line, P), sink);
+            let resp = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("response timed out");
+            assert_eq!(
+                resp.get("checksum").and_then(Json::as_str),
+                Some(want),
+                "{resp:?}"
+            );
+        }
+        sched.shutdown();
+    }
+
     #[test]
     fn report_request_carries_inline_report() {
         let sched = Scheduler::new(SchedulerConfig {

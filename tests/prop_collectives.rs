@@ -8,9 +8,11 @@
 
 use dense::Shape64;
 use msgpass::collectives::{
-    allgatherv, allreduce, alltoallv, barrier, bcast_large, gatherv, reduce_scatter,
+    allgatherv, allreduce, alltoallv, barrier, bcast_large, gatherv, neighbor_alltoallv,
+    reduce_scatter,
 };
-use msgpass::{Comm, RunOptions, RunReport, World};
+use msgpass::{Comm, RankCtx, RunOptions, RunReport, SimOptions, World};
+use netmodel::Machine;
 use proptest::prelude::*;
 
 /// Phases `"values"` (an 8-byte element) and `"shape"` (`Shape64`) carried
@@ -110,6 +112,35 @@ proptest! {
             for (src, r) in recvs.iter().enumerate() {
                 prop_assert_eq!(r.len(), (me + w) % (w + 2));
                 prop_assert!(r.iter().all(|&v| v == (src * 1000 + me) as u64));
+            }
+        }
+    }
+
+    /// The sparse exchange delivers what the dense one delivers on the
+    /// same pattern (self edges included), under wall and virtual time.
+    #[test]
+    fn neighbor_alltoallv_is_alltoallv_on_the_pattern(
+        p in 1usize..8,
+        edges in proptest::collection::vec(proptest::bool::ANY, 49..50),
+        w in 0usize..5,
+    ) {
+        let edge = |s: usize, d: usize| edges[s * 7 + d];
+        let go = |ctx: &RankCtx| {
+            let comm = Comm::world(ctx);
+            let me = comm.rank();
+            let payload = |j: usize| vec![(me * 1000 + j) as u64; (j + w) % (w + 2)];
+            let dense = alltoallv(&comm, ctx, (0..p).map(payload).collect());
+            let sends = (0..p).filter(|&d| edge(me, d)).map(|d| (d, payload(d))).collect();
+            let sources: Vec<usize> = (0..p).filter(|&s| edge(s, me)).collect();
+            let sparse = neighbor_alltoallv(&comm, ctx, sends, &sources);
+            (dense, sources, sparse)
+        };
+        let wall = World::run(p, go);
+        let (sim, _) = World::run_sim(p, &Machine::uniform(), SimOptions::default(), go);
+        for (dense, sources, sparse) in wall.into_iter().chain(sim) {
+            prop_assert_eq!(sparse.len(), sources.len());
+            for (src, got) in sources.into_iter().zip(sparse) {
+                prop_assert_eq!(&got, &dense[src], "from rank {}", src);
             }
         }
     }

@@ -27,7 +27,7 @@ use dense::Mat;
 use gridopt::Problem;
 use jsonlite::Json;
 use layout::Layout;
-use msgpass::collectives::Collectives;
+use msgpass::collectives::{neighbor_alltoallv, Collectives};
 use msgpass::{Comm, RunReportDoc, SimOptions, World};
 use netmodel::{Machine, Placement};
 use proptest::prelude::*;
@@ -61,6 +61,43 @@ fn ping_pong_matches_closed_form() {
     // rank 0 blocks from `one_way` until the reply arrives at `2·one_way`.
     assert_eq!(report.traffic.wait_secs(1, "pp"), one_way);
     assert_eq!(report.traffic.wait_secs(0, "pp"), one_way);
+}
+
+/// A sparse exchange costs its neighbours, not the communicator: rank 0 of
+/// 6 addresses two peers and is charged two transfers, where an exchange
+/// that also sent empty messages would charge it at least `5·α`.
+#[test]
+fn neighbour_exchange_charges_one_latency_per_neighbour() {
+    const ELEMS: usize = 64;
+    let bytes = (ELEMS * std::mem::size_of::<f64>()) as f64;
+    let machine = Machine::uniform();
+    let one_way = machine.alpha_inter + machine.beta_inter(1.0) * bytes;
+
+    let (_, report) = World::run_sim(6, &machine, SimOptions::default(), |ctx| {
+        let comm = Comm::world(ctx);
+        ctx.set_phase("star");
+        let (sends, sources) = match comm.rank() {
+            0 => (
+                vec![(1, vec![1.0f64; ELEMS]), (2, vec![2.0; ELEMS])],
+                vec![],
+            ),
+            1 | 2 => (vec![], vec![0]),
+            _ => (vec![], vec![]),
+        };
+        neighbor_alltoallv(&comm, ctx, sends, &sources).len()
+    });
+
+    assert_eq!(report.traffic.phase(0, "star").msgs, 2);
+    assert_eq!(report.traffic.phase_total("star").msgs, 2);
+    // The second message leaves when the first is out, so its receiver is
+    // the last rank to finish, and the ranks that take no part never wait.
+    assert_eq!(
+        report.sim.as_ref().expect("sim info").makespan_secs,
+        2.0 * one_way
+    );
+    assert_eq!(report.traffic.wait_secs(1, "star"), one_way);
+    assert_eq!(report.traffic.wait_secs(2, "star"), 2.0 * one_way);
+    assert_eq!(report.traffic.wait_secs(3, "star"), 0.0);
 }
 
 /// CA3DMM executed on 768 virtual ranks (with the local GEMMs actually
