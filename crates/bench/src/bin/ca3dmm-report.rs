@@ -41,10 +41,12 @@
 //!   times are checked only as a ratio when `--time-ratio` is given.
 //!   Compute (profiler) blocks are never compared numerically — they are
 //!   host timing — but the gate refuses outright to compare a profiled
-//!   report against an unprofiled one, or across schema versions when
-//!   either side carries a compute block.
+//!   report against an unprofiled one.
+//!
+//! Every subcommand reads its artifacts with `RunReportDoc::parse`, the one
+//! reader, so `show` doubles as the shape validator in CI.
 
-use ca3dmm::{ca3dmm_schedule, diff_doc_vs_model, Collectives, ModelConfig};
+use ca3dmm::{ca3dmm_schedule, diff_phase_rows, Collectives, ModelConfig};
 use gridopt::{Grid, Problem};
 use jsonlite::Json;
 use msgpass::report::{diff_reports, gate, render_gate_failures};
@@ -219,7 +221,7 @@ fn cmd_netdiff(
     } else {
         println!("(wall-clock run: times are structural only; byte volumes should agree)\n");
     }
-    let diff = diff_doc_vs_model(&doc, &cost);
+    let diff = diff_phase_rows(&doc.phases, &cost);
     print!("{}", diff.render());
 
     // Worst per-phase relative error, over phases the model prices.

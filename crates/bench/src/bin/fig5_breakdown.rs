@@ -12,7 +12,8 @@
 //! With `--trace-out PATH` the binary additionally *runs* a small CA3DMM
 //! problem for real on the threaded `msgpass` runtime with event tracing
 //! enabled, writes the per-rank timeline as a Chrome/Perfetto trace JSON to
-//! PATH, and prints the critical-path breakdown plus the model-vs-measured
+//! PATH, and prints the run summary's dashboard (phase table, critical
+//! path, communication matrix, size histograms) plus the model-vs-measured
 //! phase diff. `--trace-ranks N` (default 16) and `--trace-size S`
 //! (default 256, meaning an S×S×S problem) size the traced run.
 //! `--report-out PATH` writes the run's versioned `RunReport` JSON artifact
@@ -23,11 +24,11 @@
 //! `--prof` (or `DENSE_GEMM_PROF=1` in the environment) enables the
 //! `dense::prof` kernel profiler for the traced run: the artifact gains the
 //! schema-v3 `compute` block (per-rank GEMM phase split, roofline, pool
-//! telemetry), the Chrome trace gains per-rank kernel-thread tracks, and a
-//! per-rank compute-attribution summary is printed.
+//! telemetry), the Chrome trace gains per-rank kernel-thread tracks, and the
+//! dashboard gains its per-rank compute-attribution table.
 
 use bench::{predict_with_grid, Algo, RunConfig};
-use ca3dmm::{ca3dmm_schedule, diff_model_vs_measured, Ca3dmm, Ca3dmmOptions, ModelConfig};
+use ca3dmm::{ca3dmm_schedule, diff_phase_rows, Ca3dmm, Ca3dmmOptions, ModelConfig};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::Mat;
@@ -88,41 +89,14 @@ fn traced_run(
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("chrome trace -> {path}");
     }
+    let meta = alg.report_meta(&format!("fig5_breakdown_s{size}_p{ranks}"), &report);
+    let summary = report.summary(meta);
     if let Some(path) = report_out {
-        let meta = alg.report_meta(&format!("fig5_breakdown_s{size}_p{ranks}"), &report);
-        let json = report.to_json(meta).to_string_pretty();
+        let json = summary.to_json().to_string_pretty();
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("run report -> {path}");
     }
-    if report.compute.iter().any(Option::is_some) {
-        println!("\ncompute attribution (kernel profiler):");
-        for (rank, cp) in report.compute.iter().enumerate() {
-            let Some(cp) = cp else {
-                println!("  rank {rank}: no profiled GEMM");
-                continue;
-            };
-            let k = &cp.profile;
-            let (pack, comp, idle) = k.pct_split();
-            println!(
-                "  rank {rank}: {} calls · {:.2} Gflop/s ({:.1}% of {:.2} peak) · \
-                 pack {pack:.1}% comp {comp:.1}% idle {idle:.1}% · imbalance {:.2}",
-                k.gemm_calls,
-                k.achieved_gflops,
-                if k.peak_gflops > 0.0 {
-                    100.0 * k.achieved_gflops / k.peak_gflops
-                } else {
-                    0.0
-                },
-                k.peak_gflops,
-                k.imbalance,
-            );
-        }
-    }
-
-    println!(
-        "\ncritical path:\n{}",
-        report.timeline.critical_path().render()
-    );
+    println!("\n{}", summary.render_dashboard());
 
     let machine = Machine::uniform();
     let placement = machine.pure_mpi();
@@ -140,7 +114,7 @@ fn traced_run(
     );
     println!(
         "model vs measured (structural; absolute scales differ):\n{}",
-        diff_model_vs_measured(&report, &cost).render()
+        diff_phase_rows(&summary.phases, &cost).render()
     );
 }
 

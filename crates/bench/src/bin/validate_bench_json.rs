@@ -5,7 +5,6 @@
 //! ```text
 //! validate_bench_json <path> [<baseline-label> <subject-label> <min-ratio>]
 //! validate_bench_json --gemm-tiers <path>
-//! validate_bench_json --run-report <path>
 //! ```
 //!
 //! Always checks that the file parses as the shared [`BenchReport`] shape
@@ -33,16 +32,12 @@
 //! (`operand_gen/global_block-f64-1024x1024`, `serve_digest/f64-1024x1024`),
 //! each with a positive `gbs` beside the same run's `memcpy_gbs`.
 //!
-//! `--run-report` instead validates a `RunReport` artifact (the
-//! `--report-out` output of the fig/bench bins): schema version, full shape,
-//! and the internal reconciliations between the per-phase table, the
-//! communication matrix, and the size histograms — everything
-//! [`msgpass::RunReportDoc::parse`] enforces.
+//! `RunReport` artifacts are validated by `ca3dmm-report show`, which reads
+//! them with the one parser, `msgpass::RunReportDoc::parse`.
 //!
 //! [`BenchReport`]: bench::timing::BenchReport
 
 use jsonlite::Json;
-use msgpass::RunReportDoc;
 use std::process::ExitCode;
 
 fn fail(msg: &str) -> ExitCode {
@@ -59,26 +54,6 @@ fn entry_field(entries: &[Json], label: &str, field: &str) -> Result<f64, String
         .get(field)
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("entry {label:?} has no numeric {field:?} field"))
-}
-
-fn validate_run_report(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
-    match RunReportDoc::parse(&text) {
-        Ok(doc) => {
-            println!(
-                "{path}: run report {:?} (schema v{}), {} ranks, {} phases, shape OK",
-                doc.name().unwrap_or("unnamed"),
-                doc.schema_version,
-                doc.ranks,
-                doc.phases.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(&format!("{path}: {e}")),
-    }
 }
 
 /// The `--gemm-tiers` contract: thread tiers every blocked-kernel shape
@@ -207,7 +182,6 @@ fn validate_gemm_tiers(path: &str, entries: &[Json]) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (path, ratio_check, gemm_tiers) = match args.as_slice() {
-        [flag, path] if flag == "--run-report" => return validate_run_report(path),
         [flag, path] if flag == "--gemm-tiers" => (path.clone(), None, true),
         [path] => (path.clone(), None, false),
         [path, base, subject, min_ratio] => {
@@ -222,8 +196,7 @@ fn main() -> ExitCode {
         }
         _ => return fail(
             "usage: validate_bench_json <path> [<baseline-label> <subject-label> <min-ratio>]\n\
-                 \x20      validate_bench_json --gemm-tiers <path>\n\
-                 \x20      validate_bench_json --run-report <path>",
+                 \x20      validate_bench_json --gemm-tiers <path>",
         ),
     };
 

@@ -1,16 +1,18 @@
-//! Model-vs-measured comparison: lines a traced run's per-phase timeline up
+//! Model-vs-measured comparison: lines a run's per-phase summary rows up
 //! against the analytic cost model's prediction for the same problem.
 //!
 //! The `netmodel` evaluator predicts per-label seconds for the maximally
-//! loaded rank; a traced `msgpass` run measures per-phase wall seconds on
-//! every rank. This module joins the two on phase labels (the runtime's
-//! `"cannon_shift"` maps to the model's `"cannon"`), taking the measured
-//! critical rank (max over ranks) per phase — the quantity the model
-//! predicts. The absolute times will not match between a thread-simulated
-//! run and a cluster model; the value of the diff is *structural*: the same
-//! phases present, the same phase dominating, byte volumes identical.
+//! loaded rank; a `msgpass` run measures per-phase seconds on every rank.
+//! [`diff_phase_rows`] — the one joiner — matches the two on phase labels
+//! (the runtime's `"cannon_shift"` maps to the model's `"cannon"`), taking
+//! the measured critical rank (max over ranks) per phase — the quantity the
+//! model predicts. The absolute times will not match between a
+//! thread-simulated run and a cluster model; the value of the diff is
+//! *structural*: the same phases present, the same phase dominating, byte
+//! volumes identical.
 
-use msgpass::{RunReport, RunReportDoc};
+use msgpass::report::PhaseRow;
+use msgpass::RunReport;
 use netmodel::CostReport;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -44,8 +46,7 @@ pub struct PhaseDiff {
     pub measured_bytes: u64,
     /// The model's predicted sent bytes for the maximally loaded rank.
     pub modeled_bytes: f64,
-    /// Measured messages sent by the maximally loaded rank in this phase
-    /// (0 when the artifact predates the field).
+    /// Measured messages sent by the maximally loaded rank in this phase.
     pub measured_msgs: u64,
     /// The model's predicted message count (the paper's per-phase `L`).
     pub modeled_msgs: f64,
@@ -177,90 +178,27 @@ impl ModelDiffReport {
     }
 }
 
-/// Joins a traced run against a model prediction. Measured seconds come
-/// from the run's event timeline when one was recorded, falling back to the
-/// traffic report's phase clock for untraced runs.
+/// Joins a run against a model prediction: [`diff_phase_rows`] over the
+/// run's [`RunReport::phase_rows`] (no matrix or histogram is copied).
 pub fn diff_model_vs_measured(report: &RunReport, cost: &CostReport) -> ModelDiffReport {
-    let use_timeline = !report.timeline.is_empty();
-    let runtime_phases: Vec<String> = if use_timeline {
-        report.timeline.phases()
-    } else {
-        report.traffic.phases()
-    };
-
-    let mut labels: BTreeSet<String> = cost.by_label.keys().cloned().collect();
-    labels.extend(
-        runtime_phases
-            .iter()
-            .map(|p| model_phase_label(p).to_owned()),
-    );
-
-    let phases: Vec<PhaseDiff> = labels
-        .into_iter()
-        .map(|label| {
-            let measured_s: f64 = runtime_phases
-                .iter()
-                .filter(|p| model_phase_label(p) == label)
-                .map(|p| {
-                    if use_timeline {
-                        report.timeline.phase_secs_max(p)
-                    } else {
-                        report.traffic.phase_secs_max(p)
-                    }
-                })
-                .sum();
-            let measured_bytes: u64 = runtime_phases
-                .iter()
-                .filter(|p| model_phase_label(p) == label)
-                .map(|p| report.traffic.phase_bytes_max(p))
-                .sum();
-            let measured_msgs: u64 = runtime_phases
-                .iter()
-                .filter(|p| model_phase_label(p) == label)
-                .map(|p| report.traffic.phase_msgs_max(p))
-                .sum();
-            PhaseDiff {
-                modeled_s: cost.label_s(&label),
-                modeled_bytes: cost.label_bytes(&label),
-                modeled_msgs: cost.label_msgs(&label),
-                phase: label,
-                measured_s,
-                measured_bytes,
-                measured_msgs,
-            }
-        })
-        .collect();
-
-    let measured_total_s = phases.iter().map(|p| p.measured_s).sum();
-    ModelDiffReport {
-        phases,
-        measured_total_s,
-        modeled_total_s: cost.total_s,
-    }
+    diff_phase_rows(&report.phase_rows(), cost)
 }
 
-/// Joins a *parsed* `RunReport` artifact against a model prediction — the
-/// offline form of [`diff_model_vs_measured`] used by
-/// `ca3dmm-report netdiff`, where the run is long gone and only its JSON
-/// survives. Measured seconds are the artifact's per-phase `secs_max`
-/// (critical rank) and measured bytes its `max_rank_sent_bytes`.
-pub fn diff_doc_vs_model(doc: &RunReportDoc, cost: &CostReport) -> ModelDiffReport {
+/// The one model-vs-measured joiner, over a run summary's phase rows — a
+/// live run's ([`diff_model_vs_measured`]) or a parsed artifact's
+/// (`ca3dmm-report netdiff`, where the run is long gone and only its JSON
+/// survives). Runtime phases that map onto one model label are summed:
+/// measured seconds are the rows' `secs_max` (critical rank), bytes their
+/// `max_rank_sent_bytes` and messages their `max_rank_sent_msgs`.
+pub fn diff_phase_rows(rows: &[PhaseRow], cost: &CostReport) -> ModelDiffReport {
     let mut labels: BTreeSet<String> = cost.by_label.keys().cloned().collect();
-    labels.extend(
-        doc.phases
-            .iter()
-            .map(|r| model_phase_label(&r.phase).to_owned()),
-    );
+    labels.extend(rows.iter().map(|r| model_phase_label(&r.phase).to_owned()));
 
     let phases: Vec<PhaseDiff> = labels
         .into_iter()
         .map(|label| {
-            let rows = doc
-                .phases
-                .iter()
-                .filter(|r| model_phase_label(&r.phase) == label);
             let (mut measured_s, mut measured_bytes, mut measured_msgs) = (0.0, 0u64, 0u64);
-            for r in rows {
+            for r in rows.iter().filter(|r| model_phase_label(&r.phase) == label) {
                 measured_s += r.secs_max;
                 measured_bytes += r.max_rank_sent_bytes;
                 measured_msgs += r.max_rank_sent_msgs;
@@ -406,7 +344,7 @@ mod tests {
 
         // …and the offline diff must agree with the live diff byte-for-byte.
         let live = diff_model_vs_measured(&report, &cost);
-        let offline = diff_doc_vs_model(&doc, &cost);
+        let offline = diff_phase_rows(&doc.phases, &cost);
         assert_eq!(live.phases.len(), offline.phases.len());
         for (a, b) in live.phases.iter().zip(offline.phases.iter()) {
             assert_eq!(a.phase, b.phase);

@@ -52,7 +52,7 @@ pub mod replicate;
 
 pub use cannon::cannon_multi_shift;
 pub use diff::{
-    diff_doc_vs_model, diff_model_vs_measured, model_phase_label, ModelDiffReport, PhaseDiff,
+    diff_model_vs_measured, diff_phase_rows, model_phase_label, ModelDiffReport, PhaseDiff,
 };
 pub use exec::{Ca3dmm, Ca3dmmOptions, RunStats};
 pub use grid_ctx::{GridContext, RankCoord};

@@ -42,9 +42,9 @@
 //! that packs (and then consumes) it, so A pages land on the packing
 //! thread's node by construction. The *shared* B slab is different: its
 //! pages fault on whichever thread writes them first. When
-//! [`tune::numa_packing`] is on (default on multi-node hosts,
-//! `DENSE_GEMM_NUMA=1|0` to force), the slab scratch is grown *without*
-//! pre-faulting, so first touch happens inside the cooperative pack phase
+//! [`tune::numa_packing`] is on (exactly on multi-node hosts), the slab
+//! scratch is grown *without* pre-faulting, so first touch happens inside
+//! the cooperative pack phase
 //! — strips are claimed in chunks by all workers, interleaving the slab's
 //! pages across the participating threads' nodes at chunk granularity.
 //! When off, the submitting thread pre-faults the slab at allocation (the

@@ -28,8 +28,8 @@
 //!   cache blocking from sysfs cache topology *per kernel geometry*
 //!   (overridable via `DENSE_GEMM_TUNE=mc:kc:nc` or
 //!   [`tune::set_gemm_blocking`]), probes each kernel's single-core peak
-//!   for the roofline, and decides NUMA-aware packing
-//!   ([`tune::numa_packing`], `DENSE_GEMM_NUMA`);
+//!   for the roofline, and turns on NUMA-aware packing on multi-node hosts
+//!   ([`tune::numa_packing`]);
 //! * [`pool`] — the lazy global worker pool and the kernel-thread knobs
 //!   (`DENSE_GEMM_THREADS`, [`pool::set_gemm_threads`], and the per-rank cap
 //!   `msgpass::World::run` applies via [`pool::set_rank_gemm_threads`]);

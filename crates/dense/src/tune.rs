@@ -393,7 +393,7 @@ fn probe_peak<T: Scalar>(kind: KernelKind) -> f64 {
 }
 
 /// Number of NUMA nodes on this host (sysfs; 1 when undetectable), probed
-/// once. Drives the default for NUMA-aware packing.
+/// once. Decides NUMA-aware packing ([`numa_packing`]).
 pub fn numa_nodes() -> usize {
     static NODES: OnceLock<usize> = OnceLock::new();
     *NODES.get_or_init(|| {
@@ -415,17 +415,10 @@ pub fn numa_nodes() -> usize {
 
 /// Whether the packing path should place packed-B pages by *first touch on
 /// the packing worker* (NUMA-aware) instead of pre-faulting the slab on
-/// the submitting thread. `DENSE_GEMM_NUMA=1`/`0` forces it either way;
-/// unset, it defaults to on exactly when the host has more than one NUMA
-/// node (a strict no-op on single-node hosts — only page placement
-/// changes, never values). Read once.
+/// the submitting thread: on exactly when the host has more than one NUMA
+/// node (only page placement changes, never values).
 pub fn numa_packing() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("DENSE_GEMM_NUMA") {
-        Ok(v) if v == "0" => false,
-        Ok(v) if !v.is_empty() => true,
-        _ => numa_nodes() > 1,
-    })
+    numa_nodes() > 1
 }
 
 #[cfg(test)]

@@ -26,16 +26,21 @@
 //!   communication volume of an algorithm equals the volume its analytic
 //!   cost model predicts — the validation that licenses using the model at
 //!   paper-scale process counts.
-//! * [`report`]: a versioned `RunReport` JSON artifact
-//!   ([`world::RunReport::to_json`]) with a parser, text dashboard,
-//!   report-vs-report diff, and the exact/ratio regression gate CI runs.
+//! * [`report`]: one summary of a finished run. [`RunReport::summary`]
+//!   aggregates it once — phase rows, totals, matrix, histograms, waits,
+//!   the critical path, the sim block and the kernel profiles — into a
+//!   [`RunReportDoc`], whose `to_json` is the only writer of the versioned
+//!   JSON artifact and whose `parse` is the only reader; plus a text
+//!   dashboard, a report-vs-report diff, and the exact/ratio regression
+//!   gate CI runs.
 //! * [`trace`]: structured event tracing. A traced run
 //!   ([`World::run_traced`]) records begin/end spans for every phase
 //!   region, point-to-point send/recv, and collective (with its algorithm
 //!   name and payload size) and assembles them into a [`Timeline`]:
 //!   exportable as Chrome-trace JSON ([`Timeline::to_chrome_json`], view in
-//!   Perfetto) and analyzable with [`Timeline::critical_path`]. With
-//!   tracing off ([`World::run`]) every hook is a single untaken branch.
+//!   Perfetto), and the source of a traced run's critical-path
+//!   communication seconds. With tracing off ([`World::run`]) every hook is
+//!   a single untaken branch.
 //!
 //! # Semantics
 //!
@@ -64,7 +69,7 @@ pub use metrics::{CellCounts, CommMatrix, SizeHistogram};
 pub use persist::{JobPanic, PersistentWorld};
 pub use report::{GatePolicy, ReportDiff, RunReportDoc};
 pub use sim::{SimInfo, SimOptions};
-pub use trace::{CriticalPathReport, KernelSpan, PhaseCritical, Span, SpanKind, Timeline};
+pub use trace::{KernelSpan, Span, SpanKind, Timeline};
 pub use traffic::{PhaseCounts, TrafficReport};
 pub use world::{ComputeProfile, RankCtx, RunOptions, RunReport, World};
 

@@ -268,7 +268,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(report.timeline.ranks(), 2);
-        assert!(report.timeline.phase_secs(0, "work") >= 0.0);
+        assert!(report.timeline.spans(0)[0].secs() >= 0.0);
         assert_eq!(report.timeline.phases(), vec!["work".to_owned()]);
     }
 }

@@ -1,14 +1,30 @@
-//! The versioned `RunReport` JSON artifact and its consumers.
+//! The versioned `RunReport` JSON artifact: one summary of a finished run,
+//! one writer, one reader, and their consumers.
 //!
-//! [`crate::RunReport::to_json`] serializes everything one run measured —
-//! per-phase traffic (both directions), the rank×rank communication matrix,
-//! message-size histograms, wait-time attribution, and (for traced runs)
-//! the critical path — under an explicit `schema_version`, so reports
-//! written by different builds can be compared mechanically.
-//! [`RunReportDoc`] parses and validates the artifact back;
-//! [`RunReportDoc::render_dashboard`] turns one into a text dashboard,
-//! [`diff_reports`] compares two measured runs with a percentage threshold,
-//! and [`gate`] is the CI regression gate.
+//! [`crate::RunReport::summary`] is the one place a finished run is
+//! aggregated into a [`RunReportDoc`]: per-phase traffic (both directions),
+//! run totals, the rank×rank communication matrix, message-size histograms,
+//! wait-time attribution, the critical path, the sim block and the kernel
+//! profiles. [`RunReportDoc::to_json`] is the only writer of the artifact —
+//! under an explicit `schema_version`, so reports written by different
+//! builds can be compared mechanically — and [`RunReportDoc::parse`] the
+//! only reader, re-checking every invariant the writer guarantees.
+//! [`RunReportDoc::render_dashboard`] turns a summary into a text
+//! dashboard, [`diff_reports`] compares two measured runs with a percentage
+//! threshold, and [`gate`] is the CI regression gate.
+//!
+//! # Critical path
+//!
+//! Traced and virtual-time runs carry one critical-path row per phase, in
+//! [`crate::TrafficReport::phases`] order; untraced wall runs carry none.
+//! The critical rank is the slowest rank on the traffic report's phase
+//! clock (the lowest such rank on ties), and the mean is taken over the
+//! ranks that entered the phase. Its communication seconds are the
+//! critical rank's direct-child communication spans
+//! ([`crate::Timeline::phase_comm_secs`], capped at the phase seconds) on a
+//! traced run, and its blocked (rendezvous) seconds
+//! ([`crate::TrafficReport::wait_secs`]) on a virtual-time run, which
+//! records no spans; the remainder is compute.
 //!
 //! # Gate policy: exact vs ratio
 //!
@@ -20,7 +36,10 @@
 //! **ratio** bound when the policy asks for one, and never across machines.
 
 use crate::metrics::{bucket_label, fmt_bytes, CellCounts, CommMatrix, SizeHistogram};
+use crate::sim::SimInfo;
 use crate::world::RunReport;
+use dense::kernel::KernelKind;
+use dense::prof::{KernelProfile, PoolTelemetry};
 use jsonlite::Json;
 use netmodel::{Machine, Placement};
 use std::collections::BTreeMap;
@@ -41,11 +60,242 @@ use std::fmt::Write as _;
 ///   only — raw spans stay in the Chrome trace.
 pub const SCHEMA_VERSION: u64 = 3;
 
-/// Oldest schema version [`RunReportDoc::parse`] still reads.
-pub const MIN_SCHEMA_VERSION: u64 = 3;
-
 /// The `kind` discriminator of RunReport documents.
 pub const REPORT_KIND: &str = "ca3dmm_run_report";
+
+impl RunReport {
+    /// The per-phase rows of [`RunReport::summary`], in
+    /// [`crate::TrafficReport::phases`] order — everything a model diff
+    /// needs, without copying the matrix or the histograms.
+    pub fn phase_rows(&self) -> Vec<PhaseRow> {
+        let t = &self.traffic;
+        let p = t.per_rank.len();
+        t.phases()
+            .into_iter()
+            .map(|phase| {
+                let total = t.phase_total(&phase);
+                PhaseRow {
+                    sent_bytes: total.bytes,
+                    sent_msgs: total.msgs,
+                    recv_bytes: total.recv_bytes,
+                    recv_msgs: total.recv_msgs,
+                    max_rank_sent_bytes: t.phase_bytes_max(&phase),
+                    max_rank_sent_msgs: t.phase_msgs_max(&phase),
+                    secs_max: t.phase_secs_max(&phase),
+                    secs_sum: (0..p).map(|r| t.phase_secs(r, &phase)).sum(),
+                    wait_max: t.wait_secs_max(&phase),
+                    wait_sum: (0..p).map(|r| t.wait_secs(r, &phase)).sum(),
+                    phase,
+                }
+            })
+            .collect()
+    }
+
+    /// The critical-path rule of the module docs; `None` for untraced wall
+    /// runs.
+    fn critical_rows(&self) -> Option<Vec<CritRow>> {
+        let traced = !self.timeline.is_empty();
+        if !traced && self.sim.is_none() {
+            return None;
+        }
+        let t = &self.traffic;
+        let p = t.per_rank.len();
+        let rows = t.phases().into_iter().map(|phase| {
+            let (mut crit_rank, mut crit_secs) = (0, f64::MIN);
+            let (mut entered, mut sum) = (0usize, 0.0);
+            for r in 0..p {
+                let secs = t.phase_secs(r, &phase);
+                if secs > crit_secs {
+                    (crit_rank, crit_secs) = (r, secs);
+                }
+                if secs > 0.0 {
+                    entered += 1;
+                    sum += secs;
+                }
+            }
+            let comm_secs = if traced {
+                self.timeline
+                    .phase_comm_secs(crit_rank, &phase)
+                    .min(crit_secs)
+            } else {
+                t.wait_secs(crit_rank, &phase)
+            };
+            CritRow {
+                phase,
+                crit_secs,
+                crit_rank,
+                comm_secs,
+                comp_secs: crit_secs - comm_secs,
+                mean_secs: if entered > 0 {
+                    sum / entered as f64
+                } else {
+                    0.0
+                },
+            }
+        });
+        Some(rows.collect())
+    }
+
+    /// The one aggregation of a finished run: phase rows, totals, matrix,
+    /// histograms, waits, critical path, sim block and compute rows. `meta`
+    /// is caller-provided context (problem name, m/n/k/p, grid, …) carried
+    /// verbatim — the report layer does not interpret it.
+    pub fn summary(&self, meta: Json) -> RunReportDoc {
+        let t = &self.traffic;
+        let p = t.per_rank.len();
+        RunReportDoc {
+            time_domain: if self.sim.is_some() {
+                "virtual"
+            } else {
+                "wall"
+            }
+            .to_owned(),
+            sim: self.sim.clone(),
+            meta,
+            machine: Json::obj([
+                ("arch", Json::Str(std::env::consts::ARCH.to_owned())),
+                ("os", Json::Str(std::env::consts::OS.to_owned())),
+                (
+                    "host_parallelism",
+                    num_u(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
+                ),
+                (
+                    "kernel_thread_budget",
+                    num_u(dense::pool::base_gemm_threads() as u64),
+                ),
+                (
+                    "gemm_kernel",
+                    Json::Str(dense::kernel::gemm_kernel().name().to_owned()),
+                ),
+            ]),
+            ranks: p,
+            phases: self.phase_rows(),
+            totals: Totals {
+                sent_bytes: t.total_bytes(),
+                sent_msgs: (0..p).map(|r| t.rank_total(r).msgs).sum(),
+                max_rank_bytes: t.max_rank_bytes(),
+                max_rank_msgs: t.max_rank_msgs(),
+            },
+            matrix: t.matrix.clone(),
+            hist_by_phase: t.hist_by_phase.clone(),
+            hist_by_algo: t.hist_by_algo.clone(),
+            wait_per_rank: t.wait_per_rank.clone(),
+            critical_path: self.critical_rows(),
+            // Aggregates only: the spans go to the Chrome trace instead (a
+            // profiled run retains up to threads × RING_CAPACITY of them).
+            compute: self.compute.iter().any(Option::is_some).then(|| {
+                self.compute
+                    .iter()
+                    .map(|c| {
+                        c.as_ref().map(|cp| KernelProfile {
+                            spans: Vec::new(),
+                            ..cp.profile.clone()
+                        })
+                    })
+                    .collect()
+            }),
+        }
+    }
+
+    /// `self.summary(meta).to_json()`: this run as a schema-versioned JSON
+    /// document.
+    pub fn to_json(&self, meta: Json) -> Json {
+        self.summary(meta).to_json()
+    }
+}
+
+/// One phase row of a run summary.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PhaseRow {
+    /// Phase label.
+    pub phase: String,
+    /// Bytes sent by all ranks during the phase.
+    pub sent_bytes: u64,
+    /// Messages sent by all ranks.
+    pub sent_msgs: u64,
+    /// Bytes matched in `recv` by all ranks.
+    pub recv_bytes: u64,
+    /// Messages matched in `recv`.
+    pub recv_msgs: u64,
+    /// The busiest single rank's sent bytes (the paper's per-phase `Q`).
+    pub max_rank_sent_bytes: u64,
+    /// The busiest single rank's sent messages (the paper's per-phase `L`).
+    pub max_rank_sent_msgs: u64,
+    /// Slowest rank's wall seconds in the phase.
+    pub secs_max: f64,
+    /// Sum over ranks of wall seconds.
+    pub secs_sum: f64,
+    /// Slowest rank's seconds blocked in `recv` during the phase.
+    pub wait_max: f64,
+    /// Sum over ranks of blocked seconds.
+    pub wait_sum: f64,
+}
+
+/// One critical-path row of a run summary (see the module docs for the
+/// rule).
+#[derive(Clone, Debug, PartialEq)]
+pub struct CritRow {
+    /// Phase label.
+    pub phase: String,
+    /// Seconds on the slowest rank.
+    pub crit_secs: f64,
+    /// The slowest rank.
+    pub crit_rank: usize,
+    /// Communication seconds on the slowest rank.
+    pub comm_secs: f64,
+    /// Compute seconds on the slowest rank.
+    pub comp_secs: f64,
+    /// Mean over ranks that entered the phase.
+    pub mean_secs: f64,
+}
+
+/// Run-wide totals of a run summary.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Totals {
+    /// Bytes sent by all ranks.
+    pub sent_bytes: u64,
+    /// Messages sent by all ranks.
+    pub sent_msgs: u64,
+    /// The busiest rank's sent bytes (the paper's `Q`).
+    pub max_rank_bytes: u64,
+    /// The busiest rank's message count (the paper's `L`).
+    pub max_rank_msgs: u64,
+}
+
+/// One finished run's summary: built from a live run by
+/// [`RunReport::summary`], written by [`RunReportDoc::to_json`], and read
+/// back, shape-validated, by [`RunReportDoc::parse`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunReportDoc {
+    /// `"wall"` or `"virtual"` — which clock the report's seconds are in.
+    pub time_domain: String,
+    /// What a virtual-time run was simulated on (`Some` exactly when
+    /// `time_domain` is `"virtual"`).
+    pub sim: Option<SimInfo>,
+    /// Caller-provided context, verbatim.
+    pub meta: Json,
+    /// Machine block, verbatim (arch, os, parallelism).
+    pub machine: Json,
+    /// World size.
+    pub ranks: usize,
+    /// Per-phase rows.
+    pub phases: Vec<PhaseRow>,
+    /// Run-wide totals.
+    pub totals: Totals,
+    /// The communication matrix.
+    pub matrix: CommMatrix,
+    /// Size histograms by sender phase.
+    pub hist_by_phase: BTreeMap<String, SizeHistogram>,
+    /// Size histograms by collective algorithm.
+    pub hist_by_algo: BTreeMap<String, SizeHistogram>,
+    /// Per-rank blocked seconds per phase.
+    pub wait_per_rank: Vec<BTreeMap<String, f64>>,
+    /// Critical-path rows (None for untraced wall runs).
+    pub critical_path: Option<Vec<CritRow>>,
+    /// Per-rank kernel profiles with empty `spans` (None for unprofiled
+    /// runs; entries are None for ranks that ran no profiled GEMM).
+    pub compute: Option<Vec<Option<KernelProfile>>>,
+}
 
 fn num_u(n: u64) -> Json {
     Json::Num(n as f64)
@@ -87,435 +337,40 @@ fn sparse_cells(cells: Vec<(usize, usize, CellCounts)>) -> Json {
     )
 }
 
-impl RunReport {
-    /// Serializes this run's measurements as a schema-versioned JSON
-    /// document. `meta` is caller-provided context (problem name, m/n/k/p,
-    /// grid, …) stored verbatim under `"meta"` — the report layer does not
-    /// interpret it beyond carrying it along.
-    pub fn to_json(&self, meta: Json) -> Json {
-        let t = &self.traffic;
-        let p = t.per_rank.len();
-        let phases: Vec<Json> = t
-            .phases()
-            .into_iter()
-            .map(|ph| {
-                let total = t.phase_total(&ph);
-                let max_sent = (0..p).map(|r| t.phase(r, &ph).bytes).max().unwrap_or(0);
-                let max_msgs = (0..p).map(|r| t.phase(r, &ph).msgs).max().unwrap_or(0);
-                let secs_sum: f64 = (0..p).map(|r| t.phase_secs(r, &ph)).sum();
-                let wait_sum: f64 = (0..p).map(|r| t.wait_secs(r, &ph)).sum();
-                Json::obj([
-                    ("phase", Json::Str(ph.clone())),
-                    ("sent_bytes", num_u(total.bytes)),
-                    ("sent_msgs", num_u(total.msgs)),
-                    ("recv_bytes", num_u(total.recv_bytes)),
-                    ("recv_msgs", num_u(total.recv_msgs)),
-                    ("max_rank_sent_bytes", num_u(max_sent)),
-                    ("max_rank_sent_msgs", num_u(max_msgs)),
-                    ("secs_max", num_f(t.phase_secs_max(&ph))),
-                    ("secs_sum", num_f(secs_sum)),
-                    ("wait_max", num_f(t.wait_secs_max(&ph))),
-                    ("wait_sum", num_f(wait_sum)),
-                ])
-            })
-            .collect();
-        let hists = |m: &BTreeMap<String, SizeHistogram>| {
-            Json::Obj(m.iter().map(|(k, h)| (k.clone(), hist_json(h))).collect())
-        };
-        let critical_path = if !self.timeline.is_empty() {
-            Json::Arr(
-                self.timeline
-                    .critical_path()
-                    .phases
-                    .iter()
-                    .map(|c| {
-                        Json::obj([
-                            ("phase", Json::Str(c.phase.clone())),
-                            ("crit_secs", num_f(c.crit_secs)),
-                            ("crit_rank", num_u(c.crit_rank as u64)),
-                            ("comm_secs", num_f(c.comm_secs)),
-                            ("comp_secs", num_f(c.comp_secs)),
-                            ("mean_secs", num_f(c.mean_secs)),
-                        ])
-                    })
-                    .collect(),
-            )
-        } else if self.sim.is_some() {
-            // Virtual-time runs carry no event trace (spans would measure
-            // the meaningless wall clock), but the per-rank virtual phase
-            // clocks determine the critical path exactly: the slowest rank
-            // of each phase, with its blocked (rendezvous) seconds as the
-            // communication share.
-            Json::Arr(
-                t.phases()
-                    .into_iter()
-                    .map(|ph| {
-                        let (crit_rank, crit_secs) =
-                            (0..p).map(|r| (r, t.phase_secs(r, &ph))).fold(
-                                (0, f64::MIN),
-                                |best, cur| {
-                                    if cur.1 > best.1 {
-                                        cur
-                                    } else {
-                                        best
-                                    }
-                                },
-                            );
-                        let active: Vec<f64> = (0..p)
-                            .map(|r| t.phase_secs(r, &ph))
-                            .filter(|&s| s > 0.0)
-                            .collect();
-                        let mean_secs = if active.is_empty() {
-                            0.0
-                        } else {
-                            active.iter().sum::<f64>() / active.len() as f64
-                        };
-                        let comm_secs = t.wait_secs(crit_rank, &ph);
-                        Json::obj([
-                            ("phase", Json::Str(ph.clone())),
-                            ("crit_secs", num_f(crit_secs)),
-                            ("crit_rank", num_u(crit_rank as u64)),
-                            ("comm_secs", num_f(comm_secs)),
-                            ("comp_secs", num_f(crit_secs - comm_secs)),
-                            ("mean_secs", num_f(mean_secs)),
-                        ])
-                    })
-                    .collect(),
-            )
-        } else {
-            Json::Null
-        };
-        let sim_block = match &self.sim {
-            None => Json::Null,
-            Some(s) => Json::obj([
-                ("machine", s.machine.to_json()),
-                ("placement", s.placement.to_json()),
-                ("execute_compute", Json::Bool(s.execute_compute)),
-                ("makespan_secs", num_f(s.makespan_secs)),
-            ]),
-        };
-        let time_domain = if self.sim.is_some() {
-            "virtual"
-        } else {
-            "wall"
-        };
-        // Aggregates only: spans are deliberately NOT serialized (they go to
-        // the Chrome trace instead; a profiled run retains up to
-        // threads × RING_CAPACITY of them).
-        let compute = if self.compute.iter().any(Option::is_some) {
-            Json::Arr(
-                self.compute
-                    .iter()
-                    .map(|c| match c {
-                        None => Json::Null,
-                        Some(cp) => {
-                            let k = &cp.profile;
-                            Json::obj([
-                                ("gemm_calls", num_u(k.gemm_calls)),
-                                ("flops", num_f(k.flops)),
-                                ("gemm_wall_secs", num_f(k.gemm_wall_secs)),
-                                ("thread_secs", num_f(k.thread_secs)),
-                                ("pack_a_secs", num_f(k.pack_a_secs)),
-                                ("pack_b_secs", num_f(k.pack_b_secs)),
-                                ("compute_secs", num_f(k.compute_secs)),
-                                ("idle_secs", num_f(k.idle_secs)),
-                                ("pack_bytes", num_u(k.pack_bytes)),
-                                ("pack_bound_bytes", num_u(k.pack_bound_bytes)),
-                                ("achieved_gflops", num_f(k.achieved_gflops)),
-                                ("kernel", Json::Str(k.kernel.to_owned())),
-                                ("peak_gflops", num_f(k.peak_gflops)),
-                                ("max_width", num_u(k.max_width as u64)),
-                                ("imbalance", num_f(k.imbalance)),
-                                ("coverage", num_f(k.coverage)),
-                                ("dropped_spans", num_u(k.dropped_spans)),
-                                (
-                                    "pool",
-                                    Json::obj([
-                                        ("queue_depth_hwm", num_u(k.pool.queue_depth_hwm)),
-                                        ("submit_wake_secs", num_f(k.pool.submit_wake_secs)),
-                                        ("jobs", num_u(k.pool.jobs)),
-                                        ("regions", num_u(k.pool.regions)),
-                                        (
-                                            "jobs_per_worker",
-                                            Json::Arr(
-                                                k.pool
-                                                    .jobs_per_worker
-                                                    .iter()
-                                                    .map(|&j| num_u(j))
-                                                    .collect(),
-                                            ),
-                                        ),
-                                    ]),
-                                ),
-                            ])
-                        }
-                    })
-                    .collect(),
-            )
-        } else {
-            Json::Null
-        };
-        Json::obj([
-            ("schema_version", num_u(SCHEMA_VERSION)),
-            ("kind", Json::Str(REPORT_KIND.to_owned())),
-            ("time_domain", Json::Str(time_domain.to_owned())),
-            ("sim", sim_block),
-            ("meta", meta),
-            (
-                "machine",
-                Json::obj([
-                    ("arch", Json::Str(std::env::consts::ARCH.to_owned())),
-                    ("os", Json::Str(std::env::consts::OS.to_owned())),
-                    (
-                        "host_parallelism",
-                        num_u(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
-                    ),
-                    (
-                        "kernel_thread_budget",
-                        num_u(dense::pool::base_gemm_threads() as u64),
-                    ),
-                    (
-                        "gemm_kernel",
-                        Json::Str(dense::kernel::gemm_kernel().name().to_owned()),
-                    ),
-                ]),
-            ),
-            ("ranks", num_u(p as u64)),
-            ("phases", Json::Arr(phases)),
-            (
-                "totals",
-                Json::obj([
-                    ("sent_bytes", num_u(t.total_bytes())),
-                    (
-                        "sent_msgs",
-                        num_u((0..p).map(|r| t.rank_total(r).msgs).sum()),
-                    ),
-                    ("max_rank_bytes", num_u(t.max_rank_bytes())),
-                    ("max_rank_msgs", num_u(t.max_rank_msgs())),
-                ]),
-            ),
-            (
-                "matrix",
-                Json::obj([
-                    ("format", Json::Str("sparse".to_owned())),
-                    ("send", sparse_cells(t.matrix.nonzero_send())),
-                    ("recv", sparse_cells(t.matrix.nonzero_recv())),
-                ]),
-            ),
-            (
-                "histograms",
-                Json::obj([
-                    ("by_phase", hists(&t.hist_by_phase)),
-                    ("by_algo", hists(&t.hist_by_algo)),
-                ]),
-            ),
-            (
-                "wait_per_rank",
-                Json::Arr(
-                    t.wait_per_rank
-                        .iter()
-                        .map(|m| Json::Obj(m.iter().map(|(k, &v)| (k.clone(), num_f(v))).collect()))
-                        .collect(),
-                ),
-            ),
-            ("critical_path", critical_path),
-            ("compute", compute),
-        ])
-    }
-}
-
-/// One phase row of a parsed report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseRow {
-    /// Phase label.
-    pub phase: String,
-    /// Bytes sent by all ranks during the phase.
-    pub sent_bytes: u64,
-    /// Messages sent by all ranks.
-    pub sent_msgs: u64,
-    /// Bytes matched in `recv` by all ranks.
-    pub recv_bytes: u64,
-    /// Messages matched in `recv`.
-    pub recv_msgs: u64,
-    /// The busiest single rank's sent bytes (the paper's per-phase `Q`).
-    pub max_rank_sent_bytes: u64,
-    /// The busiest single rank's sent messages (the paper's per-phase `L`);
-    /// 0 in artifacts written before this field existed.
-    pub max_rank_sent_msgs: u64,
-    /// Slowest rank's wall seconds in the phase.
-    pub secs_max: f64,
-    /// Sum over ranks of wall seconds.
-    pub secs_sum: f64,
-    /// Slowest rank's seconds blocked in `recv` during the phase.
-    pub wait_max: f64,
-    /// Sum over ranks of blocked seconds.
-    pub wait_sum: f64,
-}
-
-/// One critical-path row of a parsed (traced) report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CritRow {
-    /// Phase label.
-    pub phase: String,
-    /// Wall seconds on the slowest rank.
-    pub crit_secs: f64,
-    /// The slowest rank.
-    pub crit_rank: usize,
-    /// Communication seconds on the slowest rank.
-    pub comm_secs: f64,
-    /// Compute seconds on the slowest rank.
-    pub comp_secs: f64,
-    /// Mean over ranks that entered the phase.
-    pub mean_secs: f64,
-}
-
-/// Run-wide totals of a parsed report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Totals {
-    /// Bytes sent by all ranks.
-    pub sent_bytes: u64,
-    /// Messages sent by all ranks.
-    pub sent_msgs: u64,
-    /// The busiest rank's sent bytes (the paper's `Q`).
-    pub max_rank_bytes: u64,
-    /// The busiest rank's message count (the paper's `L`).
-    pub max_rank_msgs: u64,
-}
-
-/// The parsed `sim` block of a virtual-time report: what machine the run
-/// was simulated on. Lets `ca3dmm-report netdiff` price the analytic model
-/// on the same machine the measurement used.
-#[derive(Clone, Debug)]
-pub struct SimBlock {
-    /// The machine model the run was charged against.
-    pub machine: Machine,
-    /// The rank→node placement used.
-    pub placement: Placement,
-    /// Whether local GEMMs were actually executed.
-    pub execute_compute: bool,
-    /// Virtual makespan (largest rank clock at exit), seconds.
-    pub makespan_secs: f64,
-}
-
-/// One rank's parsed `compute` entry: the kernel profiler's aggregates for
-/// that rank's local GEMMs (schema v3+, profiled wall-clock runs only).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ComputeRow {
-    /// Number of `dense::gemm` calls folded into this profile.
-    pub gemm_calls: u64,
-    /// Useful floating-point operations (2·m·n·k summed over calls).
-    pub flops: f64,
-    /// Wall seconds inside `dense::gemm` on the rank thread.
-    pub gemm_wall_secs: f64,
-    /// Σ over calls of `width × wall` — the thread-seconds the kernel had
-    /// available. `pack_a + pack_b + compute + idle` reconciles to this.
-    pub thread_secs: f64,
-    /// Thread-seconds packing A macro-tiles.
-    pub pack_a_secs: f64,
-    /// Thread-seconds packing B strips.
-    pub pack_b_secs: f64,
-    /// Thread-seconds in the microkernel macro-tile loop.
-    pub compute_secs: f64,
-    /// Derived idle thread-seconds (`thread_secs − busy`), clamped ≥ 0.
-    pub idle_secs: f64,
-    /// Bytes actually written into pack buffers.
-    pub pack_bytes: u64,
-    /// The O(MC·KC + KC·NC)-per-slab packing bound for the same calls.
-    pub pack_bound_bytes: u64,
-    /// `flops / compute_secs / 1e9` — per-busy-core achieved rate.
-    pub achieved_gflops: f64,
-    /// The dispatched microkernel's name (`"portable"`/`"avx2"`/`"avx512"`;
-    /// empty for reports written before the field existed).
-    pub kernel: String,
-    /// The autotuner's probed microkernel peak for the element width *and
-    /// dispatched kernel*.
-    pub peak_gflops: f64,
-    /// Widest parallel region seen during the capture.
-    pub max_width: u64,
-    /// Max-over-mean per-thread busy seconds (1.0 = perfectly balanced).
-    pub imbalance: f64,
-    /// Fraction of exact busy seconds retained as spans (ring truncation
-    /// drops the oldest spans first; aggregates are always exact).
-    pub coverage: f64,
-    /// Span writes that overwrote unharvested ring entries.
-    pub dropped_spans: u64,
-    /// Pool telemetry for the capture.
-    pub pool: PoolRow,
-}
-
-/// The parsed `compute[].pool` telemetry block.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PoolRow {
-    /// Deepest the submit queue got during the capture.
-    pub queue_depth_hwm: u64,
-    /// Σ submit→wake latency over pool jobs, seconds.
-    pub submit_wake_secs: f64,
-    /// Pool jobs executed for the capture.
-    pub jobs: u64,
-    /// `parallel_chunks` regions entered.
-    pub regions: u64,
-    /// Jobs executed per profiled worker slot (trailing zeros trimmed).
-    pub jobs_per_worker: Vec<u64>,
-}
-
-impl ComputeRow {
-    /// Percentage split of `thread_secs` into pack / compute / idle.
-    pub fn pct_split(&self) -> (f64, f64, f64) {
-        if self.thread_secs <= 0.0 {
-            return (0.0, 0.0, 0.0);
-        }
-        let s = 100.0 / self.thread_secs;
+fn compute_json(k: &KernelProfile) -> Json {
+    let pool = &k.pool;
+    Json::obj([
+        ("gemm_calls", num_u(k.gemm_calls)),
+        ("flops", num_f(k.flops)),
+        ("gemm_wall_secs", num_f(k.gemm_wall_secs)),
+        ("thread_secs", num_f(k.thread_secs)),
+        ("pack_a_secs", num_f(k.pack_a_secs)),
+        ("pack_b_secs", num_f(k.pack_b_secs)),
+        ("compute_secs", num_f(k.compute_secs)),
+        ("idle_secs", num_f(k.idle_secs)),
+        ("pack_bytes", num_u(k.pack_bytes)),
+        ("pack_bound_bytes", num_u(k.pack_bound_bytes)),
+        ("achieved_gflops", num_f(k.achieved_gflops)),
+        ("kernel", Json::Str(k.kernel.to_owned())),
+        ("peak_gflops", num_f(k.peak_gflops)),
+        ("max_width", num_u(k.max_width as u64)),
+        ("imbalance", num_f(k.imbalance)),
+        ("coverage", num_f(k.coverage)),
+        ("dropped_spans", num_u(k.dropped_spans)),
         (
-            (self.pack_a_secs + self.pack_b_secs) * s,
-            self.compute_secs * s,
-            self.idle_secs * s,
-        )
-    }
-
-    /// Achieved fraction of the probed microkernel peak.
-    pub fn roofline_frac(&self) -> f64 {
-        if self.peak_gflops > 0.0 {
-            self.achieved_gflops / self.peak_gflops
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A parsed, shape-validated RunReport document.
-#[derive(Clone, Debug)]
-pub struct RunReportDoc {
-    /// Schema version the file declared (between [`MIN_SCHEMA_VERSION`] and
-    /// [`SCHEMA_VERSION`] after a successful parse).
-    pub schema_version: u64,
-    /// `"wall"` or `"virtual"` — which clock the report's seconds are in.
-    pub time_domain: String,
-    /// The simulation block (`Some` exactly when `time_domain` is
-    /// `"virtual"`).
-    pub sim: Option<SimBlock>,
-    /// Caller-provided context, verbatim.
-    pub meta: Json,
-    /// Machine block, verbatim (arch, os, parallelism).
-    pub machine: Json,
-    /// World size.
-    pub ranks: usize,
-    /// Per-phase rows in the file's order.
-    pub phases: Vec<PhaseRow>,
-    /// Run-wide totals.
-    pub totals: Totals,
-    /// The reconstructed communication matrix.
-    pub matrix: CommMatrix,
-    /// Size histograms by sender phase.
-    pub hist_by_phase: BTreeMap<String, SizeHistogram>,
-    /// Size histograms by collective algorithm.
-    pub hist_by_algo: BTreeMap<String, SizeHistogram>,
-    /// Per-rank blocked seconds per phase.
-    pub wait_per_rank: Vec<BTreeMap<String, f64>>,
-    /// Critical-path rows (None for untraced runs).
-    pub critical_path: Option<Vec<CritRow>>,
-    /// Per-rank kernel profiles (None for unprofiled runs; entries are None
-    /// for ranks that ran no profiled GEMM).
-    pub compute: Option<Vec<Option<ComputeRow>>>,
+            "pool",
+            Json::obj([
+                ("queue_depth_hwm", num_u(pool.queue_depth_hwm)),
+                ("submit_wake_secs", num_f(pool.submit_wake_secs)),
+                ("jobs", num_u(pool.jobs)),
+                ("regions", num_u(pool.regions)),
+                (
+                    "jobs_per_worker",
+                    Json::Arr(pool.jobs_per_worker.iter().map(|&j| num_u(j)).collect()),
+                ),
+            ]),
+        ),
+    ])
 }
 
 fn want_u64(v: &Json, what: &str) -> Result<u64, String> {
@@ -541,6 +396,12 @@ fn field_f64(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
     field(obj, key, what)?
         .as_f64()
         .ok_or_else(|| format!("{what}.{key} is not a number"))
+}
+
+fn field_str<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
+    field(obj, key, what)?
+        .as_str()
+        .ok_or_else(|| format!("{what}.{key} is not a string"))
 }
 
 /// Parses one sparse cell list: an array of `[row, col, bytes, msgs]`
@@ -617,30 +478,176 @@ fn parse_hists(v: &Json, what: &str) -> Result<BTreeMap<String, SizeHistogram>, 
         .collect()
 }
 
+/// Parses one rank's `compute` entry; the four thread-second shares must
+/// rebuild `thread_secs` (the profiler derives idle as the remainder, so a
+/// larger gap means the file was hand-edited).
+fn parse_compute_row(c: &Json, what: &str) -> Result<KernelProfile, String> {
+    let pool = field(c, "pool", what)?;
+    let pwhat = format!("{what}.pool");
+    let name = field_str(c, "kernel", what)?;
+    let row = KernelProfile {
+        gemm_calls: field_u64(c, "gemm_calls", what)?,
+        flops: field_f64(c, "flops", what)?,
+        gemm_wall_secs: field_f64(c, "gemm_wall_secs", what)?,
+        thread_secs: field_f64(c, "thread_secs", what)?,
+        pack_a_secs: field_f64(c, "pack_a_secs", what)?,
+        pack_b_secs: field_f64(c, "pack_b_secs", what)?,
+        compute_secs: field_f64(c, "compute_secs", what)?,
+        idle_secs: field_f64(c, "idle_secs", what)?,
+        pack_bytes: field_u64(c, "pack_bytes", what)?,
+        pack_bound_bytes: field_u64(c, "pack_bound_bytes", what)?,
+        achieved_gflops: field_f64(c, "achieved_gflops", what)?,
+        kernel: KernelKind::parse(name)
+            .ok_or_else(|| format!("{what}.kernel {name:?} is not a known microkernel"))?
+            .name(),
+        peak_gflops: field_f64(c, "peak_gflops", what)?,
+        max_width: field_u64(c, "max_width", what)? as usize,
+        imbalance: field_f64(c, "imbalance", what)?,
+        coverage: field_f64(c, "coverage", what)?,
+        dropped_spans: field_u64(c, "dropped_spans", what)?,
+        pool: PoolTelemetry {
+            queue_depth_hwm: field_u64(pool, "queue_depth_hwm", &pwhat)?,
+            submit_wake_secs: field_f64(pool, "submit_wake_secs", &pwhat)?,
+            jobs: field_u64(pool, "jobs", &pwhat)?,
+            regions: field_u64(pool, "regions", &pwhat)?,
+            jobs_per_worker: field(pool, "jobs_per_worker", &pwhat)?
+                .as_arr()
+                .ok_or_else(|| format!("{pwhat}.jobs_per_worker is not an array"))?
+                .iter()
+                .enumerate()
+                .map(|(i, j)| want_u64(j, &format!("{pwhat}.jobs_per_worker[{i}]")))
+                .collect::<Result<Vec<_>, String>>()?,
+        },
+        spans: Vec::new(),
+    };
+    let rebuilt = row.busy_secs() + row.idle_secs;
+    if (rebuilt - row.thread_secs).abs() > 0.05 * row.thread_secs.max(1e-12) {
+        return Err(format!(
+            "{what}: pack+compute+idle = {rebuilt:.6}s does not reconcile with \
+             thread_secs = {:.6}s (±5%)",
+            row.thread_secs
+        ));
+    }
+    Ok(row)
+}
+
 impl RunReportDoc {
-    /// Parses and shape-validates a RunReport JSON document. Every
-    /// structural invariant the writer guarantees is re-checked here, so a
-    /// hand-edited or truncated file fails loudly rather than gating
-    /// against garbage.
+    /// Serializes the summary as the schema-versioned JSON artifact — the
+    /// only writer of it.
+    pub fn to_json(&self) -> Json {
+        let hists = |m: &BTreeMap<String, SizeHistogram>| {
+            Json::Obj(m.iter().map(|(k, h)| (k.clone(), hist_json(h))).collect())
+        };
+        let sim = self.sim.as_ref().map_or(Json::Null, |s| {
+            Json::obj([
+                ("machine", s.machine.to_json()),
+                ("placement", s.placement.to_json()),
+                ("execute_compute", Json::Bool(s.execute_compute)),
+                ("makespan_secs", num_f(s.makespan_secs)),
+            ])
+        });
+        let phases = self.phases.iter().map(|r| {
+            Json::obj([
+                ("phase", Json::Str(r.phase.clone())),
+                ("sent_bytes", num_u(r.sent_bytes)),
+                ("sent_msgs", num_u(r.sent_msgs)),
+                ("recv_bytes", num_u(r.recv_bytes)),
+                ("recv_msgs", num_u(r.recv_msgs)),
+                ("max_rank_sent_bytes", num_u(r.max_rank_sent_bytes)),
+                ("max_rank_sent_msgs", num_u(r.max_rank_sent_msgs)),
+                ("secs_max", num_f(r.secs_max)),
+                ("secs_sum", num_f(r.secs_sum)),
+                ("wait_max", num_f(r.wait_max)),
+                ("wait_sum", num_f(r.wait_sum)),
+            ])
+        });
+        let critical_path = self.critical_path.as_ref().map_or(Json::Null, |rows| {
+            Json::Arr(
+                rows.iter()
+                    .map(|c| {
+                        Json::obj([
+                            ("phase", Json::Str(c.phase.clone())),
+                            ("crit_secs", num_f(c.crit_secs)),
+                            ("crit_rank", num_u(c.crit_rank as u64)),
+                            ("comm_secs", num_f(c.comm_secs)),
+                            ("comp_secs", num_f(c.comp_secs)),
+                            ("mean_secs", num_f(c.mean_secs)),
+                        ])
+                    })
+                    .collect(),
+            )
+        });
+        let compute = self.compute.as_ref().map_or(Json::Null, |rows| {
+            Json::Arr(
+                rows.iter()
+                    .map(|c| c.as_ref().map_or(Json::Null, compute_json))
+                    .collect(),
+            )
+        });
+        Json::obj([
+            ("schema_version", num_u(SCHEMA_VERSION)),
+            ("kind", Json::Str(REPORT_KIND.to_owned())),
+            ("time_domain", Json::Str(self.time_domain.clone())),
+            ("sim", sim),
+            ("meta", self.meta.clone()),
+            ("machine", self.machine.clone()),
+            ("ranks", num_u(self.ranks as u64)),
+            ("phases", Json::Arr(phases.collect())),
+            (
+                "totals",
+                Json::obj([
+                    ("sent_bytes", num_u(self.totals.sent_bytes)),
+                    ("sent_msgs", num_u(self.totals.sent_msgs)),
+                    ("max_rank_bytes", num_u(self.totals.max_rank_bytes)),
+                    ("max_rank_msgs", num_u(self.totals.max_rank_msgs)),
+                ]),
+            ),
+            (
+                "matrix",
+                Json::obj([
+                    ("format", Json::Str("sparse".to_owned())),
+                    ("send", sparse_cells(self.matrix.nonzero_send())),
+                    ("recv", sparse_cells(self.matrix.nonzero_recv())),
+                ]),
+            ),
+            (
+                "histograms",
+                Json::obj([
+                    ("by_phase", hists(&self.hist_by_phase)),
+                    ("by_algo", hists(&self.hist_by_algo)),
+                ]),
+            ),
+            (
+                "wait_per_rank",
+                Json::Arr(
+                    self.wait_per_rank
+                        .iter()
+                        .map(|m| Json::Obj(m.iter().map(|(k, &v)| (k.clone(), num_f(v))).collect()))
+                        .collect(),
+                ),
+            ),
+            ("critical_path", critical_path),
+            ("compute", compute),
+        ])
+    }
+
+    /// Parses and shape-validates a RunReport JSON document — the only
+    /// reader of it. Every structural invariant the writer guarantees is
+    /// re-checked here, so a hand-edited or truncated file fails loudly
+    /// rather than gating against garbage.
     pub fn parse(text: &str) -> Result<RunReportDoc, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let version = field_u64(&doc, "schema_version", "report")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(format!(
-                "unsupported schema_version {version} (this build reads \
-                 {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                "unsupported schema_version {version} (this build reads v{SCHEMA_VERSION} only)"
             ));
         }
-        let kind = field(&doc, "kind", "report")?
-            .as_str()
-            .ok_or("kind is not a string")?;
+        let kind = field_str(&doc, "kind", "report")?;
         if kind != REPORT_KIND {
             return Err(format!("kind {kind:?} is not {REPORT_KIND:?}"));
         }
-        let time_domain = field(&doc, "time_domain", "report")?
-            .as_str()
-            .ok_or("time_domain is not a string")?
-            .to_owned();
+        let time_domain = field_str(&doc, "time_domain", "report")?.to_owned();
         if time_domain != "wall" && time_domain != "virtual" {
             return Err(format!(
                 "time_domain {time_domain:?} is neither \"wall\" nor \"virtual\""
@@ -648,7 +655,7 @@ impl RunReportDoc {
         }
         let sim = match field(&doc, "sim", "report")? {
             Json::Null => None,
-            v => Some(SimBlock {
+            v => Some(SimInfo {
                 machine: Machine::from_json(field(v, "machine", "sim")?)
                     .map_err(|e| format!("sim.machine: {e}"))?,
                 placement: Placement::from_json(field(v, "placement", "sim")?)
@@ -678,10 +685,7 @@ impl RunReportDoc {
             .map(|(i, ph)| {
                 let what = format!("phases[{i}]");
                 Ok(PhaseRow {
-                    phase: field(ph, "phase", &what)?
-                        .as_str()
-                        .ok_or_else(|| format!("{what}.phase is not a string"))?
-                        .to_owned(),
+                    phase: field_str(ph, "phase", &what)?.to_owned(),
                     sent_bytes: field_u64(ph, "sent_bytes", &what)?,
                     sent_msgs: field_u64(ph, "sent_msgs", &what)?,
                     recv_bytes: field_u64(ph, "recv_bytes", &what)?,
@@ -746,10 +750,7 @@ impl RunReportDoc {
                     .map(|(i, c)| {
                         let what = format!("critical_path[{i}]");
                         Ok(CritRow {
-                            phase: field(c, "phase", &what)?
-                                .as_str()
-                                .ok_or_else(|| format!("{what}.phase is not a string"))?
-                                .to_owned(),
+                            phase: field_str(c, "phase", &what)?.to_owned(),
                             crit_secs: field_f64(c, "crit_secs", &what)?,
                             crit_rank: field_u64(c, "crit_rank", &what)? as usize,
                             comm_secs: field_f64(c, "comm_secs", &what)?,
@@ -775,71 +776,9 @@ impl RunReportDoc {
                 Some(
                     rows.iter()
                         .enumerate()
-                        .map(|(r, c)| {
-                            if matches!(c, Json::Null) {
-                                return Ok(None);
-                            }
-                            let what = format!("compute[{r}]");
-                            let pool = field(c, "pool", &what)?;
-                            let pwhat = format!("{what}.pool");
-                            let row = ComputeRow {
-                                gemm_calls: field_u64(c, "gemm_calls", &what)?,
-                                flops: field_f64(c, "flops", &what)?,
-                                gemm_wall_secs: field_f64(c, "gemm_wall_secs", &what)?,
-                                thread_secs: field_f64(c, "thread_secs", &what)?,
-                                pack_a_secs: field_f64(c, "pack_a_secs", &what)?,
-                                pack_b_secs: field_f64(c, "pack_b_secs", &what)?,
-                                compute_secs: field_f64(c, "compute_secs", &what)?,
-                                idle_secs: field_f64(c, "idle_secs", &what)?,
-                                pack_bytes: field_u64(c, "pack_bytes", &what)?,
-                                pack_bound_bytes: field_u64(c, "pack_bound_bytes", &what)?,
-                                achieved_gflops: field_f64(c, "achieved_gflops", &what)?,
-                                // Lenient: absent in pre-kernel-dispatch
-                                // reports; those parse as "".
-                                kernel: c
-                                    .get("kernel")
-                                    .and_then(Json::as_str)
-                                    .unwrap_or_default()
-                                    .to_owned(),
-                                peak_gflops: field_f64(c, "peak_gflops", &what)?,
-                                max_width: field_u64(c, "max_width", &what)?,
-                                imbalance: field_f64(c, "imbalance", &what)?,
-                                coverage: field_f64(c, "coverage", &what)?,
-                                dropped_spans: field_u64(c, "dropped_spans", &what)?,
-                                pool: PoolRow {
-                                    queue_depth_hwm: field_u64(pool, "queue_depth_hwm", &pwhat)?,
-                                    submit_wake_secs: field_f64(pool, "submit_wake_secs", &pwhat)?,
-                                    jobs: field_u64(pool, "jobs", &pwhat)?,
-                                    regions: field_u64(pool, "regions", &pwhat)?,
-                                    jobs_per_worker: field(pool, "jobs_per_worker", &pwhat)?
-                                        .as_arr()
-                                        .ok_or_else(|| {
-                                            format!("{pwhat}.jobs_per_worker is not an array")
-                                        })?
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(i, j)| {
-                                            want_u64(j, &format!("{pwhat}.jobs_per_worker[{i}]"))
-                                        })
-                                        .collect::<Result<Vec<_>, String>>()?,
-                                },
-                            };
-                            // The profiler derives idle as the remainder, so
-                            // the four shares must rebuild thread_secs; a
-                            // larger gap means the file was hand-edited.
-                            let rebuilt = row.pack_a_secs
-                                + row.pack_b_secs
-                                + row.compute_secs
-                                + row.idle_secs;
-                            if (rebuilt - row.thread_secs).abs() > 0.05 * row.thread_secs.max(1e-12)
-                            {
-                                return Err(format!(
-                                    "{what}: pack+compute+idle = {rebuilt:.6}s does not \
-                                     reconcile with thread_secs = {:.6}s (±5%)",
-                                    row.thread_secs
-                                ));
-                            }
-                            Ok(Some(row))
+                        .map(|(r, c)| match c {
+                            Json::Null => Ok(None),
+                            c => parse_compute_row(c, &format!("compute[{r}]")).map(Some),
                         })
                         .collect::<Result<Vec<_>, String>>()?,
                 )
@@ -851,7 +790,6 @@ impl RunReportDoc {
         }
 
         let parsed = RunReportDoc {
-            schema_version: version,
             time_domain,
             sim,
             meta: field(&doc, "meta", "report")?.clone(),
@@ -913,9 +851,10 @@ impl RunReportDoc {
         self.meta.get("name").and_then(Json::as_str)
     }
 
-    /// Renders the report as a text dashboard: run header, per-phase table
-    /// (traffic, times, wait share), the matrix heatmap, per-algorithm size
-    /// histograms, and a skew/bottleneck summary.
+    /// Renders the summary as a text dashboard: run header, per-phase table
+    /// (traffic, times, wait share), the critical path, compute attribution,
+    /// the matrix heatmap, per-algorithm size histograms, and a
+    /// bottleneck/skew summary.
     pub fn render_dashboard(&self) -> String {
         let mut out = String::new();
         let name = self.name().unwrap_or("<unnamed>");
@@ -927,8 +866,8 @@ impl RunReportDoc {
         let os = self.machine.get("os").and_then(Json::as_str).unwrap_or("?");
         let _ = writeln!(
             out,
-            "RunReport {name} · schema v{} · {} ranks · {arch}/{os} · {} time",
-            self.schema_version, self.ranks, self.time_domain
+            "RunReport {name} · schema v{SCHEMA_VERSION} · {} ranks · {arch}/{os} · {} time",
+            self.ranks, self.time_domain
         );
         if let Some(sim) = &self.sim {
             let _ = writeln!(
@@ -977,6 +916,28 @@ impl RunReportDoc {
             );
         }
 
+        if let Some(cp) = &self.critical_path {
+            let _ = writeln!(out, "\ncritical path (slowest rank per phase):");
+            let _ = writeln!(
+                out,
+                "{:<16} {:>10} {:>6} {:>10} {:>10} {:>6}",
+                "phase", "crit (s)", "rank", "comm (s)", "comp (s)", "skew"
+            );
+            for c in cp {
+                // The slowest rank over the mean (1.0 = perfectly balanced).
+                let skew = if c.mean_secs > 0.0 {
+                    c.crit_secs / c.mean_secs
+                } else {
+                    1.0
+                };
+                let _ = writeln!(
+                    out,
+                    "{:<16} {:>10.6} {:>6} {:>10.6} {:>10.6} {:>6.2}",
+                    c.phase, c.crit_secs, c.crit_rank, c.comm_secs, c.comp_secs, skew
+                );
+            }
+        }
+
         if let Some(compute) = &self.compute {
             let _ = writeln!(out, "\ncompute attribution (kernel profiler):");
             let _ = writeln!(
@@ -1000,15 +961,19 @@ impl RunReportDoc {
                     }
                     Some(c) => {
                         let (pack, comp, idle) = c.pct_split();
-                        let kernel = if c.kernel.is_empty() { "?" } else { &c.kernel };
+                        let peak_pct = if c.peak_gflops > 0.0 {
+                            100.0 * c.achieved_gflops / c.peak_gflops
+                        } else {
+                            0.0
+                        };
                         let _ = writeln!(
                             out,
                             "{:<5} {:>6} {:>8} {:>9.2} {:>6.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>6.2} {:>9.3}",
                             rank,
                             c.gemm_calls,
-                            kernel,
+                            c.kernel,
                             c.achieved_gflops,
-                            100.0 * c.roofline_frac(),
+                            peak_pct,
                             pack,
                             comp,
                             idle,
@@ -1033,7 +998,7 @@ impl RunReportDoc {
         out
     }
 
-    /// The skew/bottleneck closing lines of the dashboard.
+    /// The bottleneck/traffic-skew closing lines of the dashboard.
     fn render_summary(&self) -> String {
         let mut out = String::new();
         if let Some(bottleneck) = self
@@ -1046,22 +1011,6 @@ impl RunReportDoc {
                 "\nbottleneck phase: {} ({:.6} s slowest rank, {:.6} s of it blocked in recv)",
                 bottleneck.phase, bottleneck.secs_max, bottleneck.wait_max
             );
-        }
-        if let Some(cp) = &self.critical_path {
-            for c in cp {
-                let skew = if c.mean_secs > 0.0 {
-                    c.crit_secs / c.mean_secs
-                } else {
-                    1.0
-                };
-                if skew >= 1.5 {
-                    let _ = writeln!(
-                        out,
-                        "skew: phase {} is {skew:.2}x its mean on rank {}",
-                        c.phase, c.crit_rank
-                    );
-                }
-            }
         }
         // Matrix skew: flag the busiest sender if it is far above the mean.
         let totals: Vec<u64> = (0..self.ranks)
@@ -1252,20 +1201,9 @@ pub fn gate(
         ));
         return Err(errs);
     }
-    // Compute blocks carry machine-specific timings and only exist from
-    // schema v3 on, so they are never numerically gated — but comparing a
-    // profiled report against a reference whose schema predates the block
-    // (or vice versa) silently ignores the entire compute side. Refuse.
-    if (reference.compute.is_some() || subject.compute.is_some())
-        && reference.schema_version != subject.schema_version
-    {
-        errs.push(format!(
-            "compute: cannot compare across schema versions (reference v{}, subject v{}) \
-             when either side carries a compute block — regenerate the reference",
-            reference.schema_version, subject.schema_version
-        ));
-        return Err(errs);
-    }
+    // Compute blocks carry machine-specific timings, so they are never
+    // numerically gated — but comparing a profiled report against an
+    // unprofiled one silently ignores the entire compute side. Refuse.
     if reference.compute.is_some() != subject.compute.is_some() {
         errs.push(format!(
             "compute block {} in reference but {} in subject — profiled and unprofiled \
@@ -1464,8 +1402,11 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let doc = sample_doc();
-        assert_eq!(doc.schema_version, SCHEMA_VERSION);
+        let report = sample_report();
+        let meta = Json::obj([("name", Json::Str("sample".into()))]);
+        let doc = RunReportDoc::parse(&report.to_json(meta.clone()).to_string()).expect("parses");
+        // The reader returns exactly the summary the writer serialized.
+        assert_eq!(doc, report.summary(meta));
         assert_eq!(doc.ranks, 2);
         assert_eq!(doc.name(), Some("sample"));
         let stage = doc.phases.iter().find(|p| p.phase == "stage").unwrap();
@@ -1485,6 +1426,7 @@ mod tests {
         let dash = doc.render_dashboard();
         assert!(dash.contains("RunReport sample"));
         assert!(dash.contains("stage"));
+        assert!(dash.contains("critical path"));
         assert!(dash.contains("communication matrix"));
         assert!(dash.contains("dissemination_barrier"));
         assert!(dash.contains("bottleneck phase"));
@@ -1612,10 +1554,10 @@ mod tests {
         });
         let sim = report.sim.as_ref().expect("sim info");
         assert!(sim.makespan_secs > 0.0);
-        let text = report
-            .to_json(Json::obj([("name", Json::Str("sim-pp".into()))]))
-            .to_string_pretty();
+        let meta = Json::obj([("name", Json::Str("sim-pp".into()))]);
+        let text = report.to_json(meta.clone()).to_string_pretty();
         let doc = RunReportDoc::parse(&text).expect("virtual report parses");
+        assert_eq!(doc, report.summary(meta));
         assert_eq!(doc.time_domain, "virtual");
         let block = doc.sim.as_ref().expect("sim block survives the round trip");
         assert_eq!(block.machine.name, "uniform");
@@ -1626,6 +1568,12 @@ mod tests {
             .as_ref()
             .expect("synthesized critical path");
         assert!(cp.iter().any(|c| c.phase == "pp" && c.crit_secs > 0.0));
+        // No spans under virtual time: communication is the crit rank's
+        // blocked seconds.
+        for c in cp {
+            assert_eq!(c.comm_secs, report.wait_secs(c.crit_rank, &c.phase));
+            assert_eq!(c.comp_secs, c.crit_secs - c.comm_secs);
+        }
         assert_eq!(doc.matrix.sent(0, 1).bytes, 512);
     }
 
@@ -1652,11 +1600,10 @@ mod tests {
             crate::collectives::barrier(&Comm::world(ctx), ctx);
         });
         assert_eq!(report.compute.len(), 2, "both ranks captured");
-        let text = report
-            .to_json(Json::obj([("name", Json::Str("prof".into()))]))
-            .to_string_pretty();
+        let meta = Json::obj([("name", Json::Str("prof".into()))]);
+        let text = report.to_json(meta.clone()).to_string_pretty();
         let doc = RunReportDoc::parse(&text).expect("profiled report parses");
-        assert_eq!(doc.schema_version, SCHEMA_VERSION);
+        assert_eq!(doc, report.summary(meta));
         let compute = doc.compute.as_ref().expect("compute block survives");
         assert_eq!(compute.len(), 2);
         for row in compute
@@ -1689,19 +1636,10 @@ mod tests {
         let mut profiled = doc.clone();
         profiled.compute = Some(vec![None, None]);
 
-        // Same schema, compute present on one side only → refused.
+        // Compute present on one side only → refused. (Both sides are v3:
+        // `parse` reads no other schema.)
         let errs = gate(&doc, &profiled, &GatePolicy::default()).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("compute block")), "{errs:?}");
-
-        // Compute present but schema versions differ → refused before any
-        // field comparison.
-        let mut old = doc.clone();
-        old.schema_version = 2;
-        let errs = gate(&old, &profiled, &GatePolicy::default()).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("schema versions")),
-            "{errs:?}"
-        );
     }
 
     #[test]
@@ -1729,7 +1667,7 @@ mod tests {
                 "pack_a_secs": 0.1, "pack_b_secs": 0.1,
                 "compute_secs": 0.5, "idle_secs": 0.5,
                 "pack_bytes": 10, "pack_bound_bytes": 20,
-                "achieved_gflops": 1.0, "peak_gflops": 2.0,
+                "achieved_gflops": 1.0, "kernel": "portable", "peak_gflops": 2.0,
                 "max_width": 4, "imbalance": 1.0, "coverage": 1.0,
                 "dropped_spans": 0,
                 "pool": {"queue_depth_hwm": 0, "submit_wake_secs": 0.0,
@@ -1738,6 +1676,12 @@ mod tests {
         }"#;
         let e = RunReportDoc::parse(bad).unwrap_err();
         assert!(e.contains("reconcile"), "{e}");
+        // The kernel name is required and must be one the dispatcher knows.
+        for kernel in [r#""kernel": "sse9", "#, ""] {
+            let e =
+                RunReportDoc::parse(&bad.replace(r#""kernel": "portable", "#, kernel)).unwrap_err();
+            assert!(e.contains("kernel"), "{e}");
+        }
     }
 
     #[test]

@@ -113,9 +113,9 @@ impl Default for SimOptions {
 }
 
 /// What a virtual-time run ran on — embedded in the [`RunReport`] (and its
-/// schema-v2 JSON `sim` block) so downstream tooling can re-price the
+/// summary's JSON `sim` block) so downstream tooling can re-price the
 /// analytic model on the same machine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimInfo {
     /// The machine model the run was charged against.
     pub machine: Machine,

@@ -1,5 +1,5 @@
 //! Structured event tracing: per-rank span streams, the assembled
-//! [`Timeline`], the Chrome-trace exporter, and the critical-path analyzer.
+//! [`Timeline`], and the Chrome-trace exporter.
 //!
 //! Every rank records begin/end events for its phases (labelled with
 //! [`crate::RankCtx::set_phase`]), every collective (with its algorithm
@@ -11,9 +11,10 @@
 //!
 //! After the ranks join, [`crate::World::run_traced`] assembles the streams
 //! into a [`Timeline`]: properly nested [`Span`]s per rank, exportable as
-//! Chrome-trace JSON (open in Perfetto / `chrome://tracing`) and analyzable
-//! with [`Timeline::critical_path`] — the measured counterpart of the
-//! paper's Fig. 5 per-phase breakdown.
+//! Chrome-trace JSON (open in Perfetto / `chrome://tracing`). Its
+//! [`Timeline::phase_comm_secs`] is the communication share of the
+//! critical path [`crate::RunReport::summary`] computes — the measured
+//! counterpart of the paper's Fig. 5 per-phase breakdown.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -272,27 +273,10 @@ impl Timeline {
         seen
     }
 
-    /// Wall seconds rank `r` spent in `phase` (sum over that phase's
-    /// spans). Agrees with [`crate::TrafficReport::phase_secs`] because both
-    /// are driven by the same `set_phase` timestamps.
-    pub fn phase_secs(&self, rank: usize, phase: &str) -> f64 {
-        self.per_rank[rank]
-            .iter()
-            .filter(|s| matches!(&s.kind, SpanKind::Phase(name) if name == phase))
-            .map(Span::secs)
-            .sum()
-    }
-
-    /// Maximum over ranks of [`Timeline::phase_secs`].
-    pub fn phase_secs_max(&self, phase: &str) -> f64 {
-        (0..self.ranks())
-            .map(|r| self.phase_secs(r, phase))
-            .fold(0.0, f64::max)
-    }
-
     /// Seconds rank `r` spent inside communication spans that are direct
     /// children of `phase` (collectives and bare p2p; nested p2p inside a
-    /// collective is already covered by its parent).
+    /// collective is already covered by its parent) — the communication
+    /// share of a traced run's critical path (see [`crate::report`]).
     pub fn phase_comm_secs(&self, rank: usize, phase: &str) -> f64 {
         let spans = &self.per_rank[rank];
         let mut total = 0.0;
@@ -301,22 +285,6 @@ impl Timeline {
             match &s.kind {
                 SpanKind::Phase(name) if s.depth == 0 => in_phase = name == phase,
                 k if in_phase && s.depth == 1 && k.is_comm() => total += s.secs(),
-                _ => {}
-            }
-        }
-        total
-    }
-
-    /// Bytes sent by rank `r` within `phase` according to the trace (sum
-    /// over `Send` spans; cross-checks the traffic counters).
-    pub fn phase_sent_bytes(&self, rank: usize, phase: &str) -> u64 {
-        let spans = &self.per_rank[rank];
-        let mut total = 0;
-        let mut in_phase = false;
-        for s in spans {
-            match &s.kind {
-                SpanKind::Phase(name) if s.depth == 0 => in_phase = name == phase,
-                SpanKind::Send { .. } if in_phase => total += s.bytes,
                 _ => {}
             }
         }
@@ -370,46 +338,6 @@ impl Timeline {
             r#"{{"traceEvents":[{events}],"displayTimeUnit":"ms","otherData":{{"producer":"msgpass","ranks":{}}}}}"#,
             self.ranks()
         )
-    }
-
-    /// Per-phase critical-path analysis: the slowest rank per phase and its
-    /// communication/computation split.
-    pub fn critical_path(&self) -> CriticalPathReport {
-        let phases = self
-            .phases()
-            .into_iter()
-            .map(|phase| {
-                let mut crit_rank = 0;
-                let mut crit_secs = 0.0;
-                let mut sum = 0.0;
-                let mut entered = 0usize;
-                for r in 0..self.ranks() {
-                    let secs = self.phase_secs(r, &phase);
-                    if secs > 0.0 {
-                        entered += 1;
-                        sum += secs;
-                    }
-                    if secs > crit_secs {
-                        crit_secs = secs;
-                        crit_rank = r;
-                    }
-                }
-                let comm_secs = self.phase_comm_secs(crit_rank, &phase).min(crit_secs);
-                PhaseCritical {
-                    phase,
-                    crit_secs,
-                    crit_rank,
-                    comm_secs,
-                    comp_secs: crit_secs - comm_secs,
-                    mean_secs: if entered > 0 {
-                        sum / entered as f64
-                    } else {
-                        0.0
-                    },
-                }
-            })
-            .collect();
-        CriticalPathReport { phases }
     }
 }
 
@@ -494,87 +422,6 @@ fn micros(secs: f64) -> f64 {
     (secs * 1e6 * 1e3).round() / 1e3
 }
 
-/// One phase's entry in the critical-path report.
-#[derive(Clone, Debug)]
-pub struct PhaseCritical {
-    /// Phase label.
-    pub phase: String,
-    /// Wall seconds on the slowest rank.
-    pub crit_secs: f64,
-    /// The slowest rank.
-    pub crit_rank: usize,
-    /// Communication seconds on the slowest rank (direct children of the
-    /// phase span: collectives, sends, blocking receives).
-    pub comm_secs: f64,
-    /// Remainder of the slowest rank's phase time (local compute).
-    pub comp_secs: f64,
-    /// Mean phase seconds over the ranks that entered the phase.
-    pub mean_secs: f64,
-}
-
-impl PhaseCritical {
-    /// Skew of the slowest rank over the mean (1.0 = perfectly balanced).
-    pub fn skew(&self) -> f64 {
-        if self.mean_secs > 0.0 {
-            self.crit_secs / self.mean_secs
-        } else {
-            1.0
-        }
-    }
-}
-
-/// The [`Timeline::critical_path`] result: phases in execution order.
-#[derive(Clone, Debug)]
-pub struct CriticalPathReport {
-    /// Per-phase entries in order of first appearance.
-    pub phases: Vec<PhaseCritical>,
-}
-
-impl CriticalPathReport {
-    /// The phase with the largest critical (slowest-rank) time.
-    pub fn bottleneck(&self) -> Option<&PhaseCritical> {
-        self.phases
-            .iter()
-            .max_by(|a, b| a.crit_secs.total_cmp(&b.crit_secs))
-    }
-
-    /// Sum over phases of the slowest-rank time: a lower bound on the
-    /// run's makespan under the phase barrier structure.
-    pub fn critical_total_secs(&self) -> f64 {
-        self.phases.iter().map(|p| p.crit_secs).sum()
-    }
-
-    /// Human-readable table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<16} {:>10} {:>6} {:>10} {:>10} {:>6}",
-            "phase", "crit (s)", "rank", "comm (s)", "comp (s)", "skew"
-        );
-        for p in &self.phases {
-            let _ = writeln!(
-                out,
-                "{:<16} {:>10.6} {:>6} {:>10.6} {:>10.6} {:>6.2}",
-                p.phase,
-                p.crit_secs,
-                p.crit_rank,
-                p.comm_secs,
-                p.comp_secs,
-                p.skew()
-            );
-        }
-        if let Some(b) = self.bottleneck() {
-            let _ = writeln!(
-                out,
-                "bottleneck: {} ({:.6} s on rank {})",
-                b.phase, b.crit_secs, b.crit_rank
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,8 +459,8 @@ mod tests {
         // begin order is preserved
         assert!(spans.windows(2).all(|w| w[0].t0 <= w[1].t0));
         assert_eq!(tl.phases(), vec!["a".to_owned(), "b".to_owned()]);
-        assert_eq!(tl.phase_secs(0, "a"), 10.0);
-        assert_eq!(tl.phase_secs(0, "b"), 2.0);
+        assert_eq!(spans[0].secs(), 10.0);
+        assert_eq!(spans[3].secs(), 2.0);
         // comm under "a" counts the collective (4 s), not its inner send
         assert_eq!(tl.phase_comm_secs(0, "a"), 4.0);
         assert_eq!(tl.phase_comm_secs(0, "b"), 0.0);
@@ -638,16 +485,26 @@ mod tests {
                 raw_end(secs, 0),
             ]
         };
-        let tl = Timeline::from_raw(vec![mk(1.0), mk(5.0), mk(2.0)]);
-        let report = tl.critical_path();
-        assert_eq!(report.phases.len(), 1);
-        let p = &report.phases[0];
-        assert_eq!(p.crit_rank, 1);
-        assert_eq!(p.crit_secs, 5.0);
+        // The summary reads the crit rank off the traffic report's phase
+        // clock, which a real run stamps from the same `set_phase` instants.
+        let secs = [1.0, 5.0, 2.0];
+        let report = crate::RunReport {
+            traffic: crate::TrafficReport {
+                per_rank: vec![Default::default(); 3],
+                secs_per_rank: secs.iter().map(|&s| [("x".to_owned(), s)].into()).collect(),
+                wait_per_rank: vec![Default::default(); 3],
+                matrix: crate::CommMatrix::new(3),
+                ..Default::default()
+            },
+            timeline: Timeline::from_raw(secs.map(mk).into()),
+            ..Default::default()
+        };
+        let cp = report.summary(jsonlite::Json::Null).critical_path.unwrap();
+        assert_eq!(cp.len(), 1);
+        let p = &cp[0];
+        assert_eq!((p.phase.as_str(), p.crit_rank, p.crit_secs), ("x", 1, 5.0));
         assert!((p.mean_secs - 8.0 / 3.0).abs() < 1e-12);
-        assert_eq!(report.bottleneck().unwrap().phase, "x");
-        assert_eq!(report.critical_total_secs(), 5.0);
-        assert!(report.render().contains("bottleneck: x"));
+        assert_eq!((p.comm_secs, p.comp_secs), (0.0, 5.0));
     }
 
     #[test]
@@ -838,6 +695,12 @@ mod tests {
         ];
         let tl = Timeline::from_raw(vec![stream]);
         // counts both the bare send and the one inside the collective
-        assert_eq!(tl.phase_sent_bytes(0, "p"), 150);
+        let sent: u64 = tl
+            .spans(0)
+            .iter()
+            .filter(|s| matches!(s.kind, SpanKind::Send { .. }))
+            .map(|s| s.bytes)
+            .sum();
+        assert_eq!(sent, 150);
     }
 }

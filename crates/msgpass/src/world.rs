@@ -275,9 +275,9 @@ impl RankCtx {
     /// trace timeline. Phases are free-form; algorithms use names like
     /// `"replicate_ab"`, `"cannon_shift"`, `"reduce_c"`, `"redist"`.
     ///
-    /// The traffic clock and the trace span share one timestamp, so
-    /// [`Timeline::phase_secs`] and [`TrafficReport::phase_secs`] agree
-    /// exactly (up to float rounding).
+    /// The traffic clock and the trace span share one timestamp, so a
+    /// rank's phase spans and [`TrafficReport::phase_secs`] agree exactly
+    /// (up to float rounding).
     pub fn set_phase(&self, phase: &str) {
         let now = Instant::now();
         self.flush_phase_time(now);
@@ -830,7 +830,13 @@ mod tests {
         });
         for rank in 0..2 {
             for phase in ["alpha", "beta"] {
-                let from_trace = report.timeline.phase_secs(rank, phase);
+                let from_trace: f64 = report
+                    .timeline
+                    .spans(rank)
+                    .iter()
+                    .filter(|s| s.kind == SpanKind::Phase(phase.to_owned()))
+                    .map(crate::Span::secs)
+                    .sum();
                 let from_clock = report.traffic.phase_secs(rank, phase);
                 assert!(from_trace > 0.0, "rank {rank} {phase} span missing");
                 assert!(

@@ -21,7 +21,7 @@ impl Placement {
 
 /// An α–β–γ machine: network latency and bandwidth per link class plus a
 /// local GEMM rate. All times in seconds, sizes in bytes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Machine {
     /// Human-readable name for reports.
     pub name: String,

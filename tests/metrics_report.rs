@@ -233,7 +233,6 @@ fn profiled_run_report_compute_block_reconciles() {
         .to_json(alg.report_meta("metrics_report_prof", &report))
         .to_string_pretty();
     let doc = RunReportDoc::parse(&text).expect("profiled artifact parses");
-    assert_eq!(doc.schema_version, msgpass::report::SCHEMA_VERSION);
     assert_eq!(
         doc.meta.get("gemm_prof").and_then(jsonlite::Json::as_bool),
         Some(true),

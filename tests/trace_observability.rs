@@ -11,7 +11,7 @@ use dense::random::global_block;
 use dense::Mat;
 use gridopt::{Grid, Problem};
 use jsonlite::Json;
-use msgpass::{Comm, RunOptions, RunReport, World};
+use msgpass::{Comm, RunOptions, RunReport, SpanKind, World};
 use netmodel::eval::evaluate;
 use netmodel::Machine;
 
@@ -46,26 +46,36 @@ fn run_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid, opts: RunOptio
 
 /// The timeline's per-phase seconds agree with the traffic report's
 /// independent phase clock on every rank — both derive from the same
-/// `set_phase` timestamps, so the agreement must be tight.
+/// `set_phase` timestamps, so the agreement must be tight — and the bytes of
+/// the `Send` spans inside each phase span match the traffic counters.
 #[test]
 fn timeline_agrees_with_traffic_phase_clock() {
     let report = traced_ca3dmm(64, 64, 64, 8, Grid::new(2, 2, 2));
     assert!(!report.timeline.is_empty());
     for phase in report.timeline.phases() {
         for rank in 0..report.timeline.ranks() {
-            let trace_s = report.timeline.phase_secs(rank, &phase);
+            // Walk the rank's spans: phase spans are depth 0, and every
+            // span up to the next phase span belongs to this one.
+            let (mut trace_s, mut trace_bytes, mut in_phase) = (0.0, 0, false);
+            for s in report.timeline.spans(rank) {
+                match &s.kind {
+                    SpanKind::Phase(name) => {
+                        in_phase = *name == phase;
+                        if in_phase {
+                            trace_s += s.secs();
+                        }
+                    }
+                    SpanKind::Send { .. } if in_phase => trace_bytes += s.bytes,
+                    _ => {}
+                }
+            }
             let clock_s = report.traffic.phase_secs(rank, &phase);
             assert!(
                 (trace_s - clock_s).abs() < 1e-6,
                 "rank {rank} phase {phase}: timeline {trace_s} vs traffic {clock_s}"
             );
-        }
-    }
-    // and the per-phase sent bytes match the traffic counters exactly
-    for phase in report.timeline.phases() {
-        for rank in 0..report.timeline.ranks() {
             assert_eq!(
-                report.timeline.phase_sent_bytes(rank, &phase),
+                trace_bytes,
                 report.traffic.phase(rank, &phase).bytes,
                 "rank {rank} phase {phase} bytes"
             );
@@ -207,21 +217,37 @@ fn profiled_chrome_export_has_kernel_thread_tracks() {
     );
 }
 
-/// The critical-path analyzer names a real phase, its per-phase split sums
-/// sensibly, and comm never exceeds the phase total.
+/// The summary's critical path names a real phase, its per-phase split sums
+/// sensibly, and a traced run's comm share is exactly the crit rank's
+/// direct-child communication spans (never more than the phase total).
 #[test]
 fn critical_path_report_is_consistent() {
     let report = traced_ca3dmm(64, 64, 128, 8, Grid::new(2, 2, 2));
-    let crit = report.timeline.critical_path();
-    let bottleneck = crit.bottleneck().expect("nonempty critical path");
-    assert!(report.timeline.phases().contains(&bottleneck.phase));
-    for pc in &crit.phases {
+    let summary = report.summary(Json::Null);
+    let crit = summary.critical_path.as_ref().expect("traced run has one");
+    let phases = report.traffic.phases();
+    assert_eq!(
+        crit.iter().map(|c| c.phase.clone()).collect::<Vec<_>>(),
+        phases,
+        "one row per phase, in traffic-report order"
+    );
+    for pc in crit {
         assert!(
             pc.crit_secs > 0.0,
             "phase {} has zero critical time",
             pc.phase
         );
         assert!(pc.crit_rank < report.timeline.ranks());
+        assert_eq!(pc.crit_secs, report.traffic.phase_secs_max(&pc.phase));
+        assert_eq!(
+            pc.comm_secs,
+            report
+                .timeline
+                .phase_comm_secs(pc.crit_rank, &pc.phase)
+                .min(pc.crit_secs),
+            "phase {}",
+            pc.phase
+        );
         assert!(
             pc.comm_secs <= pc.crit_secs + 1e-9,
             "phase {}: comm {} exceeds total {}",
@@ -231,7 +257,7 @@ fn critical_path_report_is_consistent() {
         );
         assert!((pc.comm_secs + pc.comp_secs - pc.crit_secs).abs() < 1e-9);
     }
-    assert!(crit.render().contains("bottleneck"));
+    assert!(summary.render_dashboard().contains("critical path"));
 }
 
 /// The model-vs-measured diff covers every runtime phase and produces a
