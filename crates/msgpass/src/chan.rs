@@ -101,15 +101,6 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Blocks until a message arrives; fails once all senders are gone and
-    /// the queue is empty. The wall-clock fabric uses
-    /// [`Receiver::recv_timed`] for wait attribution; this untimed form is
-    /// the virtual-time path, where blocked wall seconds are meaningless
-    /// and reading the clock for them would be pure overhead.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        self.recv_timed().map(|(v, _)| v)
-    }
-
     /// Non-blocking poll: pops a queued message if one is present,
     /// returns `Ok(None)` when the queue is empty but senders remain, and
     /// `Err(RecvError)` once every sender is gone and the queue is drained.
@@ -125,12 +116,12 @@ impl<T> Receiver<T> {
         Ok(None)
     }
 
-    /// Like [`Receiver::recv`], but also reports how many seconds this call
-    /// spent *blocked* on the condvar. A message already queued returns
-    /// `0.0` without ever reading the clock, so the fast path stays free of
-    /// `Instant` overhead — only calls that actually wait pay for the two
-    /// timestamps. This is the primitive behind the runtime's wait-time
-    /// attribution.
+    /// Blocks until a message arrives and reports how many seconds this call
+    /// spent *blocked* on the condvar; fails once all senders are gone and
+    /// the queue is empty. A message already queued returns `0.0` without
+    /// ever reading the clock, so the fast path stays free of `Instant`
+    /// overhead — only calls that actually wait pay for the two timestamps.
+    /// This is the primitive behind the runtime's wait-time attribution.
     pub fn recv_timed(&self) -> Result<(T, f64), RecvError> {
         let mut st = lock(&self.shared);
         if let Some(v) = st.queue.pop_front() {
@@ -173,7 +164,7 @@ mod tests {
             tx.send(i).unwrap();
         }
         for i in 0..10 {
-            assert_eq!(rx.recv().unwrap(), i);
+            assert_eq!(rx.recv_timed().unwrap(), (i, 0.0));
         }
     }
 
@@ -184,8 +175,8 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(move || tx.send(1u32).unwrap());
             s.spawn(move || tx2.send(2u32).unwrap());
-            let a = rx.recv().unwrap();
-            let b = rx.recv().unwrap();
+            let (a, _) = rx.recv_timed().unwrap();
+            let (b, _) = rx.recv_timed().unwrap();
             assert_eq!(a + b, 3);
         });
     }
@@ -198,7 +189,7 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 tx.send(7u8).unwrap();
             });
-            assert_eq!(rx.recv().unwrap(), 7);
+            assert_eq!(rx.recv_timed().unwrap().0, 7);
         });
     }
 
@@ -224,8 +215,8 @@ mod tests {
         let (tx, rx) = channel::<u8>();
         tx.send(1).unwrap();
         drop(tx);
-        assert_eq!(rx.recv(), Ok(1)); // buffered message still delivered
-        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(rx.recv_timed(), Ok((1, 0.0))); // buffered message still delivered
+        assert_eq!(rx.recv_timed(), Err(RecvError));
 
         let (tx, rx) = channel::<u8>();
         drop(rx);

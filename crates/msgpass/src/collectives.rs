@@ -8,7 +8,9 @@
 //! bandwidth-bound collectives because their *per-rank byte volume is
 //! exactly* the `β·n·(P−1)/P` term of the paper's §III-D cost table for any
 //! group size — which is what the model-vs-measured tests assert. (Latency
-//! terms in the analytic model use the butterfly formulas regardless.)
+//! terms in the analytic model use the butterfly formulas regardless.) Each
+//! ring is written once, over node blocks; the flat ring is its one-rank-node
+//! case (see "The two-level rings" below).
 //!
 //! Every collective must be called by all members of the communicator in the
 //! same order, as in MPI.
@@ -123,19 +125,8 @@ pub fn bcast_large<T: WireElem>(
         return data;
     }
     let tag = comm.next_coll_tag();
-    let base = len / g;
-    let extra = len % g;
-    let counts: Vec<usize> = (0..g)
-        .map(|i| if i < extra { base + 1 } else { base })
-        .collect();
-    let offsets: Vec<usize> = counts
-        .iter()
-        .scan(0, |acc, &c| {
-            let o = *acc;
-            *acc += c;
-            Some(o)
-        })
-        .collect();
+    let counts = dense::split_even(len, g);
+    let offsets = offsets_of(&counts);
     // Scatter segments from the root.
     let my_seg: Vec<T> = if me == root {
         let mut data = mine.unwrap();
@@ -176,69 +167,21 @@ pub fn allgather<T: WireElem>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>) -> Vec<T
 
 /// Ring allgather with per-rank contribution sizes `counts` (known to all
 /// members, as in `MPI_Allgatherv`). Returns the concatenation in rank
-/// order.
+/// order. This is [`allgatherv_mode`]'s two-level ring with every rank its
+/// own node.
 pub fn allgatherv<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     mine: Vec<T>,
     counts: &[usize],
 ) -> Vec<T> {
-    let _span = ctx.collective_scope("ring_allgatherv", || {
-        (counts.iter().sum::<usize>() * T::WIRE_BYTES) as u64
-    });
-    let g = comm.size();
-    let me = comm.rank();
-    assert_eq!(counts.len(), g, "counts must have one entry per rank");
-    assert_eq!(
-        mine.len(),
-        counts[me],
-        "my contribution length disagrees with counts"
-    );
-    if g == 1 {
-        return mine;
-    }
-    let tag = comm.next_coll_tag();
-    let offsets: Vec<usize> = counts
-        .iter()
-        .scan(0, |acc, &c| {
-            let o = *acc;
-            *acc += c;
-            Some(o)
-        })
-        .collect();
-    let total: usize = counts.iter().sum();
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    // Segments arrive out of offset order; stage them and concatenate once
-    // all are present.
-    let mut segments: Vec<Option<Vec<T>>> = (0..g).map(|_| None).collect();
-    segments[me] = Some(mine);
-
-    let right = (me + 1) % g;
-    let left = (me + g - 1) % g;
-    // At step t we forward the segment that originated at rank (me - t).
-    for t in 0..g - 1 {
-        let send_seg = (me + g - t) % g;
-        let recv_seg = (me + g - t - 1) % g;
-        let payload = segments[send_seg]
-            .as_ref()
-            .expect("segment to forward must be present")
-            .clone();
-        comm.send_internal(ctx, right, tag, payload);
-        let got: Vec<T> = comm.recv_internal(ctx, left, tag);
-        assert_eq!(got.len(), counts[recv_seg], "allgatherv count mismatch");
-        segments[recv_seg] = Some(got);
-    }
-    for (s, o) in segments.into_iter().zip(offsets) {
-        let s = s.expect("all segments gathered");
-        debug_assert!(out.len() == o);
-        out.extend_from_slice(&s);
-    }
-    out
+    ring_allgatherv(comm, ctx, mine, counts, None)
 }
 
 /// Ring reduce-scatter: `data` is the full vector (length = Σ counts) of
 /// this rank's contribution; returns the elementwise sum over all ranks of
-/// segment `rank` (the segment boundaries are given by `counts`).
+/// segment `rank` (the segment boundaries are given by `counts`). This is
+/// [`reduce_scatter_mode`]'s two-level ring with every rank its own node.
 ///
 /// Per-rank volume: Σ_{s≠me} counts\[s\] bytes sent — the `β·n·(P−1)/P` of the
 /// paper when counts are even.
@@ -248,51 +191,7 @@ pub fn reduce_scatter<T: ReduceElem>(
     data: Vec<T>,
     counts: &[usize],
 ) -> Vec<T> {
-    let _span = ctx.collective_scope("ring_reduce_scatter", || data.nbytes() as u64);
-    let g = comm.size();
-    let me = comm.rank();
-    assert_eq!(counts.len(), g, "counts must have one entry per rank");
-    let total: usize = counts.iter().sum();
-    assert_eq!(data.len(), total, "data length must equal sum of counts");
-    if g == 1 {
-        return data;
-    }
-    let tag = comm.next_coll_tag();
-    let offsets: Vec<usize> = counts
-        .iter()
-        .scan(0, |acc, &c| {
-            let o = *acc;
-            *acc += c;
-            Some(o)
-        })
-        .collect();
-    let seg = |s: usize| offsets[s]..offsets[s] + counts[s];
-
-    let right = (me + 1) % g;
-    let left = (me + g - 1) % g;
-    let acc = data;
-    // Segment s travels along the ring starting at rank s+1 and is
-    // accumulated at each hop; after g−1 steps it is complete at rank s.
-    let mut carry: Vec<T> = Vec::new();
-    for t in 0..g - 1 {
-        let send_seg = (me + 2 * g - 1 - t) % g;
-        let recv_seg = (me + 2 * g - 2 - t) % g;
-        let payload: Vec<T> = if t == 0 {
-            acc[seg(send_seg)].to_vec()
-        } else {
-            std::mem::take(&mut carry)
-        };
-        comm.send_internal(ctx, right, tag, payload);
-        let got: Vec<T> = comm.recv_internal(ctx, left, tag);
-        assert_eq!(got.len(), counts[recv_seg], "reduce_scatter count mismatch");
-        // add my contribution for that segment
-        let mut sum = got;
-        for (s, d) in sum.iter_mut().zip(&acc[seg(recv_seg)]) {
-            *s += *d;
-        }
-        carry = sum;
-    }
-    carry
+    ring_reduce_scatter(comm, ctx, data, counts, None)
 }
 
 /// Allreduce (elementwise sum) via Rabenseifner's algorithm: ring
@@ -303,12 +202,7 @@ pub fn allreduce<T: ReduceElem>(comm: &Comm, ctx: &RankCtx, data: Vec<T>) -> Vec
     if g == 1 {
         return data;
     }
-    let n = data.len();
-    let base = n / g;
-    let extra = n % g;
-    let counts: Vec<usize> = (0..g)
-        .map(|i| if i < extra { base + 1 } else { base })
-        .collect();
+    let counts = dense::split_even(data.len(), g);
     let mine = reduce_scatter(comm, ctx, data, &counts);
     allgatherv(comm, ctx, mine, &counts)
 }
@@ -436,25 +330,26 @@ pub fn gatherv<T: WireElem>(
 }
 
 // ---------------------------------------------------------------------------
-// Two-level (node-aware) collectives.
+// The two-level rings.
 //
-// When the run knows its node layout ([`RankCtx::ranks_per_node`], set by the
-// sim placement or by `RunOptions::ranks_per_node`), the `*_hier` entry
-// points below route each collective through a node-leader structure:
-// members send to their node's leader over the (cheap) intra-node fabric,
-// the leaders run the inter-node stage among themselves — one ring or tree
-// over *nodes* instead of *ranks* — and the leaders fan results back out
-// intra-node. Inter-node message count per group drops from Θ(P) to
-// Θ(#nodes), which is the latency tier the flat rings pay at scale.
+// Allgatherv and reduce-scatter each have one ring, written over *node
+// blocks*: members talk to their node's leader over the (cheap) intra-node
+// fabric, the leaders run the ring among themselves, and the leaders hand the
+// results back out intra-node. With a known node layout
+// ([`RankCtx::ranks_per_node`], set by the sim placement or by
+// `RunOptions::ranks_per_node`) and `Collectives::Hier`, the grouping is the
+// real one and inter-node messages per group drop from Θ(P) to Θ(#nodes) —
+// the latency tier the flat rings pay at scale. The flat algorithm is the
+// same ring with every rank its own node.
 //
 // Selection is structural and identical on every member (it is a pure
 // function of the communicator's world ranks and the topology), so a
-// communicator never splits between the two paths: hier engages only when
-// the group spans ≥ 2 nodes AND at least one node holds ≥ 2 members.
-// Otherwise the flat algorithm is the right one already — a single-node
-// group never crosses the network, and an all-singleton group gains nothing
-// from leaders (every rank *is* its node's leader) — so the flat path runs
-// and the traffic is attributed to the flat algorithm name.
+// communicator never splits between the two groupings: hier engages only
+// when the group spans ≥ 2 nodes AND at least one node holds ≥ 2 members.
+// Otherwise the one-rank-node grouping is the right one already — a
+// single-node group never crosses the network, and an all-singleton group
+// gains nothing from leaders — and the traffic is attributed to the flat
+// algorithm name.
 
 /// Node-grouped view of a communicator: which members share nodes, under the
 /// block `node = world_rank / ranks_per_node` mapping.
@@ -532,28 +427,31 @@ fn offsets_of(counts: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Two-level allgather with equal contribution sizes: hierarchical when the
-/// topology engages ([`node_map`]), flat ring otherwise.
-pub fn allgather_hier<T: WireElem>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>) -> Vec<T> {
-    let counts = vec![mine.len(); comm.size()];
-    allgatherv_hier(comm, ctx, mine, &counts)
+/// Node `j`'s members, leader first: from the [`node_map`] grouping, or the
+/// one-rank node `{j}` of the flat rings, which needs no table.
+fn members<'a>(hier: Option<&'a NodeMap>, j: &'a usize) -> &'a [usize] {
+    hier.map_or(std::slice::from_ref(j), |map| &map.nodes[*j])
 }
 
-/// Two-level allgatherv: members ship their piece to the node leader, the
-/// leaders ring-exchange whole node blocks (one inter-node message per ring
-/// step instead of one per member), and each leader hands the assembled
-/// buffer back to its members. Falls back to the flat ring when [`node_map`]
-/// declines.
-pub fn allgatherv_hier<T: WireElem>(
+/// The one allgatherv ring, over node blocks (a node's block is its members'
+/// segments in member order). Up: members hand their segment to the node
+/// leader. Ring: the leaders pass whole blocks, one message per step, for
+/// `L − 1` steps. Down: each leader hands the assembled buffer to its
+/// members. `hier = None` is the flat ring — one-rank nodes, whose up and
+/// down stages send nothing and whose block is the segment itself.
+fn ring_allgatherv<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     mine: Vec<T>,
     counts: &[usize],
+    hier: Option<NodeMap>,
 ) -> Vec<T> {
-    let Some(map) = node_map(comm, ctx) else {
-        return allgatherv(comm, ctx, mine, counts);
+    let algo = if hier.is_some() {
+        "hier_allgatherv"
+    } else {
+        "ring_allgatherv"
     };
-    let _span = ctx.collective_scope("hier_allgatherv", || {
+    let _span = ctx.collective_scope(algo, || {
         (counts.iter().sum::<usize>() * T::WIRE_BYTES) as u64
     });
     let g = comm.size();
@@ -564,268 +462,156 @@ pub fn allgatherv_hier<T: WireElem>(
         counts[me],
         "my contribution length disagrees with counts"
     );
-    let t_up = comm.next_coll_tag();
-    let t_ring = comm.next_coll_tag();
-    let t_down = comm.next_coll_tag();
-    let members = &map.nodes[map.my_node];
-    let leader = members[0];
-    if me != leader {
-        comm.send_internal(ctx, leader, t_up, mine);
-        return comm.recv_internal(ctx, leader, t_down);
+    if g == 1 {
+        return mine;
     }
-    // Leader: collect the node's segments, then ring over leaders with one
-    // packed block per node per step.
+    let hier = hier.as_ref();
+    let (l, lc) = hier.map_or((me, g), |map| (map.my_node, map.nodes.len()));
+    let block_len = |j: usize| members(hier, &j).iter().map(|&m| counts[m]).sum::<usize>();
+    let tag = comm.next_coll_tag();
+    let own = members(hier, &l);
+    if me != own[0] {
+        comm.send_internal(ctx, own[0], tag, mine);
+        return comm.recv_internal(ctx, own[0], tag);
+    }
+    // Segments arrive out of rank order; stage them and concatenate once all
+    // are present.
     let mut segments: Vec<Option<Vec<T>>> = (0..g).map(|_| None).collect();
     segments[me] = Some(mine);
-    for &m in &members[1..] {
-        let got: Vec<T> = comm.recv_internal(ctx, m, t_up);
+    for &m in &own[1..] {
+        let got: Vec<T> = comm.recv_internal(ctx, m, tag);
         assert_eq!(got.len(), counts[m], "allgatherv count mismatch");
         segments[m] = Some(got);
     }
-    let l = map.my_node;
-    let lc = map.nodes.len();
-    let right = map.nodes[(l + 1) % lc][0];
-    let left = map.nodes[(l + lc - 1) % lc][0];
+    let right = members(hier, &((l + 1) % lc))[0];
+    let left = members(hier, &((l + lc - 1) % lc))[0];
+    // At step t a leader forwards the block of node (l − t).
     for t in 0..lc - 1 {
         let send_node = (l + lc - t) % lc;
         let recv_node = (l + lc - t - 1) % lc;
-        let mut block: Vec<T> = Vec::new();
-        for &m in &map.nodes[send_node] {
-            block.extend_from_slice(segments[m].as_ref().expect("block to forward present"));
+        let mut block = Vec::with_capacity(block_len(send_node));
+        for &m in members(hier, &send_node) {
+            let seg = segments[m].as_ref();
+            block.extend_from_slice(seg.expect("segment to forward must be present"));
         }
-        comm.send_internal(ctx, right, t_ring, block);
-        let got: Vec<T> = comm.recv_internal(ctx, left, t_ring);
-        let mut off = 0;
-        for &m in &map.nodes[recv_node] {
-            segments[m] = Some(got[off..off + counts[m]].to_vec());
-            off += counts[m];
+        comm.send_internal(ctx, right, tag, block);
+        let mut got: Vec<T> = comm.recv_internal(ctx, left, tag);
+        let mut off = block_len(recv_node);
+        assert_eq!(got.len(), off, "allgatherv count mismatch");
+        // Cut the block back into segments from the tail: the leader's
+        // segment keeps the received buffer, so a one-rank node copies nothing.
+        let from = members(hier, &recv_node);
+        for &m in from[1..].iter().rev() {
+            off -= counts[m];
+            segments[m] = Some(got.split_off(off));
         }
-        assert_eq!(off, got.len(), "node block length mismatch");
+        segments[from[0]] = Some(got);
     }
-    // Assemble in comm rank order and fan out to the node's members.
-    let total: usize = counts.iter().sum();
-    let mut out: Vec<T> = Vec::with_capacity(total);
+    let mut out: Vec<T> = Vec::with_capacity(counts.iter().sum());
     for s in segments {
         out.extend_from_slice(&s.expect("all segments gathered"));
     }
-    for &m in &members[1..] {
-        comm.send_internal(ctx, m, t_down, out.clone());
+    for &m in &own[1..] {
+        comm.send_internal(ctx, m, tag, out.clone());
     }
     out
 }
 
-/// Two-level reduce-scatter: members ship their full contribution to the
-/// node leader, which pre-reduces intra-node; the leaders then ring
-/// reduce-scatter whole node blocks (already node-combined, so each block
-/// crosses the network once per ring hop instead of once per member), and
-/// each leader scatters its node's finished segments back. Falls back to the
-/// flat ring when [`node_map`] declines.
-pub fn reduce_scatter_hier<T: ReduceElem>(
+/// The one reduce-scatter ring, over node blocks. Up: members ship their
+/// whole vector to the node leader, which adds them into its own. Ring: the
+/// leaders pass partial sums of whole node blocks for `L − 1` steps, each
+/// adding its node's contribution, so every block crosses the network once
+/// per hop. Down: each leader hands its members their finished segments.
+/// `hier = None` is the flat ring — one-rank nodes, no up or down messages.
+/// Every hop adds `received partial sum += local contribution`; with a node
+/// grouping the local contribution is the node's pre-combined sum, so the
+/// association (not the result on exact inputs) differs from the flat ring.
+fn ring_reduce_scatter<T: ReduceElem>(
     comm: &Comm,
     ctx: &RankCtx,
     data: Vec<T>,
     counts: &[usize],
+    hier: Option<NodeMap>,
 ) -> Vec<T> {
-    let Some(map) = node_map(comm, ctx) else {
-        return reduce_scatter(comm, ctx, data, counts);
+    let algo = if hier.is_some() {
+        "hier_reduce_scatter"
+    } else {
+        "ring_reduce_scatter"
     };
-    let _span = ctx.collective_scope("hier_reduce_scatter", || data.nbytes() as u64);
+    let _span = ctx.collective_scope(algo, || data.nbytes() as u64);
     let g = comm.size();
     let me = comm.rank();
     assert_eq!(counts.len(), g, "counts must have one entry per rank");
     let total: usize = counts.iter().sum();
     assert_eq!(data.len(), total, "data length must equal sum of counts");
-    let t_up = comm.next_coll_tag();
-    let t_ring = comm.next_coll_tag();
-    let t_down = comm.next_coll_tag();
-    let offsets = offsets_of(counts);
-    let members = &map.nodes[map.my_node];
-    let leader = members[0];
-    if me != leader {
-        comm.send_internal(ctx, leader, t_up, data);
-        return comm.recv_internal(ctx, leader, t_down);
+    if g == 1 {
+        return data;
     }
-    // Leader: pre-reduce the node's contributions elementwise.
+    let hier = hier.as_ref();
+    let (l, lc) = hier.map_or((me, g), |map| (map.my_node, map.nodes.len()));
+    let block_len = |j: usize| members(hier, &j).iter().map(|&m| counts[m]).sum::<usize>();
+    let tag = comm.next_coll_tag();
+    let own = members(hier, &l);
+    if me != own[0] {
+        comm.send_internal(ctx, own[0], tag, data);
+        return comm.recv_internal(ctx, own[0], tag);
+    }
     let mut acc = data;
-    for &m in &members[1..] {
-        let got: Vec<T> = comm.recv_internal(ctx, m, t_up);
+    for &m in &own[1..] {
+        let got: Vec<T> = comm.recv_internal(ctx, m, tag);
         assert_eq!(got.len(), acc.len(), "reduce_scatter length mismatch");
         for (s, d) in acc.iter_mut().zip(&got) {
             *s += *d;
         }
     }
-    // Ring reduce-scatter over node blocks among the leaders; the block of
-    // node `b` is the concatenation of its members' segments.
-    let l = map.my_node;
-    let lc = map.nodes.len();
-    let right = map.nodes[(l + 1) % lc][0];
-    let left = map.nodes[(l + lc - 1) % lc][0];
-    let pack = |acc: &[T], node: usize| -> Vec<T> {
-        let mut block = Vec::new();
-        for &m in &map.nodes[node] {
-            block.extend_from_slice(&acc[offsets[m]..offsets[m] + counts[m]]);
-        }
-        block
-    };
+    let offsets = offsets_of(counts);
+    let right = members(hier, &((l + 1) % lc))[0];
+    let left = members(hier, &((l + lc - 1) % lc))[0];
+    // Node block b travels along the ring starting at node b + 1 and is
+    // accumulated at each hop; after L − 1 steps it is complete at node b.
     let mut carry: Vec<T> = Vec::new();
     for t in 0..lc - 1 {
         let send_node = (l + 2 * lc - 1 - t) % lc;
         let recv_node = (l + 2 * lc - 2 - t) % lc;
         let payload: Vec<T> = if t == 0 {
-            pack(&acc, send_node)
+            let mut block = Vec::with_capacity(block_len(send_node));
+            for &m in members(hier, &send_node) {
+                block.extend_from_slice(&acc[offsets[m]..offsets[m] + counts[m]]);
+            }
+            block
         } else {
             std::mem::take(&mut carry)
         };
-        comm.send_internal(ctx, right, t_ring, payload);
-        let mut sum: Vec<T> = comm.recv_internal(ctx, left, t_ring);
-        // Add my node's (pre-reduced) contribution for that block.
+        comm.send_internal(ctx, right, tag, payload);
+        let mut sum: Vec<T> = comm.recv_internal(ctx, left, tag);
+        assert_eq!(
+            sum.len(),
+            block_len(recv_node),
+            "reduce_scatter count mismatch"
+        );
         let mut off = 0;
-        for &m in &map.nodes[recv_node] {
-            for (s, d) in sum[off..off + counts[m]]
-                .iter_mut()
-                .zip(&acc[offsets[m]..offsets[m] + counts[m]])
-            {
+        for &m in members(hier, &recv_node) {
+            let seg = &acc[offsets[m]..offsets[m] + counts[m]];
+            for (s, d) in sum[off..off + seg.len()].iter_mut().zip(seg) {
                 *s += *d;
             }
-            off += counts[m];
+            off += seg.len();
         }
-        assert_eq!(off, sum.len(), "node block length mismatch");
         carry = sum;
     }
-    // `carry` is the fully reduced block of my node: scatter the segments.
-    let mut off = 0;
-    let mut mine_out: Vec<T> = Vec::new();
-    for &m in members {
-        let piece = &carry[off..off + counts[m]];
-        if m == me {
-            mine_out = piece.to_vec();
-        } else {
-            comm.send_internal(ctx, m, t_down, piece.to_vec());
-        }
+    // `carry` is my node's finished block; my segment leads it.
+    let mut off = counts[me];
+    for &m in &own[1..] {
+        comm.send_internal(ctx, m, tag, carry[off..off + counts[m]].to_vec());
         off += counts[m];
     }
-    mine_out
+    carry.truncate(counts[me]);
+    carry
 }
 
-/// Two-level broadcast: binomial tree among node representatives (the root
-/// for its own node, the leader elsewhere) — so each node receives the
-/// payload over the network exactly once — then a linear intra-node fan-out.
-/// Falls back to the flat binomial tree when [`node_map`] declines.
-pub fn bcast_hier<P: Payload + Clone>(
-    comm: &Comm,
-    ctx: &RankCtx,
-    root: usize,
-    mine: Option<P>,
-) -> P {
-    let Some(map) = node_map(comm, ctx) else {
-        return bcast(comm, ctx, root, mine);
-    };
-    let _span = ctx.collective_scope("hier_bcast", || {
-        mine.as_ref().map_or(0, |v| v.nbytes() as u64)
-    });
-    let me = comm.rank();
-    assert_eq!(
-        me == root,
-        mine.is_some(),
-        "exactly the root must provide the broadcast value"
-    );
-    let t_inter = comm.next_coll_tag();
-    let t_down = comm.next_coll_tag();
-    // Node representatives: the root stands in for its node so the payload
-    // never makes an extra intra-node hop before going out.
-    let root_node = map
-        .nodes
-        .iter()
-        .position(|v| v.contains(&root))
-        .expect("root is in some node");
-    let rep = |node: usize| -> usize {
-        if node == root_node {
-            root
-        } else {
-            map.nodes[node][0]
-        }
-    };
-    let my_rep = rep(map.my_node);
-    let lc = map.nodes.len();
-    let mut value: Option<P> = mine;
-    if me == my_rep {
-        // Binomial over node indices, rooted at root_node (MPICH child
-        // order: largest subtree first).
-        let vr = (map.my_node + lc - root_node) % lc;
-        let mut mask = 1usize;
-        while mask < lc {
-            if vr & mask != 0 {
-                let src = rep((vr - mask + root_node) % lc);
-                value = Some(comm.recv_internal(ctx, src, t_inter));
-                break;
-            }
-            mask <<= 1;
-        }
-        let got = value.expect("broadcast value must have arrived");
-        mask >>= 1;
-        let mut children = Vec::new();
-        while mask > 0 {
-            if vr & mask == 0 && vr + mask < lc {
-                children.push(rep((vr + mask + root_node) % lc));
-            }
-            mask >>= 1;
-        }
-        for &dst in &children {
-            comm.send_internal(ctx, dst, t_inter, got.clone());
-        }
-        // Intra-node fan-out.
-        for &m in &map.nodes[map.my_node] {
-            if m != me {
-                comm.send_internal(ctx, m, t_down, got.clone());
-            }
-        }
-        got
-    } else {
-        comm.recv_internal(ctx, my_rep, t_down)
-    }
-}
-
-/// Two-level large-message broadcast: same leader structure as
-/// [`bcast_hier`] (the vector crosses the network once per node). Falls back
-/// to the van de Geijn scatter+allgather when [`node_map`] declines.
-pub fn bcast_large_hier<T: WireElem>(
-    comm: &Comm,
-    ctx: &RankCtx,
-    root: usize,
-    mine: Option<Vec<T>>,
-    len: usize,
-) -> Vec<T> {
-    if node_map(comm, ctx).is_some() {
-        if let Some(data) = &mine {
-            assert_eq!(data.len(), len, "root data length disagrees with len");
-        }
-        bcast_hier(comm, ctx, root, mine)
-    } else {
-        bcast_large(comm, ctx, root, mine, len)
-    }
-}
-
-/// Two-level allreduce: Rabenseifner's decomposition over the hierarchical
-/// primitives — node-combining reduce-scatter, then node-block allgather.
-/// Falls back to the flat pair when [`node_map`] declines.
-pub fn allreduce_hier<T: ReduceElem>(comm: &Comm, ctx: &RankCtx, data: Vec<T>) -> Vec<T> {
-    let g = comm.size();
-    if g == 1 {
-        return data;
-    }
-    let n = data.len();
-    let base = n / g;
-    let extra = n % g;
-    let counts: Vec<usize> = (0..g)
-        .map(|i| if i < extra { base + 1 } else { base })
-        .collect();
-    let mine = reduce_scatter_hier(comm, ctx, data, &counts);
-    allgatherv_hier(comm, ctx, mine, &counts)
-}
-
-/// Which collective algorithm family a program requests. `Hier` routes the
-/// bandwidth-bound collectives through the two-level node-aware entry
-/// points, which themselves fall back to the flat algorithms whenever
+/// Which collective algorithm family a program requests. `Hier` runs the
+/// bandwidth-bound collectives ([`allgatherv_mode`], [`reduce_scatter_mode`])
+/// over the node grouping, falling back to one-rank nodes whenever
 /// [`node_map`] declines — so `Hier` is always safe to request, and `Flat`
 /// exists to force the topology-oblivious baselines (the ablation control).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -858,7 +644,8 @@ impl Collectives {
     }
 }
 
-/// [`allgatherv`] or [`allgatherv_hier`], by mode.
+/// [`allgatherv`] over the [`node_map`] grouping when `mode` is `Hier` and
+/// the topology engages; the flat ring otherwise.
 pub fn allgatherv_mode<T: WireElem>(
     mode: Collectives,
     comm: &Comm,
@@ -866,13 +653,12 @@ pub fn allgatherv_mode<T: WireElem>(
     mine: Vec<T>,
     counts: &[usize],
 ) -> Vec<T> {
-    match mode {
-        Collectives::Flat => allgatherv(comm, ctx, mine, counts),
-        Collectives::Hier => allgatherv_hier(comm, ctx, mine, counts),
-    }
+    let hier = (mode == Collectives::Hier).then(|| node_map(comm, ctx));
+    ring_allgatherv(comm, ctx, mine, counts, hier.flatten())
 }
 
-/// [`reduce_scatter`] or [`reduce_scatter_hier`], by mode.
+/// [`reduce_scatter`] over the [`node_map`] grouping when `mode` is `Hier`
+/// and the topology engages; the flat ring otherwise.
 pub fn reduce_scatter_mode<T: ReduceElem>(
     mode: Collectives,
     comm: &Comm,
@@ -880,10 +666,8 @@ pub fn reduce_scatter_mode<T: ReduceElem>(
     data: Vec<T>,
     counts: &[usize],
 ) -> Vec<T> {
-    match mode {
-        Collectives::Flat => reduce_scatter(comm, ctx, data, counts),
-        Collectives::Hier => reduce_scatter_hier(comm, ctx, data, counts),
-    }
+    let hier = (mode == Collectives::Hier).then(|| node_map(comm, ctx));
+    ring_reduce_scatter(comm, ctx, data, counts, hier.flatten())
 }
 
 #[cfg(test)]
@@ -1183,8 +967,8 @@ mod tests {
 
     #[test]
     fn hier_matches_flat_results() {
-        // 3 nodes × 2 ranks: every hierarchical collective must produce the
-        // same values the flat one does.
+        // 3 nodes × 2 ranks: the node-block rings must produce the same
+        // values the flat ones do.
         World::run_opts(6, topo(2), |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
@@ -1196,45 +980,37 @@ mod tests {
             let want: Vec<u32> = (0..p)
                 .flat_map(|r| (0..counts[r]).map(move |i| (r * 100 + i) as u32))
                 .collect();
-            assert_eq!(allgatherv_hier(&comm, ctx, mine, &counts), want);
+            assert_eq!(
+                allgatherv_mode(Collectives::Hier, &comm, ctx, mine, &counts),
+                want
+            );
 
             // reduce_scatter, distinct segments, integer-valued f64 so the
             // association order cannot change bits.
             let counts = [2usize, 2, 2, 2, 2, 2];
             let data: Vec<f64> = (0..12).map(|i| (me * 1000 + i) as f64).collect();
-            let got = reduce_scatter_hier(&comm, ctx, data, &counts);
+            let got = reduce_scatter_mode(Collectives::Hier, &comm, ctx, data, &counts);
             let rank_sum = (0..p).map(|r| r * 1000).sum::<usize>() as f64;
             for (k, &v) in got.iter().enumerate() {
                 let i = me * 2 + k;
                 assert_eq!(v, rank_sum + (p * i) as f64, "segment value at {i}");
-            }
-
-            // bcast from a non-leader root, and bcast_large.
-            for root in [0usize, 3] {
-                let mine = (me == root).then(|| vec![root as u64, 77]);
-                assert_eq!(bcast_hier(&comm, ctx, root, mine), vec![root as u64, 77]);
-                let want: Vec<u64> = (0..23).collect();
-                let mine = (me == root).then(|| want.clone());
-                assert_eq!(bcast_large_hier(&comm, ctx, root, mine, 23), want);
-            }
-
-            // allreduce.
-            let data: Vec<f64> = (0..7).map(|i| ((me + 1) * i) as f64).collect();
-            let got = allreduce_hier(&comm, ctx, data);
-            let scale = (p * (p + 1) / 2) as f64;
-            for (i, &v) in got.iter().enumerate() {
-                assert_eq!(v, scale * i as f64);
             }
         });
     }
 
     #[test]
     fn hier_without_topology_is_flat() {
-        // The *_hier entry points are safe defaults: with no node layout they
-        // run the flat algorithms (same results, flat attribution).
+        // `Hier` is a safe default: with no node layout it runs the flat
+        // rings (same results, flat attribution).
         let (_, report) = World::run_traced(4, |ctx| {
             let comm = Comm::world(ctx);
-            let v = allgather_hier(&comm, ctx, vec![comm.rank() as u64]);
+            let v = allgatherv_mode(
+                Collectives::Hier,
+                &comm,
+                ctx,
+                vec![comm.rank() as u64],
+                &[1; 4],
+            );
             assert_eq!(v, vec![0, 1, 2, 3]);
         });
         assert!(report.hist_by_algo.contains_key("ring_allgatherv"));
@@ -1251,7 +1027,7 @@ mod tests {
         let (_, report) = World::run_opts(6, topo_traced(2), |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("ag");
-            let _ = allgather_hier(&comm, ctx, vec![0u64; b]);
+            let _ = allgatherv_mode(Collectives::Hier, &comm, ctx, vec![0u64; b], &[b; 6]);
         });
         for r in 0..6 {
             let c = report.phase(r, "ag");
@@ -1278,7 +1054,8 @@ mod tests {
             let comm = Comm::world(ctx);
             ctx.set_phase("rs");
             let counts = vec![s; 6];
-            let _ = reduce_scatter_hier(&comm, ctx, vec![1.0f64; 6 * s], &counts);
+            let _ =
+                reduce_scatter_mode(Collectives::Hier, &comm, ctx, vec![1.0f64; 6 * s], &counts);
         });
         for r in 0..6 {
             let c = report.phase(r, "rs");

@@ -102,6 +102,13 @@ pub(crate) struct Envelope {
     pub(crate) payload: Box<dyn Any + Send>,
 }
 
+impl Envelope {
+    /// The matching key: `(source world rank, communicator context, tag)`.
+    fn key(&self) -> (usize, u64, u64) {
+        (self.src_world, self.ctx, self.tag)
+    }
+}
+
 /// One receive posted by [`Comm::irecv`] and not yet completed. Lives in
 /// the rank's posted-receive table; an arriving message whose
 /// `(src, ctx, tag)` key matches an *open* entry (slot empty) fills the
@@ -204,14 +211,28 @@ impl Comm {
         tag: u64,
         payload: P,
     ) {
+        self.post(ctx, dst, tag, payload, RankCtx::stamp_send);
+    }
+
+    /// Counts, traces, stamps and enqueues one message for communicator rank
+    /// `dst`. `stamp` is the only difference between a blocking send and an
+    /// `isend`: under virtual time [`RankCtx::stamp_send`] also advances the
+    /// sender's compute clock to the arrival, [`RankCtx::stamp_isend`] only
+    /// its NIC pipe; in wall runs both just bump the send sequence.
+    fn post<P: Payload>(
+        &self,
+        ctx: &RankCtx,
+        dst: usize,
+        tag: u64,
+        payload: P,
+        stamp: fn(&RankCtx, usize, u64) -> (f64, u64),
+    ) {
         let dst_world = self.ranks[dst];
         let bytes = payload.nbytes() as u64;
         ctx.record_send(dst_world, bytes);
         ctx.tracer()
             .begin(SpanKind::Send { peer: dst_world }, bytes);
-        // Under virtual time this charges the sender α + β·bytes and stamps
-        // when the message lands; in wall runs it only bumps the sequence.
-        let (arrival, seq) = ctx.stamp_send(dst_world, bytes);
+        let (arrival, seq) = stamp(ctx, dst_world, bytes);
         let env = Envelope {
             src_world: ctx.world_rank(),
             ctx: self.ctx_id,
@@ -242,74 +263,32 @@ impl Comm {
         // The recv span covers the whole match — including any blocking
         // wait, which is exactly the time the critical-path analysis needs.
         ctx.tracer().begin(SpanKind::Recv { peer: src_world }, 0);
-        // First look in the pending buffer. Among several buffered messages
-        // with the same (src, ctx, tag) key (e.g. ring-collective steps
-        // racing ahead of a slow rank) the one with the smallest sender
-        // sequence number wins — per-sender program order, the tie-break
-        // that keeps virtual-time matching deterministic.
-        {
-            let mut pending = ctx.pending.borrow_mut();
-            let pos = pending
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.src_world == src_world && e.ctx == self.ctx_id && e.tag == tag)
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(i, _)| i);
-            if let Some(pos) = pos {
-                let env = pending.remove(pos);
-                drop(pending);
-                // A buffered message already arrived in wall time (zero
-                // blocked seconds), but in virtual time the rendezvous rule
-                // still applies: completion is max(clock, arrival).
-                let wait = ctx.virtual_recv_wait(env.arrival).unwrap_or(0.0);
-                ctx.record_recv(src_world, env.bytes, wait);
-                ctx.tracer().end(env.bytes);
-                return Self::downcast(env);
-            }
-        }
-        if ctx.is_sim() {
-            // Virtual time: the wall seconds this thread spends parked on
-            // its mailbox are an artifact of OS scheduling (thousands of
-            // rank threads share a few cores) and are discarded; blocked
-            // time is computed from the clock rendezvous instead.
-            loop {
-                let env = ctx
-                    .rx
-                    .recv()
-                    .expect("all senders dropped while waiting for a message");
-                let Some(env) = offer_to_posted(ctx, env) else {
-                    continue;
-                };
-                if env.src_world == src_world && env.ctx == self.ctx_id && env.tag == tag {
-                    let waited = ctx.virtual_recv_wait(env.arrival).unwrap_or(0.0);
-                    ctx.record_recv(src_world, env.bytes, waited);
-                    ctx.tracer().end(env.bytes);
-                    return Self::downcast(env);
-                }
-                ctx.pending.borrow_mut().push(env);
-            }
-        }
-        // Then pull from the channel, buffering mismatches. All seconds this
+        // First the pending buffer (a buffered message blocked for zero wall
+        // seconds), then the mailbox, buffering mismatches. All seconds this
         // call spends blocked on the mailbox — including waits that end in a
-        // mismatch we buffer for a later recv — belong to *this* recv's wait
+        // mismatch buffered for a later recv — belong to *this* recv's wait
         // attribution: they are wall time this rank could not compute.
+        let key = (src_world, self.ctx_id, tag);
         let mut waited = 0.0;
-        loop {
-            let (env, wait) = ctx
-                .rx
-                .recv_timed()
-                .expect("all senders dropped while waiting for a message");
-            waited += wait;
-            let Some(env) = offer_to_posted(ctx, env) else {
-                continue;
-            };
-            if env.src_world == src_world && env.ctx == self.ctx_id && env.tag == tag {
-                ctx.record_recv(src_world, env.bytes, waited);
-                ctx.tracer().end(env.bytes);
-                return Self::downcast(env);
-            }
-            ctx.pending.borrow_mut().push(env);
-        }
+        let env = match take_pending(ctx, key) {
+            Some(env) => env,
+            None => loop {
+                let (env, w) = pull(ctx);
+                waited += w;
+                match env {
+                    Some(env) if env.key() == key => break env,
+                    Some(env) => ctx.pending.borrow_mut().push(env),
+                    None => {}
+                }
+            },
+        };
+        // Under virtual time the parked wall seconds are an artifact of OS
+        // scheduling (thousands of rank threads share a few cores) and are
+        // discarded: completion is max(clock, arrival), the rendezvous rule.
+        let wait = ctx.virtual_recv_wait(env.arrival).unwrap_or(waited);
+        ctx.record_recv(src_world, env.bytes, wait);
+        ctx.tracer().end(env.bytes);
+        Self::downcast(env)
     }
 
     fn downcast<P: Payload>(env: Envelope) -> P {
@@ -352,25 +331,7 @@ impl Comm {
     /// If `dst` is out of range or `tag >= MAX_USER_TAG`.
     pub fn isend<P: Payload>(&self, ctx: &RankCtx, dst: usize, tag: u64, payload: P) -> SendReq {
         assert!(tag < MAX_USER_TAG, "tag {tag} reserved for collectives");
-        let dst_world = self.ranks[dst];
-        let bytes = payload.nbytes() as u64;
-        ctx.record_send(dst_world, bytes);
-        ctx.tracer()
-            .begin(SpanKind::Send { peer: dst_world }, bytes);
-        let (arrival, seq) = ctx.stamp_isend(dst_world, bytes);
-        let env = Envelope {
-            src_world: ctx.world_rank(),
-            ctx: self.ctx_id,
-            tag,
-            bytes,
-            arrival,
-            seq,
-            payload: Box::new(payload),
-        };
-        ctx.fabric.senders[dst_world]
-            .send(env)
-            .expect("receiving rank has exited with messages in flight");
-        ctx.tracer().end(0);
+        self.post(ctx, dst, tag, payload, RankCtx::stamp_isend);
         SendReq(())
     }
 
@@ -387,25 +348,14 @@ impl Comm {
         assert!(tag < MAX_USER_TAG, "tag {tag} reserved for collectives");
         let src_world = self.ranks[src];
         let id = ctx.next_post_id();
-        // Claim an already-buffered match now (smallest sender sequence),
-        // so the pending buffer can never hold a message that an open
-        // posted receive is waiting for.
-        let slot = {
-            let mut pending = ctx.pending.borrow_mut();
-            pending
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.src_world == src_world && e.ctx == self.ctx_id && e.tag == tag)
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(i, _)| i)
-                .map(|i| pending.remove(i))
-        };
+        // Claim an already-buffered match now, so the pending buffer can
+        // never hold a message that an open posted receive is waiting for.
         ctx.posted.borrow_mut().push(PostedRecv {
             src_world,
             ctx: self.ctx_id,
             tag,
             id,
-            slot,
+            slot: take_pending(ctx, (src_world, self.ctx_id, tag)),
         });
         RecvReq {
             id,
@@ -477,6 +427,33 @@ impl Comm {
     }
 }
 
+/// The one place a rank blocks: waits for the next message in its mailbox,
+/// offers it to the posted-receive table, and returns it if no posted
+/// receive claimed it (`None` if one did), together with the wall seconds
+/// spent blocked (`0.0` when a message was already queued).
+fn pull(ctx: &RankCtx) -> (Option<Envelope>, f64) {
+    let (env, waited) = ctx
+        .rx
+        .recv_timed()
+        .expect("all senders dropped while waiting for a message");
+    (offer_to_posted(ctx, env), waited)
+}
+
+/// Removes and returns the buffered message with matching `key`. Among
+/// several (e.g. ring-collective steps racing ahead of a slow rank) the
+/// smallest sender sequence number wins — per-sender program order, the
+/// tie-break that keeps virtual-time matching deterministic.
+fn take_pending(ctx: &RankCtx, key: (usize, u64, u64)) -> Option<Envelope> {
+    let mut pending = ctx.pending.borrow_mut();
+    let pos = pending
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.key() == key)
+        .min_by_key(|(_, e)| e.seq)
+        .map(|(i, _)| i)?;
+    Some(pending.remove(pos))
+}
+
 /// Offers a message just pulled off the mailbox to the posted-receive
 /// table: the earliest-posted *open* entry with a matching key claims it
 /// (returning `None`); otherwise the message is handed back to the caller.
@@ -484,9 +461,7 @@ fn offer_to_posted(ctx: &RankCtx, env: Envelope) -> Option<Envelope> {
     let mut posted = ctx.posted.borrow_mut();
     let hit = posted
         .iter_mut()
-        .filter(|p| {
-            p.slot.is_none() && p.src_world == env.src_world && p.ctx == env.ctx && p.tag == env.tag
-        })
+        .filter(|p| p.slot.is_none() && (p.src_world, p.ctx, p.tag) == env.key())
         .min_by_key(|p| p.id);
     match hit {
         Some(p) => {
@@ -550,32 +525,17 @@ impl<P: Payload> RecvReq<P> {
             if let Some(env) = self.take_if_filled(ctx) {
                 break env;
             }
-            if ctx.is_sim() {
-                // Parked wall seconds are OS-scheduling noise under virtual
-                // time (see `recv_internal`); blocked time comes from the
-                // clock rendezvous below.
-                let env = ctx
-                    .rx
-                    .recv()
-                    .expect("all senders dropped while waiting for a posted receive");
-                if let Some(env) = offer_to_posted(ctx, env) {
-                    ctx.pending.borrow_mut().push(env);
-                }
-            } else {
-                let (env, w) = ctx
-                    .rx
-                    .recv_timed()
-                    .expect("all senders dropped while waiting for a posted receive");
-                waited += w;
-                if let Some(env) = offer_to_posted(ctx, env) {
-                    ctx.pending.borrow_mut().push(env);
-                }
+            let (env, w) = pull(ctx);
+            waited += w;
+            if let Some(env) = env {
+                ctx.pending.borrow_mut().push(env);
             }
         };
         // Sim: completion is max(clock-at-wait, arrival) — compute issued
         // since the post has already advanced the clock, so only the
         // exposed remainder of the transfer is charged (and reported as
-        // wait). Wall: the condvar-blocked residual accumulated above.
+        // wait); the parked wall seconds are discarded, as in `recv`.
+        // Wall: the condvar-blocked residual accumulated above.
         let wait = ctx.virtual_recv_wait(env.arrival).unwrap_or(waited);
         ctx.record_recv(self.src_world, env.bytes, wait);
         ctx.tracer().end(env.bytes);
@@ -638,6 +598,7 @@ impl<P: Payload> RecvReq<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SimOptions;
     use crate::world::World;
 
     #[test]
@@ -912,22 +873,19 @@ mod tests {
         });
     }
 
-    /// Satellite stress test: 16 ranks, randomized post-before-send and
+    /// Stress test: 16 ranks, randomized post-before-send and
     /// send-before-post interleavings (plus test()-polling completions),
-    /// must neither deadlock nor mismatch. XOR pairing makes every round a
-    /// clean pairwise exchange; each endpoint independently draws its own
-    /// operation order from a seeded SplitMix64 stream.
+    /// must neither deadlock nor mismatch, in wall and in virtual time. XOR
+    /// pairing makes every round a clean pairwise exchange; each endpoint
+    /// independently draws its own operation order from a seeded SplitMix64
+    /// stream. Two virtual-time runs of one seed report the same traffic,
+    /// virtual seconds and makespan, whatever the OS schedule.
     #[test]
     fn randomized_isend_irecv_interleavings_16_ranks() {
         const P: usize = 16;
         const ROUNDS: usize = 24;
-        let mix = |mut z: u64| {
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
         for seed in 0..4u64 {
-            World::run(P, |ctx| {
+            let program = |ctx: &RankCtx| {
                 let comm = Comm::world(ctx);
                 let me = comm.rank();
                 let mut state = mix(seed.wrapping_mul(0x9E37).wrapping_add(me as u64 + 1));
@@ -966,7 +924,23 @@ mod tests {
                     };
                     assert_eq!(got, want, "rank {me} round {round} (seed {seed})");
                 }
-            });
+            };
+            World::run(P, program);
+            let sim = || {
+                let (_, report) = World::run_sim(
+                    P,
+                    &netmodel::Machine::uniform(),
+                    SimOptions::default(),
+                    program,
+                );
+                (
+                    format!("{:?}", report.traffic),
+                    report.sim.unwrap().makespan_secs,
+                )
+            };
+            let first = sim();
+            assert!(first.1 > 0.0);
+            assert_eq!(sim(), first, "seed {seed}");
         }
     }
 

@@ -15,9 +15,11 @@
 //!   primitive behind Cannon's circular shifts);
 //! * collectives built *algorithmically* on point-to-point, the way MPICH
 //!   builds them (Thakur, Rabenseifner & Gropp — the paper's reference
-//!   \[27\]): binomial-tree broadcast, recursive-doubling / ring allgather,
-//!   ring reduce-scatter, Rabenseifner allreduce, sparse (neighbour)
-//!   alltoallv, dissemination barrier;
+//!   \[27\]): binomial-tree broadcast, ring allgather(v), ring
+//!   reduce-scatter, Rabenseifner allreduce, sparse (neighbour) alltoallv,
+//!   dissemination barrier. The two rings are each written once, over node
+//!   blocks: the flat ring is the case where every rank is its own node;
+//!   [`collectives::Collectives::Hier`] runs them over the real nodes;
 //! * [`traffic`]: every rank counts the bytes and messages it sends *and
 //!   receives*, per named phase, plus a rank×rank communication matrix,
 //!   log2 message-size histograms keyed by phase and by collective

@@ -1,13 +1,16 @@
-//! Property tests for the two-level node-aware collectives: on ANY topology
-//! — uneven node sizes, non-power-of-two leader counts, single-rank nodes,
-//! subgroup communicators whose members straddle nodes arbitrarily — the
-//! hierarchical algorithms must return bitwise-identical results to the
-//! flat ones they replace. Reductions use integer-valued `f64` payloads so
-//! a different association order could not hide behind rounding: any
-//! deviation changes bits. The allgatherv and reduce-scatter cases also
-//! run both algorithms over the zero-sized `dense::Shape64` element (phase
-//! `"shape"`) and require the same bytes and messages on every rank as the
-//! 8-byte value run (phase `"values"`).
+//! Property tests for the two-level rings. Allgatherv and reduce-scatter
+//! each have one ring over node blocks; `Collectives::Flat` runs it with
+//! every rank its own node, `Collectives::Hier` with the [`node_map`]
+//! grouping. On ANY topology — uneven node sizes, non-power-of-two leader
+//! counts, single-rank nodes, subgroup communicators whose members straddle
+//! nodes arbitrarily — the two groupings must return bitwise-identical
+//! results. The node grouping pre-combines a node's contributions, a
+//! different association than the flat ring's, so reductions use
+//! integer-valued `f64` payloads that rounding cannot hide behind: any
+//! deviation changes bits. Both cases also run both groupings over the
+//! zero-sized `dense::Shape64` element (phase `"shape"`) and require the
+//! same bytes and messages on every rank as the 8-byte value run (phase
+//! `"values"`).
 //!
 //! A final (non-property) test pins the leader-ring inter-node traffic of
 //! the virtual-time simulator to the closed form the `netmodel` phases
@@ -15,9 +18,9 @@
 //! and the reduce-scatter, where `L` is the node count.
 
 use dense::Shape64;
+use msgpass::collectives::Collectives::Hier;
 use msgpass::collectives::{
-    allgatherv, allgatherv_hier, allreduce, allreduce_hier, bcast_large, bcast_large_hier,
-    node_map, reduce_scatter, reduce_scatter_hier,
+    allgatherv, allgatherv_mode, node_map, reduce_scatter, reduce_scatter_mode,
 };
 use msgpass::world::RunOptions;
 use msgpass::{Comm, RunReport, SimOptions, World};
@@ -71,12 +74,12 @@ proptest! {
             let mine: Vec<u64> =
                 (0..counts[me]).map(|i| (me * 100 + i) as u64).collect();
             let flat = allgatherv(&comm, ctx, mine.clone(), &counts);
-            let hier = allgatherv_hier(&comm, ctx, mine, &counts);
+            let hier = allgatherv_mode(Hier, &comm, ctx, mine, &counts);
             assert_eq!(flat, hier, "p={p} rpn={rpn} seed={seed:#x}");
             ctx.set_phase("shape");
             let mine = vec![Shape64; counts[me]];
             let flat = allgatherv(&comm, ctx, mine.clone(), &counts);
-            let hier = allgatherv_hier(&comm, ctx, mine, &counts);
+            let hier = allgatherv_mode(Hier, &comm, ctx, mine, &counts);
             assert_eq!(flat.len(), hier.len());
         });
         assert_shape_traffic_equals_values(&report);
@@ -100,55 +103,15 @@ proptest! {
             let data: Vec<f64> =
                 (0..total).map(|i| ((me + 1) * (i + 1)) as f64).collect();
             let flat = reduce_scatter(&comm, ctx, data.clone(), &counts);
-            let hier = reduce_scatter_hier(&comm, ctx, data, &counts);
+            let hier = reduce_scatter_mode(Hier, &comm, ctx, data, &counts);
             assert_eq!(flat, hier, "p={p} rpn={rpn} seed={seed:#x}");
             ctx.set_phase("shape");
             let data = vec![Shape64; total];
             let flat = reduce_scatter(&comm, ctx, data.clone(), &counts);
-            let hier = reduce_scatter_hier(&comm, ctx, data, &counts);
+            let hier = reduce_scatter_mode(Hier, &comm, ctx, data, &counts);
             assert_eq!(flat.len(), hier.len());
         });
         assert_shape_traffic_equals_values(&report);
-    }
-
-    /// bcast_large from every-other root: the two-level tree must deliver
-    /// the same buffer the flat scatter+allgather does, including roots
-    /// that are not their node's leader.
-    #[test]
-    fn hier_bcast_large_matches_flat(
-        p in 2usize..12,
-        rpn in 1usize..6,
-        len in 0usize..40,
-        root in 0u64..u64::MAX,
-    ) {
-        let root = (root as usize) % p;
-        World::run_opts(p, topo(rpn), |ctx| {
-            let comm = Comm::world(ctx);
-            let me = comm.rank();
-            let payload: Vec<u64> = (0..len).map(|i| (root * 1000 + i) as u64).collect();
-            let flat = bcast_large(&comm, ctx, root, (me == root).then(|| payload.clone()), len);
-            let hier =
-                bcast_large_hier(&comm, ctx, root, (me == root).then(|| payload.clone()), len);
-            assert_eq!(flat, payload);
-            assert_eq!(hier, payload, "p={p} rpn={rpn} root={root} len={len}");
-        });
-    }
-
-    /// allreduce equivalence, again with integer-valued f64.
-    #[test]
-    fn hier_allreduce_matches_flat(
-        p in 2usize..12,
-        rpn in 1usize..6,
-        len in 1usize..16,
-    ) {
-        World::run_opts(p, topo(rpn), |ctx| {
-            let comm = Comm::world(ctx);
-            let me = comm.rank();
-            let data: Vec<f64> = (0..len).map(|i| ((me + 2) * (i + 1)) as f64).collect();
-            let flat = allreduce(&comm, ctx, data.clone());
-            let hier = allreduce_hier(&comm, ctx, data);
-            assert_eq!(flat, hier, "p={p} rpn={rpn} len={len}");
-        });
     }
 
     /// Subgroup communicators: pick a seed-driven subset of the world (at
@@ -179,13 +142,13 @@ proptest! {
             let me = sub.rank();
             let mine: Vec<u64> = (0..counts[me]).map(|i| (me * 10 + i) as u64).collect();
             let flat = allgatherv(&sub, ctx, mine.clone(), &counts);
-            let hier = allgatherv_hier(&sub, ctx, mine, &counts);
+            let hier = allgatherv_mode(Hier, &sub, ctx, mine, &counts);
             assert_eq!(flat, hier, "p={p} rpn={rpn} members={members:?}");
 
             let total: usize = counts.iter().sum();
             let data: Vec<f64> = (0..total).map(|i| ((me + 1) * (i + 3)) as f64).collect();
             let flat = reduce_scatter(&sub, ctx, data.clone(), &counts);
-            let hier = reduce_scatter_hier(&sub, ctx, data, &counts);
+            let hier = reduce_scatter_mode(Hier, &sub, ctx, data, &counts);
             assert_eq!(flat, hier, "p={p} rpn={rpn} members={members:?}");
         });
     }
@@ -229,7 +192,7 @@ fn sim_leader_hop_bytes_match_closed_form() {
         let comm = Comm::world(ctx);
         assert!(node_map(&comm, ctx).is_some(), "topology must engage");
         let mine: Vec<u64> = vec![comm.rank() as u64; seg];
-        let _ = allgatherv_hier(&comm, ctx, mine, &counts);
+        let _ = allgatherv_mode(Hier, &comm, ctx, mine, &counts);
     });
     assert_eq!(
         inter_bytes(&report),
@@ -240,7 +203,7 @@ fn sim_leader_hop_bytes_match_closed_form() {
     let (_, report) = World::run_sim(p, &machine, opts(), |ctx| {
         let comm = Comm::world(ctx);
         let data: Vec<u64> = (0..p * seg).map(|i| i as u64).collect();
-        let _ = reduce_scatter_hier(&comm, ctx, data, &counts);
+        let _ = reduce_scatter_mode(Hier, &comm, ctx, data, &counts);
     });
     assert_eq!(
         inter_bytes(&report),

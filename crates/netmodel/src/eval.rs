@@ -269,21 +269,6 @@ pub fn phase_cost(machine: &Machine, flops_per_rank: f64, phase: &Phase) -> Phas
                 comp_s: 0.0,
             }
         }
-        Phase::HierBcast { grp, bytes } => {
-            if grp.size <= 1 {
-                return PhaseCost::default();
-            }
-            let (l, m) = grp.node_layout();
-            let bi = machine.beta_inter(grp.ranks_per_node.max(1) as f64);
-            // Binomial tree over node representatives, then a linear
-            // intra-node fan-out on the root's node (the worst case).
-            let tree = (l as f64).log2().ceil() * (machine.alpha_inter + bi * bytes);
-            let fan = (m as f64 - 1.0) * (machine.alpha_intra + machine.beta_intra * bytes);
-            PhaseCost {
-                comm_s: tree + fan,
-                comp_s: 0.0,
-            }
-        }
         Phase::LocalGemm { flops } => PhaseCost {
             comm_s: 0.0,
             comp_s: flops / flops_per_rank,
@@ -315,27 +300,6 @@ pub fn phase_cost(machine: &Machine, flops_per_rank: f64, phase: &Phase) -> Phas
                 comp_s: comp,
             }
         }
-    }
-}
-
-/// Of two modelings of the same logical collective (typically the flat and
-/// the hierarchical variant of one phase), returns the one [`phase_cost`]
-/// prices cheaper on this machine — ties go to `a`.
-///
-/// The CA3DMM schedule builder does **not** call this for its committed
-/// phases: runtime selection is structural (hierarchy engages whenever the
-/// group spans ≥ 2 nodes with ≥ 2 ranks on one of them), and the model
-/// mirrors that rule so `netdiff` stays byte-exact. This helper exposes the
-/// pricing comparison for what-if studies — e.g. showing the payload size
-/// below which the extra α of the two-level allgather outweighs its
-/// inter-node byte savings.
-pub fn cheaper_phase(machine: &Machine, flops_per_rank: f64, a: Phase, b: Phase) -> Phase {
-    let ca = phase_cost(machine, flops_per_rank, &a).total();
-    let cb = phase_cost(machine, flops_per_rank, &b).total();
-    if cb < ca {
-        b
-    } else {
-        a
     }
 }
 
@@ -659,36 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn cheaper_phase_crossover_tiny_vs_bulk_payloads() {
-        let m = Machine::phoenix_cpu();
-        let grp = NetGroup::contiguous(8, 4);
-        // Tiny allgather: the two-level variant pays (l−1)+(m−1)+1 α
-        // against the butterfly's log₂ g — flat wins.
-        let pick = cheaper_phase(
-            &m,
-            1e9,
-            Phase::Allgather {
-                grp,
-                total_bytes: 64.0,
-            },
-            Phase::HierAllgather {
-                grp,
-                total_bytes: 64.0,
-            },
-        );
-        assert!(matches!(pick, Phase::Allgather { .. }));
-        // Tiny bcast: flat pays log₂ g + g − 1 α while the two-level tree
-        // pays log₂ l + m − 1 — hierarchy wins on latency alone.
-        let pick = cheaper_phase(
-            &m,
-            1e9,
-            Phase::Bcast { grp, bytes: 64.0 },
-            Phase::HierBcast { grp, bytes: 64.0 },
-        );
-        assert!(matches!(pick, Phase::HierBcast { .. }));
-    }
-
-    #[test]
     fn hier_singleton_groups_cost_nothing() {
         let m = Machine::uniform();
         for ph in [
@@ -699,10 +633,6 @@ mod tests {
             Phase::HierReduceScatter {
                 grp: flat(1),
                 total_bytes: 1e9,
-            },
-            Phase::HierBcast {
-                grp: flat(1),
-                bytes: 1e9,
             },
         ] {
             assert_eq!(phase_cost(&m, 1e9, &ph), PhaseCost::default());

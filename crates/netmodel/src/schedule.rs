@@ -223,14 +223,6 @@ pub enum Phase {
         /// Total reduced bytes.
         total_bytes: f64,
     },
-    /// Two-level broadcast: binomial tree over node representatives, linear
-    /// intra-node fan-out; the payload crosses the network once per node.
-    HierBcast {
-        /// Group it runs in (must satisfy [`NetGroup::hier_engages`]).
-        grp: NetGroup,
-        /// Broadcast payload bytes.
-        bytes: f64,
-    },
     /// Local GEMM work.
     LocalGemm {
         /// Multiply-add flops ×2 (i.e. `2·m·n·k` for the local block).
@@ -305,12 +297,6 @@ impl Phase {
                     + (m as f64 - 1.0) * total_bytes / grp.size as f64;
                 total_bytes.max(leader)
             }
-            Phase::HierBcast { grp, bytes } => {
-                // Worst case: the root sits on the fullest node — ⌈log₂L⌉
-                // tree sends plus m−1 intra-node copies, all of `bytes`.
-                let (l, m) = grp.node_layout();
-                bytes * ((l as f64).log2().ceil() + m as f64 - 1.0)
-            }
             Phase::LocalGemm { .. } => 0.0,
         }
     }
@@ -340,10 +326,6 @@ impl Phase {
                 // intra-node fan-out (or fan-in) messages.
                 let (l, m) = grp.node_layout();
                 (l - 1) as f64 + (m - 1) as f64
-            }
-            Phase::HierBcast { grp, .. } => {
-                let (l, m) = grp.node_layout();
-                (l as f64).log2().ceil() + (m - 1) as f64
             }
             Phase::LocalGemm { .. } => 0.0,
         }

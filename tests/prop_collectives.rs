@@ -8,11 +8,11 @@
 
 use dense::Shape64;
 use msgpass::collectives::{
-    allgatherv, allreduce, alltoallv, barrier, bcast_large, gatherv, neighbor_alltoallv,
-    reduce_scatter,
+    allgatherv, allgatherv_mode, allreduce, alltoallv, barrier, bcast, bcast_large, gatherv,
+    neighbor_alltoallv, reduce_scatter, reduce_scatter_mode, Collectives,
 };
 use msgpass::{Comm, RankCtx, RunOptions, RunReport, SimOptions, World};
-use netmodel::Machine;
+use netmodel::{Machine, Placement};
 use proptest::prelude::*;
 
 /// Phases `"values"` (an 8-byte element) and `"shape"` (`Shape64`) carried
@@ -189,4 +189,119 @@ proptest! {
             barrier(&comm, ctx);
         });
     }
+}
+
+/// Every collective once, each in its own phase, on 7 ranks over nodes of 3
+/// (`{0,1,2} {3,4,5} {6}`): two full nodes and a short one, so the two-level
+/// path engages and its leader ring is not a power of two.
+fn every_collective(ctx: &RankCtx) {
+    let comm = Comm::world(ctx);
+    let me = comm.rank();
+    let p = comm.size();
+    let counts = [3usize, 0, 2, 1, 4, 2, 5];
+    let total: usize = counts.iter().sum();
+    let mine = || -> Vec<u64> { (0..counts[me]).map(|i| (me * 100 + i) as u64).collect() };
+    let data = || -> Vec<f64> { (0..total).map(|i| ((me + 1) * (i + 1)) as f64).collect() };
+
+    ctx.set_phase("allgatherv");
+    let gathered = allgatherv(&comm, ctx, mine(), &counts);
+    ctx.set_phase("reduce_scatter");
+    let reduced = reduce_scatter(&comm, ctx, data(), &counts);
+    ctx.set_phase("bcast");
+    let _ = bcast(&comm, ctx, 4, (me == 4).then(|| vec![7u32; 9]));
+    ctx.set_phase("bcast_large");
+    let _ = bcast_large(&comm, ctx, 2, (me == 2).then(|| vec![1u16; 23]), 23);
+    ctx.set_phase("allreduce");
+    let _ = allreduce(&comm, ctx, vec![me as f64; 11]);
+    ctx.set_phase("barrier");
+    barrier(&comm, ctx);
+    ctx.set_phase("neighbor_alltoallv");
+    let sends = [1, 3].map(|d| ((me + d) % p, vec![me as u8; 1 + (me + d) % 4]));
+    let sources = [1, 3].map(|d| (me + p - d) % p);
+    let _ = neighbor_alltoallv(&comm, ctx, sends.to_vec(), &sources);
+    for mode in [Collectives::Flat, Collectives::Hier] {
+        ctx.set_phase(&format!("allgatherv_{}", mode.as_str()));
+        assert_eq!(allgatherv_mode(mode, &comm, ctx, mine(), &counts), gathered);
+        ctx.set_phase(&format!("reduce_scatter_{}", mode.as_str()));
+        assert_eq!(
+            reduce_scatter_mode(mode, &comm, ctx, data(), &counts),
+            reduced
+        );
+    }
+}
+
+/// One line per phase: each rank's `sent bytes/msgs : received bytes/msgs`.
+fn traffic_table(report: &RunReport) -> Vec<String> {
+    report
+        .phases()
+        .into_iter()
+        .map(|phase| {
+            let ranks: Vec<String> = (0..report.per_rank.len())
+                .map(|r| {
+                    let c = report.phase(r, &phase);
+                    format!("{}/{}:{}/{}", c.bytes, c.msgs, c.recv_bytes, c.recv_msgs)
+                })
+                .collect();
+            format!("{phase} {}", ranks.join(" "))
+        })
+        .collect()
+}
+
+/// The traffic of every collective is pinned: per-rank bytes and messages
+/// both ways, the algorithm each call attributes its messages to, and the
+/// virtual makespan. Wall and virtual time must move the same messages.
+#[test]
+fn collective_traffic_is_pinned_on_a_two_level_topology() {
+    const P: usize = 7;
+    const RPN: usize = 3;
+    let wall_opts = RunOptions {
+        ranks_per_node: Some(RPN),
+        ..RunOptions::default()
+    };
+    let (_, wall) = World::run_opts(P, wall_opts, every_collective);
+    let machine = Machine::phoenix_cpu();
+    let sim_opts = SimOptions {
+        placement: Some(Placement {
+            ranks_per_node: RPN,
+            ..machine.pure_mpi()
+        }),
+        ..SimOptions::default()
+    };
+    let (_, sim) = World::run_sim(P, &machine, sim_opts, every_collective);
+
+    let table = traffic_table(&wall);
+    assert_eq!(traffic_table(&sim), table);
+    assert_eq!(sim.matrix, wall.matrix);
+    assert_eq!(sim.hist_by_algo, wall.hist_by_algo);
+    assert_eq!(
+        table,
+        [
+            "allgatherv 136/6:112/6 120/6:136/6 128/6:120/6 104/6:128/6 120/6:104/6 96/6:120/6 112/6:96/6",
+            "allgatherv_flat 136/6:112/6 120/6:136/6 128/6:120/6 104/6:128/6 120/6:104/6 96/6:120/6 112/6:96/6",
+            "allgatherv_hier 352/4:112/4 0/1:136/1 16/1:136/1 368/4:128/4 32/1:136/1 16/1:136/1 96/2:96/2",
+            "allreduce 144/12:152/12 144/12:144/12 144/12:144/12 152/12:144/12 160/12:152/12 160/12:160/12 152/12:160/12",
+            "barrier 0/3:0/3 0/3:0/3 0/3:0/3 0/3:0/3 0/3:0/3 0/3:0/3 0/3:0/3",
+            "bcast 0/0:36/1 72/2:36/1 0/0:36/1 0/0:36/1 108/3:0/0 0/0:36/1 36/1:36/1",
+            "bcast_large 38/6:46/7 40/6:46/7 80/12:40/6 40/6:46/7 40/6:46/7 40/6:46/7 38/6:46/7",
+            "neighbor_alltoallv 6/2:8/2 4/2:3/2 6/2:5/2 4/2:8/2 6/2:2/2 4/2:4/2 6/2:6/2",
+            "reduce_scatter 112/6:96/6 136/6:112/6 120/6:136/6 128/6:120/6 104/6:128/6 120/6:104/6 96/6:120/6",
+            "reduce_scatter_flat 112/6:96/6 136/6:112/6 120/6:136/6 128/6:120/6 104/6:128/6 120/6:104/6 96/6:120/6",
+            "reduce_scatter_hier 112/4:368/4 136/1:0/1 136/1:16/1 128/4:368/4 136/1:32/1 136/1:16/1 96/2:80/2",
+        ]
+    );
+    let algos: Vec<&str> = wall.hist_by_algo.keys().map(String::as_str).collect();
+    assert_eq!(
+        algos,
+        [
+            "binomial_bcast",
+            "dissemination_barrier",
+            "hier_allgatherv",
+            "hier_reduce_scatter",
+            "neighbor_alltoallv",
+            "ring_allgatherv",
+            "ring_reduce_scatter",
+            "vdg_bcast_large",
+        ]
+    );
+    assert_eq!(sim.sim.unwrap().makespan_secs, 0.00010612210666666668);
 }
