@@ -7,12 +7,13 @@
 //! Cannon steps starting at offset `l·s/c`; the partial results are
 //! reduce-scattered across layers. With `c = 1` this is plain Cannon.
 //!
-//! The cost model optionally includes CTF's internal layout conversion
+//! The cost model always includes CTF's internal layout conversion
 //! (CTF redistributes every operand into its cyclic layout before
 //! computing) and uses no communication/computation overlap — the two
 //! behaviours the paper cites when explaining CTF's weaker Fig. 3 results
 //! ("CTF is not fine tuned for matrix multiplication").
 
+use crate::ELEM_BYTES;
 use ca3dmm::cannon_multi_shift;
 use ca3dmm::grid3d::{Coord, Family, Grid3d};
 use ca3dmm::model::{push_reduce_c, with_redist};
@@ -135,14 +136,9 @@ impl C25d {
         Some(c_strip)
     }
 
-    /// Schedule: layer broadcasts, unoverlapped shifts + GEMM, layer
-    /// reduce-scatter, and (optionally) CTF's cyclic-layout conversions.
-    pub fn schedule(
-        &self,
-        placement: &Placement,
-        elem_bytes: f64,
-        ctf_layout_overhead: bool,
-    ) -> Schedule {
+    /// Schedule: CTF's cyclic-layout conversions around layer broadcasts,
+    /// unoverlapped shifts + GEMM, and the layer reduce-scatter.
+    pub fn schedule(&self, placement: &Placement) -> Schedule {
         let (s, c, prob) = (self.s, self.c, self.geo.prob());
         let mb = (prob.m as f64 / s as f64).ceil();
         let nb = (prob.n as f64 / s as f64).ceil();
@@ -155,7 +151,7 @@ impl C25d {
                 "replicate_ab",
                 Phase::Bcast {
                     grp: NetGroup::strided(c, s * s, rpn),
-                    bytes: (mb * kbs + kbs * nb) * elem_bytes,
+                    bytes: (mb * kbs + kbs * nb) * ELEM_BYTES,
                 },
             );
         }
@@ -166,7 +162,7 @@ impl C25d {
                 Phase::ShiftRounds {
                     grp: NetGroup::strided(s * s, s.min(rpn.max(1)), rpn),
                     rounds: steps, // offset skew + steps-1 shifts
-                    bytes_per_round: (mb * kbs + kbs * nb) * elem_bytes,
+                    bytes_per_round: (mb * kbs + kbs * nb) * ELEM_BYTES,
                     // the canonical 2.5D shift moves A and B in one
                     // combined exchange per round
                     msgs_per_round: 1,
@@ -179,7 +175,7 @@ impl C25d {
                 flops: 2.0 * mb * nb * kbs * steps as f64,
             },
         );
-        let c_bytes = mb * nb * elem_bytes;
+        let c_bytes = mb * nb * ELEM_BYTES;
         push_reduce_c(
             &mut sched,
             self.geo.grid(),
@@ -188,12 +184,9 @@ impl C25d {
             Collectives::Flat,
             false,
         );
-        if ctf_layout_overhead {
-            // CTF converts every operand into its internal cyclic layout
-            // and the result back out of it.
-            sched = with_redist(sched, prob, self.active(), rpn, elem_bytes, 4 * s);
-        }
-        sched
+        // CTF converts every operand into its internal cyclic layout and the
+        // result back out of it, even when the caller's layout is native.
+        with_redist(sched, prob, self.active(), rpn, ELEM_BYTES, 4 * s)
     }
 }
 
@@ -204,7 +197,7 @@ mod tests {
     #[test]
     fn schedule_structure() {
         let alg = C25d::new(Problem::new(1024, 1024, 1024, 32), Some((4, 2)));
-        let s = alg.schedule(&netmodel::Machine::uniform().pure_mpi(), 8.0, true);
+        let s = alg.schedule(&netmodel::Machine::uniform().pure_mpi());
         let labels: Vec<&str> = s.items.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels[0], "redist");
         assert!(labels.contains(&"replicate_ab"));

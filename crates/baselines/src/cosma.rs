@@ -11,7 +11,8 @@
 //! produces the partial C; a reduce-scatter over the `pk` k-groups
 //! finishes, exactly as in CA3DMM.
 
-use crate::local_gemm;
+use crate::ELEM_BYTES;
+use ca3dmm::charged_gemm;
 use ca3dmm::grid3d::{Family, Grid3d};
 use ca3dmm::model::{push_reduce_c, with_redist};
 use ca3dmm::replicate::replicate_block;
@@ -87,7 +88,10 @@ impl CosmaLike {
             let a_full = replicate_block(ctx, row, a_slice, a_blk.rows, &a_widths, flat);
             let (col, b_heights) = (comms.of(Family::Col), split_even(b_blk.rows, pm));
             let b_full = gather_row_slices(ctx, col, b_slice, b_blk.cols, &b_heights);
-            local_gemm(ctx, &a_full, &b_full)
+            ctx.set_phase("local_gemm");
+            let mut c_partial = Mat::zeros(a_full.rows(), b_full.cols());
+            charged_gemm(ctx, &a_full, &b_full, &mut c_partial);
+            c_partial
         });
         Some(c_strip)
     }
@@ -95,12 +99,7 @@ impl CosmaLike {
     /// The §III-C schedule: allgather A, allgather B, one GEMM, reduce.
     /// `include_redist` adds the user-layout conversion phases (Fig. 3's
     /// "custom layout" series).
-    pub fn schedule(
-        &self,
-        placement: &Placement,
-        elem_bytes: f64,
-        include_redist: bool,
-    ) -> Schedule {
+    pub fn schedule(&self, placement: &Placement, include_redist: bool) -> Schedule {
         let (prob, grid) = (self.geo.prob(), self.geo.grid());
         let Grid { pm, pn, pk } = *grid;
         let mb = (prob.m as f64 / pm as f64).ceil();
@@ -114,7 +113,7 @@ impl CosmaLike {
                 "replicate_ab",
                 Phase::Allgather {
                     grp: NetGroup::strided(pn, pm, rpn),
-                    total_bytes: mb * kb * elem_bytes,
+                    total_bytes: mb * kb * ELEM_BYTES,
                 },
             );
         }
@@ -124,7 +123,7 @@ impl CosmaLike {
                 "replicate_ab",
                 Phase::Allgather {
                     grp: NetGroup::contiguous(pm, rpn),
-                    total_bytes: kb * nb * elem_bytes,
+                    total_bytes: kb * nb * ELEM_BYTES,
                 },
             );
         }
@@ -134,11 +133,11 @@ impl CosmaLike {
                 flops: 2.0 * mb * nb * kb,
             },
         );
-        let c_bytes = mb * nb * elem_bytes;
+        let c_bytes = mb * nb * ELEM_BYTES;
         push_reduce_c(&mut s, grid, rpn, c_bytes, Collectives::Flat, true);
         if include_redist {
             let peers = 2 * (pm + pn + pk);
-            s = with_redist(s, prob, grid.active(), rpn, elem_bytes, peers);
+            s = with_redist(s, prob, grid.active(), rpn, ELEM_BYTES, peers);
         }
         s
     }
@@ -183,7 +182,7 @@ mod tests {
     #[test]
     fn schedule_structure() {
         let alg = CosmaLike::new(Problem::new(1000, 1000, 1000, 64), Some(Grid::new(4, 4, 4)));
-        let s = alg.schedule(&netmodel::Machine::uniform().pure_mpi(), 8.0, false);
+        let s = alg.schedule(&netmodel::Machine::uniform().pure_mpi(), false);
         let labels: Vec<&str> = s.items.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(
             labels,

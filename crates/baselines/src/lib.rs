@@ -24,15 +24,6 @@ pub use cosma::CosmaLike;
 pub use orig3d::Orig3d;
 pub use summa::{Ca3dmmSumma, SummaPgemm};
 
-use dense::{gemm, GemmOp, Mat, Scalar};
-use msgpass::RankCtx;
-
-/// The single local product of the algorithms that replicate whole blocks:
-/// `A(m_i, k_kt) · B(k_kt, n_j)` under phase `local_gemm`.
-fn local_gemm<T: Scalar>(ctx: &RankCtx, a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    ctx.set_phase("local_gemm");
-    let mut c = Mat::zeros(a.rows(), b.cols());
-    let op = GemmOp::NoTrans;
-    gemm(op, op, T::ONE, a, b, T::ZERO, &mut c);
-    c
-}
+/// Bytes per element the [`CosmaLike`] and [`C25d`] schedules price: `f64`,
+/// the element type of every paper experiment.
+const ELEM_BYTES: f64 = 8.0;

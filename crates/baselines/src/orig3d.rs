@@ -10,7 +10,7 @@
 //! `B(l, j)` on `(i = l, j, l)`-adjacent owner, broadcast along the
 //! column; one GEMM; reduce-scatter along layers.
 
-use crate::local_gemm;
+use ca3dmm::charged_gemm;
 use ca3dmm::grid3d::{Coord, Family, Grid3d};
 use dense::part::Rect;
 use dense::{Mat, Scalar};
@@ -86,7 +86,10 @@ impl Orig3d {
                 let b_data = bcast_large(col, ctx, l, b.map(Mat::into_vec), b_blk.area());
                 let a_full = Mat::from_vec(a_blk.rows, a_blk.cols, a_data);
                 let b_full = Mat::from_vec(b_blk.rows, b_blk.cols, b_data);
-                local_gemm(ctx, &a_full, &b_full)
+                ctx.set_phase("local_gemm");
+                let mut c_partial = Mat::zeros(a_full.rows(), b_full.cols());
+                charged_gemm(ctx, &a_full, &b_full, &mut c_partial);
+                c_partial
             });
         Some(c_strip)
     }

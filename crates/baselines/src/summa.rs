@@ -11,8 +11,8 @@
 //!   2D-block-distributed A, B, C, no k-parallelism. SUMMA "cannot utilize
 //!   extra memory to reduce communication costs" (§I).
 
+use ca3dmm::charged_gemm;
 use ca3dmm::grid3d::{Family, Grid3d};
-use dense::gemm::{gemm, GemmOp};
 use dense::part::{offsets, split_even, Rect};
 use dense::{Mat, Scalar};
 use gridopt::{cosma_grid, summa_grid, Grid, Problem};
@@ -92,15 +92,7 @@ pub fn summa<T: Scalar>(
             let data = bcast_large(col_comm, ctx, rb, mine, (k1 - k0) * b_blk.cols());
             Mat::from_vec(k1 - k0, b_blk.cols(), data)
         };
-        gemm(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            T::ONE,
-            &a_panel,
-            &b_panel,
-            T::ONE,
-            c_out,
-        );
+        charged_gemm(ctx, &a_panel, &b_panel, c_out);
     }
 }
 
@@ -212,7 +204,7 @@ impl SummaPgemm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dense::gemm::gemm_naive;
+    use dense::gemm::{gemm_naive, GemmOp};
     use dense::part::even_range;
     use dense::random::global_block;
     use dense::testing::assert_gemm_close;

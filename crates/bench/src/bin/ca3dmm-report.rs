@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! ca3dmm-report show    <report.json>
-//! ca3dmm-report diff    <a.json> <b.json> [--threshold PCT] [--fail]
 //! ca3dmm-report netdiff <report.json>
 //! ca3dmm-report gate    <reference.json> <subject.json> [--time-ratio R]
 //! ```
@@ -15,10 +14,6 @@
 //!   profiled run (`DENSE_GEMM_PROF=1` / `--prof`), the dashboard appends
 //!   the per-rank compute-attribution table: Gflop/s vs probed peak,
 //!   pack/compute/idle split, imbalance, and pool wake latency.
-//! * `diff` compares two *measured* runs phase by phase; `--threshold`
-//!   (default 10%) marks phases whose bytes or slowest-rank seconds moved
-//!   more than that, and `--fail` turns any marked phase into a nonzero
-//!   exit.
 //! * `netdiff` compares a measured run against the §III-D analytic model:
 //!   the problem and grid are reconstructed from the report's own `meta`
 //!   block and joined per phase. For a wall-clock report the model is
@@ -36,9 +31,10 @@
 //!   two messages per Cannon shift round, matching the runtime's separate
 //!   A and B sends; ring collectives measure `g−1` messages against the
 //!   model's butterfly `log₂ g`, which is what the msgs tolerance absorbs.)
-//! * `gate` is the CI regression gate: deterministic traffic (bytes, msgs,
-//!   matrix cells, histogram buckets) must match the reference **exactly**;
-//!   times are checked only as a ratio when `--time-ratio` is given.
+//! * `gate` is the one comparison of two reports, and CI's regression
+//!   gate: deterministic traffic (bytes, msgs, matrix cells, histogram
+//!   buckets) must match the reference **exactly**; times are checked only
+//!   as a ratio when `--time-ratio` is given.
 //!   Compute (profiler) blocks are never compared numerically — they are
 //!   host timing — but the gate refuses outright to compare a profiled
 //!   report against an unprofiled one.
@@ -49,8 +45,8 @@
 use ca3dmm::{ca3dmm_schedule, diff_phase_rows, Collectives, ModelConfig};
 use gridopt::{Grid, Problem};
 use jsonlite::Json;
-use msgpass::report::{diff_reports, gate, render_gate_failures};
-use msgpass::{GatePolicy, RunReportDoc};
+use msgpass::report::{gate, render_gate_failures};
+use msgpass::RunReportDoc;
 use netmodel::eval::evaluate;
 use netmodel::Machine;
 use std::process::ExitCode;
@@ -104,35 +100,6 @@ fn cmd_show(path: &str) -> ExitCode {
         }
         Err(e) => fail(&e),
     }
-}
-
-fn cmd_diff(a_path: &str, b_path: &str, threshold_pct: f64, fail_over: bool) -> ExitCode {
-    let (a, b) = match (load(a_path), load(b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => return fail(&e),
-    };
-    println!(
-        "A = {} ({}, {} time)\nB = {} ({}, {} time)\n",
-        a_path,
-        a.name().unwrap_or("unnamed"),
-        a.time_domain,
-        b_path,
-        b.name().unwrap_or("unnamed"),
-        b.time_domain
-    );
-    if a.time_domain != b.time_domain {
-        println!(
-            "WARNING: comparing a {}-time run against a {}-time run; \
-             the seconds columns are not in the same clock\n",
-            a.time_domain, b.time_domain
-        );
-    }
-    let diff = diff_reports(&a, &b, threshold_pct);
-    print!("{}", diff.render());
-    if fail_over && !diff.exceeded().is_empty() {
-        return fail("phases moved beyond the threshold (--fail)");
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_netdiff(
@@ -282,11 +249,7 @@ fn cmd_gate(ref_path: &str, subj_path: &str, time_ratio: Option<f64>) -> ExitCod
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return fail(&e),
     };
-    let policy = GatePolicy {
-        max_time_ratio: time_ratio,
-        ..Default::default()
-    };
-    match gate(&reference, &subject, &policy) {
+    match gate(&reference, &subject, time_ratio) {
         Ok(()) => {
             println!(
                 "gate OK: {subj_path} matches {ref_path} (traffic exact{})",
@@ -307,27 +270,11 @@ fn cmd_gate(ref_path: &str, subj_path: &str, time_ratio: Option<f64>) -> ExitCod
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: ca3dmm-report show <report.json>\n\
-                 \x20      ca3dmm-report diff <a.json> <b.json> [--threshold PCT] [--fail]\n\
                  \x20      ca3dmm-report netdiff <report.json> [--max-bytes-err PCT] [--max-secs-err PCT] [--max-msgs-err PCT]\n\
                  \x20      ca3dmm-report gate <reference.json> <subject.json> [--time-ratio R]";
     match args.split_first() {
         Some((cmd, rest)) => match (cmd.as_str(), rest) {
             ("show", [path]) => cmd_show(path),
-            ("diff", [a, b, opts @ ..]) => {
-                let (mut threshold, mut fail_over) = (10.0, false);
-                let mut it = opts.iter();
-                while let Some(opt) = it.next() {
-                    match opt.as_str() {
-                        "--threshold" => match it.next().map(|v| v.parse::<f64>()) {
-                            Some(Ok(v)) => threshold = v,
-                            _ => return fail("--threshold requires a numeric value"),
-                        },
-                        "--fail" => fail_over = true,
-                        other => return fail(&format!("unknown diff option {other}")),
-                    }
-                }
-                cmd_diff(a, b, threshold, fail_over)
-            }
             ("netdiff", [path, opts @ ..]) => {
                 let (mut max_bytes_err, mut max_secs_err, mut max_msgs_err) = (None, None, None);
                 let mut it = opts.iter();

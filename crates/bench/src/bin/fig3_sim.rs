@@ -147,7 +147,6 @@ fn main() {
             SimOptions {
                 placement: Some(placement),
                 execute_compute: false,
-                ..Default::default()
             },
         );
         let wall = started.elapsed().as_secs_f64();

@@ -93,13 +93,12 @@ pub fn predict_with_grid(
         }
         Algo::Cosma => {
             let alg = CosmaLike::new(*prob, grid);
-            alg.schedule(&cfg.placement, 8.0, cfg.custom_layout)
+            alg.schedule(&cfg.placement, cfg.custom_layout)
         }
         Algo::Ctf => {
-            let alg = C25d::new(*prob, None);
             // CTF always converts into its internal cyclic layout, so the
             // layout overhead applies even in the "native" series.
-            alg.schedule(&cfg.placement, 8.0, true)
+            C25d::new(*prob, None).schedule(&cfg.placement)
         }
     };
     evaluate(machine, cfg.placement.flops_per_rank, &sched)

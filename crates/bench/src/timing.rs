@@ -76,7 +76,7 @@ pub fn bench<F: FnMut()>(label: &str, f: F) -> Stats {
     s
 }
 
-/// Like [`bench`] but also reports a throughput from `work / median`
+/// Like [`bench()`] but also reports a throughput from `work / median`
 /// (e.g. flops for GEMM benches).
 pub fn bench_throughput<F: FnMut()>(label: &str, work: f64, f: F) -> Stats {
     let s = time(f);

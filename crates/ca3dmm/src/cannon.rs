@@ -29,13 +29,14 @@ const TAG_B: u64 = 102;
 /// buffers.
 type BlockPair<T> = (Arc<Mat<T>>, Arc<Mat<T>>);
 
-/// `C += A·B`, charged to the rank's virtual clock. Every local GEMM inside
-/// Cannon goes through here: the flop count is always charged (a no-op in
-/// wall-clock runs), and the kernel itself runs unless a virtual-time run
+/// `C += A·B`, charged to the rank's virtual clock: the local GEMM of all
+/// six algorithms (Cannon's rounds, SUMMA's panels, the single products of
+/// COSMA-like and original 3D). The flop count is always charged (a no-op
+/// in wall-clock runs), and the kernel itself runs unless a virtual-time run
 /// asked to skip compute (`SimOptions::execute_compute = false`, the
 /// paper-scale configuration where executing ~p·mnk flops on one host would
 /// dwarf the simulation).
-fn charged_gemm<T: Scalar>(ctx: &RankCtx, a: &Mat<T>, b: &Mat<T>, c_out: &mut Mat<T>) {
+pub fn charged_gemm<T: Scalar>(ctx: &RankCtx, a: &Mat<T>, b: &Mat<T>, c_out: &mut Mat<T>) {
     ctx.charge_flops(gemm_flops(a.rows(), b.cols(), a.cols()));
     if ctx.executes_compute() {
         gemm(

@@ -7,7 +7,7 @@ use crate::replicate::replicate_block;
 use dense::gemm::GemmOp;
 use dense::part::{split_even, Rect};
 use dense::{Mat, Scalar, Shape64};
-use gridopt::{ca3dmm_grid_timed, Grid, Problem};
+use gridopt::{ca3dmm_grid, Grid, Problem, DEFAULT_UTILIZATION_FLOOR};
 use layout::Layout;
 use msgpass::collectives::Collectives;
 use msgpass::{Comm, RankCtx};
@@ -19,8 +19,6 @@ pub struct Ca3dmmOptions {
     /// `mp np kp` arguments, used by Table II); `None` runs the step-1
     /// search.
     pub grid_override: Option<Grid>,
-    /// The utilization floor `l` of eq. 5.
-    pub utilization_floor: f64,
     /// §III-F multi-shift batching: when the Cannon blocks' k-extent is
     /// below this, several shifts feed one local GEMM. 0 disables.
     pub multi_shift_min_k: usize,
@@ -39,7 +37,6 @@ impl Default for Ca3dmmOptions {
     fn default() -> Self {
         Ca3dmmOptions {
             grid_override: None,
-            utilization_floor: gridopt::DEFAULT_UTILIZATION_FLOOR,
             multi_shift_min_k: 0,
             overlap: true,
             collectives: Collectives::Flat,
@@ -77,8 +74,8 @@ pub struct Ca3dmm {
 }
 
 impl Ca3dmm {
-    /// Chooses the process grid for `prob` (Algorithm 1 step 1) and builds
-    /// the geometry.
+    /// Chooses the process grid for `prob` (Algorithm 1 step 1, at the
+    /// paper's utilization floor `l = 0.95`) and builds the geometry.
     ///
     /// # Panics
     /// If a forced grid violates eq. 7 or exceeds `P`.
@@ -86,8 +83,9 @@ impl Ca3dmm {
         let (grid, search_secs) = match opts.grid_override {
             Some(g) => (g, 0.0),
             None => {
-                let solved = ca3dmm_grid_timed(&prob, opts.utilization_floor);
-                (solved.choice.grid, solved.search_secs)
+                let t0 = std::time::Instant::now();
+                let grid = ca3dmm_grid(&prob, DEFAULT_UTILIZATION_FLOOR).grid;
+                (grid, t0.elapsed().as_secs_f64())
             }
         };
         Ca3dmm {

@@ -74,8 +74,6 @@ pub struct PlanKey {
     pub a_layout: u64,
     pub b_layout: u64,
     pub c_layout: u64,
-    /// `utilization_floor.to_bits()` — total order without float pitfalls.
-    pub floor_bits: u64,
     pub multi_shift_min_k: usize,
     pub overlap: bool,
     pub hier_collectives: bool,
@@ -108,7 +106,6 @@ impl PlanKey {
             a_layout: a_layout.fingerprint(),
             b_layout: b_layout.fingerprint(),
             c_layout: c_layout.fingerprint(),
-            floor_bits: opts.utilization_floor.to_bits(),
             multi_shift_min_k: opts.multi_shift_min_k,
             overlap: opts.overlap,
             hier_collectives: matches!(opts.collectives, crate::Collectives::Hier),

@@ -14,8 +14,8 @@ use msgpass::{Comm, RankCtx};
 /// Reduces `pk` partial C blocks (one per member of `group`, all the same
 /// shape) and returns this rank's row strip of the sum. `group` orders
 /// members by k-task group index. `mode` picks the reduce-scatter family;
-/// the hierarchical one falls back to flat when the group fits one node or
-/// no topology is attached.
+/// the hierarchical one falls back to flat when the group fits one node
+/// (always in a wall-clock run).
 pub fn reduce_partial_c<T: Scalar>(
     ctx: &RankCtx,
     group: &Comm,
@@ -67,12 +67,17 @@ mod tests {
         let rows = 8;
         let cols = 5;
         let pk = 4;
-        // Two nodes of two ranks each — the hierarchical path engages.
-        let opts = msgpass::RunOptions {
-            ranks_per_node: Some(2),
-            ..Default::default()
+        // Two nodes of two ranks each (nodes exist only in a machine model)
+        // — the hierarchical path engages.
+        let machine = netmodel::Machine::uniform();
+        let opts = msgpass::SimOptions {
+            placement: Some(netmodel::Placement {
+                ranks_per_node: 2,
+                ..machine.pure_mpi()
+            }),
+            execute_compute: true,
         };
-        let (results, _) = World::run_opts(pk, opts, |ctx| {
+        let (results, _) = World::run_sim(pk, &machine, opts, |ctx| {
             let comm = Comm::world(ctx);
             let part = global_block::<f64>(comm.rank() as u64, Rect::new(0, 0, rows, cols));
             reduce_partial_c(ctx, &comm, part, Collectives::Hier)

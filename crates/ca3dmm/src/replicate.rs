@@ -17,8 +17,8 @@ use msgpass::{Comm, RankCtx};
 /// `group` orders the `c` peers by Cannon-group index; `my_slice` is this
 /// rank's `rows × widths[group.rank()]` column-slice. Returns the full
 /// `rows × Σwidths` block. `mode` picks the allgather family; the
-/// hierarchical one falls back to flat when the group fits one node or no
-/// topology is attached.
+/// hierarchical one falls back to flat when the group fits one node (always
+/// in a wall-clock run).
 pub fn replicate_block<T: Scalar>(
     ctx: &RankCtx,
     group: &Comm,
@@ -87,12 +87,17 @@ mod tests {
         let widths = split_even(cols, c);
         let offs = offsets(&widths);
         let full = global_block::<f64>(9, Rect::new(0, 0, rows, cols));
-        // Two nodes of two ranks each — the hierarchical path engages.
-        let opts = msgpass::RunOptions {
-            ranks_per_node: Some(2),
-            ..Default::default()
+        // Two nodes of two ranks each (nodes exist only in a machine model)
+        // — the hierarchical path engages.
+        let machine = netmodel::Machine::uniform();
+        let opts = msgpass::SimOptions {
+            placement: Some(netmodel::Placement {
+                ranks_per_node: 2,
+                ..machine.pure_mpi()
+            }),
+            execute_compute: true,
         };
-        let (results, _) = World::run_opts(c, opts, |ctx| {
+        let (results, _) = World::run_sim(c, &machine, opts, |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let slice = full.block(Rect::new(0, offs[me], rows, widths[me]));

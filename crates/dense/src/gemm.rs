@@ -4,8 +4,7 @@
 //! artifact (§III-F: "Local (shared-memory) matrix multiplications are
 //! handled by an OpenMP-parallelized BLAS library"). The implementation is
 //! the canonical five-loop blocked design (Goto & van de Geijn; BLIS),
-//! with cache-blocking parameters derived at runtime by
-//! [`tune`](crate::tune):
+//! with cache-blocking parameters derived at runtime by [`tune`]:
 //!
 //! ```text
 //! loop 5  jc over n in steps of NC      (B slab column panel)
@@ -15,23 +14,23 @@
 //! loop 1  ir over MC in steps of mr     (microkernel: mr×nr registers)
 //! ```
 //!
-//! * The `mr×nr` register block is *dispatched at runtime*: the
-//!   [`kernel`](crate::kernel) module selects a portable, AVX2+FMA, or
-//!   AVX-512 microkernel (overridable via `DENSE_GEMM_KERNEL` /
-//!   [`kernel::set_gemm_kernel`]), and the selected kernel's geometry
-//!   parameterizes packing, blocking, and the scratch sizes below.
+//! * The `mr×nr` register block is *dispatched at runtime*: the [`kernel`]
+//!   module selects a portable, AVX2+FMA, or AVX-512 microkernel
+//!   (overridable via `DENSE_GEMM_KERNEL` / [`kernel::set_gemm_kernel`]),
+//!   and the selected kernel's geometry parameterizes packing, blocking,
+//!   and the scratch sizes below.
 //! * Only one `KC×NC` slab of `op(B)` and one `MC×KC` block of
-//!   `alpha·op(A)` are ever packed at a time (see [`pack`](crate::pack)) —
-//!   the packed working set is bounded by the cache-derived blocking, not
-//!   by the matrix sizes, unlike the previous whole-operand pack whose
-//!   footprint was `O(mk + kn)`.
+//!   `alpha·op(A)` are ever packed at a time (see [`pack`]) — the packed
+//!   working set is bounded by the cache-derived blocking, not by the
+//!   matrix sizes, unlike the previous whole-operand pack whose footprint
+//!   was `O(mk + kn)`.
 //! * Both pack phases and the macro-tile compute phase are parallelized
-//!   over the persistent [`pool`](crate::pool) with the shared
-//!   chunk-counter scheme ([`pool::parallel_chunks`]): B-slab strips are
-//!   packed cooperatively, then the `(jc, ic)` macro-tiles of `C` are
-//!   claimed dynamically — every thread works from the *same* packed B
-//!   slab and owns a contiguous `MC`-row band of `C`, packing its own A
-//!   block into thread-local scratch.
+//!   over the persistent [`pool`] with the shared chunk-counter scheme
+//!   (`pool::parallel_chunks`): B-slab strips are packed cooperatively,
+//!   then the `(jc, ic)` macro-tiles of `C` are claimed dynamically —
+//!   every thread works from the *same* packed B slab and owns a
+//!   contiguous `MC`-row band of `C`, packing its own A block into
+//!   thread-local scratch.
 //! * The parallel width honours [`pool::gemm_threads`] — process-wide
 //!   `set_gemm_threads()` / `DENSE_GEMM_THREADS`, divided per rank by
 //!   `msgpass::World::run` so P ranks do not oversubscribe the host.
@@ -310,9 +309,9 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> f64 {
 }
 
 /// `C = alpha * op(A) * op(B) + beta * C`, cache-blocked (five-loop
-/// Goto/BLIS structure, KC/MC/NC from [`tune`](crate::tune)), packed,
+/// Goto/BLIS structure, KC/MC/NC from [`tune`]), packed,
 /// register-blocked, and parallel over the persistent
-/// [`pool`](crate::pool).
+/// [`pool`].
 ///
 /// Shapes after applying the ops must agree:
 /// `op(A): m×k`, `op(B): k×n`, `C: m×n`.

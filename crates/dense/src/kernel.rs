@@ -1,6 +1,6 @@
 //! Architecture-specialized register microkernels with runtime dispatch.
 //!
-//! The five-loop GEMM in [`gemm`](crate::gemm) spends essentially all of
+//! The five-loop GEMM in [`gemm`](mod@crate::gemm) spends essentially all of
 //! its arithmetic inside one `MR×NR` register block. This module provides
 //! that block in several flavors and picks one at runtime:
 //!
@@ -40,7 +40,7 @@
 //!
 //! *Within one kernel*, every `C` element is accumulated in the same order
 //! regardless of thread width (the order depends only on the `KC` slab
-//! sequence and the in-slab `l` order — see [`gemm`](crate::gemm)), so
+//! sequence and the in-slab `l` order — see [`gemm`](mod@crate::gemm)), so
 //! results are bitwise identical across widths *per kernel*. Different
 //! kernels are **not** bitwise identical to each other: the SIMD kernels
 //! use fused multiply-add (one rounding per term instead of two), so
@@ -160,8 +160,7 @@ std::thread_local! {
 
 /// Pins (or with `None` clears) the microkernel used by GEMM calls made
 /// *from the current thread* — resolved at the call site, before work fans
-/// out to the pool, exactly like [`tune::set_gemm_blocking`]
-/// (crate::tune::set_gemm_blocking). Takes precedence over
+/// out to the pool, exactly like [`crate::tune::set_gemm_blocking`]. Takes precedence over
 /// `DENSE_GEMM_KERNEL` and the probed default.
 ///
 /// # Panics

@@ -21,16 +21,14 @@
 //! unit of B packing is a single `KC×NR` strip ([`pack_b_strip_into`]), so
 //! a GEMM call only ever materializes one cache-sized slab of each operand
 //! (never a full `m×k`/`k×n` packed copy) and the strips can be packed in
-//! parallel by the [`pool`](crate::pool) workers. The whole-operand
-//! packers ([`pack_a`] / [`pack_b`]) remain as the degenerate one-block
-//! case for tests and callers that want the full panels.
+//! parallel by the [`pool`](crate::pool) workers. A whole operand is the
+//! degenerate case: one block spanning all of `op(A)`, every strip of `op(B)`.
 //!
 //! Since the dispatched-microkernel rewrite the panel geometry is a
 //! *runtime parameter*: the block/strip packers take the `mr`/`nr` of the
 //! [`kernel`](crate::kernel) selected for the call, because each kernel
 //! has its own register-block shape. The [`MR`]/[`NR`] constants remain as
-//! the portable kernel's geometry (and the whole-operand packers' fixed
-//! shape).
+//! the portable kernel's geometry.
 //!
 //! Panel layouts (`kk` is the packed depth of the slab, `mr`/`nr` the
 //! selected kernel's register-block shape):
@@ -47,9 +45,8 @@ use crate::gemm::GemmOp;
 use crate::mat::Mat;
 use crate::scalar::Scalar;
 
-/// Rows per A panel strip for the *portable* kernel (and the whole-operand
-/// packers). The block/strip packers take the selected kernel's `mr`
-/// instead — see [`kernel::KernelKind::geom`](crate::kernel::KernelKind::geom).
+/// Rows per A panel strip for the *portable* kernel. The packers take the
+/// selected kernel's `mr` instead — see [`crate::kernel::KernelKind::geom`].
 pub const MR: usize = 4;
 /// Columns per B panel strip for the *portable* kernel.
 ///
@@ -160,66 +157,6 @@ pub fn pack_b_strip_into<T: Scalar>(
     }
 }
 
-/// Packs all of `alpha * op(A)` (`m × k` after the op) into MR-row panels.
-///
-/// The returned buffer has `m.div_ceil(MR) * MR * k` elements; rows beyond
-/// `m` are zero. This is the degenerate one-block case of
-/// [`pack_a_block_into`], kept for tests and whole-operand callers.
-pub fn pack_a<T: Scalar>(op: GemmOp, alpha: T, a: &Mat<T>, m: usize, k: usize) -> Vec<T> {
-    let mut buf = vec![T::ZERO; m.div_ceil(MR) * k * MR];
-    pack_a_into(op, alpha, a, m, k, &mut buf);
-    buf
-}
-
-/// [`pack_a`] into a caller-provided buffer (cleared and resized), so
-/// repeated calls can reuse one allocation.
-pub fn pack_a_into<T: Scalar>(
-    op: GemmOp,
-    alpha: T,
-    a: &Mat<T>,
-    m: usize,
-    k: usize,
-    buf: &mut Vec<T>,
-) {
-    let size = m.div_ceil(MR) * k * MR;
-    buf.clear();
-    buf.resize(size, T::ZERO);
-    pack_a_block_into(op, alpha, a, 0, 0, m, k, MR, buf);
-}
-
-/// Packs all of `op(B)` (`k × n` after the op) into NR-column panels.
-///
-/// The returned buffer has `n.div_ceil(NR) * NR * k` elements; columns
-/// beyond `n` are zero.
-pub fn pack_b<T: Scalar>(op: GemmOp, b: &Mat<T>, k: usize, n: usize) -> Vec<T> {
-    let mut buf = vec![T::ZERO; n.div_ceil(NR) * k * NR];
-    pack_b_into(op, b, k, n, &mut buf);
-    buf
-}
-
-/// [`pack_b`] into a caller-provided buffer (cleared and resized), so
-/// repeated calls can reuse one allocation.
-pub fn pack_b_into<T: Scalar>(op: GemmOp, b: &Mat<T>, k: usize, n: usize, buf: &mut Vec<T>) {
-    let strips = n.div_ceil(NR);
-    let size = strips * k * NR;
-    buf.clear();
-    buf.resize(size, T::ZERO);
-    for t in 0..strips {
-        let j0 = t * NR;
-        let cols_here = NR.min(n - j0);
-        pack_b_strip_into(
-            op,
-            b,
-            0,
-            j0,
-            k,
-            cols_here,
-            NR,
-            &mut buf[t * k * NR..(t + 1) * k * NR],
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,8 +176,8 @@ mod tests {
                 GemmOp::NoTrans => Mat::from_fn(m, k, |i, j| (i * 10 + j) as f64),
                 GemmOp::Trans => Mat::from_fn(k, m, |i, j| (j * 10 + i) as f64),
             };
-            let buf = pack_a(op, 1.0, &a, m, k);
-            assert_eq!(buf.len(), 2 * k * MR);
+            let mut buf = vec![9.0; 2 * k * MR];
+            pack_a_block_into(op, 1.0, &a, 0, 0, m, k, MR, &mut buf);
             for s in 0..2 {
                 for l in 0..k {
                     for di in 0..MR {
@@ -263,7 +200,8 @@ mod tests {
     #[test]
     fn pack_a_folds_alpha() {
         let a = Mat::from_fn(2, 2, |i, j| (i * 2 + j + 1) as f64);
-        let buf = pack_a(GemmOp::NoTrans, 3.0, &a, 2, 2);
+        let mut buf = vec![0.0; 2 * MR];
+        pack_a_block_into(GemmOp::NoTrans, 3.0, &a, 0, 0, 2, 2, MR, &mut buf);
         assert_eq!(buf[0], 3.0); // (0,0) * alpha
         assert_eq!(buf[MR], 6.0); // (0,1) * alpha at l=1
     }
@@ -276,8 +214,11 @@ mod tests {
                 GemmOp::NoTrans => Mat::from_fn(k, n, |i, j| (i * 100 + j) as f64),
                 GemmOp::Trans => Mat::from_fn(n, k, |i, j| (j * 100 + i) as f64),
             };
-            let buf = pack_b(op, &b, k, n);
-            assert_eq!(buf.len(), 2 * k * NR);
+            let mut buf = vec![9.0; 2 * k * NR];
+            for (t, strip) in buf.chunks_mut(k * NR).enumerate() {
+                let cols_here = NR.min(n - t * NR);
+                pack_b_strip_into(op, &b, 0, t * NR, k, cols_here, NR, strip);
+            }
             for t in 0..2 {
                 for l in 0..k {
                     for dj in 0..NR {
@@ -297,9 +238,8 @@ mod tests {
         }
     }
 
-    /// A sub-block pack must equal the corresponding window of the
-    /// whole-operand pack — the interior-block case the five-loop kernel
-    /// depends on.
+    /// A sub-block pack holds the corresponding window of `alpha·op(A)` —
+    /// the interior-block case the five-loop kernel depends on.
     #[test]
     fn pack_a_block_matches_full_pack_window() {
         let (m, k) = (3 * MR + 2, 17);

@@ -13,7 +13,7 @@
 //!   [`set_rank_gemm_threads`] — which `msgpass::World::run` sets to
 //!   `base / world_size` so P concurrent ranks never ask for more kernel
 //!   threads than the machine has cores;
-//! * [`parallel_chunks`] — the fork-join primitive the blocked GEMM builds
+//! * `parallel_chunks` — the fork-join primitive the blocked GEMM builds
 //!   its pack and macro-tile phases from: a chunk counter shared between
 //!   the submitting thread and `width - 1` pool workers.
 //!

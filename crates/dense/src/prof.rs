@@ -45,7 +45,7 @@
 //!
 //! The profile compares achieved arithmetic throughput
 //! (`flops / compute_secs`, a *per-busy-core* rate) against
-//! [`tune::probed_peak_gflops`](crate::tune::probed_peak_gflops) — the
+//! [`tune::probed_peak_gflops`] — the
 //! measured single-core rate of *the dispatched* `mr×nr` register
 //! microkernel on L1-resident panels (the profile records which kernel ran,
 //! and the peak is probed per kernel, so roofline percentages stay ≤ 100%
@@ -263,8 +263,8 @@ std::thread_local! {
 
 static NEXT_CAPTURE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Starts a capture on the calling thread: subsequent [`gemm`]
-/// (crate::gemm::gemm) calls *from this thread* record into it (their pool
+/// Starts a capture on the calling thread: subsequent [`crate::gemm()`]
+/// calls *from this thread* record into it (their pool
 /// helper jobs inherit the capture tag). Replaces any capture already
 /// active on this thread.
 pub fn begin_capture() {

@@ -1,6 +1,6 @@
 //! Runtime autotuner for the blocked GEMM's cache-blocking parameters.
 //!
-//! The five-loop kernel in [`gemm`](crate::gemm) needs three blocking sizes
+//! The five-loop kernel in [`gemm`](mod@crate::gemm) needs three blocking sizes
 //! (the BLIS names): `KC` (depth of one packed slab), `MC` (rows of one
 //! packed A block) and `NC` (columns of one packed B slab). Good values are
 //! a function of the cache hierarchy, so instead of hard-coding one
@@ -23,7 +23,7 @@
 //! the L3 share divides the package L3 by the number of CPUs listed in its
 //! `shared_cpu_list`. The SIMD register width is probed too
 //! (AVX-512 / AVX2 / SSE2 on x86-64) — it drives the microkernel
-//! dispatcher ([`kernel`](crate::kernel)), whose selected `MR×NR` geometry
+//! dispatcher ([`kernel`]), whose selected `MR×NR` geometry
 //! in turn parameterizes the derivation here: the blocking and the
 //! [`probed_peak_gflops`] roofline ceiling are both computed *for the
 //! dispatched kernel*, cached per `(element size, kernel)`.
@@ -70,7 +70,7 @@ pub struct CacheInfo {
     /// divided by the number of CPUs sharing it).
     pub l3_share: usize,
     /// Widest SIMD register in bits (512 / 256 / 128) — the basis of the
-    /// microkernel dispatch in [`kernel`](crate::kernel).
+    /// microkernel dispatch in [`kernel`].
     pub simd_bits: usize,
 }
 

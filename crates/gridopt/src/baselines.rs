@@ -40,20 +40,6 @@ pub fn cube_grid(p: usize) -> Grid {
     Grid::new(q, q, q)
 }
 
-/// The 2.5D algorithm (Solomonik & Demmel \[16\]) uses `sqrt(P/c) × sqrt(P/c)
-/// × c` for a replication factor `c`. Returns the largest feasible grid for
-/// the given `c`, shrinking the square side until it fits.
-pub fn grid_25d(p: usize, c: usize) -> Grid {
-    assert!(c >= 1, "replication factor must be positive");
-    let mut s = ((p / c) as f64).sqrt().floor() as usize;
-    s = s.max(1);
-    while s * s * c > p {
-        s -= 1;
-    }
-    let s = s.max(1);
-    Grid::new(s, s, c.min(p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,15 +73,5 @@ mod tests {
         assert_eq!(cube_grid(1), Grid::new(1, 1, 1));
         assert_eq!(cube_grid(63), Grid::new(3, 3, 3));
         assert_eq!(cube_grid(64), Grid::new(4, 4, 4));
-    }
-
-    #[test]
-    fn grid_25d_fits() {
-        let g = grid_25d(32, 2);
-        assert_eq!(g, Grid::new(4, 4, 2));
-        let g = grid_25d(16, 1);
-        assert_eq!(g, Grid::new(4, 4, 1));
-        let g = grid_25d(7, 2);
-        assert!(g.active() <= 7);
     }
 }

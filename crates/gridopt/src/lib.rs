@@ -8,24 +8,25 @@
 //! S_total = 2 (pm·k·n + pn·m·k + pk·m·n)            (eq. 4)
 //! ```
 //!
-//! subject to the utilization constraint `l·P ≤ pm·pk·pn ≤ P` (eq. 5, with
-//! `l = 0.95` by default), the Cannon-group divisibility constraint
+//! subject to the utilization constraint `l·P ≤ pm·pk·pn ≤ P` (eq. 5), the
+//! Cannon-group divisibility constraint
 //! `mod(max(pm,pn), min(pm,pn)) = 0` (eq. 7), and a lower-priority
-//! sub-target of maximizing `pm·pk·pn` (eq. 6).
+//! sub-target of maximizing `pm·pk·pn` (eq. 6). The paper runs every
+//! experiment at `l = 0.95` ([`DEFAULT_UTILIZATION_FLOOR`]), and so do the
+//! algorithms here; the searches take `l` as an argument so the `ablation_l`
+//! study can sweep it.
 //!
 //! This crate implements that search ([`ca3dmm_grid`]) plus the grid choices
 //! of the baselines: [`cosma_grid`] (same search without eq. 7 — what the
-//! COSMA source does per §III-C), [`summa_grid`] (2D), [`cube_grid`]
-//! (original 3D algorithm), and [`grid_25d`] (2.5D / CTF-like). A
-//! brute-force reference ([`brute_force_grid`]) backs the property tests.
+//! COSMA source does per §III-C), [`summa_grid`] (2D) and [`cube_grid`]
+//! (original 3D algorithm); the 2.5D baseline searches its own `s × s × c`
+//! grid. A brute-force reference ([`brute_force_grid`]) backs the property
+//! tests.
 
 mod baselines;
 mod grid;
 mod search;
 
-pub use baselines::{cube_grid, grid_25d, summa_grid};
+pub use baselines::{cube_grid, summa_grid};
 pub use grid::{Grid, GridChoice, Problem};
-pub use search::{
-    brute_force_grid, ca3dmm_grid, ca3dmm_grid_timed, cosma_grid, SolvedGrid,
-    DEFAULT_UTILIZATION_FLOOR,
-};
+pub use search::{brute_force_grid, ca3dmm_grid, cosma_grid, DEFAULT_UTILIZATION_FLOOR};

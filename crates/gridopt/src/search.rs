@@ -130,37 +130,6 @@ pub fn ca3dmm_grid(prob: &Problem, floor: f64) -> GridChoice {
     search(prob, floor, true)
 }
 
-/// A solved grid together with the wall seconds the enumeration took.
-///
-/// This is the handle a plan cache stores: the search result is a pure
-/// function of `(prob, floor)`, so once solved it can be reused for every
-/// repeat of the same problem, and `search_secs` is exactly the per-call
-/// cost that reuse amortizes away (surfaced in `report_meta` and the
-/// `grid_search` bench).
-#[derive(Clone, Copy, Debug)]
-pub struct SolvedGrid {
-    /// The problem the grid was solved for.
-    pub prob: Problem,
-    /// The utilization floor `l` the search ran under.
-    pub floor: f64,
-    /// The chosen grid and its surface.
-    pub choice: GridChoice,
-    /// Wall seconds spent enumerating (eq. 4/5/7 search).
-    pub search_secs: f64,
-}
-
-/// [`ca3dmm_grid`] with the enumeration timed: the cacheable entry point.
-pub fn ca3dmm_grid_timed(prob: &Problem, floor: f64) -> SolvedGrid {
-    let t0 = std::time::Instant::now();
-    let choice = search(prob, floor, true);
-    SolvedGrid {
-        prob: *prob,
-        floor,
-        choice,
-        search_secs: t0.elapsed().as_secs_f64(),
-    }
-}
-
 /// The grid the COSMA source code uses (§III-C): the same search *without*
 /// the Cannon constraint.
 pub fn cosma_grid(prob: &Problem, floor: f64) -> GridChoice {

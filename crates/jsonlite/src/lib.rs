@@ -5,7 +5,7 @@
 //! Chrome-trace exporter in `msgpass`, the schedule artifacts in
 //! `netmodel`, and the golden-trace tests — goes through this crate
 //! instead. The surface is deliberately small: a [`Json`] tree, strict
-//! [`Json::parse`], and compact [`Json::to_string`] / pretty
+//! [`Json::parse`], and compact `Json::to_string` (its `Display`) / pretty
 //! [`Json::to_string_pretty`] output.
 
 use std::collections::BTreeMap;

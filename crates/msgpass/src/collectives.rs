@@ -335,9 +335,8 @@ pub fn gatherv<T: WireElem>(
 // Allgatherv and reduce-scatter each have one ring, written over *node
 // blocks*: members talk to their node's leader over the (cheap) intra-node
 // fabric, the leaders run the ring among themselves, and the leaders hand the
-// results back out intra-node. With a known node layout
-// ([`RankCtx::ranks_per_node`], set by the sim placement or by
-// `RunOptions::ranks_per_node`) and `Collectives::Hier`, the grouping is the
+// results back out intra-node. With the sim placement's node layout
+// ([`RankCtx::ranks_per_node`]) and `Collectives::Hier`, the grouping is the
 // real one and inter-node messages per group drop from Θ(P) to Θ(#nodes) —
 // the latency tier the flat rings pay at scale. The flat algorithm is the
 // same ring with every rank its own node.
@@ -379,10 +378,10 @@ impl NodeMap {
 
 /// The two-level selection rule: `Some(map)` when the hierarchical path
 /// engages for this communicator, `None` when the flat algorithms should run
-/// (no topology attached, single-node communicator, or all nodes holding a
-/// single member). Every member computes the same answer.
+/// (a single-node communicator — every one in a wall-clock run — or all
+/// nodes holding a single member). Every member computes the same answer.
 pub fn node_map(comm: &Comm, ctx: &RankCtx) -> Option<NodeMap> {
-    let rpn = ctx.ranks_per_node()?;
+    let rpn = ctx.ranks_per_node();
     let g = comm.size();
     let me = comm.rank();
     let mut node_ids: Vec<usize> = Vec::new();
@@ -901,43 +900,47 @@ mod tests {
         });
     }
 
-    use crate::world::RunOptions;
+    use crate::sim::SimOptions;
+    use crate::world::RunReport;
+    use netmodel::{Machine, Placement};
 
-    /// Run options with a node layout attached (wall-clock run).
-    fn topo(rpn: usize) -> RunOptions {
-        RunOptions {
-            ranks_per_node: Some(rpn),
-            ..RunOptions::default()
-        }
-    }
-
-    fn topo_traced(rpn: usize) -> RunOptions {
-        RunOptions {
-            trace: true,
-            ranks_per_node: Some(rpn),
-            ..RunOptions::default()
-        }
+    /// Runs `f` on `p` ranks under virtual time on nodes of `rpn` ranks —
+    /// nodes exist only in a machine model — executing every operation.
+    fn on_nodes<R: Send>(
+        p: usize,
+        rpn: usize,
+        f: impl Fn(&RankCtx) -> R + Sync,
+    ) -> (Vec<R>, RunReport) {
+        let machine = Machine::uniform();
+        let opts = SimOptions {
+            placement: Some(Placement {
+                ranks_per_node: rpn,
+                ..machine.pure_mpi()
+            }),
+            execute_compute: true,
+        };
+        World::run_sim(p, &machine, opts, f)
     }
 
     #[test]
     fn node_map_selection_rules() {
-        // No topology attached → flat.
+        // A wall-clock run is one node → flat.
         World::run(4, |ctx| {
             let comm = Comm::world(ctx);
             assert!(node_map(&comm, ctx).is_none());
         });
         // All nodes singleton (1 rank per node) → flat.
-        World::run_opts(4, topo(1), |ctx| {
+        on_nodes(4, 1, |ctx| {
             let comm = Comm::world(ctx);
             assert!(node_map(&comm, ctx).is_none());
         });
         // Whole communicator inside one node → flat.
-        World::run_opts(4, topo(8), |ctx| {
+        on_nodes(4, 8, |ctx| {
             let comm = Comm::world(ctx);
             assert!(node_map(&comm, ctx).is_none());
         });
         // 3 nodes × 2 members → hier, leaders are the even ranks.
-        World::run_opts(6, topo(2), |ctx| {
+        on_nodes(6, 2, |ctx| {
             let comm = Comm::world(ctx);
             let map = node_map(&comm, ctx).expect("hier engages");
             assert_eq!(map.nodes, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
@@ -949,7 +952,7 @@ mod tests {
         // Subgroups see their own layout: {0,1,4} on 4-rank nodes spans two
         // nodes with one multi-member node → hier; {0,2} (both on node 0 of
         // 4-rank nodes) → flat.
-        World::run_opts(6, topo(4), |ctx| {
+        on_nodes(6, 4, |ctx| {
             let comm = Comm::world(ctx);
             let groups = vec![vec![0, 1, 4], vec![2, 3, 5]];
             let sub = comm.subgroup(ctx, &groups).unwrap();
@@ -969,7 +972,7 @@ mod tests {
     fn hier_matches_flat_results() {
         // 3 nodes × 2 ranks: the node-block rings must produce the same
         // values the flat ones do.
-        World::run_opts(6, topo(2), |ctx| {
+        on_nodes(6, 2, |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let p = comm.size();
@@ -1000,8 +1003,8 @@ mod tests {
 
     #[test]
     fn hier_without_topology_is_flat() {
-        // `Hier` is a safe default: with no node layout it runs the flat
-        // rings (same results, flat attribution).
+        // `Hier` is a safe default: a wall-clock run is one node, so it runs
+        // the flat rings (same results, flat attribution).
         let (_, report) = World::run_traced(4, |ctx| {
             let comm = Comm::world(ctx);
             let v = allgatherv_mode(
@@ -1024,7 +1027,7 @@ mod tests {
         // node's block = 6B − 2B = 4B) plus the assembled buffer down to its
         // member (6B) — 10B. Message counts: member 1, leader (L−1)+(m−1)=3.
         let b = 16usize;
-        let (_, report) = World::run_opts(6, topo_traced(2), |ctx| {
+        let (_, report) = on_nodes(6, 2, |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("ag");
             let _ = allgatherv_mode(Collectives::Hier, &comm, ctx, vec![0u64; b], &[b; 6]);
@@ -1050,7 +1053,7 @@ mod tests {
         // blocks (total − own node block = 6S − 2S = 4S) plus its member's
         // segment down (S) — 5S, (L−1)+(m−1) = 3 msgs.
         let s = 8usize;
-        let (_, report) = World::run_opts(6, topo_traced(2), |ctx| {
+        let (_, report) = on_nodes(6, 2, |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("rs");
             let counts = vec![s; 6];

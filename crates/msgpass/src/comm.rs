@@ -397,34 +397,6 @@ impl Comm {
             coll_seq: std::cell::Cell::new(0),
         })
     }
-
-    /// `MPI_Comm_split`: members pass a `color` (ranks with equal colors end
-    /// up together, `None` opts out) and a `key` that orders ranks within
-    /// each new communicator (ties broken by old rank). Collective over the
-    /// communicator; costs one allgather.
-    pub fn split(&self, ctx: &RankCtx, color: Option<u64>, key: u64) -> Option<Comm> {
-        // Gather (color, key) from everyone. Encode None as u64::MAX.
-        let mine = vec![color.unwrap_or(u64::MAX), key];
-        let all = crate::collectives::allgather(self, ctx, mine);
-        let seq = ctx.ctx_seq.get();
-        ctx.ctx_seq.set(seq + 1);
-        let my_color = color?;
-        let mut members: Vec<(u64, usize)> = (0..self.size())
-            .filter(|&r| all[2 * r] == my_color)
-            .map(|r| (all[2 * r + 1], r))
-            .collect();
-        members.sort();
-        let my_idx = members
-            .iter()
-            .position(|&(_, r)| r == self.my_idx)
-            .expect("caller must be in its own color group");
-        Some(Comm {
-            ctx_id: mix(self.ctx_id ^ mix((seq << 20) ^ my_color.wrapping_add(1))),
-            ranks: Arc::new(members.iter().map(|&(_, r)| self.ranks[r]).collect()),
-            my_idx,
-            coll_seq: std::cell::Cell::new(0),
-        })
-    }
 }
 
 /// The one place a rank blocks: waits for the next message in its mailbox,
@@ -686,39 +658,6 @@ mod tests {
                 assert!(sub.is_none());
             } else {
                 assert_eq!(sub.unwrap().size(), 2);
-            }
-        });
-    }
-
-    #[test]
-    fn split_by_color_and_key() {
-        World::run(6, |ctx| {
-            let comm = Comm::world(ctx);
-            // color = rank % 2; key reverses order within each group
-            let color = Some((comm.rank() % 2) as u64);
-            let key = (comm.size() - comm.rank()) as u64;
-            let sub = comm.split(ctx, color, key).unwrap();
-            assert_eq!(sub.size(), 3);
-            // rank 4 has the smallest key among evens {0,2,4} -> idx 0
-            if comm.rank() == 4 {
-                assert_eq!(sub.rank(), 0);
-            }
-            if comm.rank() == 0 {
-                assert_eq!(sub.rank(), 2);
-            }
-        });
-    }
-
-    #[test]
-    fn split_opt_out() {
-        World::run(4, |ctx| {
-            let comm = Comm::world(ctx);
-            let color = if comm.rank() == 3 { None } else { Some(0) };
-            let sub = comm.split(ctx, color, comm.rank() as u64);
-            if comm.rank() == 3 {
-                assert!(sub.is_none());
-            } else {
-                assert_eq!(sub.unwrap().size(), 3);
             }
         });
     }

@@ -8,8 +8,8 @@
 //! * [`World::run`] spawns `P` ranks as scoped threads and runs the same
 //!   closure on each — the moral equivalent of `mpirun -np P`;
 //! * [`Comm`] is a communicator: an ordered group of world ranks with its
-//!   own isolated tag space, supporting [`Comm::split`] (like
-//!   `MPI_Comm_split`) and [`Comm::subgroup`];
+//!   own isolated tag space, split into sub-communicators by
+//!   [`Comm::subgroup`] (like `MPI_Comm_create_group`);
 //! * point-to-point [`Comm::send`] / [`Comm::recv`] with `(source, tag)`
 //!   matching and out-of-order buffering, plus [`Comm::sendrecv`] (the
 //!   primitive behind Cannon's circular shifts);
@@ -19,7 +19,8 @@
 //!   reduce-scatter, Rabenseifner allreduce, sparse (neighbour) alltoallv,
 //!   dissemination barrier. The two rings are each written once, over node
 //!   blocks: the flat ring is the case where every rank is its own node;
-//!   [`collectives::Collectives::Hier`] runs them over the real nodes;
+//!   [`collectives::Collectives::Hier`] runs them over the nodes of a
+//!   virtual-time run's placement (a wall-clock run is one node);
 //! * [`traffic`]: every rank counts the bytes and messages it sends *and
 //!   receives*, per named phase, plus a rank×rank communication matrix,
 //!   log2 message-size histograms keyed by phase and by collective
@@ -33,8 +34,8 @@
 //!   the critical path, the sim block and the kernel profiles — into a
 //!   [`RunReportDoc`], whose `to_json` is the only writer of the versioned
 //!   JSON artifact and whose `parse` is the only reader; plus a text
-//!   dashboard, a report-vs-report diff, and the exact/ratio regression
-//!   gate CI runs.
+//!   dashboard and the one report-vs-report comparison, the exact/ratio
+//!   regression [`report::gate`] CI runs.
 //! * [`trace`]: structured event tracing. A traced run
 //!   ([`World::run_traced`]) records begin/end spans for every phase
 //!   region, point-to-point send/recv, and collective (with its algorithm
@@ -52,7 +53,9 @@
 //! propagates out of [`World::run`] and fails the test.
 //!
 //! This crate has no external dependencies (the channel underneath the
-//! mailboxes is in [`mod@chan`]); it builds offline.
+//! mailboxes is its own `chan` module); it builds offline. Every rank
+//! thread — of a run or of a [`PersistentWorld`] — gets one fixed 1 MiB
+//! stack.
 
 pub(crate) mod chan;
 pub mod collectives;
@@ -69,7 +72,7 @@ pub use comm::{Comm, Payload, RecvReq, ReduceElem, SendReq};
 pub use dense::WireElem;
 pub use metrics::{CellCounts, CommMatrix, SizeHistogram};
 pub use persist::{JobPanic, PersistentWorld};
-pub use report::{GatePolicy, ReportDiff, RunReportDoc};
+pub use report::RunReportDoc;
 pub use sim::{SimInfo, SimOptions};
 pub use trace::{KernelSpan, Span, SpanKind, Timeline};
 pub use traffic::{PhaseCounts, TrafficReport};

@@ -18,7 +18,7 @@
 //! request path) must validate inputs up front, leaving only
 //! deterministic-across-ranks panics possible inside a job.
 
-use crate::world::{run_rank, RankCtx, RunOptions, RunReport, RunSetup};
+use crate::world::{run_rank, RankCtx, RunOptions, RunReport, RunSetup, RANK_STACK_SIZE};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// One rank of one job: runs on the worker thread owning that rank slot.
@@ -46,16 +46,12 @@ struct Worker {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-/// `p` long-lived rank threads, fed one [`Job`] per rank per
+/// `p` long-lived rank threads, fed one job per rank per
 /// [`PersistentWorld::run_job`]. Dropping the world closes the job channels
 /// and joins the workers.
 pub struct PersistentWorld {
     p: usize,
     workers: Vec<Worker>,
-    /// Stack size the workers were built with (per-job options cannot
-    /// change it, so [`PersistentWorld::run_job`] ignores
-    /// [`RunOptions::stack_size`]).
-    stack_size: usize,
     /// Serializes jobs: two concurrent `run_job` calls on one world would
     /// interleave their rank closures across the same worker set and
     /// deadlock. Held for the full duration of a job.
@@ -63,21 +59,15 @@ pub struct PersistentWorld {
 }
 
 impl PersistentWorld {
-    /// Spawns `p` rank workers with the default stack size.
+    /// Spawns `p` rank workers.
     pub fn new(p: usize) -> PersistentWorld {
-        PersistentWorld::with_stack_size(p, RunOptions::DEFAULT_STACK_SIZE)
-    }
-
-    /// Spawns `p` rank workers with an explicit per-thread stack size.
-    pub fn with_stack_size(p: usize, stack_size: usize) -> PersistentWorld {
         assert!(p > 0, "world size must be positive");
-        let stack_size = stack_size.max(64 * 1024);
         let workers = (0..p)
             .map(|rank| {
                 let (tx, rx) = mpsc::channel::<Job>();
                 let handle = std::thread::Builder::new()
                     .name(format!("pworld-rank-{rank}"))
-                    .stack_size(stack_size)
+                    .stack_size(RANK_STACK_SIZE)
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
                             job();
@@ -93,7 +83,6 @@ impl PersistentWorld {
         PersistentWorld {
             p,
             workers,
-            stack_size,
             gate: Mutex::new(()),
         }
     }
@@ -103,18 +92,12 @@ impl PersistentWorld {
         self.p
     }
 
-    /// Stack size of the rank workers, bytes.
-    pub fn stack_size(&self) -> usize {
-        self.stack_size
-    }
-
     /// Runs `f` once per rank over a fresh fabric, like
     /// [`crate::World::run_opts`], but on the persistent workers. Returns
     /// the per-rank results in rank order plus the job's own [`RunReport`].
     ///
     /// Jobs on one world serialize (an internal gate); give concurrent
-    /// streams their own `PersistentWorld` each. `opts.stack_size` is
-    /// ignored — the workers' stacks were sized at construction.
+    /// streams their own `PersistentWorld` each.
     ///
     /// # Errors
     /// [`JobPanic`] if any rank's closure panicked; the workers remain

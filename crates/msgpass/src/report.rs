@@ -10,8 +10,8 @@
 //! builds can be compared mechanically — and [`RunReportDoc::parse`] the
 //! only reader, re-checking every invariant the writer guarantees.
 //! [`RunReportDoc::render_dashboard`] turns a summary into a text
-//! dashboard, [`diff_reports`] compares two measured runs with a percentage
-//! threshold, and [`gate`] is the CI regression gate.
+//! dashboard, and [`gate`] — the CI regression gate — is the one
+//! comparison of two reports.
 //!
 //! # Critical path
 //!
@@ -26,16 +26,16 @@
 //! ([`crate::TrafficReport::wait_secs`]) on a virtual-time run, which
 //! records no spans; the remainder is compute.
 //!
-//! # Gate policy: exact vs ratio
+//! # Gate: exact vs ratio
 //!
 //! Byte counts, message counts, matrix cells, and histogram buckets are
 //! deterministic functions of the algorithm, the problem, and the grid
 //! search — the same on every machine — so the gate compares them for
 //! **exact equality**: a single extra byte is a real algorithmic change.
 //! Wall and wait seconds depend on the host, so they are gated only by a
-//! **ratio** bound when the policy asks for one, and never across machines.
+//! **ratio** bound when the caller asks for one, and never across machines.
 
-use crate::metrics::{bucket_label, fmt_bytes, CellCounts, CommMatrix, SizeHistogram};
+use crate::metrics::{fmt_bytes, CellCounts, CommMatrix, SizeHistogram};
 use crate::sim::SimInfo;
 use crate::world::RunReport;
 use dense::kernel::KernelKind;
@@ -1031,153 +1031,9 @@ impl RunReportDoc {
     }
 }
 
-/// One phase's comparison in a [`ReportDiff`].
-#[derive(Clone, Debug)]
-pub struct DiffRow {
-    /// Phase label.
-    pub phase: String,
-    /// Reference (sent_bytes, sent_msgs, secs_max); zeros if absent.
-    pub a: (u64, u64, f64),
-    /// Subject (sent_bytes, sent_msgs, secs_max); zeros if absent.
-    pub b: (u64, u64, f64),
-}
-
-impl DiffRow {
-    /// Percentage change of subject bytes over reference bytes.
-    pub fn bytes_delta_pct(&self) -> f64 {
-        delta_pct(self.a.0 as f64, self.b.0 as f64)
-    }
-
-    /// Percentage change of subject slowest-rank seconds over reference.
-    pub fn secs_delta_pct(&self) -> f64 {
-        delta_pct(self.a.2, self.b.2)
-    }
-}
-
-fn delta_pct(a: f64, b: f64) -> f64 {
-    if a == 0.0 {
-        if b == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        100.0 * (b - a) / a
-    }
-}
-
-/// The result of [`diff_reports`]: per-phase traffic and time comparison
-/// between two measured runs.
-#[derive(Clone, Debug)]
-pub struct ReportDiff {
-    /// Per-phase rows (union of both reports' phases).
-    pub rows: Vec<DiffRow>,
-    /// The percentage threshold used by [`ReportDiff::exceeded`].
-    pub threshold_pct: f64,
-}
-
-impl ReportDiff {
-    /// Phases whose byte volume or slowest-rank seconds moved by more than
-    /// the threshold (in either direction).
-    pub fn exceeded(&self) -> Vec<&DiffRow> {
-        self.rows
-            .iter()
-            .filter(|r| {
-                r.bytes_delta_pct().abs() > self.threshold_pct
-                    || r.secs_delta_pct().abs() > self.threshold_pct
-            })
-            .collect()
-    }
-
-    /// Human-readable comparison table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<16} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}",
-            "phase", "bytes A", "bytes B", "Δbytes", "secs A", "secs B", "Δsecs"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<16} {:>12} {:>12} {:>7.1}% {:>10.6} {:>10.6} {:>7.1}%",
-                r.phase,
-                fmt_bytes(r.a.0),
-                fmt_bytes(r.b.0),
-                r.bytes_delta_pct(),
-                r.a.2,
-                r.b.2,
-                r.secs_delta_pct()
-            );
-        }
-        let over = self.exceeded();
-        if over.is_empty() {
-            let _ = writeln!(out, "all phases within ±{}%", self.threshold_pct);
-        } else {
-            for r in over {
-                let _ = writeln!(
-                    out,
-                    "OVER THRESHOLD: {} (bytes {:+.1}%, secs {:+.1}%)",
-                    r.phase,
-                    r.bytes_delta_pct(),
-                    r.secs_delta_pct()
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Compares two measured reports phase by phase. `threshold_pct` bounds the
-/// acceptable relative movement for [`ReportDiff::exceeded`].
-pub fn diff_reports(a: &RunReportDoc, b: &RunReportDoc, threshold_pct: f64) -> ReportDiff {
-    let mut order: Vec<String> = a.phases.iter().map(|p| p.phase.clone()).collect();
-    for p in &b.phases {
-        if !order.contains(&p.phase) {
-            order.push(p.phase.clone());
-        }
-    }
-    let find = |doc: &RunReportDoc, name: &str| {
-        doc.phases
-            .iter()
-            .find(|p| p.phase == name)
-            .map_or((0, 0, 0.0), |p| (p.sent_bytes, p.sent_msgs, p.secs_max))
-    };
-    ReportDiff {
-        rows: order
-            .into_iter()
-            .map(|phase| DiffRow {
-                a: find(a, &phase),
-                b: find(b, &phase),
-                phase,
-            })
-            .collect(),
-        threshold_pct,
-    }
-}
-
-/// How [`gate`] treats the non-deterministic (time) side of a report.
-#[derive(Clone, Copy, Debug)]
-pub struct GatePolicy {
-    /// If set, each phase's subject `secs_max` may be at most this multiple
-    /// of the reference's (checked only for phases where the reference time
-    /// is ≥ [`GatePolicy::min_gated_secs`]). `None` ignores times entirely —
-    /// the right policy when reference and subject ran on different
-    /// machines, where only the deterministic traffic is comparable.
-    pub max_time_ratio: Option<f64>,
-    /// Phases faster than this on the reference are never time-gated
-    /// (scheduler noise dominates sub-millisecond phases).
-    pub min_gated_secs: f64,
-}
-
-impl Default for GatePolicy {
-    fn default() -> GatePolicy {
-        GatePolicy {
-            max_time_ratio: None,
-            min_gated_secs: 1e-3,
-        }
-    }
-}
+/// Phases faster than this on the reference are never time-gated:
+/// scheduler noise dominates sub-millisecond phases.
+const MIN_GATED_SECS: f64 = 1e-3;
 
 /// The CI regression gate: compares `subject` against `reference`.
 ///
@@ -1185,12 +1041,16 @@ impl Default for GatePolicy {
 /// totals, every matrix cell, every histogram bucket — must match
 /// **exactly**; any drift means the algorithm's communication pattern
 /// changed and the reference must be consciously regenerated. Times are
-/// checked only by ratio, per [`GatePolicy`]. Returns every violation, not
-/// just the first.
+/// checked only when `max_time_ratio` is set: each phase's subject
+/// `secs_max` may then be at most that multiple of the reference's, for
+/// phases where the reference took at least 1 ms. `None` ignores times —
+/// the right choice when reference and subject ran on different machines,
+/// where only the deterministic traffic is comparable. Returns every
+/// violation, not just the first.
 pub fn gate(
     reference: &RunReportDoc,
     subject: &RunReportDoc,
-    policy: &GatePolicy,
+    max_time_ratio: Option<f64>,
 ) -> Result<(), Vec<String>> {
     let mut errs = Vec::new();
     if reference.time_domain != subject.time_domain {
@@ -1267,8 +1127,8 @@ pub fn gate(
                 traffic(s)
             ));
         }
-        if let Some(max_ratio) = policy.max_time_ratio {
-            if r.secs_max >= policy.min_gated_secs {
+        if let Some(max_ratio) = max_time_ratio {
+            if r.secs_max >= MIN_GATED_SECS {
                 let ratio = s.secs_max / r.secs_max;
                 // `partial_cmp` keeps the NaN-must-fail semantics explicit.
                 if ratio.partial_cmp(&max_ratio) != Some(std::cmp::Ordering::Less)
@@ -1351,29 +1211,6 @@ pub fn render_gate_failures(errs: &[String]) -> String {
     out
 }
 
-/// Formats the histogram comparison between two docs (used by the diff
-/// subcommand's verbose mode); bucket labels come from the metrics layer.
-pub fn render_hist_side_by_side(a: &SizeHistogram, b: &SizeHistogram) -> String {
-    let mut out = String::new();
-    let buckets: std::collections::BTreeSet<usize> = a
-        .nonzero()
-        .into_iter()
-        .chain(b.nonzero())
-        .map(|(k, _)| k)
-        .collect();
-    let _ = writeln!(out, "  {:<16} {:>10} {:>10}", "size", "A", "B");
-    for k in buckets {
-        let _ = writeln!(
-            out,
-            "  {:<16} {:>10} {:>10}",
-            bucket_label(k),
-            a.count(k),
-            b.count(k)
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1435,7 +1272,7 @@ mod tests {
     #[test]
     fn gate_passes_self_and_fails_perturbed() {
         let doc = sample_doc();
-        assert!(gate(&doc, &doc, &GatePolicy::default()).is_ok());
+        assert!(gate(&doc, &doc, None).is_ok());
 
         // Perturb one byte count end to end through the JSON (as the CI
         // negative test does) and the gate must fail.
@@ -1450,7 +1287,7 @@ mod tests {
             // tampered file, or the gate must flag it.
             Err(_) => {}
             Ok(doc2) => {
-                let errs = gate(&doc, &doc2, &GatePolicy::default()).unwrap_err();
+                let errs = gate(&doc, &doc2, None).unwrap_err();
                 assert!(!errs.is_empty());
                 assert!(render_gate_failures(&errs).contains("report-gate FAILED"));
             }
@@ -1464,31 +1301,14 @@ mod tests {
         a.phases[0].secs_max = 1.0;
         b.phases[0].secs_max = 10.0;
         // Times ignored by default.
-        assert!(gate(&a, &b, &GatePolicy::default()).is_ok());
+        assert!(gate(&a, &b, None).is_ok());
         // Ratio-gated when asked.
-        let policy = GatePolicy {
-            max_time_ratio: Some(2.0),
-            min_gated_secs: 1e-3,
-        };
-        let errs = gate(&a, &b, &policy).unwrap_err();
+        let errs = gate(&a, &b, Some(2.0)).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("time")), "{errs:?}");
         // Sub-threshold reference times are never gated.
         a.phases[0].secs_max = 1e-6;
         b.phases[0].secs_max = 1.0;
-        assert!(gate(&a, &b, &policy).is_ok());
-    }
-
-    #[test]
-    fn diff_reports_flags_moved_phases() {
-        let a = sample_doc();
-        let mut b = a.clone();
-        b.phases[0].sent_bytes = a.phases[0].sent_bytes * 3;
-        let d = diff_reports(&a, &b, 10.0);
-        assert_eq!(d.exceeded().len(), 1);
-        assert!(d.render().contains("OVER THRESHOLD"));
-        let clean = diff_reports(&a, &a, 10.0);
-        assert!(clean.exceeded().is_empty());
-        assert!(clean.render().contains("within"));
+        assert!(gate(&a, &b, Some(2.0)).is_ok());
     }
 
     #[test]
@@ -1627,7 +1447,7 @@ mod tests {
         let dash = doc.render_dashboard();
         assert!(dash.contains("compute attribution"), "{dash}");
         // Self-gate passes with compute on both sides.
-        assert!(gate(&doc, &doc, &GatePolicy::default()).is_ok());
+        assert!(gate(&doc, &doc, None).is_ok());
     }
 
     #[test]
@@ -1638,7 +1458,7 @@ mod tests {
 
         // Compute present on one side only → refused. (Both sides are v3:
         // `parse` reads no other schema.)
-        let errs = gate(&doc, &profiled, &GatePolicy::default()).unwrap_err();
+        let errs = gate(&doc, &profiled, None).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("compute block")), "{errs:?}");
     }
 
@@ -1689,17 +1509,7 @@ mod tests {
         let wall = sample_doc();
         let mut fake_virtual = wall.clone();
         fake_virtual.time_domain = "virtual".to_owned();
-        let errs = gate(&wall, &fake_virtual, &GatePolicy::default()).unwrap_err();
+        let errs = gate(&wall, &fake_virtual, None).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("time_domain")), "{errs:?}");
-    }
-
-    #[test]
-    fn hist_side_by_side_renders() {
-        let mut a = SizeHistogram::new();
-        a.record(100);
-        let mut b = SizeHistogram::new();
-        b.record(1000);
-        let s = render_hist_side_by_side(&a, &b);
-        assert!(s.contains("64 B"));
     }
 }

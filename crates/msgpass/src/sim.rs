@@ -94,11 +94,6 @@ pub struct SimOptions {
     /// `Ca3dmm::simulate_native` does) and the run carries shapes, not
     /// data, with an identical report.
     pub execute_compute: bool,
-    /// Stack size per rank thread — see [`RunOptions::stack_size`].
-    pub stack_size: usize,
-    /// Kernel threads per rank for executed GEMMs — see
-    /// [`RunOptions::kernel_threads_per_rank`].
-    pub kernel_threads_per_rank: Option<usize>,
 }
 
 impl Default for SimOptions {
@@ -106,8 +101,6 @@ impl Default for SimOptions {
         SimOptions {
             placement: None,
             execute_compute: true,
-            stack_size: RunOptions::DEFAULT_STACK_SIZE,
-            kernel_threads_per_rank: None,
         }
     }
 }
@@ -201,12 +194,7 @@ impl World {
         let params = Arc::new(SimParams::new(machine, placement, opts.execute_compute));
         // Tracing stays off, and `RunSetup::new` never captures kernel
         // profiles under virtual time (both would measure the meaningless
-        // wall clock) and takes the node layout from `params`.
-        let run_opts = RunOptions {
-            kernel_threads_per_rank: opts.kernel_threads_per_rank,
-            stack_size: opts.stack_size,
-            ..RunOptions::default()
-        };
-        World::run_inner(p, run_opts, Some(params), f)
+        // wall clock); executed GEMMs get the default per-rank width.
+        World::run_inner(p, RunOptions::default(), Some(params), f)
     }
 }

@@ -46,6 +46,14 @@ impl Fabric {
     }
 }
 
+/// Stack size of every rank thread, bytes — of [`World::run_opts`] and
+/// [`World::run_sim`] runs and of [`crate::PersistentWorld`] workers. The
+/// platform default (often 8 MiB) would reserve gigabytes of address space
+/// at the virtual-rank counts the sim backend runs (p = 3072 ⇒ 24 GiB);
+/// rank closures keep bulk data on the heap (`Mat`, `Vec`), so 1 MiB is
+/// ample.
+pub(crate) const RANK_STACK_SIZE: usize = 1 << 20;
+
 /// Options for [`World::run_opts`].
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
@@ -61,18 +69,6 @@ pub struct RunOptions {
     /// 16-core host gives every rank one kernel thread instead of 16 ranks
     /// × 16 threads of oversubscription.
     pub kernel_threads_per_rank: Option<usize>,
-    /// Stack size of each rank thread, bytes. The platform default (often
-    /// 8 MiB) would reserve gigabytes of address space at the virtual-rank
-    /// counts the sim backend runs (p = 3072 ⇒ 24 GiB), so rank threads use
-    /// a small explicit stack instead; rank closures keep bulk data on the
-    /// heap (`Mat`, `Vec`), so [`RunOptions::DEFAULT_STACK_SIZE`] is ample.
-    pub stack_size: usize,
-    /// Node topology for wall-clock runs: ranks per node under the block
-    /// mapping (`node = world_rank / ranks_per_node`). `None` means the
-    /// machine layout is unknown, so topology-aware collectives stay on
-    /// their flat paths. Virtual-time runs ignore this — the sim's
-    /// [`crate::sim::SimOptions::placement`] is authoritative there.
-    pub ranks_per_node: Option<usize>,
     /// Capture a `dense::prof` kernel profile on every rank thread for the
     /// duration of the run and return them in [`RunReport::compute`].
     /// Defaults to [`dense::prof::requested_by_env`] (`DENSE_GEMM_PROF`).
@@ -86,17 +82,12 @@ impl Default for RunOptions {
         RunOptions {
             trace: false,
             kernel_threads_per_rank: None,
-            stack_size: RunOptions::DEFAULT_STACK_SIZE,
-            ranks_per_node: None,
             gemm_prof: dense::prof::requested_by_env(),
         }
     }
 }
 
 impl RunOptions {
-    /// Default per-rank stack: 1 MiB.
-    pub const DEFAULT_STACK_SIZE: usize = 1 << 20;
-
     /// Options with event tracing enabled.
     pub fn traced() -> RunOptions {
         RunOptions {
@@ -229,10 +220,6 @@ pub struct RankCtx {
     /// bare point-to-point traffic). Keys the per-algorithm size histograms
     /// to the path the collective actually took.
     coll: Cell<Option<&'static str>>,
-    /// Ranks per node under the block mapping, when the machine layout is
-    /// known (from the sim placement, or [`RunOptions::ranks_per_node`] in
-    /// wall runs). Drives the two-level collective selection.
-    topo_rpn: Option<usize>,
 }
 
 impl RankCtx {
@@ -256,7 +243,6 @@ impl RankCtx {
             ctx_seq: Cell::new(0),
             recorder: Recorder::new(setup.trace, setup.epoch),
             coll: Cell::new(None),
-            topo_rpn: setup.topo_rpn,
         }
     }
 
@@ -341,18 +327,14 @@ impl RankCtx {
     }
 
     /// Ranks per node under the block mapping (`node = world_rank /
-    /// ranks_per_node`), when the run knows its machine layout: virtual-time
-    /// runs take it from the sim placement, wall runs from
-    /// [`RunOptions::ranks_per_node`]. `None` means no topology is attached
-    /// and topology-aware collectives must fall back to their flat paths.
-    pub fn ranks_per_node(&self) -> Option<usize> {
-        self.topo_rpn.filter(|&rpn| rpn >= 1)
-    }
-
-    /// Node index of a world rank under the block mapping, when topology is
-    /// known.
-    pub fn node_of(&self, world_rank: usize) -> Option<usize> {
-        self.ranks_per_node().map(|rpn| world_rank / rpn)
+    /// ranks_per_node`). Nodes exist only in a machine model: a virtual-time
+    /// run takes them from its sim placement, and a wall-clock run is one
+    /// node holding every rank, so topology-aware collectives take their
+    /// flat paths there.
+    pub fn ranks_per_node(&self) -> usize {
+        self.sim
+            .as_ref()
+            .map_or(self.world_size, |sim| sim.ranks_per_node())
     }
 
     /// Charges `flops` floating-point operations of local compute to this
@@ -538,7 +520,7 @@ impl World {
                 .map(|(rank, rx)| {
                     let (setup, f) = (&setup, &f);
                     std::thread::Builder::new()
-                        .stack_size(opts.stack_size.max(64 * 1024))
+                        .stack_size(RANK_STACK_SIZE)
                         .spawn_scoped(s, move || run_rank(setup, rank, rx, f))
                         .expect("failed to spawn rank thread")
                 })
@@ -570,7 +552,6 @@ pub(crate) struct RunSetup {
     /// comparable in the merged timeline.
     epoch: Instant,
     kernel_threads: usize,
-    topo_rpn: Option<usize>,
     gemm_prof: bool,
 }
 
@@ -600,13 +581,6 @@ impl RunSetup {
             kernel_threads: opts
                 .kernel_threads_per_rank
                 .map_or_else(|| dense::pool::rank_threads_for(p), |n| n.max(1)),
-            // Sim placement is authoritative when present: the collectives
-            // must group ranks by the same node boundaries the sim charges β
-            // across.
-            topo_rpn: sim
-                .as_ref()
-                .map(|s| s.ranks_per_node())
-                .or(opts.ranks_per_node),
             // Kernel profiling only makes sense on wall-clock runs: under
             // virtual time the rank "compute" is charged on the sim clock,
             // not executed at the profiled wall speed.

@@ -10,7 +10,8 @@
 //! deviation changes bits. Both cases also run both groupings over the
 //! zero-sized `dense::Shape64` element (phase `"shape"`) and require the
 //! same bytes and messages on every rank as the 8-byte value run (phase
-//! `"values"`).
+//! `"values"`). Nodes exist only in a machine model, so every property runs
+//! under virtual time with the arithmetic executed.
 //!
 //! A final (non-property) test pins the leader-ring inter-node traffic of
 //! the virtual-time simulator to the closed form the `netmodel` phases
@@ -22,18 +23,23 @@ use msgpass::collectives::Collectives::Hier;
 use msgpass::collectives::{
     allgatherv, allgatherv_mode, node_map, reduce_scatter, reduce_scatter_mode,
 };
-use msgpass::world::RunOptions;
-use msgpass::{Comm, RunReport, SimOptions, World};
+use msgpass::{Comm, RankCtx, RunReport, SimOptions, World};
 use netmodel::machine::Placement;
 use netmodel::Machine;
 use proptest::prelude::*;
 
-/// Wall-clock run options carrying a node layout.
-fn topo(rpn: usize) -> RunOptions {
-    RunOptions {
-        ranks_per_node: Some(rpn),
-        ..RunOptions::default()
-    }
+/// Runs `f` on `p` ranks under virtual time on nodes of `rpn` ranks (nodes
+/// exist only in a machine model), executing every operation.
+fn on_nodes(p: usize, rpn: usize, f: impl Fn(&RankCtx) + Sync) -> RunReport {
+    let machine = Machine::uniform();
+    let opts = SimOptions {
+        placement: Some(Placement {
+            ranks_per_node: rpn,
+            ..machine.pure_mpi()
+        }),
+        execute_compute: true,
+    };
+    World::run_sim(p, &machine, opts, f).1
 }
 
 /// Deterministic per-rank counts from a seed: 0..=3 elements each, so empty
@@ -67,7 +73,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let counts = counts_from_seed(seed, p);
-        let (_, report) = World::run_opts(p, topo(rpn), |ctx| {
+        let report = on_nodes(p, rpn, |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             ctx.set_phase("values");
@@ -96,7 +102,7 @@ proptest! {
     ) {
         let counts = counts_from_seed(seed, p);
         let total: usize = counts.iter().sum();
-        let (_, report) = World::run_opts(p, topo(rpn), |ctx| {
+        let report = on_nodes(p, rpn, |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             ctx.set_phase("values");
@@ -134,7 +140,7 @@ proptest! {
             .map(|&r| ((seed >> ((2 * r + 1) % 64)) & 3) as usize)
             .collect();
         let groups = vec![members.clone()];
-        World::run_opts(p, topo(rpn), |ctx| {
+        on_nodes(p, rpn, |ctx| {
             let comm = Comm::world(ctx);
             let Some(sub) = comm.subgroup(ctx, &groups) else {
                 return;
@@ -171,7 +177,6 @@ fn sim_leader_hop_bytes_match_closed_form() {
     let opts = || SimOptions {
         placement: Some(placement),
         execute_compute: false,
-        ..Default::default()
     };
     let inter_bytes = |report: &msgpass::RunReport| -> u64 {
         let mut total = 0;

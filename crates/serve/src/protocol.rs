@@ -24,7 +24,7 @@
 //! structured [`ProtoError`] response — never a panic, because a panic on
 //! the request path would take down the daemon's shared world.
 
-use ca3dmm::{Ca3dmmOptions, Collectives, Dtype, PlanKey};
+use ca3dmm::{Ca3dmmOptions, Dtype, PlanKey};
 use dense::gemm::GemmOp;
 use gridopt::{Grid, Problem};
 use jsonlite::Json;
@@ -315,10 +315,6 @@ fn parse_opts(obj: &Json, p: usize) -> Result<Ca3dmmOptions, ProtoError> {
             opts.multi_shift_min_k = v as usize;
         }
         opts.overlap = get_bool(o, "overlap", opts.overlap)?;
-        if let Some(c) = get_str(o, "collectives") {
-            opts.collectives = Collectives::parse(c)
-                .ok_or_else(|| ProtoError::bad(format!("unknown collectives {c:?}")))?;
-        }
     }
     Ok(opts)
 }

@@ -14,7 +14,7 @@ use dense::random::global_block;
 use dense::Mat;
 use gridopt::{Grid, Problem};
 use msgpass::metrics::{bucket_label, size_bucket, HIST_BUCKETS};
-use msgpass::{Comm, GatePolicy, RunOptions, RunReport, RunReportDoc, SizeHistogram, World};
+use msgpass::{Comm, RunOptions, RunReport, RunReportDoc, SizeHistogram, World};
 use proptest::prelude::*;
 
 /// Strategy: a `u64` with a uniformly chosen significant-bit count, so
@@ -267,7 +267,7 @@ fn profiled_run_report_compute_block_reconciles() {
     assert!(doc.render_dashboard().contains("compute attribution"));
 
     // Self-gate passes with the compute block on both sides.
-    msgpass::report::gate(&doc, &doc, &GatePolicy::default()).expect("profiled self gate");
+    msgpass::report::gate(&doc, &doc, None).expect("profiled self gate");
 }
 
 proptest! {
@@ -338,17 +338,9 @@ fn run_report_artifact_round_trips_and_gates() {
         "traced run has a critical path"
     );
 
-    // Self-gate passes, with and without a time policy.
-    msgpass::report::gate(&doc, &doc, &GatePolicy::default()).expect("self gate");
-    msgpass::report::gate(
-        &doc,
-        &doc,
-        &GatePolicy {
-            max_time_ratio: Some(1.0 + 1e-9),
-            ..Default::default()
-        },
-    )
-    .expect("self gate with time ratio");
+    // Self-gate passes, with and without a time ratio.
+    msgpass::report::gate(&doc, &doc, None).expect("self gate");
+    msgpass::report::gate(&doc, &doc, Some(1.0 + 1e-9)).expect("self gate with time ratio");
 
     // Dashboard renders every section for a real run.
     let dash = doc.render_dashboard();
@@ -376,7 +368,7 @@ fn run_report_artifact_round_trips_and_gates() {
     match RunReportDoc::parse(&perturbed) {
         Err(_) => {} // internal consistency caught it
         Ok(bad) => {
-            let errs = msgpass::report::gate(&doc, &bad, &GatePolicy::default())
+            let errs = msgpass::report::gate(&doc, &bad, None)
                 .expect_err("gate must flag perturbed traffic");
             assert!(!errs.is_empty());
         }

@@ -116,7 +116,7 @@ fn cosma_volume_exact_on_divisible_problems() {
             let b = lb.extract(&b_full, me).into_iter().next();
             let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
         });
-        let sched = alg.schedule(&Machine::uniform().pure_mpi(), 8.0, false);
+        let sched = alg.schedule(&Machine::uniform().pure_mpi(), false);
         assert_eq!(
             report.max_rank_bytes() as f64,
             sched.sent_bytes(),

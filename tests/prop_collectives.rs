@@ -249,30 +249,28 @@ fn traffic_table(report: &RunReport) -> Vec<String> {
 
 /// The traffic of every collective is pinned: per-rank bytes and messages
 /// both ways, the algorithm each call attributes its messages to, and the
-/// virtual makespan. Wall and virtual time must move the same messages.
+/// virtual makespan. Nodes exist only in a machine model: a wall run is one
+/// node, and moves the same messages as a virtual run on one-rank nodes.
 #[test]
 fn collective_traffic_is_pinned_on_a_two_level_topology() {
     const P: usize = 7;
     const RPN: usize = 3;
-    let wall_opts = RunOptions {
-        ranks_per_node: Some(RPN),
-        ..RunOptions::default()
-    };
-    let (_, wall) = World::run_opts(P, wall_opts, every_collective);
+    let (_, wall) = World::run_opts(P, RunOptions::default(), every_collective);
     let machine = Machine::phoenix_cpu();
-    let sim_opts = SimOptions {
+    let on_nodes = |rpn: usize| SimOptions {
         placement: Some(Placement {
-            ranks_per_node: RPN,
+            ranks_per_node: rpn,
             ..machine.pure_mpi()
         }),
         ..SimOptions::default()
     };
-    let (_, sim) = World::run_sim(P, &machine, sim_opts, every_collective);
+    let (_, flat) = World::run_sim(P, &machine, on_nodes(1), every_collective);
+    assert_eq!(traffic_table(&flat), traffic_table(&wall));
+    assert_eq!(flat.matrix, wall.matrix);
+    assert_eq!(flat.hist_by_algo, wall.hist_by_algo);
 
-    let table = traffic_table(&wall);
-    assert_eq!(traffic_table(&sim), table);
-    assert_eq!(sim.matrix, wall.matrix);
-    assert_eq!(sim.hist_by_algo, wall.hist_by_algo);
+    let (_, sim) = World::run_sim(P, &machine, on_nodes(RPN), every_collective);
+    let table = traffic_table(&sim);
     assert_eq!(
         table,
         [
@@ -289,7 +287,7 @@ fn collective_traffic_is_pinned_on_a_two_level_topology() {
             "reduce_scatter_hier 112/4:368/4 136/1:0/1 136/1:16/1 128/4:368/4 136/1:32/1 136/1:16/1 96/2:80/2",
         ]
     );
-    let algos: Vec<&str> = wall.hist_by_algo.keys().map(String::as_str).collect();
+    let algos: Vec<&str> = sim.hist_by_algo.keys().map(String::as_str).collect();
     assert_eq!(
         algos,
         [

@@ -9,6 +9,7 @@
 //! * the simulated executor is still the real executor: CA3DMM at p = 768
 //!   virtual ranks with compute executed produces the same numbers as a
 //!   serial GEMM;
+//! * the five baselines charge their local GEMMs to the virtual clock too;
 //! * wait attribution is in *virtual* seconds: an imbalanced 4-rank run
 //!   (one rank computes while three wait) shows the imbalance as nonzero
 //!   wait% in its dashboard;
@@ -18,17 +19,18 @@
 //!   the flag itself (property test over problems, overlap, collectives,
 //!   multi-shift batching and node sizes).
 
+use baselines::{C25d, Ca3dmmSumma, CosmaLike, Orig3d, SummaPgemm};
 use ca3dmm::{Ca3dmm, Ca3dmmOptions};
 use dense::gemm::{gemm_naive, GemmOp};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::testing::assert_gemm_close;
 use dense::Mat;
-use gridopt::Problem;
+use gridopt::{Grid, Problem};
 use jsonlite::Json;
 use layout::Layout;
 use msgpass::collectives::{neighbor_alltoallv, Collectives};
-use msgpass::{Comm, RunReportDoc, SimOptions, World};
+use msgpass::{Comm, RankCtx, RunReport, RunReportDoc, SimOptions, World};
 use netmodel::{Machine, Placement};
 use proptest::prelude::*;
 
@@ -267,6 +269,68 @@ fn overlapped_ca3dmm_sim_is_no_slower_than_blocking() {
     );
 }
 
+/// The five baselines charge their local GEMMs to the virtual clock, as
+/// CA3DMM's Cannon does. On a machine whose γ dwarfs the network, every
+/// makespan covers the busiest rank's `γ·2·m_i·n_j·k_kt`; skipping the
+/// arithmetic (`execute_compute = false`) changes neither the traffic nor
+/// the makespan.
+#[test]
+fn baselines_charge_their_local_gemms_under_virtual_time() {
+    let (m, n, k, p) = (48, 48, 48, 8);
+    let prob = Problem::new(m, n, k, p);
+    let machine = Machine::uniform();
+    // 1 Mflop/s per rank: one rank's share of 2·48³ flops takes tens of
+    // virtual milliseconds, the whole exchange tens of microseconds.
+    let placement = Placement {
+        flops_per_rank: 1e6,
+        ..machine.pure_mpi()
+    };
+    let (pr, pc) = gridopt::summa_grid(&prob);
+    let c25d = C25d::new(prob, None);
+    let (summa, ca3dmm_s) = (SummaPgemm::new(prob, None), Ca3dmmSumma::new(prob, None));
+    let (cosma, orig3d) = (CosmaLike::new(prob, None), Orig3d::new(prob));
+    type Native<'a> = &'a (dyn Fn(&RankCtx) -> Option<Mat<f64>> + Sync);
+    let cases: [(&str, Grid, Native); 5] = [
+        ("summa", Grid::new(pr, pc, 1), &|ctx| {
+            summa.multiply_native(ctx, &Comm::world(ctx), None, None)
+        }),
+        ("ca3dmm-s", *ca3dmm_s.grid(), &|ctx| {
+            ca3dmm_s.multiply_native(ctx, &Comm::world(ctx), None, None)
+        }),
+        ("cosma", *cosma.grid(), &|ctx| {
+            cosma.multiply_native(ctx, &Comm::world(ctx), None, None)
+        }),
+        ("orig3d", gridopt::cube_grid(p), &|ctx| {
+            orig3d.multiply_native(ctx, &Comm::world(ctx), None, None)
+        }),
+        ("c25d", Grid::new(c25d.s, c25d.s, c25d.c), &|ctx| {
+            c25d.multiply_native(ctx, &Comm::world(ctx), None, None)
+        }),
+    ];
+    for (name, grid, alg) in cases {
+        assert!(m % grid.pm == 0 && n % grid.pn == 0 && k % grid.pk == 0);
+        let run = |execute_compute: bool| {
+            let opts = SimOptions {
+                placement: Some(placement),
+                execute_compute,
+            };
+            World::run_sim(p, &machine, opts, alg).1
+        };
+        let (executed, skipped) = (run(true), run(false));
+        let makespan = |r: &RunReport| r.sim.as_ref().expect("sim info").makespan_secs;
+        let flops = 2.0 * ((m / grid.pm) * (n / grid.pn) * (k / grid.pk)) as f64;
+        let gemm_secs = flops / placement.flops_per_rank;
+        assert!(
+            makespan(&executed) >= gemm_secs,
+            "{name}: makespan {} misses the busiest rank's GEMM {gemm_secs}",
+            makespan(&executed)
+        );
+        assert_eq!(makespan(&executed), makespan(&skipped), "{name}");
+        assert_eq!(executed.per_rank, skipped.per_rank, "{name}");
+        assert_eq!(executed.matrix, skipped.matrix, "{name}");
+    }
+}
+
 /// An imbalanced 4-rank run — rank 0 charges a long local compute before
 /// releasing the others — must attribute the idle ranks' time to *virtual*
 /// wait, visible as nonzero wait% in the parsed artifact and its dashboard.
@@ -380,7 +444,6 @@ proptest! {
                 SimOptions {
                     placement: Some(placement),
                     execute_compute,
-                    ..Default::default()
                 },
             );
             prop_assert_eq!(report.sim.as_ref().map(|s| s.execute_compute), Some(execute_compute));
