@@ -1,8 +1,7 @@
-//! Local GEMM kernel throughput (the role MKL plays in the artifact):
-//! the blocked multi-core kernel vs the pre-PR `gemm_unpacked` kernel vs
-//! the naive triple loop, across the paper's Table 1 shape regimes
+//! Local GEMM kernel throughput (the role MKL plays in the artifact): the
+//! blocked multi-core kernel across the paper's Table 1 shape regimes
 //! (square 256–2048, flat 2048×2048×64, k-dominant 64×64×4096), each in
-//! f32 and f64.
+//! f32 and f64, anchored by the naive triple loop on the same machine.
 //!
 //! Entry labels follow `kernel/MxNxK/type/tN` (N = kernel-thread width;
 //! `tauto` = the host's full budget). Every shape gets a t1/t2/t4/tauto
@@ -17,24 +16,20 @@
 //!
 //! Every blocked-kernel entry additionally carries a `kernel` string
 //! annotation (the dispatched SIMD microkernel — `portable`/`avx2`/
-//! `avx512`) and a `numa_packing` flag. On top of the dispatcher-selected
-//! tiers, a per-kernel head-to-head sweep pins each *available* microkernel
-//! in turn and records `packed_<kernel>/MxNxK/type/tN` entries — the CI
-//! dispatch gate reads `packed_avx2` vs `packed_portable` at 1024³ f64 t1
-//! from these. The JSON written to `BENCH_gemm.json` is validated
-//! mechanically by `bin/validate_bench_json.rs` (`--gemm-tiers` mode
-//! refuses t1-only artifacts, missing kernel annotations, and overhead
-//! ≥ 5%). `GEMM_BENCH_SMOKE=1` runs the short CI variant: the
-//! packed-vs-naive anti-regression trio at 512³ plus the t1/tauto pair at
-//! 1024³ that the CI parallel-scaling gate reads, the profiled 1024³ entry
-//! the CI overhead gate reads, and the per-kernel 1024³ f64 t1 entries the
-//! dispatch gate reads. `GEMM_BENCH_SMOKE=512` is the minimal variant the
-//! per-`DENSE_GEMM_KERNEL` CI loop runs: just the naive/packed pair at
-//! 512³ (annotated with the dispatched kernel, so CI can also assert the
-//! env override was honoured end to end).
+//! `avx512`). On top of the dispatcher-selected tiers, a per-kernel
+//! head-to-head sweep pins each *available* microkernel in turn
+//! ([`dense::set_gemm_kernel`]) and records `packed_<kernel>/MxNxK/type/tN`
+//! entries — the CI dispatch gates read them at 1024³ t1. The JSON written
+//! to `BENCH_gemm.json` is validated mechanically by
+//! `bin/validate_bench_json.rs` (`--gemm-tiers` mode refuses t1-only
+//! artifacts, missing kernel annotations, and overhead ≥ 5%).
+//! `GEMM_BENCH_SMOKE=1` runs the short CI variant: the packed-vs-naive
+//! anti-regression pair at 512³ plus the t1/tauto pair at 1024³ that the
+//! CI parallel-scaling gate reads, the profiled 1024³ entry the CI overhead
+//! gate reads, and the per-kernel 1024³ t1 entries the dispatch gates read.
 //!
-//! The full and the `=1` smoke runs close with the two memory-pass kernels
-//! a served request wraps around its multiply, at 1024×1024 f64 (8 MiB):
+//! Both runs close with the two memory-pass kernels a served request
+//! wraps around its multiply, at 1024×1024 f64 (8 MiB):
 //! `operand_gen/global_block-f64-1024x1024` (`dense::random::global_block`)
 //! and `serve_digest/f64-1024x1024` (`serve::engine::digest_of_global` on a
 //! one-rank layout, so it includes that function's block extraction copy).
@@ -42,7 +37,7 @@
 //! process's one-thread copy of a buffer of that size, as its bound.
 
 use bench::timing::{bench_throughput, BenchReport};
-use dense::gemm::{gemm, gemm_naive, gemm_unpacked, GemmOp};
+use dense::gemm::{gemm, gemm_naive, GemmOp};
 use dense::part::Rect;
 use dense::random::{global_block, random_mat};
 use dense::{pool, KernelKind, Mat};
@@ -90,11 +85,9 @@ fn run_case<T: dense::Scalar>(
 }
 
 /// Tags the last entry with the microkernel the blocked kernel dispatched
-/// to and whether NUMA-aware packing was active (0/1; always 0 on
-/// single-node CI).
+/// to.
 fn annotate_kernel(report: &mut BenchReport) {
     report.annotate_last_str("kernel", dense::gemm_kernel().name());
-    report.annotate_last("numa_packing", f64::from(u8::from(dense::numa_packing())));
 }
 
 /// Pins each *available* microkernel in turn and records head-to-head
@@ -287,34 +280,22 @@ fn run_memory_kernels(report: &mut BenchReport) {
 }
 
 fn main() {
-    let smoke_var = std::env::var("GEMM_BENCH_SMOKE").unwrap_or_default();
-    let smoke = smoke_var == "1";
-    let smoke512 = smoke_var == "512";
+    let smoke = std::env::var("GEMM_BENCH_SMOKE").is_ok_and(|v| v == "1");
     let mut report = BenchReport::new("gemm");
     println!(
-        "local_gemm: blocked kernel thread tiers vs pre-PR unpacked kernel \
-         (base kernel-thread budget = {}, microkernel = {}, blocking f64 = {:?}, \
-         numa_packing = {})",
+        "local_gemm: blocked kernel thread tiers \
+         (base kernel-thread budget = {}, microkernel = {}, blocking f64 = {:?})",
         pool::base_gemm_threads(),
         dense::gemm_kernel().name(),
         dense::tune::blocking::<f64>(),
-        dense::numa_packing(),
     );
 
-    if smoke512 {
-        // Minimal per-kernel run for the CI dispatch loop: one 512³
-        // naive/packed pair under whatever DENSE_GEMM_KERNEL is in effect.
-        let (m, n, k) = (512usize, 512usize, 512usize);
-        run_case::<f64>(&mut report, "naive", gemm_naive, m, n, k, Some(1));
-        run_case::<f64>(&mut report, "packed", gemm, m, n, k, Some(1));
-        annotate_kernel(&mut report);
-    } else if smoke {
+    if smoke {
         // CI anti-regression guards (asserted by validate_bench_json, not
         // here): packed must beat naive by a wide margin at 512³, and
         // tauto must beat t1 by the scaling gate at 1024³.
         let (m, n, k) = (512usize, 512usize, 512usize);
         run_case::<f64>(&mut report, "naive", gemm_naive, m, n, k, Some(1));
-        run_case::<f64>(&mut report, "unpacked", gemm_unpacked, m, n, k, Some(1));
         run_case::<f64>(&mut report, "packed", gemm, m, n, k, Some(1));
         annotate_kernel(&mut report);
         let (g1, _) = run_case::<f64>(&mut report, "packed", gemm, 1024, 1024, 1024, Some(1));
@@ -327,26 +308,15 @@ fn main() {
         annotate_split::<f64>(&mut report, 1024, 1024, 1024, None);
         // The profiled-vs-unprofiled pair the CI overhead gate reads.
         run_profiled_overhead::<f64>(&mut report, 1024, 1024, 1024);
-        // Per-kernel head-to-head at 1024³ f64 t1 (plus f32 where the f32
-        // path is distinct) — the CI dispatch gate compares packed_avx2 vs
-        // packed_portable from these.
+        // Per-kernel head-to-head at 1024³ t1, f64 and f32 — the CI
+        // dispatch gates read these (each pinned kernel vs naive, and
+        // packed_avx2 vs packed_portable).
         run_kernel_head_to_head::<f64>(&mut report, 1024, 1024, 1024, &[Some(1)]);
         run_kernel_head_to_head::<f32>(&mut report, 1024, 1024, 1024, &[Some(1)]);
         run_memory_kernels(&mut report);
     } else {
         // Naive is only affordable at small sizes; it anchors the scale.
         run_case::<f64>(&mut report, "naive", gemm_naive, 256, 256, 256, Some(1));
-
-        // Single-thread head-to-head vs the pre-PR kernel (square, flat,
-        // k-dominant), f64 and f32.
-        for &(m, n, k) in &[
-            (512usize, 512usize, 512usize),
-            (2048, 2048, 64),
-            (64, 64, 4096),
-        ] {
-            run_case::<f64>(&mut report, "unpacked", gemm_unpacked, m, n, k, Some(1));
-            run_case::<f32>(&mut report, "unpacked", gemm_unpacked, m, n, k, Some(1));
-        }
 
         // Thread-tier sweeps of the blocked kernel for every shape regime.
         for &s in &[256usize, 512, 1024, 2048] {

@@ -11,7 +11,7 @@
 //! * `show` validates the artifact (schema + internal consistency: matrix
 //!   row/column sums and histogram totals must reconcile with the per-phase
 //!   table) and renders the text dashboard. For a schema-v3 artifact from a
-//!   profiled run (`DENSE_GEMM_PROF=1` / `--prof`), the dashboard appends
+//!   profiled run (`fig5_breakdown --prof`), the dashboard appends
 //!   the per-rank compute-attribution table: Gflop/s vs probed peak,
 //!   pack/compute/idle split, imbalance, and pool wake latency.
 //! * `netdiff` compares a measured run against the §III-D analytic model:

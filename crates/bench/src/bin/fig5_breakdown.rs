@@ -21,8 +21,8 @@
 //! the input format of the `ca3dmm-report` dashboard and CI gate; it
 //! implies a traced run even without `--trace-out`.
 //!
-//! `--prof` (or `DENSE_GEMM_PROF=1` in the environment) enables the
-//! `dense::prof` kernel profiler for the traced run: the artifact gains the
+//! `--prof` enables the `dense::prof` kernel profiler for the traced run
+//! (the one switch; runs are unprofiled otherwise): the artifact gains the
 //! schema-v3 `compute` block (per-rank GEMM phase split, roofline, pool
 //! telemetry), the Chrome trace gains per-rank kernel-thread tracks, and the
 //! dashboard gains its per-rank compute-attribution table.
@@ -122,7 +122,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let (mut trace_out, mut report_out, mut trace_ranks, mut trace_size) =
         (None::<String>, None::<String>, 16usize, 256usize);
-    // `gemm_prof` already follows DENSE_GEMM_PROF; `--prof` forces it on.
     let mut run_opts = RunOptions::traced();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {

@@ -16,9 +16,9 @@
 //!
 //! * The `mr×nr` register block is *dispatched at runtime*: the [`kernel`]
 //!   module selects a portable, AVX2+FMA, or AVX-512 microkernel
-//!   (overridable via `DENSE_GEMM_KERNEL` / [`kernel::set_gemm_kernel`]),
-//!   and the selected kernel's geometry parameterizes packing, blocking,
-//!   and the scratch sizes below.
+//!   (pinned per thread by [`kernel::set_gemm_kernel`]), and the selected
+//!   kernel's geometry parameterizes packing, blocking, and the scratch
+//!   sizes below.
 //! * Only one `KC×NC` slab of `op(B)` and one `MC×KC` block of
 //!   `alpha·op(A)` are ever packed at a time (see [`pack`]) — the packed
 //!   working set is bounded by the cache-derived blocking, not by the
@@ -30,25 +30,12 @@
 //!   then the `(jc, ic)` macro-tiles of `C` are claimed dynamically —
 //!   every thread works from the *same* packed B slab and owns a
 //!   contiguous `MC`-row band of `C`, packing its own A block into
-//!   thread-local scratch.
+//!   thread-local scratch. Both scratch buffers are reused across calls
+//!   and zero-filled on growth by the thread that owns them (the submitter
+//!   for the B slab).
 //! * The parallel width honours [`pool::gemm_threads`] — process-wide
 //!   `set_gemm_threads()` / `DENSE_GEMM_THREADS`, divided per rank by
 //!   `msgpass::World::run` so P ranks do not oversubscribe the host.
-//!
-//! # NUMA-aware packing (first cut)
-//!
-//! The per-thread A-block scratch is always first-touched by the thread
-//! that packs (and then consumes) it, so A pages land on the packing
-//! thread's node by construction. The *shared* B slab is different: its
-//! pages fault on whichever thread writes them first. When
-//! [`tune::numa_packing`] is on (exactly on multi-node hosts), the slab
-//! scratch is grown *without* pre-faulting, so first touch happens inside
-//! the cooperative pack phase
-//! — strips are claimed in chunks by all workers, interleaving the slab's
-//! pages across the participating threads' nodes at chunk granularity.
-//! When off, the submitting thread pre-faults the slab at allocation (the
-//! pre-NUMA placement). Values never change either way — only page
-//! placement does — so the toggle is a strict no-op on single-node hosts.
 //!
 //! Every `C` element is accumulated in the same order regardless of the
 //! thread width — depth slabs arrive in ascending `pc` order, each applied
@@ -68,18 +55,15 @@ use crate::scalar::Scalar;
 use crate::tune;
 use std::any::Any;
 use std::cell::RefCell;
-use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 
 std::thread_local! {
     /// Reused packed-B slab buffer for the thread *submitting* a GEMM
     /// (type-erased because `gemm` is generic): steady-state iteration
-    /// (e.g. Cannon shifts) never re-allocates it. Held as `MaybeUninit`
-    /// so growth can skip pre-faulting under NUMA-aware packing.
+    /// (e.g. Cannon shifts) never re-allocates it.
     static BP_SCRATCH: RefCell<Option<Box<dyn Any>>> = const { RefCell::new(None) };
     /// Reused packed-A block buffer, one per participating thread (pool
-    /// workers and submitters alike pack their own A blocks — each buffer
-    /// is first-touched, and therefore NUMA-placed, by its owning thread).
+    /// workers and submitters alike pack their own A blocks).
     static AP_SCRATCH: RefCell<Option<Box<dyn Any>>> = const { RefCell::new(None) };
 }
 
@@ -108,43 +92,6 @@ fn with_scratch<T: Scalar, R>(
             buf.resize(len, T::ZERO);
         }
         f(buf)
-    })
-}
-
-/// Runs `f` with a raw pointer to this thread's reusable B-slab scratch,
-/// grown to at least `len` elements. With `prefault` the grown region is
-/// zeroed on the calling (submitting) thread, faulting its pages here;
-/// without it the memory stays untouched until the pack workers write it
-/// (NUMA first-touch — see the module docs). The pointee is only ever
-/// read after the pack phase has written it, so it is never observed
-/// uninitialized.
-fn with_bp_scratch<T: Scalar, R>(len: usize, prefault: bool, f: impl FnOnce(*mut T) -> R) -> R {
-    BP_SCRATCH.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if slot
-            .as_mut()
-            .and_then(|b| b.downcast_mut::<Vec<MaybeUninit<T>>>())
-            .is_none()
-        {
-            *slot = Some(Box::new(Vec::<MaybeUninit<T>>::new()));
-        }
-        let buf = slot
-            .as_mut()
-            .and_then(|b| b.downcast_mut::<Vec<MaybeUninit<T>>>())
-            .expect("scratch was just installed for this scalar type");
-        if buf.len() < len {
-            let old = buf.len();
-            buf.reserve(len - old);
-            // SAFETY: capacity was just reserved, and `MaybeUninit<T>` is
-            // valid uninitialized.
-            unsafe { buf.set_len(len) };
-            if prefault {
-                for v in &mut buf[old..] {
-                    *v = MaybeUninit::new(T::ZERO);
-                }
-            }
-        }
-        f(buf.as_mut_ptr().cast::<T>())
     })
 }
 
@@ -368,12 +315,11 @@ pub fn gemm<T: Scalar>(
 
     // Largest B slab this call packs; grown once, reused across slabs and
     // across calls via the thread-local scratch. The padded-strip count
-    // must round *up* to nr: an override blocking's nc need not be a
+    // must round *up* to nr: a pinned blocking's nc need not be a
     // multiple of the dispatched kernel's nr.
     let bp_cap = nc.min(n).next_multiple_of(nr) * kc.min(k);
-    let prefault = !tune::numa_packing();
-    with_bp_scratch(bp_cap, prefault, |bp_raw: *mut T| {
-        let bp_ptr = SendPtr(bp_raw);
+    with_scratch(&BP_SCRATCH, bp_cap, |bp: &mut Vec<T>| {
+        let bp_ptr = SendPtr(bp.as_mut_ptr());
         let mut jc = 0;
         while jc < n {
             let nc_here = nc.min(n - jc);
@@ -387,8 +333,6 @@ pub fn gemm<T: Scalar>(
                 // Loop 4 prologue: pack Bp = op(B)[pc.., jc..] (KC×NC)
                 // cooperatively — strips are independent, zero-padded by
                 // the packer, and land in disjoint regions of the slab.
-                // Under NUMA-aware packing this is also where the slab's
-                // pages are first touched, by the claiming workers.
                 let strip_group = b_strips.div_ceil(4 * width).max(1);
                 let pack_chunks = b_strips.div_ceil(strip_group);
                 pool::parallel_chunks(width, pack_chunks, &move |chunk| {
@@ -430,10 +374,9 @@ pub fn gemm<T: Scalar>(
                 // Loop 3: claim (jc, ic) macro-tiles dynamically; each
                 // tile packs its own A block into per-thread scratch and
                 // folds Ap·Bp into its private MC-row band of C.
-                // SAFETY: the pack phase above fully wrote (and therefore
-                // initialized) exactly this prefix of the slab scratch,
-                // and the barrier at the end of parallel_chunks makes
-                // those writes visible here.
+                // SAFETY: the pack phase above fully wrote exactly this
+                // prefix of the slab scratch, and the barrier at the end
+                // of parallel_chunks makes those writes visible here.
                 let bp_view: &[T] = unsafe {
                     std::slice::from_raw_parts(bp_ptr.get() as *const T, b_strips * kc_here * nr)
                 };
@@ -517,87 +460,6 @@ pub fn gemm<T: Scalar>(
     }
 }
 
-/// The pre-packing kernel this repository shipped before the packed
-/// rewrite, kept (single-threaded) as the honest before/after baseline for
-/// `benches/local_gemm.rs`: transposes materialized up front, an `i–l–j`
-/// saxpy-style update with `l`/`j` cache tiling, and the
-/// vectorization-hostile `aval == 0` branch.
-pub fn gemm_unpacked<T: Scalar>(
-    op_a: GemmOp,
-    op_b: GemmOp,
-    alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
-    beta: T,
-    c: &mut Mat<T>,
-) {
-    const TILE_L: usize = 128;
-    const TILE_J: usize = 256;
-
-    let at;
-    let a_eff: &Mat<T> = match op_a {
-        GemmOp::NoTrans => a,
-        GemmOp::Trans => {
-            at = a.transpose();
-            &at
-        }
-    };
-    let bt;
-    let b_eff: &Mat<T> = match op_b {
-        GemmOp::NoTrans => b,
-        GemmOp::Trans => {
-            bt = b.transpose();
-            &bt
-        }
-    };
-
-    let (m, k) = a_eff.shape();
-    let (kb, n) = b_eff.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions disagree: op(A) is {m}x{k}, op(B) is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C is {:?}, expected {m}x{n}", c.shape());
-    if m == 0 || n == 0 {
-        return;
-    }
-
-    let a_data = a_eff.as_slice();
-    let b_data = b_eff.as_slice();
-    let c_rows = c.as_mut_slice();
-    if beta != T::ONE {
-        if beta == T::ZERO {
-            c_rows.fill(T::ZERO);
-        } else {
-            for v in c_rows.iter_mut() {
-                *v *= beta;
-            }
-        }
-    }
-    if k == 0 || alpha == T::ZERO {
-        return;
-    }
-    for l0 in (0..k).step_by(TILE_L) {
-        let lmax = (l0 + TILE_L).min(k);
-        for j0 in (0..n).step_by(TILE_J) {
-            let jmax = (j0 + TILE_J).min(n);
-            for i in 0..m {
-                let c_row = &mut c_rows[i * n + j0..i * n + jmax];
-                for l in l0..lmax {
-                    let aval = alpha * a_data[i * k + l];
-                    if aval == T::ZERO {
-                        continue;
-                    }
-                    let b_row = &b_data[l * n + j0..l * n + jmax];
-                    for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                        *cv += aval * *bv;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Triple-loop reference kernel, used only by tests to validate [`gemm`].
 pub fn gemm_naive<T: Scalar>(
     op_a: GemmOp,
@@ -663,19 +525,13 @@ mod tests {
         fill_random(&mut b, 2);
         fill_random(&mut c, 3);
         let mut c_ref = c.clone();
-        let mut c_old = c.clone();
 
         gemm(op_a, op_b, alpha, &a, &b, beta, &mut c);
         gemm_naive(op_a, op_b, alpha, &a, &b, beta, &mut c_ref);
-        gemm_unpacked(op_a, op_b, alpha, &a, &b, beta, &mut c_old);
         let tol = 1e-12 * (k.max(1) as f64);
         assert!(
             c.max_abs_diff(&c_ref) < tol,
             "packed vs naive mismatch m={m} n={n} k={k} {op_a:?} {op_b:?}"
-        );
-        assert!(
-            c_old.max_abs_diff(&c_ref) < tol,
-            "unpacked vs naive mismatch m={m} n={n} k={k} {op_a:?} {op_b:?}"
         );
     }
 
@@ -874,32 +730,5 @@ mod tests {
             );
         }
         kernel::set_gemm_kernel(None);
-    }
-
-    #[test]
-    fn bp_scratch_grows_with_and_without_prefault() {
-        // Each arm runs on a fresh thread so its thread-local scratch
-        // starts empty and the growth path really executes. Values written
-        // through the pointer must read back identically either way —
-        // prefault is a page-placement knob, not a semantic one.
-        for prefault in [true, false] {
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    with_bp_scratch(257, prefault, |p: *mut f64| {
-                        for i in 0..257 {
-                            unsafe { p.add(i).write(i as f64) };
-                        }
-                    });
-                    // Re-entry reuses (and may grow) the same buffer.
-                    with_bp_scratch(1024, prefault, |p: *mut f64| {
-                        for i in 0..257 {
-                            assert_eq!(unsafe { p.add(i).read() }, i as f64);
-                        }
-                        unsafe { p.add(1023).write(-1.0) };
-                        assert_eq!(unsafe { p.add(1023).read() }, -1.0);
-                    });
-                });
-            });
-        }
     }
 }

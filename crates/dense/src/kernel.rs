@@ -20,16 +20,11 @@
 //!
 //! # Selection
 //!
-//! [`gemm_kernel`] resolves, in precedence order:
-//!
-//! 1. a *per-thread* pin from [`set_gemm_kernel`] (tests/benches compare
-//!    kernels without racing each other);
-//! 2. the `DENSE_GEMM_KERNEL=portable|avx2|avx512` environment variable,
-//!    read once (malformed or unsupported values warn once and fall
-//!    through);
-//! 3. the widest kernel the host supports, derived from
-//!    [`tune::cache_info`](crate::tune::cache_info)'s SIMD probe — probed
-//!    once per process.
+//! [`gemm_kernel`] is the *per-thread* pin from [`set_gemm_kernel`] when
+//! one is set (tests and the bench's head-to-head entries compare kernels
+//! without racing each other), else the widest kernel the host supports,
+//! derived from [`tune::cache_info`](crate::tune::cache_info)'s SIMD
+//! probe — probed once per process.
 //!
 //! The selected kernel's geometry parameterizes packing
 //! ([`pack`](crate::pack)), blocking derivation and the roofline peak
@@ -76,8 +71,7 @@ impl KernelKind {
     /// Every kind, widest last (selection order is the reverse).
     pub const ALL: [KernelKind; 3] = [KernelKind::Portable, KernelKind::Avx2, KernelKind::Avx512];
 
-    /// Stable lowercase name — the `DENSE_GEMM_KERNEL` vocabulary and what
-    /// reports/benches record.
+    /// Stable lowercase name — what reports and benches record.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Portable => "portable",
@@ -160,13 +154,13 @@ std::thread_local! {
 
 /// Pins (or with `None` clears) the microkernel used by GEMM calls made
 /// *from the current thread* — resolved at the call site, before work fans
-/// out to the pool, exactly like [`crate::tune::set_gemm_blocking`]. Takes precedence over
-/// `DENSE_GEMM_KERNEL` and the probed default.
+/// out to the pool, exactly like [`crate::tune::set_gemm_blocking`]. Takes
+/// precedence over the probed default.
 ///
 /// # Panics
 /// If the requested kernel is not [`available`](KernelKind::available) on
 /// this host — a pinned-but-unrunnable kernel is a programming error, not
-/// a fallback situation (the env var, by contrast, warns and falls back).
+/// a fallback situation.
 pub fn set_gemm_kernel(k: Option<KernelKind>) {
     if let Some(k) = k {
         assert!(
@@ -176,33 +170,6 @@ pub fn set_gemm_kernel(k: Option<KernelKind>) {
         );
     }
     THREAD_KERNEL.with(|c| c.set(k));
-}
-
-/// The `DENSE_GEMM_KERNEL` override, read and validated once. Malformed or
-/// unavailable values are reported to stderr once and ignored.
-fn env_kernel() -> Option<KernelKind> {
-    static ENV: OnceLock<Option<KernelKind>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("DENSE_GEMM_KERNEL").ok()?;
-        match KernelKind::parse(&raw) {
-            Some(k) if k.available() => Some(k),
-            Some(k) => {
-                eprintln!(
-                    "dense: DENSE_GEMM_KERNEL={} requested but unavailable on this host; \
-                     using the probed default",
-                    k.name()
-                );
-                None
-            }
-            None => {
-                eprintln!(
-                    "dense: ignoring malformed DENSE_GEMM_KERNEL={raw:?} \
-                     (expected portable|avx2|avx512)"
-                );
-                None
-            }
-        }
-    })
 }
 
 /// The widest available kernel, chosen once per process from
@@ -222,12 +189,9 @@ fn auto_kernel() -> KernelKind {
 }
 
 /// The microkernel the next GEMM call from this thread will dispatch to:
-/// [`set_gemm_kernel`] pin > `DENSE_GEMM_KERNEL` > probed default.
+/// the [`set_gemm_kernel`] pin, else the probed default.
 pub fn gemm_kernel() -> KernelKind {
-    if let Some(k) = THREAD_KERNEL.with(|c| c.get()) {
-        return k;
-    }
-    env_kernel().unwrap_or_else(auto_kernel)
+    THREAD_KERNEL.with(|c| c.get()).unwrap_or_else(auto_kernel)
 }
 
 /// [`gemm_kernel`] guarded by scalar type: the intrinsics kernels exist

@@ -14,22 +14,18 @@
 //! * [`gemm`](mod@gemm) — a packed, register-blocked local matrix
 //!   multiplication `C = alpha * op(A) * op(B) + beta * C` parallelized over
 //!   the persistent [`pool`] worker threads, plus a naive reference kernel
-//!   used to validate it and the frozen pre-packing kernel
-//!   ([`gemm::gemm_unpacked`]) used as the before/after benchmark baseline;
+//!   ([`gemm::gemm_naive`]) used to validate it;
 //! * [`kernel`] — the runtime-dispatched `mr×nr` register microkernels:
 //!   a portable fallback plus AVX2+FMA and AVX-512 intrinsics kernels
 //!   (wider `MR` on the f32 AVX-512 path), selected once per process from
-//!   the CPUID probe (overridable via `DENSE_GEMM_KERNEL=portable|avx2|
-//!   avx512` or [`kernel::set_gemm_kernel`]);
+//!   the CPUID probe (pinned per thread by [`kernel::set_gemm_kernel`]);
 //! * [`pack`] — operand packing into microkernel panels (where transposes
 //!   and `alpha` are absorbed; panel geometry follows the dispatched
 //!   kernel);
 //! * [`tune`] — the one-shot runtime autotuner that derives the KC/MC/NC
 //!   cache blocking from sysfs cache topology *per kernel geometry*
-//!   (overridable via `DENSE_GEMM_TUNE=mc:kc:nc` or
-//!   [`tune::set_gemm_blocking`]), probes each kernel's single-core peak
-//!   for the roofline, and turns on NUMA-aware packing on multi-node hosts
-//!   ([`tune::numa_packing`]);
+//!   (pinned per thread by [`tune::set_gemm_blocking`]) and probes each
+//!   kernel's single-core peak for the roofline;
 //! * [`pool`] — the lazy global worker pool and the kernel-thread knobs
 //!   (`DENSE_GEMM_THREADS`, [`pool::set_gemm_threads`], and the per-rank cap
 //!   `msgpass::World::run` applies via [`pool::set_rank_gemm_threads`]);
@@ -60,14 +56,11 @@ pub mod scalar;
 pub mod testing;
 pub mod tune;
 
-pub use gemm::{gemm, gemm_naive, gemm_unpacked, GemmOp};
+pub use gemm::{gemm, gemm_naive, GemmOp};
 pub use kernel::{gemm_kernel, set_gemm_kernel, KernelKind};
 pub use mat::Mat;
 pub use part::{split_even, Rect};
 pub use pool::{gemm_threads, set_gemm_threads};
 pub use prof::{KernelProfile, PoolTelemetry, ProfSpan};
 pub use scalar::{Scalar, Shape64, WireElem};
-pub use tune::{
-    numa_nodes, numa_packing, probed_peak_gflops, probed_peak_gflops_for, set_gemm_blocking,
-    Blocking,
-};
+pub use tune::{probed_peak_gflops, probed_peak_gflops_for, set_gemm_blocking, Blocking};

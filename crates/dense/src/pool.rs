@@ -8,7 +8,8 @@
 //! * a lazy global pool of parked worker threads (`dense-gemm-N`), spawned
 //!   once and reused by every GEMM call in the process;
 //! * a *thread cap* resolved per calling thread:
-//!   `set_gemm_threads()` (process-wide) > `DENSE_GEMM_THREADS` (env) >
+//!   `set_gemm_threads()` (process-wide) > `DENSE_GEMM_THREADS` (env, the
+//!   one environment variable this crate reads — a deployment setting) >
 //!   `available_parallelism()`, further overridden per rank thread by
 //!   [`set_rank_gemm_threads`] — which `msgpass::World::run` sets to
 //!   `base / world_size` so P concurrent ranks never ask for more kernel

@@ -37,9 +37,8 @@
 //! read (plus one per parallel region) — no timestamps, no ring writes, no
 //! allocation.
 //!
-//! Runs ask for captures through `msgpass::RunOptions::gemm_prof`; its
-//! default is [`requested_by_env`], the `DENSE_GEMM_PROF` environment
-//! variable (any value but `0`) read once per process.
+//! Runs ask for captures through `msgpass::RunOptions::gemm_prof` (off by
+//! default; `fig5_breakdown --prof` turns it on).
 //!
 //! # Roofline
 //!
@@ -71,15 +70,6 @@ pub const MAX_PROFILED_THREADS: usize = 320;
 
 /// Words per ring record: tag (`capture_id << 8 | phase`), t0, t1.
 const REC_WORDS: usize = 3;
-
-/// Whether the environment asks for kernel profiling: `DENSE_GEMM_PROF` set
-/// to anything but empty or `0`, read once per process. This only seeds the
-/// default of run options; recording itself is scoped by captures.
-pub fn requested_by_env() -> bool {
-    static REQUESTED: OnceLock<bool> = OnceLock::new();
-    *REQUESTED
-        .get_or_init(|| std::env::var("DENSE_GEMM_PROF").is_ok_and(|v| !v.is_empty() && v != "0"))
-}
 
 /// The process-wide instant all span timestamps are nanoseconds since.
 /// Exposed so `msgpass` can rebase kernel spans onto a run's own epoch when

@@ -28,20 +28,16 @@
 //! [`probed_peak_gflops`] roofline ceiling are both computed *for the
 //! dispatched kernel*, cached per `(element size, kernel)`.
 //!
-//! Overrides, in precedence order:
+//! The blocking a call uses is the *per-thread* [`set_gemm_blocking`] pin
+//! when one is set (tests use it to force boundary configurations without
+//! racing other threads), else the derived values, computed once per
+//! `(element size, kernel)` and cached in a `OnceLock`.
 //!
-//! 1. [`set_gemm_blocking`] — a *per-thread* pin (benches and tests use it
-//!    to force boundary configurations without racing other threads);
-//! 2. `DENSE_GEMM_TUNE=mc:kc:nc` — process-wide env override, read once;
-//! 3. the derived values, computed once per `(element size, kernel)` and
-//!    cached in a `OnceLock`.
-//!
-//! Every source is normalized: `MC` is rounded to a multiple of `MR`, `NC`
+//! Both sources are normalized: `MC` is rounded to a multiple of `MR`, `NC`
 //! to a multiple of `NR` (the *selected kernel's* values for derived
-//! blockings, the portable constants for human-specified overrides — a
-//! non-multiple override still runs correctly, the packers absorb ragged
-//! tails), and all three are clamped to sane ranges, so the kernel never
-//! sees a degenerate blocking.
+//! blockings, the portable constants for pins — a non-multiple pin still
+//! runs correctly, the packers absorb ragged tails), and all three are
+//! clamped to sane ranges, so the kernel never sees a degenerate blocking.
 
 use crate::kernel::{self, KernelKind};
 use crate::pack::{MR, NR};
@@ -226,39 +222,12 @@ pub fn normalize_for(b: Blocking, mr: usize, nr: usize) -> Blocking {
     }
 }
 
-/// [`normalize_for`] with the portable geometry — applied to
-/// human-specified overrides (env and pins), which are kernel-agnostic.
+/// [`normalize_for`] with the portable geometry — applied to pins, which
+/// are kernel-agnostic.
 /// A blocking that is not a multiple of the *selected* kernel's `mr`/`nr`
 /// still runs correctly: the packers zero-pad ragged tails.
 pub fn normalize(b: Blocking) -> Blocking {
     normalize_for(b, MR, NR)
-}
-
-/// Parses the `DENSE_GEMM_TUNE` value: `"mc:kc:nc"` (decimal). `None` on
-/// malformed input.
-fn parse_tune(s: &str) -> Option<Blocking> {
-    let mut it = s.trim().split(':');
-    let mc = it.next()?.trim().parse().ok()?;
-    let kc = it.next()?.trim().parse().ok()?;
-    let nc = it.next()?.trim().parse().ok()?;
-    if it.next().is_some() {
-        return None;
-    }
-    Some(normalize(Blocking { mc, kc, nc }))
-}
-
-/// The `DENSE_GEMM_TUNE` override, read and parsed once. A malformed value
-/// is reported to stderr once and ignored (derived values apply).
-fn env_override() -> Option<Blocking> {
-    static ENV: OnceLock<Option<Blocking>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("DENSE_GEMM_TUNE").ok()?;
-        let parsed = parse_tune(&raw);
-        if parsed.is_none() {
-            eprintln!("dense: ignoring malformed DENSE_GEMM_TUNE={raw:?} (expected \"mc:kc:nc\")");
-        }
-        parsed
-    })
 }
 
 std::thread_local! {
@@ -268,11 +237,11 @@ std::thread_local! {
 }
 
 /// Pins (or with `None` clears) the blocking used by GEMM calls made *from
-/// the current thread*. Takes precedence over `DENSE_GEMM_TUNE` and the
-/// derived values. Thread-local on purpose: concurrently running tests and
-/// rank threads can pin different configurations without racing; pin it on
-/// the thread that *calls* [`gemm`](crate::gemm::gemm) (the blocking is
-/// resolved at the call site, before work fans out to the pool).
+/// the current thread*. Takes precedence over the derived values.
+/// Thread-local on purpose: concurrently running tests and rank threads can
+/// pin different configurations without racing; pin it on the thread that
+/// *calls* [`gemm`](crate::gemm::gemm) (the blocking is resolved at the
+/// call site, before work fans out to the pool).
 pub fn set_gemm_blocking(b: Option<Blocking>) {
     THREAD_BLOCKING.with(|c| c.set(b.map(normalize)));
 }
@@ -291,17 +260,13 @@ fn derived(elem: usize, kind: KernelKind) -> Blocking {
     })
 }
 
-/// The blocking a GEMM call dispatching to `kind` will use:
-/// [`set_gemm_blocking`] pin > `DENSE_GEMM_TUNE` > derived-and-cached for
+/// The blocking a GEMM call dispatching to `kind` will use: the
+/// [`set_gemm_blocking`] pin, else the value derived and cached for
 /// `(element size, kind)`.
 pub fn blocking_for<T: Scalar>(kind: KernelKind) -> Blocking {
-    if let Some(b) = THREAD_BLOCKING.with(|c| c.get()) {
-        return b;
-    }
-    if let Some(b) = env_override() {
-        return b;
-    }
-    derived(std::mem::size_of::<T>(), kind)
+    THREAD_BLOCKING
+        .with(|c| c.get())
+        .unwrap_or_else(|| derived(std::mem::size_of::<T>(), kind))
 }
 
 /// [`blocking_for`] resolved against the currently selected kernel — what
@@ -392,35 +357,6 @@ fn probe_peak<T: Scalar>(kind: KernelKind) -> f64 {
     best.max(f64::MIN_POSITIVE)
 }
 
-/// Number of NUMA nodes on this host (sysfs; 1 when undetectable), probed
-/// once. Decides NUMA-aware packing ([`numa_packing`]).
-pub fn numa_nodes() -> usize {
-    static NODES: OnceLock<usize> = OnceLock::new();
-    *NODES.get_or_init(|| {
-        let Ok(entries) = std::fs::read_dir("/sys/devices/system/node") else {
-            return 1;
-        };
-        let n = entries
-            .flatten()
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.strip_prefix("node")
-                    .is_some_and(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
-            })
-            .count();
-        n.max(1)
-    })
-}
-
-/// Whether the packing path should place packed-B pages by *first touch on
-/// the packing worker* (NUMA-aware) instead of pre-faulting the slab on
-/// the submitting thread: on exactly when the host has more than one NUMA
-/// node (only page placement changes, never values).
-pub fn numa_packing() -> bool {
-    numa_nodes() > 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,26 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn tune_env_parsing() {
-        assert_eq!(
-            parse_tune("256:192:4096"),
-            Some(Blocking {
-                mc: 256,
-                kc: 192,
-                nc: 4096
-            })
-        );
-        // Normalization rounds and clamps.
-        let b = parse_tune("7:3:17").unwrap();
-        assert_eq!(b.mc, MR);
-        assert_eq!(b.kc, 8);
-        assert_eq!(b.nc, NR);
-        assert_eq!(parse_tune("1:2"), None);
-        assert_eq!(parse_tune("1:2:3:4"), None);
-        assert_eq!(parse_tune("a:b:c"), None);
-    }
-
-    #[test]
     fn thread_pin_overrides_and_clears() {
         let pin = Blocking {
             mc: 8,
@@ -510,7 +426,7 @@ mod tests {
         assert_eq!(blocking::<f32>(), pin);
         set_gemm_blocking(None);
         let b = blocking::<f64>();
-        assert!(b.kc >= 8, "cleared pin must fall back to derived/env");
+        assert!(b.kc >= 8, "cleared pin must fall back to the derived value");
     }
 
     #[test]
@@ -548,12 +464,6 @@ mod tests {
         let pp = probed_peak_gflops_for::<f64>(KernelKind::Portable);
         assert!(pp > 0.0);
         assert_eq!(pp, probed_peak_gflops_for::<f64>(KernelKind::Portable));
-    }
-
-    #[test]
-    fn numa_probes_are_sane() {
-        assert!(numa_nodes() >= 1);
-        let _ = numa_packing(); // must resolve without panicking
     }
 
     #[test]

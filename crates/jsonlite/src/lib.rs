@@ -11,6 +11,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive, so without a cap one line of `[`s overflows the stack of the
+/// thread parsing it and aborts the process; every document this
+/// workspace writes nests fewer than 10 levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON document.
 ///
 /// Objects preserve no insertion order (they are sorted by key), which keeps
@@ -55,11 +61,12 @@ impl Json {
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage and nesting deeper than 128 levels rejected).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -222,6 +229,8 @@ fn write_str(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -266,12 +275,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one container a nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -476,6 +500,18 @@ mod tests {
         let e = Json::parse("[1, x]").unwrap_err();
         assert_eq!(e.pos, 4);
         assert!(e.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.pos, MAX_DEPTH);
+        assert!(e.msg.contains("nesting"), "{e}");
+        // One unterminated line of brackets used to recurse once per byte.
+        assert!(Json::parse(&"[".repeat(60_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(60_000)).is_err());
     }
 
     #[test]

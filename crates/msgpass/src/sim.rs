@@ -69,10 +69,11 @@
 //! placement therefore produce byte-identical `RunReport` artifacts.
 //!
 //! For the same reason, virtual-time runs never capture `dense::prof`
-//! kernel profiles even when `DENSE_GEMM_PROF` is set: the profiler
-//! timestamps the wall clock, which simulation makes meaningless (and it
-//! would break the byte-identical-artifact guarantee). The `compute` block
-//! of a sim report is always absent.
+//! kernel profiles: [`World::run_sim`] runs with the default, unprofiled
+//! [`RunOptions`], because the profiler timestamps the wall clock, which
+//! simulation makes meaningless (and it would break the
+//! byte-identical-artifact guarantee). The `compute` block of a sim report
+//! is always absent.
 
 use crate::world::{RunOptions, RunReport, World};
 use crate::RankCtx;
@@ -192,9 +193,9 @@ impl World {
     {
         let placement = opts.placement.unwrap_or_else(|| machine.pure_mpi());
         let params = Arc::new(SimParams::new(machine, placement, opts.execute_compute));
-        // Tracing stays off, and `RunSetup::new` never captures kernel
-        // profiles under virtual time (both would measure the meaningless
-        // wall clock); executed GEMMs get the default per-rank width.
+        // Tracing and kernel profiling stay off (both would measure the
+        // meaningless wall clock); executed GEMMs get the default per-rank
+        // width.
         World::run_inner(p, RunOptions::default(), Some(params), f)
     }
 }

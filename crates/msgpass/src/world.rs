@@ -55,7 +55,7 @@ impl Fabric {
 pub(crate) const RANK_STACK_SIZE: usize = 1 << 20;
 
 /// Options for [`World::run_opts`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions {
     /// Record a begin/end event for every phase region, point-to-point
     /// send/recv, and collective, and assemble them into
@@ -71,20 +71,10 @@ pub struct RunOptions {
     pub kernel_threads_per_rank: Option<usize>,
     /// Capture a `dense::prof` kernel profile on every rank thread for the
     /// duration of the run and return them in [`RunReport::compute`].
-    /// Defaults to [`dense::prof::requested_by_env`] (`DENSE_GEMM_PROF`).
-    /// Virtual-time runs never capture: wall-clock kernel spans are
-    /// meaningless there, and sim artifacts must stay byte-identical.
+    /// Off by default (`fig5_breakdown --prof` turns it on). Virtual-time
+    /// runs never capture: wall-clock kernel spans are meaningless there,
+    /// and sim artifacts must stay byte-identical.
     pub gemm_prof: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> RunOptions {
-        RunOptions {
-            trace: false,
-            kernel_threads_per_rank: None,
-            gemm_prof: dense::prof::requested_by_env(),
-        }
-    }
 }
 
 impl RunOptions {
@@ -581,10 +571,7 @@ impl RunSetup {
             kernel_threads: opts
                 .kernel_threads_per_rank
                 .map_or_else(|| dense::pool::rank_threads_for(p), |n| n.max(1)),
-            // Kernel profiling only makes sense on wall-clock runs: under
-            // virtual time the rank "compute" is charged on the sim clock,
-            // not executed at the profiled wall speed.
-            gemm_prof: opts.gemm_prof && sim.is_none(),
+            gemm_prof: opts.gemm_prof,
             sim,
         };
         (setup, receivers)

@@ -153,23 +153,26 @@ impl LayoutSpec {
 
     /// Materializes the layout for a `rows × cols` matrix over `p` ranks.
     pub fn build(&self, rows: usize, cols: usize, p: usize) -> Result<Layout, ProtoError> {
+        // `r` and `c` come straight off the wire: an unchecked `r * c` wraps
+        // (2⁶²+1 × 4 == 4) and passes for the daemon's p.
+        let covers = |kind: &str, r: usize, c: usize| {
+            if r.checked_mul(c) == Some(p) {
+                Ok(())
+            } else {
+                Err(ProtoError::bad(format!(
+                    "{kind} layout grid {r}x{c} must cover exactly p={p} ranks"
+                )))
+            }
+        };
         match *self {
             LayoutSpec::Col => Ok(Layout::one_d_col(rows, cols, p)),
             LayoutSpec::Row => Ok(Layout::one_d_row(rows, cols, p)),
             LayoutSpec::Block(r, c) => {
-                if r * c != p {
-                    return Err(ProtoError::bad(format!(
-                        "block layout grid {r}x{c} must cover exactly p={p} ranks"
-                    )));
-                }
+                covers("block", r, c)?;
                 Ok(Layout::two_d_block(rows, cols, r, c))
             }
             LayoutSpec::Cyclic(r, c, br, bc) => {
-                if r * c != p {
-                    return Err(ProtoError::bad(format!(
-                        "cyclic layout grid {r}x{c} must cover exactly p={p} ranks"
-                    )));
-                }
+                covers("cyclic", r, c)?;
                 Ok(Layout::block_cyclic(rows, cols, r, c, br, bc))
             }
         }
@@ -535,10 +538,35 @@ mod tests {
             (r#"{"cmd":"frobnicate"}"#, "unknown cmd"),
             (r#"{"id":"q"}"#, "missing cmd"),
             (r#"[1,2]"#, "non-object"),
+            // (2⁶²+1)·4 wraps to 4 = p in unchecked usize arithmetic.
+            (
+                r#"{"cmd":"multiply","m":8,"n":8,"k":8,"layout_a":"block:4611686018427387905x4"}"#,
+                "block grid product overflows",
+            ),
+            (
+                r#"{"cmd":"multiply","m":8,"n":8,"k":8,"layout_b":"cyclic:4x4611686018427387905:2x2"}"#,
+                "cyclic grid product overflows",
+            ),
         ] {
             let e = parse_request(line, P, &lim());
             assert!(e.is_err(), "{what} should be rejected: {line}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_line_is_bad_json_not_a_stack_overflow() {
+        // Under the line limit, and deep enough to overflow the 2 MiB stack
+        // of a connection thread (and stdio's 8 MiB main thread) without
+        // the parser's nesting cap.
+        let line = "[".repeat(60_000);
+        assert!(line.len() < lim().max_line_bytes);
+        let e = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_request(&line, P, &lim()).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(e.code, "bad_json");
     }
 
     #[test]

@@ -92,7 +92,7 @@ if [ "$SIM_ONLY" = 0 ]; then
   # compute timings are host-specific and are only checked for presence
   # and internal reconciliation (which RunReportDoc::parse enforces).
   echo "== REPORT_fig5_prof"
-  DENSE_GEMM_PROF=1 cargo run --release -q -p bench --bin fig5_breakdown -- \
+  cargo run --release -q -p bench --bin fig5_breakdown -- --prof \
     --report-out results/REPORT_fig5_prof.json --trace-ranks 4 --trace-size 96 \
     > /dev/null
 fi
