@@ -151,8 +151,8 @@ pub fn cannon_multi_shift<T: Scalar>(
         } else if overlap {
             let ra = group.irecv::<Arc<Mat<T>>>(ctx, a_src, TAG_A);
             let rb = group.irecv::<Arc<Mat<T>>>(ctx, b_src, TAG_B);
-            group.isend(ctx, a_dst, TAG_A, Arc::clone(&a_cur)).wait();
-            group.isend(ctx, b_dst, TAG_B, Arc::clone(&b_cur)).wait();
+            group.isend(ctx, a_dst, TAG_A, Arc::clone(&a_cur));
+            group.isend(ctx, b_dst, TAG_B, Arc::clone(&b_cur));
             Some(Next::Posted(ra, rb))
         } else {
             let a_next = group.sendrecv(ctx, a_dst, a_src, TAG_A, Arc::clone(&a_cur));

@@ -64,14 +64,14 @@ impl Json {
     /// trailing garbage and nesting deeper than 128 levels rejected).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after document"));
         }
         Ok(v)
@@ -227,7 +227,8 @@ fn write_str(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`; always on a character boundary.
     pos: usize,
     /// Containers currently open around `pos`.
     depth: usize,
@@ -242,7 +243,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -261,7 +262,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -372,7 +373,8 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -391,11 +393,11 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
+                    // Consume one character: decode only the one at `pos`.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("peek saw a byte, so a character starts at pos");
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -429,8 +431,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -512,6 +514,19 @@ mod tests {
         // One unterminated line of brackets used to recurse once per byte.
         assert!(Json::parse(&"[".repeat(60_000)).is_err());
         assert!(Json::parse(&r#"{"a":"#.repeat(60_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // The scanner used to re-validate the whole rest of the input once
+        // per character: minutes for this 1 MiB string, even optimised.
+        let body = "aé€".repeat((1 << 20) / 6);
+        let text = format!(r#"{{"id":"{body}"}}"#);
+        let t0 = std::time::Instant::now();
+        let v = Json::parse(&text).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(v.get("id").unwrap().as_str().unwrap(), body);
+        assert!(secs < 1.0, "1 MiB string took {secs:.2} s");
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Replaces `crossbeam-channel` so the runtime builds with no external
 //! dependencies. Semantics match what the fabric needs: many cloned
 //! senders, one receiver per rank, unbounded buffering (sends are eager and
-//! never block), and disconnect detection on both sides.
+//! never block), and disconnect detection on both sides. The receiver has
+//! one operation, the blocking [`Receiver::recv_timed`], and the runtime
+//! calls it from one place (the private `pull` in `comm`): there is no
+//! polling path.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -101,21 +104,6 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Non-blocking poll: pops a queued message if one is present,
-    /// returns `Ok(None)` when the queue is empty but senders remain, and
-    /// `Err(RecvError)` once every sender is gone and the queue is drained.
-    /// This is the primitive behind `RecvReq::test`.
-    pub fn try_recv(&self) -> Result<Option<T>, RecvError> {
-        let mut st = lock(&self.shared);
-        if let Some(v) = st.queue.pop_front() {
-            return Ok(Some(v));
-        }
-        if st.senders == 0 {
-            return Err(RecvError);
-        }
-        Ok(None)
-    }
-
     /// Blocks until a message arrives and reports how many seconds this call
     /// spent *blocked* on the condvar; fails once all senders are gone and
     /// the queue is empty. A message already queued returns `0.0` without

@@ -2,12 +2,12 @@
 //!
 //! The implementations follow the MPICH designs described by Thakur,
 //! Rabenseifner & Gropp (the paper's reference \[27\]): binomial-tree
-//! broadcast, ring allgather/allgatherv, ring reduce-scatter, Rabenseifner
-//! allreduce (reduce-scatter + allgather), a post-all-then-receive sparse
-//! alltoallv, and a dissemination barrier. Ring variants are used for the
-//! bandwidth-bound collectives because their *per-rank byte volume is
-//! exactly* the `β·n·(P−1)/P` term of the paper's §III-D cost table for any
-//! group size — which is what the model-vs-measured tests assert. (Latency
+//! broadcast (and the scatter + allgather large-message broadcast), ring
+//! allgatherv, ring reduce-scatter, Rabenseifner allreduce (reduce-scatter +
+//! allgather), a post-all-then-receive sparse alltoallv, and a
+//! dissemination barrier. Ring variants are used for the bandwidth-bound
+//! collectives because their *per-rank byte volume is exactly* the
+//! `β·n·(P−1)/P` term of the paper's §III-D cost table for any group size — which is what the model-vs-measured tests assert. (Latency
 //! terms in the analytic model use the butterfly formulas regardless.) Each
 //! ring is written once, over node blocks; the flat ring is its one-rank-node
 //! case (see "The two-level rings" below).
@@ -154,17 +154,6 @@ pub fn bcast_large<T: WireElem>(
     allgatherv(comm, ctx, my_seg, &counts)
 }
 
-/// Ring allgather with equal contribution sizes. Returns the concatenation
-/// of every member's `mine` in communicator rank order.
-///
-/// # Panics
-/// If contribution lengths differ across ranks (detected at receipt).
-pub fn allgather<T: WireElem>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>) -> Vec<T> {
-    let n = mine.len();
-    let counts = vec![n; comm.size()];
-    allgatherv(comm, ctx, mine, &counts)
-}
-
 /// Ring allgather with per-rank contribution sizes `counts` (known to all
 /// members, as in `MPI_Allgatherv`). Returns the concatenation in rank
 /// order. This is [`allgatherv_mode`]'s two-level ring with every rank its
@@ -284,49 +273,6 @@ pub fn neighbor_alltoallv<P: Payload>(
     sources: &[usize],
 ) -> Vec<P> {
     neighbor_alltoallv_post(comm, ctx, sends).complete(comm, ctx, sources)
-}
-
-/// All-to-all with per-destination payloads: `sends[j]` goes to communicator
-/// rank `j`; returns `recvs` where `recvs[i]` came from rank `i`. Empty
-/// payloads are exchanged too (zero-byte messages), exactly like
-/// `MPI_Alltoallv` with zero counts. This is [`neighbor_alltoallv`] with
-/// every peer named, so all `g − 1` sends go out before the first receive.
-pub fn alltoallv<P: Payload + Default>(comm: &Comm, ctx: &RankCtx, sends: Vec<P>) -> Vec<P> {
-    let g = comm.size();
-    assert_eq!(sends.len(), g, "need one send buffer per rank");
-    let mut sends: Vec<(usize, P)> = sends.into_iter().enumerate().collect();
-    // Start with the right-hand neighbour so the ranks do not all address
-    // rank 0 first.
-    sends.rotate_left((comm.rank() + 1) % g);
-    let everyone: Vec<usize> = (0..g).collect();
-    neighbor_alltoallv(comm, ctx, sends, &everyone)
-}
-
-/// Gather with per-rank sizes: every member sends `mine` to `root`, which
-/// returns `Some(vec of contributions in rank order)`; others get `None`.
-pub fn gatherv<T: WireElem>(
-    comm: &Comm,
-    ctx: &RankCtx,
-    mine: Vec<T>,
-    root: usize,
-) -> Option<Vec<Vec<T>>> {
-    let _span = ctx.collective_scope("linear_gatherv", || mine.nbytes() as u64);
-    let g = comm.size();
-    let me = comm.rank();
-    let tag = comm.next_coll_tag();
-    if me == root {
-        let mut out: Vec<Vec<T>> = (0..g).map(|_| Vec::new()).collect();
-        out[root] = mine;
-        for (r, slot) in out.iter_mut().enumerate() {
-            if r != root {
-                *slot = comm.recv_internal(ctx, r, tag);
-            }
-        }
-        Some(out)
-    } else {
-        comm.send_internal(ctx, root, tag, mine);
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -746,18 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_orders_by_rank() {
-        for p in [1usize, 3, 4, 6] {
-            World::run(p, |ctx| {
-                let comm = Comm::world(ctx);
-                let got = allgather(&comm, ctx, vec![comm.rank() as u64 * 10, 1]);
-                let want: Vec<u64> = (0..p as u64).flat_map(|r| [r * 10, 1]).collect();
-                assert_eq!(got, want);
-            });
-        }
-    }
-
-    #[test]
     fn allgatherv_uneven() {
         World::run(4, |ctx| {
             let comm = Comm::world(ctx);
@@ -822,36 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_permutes() {
-        World::run(4, |ctx| {
-            let comm = Comm::world(ctx);
-            let me = comm.rank();
-            // send to each rank j a vector [me, j] of length j (empty to 0)
-            let sends: Vec<Vec<u64>> = (0..4).map(|j| vec![(me * 10 + j) as u64; j]).collect();
-            let recvs = alltoallv(&comm, ctx, sends);
-            for (i, r) in recvs.iter().enumerate() {
-                assert_eq!(r.len(), me);
-                assert!(r.iter().all(|&v| v == (i * 10 + me) as u64));
-            }
-        });
-    }
-
-    #[test]
-    fn gatherv_collects_at_root() {
-        World::run(3, |ctx| {
-            let comm = Comm::world(ctx);
-            let mine = vec![comm.rank() as u8; comm.rank() + 1];
-            let got = gatherv(&comm, ctx, mine, 1);
-            if comm.rank() == 1 {
-                let got = got.unwrap();
-                assert_eq!(got, vec![vec![0], vec![1, 1], vec![2, 2, 2]]);
-            } else {
-                assert!(got.is_none());
-            }
-        });
-    }
-
-    #[test]
     fn allgather_volume_matches_ring_formula() {
         // Per-rank sent bytes of ring allgather = (P-1) * block_bytes.
         let p = 5;
@@ -859,7 +763,7 @@ mod tests {
         let (_, report) = World::run_traced(p, |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("ag");
-            let _ = allgather(&comm, ctx, vec![0u64; block]);
+            let _ = allgatherv(&comm, ctx, vec![0u64; block], &[block; 5]);
         });
         for r in 0..p {
             assert_eq!(report.phase(r, "ag").bytes as usize, (p - 1) * block * 8);
@@ -890,7 +794,7 @@ mod tests {
             let sub = comm.subgroup(ctx, &groups).unwrap();
             // run different collectives concurrently in the two groups
             if comm.rank() < 3 {
-                let v = allgather(&sub, ctx, vec![sub.rank() as u64]);
+                let v = allgatherv(&sub, ctx, vec![sub.rank() as u64], &[1; 3]);
                 assert_eq!(v, vec![0, 1, 2]);
             } else {
                 let v = allreduce(&sub, ctx, vec![1.0f64; 5]);

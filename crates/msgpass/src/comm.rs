@@ -66,18 +66,6 @@ scalar_payload!(
     ()
 );
 
-impl<A: Payload, B: Payload> Payload for (A, B) {
-    fn nbytes(&self) -> usize {
-        self.0.nbytes() + self.1.nbytes()
-    }
-}
-
-impl<A: Payload, B: Payload, C: Payload> Payload for (A, B, C) {
-    fn nbytes(&self) -> usize {
-        self.0.nbytes() + self.1.nbytes() + self.2.nbytes()
-    }
-}
-
 /// Element type collectives can reduce: needs `+=` and a zero. Implemented
 /// by `f32`/`f64` (and integers, used in tests).
 pub trait ReduceElem: WireElem + Default + std::ops::AddAssign {}
@@ -109,10 +97,11 @@ impl Envelope {
     }
 }
 
-/// One receive posted by [`Comm::irecv`] and not yet completed. Lives in
-/// the rank's posted-receive table; an arriving message whose
-/// `(src, ctx, tag)` key matches an *open* entry (slot empty) fills the
-/// earliest-posted one — MPI's posting-order matching rule.
+/// One receive posted and not yet completed — by [`Comm::irecv`], or by a
+/// blocking [`Comm::recv`] for its duration. Lives in the rank's
+/// posted-receive table; an arriving message whose `(src, ctx, tag)` key
+/// matches an *open* entry (slot empty) fills the earliest-posted one —
+/// MPI's posting-order matching rule.
 pub(crate) struct PostedRecv {
     pub(crate) src_world: usize,
     pub(crate) ctx: u64,
@@ -258,37 +247,13 @@ impl Comm {
         self.recv_internal(ctx, src, tag)
     }
 
+    /// A blocking receive is a posted receive completed at once: it matches
+    /// exactly as an `irecv` posted at this point would, and only its span
+    /// kind (`recv←src`, not `wait←src`) tells the two apart.
     pub(crate) fn recv_internal<P: Payload>(&self, ctx: &RankCtx, src: usize, tag: u64) -> P {
-        let src_world = self.ranks[src];
-        // The recv span covers the whole match — including any blocking
-        // wait, which is exactly the time the critical-path analysis needs.
-        ctx.tracer().begin(SpanKind::Recv { peer: src_world }, 0);
-        // First the pending buffer (a buffered message blocked for zero wall
-        // seconds), then the mailbox, buffering mismatches. All seconds this
-        // call spends blocked on the mailbox — including waits that end in a
-        // mismatch buffered for a later recv — belong to *this* recv's wait
-        // attribution: they are wall time this rank could not compute.
-        let key = (src_world, self.ctx_id, tag);
-        let mut waited = 0.0;
-        let env = match take_pending(ctx, key) {
-            Some(env) => env,
-            None => loop {
-                let (env, w) = pull(ctx);
-                waited += w;
-                match env {
-                    Some(env) if env.key() == key => break env,
-                    Some(env) => ctx.pending.borrow_mut().push(env),
-                    None => {}
-                }
-            },
-        };
-        // Under virtual time the parked wall seconds are an artifact of OS
-        // scheduling (thousands of rank threads share a few cores) and are
-        // discarded: completion is max(clock, arrival), the rendezvous rule.
-        let wait = ctx.virtual_recv_wait(env.arrival).unwrap_or(waited);
-        ctx.record_recv(src_world, env.bytes, wait);
-        ctx.tracer().end(env.bytes);
-        Self::downcast(env)
+        let req: RecvReq<P> = self.post_recv(ctx, src, tag);
+        let peer = req.src_world;
+        req.complete(ctx, SpanKind::Recv { peer })
     }
 
     fn downcast<P: Payload>(env: Envelope) -> P {
@@ -321,31 +286,35 @@ impl Comm {
 
     /// Nonblocking send to communicator rank `dst` — `MPI_Isend`. Sends in
     /// this runtime are eager (buffered by the receiver's mailbox), so the
-    /// returned [`SendReq`] is complete the moment this returns; it exists
-    /// so call sites keep MPI's post/overlap/wait shape. Under virtual time
-    /// the transfer is scheduled on the sender's NIC injection pipe without
-    /// advancing the compute clock — the sim counterpart of the copy
-    /// proceeding in the background while the rank computes.
+    /// send is complete the moment this returns and there is nothing to
+    /// wait on. Under virtual time the transfer is scheduled on the
+    /// sender's NIC injection pipe without advancing the compute clock —
+    /// the sim counterpart of the copy proceeding in the background while
+    /// the rank computes.
     ///
     /// # Panics
     /// If `dst` is out of range or `tag >= MAX_USER_TAG`.
-    pub fn isend<P: Payload>(&self, ctx: &RankCtx, dst: usize, tag: u64, payload: P) -> SendReq {
+    pub fn isend<P: Payload>(&self, ctx: &RankCtx, dst: usize, tag: u64, payload: P) {
         assert!(tag < MAX_USER_TAG, "tag {tag} reserved for collectives");
         self.post(ctx, dst, tag, payload, RankCtx::stamp_isend);
-        SendReq(())
     }
 
     /// Posts a nonblocking receive for the message from communicator rank
     /// `src` with `tag` — `MPI_Irecv`. The receive may be posted before or
     /// after the message arrives; arrivals match open posted receives in
     /// posting order (per-sender program order breaks same-key ties, as for
-    /// [`Comm::recv`]). Complete it with [`RecvReq::wait`] or
-    /// [`RecvReq::test`].
+    /// [`Comm::recv`]). Complete it with [`RecvReq::wait`].
     ///
     /// # Panics
     /// If `src` is out of range or `tag >= MAX_USER_TAG`.
     pub fn irecv<P: Payload>(&self, ctx: &RankCtx, src: usize, tag: u64) -> RecvReq<P> {
         assert!(tag < MAX_USER_TAG, "tag {tag} reserved for collectives");
+        self.post_recv(ctx, src, tag)
+    }
+
+    /// Adds an entry for `(src, tag)` to the posted-receive table, already
+    /// filled if a buffered message matches.
+    fn post_recv<P: Payload>(&self, ctx: &RankCtx, src: usize, tag: u64) -> RecvReq<P> {
         let src_world = self.ranks[src];
         let id = ctx.next_post_id();
         // Claim an already-buffered match now, so the pending buffer can
@@ -399,16 +368,26 @@ impl Comm {
     }
 }
 
-/// The one place a rank blocks: waits for the next message in its mailbox,
-/// offers it to the posted-receive table, and returns it if no posted
-/// receive claimed it (`None` if one did), together with the wall seconds
-/// spent blocked (`0.0` when a message was already queued).
-fn pull(ctx: &RankCtx) -> (Option<Envelope>, f64) {
+/// The one place a rank blocks: waits for the next message in its mailbox
+/// and files it — into the earliest-posted *open* entry of the
+/// posted-receive table with a matching key (MPI's posting-order rule),
+/// else into the pending buffer — and returns the wall seconds spent
+/// blocked (`0.0` when a message was already queued).
+fn pull(ctx: &RankCtx) -> f64 {
     let (env, waited) = ctx
         .rx
         .recv_timed()
         .expect("all senders dropped while waiting for a message");
-    (offer_to_posted(ctx, env), waited)
+    let mut posted = ctx.posted.borrow_mut();
+    let hit = posted
+        .iter_mut()
+        .filter(|p| p.slot.is_none() && (p.src_world, p.ctx, p.tag) == env.key())
+        .min_by_key(|p| p.id);
+    match hit {
+        Some(p) => p.slot = Some(env),
+        None => ctx.pending.borrow_mut().push(env),
+    }
+    waited
 }
 
 /// Removes and returns the buffered message with matching `key`. Among
@@ -426,47 +405,12 @@ fn take_pending(ctx: &RankCtx, key: (usize, u64, u64)) -> Option<Envelope> {
     Some(pending.remove(pos))
 }
 
-/// Offers a message just pulled off the mailbox to the posted-receive
-/// table: the earliest-posted *open* entry with a matching key claims it
-/// (returning `None`); otherwise the message is handed back to the caller.
-fn offer_to_posted(ctx: &RankCtx, env: Envelope) -> Option<Envelope> {
-    let mut posted = ctx.posted.borrow_mut();
-    let hit = posted
-        .iter_mut()
-        .filter(|p| p.slot.is_none() && (p.src_world, p.ctx, p.tag) == env.key())
-        .min_by_key(|p| p.id);
-    match hit {
-        Some(p) => {
-            p.slot = Some(env);
-            None
-        }
-        None => Some(env),
-    }
-}
-
-/// Handle for a nonblocking send ([`Comm::isend`]). Sends are eager in this
-/// runtime, so the request is complete from the moment `isend` returns —
-/// `wait` costs nothing and `test` is always true. The handle keeps call
-/// sites shaped like their MPI originals (post, overlap, wait).
-#[must_use = "wait on the send request (or drop it explicitly)"]
-pub struct SendReq(pub(crate) ());
-
-impl SendReq {
-    /// Completes the send. A no-op: eager sends are complete at post time.
-    pub fn wait(self) {}
-
-    /// Whether the send has completed. Always true (see [`SendReq`]).
-    pub fn test(&self) -> bool {
-        true
-    }
-}
-
 /// Handle for a nonblocking receive ([`Comm::irecv`]): an entry in the
 /// rank's posted-receive table. Complete it with [`RecvReq::wait`] (blocks
-/// for the residual only — time the overlapped compute did not hide) or
-/// poll it with [`RecvReq::test`]. Every posted receive must eventually be
-/// completed; a rank exiting with open posted receives panics.
-#[must_use = "a posted receive must be completed with wait() or test()"]
+/// for the residual only — time the overlapped compute did not hide).
+/// Every posted receive must eventually be completed; a rank exiting with
+/// open posted receives panics.
+#[must_use = "a posted receive must be completed with wait()"]
 pub struct RecvReq<P: Payload> {
     /// Posting-order id keying this request's table entry.
     id: u64,
@@ -486,69 +430,36 @@ impl<P: Payload> RecvReq<P> {
     /// # Panics
     /// If the matched message has a different payload type.
     pub fn wait(self, ctx: &RankCtx) -> P {
-        ctx.tracer().begin(
-            SpanKind::Wait {
-                peer: self.src_world,
-            },
-            0,
-        );
+        let peer = self.src_world;
+        self.complete(ctx, SpanKind::Wait { peer })
+    }
+
+    /// The one receive loop, behind [`RecvReq::wait`] and [`Comm::recv`]
+    /// alike; `kind` is the trace span it records. The span covers the
+    /// whole match — including any blocking wait, which is exactly the
+    /// time the critical-path analysis needs — and every second spent
+    /// blocked on the mailbox, including waits that end in a message filed
+    /// for another receive, is this receive's wait: wall time this rank
+    /// could not compute.
+    fn complete(self, ctx: &RankCtx, kind: SpanKind) -> P {
+        ctx.tracer().begin(kind, 0);
         let mut waited = 0.0;
         let env = loop {
             if let Some(env) = self.take_if_filled(ctx) {
                 break env;
             }
-            let (env, w) = pull(ctx);
-            waited += w;
-            if let Some(env) = env {
-                ctx.pending.borrow_mut().push(env);
-            }
+            waited += pull(ctx);
         };
-        // Sim: completion is max(clock-at-wait, arrival) — compute issued
-        // since the post has already advanced the clock, so only the
-        // exposed remainder of the transfer is charged (and reported as
-        // wait); the parked wall seconds are discarded, as in `recv`.
-        // Wall: the condvar-blocked residual accumulated above.
+        // Sim: completion is max(clock, arrival) — compute issued since the
+        // post has already advanced the clock, so only the exposed remainder
+        // of the transfer is charged (and reported as wait); the parked wall
+        // seconds are an artifact of OS scheduling (thousands of rank
+        // threads share a few cores) and are discarded. Wall: the
+        // condvar-blocked seconds accumulated above.
         let wait = ctx.virtual_recv_wait(env.arrival).unwrap_or(waited);
         ctx.record_recv(self.src_world, env.bytes, wait);
         ctx.tracer().end(env.bytes);
         Comm::downcast(env)
-    }
-
-    /// Polls the posted receive: `Ok(payload)` if it can complete now,
-    /// `Err(self)` otherwise (wall runs never block here beyond draining
-    /// already-queued arrivals).
-    ///
-    /// Under virtual time `test` *completes like `wait`*: whether a message
-    /// has physically arrived at some wall instant is OS-scheduling noise
-    /// that must not leak into the deterministic virtual clock, so the sim
-    /// answer to "is it done yet" is to advance to when it is done.
-    pub fn test(self, ctx: &RankCtx) -> Result<P, RecvReq<P>> {
-        if ctx.is_sim() {
-            return Ok(self.wait(ctx));
-        }
-        loop {
-            if let Some(env) = self.take_if_filled(ctx) {
-                ctx.tracer().begin(
-                    SpanKind::Wait {
-                        peer: self.src_world,
-                    },
-                    0,
-                );
-                ctx.record_recv(self.src_world, env.bytes, 0.0);
-                ctx.tracer().end(env.bytes);
-                return Ok(Comm::downcast(env));
-            }
-            match ctx.rx.try_recv() {
-                Ok(Some(env)) => {
-                    if let Some(env) = offer_to_posted(ctx, env) {
-                        ctx.pending.borrow_mut().push(env);
-                    }
-                }
-                // Nothing queued (or all senders gone — the missing message
-                // will surface as a panic in `wait`, not here).
-                Ok(None) | Err(_) => return Err(self),
-            }
-        }
     }
 
     /// Removes this request's table entry and returns the message if the
@@ -760,43 +671,13 @@ mod tests {
         World::run(2, |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
-                comm.isend(ctx, 1, 3, 111u64).wait();
+                comm.isend(ctx, 1, 3, 111u64);
                 comm.send(ctx, 1, 3, 222u64);
             } else {
                 let req = comm.irecv::<u64>(ctx, 0, 3); // posted first
                 let later: u64 = comm.recv(ctx, 0, 3); // same key, posted second
                 assert_eq!(req.wait(ctx), 111);
                 assert_eq!(later, 222);
-            }
-        });
-    }
-
-    #[test]
-    fn test_completes_or_hands_back() {
-        World::run(2, |ctx| {
-            let comm = Comm::world(ctx);
-            if comm.rank() == 0 {
-                let _: u64 = comm.recv(ctx, 1, 9); // wait for the go-ahead
-                comm.send(ctx, 1, 4, 5u64);
-            } else {
-                let mut req = comm.irecv::<u64>(ctx, 0, 4);
-                // Nothing sent yet: test must hand the request back.
-                req = match req.test(ctx) {
-                    Ok(_) => panic!("nothing was sent"),
-                    Err(r) => r,
-                };
-                comm.send(ctx, 0, 9, 0u64);
-                // Poll to completion.
-                let got = loop {
-                    match req.test(ctx) {
-                        Ok(v) => break v,
-                        Err(r) => {
-                            req = r;
-                            std::thread::yield_now();
-                        }
-                    }
-                };
-                assert_eq!(got, 5);
             }
         });
     }
@@ -813,12 +694,13 @@ mod tests {
     }
 
     /// Stress test: 16 ranks, randomized post-before-send and
-    /// send-before-post interleavings (plus test()-polling completions),
-    /// must neither deadlock nor mismatch, in wall and in virtual time. XOR
-    /// pairing makes every round a clean pairwise exchange; each endpoint
-    /// independently draws its own operation order from a seeded SplitMix64
-    /// stream. Two virtual-time runs of one seed report the same traffic,
-    /// virtual seconds and makespan, whatever the OS schedule.
+    /// send-before-post interleavings, each completed by `irecv` + `wait`
+    /// or by a blocking `recv`, must neither deadlock nor mismatch, in wall
+    /// and in virtual time. XOR pairing makes every round a clean pairwise
+    /// exchange; each endpoint independently draws its own operation order
+    /// from a seeded SplitMix64 stream. Two virtual-time runs of one seed
+    /// report the same traffic, virtual seconds and makespan, whatever the
+    /// OS schedule.
     #[test]
     fn randomized_isend_irecv_interleavings_16_ranks() {
         const P: usize = 16;
@@ -838,28 +720,17 @@ mod tests {
                     let val = (me * 1000 + round) as u64;
                     let want = (peer * 1000 + round) as u64;
                     let post_first = draw() & 1 == 0;
-                    let poll = draw() & 1 == 0;
-                    let req = if post_first {
-                        let r = comm.irecv::<u64>(ctx, peer, tag);
-                        comm.isend(ctx, peer, tag, val).wait();
-                        r
-                    } else {
-                        comm.isend(ctx, peer, tag, val).wait();
-                        comm.irecv::<u64>(ctx, peer, tag)
-                    };
-                    let got = if poll {
-                        let mut req = req;
-                        loop {
-                            match req.test(ctx) {
-                                Ok(v) => break v,
-                                Err(r) => {
-                                    req = r;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    } else {
+                    let blocking = draw() & 1 == 0;
+                    let got = if blocking {
+                        comm.isend(ctx, peer, tag, val);
+                        comm.recv(ctx, peer, tag)
+                    } else if post_first {
+                        let req = comm.irecv::<u64>(ctx, peer, tag);
+                        comm.isend(ctx, peer, tag, val);
                         req.wait(ctx)
+                    } else {
+                        comm.isend(ctx, peer, tag, val);
+                        comm.irecv::<u64>(ctx, peer, tag).wait(ctx)
                     };
                     assert_eq!(got, want, "rank {me} round {round} (seed {seed})");
                 }
@@ -888,7 +759,6 @@ mod tests {
         assert_eq!(vec![0f64; 3].nbytes(), 24);
         assert_eq!(vec![0f32; 3].nbytes(), 12);
         assert_eq!(7u64.nbytes(), 8);
-        assert_eq!((1usize, vec![0u8; 5]).nbytes(), 8 + 5);
         // Every primitive vector is sized by `size_of`, as before …
         macro_rules! vec_is_size_of {
             ($($t:ty),*) => {$(

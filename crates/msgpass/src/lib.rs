@@ -12,16 +12,20 @@
 //!   [`Comm::subgroup`] (like `MPI_Comm_create_group`);
 //! * point-to-point [`Comm::send`] / [`Comm::recv`] with `(source, tag)`
 //!   matching and out-of-order buffering, plus [`Comm::sendrecv`] (the
-//!   primitive behind Cannon's circular shifts);
+//!   primitive behind Cannon's circular shifts) and §III-F's
+//!   [`Comm::isend`] / [`Comm::irecv`] / [`RecvReq::wait`]. There is one
+//!   receive path: a blocking `recv` is a posted receive completed at
+//!   once, so `wait`'s loop is the only place a rank blocks;
 //! * collectives built *algorithmically* on point-to-point, the way MPICH
 //!   builds them (Thakur, Rabenseifner & Gropp — the paper's reference
-//!   \[27\]): binomial-tree broadcast, ring allgather(v), ring
-//!   reduce-scatter, Rabenseifner allreduce, sparse (neighbour) alltoallv,
-//!   dissemination barrier. The two rings are each written once, over node
-//!   blocks: the flat ring is the case where every rank is its own node;
-//!   [`collectives::Collectives::Hier`] runs them over the nodes of a
-//!   virtual-time run's placement (a wall-clock run is one node);
-//! * [`traffic`]: every rank counts the bytes and messages it sends *and
+//!   \[27\]): binomial-tree and large-message broadcast, ring allgatherv,
+//!   ring reduce-scatter, Rabenseifner allreduce, sparse (neighbour)
+//!   alltoallv, dissemination barrier. The two rings are each written
+//!   once, over node blocks: the flat ring is the case where every rank is
+//!   its own node; [`collectives::Collectives::Hier`] runs them over the
+//!   nodes of a virtual-time run's placement (a wall-clock run is one node);
+//! * [`traffic`]: every rank counts — in counters it owns, handed to the
+//!   report when it exits — the bytes and messages it sends *and
 //!   receives*, per named phase, plus a rank×rank communication matrix,
 //!   log2 message-size histograms keyed by phase and by collective
 //!   algorithm, and per-phase wait-time attribution (seconds blocked in
@@ -47,8 +51,8 @@
 //!
 //! # Semantics
 //!
-//! Sends are *eager* (buffered, never block), so `sendrecv` pairs and shift
-//! patterns cannot deadlock. Collectives must be invoked in the same order
+//! Sends are *eager* (buffered, never block — an `isend` leaves nothing to
+//! wait on), so `sendrecv` pairs and shift patterns cannot deadlock. Collectives must be invoked in the same order
 //! by every member of a communicator, exactly as in MPI. A panic on any rank
 //! propagates out of [`World::run`] and fails the test.
 //!
@@ -68,7 +72,7 @@ pub mod trace;
 pub mod traffic;
 pub mod world;
 
-pub use comm::{Comm, Payload, RecvReq, ReduceElem, SendReq};
+pub use comm::{Comm, Payload, RecvReq, ReduceElem};
 pub use dense::WireElem;
 pub use metrics::{CellCounts, CommMatrix, SizeHistogram};
 pub use persist::{JobPanic, PersistentWorld};
@@ -77,9 +81,3 @@ pub use sim::{SimInfo, SimOptions};
 pub use trace::{KernelSpan, Span, SpanKind, Timeline};
 pub use traffic::{PhaseCounts, TrafficReport};
 pub use world::{ComputeProfile, RankCtx, RunOptions, RunReport, World};
-
-/// Locks a mutex, recovering the data if a panicking rank poisoned it (the
-/// original panic is what should surface, not a secondary `PoisonError`).
-pub(crate) fn lock_mutex<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}

@@ -19,7 +19,7 @@
 //! deterministic-across-ranks panics possible inside a job.
 
 use crate::world::{run_rank, RankCtx, RunOptions, RunReport, RunSetup, RANK_STACK_SIZE};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 
 /// One rank of one job: runs on the worker thread owning that rank slot.
 type Job = Box<dyn FnOnce() + Send>;
@@ -107,7 +107,8 @@ impl PersistentWorld {
         R: Send + 'static,
         F: Fn(&RankCtx) -> R + Send + Sync + 'static,
     {
-        let _job = crate::lock_mutex(&self.gate);
+        // A job that panicked poisons nothing this gate protects.
+        let _job = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
         let p = self.p;
         let (setup, receivers) = RunSetup::new(p, &opts, None);
         let setup = Arc::new(setup);

@@ -676,6 +676,31 @@ impl RunReportDoc {
         if ranks == 0 {
             return Err("ranks must be positive".to_owned());
         }
+        // Checked before anything is sized by `ranks`: a file cannot claim
+        // more ranks than it lists.
+        let wait_per_rank = field(&doc, "wait_per_rank", "report")?
+            .as_arr()
+            .ok_or("wait_per_rank is not an array")?
+            .iter()
+            .enumerate()
+            .map(|(r, m)| {
+                m.as_obj()
+                    .ok_or_else(|| format!("wait_per_rank[{r}] is not an object"))?
+                    .iter()
+                    .map(|(k, v)| {
+                        v.as_f64()
+                            .map(|s| (k.clone(), s))
+                            .ok_or_else(|| format!("wait_per_rank[{r}].{k} is not a number"))
+                    })
+                    .collect::<Result<BTreeMap<_, _>, String>>()
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        if wait_per_rank.len() != ranks {
+            return Err(format!(
+                "wait_per_rank has {} entries, expected {ranks}",
+                wait_per_rank.len()
+            ));
+        }
 
         let phases = field(&doc, "phases", "report")?
             .as_arr()
@@ -717,30 +742,6 @@ impl RunReportDoc {
         let hist_by_phase =
             parse_hists(field(hj, "by_phase", "histograms")?, "histograms.by_phase")?;
         let hist_by_algo = parse_hists(field(hj, "by_algo", "histograms")?, "histograms.by_algo")?;
-
-        let wait_per_rank = field(&doc, "wait_per_rank", "report")?
-            .as_arr()
-            .ok_or("wait_per_rank is not an array")?
-            .iter()
-            .enumerate()
-            .map(|(r, m)| {
-                m.as_obj()
-                    .ok_or_else(|| format!("wait_per_rank[{r}] is not an object"))?
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_f64()
-                            .map(|s| (k.clone(), s))
-                            .ok_or_else(|| format!("wait_per_rank[{r}].{k} is not a number"))
-                    })
-                    .collect::<Result<BTreeMap<_, _>, String>>()
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        if wait_per_rank.len() != ranks {
-            return Err(format!(
-                "wait_per_rank has {} entries, expected {ranks}",
-                wait_per_rank.len()
-            ));
-        }
 
         let critical_path = match field(&doc, "critical_path", "report")? {
             Json::Null => None,
@@ -1356,6 +1357,12 @@ mod tests {
         let doc = RunReportDoc::parse(&v3).expect("minimal v3 parses");
         assert!(doc.compute.is_none());
         assert!(!doc.render_dashboard().contains("compute attribution"));
+        // A rank count the document does not list is refused before
+        // anything is sized by it (this one used to abort the process on a
+        // 24 TB allocation).
+        let huge = v3.replace("\"ranks\": 1,", "\"ranks\": 1000000000000,");
+        let e = RunReportDoc::parse(&huge).unwrap_err();
+        assert!(e.contains("wait_per_rank has 1 entries"), "{e}");
     }
 
     #[test]

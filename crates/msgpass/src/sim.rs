@@ -24,8 +24,8 @@
 //!   (the wall seconds the thread spends parked on its mailbox are
 //!   meaningless — the OS interleaves thousands of rank threads);
 //! * a **posted receive** ([`crate::Comm::irecv`]) charges nothing at post
-//!   time; its `wait` applies the same `max(clock, arrival)` rule *then*.
-//!   Compute charged between post and wait therefore hides the transfer:
+//!   time; its `wait` applies the same `max(clock, arrival)` rule *then*
+//!   (a blocking recv is a post with an immediate wait). Compute charged between post and wait therefore hides the transfer:
 //!   an overlapped round costs `max(compute, communication)`, not the sum —
 //!   the §III-F pipelining rule, and exactly what the cost model's
 //!   `overlap: true` branch prices;
@@ -63,10 +63,10 @@
 //! the sender before the message enters the fabric; message matching is
 //! keyed by exact `(source, communicator, tag)` with same-key messages
 //! consumed in per-sender program order (`Envelope::seq`), and posted
-//! receives match in posting order. `RecvReq::test` deliberately degrades
-//! to `wait` under simulation — a genuine poll would leak the OS schedule
-//! into virtual time. Two runs with the same program, machine, and
-//! placement therefore produce byte-identical `RunReport` artifacts.
+//! receives match in posting order. No operation polls: a receive only
+//! ever blocks until its match arrives, so the OS schedule never reaches
+//! virtual time. Two runs with the same program, machine, and placement
+//! therefore produce byte-identical `RunReport` artifacts.
 //!
 //! For the same reason, virtual-time runs never capture `dense::prof`
 //! kernel profiles: [`World::run_sim`] runs with the default, unprofiled

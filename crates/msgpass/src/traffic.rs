@@ -15,10 +15,8 @@
 //! deterministic functions of the algorithm and problem; wall/wait seconds
 //! are not. The `report-gate` CI mode relies on exactly this split.
 
-use crate::lock_mutex;
 use crate::metrics::{CellCounts, CommMatrix, Row, SizeHistogram};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Bytes and message counts for one phase on one rank, both directions.
 ///
@@ -49,8 +47,8 @@ impl PhaseCounts {
     }
 }
 
-/// The mutable accumulator state for one rank. Only the owning rank thread
-/// writes it during a run; the world reads it once after the threads join.
+/// The counters of one rank, owned by its `RankCtx`: only the rank's own
+/// thread writes them, and the rank hands them to the report when it exits.
 #[derive(Default)]
 pub(crate) struct RankStats {
     pub(crate) by_phase: BTreeMap<String, PhaseCounts>,
@@ -67,6 +65,8 @@ pub(crate) struct RankStats {
     pub(crate) hist_by_algo: BTreeMap<String, SizeHistogram>,
     /// Seconds blocked inside `recv` per receiver phase.
     pub(crate) wait_by_phase: BTreeMap<String, f64>,
+    /// Seconds spent in each phase (wall or virtual, as the run's clock).
+    pub(crate) secs_by_phase: BTreeMap<String, f64>,
 }
 
 /// The entry for `key`, default-inserted on first use. Looks up by `&str`,
@@ -80,53 +80,52 @@ fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut 
         .expect("present: inserted above if missing")
 }
 
-/// Accumulator owned by the fabric, one per rank. Writes come from the
-/// owning thread only, but the final report is read after the threads join,
-/// so a mutex (uncontended in practice) keeps this simple and safe.
-#[derive(Default)]
-pub(crate) struct RankTraffic {
-    pub(crate) stats: Mutex<RankStats>,
-}
-
-impl RankTraffic {
+impl RankStats {
     /// Records one outgoing message: phase totals, the matrix row, and both
     /// histogram keyings. `algo` is the collective algorithm in scope, or
     /// `None` for a bare point-to-point send.
     pub(crate) fn record_send(
-        &self,
+        &mut self,
         phase: &str,
         algo: Option<&'static str>,
         dst_world: usize,
         bytes: u64,
     ) {
-        let mut guard = lock_mutex(&self.stats);
-        let st = &mut *guard;
-        let e = slot(&mut st.by_phase, phase);
+        let e = slot(&mut self.by_phase, phase);
         e.bytes += bytes;
         e.msgs += 1;
-        st.sent_to
+        self.sent_to
             .entry(dst_world)
             .or_default()
             .add(CellCounts { bytes, msgs: 1 });
-        slot(&mut st.hist_by_phase, phase).record(bytes);
-        slot(&mut st.hist_by_algo, algo.unwrap_or("p2p")).record(bytes);
+        slot(&mut self.hist_by_phase, phase).record(bytes);
+        slot(&mut self.hist_by_algo, algo.unwrap_or("p2p")).record(bytes);
     }
 
     /// Records one matched receive: phase totals, the matrix row, and the
-    /// seconds this `recv` call spent blocked waiting for the fabric.
-    pub(crate) fn record_recv(&self, phase: &str, src_world: usize, bytes: u64, wait_secs: f64) {
-        let mut guard = lock_mutex(&self.stats);
-        let st = &mut *guard;
-        let e = slot(&mut st.by_phase, phase);
+    /// seconds this receive spent blocked waiting for the fabric.
+    pub(crate) fn record_recv(
+        &mut self,
+        phase: &str,
+        src_world: usize,
+        bytes: u64,
+        wait_secs: f64,
+    ) {
+        let e = slot(&mut self.by_phase, phase);
         e.recv_bytes += bytes;
         e.recv_msgs += 1;
-        st.recv_from
+        self.recv_from
             .entry(src_world)
             .or_default()
             .add(CellCounts { bytes, msgs: 1 });
         if wait_secs > 0.0 {
-            *slot(&mut st.wait_by_phase, phase) += wait_secs;
+            *slot(&mut self.wait_by_phase, phase) += wait_secs;
         }
+    }
+
+    /// Adds `secs` to the time spent in `phase`.
+    pub(crate) fn add_secs(&mut self, phase: &str, secs: f64) {
+        *slot(&mut self.secs_by_phase, phase) += secs;
     }
 }
 
@@ -319,12 +318,11 @@ mod tests {
 
     #[test]
     fn record_and_totals() {
-        let rt = RankTraffic::default();
-        rt.record_send("a", None, 1, 100);
-        rt.record_send("a", Some("ring_allgatherv"), 1, 50);
-        rt.record_send("b", None, 0, 1);
-        rt.record_recv("a", 1, 30, 0.25);
-        let st = crate::lock_mutex(&rt.stats);
+        let mut st = RankStats::default();
+        st.record_send("a", None, 1, 100);
+        st.record_send("a", Some("ring_allgatherv"), 1, 50);
+        st.record_send("b", None, 0, 1);
+        st.record_recv("a", 1, 30, 0.25);
         assert_eq!(
             st.by_phase["a"],
             PhaseCounts {
@@ -348,11 +346,9 @@ mod tests {
         assert_eq!(st.hist_by_algo["p2p"].msgs, 2);
         assert_eq!(st.hist_by_algo["ring_allgatherv"].msgs, 1);
         assert_eq!(st.wait_by_phase["a"], 0.25);
-        let map = st.by_phase.clone();
-        drop(st);
 
         let report = TrafficReport {
-            per_rank: vec![map, BTreeMap::new()],
+            per_rank: vec![st.by_phase, BTreeMap::new()],
             secs_per_rank: vec![BTreeMap::new(), BTreeMap::new()],
             wait_per_rank: vec![BTreeMap::new(), BTreeMap::new()],
             ..TrafficReport::default()

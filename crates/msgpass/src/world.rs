@@ -2,32 +2,30 @@
 
 use crate::chan::{channel, Receiver, Sender};
 use crate::comm::{Envelope, PostedRecv};
-use crate::lock_mutex;
 use crate::metrics::{CommMatrix, SizeHistogram};
 use crate::sim::{SimInfo, SimParams};
 use crate::trace::{RawEvent, Recorder, SpanKind, Timeline};
-use crate::traffic::{RankTraffic, TrafficReport};
+use crate::traffic::{RankStats, TrafficReport};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Shared, immutable-after-construction communication fabric: one inbound
-/// channel per rank plus the traffic accumulators and the trace epoch.
+/// Shared, immutable communication fabric: one inbound channel per rank and
+/// the world's member list. The counters are not here — each rank owns its
+/// own ([`RankCtx`]) and hands them back when it exits.
 pub(crate) struct Fabric {
     pub(crate) senders: Vec<Sender<Envelope>>,
-    pub(crate) traffic: Vec<RankTraffic>,
-    pub(crate) times: Vec<Mutex<BTreeMap<String, f64>>>,
     /// `0..p`: the member list every rank's world communicator shares.
     pub(crate) world_ranks: Arc<Vec<usize>>,
 }
 
 impl Fabric {
     /// A fresh `p`-rank fabric plus each rank's receiving end. One fabric
-    /// serves exactly one run (its traffic counters become that run's
-    /// report), so persistent worlds build a new one per job.
+    /// serves exactly one run (messages of one job must never reach the
+    /// next), so persistent worlds build a new one per job.
     pub(crate) fn new(p: usize) -> (Arc<Fabric>, Vec<Receiver<Envelope>>) {
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
@@ -38,8 +36,6 @@ impl Fabric {
         }
         let fabric = Arc::new(Fabric {
             senders,
-            traffic: (0..p).map(|_| RankTraffic::default()).collect(),
-            times: (0..p).map(|_| Mutex::new(BTreeMap::new())).collect(),
             world_ranks: Arc::new((0..p).collect()),
         });
         (fabric, receivers)
@@ -163,10 +159,11 @@ impl ComputeProfile {
     }
 }
 
-/// Everything one rank's thread needs: its identity, its mailbox, and the
-/// fabric. All communication operations take `&RankCtx`; the mutable pieces
-/// (pending-message buffer, current phase, trace recorder) live in cells
-/// because a rank is single-threaded by construction.
+/// Everything one rank's thread needs: its identity, its mailbox, its
+/// counters, and the fabric. All communication operations take `&RankCtx`;
+/// the mutable pieces (pending-message buffer, current phase, counters,
+/// trace recorder) live in cells because a rank is single-threaded by
+/// construction.
 pub struct RankCtx {
     world_rank: usize,
     world_size: usize,
@@ -174,16 +171,20 @@ pub struct RankCtx {
     pub(crate) rx: Receiver<Envelope>,
     /// Messages received but not yet matched by a `recv`.
     pub(crate) pending: RefCell<Vec<Envelope>>,
-    /// Nonblocking receives posted by `irecv` and not yet completed by
-    /// `wait`/`test`. Invariant: `pending` never holds a message whose
-    /// `(src, ctx, tag)` key matches an open (unfilled) entry here — every
-    /// arrival is offered to the earliest-posted open entry first.
+    /// Receives posted and not yet completed: by `irecv` until `wait`, by a
+    /// blocking `recv` until it returns. Invariant: `pending` never holds a
+    /// message whose `(src, ctx, tag)` key matches an open (unfilled) entry
+    /// here — every arrival is offered to the earliest-posted open entry
+    /// first.
     pub(crate) posted: RefCell<Vec<PostedRecv>>,
     /// Monotonic counter stamping posting order onto [`PostedRecv::id`] —
     /// MPI's rule that arrivals match posted receives in posting order.
     post_seq: Cell<u64>,
     /// Label attributed to outgoing traffic.
     phase: RefCell<String>,
+    /// This rank's traffic counters and per-phase seconds. Only this rank
+    /// writes them; [`run_rank`] hands them to the report when it exits.
+    stats: RefCell<RankStats>,
     /// Wall-clock of the current phase's start (for the per-phase timing
     /// report).
     phase_started: Cell<Instant>,
@@ -224,6 +225,7 @@ impl RankCtx {
             posted: RefCell::new(Vec::new()),
             post_seq: Cell::new(0),
             phase: RefCell::new(String::new()),
+            stats: RefCell::default(),
             phase_started: Cell::new(Instant::now()),
             sim: setup.sim.clone(),
             clock: Cell::new(0.0),
@@ -281,17 +283,16 @@ impl RankCtx {
             now.duration_since(self.phase_started.replace(now))
                 .as_secs_f64()
         };
-        let label = self.phase.borrow().clone();
-        if !label.is_empty() {
-            *lock_mutex(&self.fabric.times[self.world_rank])
-                .entry(label)
-                .or_insert(0.0) += elapsed;
+        let phase = self.phase.borrow();
+        if !phase.is_empty() {
+            self.stats.borrow_mut().add_secs(&phase, elapsed);
         }
     }
 
     /// Final bookkeeping when the rank's closure returns: closes the open
-    /// phase (clock and trace span) and hands back the raw event stream.
-    fn finish(&self) -> Vec<RawEvent> {
+    /// phase (clock and trace span) and hands back the raw event stream and
+    /// the counters.
+    fn finish(&self) -> (Vec<RawEvent>, RankStats) {
         assert!(
             self.posted.borrow().is_empty(),
             "rank {} exited with {} posted receive(s) never waited on",
@@ -303,17 +304,12 @@ impl RankCtx {
         if self.recorder.enabled() && !self.phase.borrow().is_empty() {
             self.recorder.end_at(now, 0);
         }
-        self.recorder.take()
+        (self.recorder.take(), self.stats.take())
     }
 
     /// The current phase label.
     pub fn phase(&self) -> String {
         self.phase.borrow().clone()
-    }
-
-    /// True when this rank runs under virtual time ([`World::run_sim`]).
-    pub fn is_sim(&self) -> bool {
-        self.sim.is_some()
     }
 
     /// Ranks per node under the block mapping (`node = world_rank /
@@ -400,7 +396,7 @@ impl RankCtx {
     }
 
     pub(crate) fn record_send(&self, dst_world: usize, bytes: u64) {
-        self.fabric.traffic[self.world_rank].record_send(
+        self.stats.borrow_mut().record_send(
             &self.phase.borrow(),
             self.coll.get(),
             dst_world,
@@ -409,12 +405,9 @@ impl RankCtx {
     }
 
     pub(crate) fn record_recv(&self, src_world: usize, bytes: u64, wait_secs: f64) {
-        self.fabric.traffic[self.world_rank].record_recv(
-            &self.phase.borrow(),
-            src_world,
-            bytes,
-            wait_secs,
-        );
+        self.stats
+            .borrow_mut()
+            .record_recv(&self.phase.borrow(), src_world, bytes, wait_secs);
     }
 
     /// Marks `algo` as the collective running on this rank until the guard
@@ -546,10 +539,11 @@ pub(crate) struct RunSetup {
 }
 
 /// What one rank hands back from [`run_rank`]: its closure's result plus
-/// the trace stream, final virtual clock, and kernel profile the report
-/// assembler needs.
+/// the counters, trace stream, final virtual clock, and kernel profile the
+/// report assembler needs.
 pub(crate) struct RankOutput<R> {
     result: R,
+    stats: RankStats,
     events: Vec<RawEvent>,
     clock: f64,
     profile: Option<dense::prof::KernelProfile>,
@@ -577,56 +571,45 @@ impl RunSetup {
         (setup, receivers)
     }
 
-    /// Aggregates the fabric counters and every rank's output (in rank
-    /// order) into the per-rank results and the run's [`RunReport`].
+    /// Aggregates every rank's output (in rank order) into the per-rank
+    /// results and the run's [`RunReport`].
     pub(crate) fn assemble_report<R>(&self, outputs: Vec<RankOutput<R>>) -> (Vec<R>, RunReport) {
-        let fabric = &self.fabric;
-        let p = fabric.traffic.len();
+        let p = outputs.len();
+        let mut results = Vec::with_capacity(p);
         let mut per_rank = Vec::with_capacity(p);
+        let mut secs_per_rank = Vec::with_capacity(p);
         let mut wait_per_rank = Vec::with_capacity(p);
         let mut matrix = CommMatrix::new(p);
         let mut hist_by_phase: BTreeMap<String, SizeHistogram> = BTreeMap::new();
         let mut hist_by_algo: BTreeMap<String, SizeHistogram> = BTreeMap::new();
-        for (rank, t) in fabric.traffic.iter().enumerate() {
-            // The fabric serves one run, so its counters move into the report.
-            let mut st = lock_mutex(&t.stats);
-            per_rank.push(std::mem::take(&mut st.by_phase));
-            wait_per_rank.push(std::mem::take(&mut st.wait_by_phase));
-            matrix.set_rows(
-                rank,
-                std::mem::take(&mut st.sent_to),
-                std::mem::take(&mut st.recv_from),
-            );
+        let mut streams = Vec::with_capacity(p);
+        let mut makespan_secs = 0.0f64;
+        let mut profiles = Vec::with_capacity(p);
+        for (rank, out) in outputs.into_iter().enumerate() {
+            let st = out.stats;
+            per_rank.push(st.by_phase);
+            secs_per_rank.push(st.secs_by_phase);
+            wait_per_rank.push(st.wait_by_phase);
+            matrix.set_rows(rank, st.sent_to, st.recv_from);
             for (k, h) in &st.hist_by_phase {
                 hist_by_phase.entry(k.clone()).or_default().merge(h);
             }
             for (k, h) in &st.hist_by_algo {
                 hist_by_algo.entry(k.clone()).or_default().merge(h);
             }
-        }
-        let traffic = TrafficReport {
-            per_rank,
-            secs_per_rank: fabric
-                .times
-                .iter()
-                .map(|t| std::mem::take(&mut *lock_mutex(t)))
-                .collect(),
-            wait_per_rank,
-            matrix,
-            hist_by_phase,
-            hist_by_algo,
-        };
-
-        let mut results = Vec::with_capacity(p);
-        let mut streams = Vec::with_capacity(p);
-        let mut makespan_secs = 0.0f64;
-        let mut profiles = Vec::with_capacity(p);
-        for out in outputs {
             results.push(out.result);
             streams.push(out.events);
             makespan_secs = makespan_secs.max(out.clock);
             profiles.push(out.profile);
         }
+        let traffic = TrafficReport {
+            per_rank,
+            secs_per_rank,
+            wait_per_rank,
+            matrix,
+            hist_by_phase,
+            hist_by_algo,
+        };
         let timeline = if self.trace {
             Timeline::from_raw(streams)
         } else {
@@ -697,7 +680,7 @@ pub(crate) fn run_rank<R>(
     // Closed even when `f` panicked, so a capture cannot leak into the next
     // job on this thread.
     let profile = setup.gemm_prof.then(dense::prof::end_capture).flatten();
-    let (result, events, clock) = ran.map_err(|e| {
+    let (result, (events, stats), clock) = ran.map_err(|e| {
         e.downcast_ref::<String>()
             .map(String::as_str)
             .or_else(|| e.downcast_ref::<&str>().copied())
@@ -706,6 +689,7 @@ pub(crate) fn run_rank<R>(
     })?;
     Ok(RankOutput {
         result,
+        stats,
         events,
         clock,
         profile,

@@ -8,8 +8,8 @@
 
 use dense::Shape64;
 use msgpass::collectives::{
-    allgatherv, allgatherv_mode, allreduce, alltoallv, barrier, bcast, bcast_large, gatherv,
-    neighbor_alltoallv, reduce_scatter, reduce_scatter_mode, Collectives,
+    allgatherv, allgatherv_mode, allreduce, barrier, bcast, bcast_large, neighbor_alltoallv,
+    reduce_scatter, reduce_scatter_mode, Collectives,
 };
 use msgpass::{Comm, RankCtx, RunOptions, RunReport, SimOptions, World};
 use netmodel::{Machine, Placement};
@@ -97,27 +97,9 @@ proptest! {
         }
     }
 
-    #[test]
-    fn alltoallv_transposes(p in 1usize..8, w in 0usize..5) {
-        let got = World::run(p, move |ctx| {
-            let comm = Comm::world(ctx);
-            let me = comm.rank();
-            // send to rank j a vector of length (j + w) % (w+2) tagged with (me, j)
-            let sends: Vec<Vec<u64>> = (0..p)
-                .map(|j| vec![(me * 1000 + j) as u64; (j + w) % (w + 2)])
-                .collect();
-            alltoallv(&comm, ctx, sends)
-        });
-        for (me, recvs) in got.iter().enumerate() {
-            for (src, r) in recvs.iter().enumerate() {
-                prop_assert_eq!(r.len(), (me + w) % (w + 2));
-                prop_assert!(r.iter().all(|&v| v == (src * 1000 + me) as u64));
-            }
-        }
-    }
-
-    /// The sparse exchange delivers what the dense one delivers on the
-    /// same pattern (self edges included), under wall and virtual time.
+    /// The sparse exchange delivers what the dense one — every peer named,
+    /// empty payloads included — delivers on the same pattern (self edges
+    /// included), under wall and virtual time.
     #[test]
     fn neighbor_alltoallv_is_alltoallv_on_the_pattern(
         p in 1usize..8,
@@ -129,7 +111,9 @@ proptest! {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let payload = |j: usize| vec![(me * 1000 + j) as u64; (j + w) % (w + 2)];
-            let dense = alltoallv(&comm, ctx, (0..p).map(payload).collect());
+            let everyone: Vec<usize> = (0..p).collect();
+            let all = everyone.iter().map(|&d| (d, payload(d))).collect();
+            let dense = neighbor_alltoallv(&comm, ctx, all, &everyone);
             let sends = (0..p).filter(|&d| edge(me, d)).map(|d| (d, payload(d))).collect();
             let sources: Vec<usize> = (0..p).filter(|&s| edge(s, me)).collect();
             let sparse = neighbor_alltoallv(&comm, ctx, sends, &sources);
@@ -157,27 +141,6 @@ proptest! {
         let want: Vec<u32> = (0..len as u32).map(|i| i * 3 + 1).collect();
         for g in got {
             prop_assert_eq!(&g, &want);
-        }
-    }
-
-    #[test]
-    fn gatherv_collects_in_order(p in 1usize..8, root_sel in 0usize..8) {
-        let root = root_sel % p;
-        let got = World::run(p, move |ctx| {
-            let comm = Comm::world(ctx);
-            let mine = vec![comm.rank() as u16; comm.rank()];
-            gatherv(&comm, ctx, mine, root)
-        });
-        for (r, g) in got.iter().enumerate() {
-            if r == root {
-                let g = g.as_ref().unwrap();
-                for (src, v) in g.iter().enumerate() {
-                    prop_assert_eq!(v.len(), src);
-                    prop_assert!(v.iter().all(|&x| x as usize == src));
-                }
-            } else {
-                prop_assert!(g.is_none());
-            }
         }
     }
 
