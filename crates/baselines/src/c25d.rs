@@ -107,8 +107,20 @@ impl C25d {
         self.geo.layout_c()
     }
 
-    /// Native-layout multiply. Collective over `world`.
+    /// Blocking façade over [`C25d::multiply_native_async`], kept for the frozen
+    /// benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
     pub fn multiply_native<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        a_init: Option<Mat<T>>,
+        b_init: Option<Mat<T>>,
+    ) -> Option<Mat<T>> {
+        ctx.block_on(self.multiply_native_async(ctx, world, a_init, b_init))
+    }
+
+    /// Native-layout multiply. Collective over `world`.
+    pub async fn multiply_native_async<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
@@ -119,20 +131,23 @@ impl C25d {
         let comms = self.geo.comms(ctx, world)?;
         let ((_, _, l), flat) = (comms.at(), Collectives::Flat);
         let native = self.native(comms.at());
-        let c_strip = comms.multiply_native(ctx, [a_init, b_init], native, flat, |[a, b]| {
-            // Replicate A and B from layer 0 along the layer axis.
-            ctx.set_phase("replicate_ab");
-            let layers = comms.of(Family::Depth);
-            let a_blk: Mat<T> = bcast(layers, ctx, 0, a);
-            let b_blk: Mat<T> = bcast(layers, ctx, 0, b);
-            // This layer's s/c Cannon rounds, blocking and one GEMM per
-            // round (CTF overlaps nothing).
-            ctx.set_phase("cannon_shift");
-            let mut c_partial = Mat::zeros(a_blk.rows(), b_blk.cols());
-            let (tile, window) = (comms.of(Family::Tile), (l * steps, steps));
-            cannon_multi_shift(ctx, tile, s, window, a_blk, b_blk, &mut c_partial, 0, false);
-            c_partial
-        });
+        let c_strip = comms
+            .multiply_native(ctx, [a_init, b_init], native, flat, async |[a, b]| {
+                // Replicate A and B from layer 0 along the layer axis.
+                ctx.set_phase("replicate_ab");
+                let layers = comms.of(Family::Depth);
+                let a_blk: Mat<T> = bcast(layers, ctx, 0, a).await;
+                let b_blk: Mat<T> = bcast(layers, ctx, 0, b).await;
+                // This layer's s/c Cannon rounds, blocking and one GEMM per
+                // round (CTF overlaps nothing).
+                ctx.set_phase("cannon_shift");
+                let mut c_partial = Mat::zeros(a_blk.rows(), b_blk.cols());
+                let (tile, window) = (comms.of(Family::Tile), (l * steps, steps));
+                cannon_multi_shift(ctx, tile, s, window, a_blk, b_blk, &mut c_partial, 0, false)
+                    .await;
+                c_partial
+            })
+            .await;
         Some(c_strip)
     }
 

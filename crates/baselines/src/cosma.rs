@@ -20,7 +20,7 @@ use dense::part::split_even;
 use dense::{Mat, Scalar};
 use gridopt::{cosma_grid, Grid, Problem};
 use layout::Layout;
-use msgpass::collectives::{allgatherv, Collectives};
+use msgpass::collectives::{allgatherv_mode, Collectives};
 use msgpass::{Comm, RankCtx};
 use netmodel::machine::Placement;
 use netmodel::{NetGroup, Phase, Schedule};
@@ -63,9 +63,21 @@ impl CosmaLike {
         self.geo.layout_c()
     }
 
+    /// Blocking façade over [`CosmaLike::multiply_native_async`], kept for the
+    /// frozen benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
+    pub fn multiply_native<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        a_init: Option<Mat<T>>,
+        b_init: Option<Mat<T>>,
+    ) -> Option<Mat<T>> {
+        ctx.block_on(self.multiply_native_async(ctx, world, a_init, b_init))
+    }
+
     /// Native-layout multiply (the §III-C procedure). Collective over
     /// `world`; idle ranks pass `None` and get `None`.
-    pub fn multiply_native<T: Scalar>(
+    pub async fn multiply_native_async<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
@@ -75,24 +87,26 @@ impl CosmaLike {
         let (geo, Grid { pm, pn, .. }) = (&self.geo, *self.geo.grid());
         let comms = geo.comms(ctx, world)?;
         let (at, flat) = (comms.at(), Collectives::Flat);
-        let c_strip = comms.multiply_native(ctx, [a_init, b_init], geo.slices(at), flat, |ab| {
-            let [Some(a_slice), Some(b_slice)] = ab else {
-                unreachable!("every position holds an A and a B slice")
-            };
-            // Replicate A across the row (allgather of column-slices) and
-            // B across the column (allgather of row-slices).
-            ctx.set_phase("replicate_ab");
-            let (i, j, kt) = at;
-            let (a_blk, b_blk) = (geo.a_block(i, kt), geo.b_block(j, kt));
-            let (row, a_widths) = (comms.of(Family::Row), split_even(a_blk.cols, pn));
-            let a_full = replicate_block(ctx, row, a_slice, a_blk.rows, &a_widths, flat);
-            let (col, b_heights) = (comms.of(Family::Col), split_even(b_blk.rows, pm));
-            let b_full = gather_row_slices(ctx, col, b_slice, b_blk.cols, &b_heights);
-            ctx.set_phase("local_gemm");
-            let mut c_partial = Mat::zeros(a_full.rows(), b_full.cols());
-            charged_gemm(ctx, &a_full, &b_full, &mut c_partial);
-            c_partial
-        });
+        let c_strip = comms
+            .multiply_native(ctx, [a_init, b_init], geo.slices(at), flat, async |ab| {
+                let [Some(a_slice), Some(b_slice)] = ab else {
+                    unreachable!("every position holds an A and a B slice")
+                };
+                // Replicate A across the row (allgather of column-slices) and
+                // B across the column (allgather of row-slices).
+                ctx.set_phase("replicate_ab");
+                let (i, j, kt) = at;
+                let (a_blk, b_blk) = (geo.a_block(i, kt), geo.b_block(j, kt));
+                let (row, a_widths) = (comms.of(Family::Row), split_even(a_blk.cols, pn));
+                let a_full = replicate_block(ctx, row, a_slice, a_blk.rows, &a_widths, flat).await;
+                let (col, b_heights) = (comms.of(Family::Col), split_even(b_blk.rows, pm));
+                let b_full = gather_row_slices(ctx, col, b_slice, b_blk.cols, &b_heights).await;
+                ctx.set_phase("local_gemm");
+                let mut c_partial = Mat::zeros(a_full.rows(), b_full.cols());
+                charged_gemm(ctx, &a_full, &b_full, &mut c_partial);
+                c_partial
+            })
+            .await;
         Some(c_strip)
     }
 
@@ -160,7 +174,7 @@ impl CosmaLike {
 
 /// Allgather of row-slices into a full block — row-major rows are
 /// contiguous, so this is a straight concatenation.
-fn gather_row_slices<T: Scalar>(
+async fn gather_row_slices<T: Scalar>(
     ctx: &RankCtx,
     comm: &Comm,
     mine: Mat<T>,
@@ -171,7 +185,7 @@ fn gather_row_slices<T: Scalar>(
         return mine;
     }
     let counts: Vec<usize> = heights.iter().map(|h| h * cols).collect();
-    let data = allgatherv(comm, ctx, mine.into_vec(), &counts);
+    let data = allgatherv_mode(Collectives::Flat, comm, ctx, mine.into_vec(), &counts).await;
     Mat::from_vec(heights.iter().sum(), cols, data)
 }
 

@@ -61,7 +61,7 @@ impl Orig3d {
     }
 
     /// Native-layout multiply. Collective over `world`.
-    pub fn multiply_native<T: Scalar>(
+    pub async fn multiply_native_async<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
@@ -71,26 +71,33 @@ impl Orig3d {
         let geo = &self.geo;
         let comms = geo.comms(ctx, world)?;
         let (at, flat) = (comms.at(), Collectives::Flat);
-        let c_strip =
-            comms.multiply_native(ctx, [a_init, b_init], self.native(at), flat, |[a, b]| {
-                // Broadcast A(i, l) from the owner column j = l along the row
-                // and B(l, j) from the owner row i = l along the column. Every
-                // member derives the block shape from the partition arithmetic,
-                // so the large-message scatter+allgather broadcast (the one
-                // T_broadcast prices) applies.
-                ctx.set_phase("replicate_ab");
-                let (i, j, l) = at;
-                let (a_blk, b_blk) = (geo.a_block(i, l), geo.b_block(j, l));
-                let (row, col) = (comms.of(Family::Row), comms.of(Family::Col));
-                let a_data = bcast_large(row, ctx, l, a.map(Mat::into_vec), a_blk.area());
-                let b_data = bcast_large(col, ctx, l, b.map(Mat::into_vec), b_blk.area());
-                let a_full = Mat::from_vec(a_blk.rows, a_blk.cols, a_data);
-                let b_full = Mat::from_vec(b_blk.rows, b_blk.cols, b_data);
-                ctx.set_phase("local_gemm");
-                let mut c_partial = Mat::zeros(a_full.rows(), b_full.cols());
-                charged_gemm(ctx, &a_full, &b_full, &mut c_partial);
-                c_partial
-            });
+        let c_strip = comms
+            .multiply_native(
+                ctx,
+                [a_init, b_init],
+                self.native(at),
+                flat,
+                async |[a, b]| {
+                    // Broadcast A(i, l) from the owner column j = l along the row
+                    // and B(l, j) from the owner row i = l along the column. Every
+                    // member derives the block shape from the partition arithmetic,
+                    // so the large-message scatter+allgather broadcast (the one
+                    // T_broadcast prices) applies.
+                    ctx.set_phase("replicate_ab");
+                    let (i, j, l) = at;
+                    let (a_blk, b_blk) = (geo.a_block(i, l), geo.b_block(j, l));
+                    let (row, col) = (comms.of(Family::Row), comms.of(Family::Col));
+                    let a_data = bcast_large(row, ctx, l, a.map(Mat::into_vec), a_blk.area()).await;
+                    let b_data = bcast_large(col, ctx, l, b.map(Mat::into_vec), b_blk.area()).await;
+                    let a_full = Mat::from_vec(a_blk.rows, a_blk.cols, a_data);
+                    let b_full = Mat::from_vec(b_blk.rows, b_blk.cols, b_data);
+                    ctx.set_phase("local_gemm");
+                    let mut c_partial = Mat::zeros(a_full.rows(), b_full.cols());
+                    charged_gemm(ctx, &a_full, &b_full, &mut c_partial);
+                    c_partial
+                },
+            )
+            .await;
         Some(c_strip)
     }
 }

@@ -33,7 +33,7 @@ use msgpass::{Comm, RankCtx};
 /// Panels are the refinement of the two k-partitions, so `pr` and `pc` may
 /// be arbitrary (and k need not divide either). The product is accumulated
 /// into `c_out`.
-pub fn summa<T: Scalar>(
+pub async fn summa<T: Scalar>(
     ctx: &RankCtx,
     row_comm: &Comm,
     col_comm: &Comm,
@@ -79,7 +79,7 @@ pub fn summa<T: Scalar>(
                 let local = Rect::new(0, k0 - a_offs[j], a_blk.rows(), k1 - k0);
                 a_blk.block(local).into_vec()
             });
-            let data = bcast_large(row_comm, ctx, ca, mine, a_blk.rows() * (k1 - k0));
+            let data = bcast_large(row_comm, ctx, ca, mine, a_blk.rows() * (k1 - k0)).await;
             Mat::from_vec(a_blk.rows(), k1 - k0, data)
         };
         // Broadcast the B panel within the grid column.
@@ -89,7 +89,7 @@ pub fn summa<T: Scalar>(
                 let local = Rect::new(k0 - b_offs[i], 0, k1 - k0, b_blk.cols());
                 b_blk.block(local).into_vec()
             });
-            let data = bcast_large(col_comm, ctx, rb, mine, (k1 - k0) * b_blk.cols());
+            let data = bcast_large(col_comm, ctx, rb, mine, (k1 - k0) * b_blk.cols()).await;
             Mat::from_vec(k1 - k0, b_blk.cols(), data)
         };
         charged_gemm(ctx, &a_panel, &b_panel, c_out);
@@ -138,7 +138,7 @@ impl Ca3dmmSumma {
 
     /// Steps 5–7 with SUMMA: native-layout multiply. Collective over
     /// `world`; idle ranks pass `None` and get `None`.
-    pub fn multiply_native<T: Scalar>(
+    pub async fn multiply_native_async<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
@@ -148,17 +148,19 @@ impl Ca3dmmSumma {
         let comms = self.geo.comms(ctx, world)?;
         let (at, flat) = (comms.at(), Collectives::Flat);
         let native = self.geo.slices(at);
-        let c_strip = comms.multiply_native(ctx, [a_init, b_init], native, flat, |ab| {
-            let [Some(a), Some(b)] = ab else {
-                unreachable!("every position holds an A and a B block")
-            };
-            ctx.set_phase("summa_bcast");
-            let k_kt = self.geo.a_block(at.0, at.2).cols;
-            let (row, col) = (comms.of(Family::Row), comms.of(Family::Col));
-            let mut c_partial = Mat::zeros(a.rows(), b.cols());
-            summa(ctx, row, col, k_kt, &a, &b, &mut c_partial);
-            c_partial
-        });
+        let c_strip = comms
+            .multiply_native(ctx, [a_init, b_init], native, flat, async |ab| {
+                let [Some(a), Some(b)] = ab else {
+                    unreachable!("every position holds an A and a B block")
+                };
+                ctx.set_phase("summa_bcast");
+                let k_kt = self.geo.a_block(at.0, at.2).cols;
+                let (row, col) = (comms.of(Family::Row), comms.of(Family::Col));
+                let mut c_partial = Mat::zeros(a.rows(), b.cols());
+                summa(ctx, row, col, k_kt, &a, &b, &mut c_partial).await;
+                c_partial
+            })
+            .await;
         Some(c_strip)
     }
 }
@@ -188,8 +190,8 @@ impl SummaPgemm {
         self.0.layout_c()
     }
 
-    /// Native-layout multiply. Collective over `world`; ranks beyond the
-    /// grid pass `None`.
+    /// Blocking façade over [`SummaPgemm::multiply_native_async`], kept for the
+    /// frozen benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
     pub fn multiply_native<T: Scalar>(
         &self,
         ctx: &RankCtx,
@@ -197,7 +199,21 @@ impl SummaPgemm {
         a_init: Option<Mat<T>>,
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
-        self.0.multiply_native(ctx, world, a_init, b_init)
+        ctx.block_on(self.multiply_native_async(ctx, world, a_init, b_init))
+    }
+
+    /// Native-layout multiply. Collective over `world`; ranks beyond the
+    /// grid pass `None`.
+    pub async fn multiply_native_async<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        a_init: Option<Mat<T>>,
+        b_init: Option<Mat<T>>,
+    ) -> Option<Mat<T>> {
+        self.0
+            .multiply_native_async(ctx, world, a_init, b_init)
+            .await
     }
 }
 
@@ -211,7 +227,7 @@ mod tests {
     use msgpass::World;
 
     fn check_summa_kernel(m: usize, n: usize, k: usize, pr: usize, pc: usize) {
-        let results = World::run(pr * pc, |ctx| {
+        let results = World::run(pr * pc, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             let (i, j) = (me % pr, me / pr);
@@ -230,7 +246,7 @@ mod tests {
             let a = global_block::<f64>(5, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
             let b = global_block::<f64>(6, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
             let mut c = Mat::zeros(r1 - r0, c1 - c0);
-            summa(ctx, &row_comm, &col_comm, k, &a, &b, &mut c);
+            summa(ctx, &row_comm, &col_comm, k, &a, &b, &mut c).await;
             (i, j, c)
         });
         let a_full = global_block::<f64>(5, Rect::new(0, 0, m, k));

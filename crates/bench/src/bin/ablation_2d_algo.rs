@@ -91,12 +91,12 @@ fn main() {
         let gc = alg_c.grid_context();
         let (la, lb) = (gc.layout_a(), gc.layout_b());
         let t = Instant::now();
-        let (_, rep_c) = World::run_traced(p, |ctx| {
+        let (_, rep_c) = World::run_traced(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             let a = la.extract(&a_full, me).into_iter().next();
             let b = lb.extract(&b_full, me).into_iter().next();
-            let _: Option<Mat<f64>> = alg_c.multiply_native(ctx, &world, a, b);
+            let _: Option<Mat<f64>> = alg_c.multiply_native_async(ctx, &world, a, b).await;
         });
         let t_c = t.elapsed().as_secs_f64() * 1e3;
 
@@ -104,12 +104,12 @@ fn main() {
         let alg_s = Ca3dmmSumma::new(prob, Some(grid));
         let (la, lb) = (alg_s.layout_a(), alg_s.layout_b());
         let t = Instant::now();
-        let (_, rep_s) = World::run_traced(p, |ctx| {
+        let (_, rep_s) = World::run_traced(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             let a = la.extract(&a_full, me).into_iter().next();
             let b = lb.extract(&b_full, me).into_iter().next();
-            let _: Option<Mat<f64>> = alg_s.multiply_native(ctx, &world, a, b);
+            let _: Option<Mat<f64>> = alg_s.multiply_native_async(ctx, &world, a, b).await;
         });
         let t_s = t.elapsed().as_secs_f64() * 1e3;
 

@@ -62,12 +62,12 @@ fn traced_run(
         ranks,
         dense::pool::base_gemm_threads()
     );
-    let (_, report) = World::run_opts(ranks, opts, |ctx| {
+    let (_, report) = World::run_opts(ranks, opts, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
     });
 
     println!(

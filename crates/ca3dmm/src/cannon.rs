@@ -54,7 +54,7 @@ pub fn charged_gemm<T: Scalar>(ctx: &RankCtx, a: &Mat<T>, b: &Mat<T>, c_out: &mu
 /// The initial skew to round `off`: A(i, j) moves left by `i + off`,
 /// B(i, j) up by `j + off`, so position `(i, j)` holds `A(i, i+j+off)` and
 /// `B(i+j+off, j)`.
-fn skew<T: Scalar>(
+async fn skew<T: Scalar>(
     ctx: &RankCtx,
     group: &Comm,
     s: usize,
@@ -65,15 +65,15 @@ fn skew<T: Scalar>(
     let (i, j) = (group.rank() % s, group.rank() / s);
     let idx = |ii: usize, jj: usize| ii + jj * s;
     let (by_a, by_b) = ((i + off) % s, (j + off) % s);
-    let shift = |by: usize, dst: usize, src: usize, tag: u64, blk: Mat<T>| match by {
+    let shift = async |by: usize, dst: usize, src: usize, tag: u64, blk: Mat<T>| match by {
         0 => blk,
-        _ => group.sendrecv(ctx, dst, src, tag, blk),
+        _ => group.sendrecv(ctx, dst, src, tag, blk).await,
     };
     let (a_dst, a_src) = (idx(i, (j + s - by_a) % s), idx(i, (j + by_a) % s));
     let (b_dst, b_src) = (idx((i + s - by_b) % s, j), idx((i + by_b) % s, j));
     (
-        shift(by_a, a_dst, a_src, TAG_A, a0),
-        shift(by_b, b_dst, b_src, TAG_B, b0),
+        shift(by_a, a_dst, a_src, TAG_A, a0).await,
+        shift(by_b, b_dst, b_src, TAG_B, b0).await,
     )
 }
 
@@ -113,7 +113,7 @@ fn skew<T: Scalar>(
 /// costs one refcount bump, and the received block is adopted without
 /// copying.
 #[allow(clippy::too_many_arguments)]
-pub fn cannon_multi_shift<T: Scalar>(
+pub async fn cannon_multi_shift<T: Scalar>(
     ctx: &RankCtx,
     group: &Comm,
     s: usize,
@@ -128,7 +128,7 @@ pub fn cannon_multi_shift<T: Scalar>(
     assert!(steps >= 1 && off + steps <= s, "round window outside 0..s");
     let (i, j) = (group.rank() % s, group.rank() / s);
     let idx = |ii: usize, jj: usize| ii + jj * s;
-    let (a_skewed, b_skewed) = skew(ctx, group, s, off, a0, b0);
+    let (a_skewed, b_skewed) = skew(ctx, group, s, off, a0, b0).await;
     let (mut a_cur, mut b_cur) = (Arc::new(a_skewed), Arc::new(b_skewed));
     let (a_dst, a_src) = (idx(i, (j + s - 1) % s), idx(i, (j + 1) % s));
     let (b_dst, b_src) = (idx((i + s - 1) % s, j), idx((i + 1) % s, j));
@@ -155,8 +155,12 @@ pub fn cannon_multi_shift<T: Scalar>(
             group.isend(ctx, b_dst, TAG_B, Arc::clone(&b_cur));
             Some(Next::Posted(ra, rb))
         } else {
-            let a_next = group.sendrecv(ctx, a_dst, a_src, TAG_A, Arc::clone(&a_cur));
-            let b_next = group.sendrecv(ctx, b_dst, b_src, TAG_B, Arc::clone(&b_cur));
+            let a_next = group
+                .sendrecv(ctx, a_dst, a_src, TAG_A, Arc::clone(&a_cur))
+                .await;
+            let b_next = group
+                .sendrecv(ctx, b_dst, b_src, TAG_B, Arc::clone(&b_cur))
+                .await;
             Some(Next::Ready(a_next, b_next))
         };
         batched_k += a_cur.cols();
@@ -171,8 +175,8 @@ pub fn cannon_multi_shift<T: Scalar>(
                 b_cur = b;
             }
             Some(Next::Posted(ra, rb)) => {
-                a_cur = ra.wait(ctx);
-                b_cur = rb.wait(ctx);
+                a_cur = ra.wait(ctx).await;
+                b_cur = rb.wait(ctx).await;
             }
             None => break,
         }
@@ -275,7 +279,7 @@ mod tests {
         c_init: f64,
     ) {
         let steps = s / windows;
-        let results = World::run(s * s, |ctx| {
+        let results = World::run(s * s, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let (i, j) = (me % s, me / s);
@@ -283,7 +287,7 @@ mod tests {
             for l in 0..windows {
                 let window = (l * steps, steps);
                 let (a, b) = (a.clone(), b.clone());
-                cannon_multi_shift(ctx, &comm, s, window, a, b, &mut c, min_k, overlap);
+                cannon_multi_shift(ctx, &comm, s, window, a, b, &mut c, min_k, overlap).await;
             }
             (i, j, c)
         });
@@ -389,13 +393,13 @@ mod tests {
     /// `cannon_shift`.
     fn traced(min_k: usize, overlap: bool) -> msgpass::RunReport {
         let (s, m) = (3, 9);
-        let (_, report) = World::run_traced(s * s, |ctx| {
+        let (_, report) = World::run_traced(s * s, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("cannon_shift");
             let me = comm.rank();
             let (i, j) = (me % s, me / s);
             let (a, b, mut c) = natural_blocks(m, m, m, s, i, j, 0.0);
-            cannon_multi_shift(ctx, &comm, s, (0, s), a, b, &mut c, min_k, overlap);
+            cannon_multi_shift(ctx, &comm, s, (0, s), a, b, &mut c, min_k, overlap).await;
         });
         report
     }

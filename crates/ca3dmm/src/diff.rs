@@ -260,12 +260,12 @@ mod tests {
         let (la, lb) = (gc.layout_a(), gc.layout_b());
         let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
         let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-        let (_, report) = World::run_traced(p, |ctx| {
+        let (_, report) = World::run_traced(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             let a = la.extract(&a_full, me).into_iter().next();
             let b = lb.extract(&b_full, me).into_iter().next();
-            let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+            let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
         });
         let machine = Machine::uniform();
         let placement = machine.pure_mpi();
@@ -312,12 +312,12 @@ mod tests {
         let (la, lb) = (gc.layout_a(), gc.layout_b());
         let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
         let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-        let (_, report) = World::run_traced(p, |ctx| {
+        let (_, report) = World::run_traced(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             let a = la.extract(&a_full, me).into_iter().next();
             let b = lb.extract(&b_full, me).into_iter().next();
-            let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+            let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
         });
         let machine = Machine::uniform();
         let placement = machine.pure_mpi();

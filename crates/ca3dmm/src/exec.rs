@@ -11,6 +11,7 @@ use gridopt::{ca3dmm_grid, Grid, Problem, DEFAULT_UTILIZATION_FLOOR};
 use layout::Layout;
 use msgpass::collectives::Collectives;
 use msgpass::{Comm, RankCtx};
+use std::sync::OnceLock;
 
 /// Tuning knobs of a CA3DMM run.
 #[derive(Clone, Copy, Debug)]
@@ -71,6 +72,10 @@ pub struct Ca3dmm {
     /// Wall seconds the step-1 grid search took (0 for a forced grid).
     /// Re-running the search is exactly the cost a plan cache amortizes.
     grid_search_secs: f64,
+    /// The native `[A, B, C]` layouts, built by the first [`Ca3dmm::multiply`]
+    /// and shared by every rank after it: validating a layout is quadratic
+    /// in `P`, too much to repeat on each of `P` ranks.
+    native_layouts: OnceLock<[Layout; 3]>,
 }
 
 impl Ca3dmm {
@@ -94,6 +99,7 @@ impl Ca3dmm {
             overlap: opts.overlap,
             collectives: opts.collectives,
             grid_search_secs: search_secs,
+            native_layouts: OnceLock::new(),
         }
     }
 
@@ -205,7 +211,7 @@ impl Ca3dmm {
     /// that layout; likewise for `B`. Returns this rank's blocks of `C` in
     /// `c_layout`.
     #[allow(clippy::too_many_arguments)]
-    pub fn multiply<T: Scalar>(
+    pub async fn multiply<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
@@ -219,15 +225,21 @@ impl Ca3dmm {
     ) -> Vec<Mat<T>> {
         let gc = &self.gc;
         let comms = self.comms(ctx, world);
+        let [na, nb, nc] =
+            (self.native_layouts).get_or_init(|| [gc.layout_a(), gc.layout_b(), gc.layout_c()]);
         layout::multiply_in_layouts(
             world,
             ctx,
             (op_a, a_layout, a_blocks),
             (op_b, b_layout, b_blocks),
             c_layout,
-            [&gc.layout_a(), &gc.layout_b(), &gc.layout_c()],
-            |a, b| self.multiply_native_in(ctx, world, &comms, a, b),
+            [na, nb, nc],
+            async |a, b| {
+                self.multiply_native_in_async(ctx, world, &comms, a, b)
+                    .await
+            },
         )
+        .await
     }
 
     /// Builds the three sub-communicators of this grid (Cannon, replication
@@ -241,6 +253,18 @@ impl Ca3dmm {
         self.gc.geo().comms(ctx, world)
     }
 
+    /// Blocking façade over [`Ca3dmm::multiply_native_async`], kept for the frozen
+    /// benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
+    pub fn multiply_native<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        a_init: Option<Mat<T>>,
+        b_init: Option<Mat<T>>,
+    ) -> Option<Mat<T>> {
+        ctx.block_on(self.multiply_native_async(ctx, world, a_init, b_init))
+    }
+
     /// Steps 5–7 only: inputs already in the native layouts
     /// ([`GridContext::layout_a`] / [`GridContext::layout_b`]), output left
     /// in the native C layout. This is the configuration §III-D analyses
@@ -250,7 +274,7 @@ impl Ca3dmm {
     /// Collective over `world`. Active ranks pass their initial block
     /// (`None` if their native rectangle is empty) and receive their final
     /// C strip; idle ranks pass `None` and receive `None`.
-    pub fn multiply_native<T: Scalar>(
+    pub async fn multiply_native_async<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
@@ -258,7 +282,21 @@ impl Ca3dmm {
         b_init: Option<Mat<T>>,
     ) -> Option<Mat<T>> {
         let comms = self.comms(ctx, world);
-        self.multiply_native_in(ctx, world, &comms, a_init, b_init)
+        self.multiply_native_in_async(ctx, world, &comms, a_init, b_init)
+            .await
+    }
+
+    /// Blocking façade over [`Ca3dmm::multiply_native_in_async`], kept for the
+    /// frozen benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
+    pub fn multiply_native_in<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        comms: &Option<GridComms>,
+        a_init: Option<Mat<T>>,
+        b_init: Option<Mat<T>>,
+    ) -> Option<Mat<T>> {
+        ctx.block_on(self.multiply_native_in_async(ctx, world, comms, a_init, b_init))
     }
 
     /// Steps 5–7 with caller-provided sub-communicators (see
@@ -266,7 +304,7 @@ impl Ca3dmm {
     /// unified driver ([`GridComms::multiply_native`]) with CA3DMM's
     /// closure — allgather the replicated operand over the `c` peers, then
     /// Cannon on the tile.
-    pub fn multiply_native_in<T: Scalar>(
+    pub async fn multiply_native_in_async<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
@@ -278,21 +316,21 @@ impl Ca3dmm {
         debug_assert_eq!(gc.geo().coord(world.rank()), Some(comms.at()));
         let coord = gc.coord_at(comms.at());
         let (init, native) = ([a_init, b_init], gc.native(comms.at()));
-        let partial_c = |ab: [Option<Mat<T>>; 2]| {
+        let partial_c = async |ab: [Option<Mat<T>>; 2]| {
             let [Some(a_blk), Some(b_blk)] = ab else {
                 unreachable!("every position holds an A and a B block")
             };
             // Step 5: replicate A or B across the Cannon groups.
             ctx.set_phase("replicate_ab");
-            let replicate = |slice: Mat<T>, blk: Rect| {
+            let replicate = async |slice: Mat<T>, blk: Rect| {
                 let widths = split_even(blk.cols, gc.c);
                 let peers = comms.of(Family::Peers);
-                replicate_block(ctx, peers, slice, blk.rows, &widths, self.collectives)
+                replicate_block(ctx, peers, slice, blk.rows, &widths, self.collectives).await
             };
             let (a_full, b_full) = if gc.a_replicated {
-                (replicate(a_blk, gc.a_block(&coord)), b_blk)
+                (replicate(a_blk, gc.a_block(&coord)).await, b_blk)
             } else {
-                (a_blk, replicate(b_blk, gc.b_block(&coord)))
+                (a_blk, replicate(b_blk, gc.b_block(&coord)).await)
             };
             // Step 6: Cannon within the group.
             ctx.set_phase("cannon_shift");
@@ -307,16 +345,23 @@ impl Ca3dmm {
                 &mut c_partial,
                 self.multi_shift_min_k,
                 self.overlap,
-            );
+            )
+            .await;
             c_partial
         };
         // Step 7, the reduction of the pk partial results, is the driver's.
-        Some(comms.multiply_native(ctx, init, native, self.collectives, partial_c))
+        let reduce = self.collectives;
+        Some(
+            comms
+                .multiply_native(ctx, init, native, reduce, partial_c)
+                .await,
+        )
     }
 
     /// Runs steps 5–7 under the virtual-time backend
-    /// ([`msgpass::World::run_sim`]): the *same* [`Ca3dmm::multiply_native`]
-    /// closure every wall-clock test executes, but on `P` simulated ranks
+    /// ([`msgpass::World::simulate`]): the *same*
+    /// [`Ca3dmm::multiply_native_async`] program every wall-clock test
+    /// executes, but on `P` simulated ranks
     /// whose sends, receives, and local GEMMs are charged against
     /// `machine`. This is how the strong-scaling figures run CA3DMM at
     /// paper-scale process counts (`p` in the thousands) on one host.
@@ -348,8 +393,10 @@ impl Ca3dmm {
     ) -> msgpass::RunReport {
         let p = self.gc.problem().p;
         // Missing initial blocks default to zeros of the native shape.
-        let (_, report) = msgpass::World::run_sim(p, machine, opts, |ctx| {
-            self.multiply_native::<T>(ctx, &Comm::world(ctx), None, None);
+        let (_, report) = msgpass::World::simulate(p, machine, opts, async |ctx| {
+            let world = Comm::world(ctx);
+            self.multiply_native_async::<T>(ctx, &world, None, None)
+                .await;
         });
         report
     }
@@ -394,7 +441,7 @@ mod tests {
         let c_layout = Layout::one_d_col(m, n, p);
 
         let mm = Ca3dmm::new(Problem::new(m, n, k, p), opts);
-        let parts = World::run(p, |ctx| {
+        let parts = World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             let a_blocks = a_layout.extract(&a_stored, me);
@@ -402,6 +449,7 @@ mod tests {
             mm.multiply(
                 ctx, &world, op_a, &a_layout, &a_blocks, op_b, &b_layout, &b_blocks, &c_layout,
             )
+            .await
         });
 
         let mut c_ref = Mat::zeros(m, n);
@@ -511,7 +559,7 @@ mod tests {
         let lb = Layout::one_d_col(k, n, p);
         let lc = Layout::one_d_col(m, n, p);
         let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
-        let parts = World::run(p, |ctx| {
+        let parts = World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             mm.multiply(
@@ -525,6 +573,7 @@ mod tests {
                 &lb.extract(&b, me),
                 &lc,
             )
+            .await
         });
         let mut c_ref = Mat::<f32>::zeros(m, n);
         gemm_naive(
@@ -560,7 +609,7 @@ mod tests {
         let lb = Layout::one_d_col(k, n, p);
         let lc = Layout::one_d_col(m, n, p);
         let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
-        let (_, report) = World::run_traced(p, |ctx| {
+        let (_, report) = World::run_traced(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             mm.multiply(
@@ -574,6 +623,7 @@ mod tests {
                 &lb.extract(&b, me),
                 &lc,
             )
+            .await
         });
         assert!(report.phase_total("redist").bytes > 0);
         assert!(

@@ -269,13 +269,13 @@ impl GridComms {
     /// the operands and returns this position's partial `C(m_i, n_j)`, which
     /// is then reduce-scattered (`reduce` picks the collective family) over
     /// the `pk` positions sharing `(i, j)`.
-    pub fn multiply_native<T: Scalar>(
+    pub async fn multiply_native<T: Scalar>(
         &self,
         ctx: &RankCtx,
         init: [Option<Mat<T>>; 2],
         native: [Option<Rect>; 2],
         reduce: Collectives,
-        partial_c: impl FnOnce([Option<Mat<T>>; 2]) -> Mat<T>,
+        partial_c: impl AsyncFnOnce([Option<Mat<T>>; 2]) -> Mat<T>,
     ) -> Mat<T> {
         let take = |given: Option<Mat<T>>, rect: Option<Rect>| {
             rect.map(|r| {
@@ -285,9 +285,9 @@ impl GridComms {
             })
         };
         let ([a, b], [a_rect, b_rect]) = (init, native);
-        let c_partial = partial_c([take(a, a_rect), take(b, b_rect)]);
+        let c_partial = partial_c([take(a, a_rect), take(b, b_rect)]).await;
         ctx.set_phase("reduce_c");
-        reduce_partial_c(ctx, self.of(Family::Depth), c_partial, reduce)
+        reduce_partial_c(ctx, self.of(Family::Depth), c_partial, reduce).await
     }
 }
 

@@ -9,8 +9,8 @@
 //! (user A → native A, user B → native B, native C → user C), and a
 //! [`PlanKey`] identifies it in a cache.
 //!
-//! Determinism: [`Plan::multiply`] delegates to the same step 5–7 code as
-//! [`Ca3dmm::multiply`] and to [`layout::redistribute_planned`], which is
+//! Determinism: [`Plan::multiply_async`] delegates to the same step 5–7
+//! code as [`Ca3dmm::multiply`] and to [`layout::multiply_planned`], which is
 //! bitwise identical to the on-the-fly path — so a cached plan produces
 //! exactly the bytes a fresh [`Ca3dmm::multiply`] would (property-tested in
 //! this module).
@@ -239,9 +239,8 @@ impl Plan {
         self.build_secs
     }
 
-    /// Algorithm 1 via the precomputed programs — semantically (and
-    /// bitwise) identical to [`Ca3dmm::multiply`] with this plan's
-    /// layouts/ops. Collective over `world` (`P` ranks).
+    /// Blocking façade over [`Plan::multiply_async`], kept for the frozen benchmark
+    /// until item 7 (ROADMAP.md). Panics on a virtual rank.
     pub fn multiply<T: Scalar>(
         &self,
         ctx: &RankCtx,
@@ -249,8 +248,22 @@ impl Plan {
         a_blocks: &[Mat<T>],
         b_blocks: &[Mat<T>],
     ) -> Vec<Mat<T>> {
+        ctx.block_on(self.multiply_async(ctx, world, a_blocks, b_blocks))
+    }
+
+    /// Algorithm 1 via the precomputed programs — semantically (and
+    /// bitwise) identical to [`Ca3dmm::multiply`] with this plan's
+    /// layouts/ops. Collective over `world` (`P` ranks).
+    pub async fn multiply_async<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        a_blocks: &[Mat<T>],
+        b_blocks: &[Mat<T>],
+    ) -> Vec<Mat<T>> {
         let comms = self.mm.comms(ctx, world);
-        self.multiply_in(ctx, world, &comms, a_blocks, b_blocks)
+        self.multiply_in_async(ctx, world, &comms, a_blocks, b_blocks)
+            .await
     }
 
     /// Several same-shape multiplies under one set of sub-communicators:
@@ -258,21 +271,22 @@ impl Plan {
     /// is `(a_blocks, b_blocks)`, moved into its redistribution (no copy of
     /// the operands is made); results come back in order.
     #[allow(clippy::type_complexity)]
-    pub fn multiply_batch<T: Scalar>(
+    pub async fn multiply_batch<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
         items: Vec<(Vec<Mat<T>>, Vec<Mat<T>>)>,
     ) -> Vec<Vec<Mat<T>>> {
         let comms = self.mm.comms(ctx, world);
-        items
-            .into_iter()
-            .map(|(a, b)| self.multiply_owned(ctx, world, &comms, a, b))
-            .collect()
+        let mut out = Vec::with_capacity(items.len());
+        for (a, b) in items {
+            out.push(self.multiply_owned(ctx, world, &comms, a, b).await);
+        }
+        out
     }
 
-    /// One multiply under caller-provided sub-communicators. The borrowed
-    /// blocks are cloned once so the peers can read them.
+    /// Blocking façade over [`Plan::multiply_in_async`], kept for the frozen
+    /// benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
     pub fn multiply_in<T: Scalar>(
         &self,
         ctx: &RankCtx,
@@ -281,10 +295,24 @@ impl Plan {
         a_blocks: &[Mat<T>],
         b_blocks: &[Mat<T>],
     ) -> Vec<Mat<T>> {
-        self.multiply_owned(ctx, world, comms, a_blocks.to_vec(), b_blocks.to_vec())
+        ctx.block_on(self.multiply_in_async(ctx, world, comms, a_blocks, b_blocks))
     }
 
-    fn multiply_owned<T: Scalar>(
+    /// One multiply under caller-provided sub-communicators. The borrowed
+    /// blocks are cloned once so the peers can read them.
+    pub async fn multiply_in_async<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        comms: &Option<GridComms>,
+        a_blocks: &[Mat<T>],
+        b_blocks: &[Mat<T>],
+    ) -> Vec<Mat<T>> {
+        let (a, b) = (a_blocks.to_vec(), b_blocks.to_vec());
+        self.multiply_owned(ctx, world, comms, a, b).await
+    }
+
+    async fn multiply_owned<T: Scalar>(
         &self,
         ctx: &RankCtx,
         world: &Comm,
@@ -299,8 +327,13 @@ impl Plan {
             (self.redist_a.for_rank(me), a_blocks),
             (self.redist_b.for_rank(me), b_blocks),
             self.redist_c.for_rank(me),
-            |a, b| self.mm.multiply_native_in(ctx, world, comms, a, b),
+            async |a, b| {
+                self.mm
+                    .multiply_native_in_async(ctx, world, comms, a, b)
+                    .await
+            },
         )
+        .await
     }
 }
 
@@ -324,7 +357,7 @@ mod tests {
         b: &Mat<f64>,
     ) -> Vec<Vec<Mat<f64>>> {
         let mm = Ca3dmm::new(prob, &Ca3dmmOptions::default());
-        World::run(prob.p, |ctx| {
+        World::run(prob.p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             mm.multiply(
@@ -338,6 +371,7 @@ mod tests {
                 &lb.extract(b, me),
                 lc,
             )
+            .await
         })
     }
 
@@ -348,7 +382,7 @@ mod tests {
         b: &Mat<f64>,
         reps: usize,
     ) -> Vec<Vec<Vec<Mat<f64>>>> {
-        World::run(p, |ctx| {
+        World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             let items: Vec<_> = (0..reps)
@@ -359,7 +393,7 @@ mod tests {
                     )
                 })
                 .collect();
-            plan.multiply_batch(ctx, &world, items)
+            plan.multiply_batch(ctx, &world, items).await
         })
     }
 

@@ -16,7 +16,7 @@ use msgpass::{Comm, RankCtx};
 /// members by k-task group index. `mode` picks the reduce-scatter family;
 /// the hierarchical one falls back to flat when the group fits one node
 /// (always in a wall-clock run).
-pub fn reduce_partial_c<T: Scalar>(
+pub async fn reduce_partial_c<T: Scalar>(
     ctx: &RankCtx,
     group: &Comm,
     partial: Mat<T>,
@@ -29,7 +29,7 @@ pub fn reduce_partial_c<T: Scalar>(
     let (rows, cols) = partial.shape();
     let strip_rows = split_even(rows, pk);
     let counts: Vec<usize> = strip_rows.iter().map(|r| r * cols).collect();
-    let mine = reduce_scatter_mode(mode, group, ctx, partial.into_vec(), &counts);
+    let mine = reduce_scatter_mode(mode, group, ctx, partial.into_vec(), &counts).await;
     Mat::from_vec(strip_rows[group.rank()], cols, mine)
 }
 
@@ -46,10 +46,10 @@ mod tests {
         let cols = 5;
         let pk = 3;
         // member kt contributes the global block with seed kt
-        let results = World::run(pk, |ctx| {
+        let results = World::run(pk, async |ctx| {
             let comm = Comm::world(ctx);
             let part = global_block::<f64>(comm.rank() as u64, Rect::new(0, 0, rows, cols));
-            reduce_partial_c(ctx, &comm, part, Collectives::Flat)
+            reduce_partial_c(ctx, &comm, part, Collectives::Flat).await
         });
         let mut want = Mat::<f64>::zeros(rows, cols);
         for kt in 0..pk {
@@ -77,10 +77,10 @@ mod tests {
             }),
             execute_compute: true,
         };
-        let (results, _) = World::run_sim(pk, &machine, opts, |ctx| {
+        let (results, _) = World::simulate(pk, &machine, opts, async |ctx| {
             let comm = Comm::world(ctx);
             let part = global_block::<f64>(comm.rank() as u64, Rect::new(0, 0, rows, cols));
-            reduce_partial_c(ctx, &comm, part, Collectives::Hier)
+            reduce_partial_c(ctx, &comm, part, Collectives::Hier).await
         });
         let mut want = Mat::<f64>::zeros(rows, cols);
         for kt in 0..pk {
@@ -95,10 +95,10 @@ mod tests {
 
     #[test]
     fn single_member_keeps_everything() {
-        let results = World::run(1, |ctx| {
+        let results = World::run(1, async |ctx| {
             let comm = Comm::world(ctx);
             let part = global_block::<f64>(1, Rect::new(0, 0, 4, 4));
-            reduce_partial_c(ctx, &comm, part, Collectives::Flat)
+            reduce_partial_c(ctx, &comm, part, Collectives::Flat).await
         });
         assert_eq!(results[0].shape(), (4, 4));
     }
@@ -108,10 +108,10 @@ mod tests {
         // rows < pk: some strips are empty
         let rows = 2;
         let pk = 4;
-        let results = World::run(pk, |ctx| {
+        let results = World::run(pk, async |ctx| {
             let comm = Comm::world(ctx);
             let part = Mat::<f64>::from_fn(rows, 3, |_, _| 1.0);
-            reduce_partial_c(ctx, &comm, part, Collectives::Flat)
+            reduce_partial_c(ctx, &comm, part, Collectives::Flat).await
         });
         assert_eq!(results[0].shape(), (1, 3));
         assert_eq!(results[3].shape(), (0, 3));
@@ -123,11 +123,11 @@ mod tests {
         let rows = 8;
         let cols = 4;
         let pk = 4;
-        let (_, report) = World::run_traced(pk, |ctx| {
+        let (_, report) = World::run_traced(pk, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("reduce_c");
             let part = Mat::<f64>::from_fn(rows, cols, |_, _| 1.0);
-            reduce_partial_c(ctx, &comm, part, Collectives::Flat)
+            reduce_partial_c(ctx, &comm, part, Collectives::Flat).await
         });
         // ring reduce-scatter: each rank sends (pk-1)/pk of the block
         for r in 0..pk {

@@ -19,7 +19,7 @@ use msgpass::{Comm, RankCtx};
 /// `rows × Σwidths` block. `mode` picks the allgather family; the
 /// hierarchical one falls back to flat when the group fits one node (always
 /// in a wall-clock run).
-pub fn replicate_block<T: Scalar>(
+pub async fn replicate_block<T: Scalar>(
     ctx: &RankCtx,
     group: &Comm,
     my_slice: Mat<T>,
@@ -39,7 +39,7 @@ pub fn replicate_block<T: Scalar>(
         return my_slice;
     }
     let counts: Vec<usize> = widths.iter().map(|w| rows * w).collect();
-    let gathered = allgatherv_mode(mode, group, ctx, my_slice.into_vec(), &counts);
+    let gathered = allgatherv_mode(mode, group, ctx, my_slice.into_vec(), &counts).await;
     // Reassemble column-slices into one block: row `i` of the block is row
     // `i` of every slice in turn, copied straight out of `gathered`.
     let seg_starts = offsets(&counts);
@@ -68,11 +68,11 @@ mod tests {
         let widths = split_even(cols, c);
         let offs = offsets(&widths);
         let full = global_block::<f64>(9, Rect::new(0, 0, rows, cols));
-        let results = World::run(c, |ctx| {
+        let results = World::run(c, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let slice = full.block(Rect::new(0, offs[me], rows, widths[me]));
-            replicate_block(ctx, &comm, slice, rows, &widths, Collectives::Flat)
+            replicate_block(ctx, &comm, slice, rows, &widths, Collectives::Flat).await
         });
         for r in results {
             assert_eq!(r.max_abs_diff(&full), 0.0);
@@ -97,11 +97,11 @@ mod tests {
             }),
             execute_compute: true,
         };
-        let (results, _) = World::run_sim(c, &machine, opts, |ctx| {
+        let (results, _) = World::simulate(c, &machine, opts, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let slice = full.block(Rect::new(0, offs[me], rows, widths[me]));
-            replicate_block(ctx, &comm, slice, rows, &widths, Collectives::Hier)
+            replicate_block(ctx, &comm, slice, rows, &widths, Collectives::Hier).await
         });
         for r in results {
             assert_eq!(r.max_abs_diff(&full), 0.0);
@@ -111,9 +111,9 @@ mod tests {
     #[test]
     fn single_group_is_identity() {
         let full = global_block::<f32>(3, Rect::new(0, 0, 4, 4));
-        let results = World::run(1, |ctx| {
+        let results = World::run(1, async |ctx| {
             let comm = Comm::world(ctx);
-            replicate_block(ctx, &comm, full.clone(), 4, &[4], Collectives::Flat)
+            replicate_block(ctx, &comm, full.clone(), 4, &[4], Collectives::Flat).await
         });
         assert_eq!(results[0].max_abs_diff(&full), 0.0);
     }
@@ -127,11 +127,11 @@ mod tests {
         let widths = split_even(cols, c);
         let offs = offsets(&widths);
         let full = global_block::<f64>(5, Rect::new(0, 0, rows, cols));
-        let results = World::run(c, |ctx| {
+        let results = World::run(c, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let slice = full.block(Rect::new(0, offs[me], rows, widths[me]));
-            replicate_block(ctx, &comm, slice, rows, &widths, Collectives::Flat)
+            replicate_block(ctx, &comm, slice, rows, &widths, Collectives::Flat).await
         });
         for r in results {
             assert_eq!(r.max_abs_diff(&full), 0.0);
@@ -149,12 +149,12 @@ mod tests {
         let widths = split_even(cols, c);
         let offs = offsets(&widths);
         let full = global_block::<f64>(5, Rect::new(0, 0, rows, cols));
-        let (_, report) = World::run_traced(c, |ctx| {
+        let (_, report) = World::run_traced(c, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("replicate_ab");
             let me = comm.rank();
             let slice = full.block(Rect::new(0, offs[me], rows, widths[me]));
-            replicate_block(ctx, &comm, slice, rows, &widths, Collectives::Flat)
+            replicate_block(ctx, &comm, slice, rows, &widths, Collectives::Flat).await
         });
         for r in 0..c {
             assert_eq!(

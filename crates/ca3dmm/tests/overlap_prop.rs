@@ -26,7 +26,7 @@ fn run_cannon(
     min_k: usize,
     overlap: bool,
 ) -> Vec<Vec<f64>> {
-    World::run(s * s, |ctx| {
+    World::run(s * s, async |ctx| {
         let comm = Comm::world(ctx);
         let me = comm.rank();
         let (i, j) = (me % s, me / s);
@@ -37,7 +37,7 @@ fn run_cannon(
         let a = global_block::<f64>(1, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
         let b = global_block::<f64>(2, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
         let mut c = Mat::zeros(r1 - r0, c1 - c0);
-        cannon_multi_shift(ctx, &comm, s, (0, s), a, b, &mut c, min_k, overlap);
+        cannon_multi_shift(ctx, &comm, s, (0, s), a, b, &mut c, min_k, overlap).await;
         c.into_vec()
     })
 }

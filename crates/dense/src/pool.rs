@@ -397,6 +397,11 @@ pub fn set_rank_gemm_threads(n: Option<usize>) {
     RANK_CAP.with(|c| c.set(n.map_or(0, |n| n.max(1))));
 }
 
+/// This thread's cap from [`set_rank_gemm_threads`], if one is set.
+pub fn rank_gemm_threads() -> Option<usize> {
+    Some(RANK_CAP.with(|c| c.get())).filter(|&n| n > 0)
+}
+
 /// The per-rank kernel-thread cap `World::run` should apply for a world of
 /// `world_size` ranks: an even split of the base budget, min 1.
 pub fn rank_threads_for(world_size: usize) -> usize {

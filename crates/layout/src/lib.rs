@@ -21,6 +21,6 @@ pub mod redist;
 
 pub use dist::Layout;
 pub use redist::{
-    multiply_in_layouts, multiply_planned, redistribute, redistribute_planned, RankRedistPlan,
-    RedistPlan,
+    multiply_in_layouts, multiply_planned, redistribute, redistribute_planned,
+    redistribute_planned_async, RankRedistPlan, RedistPlan,
 };

@@ -292,6 +292,17 @@ impl<T: Scalar> Payload for SharedBlocks<T> {
     }
 }
 
+/// Blocking façade over [`redistribute_planned_async`], kept for the frozen
+/// benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
+pub fn redistribute_planned<T: Scalar>(
+    comm: &Comm,
+    ctx: &RankCtx,
+    plan: &RankRedistPlan,
+    src_blocks: &[Mat<T>],
+) -> Vec<Mat<T>> {
+    ctx.block_on(redistribute_planned_async(comm, ctx, plan, src_blocks))
+}
+
 /// Executes a precomputed redistribution program. Collective over `comm`
 /// (which must span the plan's rank count); semantically identical to
 /// [`redistribute`] on the layouts the plan was built from, without
@@ -300,14 +311,14 @@ impl<T: Scalar> Payload for SharedBlocks<T> {
 ///
 /// # Panics
 /// If the local blocks disagree with the plan's source rectangles.
-pub fn redistribute_planned<T: Scalar>(
+pub async fn redistribute_planned_async<T: Scalar>(
     comm: &Comm,
     ctx: &RankCtx,
     plan: &RankRedistPlan,
     src_blocks: &[Mat<T>],
 ) -> Vec<Mat<T>> {
     let shared = share(comm, ctx, plan, src_blocks.to_vec());
-    gather_shared(shared, comm, ctx, plan)
+    gather_shared(shared, comm, ctx, plan).await
 }
 
 /// First half of the engine: hands `src_blocks` to every rank that reads
@@ -349,13 +360,13 @@ fn share<T: Scalar>(
 
 /// Second half: receives the blocks of this rank's sources and gathers its
 /// destination blocks out of them.
-fn gather_shared<T: Scalar>(
+async fn gather_shared<T: Scalar>(
     shared: PostedExchange<SharedBlocks<T>>,
     comm: &Comm,
     ctx: &RankCtx,
     plan: &RankRedistPlan,
 ) -> Vec<Mat<T>> {
-    let recvs = shared.complete(comm, ctx, &plan.sources);
+    let recvs = shared.complete(comm, ctx, &plan.sources).await;
     let sources: Vec<&[Mat<T>]> = recvs.iter().map(|m| m.blocks.as_slice()).collect();
     plan.dst_blocks
         .iter()
@@ -409,7 +420,7 @@ fn gather<T: Scalar>(block: &DstBlock, op: GemmOp, sources: &[&[Mat<T>]]) -> Mat
 /// # Panics
 /// On shape mismatches between the layouts, the communicator, and the local
 /// blocks.
-pub fn redistribute<T: Scalar>(
+pub async fn redistribute<T: Scalar>(
     comm: &Comm,
     ctx: &RankCtx,
     src: &Layout,
@@ -418,7 +429,7 @@ pub fn redistribute<T: Scalar>(
     op: GemmOp,
 ) -> Vec<Mat<T>> {
     let plan = RankRedistPlan::new(src, dst, op, comm.rank());
-    redistribute_planned(comm, ctx, &plan, src_blocks)
+    redistribute_planned_async(comm, ctx, &plan, src_blocks).await
 }
 
 /// Algorithm 1 steps 4 and 8 around a native-layout multiply, shared by
@@ -432,24 +443,25 @@ pub fn redistribute<T: Scalar>(
 /// completed. All three operands are moved into their exchange and freed
 /// when their last reader is done with them.
 /// Collective over `world`; both redistribution steps are labelled `"redist"`.
-pub fn multiply_planned<T: Scalar>(
+pub async fn multiply_planned<T: Scalar>(
     world: &Comm,
     ctx: &RankCtx,
     (redist_a, a_blocks): (&RankRedistPlan, Vec<Mat<T>>),
     (redist_b, b_blocks): (&RankRedistPlan, Vec<Mat<T>>),
     redist_c: &RankRedistPlan,
-    multiply_native: impl FnOnce(Option<Mat<T>>, Option<Mat<T>>) -> Option<Mat<T>>,
+    multiply_native: impl AsyncFnOnce(Option<Mat<T>>, Option<Mat<T>>) -> Option<Mat<T>>,
 ) -> Vec<Mat<T>> {
     ctx.set_phase("redist");
     let a_shared = share(world, ctx, redist_a, a_blocks);
     let b_shared = share(world, ctx, redist_b, b_blocks);
-    let a_local = gather_shared(a_shared, world, ctx, redist_a);
-    let b_local = gather_shared(b_shared, world, ctx, redist_b);
-    let c_native = multiply_native(a_local.into_iter().next(), b_local.into_iter().next());
+    let a_local = gather_shared(a_shared, world, ctx, redist_a).await;
+    let b_local = gather_shared(b_shared, world, ctx, redist_b).await;
+    let (a, b) = (a_local.into_iter().next(), b_local.into_iter().next());
+    let c_native = multiply_native(a, b).await;
     ctx.set_phase("redist");
     let c_blocks: Vec<Mat<T>> = c_native.into_iter().filter(|m| !m.is_empty()).collect();
     let c_shared = share(world, ctx, redist_c, c_blocks);
-    gather_shared(c_shared, world, ctx, redist_c)
+    gather_shared(c_shared, world, ctx, redist_c).await
 }
 
 /// [`multiply_planned`] for one-shot callers: `a` and `b` are
@@ -459,14 +471,14 @@ pub fn multiply_planned<T: Scalar>(
 ///
 /// # Panics
 /// On shape or rank-count mismatches between the layouts and `world`.
-pub fn multiply_in_layouts<T: Scalar>(
+pub async fn multiply_in_layouts<T: Scalar>(
     world: &Comm,
     ctx: &RankCtx,
     (op_a, a_layout, a_blocks): (GemmOp, &Layout, &[Mat<T>]),
     (op_b, b_layout, b_blocks): (GemmOp, &Layout, &[Mat<T>]),
     c_layout: &Layout,
     [native_a, native_b, native_c]: [&Layout; 3],
-    multiply_native: impl FnOnce(Option<Mat<T>>, Option<Mat<T>>) -> Option<Mat<T>>,
+    multiply_native: impl AsyncFnOnce(Option<Mat<T>>, Option<Mat<T>>) -> Option<Mat<T>>,
 ) -> Vec<Mat<T>> {
     let me = world.rank();
     multiply_planned(
@@ -483,6 +495,7 @@ pub fn multiply_in_layouts<T: Scalar>(
         &RankRedistPlan::new(native_c, c_layout, GemmOp::NoTrans, me),
         multiply_native,
     )
+    .await
 }
 
 /// The overlap of a destination rectangle (in `op(X)` coordinates) with a
@@ -511,10 +524,10 @@ mod tests {
             GemmOp::NoTrans => global.clone(),
             GemmOp::Trans => global.transpose(),
         };
-        let results = World::run(p, |ctx| {
+        let results = World::run(p, async |ctx| {
             let comm = Comm::world(ctx);
             let mine = src.extract(&global, comm.rank());
-            redistribute(&comm, ctx, &src, &mine, &dst, op)
+            redistribute(&comm, ctx, &src, &mine, &dst, op).await
         });
         for (rank, got) in results.iter().enumerate() {
             let want = dst.extract(&expect_global, rank);
@@ -640,15 +653,15 @@ mod tests {
         let plan = RedistPlan::new(&src, &dst, op);
         assert_eq!(plan.nranks(), p);
         let global = random_mat::<f64>(rows, cols, 99);
-        let direct = World::run(p, |ctx| {
+        let direct = World::run(p, async |ctx| {
             let comm = Comm::world(ctx);
             let mine = src.extract(&global, comm.rank());
-            redistribute(&comm, ctx, &src, &mine, &dst, op)
+            redistribute(&comm, ctx, &src, &mine, &dst, op).await
         });
-        let planned = World::run(p, |ctx| {
+        let planned = World::run(p, async |ctx| {
             let comm = Comm::world(ctx);
             let mine = src.extract(&global, comm.rank());
-            redistribute_planned(&comm, ctx, plan.for_rank(comm.rank()), &mine)
+            redistribute_planned_async(&comm, ctx, plan.for_rank(comm.rank()), &mine).await
         });
         for (rank, (d, pl)) in direct.iter().zip(&planned).enumerate() {
             assert_eq!(d.len(), pl.len(), "rank {rank} block count");
@@ -663,11 +676,11 @@ mod tests {
         // identity redistribution must move zero bytes
         let l = Layout::one_d_col(8, 8, 4);
         let global = random_mat::<f64>(8, 8, 7);
-        let (_, report) = World::run_traced(4, |ctx| {
+        let (_, report) = World::run_traced(4, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("redist");
             let mine = l.extract(&global, comm.rank());
-            redistribute(&comm, ctx, &l, &mine, &l, GemmOp::NoTrans)
+            redistribute(&comm, ctx, &l, &mine, &l, GemmOp::NoTrans).await
         });
         assert_eq!(report.phase_total("redist").bytes, 0);
     }

@@ -11,7 +11,7 @@ use dense::gemm::GemmOp;
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::{Mat, Scalar, Shape64};
-use layout::{redistribute, redistribute_planned, Layout, RedistPlan};
+use layout::{redistribute, redistribute_planned, redistribute_planned_async, Layout, RedistPlan};
 use msgpass::{Comm, RunReport, SimOptions, SizeHistogram, World};
 use netmodel::Machine;
 use proptest::prelude::*;
@@ -111,12 +111,12 @@ fn assert_pack_traffic<T: Scalar>(report: &RunReport, src: &Layout, dst: &Layout
 fn run<T: Scalar>(
     src: &Layout,
     global: &Mat<T>,
-    go: impl Fn(&Comm, &msgpass::RankCtx, &[Mat<T>]) -> Vec<Mat<T>> + Sync,
+    go: impl AsyncFn(&Comm, &msgpass::RankCtx, &[Mat<T>]) -> Vec<Mat<T>> + Sync,
 ) -> (Vec<Vec<Mat<T>>>, RunReport) {
-    World::run_traced(src.nranks(), |ctx| {
+    World::run_traced(src.nranks(), async |ctx| {
         let comm = Comm::world(ctx);
         ctx.set_phase("redist");
-        go(&comm, ctx, &src.extract(global, comm.rank()))
+        go(&comm, ctx, &src.extract(global, comm.rank())).await
     })
 }
 
@@ -127,11 +127,12 @@ fn check<T: Scalar>(src: &Layout, dst: &Layout, op: GemmOp) {
         GemmOp::NoTrans => global.clone(),
         GemmOp::Trans => global.transpose(),
     };
-    let (direct, direct_report) = run(src, &global, |comm, ctx, mine| {
-        redistribute(comm, ctx, src, mine, dst, op)
+    let (direct, direct_report) = run(src, &global, async |comm, ctx, mine| {
+        redistribute(comm, ctx, src, mine, dst, op).await
     });
+    // The planned path goes through the blocking façade, on rank threads.
     let plan = RedistPlan::new(src, dst, op);
-    let (planned, planned_report) = run(src, &global, |comm, ctx, mine| {
+    let (planned, planned_report) = run(src, &global, async |comm, ctx, mine| {
         redistribute_planned(comm, ctx, plan.for_rank(comm.rank()), mine)
     });
     for rank in 0..src.nranks() {
@@ -210,13 +211,13 @@ proptest! {
             GemmOp::Trans => global.transpose(),
         };
         let (wall, sim) = watchdog(move || {
-            let go = |ctx: &msgpass::RankCtx| {
+            let go = async |ctx: &msgpass::RankCtx| {
                 let comm = Comm::world(ctx);
                 let mine = src.extract(&global, comm.rank());
-                redistribute_planned(&comm, ctx, plan.for_rank(comm.rank()), &mine)
+                redistribute_planned_async(&comm, ctx, plan.for_rank(comm.rank()), &mine).await
             };
             let wall = World::run(p, go);
-            let (sim, _) = World::run_sim(p, &Machine::uniform(), SimOptions::default(), go);
+            let (sim, _) = World::simulate(p, &Machine::uniform(), SimOptions::default(), go);
             (wall, sim)
         });
         for rank in 0..p {
@@ -234,8 +235,8 @@ type Pinned = (Vec<(u64, u64, u64, u64)>, Vec<(usize, u64)>);
 fn observed(src: &Layout, dst: &Layout, op: GemmOp) -> Pinned {
     let (rows, cols) = src.shape();
     let global = global_block::<f64>(99, Rect::full(rows, cols));
-    let (_, report) = run(src, &global, |comm, ctx, mine| {
-        redistribute(comm, ctx, src, mine, dst, op)
+    let (_, report) = run(src, &global, async |comm, ctx, mine| {
+        redistribute(comm, ctx, src, mine, dst, op).await
     });
     let t = &report.traffic;
     let per_rank = (0..src.nranks())

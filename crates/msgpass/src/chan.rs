@@ -1,35 +1,35 @@
-//! A minimal unbounded MPSC channel (Mutex + Condvar).
+//! A minimal unbounded MPSC channel whose receiver is polled, not blocked.
 //!
 //! Replaces `crossbeam-channel` so the runtime builds with no external
 //! dependencies. Semantics match what the fabric needs: many cloned
 //! senders, one receiver per rank, unbounded buffering (sends are eager and
 //! never block), and disconnect detection on both sides. The receiver has
-//! one operation, the blocking [`Receiver::recv_timed`], and the runtime
-//! calls it from one place (the private `pull` in `comm`): there is no
-//! polling path.
+//! one operation, [`Receiver::poll_recv`]: an empty queue stores the
+//! caller's [`Waker`] and the next send wakes it. The runtime calls it from
+//! one place (the private `pull` in `comm`). Whoever owns the waker decides
+//! what waking means: a wall-clock rank thread is unparked, a virtual rank
+//! is put back on the simulator's run queue.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Waker};
 
 struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
     receiver_alive: bool,
-}
-
-struct Shared<T> {
-    state: Mutex<State<T>>,
-    ready: Condvar,
+    /// The receiver's waker while it is parked on an empty queue.
+    waker: Option<Waker>,
 }
 
 /// The sending half; clonable, never blocks.
 pub struct Sender<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Mutex<State<T>>>,
 }
 
-/// The receiving half; blocks until a message or sender disconnect.
+/// The receiving half; polled until a message or sender disconnect.
 pub struct Receiver<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Mutex<State<T>>>,
 }
 
 /// The receiver was dropped before (or while) the message was sent.
@@ -42,14 +42,12 @@ pub struct RecvError;
 
 /// Creates a connected sender/receiver pair.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            queue: VecDeque::new(),
-            senders: 1,
-            receiver_alive: true,
-        }),
-        ready: Condvar::new(),
-    });
+    let shared = Arc::new(Mutex::new(State {
+        queue: VecDeque::new(),
+        senders: 1,
+        receiver_alive: true,
+        waker: None,
+    }));
     (
         Sender {
             shared: Arc::clone(&shared),
@@ -61,11 +59,19 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
 // Rank threads panic while holding no channel locks, but a panicking rank
 // can poison a mutex between another thread's lock attempts; recovering the
 // inner state keeps the error that surfaces the *original* panic.
-fn lock<T>(shared: &Shared<T>) -> std::sync::MutexGuard<'_, State<T>> {
+fn lock<T>(shared: &Mutex<State<T>>) -> std::sync::MutexGuard<'_, State<T>> {
     shared
-        .state
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Wakes the parked receiver, if any, outside the lock.
+fn wake<T>(mut st: std::sync::MutexGuard<'_, State<T>>) {
+    let waker = st.waker.take();
+    drop(st);
+    if let Some(w) = waker {
+        w.wake();
+    }
 }
 
 impl<T> Sender<T> {
@@ -76,8 +82,7 @@ impl<T> Sender<T> {
             return Err(SendError);
         }
         st.queue.push_back(value);
-        drop(st);
-        self.shared.ready.notify_one();
+        wake(st);
         Ok(())
     }
 }
@@ -95,43 +100,28 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let mut st = lock(&self.shared);
         st.senders -= 1;
-        let last = st.senders == 0;
-        drop(st);
-        if last {
-            self.shared.ready.notify_all();
+        if st.senders == 0 {
+            wake(st);
         }
     }
 }
 
 impl<T> Receiver<T> {
-    /// Blocks until a message arrives and reports how many seconds this call
-    /// spent *blocked* on the condvar; fails once all senders are gone and
-    /// the queue is empty. A message already queued returns `0.0` without
-    /// ever reading the clock, so the fast path stays free of `Instant`
-    /// overhead — only calls that actually wait pay for the two timestamps.
-    /// This is the primitive behind the runtime's wait-time attribution.
-    pub fn recv_timed(&self) -> Result<(T, f64), RecvError> {
+    /// The next message, or `Pending` with `cx`'s waker stored for the next
+    /// send; fails once all senders are gone and the queue is empty.
+    pub fn poll_recv(&self, cx: &mut Context<'_>) -> Poll<Result<T, RecvError>> {
         let mut st = lock(&self.shared);
         if let Some(v) = st.queue.pop_front() {
-            return Ok((v, 0.0));
+            return Poll::Ready(Ok(v));
         }
         if st.senders == 0 {
-            return Err(RecvError);
+            return Poll::Ready(Err(RecvError));
         }
-        let blocked_from = std::time::Instant::now();
-        loop {
-            st = self
-                .shared
-                .ready
-                .wait(st)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if let Some(v) = st.queue.pop_front() {
-                return Ok((v, blocked_from.elapsed().as_secs_f64()));
-            }
-            if st.senders == 0 {
-                return Err(RecvError);
-            }
+        match &mut st.waker {
+            Some(w) if w.will_wake(cx.waker()) => {}
+            slot => *slot = Some(cx.waker().clone()),
         }
+        Poll::Pending
     }
 }
 
@@ -144,6 +134,11 @@ impl<T> Drop for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::future::poll_fn;
+
+    fn recv<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+        crate::world::block_on(poll_fn(|cx| rx.poll_recv(cx)))
+    }
 
     #[test]
     fn fifo_order() {
@@ -152,7 +147,7 @@ mod tests {
             tx.send(i).unwrap();
         }
         for i in 0..10 {
-            assert_eq!(rx.recv_timed().unwrap(), (i, 0.0));
+            assert_eq!(recv(&rx), Ok(i));
         }
     }
 
@@ -163,38 +158,23 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(move || tx.send(1u32).unwrap());
             s.spawn(move || tx2.send(2u32).unwrap());
-            let (a, _) = rx.recv_timed().unwrap();
-            let (b, _) = rx.recv_timed().unwrap();
+            let a = recv(&rx).unwrap();
+            let b = recv(&rx).unwrap();
             assert_eq!(a + b, 3);
         });
     }
 
     #[test]
-    fn recv_blocks_until_send() {
+    fn empty_queue_pends_until_a_send_wakes_it() {
         let (tx, rx) = channel();
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(rx.poll_recv(&mut cx).is_pending());
         std::thread::scope(|s| {
             s.spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 tx.send(7u8).unwrap();
             });
-            assert_eq!(rx.recv_timed().unwrap().0, 7);
-        });
-    }
-
-    #[test]
-    fn recv_timed_reports_blocked_seconds_only() {
-        let (tx, rx) = channel();
-        tx.send(1u8).unwrap();
-        // Already queued: zero wait, no clock read.
-        assert_eq!(rx.recv_timed().unwrap(), (1, 0.0));
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                tx.send(2u8).unwrap();
-            });
-            let (v, wait) = rx.recv_timed().unwrap();
-            assert_eq!(v, 2);
-            assert!(wait >= 0.010, "expected a measurable block, got {wait}");
+            assert_eq!(recv(&rx), Ok(7));
         });
     }
 
@@ -203,8 +183,8 @@ mod tests {
         let (tx, rx) = channel::<u8>();
         tx.send(1).unwrap();
         drop(tx);
-        assert_eq!(rx.recv_timed(), Ok((1, 0.0))); // buffered message still delivered
-        assert_eq!(rx.recv_timed(), Err(RecvError));
+        assert_eq!(recv(&rx), Ok(1)); // buffered message still delivered
+        assert_eq!(recv(&rx), Err(RecvError));
 
         let (tx, rx) = channel::<u8>();
         drop(rx);

@@ -20,7 +20,7 @@ use crate::world::RankCtx;
 use dense::WireElem;
 
 /// Dissemination barrier: ⌈log₂ P⌉ rounds.
-pub fn barrier(comm: &Comm, ctx: &RankCtx) {
+pub async fn barrier(comm: &Comm, ctx: &RankCtx) {
     let _span = ctx.collective_scope("dissemination_barrier", || 0);
     let g = comm.size();
     if g == 1 {
@@ -33,7 +33,7 @@ pub fn barrier(comm: &Comm, ctx: &RankCtx) {
         let dst = (me + dist) % g;
         let src = (me + g - dist) % g;
         comm.send_internal(ctx, dst, tag, ());
-        let () = comm.recv_internal(ctx, src, tag);
+        let () = comm.recv_internal(ctx, src, tag).await;
         dist *= 2;
     }
 }
@@ -43,7 +43,12 @@ pub fn barrier(comm: &Comm, ctx: &RankCtx) {
 ///
 /// # Panics
 /// If the root passes `None` or a non-root passes `Some`.
-pub fn bcast<P: Payload + Clone>(comm: &Comm, ctx: &RankCtx, root: usize, mine: Option<P>) -> P {
+pub async fn bcast<P: Payload + Clone>(
+    comm: &Comm,
+    ctx: &RankCtx,
+    root: usize,
+    mine: Option<P>,
+) -> P {
     let _span = ctx.collective_scope("binomial_bcast", || {
         mine.as_ref().map_or(0, |v| v.nbytes() as u64)
     });
@@ -64,7 +69,7 @@ pub fn bcast<P: Payload + Clone>(comm: &Comm, ctx: &RankCtx, root: usize, mine: 
     while mask < g {
         if vr & mask != 0 {
             let src = (vr - mask + root) % g;
-            value = Some(comm.recv_internal(ctx, src, tag));
+            value = Some(comm.recv_internal(ctx, src, tag).await);
             break;
         }
         mask <<= 1;
@@ -104,7 +109,7 @@ pub fn bcast<P: Payload + Clone>(comm: &Comm, ctx: &RankCtx, root: usize, mine: 
 ///
 /// The root passes `Some(data)`; everyone returns the full buffer. All
 /// ranks must agree on `len` (the total element count).
-pub fn bcast_large<T: WireElem>(
+pub async fn bcast_large<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     root: usize,
@@ -148,52 +153,47 @@ pub fn bcast_large<T: WireElem>(
         data.drain(..offsets[root]);
         data
     } else {
-        comm.recv_internal(ctx, root, tag)
+        comm.recv_internal(ctx, root, tag).await
     };
     // Complete with a ring allgatherv.
-    allgatherv(comm, ctx, my_seg, &counts)
+    ring_allgatherv(comm, ctx, my_seg, &counts, None).await
 }
 
-/// Ring allgather with per-rank contribution sizes `counts` (known to all
-/// members, as in `MPI_Allgatherv`). Returns the concatenation in rank
-/// order. This is [`allgatherv_mode`]'s two-level ring with every rank its
-/// own node.
+/// Blocking façade over [`allgatherv_mode`] with [`Collectives::Flat`], kept
+/// for the frozen benchmark until item 7 (ROADMAP.md). Panics on a virtual
+/// rank.
 pub fn allgatherv<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     mine: Vec<T>,
     counts: &[usize],
 ) -> Vec<T> {
-    ring_allgatherv(comm, ctx, mine, counts, None)
+    ctx.block_on(ring_allgatherv(comm, ctx, mine, counts, None))
 }
 
-/// Ring reduce-scatter: `data` is the full vector (length = Σ counts) of
-/// this rank's contribution; returns the elementwise sum over all ranks of
-/// segment `rank` (the segment boundaries are given by `counts`). This is
-/// [`reduce_scatter_mode`]'s two-level ring with every rank its own node.
-///
-/// Per-rank volume: Σ_{s≠me} counts\[s\] bytes sent — the `β·n·(P−1)/P` of the
-/// paper when counts are even.
+/// Blocking façade over [`reduce_scatter_mode`] with [`Collectives::Flat`],
+/// kept for the frozen benchmark until item 7 (ROADMAP.md). Panics on a virtual
+/// rank.
 pub fn reduce_scatter<T: ReduceElem>(
     comm: &Comm,
     ctx: &RankCtx,
     data: Vec<T>,
     counts: &[usize],
 ) -> Vec<T> {
-    ring_reduce_scatter(comm, ctx, data, counts, None)
+    ctx.block_on(ring_reduce_scatter(comm, ctx, data, counts, None))
 }
 
 /// Allreduce (elementwise sum) via Rabenseifner's algorithm: ring
 /// reduce-scatter over an even split, then ring allgatherv.
-pub fn allreduce<T: ReduceElem>(comm: &Comm, ctx: &RankCtx, data: Vec<T>) -> Vec<T> {
+pub async fn allreduce<T: ReduceElem>(comm: &Comm, ctx: &RankCtx, data: Vec<T>) -> Vec<T> {
     let _span = ctx.collective_scope("rabenseifner_allreduce", || data.nbytes() as u64);
     let g = comm.size();
     if g == 1 {
         return data;
     }
     let counts = dense::split_even(data.len(), g);
-    let mine = reduce_scatter(comm, ctx, data, &counts);
-    allgatherv(comm, ctx, mine, &counts)
+    let mine = ring_reduce_scatter(comm, ctx, data, &counts, None).await;
+    ring_allgatherv(comm, ctx, mine, &counts, None).await
 }
 
 /// The send half of a [`neighbor_alltoallv`]: every message is out, nothing
@@ -242,19 +242,17 @@ impl<P: Payload> PostedExchange<P> {
     /// # Panics
     /// If this rank addressed itself but is not among its own sources, or
     /// the other way round.
-    pub fn complete(mut self, comm: &Comm, ctx: &RankCtx, sources: &[usize]) -> Vec<P> {
+    pub async fn complete(mut self, comm: &Comm, ctx: &RankCtx, sources: &[usize]) -> Vec<P> {
         let _span = ctx.collective_scope("neighbor_alltoallv", || 0);
         let me = comm.rank();
-        let recvs = sources
-            .iter()
-            .map(|&src| {
-                if src == me {
-                    self.own.take().expect("own payload was not posted")
-                } else {
-                    comm.recv_internal(ctx, src, self.tag)
-                }
-            })
-            .collect();
+        let mut recvs = Vec::with_capacity(sources.len());
+        for &src in sources {
+            recvs.push(if src == me {
+                self.own.take().expect("own payload was not posted")
+            } else {
+                comm.recv_internal(ctx, src, self.tag).await
+            });
+        }
         assert!(self.own.is_none(), "own payload posted but not received");
         recvs
     }
@@ -266,13 +264,15 @@ impl<P: Payload> PostedExchange<P> {
 /// message, not an empty one. `P` is any payload — `Vec<T>` buffers, or a
 /// shared handle charged as the bytes its receiver reads
 /// (`layout::redistribute`).
-pub fn neighbor_alltoallv<P: Payload>(
+pub async fn neighbor_alltoallv<P: Payload>(
     comm: &Comm,
     ctx: &RankCtx,
     sends: Vec<(usize, P)>,
     sources: &[usize],
 ) -> Vec<P> {
-    neighbor_alltoallv_post(comm, ctx, sends).complete(comm, ctx, sources)
+    neighbor_alltoallv_post(comm, ctx, sends)
+        .complete(comm, ctx, sources)
+        .await
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +384,7 @@ fn members<'a>(hier: Option<&'a NodeMap>, j: &'a usize) -> &'a [usize] {
 /// `L − 1` steps. Down: each leader hands the assembled buffer to its
 /// members. `hier = None` is the flat ring — one-rank nodes, whose up and
 /// down stages send nothing and whose block is the segment itself.
-fn ring_allgatherv<T: WireElem>(
+async fn ring_allgatherv<T: WireElem>(
     comm: &Comm,
     ctx: &RankCtx,
     mine: Vec<T>,
@@ -417,14 +417,14 @@ fn ring_allgatherv<T: WireElem>(
     let own = members(hier, &l);
     if me != own[0] {
         comm.send_internal(ctx, own[0], tag, mine);
-        return comm.recv_internal(ctx, own[0], tag);
+        return comm.recv_internal(ctx, own[0], tag).await;
     }
     // Segments arrive out of rank order; stage them and concatenate once all
     // are present.
     let mut segments: Vec<Option<Vec<T>>> = (0..g).map(|_| None).collect();
     segments[me] = Some(mine);
     for &m in &own[1..] {
-        let got: Vec<T> = comm.recv_internal(ctx, m, tag);
+        let got: Vec<T> = comm.recv_internal(ctx, m, tag).await;
         assert_eq!(got.len(), counts[m], "allgatherv count mismatch");
         segments[m] = Some(got);
     }
@@ -440,7 +440,7 @@ fn ring_allgatherv<T: WireElem>(
             block.extend_from_slice(seg.expect("segment to forward must be present"));
         }
         comm.send_internal(ctx, right, tag, block);
-        let mut got: Vec<T> = comm.recv_internal(ctx, left, tag);
+        let mut got: Vec<T> = comm.recv_internal(ctx, left, tag).await;
         let mut off = block_len(recv_node);
         assert_eq!(got.len(), off, "allgatherv count mismatch");
         // Cut the block back into segments from the tail: the leader's
@@ -471,7 +471,7 @@ fn ring_allgatherv<T: WireElem>(
 /// Every hop adds `received partial sum += local contribution`; with a node
 /// grouping the local contribution is the node's pre-combined sum, so the
 /// association (not the result on exact inputs) differs from the flat ring.
-fn ring_reduce_scatter<T: ReduceElem>(
+async fn ring_reduce_scatter<T: ReduceElem>(
     comm: &Comm,
     ctx: &RankCtx,
     data: Vec<T>,
@@ -499,11 +499,11 @@ fn ring_reduce_scatter<T: ReduceElem>(
     let own = members(hier, &l);
     if me != own[0] {
         comm.send_internal(ctx, own[0], tag, data);
-        return comm.recv_internal(ctx, own[0], tag);
+        return comm.recv_internal(ctx, own[0], tag).await;
     }
     let mut acc = data;
     for &m in &own[1..] {
-        let got: Vec<T> = comm.recv_internal(ctx, m, tag);
+        let got: Vec<T> = comm.recv_internal(ctx, m, tag).await;
         assert_eq!(got.len(), acc.len(), "reduce_scatter length mismatch");
         for (s, d) in acc.iter_mut().zip(&got) {
             *s += *d;
@@ -528,7 +528,7 @@ fn ring_reduce_scatter<T: ReduceElem>(
             std::mem::take(&mut carry)
         };
         comm.send_internal(ctx, right, tag, payload);
-        let mut sum: Vec<T> = comm.recv_internal(ctx, left, tag);
+        let mut sum: Vec<T> = comm.recv_internal(ctx, left, tag).await;
         assert_eq!(
             sum.len(),
             block_len(recv_node),
@@ -589,9 +589,12 @@ impl Collectives {
     }
 }
 
-/// [`allgatherv`] over the [`node_map`] grouping when `mode` is `Hier` and
-/// the topology engages; the flat ring otherwise.
-pub fn allgatherv_mode<T: WireElem>(
+/// Ring allgather with per-rank contribution sizes `counts` (known to all
+/// members, as in `MPI_Allgatherv`). Returns the concatenation in rank
+/// order. Runs over the [`node_map`] grouping when `mode` is `Hier` and the
+/// topology engages; otherwise the flat ring, the same ring with every rank
+/// its own node.
+pub async fn allgatherv_mode<T: WireElem>(
     mode: Collectives,
     comm: &Comm,
     ctx: &RankCtx,
@@ -599,12 +602,19 @@ pub fn allgatherv_mode<T: WireElem>(
     counts: &[usize],
 ) -> Vec<T> {
     let hier = (mode == Collectives::Hier).then(|| node_map(comm, ctx));
-    ring_allgatherv(comm, ctx, mine, counts, hier.flatten())
+    ring_allgatherv(comm, ctx, mine, counts, hier.flatten()).await
 }
 
-/// [`reduce_scatter`] over the [`node_map`] grouping when `mode` is `Hier`
-/// and the topology engages; the flat ring otherwise.
-pub fn reduce_scatter_mode<T: ReduceElem>(
+/// Ring reduce-scatter: `data` is the full vector (length = Σ counts) of
+/// this rank's contribution; returns the elementwise sum over all ranks of
+/// segment `rank` (the segment boundaries are given by `counts`). Runs over
+/// the [`node_map`] grouping when `mode` is `Hier` and the topology
+/// engages; otherwise the flat ring, the same ring with every rank its own
+/// node.
+///
+/// Per-rank volume of the flat ring: Σ_{s≠me} counts\[s\] bytes sent — the
+/// `β·n·(P−1)/P` of the paper when counts are even.
+pub async fn reduce_scatter_mode<T: ReduceElem>(
     mode: Collectives,
     comm: &Comm,
     ctx: &RankCtx,
@@ -612,7 +622,7 @@ pub fn reduce_scatter_mode<T: ReduceElem>(
     counts: &[usize],
 ) -> Vec<T> {
     let hier = (mode == Collectives::Hier).then(|| node_map(comm, ctx));
-    ring_reduce_scatter(comm, ctx, data, counts, hier.flatten())
+    ring_reduce_scatter(comm, ctx, data, counts, hier.flatten()).await
 }
 
 #[cfg(test)]
@@ -623,10 +633,10 @@ mod tests {
     #[test]
     fn barrier_all_sizes() {
         for p in [1usize, 2, 3, 5, 8] {
-            World::run(p, |ctx| {
+            World::run(p, async |ctx| {
                 let comm = Comm::world(ctx);
-                barrier(&comm, ctx);
-                barrier(&comm, ctx);
+                barrier(&comm, ctx).await;
+                barrier(&comm, ctx).await;
             });
         }
     }
@@ -635,10 +645,10 @@ mod tests {
     fn bcast_from_each_root() {
         for p in [1usize, 2, 4, 7] {
             for root in 0..p {
-                World::run(p, |ctx| {
+                World::run(p, async |ctx| {
                     let comm = Comm::world(ctx);
                     let mine = (comm.rank() == root).then(|| vec![root as f64, 42.0]);
-                    let got = bcast(&comm, ctx, root, mine);
+                    let got = bcast(&comm, ctx, root, mine).await;
                     assert_eq!(got, vec![root as f64, 42.0]);
                 });
             }
@@ -649,11 +659,11 @@ mod tests {
     fn bcast_large_from_each_root() {
         for p in [1usize, 2, 3, 5, 8] {
             for root in 0..p {
-                World::run(p, |ctx| {
+                World::run(p, async |ctx| {
                     let comm = Comm::world(ctx);
                     let want: Vec<u64> = (0..23).collect();
                     let mine = (comm.rank() == root).then(|| want.clone());
-                    let got = bcast_large(&comm, ctx, root, mine, 23);
+                    let got = bcast_large(&comm, ctx, root, mine, 23).await;
                     assert_eq!(got, want);
                 });
             }
@@ -665,11 +675,11 @@ mod tests {
         // root sends at most 2n(g-1)/g elements
         let p = 4;
         let n = 64usize;
-        let (_, report) = World::run_traced(p, |ctx| {
+        let (_, report) = World::run_traced(p, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("bc");
             let mine = (comm.rank() == 0).then(|| vec![1.0f64; n]);
-            let _ = bcast_large(&comm, ctx, 0, mine, n);
+            let _ = bcast_large(&comm, ctx, 0, mine, n).await;
         });
         // root: scatter (n*(g-1)/g) + ring allgather ((g-1) * n/g)
         let want = (n * (p - 1) / p + (p - 1) * (n / p)) * 8;
@@ -683,22 +693,22 @@ mod tests {
     #[test]
     fn bcast_large_short_buffer() {
         // len < g: some segments empty
-        World::run(6, |ctx| {
+        World::run(6, async |ctx| {
             let comm = Comm::world(ctx);
             let mine = (comm.rank() == 2).then(|| vec![7u8, 8, 9]);
-            let got = bcast_large(&comm, ctx, 2, mine, 3);
+            let got = bcast_large(&comm, ctx, 2, mine, 3).await;
             assert_eq!(got, vec![7, 8, 9]);
         });
     }
 
     #[test]
     fn allgatherv_uneven() {
-        World::run(4, |ctx| {
+        World::run(4, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let counts = [3usize, 0, 2, 1];
             let mine: Vec<u32> = (0..counts[me]).map(|i| (me * 100 + i) as u32).collect();
-            let got = allgatherv(&comm, ctx, mine, &counts);
+            let got = allgatherv_mode(Collectives::Flat, &comm, ctx, mine, &counts).await;
             assert_eq!(got, vec![0, 1, 2, 200, 201, 300]);
         });
     }
@@ -706,13 +716,13 @@ mod tests {
     #[test]
     fn reduce_scatter_sums_segments() {
         for p in [2usize, 3, 5] {
-            World::run(p, |ctx| {
+            World::run(p, async |ctx| {
                 let comm = Comm::world(ctx);
                 let counts: Vec<usize> = (0..p).map(|i| i + 1).collect();
                 let total: usize = counts.iter().sum();
                 // rank r contributes value (r+1) everywhere
                 let data = vec![(comm.rank() + 1) as f64; total];
-                let got = reduce_scatter(&comm, ctx, data, &counts);
+                let got = reduce_scatter_mode(Collectives::Flat, &comm, ctx, data, &counts).await;
                 let expected = (p * (p + 1) / 2) as f64;
                 assert_eq!(got.len(), counts[comm.rank()]);
                 assert!(got.iter().all(|&v| v == expected));
@@ -724,11 +734,11 @@ mod tests {
     fn reduce_scatter_distinct_segments() {
         // Verify each rank gets *its own* segment: contribution at global
         // index i from rank r is r * 1000 + i.
-        World::run(3, |ctx| {
+        World::run(3, async |ctx| {
             let comm = Comm::world(ctx);
             let counts = [2usize, 2, 2];
             let data: Vec<f64> = (0..6).map(|i| (comm.rank() * 1000 + i) as f64).collect();
-            let got = reduce_scatter(&comm, ctx, data, &counts);
+            let got = reduce_scatter_mode(Collectives::Flat, &comm, ctx, data, &counts).await;
             let me = comm.rank();
             for (k, &v) in got.iter().enumerate() {
                 let i = me * 2 + k;
@@ -741,12 +751,12 @@ mod tests {
     #[test]
     fn allreduce_matches_serial_sum() {
         for p in [1usize, 2, 4, 5] {
-            World::run(p, |ctx| {
+            World::run(p, async |ctx| {
                 let comm = Comm::world(ctx);
                 let data: Vec<f64> = (0..7)
                     .map(|i| (comm.rank() + 1) as f64 * i as f64)
                     .collect();
-                let got = allreduce(&comm, ctx, data);
+                let got = allreduce(&comm, ctx, data).await;
                 let scale: f64 = (1..=p).map(|r| r as f64).sum();
                 for (i, &v) in got.iter().enumerate() {
                     assert!((v - scale * i as f64).abs() < 1e-12);
@@ -760,10 +770,17 @@ mod tests {
         // Per-rank sent bytes of ring allgather = (P-1) * block_bytes.
         let p = 5;
         let block = 16usize; // u64 elements
-        let (_, report) = World::run_traced(p, |ctx| {
+        let (_, report) = World::run_traced(p, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("ag");
-            let _ = allgatherv(&comm, ctx, vec![0u64; block], &[block; 5]);
+            let _ = allgatherv_mode(
+                Collectives::Flat,
+                &comm,
+                ctx,
+                vec![0u64; block],
+                &[block; 5],
+            )
+            .await;
         });
         for r in 0..p {
             assert_eq!(report.phase(r, "ag").bytes as usize, (p - 1) * block * 8);
@@ -775,11 +792,18 @@ mod tests {
     fn reduce_scatter_volume_matches_ring_formula() {
         let p = 4;
         let seg = 8usize;
-        let (_, report) = World::run_traced(p, |ctx| {
+        let (_, report) = World::run_traced(p, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("rs");
             let counts = vec![seg; p];
-            let _ = reduce_scatter(&comm, ctx, vec![1.0f64; seg * p], &counts);
+            let _ = reduce_scatter_mode(
+                Collectives::Flat,
+                &comm,
+                ctx,
+                vec![1.0f64; seg * p],
+                &counts,
+            )
+            .await;
         });
         for r in 0..p {
             assert_eq!(report.phase(r, "rs").bytes as usize, (p - 1) * seg * 8);
@@ -788,19 +812,26 @@ mod tests {
 
     #[test]
     fn collectives_on_subgroups_do_not_interfere() {
-        World::run(6, |ctx| {
+        World::run(6, async |ctx| {
             let comm = Comm::world(ctx);
             let groups = vec![vec![0, 1, 2], vec![3, 4, 5]];
             let sub = comm.subgroup(ctx, &groups).unwrap();
             // run different collectives concurrently in the two groups
             if comm.rank() < 3 {
-                let v = allgatherv(&sub, ctx, vec![sub.rank() as u64], &[1; 3]);
+                let v = allgatherv_mode(
+                    Collectives::Flat,
+                    &sub,
+                    ctx,
+                    vec![sub.rank() as u64],
+                    &[1; 3],
+                )
+                .await;
                 assert_eq!(v, vec![0, 1, 2]);
             } else {
-                let v = allreduce(&sub, ctx, vec![1.0f64; 5]);
+                let v = allreduce(&sub, ctx, vec![1.0f64; 5]).await;
                 assert!(v.iter().all(|&x| x == 3.0));
             }
-            barrier(&comm, ctx);
+            barrier(&comm, ctx).await;
         });
     }
 
@@ -810,11 +841,7 @@ mod tests {
 
     /// Runs `f` on `p` ranks under virtual time on nodes of `rpn` ranks —
     /// nodes exist only in a machine model — executing every operation.
-    fn on_nodes<R: Send>(
-        p: usize,
-        rpn: usize,
-        f: impl Fn(&RankCtx) -> R + Sync,
-    ) -> (Vec<R>, RunReport) {
+    fn on_nodes<R>(p: usize, rpn: usize, f: impl AsyncFn(&RankCtx) -> R) -> (Vec<R>, RunReport) {
         let machine = Machine::uniform();
         let opts = SimOptions {
             placement: Some(Placement {
@@ -823,28 +850,28 @@ mod tests {
             }),
             execute_compute: true,
         };
-        World::run_sim(p, &machine, opts, f)
+        World::simulate(p, &machine, opts, f)
     }
 
     #[test]
     fn node_map_selection_rules() {
         // A wall-clock run is one node → flat.
-        World::run(4, |ctx| {
+        World::run(4, async |ctx| {
             let comm = Comm::world(ctx);
             assert!(node_map(&comm, ctx).is_none());
         });
         // All nodes singleton (1 rank per node) → flat.
-        on_nodes(4, 1, |ctx| {
+        on_nodes(4, 1, async |ctx| {
             let comm = Comm::world(ctx);
             assert!(node_map(&comm, ctx).is_none());
         });
         // Whole communicator inside one node → flat.
-        on_nodes(4, 8, |ctx| {
+        on_nodes(4, 8, async |ctx| {
             let comm = Comm::world(ctx);
             assert!(node_map(&comm, ctx).is_none());
         });
         // 3 nodes × 2 members → hier, leaders are the even ranks.
-        on_nodes(6, 2, |ctx| {
+        on_nodes(6, 2, async |ctx| {
             let comm = Comm::world(ctx);
             let map = node_map(&comm, ctx).expect("hier engages");
             assert_eq!(map.nodes, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
@@ -856,7 +883,7 @@ mod tests {
         // Subgroups see their own layout: {0,1,4} on 4-rank nodes spans two
         // nodes with one multi-member node → hier; {0,2} (both on node 0 of
         // 4-rank nodes) → flat.
-        on_nodes(6, 4, |ctx| {
+        on_nodes(6, 4, async |ctx| {
             let comm = Comm::world(ctx);
             let groups = vec![vec![0, 1, 4], vec![2, 3, 5]];
             let sub = comm.subgroup(ctx, &groups).unwrap();
@@ -876,7 +903,7 @@ mod tests {
     fn hier_matches_flat_results() {
         // 3 nodes × 2 ranks: the node-block rings must produce the same
         // values the flat ones do.
-        on_nodes(6, 2, |ctx| {
+        on_nodes(6, 2, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let p = comm.size();
@@ -888,7 +915,7 @@ mod tests {
                 .flat_map(|r| (0..counts[r]).map(move |i| (r * 100 + i) as u32))
                 .collect();
             assert_eq!(
-                allgatherv_mode(Collectives::Hier, &comm, ctx, mine, &counts),
+                allgatherv_mode(Collectives::Hier, &comm, ctx, mine, &counts).await,
                 want
             );
 
@@ -896,7 +923,7 @@ mod tests {
             // association order cannot change bits.
             let counts = [2usize, 2, 2, 2, 2, 2];
             let data: Vec<f64> = (0..12).map(|i| (me * 1000 + i) as f64).collect();
-            let got = reduce_scatter_mode(Collectives::Hier, &comm, ctx, data, &counts);
+            let got = reduce_scatter_mode(Collectives::Hier, &comm, ctx, data, &counts).await;
             let rank_sum = (0..p).map(|r| r * 1000).sum::<usize>() as f64;
             for (k, &v) in got.iter().enumerate() {
                 let i = me * 2 + k;
@@ -909,7 +936,7 @@ mod tests {
     fn hier_without_topology_is_flat() {
         // `Hier` is a safe default: a wall-clock run is one node, so it runs
         // the flat rings (same results, flat attribution).
-        let (_, report) = World::run_traced(4, |ctx| {
+        let (_, report) = World::run_traced(4, async |ctx| {
             let comm = Comm::world(ctx);
             let v = allgatherv_mode(
                 Collectives::Hier,
@@ -917,7 +944,8 @@ mod tests {
                 ctx,
                 vec![comm.rank() as u64],
                 &[1; 4],
-            );
+            )
+            .await;
             assert_eq!(v, vec![0, 1, 2, 3]);
         });
         assert!(report.hist_by_algo.contains_key("ring_allgatherv"));
@@ -931,10 +959,10 @@ mod tests {
         // node's block = 6B − 2B = 4B) plus the assembled buffer down to its
         // member (6B) — 10B. Message counts: member 1, leader (L−1)+(m−1)=3.
         let b = 16usize;
-        let (_, report) = on_nodes(6, 2, |ctx| {
+        let (_, report) = on_nodes(6, 2, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("ag");
-            let _ = allgatherv_mode(Collectives::Hier, &comm, ctx, vec![0u64; b], &[b; 6]);
+            let _ = allgatherv_mode(Collectives::Hier, &comm, ctx, vec![0u64; b], &[b; 6]).await;
         });
         for r in 0..6 {
             let c = report.phase(r, "ag");
@@ -957,12 +985,13 @@ mod tests {
         // blocks (total − own node block = 6S − 2S = 4S) plus its member's
         // segment down (S) — 5S, (L−1)+(m−1) = 3 msgs.
         let s = 8usize;
-        let (_, report) = on_nodes(6, 2, |ctx| {
+        let (_, report) = on_nodes(6, 2, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("rs");
             let counts = vec![s; 6];
             let _ =
-                reduce_scatter_mode(Collectives::Hier, &comm, ctx, vec![1.0f64; 6 * s], &counts);
+                reduce_scatter_mode(Collectives::Hier, &comm, ctx, vec![1.0f64; 6 * s], &counts)
+                    .await;
         });
         for r in 0..6 {
             let c = report.phase(r, "rs");

@@ -4,7 +4,9 @@ use crate::trace::SpanKind;
 use crate::world::RankCtx;
 use dense::WireElem;
 use std::any::Any;
+use std::future::poll_fn;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Anything that can travel in a message. The only requirement beyond
 /// thread-safety is a byte size, which feeds the traffic counters (and,
@@ -237,23 +239,29 @@ impl Comm {
         ctx.tracer().end(0);
     }
 
+    /// Blocking façade over [`Comm::recv_async`], kept for the frozen benchmark
+    /// until item 7 (ROADMAP.md). Panics on a virtual rank.
+    pub fn recv<P: Payload>(&self, ctx: &RankCtx, src: usize, tag: u64) -> P {
+        ctx.block_on(self.recv_async(ctx, src, tag))
+    }
+
     /// Receives the message sent by communicator rank `src` with `tag`.
-    /// Blocks until it arrives; out-of-order arrivals are buffered.
+    /// Waits until it arrives; out-of-order arrivals are buffered.
     ///
     /// # Panics
     /// If the matched message has a different payload type (a protocol bug).
-    pub fn recv<P: Payload>(&self, ctx: &RankCtx, src: usize, tag: u64) -> P {
+    pub async fn recv_async<P: Payload>(&self, ctx: &RankCtx, src: usize, tag: u64) -> P {
         assert!(tag < MAX_USER_TAG, "tag {tag} reserved for collectives");
-        self.recv_internal(ctx, src, tag)
+        self.recv_internal(ctx, src, tag).await
     }
 
     /// A blocking receive is a posted receive completed at once: it matches
     /// exactly as an `irecv` posted at this point would, and only its span
     /// kind (`recv←src`, not `wait←src`) tells the two apart.
-    pub(crate) fn recv_internal<P: Payload>(&self, ctx: &RankCtx, src: usize, tag: u64) -> P {
+    pub(crate) async fn recv_internal<P: Payload>(&self, ctx: &RankCtx, src: usize, tag: u64) -> P {
         let req: RecvReq<P> = self.post_recv(ctx, src, tag);
         let peer = req.src_world;
-        req.complete(ctx, SpanKind::Recv { peer })
+        req.complete(ctx, SpanKind::Recv { peer }).await
     }
 
     fn downcast<P: Payload>(env: Envelope) -> P {
@@ -272,7 +280,7 @@ impl Comm {
     /// Simultaneous send to `dst` and receive from `src` (both communicator
     /// ranks) — `MPI_Sendrecv`. Safe against deadlock because sends are
     /// eager.
-    pub fn sendrecv<P: Payload>(
+    pub async fn sendrecv<P: Payload>(
         &self,
         ctx: &RankCtx,
         dst: usize,
@@ -281,7 +289,7 @@ impl Comm {
         payload: P,
     ) -> P {
         self.send(ctx, dst, tag, payload);
-        self.recv(ctx, src, tag)
+        self.recv_async(ctx, src, tag).await
     }
 
     /// Nonblocking send to communicator rank `dst` — `MPI_Isend`. Sends in
@@ -368,16 +376,25 @@ impl Comm {
     }
 }
 
-/// The one place a rank blocks: waits for the next message in its mailbox
-/// and files it — into the earliest-posted *open* entry of the
+/// The one place a rank waits: takes the next message from its mailbox —
+/// pending, with the rank's waker stored for the sender, while it is empty
+/// — and files it into the earliest-posted *open* entry of the
 /// posted-receive table with a matching key (MPI's posting-order rule),
-/// else into the pending buffer — and returns the wall seconds spent
-/// blocked (`0.0` when a message was already queued).
-fn pull(ctx: &RankCtx) -> f64 {
-    let (env, waited) = ctx
-        .rx
-        .recv_timed()
-        .expect("all senders dropped while waiting for a message");
+/// else into the pending buffer. Returns the wall seconds spent waiting:
+/// `0.0` when a message was already queued, and always `0.0` on a virtual
+/// rank, whose waits are priced in virtual time instead. Only a pull that
+/// actually pends reads the clock.
+async fn pull(ctx: &RankCtx) -> f64 {
+    let mut blocked_from = None;
+    let env = poll_fn(|cx| {
+        let polled = ctx.rx.poll_recv(cx);
+        if polled.is_pending() && blocked_from.is_none() && !ctx.is_virtual() {
+            blocked_from = Some(Instant::now());
+        }
+        polled
+    })
+    .await
+    .expect("all senders dropped while waiting for a message");
     let mut posted = ctx.posted.borrow_mut();
     let hit = posted
         .iter_mut()
@@ -387,7 +404,7 @@ fn pull(ctx: &RankCtx) -> f64 {
         Some(p) => p.slot = Some(env),
         None => ctx.pending.borrow_mut().push(env),
     }
-    waited
+    blocked_from.map_or(0.0, |t| t.elapsed().as_secs_f64())
 }
 
 /// Removes and returns the buffered message with matching `key`. Among
@@ -406,7 +423,7 @@ fn take_pending(ctx: &RankCtx, key: (usize, u64, u64)) -> Option<Envelope> {
 }
 
 /// Handle for a nonblocking receive ([`Comm::irecv`]): an entry in the
-/// rank's posted-receive table. Complete it with [`RecvReq::wait`] (blocks
+/// rank's posted-receive table. Complete it with [`RecvReq::wait`] (waits
 /// for the residual only — time the overlapped compute did not hide).
 /// Every posted receive must eventually be completed; a rank exiting with
 /// open posted receives panics.
@@ -419,43 +436,41 @@ pub struct RecvReq<P: Payload> {
 }
 
 impl<P: Payload> RecvReq<P> {
-    /// Blocks until the posted receive completes and returns the payload.
+    /// Waits until the posted receive completes and returns the payload.
     ///
     /// Wait attribution is the *residual*: only the seconds this call
-    /// actually blocks count (wall runs: condvar-blocked time; sim runs:
+    /// actually waits count (wall runs: seconds parked; sim runs:
     /// `max(clock, arrival) − clock`, i.e. the transfer time the compute
     /// issued between post and wait failed to hide). The trace records it
     /// as a `wait←src` span, distinct from a blocking `recv←src`.
     ///
     /// # Panics
     /// If the matched message has a different payload type.
-    pub fn wait(self, ctx: &RankCtx) -> P {
+    pub async fn wait(self, ctx: &RankCtx) -> P {
         let peer = self.src_world;
-        self.complete(ctx, SpanKind::Wait { peer })
+        self.complete(ctx, SpanKind::Wait { peer }).await
     }
 
     /// The one receive loop, behind [`RecvReq::wait`] and [`Comm::recv`]
     /// alike; `kind` is the trace span it records. The span covers the
     /// whole match — including any blocking wait, which is exactly the
     /// time the critical-path analysis needs — and every second spent
-    /// blocked on the mailbox, including waits that end in a message filed
+    /// waiting on the mailbox, including waits that end in a message filed
     /// for another receive, is this receive's wait: wall time this rank
     /// could not compute.
-    fn complete(self, ctx: &RankCtx, kind: SpanKind) -> P {
+    async fn complete(self, ctx: &RankCtx, kind: SpanKind) -> P {
         ctx.tracer().begin(kind, 0);
         let mut waited = 0.0;
         let env = loop {
             if let Some(env) = self.take_if_filled(ctx) {
                 break env;
             }
-            waited += pull(ctx);
+            waited += pull(ctx).await;
         };
         // Sim: completion is max(clock, arrival) — compute issued since the
         // post has already advanced the clock, so only the exposed remainder
-        // of the transfer is charged (and reported as wait); the parked wall
-        // seconds are an artifact of OS scheduling (thousands of rank
-        // threads share a few cores) and are discarded. Wall: the
-        // condvar-blocked seconds accumulated above.
+        // of the transfer is charged (and reported as wait). Wall: the
+        // parked seconds accumulated above.
         let wait = ctx.virtual_recv_wait(env.arrival).unwrap_or(waited);
         ctx.record_recv(self.src_world, env.bytes, wait);
         ctx.tracer().end(env.bytes);
@@ -486,14 +501,14 @@ mod tests {
 
     #[test]
     fn ping_pong() {
-        World::run(2, |ctx| {
+        World::run(2, async |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
                 comm.send(ctx, 1, 7, vec![1.0f64, 2.0, 3.0]);
-                let back: Vec<f64> = comm.recv(ctx, 1, 8);
+                let back: Vec<f64> = comm.recv_async(ctx, 1, 8).await;
                 assert_eq!(back, vec![6.0]);
             } else {
-                let v: Vec<f64> = comm.recv(ctx, 0, 7);
+                let v: Vec<f64> = comm.recv_async(ctx, 0, 7).await;
                 comm.send(ctx, 0, 8, vec![v.iter().sum::<f64>()]);
             }
         });
@@ -501,7 +516,7 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        World::run(2, |ctx| {
+        World::run(2, async |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
                 comm.send(ctx, 1, 1, 10u64);
@@ -509,34 +524,35 @@ mod tests {
                 comm.send(ctx, 1, 3, 30u64);
             } else {
                 // Receive in reverse order.
-                assert_eq!(comm.recv::<u64>(ctx, 0, 3), 30);
-                assert_eq!(comm.recv::<u64>(ctx, 0, 2), 20);
-                assert_eq!(comm.recv::<u64>(ctx, 0, 1), 10);
+                assert_eq!(comm.recv_async::<u64>(ctx, 0, 3).await, 30);
+                assert_eq!(comm.recv_async::<u64>(ctx, 0, 2).await, 20);
+                assert_eq!(comm.recv_async::<u64>(ctx, 0, 1).await, 10);
             }
         });
     }
 
     #[test]
     fn sendrecv_ring_shift() {
-        let vals = World::run(5, |ctx| {
+        let vals = World::run(5, async |ctx| {
             let comm = Comm::world(ctx);
             let p = comm.size();
             let me = comm.rank();
             // shift left: everyone passes its rank to (me-1)
-            comm.sendrecv(ctx, (me + p - 1) % p, (me + 1) % p, 0, vec![me as u64])[0]
+            comm.sendrecv(ctx, (me + p - 1) % p, (me + 1) % p, 0, vec![me as u64])
+                .await[0]
         });
         assert_eq!(vals, vec![1, 2, 3, 4, 0]);
     }
 
     #[test]
     fn traffic_counters_count_payload_bytes() {
-        let (_, report) = World::run_traced(2, |ctx| {
+        let (_, report) = World::run_traced(2, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("stage1");
             if comm.rank() == 0 {
                 comm.send(ctx, 1, 0, vec![0.0f64; 100]);
             } else {
-                let _: Vec<f64> = comm.recv(ctx, 0, 0);
+                let _: Vec<f64> = comm.recv_async(ctx, 0, 0).await;
             }
         });
         assert_eq!(report.phase(0, "stage1").bytes, 800);
@@ -546,7 +562,7 @@ mod tests {
 
     #[test]
     fn subgroup_even_odd() {
-        World::run(6, |ctx| {
+        World::run(6, async |ctx| {
             let comm = Comm::world(ctx);
             let groups = vec![vec![0, 2, 4], vec![1, 3, 5]];
             let sub = comm.subgroup(ctx, &groups).unwrap();
@@ -555,14 +571,16 @@ mod tests {
             assert_eq!(sub.rank(), expected_idx);
             // messages in the subgroup do not leak across groups: ring shift
             let me = sub.rank();
-            let got = sub.sendrecv(ctx, (me + 1) % 3, (me + 2) % 3, 0, comm.rank() as u64);
+            let got = sub
+                .sendrecv(ctx, (me + 1) % 3, (me + 2) % 3, 0, comm.rank() as u64)
+                .await;
             assert_eq!(got as usize % 2, comm.rank() % 2);
         });
     }
 
     #[test]
     fn subgroup_none_for_excluded_rank() {
-        World::run(3, |ctx| {
+        World::run(3, async |ctx| {
             let comm = Comm::world(ctx);
             let sub = comm.subgroup(ctx, &[vec![0, 1]]);
             if comm.rank() == 2 {
@@ -576,12 +594,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "type confusion")]
     fn wrong_type_recv_panics() {
-        World::run(2, |ctx| {
+        World::run(2, async |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
                 comm.send(ctx, 1, 0, vec![1.0f64]);
             } else {
-                let _: Vec<f32> = comm.recv(ctx, 0, 0);
+                let _: Vec<f32> = comm.recv_async(ctx, 0, 0).await;
             }
         });
     }
@@ -591,7 +609,7 @@ mod tests {
         // Regression test: rank 1 first waits on tag 2 (which arrives
         // last), forcing tags-1 messages into the pending buffer; they must
         // still come out in send order.
-        World::run(2, |ctx| {
+        World::run(2, async |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
                 comm.send(ctx, 1, 1, 10u64);
@@ -599,24 +617,24 @@ mod tests {
                 comm.send(ctx, 1, 1, 30u64);
                 comm.send(ctx, 1, 2, 99u64);
             } else {
-                assert_eq!(comm.recv::<u64>(ctx, 0, 2), 99);
-                assert_eq!(comm.recv::<u64>(ctx, 0, 1), 10);
-                assert_eq!(comm.recv::<u64>(ctx, 0, 1), 20);
-                assert_eq!(comm.recv::<u64>(ctx, 0, 1), 30);
+                assert_eq!(comm.recv_async::<u64>(ctx, 0, 2).await, 99);
+                assert_eq!(comm.recv_async::<u64>(ctx, 0, 1).await, 10);
+                assert_eq!(comm.recv_async::<u64>(ctx, 0, 1).await, 20);
+                assert_eq!(comm.recv_async::<u64>(ctx, 0, 1).await, 30);
             }
         });
     }
 
     #[test]
     fn irecv_posted_before_send() {
-        World::run(2, |ctx| {
+        World::run(2, async |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
                 let req = comm.irecv::<u64>(ctx, 1, 5);
                 comm.send(ctx, 1, 6, 1u64); // tell rank 1 the post happened
-                assert_eq!(req.wait(ctx), 42);
+                assert_eq!(req.wait(ctx).await, 42);
             } else {
-                let _: u64 = comm.recv(ctx, 0, 6);
+                let _: u64 = comm.recv_async(ctx, 0, 6).await;
                 comm.send(ctx, 0, 5, 42u64);
             }
         });
@@ -624,7 +642,7 @@ mod tests {
 
     #[test]
     fn irecv_posted_after_arrival() {
-        World::run(2, |ctx| {
+        World::run(2, async |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
                 comm.send(ctx, 1, 5, 7u64);
@@ -633,19 +651,19 @@ mod tests {
             } else {
                 // Per-sender FIFO: completing the tag-7 recv forces tags 5
                 // and 6 into the pending buffer before any post exists.
-                let _: u64 = comm.recv(ctx, 0, 7);
+                let _: u64 = comm.recv_async(ctx, 0, 7).await;
                 // Post in reverse tag order: matching is by key, not FIFO.
                 let r6 = comm.irecv::<u64>(ctx, 0, 6);
                 let r5 = comm.irecv::<u64>(ctx, 0, 5);
-                assert_eq!(r6.wait(ctx), 8);
-                assert_eq!(r5.wait(ctx), 7);
+                assert_eq!(r6.wait(ctx).await, 8);
+                assert_eq!(r5.wait(ctx).await, 7);
             }
         });
     }
 
     #[test]
     fn same_key_irecvs_match_in_posting_order() {
-        World::run(2, |ctx| {
+        World::run(2, async |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
                 for v in [10u64, 20, 30] {
@@ -657,9 +675,9 @@ mod tests {
                 let r3 = comm.irecv::<u64>(ctx, 0, 1);
                 // Waited out of posting order, yet each request gets the
                 // message its posting position earned (sender order).
-                assert_eq!(r3.wait(ctx), 30);
-                assert_eq!(r1.wait(ctx), 10);
-                assert_eq!(r2.wait(ctx), 20);
+                assert_eq!(r3.wait(ctx).await, 30);
+                assert_eq!(r1.wait(ctx).await, 10);
+                assert_eq!(r2.wait(ctx).await, 20);
             }
         });
     }
@@ -668,16 +686,50 @@ mod tests {
     fn isend_then_blocking_recv_interoperate() {
         // A posted irecv must not be starved by interleaved blocking recvs,
         // and a blocking recv must not steal the posted receive's message.
-        World::run(2, |ctx| {
+        World::run(2, async |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
                 comm.isend(ctx, 1, 3, 111u64);
                 comm.send(ctx, 1, 3, 222u64);
             } else {
                 let req = comm.irecv::<u64>(ctx, 0, 3); // posted first
-                let later: u64 = comm.recv(ctx, 0, 3); // same key, posted second
-                assert_eq!(req.wait(ctx), 111);
+                let later: u64 = comm.recv_async(ctx, 0, 3).await; // same key, posted second
+                assert_eq!(req.wait(ctx).await, 111);
                 assert_eq!(later, 222);
+            }
+        });
+    }
+
+    #[test]
+    fn only_a_receive_that_waits_is_charged_wait() {
+        let sent = std::sync::Barrier::new(2);
+        let (_, report) = World::run_opts(2, crate::RunOptions::default(), async |ctx| {
+            let comm = Comm::world(ctx);
+            if comm.rank() == 0 {
+                comm.send(ctx, 1, 1, 1u8);
+                sent.wait();
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                comm.send(ctx, 1, 2, 2u8);
+            } else {
+                sent.wait();
+                ctx.set_phase("queued");
+                let _: u8 = comm.recv_async(ctx, 0, 1).await;
+                ctx.set_phase("late");
+                let _: u8 = comm.recv_async(ctx, 0, 2).await;
+            }
+        });
+        assert_eq!(report.wait_secs(1, "queued"), 0.0);
+        let late = report.wait_secs(1, "late");
+        assert!(late >= 0.010, "expected a measurable wait, got {late}");
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 panicked: blocking call on virtual rank 0")]
+    fn blocking_facade_on_a_virtual_rank_panics() {
+        let machine = netmodel::Machine::uniform();
+        World::run_sim(2, &machine, SimOptions::default(), |ctx| {
+            if ctx.world_rank() == 0 {
+                let _: u64 = Comm::world(ctx).recv(ctx, 1, 0);
             }
         });
     }
@@ -685,7 +737,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "posted receive(s) never waited on")]
     fn leaked_posted_receive_panics_at_exit() {
-        World::run(2, |ctx| {
+        World::run(2, async |ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 1 {
                 let _ = comm.irecv::<u64>(ctx, 0, 0);
@@ -706,7 +758,7 @@ mod tests {
         const P: usize = 16;
         const ROUNDS: usize = 24;
         for seed in 0..4u64 {
-            let program = |ctx: &RankCtx| {
+            let program = async |ctx: &RankCtx| {
                 let comm = Comm::world(ctx);
                 let me = comm.rank();
                 let mut state = mix(seed.wrapping_mul(0x9E37).wrapping_add(me as u64 + 1));
@@ -723,21 +775,21 @@ mod tests {
                     let blocking = draw() & 1 == 0;
                     let got = if blocking {
                         comm.isend(ctx, peer, tag, val);
-                        comm.recv(ctx, peer, tag)
+                        comm.recv_async(ctx, peer, tag).await
                     } else if post_first {
                         let req = comm.irecv::<u64>(ctx, peer, tag);
                         comm.isend(ctx, peer, tag, val);
-                        req.wait(ctx)
+                        req.wait(ctx).await
                     } else {
                         comm.isend(ctx, peer, tag, val);
-                        comm.irecv::<u64>(ctx, peer, tag).wait(ctx)
+                        comm.irecv::<u64>(ctx, peer, tag).wait(ctx).await
                     };
                     assert_eq!(got, want, "rank {me} round {round} (seed {seed})");
                 }
             };
             World::run(P, program);
             let sim = || {
-                let (_, report) = World::run_sim(
+                let (_, report) = World::simulate(
                     P,
                     &netmodel::Machine::uniform(),
                     SimOptions::default(),

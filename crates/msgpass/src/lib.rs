@@ -2,11 +2,13 @@
 //! reproduction.
 //!
 //! The paper's artifact is an MPI program. This crate provides the subset of
-//! MPI the paper's Algorithm 1 needs, implemented from scratch on OS
-//! threads:
+//! MPI the paper's Algorithm 1 needs, implemented from scratch:
 //!
-//! * [`World::run`] spawns `P` ranks as scoped threads and runs the same
-//!   closure on each — the moral equivalent of `mpirun -np P`;
+//! * a rank program is an async closure. [`World::run`] runs it on each of
+//!   `P` scoped threads — the moral equivalent of `mpirun -np P`;
+//!   [`World::simulate`] runs it as `P` tasks on the calling thread under
+//!   virtual time ([`sim`]). A rank yields only where it waits for a
+//!   message;
 //! * [`Comm`] is a communicator: an ordered group of world ranks with its
 //!   own isolated tag space, split into sub-communicators by
 //!   [`Comm::subgroup`] (like `MPI_Comm_create_group`);
@@ -54,12 +56,13 @@
 //! Sends are *eager* (buffered, never block — an `isend` leaves nothing to
 //! wait on), so `sendrecv` pairs and shift patterns cannot deadlock. Collectives must be invoked in the same order
 //! by every member of a communicator, exactly as in MPI. A panic on any rank
-//! propagates out of [`World::run`] and fails the test.
+//! propagates out of [`World::run`] and fails the test; a simulation also
+//! fails, instead of hanging, on a deadlock or an unreceived message.
 //!
 //! This crate has no external dependencies (the channel underneath the
-//! mailboxes is its own `chan` module); it builds offline. Every rank
-//! thread — of a run or of a [`PersistentWorld`] — gets one fixed 1 MiB
-//! stack.
+//! mailboxes is its own `chan` module); it builds offline. Every wall-clock
+//! rank thread — of a run or of a [`PersistentWorld`] — gets one fixed
+//! 1 MiB stack.
 
 pub(crate) mod chan;
 pub mod collectives;

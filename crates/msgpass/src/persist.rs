@@ -12,11 +12,15 @@
 //!
 //! A rank panic inside a job is caught (`catch_unwind`) and surfaced as
 //! [`JobPanic`] instead of crashing the process, and the workers survive to
-//! take the next job. The same caveat as [`crate::World::run`] applies: if
-//! a panic fires on *some* ranks only, the others may block forever waiting
-//! for messages that will never come — so callers (the `ca3dmm-serve`
-//! request path) must validate inputs up front, leaving only
+//! take the next job. The caveat of every wall-clock run applies
+//! ([`crate::World::run`] too; a virtual-time run reports the deadlock
+//! instead): if a panic fires on *some* ranks only, the others may block
+//! forever waiting for messages that will never come — so callers (the
+//! `ca3dmm-serve` request path) must validate inputs up front, leaving only
 //! deterministic-across-ranks panics possible inside a job.
+//!
+//! Jobs are synchronous closures; one waits for a message by driving an
+//! `async` operation with [`RankCtx::block_on`].
 
 use crate::world::{run_rank, RankCtx, RunOptions, RunReport, RunSetup, RANK_STACK_SIZE};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -196,8 +200,13 @@ mod tests {
                     let me = world.rank();
                     let p = world.size();
                     let payload = vec![round + me as u64];
-                    let got: Vec<u64> =
-                        world.sendrecv(ctx, (me + 1) % p, (me + p - 1) % p, 7, payload);
+                    let got: Vec<u64> = ctx.block_on(world.sendrecv(
+                        ctx,
+                        (me + 1) % p,
+                        (me + p - 1) % p,
+                        7,
+                        payload,
+                    ));
                     got[0]
                 })
                 .unwrap();

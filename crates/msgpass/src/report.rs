@@ -1219,15 +1219,15 @@ mod tests {
     use crate::world::World;
 
     fn sample_report() -> RunReport {
-        let (_, report) = World::run_traced(2, |ctx| {
+        let (_, report) = World::run_traced(2, async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("stage");
             if comm.rank() == 0 {
                 comm.send(ctx, 1, 0, vec![1.0f64; 64]);
             } else {
-                let _: Vec<f64> = comm.recv(ctx, 0, 0);
+                let _: Vec<f64> = comm.recv_async(ctx, 0, 0).await;
             }
-            crate::collectives::barrier(&comm, ctx);
+            crate::collectives::barrier(&comm, ctx).await;
         });
         report
     }
@@ -1368,14 +1368,14 @@ mod tests {
     #[test]
     fn virtual_report_round_trips_with_sim_block() {
         let machine = netmodel::Machine::uniform();
-        let (_, report) = World::run_sim(2, &machine, crate::SimOptions::default(), |ctx| {
+        let (_, report) = World::simulate(2, &machine, crate::SimOptions::default(), async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("pp");
             if comm.rank() == 0 {
                 comm.send(ctx, 1, 0, vec![1.0f64; 64]);
-                let _: Vec<f64> = comm.recv(ctx, 1, 1);
+                let _: Vec<f64> = comm.recv_async(ctx, 1, 1).await;
             } else {
-                let v: Vec<f64> = comm.recv(ctx, 0, 0);
+                let v: Vec<f64> = comm.recv_async(ctx, 0, 0).await;
                 comm.send(ctx, 0, 1, v);
             }
         });
@@ -1410,7 +1410,7 @@ mod tests {
             gemm_prof: true,
             ..crate::RunOptions::traced()
         };
-        let (_, report) = World::run_opts(2, opts, |ctx| {
+        let (_, report) = World::run_opts(2, opts, async |ctx| {
             ctx.set_phase("mult");
             let a = dense::random::random_mat::<f64>(96, 96, 7);
             let b = dense::random::random_mat::<f64>(96, 96, 8);
@@ -1424,7 +1424,7 @@ mod tests {
                 0.0,
                 &mut c,
             );
-            crate::collectives::barrier(&Comm::world(ctx), ctx);
+            crate::collectives::barrier(&Comm::world(ctx), ctx).await;
         });
         assert_eq!(report.compute.len(), 2, "both ranks captured");
         let meta = Json::obj([("name", Json::Str("prof".into()))]);

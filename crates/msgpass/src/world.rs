@@ -1,4 +1,5 @@
-//! The world: rank spawning, mailboxes, the shared fabric, and run reports.
+//! The world: wall-clock rank threads, mailboxes, the shared fabric, and
+//! run reports.
 
 use crate::chan::{channel, Receiver, Sender};
 use crate::comm::{Envelope, PostedRecv};
@@ -8,9 +9,11 @@ use crate::trace::{RawEvent, Recorder, SpanKind, Timeline};
 use crate::traffic::{RankStats, TrafficReport};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::Instant;
 
 /// Shared, immutable communication fabric: one inbound channel per rank and
@@ -42,12 +45,12 @@ impl Fabric {
     }
 }
 
-/// Stack size of every rank thread, bytes — of [`World::run_opts`] and
-/// [`World::run_sim`] runs and of [`crate::PersistentWorld`] workers. The
-/// platform default (often 8 MiB) would reserve gigabytes of address space
-/// at the virtual-rank counts the sim backend runs (p = 3072 ⇒ 24 GiB);
-/// rank closures keep bulk data on the heap (`Mat`, `Vec`), so 1 MiB is
-/// ample.
+/// Stack size of every wall-clock rank thread, bytes — of
+/// [`World::run_opts`] runs and of [`crate::PersistentWorld`] workers
+/// (virtual ranks are tasks on the caller's thread and have no stack of
+/// their own). Rank closures keep bulk data on the heap (`Mat`, `Vec`), so
+/// 1 MiB is ample, and a world of many ranks reserves a megabyte of
+/// address space per rank rather than the platform default (often 8 MiB).
 pub(crate) const RANK_STACK_SIZE: usize = 1 << 20;
 
 /// Options for [`World::run_opts`].
@@ -91,7 +94,7 @@ impl RunOptions {
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Per-rank, per-phase bytes/messages and seconds — wall seconds for
-    /// ordinary runs, **virtual** seconds for [`World::run_sim`] runs.
+    /// ordinary runs, **virtual** seconds for [`World::simulate`] runs.
     pub traffic: TrafficReport,
     /// Per-rank span timeline (empty unless tracing was enabled).
     pub timeline: Timeline,
@@ -159,11 +162,12 @@ impl ComputeProfile {
     }
 }
 
-/// Everything one rank's thread needs: its identity, its mailbox, its
-/// counters, and the fabric. All communication operations take `&RankCtx`;
-/// the mutable pieces (pending-message buffer, current phase, counters,
-/// trace recorder) live in cells because a rank is single-threaded by
-/// construction.
+/// Everything one rank needs: its identity, its mailbox, its counters, and
+/// the fabric. All communication operations take `&RankCtx`; the mutable
+/// pieces (pending-message buffer, current phase, counters, trace recorder)
+/// live in cells because a rank is single-threaded by construction — a
+/// wall-clock rank is one thread, a virtual rank one task on the
+/// simulator's thread.
 pub struct RankCtx {
     world_rank: usize,
     world_size: usize,
@@ -215,7 +219,7 @@ pub struct RankCtx {
 
 impl RankCtx {
     /// Builds one rank's context for one run (or one persistent-world job).
-    fn fresh(setup: &RunSetup, rank: usize, rx: Receiver<Envelope>) -> RankCtx {
+    pub(crate) fn fresh(setup: &RunSetup, rank: usize, rx: Receiver<Envelope>) -> RankCtx {
         RankCtx {
             world_rank: rank,
             world_size: setup.fabric.senders.len(),
@@ -289,10 +293,10 @@ impl RankCtx {
         }
     }
 
-    /// Final bookkeeping when the rank's closure returns: closes the open
-    /// phase (clock and trace span) and hands back the raw event stream and
-    /// the counters.
-    fn finish(&self) -> (Vec<RawEvent>, RankStats) {
+    /// Final bookkeeping when the rank's closure returns `result`: closes
+    /// the open phase (clock and trace span) and hands back the result with
+    /// the raw event stream, the counters and the final virtual clock.
+    pub(crate) fn finish<R>(&self, result: R) -> RankOutput<R> {
         assert!(
             self.posted.borrow().is_empty(),
             "rank {} exited with {} posted receive(s) never waited on",
@@ -304,7 +308,13 @@ impl RankCtx {
         if self.recorder.enabled() && !self.phase.borrow().is_empty() {
             self.recorder.end_at(now, 0);
         }
-        (self.recorder.take(), self.stats.take())
+        RankOutput {
+            result,
+            stats: self.stats.take(),
+            events: self.recorder.take(),
+            clock: self.clock.get(),
+            profile: None,
+        }
     }
 
     /// The current phase label.
@@ -332,6 +342,38 @@ impl RankCtx {
         if let Some(sim) = &self.sim {
             self.clock.set(self.clock.get() + sim.compute_secs(flops));
         }
+    }
+
+    /// Whether this rank runs under virtual time, as a task of
+    /// [`World::simulate`].
+    pub(crate) fn is_virtual(&self) -> bool {
+        self.sim.is_some()
+    }
+
+    /// The `(source world rank, tag)` of every receive this rank has posted
+    /// and not yet matched — what a rank stuck in a wait is waiting for.
+    pub(crate) fn awaited(&self) -> Vec<(usize, u64)> {
+        let posted = self.posted.borrow();
+        let open = posted.iter().filter(|p| p.slot.is_none());
+        open.map(|p| (p.src_world, p.tag)).collect()
+    }
+
+    /// Runs `fut` to completion on this wall-clock rank's thread, parking
+    /// the thread whenever the future waits for a message: the one-line
+    /// body of every blocking façade over an `async` operation.
+    ///
+    /// # Panics
+    /// On a virtual rank. It is a task sharing the simulator's thread with
+    /// every other rank, so it must not block: call the `async` form and
+    /// `.await` it inside [`World::simulate`].
+    pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
+        assert!(
+            !self.is_virtual(),
+            "blocking call on virtual rank {}: a simulated rank cannot block; \
+             .await the async form of this operation inside World::simulate",
+            self.world_rank
+        );
+        block_on(fut)
     }
 
     /// Whether compute kernels should actually run. Always true in
@@ -454,12 +496,15 @@ pub struct World;
 
 impl World {
     /// Runs `f` on `p` ranks (threads) and returns the per-rank results in
-    /// rank order. Panics on any rank propagate. Tracing is off: the
-    /// instrumentation hooks reduce to an untaken branch each.
+    /// rank order. Each rank thread polls its future, parking whenever it
+    /// waits for a message, so the program `f` is the same one
+    /// [`World::simulate`] runs as tasks on one thread.
+    /// Panics on any rank propagate. Tracing is off: the instrumentation
+    /// hooks reduce to an untaken branch each.
     pub fn run<R, F>(p: usize, f: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(&RankCtx) -> R + Sync,
+        F: AsyncFn(&RankCtx) -> R + Sync,
     {
         Self::run_opts(p, RunOptions::default(), f).0
     }
@@ -469,33 +514,18 @@ impl World {
     pub fn run_traced<R, F>(p: usize, f: F) -> (Vec<R>, RunReport)
     where
         R: Send,
-        F: Fn(&RankCtx) -> R + Sync,
+        F: AsyncFn(&RankCtx) -> R + Sync,
     {
         Self::run_opts(p, RunOptions::traced(), f)
     }
 
-    /// The general entry point: runs `f` on `p` ranks under `opts`.
+    /// The general entry point: runs `f` on `p` rank threads under `opts`.
     pub fn run_opts<R, F>(p: usize, opts: RunOptions, f: F) -> (Vec<R>, RunReport)
     where
         R: Send,
-        F: Fn(&RankCtx) -> R + Sync,
+        F: AsyncFn(&RankCtx) -> R + Sync,
     {
-        Self::run_inner(p, opts, None, f)
-    }
-
-    /// Shared engine behind [`World::run_opts`] (wall time, `sim` = `None`)
-    /// and [`World::run_sim`] (virtual time, `sim` = charging parameters).
-    pub(crate) fn run_inner<R, F>(
-        p: usize,
-        opts: RunOptions,
-        sim: Option<Arc<SimParams>>,
-        f: F,
-    ) -> (Vec<R>, RunReport)
-    where
-        R: Send,
-        F: Fn(&RankCtx) -> R + Sync,
-    {
-        let (setup, receivers) = RunSetup::new(p, &opts, sim);
+        let (setup, receivers) = RunSetup::new(p, &opts, None);
         let outputs = std::thread::scope(|s| {
             let handles: Vec<_> = receivers
                 .into_iter()
@@ -504,7 +534,7 @@ impl World {
                     let (setup, f) = (&setup, &f);
                     std::thread::Builder::new()
                         .stack_size(RANK_STACK_SIZE)
-                        .spawn_scoped(s, move || run_rank(setup, rank, rx, f))
+                        .spawn_scoped(s, move || run_rank(setup, rank, rx, |ctx| block_on(f(ctx))))
                         .expect("failed to spawn rank thread")
                 })
                 .collect();
@@ -527,14 +557,14 @@ impl World {
 /// fabric, the time domain and trace origin, and the per-rank settings
 /// resolved from the [`RunOptions`].
 pub(crate) struct RunSetup {
-    fabric: Arc<Fabric>,
+    pub(crate) fabric: Arc<Fabric>,
     /// Virtual-time charging parameters; `None` for wall clock.
     sim: Option<Arc<SimParams>>,
     trace: bool,
     /// One epoch for the whole world so per-rank timestamps are mutually
     /// comparable in the merged timeline.
     epoch: Instant,
-    kernel_threads: usize,
+    pub(crate) kernel_threads: usize,
     gemm_prof: bool,
 }
 
@@ -542,11 +572,11 @@ pub(crate) struct RunSetup {
 /// the counters, trace stream, final virtual clock, and kernel profile the
 /// report assembler needs.
 pub(crate) struct RankOutput<R> {
-    result: R,
-    stats: RankStats,
-    events: Vec<RawEvent>,
-    clock: f64,
-    profile: Option<dense::prof::KernelProfile>,
+    pub(crate) result: R,
+    pub(crate) stats: RankStats,
+    pub(crate) events: Vec<RawEvent>,
+    pub(crate) clock: f64,
+    pub(crate) profile: Option<dense::prof::KernelProfile>,
 }
 
 impl RunSetup {
@@ -652,8 +682,8 @@ impl RunSetup {
     }
 }
 
-/// One rank's whole life inside one run, on whichever thread hosts it — a
-/// scoped thread of [`World::run_opts`] / [`World::run_sim`] or a
+/// One wall-clock rank's whole life inside one run, on whichever thread
+/// hosts it — a scoped thread of [`World::run_opts`] or a
 /// [`crate::PersistentWorld`] worker: cap the local-GEMM width, open the
 /// kernel-profile capture if the run asked for one, build the [`RankCtx`],
 /// run `f`, and close the rank's bookkeeping. A panic in `f` is caught and
@@ -675,24 +705,56 @@ pub(crate) fn run_rank<R>(
     let ran = catch_unwind(AssertUnwindSafe(|| {
         let ctx = RankCtx::fresh(setup, rank, rx);
         let result = f(&ctx);
-        (result, ctx.finish(), ctx.clock.get())
+        ctx.finish(result)
     }));
     // Closed even when `f` panicked, so a capture cannot leak into the next
     // job on this thread.
     let profile = setup.gemm_prof.then(dense::prof::end_capture).flatten();
-    let (result, (events, stats), clock) = ran.map_err(|e| {
-        e.downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| e.downcast_ref::<&str>().copied())
-            .unwrap_or("<non-string panic>")
-            .to_owned()
-    })?;
-    Ok(RankOutput {
-        result,
-        stats,
-        events,
-        clock,
-        profile,
+    let out = ran.map_err(panic_message)?;
+    Ok(RankOutput { profile, ..out })
+}
+
+/// A caught panic's payload, stringified.
+pub(crate) fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
+    e.downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| e.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>")
+        .to_owned()
+}
+
+/// Wakes a wall-clock rank by unparking its thread.
+struct ThreadWaker(std::thread::Thread);
+
+impl Wake for ThreadWaker {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+std::thread_local! {
+    /// This thread's waker, built once: a façade call costs one poll, not
+    /// an allocation.
+    static THREAD_WAKER: Waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
+}
+
+/// The wall-clock executor: polls `fut` on the calling thread and parks the
+/// thread whenever it is pending, until the sender that makes it ready
+/// unparks it.
+pub(crate) fn block_on<F: Future>(fut: F) -> F::Output {
+    let mut fut = std::pin::pin!(fut);
+    THREAD_WAKER.with(|waker| {
+        let mut cx = Context::from_waker(waker);
+        loop {
+            if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+                return out;
+            }
+            std::thread::park();
+        }
     })
 }
 
@@ -702,20 +764,20 @@ mod tests {
 
     #[test]
     fn ranks_see_their_identity() {
-        let ids = World::run(4, |ctx| (ctx.world_rank(), ctx.world_size()));
+        let ids = World::run(4, async |ctx| (ctx.world_rank(), ctx.world_size()));
         assert_eq!(ids, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
     }
 
     #[test]
     fn single_rank_world() {
-        let out = World::run(1, |ctx| ctx.world_rank() + 100);
+        let out = World::run(1, async |ctx| ctx.world_rank() + 100);
         assert_eq!(out, vec![100]);
     }
 
     #[test]
     #[should_panic(expected = "rank 2 panicked")]
     fn rank_panic_propagates() {
-        World::run(4, |ctx| {
+        World::run(4, async |ctx| {
             if ctx.world_rank() == 2 {
                 panic!("boom");
             }
@@ -725,14 +787,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "world size must be positive")]
     fn zero_world_rejected() {
-        World::run(0, |_| ());
+        World::run(0, async |_| ());
     }
 
     #[test]
     fn ranks_get_an_even_kernel_thread_split() {
         // Default: the per-rank GEMM width is base/p (min 1), so p ranks
         // never ask for more kernel threads than the process budget.
-        let widths = World::run(4, |_| dense::pool::gemm_threads());
+        let widths = World::run(4, async |_| dense::pool::gemm_threads());
         let expect = dense::pool::rank_threads_for(4);
         assert!(widths.iter().all(|&w| w == expect), "widths {widths:?}");
 
@@ -741,13 +803,13 @@ mod tests {
             kernel_threads_per_rank: Some(2),
             ..RunOptions::default()
         };
-        let (widths, _) = World::run_opts(3, opts, |_| dense::pool::gemm_threads());
+        let (widths, _) = World::run_opts(3, opts, async |_| dense::pool::gemm_threads());
         assert_eq!(widths, vec![2, 2, 2]);
     }
 
     #[test]
     fn phase_label_round_trip() {
-        World::run(1, |ctx| {
+        World::run(1, async |ctx| {
             assert_eq!(ctx.phase(), "");
             ctx.set_phase("cannon_shift");
             assert_eq!(ctx.phase(), "cannon_shift");
@@ -756,7 +818,7 @@ mod tests {
 
     #[test]
     fn untraced_runs_have_empty_timelines() {
-        let (_, report) = World::run_opts(3, RunOptions::default(), |ctx| {
+        let (_, report) = World::run_opts(3, RunOptions::default(), async |ctx| {
             ctx.set_phase("work");
         });
         assert_eq!(report.timeline.ranks(), 3);
@@ -767,7 +829,7 @@ mod tests {
 
     #[test]
     fn traced_phase_spans_match_traffic_clock() {
-        let (_, report) = World::run_traced(2, |ctx| {
+        let (_, report) = World::run_traced(2, async |ctx| {
             ctx.set_phase("alpha");
             std::thread::sleep(std::time::Duration::from_millis(5));
             ctx.set_phase("beta");
@@ -798,7 +860,7 @@ mod tests {
 
     #[test]
     fn run_report_derefs_to_traffic() {
-        let (_, report) = World::run_traced(1, |ctx| {
+        let (_, report) = World::run_traced(1, async |ctx| {
             ctx.set_phase("only");
         });
         // methods resolved through Deref<Target = TrafficReport>

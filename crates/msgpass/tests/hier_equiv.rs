@@ -19,10 +19,8 @@
 //! and the reduce-scatter, where `L` is the node count.
 
 use dense::Shape64;
-use msgpass::collectives::Collectives::Hier;
-use msgpass::collectives::{
-    allgatherv, allgatherv_mode, node_map, reduce_scatter, reduce_scatter_mode,
-};
+use msgpass::collectives::Collectives::{Flat, Hier};
+use msgpass::collectives::{allgatherv_mode, node_map, reduce_scatter_mode};
 use msgpass::{Comm, RankCtx, RunReport, SimOptions, World};
 use netmodel::machine::Placement;
 use netmodel::Machine;
@@ -30,7 +28,7 @@ use proptest::prelude::*;
 
 /// Runs `f` on `p` ranks under virtual time on nodes of `rpn` ranks (nodes
 /// exist only in a machine model), executing every operation.
-fn on_nodes(p: usize, rpn: usize, f: impl Fn(&RankCtx) + Sync) -> RunReport {
+fn on_nodes(p: usize, rpn: usize, f: impl AsyncFn(&RankCtx)) -> RunReport {
     let machine = Machine::uniform();
     let opts = SimOptions {
         placement: Some(Placement {
@@ -39,7 +37,7 @@ fn on_nodes(p: usize, rpn: usize, f: impl Fn(&RankCtx) + Sync) -> RunReport {
         }),
         execute_compute: true,
     };
-    World::run_sim(p, &machine, opts, f).1
+    World::simulate(p, &machine, opts, f).1
 }
 
 /// Deterministic per-rank counts from a seed: 0..=3 elements each, so empty
@@ -73,19 +71,19 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let counts = counts_from_seed(seed, p);
-        let report = on_nodes(p, rpn, |ctx| {
+        let report = on_nodes(p, rpn, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             ctx.set_phase("values");
             let mine: Vec<u64> =
                 (0..counts[me]).map(|i| (me * 100 + i) as u64).collect();
-            let flat = allgatherv(&comm, ctx, mine.clone(), &counts);
-            let hier = allgatherv_mode(Hier, &comm, ctx, mine, &counts);
+            let flat = allgatherv_mode(Flat, &comm, ctx, mine.clone(), &counts).await;
+            let hier = allgatherv_mode(Hier, &comm, ctx, mine, &counts).await;
             assert_eq!(flat, hier, "p={p} rpn={rpn} seed={seed:#x}");
             ctx.set_phase("shape");
             let mine = vec![Shape64; counts[me]];
-            let flat = allgatherv(&comm, ctx, mine.clone(), &counts);
-            let hier = allgatherv_mode(Hier, &comm, ctx, mine, &counts);
+            let flat = allgatherv_mode(Flat, &comm, ctx, mine.clone(), &counts).await;
+            let hier = allgatherv_mode(Hier, &comm, ctx, mine, &counts).await;
             assert_eq!(flat.len(), hier.len());
         });
         assert_shape_traffic_equals_values(&report);
@@ -102,19 +100,19 @@ proptest! {
     ) {
         let counts = counts_from_seed(seed, p);
         let total: usize = counts.iter().sum();
-        let report = on_nodes(p, rpn, |ctx| {
+        let report = on_nodes(p, rpn, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             ctx.set_phase("values");
             let data: Vec<f64> =
                 (0..total).map(|i| ((me + 1) * (i + 1)) as f64).collect();
-            let flat = reduce_scatter(&comm, ctx, data.clone(), &counts);
-            let hier = reduce_scatter_mode(Hier, &comm, ctx, data, &counts);
+            let flat = reduce_scatter_mode(Flat, &comm, ctx, data.clone(), &counts).await;
+            let hier = reduce_scatter_mode(Hier, &comm, ctx, data, &counts).await;
             assert_eq!(flat, hier, "p={p} rpn={rpn} seed={seed:#x}");
             ctx.set_phase("shape");
             let data = vec![Shape64; total];
-            let flat = reduce_scatter(&comm, ctx, data.clone(), &counts);
-            let hier = reduce_scatter_mode(Hier, &comm, ctx, data, &counts);
+            let flat = reduce_scatter_mode(Flat, &comm, ctx, data.clone(), &counts).await;
+            let hier = reduce_scatter_mode(Hier, &comm, ctx, data, &counts).await;
             assert_eq!(flat.len(), hier.len());
         });
         assert_shape_traffic_equals_values(&report);
@@ -140,21 +138,21 @@ proptest! {
             .map(|&r| ((seed >> ((2 * r + 1) % 64)) & 3) as usize)
             .collect();
         let groups = vec![members.clone()];
-        on_nodes(p, rpn, |ctx| {
+        on_nodes(p, rpn, async |ctx| {
             let comm = Comm::world(ctx);
             let Some(sub) = comm.subgroup(ctx, &groups) else {
                 return;
             };
             let me = sub.rank();
             let mine: Vec<u64> = (0..counts[me]).map(|i| (me * 10 + i) as u64).collect();
-            let flat = allgatherv(&sub, ctx, mine.clone(), &counts);
-            let hier = allgatherv_mode(Hier, &sub, ctx, mine, &counts);
+            let flat = allgatherv_mode(Flat, &sub, ctx, mine.clone(), &counts).await;
+            let hier = allgatherv_mode(Hier, &sub, ctx, mine, &counts).await;
             assert_eq!(flat, hier, "p={p} rpn={rpn} members={members:?}");
 
             let total: usize = counts.iter().sum();
             let data: Vec<f64> = (0..total).map(|i| ((me + 1) * (i + 3)) as f64).collect();
-            let flat = reduce_scatter(&sub, ctx, data.clone(), &counts);
-            let hier = reduce_scatter_mode(Hier, &sub, ctx, data, &counts);
+            let flat = reduce_scatter_mode(Flat, &sub, ctx, data.clone(), &counts).await;
+            let hier = reduce_scatter_mode(Hier, &sub, ctx, data, &counts).await;
             assert_eq!(flat, hier, "p={p} rpn={rpn} members={members:?}");
         });
     }
@@ -193,11 +191,11 @@ fn sim_leader_hop_bytes_match_closed_form() {
     let total_bytes = (p * seg * std::mem::size_of::<u64>()) as u64;
     let nodes = (p / rpn) as u64;
 
-    let (_, report) = World::run_sim(p, &machine, opts(), |ctx| {
+    let (_, report) = World::simulate(p, &machine, opts(), async |ctx| {
         let comm = Comm::world(ctx);
         assert!(node_map(&comm, ctx).is_some(), "topology must engage");
         let mine: Vec<u64> = vec![comm.rank() as u64; seg];
-        let _ = allgatherv_mode(Hier, &comm, ctx, mine, &counts);
+        let _ = allgatherv_mode(Hier, &comm, ctx, mine, &counts).await;
     });
     assert_eq!(
         inter_bytes(&report),
@@ -205,10 +203,10 @@ fn sim_leader_hop_bytes_match_closed_form() {
         "allgather leader-hop bytes"
     );
 
-    let (_, report) = World::run_sim(p, &machine, opts(), |ctx| {
+    let (_, report) = World::simulate(p, &machine, opts(), async |ctx| {
         let comm = Comm::world(ctx);
         let data: Vec<u64> = (0..p * seg).map(|i| i as u64).collect();
-        let _ = reduce_scatter_mode(Hier, &comm, ctx, data, &counts);
+        let _ = reduce_scatter_mode(Hier, &comm, ctx, data, &counts).await;
     });
     assert_eq!(
         inter_bytes(&report),

@@ -205,7 +205,7 @@ impl Engine {
                     )
                 })
                 .collect();
-            let outs = plan.multiply_batch(ctx, &world, items);
+            let outs = ctx.block_on(plan.multiply_batch(ctx, &world, items));
             outs.iter()
                 .map(|blocks| digest_blocks(blocks))
                 .collect::<Vec<_>>()
@@ -370,11 +370,12 @@ mod tests {
         let out = Engine::new(p)
             .run_batch(&plan, &[(3, 4)], 1, false)
             .unwrap();
-        let parts = msgpass::World::run(p, |ctx| {
+        let parts = msgpass::World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let a = seeded_blocks::<T>(plan.a_layout(), world.rank(), 3);
             let b = seeded_blocks::<T>(plan.b_layout(), world.rank(), 4);
-            plan.multiply_batch(ctx, &world, vec![(a, b)]).remove(0)
+            let mut outs = plan.multiply_batch(ctx, &world, vec![(a, b)]).await;
+            outs.remove(0)
         });
         let c = plan.c_layout().assemble(&parts);
         assert_eq!(out.items[0], digest_of_global(&c, plan.c_layout()));

@@ -21,6 +21,7 @@ use dense::gemm::GemmOp;
 use dense::Mat;
 use gridopt::Problem;
 use layout::Layout;
+use msgpass::collectives::{allgatherv_mode, Collectives};
 use msgpass::{Comm, World};
 
 use dense::linalg::{cholesky_upper, upper_triangular_inverse};
@@ -52,7 +53,7 @@ fn main() {
         ga.pm, ga.pn, ga.pk
     );
 
-    let ortho_err = World::run(nprocs, |ctx| {
+    let ortho_err = World::run(nprocs, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         // Seeded tall-skinny A; shift the diagonal band up to keep the Gram
@@ -74,21 +75,23 @@ fn main() {
             .collect();
 
         // G = A^T A: op(A) = Trans with the stored A layout for both sides.
-        let g_parts = gram.multiply(
-            ctx,
-            &world,
-            GemmOp::Trans,
-            &a_layout,
-            &a_blocks,
-            GemmOp::NoTrans,
-            &a_layout,
-            &a_blocks,
-            &g_layout,
-        );
+        let g_parts = gram
+            .multiply(
+                ctx,
+                &world,
+                GemmOp::Trans,
+                &a_layout,
+                &a_blocks,
+                GemmOp::NoTrans,
+                &a_layout,
+                &a_blocks,
+                &g_layout,
+            )
+            .await;
         // replicate G on every rank (it is tiny) and factorize redundantly
         let mine: Vec<f64> = g_parts.iter().flat_map(|b| b.as_slice().to_vec()).collect();
         let counts: Vec<usize> = (0..nprocs).map(|r| g_layout.owned_elems(r)).collect();
-        let flat = msgpass::collectives::allgatherv(&world, ctx, mine, &counts);
+        let flat = allgatherv_mode(Collectives::Flat, &world, ctx, mine, &counts).await;
         let g_full = reassemble_cols(&g_layout, &flat, n);
         let r_up = cholesky_upper(&g_full);
         let r_inv = upper_triangular_inverse(&r_up);
@@ -97,30 +100,34 @@ fn main() {
         // rank 0 (a single-rank layout) and keep Q in A's row layout.
         let rinv_layout = Layout::on_single_rank(n, n, nprocs, 0);
         let rinv_blocks = if me == 0 { vec![r_inv] } else { vec![] };
-        let q_parts = apply.multiply(
-            ctx,
-            &world,
-            GemmOp::NoTrans,
-            &a_layout,
-            &a_blocks,
-            GemmOp::NoTrans,
-            &rinv_layout,
-            &rinv_blocks,
-            &a_layout,
-        );
+        let q_parts = apply
+            .multiply(
+                ctx,
+                &world,
+                GemmOp::NoTrans,
+                &a_layout,
+                &a_blocks,
+                GemmOp::NoTrans,
+                &rinv_layout,
+                &rinv_blocks,
+                &a_layout,
+            )
+            .await;
 
         // Verify: ||Q^T Q - I||_max via one more large-K PGEMM.
-        let qtq_parts = gram.multiply(
-            ctx,
-            &world,
-            GemmOp::Trans,
-            &a_layout,
-            &q_parts,
-            GemmOp::NoTrans,
-            &a_layout,
-            &q_parts,
-            &g_layout,
-        );
+        let qtq_parts = gram
+            .multiply(
+                ctx,
+                &world,
+                GemmOp::Trans,
+                &a_layout,
+                &q_parts,
+                GemmOp::NoTrans,
+                &a_layout,
+                &q_parts,
+                &g_layout,
+            )
+            .await;
         let mut err = 0.0f64;
         for (rect, blk) in g_layout.owned(me).iter().zip(&qtq_parts) {
             for i in 0..rect.rows {
@@ -134,7 +141,7 @@ fn main() {
                 }
             }
         }
-        msgpass::collectives::allreduce(&world, ctx, vec![err])[0]
+        msgpass::collectives::allreduce(&world, ctx, vec![err]).await[0]
     });
 
     // allreduce sums the per-rank maxima; each rank's value was its local

@@ -76,7 +76,7 @@ fn main() {
     let layout = Layout::two_d_block(n, n, pr, pc);
     let layout_all = pad_layout(layout, nprocs, n);
 
-    let traces = World::run(nprocs, |ctx| {
+    let traces = World::run(nprocs, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         // build my local blocks of P0 from the formula
@@ -89,29 +89,33 @@ fn main() {
         let mut history = Vec::new();
         for it in 0..iters {
             // P2 = P * P
-            let p2 = mm.multiply(
-                ctx,
-                &world,
-                GemmOp::NoTrans,
-                &layout_all,
-                &p,
-                GemmOp::NoTrans,
-                &layout_all,
-                &p,
-                &layout_all,
-            );
+            let p2 = mm
+                .multiply(
+                    ctx,
+                    &world,
+                    GemmOp::NoTrans,
+                    &layout_all,
+                    &p,
+                    GemmOp::NoTrans,
+                    &layout_all,
+                    &p,
+                    &layout_all,
+                )
+                .await;
             // P3 = P2 * P
-            let p3 = mm.multiply(
-                ctx,
-                &world,
-                GemmOp::NoTrans,
-                &layout_all,
-                &p2,
-                GemmOp::NoTrans,
-                &layout_all,
-                &p,
-                &layout_all,
-            );
+            let p3 = mm
+                .multiply(
+                    ctx,
+                    &world,
+                    GemmOp::NoTrans,
+                    &layout_all,
+                    &p2,
+                    GemmOp::NoTrans,
+                    &layout_all,
+                    &p,
+                    &layout_all,
+                )
+                .await;
             // local diagnostics before the update: idempotency and trace
             let mut idem2 = 0.0f64;
             let mut trace = 0.0f64;
@@ -126,7 +130,7 @@ fn main() {
                     }
                 }
             }
-            let sums = allreduce(&world, ctx, vec![idem2, trace]);
+            let sums = allreduce(&world, ctx, vec![idem2, trace]).await;
             if me == 0 {
                 history.push((it, sums[0].sqrt(), sums[1]));
             }

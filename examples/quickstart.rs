@@ -117,7 +117,7 @@ fn main() {
     let mut c_result: Option<Mat<f64>> = None;
 
     for run in 0..ntest {
-        let (parts_and_time, report) = World::run_traced(nprocs, |ctx| {
+        let (parts_and_time, report) = World::run_traced(nprocs, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             // each rank generates its own pieces of the seeded global matrices
@@ -132,10 +132,12 @@ fn main() {
                 .map(|r| global_block(2, *r))
                 .collect();
             let t = Instant::now();
-            let c = mm.multiply(
-                ctx, &world, trans_a, &a_layout, &a_blocks, trans_b, &b_layout, &b_blocks,
-                &c_layout,
-            );
+            let c = mm
+                .multiply(
+                    ctx, &world, trans_a, &a_layout, &a_blocks, trans_b, &b_layout, &b_blocks,
+                    &c_layout,
+                )
+                .await;
             (c, t.elapsed().as_secs_f64() * 1e3)
         });
         let total = parts_and_time

@@ -29,7 +29,7 @@ use dense::linalg::{cholesky_upper, upper_triangular_inverse};
 use dense::Mat;
 use gridopt::Problem;
 use layout::Layout;
-use msgpass::collectives::{allgatherv, allreduce};
+use msgpass::collectives::{allgatherv_mode, allreduce, Collectives};
 use msgpass::{Comm, World};
 
 /// The 1D Laplacian stencil: `2` on the diagonal, `−1` off-diagonal.
@@ -123,7 +123,7 @@ fn main() {
         println!("grid for {what}: {} x {} x {}", g.pm, g.pn, g.pk);
     }
 
-    let (ritz, max_resid) = World::run(nprocs, |ctx| {
+    let (ritz, max_resid) = World::run(nprocs, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let h_blocks: Vec<Mat<f64>> = h_layout
@@ -143,59 +143,67 @@ fn main() {
             .collect();
 
         // Step 1: CholeskyQR orthonormalization of V.
-        let g_parts = gram.multiply(
-            ctx,
-            &world,
-            GemmOp::Trans,
-            &v_layout,
-            &v_blocks,
-            GemmOp::NoTrans,
-            &v_layout,
-            &v_blocks,
-            &s_layout,
-        );
-        let g_full = replicate_small(ctx, &world, &s_layout, &g_parts, b);
+        let g_parts = gram
+            .multiply(
+                ctx,
+                &world,
+                GemmOp::Trans,
+                &v_layout,
+                &v_blocks,
+                GemmOp::NoTrans,
+                &v_layout,
+                &v_blocks,
+                &s_layout,
+            )
+            .await;
+        let g_full = replicate_small(ctx, &world, &s_layout, &g_parts, b).await;
         let r_inv = upper_triangular_inverse(&cholesky_upper(&g_full));
         let rinv_layout = Layout::on_single_rank(b, b, world.size(), 0);
         let rinv_blocks = if me == 0 { vec![r_inv] } else { vec![] };
-        v_blocks = tall.multiply(
-            ctx,
-            &world,
-            GemmOp::NoTrans,
-            &v_layout,
-            &v_blocks,
-            GemmOp::NoTrans,
-            &rinv_layout,
-            &rinv_blocks,
-            &v_layout,
-        );
+        v_blocks = tall
+            .multiply(
+                ctx,
+                &world,
+                GemmOp::NoTrans,
+                &v_layout,
+                &v_blocks,
+                GemmOp::NoTrans,
+                &rinv_layout,
+                &rinv_blocks,
+                &v_layout,
+            )
+            .await;
 
         // Step 2: W = H V (the operator apply).
-        let w_blocks = apply.multiply(
-            ctx,
-            &world,
-            GemmOp::NoTrans,
-            &h_layout,
-            &h_blocks,
-            GemmOp::NoTrans,
-            &v_layout,
-            &v_blocks,
-            &v_layout,
-        );
+        let w_blocks = apply
+            .multiply(
+                ctx,
+                &world,
+                GemmOp::NoTrans,
+                &h_layout,
+                &h_blocks,
+                GemmOp::NoTrans,
+                &v_layout,
+                &v_blocks,
+                &v_layout,
+            )
+            .await;
 
         // Step 3: G = V^T W.
-        let g_parts = gram.multiply(
-            ctx,
-            &world,
-            GemmOp::Trans,
-            &v_layout,
-            &v_blocks,
-            GemmOp::NoTrans,
-            &v_layout,
-            &w_blocks,
-            &s_layout,
-        );
-        let g_full = replicate_small(ctx, &world, &s_layout, &g_parts, b);
+        let g_parts = gram
+            .multiply(
+                ctx,
+                &world,
+                GemmOp::Trans,
+                &v_layout,
+                &v_blocks,
+                GemmOp::NoTrans,
+                &v_layout,
+                &w_blocks,
+                &s_layout,
+            )
+            .await;
+        let g_full = replicate_small(ctx, &world, &s_layout, &g_parts, b).await;
 
         // Step 4: small eigenproblem, redundant on every rank.
         let (theta, u) = jacobi_eig(&g_full);
@@ -203,28 +211,32 @@ fn main() {
         // Step 5: Ritz vectors X = V U, residuals R = W U - X diag(theta).
         let u_layout = Layout::on_single_rank(b, b, world.size(), 0);
         let u_blocks = if me == 0 { vec![u.clone()] } else { vec![] };
-        let x_blocks = tall.multiply(
-            ctx,
-            &world,
-            GemmOp::NoTrans,
-            &v_layout,
-            &v_blocks,
-            GemmOp::NoTrans,
-            &u_layout,
-            &u_blocks,
-            &v_layout,
-        );
-        let wu_blocks = tall.multiply(
-            ctx,
-            &world,
-            GemmOp::NoTrans,
-            &v_layout,
-            &w_blocks,
-            GemmOp::NoTrans,
-            &u_layout,
-            &u_blocks,
-            &v_layout,
-        );
+        let x_blocks = tall
+            .multiply(
+                ctx,
+                &world,
+                GemmOp::NoTrans,
+                &v_layout,
+                &v_blocks,
+                GemmOp::NoTrans,
+                &u_layout,
+                &u_blocks,
+                &v_layout,
+            )
+            .await;
+        let wu_blocks = tall
+            .multiply(
+                ctx,
+                &world,
+                GemmOp::NoTrans,
+                &v_layout,
+                &w_blocks,
+                GemmOp::NoTrans,
+                &u_layout,
+                &u_blocks,
+                &v_layout,
+            )
+            .await;
         // local residual column sums of squares
         let mut local = vec![0.0f64; b];
         for ((rect, x_b), wu_b) in v_layout.owned(me).iter().zip(&x_blocks).zip(&wu_blocks) {
@@ -236,7 +248,7 @@ fn main() {
                 }
             }
         }
-        let sums = allreduce(&world, ctx, local);
+        let sums = allreduce(&world, ctx, local).await;
         let resid: Vec<f64> = sums.iter().map(|s| s.sqrt()).collect();
         let max_resid = resid.iter().cloned().fold(0.0f64, f64::max);
         (theta, max_resid)
@@ -268,7 +280,7 @@ fn pad(l: Layout, p: usize, rows: usize, cols: usize) -> Layout {
 }
 
 /// Replicates a small 1D-column-distributed `b × b` matrix on every rank.
-fn replicate_small(
+async fn replicate_small(
     ctx: &msgpass::RankCtx,
     world: &Comm,
     layout: &Layout,
@@ -277,7 +289,7 @@ fn replicate_small(
 ) -> Mat<f64> {
     let mine: Vec<f64> = parts.iter().flat_map(|m| m.as_slice().to_vec()).collect();
     let counts: Vec<usize> = (0..world.size()).map(|r| layout.owned_elems(r)).collect();
-    let flat = allgatherv(world, ctx, mine, &counts);
+    let flat = allgatherv_mode(Collectives::Flat, world, ctx, mine, &counts).await;
     let mut g = Mat::<f64>::zeros(b, b);
     let mut pos = 0;
     for r in 0..layout.nranks() {

@@ -23,7 +23,7 @@ type Run = (Vec<Option<Mat<f64>>>, RunReport);
 /// assembled product with the serial reference.
 fn run_native<F>(name: &str, prob: Problem, [la, lb, lc]: [Layout; 3], alg: F) -> Run
 where
-    F: Fn(&RankCtx, &Comm, Option<Mat<f64>>, Option<Mat<f64>>) -> Option<Mat<f64>> + Sync,
+    F: AsyncFn(&RankCtx, &Comm, Option<Mat<f64>>, Option<Mat<f64>>) -> Option<Mat<f64>> + Sync,
 {
     let Problem { m, n, k, p } = prob;
     for l in [&la, &lb, &lc] {
@@ -31,12 +31,12 @@ where
     }
     let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
     let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (blocks, report) = World::run_traced(p, |ctx| {
+    let (blocks, report) = World::run_traced(p, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
-        alg(ctx, &world, a, b)
+        alg(ctx, &world, a, b).await
     });
     let parts: Vec<Vec<Mat<f64>>> = blocks
         .iter()
@@ -57,8 +57,8 @@ macro_rules! native {
     ($harness:ident, $name:expr, $prob:expr, $alg:expr) => {{
         let alg = $alg;
         let layouts = [alg.layout_a(), alg.layout_b(), alg.layout_c()];
-        $harness($name, $prob, layouts, |ctx, w, a, b| {
-            alg.multiply_native(ctx, w, a, b)
+        $harness($name, $prob, layouts, async |ctx, w, a, b| {
+            alg.multiply_native_async(ctx, w, a, b).await
         })
     }};
 }
@@ -99,8 +99,8 @@ fn ca3dmm((m, n, k, p, grid_override): Case<Grid>) -> Run {
     let alg = Ca3dmm::new(prob, &opts);
     let gc = alg.grid_context();
     let layouts = [gc.layout_a(), gc.layout_b(), gc.layout_c()];
-    run_native("ca3dmm", prob, layouts, |ctx, w, a, b| {
-        alg.multiply_native(ctx, w, a, b)
+    run_native("ca3dmm", prob, layouts, async |ctx, w, a, b| {
+        alg.multiply_native_async(ctx, w, a, b).await
     })
 }
 
@@ -444,7 +444,7 @@ fn ca3dmm_full_pipeline_layout_matrix() {
             let a_stored = global_block::<f64>(1, Rect::new(0, 0, ar, ac));
             let b_stored = global_block::<f64>(2, Rect::new(0, 0, br, bc));
             let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
-            let parts = World::run(p, |ctx| {
+            let parts = World::run(p, async |ctx| {
                 let world = Comm::world(ctx);
                 let me = world.rank();
                 mm.multiply(
@@ -458,6 +458,7 @@ fn ca3dmm_full_pipeline_layout_matrix() {
                     &lb.extract(&b_stored, me),
                     &lc,
                 )
+                .await
             });
             let mut c_ref = Mat::zeros(m, n);
             gemm(op_a, op_b, 1.0, &a_stored, &b_stored, 0.0, &mut c_ref);
@@ -476,7 +477,7 @@ fn ca3dmm_full_pipeline_layout_matrix() {
 /// in and out.
 fn run_pipeline<F>(name: &str, prob: Problem, native: [Layout; 3], alg: F)
 where
-    F: Fn(&RankCtx, &Comm, Option<Mat<f64>>, Option<Mat<f64>>) -> Option<Mat<f64>> + Sync,
+    F: AsyncFn(&RankCtx, &Comm, Option<Mat<f64>>, Option<Mat<f64>>) -> Option<Mat<f64>> + Sync,
 {
     let Problem { m, n, k, p } = prob;
     for (op_a, op_b) in [
@@ -492,7 +493,7 @@ where
         let lb = Layout::block_cyclic(br, bc, 3, 4, 4, 5);
         let lc = Layout::one_d_col(m, n, p);
         let [na, nb, nc] = &native;
-        let parts = World::run(p, |ctx| {
+        let parts = World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             layout::multiply_in_layouts(
@@ -502,8 +503,9 @@ where
                 (op_b, &lb, &lb.extract(&b_stored, me)),
                 &lc,
                 [na, nb, nc],
-                |a, b| alg(ctx, &world, a, b),
+                async |a, b| alg(ctx, &world, a, b).await,
             )
+            .await
         });
         let mut c_ref = Mat::zeros(m, n);
         gemm(op_a, op_b, 1.0, &a_stored, &b_stored, 0.0, &mut c_ref);

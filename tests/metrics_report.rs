@@ -116,13 +116,13 @@ fn traced_ca3dmm_run(gemm_prof: bool, before_multiply: impl Fn() + Sync) -> (Ca3
         gemm_prof,
         ..RunOptions::traced()
     };
-    let (_, report) = World::run_opts(p, opts, |ctx| {
+    let (_, report) = World::run_opts(p, opts, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
         before_multiply();
-        let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
     });
     (alg, report)
 }

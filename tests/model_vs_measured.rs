@@ -31,12 +31,12 @@ fn measure_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid) -> (u64, f
     let (la, lb) = (gc.layout_a(), gc.layout_b());
     let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
     let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_traced(p, |ctx| {
+    let (_, report) = World::run_traced(p, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
     });
     let cfg = ModelConfig {
         placement: Machine::uniform().pure_mpi(),
@@ -109,12 +109,12 @@ fn cosma_volume_exact_on_divisible_problems() {
         let (la, lb) = (alg.layout_a(), alg.layout_b());
         let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
         let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-        let (_, report) = World::run_traced(p, |ctx| {
+        let (_, report) = World::run_traced(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             let a = la.extract(&a_full, me).into_iter().next();
             let b = lb.extract(&b_full, me).into_iter().next();
-            let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+            let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
         });
         let sched = alg.schedule(&Machine::uniform().pure_mpi(), false);
         assert_eq!(
@@ -144,12 +144,12 @@ fn phase_labels_match_between_model_and_runtime() {
     let (la, lb) = (gc.layout_a(), gc.layout_b());
     let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
     let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_traced(p, |ctx| {
+    let (_, report) = World::run_traced(p, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
     });
     // replication: allgather of one A block over c=2 -> each rank sends
     // half a block = 16*4 elements
@@ -177,12 +177,12 @@ fn phase_times_are_recorded() {
     let (la, lb) = (gc.layout_a(), gc.layout_b());
     let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
     let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_traced(p, |ctx| {
+    let (_, report) = World::run_traced(p, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
     });
     assert!(report.phase_secs_max("cannon_shift") > 0.0);
     assert!(report.phase_secs_max("reduce_c") > 0.0);

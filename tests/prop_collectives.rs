@@ -8,8 +8,8 @@
 
 use dense::Shape64;
 use msgpass::collectives::{
-    allgatherv, allgatherv_mode, allreduce, barrier, bcast, bcast_large, neighbor_alltoallv,
-    reduce_scatter, reduce_scatter_mode, Collectives,
+    allgatherv_mode, allreduce, barrier, bcast, bcast_large, neighbor_alltoallv,
+    reduce_scatter_mode, Collectives,
 };
 use msgpass::{Comm, RankCtx, RunOptions, RunReport, SimOptions, World};
 use netmodel::{Machine, Placement};
@@ -33,15 +33,15 @@ proptest! {
         let counts: Vec<usize> = (0..p).map(|r| sizes[r % sizes.len()]).collect();
         let counts2 = counts.clone();
         let total: usize = counts.iter().sum();
-        let (got, report) = World::run_opts(p, RunOptions::default(), move |ctx| {
+        let (got, report) = World::run_opts(p, RunOptions::default(), async move |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             ctx.set_phase("shape");
-            let shapes = allgatherv(&comm, ctx, vec![Shape64; counts2[me]], &counts2);
+            let shapes = allgatherv_mode(Collectives::Flat, &comm, ctx, vec![Shape64; counts2[me]], &counts2).await;
             assert_eq!(shapes.len(), total);
             ctx.set_phase("values");
             let mine: Vec<u64> = (0..counts2[me]).map(|i| (me * 100 + i) as u64).collect();
-            allgatherv(&comm, ctx, mine, &counts2)
+            allgatherv_mode(Collectives::Flat, &comm, ctx, mine, &counts2).await
         });
         assert_shape_traffic_equals_values(&report);
         let want: Vec<u64> = (0..p)
@@ -57,15 +57,15 @@ proptest! {
         let counts: Vec<usize> = (0..p).map(|r| seg + r % 2).collect();
         let total: usize = counts.iter().sum();
         let counts2 = counts.clone();
-        let (got, report) = World::run_opts(p, RunOptions::default(), move |ctx| {
+        let (got, report) = World::run_opts(p, RunOptions::default(), async move |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             ctx.set_phase("shape");
-            let shapes = reduce_scatter(&comm, ctx, vec![Shape64; total], &counts2);
+            let shapes = reduce_scatter_mode(Collectives::Flat, &comm, ctx, vec![Shape64; total], &counts2).await;
             assert_eq!(shapes.len(), counts2[me]);
             ctx.set_phase("values");
             let data: Vec<f64> = (0..total).map(|i| (me * 31 + i) as f64).collect();
-            reduce_scatter(&comm, ctx, data, &counts2)
+            reduce_scatter_mode(Collectives::Flat, &comm, ctx, data, &counts2).await
         });
         assert_shape_traffic_equals_values(&report);
         // serial: sum over ranks of each index
@@ -84,10 +84,10 @@ proptest! {
 
     #[test]
     fn allreduce_matches_serial(p in 1usize..9, n in 0usize..40) {
-        let got = World::run(p, move |ctx| {
+        let got = World::run(p, async move |ctx| {
             let comm = Comm::world(ctx);
             let data: Vec<f64> = (0..n).map(|i| (comm.rank() + 1) as f64 * i as f64).collect();
-            allreduce(&comm, ctx, data)
+            allreduce(&comm, ctx, data).await
         });
         let scale: f64 = (1..=p).map(|r| r as f64).sum();
         for g in got {
@@ -107,20 +107,20 @@ proptest! {
         w in 0usize..5,
     ) {
         let edge = |s: usize, d: usize| edges[s * 7 + d];
-        let go = |ctx: &RankCtx| {
+        let go = async |ctx: &RankCtx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
             let payload = |j: usize| vec![(me * 1000 + j) as u64; (j + w) % (w + 2)];
             let everyone: Vec<usize> = (0..p).collect();
             let all = everyone.iter().map(|&d| (d, payload(d))).collect();
-            let dense = neighbor_alltoallv(&comm, ctx, all, &everyone);
+            let dense = neighbor_alltoallv(&comm, ctx, all, &everyone).await;
             let sends = (0..p).filter(|&d| edge(me, d)).map(|d| (d, payload(d))).collect();
             let sources: Vec<usize> = (0..p).filter(|&s| edge(s, me)).collect();
-            let sparse = neighbor_alltoallv(&comm, ctx, sends, &sources);
+            let sparse = neighbor_alltoallv(&comm, ctx, sends, &sources).await;
             (dense, sources, sparse)
         };
         let wall = World::run(p, go);
-        let (sim, _) = World::run_sim(p, &Machine::uniform(), SimOptions::default(), go);
+        let (sim, _) = World::simulate(p, &Machine::uniform(), SimOptions::default(), go);
         for (dense, sources, sparse) in wall.into_iter().chain(sim) {
             prop_assert_eq!(sparse.len(), sources.len());
             for (src, got) in sources.into_iter().zip(sparse) {
@@ -132,11 +132,11 @@ proptest! {
     #[test]
     fn bcast_large_any_root_any_len(p in 1usize..9, len in 0usize..50, root_sel in 0usize..8) {
         let root = root_sel % p;
-        let got = World::run(p, move |ctx| {
+        let got = World::run(p, async move |ctx| {
             let comm = Comm::world(ctx);
             let want: Vec<u32> = (0..len as u32).map(|i| i * 3 + 1).collect();
             let mine = (comm.rank() == root).then(|| want.clone());
-            bcast_large(&comm, ctx, root, mine, len)
+            bcast_large(&comm, ctx, root, mine, len).await
         });
         let want: Vec<u32> = (0..len as u32).map(|i| i * 3 + 1).collect();
         for g in got {
@@ -146,10 +146,10 @@ proptest! {
 
     #[test]
     fn barrier_any_size(p in 1usize..12) {
-        World::run(p, |ctx| {
+        World::run(p, async |ctx| {
             let comm = Comm::world(ctx);
-            barrier(&comm, ctx);
-            barrier(&comm, ctx);
+            barrier(&comm, ctx).await;
+            barrier(&comm, ctx).await;
         });
     }
 }
@@ -157,7 +157,7 @@ proptest! {
 /// Every collective once, each in its own phase, on 7 ranks over nodes of 3
 /// (`{0,1,2} {3,4,5} {6}`): two full nodes and a short one, so the two-level
 /// path engages and its leader ring is not a power of two.
-fn every_collective(ctx: &RankCtx) {
+async fn every_collective(ctx: &RankCtx) {
     let comm = Comm::world(ctx);
     let me = comm.rank();
     let p = comm.size();
@@ -167,27 +167,30 @@ fn every_collective(ctx: &RankCtx) {
     let data = || -> Vec<f64> { (0..total).map(|i| ((me + 1) * (i + 1)) as f64).collect() };
 
     ctx.set_phase("allgatherv");
-    let gathered = allgatherv(&comm, ctx, mine(), &counts);
+    let gathered = allgatherv_mode(Collectives::Flat, &comm, ctx, mine(), &counts).await;
     ctx.set_phase("reduce_scatter");
-    let reduced = reduce_scatter(&comm, ctx, data(), &counts);
+    let reduced = reduce_scatter_mode(Collectives::Flat, &comm, ctx, data(), &counts).await;
     ctx.set_phase("bcast");
-    let _ = bcast(&comm, ctx, 4, (me == 4).then(|| vec![7u32; 9]));
+    let _ = bcast(&comm, ctx, 4, (me == 4).then(|| vec![7u32; 9])).await;
     ctx.set_phase("bcast_large");
-    let _ = bcast_large(&comm, ctx, 2, (me == 2).then(|| vec![1u16; 23]), 23);
+    let _ = bcast_large(&comm, ctx, 2, (me == 2).then(|| vec![1u16; 23]), 23).await;
     ctx.set_phase("allreduce");
-    let _ = allreduce(&comm, ctx, vec![me as f64; 11]);
+    let _ = allreduce(&comm, ctx, vec![me as f64; 11]).await;
     ctx.set_phase("barrier");
-    barrier(&comm, ctx);
+    barrier(&comm, ctx).await;
     ctx.set_phase("neighbor_alltoallv");
     let sends = [1, 3].map(|d| ((me + d) % p, vec![me as u8; 1 + (me + d) % 4]));
     let sources = [1, 3].map(|d| (me + p - d) % p);
-    let _ = neighbor_alltoallv(&comm, ctx, sends.to_vec(), &sources);
+    let _ = neighbor_alltoallv(&comm, ctx, sends.to_vec(), &sources).await;
     for mode in [Collectives::Flat, Collectives::Hier] {
         ctx.set_phase(&format!("allgatherv_{}", mode.as_str()));
-        assert_eq!(allgatherv_mode(mode, &comm, ctx, mine(), &counts), gathered);
+        assert_eq!(
+            allgatherv_mode(mode, &comm, ctx, mine(), &counts).await,
+            gathered
+        );
         ctx.set_phase(&format!("reduce_scatter_{}", mode.as_str()));
         assert_eq!(
-            reduce_scatter_mode(mode, &comm, ctx, data(), &counts),
+            reduce_scatter_mode(mode, &comm, ctx, data(), &counts).await,
             reduced
         );
     }
@@ -227,12 +230,12 @@ fn collective_traffic_is_pinned_on_a_two_level_topology() {
         }),
         ..SimOptions::default()
     };
-    let (_, flat) = World::run_sim(P, &machine, on_nodes(1), every_collective);
+    let (_, flat) = World::simulate(P, &machine, on_nodes(1), every_collective);
     assert_eq!(traffic_table(&flat), traffic_table(&wall));
     assert_eq!(flat.matrix, wall.matrix);
     assert_eq!(flat.hist_by_algo, wall.hist_by_algo);
 
-    let (_, sim) = World::run_sim(P, &machine, on_nodes(RPN), every_collective);
+    let (_, sim) = World::simulate(P, &machine, on_nodes(RPN), every_collective);
     let table = traffic_table(&sim);
     assert_eq!(
         table,

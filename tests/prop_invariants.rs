@@ -124,10 +124,10 @@ proptest! {
             GemmOp::NoTrans => global.clone(),
             GemmOp::Trans => global.transpose(),
         };
-        let parts = World::run(p, |ctx| {
+        let parts = World::run(p, async |ctx| {
             let comm = Comm::world(ctx);
             let mine = src.extract(&global, comm.rank());
-            redistribute(&comm, ctx, &src, &mine, &dst, op)
+            redistribute(&comm, ctx, &src, &mine, &dst, op).await
         });
         for (rank, got) in parts.iter().enumerate() {
             let want = dst.extract(&expect, rank);
@@ -159,7 +159,7 @@ proptest! {
         let lb = Layout::one_d_row(br, bc, p);
         let lc = Layout::one_d_col(m, n, p);
         let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
-        let parts = World::run(p, |ctx| {
+        let parts = World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             mm.multiply(
@@ -167,7 +167,7 @@ proptest! {
                 op_a, &la, &la.extract(&a_stored, me),
                 op_b, &lb, &lb.extract(&b_stored, me),
                 &lc,
-            )
+            ).await
         });
         let mut c_ref = Mat::zeros(m, n);
         gemm_naive(op_a, op_b, 1.0, &a_stored, &b_stored, 0.0, &mut c_ref);
@@ -223,10 +223,10 @@ fn redistribution_regression_1x1_p3_2d_to_col() {
     let src = Layout::two_d_block(rows, cols, pr, pc);
     let dst = Layout::one_d_col(rows, cols, p);
     let global = global_block::<f64>(5, Rect::new(0, 0, rows, cols));
-    let parts = World::run(p, |ctx| {
+    let parts = World::run(p, async |ctx| {
         let comm = Comm::world(ctx);
         let mine = src.extract(&global, comm.rank());
-        redistribute(&comm, ctx, &src, &mine, &dst, GemmOp::NoTrans)
+        redistribute(&comm, ctx, &src, &mine, &dst, GemmOp::NoTrans).await
     });
     for (rank, got) in parts.iter().enumerate() {
         let want = dst.extract(&global, rank);

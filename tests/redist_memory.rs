@@ -172,7 +172,8 @@ fn user_layout_multiply_holds_no_staging_copy_of_c() {
                 let comm = Comm::world(ctx);
                 let a = rank_blocks(plan.a_layout(), comm.rank(), 1);
                 let b = rank_blocks(plan.b_layout(), comm.rank(), 2);
-                plan.multiply_batch(ctx, &comm, vec![(a, b)]).remove(0)
+                ctx.block_on(plan.multiply_batch(ctx, &comm, vec![(a, b)]))
+                    .remove(0)
             })
             .expect("a rank panicked");
     };

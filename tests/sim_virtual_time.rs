@@ -4,8 +4,7 @@
 //!   `2·(α + β·bytes)` — the base charging rule, checked exactly;
 //! * virtual timestamps are deterministic: two simulations of the same
 //!   CA3DMM problem produce **byte-identical** `RunReport` JSON artifacts,
-//!   regardless of how the OS interleaves the rank threads (property test
-//!   over random problems);
+//!   (property test over random problems);
 //! * the simulated executor is still the real executor: CA3DMM at p = 768
 //!   virtual ranks with compute executed produces the same numbers as a
 //!   serial GEMM;
@@ -45,14 +44,14 @@ fn ping_pong_matches_closed_form() {
     let machine = Machine::uniform();
     let one_way = machine.alpha_inter + machine.beta_inter(1.0) * bytes;
 
-    let (_, report) = World::run_sim(2, &machine, SimOptions::default(), |ctx| {
+    let (_, report) = World::simulate(2, &machine, SimOptions::default(), async |ctx| {
         let comm = Comm::world(ctx);
         ctx.set_phase("pp");
         if comm.rank() == 0 {
             comm.send(ctx, 1, 0, vec![1.0f64; ELEMS]);
-            let _: Vec<f64> = comm.recv(ctx, 1, 1);
+            let _: Vec<f64> = comm.recv_async(ctx, 1, 1).await;
         } else {
-            let v: Vec<f64> = comm.recv(ctx, 0, 0);
+            let v: Vec<f64> = comm.recv_async(ctx, 0, 0).await;
             comm.send(ctx, 0, 1, v);
         }
     });
@@ -75,7 +74,7 @@ fn neighbour_exchange_charges_one_latency_per_neighbour() {
     let machine = Machine::uniform();
     let one_way = machine.alpha_inter + machine.beta_inter(1.0) * bytes;
 
-    let (_, report) = World::run_sim(6, &machine, SimOptions::default(), |ctx| {
+    let (_, report) = World::simulate(6, &machine, SimOptions::default(), async |ctx| {
         let comm = Comm::world(ctx);
         ctx.set_phase("star");
         let (sends, sources) = match comm.rank() {
@@ -86,7 +85,7 @@ fn neighbour_exchange_charges_one_latency_per_neighbour() {
             1 | 2 => (vec![], vec![0]),
             _ => (vec![], vec![]),
         };
-        neighbor_alltoallv(&comm, ctx, sends, &sources).len()
+        neighbor_alltoallv(&comm, ctx, sends, &sources).await.len()
     });
 
     assert_eq!(report.traffic.phase(0, "star").msgs, 2);
@@ -116,7 +115,7 @@ fn ca3dmm_at_p768_sim_matches_serial_gemm() {
     let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
 
     let machine = Machine::phoenix_cpu();
-    let (parts, report) = World::run_sim(p, &machine, SimOptions::default(), |ctx| {
+    let (parts, report) = World::simulate(p, &machine, SimOptions::default(), async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a_blocks = a_layout.extract(&a_full, me);
@@ -132,6 +131,7 @@ fn ca3dmm_at_p768_sim_matches_serial_gemm() {
             &b_blocks,
             &c_layout,
         )
+        .await
     });
 
     let mut c_ref = Mat::zeros(m, n);
@@ -169,14 +169,14 @@ fn overlap_round_charges_max_of_comm_and_compute() {
     let one_way = machine.alpha_inter + machine.beta_inter(1.0) * bytes;
     // On the uniform machine 1e9 flops = 1 virtual second.
     for comp_secs in [one_way * 4.0, one_way / 4.0] {
-        let (_, report) = World::run_sim(2, &machine, SimOptions::default(), |ctx| {
+        let (_, report) = World::simulate(2, &machine, SimOptions::default(), async |ctx| {
             let comm = Comm::world(ctx);
             ctx.set_phase("round");
             let peer = 1 - comm.rank();
             let req = comm.irecv::<Vec<f64>>(ctx, peer, 0);
             comm.isend(ctx, peer, 0, vec![1.0f64; ELEMS]);
             ctx.charge_flops(comp_secs * 1e9);
-            let _ = req.wait(ctx);
+            let _ = req.wait(ctx).await;
         });
         let sim = report.sim.as_ref().expect("sim info");
         let want = comp_secs.max(one_way);
@@ -204,7 +204,7 @@ fn isends_serialize_on_the_nic_pipe() {
     let machine = Machine::uniform();
     let bytes = (ELEMS * std::mem::size_of::<f64>()) as f64;
     let one_way = machine.alpha_inter + machine.beta_inter(1.0) * bytes;
-    let (_, report) = World::run_sim(2, &machine, SimOptions::default(), |ctx| {
+    let (_, report) = World::simulate(2, &machine, SimOptions::default(), async |ctx| {
         let comm = Comm::world(ctx);
         ctx.set_phase("pipe");
         if comm.rank() == 0 {
@@ -213,8 +213,8 @@ fn isends_serialize_on_the_nic_pipe() {
         } else {
             let a = comm.irecv::<Vec<f64>>(ctx, 0, 0);
             let b = comm.irecv::<Vec<f64>>(ctx, 0, 1);
-            let _ = a.wait(ctx);
-            let _ = b.wait(ctx);
+            let _ = a.wait(ctx).await;
+            let _ = b.wait(ctx).await;
         }
     });
     let sim = report.sim.as_ref().expect("sim info");
@@ -289,32 +289,13 @@ fn baselines_charge_their_local_gemms_under_virtual_time() {
     let c25d = C25d::new(prob, None);
     let (summa, ca3dmm_s) = (SummaPgemm::new(prob, None), Ca3dmmSumma::new(prob, None));
     let (cosma, orig3d) = (CosmaLike::new(prob, None), Orig3d::new(prob));
-    type Native<'a> = &'a (dyn Fn(&RankCtx) -> Option<Mat<f64>> + Sync);
-    let cases: [(&str, Grid, Native); 5] = [
-        ("summa", Grid::new(pr, pc, 1), &|ctx| {
-            summa.multiply_native(ctx, &Comm::world(ctx), None, None)
-        }),
-        ("ca3dmm-s", *ca3dmm_s.grid(), &|ctx| {
-            ca3dmm_s.multiply_native(ctx, &Comm::world(ctx), None, None)
-        }),
-        ("cosma", *cosma.grid(), &|ctx| {
-            cosma.multiply_native(ctx, &Comm::world(ctx), None, None)
-        }),
-        ("orig3d", gridopt::cube_grid(p), &|ctx| {
-            orig3d.multiply_native(ctx, &Comm::world(ctx), None, None)
-        }),
-        ("c25d", Grid::new(c25d.s, c25d.s, c25d.c), &|ctx| {
-            c25d.multiply_native(ctx, &Comm::world(ctx), None, None)
-        }),
-    ];
-    for (name, grid, alg) in cases {
+    let check = |name: &str, grid: Grid, alg: &dyn Fn(SimOptions) -> RunReport| {
         assert!(m % grid.pm == 0 && n % grid.pn == 0 && k % grid.pk == 0);
         let run = |execute_compute: bool| {
-            let opts = SimOptions {
+            alg(SimOptions {
                 placement: Some(placement),
                 execute_compute,
-            };
-            World::run_sim(p, &machine, opts, alg).1
+            })
         };
         let (executed, skipped) = (run(true), run(false));
         let makespan = |r: &RunReport| r.sim.as_ref().expect("sim info").makespan_secs;
@@ -328,7 +309,26 @@ fn baselines_charge_their_local_gemms_under_virtual_time() {
         assert_eq!(makespan(&executed), makespan(&skipped), "{name}");
         assert_eq!(executed.per_rank, skipped.per_rank, "{name}");
         assert_eq!(executed.matrix, skipped.matrix, "{name}");
+    };
+    // Each algorithm's native multiply on `p` virtual ranks under `opts`.
+    macro_rules! native {
+        ($alg:expr) => {
+            &|opts| {
+                let alg = $alg;
+                let go = async |ctx: &RankCtx| {
+                    let world = Comm::world(ctx);
+                    alg.multiply_native_async::<f64>(ctx, &world, None, None)
+                        .await
+                };
+                World::simulate(p, &machine, opts, go).1
+            }
+        };
     }
+    check("summa", Grid::new(pr, pc, 1), native!(&summa));
+    check("ca3dmm-s", *ca3dmm_s.grid(), native!(&ca3dmm_s));
+    check("cosma", *cosma.grid(), native!(&cosma));
+    check("orig3d", gridopt::cube_grid(p), native!(&orig3d));
+    check("c25d", Grid::new(c25d.s, c25d.s, c25d.c), native!(&c25d));
 }
 
 /// An imbalanced 4-rank run — rank 0 charges a long local compute before
@@ -337,7 +337,7 @@ fn baselines_charge_their_local_gemms_under_virtual_time() {
 #[test]
 fn imbalanced_sim_shows_virtual_wait() {
     let machine = Machine::uniform();
-    let (_, report) = World::run_sim(4, &machine, SimOptions::default(), |ctx| {
+    let (_, report) = World::simulate(4, &machine, SimOptions::default(), async |ctx| {
         let comm = Comm::world(ctx);
         ctx.set_phase("imbalance");
         if comm.rank() == 0 {
@@ -346,7 +346,7 @@ fn imbalanced_sim_shows_virtual_wait() {
                 comm.send(ctx, dst, 7, vec![0u8; 8]);
             }
         } else {
-            let _: Vec<u8> = comm.recv(ctx, 0, 7);
+            let _: Vec<u8> = comm.recv_async(ctx, 0, 7).await;
         }
     });
     let text = report
@@ -376,6 +376,100 @@ fn imbalanced_sim_shows_virtual_wait() {
         !line.trim_end().ends_with(" 0.0%"),
         "wait%% must be nonzero: {line}"
     );
+}
+
+/// A simulation runs every rank on the calling thread: no rank sees
+/// another thread, even at 10 000 ranks, where a dissemination barrier
+/// (14 rounds, 140 000 messages) takes well under a second.
+#[test]
+fn simulated_ranks_are_tasks_on_the_calling_thread() {
+    let caller = std::thread::current().id();
+    let p = 10_000;
+    let (ids, report) =
+        World::simulate(p, &Machine::uniform(), SimOptions::default(), async |ctx| {
+            ctx.set_phase("barrier");
+            msgpass::collectives::barrier(&Comm::world(ctx), ctx).await;
+            std::thread::current().id()
+        });
+    assert!(ids.iter().all(|&id| id == caller));
+    assert_eq!(report.phase(0, "barrier").msgs, 14);
+    assert_eq!(report.phase_total("barrier").msgs, 14 * p as u64);
+}
+
+/// Runs `f`, which must make a simulation fail, on a thread of its own with
+/// a GEMM-thread cap set, and returns the panic message; fails if that takes
+/// more than ten seconds (a hang). Afterwards the thread must be as the
+/// caller left it: the cap restored, and the next simulation on it fine.
+fn fails_cleanly(f: impl FnOnce() + Send + 'static) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        dense::pool::set_rank_gemm_threads(Some(3));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the simulation must fail");
+        assert_eq!(dense::pool::gemm_threads(), 3, "caller's cap restored");
+        let mm = Ca3dmm::new(Problem::new(32, 32, 32, 8), &Ca3dmmOptions::default());
+        let report = mm.simulate_native(&Machine::uniform(), SimOptions::default());
+        assert!(report.sim.expect("sim info").makespan_secs > 0.0);
+        assert_eq!(dense::pool::gemm_threads(), 3, "caller's cap restored");
+        let msg = err.downcast_ref::<String>().cloned();
+        tx.send(msg.unwrap_or_default()).unwrap();
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the simulation hung or the thread was not left clean")
+}
+
+/// A rank that panics inside a ring, with its neighbours waiting for the
+/// block it would have forwarded, fails the run with its own message.
+#[test]
+fn rank_panic_mid_collective_fails_the_simulation() {
+    let msg = fails_cleanly(|| {
+        World::simulate(4, &Machine::uniform(), SimOptions::default(), async |ctx| {
+            let comm = Comm::world(ctx);
+            // Rank 2 expects a longer block from rank 1 than rank 1 sends.
+            let counts = if comm.rank() == 2 {
+                [1, 2, 1, 1]
+            } else {
+                [1; 4]
+            };
+            let mine = vec![0u64; counts[comm.rank()]];
+            msgpass::collectives::allgatherv_mode(Collectives::Flat, &comm, ctx, mine, &counts)
+                .await
+        });
+    });
+    assert!(
+        msg.starts_with("rank 2 panicked: ") && msg.contains("allgatherv count mismatch"),
+        "{msg}"
+    );
+}
+
+/// Two ranks each waiting for the other's message is reported as a
+/// deadlock naming what each one awaits, not a hang.
+#[test]
+fn receive_cycle_is_reported_as_a_deadlock() {
+    let msg = fails_cleanly(|| {
+        World::simulate(2, &Machine::uniform(), SimOptions::default(), async |ctx| {
+            let comm = Comm::world(ctx);
+            let peer = 1 - comm.rank();
+            let _: u64 = comm.recv_async(ctx, peer, 5 + comm.rank() as u64).await;
+        });
+    });
+    assert!(msg.starts_with("deadlock: "), "{msg}");
+    assert!(msg.contains("rank 0 awaits (src 1, tag 5)"), "{msg}");
+    assert!(msg.contains("rank 1 awaits (src 0, tag 6)"), "{msg}");
+}
+
+/// A message nobody receives fails the run once every rank has finished.
+#[test]
+#[should_panic(
+    expected = "undelivered message: rank 1 never received the message from rank 0 (tag 9)"
+)]
+fn unreceived_message_fails_the_simulation() {
+    World::simulate(2, &Machine::uniform(), SimOptions::default(), async |ctx| {
+        let comm = Comm::world(ctx);
+        if comm.rank() == 0 {
+            comm.send(ctx, 1, 9, 1u64);
+        }
+    });
 }
 
 proptest! {

@@ -34,12 +34,12 @@ fn run_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid, opts: RunOptio
     let (la, lb) = (gc.layout_a(), gc.layout_b());
     let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
     let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_opts(p, opts, |ctx| {
+    let (_, report) = World::run_opts(p, opts, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
     });
     report
 }
@@ -315,12 +315,12 @@ fn tracing_does_not_change_traffic() {
     let (la, lb) = (gc.layout_a(), gc.layout_b());
     let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
     let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, untraced) = World::run_opts(p, RunOptions::default(), |ctx| {
+    let (_, untraced) = World::run_opts(p, RunOptions::default(), async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native(ctx, &world, a, b);
+        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
     });
     assert!(untraced.timeline.is_empty());
     assert_eq!(untraced.max_rank_bytes(), traced.max_rank_bytes());
