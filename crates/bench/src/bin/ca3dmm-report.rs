@@ -8,10 +8,10 @@
 //! ca3dmm-report gate    <reference.json> <subject.json> [--time-ratio R]
 //! ```
 //!
-//! * `show` validates the artifact (schema + internal consistency: matrix
-//!   row/column sums and histogram totals must reconcile with the per-phase
-//!   table) and renders the text dashboard. For a schema-v3 artifact from a
-//!   profiled run (`fig5_breakdown --prof`), the dashboard appends
+//! * `show` validates the artifact (schema + internal consistency: the
+//!   matrix cells and the algorithm histograms must sum to the per-phase
+//!   table's sent traffic) and renders the text dashboard, whose heatmap
+//!   bins contiguous ranks above 64. For an artifact from a profiled run (`fig5_breakdown --prof`), the dashboard appends
 //!   the per-rank compute-attribution table: Gflop/s vs probed peak,
 //!   pack/compute/idle split, imbalance, and pool wake latency.
 //! * `netdiff` compares a measured run against the §III-D analytic model:

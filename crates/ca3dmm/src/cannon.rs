@@ -419,8 +419,7 @@ mod tests {
         ] {
             let other = traced(min_k, overlap);
             assert_eq!(
-                plain.matrix.nonzero_send(),
-                other.matrix.nonzero_send(),
+                plain.matrix, other.matrix,
                 "min_k={min_k} overlap={overlap}"
             );
         }

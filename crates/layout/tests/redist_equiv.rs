@@ -245,9 +245,11 @@ fn observed(src: &Layout, dst: &Layout, op: GemmOp) -> Pinned {
             (c.bytes, c.msgs, c.recv_bytes, c.recv_msgs)
         })
         .collect();
-    assert_eq!(t.hist_by_algo.get(ALGO), t.hist_by_phase.get("redist"));
     assert!(t.hist_by_algo.keys().all(|algo| algo == ALGO));
-    let hist = t.hist_by_algo.get(ALGO).map_or(Vec::new(), |h| h.nonzero());
+    let hist = t.hist_by_algo.get(ALGO).cloned().unwrap_or_default();
+    let redist = t.phase_total("redist");
+    assert_eq!((hist.msgs, hist.bytes), (redist.msgs, redist.bytes));
+    let hist = hist.nonzero();
     (per_rank, hist)
 }
 

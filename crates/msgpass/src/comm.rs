@@ -472,7 +472,7 @@ impl<P: Payload> RecvReq<P> {
         // of the transfer is charged (and reported as wait). Wall: the
         // parked seconds accumulated above.
         let wait = ctx.virtual_recv_wait(env.arrival).unwrap_or(waited);
-        ctx.record_recv(self.src_world, env.bytes, wait);
+        ctx.record_recv(env.bytes, wait);
         ctx.tracer().end(env.bytes);
         Comm::downcast(env)
     }

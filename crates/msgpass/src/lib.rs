@@ -28,10 +28,10 @@
 //!   nodes of a virtual-time run's placement (a wall-clock run is one node);
 //! * [`traffic`]: every rank counts — in counters it owns, handed to the
 //!   report when it exits — the bytes and messages it sends *and
-//!   receives*, per named phase, plus a rank×rank communication matrix,
-//!   log2 message-size histograms keyed by phase and by collective
-//!   algorithm, and per-phase wait-time attribution (seconds blocked in
-//!   `recv`). This is what lets the test suite assert that the *measured*
+//!   receives*, per named phase; a sender also fills its row of the
+//!   rank×rank communication matrix and the log2 message-size histogram of
+//!   the collective algorithm in scope, and a receiver its per-phase
+//!   wait-time attribution (seconds blocked in `recv`). This is what lets the test suite assert that the *measured*
 //!   communication volume of an algorithm equals the volume its analytic
 //!   cost model predicts — the validation that licenses using the model at
 //!   paper-scale process counts.

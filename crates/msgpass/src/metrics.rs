@@ -87,9 +87,11 @@ impl SizeHistogram {
 
     /// Rebuilds a histogram from sparse `(bucket, count)` pairs plus the
     /// byte total (the JSON wire form). Fails on out-of-range or duplicate
-    /// buckets; `msgs` is recomputed as the sum of counts.
+    /// buckets, and on a byte total the bucket ranges cannot add up to;
+    /// `msgs` is recomputed as the sum of counts.
     pub fn from_parts(buckets: &[(usize, u64)], bytes: u64) -> Result<SizeHistogram, String> {
         let mut h = SizeHistogram::new();
+        let (mut lo, mut hi) = (0u128, 0u128);
         for &(b, c) in buckets {
             if b >= HIST_BUCKETS {
                 return Err(format!(
@@ -105,6 +107,18 @@ impl SizeHistogram {
             }
             h.counts[b] = c;
             h.msgs += c;
+            // Bucket `b` holds sizes in `[2^(b-1), 2^b - 1]` (bucket 0: only 0).
+            let (min, max) = match b {
+                0 => (0, 0),
+                b => (1u128 << (b - 1), (1u128 << b) - 1),
+            };
+            lo = lo.saturating_add(min * c as u128);
+            hi = hi.saturating_add(max * c as u128);
+        }
+        if !(lo..=hi).contains(&(bytes as u128)) {
+            return Err(format!(
+                "{bytes} B is outside the buckets' range [{lo}, {hi}]"
+            ));
         }
         h.bytes = bytes;
         Ok(h)
@@ -179,22 +193,19 @@ impl CellCounts {
     }
 }
 
-/// The rank×rank communication matrix of one run, recorded on both sides:
-/// `send[src][dst]` is what rank `src` pushed toward `dst` (counted at send
-/// time by the sender), `recv[dst][src]` is what rank `dst` actually
-/// matched from `src` (counted at `recv` time by the receiver). The two
-/// agree for every message that was both sent and consumed; a message still
-/// in a mailbox when its rank exits appears on the send side only.
+/// The rank×rank communication matrix of one run: `send[src][dst]` is what
+/// rank `src` pushed toward `dst`, counted once, by the sender, at send
+/// time. What a receiver matched is its own recv counters; for every
+/// delivered message the two agree, which is what
+/// [`crate::TrafficReport::check_consistency`] checks column by column.
 ///
 /// Only touched cells are stored (one ordered map per row): a rank talks to
 /// a few dozen peers whatever the world size, so the footprint follows the
-/// traffic pattern — two dense `p²` grids would take ~300 MB at p = 3072.
+/// traffic pattern — a dense `p²` grid would take ~150 MB at p = 3072.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommMatrix {
     /// `send[src][dst]`; a stored cell is never all-zero.
     send: Vec<Row>,
-    /// `recv[dst][src]`; a stored cell is never all-zero.
-    recv: Vec<Row>,
 }
 
 /// One matrix row: peer rank → counters, touched cells only.
@@ -205,7 +216,6 @@ impl CommMatrix {
     pub fn new(p: usize) -> CommMatrix {
         CommMatrix {
             send: vec![Row::new(); p],
-            recv: vec![Row::new(); p],
         }
     }
 
@@ -214,118 +224,90 @@ impl CommMatrix {
         self.send.len()
     }
 
-    /// Rebuilds a matrix from sparse cell lists (the JSON wire
-    /// form): send entries are `(src, dst, counts)`, recv entries are
-    /// `(dst, src, counts)`. Unlisted cells are zero. Callers validate that
-    /// indices are in range when parsing.
+    /// Rebuilds a matrix from its sparse wire form, `(src, dst, counts)`
+    /// cells. Unlisted cells are zero, and so is a listed all-zero one.
+    /// Fails on a cell listed twice; callers validate that indices are in
+    /// range when parsing.
     pub fn from_sparse(
         p: usize,
-        send: &[(usize, usize, CellCounts)],
-        recv: &[(usize, usize, CellCounts)],
-    ) -> CommMatrix {
+        cells: &[(usize, usize, CellCounts)],
+    ) -> Result<CommMatrix, String> {
         let mut m = CommMatrix::new(p);
-        for (rows, cells) in [(&mut m.send, send), (&mut m.recv, recv)] {
-            for &(row, col, c) in cells {
-                if c != CellCounts::default() {
-                    rows[row].entry(col).or_default().add(c);
-                }
+        for &(src, dst, c) in cells {
+            if c != CellCounts::default() && m.send[src].insert(dst, c).is_some() {
+                return Err(format!("cell ({src},{dst}) appears twice"));
             }
         }
-        m
+        Ok(m)
     }
 
-    /// Nonzero send-side cells in row-major `(src, dst, counts)` order.
-    /// Cells that carried only zero-byte messages (barriers) still count —
-    /// "nonzero" means any bytes *or* any messages. This is the sparse wire
-    /// form: at p = 3072 the dense `p²` grids are ~75 MB of JSON while the
-    /// populated cells are a few thousand rows.
-    pub fn nonzero_send(&self) -> Vec<(usize, usize, CellCounts)> {
-        Self::nonzero(&self.send)
-    }
-
-    /// Nonzero recv-side cells in row-major `(dst, src, counts)` order.
-    pub fn nonzero_recv(&self) -> Vec<(usize, usize, CellCounts)> {
-        Self::nonzero(&self.recv)
-    }
-
-    fn nonzero(rows: &[Row]) -> Vec<(usize, usize, CellCounts)> {
-        rows.iter()
+    /// Nonzero cells in row-major `(src, dst, counts)` order. Cells that
+    /// carried only zero-byte messages (barriers) still count — "nonzero"
+    /// means any bytes *or* any messages. This is the sparse wire form: at
+    /// p = 3072 a dense `p²` grid is tens of MB of JSON while the populated
+    /// cells are a few thousand rows.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, CellCounts)> + '_ {
+        self.send
+            .iter()
             .enumerate()
             .flat_map(|(i, row)| row.iter().map(move |(&j, &c)| (i, j, c)))
-            .collect()
     }
 
-    /// Send-side cell: what `src` sent toward `dst`.
+    /// What `src` sent toward `dst`.
     pub fn sent(&self, src: usize, dst: usize) -> CellCounts {
         self.send[src].get(&dst).copied().unwrap_or_default()
     }
 
-    /// Recv-side cell: what `dst` matched from `src`.
-    pub fn received(&self, dst: usize, src: usize) -> CellCounts {
-        self.recv[dst].get(&src).copied().unwrap_or_default()
-    }
-
-    /// Installs rank `rank`'s recorded rows (every recorded cell carries at
+    /// Installs rank `rank`'s recorded row (every recorded cell carries at
     /// least one message, so none is all-zero).
-    pub(crate) fn set_rows(&mut self, rank: usize, sent_to: Row, recv_from: Row) {
+    pub(crate) fn set_row(&mut self, rank: usize, sent_to: Row) {
         self.send[rank] = sent_to;
-        self.recv[rank] = recv_from;
     }
 
     /// Everything rank `src` sent, over all destinations.
     pub fn send_row_total(&self, src: usize) -> CellCounts {
-        Self::row_total(&self.send[src])
-    }
-
-    /// Everything rank `dst` received, over all sources.
-    pub fn recv_row_total(&self, dst: usize) -> CellCounts {
-        Self::row_total(&self.recv[dst])
-    }
-
-    fn row_total(row: &Row) -> CellCounts {
         let mut t = CellCounts::default();
-        for &c in row.values() {
+        for &c in self.send[src].values() {
             t.add(c);
         }
         t
     }
 
-    /// Send-side column total: bytes/msgs *destined for* `dst` as the
-    /// senders counted them.
-    pub fn send_col_total(&self, dst: usize) -> CellCounts {
-        let mut t = CellCounts::default();
-        for src in 0..self.ranks() {
-            t.add(self.sent(src, dst));
-        }
-        t
-    }
-
-    /// Renders a text heatmap of send-side bytes: rows are senders, columns
-    /// receivers, shaded by bytes relative to the busiest cell.
+    /// Renders a text heatmap of sent bytes: rows are senders, columns
+    /// receivers, shaded by bytes relative to the busiest cell. Above 64
+    /// ranks each cell sums a block of contiguous ranks, so the grid stays
+    /// at most 64×64 (the header states the bin width); it is filled in one
+    /// pass over the stored cells.
     pub fn render_heatmap(&self) -> String {
         const SHADES: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
+        const MAX_BINS: usize = 64;
         let p = self.ranks();
-        let max = self
-            .send
-            .iter()
-            .flat_map(|row| row.values().map(|c| c.bytes))
-            .max()
-            .unwrap_or(0);
+        let width = p.div_ceil(MAX_BINS).max(1);
+        let bins = p.div_ceil(width);
+        let mut grid = vec![0u64; bins * bins];
+        for (src, dst, c) in self.cells() {
+            grid[src / width * bins + dst / width] += c.bytes;
+        }
+        let max = grid.iter().copied().max().unwrap_or(0);
         let mut out = String::new();
+        let bin = if width > 1 {
+            format!(" / {width}")
+        } else {
+            String::new()
+        };
         let _ = writeln!(
             out,
-            "  send-side bytes, row = src rank, col = dst rank (max cell {}):",
+            "  send-side bytes, row = src rank{bin}, col = dst rank{bin} (max cell {}):",
             fmt_bytes(max)
         );
         let _ = write!(out, "       ");
-        for dst in 0..p {
+        for dst in 0..bins {
             let _ = write!(out, "{:>3}", dst % 100);
         }
         out.push('\n');
-        for src in 0..p {
+        for (src, row) in grid.chunks(bins).enumerate() {
             let _ = write!(out, "  {src:>4} ");
-            for dst in 0..p {
-                let b = self.sent(src, dst).bytes;
+            for &b in row {
                 let shade = if max == 0 || b == 0 {
                     SHADES[0]
                 } else {
@@ -336,8 +318,7 @@ impl CommMatrix {
                 };
                 let _ = write!(out, "  {shade}");
             }
-            let row = self.send_row_total(src);
-            let _ = writeln!(out, "   | {}", fmt_bytes(row.bytes));
+            let _ = writeln!(out, "   | {}", fmt_bytes(row.iter().sum()));
         }
         out
     }
@@ -350,34 +331,27 @@ mod tests {
     #[test]
     fn sparse_cells_round_trip() {
         let mut m = CommMatrix::new(4);
-        m.set_rows(
+        m.set_row(
             1,
             Row::from([
                 (2, CellCounts { bytes: 64, msgs: 2 }),
                 (3, CellCounts { bytes: 0, msgs: 1 }), // zero-byte barrier msg
             ]),
-            Row::new(),
         );
-        m.set_rows(
-            2,
-            Row::new(),
-            Row::from([(1, CellCounts { bytes: 64, msgs: 2 })]),
-        );
-        let send = m.nonzero_send();
-        let recv = m.nonzero_recv();
+        let send: Vec<_> = m.cells().collect();
         assert_eq!(send.len(), 2, "{send:?}");
         assert_eq!(send[0], (1, 2, CellCounts { bytes: 64, msgs: 2 }));
         assert_eq!(send[1], (1, 3, CellCounts { bytes: 0, msgs: 1 }));
-        assert_eq!(recv, vec![(2, 1, CellCounts { bytes: 64, msgs: 2 })]);
-        let back = CommMatrix::from_sparse(4, &send, &recv);
-        assert_eq!(back, m);
+        assert_eq!(CommMatrix::from_sparse(4, &send).unwrap(), m);
         // An explicitly listed all-zero cell is the same matrix as an
-        // unlisted one.
+        // unlisted one; a cell listed twice is refused, not merged.
         let mut padded = send.clone();
         padded.push((0, 3, CellCounts::default()));
-        assert_eq!(CommMatrix::from_sparse(4, &padded, &recv), m);
+        assert_eq!(CommMatrix::from_sparse(4, &padded).unwrap(), m);
         assert_eq!(m.sent(0, 3), CellCounts::default());
-        assert_eq!(m.received(3, 0), CellCounts::default());
+        padded.push(send[0]);
+        let e = CommMatrix::from_sparse(4, &padded).unwrap_err();
+        assert!(e.contains("(1,2) appears twice"), "{e}");
     }
 
     #[test]
@@ -437,14 +411,26 @@ mod tests {
                 (0, 1, CellCounts { bytes: 10, msgs: 1 }),
                 (0, 2, CellCounts { bytes: 20, msgs: 2 }),
             ],
-            &[(1, 0, CellCounts { bytes: 10, msgs: 1 })],
-        );
+        )
+        .unwrap();
         assert_eq!(m.send_row_total(0), CellCounts { bytes: 30, msgs: 3 });
-        assert_eq!(m.send_col_total(1), CellCounts { bytes: 10, msgs: 1 });
-        assert_eq!(m.recv_row_total(1), CellCounts { bytes: 10, msgs: 1 });
-        assert_eq!(m.recv_row_total(2), CellCounts::default());
+        assert_eq!(m.send_row_total(1), CellCounts::default());
         let map = m.render_heatmap();
-        assert!(map.contains("row = src"));
+        assert!(map.contains("row = src rank, col = dst rank"), "{map}");
+    }
+
+    #[test]
+    fn histogram_bytes_must_fit_the_buckets() {
+        // One message in bucket 3 is 4–7 bytes.
+        assert!(SizeHistogram::from_parts(&[(3, 1)], 4).is_ok());
+        assert!(SizeHistogram::from_parts(&[(3, 1)], 7).is_ok());
+        for bytes in [3, 8] {
+            let e = SizeHistogram::from_parts(&[(3, 1)], bytes).unwrap_err();
+            assert!(e.contains("outside the buckets' range [4, 7]"), "{e}");
+        }
+        assert!(SizeHistogram::from_parts(&[(0, 1)], 5).is_err());
+        assert!(SizeHistogram::from_parts(&[(64, 1)], u64::MAX).is_ok());
+        assert!(SizeHistogram::from_parts(&[(64, 2)], u64::MAX).is_err());
     }
 
     #[test]

@@ -58,7 +58,11 @@ use std::fmt::Write as _;
 ///   phase split, pack-volume bound, roofline, pool telemetry) captured
 ///   when a wall-clock run asked for them; `null` otherwise. Aggregates
 ///   only — raw spans stay in the Chrome trace.
-pub const SCHEMA_VERSION: u64 = 3;
+/// * **v4** — each message is counted once per side: drops `matrix.recv`
+///   (the transpose of `matrix.send` for delivered messages),
+///   `matrix.format`, `histograms.by_phase` (its totals are the phase rows)
+///   and `totals.{sent_bytes, sent_msgs}` (sums of the phase rows).
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// The `kind` discriminator of RunReport documents.
 pub const REPORT_KIND: &str = "ca3dmm_run_report";
@@ -171,13 +175,10 @@ impl RunReport {
             ranks: p,
             phases: self.phase_rows(),
             totals: Totals {
-                sent_bytes: t.total_bytes(),
-                sent_msgs: (0..p).map(|r| t.rank_total(r).msgs).sum(),
                 max_rank_bytes: t.max_rank_bytes(),
                 max_rank_msgs: t.max_rank_msgs(),
             },
             matrix: t.matrix.clone(),
-            hist_by_phase: t.hist_by_phase.clone(),
             hist_by_algo: t.hist_by_algo.clone(),
             wait_per_rank: t.wait_per_rank.clone(),
             critical_path: self.critical_rows(),
@@ -249,13 +250,10 @@ pub struct CritRow {
     pub mean_secs: f64,
 }
 
-/// Run-wide totals of a run summary.
+/// Run-wide per-rank maxima of a run summary (the run's sums are those of
+/// the phase rows).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Totals {
-    /// Bytes sent by all ranks.
-    pub sent_bytes: u64,
-    /// Messages sent by all ranks.
-    pub sent_msgs: u64,
     /// The busiest rank's sent bytes (the paper's `Q`).
     pub max_rank_bytes: u64,
     /// The busiest rank's message count (the paper's `L`).
@@ -280,12 +278,10 @@ pub struct RunReportDoc {
     pub ranks: usize,
     /// Per-phase rows.
     pub phases: Vec<PhaseRow>,
-    /// Run-wide totals.
+    /// Run-wide per-rank maxima.
     pub totals: Totals,
     /// The communication matrix.
     pub matrix: CommMatrix,
-    /// Size histograms by sender phase.
-    pub hist_by_phase: BTreeMap<String, SizeHistogram>,
     /// Size histograms by collective algorithm.
     pub hist_by_algo: BTreeMap<String, SizeHistogram>,
     /// Per-rank blocked seconds per phase.
@@ -321,10 +317,9 @@ fn hist_json(h: &SizeHistogram) -> Json {
     ])
 }
 
-fn sparse_cells(cells: Vec<(usize, usize, CellCounts)>) -> Json {
+fn sparse_cells(cells: impl Iterator<Item = (usize, usize, CellCounts)>) -> Json {
     Json::Arr(
         cells
-            .into_iter()
             .map(|(row, col, c)| {
                 Json::Arr(vec![
                     num_u(row as u64),
@@ -535,9 +530,6 @@ impl RunReportDoc {
     /// Serializes the summary as the schema-versioned JSON artifact — the
     /// only writer of it.
     pub fn to_json(&self) -> Json {
-        let hists = |m: &BTreeMap<String, SizeHistogram>| {
-            Json::Obj(m.iter().map(|(k, h)| (k.clone(), hist_json(h))).collect())
-        };
         let sim = self.sim.as_ref().map_or(Json::Null, |s| {
             Json::obj([
                 ("machine", s.machine.to_json()),
@@ -596,26 +588,25 @@ impl RunReportDoc {
             (
                 "totals",
                 Json::obj([
-                    ("sent_bytes", num_u(self.totals.sent_bytes)),
-                    ("sent_msgs", num_u(self.totals.sent_msgs)),
                     ("max_rank_bytes", num_u(self.totals.max_rank_bytes)),
                     ("max_rank_msgs", num_u(self.totals.max_rank_msgs)),
                 ]),
             ),
             (
                 "matrix",
-                Json::obj([
-                    ("format", Json::Str("sparse".to_owned())),
-                    ("send", sparse_cells(self.matrix.nonzero_send())),
-                    ("recv", sparse_cells(self.matrix.nonzero_recv())),
-                ]),
+                Json::obj([("send", sparse_cells(self.matrix.cells()))]),
             ),
             (
                 "histograms",
-                Json::obj([
-                    ("by_phase", hists(&self.hist_by_phase)),
-                    ("by_algo", hists(&self.hist_by_algo)),
-                ]),
+                Json::obj([(
+                    "by_algo",
+                    Json::Obj(
+                        self.hist_by_algo
+                            .iter()
+                            .map(|(k, h)| (k.clone(), hist_json(h)))
+                            .collect(),
+                    ),
+                )]),
             ),
             (
                 "wait_per_rank",
@@ -727,20 +718,16 @@ impl RunReportDoc {
 
         let totals_json = field(&doc, "totals", "report")?;
         let totals = Totals {
-            sent_bytes: field_u64(totals_json, "sent_bytes", "totals")?,
-            sent_msgs: field_u64(totals_json, "sent_msgs", "totals")?,
             max_rank_bytes: field_u64(totals_json, "max_rank_bytes", "totals")?,
             max_rank_msgs: field_u64(totals_json, "max_rank_msgs", "totals")?,
         };
 
         let mj = field(&doc, "matrix", "report")?;
         let send = parse_sparse_cells(field(mj, "send", "matrix")?, ranks, "matrix.send")?;
-        let recv = parse_sparse_cells(field(mj, "recv", "matrix")?, ranks, "matrix.recv")?;
-        let matrix = CommMatrix::from_sparse(ranks, &send, &recv);
+        let matrix =
+            CommMatrix::from_sparse(ranks, &send).map_err(|e| format!("matrix.send: {e}"))?;
 
         let hj = field(&doc, "histograms", "report")?;
-        let hist_by_phase =
-            parse_hists(field(hj, "by_phase", "histograms")?, "histograms.by_phase")?;
         let hist_by_algo = parse_hists(field(hj, "by_algo", "histograms")?, "histograms.by_algo")?;
 
         let critical_path = match field(&doc, "critical_path", "report")? {
@@ -799,7 +786,6 @@ impl RunReportDoc {
             phases,
             totals,
             matrix,
-            hist_by_phase,
             hist_by_algo,
             wait_per_rank,
             critical_path,
@@ -809,38 +795,30 @@ impl RunReportDoc {
         Ok(parsed)
     }
 
-    /// The redundant views of the traffic must agree with each other: phase
-    /// rows vs totals, phase rows vs matrix, phase rows vs histograms.
+    /// Bytes and messages sent by the whole run: the sums of the phase rows.
+    fn sent_totals(&self) -> (u64, u64) {
+        self.phases
+            .iter()
+            .fold((0, 0), |(b, m), p| (b + p.sent_bytes, m + p.sent_msgs))
+    }
+
+    /// The views of the sent traffic must agree: the phase rows' sums, the
+    /// matrix cells' sums and the algorithm histograms' sums.
     fn check_internal_consistency(&self) -> Result<(), String> {
-        let sent_bytes: u64 = self.phases.iter().map(|p| p.sent_bytes).sum();
-        let sent_msgs: u64 = self.phases.iter().map(|p| p.sent_msgs).sum();
-        if sent_bytes != self.totals.sent_bytes || sent_msgs != self.totals.sent_msgs {
-            return Err(format!(
-                "phase rows sum to ({sent_bytes} B, {sent_msgs} msgs) but totals say ({}, {})",
-                self.totals.sent_bytes, self.totals.sent_msgs
-            ));
-        }
-        let matrix_bytes: u64 = (0..self.ranks)
-            .map(|r| self.matrix.send_row_total(r).bytes)
-            .sum();
-        if matrix_bytes != self.totals.sent_bytes {
-            return Err(format!(
-                "matrix cells sum to {matrix_bytes} B but totals say {}",
-                self.totals.sent_bytes
-            ));
-        }
-        for row in &self.phases {
-            if let Some(h) = self.hist_by_phase.get(&row.phase) {
-                if h.msgs != row.sent_msgs || h.bytes != row.sent_bytes {
-                    return Err(format!(
-                        "phase {:?}: histogram ({} msgs, {} B) disagrees with row ({}, {})",
-                        row.phase, h.msgs, h.bytes, row.sent_msgs, row.sent_bytes
-                    ));
-                }
-            } else if row.sent_msgs > 0 {
+        let sent = self.sent_totals();
+        let cells = self
+            .matrix
+            .cells()
+            .fold((0, 0), |(b, m), (_, _, c)| (b + c.bytes, m + c.msgs));
+        let algo = self
+            .hist_by_algo
+            .values()
+            .fold((0, 0), |(b, m), h| (b + h.bytes, m + h.msgs));
+        for (view, (bytes, msgs)) in [("matrix cells", cells), ("histograms.by_algo", algo)] {
+            if (bytes, msgs) != sent {
                 return Err(format!(
-                    "phase {:?} sent {} msgs but has no histogram",
-                    row.phase, row.sent_msgs
+                    "{view} sum to ({bytes} B, {msgs} msgs) but the phase rows to ({} B, {} msgs)",
+                    sent.0, sent.1
                 ));
             }
         }
@@ -884,11 +862,11 @@ impl RunReportDoc {
                 }
             );
         }
+        let (sent_bytes, sent_msgs) = self.sent_totals();
         let _ = writeln!(
             out,
-            "totals: {} sent in {} msgs · busiest rank {} / {} msgs\n",
-            fmt_bytes(self.totals.sent_bytes),
-            self.totals.sent_msgs,
+            "totals: {} sent in {sent_msgs} msgs · busiest rank {} / {} msgs\n",
+            fmt_bytes(sent_bytes),
             fmt_bytes(self.totals.max_rank_bytes),
             self.totals.max_rank_msgs
         );
@@ -1038,9 +1016,9 @@ const MIN_GATED_SECS: f64 = 1e-3;
 
 /// The CI regression gate: compares `subject` against `reference`.
 ///
-/// Deterministic quantities — per-phase bytes/msgs (both directions), run
-/// totals, every matrix cell, every histogram bucket — must match
-/// **exactly**; any drift means the algorithm's communication pattern
+/// Deterministic quantities — per-phase bytes/msgs (both directions), the
+/// busiest rank's totals, every matrix cell, every histogram bucket — must
+/// match **exactly**; any drift means the algorithm's communication pattern
 /// changed and the reference must be consciously regenerated. Times are
 /// checked only when `max_time_ratio` is set: each phase's subject
 /// `secs_max` may then be at most that multiple of the reference's, for
@@ -1155,14 +1133,8 @@ pub fn gate(
         'cells: for i in 0..p {
             for j in 0..p {
                 let (a, b) = (reference.matrix.sent(i, j), subject.matrix.sent(i, j));
-                let (c, d) = (
-                    reference.matrix.received(i, j),
-                    subject.matrix.received(i, j),
-                );
-                if a != b || c != d {
-                    errs.push(format!(
-                        "matrix[{i}][{j}]: send {a:?}→{b:?}, recv {c:?}→{d:?}"
-                    ));
+                if a != b {
+                    errs.push(format!("matrix[{i}][{j}]: {a:?}→{b:?}"));
                     reported += 1;
                     if reported >= 5 {
                         errs.push("… more matrix cells differ".to_owned());
@@ -1173,25 +1145,19 @@ pub fn gate(
         }
     }
 
-    for (label, a, b) in [
-        ("by_phase", &reference.hist_by_phase, &subject.hist_by_phase),
-        ("by_algo", &reference.hist_by_algo, &subject.hist_by_algo),
-    ] {
-        if a != b {
-            let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
-            for k in keys {
-                match (a.get(k), b.get(k)) {
-                    (Some(x), Some(y)) if x == y => {}
-                    (Some(x), Some(y)) => errs.push(format!(
-                        "histogram {label}/{k}: {} msgs {} B vs {} msgs {} B (or bucket shape)",
-                        x.msgs, x.bytes, y.msgs, y.bytes
-                    )),
-                    (Some(_), None) => {
-                        errs.push(format!("histogram {label}/{k} missing from subject"))
-                    }
-                    (None, Some(_)) => errs.push(format!("histogram {label}/{k} new in subject")),
-                    (None, None) => unreachable!(),
-                }
+    let (a, b) = (&reference.hist_by_algo, &subject.hist_by_algo);
+    if a != b {
+        let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+        for k in keys {
+            match (a.get(k), b.get(k)) {
+                (Some(x), Some(y)) if x == y => {}
+                (Some(x), Some(y)) => errs.push(format!(
+                    "histogram {k}: {} msgs {} B vs {} msgs {} B (or bucket shape)",
+                    x.msgs, x.bytes, y.msgs, y.bytes
+                )),
+                (Some(_), None) => errs.push(format!("histogram {k} missing from subject")),
+                (None, Some(_)) => errs.push(format!("histogram {k} new in subject")),
+                (None, None) => unreachable!(),
             }
         }
     }
@@ -1253,7 +1219,6 @@ mod tests {
         assert_eq!(stage.sent_msgs, 3); // payload + 2 barrier rounds... (1 each)
         assert!(doc.critical_path.is_some());
         assert_eq!(doc.matrix.sent(0, 1).bytes, 512);
-        assert_eq!(doc.matrix.received(1, 0).bytes, 512);
         assert!(doc.hist_by_algo.contains_key("dissemination_barrier"));
         assert!(doc.hist_by_algo.contains_key("p2p"));
     }
@@ -1312,57 +1277,106 @@ mod tests {
         assert!(gate(&a, &b, Some(2.0)).is_ok());
     }
 
+    /// The smallest valid document: one rank that sent nothing.
+    const MINIMAL: &str = r#"{
+        "schema_version": 4,
+        "kind": "ca3dmm_run_report",
+        "time_domain": "wall",
+        "sim": null,
+        "meta": {"name": "minimal"},
+        "machine": {"arch": "x86_64", "os": "linux"},
+        "ranks": 1,
+        "phases": [],
+        "totals": {"max_rank_bytes": 0, "max_rank_msgs": 0},
+        "matrix": {"send": []},
+        "histograms": {"by_algo": {}},
+        "wait_per_rank": [{}],
+        "critical_path": null,
+        "compute": null
+    }"#;
+
+    /// [`MINIMAL`] whose rank sent `bytes` in `msgs` messages in phase `x`,
+    /// with the given matrix cells and `p2p` histogram buckets.
+    fn one_rank_doc(bytes: u64, msgs: u64, cells: &str, buckets: &str) -> String {
+        let row = format!(
+            r#"{{"phase": "x", "sent_bytes": {bytes}, "sent_msgs": {msgs},
+                "recv_bytes": {bytes}, "recv_msgs": {msgs},
+                "max_rank_sent_bytes": {bytes}, "max_rank_sent_msgs": {msgs},
+                "secs_max": 0, "secs_sum": 0, "wait_max": 0, "wait_sum": 0}}"#
+        );
+        let hist = format!(r#"{{"msgs": {msgs}, "bytes": {bytes}, "buckets": {buckets}}}"#);
+        MINIMAL
+            .replace(r#""phases": []"#, &format!(r#""phases": [{row}]"#))
+            .replace(r#""send": []"#, &format!(r#""send": {cells}"#))
+            .replace(
+                r#""by_algo": {}"#,
+                &format!(r#""by_algo": {{"p2p": {hist}}}"#),
+            )
+    }
+
     #[test]
     fn parse_rejects_malformed_reports() {
         assert!(RunReportDoc::parse("not json").is_err());
         assert!(RunReportDoc::parse("{}").is_err());
-        // Unsupported versions — a future one and a complete, formerly
-        // readable v2 document — yield the structured error, not a panic.
-        let future = Json::obj([
-            ("schema_version", Json::Num(99.0)),
-            ("kind", Json::Str(REPORT_KIND.into())),
-        ]);
-        let v2 = r#"{
-            "schema_version": 2,
-            "kind": "ca3dmm_run_report",
-            "time_domain": "wall",
-            "sim": null,
-            "meta": {"name": "v2-legacy"},
-            "machine": {"arch": "x86_64", "os": "linux"},
-            "ranks": 1,
-            "phases": [],
-            "totals": {"sent_bytes": 0, "sent_msgs": 0,
-                       "max_rank_bytes": 0, "max_rank_msgs": 0},
-            "matrix": {"format": "sparse", "send": [], "recv": []},
-            "histograms": {"by_phase": {}, "by_algo": {}},
-            "wait_per_rank": [{}],
-            "critical_path": null
-        }"#;
-        for (text, version) in [(future.to_string(), 99), (v2.to_owned(), 2)] {
+        let doc = RunReportDoc::parse(MINIMAL).expect("minimal document parses");
+        assert!(doc.compute.is_none());
+        assert!(!doc.render_dashboard().contains("compute attribution"));
+        // Unsupported versions — the previous one and a future one — yield
+        // the structured error, not a panic.
+        for version in [3, 99] {
+            let text = MINIMAL.replace(
+                r#""schema_version": 4"#,
+                &format!(r#""schema_version": {version}"#),
+            );
             let e = RunReportDoc::parse(&text).unwrap_err();
             assert!(
                 e.contains(&format!("unsupported schema_version {version}")),
                 "{e}"
             );
         }
-        // The same document at the current version parses once it carries
-        // the v3 `compute` key — and not before.
-        let v3 = v2.replace("\"schema_version\": 2", "\"schema_version\": 3");
-        let e = RunReportDoc::parse(&v3).unwrap_err();
+        // Every key is required, `compute` included.
+        let e = RunReportDoc::parse(&MINIMAL.replace(r#""compute""#, r#""kompute""#)).unwrap_err();
         assert!(e.contains("compute"), "{e}");
-        let v3 = v3.replace(
-            "\"critical_path\": null",
-            "\"critical_path\": null, \"compute\": null",
-        );
-        let doc = RunReportDoc::parse(&v3).expect("minimal v3 parses");
-        assert!(doc.compute.is_none());
-        assert!(!doc.render_dashboard().contains("compute attribution"));
         // A rank count the document does not list is refused before
         // anything is sized by it (this one used to abort the process on a
         // 24 TB allocation).
-        let huge = v3.replace("\"ranks\": 1,", "\"ranks\": 1000000000000,");
+        let huge = MINIMAL.replace(r#""ranks": 1,"#, r#""ranks": 1000000000000,"#);
         let e = RunReportDoc::parse(&huge).unwrap_err();
         assert!(e.contains("wait_per_rank has 1 entries"), "{e}");
+        // Two 8-byte messages, listed once, parse; the same cell listed
+        // twice is refused rather than merged.
+        assert!(RunReportDoc::parse(&one_rank_doc(16, 2, "[[0, 0, 16, 2]]", "[[4, 2]]")).is_ok());
+        let dup = one_rank_doc(16, 2, "[[0, 0, 8, 1], [0, 0, 8, 1]]", "[[4, 2]]");
+        let e = RunReportDoc::parse(&dup).unwrap_err();
+        assert!(e.contains("cell (0,0) appears twice"), "{e}");
+        // One zero-byte message cannot carry 5 bytes.
+        let e = RunReportDoc::parse(&one_rank_doc(5, 1, "[[0, 0, 5, 1]]", "[[0, 1]]")).unwrap_err();
+        assert!(e.contains("outside the buckets' range"), "{e}");
+        // The sent traffic's views must agree.
+        let e =
+            RunReportDoc::parse(&one_rank_doc(16, 2, "[[0, 0, 8, 1]]", "[[4, 2]]")).unwrap_err();
+        assert!(e.contains("matrix cells sum to (8 B, 1 msgs)"), "{e}");
+    }
+
+    #[test]
+    fn dashboard_of_a_large_world_stays_small() {
+        let p = 3072;
+        let cell = CellCounts { bytes: 64, msgs: 1 };
+        let cells: Vec<_> = (0..p)
+            .flat_map(|r| [1, 48, 384].map(|d| (r, (r + d) % p, cell)))
+            .collect();
+        let doc = RunReportDoc {
+            ranks: p,
+            matrix: CommMatrix::from_sparse(p, &cells).unwrap(),
+            wait_per_rank: vec![BTreeMap::new(); p],
+            ..sample_doc()
+        };
+        let dash = doc.render_dashboard();
+        assert!(dash.len() < 64 << 10, "{} bytes", dash.len());
+        assert!(
+            dash.contains("row = src rank / 48, col = dst rank / 48"),
+            "{dash}"
+        );
     }
 
     #[test]
@@ -1473,22 +1487,9 @@ mod tests {
     fn parse_rejects_tampered_compute_split() {
         // A compute row whose shares cannot rebuild thread_secs is a
         // hand-edited artifact; the parser must reject it.
-        let bad = r#"{
-            "schema_version": 3,
-            "kind": "ca3dmm_run_report",
-            "time_domain": "wall",
-            "sim": null,
-            "meta": {"name": "tampered"},
-            "machine": {"arch": "x86_64", "os": "linux"},
-            "ranks": 1,
-            "phases": [],
-            "totals": {"sent_bytes": 0, "sent_msgs": 0,
-                       "max_rank_bytes": 0, "max_rank_msgs": 0},
-            "matrix": {"format": "sparse", "send": [], "recv": []},
-            "histograms": {"by_phase": {}, "by_algo": {}},
-            "wait_per_rank": [{}],
-            "critical_path": null,
-            "compute": [{
+        let bad = MINIMAL.replace(
+            r#""compute": null"#,
+            r#""compute": [{
                 "gemm_calls": 1, "flops": 1000.0,
                 "gemm_wall_secs": 1.0, "thread_secs": 4.0,
                 "pack_a_secs": 0.1, "pack_b_secs": 0.1,
@@ -1499,9 +1500,9 @@ mod tests {
                 "dropped_spans": 0,
                 "pool": {"queue_depth_hwm": 0, "submit_wake_secs": 0.0,
                          "jobs": 0, "regions": 0, "jobs_per_worker": []}
-            }]
-        }"#;
-        let e = RunReportDoc::parse(bad).unwrap_err();
+            }]"#,
+        );
+        let e = RunReportDoc::parse(&bad).unwrap_err();
         assert!(e.contains("reconcile"), "{e}");
         // The kernel name is required and must be one the dispatcher knows.
         for kernel in [r#""kernel": "sse9", "#, ""] {

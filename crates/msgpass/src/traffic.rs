@@ -3,13 +3,14 @@
 //! Algorithms label their stages with [`crate::RankCtx::set_phase`]
 //! ("replicate_ab", "cannon_shift", "reduce_c", "redist", …); every
 //! point-to-point send is attributed to the sender's current phase and every
-//! matched receive to the receiver's. On top of the per-phase totals the
-//! accountant keeps a rank×rank [`CommMatrix`], log2 message-size
-//! [`SizeHistogram`]s keyed by phase and by the collective algorithm that
-//! was actually executed, and per-phase *wait* seconds (wall time blocked in
-//! `recv` — which covers `sendrecv` and barriers, since both block only in
-//! their receive halves). The resulting [`TrafficReport`] is the measured
-//! counterpart of the analytic schedule evaluator in the `netmodel` crate.
+//! matched receive to the receiver's. Each message is recorded once per
+//! side. The sender counts it in its phase totals, its row of the rank×rank
+//! [`CommMatrix`] and the log2 [`SizeHistogram`] of the collective
+//! algorithm that was actually executed. The receiver counts it in its
+//! phase totals, plus the *wait* seconds it spent blocked in `recv` (which
+//! covers `sendrecv` and barriers, since both block only in their receive
+//! halves). The resulting [`TrafficReport`] is the measured counterpart of
+//! the analytic schedule evaluator in the `netmodel` crate.
 //!
 //! Byte and message counts (totals, matrix cells, histogram buckets) are
 //! deterministic functions of the algorithm and problem; wall/wait seconds
@@ -52,13 +53,9 @@ impl PhaseCounts {
 #[derive(Default)]
 pub(crate) struct RankStats {
     pub(crate) by_phase: BTreeMap<String, PhaseCounts>,
-    /// `sent_to[dst]`: this rank's send-side matrix row, touched cells only
-    /// (a rank talks to a few dozen peers, whatever the world size).
+    /// `sent_to[dst]`: this rank's matrix row, touched cells only (a rank
+    /// talks to a few dozen peers, whatever the world size).
     pub(crate) sent_to: Row,
-    /// `recv_from[src]`: this rank's recv-side matrix row, touched cells only.
-    pub(crate) recv_from: Row,
-    /// Send-side size histograms keyed by the sender's phase.
-    pub(crate) hist_by_phase: BTreeMap<String, SizeHistogram>,
     /// Send-side size histograms keyed by the collective algorithm actually
     /// running ("ring_allgatherv", …); bare point-to-point sends land under
     /// `"p2p"`.
@@ -81,9 +78,9 @@ fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut 
 }
 
 impl RankStats {
-    /// Records one outgoing message: phase totals, the matrix row, and both
-    /// histogram keyings. `algo` is the collective algorithm in scope, or
-    /// `None` for a bare point-to-point send.
+    /// Records one outgoing message: phase totals, the matrix row and the
+    /// algorithm's histogram. `algo` is the collective algorithm in scope,
+    /// or `None` for a bare point-to-point send.
     pub(crate) fn record_send(
         &mut self,
         phase: &str,
@@ -98,26 +95,15 @@ impl RankStats {
             .entry(dst_world)
             .or_default()
             .add(CellCounts { bytes, msgs: 1 });
-        slot(&mut self.hist_by_phase, phase).record(bytes);
         slot(&mut self.hist_by_algo, algo.unwrap_or("p2p")).record(bytes);
     }
 
-    /// Records one matched receive: phase totals, the matrix row, and the
-    /// seconds this receive spent blocked waiting for the fabric.
-    pub(crate) fn record_recv(
-        &mut self,
-        phase: &str,
-        src_world: usize,
-        bytes: u64,
-        wait_secs: f64,
-    ) {
+    /// Records one matched receive: phase totals and the seconds this
+    /// receive spent blocked waiting for the fabric.
+    pub(crate) fn record_recv(&mut self, phase: &str, bytes: u64, wait_secs: f64) {
         let e = slot(&mut self.by_phase, phase);
         e.recv_bytes += bytes;
         e.recv_msgs += 1;
-        self.recv_from
-            .entry(src_world)
-            .or_default()
-            .add(CellCounts { bytes, msgs: 1 });
         if wait_secs > 0.0 {
             *slot(&mut self.wait_by_phase, phase) += wait_secs;
         }
@@ -144,10 +130,8 @@ pub struct TrafficReport {
     /// inside `recv` while that phase was active. Always ≤ the phase's
     /// wall seconds; the remainder is compute plus non-blocking overhead.
     pub wait_per_rank: Vec<BTreeMap<String, f64>>,
-    /// The rank×rank communication matrix (send- and recv-side).
+    /// The rank×rank communication matrix, as the senders counted it.
     pub matrix: CommMatrix,
-    /// Message-size histograms by sender phase, aggregated over ranks.
-    pub hist_by_phase: BTreeMap<String, SizeHistogram>,
     /// Message-size histograms by collective algorithm actually executed
     /// (`"p2p"` for bare sends), aggregated over ranks.
     pub hist_by_algo: BTreeMap<String, SizeHistogram>,
@@ -264,9 +248,11 @@ impl TrafficReport {
         set.into_iter().collect()
     }
 
-    /// Cross-checks the redundant views of the same traffic against each
-    /// other: matrix row totals vs per-phase totals (both directions) and
-    /// histogram totals vs message counts. Returns the first discrepancy.
+    /// Cross-checks the views that can disagree and returns the first
+    /// discrepancy: each rank's matrix row against its phase send totals,
+    /// each rank's matrix column (what the senders counted toward it)
+    /// against its own receive counters, and the algorithm histograms
+    /// against the run's send totals.
     pub fn check_consistency(&self) -> Result<(), String> {
         let p = self.per_rank.len();
         if self.matrix.ranks() != p {
@@ -275,8 +261,14 @@ impl TrafficReport {
                 self.matrix.ranks()
             ));
         }
-        for r in 0..p {
+        let mut cols = vec![CellCounts::default(); p];
+        for (_, dst, c) in self.matrix.cells() {
+            cols[dst].add(c);
+        }
+        let mut sent = (0, 0);
+        for (r, col) in cols.into_iter().enumerate() {
             let t = self.rank_total(r);
+            sent = (sent.0 + t.bytes, sent.1 + t.msgs);
             let row = self.matrix.send_row_total(r);
             if (row.bytes, row.msgs) != (t.bytes, t.msgs) {
                 return Err(format!(
@@ -284,28 +276,20 @@ impl TrafficReport {
                     t.bytes, t.msgs
                 ));
             }
-            let rrow = self.matrix.recv_row_total(r);
-            if (rrow.bytes, rrow.msgs) != (t.recv_bytes, t.recv_msgs) {
+            if (col.bytes, col.msgs) != (t.recv_bytes, t.recv_msgs) {
                 return Err(format!(
-                    "rank {r}: matrix recv row {rrow:?} != phase recv totals ({}, {})",
+                    "rank {r}: senders counted {col:?} toward it but it received ({}, {})",
                     t.recv_bytes, t.recv_msgs
                 ));
             }
         }
-        for (phase, h) in &self.hist_by_phase {
-            let t = self.phase_total(phase);
-            if h.msgs != t.msgs || h.bytes != t.bytes {
-                return Err(format!(
-                    "phase {phase:?}: histogram ({} msgs, {} B) != totals ({} msgs, {} B)",
-                    h.msgs, h.bytes, t.msgs, t.bytes
-                ));
-            }
-        }
-        let algo_msgs: u64 = self.hist_by_algo.values().map(|h| h.msgs).sum();
-        let total_msgs: u64 = (0..p).map(|r| self.rank_total(r).msgs).sum();
-        if algo_msgs != total_msgs {
+        let algo = self
+            .hist_by_algo
+            .values()
+            .fold((0, 0), |(b, m), h| (b + h.bytes, m + h.msgs));
+        if algo != sent {
             return Err(format!(
-                "algo histograms count {algo_msgs} msgs but the run sent {total_msgs}"
+                "algo histograms count {algo:?} (bytes, msgs) but the run sent {sent:?}"
             ));
         }
         Ok(())
@@ -322,7 +306,7 @@ mod tests {
         st.record_send("a", None, 1, 100);
         st.record_send("a", Some("ring_allgatherv"), 1, 50);
         st.record_send("b", None, 0, 1);
-        st.record_recv("a", 1, 30, 0.25);
+        st.record_recv("a", 30, 0.25);
         assert_eq!(
             st.by_phase["a"],
             PhaseCounts {
@@ -341,8 +325,6 @@ mod tests {
             }
         );
         assert_eq!(st.sent_to.len(), 2, "only touched cells are stored");
-        assert_eq!(st.recv_from[&1], CellCounts { bytes: 30, msgs: 1 });
-        assert_eq!(st.hist_by_phase["a"].msgs, 2);
         assert_eq!(st.hist_by_algo["p2p"].msgs, 2);
         assert_eq!(st.hist_by_algo["ring_allgatherv"].msgs, 1);
         assert_eq!(st.wait_by_phase["a"], 0.25);
@@ -365,26 +347,47 @@ mod tests {
         assert_eq!(report.phase_total("a").recv_bytes, 30);
     }
 
+    /// Rank 0 sends rank 1 two messages and rank 1 receives both, as the
+    /// accountant records them; `edit` then tampers with the counters.
+    fn two_rank_report(edit: impl FnOnce(&mut RankStats, &mut RankStats)) -> TrafficReport {
+        let (mut tx, mut rx) = (RankStats::default(), RankStats::default());
+        for bytes in [8, 24] {
+            tx.record_send("x", None, 1, bytes);
+            rx.record_recv("x", bytes, 0.0);
+        }
+        edit(&mut tx, &mut rx);
+        let mut matrix = CommMatrix::new(2);
+        matrix.set_row(0, tx.sent_to);
+        TrafficReport {
+            per_rank: vec![tx.by_phase, rx.by_phase],
+            matrix,
+            hist_by_algo: tx.hist_by_algo,
+            ..TrafficReport::default()
+        }
+    }
+
     #[test]
     fn consistency_check_catches_skew() {
-        // An empty report is trivially consistent.
-        let mut report = TrafficReport {
-            per_rank: vec![BTreeMap::new()],
-            secs_per_rank: vec![BTreeMap::new()],
-            wait_per_rank: vec![BTreeMap::new()],
-            matrix: CommMatrix::new(1),
-            ..TrafficReport::default()
+        assert_eq!(two_rank_report(|_, _| ()).check_consistency(), Ok(()));
+        let fails = |edit: fn(&mut RankStats, &mut RankStats), want: &str| {
+            let e = two_rank_report(edit).check_consistency().unwrap_err();
+            assert!(e.contains(want), "{e}");
         };
-        assert!(report.check_consistency().is_ok());
-        // A phase total with no matching matrix row is not.
-        report.per_rank[0].insert(
-            "x".to_owned(),
-            PhaseCounts {
-                bytes: 8,
-                msgs: 1,
-                ..PhaseCounts::default()
-            },
+        // A phase total with no matching matrix row.
+        fails(
+            |tx, _| tx.by_phase.get_mut("x").unwrap().bytes += 1,
+            "rank 0: matrix send row",
         );
-        assert!(report.check_consistency().is_err());
+        // One dropped receive count: rank 1 counted only the first of its
+        // two receives, so the senders' column for it no longer matches.
+        fails(
+            |_, rx| {
+                *rx = RankStats::default();
+                rx.record_recv("x", 8, 0.0);
+            },
+            "rank 1: senders counted",
+        );
+        // A histogram that lost its messages.
+        fails(|tx, _| tx.hist_by_algo.clear(), "algo histograms");
     }
 }

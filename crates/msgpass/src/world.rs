@@ -446,10 +446,10 @@ impl RankCtx {
         );
     }
 
-    pub(crate) fn record_recv(&self, src_world: usize, bytes: u64, wait_secs: f64) {
+    pub(crate) fn record_recv(&self, bytes: u64, wait_secs: f64) {
         self.stats
             .borrow_mut()
-            .record_recv(&self.phase.borrow(), src_world, bytes, wait_secs);
+            .record_recv(&self.phase.borrow(), bytes, wait_secs);
     }
 
     /// Marks `algo` as the collective running on this rank until the guard
@@ -610,7 +610,6 @@ impl RunSetup {
         let mut secs_per_rank = Vec::with_capacity(p);
         let mut wait_per_rank = Vec::with_capacity(p);
         let mut matrix = CommMatrix::new(p);
-        let mut hist_by_phase: BTreeMap<String, SizeHistogram> = BTreeMap::new();
         let mut hist_by_algo: BTreeMap<String, SizeHistogram> = BTreeMap::new();
         let mut streams = Vec::with_capacity(p);
         let mut makespan_secs = 0.0f64;
@@ -620,10 +619,7 @@ impl RunSetup {
             per_rank.push(st.by_phase);
             secs_per_rank.push(st.secs_by_phase);
             wait_per_rank.push(st.wait_by_phase);
-            matrix.set_rows(rank, st.sent_to, st.recv_from);
-            for (k, h) in &st.hist_by_phase {
-                hist_by_phase.entry(k.clone()).or_default().merge(h);
-            }
+            matrix.set_row(rank, st.sent_to);
             for (k, h) in &st.hist_by_algo {
                 hist_by_algo.entry(k.clone()).or_default().merge(h);
             }
@@ -637,7 +633,6 @@ impl RunSetup {
             secs_per_rank,
             wait_per_rank,
             matrix,
-            hist_by_phase,
             hist_by_algo,
         };
         let timeline = if self.trace {

@@ -8,9 +8,9 @@
 //! different association than the flat ring's, so reductions use
 //! integer-valued `f64` payloads that rounding cannot hide behind: any
 //! deviation changes bits. Both cases also run both groupings over the
-//! zero-sized `dense::Shape64` element (phase `"shape"`) and require the
-//! same bytes and messages on every rank as the 8-byte value run (phase
-//! `"values"`). Nodes exist only in a machine model, so every property runs
+//! zero-sized `dense::Shape64` element and require the same bytes,
+//! messages and message sizes on every rank as the 8-byte value run. Nodes
+//! exist only in a machine model, so every property runs
 //! under virtual time with the arithmetic executed.
 //!
 //! A final (non-property) test pins the leader-ring inter-node traffic of
@@ -48,14 +48,13 @@ fn counts_from_seed(seed: u64, p: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Phases `"values"` (an 8-byte element) and `"shape"` (`Shape64`) carried
-/// the same traffic: per-rank counts both directions, and size histograms.
-fn assert_shape_traffic_equals_values(report: &RunReport) {
-    for (r, phases) in report.traffic.per_rank.iter().enumerate() {
-        assert_eq!(phases.get("values"), phases.get("shape"), "rank {r}");
-    }
-    let hist = &report.traffic.hist_by_phase;
-    assert_eq!(hist.get("values"), hist.get("shape"));
+/// A `Shape64` run and an 8-byte-element run of the same collectives
+/// carried the same traffic: per-rank counts both directions, every matrix
+/// cell, and each algorithm's message sizes.
+fn assert_same_traffic(shape: &RunReport, values: &RunReport) {
+    assert_eq!(shape.per_rank, values.per_rank);
+    assert_eq!(shape.matrix, values.matrix);
+    assert_eq!(shape.hist_by_algo, values.hist_by_algo);
 }
 
 proptest! {
@@ -71,22 +70,23 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let counts = counts_from_seed(seed, p);
-        let report = on_nodes(p, rpn, async |ctx| {
+        let values = on_nodes(p, rpn, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
-            ctx.set_phase("values");
             let mine: Vec<u64> =
                 (0..counts[me]).map(|i| (me * 100 + i) as u64).collect();
             let flat = allgatherv_mode(Flat, &comm, ctx, mine.clone(), &counts).await;
             let hier = allgatherv_mode(Hier, &comm, ctx, mine, &counts).await;
             assert_eq!(flat, hier, "p={p} rpn={rpn} seed={seed:#x}");
-            ctx.set_phase("shape");
-            let mine = vec![Shape64; counts[me]];
+        });
+        let shape = on_nodes(p, rpn, async |ctx| {
+            let comm = Comm::world(ctx);
+            let mine = vec![Shape64; counts[comm.rank()]];
             let flat = allgatherv_mode(Flat, &comm, ctx, mine.clone(), &counts).await;
             let hier = allgatherv_mode(Hier, &comm, ctx, mine, &counts).await;
             assert_eq!(flat.len(), hier.len());
         });
-        assert_shape_traffic_equals_values(&report);
+        assert_same_traffic(&shape, &values);
     }
 
     /// reduce_scatter: hier pre-reduces on leaders, so its association
@@ -100,22 +100,23 @@ proptest! {
     ) {
         let counts = counts_from_seed(seed, p);
         let total: usize = counts.iter().sum();
-        let report = on_nodes(p, rpn, async |ctx| {
+        let values = on_nodes(p, rpn, async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
-            ctx.set_phase("values");
             let data: Vec<f64> =
                 (0..total).map(|i| ((me + 1) * (i + 1)) as f64).collect();
             let flat = reduce_scatter_mode(Flat, &comm, ctx, data.clone(), &counts).await;
             let hier = reduce_scatter_mode(Hier, &comm, ctx, data, &counts).await;
             assert_eq!(flat, hier, "p={p} rpn={rpn} seed={seed:#x}");
-            ctx.set_phase("shape");
+        });
+        let shape = on_nodes(p, rpn, async |ctx| {
+            let comm = Comm::world(ctx);
             let data = vec![Shape64; total];
             let flat = reduce_scatter_mode(Flat, &comm, ctx, data.clone(), &counts).await;
             let hier = reduce_scatter_mode(Hier, &comm, ctx, data, &counts).await;
             assert_eq!(flat.len(), hier.len());
         });
-        assert_shape_traffic_equals_values(&report);
+        assert_same_traffic(&shape, &values);
     }
 
     /// Subgroup communicators: pick a seed-driven subset of the world (at

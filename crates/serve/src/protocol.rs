@@ -200,7 +200,7 @@ pub struct MultiplyRequest {
     pub c_layout: Layout,
     /// Algorithm options (grid override, multi-shift, overlap, …).
     pub opts: Ca3dmmOptions,
-    /// Emit a schema-v3 RunReport for this request (runs unbatched and
+    /// Emit a RunReport for this request (runs unbatched and
     /// traced).
     pub report: bool,
     /// Per-request kernel-thread override (else the scheduler's budget).

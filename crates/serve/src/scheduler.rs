@@ -15,7 +15,7 @@
 //!   (`base_gemm_threads / (active_slots · p)`, min 1, unless the request
 //!   pinned `kernel_threads`).
 //! * **Report requests never batch** — a request with `"report":true` runs
-//!   alone and traced, so its schema-v3 RunReport describes exactly one
+//!   alone and traced, so its RunReport describes exactly one
 //!   multiply.
 //! * **Graceful shutdown** — [`Scheduler::shutdown`] stops admission
 //!   (late requests get a `draining` error), waits for the queue and every
@@ -666,7 +666,7 @@ mod tests {
         let report = resp.get("report").expect("inline report");
         assert_eq!(
             report.get("schema_version").and_then(Json::as_f64),
-            Some(3.0)
+            Some(msgpass::report::SCHEMA_VERSION as f64)
         );
         let meta = report.get("meta").expect("meta block");
         assert_eq!(meta.get("plan_cached").and_then(Json::as_bool), Some(false));

@@ -409,10 +409,7 @@ proptest! {
         let (c_2d, report_2d) = summa((m, n, k, p, Some((pr, pc))));
         let (c_3d, report_3d) = ca3dmm_s((m, n, k, p, Some(Grid::new(pr, pc, 1))));
         prop_assert_eq!(c_2d, c_3d);
-        prop_assert_eq!(
-            report_2d.traffic.matrix.nonzero_send(),
-            report_3d.traffic.matrix.nonzero_send()
-        );
+        prop_assert_eq!(&report_2d.traffic.matrix, &report_3d.traffic.matrix);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The metrics layer's cross-crate guarantees: the log2 size buckets
 //! partition `u64` exactly (property test), and on a real 4-rank CA3DMM run
-//! every redundant view of the traffic — per-phase counters, the rank×rank
-//! communication matrix, the size histograms, the JSON artifact — reconciles
-//! with every other. A profiled run additionally exercises the schema-v3
+//! every view of the traffic — per-phase counters on both sides, the
+//! rank×rank communication matrix, the size histograms, the JSON artifact —
+//! reconciles with every other. A profiled run additionally exercises the schema-v3
 //! `compute` block end to end: round-trip, reconciliation against the rank
 //! GEMM wall time, isolation from an unprofiled run in the same process, and
 //! a property test that the profiler's retained spans cover exactly its
@@ -176,8 +176,8 @@ fn concurrent_profiled_and_unprofiled_runs_do_not_interfere() {
 
 /// On a real CA3DMM run, the communication matrix's row and column sums
 /// must equal the per-phase traffic totals: every byte a rank's phase
-/// counters claim it sent appears in its matrix row, and every sent byte
-/// was received by someone (send columns = recv rows).
+/// counters claim it sent appears in its matrix row, and what the senders
+/// counted toward a rank (its column) is what that rank received.
 #[test]
 fn comm_matrix_reconciles_with_phase_totals() {
     let (_, report) = traced_ca3dmm_run(false, || ());
@@ -193,21 +193,21 @@ fn comm_matrix_reconciles_with_phase_totals() {
         let totals = t.rank_total(r);
         assert_eq!(row_bytes, totals.bytes, "rank {r} send row vs phase totals");
         assert_eq!(row_msgs, totals.msgs, "rank {r} send msgs");
-        // Recv side: the matrix recv row equals the rank's recv counters.
-        let recv_bytes: u64 = (0..p).map(|src| t.matrix.received(r, src).bytes).sum();
-        assert_eq!(recv_bytes, totals.recv_bytes, "rank {r} recv row");
-        // Send-side column r = what everyone sent *to* r = what r received.
+        // Column r = what everyone sent *to* r = what r received.
         let col_bytes: u64 = (0..p).map(|src| t.matrix.sent(src, r).bytes).sum();
-        assert_eq!(col_bytes, recv_bytes, "rank {r} send column vs recv row");
+        let col_msgs: u64 = (0..p).map(|src| t.matrix.sent(src, r).msgs).sum();
+        assert_eq!(
+            col_bytes, totals.recv_bytes,
+            "rank {r} column vs recv bytes"
+        );
+        assert_eq!(col_msgs, totals.recv_msgs, "rank {r} column vs recv msgs");
         run_sent += row_bytes;
     }
     assert!(run_sent > 0, "a 4-rank CA3DMM run must communicate");
     assert_eq!(run_sent, t.total_bytes());
 
-    // Histograms carry the same totals, keyed both ways.
-    let hist_bytes: u64 = t.hist_by_phase.values().map(|h| h.bytes).sum();
+    // The histograms carry the same total.
     let algo_bytes: u64 = t.hist_by_algo.values().map(|h| h.bytes).sum();
-    assert_eq!(hist_bytes, run_sent);
     assert_eq!(algo_bytes, run_sent);
 
     // Ranks that only receive still show activity (the recv-side counters
@@ -221,7 +221,7 @@ fn comm_matrix_reconciles_with_phase_totals() {
     }
 }
 
-/// A profiled run's schema-v3 artifact: every rank gets a compute row, the
+/// A profiled run's artifact: every rank gets a compute row, the
 /// pack/compute/idle split reconciles with the rank's GEMM wall time
 /// (thread-seconds) within 5%, and the dashboard renders the compute table.
 #[test]
@@ -332,7 +332,8 @@ fn run_report_artifact_round_trips_and_gates() {
     let doc = RunReportDoc::parse(&text).expect("artifact parses");
     assert_eq!(doc.name(), Some("metrics_report_e2e"));
     assert_eq!(doc.ranks, 4);
-    assert_eq!(doc.totals.sent_bytes, report.traffic.total_bytes());
+    let doc_sent: u64 = doc.phases.iter().map(|ph| ph.sent_bytes).sum();
+    assert_eq!(doc_sent, report.traffic.total_bytes());
     assert!(
         doc.critical_path.is_some(),
         "traced run has a critical path"

@@ -2,9 +2,8 @@
 //! agree with its obvious serial specification for arbitrary group sizes,
 //! payload sizes, and roots — including empty contributions. These are the
 //! foundations everything else stands on. The two ring collectives CA3DMM
-//! uses are also run over the zero-sized `Shape64` element (phase
-//! `"shape"`): same bytes and messages on every rank as over the 8-byte
-//! value type.
+//! uses are also run over the zero-sized `Shape64` element: same bytes,
+//! messages and message sizes on every rank as over an 8-byte value type.
 
 use dense::Shape64;
 use msgpass::collectives::{
@@ -15,14 +14,13 @@ use msgpass::{Comm, RankCtx, RunOptions, RunReport, SimOptions, World};
 use netmodel::{Machine, Placement};
 use proptest::prelude::*;
 
-/// Phases `"values"` (an 8-byte element) and `"shape"` (`Shape64`) carried
-/// the same traffic: per-rank counts both directions, and size histograms.
-fn assert_shape_traffic_equals_values(report: &RunReport) {
-    for (r, phases) in report.traffic.per_rank.iter().enumerate() {
-        assert_eq!(phases.get("values"), phases.get("shape"), "rank {r}");
-    }
-    let hist = &report.traffic.hist_by_phase;
-    assert_eq!(hist.get("values"), hist.get("shape"));
+/// A `Shape64` run and an 8-byte-element run of the same collective carried
+/// the same traffic: per-rank counts both directions, every matrix cell,
+/// and each algorithm's message sizes.
+fn assert_same_traffic(shape: &RunReport, values: &RunReport) {
+    assert_eq!(shape.per_rank, values.per_rank);
+    assert_eq!(shape.matrix, values.matrix);
+    assert_eq!(shape.hist_by_algo, values.hist_by_algo);
 }
 
 proptest! {
@@ -31,19 +29,19 @@ proptest! {
     #[test]
     fn allgatherv_concatenates(p in 1usize..9, sizes in proptest::collection::vec(0usize..7, 1..9)) {
         let counts: Vec<usize> = (0..p).map(|r| sizes[r % sizes.len()]).collect();
-        let counts2 = counts.clone();
         let total: usize = counts.iter().sum();
-        let (got, report) = World::run_opts(p, RunOptions::default(), async move |ctx| {
+        let (_, shape) = World::run_opts(p, RunOptions::default(), async |ctx| {
+            let comm = Comm::world(ctx);
+            let shapes = allgatherv_mode(Collectives::Flat, &comm, ctx, vec![Shape64; counts[comm.rank()]], &counts).await;
+            assert_eq!(shapes.len(), total);
+        });
+        let (got, values) = World::run_opts(p, RunOptions::default(), async |ctx| {
             let comm = Comm::world(ctx);
             let me = comm.rank();
-            ctx.set_phase("shape");
-            let shapes = allgatherv_mode(Collectives::Flat, &comm, ctx, vec![Shape64; counts2[me]], &counts2).await;
-            assert_eq!(shapes.len(), total);
-            ctx.set_phase("values");
-            let mine: Vec<u64> = (0..counts2[me]).map(|i| (me * 100 + i) as u64).collect();
-            allgatherv_mode(Collectives::Flat, &comm, ctx, mine, &counts2).await
+            let mine: Vec<u64> = (0..counts[me]).map(|i| (me * 100 + i) as u64).collect();
+            allgatherv_mode(Collectives::Flat, &comm, ctx, mine, &counts).await
         });
-        assert_shape_traffic_equals_values(&report);
+        assert_same_traffic(&shape, &values);
         let want: Vec<u64> = (0..p)
             .flat_map(|r| (0..counts[r]).map(move |i| (r * 100 + i) as u64))
             .collect();
@@ -56,18 +54,17 @@ proptest! {
     fn reduce_scatter_matches_serial(p in 1usize..9, seg in 0usize..6) {
         let counts: Vec<usize> = (0..p).map(|r| seg + r % 2).collect();
         let total: usize = counts.iter().sum();
-        let counts2 = counts.clone();
-        let (got, report) = World::run_opts(p, RunOptions::default(), async move |ctx| {
+        let (_, shape) = World::run_opts(p, RunOptions::default(), async |ctx| {
             let comm = Comm::world(ctx);
-            let me = comm.rank();
-            ctx.set_phase("shape");
-            let shapes = reduce_scatter_mode(Collectives::Flat, &comm, ctx, vec![Shape64; total], &counts2).await;
-            assert_eq!(shapes.len(), counts2[me]);
-            ctx.set_phase("values");
-            let data: Vec<f64> = (0..total).map(|i| (me * 31 + i) as f64).collect();
-            reduce_scatter_mode(Collectives::Flat, &comm, ctx, data, &counts2).await
+            let shapes = reduce_scatter_mode(Collectives::Flat, &comm, ctx, vec![Shape64; total], &counts).await;
+            assert_eq!(shapes.len(), counts[comm.rank()]);
         });
-        assert_shape_traffic_equals_values(&report);
+        let (got, values) = World::run_opts(p, RunOptions::default(), async |ctx| {
+            let comm = Comm::world(ctx);
+            let data: Vec<f64> = (0..total).map(|i| (comm.rank() * 31 + i) as f64).collect();
+            reduce_scatter_mode(Collectives::Flat, &comm, ctx, data, &counts).await
+        });
+        assert_same_traffic(&shape, &values);
         // serial: sum over ranks of each index
         let sums: Vec<f64> = (0..total)
             .map(|i| (0..p).map(|r| (r * 31 + i) as f64).sum())
