@@ -1,18 +1,18 @@
 //! The `ca3dmm-serve` daemon binary.
 //!
 //! ```text
-//! ca3dmm-serve [--p N] [--slots N] [--cache-cap N] [--max-batch N]
+//! ca3dmm-serve [--p N] [--slots N] [--cache-cap N]
 //!              [--listen stdio|tcp:HOST:PORT|unix:PATH]
 //!              [--report-dir DIR]
 //!              [--max-dim N] [--max-total-elems N] [--max-line-bytes N]
 //! ```
 //!
 //! Serves NDJSON multiply requests (see `DESIGN.md` §11) until EOF or a
-//! `shutdown` command, then drains in-flight work and exits 0.
+//! `shutdown` command, then runs what is still queued and exits 0.
 
 use serve::server::{run, Listen, ServerConfig};
 
-const USAGE: &str = "usage: ca3dmm-serve [--p N] [--slots N] [--cache-cap N] [--max-batch N]
+const USAGE: &str = "usage: ca3dmm-serve [--p N] [--slots N] [--cache-cap N]
                     [--listen stdio|tcp:HOST:PORT|unix:PATH] [--report-dir DIR]
                     [--max-dim N] [--max-total-elems N] [--max-line-bytes N]";
 
@@ -41,7 +41,6 @@ fn main() {
             "--p" => cfg.sched.p = uint().max(1),
             "--slots" => cfg.sched.slots = uint().max(1),
             "--cache-cap" => cfg.sched.cache_capacity = uint().max(1),
-            "--max-batch" => cfg.sched.max_batch = uint().max(1),
             "--report-dir" => {
                 let dir = std::path::PathBuf::from(&value);
                 if let Err(e) = std::fs::create_dir_all(&dir) {

@@ -1,11 +1,12 @@
-//! The execution engine: runs plan batches on a persistent world.
+//! The execution engine: runs plans on a persistent world.
 //!
 //! One [`Engine`] owns one [`msgpass::PersistentWorld`] of `p` rank
 //! threads; the scheduler gives each of its concurrency slots its own
-//! engine. A batch executes as one job: every rank generates its local
-//! input blocks deterministically from the request seeds
+//! engine. [`Engine::run_batch`] executes one job: every rank generates its
+//! local input blocks deterministically from the seeds
 //! ([`dense::random::global_block`]), runs [`Plan::multiply_batch`] (one
-//! sub-communicator build for the whole batch), and digests its `C` blocks.
+//! sub-communicator build for all seed pairs), and digests its `C` blocks.
+//! The scheduler passes one seed pair per job.
 //!
 //! # The checksum
 //!
@@ -28,12 +29,12 @@
 //!   the rank's blocks, then across ranks — as the response's `sum`.
 //!
 //! It promises that equal requests (shape, dtype, ops, layouts, seeds, `p`)
-//! have equal checksums — cached plan or not, batched or not, whatever the
-//! kernel thread count — and that any single changed element (`+0.0` vs
-//! `-0.0` included) changes it: every fold step and the finaliser are
-//! bijections of `h`. It is not cryptographic, it is not comparable across
-//! `p` or layouts (the order is per rank), and its *values* are not part of
-//! the protocol: only their equality is.
+//! have equal checksums — cached plan or not, one seed pair per job or
+//! several, whatever the kernel thread count — and that any single changed
+//! element (`+0.0` vs `-0.0` included) changes it: every fold step and the
+//! finaliser are bijections of `h`. It is not cryptographic, it is not
+//! comparable across `p` or layouts (the order is per rank), and its
+//! *values* are not part of the protocol: only their equality is.
 
 use ca3dmm::{Dtype, Plan};
 use dense::random::global_block;
@@ -151,8 +152,7 @@ impl Engine {
     }
 
     /// Runs `seeds.len()` same-plan multiplies as one job. `trace` turns on
-    /// the event timeline (for per-request RunReport emission — the
-    /// scheduler only traces unbatched report requests).
+    /// the event timeline (for per-request RunReport emission).
     ///
     /// # Errors
     /// [`JobPanic`] if a rank panicked; the engine remains usable.

@@ -4,9 +4,8 @@
 //! [`msgpass::PersistentWorld`] (rank threads spawned once, reused across
 //! requests) and a warmed kernel pool, speaks an NDJSON request protocol,
 //! caches solved [`ca3dmm::Plan`]s (grid solution + redistribution
-//! programs) under an LRU policy, and batches same-shape requests into
-//! single grid launches. See `DESIGN.md` §11 for the protocol and
-//! batching semantics.
+//! programs) under an LRU policy. See `DESIGN.md` §11 for the protocol and
+//! scheduling.
 //!
 //! Module map:
 //! * [`protocol`] — request parsing/validation and the error envelope;
@@ -14,9 +13,9 @@
 //! * [`cache`] — the LRU [`cache::PlanCache`] with hit/miss/eviction
 //!   counters.
 //! * [`engine`] — one persistent `p`-rank world per concurrency slot;
-//!   executes plan batches and checksums results.
-//! * [`scheduler`] — the queue + dispatcher threads: same-shape batching,
-//!   kernel-thread budgeting, graceful drain.
+//!   executes plans and checksums results.
+//! * [`scheduler`] — the queue + dispatcher threads: one request per job,
+//!   kernel-thread budgeting, drain on shutdown.
 //! * [`stats`] — request counters and per-shape latency histograms for the
 //!   `stats` endpoint.
 //! * [`server`] — stdio/TCP/Unix transports feeding the scheduler.

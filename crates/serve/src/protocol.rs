@@ -58,7 +58,7 @@ impl Default for Limits {
 #[derive(Clone, Debug)]
 pub struct ProtoError {
     /// Stable machine-readable code: `bad_json`, `bad_request`,
-    /// `too_large`, `draining`, or `internal`.
+    /// `too_large`, or `internal`.
     pub code: &'static str,
     /// Human-readable detail.
     pub message: String,
@@ -200,11 +200,8 @@ pub struct MultiplyRequest {
     pub c_layout: Layout,
     /// Algorithm options (grid override, multi-shift, overlap, …).
     pub opts: Ca3dmmOptions,
-    /// Emit a RunReport for this request (runs unbatched and
-    /// traced).
+    /// Emit a RunReport for this request (runs traced).
     pub report: bool,
-    /// Per-request kernel-thread override (else the scheduler's budget).
-    pub kernel_threads: Option<usize>,
     /// The plan-cache key.
     pub key: PlanKey,
 }
@@ -413,7 +410,6 @@ fn parse_multiply(
     let c_layout = spec("layout_c", LayoutSpec::Col)?.build(m, n, p)?;
     let opts = parse_opts(obj, p)?;
     let report = get_bool(obj, "report", false)?;
-    let kernel_threads = get_uint(obj, "kernel_threads", 1024)?.map(|v| (v as usize).max(1));
     let prob = Problem::new(m, n, k, p);
     let key = PlanKey::new(
         &prob, &opts, dtype, op_a, &a_layout, op_b, &b_layout, &c_layout,
@@ -431,7 +427,6 @@ fn parse_multiply(
         c_layout,
         opts,
         report,
-        kernel_threads,
         key,
     })
 }

@@ -1,25 +1,13 @@
-//! The batch scheduler: a shared request queue drained by `slots`
-//! dispatcher threads, each owning a persistent `p`-rank [`Engine`].
+//! The request scheduler: a shared queue drained by `slots` dispatcher
+//! threads, each owning a persistent `p`-rank [`Engine`].
 //!
-//! Scheduling policy:
-//!
-//! * **Same-shape batching** — when a dispatcher pops a request, it also
-//!   drains every queued request with the *same plan key* (up to
-//!   `max_batch`) and runs them as one [`Plan::multiply_batch`] job: one
-//!   plan resolution and one sub-communicator build for the whole group.
-//!   Batching is opportunistic — it happens exactly when requests queue up
-//!   faster than slots drain them, so an idle daemon adds no latency.
-//! * **Different shapes run concurrently** — each slot has its own
-//!   persistent world, so two slots can execute two different shapes at
-//!   once, splitting the host's kernel-thread budget between them
-//!   (`base_gemm_threads / (active_slots · p)`, min 1, unless the request
-//!   pinned `kernel_threads`).
-//! * **Report requests never batch** — a request with `"report":true` runs
-//!   alone and traced, so its RunReport describes exactly one
-//!   multiply.
-//! * **Graceful shutdown** — [`Scheduler::shutdown`] stops admission
-//!   (late requests get a `draining` error), waits for the queue and every
-//!   slot to drain, then joins the dispatchers.
+//! A dispatcher pops one request, resolves its plan through the shared
+//! [`PlanCache`] and runs it as one job. Each slot has its own world, so
+//! with `slots` > 1 different requests execute concurrently and split the
+//! host's kernel-thread budget between them
+//! (`base_gemm_threads / (active_slots · p)`, min 1).
+//! [`Scheduler::shutdown`] runs every queued request before it joins the
+//! dispatchers.
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::engine::Engine;
@@ -30,7 +18,7 @@ use jsonlite::Json;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -46,8 +34,6 @@ pub struct SchedulerConfig {
     pub slots: usize,
     /// Plan-cache capacity, entries.
     pub cache_capacity: usize,
-    /// Largest same-shape batch one job may carry.
-    pub max_batch: usize,
     /// Where per-request RunReports go; `None` inlines them into the
     /// response.
     pub report_dir: Option<PathBuf>,
@@ -59,49 +45,27 @@ impl Default for SchedulerConfig {
             p: 4,
             slots: 1,
             cache_capacity: 32,
-            max_batch: 16,
             report_dir: None,
         }
     }
 }
 
-pub(crate) struct Queued {
-    pub req: Box<MultiplyRequest>,
-    pub sink: ResponseSink,
-    pub enqueued: Instant,
-}
-
-/// Pops the front request plus every queued same-key non-report request
-/// (up to `max_batch` total), preserving arrival order. Report requests
-/// always come out alone. Pure queue surgery — unit-tested directly.
-pub(crate) fn take_batch(q: &mut VecDeque<Queued>, max_batch: usize) -> Vec<Queued> {
-    let Some(front) = q.pop_front() else {
-        return Vec::new();
-    };
-    let key = front.req.key;
-    let solo = front.req.report;
-    let mut batch = vec![front];
-    if !solo {
-        let mut i = 0;
-        while i < q.len() && batch.len() < max_batch.max(1) {
-            if q[i].req.key == key && !q[i].req.report {
-                if let Some(item) = q.remove(i) {
-                    batch.push(item);
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-    batch
+struct Queued {
+    req: Box<MultiplyRequest>,
+    sink: ResponseSink,
+    enqueued: Instant,
 }
 
 struct Shared {
     cfg: SchedulerConfig,
     queue: Mutex<VecDeque<Queued>>,
     cv: Condvar,
-    draining: AtomicBool,
+    /// Set under the queue lock, so a dispatcher cannot miss it between
+    /// finding the queue empty and waiting.
     stop: AtomicBool,
+    /// Numbers the report files, so two ids that sanitise alike never
+    /// share a path.
+    reports: AtomicU64,
     stats: ServerStats,
     cache: PlanCache,
 }
@@ -126,8 +90,8 @@ impl Scheduler {
             stats: ServerStats::new(),
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
-            draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
+            reports: AtomicU64::new(0),
             cfg,
         });
         let dispatchers = (0..shared.cfg.slots)
@@ -157,18 +121,8 @@ impl Scheduler {
     }
 
     /// Enqueues a multiply; its response (success or error) will be pushed
-    /// into `sink` by a dispatcher. Returns the `draining` error instead if
-    /// shutdown has begun.
+    /// into `sink` by a dispatcher.
     pub fn submit(&self, req: Box<MultiplyRequest>, sink: ResponseSink) {
-        if self.shared.draining.load(Ordering::SeqCst) {
-            let err = ProtoError {
-                code: "draining",
-                message: "server is shutting down".to_owned(),
-            };
-            self.shared.stats.on_error();
-            sink(err.to_response(Some(&req.id)));
-            return;
-        }
         self.shared.stats.queue_enter();
         lock(&self.shared.queue).push_back(Queued {
             req,
@@ -199,25 +153,15 @@ impl Scheduler {
         self.shared.stats.completed()
     }
 
-    /// Stops admission, drains the queue and all in-flight work, joins the
-    /// dispatchers. Idempotent-ish: safe to call once at end of life.
-    pub fn shutdown(mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        // Wait until nothing is queued or executing.
+    /// Runs every queued request, then joins the dispatchers. Taking
+    /// `self` means nothing can be submitted once this starts.
+    pub fn shutdown(self) {
         {
-            let mut q = lock(&self.shared.queue);
-            while !(q.is_empty() && self.shared.stats.active_slots() == 0) {
-                let (guard, _) = self
-                    .shared
-                    .cv
-                    .wait_timeout(q, std::time::Duration::from_millis(50))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                q = guard;
-            }
+            let _queue = lock(&self.shared.queue);
+            self.shared.stop.store(true, Ordering::SeqCst);
         }
-        self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.cv.notify_all();
-        for h in self.dispatchers.drain(..) {
+        for h in self.dispatchers {
             let _ = h.join();
         }
     }
@@ -238,11 +182,11 @@ fn dispatcher_loop(shared: &Shared) {
     let engine = Engine::new(shared.cfg.p);
     engine.warm();
     loop {
-        let batch = {
+        let item = {
             let mut q = lock(&shared.queue);
             loop {
-                if !q.is_empty() {
-                    break take_batch(&mut q, shared.cfg.max_batch);
+                if let Some(item) = q.pop_front() {
+                    break item;
                 }
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
@@ -253,29 +197,29 @@ fn dispatcher_loop(shared: &Shared) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        shared.stats.queue_leave(batch.len());
+        shared.stats.queue_leave();
         shared.stats.slot_busy();
-        run_one_batch(shared, &engine, batch);
+        run_one(shared, &engine, item);
         shared.stats.slot_idle();
-        // Wake shutdown waiters (and peers waiting for work).
-        shared.cv.notify_all();
     }
 }
 
-fn run_one_batch(shared: &Shared, engine: &Engine, batch: Vec<Queued>) {
-    let Some(first) = batch.first() else { return };
-    let leader = &first.req;
-    let key = leader.key;
-    let shape = leader.shape_label();
+fn run_one(shared: &Shared, engine: &Engine, item: Queued) {
+    let Queued {
+        req,
+        sink,
+        enqueued,
+    } = item;
+    let fail = |err: ProtoError| {
+        shared.stats.on_error();
+        sink(err.to_response(Some(&req.id)));
+    };
 
-    // Resolve the plan: one cache consult for the leader, one build on a
-    // miss. Followers count as hits — they are served from the (now
-    // populated) cache by construction.
+    // Resolve the plan: a cache lookup, and a build on a miss.
     let t_plan = Instant::now();
-    let (plan, leader_hit) = match shared.cache.get(&key) {
-        Some(plan) => (plan, true),
+    let (plan, cache_state) = match shared.cache.get(&req.key) {
+        Some(plan) => (plan, "hit"),
         None => {
-            let req = leader.clone();
             let built = catch_unwind(AssertUnwindSafe(|| {
                 Plan::build(
                     req.prob,
@@ -291,8 +235,8 @@ fn run_one_batch(shared: &Shared, engine: &Engine, batch: Vec<Queued>) {
             match built {
                 Ok(plan) => {
                     let plan = Arc::new(plan);
-                    shared.cache.put(key, Arc::clone(&plan));
-                    (plan, false)
+                    shared.cache.put(req.key, Arc::clone(&plan));
+                    (plan, "miss")
                 }
                 Err(e) => {
                     let msg = e
@@ -300,99 +244,72 @@ fn run_one_batch(shared: &Shared, engine: &Engine, batch: Vec<Queued>) {
                         .map(String::as_str)
                         .or_else(|| e.downcast_ref::<&str>().copied())
                         .unwrap_or("plan construction failed");
-                    let err = ProtoError::bad(format!("plan rejected: {msg}"));
-                    for item in &batch {
-                        shared.stats.on_error();
-                        (item.sink)(err.to_response(Some(&item.req.id)));
-                    }
+                    fail(ProtoError::bad(format!("plan rejected: {msg}")));
                     return;
                 }
             }
         }
     };
-    for _ in 1..batch.len() {
-        let _ = shared.cache.get(&key); // count follower hits, refresh LRU
-    }
     let plan_secs = t_plan.elapsed().as_secs_f64();
 
-    // Kernel budget: split the host's threads across the busy slots' ranks;
-    // the batch leader's explicit override wins.
+    // Kernel budget: split the host's threads across the busy slots' ranks.
     let active = shared.stats.active_slots().max(1);
-    let budget = (dense::pool::base_gemm_threads() / (active * shared.cfg.p)).max(1);
-    let kernel_threads = leader.kernel_threads.unwrap_or(budget);
-
-    let seeds: Vec<(u64, u64)> = batch.iter().map(|i| (i.req.seed_a, i.req.seed_b)).collect();
-    let trace = leader.report;
-    let outcome = match engine.run_batch(&plan, &seeds, kernel_threads, trace) {
+    let kernel_threads = (dense::pool::base_gemm_threads() / (active * shared.cfg.p)).max(1);
+    let seeds = [(req.seed_a, req.seed_b)];
+    let outcome = match engine.run_batch(&plan, &seeds, kernel_threads, req.report) {
         Ok(out) => out,
         Err(panic) => {
-            let err = ProtoError {
+            fail(ProtoError {
                 code: "internal",
                 message: format!("execution failed: {panic}"),
-            };
-            for item in &batch {
-                shared.stats.on_error();
-                (item.sink)(err.to_response(Some(&item.req.id)));
-            }
+            });
             return;
         }
     };
-    shared.stats.on_batch(batch.len());
 
     let grid = *plan.ca3dmm().grid_context().grid();
-    for (idx, item) in batch.iter().enumerate() {
-        let total_secs = item.enqueued.elapsed().as_secs_f64();
-        let cache_state = if idx == 0 && !leader_hit {
-            "miss"
-        } else {
-            "hit"
-        };
-        let mut resp = Json::obj([
-            ("id", Json::Str(item.req.id.clone())),
-            ("ok", Json::Bool(true)),
-            ("cache", Json::Str(cache_state.to_owned())),
-            ("batched", Json::Num(batch.len() as f64)),
-            ("plan_ms", Json::Num(plan_secs * 1e3)),
-            ("exec_ms", Json::Num(outcome.exec_secs * 1e3)),
-            ("total_ms", Json::Num(total_secs * 1e3)),
-            ("checksum", Json::Str(outcome.items[idx].checksum.clone())),
-            ("sum", Json::Num(outcome.items[idx].sum)),
-            (
-                "grid",
-                Json::obj([
-                    ("pm", Json::Num(grid.pm as f64)),
-                    ("pn", Json::Num(grid.pn as f64)),
-                    ("pk", Json::Num(grid.pk as f64)),
-                ]),
-            ),
-        ]);
-        if trace {
-            let meta = plan.ca3dmm().report_meta_serving(
-                &format!("serve_{}", item.req.id),
-                &outcome.report,
-                Some(cache_state == "hit"),
-            );
-            let report = outcome.report.to_json(meta);
-            attach_report(
-                &mut resp,
-                &item.req.id,
-                report,
-                shared.cfg.report_dir.as_deref(),
-            );
-        }
-        shared
-            .stats
-            .on_done(&shape, (total_secs * 1e6).round().max(0.0) as u64);
-        (item.sink)(resp);
+    let total_secs = enqueued.elapsed().as_secs_f64();
+    let mut resp = Json::obj([
+        ("id", Json::Str(req.id.clone())),
+        ("ok", Json::Bool(true)),
+        ("cache", Json::Str(cache_state.to_owned())),
+        ("plan_ms", Json::Num(plan_secs * 1e3)),
+        ("exec_ms", Json::Num(outcome.exec_secs * 1e3)),
+        ("total_ms", Json::Num(total_secs * 1e3)),
+        ("checksum", Json::Str(outcome.items[0].checksum.clone())),
+        ("sum", Json::Num(outcome.items[0].sum)),
+        (
+            "grid",
+            Json::obj([
+                ("pm", Json::Num(grid.pm as f64)),
+                ("pn", Json::Num(grid.pn as f64)),
+                ("pk", Json::Num(grid.pk as f64)),
+            ]),
+        ),
+    ]);
+    if req.report {
+        let meta = plan.ca3dmm().report_meta_serving(
+            &format!("serve_{}", req.id),
+            &outcome.report,
+            Some(cache_state == "hit"),
+        );
+        attach_report(shared, &mut resp, &req.id, outcome.report.to_json(meta));
     }
+    shared.stats.on_done(
+        &req.shape_label(),
+        (total_secs * 1e6).round().max(0.0) as u64,
+    );
+    sink(resp);
 }
 
 /// Writes the report next to the response (file when a report dir is
-/// configured, inline otherwise). File-system failures degrade to inline —
-/// the request still succeeds.
-fn attach_report(resp: &mut Json, id: &str, report: Json, dir: Option<&std::path::Path>) {
+/// configured, inline otherwise). The file name starts with a number unique
+/// to this daemon run. File-system failures degrade to inline — the request
+/// still succeeds.
+fn attach_report(shared: &Shared, resp: &mut Json, id: &str, report: Json) {
     let Json::Obj(map) = resp else { return };
-    if let Some(dir) = dir {
+    if let Some(dir) = &shared.cfg.report_dir {
+        let seq = shared.reports.fetch_add(1, Ordering::Relaxed);
         let safe: String = id
             .chars()
             .map(|c| {
@@ -404,7 +321,7 @@ fn attach_report(resp: &mut Json, id: &str, report: Json, dir: Option<&std::path
             })
             .take(64)
             .collect();
-        let path = dir.join(format!("REPORT_serve_{safe}.json"));
+        let path = dir.join(format!("REPORT_serve_{seq}_{safe}.json"));
         let mut text = report.to_string_pretty();
         text.push('\n');
         if std::fs::write(&path, text).is_ok() {
@@ -436,63 +353,6 @@ mod tests {
             Request::Multiply(m) => m,
             _ => panic!("expected multiply"),
         }
-    }
-
-    fn queued(line: &str, sink: ResponseSink) -> Queued {
-        Queued {
-            req: parse_multiply(line, P),
-            sink,
-            enqueued: Instant::now(),
-        }
-    }
-
-    fn null_sink() -> ResponseSink {
-        Arc::new(|_| {})
-    }
-
-    #[test]
-    fn take_batch_groups_same_key_and_isolates_reports() {
-        let sink = null_sink();
-        let mut q = VecDeque::new();
-        let shape_a = r#"{"cmd":"multiply","id":"a1","m":16,"n":16,"k":16}"#;
-        let shape_b = r#"{"cmd":"multiply","id":"b1","m":8,"n":8,"k":8}"#;
-        let a_report = r#"{"cmd":"multiply","id":"a-rep","m":16,"n":16,"k":16,"report":true}"#;
-        q.push_back(queued(shape_a, Arc::clone(&sink)));
-        q.push_back(queued(shape_b, Arc::clone(&sink)));
-        q.push_back(queued(shape_a, Arc::clone(&sink)));
-        q.push_back(queued(a_report, Arc::clone(&sink)));
-        q.push_back(queued(shape_a, Arc::clone(&sink)));
-
-        // batch 1: the two non-report shape-A requests queued behind the
-        // front one, order preserved; B and the report request stay.
-        let b1 = take_batch(&mut q, 16);
-        assert_eq!(
-            b1.iter().map(|i| i.req.id.as_str()).collect::<Vec<_>>(),
-            vec!["a1", "a1", "a1"]
-        );
-        // batch 2: shape B alone
-        let b2 = take_batch(&mut q, 16);
-        assert_eq!(b2.len(), 1);
-        assert_eq!(b2[0].req.id, "b1");
-        // batch 3: the report request, alone despite matching shape A's key
-        let b3 = take_batch(&mut q, 16);
-        assert_eq!(b3.len(), 1);
-        assert!(b3[0].req.report);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn take_batch_respects_max_batch() {
-        let sink = null_sink();
-        let mut q = VecDeque::new();
-        for _ in 0..5 {
-            q.push_back(queued(
-                r#"{"cmd":"multiply","id":"x","m":16,"n":16,"k":16}"#,
-                Arc::clone(&sink),
-            ));
-        }
-        assert_eq!(take_batch(&mut q, 2).len(), 2);
-        assert_eq!(q.len(), 3);
     }
 
     /// Collects responses over a channel.
@@ -562,30 +422,6 @@ mod tests {
         let cs = sched.cache_stats();
         assert!(cs.hits >= 1, "repeat shapes must hit the cache: {cs:?}");
         assert_eq!(cs.misses, 2, "one miss per distinct shape");
-        sched.shutdown();
-    }
-
-    #[test]
-    fn draining_rejects_new_requests() {
-        let sched = Scheduler::new(SchedulerConfig {
-            p: 2,
-            slots: 1,
-            ..SchedulerConfig::default()
-        });
-        sched.shared.draining.store(true, Ordering::SeqCst);
-        let (sink, rx) = channel_sink();
-        sched.submit(
-            parse_multiply(r#"{"cmd":"multiply","id":"late","m":8,"n":8,"k":8}"#, 2),
-            sink,
-        );
-        let resp = rx.recv().unwrap();
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            resp.get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(Json::as_str),
-            Some("draining")
-        );
         sched.shutdown();
     }
 
@@ -675,5 +511,46 @@ mod tests {
             .and_then(Json::as_f64)
             .is_some());
         sched.shutdown();
+    }
+
+    #[test]
+    fn report_files_of_colliding_ids_stay_apart() {
+        let dir = std::env::temp_dir().join(format!("serve_reports_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sched = Scheduler::new(SchedulerConfig {
+            p: 2,
+            slots: 1,
+            report_dir: Some(dir.clone()),
+            ..SchedulerConfig::default()
+        });
+        // `a/b` and `a.b` sanitise alike; the long pair shares 64 chars
+        let long = "x".repeat(64);
+        let ids = [
+            "a/b".to_owned(),
+            "a.b".to_owned(),
+            format!("{long}1"),
+            format!("{long}2"),
+        ];
+        let (sink, rx) = channel_sink();
+        for id in &ids {
+            let line =
+                format!(r#"{{"cmd":"multiply","id":"{id}","m":16,"n":16,"k":16,"report":true}}"#);
+            sched.submit(parse_multiply(&line, 2), Arc::clone(&sink));
+        }
+        let mut paths = std::collections::BTreeSet::new();
+        for _ in &ids {
+            let resp = rx.recv_timeout(std::time::Duration::from_secs(60)).unwrap();
+            let id = resp.get("id").and_then(Json::as_str).unwrap();
+            let path = resp.get("report_path").and_then(Json::as_str).unwrap();
+            let report = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            let name = report.get("meta").and_then(|m| m.get("name"));
+            assert_eq!(
+                name.and_then(Json::as_str),
+                Some(format!("serve_{id}").as_str())
+            );
+            assert!(paths.insert(path.to_owned()), "{path} written twice");
+        }
+        sched.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,7 +5,8 @@
 //! Each connection gets a reader thread; responses go back through a
 //! mutex-wrapped writer so concurrent dispatcher completions interleave by
 //! whole lines, never by bytes. A `shutdown` command (from any connection)
-//! answers immediately, then drains the scheduler and stops the listeners.
+//! answers immediately, then the listeners stop and the scheduler runs
+//! what is still queued.
 
 use crate::protocol::{parse_request, Limits, Request};
 use crate::scheduler::{ResponseSink, Scheduler, SchedulerConfig};
@@ -71,9 +72,9 @@ impl Default for ServerConfig {
 
 /// A running daemon: scheduler plus the shutdown latch the transports poll.
 pub struct Server {
-    sched: Arc<Scheduler>,
+    sched: Scheduler,
     limits: Limits,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
     p: usize,
 }
 
@@ -81,9 +82,9 @@ impl Server {
     /// Starts the scheduler (spawning and warming its slots).
     pub fn new(cfg: &ServerConfig) -> Server {
         Server {
-            sched: Arc::new(Scheduler::new(cfg.sched.clone())),
+            sched: Scheduler::new(cfg.sched.clone()),
             limits: cfg.limits,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: AtomicBool::new(false),
             p: cfg.sched.p,
         }
     }
@@ -128,12 +129,10 @@ impl Server {
         }
     }
 
-    /// Drains in-flight work and stops the dispatchers. Consumes the
-    /// server.
+    /// Runs every queued multiply, then stops the dispatchers. Consumes
+    /// the server: every response has reached its sink when this returns.
     pub fn finish(self) {
-        if let Ok(sched) = Arc::try_unwrap(self.sched) {
-            sched.shutdown();
-        }
+        self.sched.shutdown();
     }
 }
 
@@ -251,11 +250,11 @@ mod tests {
         )
     }
 
-    fn test_server(p: usize) -> Server {
+    fn test_server(p: usize, slots: usize) -> Server {
         let cfg = ServerConfig {
             sched: SchedulerConfig {
                 p,
-                slots: 1,
+                slots,
                 ..SchedulerConfig::default()
             },
             ..ServerConfig::default()
@@ -281,7 +280,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_yield_error_responses_not_panics() {
-        let server = test_server(2);
+        let server = test_server(2, 1);
         let (sink, rx) = channel_sink();
         server.handle_line("{broken", &sink);
         let resp = rx.recv().unwrap();
@@ -302,7 +301,7 @@ mod tests {
 
     #[test]
     fn stats_and_shutdown_round_trip() {
-        let server = test_server(2);
+        let server = test_server(2, 1);
         let (sink, rx) = channel_sink();
         server.handle_line(r#"{"cmd":"multiply","id":"m1","m":8,"n":8,"k":8}"#, &sink);
         let resp = rx
@@ -324,11 +323,36 @@ mod tests {
 
     #[test]
     fn empty_lines_are_ignored() {
-        let server = test_server(2);
+        let server = test_server(2, 1);
         let (sink, rx) = channel_sink();
         server.handle_line("", &sink);
         server.handle_line("   ", &sink);
         assert!(rx.try_recv().is_err());
         server.finish();
+    }
+
+    #[test]
+    fn finish_runs_every_queued_multiply() {
+        for slots in [1, 2] {
+            let server = test_server(2, slots);
+            let (sink, rx) = channel_sink();
+            let shapes = [(24, 20, 16), (8, 8, 8)];
+            let ids: Vec<String> = (0..8).map(|i| format!("q{i}")).collect();
+            for (i, id) in ids.iter().enumerate() {
+                let (m, n, k) = shapes[i % 2];
+                let line = format!(r#"{{"cmd":"multiply","id":"{id}","m":{m},"n":{n},"k":{k}}}"#);
+                server.handle_line(&line, &sink);
+            }
+            server.finish();
+            let mut answered: Vec<String> = rx
+                .try_iter()
+                .map(|resp| {
+                    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+                    resp.get("id").and_then(Json::as_str).unwrap().to_owned()
+                })
+                .collect();
+            answered.sort();
+            assert_eq!(answered, ids, "slots {slots}");
+        }
     }
 }

@@ -90,8 +90,6 @@ pub struct ServerStats {
     requests: AtomicU64,
     ok: AtomicU64,
     errors: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
     queue_depth: AtomicUsize,
     active_slots: AtomicUsize,
     per_shape: Mutex<BTreeMap<String, LatencyHist>>,
@@ -104,8 +102,6 @@ impl ServerStats {
             requests: AtomicU64::new(0),
             ok: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
             queue_depth: AtomicUsize::new(0),
             active_slots: AtomicUsize::new(0),
             per_shape: Mutex::new(BTreeMap::new()),
@@ -120,13 +116,6 @@ impl ServerStats {
     /// Counts an error response.
     pub fn on_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one executed batch of `size` same-shape multiplies.
-    pub fn on_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
     }
 
     /// Records one completed multiply: its end-to-end latency under its
@@ -145,21 +134,9 @@ impl ServerStats {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Queue depth gauge (saturating).
-    pub fn queue_leave(&self, n: usize) {
-        let mut cur = self.queue_depth.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self.queue_depth.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
+    /// Queue depth gauge: one request left the queue.
+    pub fn queue_leave(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Current queue depth.
@@ -197,8 +174,6 @@ impl ServerStats {
             .iter()
             .map(|(k, h)| (k.clone(), h.to_json()))
             .collect();
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
         Json::obj([
             (
                 "uptime_secs",
@@ -227,15 +202,6 @@ impl ServerStats {
                     (
                         "error",
                         Json::Num(self.errors.load(Ordering::Relaxed) as f64),
-                    ),
-                    ("batches", Json::Num(batches as f64)),
-                    (
-                        "avg_batch",
-                        Json::Num(if batches == 0 {
-                            0.0
-                        } else {
-                            batched as f64 / batches as f64
-                        }),
                     ),
                 ]),
             ),
@@ -281,7 +247,6 @@ mod tests {
         let s = ServerStats::new();
         s.on_request();
         s.on_done("8x8x8/f64", 150);
-        s.on_batch(3);
         let j = s.to_json(2);
         assert_eq!(
             j.get("requests")
@@ -294,19 +259,5 @@ mod tests {
             j.get("gemm_kernel").and_then(Json::as_str),
             Some(dense::kernel::gemm_kernel().name())
         );
-        assert_eq!(
-            j.get("requests")
-                .and_then(|r| r.get("avg_batch"))
-                .and_then(Json::as_f64),
-            Some(3.0)
-        );
-    }
-
-    #[test]
-    fn queue_gauge_saturates() {
-        let s = ServerStats::new();
-        s.queue_enter();
-        s.queue_leave(5);
-        assert_eq!(s.queue_depth(), 0);
     }
 }

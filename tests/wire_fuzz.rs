@@ -61,7 +61,7 @@ fn parse_all(lines: &[String]) {
 }
 
 /// The fields of a valid multiply line, as `(key, raw JSON value)`.
-const VALID: [(&str, &str); 17] = [
+const VALID: [(&str, &str); 16] = [
     ("cmd", r#""multiply""#),
     ("id", r#""f""#),
     ("m", "8"),
@@ -78,7 +78,6 @@ const VALID: [(&str, &str); 17] = [
     ("report", "false"),
     ("grid", "[2,2,1]"),
     ("opts", r#"{"overlap":true,"multi_shift_min_k":4}"#),
-    ("kernel_threads", "1"),
 ];
 
 /// Hostile replacement values (raw JSON, some of it not JSON at all).
