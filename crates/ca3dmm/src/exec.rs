@@ -243,12 +243,10 @@ impl Ca3dmm {
     }
 
     /// Builds the three sub-communicators of this grid (Cannon, replication
-    /// and reduction groups). Collective over `world`; the membership lists
-    /// were already solved at construction, so this only performs the
-    /// `subgroup` calls; `None` on idle ranks. A batch of multiplies on the
-    /// same grid can reuse one set across every item — that is the
-    /// "same-shape requests share one grid launch" half of the serving
-    /// batcher.
+    /// and reduction groups), each from this rank's own group, so the cost
+    /// follows the group sizes, not `P`. Collective over `world`; `None` on
+    /// idle ranks. Any number of multiplies on the same grid can reuse one
+    /// set ([`Ca3dmm::multiply_native_in`], [`crate::Plan::multiply_in`]).
     pub fn comms(&self, ctx: &RankCtx, world: &Comm) -> Option<GridComms> {
         self.gc.geo().comms(ctx, world)
     }

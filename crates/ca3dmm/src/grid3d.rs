@@ -57,18 +57,18 @@ pub enum Family {
     Peers,
 }
 
-/// A problem partitioned over a grid, with the world-rank order and the
-/// sub-communicator membership solved once at construction — pure
-/// arithmetic, identical on every rank.
+/// A problem partitioned over a grid: the world-rank order and each
+/// position's sub-communicator membership are pure arithmetic, identical
+/// on every rank.
 #[derive(Clone, Debug)]
 pub struct Grid3d {
     prob: Problem,
     grid: Grid,
     /// Band height `t` of the rank order.
     band: usize,
-    /// The families this grid's algorithm communicates over, each with its
-    /// groups as world-rank lists; [`Family::Depth`] is last.
-    families: Vec<(Family, Vec<Vec<usize>>)>,
+    /// The families this grid's algorithm communicates over;
+    /// [`Family::Depth`] is last.
+    families: Vec<Family>,
 }
 
 /// An active rank's seat on the grid: its position and one communicator per
@@ -97,18 +97,12 @@ impl Grid3d {
             grid.pm.is_multiple_of(band),
             "band height {band} must divide pm"
         );
-        let mut geo = Grid3d {
+        Grid3d {
             prob,
             grid,
             band,
-            families: Vec::new(),
-        };
-        geo.families = families
-            .iter()
-            .chain([&Family::Depth])
-            .map(|&family| (family, geo.groups(family)))
-            .collect();
-        geo
+            families: families.iter().copied().chain([Family::Depth]).collect(),
+        }
     }
 
     /// The partitioned problem.
@@ -163,6 +157,7 @@ impl Grid3d {
     }
 
     /// Every group of a family, ordered by its lowest world rank.
+    #[cfg(test)]
     fn groups(&self, family: Family) -> Vec<Vec<usize>> {
         let mut grouped = vec![false; self.grid.active()];
         let mut groups = Vec::new();
@@ -233,17 +228,20 @@ impl Grid3d {
         self.layout(self.prob.m, self.prob.n, |at| Some(self.c_strip(at)))
     }
 
-    /// Builds this rank's communicators, one per family. Collective over
-    /// `world`; `None` on idle ranks. The membership lists were solved at
-    /// construction, so a batch of multiplies on one grid can share one
+    /// Builds this rank's communicators, one per family, each from this
+    /// rank's own group ([`Comm::group`]), so the cost follows the group
+    /// sizes, not the world size. Collective over `world`; `None` on idle
+    /// ranks. Any number of multiplies on one grid can share one
     /// [`GridComms`].
     pub fn comms(&self, ctx: &RankCtx, world: &Comm) -> Option<GridComms> {
-        let comms = self.families.iter().filter_map(|(family, groups)| {
+        let at = self.coord(world.rank());
+        let comms = self.families.iter().filter_map(|&family| {
             // Every rank makes every call; idle ranks are in no group.
-            Some((*family, world.subgroup(ctx, groups)?))
+            let members = at.map(|at| self.members(family, at));
+            Some((family, world.group(ctx, members.as_deref())?))
         });
-        let (comms, at) = (comms.collect(), self.coord(world.rank())?);
-        Some(GridComms { at, comms })
+        let comms = comms.collect();
+        Some(GridComms { at: at?, comms })
     }
 }
 
@@ -346,8 +344,8 @@ mod tests {
         use Family::*;
         let grid = Grid::new(6, 2, 2);
         let geo = Grid3d::new(Problem::new(9, 8, 7, 25), grid, 2, &[Row, Col, Tile, Peers]);
-        for (family, groups) in &geo.families {
-            let mut seen: Vec<usize> = groups.concat();
+        for &family in &geo.families {
+            let mut seen: Vec<usize> = geo.groups(family).concat();
             seen.sort_unstable();
             assert_eq!(seen, (0..24).collect::<Vec<_>>(), "{family:?}");
         }
@@ -357,6 +355,70 @@ mod tests {
         assert_eq!(geo.members(Tile, at), vec![16, 17, 18, 19]);
         assert_eq!(geo.members(Peers, at), vec![12, 16, 20]);
         assert_eq!(geo.members(Depth, at), vec![4, 16]);
+    }
+
+    /// Every rank's communicators from its own group equal what
+    /// `Comm::subgroup` builds over each family's full group list: same
+    /// members, rank and context (so groups of one split keep distinct
+    /// contexts, as `subgroup`'s do). Idle ranks get `None` yet stay in
+    /// step: a communicator split off afterwards spans every rank.
+    #[test]
+    fn comms_equal_subgroup_over_each_familys_groups() {
+        use Family::*;
+        for (pm, pn, pk) in [
+            (2, 3, 4),
+            (2, 4, 1),
+            (6, 2, 2),
+            (2, 6, 2),
+            (3, 3, 2),
+            (12, 1, 1),
+        ] {
+            let grid = Grid::new(pm, pn, pk);
+            // Two idle ranks beyond the grid.
+            let prob = Problem::new(29, 31, 37, grid.active() + 2);
+            let mut geos = vec![Grid3d::new(prob, grid, pm, &[Row, Col])];
+            if grid.cannon_compatible() {
+                let s = grid.cannon_s();
+                geos.push(Grid3d::new(prob, grid, s, &[Tile, Peers, Row, Col]));
+            }
+            for geo in &geos {
+                let run = |own: bool| {
+                    let machine = netmodel::Machine::uniform();
+                    let opts = msgpass::SimOptions::default();
+                    let (comms, _) =
+                        msgpass::World::simulate(prob.p, &machine, opts, async |ctx| {
+                            let world = Comm::world(ctx);
+                            let comms: Vec<Option<Comm>> = if own {
+                                let mine = geo.comms(ctx, &world);
+                                let of = |f| mine.as_ref().map(|c| c.of(f).clone());
+                                geo.families.iter().map(|&f| of(f)).collect()
+                            } else {
+                                let groups = geo.families.iter().map(|&f| geo.groups(f));
+                                groups.map(|g| world.subgroup(ctx, &g)).collect()
+                            };
+                            let all: Vec<usize> = (0..prob.p).collect();
+                            let all = world
+                                .group(ctx, Some(&all))
+                                .expect("every rank is a member");
+                            msgpass::collectives::barrier(&all, ctx).await;
+                            comms
+                        });
+                    comms
+                };
+                let (own, listed) = (run(true), run(false));
+                assert_eq!(own, listed, "grid {grid:?}, band {}", geo.band);
+                for (r, comms) in own.iter().enumerate() {
+                    let at = geo.coord(r);
+                    for (&family, comm) in geo.families.iter().zip(comms) {
+                        let want = at.map(|at| geo.members(family, at));
+                        assert_eq!(comm.as_ref().map(Comm::world_ranks), want.as_deref());
+                        if let Some(comm) = comm {
+                            assert_eq!(comm.world_rank_of(comm.rank()), r);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,11 +114,11 @@ impl PlanKey {
     }
 }
 
-/// A fully solved multiplication: grid + sub-communicator membership +
-/// the three redistribution programs. Build once per shape
+/// A fully solved multiplication: grid + rank order + the three
+/// redistribution programs. Build once per shape
 /// ([`Plan::build`]), then run any number of multiplies through it —
-/// [`Plan::multiply`] for one, [`Plan::multiply_batch`] to amortize the
-/// sub-communicator construction over several same-shape requests.
+/// [`Plan::multiply`] for one, [`Plan::multiply_batch`] for several under
+/// one set of sub-communicators.
 ///
 /// `Plan` is `Send + Sync` plain data: build it outside
 /// [`msgpass::World::run`], share one instance across all rank threads.
@@ -266,10 +266,10 @@ impl Plan {
             .await
     }
 
-    /// Several same-shape multiplies under one set of sub-communicators:
-    /// the serving batcher's "one grid launch per shape group". Each item
-    /// is `(a_blocks, b_blocks)`, moved into its redistribution (no copy of
-    /// the operands is made); results come back in order.
+    /// Several same-shape multiplies under one set of sub-communicators.
+    /// Each item is `(a_blocks, b_blocks)`, moved into its redistribution
+    /// (no copy of the operands is made); results come back in order. The
+    /// serving scheduler runs one item per job.
     #[allow(clippy::type_complexity)]
     pub async fn multiply_batch<T: Scalar>(
         &self,

@@ -123,6 +123,15 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Context id of the group keyed `key` made by the parent's `seq`-th
+/// communicator-creating call. `mix` is a bijection, so groups of one call
+/// (distinct keys) always get distinct ids; the call number and the key are
+/// hashed in turn rather than packed into one word, so no split is large
+/// enough to make one call's key alias another call's.
+fn child_ctx(parent: u64, seq: u64, key: usize) -> u64 {
+    mix(mix(parent ^ mix(seq)) ^ (key as u64 + 1))
+}
+
 /// Highest tag value available to user point-to-point messages; larger tags
 /// are reserved for collectives.
 pub const MAX_USER_TAG: u64 = 1 << 40;
@@ -132,8 +141,9 @@ pub const MAX_USER_TAG: u64 = 1 << 40;
 ///
 /// All operations take the rank's [`RankCtx`] explicitly — a rank may hold
 /// any number of communicators simultaneously (row, column, k-task group, …)
-/// exactly as an MPI process does.
-#[derive(Clone)]
+/// exactly as an MPI process does. Two communicators are equal when they
+/// have the same context, members, own rank and collective count.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Comm {
     /// Context id: isolates this communicator's messages from all others.
     ctx_id: u64,
@@ -347,30 +357,56 @@ impl Comm {
     /// communicator, or `None` if it belongs to no group.
     ///
     /// No communication is needed because the membership is already global
-    /// knowledge — this mirrors `MPI_Comm_create_group` usage in the paper's
-    /// artifact where groups are pure rank arithmetic.
+    /// knowledge. This validates the whole partition, which costs every
+    /// rank O(size); a caller that can name its own group directly should
+    /// call [`Comm::group`], which costs O(group size).
     ///
     /// # Panics
     /// If a rank appears twice or is out of range.
     pub fn subgroup(&self, ctx: &RankCtx, groups: &[Vec<usize>]) -> Option<Comm> {
-        let seq = ctx.ctx_seq.get();
-        ctx.ctx_seq.set(seq + 1);
         let mut seen = vec![false; self.size()];
         let mut mine = None;
-        for (gi, group) in groups.iter().enumerate() {
-            for (idx, &r) in group.iter().enumerate() {
+        for group in groups {
+            for &r in group {
                 assert!(r < self.size(), "subgroup rank {r} out of range");
                 assert!(!seen[r], "subgroup rank {r} appears twice");
                 seen[r] = true;
                 if r == self.my_idx {
-                    mine = Some((gi, idx));
+                    mine = Some(group.as_slice());
                 }
             }
         }
-        mine.map(|(gi, idx)| Comm {
-            ctx_id: mix(self.ctx_id ^ mix((seq << 20) | (gi as u64 + 1))),
-            ranks: Arc::new(groups[gi].iter().map(|&r| self.ranks[r]).collect()),
-            my_idx: idx,
+        self.group(ctx, mine)
+    }
+
+    /// Creates this rank's sub-communicator from its own group —
+    /// `MPI_Comm_create_group`. Every member of `self` calls it once per
+    /// split, in the same order, so all agree on the split's number: a
+    /// member passes its group (communicator ranks of `self`, in the new
+    /// communicator's order) and gets its communicator back; a rank in no
+    /// group passes `None` and gets `None`. The groups of one split must be
+    /// disjoint; each is keyed by its lowest rank, which its members agree
+    /// on with no communication.
+    ///
+    /// # Panics
+    /// If a member is out of range or the calling rank is not in `members`.
+    pub fn group(&self, ctx: &RankCtx, members: Option<&[usize]>) -> Option<Comm> {
+        let seq = ctx.ctx_seq.get();
+        ctx.ctx_seq.set(seq + 1);
+        let members = members?;
+        let (mut my_idx, mut key) = (None, usize::MAX);
+        for (idx, &r) in members.iter().enumerate() {
+            assert!(r < self.size(), "group rank {r} out of range");
+            key = key.min(r);
+            if r == self.my_idx {
+                my_idx = Some(idx);
+            }
+        }
+        let my_idx = my_idx.expect("the calling rank is not in its own group");
+        Some(Comm {
+            ctx_id: child_ctx(self.ctx_id, seq, key),
+            ranks: Arc::new(members.iter().map(|&r| self.ranks[r]).collect()),
+            my_idx,
             coll_seq: std::cell::Cell::new(0),
         })
     }
@@ -589,6 +625,67 @@ mod tests {
                 assert_eq!(sub.unwrap().size(), 2);
             }
         });
+    }
+
+    /// The pair the old derivation, `mix(ctx ^ mix((seq << 20) | (gi + 1)))`,
+    /// mapped to one id: group 2²⁰ + 4 of split 0 and group 4 of split 1
+    /// packed to the same word, so their messages could match each other.
+    #[test]
+    fn context_ids_of_two_splits_cannot_alias() {
+        let packed = |seq: u64, gi: u64| (seq << 20) | (gi + 1);
+        assert_eq!(packed(0, (1 << 20) + 4), packed(1, 4));
+        let world = mix(0x5EED_0001);
+        assert_ne!(child_ctx(world, 0, (1 << 20) + 4), child_ctx(world, 1, 4));
+    }
+
+    /// `group` on each rank's own group builds what `subgroup` over the
+    /// whole partition builds: same members, rank and context. Groups of
+    /// one split get distinct contexts, and a rank in no group gets `None`
+    /// yet keeps its split count aligned with everyone else's.
+    #[test]
+    fn group_equals_subgroup_over_the_partition() {
+        // Seven ranks, rank 6 idle; groups listed in a shuffled order.
+        let groups = vec![vec![5, 1, 3], vec![4, 0], vec![2]];
+        // Virtual time: ranks out of step deadlock with a panic, not a hang.
+        let build = |own: bool| {
+            let machine = netmodel::Machine::uniform();
+            let (comms, _) = World::simulate(7, &machine, SimOptions::default(), async |ctx| {
+                let comm = Comm::world(ctx);
+                let mine = groups.iter().find(|g| g.contains(&comm.rank()));
+                let sub = if own {
+                    comm.group(ctx, mine.map(Vec::as_slice))
+                } else {
+                    comm.subgroup(ctx, &groups)
+                };
+                // A split made after this one reaches every rank alike.
+                let all = comm.group(ctx, Some(&[0, 1, 2, 3, 4, 5, 6])).unwrap();
+                crate::collectives::barrier(&all, ctx).await;
+                (sub, all.ctx_id)
+            });
+            comms
+        };
+        let (own, full) = (build(true), build(false));
+        assert_eq!(own, full);
+        let ids: Vec<u64> = own
+            .iter()
+            .filter_map(|(c, _)| Some(c.as_ref()?.ctx_id))
+            .collect();
+        for (r, (sub, next)) in own.iter().enumerate() {
+            assert_eq!(*next, own[0].1, "rank {r} is out of step");
+            let Some(sub) = sub else {
+                assert_eq!(r, 6, "only rank 6 is idle");
+                continue;
+            };
+            let group = groups.iter().find(|g| g.contains(&r)).unwrap();
+            assert_eq!(sub.world_ranks(), group.as_slice());
+            assert_eq!(group[sub.rank()], r);
+            let shared = ids.iter().filter(|&&id| id == sub.ctx_id).count();
+            assert_eq!(
+                shared,
+                group.len(),
+                "rank {r}: context shared outside its group"
+            );
+        }
     }
 
     #[test]

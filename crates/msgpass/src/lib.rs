@@ -11,7 +11,8 @@
 //!   message;
 //! * [`Comm`] is a communicator: an ordered group of world ranks with its
 //!   own isolated tag space, split into sub-communicators by
-//!   [`Comm::subgroup`] (like `MPI_Comm_create_group`);
+//!   [`Comm::group`] (`MPI_Comm_create_group`: each member names its own
+//!   group) or [`Comm::subgroup`] (every member passes the whole partition);
 //! * point-to-point [`Comm::send`] / [`Comm::recv`] with `(source, tag)`
 //!   matching and out-of-order buffering, plus [`Comm::sendrecv`] (the
 //!   primitive behind Cannon's circular shifts) and §III-F's

@@ -12,6 +12,12 @@
 //! halves). The resulting [`TrafficReport`] is the measured counterpart of
 //! the analytic schedule evaluator in the `netmodel` crate.
 //!
+//! A rank counts into one slot per phase label, which
+//! [`crate::RankCtx::set_phase`] resolves once per phase switch; a message
+//! then costs an index into the slot vector, not a lookup by label. When
+//! the rank exits, its slots become the label-keyed maps of
+//! [`TrafficReport`], with every float summed in the same order.
+//!
 //! Byte and message counts (totals, matrix cells, histogram buckets) are
 //! deterministic functions of the algorithm and problem; wall/wait seconds
 //! are not. The `report-gate` CI mode relies on exactly this split.
@@ -48,70 +54,152 @@ impl PhaseCounts {
     }
 }
 
+/// One phase label's counters on one rank.
+struct PhaseSlot {
+    label: String,
+    counts: PhaseCounts,
+    /// Seconds blocked inside `recv`; only positive waits are added.
+    wait: f64,
+    /// Seconds spent in the phase; `None` until its clock first stops.
+    secs: Option<f64>,
+}
+
+impl PhaseSlot {
+    fn new(label: &str) -> PhaseSlot {
+        PhaseSlot {
+            label: label.to_owned(),
+            counts: PhaseCounts::default(),
+            wait: 0.0,
+            secs: None,
+        }
+    }
+}
+
 /// The counters of one rank, owned by its `RankCtx`: only the rank's own
-/// thread writes them, and the rank hands them to the report when it exits.
-#[derive(Default)]
+/// thread writes them, and the rank hands them to the report when it exits
+/// ([`RankStats::finish`]).
+///
+/// Each phase label the rank enters gets one slot, in first-entry order.
+/// [`RankStats::enter`] resolves the label to its slot once per phase
+/// switch, so a message costs an index, not a lookup by label.
 pub(crate) struct RankStats {
-    pub(crate) by_phase: BTreeMap<String, PhaseCounts>,
+    /// Every label entered so far; starts with the unlabelled phase `""`.
+    slots: Vec<PhaseSlot>,
+    /// The current phase's slot.
+    current: usize,
     /// `sent_to[dst]`: this rank's matrix row, touched cells only (a rank
     /// talks to a few dozen peers, whatever the world size).
-    pub(crate) sent_to: Row,
+    sent_to: Row,
     /// Send-side size histograms keyed by the collective algorithm actually
     /// running ("ring_allgatherv", …); bare point-to-point sends land under
-    /// `"p2p"`.
-    pub(crate) hist_by_algo: BTreeMap<String, SizeHistogram>,
-    /// Seconds blocked inside `recv` per receiver phase.
+    /// `"p2p"`. A rank runs a handful of algorithms, so a vector searched
+    /// by name beats a map.
+    hists: Vec<(&'static str, SizeHistogram)>,
+}
+
+impl Default for RankStats {
+    fn default() -> Self {
+        RankStats {
+            slots: vec![PhaseSlot::new("")],
+            current: 0,
+            sent_to: Row::new(),
+            hists: Vec::new(),
+        }
+    }
+}
+
+/// A rank's counters as the report holds them, keyed by label: phases
+/// appear in `by_phase` once they sent or received, in `wait_by_phase`
+/// once a receive waited, in `secs_by_phase` once their clock stopped.
+pub(crate) struct RankTraffic {
+    pub(crate) by_phase: BTreeMap<String, PhaseCounts>,
+    pub(crate) sent_to: Row,
+    pub(crate) hist_by_algo: Vec<(&'static str, SizeHistogram)>,
     pub(crate) wait_by_phase: BTreeMap<String, f64>,
-    /// Seconds spent in each phase (wall or virtual, as the run's clock).
     pub(crate) secs_by_phase: BTreeMap<String, f64>,
 }
 
-/// The entry for `key`, default-inserted on first use. Looks up by `&str`,
-/// so the per-message path allocates a key only the first time a label is
-/// seen (`entry(key.to_owned())` would allocate on every message).
-fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
-    if !map.contains_key(key) {
-        map.insert(key.to_owned(), V::default());
-    }
-    map.get_mut(key)
-        .expect("present: inserted above if missing")
-}
-
 impl RankStats {
+    /// Makes `label` the current phase, adding its slot on first entry.
+    pub(crate) fn enter(&mut self, label: &str) {
+        self.current = match self.slots.iter().position(|s| s.label == label) {
+            Some(i) => i,
+            None => {
+                self.slots.push(PhaseSlot::new(label));
+                self.slots.len() - 1
+            }
+        };
+    }
+
+    /// The current phase's label.
+    pub(crate) fn phase(&self) -> &str {
+        &self.slots[self.current].label
+    }
+
     /// Records one outgoing message: phase totals, the matrix row and the
     /// algorithm's histogram. `algo` is the collective algorithm in scope,
     /// or `None` for a bare point-to-point send.
-    pub(crate) fn record_send(
-        &mut self,
-        phase: &str,
-        algo: Option<&'static str>,
-        dst_world: usize,
-        bytes: u64,
-    ) {
-        let e = slot(&mut self.by_phase, phase);
+    pub(crate) fn record_send(&mut self, algo: Option<&'static str>, dst_world: usize, bytes: u64) {
+        let e = &mut self.slots[self.current].counts;
         e.bytes += bytes;
         e.msgs += 1;
         self.sent_to
             .entry(dst_world)
             .or_default()
             .add(CellCounts { bytes, msgs: 1 });
-        slot(&mut self.hist_by_algo, algo.unwrap_or("p2p")).record(bytes);
+        let algo = algo.unwrap_or("p2p");
+        let hist = match self.hists.iter().position(|(a, _)| *a == algo) {
+            Some(i) => &mut self.hists[i].1,
+            None => {
+                self.hists.push((algo, SizeHistogram::default()));
+                &mut self.hists.last_mut().expect("pushed above").1
+            }
+        };
+        hist.record(bytes);
     }
 
     /// Records one matched receive: phase totals and the seconds this
     /// receive spent blocked waiting for the fabric.
-    pub(crate) fn record_recv(&mut self, phase: &str, bytes: u64, wait_secs: f64) {
-        let e = slot(&mut self.by_phase, phase);
-        e.recv_bytes += bytes;
-        e.recv_msgs += 1;
+    pub(crate) fn record_recv(&mut self, bytes: u64, wait_secs: f64) {
+        let slot = &mut self.slots[self.current];
+        slot.counts.recv_bytes += bytes;
+        slot.counts.recv_msgs += 1;
         if wait_secs > 0.0 {
-            *slot(&mut self.wait_by_phase, phase) += wait_secs;
+            slot.wait += wait_secs;
         }
     }
 
-    /// Adds `secs` to the time spent in `phase`.
-    pub(crate) fn add_secs(&mut self, phase: &str, secs: f64) {
-        *slot(&mut self.secs_by_phase, phase) += secs;
+    /// Adds `secs` to the time spent in the current phase; the unlabelled
+    /// phase is not timed.
+    pub(crate) fn add_secs(&mut self, secs: f64) {
+        let slot = &mut self.slots[self.current];
+        if !slot.label.is_empty() {
+            *slot.secs.get_or_insert(0.0) += secs;
+        }
+    }
+
+    /// Hands over the counters keyed by label, as [`TrafficReport`] holds
+    /// them, and leaves these empty: the rank has exited.
+    pub(crate) fn finish(&mut self) -> RankTraffic {
+        let mut t = RankTraffic {
+            by_phase: BTreeMap::new(),
+            sent_to: std::mem::take(&mut self.sent_to),
+            hist_by_algo: std::mem::take(&mut self.hists),
+            wait_by_phase: BTreeMap::new(),
+            secs_by_phase: BTreeMap::new(),
+        };
+        for s in self.slots.drain(..) {
+            if s.counts.msgs + s.counts.recv_msgs > 0 {
+                t.by_phase.insert(s.label.clone(), s.counts);
+            }
+            if s.wait > 0.0 {
+                t.wait_by_phase.insert(s.label.clone(), s.wait);
+            }
+            if let Some(secs) = s.secs {
+                t.secs_by_phase.insert(s.label, secs);
+            }
+        }
+        t
     }
 }
 
@@ -303,65 +391,92 @@ mod tests {
     #[test]
     fn record_and_totals() {
         let mut st = RankStats::default();
-        st.record_send("a", None, 1, 100);
-        st.record_send("a", Some("ring_allgatherv"), 1, 50);
-        st.record_send("b", None, 0, 1);
-        st.record_recv("a", 30, 0.25);
+        st.enter("a");
+        st.record_send(None, 1, 100);
+        st.record_send(Some("ring_allgatherv"), 1, 50);
+        st.add_secs(0.5);
+        st.enter("b");
+        st.record_send(None, 0, 1);
+        st.enter("a");
+        st.record_recv(30, 0.25);
+        st.record_recv(2, 0.0);
+        st.enter("c");
+        st.add_secs(0.0);
+        st.enter("");
+        st.record_send(None, 1, 4);
+        st.add_secs(9.0);
+        let t = st.finish();
         assert_eq!(
-            st.by_phase["a"],
+            t.by_phase["a"],
             PhaseCounts {
                 bytes: 150,
                 msgs: 2,
-                recv_bytes: 30,
-                recv_msgs: 1,
+                recv_bytes: 32,
+                recv_msgs: 2,
             }
         );
-        assert_eq!(st.by_phase["b"].bytes, 1);
+        assert_eq!(t.by_phase["b"].bytes, 1);
+        // Unlabelled traffic is counted; a phase that only ran is not.
+        assert_eq!(t.by_phase[""].bytes, 4);
+        assert!(!t.by_phase.contains_key("c"));
         assert_eq!(
-            st.sent_to[&1],
+            t.sent_to[&1],
             CellCounts {
-                bytes: 150,
-                msgs: 2
+                bytes: 154,
+                msgs: 3
             }
         );
-        assert_eq!(st.sent_to.len(), 2, "only touched cells are stored");
-        assert_eq!(st.hist_by_algo["p2p"].msgs, 2);
-        assert_eq!(st.hist_by_algo["ring_allgatherv"].msgs, 1);
-        assert_eq!(st.wait_by_phase["a"], 0.25);
+        assert_eq!(t.sent_to.len(), 2, "only touched cells are stored");
+        let hist = |algo| &t.hist_by_algo.iter().find(|(a, _)| *a == algo).unwrap().1;
+        assert_eq!(hist("p2p").msgs, 3);
+        assert_eq!(hist("ring_allgatherv").msgs, 1);
+        // Only a receive that waited enters the wait map; every labelled
+        // phase whose clock stopped enters the seconds map, even at zero.
+        assert_eq!(t.wait_by_phase.len(), 1);
+        assert_eq!(t.wait_by_phase["a"], 0.25);
+        assert_eq!(t.secs_by_phase.len(), 2);
+        assert_eq!((t.secs_by_phase["a"], t.secs_by_phase["c"]), (0.5, 0.0));
 
         let report = TrafficReport {
-            per_rank: vec![st.by_phase, BTreeMap::new()],
+            per_rank: vec![t.by_phase, BTreeMap::new()],
             secs_per_rank: vec![BTreeMap::new(), BTreeMap::new()],
             wait_per_rank: vec![BTreeMap::new(), BTreeMap::new()],
             ..TrafficReport::default()
         };
-        assert_eq!(report.rank_total(0).bytes, 151);
-        assert_eq!(report.rank_total(0).recv_msgs, 1);
+        assert_eq!(report.rank_total(0).bytes, 155);
+        assert_eq!(report.rank_total(0).recv_msgs, 2);
         assert_eq!(report.rank_total(1).msgs, 0);
-        assert_eq!(report.max_rank_bytes(), 151);
-        assert_eq!(report.max_rank_msgs(), 3);
-        assert_eq!(report.total_bytes(), 151);
+        assert_eq!(report.max_rank_bytes(), 155);
+        assert_eq!(report.max_rank_msgs(), 4);
+        assert_eq!(report.total_bytes(), 155);
         assert_eq!(report.phase(0, "a").msgs, 2);
         assert_eq!(report.phase(0, "missing"), PhaseCounts::default());
         assert_eq!(report.phase_total("a").bytes, 150);
-        assert_eq!(report.phase_total("a").recv_bytes, 30);
+        assert_eq!(report.phase_total("a").recv_bytes, 32);
     }
 
     /// Rank 0 sends rank 1 two messages and rank 1 receives both, as the
     /// accountant records them; `edit` then tampers with the counters.
-    fn two_rank_report(edit: impl FnOnce(&mut RankStats, &mut RankStats)) -> TrafficReport {
+    fn two_rank_report(edit: impl FnOnce(&mut RankTraffic, &mut RankTraffic)) -> TrafficReport {
         let (mut tx, mut rx) = (RankStats::default(), RankStats::default());
+        tx.enter("x");
+        rx.enter("x");
         for bytes in [8, 24] {
-            tx.record_send("x", None, 1, bytes);
-            rx.record_recv("x", bytes, 0.0);
+            tx.record_send(None, 1, bytes);
+            rx.record_recv(bytes, 0.0);
         }
+        let (mut tx, mut rx) = (tx.finish(), rx.finish());
         edit(&mut tx, &mut rx);
         let mut matrix = CommMatrix::new(2);
         matrix.set_row(0, tx.sent_to);
+        let mut hist_by_algo = BTreeMap::new();
+        for (algo, h) in tx.hist_by_algo {
+            hist_by_algo.insert(algo.to_owned(), h);
+        }
         TrafficReport {
             per_rank: vec![tx.by_phase, rx.by_phase],
             matrix,
-            hist_by_algo: tx.hist_by_algo,
+            hist_by_algo,
             ..TrafficReport::default()
         }
     }
@@ -369,7 +484,7 @@ mod tests {
     #[test]
     fn consistency_check_catches_skew() {
         assert_eq!(two_rank_report(|_, _| ()).check_consistency(), Ok(()));
-        let fails = |edit: fn(&mut RankStats, &mut RankStats), want: &str| {
+        let fails = |edit: fn(&mut RankTraffic, &mut RankTraffic), want: &str| {
             let e = two_rank_report(edit).check_consistency().unwrap_err();
             assert!(e.contains(want), "{e}");
         };
@@ -382,8 +497,10 @@ mod tests {
         // two receives, so the senders' column for it no longer matches.
         fails(
             |_, rx| {
-                *rx = RankStats::default();
-                rx.record_recv("x", 8, 0.0);
+                let mut one = RankStats::default();
+                one.enter("x");
+                one.record_recv(8, 0.0);
+                *rx = one.finish();
             },
             "rank 1: senders counted",
         );

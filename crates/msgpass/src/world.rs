@@ -6,7 +6,7 @@ use crate::comm::{Envelope, PostedRecv};
 use crate::metrics::{CommMatrix, SizeHistogram};
 use crate::sim::{SimInfo, SimParams};
 use crate::trace::{RawEvent, Recorder, SpanKind, Timeline};
-use crate::traffic::{RankStats, TrafficReport};
+use crate::traffic::{RankStats, RankTraffic, TrafficReport};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::future::Future;
@@ -184,10 +184,9 @@ pub struct RankCtx {
     /// Monotonic counter stamping posting order onto [`PostedRecv::id`] —
     /// MPI's rule that arrivals match posted receives in posting order.
     post_seq: Cell<u64>,
-    /// Label attributed to outgoing traffic.
-    phase: RefCell<String>,
-    /// This rank's traffic counters and per-phase seconds. Only this rank
-    /// writes them; [`run_rank`] hands them to the report when it exits.
+    /// This rank's traffic counters and per-phase seconds, and the current
+    /// phase label they attribute to. Only this rank writes them;
+    /// [`RankCtx::finish`] hands them to the report when it exits.
     stats: RefCell<RankStats>,
     /// Wall-clock of the current phase's start (for the per-phase timing
     /// report).
@@ -228,7 +227,6 @@ impl RankCtx {
             pending: RefCell::new(Vec::new()),
             posted: RefCell::new(Vec::new()),
             post_seq: Cell::new(0),
-            phase: RefCell::new(String::new()),
             stats: RefCell::default(),
             phase_started: Cell::new(Instant::now()),
             sim: setup.sim.clone(),
@@ -263,8 +261,9 @@ impl RankCtx {
     pub fn set_phase(&self, phase: &str) {
         let now = Instant::now();
         self.flush_phase_time(now);
+        let mut stats = self.stats.borrow_mut();
         if self.recorder.enabled() {
-            if !self.phase.borrow().is_empty() {
+            if !stats.phase().is_empty() {
                 self.recorder.end_at(now, 0);
             }
             if !phase.is_empty() {
@@ -272,7 +271,7 @@ impl RankCtx {
                     .begin_at(now, SpanKind::Phase(phase.to_owned()), 0);
             }
         }
-        *self.phase.borrow_mut() = phase.to_owned();
+        stats.enter(phase);
     }
 
     /// Accumulates elapsed time into the current phase and restarts the
@@ -287,10 +286,7 @@ impl RankCtx {
             now.duration_since(self.phase_started.replace(now))
                 .as_secs_f64()
         };
-        let phase = self.phase.borrow();
-        if !phase.is_empty() {
-            self.stats.borrow_mut().add_secs(&phase, elapsed);
-        }
+        self.stats.borrow_mut().add_secs(elapsed);
     }
 
     /// Final bookkeeping when the rank's closure returns `result`: closes
@@ -305,12 +301,13 @@ impl RankCtx {
         );
         let now = Instant::now();
         self.flush_phase_time(now);
-        if self.recorder.enabled() && !self.phase.borrow().is_empty() {
+        let mut stats = self.stats.borrow_mut();
+        if self.recorder.enabled() && !stats.phase().is_empty() {
             self.recorder.end_at(now, 0);
         }
         RankOutput {
             result,
-            stats: self.stats.take(),
+            stats: stats.finish(),
             events: self.recorder.take(),
             clock: self.clock.get(),
             profile: None,
@@ -319,7 +316,7 @@ impl RankCtx {
 
     /// The current phase label.
     pub fn phase(&self) -> String {
-        self.phase.borrow().clone()
+        self.stats.borrow().phase().to_owned()
     }
 
     /// Ranks per node under the block mapping (`node = world_rank /
@@ -438,18 +435,12 @@ impl RankCtx {
     }
 
     pub(crate) fn record_send(&self, dst_world: usize, bytes: u64) {
-        self.stats.borrow_mut().record_send(
-            &self.phase.borrow(),
-            self.coll.get(),
-            dst_world,
-            bytes,
-        );
+        let algo = self.coll.get();
+        self.stats.borrow_mut().record_send(algo, dst_world, bytes);
     }
 
     pub(crate) fn record_recv(&self, bytes: u64, wait_secs: f64) {
-        self.stats
-            .borrow_mut()
-            .record_recv(&self.phase.borrow(), bytes, wait_secs);
+        self.stats.borrow_mut().record_recv(bytes, wait_secs);
     }
 
     /// Marks `algo` as the collective running on this rank until the guard
@@ -573,7 +564,7 @@ pub(crate) struct RunSetup {
 /// report assembler needs.
 pub(crate) struct RankOutput<R> {
     pub(crate) result: R,
-    pub(crate) stats: RankStats,
+    pub(crate) stats: RankTraffic,
     pub(crate) events: Vec<RawEvent>,
     pub(crate) clock: f64,
     pub(crate) profile: Option<dense::prof::KernelProfile>,
@@ -620,8 +611,13 @@ impl RunSetup {
             secs_per_rank.push(st.secs_by_phase);
             wait_per_rank.push(st.wait_by_phase);
             matrix.set_row(rank, st.sent_to);
-            for (k, h) in &st.hist_by_algo {
-                hist_by_algo.entry(k.clone()).or_default().merge(h);
+            for (algo, h) in st.hist_by_algo {
+                match hist_by_algo.get_mut(algo) {
+                    Some(sum) => sum.merge(&h),
+                    None => {
+                        hist_by_algo.insert(algo.to_owned(), h);
+                    }
+                }
             }
             results.push(out.result);
             streams.push(out.events);
