@@ -14,9 +14,9 @@
 //! ("CTF is not fine tuned for matrix multiplication").
 
 use crate::ELEM_BYTES;
-use ca3dmm::cannon_multi_shift;
 use ca3dmm::grid3d::{Coord, Family, Grid3d};
 use ca3dmm::model::{push_reduce_c, with_redist};
+use ca3dmm::{cannon_multi_shift, LocalC};
 use dense::part::Rect;
 use dense::{Mat, Scalar};
 use gridopt::{Grid, Problem};
@@ -141,11 +141,9 @@ impl C25d {
                 // This layer's s/c Cannon rounds, blocking and one GEMM per
                 // round (CTF overlaps nothing).
                 ctx.set_phase("cannon_shift");
-                let mut c_partial = Mat::zeros(a_blk.rows(), b_blk.cols());
                 let (tile, window) = (comms.of(Family::Tile), (l * steps, steps));
-                cannon_multi_shift(ctx, tile, s, window, a_blk, b_blk, &mut c_partial, 0, false)
-                    .await;
-                c_partial
+                let c = LocalC::reserve(a_blk.rows(), b_blk.cols());
+                cannon_multi_shift(ctx, tile, s, window, a_blk, b_blk, c, 0, false).await
             })
             .await;
         Some(c_strip)

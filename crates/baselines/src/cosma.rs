@@ -12,7 +12,7 @@
 //! finishes, exactly as in CA3DMM.
 
 use crate::ELEM_BYTES;
-use ca3dmm::charged_gemm;
+use ca3dmm::charged_product;
 use ca3dmm::grid3d::{Family, Grid3d};
 use ca3dmm::model::{push_reduce_c, with_redist};
 use ca3dmm::replicate::replicate_block;
@@ -102,9 +102,7 @@ impl CosmaLike {
                 let (col, b_heights) = (comms.of(Family::Col), split_even(b_blk.rows, pm));
                 let b_full = gather_row_slices(ctx, col, b_slice, b_blk.cols, &b_heights).await;
                 ctx.set_phase("local_gemm");
-                let mut c_partial = Mat::zeros(a_full.rows(), b_full.cols());
-                charged_gemm(ctx, &a_full, &b_full, &mut c_partial);
-                c_partial
+                charged_product(ctx, &a_full, &b_full)
             })
             .await;
         Some(c_strip)

@@ -11,8 +11,8 @@
 //!   2D-block-distributed A, B, C, no k-parallelism. SUMMA "cannot utilize
 //!   extra memory to reduce communication costs" (§I).
 
-use ca3dmm::charged_gemm;
 use ca3dmm::grid3d::{Family, Grid3d};
+use ca3dmm::{charged_gemm, LocalC};
 use dense::part::{offsets, split_even, Rect};
 use dense::{Mat, Scalar};
 use gridopt::{cosma_grid, summa_grid, Grid, Problem};
@@ -31,8 +31,9 @@ use msgpass::{Comm, RankCtx};
 /// * `b_blk` is the `(kb_i × n_j)` block of `B`, k split `pr` ways.
 ///
 /// Panels are the refinement of the two k-partitions, so `pr` and `pc` may
-/// be arbitrary (and k need not divide either). The product is accumulated
-/// into `c_out`.
+/// be arbitrary (and k need not divide either). Returns this rank's
+/// `(m_i × n_j)` block of the product: the first panel's product
+/// overwrites the reserved block ([`LocalC`]), later panels accumulate.
 pub async fn summa<T: Scalar>(
     ctx: &RankCtx,
     row_comm: &Comm,
@@ -40,8 +41,7 @@ pub async fn summa<T: Scalar>(
     k_total: usize,
     a_blk: &Mat<T>,
     b_blk: &Mat<T>,
-    c_out: &mut Mat<T>,
-) {
+) -> Mat<T> {
     let pc = row_comm.size();
     let pr = col_comm.size();
     let j = row_comm.rank();
@@ -64,6 +64,7 @@ pub async fn summa<T: Scalar>(
         }
     };
 
+    let mut c = LocalC::reserve(a_blk.rows(), b_blk.cols());
     for w in bounds.windows(2) {
         let (k0, k1) = (w[0], w[1]);
         if k0 == k1 {
@@ -92,8 +93,9 @@ pub async fn summa<T: Scalar>(
             let data = bcast_large(col_comm, ctx, rb, mine, (k1 - k0) * b_blk.cols()).await;
             Mat::from_vec(k1 - k0, b_blk.cols(), data)
         };
-        charged_gemm(ctx, &a_panel, &b_panel, c_out);
+        charged_gemm(ctx, &a_panel, &b_panel, &mut c);
     }
+    c.into_mat(a_blk.rows(), b_blk.cols())
 }
 
 /// CA3DMM-S: SUMMA inside each k-task group of a `pm × pn × pk` grid.
@@ -156,9 +158,7 @@ impl Ca3dmmSumma {
                 ctx.set_phase("summa_bcast");
                 let k_kt = self.geo.a_block(at.0, at.2).cols;
                 let (row, col) = (comms.of(Family::Row), comms.of(Family::Col));
-                let mut c_partial = Mat::zeros(a.rows(), b.cols());
-                summa(ctx, row, col, k_kt, &a, &b, &mut c_partial).await;
-                c_partial
+                summa(ctx, row, col, k_kt, &a, &b).await
             })
             .await;
         Some(c_strip)
@@ -245,8 +245,7 @@ mod tests {
             let (kb0, kb1) = even_range(k, pr, i);
             let a = global_block::<f64>(5, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
             let b = global_block::<f64>(6, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
-            let mut c = Mat::zeros(r1 - r0, c1 - c0);
-            summa(ctx, &row_comm, &col_comm, k, &a, &b, &mut c).await;
+            let c = summa(ctx, &row_comm, &col_comm, k, &a, &b).await;
             (i, j, c)
         });
         let a_full = global_block::<f64>(5, Rect::new(0, 0, m, k));

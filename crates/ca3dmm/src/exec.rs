@@ -1,6 +1,6 @@
 //! The CA3DMM executor: Algorithm 1, steps 1–8, on the `msgpass` runtime.
 
-use crate::cannon::cannon_multi_shift;
+use crate::cannon::{cannon_multi_shift, LocalC};
 use crate::grid3d::{Family, GridComms};
 use crate::grid_ctx::GridContext;
 use crate::replicate::replicate_block;
@@ -332,7 +332,7 @@ impl Ca3dmm {
             };
             // Step 6: Cannon within the group.
             ctx.set_phase("cannon_shift");
-            let mut c_partial = Mat::zeros(a_full.rows(), b_full.cols());
+            let c = LocalC::reserve(a_full.rows(), b_full.cols());
             cannon_multi_shift(
                 ctx,
                 comms.of(Family::Tile),
@@ -340,12 +340,11 @@ impl Ca3dmm {
                 (0, gc.s),
                 a_full,
                 b_full,
-                &mut c_partial,
+                c,
                 self.multi_shift_min_k,
                 self.overlap,
             )
-            .await;
-            c_partial
+            .await
         };
         // Step 7, the reduction of the pk partial results, is the driver's.
         let reduce = self.collectives;

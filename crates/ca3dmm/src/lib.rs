@@ -50,7 +50,7 @@ pub mod plan;
 pub mod reduce;
 pub mod replicate;
 
-pub use cannon::{cannon_multi_shift, charged_gemm};
+pub use cannon::{cannon_multi_shift, charged_gemm, charged_product, LocalC};
 pub use diff::{
     diff_model_vs_measured, diff_phase_rows, model_phase_label, ModelDiffReport, PhaseDiff,
 };

@@ -9,10 +9,9 @@
 //! and the multi-shift threshold sweeps through "no batching", "some
 //! batching", and "one batch for everything".
 
-use ca3dmm::cannon_multi_shift;
+use ca3dmm::{cannon_multi_shift, LocalC};
 use dense::part::{even_range, Rect};
 use dense::random::global_block;
-use dense::Mat;
 use msgpass::{Comm, World};
 use proptest::prelude::*;
 
@@ -36,8 +35,9 @@ fn run_cannon(
         let (kb0, kb1) = even_range(k, s, i);
         let a = global_block::<f64>(1, Rect::new(r0, ka0, r1 - r0, ka1 - ka0));
         let b = global_block::<f64>(2, Rect::new(kb0, c0, kb1 - kb0, c1 - c0));
-        let mut c = Mat::zeros(r1 - r0, c1 - c0);
-        cannon_multi_shift(ctx, &comm, s, (0, s), a, b, &mut c, min_k, overlap).await;
+        let c = LocalC::reserve(r1 - r0, c1 - c0);
+        let c = cannon_multi_shift(ctx, &comm, s, (0, s), a, b, c, min_k, overlap).await;
+        assert_eq!(c.shape(), (r1 - r0, c1 - c0));
         c.into_vec()
     })
 }

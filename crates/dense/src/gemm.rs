@@ -19,6 +19,11 @@
 //!   (pinned per thread by [`kernel::set_gemm_kernel`]), and the selected
 //!   kernel's geometry parameterizes packing, blocking, and the scratch
 //!   sizes below.
+//! * The kernel writes a full `mr×nr` tile of `C` from its registers (its
+//!   own `beta` epilogue); only edge tiles go through a stack tile and a
+//!   clipped store. `C` is therefore touched once per element and depth
+//!   slab, and a `beta = 0` pass never reads it — which is what lets
+//!   [`gemm_new`] return a product in memory that was never zero-filled.
 //! * Only one `KC×NC` slab of `op(B)` and one `MC×KC` block of
 //!   `alpha·op(A)` are ever packed at a time (see [`pack`]) — the packed
 //!   working set is bounded by the cache-derived blocking, not by the
@@ -156,13 +161,18 @@ impl<T> Copy for SendPtr<T> {}
 /// `(i0, jc)`: `C = beta·C + Ap·Bp` (the caller passes `beta` on the first
 /// depth slab and `1` afterwards, so `beta·C` is applied exactly once).
 /// The register block is `mr×nr` — the geometry of the dispatched `kind`
-/// ([`kernel::microkernel`]), which both panels were packed for.
+/// ([`kernel::microkernel`]), which both panels were packed for. A full
+/// register tile is written to `C` by the kernel's own epilogue; only an
+/// edge tile (clipped by `rows` or `nc_here`) goes through a stack tile
+/// and a clipped store.
 ///
 /// # Safety
 /// `c` must point at the start of a `ldc`-pitch row-major matrix with at
 /// least `i0 + rows` rows and `jc + nc_here` columns, and no other thread
 /// may touch rows `i0 .. i0+rows` of columns `jc .. jc+nc_here` while this
 /// runs (the compute phase partitions C into disjoint `MC`-row bands).
+/// Those elements must be initialised unless `beta = 0`: a `beta = 0` pass
+/// only writes them.
 #[allow(clippy::too_many_arguments)]
 unsafe fn macro_kernel<T: Scalar>(
     kind: KernelKind,
@@ -181,40 +191,33 @@ unsafe fn macro_kernel<T: Scalar>(
 ) {
     let a_strips = rows.div_ceil(mr);
     let b_strips = nc_here.div_ceil(nr);
-    let tile = mr * nr;
-    // One flat mr×nr accumulator, re-zeroed per register tile. MAX_ACC
-    // bounds every kernel geometry, so this lives on the stack.
-    let mut acc = [T::ZERO; kernel::MAX_ACC];
+    // The edge tiles' mr×nr staging block. MAX_ACC bounds every kernel
+    // geometry, so this lives on the stack; the kernel overwrites it.
+    let mut edge = [T::ZERO; kernel::MAX_ACC];
     for jr in 0..b_strips {
         let bpanel = &bp[jr * kk * nr..(jr + 1) * kk * nr];
         let j0 = jr * nr;
         let cols = nr.min(nc_here - j0);
         for ir in 0..a_strips {
             let apanel = &ap[ir * kk * mr..(ir + 1) * kk * mr];
-            acc[..tile].fill(T::ZERO);
-            kernel::microkernel(kind, apanel, bpanel, kk, &mut acc[..tile]);
-            // Clipped store: the zero-padded panels make the kernel
-            // edge-free; partial blocks are trimmed only here.
             let r0 = ir * mr;
             let rows_here = mr.min(rows - r0);
+            // SAFETY: row i0+r0 < i0+rows and column jc+j0 < jc+nc_here lie
+            // inside C (the function contract).
+            let dst = unsafe { c.get().add((i0 + r0) * ldc + jc + j0) };
+            if rows_here == mr && cols == nr {
+                // SAFETY: the whole mr×nr tile at dst is inside C and owned
+                // by this call; the contract covers beta's read.
+                unsafe { kernel::microkernel(kind, apanel, bpanel, kk, beta, dst, ldc) };
+                continue;
+            }
+            // Clipped store: the zero-padded panels make the kernel
+            // edge-free; partial blocks are trimmed only here.
+            kernel::microkernel_tile(kind, apanel, bpanel, kk, T::ZERO, &mut edge);
             for i in 0..rows_here {
-                let acc_row = &acc[i * nr..i * nr + cols];
-                // SAFETY: rows i0+r0+i < i0+rows and cols jc+j0 .. +cols
-                // <= jc+nc_here are inside C and owned by this tile.
-                let dst = unsafe {
-                    std::slice::from_raw_parts_mut(c.get().add((i0 + r0 + i) * ldc + jc + j0), cols)
-                };
-                if beta == T::ZERO {
-                    dst.copy_from_slice(acc_row);
-                } else if beta == T::ONE {
-                    for (d, s) in dst.iter_mut().zip(acc_row) {
-                        *d += *s;
-                    }
-                } else {
-                    for (d, s) in dst.iter_mut().zip(acc_row) {
-                        *d = beta * *d + *s;
-                    }
-                }
+                // SAFETY: row i0+r0+i, columns jc+j0 .. +cols of C, owned
+                // by this tile.
+                unsafe { kernel::store_row(beta, dst.add(i * ldc), &edge[i * nr..i * nr + cols]) };
             }
         }
     }
@@ -255,6 +258,25 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> f64 {
     2.0 * m as f64 * n as f64 * k as f64
 }
 
+/// The `m×k · k×n` shape of `op(A)·op(B)`.
+///
+/// # Panics
+/// If the inner dimensions disagree.
+fn product_shape<T: Scalar>(
+    op_a: GemmOp,
+    a: &Mat<T>,
+    op_b: GemmOp,
+    b: &Mat<T>,
+) -> (usize, usize, usize) {
+    let (m, k) = op_a.apply_shape(a.rows(), a.cols());
+    let (kb, n) = op_b.apply_shape(b.rows(), b.cols());
+    assert_eq!(
+        k, kb,
+        "inner dimensions disagree: op(A) is {m}x{k}, op(B) is {kb}x{n}"
+    );
+    (m, n, k)
+}
+
 /// `C = alpha * op(A) * op(B) + beta * C`, cache-blocked (five-loop
 /// Goto/BLIS structure, KC/MC/NC from [`tune`]), packed,
 /// register-blocked, and parallel over the persistent
@@ -276,12 +298,7 @@ pub fn gemm<T: Scalar>(
     beta: T,
     c: &mut Mat<T>,
 ) {
-    let (m, k) = op_a.apply_shape(a.rows(), a.cols());
-    let (kb, n) = op_b.apply_shape(b.rows(), b.cols());
-    assert_eq!(
-        k, kb,
-        "inner dimensions disagree: op(A) is {m}x{k}, op(B) is {kb}x{n}"
-    );
+    let (m, n, k) = product_shape(op_a, a, op_b, b);
     assert_eq!(c.shape(), (m, n), "C is {:?}, expected {m}x{n}", c.shape());
     if m == 0 || n == 0 {
         return;
@@ -290,7 +307,80 @@ pub fn gemm<T: Scalar>(
         scale_in_place(c, beta);
         return;
     }
+    // SAFETY: `c` is an initialised, exclusively borrowed m×n matrix.
+    unsafe {
+        gemm_raw(
+            op_a,
+            op_b,
+            alpha,
+            a,
+            b,
+            beta,
+            c.as_mut_slice().as_mut_ptr(),
+            m,
+            n,
+            k,
+        )
+    }
+}
 
+/// `alpha * op(A) * op(B)` as a new `m×n` matrix in `buf`'s memory —
+/// its elements are discarded and it grows if it is too small; pass
+/// `Vec::new()` to allocate — never zero-filled: the `beta = 0` pass
+/// writes every element of `C` before anything reads it. A caller that
+/// reserves `buf` early keeps the allocation where a zero-filled `C` used
+/// to be made. It equals [`gemm`] with `beta = 1` into [`Mat::zeros`] bit
+/// for bit — the accumulators start from `+0.0`, so `0 + acc` is `acc` —
+/// except where an FMA kernel's sum underflows to `−0.0`, which the
+/// zero-filled `C` would turn into `+0.0`. `k = 0` or `alpha = 0` yields
+/// zeros; a zero-sized scalar ([`crate::Shape64`]) allocates nothing.
+///
+/// # Panics
+/// On any shape mismatch.
+pub fn gemm_new<T: Scalar>(
+    op_a: GemmOp,
+    op_b: GemmOp,
+    alpha: T,
+    a: &Mat<T>,
+    b: &Mat<T>,
+    mut buf: Vec<T>,
+) -> Mat<T> {
+    let (m, n, k) = product_shape(op_a, a, op_b, b);
+    if std::mem::size_of::<T>() == 0 || m == 0 || n == 0 || k == 0 || alpha == T::ZERO {
+        return Mat::zeros(m, n);
+    }
+    buf.clear();
+    buf.reserve(m * n);
+    // SAFETY: the buffer has room for m·n elements; with beta = 0 every
+    // one of them is written (and none read) before `gemm_raw` returns, so
+    // the length may then cover them.
+    unsafe {
+        gemm_raw(op_a, op_b, alpha, a, b, T::ZERO, buf.as_mut_ptr(), m, n, k);
+        buf.set_len(m * n);
+    }
+    Mat::from_vec(m, n, buf)
+}
+
+/// The blocked multiply behind [`gemm`] and [`gemm_new`] for `m, n, k ≥ 1`
+/// and `alpha ≠ 0`, writing through a raw `C` pointer.
+///
+/// # Safety
+/// `c` must address `m·n` row-major elements, valid for writes, not
+/// aliased while this runs, and initialised unless `beta = 0` (the first
+/// depth slab then writes every element before a later slab reads it).
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_raw<T: Scalar>(
+    op_a: GemmOp,
+    op_b: GemmOp,
+    alpha: T,
+    a: &Mat<T>,
+    b: &Mat<T>,
+    beta: T,
+    c: *mut T,
+    m: usize,
+    n: usize,
+    k: usize,
+) {
     let kind = kernel::gemm_kernel_for::<T>();
     let (mr, nr) = kind.geom(std::mem::size_of::<T>());
     let bl = tune::blocking_for::<T>(kind);
@@ -304,7 +394,7 @@ pub fn gemm<T: Scalar>(
     let mc = effective_mc(bl.mc, m, width, mr);
     let tiles = m.div_ceil(mc);
     let ldc = n;
-    let c_ptr = SendPtr(c.as_mut_slice().as_mut_ptr());
+    let c_ptr = SendPtr(c);
 
     // Kernel profiling (off: one relaxed load, `cp` stays `None` and every
     // instrumentation site below is an untaken branch). The counters live
@@ -498,8 +588,10 @@ pub fn gemm_naive<T: Scalar>(
 mod tests {
     use super::*;
     use crate::pack::{MR, NR};
+    use crate::part::Rect;
     use crate::random::fill_random;
     use crate::tune::{set_gemm_blocking, Blocking};
+    use std::mem::size_of;
 
     fn check_against_naive(
         m: usize,
@@ -697,6 +789,120 @@ mod tests {
         }
         kernel::set_gemm_kernel(None);
         set_gemm_blocking(None);
+    }
+
+    /// Bit patterns of a matrix's elements, `f32` widened exactly.
+    fn bits<T: Scalar>(c: &Mat<T>) -> Vec<u64> {
+        c.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+    }
+
+    /// For every available kernel: a full register tile written by the
+    /// kernel's own epilogue is bit for bit the clipped store of an edge
+    /// tile. The top-left `a·MR × b·NR` region of an
+    /// `(a·MR+1)×(b·NR+1)` product (its full tiles, next to edge tiles)
+    /// equals the `a·MR × b·NR` product (full tiles only), and every row of
+    /// the larger product equals that row computed alone (`m = 1`: every
+    /// tile is an edge tile). Each of beta 0, 1, 0.5 and 0.7 (`0.7·C` is
+    /// inexact, so a fused multiply-add in the scaling epilogue would
+    /// show), with k below and above the kernel's KC.
+    #[test]
+    fn fused_store_equals_clipped_store() {
+        fn check<T: Scalar>(kind: KernelKind) {
+            let (mr, nr) = kind.geom(std::mem::size_of::<T>());
+            let kc = tune::blocking_for::<T>(kind).kc;
+            let (m, n) = (2 * mr, 3 * nr);
+            for k in [5, kc + 7] {
+                let a = crate::random::random_mat::<T>(m + 1, k, 31);
+                let b = crate::random::random_mat::<T>(k, n + 1, 32);
+                let c0 = crate::random::random_mat::<T>(m + 1, n + 1, 33);
+                let top = Rect::new(0, 0, m, n);
+                for beta in [0.0, 1.0, 0.5, 0.7].map(T::from_f64) {
+                    let run = |a: &Mat<T>, b: &Mat<T>, c: &Mat<T>| {
+                        let mut c = c.clone();
+                        gemm(GemmOp::NoTrans, GemmOp::NoTrans, T::ONE, a, b, beta, &mut c);
+                        c
+                    };
+                    let big = run(&a, &b, &c0);
+                    let full = run(
+                        &a.block(Rect::new(0, 0, m, k)),
+                        &b.block(Rect::new(0, 0, k, n)),
+                        &c0.block(top),
+                    );
+                    let what = format!("{} {}B k={k} beta={beta}", kind.name(), size_of::<T>());
+                    assert_eq!(bits(&big.block(top)), bits(&full), "{what}: full tiles");
+                    for i in 0..=m {
+                        let row = Rect::new(i, 0, 1, n + 1);
+                        let alone = run(&a.block(Rect::new(i, 0, 1, k)), &b, &c0.block(row));
+                        assert_eq!(bits(&big.block(row)), bits(&alone), "{what}: row {i}");
+                    }
+                }
+            }
+        }
+        for kind in KernelKind::ALL {
+            if !kind.available() {
+                continue;
+            }
+            kernel::set_gemm_kernel(Some(kind));
+            check::<f64>(kind);
+            check::<f32>(kind);
+        }
+        kernel::set_gemm_kernel(None);
+    }
+
+    /// `gemm_new` is `gemm` with `beta = 1` into zeros, bit for bit, for
+    /// every available kernel, both scalar types, k below and above KC,
+    /// `k = 0` and empty `m` or `n`, into a new or a reused buffer.
+    #[test]
+    fn fresh_product_equals_zeros_plus_accumulate() {
+        fn check<T: Scalar>(kind: KernelKind) {
+            let (mr, nr) = kind.geom(std::mem::size_of::<T>());
+            let kc = tune::blocking_for::<T>(kind).kc;
+            let (m, n) = (2 * mr + 3, nr + 5);
+            for (m, n, k) in [(m, n, 9), (m, n, kc + 3), (m, n, 0), (0, n, 4), (m, 0, 4)] {
+                for op_a in [GemmOp::NoTrans, GemmOp::Trans] {
+                    let (ar, ac) = op_a.apply_shape(m, k);
+                    let a = crate::random::random_mat::<T>(ar, ac, 41);
+                    let b = crate::random::random_mat::<T>(k, n, 42);
+                    let alpha = T::from_f64(1.5);
+                    let fresh = gemm_new(op_a, GemmOp::NoTrans, alpha, &a, &b, Vec::new());
+                    // A reused buffer, too small and holding stale values.
+                    let stale = vec![T::from_f64(9.0); 3];
+                    let reused = gemm_new(op_a, GemmOp::NoTrans, alpha, &a, &b, stale);
+                    assert_eq!(bits(&reused), bits(&fresh));
+                    let mut acc = Mat::zeros(m, n);
+                    gemm(op_a, GemmOp::NoTrans, alpha, &a, &b, T::ONE, &mut acc);
+                    assert_eq!(fresh.shape(), (m, n));
+                    assert_eq!(
+                        bits(&fresh),
+                        bits(&acc),
+                        "{} {}B {m}x{n}x{k} {op_a:?}",
+                        kind.name(),
+                        size_of::<T>()
+                    );
+                }
+            }
+        }
+        for kind in KernelKind::ALL {
+            if !kind.available() {
+                continue;
+            }
+            kernel::set_gemm_kernel(Some(kind));
+            check::<f64>(kind);
+            check::<f32>(kind);
+        }
+        kernel::set_gemm_kernel(None);
+        // A zero-sized scalar has a shape and nothing else.
+        let s = Mat::<crate::Shape64>::zeros(3, 4);
+        let t = Mat::<crate::Shape64>::zeros(4, 5);
+        let p = gemm_new(
+            GemmOp::NoTrans,
+            GemmOp::NoTrans,
+            crate::Shape64,
+            &s,
+            &t,
+            Vec::new(),
+        );
+        assert_eq!(p.shape(), (3, 5));
     }
 
     #[test]

@@ -26,6 +26,14 @@
 //! derived from [`tune::cache_info`](crate::tune::cache_info)'s SIMD
 //! probe — probed once per process.
 //!
+//! # Epilogue
+//!
+//! Every kernel writes its tile of `C` itself: the accumulators start from
+//! zero, and after the depth loop `beta` is applied once per element — a
+//! store for `beta = 0`, one add for `beta = 1`, a separate multiply then
+//! add for anything else. The GEMM hands full tiles the `C` pointer and
+//! edge tiles a stack tile it then clips ([`gemm`](mod@crate::gemm)).
+//!
 //! The selected kernel's geometry parameterizes packing
 //! ([`pack`](crate::pack)), blocking derivation and the roofline peak
 //! probe ([`tune`](crate::tune)), and is recorded by the profiler
@@ -206,94 +214,197 @@ pub(crate) fn gemm_kernel_for<T: Scalar>() -> KernelKind {
 }
 
 /// Runs kernel `kind` over one packed A panel (`kk·MR`, `l`-major) and one
-/// packed B panel (`kk·NR`, `l`-major), accumulating into the row-major
-/// `MR×NR` tile at `acc[..mr*nr]`:
-/// `acc[i*nr + j] += Σ_l apanel[l*mr + i] · bpanel[l*nr + j]`.
+/// packed B panel (`kk·NR`, `l`-major) and writes the `MR×NR` tile of `C`
+/// at `c` (row pitch `ldc`) directly from the accumulators:
+/// `C[i][j] = beta·C[i][j] + Σ_l apanel[l*mr + i] · bpanel[l*nr + j]`.
+///
+/// The accumulators start from zero and the epilogue applies `beta` once:
+/// a plain store for `beta = 0` (`C` is never read, so it may be
+/// uninitialised), one add for `beta = 1`, and a separate multiply then
+/// add — never a fused one — for any other value. A tile written straight
+/// into `C` therefore has the same bits as one written into a stack tile
+/// with `beta = 0` and folded into `C` by [`store_row`], and `C` is touched
+/// once per element.
 ///
 /// `kind` must be [`available`](KernelKind::available) — the selection
 /// layer guarantees this — and the panels must carry `kind`'s geometry for
 /// this scalar type.
+///
+/// # Safety
+/// `c` must address an `MR×NR` tile of `kind`'s geometry with row pitch
+/// `ldc ≥ NR`: valid for writes, valid and initialised for reads when
+/// `beta ≠ 0`, and not accessed through any other reference meanwhile.
 #[inline]
-pub(crate) fn microkernel<T: Scalar>(
+pub(crate) unsafe fn microkernel<T: Scalar>(
     kind: KernelKind,
     apanel: &[T],
     bpanel: &[T],
     kk: usize,
-    acc: &mut [T],
+    beta: T,
+    c: *mut T,
+    ldc: usize,
 ) {
     let (mr, nr) = kind.geom(std::mem::size_of::<T>());
     debug_assert!(apanel.len() >= kk * mr && bpanel.len() >= kk * nr);
-    debug_assert!(acc.len() >= mr * nr);
+    debug_assert!(ldc >= nr);
     let is_f64 = TypeId::of::<T>() == TypeId::of::<f64>();
+    let (ap, bp) = (apanel.as_ptr(), bpanel.as_ptr());
+    // SAFETY (all arms): the caller's tile contract above; selection
+    // guarantees the kernel's CPU features; `gemm_kernel_for` guarantees T
+    // is exactly f64 or f32 for the intrinsics kernels, so the pointer
+    // casts reinterpret same-layout data and the beta conversion is exact.
     match kind {
-        KernelKind::Portable => microkernel_portable(apanel, bpanel, acc),
+        KernelKind::Portable => unsafe { microkernel_portable(apanel, bpanel, beta, c, ldc) },
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => {
-            // SAFETY: selection guarantees AVX2+FMA are present;
-            // `gemm_kernel_for` guarantees T is exactly f64 or f32, so the
-            // pointer casts reinterpret same-layout slices; panel/acc sizes
-            // were checked against this kernel's geometry above.
-            unsafe {
-                if is_f64 {
-                    mk_avx2_f64(
-                        apanel.as_ptr().cast(),
-                        bpanel.as_ptr().cast(),
-                        kk,
-                        acc.as_mut_ptr().cast(),
-                    );
-                } else {
-                    mk_avx2_f32(
-                        apanel.as_ptr().cast(),
-                        bpanel.as_ptr().cast(),
-                        kk,
-                        acc.as_mut_ptr().cast(),
-                    );
-                }
+        KernelKind::Avx2 => unsafe {
+            if is_f64 {
+                mk_avx2_f64(ap.cast(), bp.cast(), kk, beta.to_f64(), c.cast(), ldc);
+            } else {
+                mk_avx2_f32(
+                    ap.cast(),
+                    bp.cast(),
+                    kk,
+                    beta.to_f64() as f32,
+                    c.cast(),
+                    ldc,
+                );
             }
-        }
+        },
         #[cfg(all(target_arch = "x86_64", dense_avx512))]
-        KernelKind::Avx512 => {
-            // SAFETY: as for Avx2, with AVX-512F guaranteed by selection.
-            unsafe {
-                if is_f64 {
-                    mk_avx512_f64(
-                        apanel.as_ptr().cast(),
-                        bpanel.as_ptr().cast(),
-                        kk,
-                        acc.as_mut_ptr().cast(),
-                    );
-                } else {
-                    mk_avx512_f32(
-                        apanel.as_ptr().cast(),
-                        bpanel.as_ptr().cast(),
-                        kk,
-                        acc.as_mut_ptr().cast(),
-                    );
-                }
+        KernelKind::Avx512 => unsafe {
+            if is_f64 {
+                mk_avx512_f64(ap.cast(), bp.cast(), kk, beta.to_f64(), c.cast(), ldc);
+            } else {
+                mk_avx512_f32(
+                    ap.cast(),
+                    bp.cast(),
+                    kk,
+                    beta.to_f64() as f32,
+                    c.cast(),
+                    ldc,
+                );
             }
-        }
+        },
         #[cfg(not(all(target_arch = "x86_64", dense_avx512)))]
         #[allow(unreachable_patterns)]
         _ => unreachable!("selected kernel {:?} is not compiled in", kind),
     }
 }
 
-/// The portable fallback: the pre-dispatch generic register block,
-/// bit-identical to what every prior release computed. Separate multiply
+/// [`microkernel`] into a packed `MR×NR` tile (row pitch `NR`): the
+/// edge-tile path, the peak probe and the tests.
+///
+/// # Panics
+/// If `tile` is shorter than `MR·NR`.
+pub(crate) fn microkernel_tile<T: Scalar>(
+    kind: KernelKind,
+    apanel: &[T],
+    bpanel: &[T],
+    kk: usize,
+    beta: T,
+    tile: &mut [T],
+) {
+    let (mr, nr) = kind.geom(std::mem::size_of::<T>());
+    assert!(
+        tile.len() >= mr * nr,
+        "tile holds {} < {mr}x{nr}",
+        tile.len()
+    );
+    // SAFETY: `tile` is an exclusively borrowed, initialised MR×NR block
+    // with pitch NR.
+    unsafe { microkernel(kind, apanel, bpanel, kk, beta, tile.as_mut_ptr(), nr) }
+}
+
+/// Writes `beta·C + src` over the `src.len()` elements of `C` at `dst`:
+/// a plain store for `beta = 0` (`C` is not read), one add for `beta = 1`,
+/// a separate multiply then add otherwise — the epilogue of the portable
+/// kernel and the clipped store of edge tiles.
+///
+/// # Safety
+/// `dst` must be valid for `src.len()` writes, and for reads of
+/// initialised elements when `beta ≠ 0`.
+#[inline(always)]
+pub(crate) unsafe fn store_row<T: Scalar>(beta: T, dst: *mut T, src: &[T]) {
+    // SAFETY: every offset is below src.len(); the caller's contract.
+    unsafe {
+        if beta == T::ZERO {
+            for (j, &s) in src.iter().enumerate() {
+                dst.add(j).write(s);
+            }
+        } else if beta == T::ONE {
+            for (j, &s) in src.iter().enumerate() {
+                *dst.add(j) += s;
+            }
+        } else {
+            for (j, &s) in src.iter().enumerate() {
+                let d = dst.add(j);
+                *d = beta * *d + s;
+            }
+        }
+    }
+}
+
+/// The portable fallback: the generic register block. Separate multiply
 /// and add (no contraction: Rust never fuses float ops implicitly), `l`
 /// ascending, rows outer — the summation-order contract every kernel
 /// honors.
-fn microkernel_portable<T: Scalar>(apanel: &[T], bpanel: &[T], acc: &mut [T]) {
+///
+/// # Safety
+/// As [`microkernel`], for the portable `MR×NR` geometry.
+unsafe fn microkernel_portable<T: Scalar>(
+    apanel: &[T],
+    bpanel: &[T],
+    beta: T,
+    c: *mut T,
+    ldc: usize,
+) {
     use crate::pack::{MR, NR};
+    let mut acc = [[T::ZERO; NR]; MR];
     for (al, bl) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
         let bl: &[T; NR] = bl.try_into().expect("B panel is NR-aligned");
-        for (i, &ai) in al.iter().enumerate() {
-            let row = &mut acc[i * NR..(i + 1) * NR];
+        for (row, &ai) in acc.iter_mut().zip(al) {
             for (c, &b) in row.iter_mut().zip(bl) {
                 *c += ai * b;
             }
         }
     }
+    for (i, row) in acc.iter().enumerate() {
+        // SAFETY: row i of the caller's MR×NR tile.
+        unsafe { store_row(beta, c.add(i * ldc), row) };
+    }
+}
+
+/// The fused epilogue of an intrinsics kernel: writes the register tile
+/// `$acc` (`[[vector; cols]; rows]`, `$lanes` per vector) over the `C`
+/// tile at `$c` with row pitch `$ldc` — store for `beta = 0`, load + add +
+/// store for `beta = 1`, load + mul + add + store otherwise.
+#[cfg(target_arch = "x86_64")]
+macro_rules! epilogue {
+    ($acc:ident, $c:ident, $ldc:ident, $beta:ident, $lanes:literal,
+     $load:ident, $store:ident, $add:ident, $mul:ident, $set1:ident) => {
+        if $beta == 0.0 {
+            for (i, row) in $acc.iter().enumerate() {
+                for (j, r) in row.iter().enumerate() {
+                    $store($c.add(i * $ldc + j * $lanes), *r);
+                }
+            }
+        } else if $beta == 1.0 {
+            for (i, row) in $acc.iter().enumerate() {
+                for (j, r) in row.iter().enumerate() {
+                    let p = $c.add(i * $ldc + j * $lanes);
+                    $store(p, $add($load(p), *r));
+                }
+            }
+        } else {
+            let scale = $set1($beta);
+            for (i, row) in $acc.iter().enumerate() {
+                for (j, r) in row.iter().enumerate() {
+                    let p = $c.add(i * $ldc + j * $lanes);
+                    $store(p, $add($mul(scale, $load(p)), *r));
+                }
+            }
+        }
+    };
 }
 
 /// AVX2+FMA f64 kernel, 4×12 tile: a 4×3 grid of `ymm` accumulators (12)
@@ -302,33 +413,43 @@ fn microkernel_portable<T: Scalar>(apanel: &[T], bpanel: &[T], acc: &mut [T]) {
 ///
 /// # Safety
 /// AVX2 and FMA must be available. `ap`/`bp` must hold `kk·4` / `kk·12`
-/// `l`-major packed elements; `acc` a writable row-major 4×12 tile.
+/// `l`-major packed elements; `c` must address a 4×12 tile with row pitch
+/// `ldc` under [`microkernel`]'s contract.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn mk_avx2_f64(ap: *const f64, bp: *const f64, kk: usize, acc: *mut f64) {
+unsafe fn mk_avx2_f64(
+    ap: *const f64,
+    bp: *const f64,
+    kk: usize,
+    beta: f64,
+    c: *mut f64,
+    ldc: usize,
+) {
     use core::arch::x86_64::*;
-    let mut c = [[_mm256_setzero_pd(); 3]; 4];
-    for (i, row) in c.iter_mut().enumerate() {
-        for (j, r) in row.iter_mut().enumerate() {
-            *r = _mm256_loadu_pd(acc.add(i * 12 + j * 4));
-        }
-    }
+    let mut acc = [[_mm256_setzero_pd(); 3]; 4];
     for l in 0..kk {
         let b0 = _mm256_loadu_pd(bp.add(l * 12));
         let b1 = _mm256_loadu_pd(bp.add(l * 12 + 4));
         let b2 = _mm256_loadu_pd(bp.add(l * 12 + 8));
-        for (i, row) in c.iter_mut().enumerate() {
+        for (i, row) in acc.iter_mut().enumerate() {
             let a = _mm256_set1_pd(*ap.add(l * 4 + i));
             row[0] = _mm256_fmadd_pd(a, b0, row[0]);
             row[1] = _mm256_fmadd_pd(a, b1, row[1]);
             row[2] = _mm256_fmadd_pd(a, b2, row[2]);
         }
     }
-    for (i, row) in c.iter().enumerate() {
-        for (j, r) in row.iter().enumerate() {
-            _mm256_storeu_pd(acc.add(i * 12 + j * 4), *r);
-        }
-    }
+    epilogue!(
+        acc,
+        c,
+        ldc,
+        beta,
+        4,
+        _mm256_loadu_pd,
+        _mm256_storeu_pd,
+        _mm256_add_pd,
+        _mm256_mul_pd,
+        _mm256_set1_pd
+    );
 }
 
 /// AVX2+FMA f32 kernel, 6×16 tile: a 6×2 grid of `ymm` accumulators (12)
@@ -338,28 +459,37 @@ unsafe fn mk_avx2_f64(ap: *const f64, bp: *const f64, kk: usize, acc: *mut f64) 
 /// As [`mk_avx2_f64`], with `kk·6` / `kk·16` panels and a 6×16 tile.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn mk_avx2_f32(ap: *const f32, bp: *const f32, kk: usize, acc: *mut f32) {
+unsafe fn mk_avx2_f32(
+    ap: *const f32,
+    bp: *const f32,
+    kk: usize,
+    beta: f32,
+    c: *mut f32,
+    ldc: usize,
+) {
     use core::arch::x86_64::*;
-    let mut c = [[_mm256_setzero_ps(); 2]; 6];
-    for (i, row) in c.iter_mut().enumerate() {
-        for (j, r) in row.iter_mut().enumerate() {
-            *r = _mm256_loadu_ps(acc.add(i * 16 + j * 8));
-        }
-    }
+    let mut acc = [[_mm256_setzero_ps(); 2]; 6];
     for l in 0..kk {
         let b0 = _mm256_loadu_ps(bp.add(l * 16));
         let b1 = _mm256_loadu_ps(bp.add(l * 16 + 8));
-        for (i, row) in c.iter_mut().enumerate() {
+        for (i, row) in acc.iter_mut().enumerate() {
             let a = _mm256_set1_ps(*ap.add(l * 6 + i));
             row[0] = _mm256_fmadd_ps(a, b0, row[0]);
             row[1] = _mm256_fmadd_ps(a, b1, row[1]);
         }
     }
-    for (i, row) in c.iter().enumerate() {
-        for (j, r) in row.iter().enumerate() {
-            _mm256_storeu_ps(acc.add(i * 16 + j * 8), *r);
-        }
-    }
+    epilogue!(
+        acc,
+        c,
+        ldc,
+        beta,
+        8,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_add_ps,
+        _mm256_mul_ps,
+        _mm256_set1_ps
+    );
 }
 
 /// AVX-512F f64 kernel, 8×16 tile: an 8×2 grid of `zmm` accumulators (16
@@ -372,28 +502,37 @@ unsafe fn mk_avx2_f32(ap: *const f32, bp: *const f32, kk: usize, acc: *mut f32) 
 // The AVX-512 intrinsics stabilized in 1.89 > MSRV, but this whole fn only
 // compiles under `dense_avx512`, which build.rs emits on rustc >= 1.89.
 #[allow(clippy::incompatible_msrv)]
-unsafe fn mk_avx512_f64(ap: *const f64, bp: *const f64, kk: usize, acc: *mut f64) {
+unsafe fn mk_avx512_f64(
+    ap: *const f64,
+    bp: *const f64,
+    kk: usize,
+    beta: f64,
+    c: *mut f64,
+    ldc: usize,
+) {
     use core::arch::x86_64::*;
-    let mut c = [[_mm512_setzero_pd(); 2]; 8];
-    for (i, row) in c.iter_mut().enumerate() {
-        for (j, r) in row.iter_mut().enumerate() {
-            *r = _mm512_loadu_pd(acc.add(i * 16 + j * 8));
-        }
-    }
+    let mut acc = [[_mm512_setzero_pd(); 2]; 8];
     for l in 0..kk {
         let b0 = _mm512_loadu_pd(bp.add(l * 16));
         let b1 = _mm512_loadu_pd(bp.add(l * 16 + 8));
-        for (i, row) in c.iter_mut().enumerate() {
+        for (i, row) in acc.iter_mut().enumerate() {
             let a = _mm512_set1_pd(*ap.add(l * 8 + i));
             row[0] = _mm512_fmadd_pd(a, b0, row[0]);
             row[1] = _mm512_fmadd_pd(a, b1, row[1]);
         }
     }
-    for (i, row) in c.iter().enumerate() {
-        for (j, r) in row.iter().enumerate() {
-            _mm512_storeu_pd(acc.add(i * 16 + j * 8), *r);
-        }
-    }
+    epilogue!(
+        acc,
+        c,
+        ldc,
+        beta,
+        8,
+        _mm512_loadu_pd,
+        _mm512_storeu_pd,
+        _mm512_add_pd,
+        _mm512_mul_pd,
+        _mm512_set1_pd
+    );
 }
 
 /// AVX-512F f32 kernel, 12×32 tile — the wider-MR f32 path: a 12×2 grid of
@@ -407,28 +546,37 @@ unsafe fn mk_avx512_f64(ap: *const f64, bp: *const f64, kk: usize, acc: *mut f64
 #[target_feature(enable = "avx512f")]
 // Same MSRV story as mk_avx512_f64: gated on rustc >= 1.89 by build.rs.
 #[allow(clippy::incompatible_msrv)]
-unsafe fn mk_avx512_f32(ap: *const f32, bp: *const f32, kk: usize, acc: *mut f32) {
+unsafe fn mk_avx512_f32(
+    ap: *const f32,
+    bp: *const f32,
+    kk: usize,
+    beta: f32,
+    c: *mut f32,
+    ldc: usize,
+) {
     use core::arch::x86_64::*;
-    let mut c = [[_mm512_setzero_ps(); 2]; 12];
-    for (i, row) in c.iter_mut().enumerate() {
-        for (j, r) in row.iter_mut().enumerate() {
-            *r = _mm512_loadu_ps(acc.add(i * 32 + j * 16));
-        }
-    }
+    let mut acc = [[_mm512_setzero_ps(); 2]; 12];
     for l in 0..kk {
         let b0 = _mm512_loadu_ps(bp.add(l * 32));
         let b1 = _mm512_loadu_ps(bp.add(l * 32 + 16));
-        for (i, row) in c.iter_mut().enumerate() {
+        for (i, row) in acc.iter_mut().enumerate() {
             let a = _mm512_set1_ps(*ap.add(l * 12 + i));
             row[0] = _mm512_fmadd_ps(a, b0, row[0]);
             row[1] = _mm512_fmadd_ps(a, b1, row[1]);
         }
     }
-    for (i, row) in c.iter().enumerate() {
-        for (j, r) in row.iter().enumerate() {
-            _mm512_storeu_ps(acc.add(i * 32 + j * 16), *r);
-        }
-    }
+    epilogue!(
+        acc,
+        c,
+        ldc,
+        beta,
+        16,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_add_ps,
+        _mm512_mul_ps,
+        _mm512_set1_ps
+    );
 }
 
 #[cfg(test)]
@@ -477,7 +625,8 @@ mod tests {
     }
 
     /// Every available kernel must compute the same tile as a scalar
-    /// reference, up to an FMA-rounding ulp bound (exact for `portable`).
+    /// reference, up to an FMA-rounding ulp bound (exact for `portable`),
+    /// under each epilogue: store (`beta = 0`), add (`1`), scale (`0.7`).
     #[test]
     fn microkernels_match_scalar_reference() {
         fn check<T: Scalar>(kind: KernelKind, tol: f64) {
@@ -490,24 +639,26 @@ mod tests {
             let bpanel: Vec<T> = (0..kk * nr)
                 .map(|v| T::from_f64(((v * 29 + 5) % 19) as f64 / 19.0 - 0.5))
                 .collect();
-            // A non-zero starting tile so the accumulate-in-place load path
-            // is exercised too.
-            let mut acc: Vec<T> = (0..mr * nr)
+            // A non-zero starting tile so the epilogue's load path is
+            // exercised too.
+            let start: Vec<T> = (0..mr * nr)
                 .map(|v| T::from_f64((v % 7) as f64 * 0.125))
                 .collect();
-            let start = acc.clone();
-            microkernel(kind, &apanel, &bpanel, kk, &mut acc);
-            for i in 0..mr {
-                for j in 0..nr {
-                    let mut want = start[i * nr + j].to_f64();
-                    for l in 0..kk {
-                        want += apanel[l * mr + i].to_f64() * bpanel[l * nr + j].to_f64();
+            for beta in [0.0, 1.0, 0.7] {
+                let mut acc = start.clone();
+                microkernel_tile(kind, &apanel, &bpanel, kk, T::from_f64(beta), &mut acc);
+                for i in 0..mr {
+                    for j in 0..nr {
+                        let mut want = beta * start[i * nr + j].to_f64();
+                        for l in 0..kk {
+                            want += apanel[l * mr + i].to_f64() * bpanel[l * nr + j].to_f64();
+                        }
+                        let got = acc[i * nr + j].to_f64();
+                        assert!(
+                            (got - want).abs() <= tol,
+                            "{kind:?} ({mr}x{nr}) beta {beta} at ({i},{j}): {got} vs {want}"
+                        );
                     }
-                    let got = acc[i * nr + j].to_f64();
-                    assert!(
-                        (got - want).abs() <= tol,
-                        "{kind:?} ({mr}x{nr}) at ({i},{j}): {got} vs {want}"
-                    );
                 }
             }
         }

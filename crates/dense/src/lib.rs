@@ -56,7 +56,7 @@ pub mod scalar;
 pub mod testing;
 pub mod tune;
 
-pub use gemm::{gemm, gemm_naive, GemmOp};
+pub use gemm::{gemm, gemm_naive, gemm_new, GemmOp};
 pub use kernel::{gemm_kernel, set_gemm_kernel, KernelKind};
 pub use mat::Mat;
 pub use part::{split_even, Rect};

@@ -337,7 +337,7 @@ fn probe_peak<T: Scalar>(kind: KernelKind) -> f64 {
     loop {
         let t0 = std::time::Instant::now();
         for _ in 0..reps {
-            kernel::microkernel(kind, &apanel, &bpanel, KK, &mut acc);
+            kernel::microkernel_tile(kind, &apanel, &bpanel, KK, T::ONE, &mut acc);
             std::hint::black_box(&mut acc);
         }
         if t0.elapsed().as_secs_f64() >= 1e-3 || reps >= (1 << 22) {
@@ -349,7 +349,7 @@ fn probe_peak<T: Scalar>(kind: KernelKind) -> f64 {
     for _ in 0..3 {
         let t0 = std::time::Instant::now();
         for _ in 0..reps {
-            kernel::microkernel(kind, &apanel, &bpanel, KK, &mut acc);
+            kernel::microkernel_tile(kind, &apanel, &bpanel, KK, T::ONE, &mut acc);
             std::hint::black_box(&mut acc);
         }
         best = best.max(flops_per_pass * reps as f64 / t0.elapsed().as_secs_f64() / 1e9);

@@ -446,9 +446,12 @@ mod tests {
         sched.shutdown();
     }
 
-    /// Values are frozen: these two checksums were recorded at `ac778a4`,
-    /// before redistribution stopped sending empty messages, and no change
-    /// to how operands travel may move them.
+    /// Values are frozen: the first two checksums were recorded at
+    /// `ac778a4`, before redistribution stopped sending empty messages, and
+    /// no change to how operands travel may move them. The third, recorded
+    /// at `961ffcb` before the microkernels wrote `C` directly, is an f64
+    /// product with edge tiles in both m and n on a two-round Cannon
+    /// (grid 2×2×1): no change to how a tile reaches `C` may move it.
     #[test]
     fn served_checksums_are_pinned() {
         let sched = Scheduler::new(SchedulerConfig {
@@ -464,6 +467,10 @@ mod tests {
             (
                 r#"{"cmd":"multiply","id":"flat","m":96,"n":40,"k":1000,"dtype":"f32","seed_a":3,"seed_b":4,"layout_a":"row","layout_c":"cyclic:2x2:8x8"}"#,
                 "348853ae8e6d0558",
+            ),
+            (
+                r#"{"cmd":"multiply","id":"edge","m":100,"n":100,"k":60,"seed_a":5,"seed_b":6}"#,
+                "26d2e6f0a5e7b5ea",
             ),
         ];
         for (line, want) in pins {
