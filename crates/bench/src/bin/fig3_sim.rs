@@ -22,7 +22,7 @@
 //! therefore doubles as a sim-vs-model cross-check; `ca3dmm-report
 //! netdiff` performs the same comparison offline from the artifact.
 //! `--overlap off` runs and prices the blocking ablation instead.
-//! `--report-out PATH` writes the largest point's (p = 3072) schema-v2
+//! `--report-out PATH` writes the largest point's (p = 3072) virtual-time
 //! `RunReport`, the reference CI's `sim-smoke` job gates against.
 //! `--ranks P` simulates a single point instead of the sweep. The last
 //! stdout line is the process's peak resident set (`peak RSS: N MiB`),

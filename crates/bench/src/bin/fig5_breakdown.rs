@@ -23,8 +23,8 @@
 //!
 //! `--prof` enables the `dense::prof` kernel profiler for the traced run
 //! (the one switch; runs are unprofiled otherwise): the artifact gains the
-//! schema-v3 `compute` block (per-rank GEMM phase split, roofline, pool
-//! telemetry), the Chrome trace gains per-rank kernel-thread tracks, and the
+//! `compute` block (per-rank GEMM phase split, roofline, submit→wake
+//! latency), the Chrome trace gains per-rank kernel-thread tracks, and the
 //! dashboard gains its per-rank compute-attribution table.
 
 use bench::{predict_with_grid, Algo, RunConfig};

@@ -171,12 +171,6 @@ impl GridContext {
         [Some(self.a_init(&c)), Some(self.b_init(&c))]
     }
 
-    /// The final C strip this rank owns after the reduce-scatter (step 7):
-    /// row-strip `kt` of its C block.
-    pub fn c_final(&self, c: &RankCoord) -> Rect {
-        self.geo.c_strip(self.at(c))
-    }
-
     /// World ranks holding slices of the same replicated block as `c` (the
     /// allgather group of step 5): same `(i, j, kt)`, all Cannon groups.
     pub fn replication_group(&self, c: &RankCoord) -> Vec<usize> {
@@ -285,8 +279,6 @@ mod tests {
         for kt in 0..4 {
             let c = g.coord_of(kt * 4);
             assert_eq!(g.c_block(&c), Rect::new(0, 0, 16, 16));
-            // final strip: row-partitioned into pk=4 strips of 4 rows
-            assert_eq!(g.c_final(&c), Rect::new(kt * 4, 0, 4, 16));
         }
     }
 

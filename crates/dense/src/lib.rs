@@ -30,13 +30,13 @@
 //!   (`DENSE_GEMM_THREADS`, [`pool::set_gemm_threads`], and the per-rank cap
 //!   `msgpass::World::run` applies via [`pool::set_rank_gemm_threads`]);
 //! * [`prof`] — kernel-level observability: a per-thread lock-free span
-//!   recorder plus pool telemetry, aggregated per capture into a
-//!   [`prof::KernelProfile`] with a roofline summary (records only inside
-//!   a [`prof::begin_capture`] … [`prof::end_capture`] window);
+//!   recorder plus the pool's submit→wake latency, aggregated per capture
+//!   into a [`prof::KernelProfile`] with a roofline summary (records only
+//!   inside a [`prof::begin_capture`] … [`prof::end_capture`] window);
 //! * [`part`] — block-partition arithmetic: [`part::split_even`] (the
 //!   paper's ⌈d/p⌉ / ⌊d/p⌋ partitioning), [`part::Rect`] rectangle algebra
 //!   used by the redistribution subroutine;
-//! * [`linalg`] — small serial kernels (Cholesky, triangular inverse/solve)
+//! * [`linalg`] — small serial kernels (Cholesky, triangular inverse)
 //!   for the driver applications;
 //! * [`random`] — seeded random fills so every distributed test is
 //!   reproducible;
@@ -61,6 +61,6 @@ pub use kernel::{gemm_kernel, set_gemm_kernel, KernelKind};
 pub use mat::Mat;
 pub use part::{split_even, Rect};
 pub use pool::{gemm_threads, set_gemm_threads};
-pub use prof::{KernelProfile, PoolTelemetry, ProfSpan};
+pub use prof::{KernelProfile, ProfSpan};
 pub use scalar::{Scalar, Shape64, WireElem};
 pub use tune::{probed_peak_gflops, probed_peak_gflops_for, set_gemm_blocking, Blocking};

@@ -1,6 +1,6 @@
 //! Small serial linear-algebra kernels used by the driver applications
-//! (CholeskyQR, density-matrix purification): Cholesky factorization,
-//! triangular inversion, and triangular solves. These run redundantly on
+//! (CholeskyQR, density-matrix purification): Cholesky factorization and
+//! triangular inversion. These run redundantly on
 //! every rank for small reduced matrices, as the paper's driver algorithms
 //! do (§V: CholeskyQR, Rayleigh–Ritz).
 
@@ -58,26 +58,6 @@ pub fn upper_triangular_inverse<T: Scalar>(r: &Mat<T>) -> Mat<T> {
     inv
 }
 
-/// Solves `R · X = B` for upper-triangular `R` (back substitution),
-/// overwriting nothing; returns `X`.
-pub fn upper_triangular_solve<T: Scalar>(r: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    let n = r.rows();
-    assert_eq!(r.cols(), n, "solve needs a square triangular matrix");
-    assert_eq!(b.rows(), n, "right-hand side height mismatch");
-    let cols = b.cols();
-    let mut x = Mat::<T>::zeros(n, cols);
-    for c in 0..cols {
-        for i in (0..n).rev() {
-            let mut sum = b.get(i, c);
-            for k in i + 1..n {
-                sum -= r.get(i, k) * x.get(k, c);
-            }
-            x.set(i, c, sum / r.get(i, i));
-        }
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,38 +112,6 @@ mod tests {
         );
         let eye = Mat::from_fn(9, 9, |i, j| if i == j { 1.0 } else { 0.0 });
         assert!(prod.max_abs_diff(&eye) < 1e-11);
-    }
-
-    #[test]
-    fn triangular_solve_matches_inverse() {
-        let g = spd(7, 9);
-        let r = cholesky_upper(&g);
-        let b = random_mat::<f64>(7, 3, 11);
-        let x = upper_triangular_solve(&r, &b);
-        let inv = upper_triangular_inverse(&r);
-        let mut want = Mat::zeros(7, 3);
-        gemm_naive(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            1.0,
-            &inv,
-            &b,
-            0.0,
-            &mut want,
-        );
-        assert!(x.max_abs_diff(&want) < 1e-10);
-        // and R x == b
-        let mut back = Mat::zeros(7, 3);
-        gemm_naive(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            1.0,
-            &r,
-            &x,
-            0.0,
-            &mut back,
-        );
-        assert!(back.max_abs_diff(&b) < 1e-10);
     }
 
     #[test]

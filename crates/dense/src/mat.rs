@@ -238,18 +238,6 @@ impl<T: Scalar> Mat<T> {
             .map(|a| a.abs().to_f64())
             .fold(0.0, f64::max)
     }
-
-    /// Frobenius norm, accumulated in f64.
-    pub fn fro_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|a| {
-                let v = a.to_f64();
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
 }
 
 impl<T: Scalar> std::fmt::Debug for Mat<T> {
@@ -350,7 +338,6 @@ mod tests {
     fn norms() {
         let a = Mat::from_vec(1, 3, vec![3.0f64, -4.0, 0.0]);
         assert_eq!(a.max_abs(), 4.0);
-        assert!((a.fro_norm() - 5.0).abs() < 1e-12);
         let b = Mat::from_vec(1, 3, vec![3.0f64, -4.0, 1.0]);
         assert_eq!(a.max_abs_diff(&b), 1.0);
     }

@@ -97,19 +97,6 @@ impl Rect {
     pub fn col_part(&self, p: usize, i: usize) -> Rect {
         self.transposed().row_part(p, i).transposed()
     }
-
-    /// Translates the rectangle so that it is relative to `origin`
-    /// (which must contain it): used to map a global region into the local
-    /// buffer that stores `origin`.
-    pub fn relative_to(&self, origin: &Rect) -> Rect {
-        debug_assert!(origin.contains(self), "{self:?} not inside {origin:?}");
-        Rect::new(
-            self.row0 - origin.row0,
-            self.col0 - origin.col0,
-            self.rows,
-            self.cols,
-        )
-    }
 }
 
 /// Splits dimension `n` into `p` nearly equal parts (sizes differ by ≤ 1),
@@ -218,7 +205,6 @@ mod tests {
         let inner = Rect::new(4, 5, 2, 2);
         assert!(outer.contains(&inner));
         assert!(!inner.contains(&outer));
-        assert_eq!(inner.relative_to(&outer), Rect::new(2, 2, 2, 2));
     }
 
     #[test]

@@ -157,15 +157,9 @@ pub(crate) fn submit(jobs: Vec<Job>) {
     }
     ensure_workers(jobs.len());
     let sh = shared();
-    let handle = jobs
-        .iter()
-        .find_map(|j| j.prof.as_ref().map(|p| Arc::clone(&p.inner)));
     let mut queue = sh.queue.lock().unwrap_or_else(|e| e.into_inner());
     let n = jobs.len();
     queue.extend(jobs);
-    if let Some(h) = handle {
-        prof::note_queue_depth(&h, queue.len());
-    }
     drop(queue);
     // Counted wakeups sized to the job count. Spurious extra notifies (a
     // notified worker may grab two jobs before another wakes) are harmless:
@@ -282,9 +276,6 @@ pub(crate) fn parallel_chunks<'a>(
         unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(body) };
 
     let prof_handle = prof::active_handle();
-    if let Some(h) = &prof_handle {
-        prof::note_region(h);
-    }
 
     let helpers = width - 1;
     let jobs: Vec<Job> = (0..helpers)

@@ -1,5 +1,5 @@
 //! Kernel-level profiling for the blocked GEMM: per-thread span recording,
-//! pool telemetry, and roofline attribution.
+//! submit→wake latency, and roofline attribution.
 //!
 //! The message-passing side of this repository can attribute every byte and
 //! wait-second (`msgpass::traffic`, `msgpass::trace`); this module gives the
@@ -16,14 +16,11 @@
 //!   (one cache-line-padded slot per thread, [`RING_CAPACITY`] records,
 //!   *oldest records overwritten first*). Spans are best-effort: the
 //!   profile's `coverage` states what fraction of the exact busy seconds
-//!   the retained spans represent, and `dropped_spans` counts the rest.
-//!   Spans feed the merged Perfetto trace
+//!   the retained spans represent. Spans feed the merged Perfetto trace
 //!   (`msgpass::Timeline::to_chrome_json_with_kernel`) and the per-thread
 //!   imbalance estimate;
-//! * **pool telemetry** — queue-depth high-water at submit, submit→wake
-//!   latency per helper job, jobs executed per worker, and the
-//!   `parallel_chunks` region count, all attributed to the capture whose
-//!   GEMM submitted the work.
+//! * **submit→wake latency** — the enqueue→pop seconds of every pool helper
+//!   job, attributed to the capture whose GEMM submitted the work.
 //!
 //! # Captures
 //!
@@ -65,7 +62,7 @@ pub const RING_CAPACITY: usize = 1024;
 
 /// Threads that can ever own a profiling slot (workers + submitters). A
 /// thread past the cap still contributes to the exact aggregates; only its
-/// spans are dropped (and counted in [`KernelProfile::dropped_spans`]).
+/// spans are dropped (and [`KernelProfile::coverage`] falls below 1).
 pub const MAX_PROFILED_THREADS: usize = 320;
 
 /// Words per ring record: tag (`capture_id << 8 | phase`), t0, t1.
@@ -148,15 +145,13 @@ pub struct ProfSpan {
     pub t1_ns: u64,
 }
 
-/// One thread's profiling slot: padded to a cache line so the hot `seq` /
-/// `jobs` counters of adjacent workers never share one.
+/// One thread's profiling slot: padded to a cache line so the hot `seq`
+/// counters of adjacent workers never share one.
 #[repr(align(64))]
 struct Slot {
     /// Records written by the owning thread (monotone; the ring index is
     /// `seq % RING_CAPACITY`, so old records are overwritten first).
     seq: AtomicU64,
-    /// Pool jobs executed by the owning thread (worker telemetry).
-    jobs: AtomicU64,
     /// The ring storage, allocated on the slot's first record.
     ring: OnceLock<Box<[AtomicU64]>>,
 }
@@ -167,7 +162,6 @@ fn slots() -> &'static [Slot] {
         (0..MAX_PROFILED_THREADS)
             .map(|_| Slot {
                 seq: AtomicU64::new(0),
-                jobs: AtomicU64::new(0),
                 ring: OnceLock::new(),
             })
             .collect()
@@ -198,16 +192,8 @@ fn my_slot() -> Option<usize> {
 /// closures the capture's GEMM calls create.
 pub(crate) struct CaptureInner {
     id: u64,
-    /// Spans recorded with this capture's tag (whether or not retained).
-    span_writes: AtomicU64,
     /// Total enqueue→pop nanoseconds over this capture's helper jobs.
     wake_ns: AtomicU64,
-    /// Helper jobs executed for this capture.
-    jobs: AtomicU64,
-    /// `parallel_chunks` regions submitted by this capture.
-    regions: AtomicU64,
-    /// Deepest pool queue observed at this capture's submits.
-    queue_hwm: AtomicU64,
 }
 
 /// Per-GEMM-call counters. The region closures bump these (atomically,
@@ -234,7 +220,6 @@ struct Totals {
     idle_secs: f64,
     pack_bytes: u64,
     pack_bound_bytes: u64,
-    max_width: usize,
     elem_bytes: usize,
     /// The microkernel the folded calls dispatched to (last one wins; a
     /// capture normally runs a single kernel).
@@ -244,7 +229,6 @@ struct Totals {
 struct CaptureState {
     inner: Arc<CaptureInner>,
     totals: Totals,
-    jobs_at_begin: Vec<u64>,
 }
 
 std::thread_local! {
@@ -260,22 +244,13 @@ static NEXT_CAPTURE_ID: AtomicU64 = AtomicU64::new(1);
 pub fn begin_capture() {
     let _ = epoch(); // pin t = 0 before any span can be recorded
     let id = NEXT_CAPTURE_ID.fetch_add(1, Ordering::Relaxed);
-    let jobs_at_begin = slots()
-        .iter()
-        .map(|s| s.jobs.load(Ordering::Relaxed))
-        .collect();
     CAPTURE.with(|c| {
         *c.borrow_mut() = Some(CaptureState {
             inner: Arc::new(CaptureInner {
                 id,
-                span_writes: AtomicU64::new(0),
                 wake_ns: AtomicU64::new(0),
-                jobs: AtomicU64::new(0),
-                regions: AtomicU64::new(0),
-                queue_hwm: AtomicU64::new(0),
             }),
             totals: Totals::default(),
-            jobs_at_begin,
         });
     });
 }
@@ -354,20 +329,6 @@ pub fn end_capture() -> Option<KernelProfile> {
     } else {
         1.0
     };
-    let writes = inner.span_writes.load(Ordering::Relaxed);
-    let dropped_spans = writes.saturating_sub(spans.len() as u64);
-
-    let mut jobs_per_worker: Vec<u64> = slots()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let before = st.jobs_at_begin.get(i).copied().unwrap_or(0);
-            s.jobs.load(Ordering::Relaxed).saturating_sub(before)
-        })
-        .collect();
-    while jobs_per_worker.last() == Some(&0) {
-        jobs_per_worker.pop();
-    }
 
     Some(KernelProfile {
         gemm_calls: t.gemm_calls,
@@ -390,17 +351,9 @@ pub fn end_capture() -> Option<KernelProfile> {
             t.elem_bytes,
             t.kernel.unwrap_or_else(kernel::gemm_kernel),
         ),
-        max_width: t.max_width,
         imbalance,
         coverage,
-        dropped_spans,
-        pool: PoolTelemetry {
-            queue_depth_hwm: inner.queue_hwm.load(Ordering::Relaxed),
-            submit_wake_secs: inner.wake_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-            jobs: inner.jobs.load(Ordering::Relaxed),
-            regions: inner.regions.load(Ordering::Relaxed),
-            jobs_per_worker,
-        },
+        submit_wake_secs: inner.wake_ns.load(Ordering::Relaxed) as f64 * 1e-9,
         spans,
     })
 }
@@ -453,7 +406,6 @@ pub(crate) fn call_end(
         t.idle_secs += idle;
         t.pack_bytes += cp.pack_bytes.load(Ordering::Relaxed);
         t.pack_bound_bytes += pack_bound_bytes;
-        t.max_width = t.max_width.max(width);
         t.elem_bytes = elem_bytes;
         t.kernel = Some(kind);
     });
@@ -464,7 +416,6 @@ pub(crate) fn call_end(
 /// last (release) so a concurrent harvest never stitches fields from two
 /// records together.
 pub(crate) fn record_span(inner: &CaptureInner, phase: SpanPhase, t0_ns: u64, t1_ns: u64) {
-    inner.span_writes.fetch_add(1, Ordering::Relaxed);
     let Some(slot_idx) = my_slot() else { return };
     let slot = &slots()[slot_idx];
     let ring = slot.ring.get_or_init(|| {
@@ -488,27 +439,13 @@ pub(crate) fn active_handle() -> Option<Arc<CaptureInner>> {
     CAPTURE.with(|c| c.borrow().as_ref().map(|s| Arc::clone(&s.inner)))
 }
 
-/// Counts one `parallel_chunks` region against the capture.
-pub(crate) fn note_region(inner: &CaptureInner) {
-    inner.regions.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records the pool queue depth observed right after a submit.
-pub(crate) fn note_queue_depth(inner: &CaptureInner, depth: usize) {
-    inner.queue_hwm.fetch_max(depth as u64, Ordering::Relaxed);
-}
-
 /// Called by a pool worker when it pops a tagged job: accounts the
-/// submit→wake latency, the per-worker job count, and a `Wake` span.
+/// submit→wake latency and a `Wake` span.
 pub(crate) fn note_wake(inner: &CaptureInner, enqueue_ns: u64) {
     let t = now_ns();
     inner
         .wake_ns
         .fetch_add(t.saturating_sub(enqueue_ns), Ordering::Relaxed);
-    inner.jobs.fetch_add(1, Ordering::Relaxed);
-    if let Some(slot) = my_slot() {
-        slots()[slot].jobs.fetch_add(1, Ordering::Relaxed);
-    }
     record_span(inner, SpanPhase::Wake, enqueue_ns, t);
 }
 
@@ -518,34 +455,12 @@ pub(crate) fn note_barrier(inner: &CaptureInner, t0_ns: u64) {
     record_span(inner, SpanPhase::Barrier, t0_ns, now_ns());
 }
 
-/// Pool telemetry attributed to one capture (see the module docs;
-/// `jobs_per_worker` is a *pool-wide* per-slot delta over the capture
-/// window, so concurrent ranks' jobs appear in each other's vectors —
-/// it answers "how busy was the shared pool while I ran", not "who worked
-/// for me"; `jobs` is the capture-attributed count).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PoolTelemetry {
-    /// Deepest pool queue observed at this capture's submits.
-    pub queue_depth_hwm: u64,
-    /// Total enqueue→pop seconds over this capture's helper jobs.
-    pub submit_wake_secs: f64,
-    /// Helper jobs executed for this capture.
-    pub jobs: u64,
-    /// `parallel_chunks` regions this capture submitted to the pool.
-    pub regions: u64,
-    /// Pool jobs executed per profiling slot over the capture window
-    /// (trailing zeros trimmed).
-    pub jobs_per_worker: Vec<u64>,
-}
-
 /// One capture's aggregated kernel profile.
 ///
 /// The seconds fields are *thread-seconds* summed over every participating
 /// thread: `pack_a_secs + pack_b_secs + compute_secs + idle_secs ==
 /// thread_secs` (within float rounding), and `thread_secs` is the sum of
-/// `width · wall` over the capture's GEMM calls, so dividing by
-/// `max_width` recovers a wall-clock-comparable figure when the width was
-/// constant.
+/// `width · wall` over the capture's GEMM calls.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct KernelProfile {
     /// GEMM calls folded into this capture.
@@ -580,19 +495,14 @@ pub struct KernelProfile {
     /// element size *and kernel* (so `achieved/peak` stays ≤ 1 whichever
     /// kernel the dispatcher picked).
     pub peak_gflops: f64,
-    /// Widest thread width any folded call used.
-    pub max_width: usize,
     /// Max/mean per-thread busy seconds over the retained spans (1.0 when
     /// at most one thread recorded).
     pub imbalance: f64,
     /// Fraction of the exact busy seconds the retained spans represent
-    /// (1.0 = no ring truncation).
+    /// (1.0 = no ring truncation or slot-table exhaustion).
     pub coverage: f64,
-    /// Spans recorded but not retained (ring overwrite or slot-table
-    /// exhaustion).
-    pub dropped_spans: u64,
-    /// Pool telemetry for the capture window.
-    pub pool: PoolTelemetry,
+    /// Total enqueue→pop seconds over the capture's pool helper jobs.
+    pub submit_wake_secs: f64,
     /// The retained spans, sorted by `(thread, t0)`. Not serialized into
     /// RunReport JSON; they feed the merged Chrome trace.
     pub spans: Vec<ProfSpan>,
@@ -660,7 +570,6 @@ mod tests {
     fn serial_capture_reconciles_and_covers() {
         let p = profiled_square(96, 1);
         assert_eq!(p.gemm_calls, 1);
-        assert_eq!(p.max_width, 1);
         assert_eq!(p.flops, 2.0 * 96.0 * 96.0 * 96.0);
         // The attribution identity: pack + compute + idle == thread_secs.
         let sum = p.pack_a_secs + p.pack_b_secs + p.compute_secs + p.idle_secs;
@@ -676,8 +585,7 @@ mod tests {
         assert!(p.achieved_gflops > 0.0);
         assert!(p.peak_gflops > 0.0);
         assert_eq!(p.kernel, crate::kernel::gemm_kernel().name());
-        assert!((0.0..=1.0).contains(&p.coverage));
-        assert_eq!(p.dropped_spans, 0);
+        assert!(p.coverage > 1.0 - 1e-9, "no span dropped: {}", p.coverage);
         assert!(p.spans.iter().any(|s| s.phase == SpanPhase::Compute));
         for s in &p.spans {
             assert!(s.t1_ns >= s.t0_ns);
@@ -685,10 +593,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_capture_sees_pool_telemetry() {
+    fn parallel_capture_records_the_pool_regions() {
         let p = profiled_square(160, 3); // 160³·2 flops clears the cutoff
-        assert_eq!(p.max_width, 3);
-        assert!(p.pool.regions > 0, "pool regions must be counted");
+        assert_eq!(p.thread_secs, 3.0 * p.gemm_wall_secs, "width 3");
+        assert!(
+            p.spans.iter().any(|s| s.phase == SpanPhase::Barrier),
+            "the submitter's region waits must be recorded"
+        );
         // Spans from the helper jobs land on other threads' slots when a
         // worker picks them up; the caller always records at least its own.
         assert!(!p.spans.is_empty());

@@ -106,22 +106,19 @@ impl GridChoice {
         self.grid.active() as f64 / p as f64
     }
 
-    /// Per-active-process transferred elements implied by the grid: half the
-    /// surface sum (each element of every subdomain face is either loaded or
-    /// updated once) divided by active processes.
-    pub fn per_process_volume(&self, prob: &Problem) -> f64 {
-        (self.grid.surface(prob.m, prob.n, prob.k) as f64) / 2.0 / self.grid.active() as f64
-    }
-
     /// The artifact's "Comm. volume / lower bound" report line: the chosen
-    /// grid's per-process volume over eq. 9 evaluated with the *active*
-    /// process count.
+    /// grid's per-active-process transferred elements — half the surface
+    /// sum (each element of every subdomain face is either loaded or
+    /// updated once) over the active processes — divided by eq. 9
+    /// evaluated with the *active* process count.
     pub fn volume_ratio(&self, prob: &Problem) -> f64 {
         let active = Problem {
             p: self.grid.active(),
             ..*prob
         };
-        self.per_process_volume(prob) / active.comm_lower_bound()
+        let per_process =
+            (self.grid.surface(prob.m, prob.n, prob.k) as f64) / 2.0 / self.grid.active() as f64;
+        per_process / active.comm_lower_bound()
     }
 }
 

@@ -2,10 +2,12 @@
 //! one writer, one reader, and their consumers.
 //!
 //! [`crate::RunReport::summary`] is the one place a finished run is
-//! aggregated into a [`RunReportDoc`]: per-phase traffic (both directions),
-//! run totals, the rank×rank communication matrix, message-size histograms,
-//! wait-time attribution, the critical path, the sim block and the kernel
-//! profiles. [`RunReportDoc::to_json`] is the only writer of the artifact —
+//! aggregated into a [`RunReportDoc`]: per-phase traffic (both directions)
+//! and slowest-rank seconds, run totals, the rank×rank communication
+//! matrix, message-size histograms, the critical path, the sim block and
+//! the kernel profiles. Every field has a reader outside its own round
+//! trip: the dashboard, the gate, `netdiff`, CI or a test of other
+//! behaviour. [`RunReportDoc::to_json`] is the only writer of the artifact —
 //! under an explicit `schema_version`, so reports written by different
 //! builds can be compared mechanically — and [`RunReportDoc::parse`] the
 //! only reader, re-checking every invariant the writer guarantees.
@@ -39,7 +41,7 @@ use crate::metrics::{fmt_bytes, CellCounts, CommMatrix, SizeHistogram};
 use crate::sim::SimInfo;
 use crate::world::RunReport;
 use dense::kernel::KernelKind;
-use dense::prof::{KernelProfile, PoolTelemetry};
+use dense::prof::KernelProfile;
 use jsonlite::Json;
 use netmodel::{Machine, Placement};
 use std::collections::BTreeMap;
@@ -62,7 +64,20 @@ use std::fmt::Write as _;
 ///   (the transpose of `matrix.send` for delivered messages),
 ///   `matrix.format`, `histograms.by_phase` (its totals are the phase rows)
 ///   and `totals.{sent_bytes, sent_msgs}` (sums of the phase rows).
-pub const SCHEMA_VERSION: u64 = 4;
+/// * **v5** — every field has a reader: drops `wait_per_rank` (per-phase
+///   waits stay in `wait_max`), the phase rows' `secs_sum` and `wait_sum`,
+///   `machine.{host_parallelism, kernel_thread_budget, gemm_kernel}` (so a
+///   virtual-time report no longer depends on the host that wrote it; the
+///   kernel that ran is in each compute row) and, per compute row,
+///   `max_width`, `dropped_spans` and the `pool` object, whose one read
+///   member becomes `submit_wake_secs`.
+pub const SCHEMA_VERSION: u64 = 5;
+
+/// The largest world a report may describe: [`RunReportDoc::parse`]
+/// refuses a larger `ranks` before anything is sized by it (the matrix
+/// keeps one row per rank). Ten times the largest world anything here
+/// simulates (a 10⁵-rank barrier).
+const MAX_RANKS: usize = 1 << 20;
 
 /// The `kind` discriminator of RunReport documents.
 pub const REPORT_KIND: &str = "ca3dmm_run_report";
@@ -73,7 +88,6 @@ impl RunReport {
     /// needs, without copying the matrix or the histograms.
     pub fn phase_rows(&self) -> Vec<PhaseRow> {
         let t = &self.traffic;
-        let p = t.per_rank.len();
         t.phases()
             .into_iter()
             .map(|phase| {
@@ -86,9 +100,7 @@ impl RunReport {
                     max_rank_sent_bytes: t.phase_bytes_max(&phase),
                     max_rank_sent_msgs: t.phase_msgs_max(&phase),
                     secs_max: t.phase_secs_max(&phase),
-                    secs_sum: (0..p).map(|r| t.phase_secs(r, &phase)).sum(),
                     wait_max: t.wait_secs_max(&phase),
-                    wait_sum: (0..p).map(|r| t.wait_secs(r, &phase)).sum(),
                     phase,
                 }
             })
@@ -141,7 +153,7 @@ impl RunReport {
     }
 
     /// The one aggregation of a finished run: phase rows, totals, matrix,
-    /// histograms, waits, critical path, sim block and compute rows. `meta`
+    /// histograms, critical path, sim block and compute rows. `meta`
     /// is caller-provided context (problem name, m/n/k/p, grid, …) carried
     /// verbatim — the report layer does not interpret it.
     pub fn summary(&self, meta: Json) -> RunReportDoc {
@@ -159,18 +171,6 @@ impl RunReport {
             machine: Json::obj([
                 ("arch", Json::Str(std::env::consts::ARCH.to_owned())),
                 ("os", Json::Str(std::env::consts::OS.to_owned())),
-                (
-                    "host_parallelism",
-                    num_u(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
-                ),
-                (
-                    "kernel_thread_budget",
-                    num_u(dense::pool::base_gemm_threads() as u64),
-                ),
-                (
-                    "gemm_kernel",
-                    Json::Str(dense::kernel::gemm_kernel().name().to_owned()),
-                ),
             ]),
             ranks: p,
             phases: self.phase_rows(),
@@ -180,7 +180,6 @@ impl RunReport {
             },
             matrix: t.matrix.clone(),
             hist_by_algo: t.hist_by_algo.clone(),
-            wait_per_rank: t.wait_per_rank.clone(),
             critical_path: self.critical_rows(),
             // Aggregates only: the spans go to the Chrome trace instead (a
             // profiled run retains up to threads × RING_CAPACITY of them).
@@ -224,12 +223,8 @@ pub struct PhaseRow {
     pub max_rank_sent_msgs: u64,
     /// Slowest rank's wall seconds in the phase.
     pub secs_max: f64,
-    /// Sum over ranks of wall seconds.
-    pub secs_sum: f64,
     /// Slowest rank's seconds blocked in `recv` during the phase.
     pub wait_max: f64,
-    /// Sum over ranks of blocked seconds.
-    pub wait_sum: f64,
 }
 
 /// One critical-path row of a run summary (see the module docs for the
@@ -272,7 +267,7 @@ pub struct RunReportDoc {
     pub sim: Option<SimInfo>,
     /// Caller-provided context, verbatim.
     pub meta: Json,
-    /// Machine block, verbatim (arch, os, parallelism).
+    /// Machine block, verbatim (`arch`, `os`).
     pub machine: Json,
     /// World size.
     pub ranks: usize,
@@ -284,8 +279,6 @@ pub struct RunReportDoc {
     pub matrix: CommMatrix,
     /// Size histograms by collective algorithm.
     pub hist_by_algo: BTreeMap<String, SizeHistogram>,
-    /// Per-rank blocked seconds per phase.
-    pub wait_per_rank: Vec<BTreeMap<String, f64>>,
     /// Critical-path rows (None for untraced wall runs).
     pub critical_path: Option<Vec<CritRow>>,
     /// Per-rank kernel profiles with empty `spans` (None for unprofiled
@@ -333,7 +326,6 @@ fn sparse_cells(cells: impl Iterator<Item = (usize, usize, CellCounts)>) -> Json
 }
 
 fn compute_json(k: &KernelProfile) -> Json {
-    let pool = &k.pool;
     Json::obj([
         ("gemm_calls", num_u(k.gemm_calls)),
         ("flops", num_f(k.flops)),
@@ -348,23 +340,9 @@ fn compute_json(k: &KernelProfile) -> Json {
         ("achieved_gflops", num_f(k.achieved_gflops)),
         ("kernel", Json::Str(k.kernel.to_owned())),
         ("peak_gflops", num_f(k.peak_gflops)),
-        ("max_width", num_u(k.max_width as u64)),
         ("imbalance", num_f(k.imbalance)),
         ("coverage", num_f(k.coverage)),
-        ("dropped_spans", num_u(k.dropped_spans)),
-        (
-            "pool",
-            Json::obj([
-                ("queue_depth_hwm", num_u(pool.queue_depth_hwm)),
-                ("submit_wake_secs", num_f(pool.submit_wake_secs)),
-                ("jobs", num_u(pool.jobs)),
-                ("regions", num_u(pool.regions)),
-                (
-                    "jobs_per_worker",
-                    Json::Arr(pool.jobs_per_worker.iter().map(|&j| num_u(j)).collect()),
-                ),
-            ]),
-        ),
+        ("submit_wake_secs", num_f(k.submit_wake_secs)),
     ])
 }
 
@@ -477,8 +455,6 @@ fn parse_hists(v: &Json, what: &str) -> Result<BTreeMap<String, SizeHistogram>, 
 /// rebuild `thread_secs` (the profiler derives idle as the remainder, so a
 /// larger gap means the file was hand-edited).
 fn parse_compute_row(c: &Json, what: &str) -> Result<KernelProfile, String> {
-    let pool = field(c, "pool", what)?;
-    let pwhat = format!("{what}.pool");
     let name = field_str(c, "kernel", what)?;
     let row = KernelProfile {
         gemm_calls: field_u64(c, "gemm_calls", what)?,
@@ -496,23 +472,9 @@ fn parse_compute_row(c: &Json, what: &str) -> Result<KernelProfile, String> {
             .ok_or_else(|| format!("{what}.kernel {name:?} is not a known microkernel"))?
             .name(),
         peak_gflops: field_f64(c, "peak_gflops", what)?,
-        max_width: field_u64(c, "max_width", what)? as usize,
         imbalance: field_f64(c, "imbalance", what)?,
         coverage: field_f64(c, "coverage", what)?,
-        dropped_spans: field_u64(c, "dropped_spans", what)?,
-        pool: PoolTelemetry {
-            queue_depth_hwm: field_u64(pool, "queue_depth_hwm", &pwhat)?,
-            submit_wake_secs: field_f64(pool, "submit_wake_secs", &pwhat)?,
-            jobs: field_u64(pool, "jobs", &pwhat)?,
-            regions: field_u64(pool, "regions", &pwhat)?,
-            jobs_per_worker: field(pool, "jobs_per_worker", &pwhat)?
-                .as_arr()
-                .ok_or_else(|| format!("{pwhat}.jobs_per_worker is not an array"))?
-                .iter()
-                .enumerate()
-                .map(|(i, j)| want_u64(j, &format!("{pwhat}.jobs_per_worker[{i}]")))
-                .collect::<Result<Vec<_>, String>>()?,
-        },
+        submit_wake_secs: field_f64(c, "submit_wake_secs", what)?,
         spans: Vec::new(),
     };
     let rebuilt = row.busy_secs() + row.idle_secs;
@@ -548,9 +510,7 @@ impl RunReportDoc {
                 ("max_rank_sent_bytes", num_u(r.max_rank_sent_bytes)),
                 ("max_rank_sent_msgs", num_u(r.max_rank_sent_msgs)),
                 ("secs_max", num_f(r.secs_max)),
-                ("secs_sum", num_f(r.secs_sum)),
                 ("wait_max", num_f(r.wait_max)),
-                ("wait_sum", num_f(r.wait_sum)),
             ])
         });
         let critical_path = self.critical_path.as_ref().map_or(Json::Null, |rows| {
@@ -608,15 +568,6 @@ impl RunReportDoc {
                     ),
                 )]),
             ),
-            (
-                "wait_per_rank",
-                Json::Arr(
-                    self.wait_per_rank
-                        .iter()
-                        .map(|m| Json::Obj(m.iter().map(|(k, &v)| (k.clone(), num_f(v))).collect()))
-                        .collect(),
-                ),
-            ),
             ("critical_path", critical_path),
             ("compute", compute),
         ])
@@ -663,34 +614,10 @@ impl RunReportDoc {
                 if sim.is_some() { "present" } else { "absent" }
             ));
         }
+        // Checked before anything is sized by `ranks`.
         let ranks = field_u64(&doc, "ranks", "report")? as usize;
-        if ranks == 0 {
-            return Err("ranks must be positive".to_owned());
-        }
-        // Checked before anything is sized by `ranks`: a file cannot claim
-        // more ranks than it lists.
-        let wait_per_rank = field(&doc, "wait_per_rank", "report")?
-            .as_arr()
-            .ok_or("wait_per_rank is not an array")?
-            .iter()
-            .enumerate()
-            .map(|(r, m)| {
-                m.as_obj()
-                    .ok_or_else(|| format!("wait_per_rank[{r}] is not an object"))?
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_f64()
-                            .map(|s| (k.clone(), s))
-                            .ok_or_else(|| format!("wait_per_rank[{r}].{k} is not a number"))
-                    })
-                    .collect::<Result<BTreeMap<_, _>, String>>()
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        if wait_per_rank.len() != ranks {
-            return Err(format!(
-                "wait_per_rank has {} entries, expected {ranks}",
-                wait_per_rank.len()
-            ));
+        if !(1..=MAX_RANKS).contains(&ranks) {
+            return Err(format!("ranks = {ranks} is outside 1..={MAX_RANKS}"));
         }
 
         let phases = field(&doc, "phases", "report")?
@@ -709,9 +636,7 @@ impl RunReportDoc {
                     max_rank_sent_bytes: field_u64(ph, "max_rank_sent_bytes", &what)?,
                     max_rank_sent_msgs: field_u64(ph, "max_rank_sent_msgs", &what)?,
                     secs_max: field_f64(ph, "secs_max", &what)?,
-                    secs_sum: field_f64(ph, "secs_sum", &what)?,
                     wait_max: field_f64(ph, "wait_max", &what)?,
-                    wait_sum: field_f64(ph, "wait_sum", &what)?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -787,7 +712,6 @@ impl RunReportDoc {
             totals,
             matrix,
             hist_by_algo,
-            wait_per_rank,
             critical_path,
             compute,
         };
@@ -957,7 +881,7 @@ impl RunReportDoc {
                             comp,
                             idle,
                             c.imbalance,
-                            1e3 * c.pool.submit_wake_secs
+                            1e3 * c.submit_wake_secs
                         );
                     }
                 }
@@ -1279,7 +1203,7 @@ mod tests {
 
     /// The smallest valid document: one rank that sent nothing.
     const MINIMAL: &str = r#"{
-        "schema_version": 4,
+        "schema_version": 5,
         "kind": "ca3dmm_run_report",
         "time_domain": "wall",
         "sim": null,
@@ -1290,7 +1214,6 @@ mod tests {
         "totals": {"max_rank_bytes": 0, "max_rank_msgs": 0},
         "matrix": {"send": []},
         "histograms": {"by_algo": {}},
-        "wait_per_rank": [{}],
         "critical_path": null,
         "compute": null
     }"#;
@@ -1302,7 +1225,7 @@ mod tests {
             r#"{{"phase": "x", "sent_bytes": {bytes}, "sent_msgs": {msgs},
                 "recv_bytes": {bytes}, "recv_msgs": {msgs},
                 "max_rank_sent_bytes": {bytes}, "max_rank_sent_msgs": {msgs},
-                "secs_max": 0, "secs_sum": 0, "wait_max": 0, "wait_sum": 0}}"#
+                "secs_max": 0, "wait_max": 0}}"#
         );
         let hist = format!(r#"{{"msgs": {msgs}, "bytes": {bytes}, "buckets": {buckets}}}"#);
         MINIMAL
@@ -1323,9 +1246,9 @@ mod tests {
         assert!(!doc.render_dashboard().contains("compute attribution"));
         // Unsupported versions — the previous one and a future one — yield
         // the structured error, not a panic.
-        for version in [3, 99] {
+        for version in [4, 99] {
             let text = MINIMAL.replace(
-                r#""schema_version": 4"#,
+                r#""schema_version": 5"#,
                 &format!(r#""schema_version": {version}"#),
             );
             let e = RunReportDoc::parse(&text).unwrap_err();
@@ -1342,7 +1265,7 @@ mod tests {
         // 24 TB allocation).
         let huge = MINIMAL.replace(r#""ranks": 1,"#, r#""ranks": 1000000000000,"#);
         let e = RunReportDoc::parse(&huge).unwrap_err();
-        assert!(e.contains("wait_per_rank has 1 entries"), "{e}");
+        assert!(e.contains("ranks = 1000000000000 is outside"), "{e}");
         // Two 8-byte messages, listed once, parse; the same cell listed
         // twice is refused rather than merged.
         assert!(RunReportDoc::parse(&one_rank_doc(16, 2, "[[0, 0, 16, 2]]", "[[4, 2]]")).is_ok());
@@ -1368,7 +1291,6 @@ mod tests {
         let doc = RunReportDoc {
             ranks: p,
             matrix: CommMatrix::from_sparse(p, &cells).unwrap(),
-            wait_per_rank: vec![BTreeMap::new(); p],
             ..sample_doc()
         };
         let dash = doc.render_dashboard();
@@ -1477,7 +1399,7 @@ mod tests {
         let mut profiled = doc.clone();
         profiled.compute = Some(vec![None, None]);
 
-        // Compute present on one side only → refused. (Both sides are v3:
+        // Compute present on one side only → refused. (Both sides are v5:
         // `parse` reads no other schema.)
         let errs = gate(&doc, &profiled, None).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("compute block")), "{errs:?}");
@@ -1496,10 +1418,7 @@ mod tests {
                 "compute_secs": 0.5, "idle_secs": 0.5,
                 "pack_bytes": 10, "pack_bound_bytes": 20,
                 "achieved_gflops": 1.0, "kernel": "portable", "peak_gflops": 2.0,
-                "max_width": 4, "imbalance": 1.0, "coverage": 1.0,
-                "dropped_spans": 0,
-                "pool": {"queue_depth_hwm": 0, "submit_wake_secs": 0.0,
-                         "jobs": 0, "regions": 0, "jobs_per_worker": []}
+                "imbalance": 1.0, "coverage": 1.0, "submit_wake_secs": 0.0
             }]"#,
         );
         let e = RunReportDoc::parse(&bad).unwrap_err();

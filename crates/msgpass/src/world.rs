@@ -103,7 +103,7 @@ pub struct RunReport {
     pub sim: Option<SimInfo>,
     /// Per-rank kernel profiles, captured when a *wall-clock* run asked for
     /// them ([`RunOptions::gemm_prof`]). Empty for unprofiled and
-    /// virtual-time runs. Serialized as the schema-v3 `compute` block.
+    /// virtual-time runs. Serialized as the report's `compute` block.
     pub compute: Vec<Option<ComputeProfile>>,
 }
 

@@ -11,14 +11,6 @@ pub struct Placement {
     pub flops_per_rank: f64,
 }
 
-impl Placement {
-    /// Node index of a rank under the block ("column-major contiguous ranks
-    /// per node") mapping the paper's job scripts use.
-    pub fn node_of(&self, rank: usize) -> usize {
-        rank / self.ranks_per_node
-    }
-}
-
 /// An α–β–γ machine: network latency and bandwidth per link class plus a
 /// local GEMM rate. All times in seconds, sizes in bytes.
 #[derive(Clone, Debug, PartialEq)]
@@ -171,9 +163,6 @@ mod tests {
         let hybrid = m.hybrid();
         assert_eq!(hybrid.ranks_per_node, 1);
         assert!((hybrid.flops_per_rank / pure.flops_per_rank - 24.0).abs() < 1e-9);
-        assert_eq!(pure.node_of(0), 0);
-        assert_eq!(pure.node_of(23), 0);
-        assert_eq!(pure.node_of(24), 1);
     }
 
     #[test]

@@ -130,14 +130,6 @@ impl PlanCache {
             capacity: self.capacity,
         }
     }
-
-    /// The cached keys, most recently used first (test/introspection hook).
-    pub fn keys_by_recency(&self) -> Vec<PlanKey> {
-        let inner = self.lock();
-        let mut keys: Vec<(u64, PlanKey)> = inner.map.iter().map(|(k, e)| (e.tick, *k)).collect();
-        keys.sort_by_key(|&(t, _)| std::cmp::Reverse(t));
-        keys.into_iter().map(|(_, k)| k).collect()
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +190,6 @@ mod tests {
         assert!(cache.get(&kb).is_none(), "B was the LRU entry");
         assert!(cache.get(&ka).is_some(), "A survived");
         assert!(cache.get(&kc).is_some(), "C survived");
-        assert_eq!(cache.keys_by_recency(), vec![kc, ka]);
     }
 
     #[test]

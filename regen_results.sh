@@ -86,7 +86,7 @@ if [ "$SIM_ONLY" = 0 ]; then
 
   # The profiled counterpart: the same 4-rank run with the dense::prof
   # kernel profiler capturing, so the committed artifact carries a
-  # schema-v3 compute block (per-rank pack/compute/idle attribution and
+  # compute block (per-rank pack/compute/idle attribution and
   # roofline numbers). CI's artifact-freshness job regenerates this to
   # /tmp and gates the *traffic* exactly against the committed copy —
   # compute timings are host-specific and are only checked for presence

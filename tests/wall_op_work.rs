@@ -62,9 +62,12 @@ const P: usize = 8;
 
 /// Pinned per-op figures: `(allocations, zero-filled bytes)`. Each rank's
 /// partial `C` is created by its first product; zero-filling it instead
-/// adds 8 × 65 536 B (flat) and 8 × 73 728 B (native).
-const FLAT_PER_OP: (u64, u64) = (705, 12_904);
-const NATIVE_PER_OP: (u64, u64) = (381, 13_400);
+/// adds 8 × 65 536 B (flat) and 8 × 73 728 B (native). What is zero-filled
+/// is the 31-slot block of `PersistentWorld::run_job`'s result channel
+/// (`std::sync::mpsc`), so it follows the size of a rank's output,
+/// `dense::KernelProfile` included.
+const FLAT_PER_OP: (u64, u64) = (705, 10_920);
+const NATIVE_PER_OP: (u64, u64) = (381, 11_416);
 /// Slack on the allocation count: rank threads interleave, so a mailbox
 /// may grow on one op and not the next. Zero-filled bytes are exact.
 const SLACK: f64 = 0.02;
