@@ -1,17 +1,16 @@
-//! The CA3DMM executor: Algorithm 1, steps 1–8, on the `msgpass` runtime.
+//! The CA3DMM executor: Algorithm 1 steps 1–3 and 5–7 on the `msgpass`
+//! runtime. Steps 4 and 8, the redistributions from and to user layouts,
+//! wrap it in [`crate::Plan`].
 
 use crate::cannon::{cannon_multi_shift, LocalC};
 use crate::grid3d::{Family, GridComms};
 use crate::grid_ctx::GridContext;
 use crate::replicate::replicate_block;
-use dense::gemm::GemmOp;
 use dense::part::{split_even, Rect};
 use dense::{Mat, Scalar, Shape64};
 use gridopt::{ca3dmm_grid, Grid, Problem, DEFAULT_UTILIZATION_FLOOR};
-use layout::Layout;
 use msgpass::collectives::Collectives;
 use msgpass::{Comm, RankCtx};
-use std::sync::OnceLock;
 
 /// Tuning knobs of a CA3DMM run.
 #[derive(Clone, Copy, Debug)]
@@ -59,7 +58,9 @@ pub struct RunStats {
     pub cuboid: (usize, usize, usize),
 }
 
-/// A configured CA3DMM multiplication `C = op(A) × op(B)` on `P` ranks.
+/// A configured CA3DMM multiplication `C = op(A) × op(B)` on `P` ranks, in
+/// the native layouts. For operands in user layouts build a
+/// [`crate::Plan`], which owns one of these.
 ///
 /// Construction (grid search + geometry) is pure arithmetic and identical
 /// on every rank, so a `Ca3dmm` can be built either once outside
@@ -72,10 +73,6 @@ pub struct Ca3dmm {
     /// Wall seconds the step-1 grid search took (0 for a forced grid).
     /// Re-running the search is exactly the cost a plan cache amortizes.
     grid_search_secs: f64,
-    /// The native `[A, B, C]` layouts, built by the first [`Ca3dmm::multiply`]
-    /// and shared by every rank after it: validating a layout is quadratic
-    /// in `P`, too much to repeat on each of `P` ranks.
-    native_layouts: OnceLock<[Layout; 3]>,
 }
 
 impl Ca3dmm {
@@ -99,7 +96,6 @@ impl Ca3dmm {
             overlap: opts.overlap,
             collectives: opts.collectives,
             grid_search_secs: search_secs,
-            native_layouts: OnceLock::new(),
         }
     }
 
@@ -198,48 +194,6 @@ impl Ca3dmm {
                 prob.k.div_ceil(grid.pk),
             ),
         }
-    }
-
-    /// The full Algorithm 1: redistributes `A` and `B` from the caller's
-    /// layouts into the native distributions (applying `op_a`/`op_b` on the
-    /// way), multiplies, and redistributes `C` into `c_layout`. Collective
-    /// over `world` (which must have `P` ranks); idle ranks participate in
-    /// the redistribution steps only, as in the paper.
-    ///
-    /// `a_layout` describes the *stored* `A` (shape `k×m` when
-    /// `op_a == Trans`), and `a_blocks` are this rank's local blocks in
-    /// that layout; likewise for `B`. Returns this rank's blocks of `C` in
-    /// `c_layout`.
-    #[allow(clippy::too_many_arguments)]
-    pub async fn multiply<T: Scalar>(
-        &self,
-        ctx: &RankCtx,
-        world: &Comm,
-        op_a: GemmOp,
-        a_layout: &Layout,
-        a_blocks: &[Mat<T>],
-        op_b: GemmOp,
-        b_layout: &Layout,
-        b_blocks: &[Mat<T>],
-        c_layout: &Layout,
-    ) -> Vec<Mat<T>> {
-        let gc = &self.gc;
-        let comms = self.comms(ctx, world);
-        let [na, nb, nc] =
-            (self.native_layouts).get_or_init(|| [gc.layout_a(), gc.layout_b(), gc.layout_c()]);
-        layout::multiply_in_layouts(
-            world,
-            ctx,
-            (op_a, a_layout, a_blocks),
-            (op_b, b_layout, b_blocks),
-            c_layout,
-            [na, nb, nc],
-            async |a, b| {
-                self.multiply_native_in_async(ctx, world, &comms, a, b)
-                    .await
-            },
-        )
-        .await
     }
 
     /// Builds the three sub-communicators of this grid (Cannon, replication
@@ -402,9 +356,11 @@ impl Ca3dmm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dense::gemm::gemm_naive;
+    use crate::plan::{Dtype, Plan};
+    use dense::gemm::{gemm_naive, GemmOp};
     use dense::random::global_block;
     use dense::testing::assert_gemm_close;
+    use layout::Layout;
     use msgpass::World;
 
     /// End-to-end CA3DMM vs serial reference, with 1D-column user layouts
@@ -437,16 +393,22 @@ mod tests {
         let b_layout = Layout::one_d_col(br, bc, p);
         let c_layout = Layout::one_d_col(m, n, p);
 
-        let mm = Ca3dmm::new(Problem::new(m, n, k, p), opts);
+        let plan = Plan::build(
+            Problem::new(m, n, k, p),
+            opts,
+            Dtype::F64,
+            op_a,
+            &a_layout,
+            op_b,
+            &b_layout,
+            &c_layout,
+        );
         let parts = World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
             let a_blocks = a_layout.extract(&a_stored, me);
             let b_blocks = b_layout.extract(&b_stored, me);
-            mm.multiply(
-                ctx, &world, op_a, &a_layout, &a_blocks, op_b, &b_layout, &b_blocks, &c_layout,
-            )
-            .await
+            plan.multiply_async(ctx, &world, &a_blocks, &b_blocks).await
         });
 
         let mut c_ref = Mat::zeros(m, n);
@@ -458,6 +420,21 @@ mod tests {
             k,
             &format!("ca3dmm m={m} n={n} k={k} p={p} {op_a:?}{op_b:?}"),
         );
+    }
+
+    /// A default-options plan for `C = A × B` in the given layouts.
+    fn nn_plan(prob: Problem, dtype: Dtype, la: &Layout, lb: &Layout, lc: &Layout) -> Plan {
+        let opts = Ca3dmmOptions::default();
+        Plan::build(
+            prob,
+            &opts,
+            dtype,
+            GemmOp::NoTrans,
+            la,
+            GemmOp::NoTrans,
+            lb,
+            lc,
+        )
     }
 
     #[test]
@@ -555,22 +532,12 @@ mod tests {
         let la = Layout::one_d_col(m, k, p);
         let lb = Layout::one_d_col(k, n, p);
         let lc = Layout::one_d_col(m, n, p);
-        let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
+        let plan = nn_plan(Problem::new(m, n, k, p), Dtype::F32, &la, &lb, &lc);
         let parts = World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
-            mm.multiply(
-                ctx,
-                &world,
-                GemmOp::NoTrans,
-                &la,
-                &la.extract(&a, me),
-                GemmOp::NoTrans,
-                &lb,
-                &lb.extract(&b, me),
-                &lc,
-            )
-            .await
+            plan.multiply_async(ctx, &world, &la.extract(&a, me), &lb.extract(&b, me))
+                .await
         });
         let mut c_ref = Mat::<f32>::zeros(m, n);
         gemm_naive(
@@ -605,22 +572,12 @@ mod tests {
         let la = Layout::one_d_col(m, k, p);
         let lb = Layout::one_d_col(k, n, p);
         let lc = Layout::one_d_col(m, n, p);
-        let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
+        let plan = nn_plan(Problem::new(m, n, k, p), Dtype::F64, &la, &lb, &lc);
         let (_, report) = World::run_traced(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
-            mm.multiply(
-                ctx,
-                &world,
-                GemmOp::NoTrans,
-                &la,
-                &la.extract(&a, me),
-                GemmOp::NoTrans,
-                &lb,
-                &lb.extract(&b, me),
-                &lc,
-            )
-            .await
+            plan.multiply_async(ctx, &world, &la.extract(&a, me), &lb.extract(&b, me))
+                .await
         });
         assert!(report.phase_total("redist").bytes > 0);
         assert!(

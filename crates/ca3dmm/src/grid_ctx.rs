@@ -112,13 +112,6 @@ impl GridContext {
         self.geo.tile_coord(c.cg, (c.i, c.j), c.kt)
     }
 
-    /// The k-range `[start, end)` of k-task group `kt` (the rank-`k/pk`
-    /// update it owns).
-    pub fn k_outer(&self, kt: usize) -> (usize, usize) {
-        let blk = self.geo.a_block(0, kt);
-        (blk.col0, blk.col_end())
-    }
-
     /// Global rectangle of the (skew-free) Cannon block of `A` at a
     /// coordinate: its row part × the `j`-th of the `s` k-sub-ranges Cannon
     /// circulates within the k-task group.
@@ -270,9 +263,6 @@ mod tests {
         // Paper Example 2: m=n=32, k=64, P=16, grid 2x2x4.
         let g = ctx(32, 32, 64, 16, 2, 2, 4);
         assert_eq!((g.s, g.c), (2, 1));
-        // k-task group kt computes A(:, kt*16..) x B(kt*16.., :)
-        assert_eq!(g.k_outer(0), (0, 16));
-        assert_eq!(g.k_outer(3), (48, 64));
         // ranks 0,4,8,12 share C(0..16, 0..16)
         let c0 = g.coord_of(0);
         assert_eq!(g.reduce_group(&c0), vec![0, 4, 8, 12]);

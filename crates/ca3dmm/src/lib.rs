@@ -23,9 +23,11 @@
 //! 6. **Reduction** (step 7) — [`reduce`]: reduce-scatter of the `pk`
 //!    partial results of each C block into row strips.
 //!
-//! [`exec::Ca3dmm`] orchestrates a real distributed run on the `msgpass`
-//! runtime; [`model`] builds the equivalent [`netmodel::Schedule`] and the
-//! eq. 11 memory estimate for paper-scale cost evaluation. The CA3DMM-S
+//! [`Plan`] runs the whole of Algorithm 1 on user layouts: built once per
+//! shape, it runs any number of multiplies. [`exec::Ca3dmm`] is its native
+//! part (steps 1–3 and 5–7) on the `msgpass` runtime; [`model`] builds the
+//! equivalent [`netmodel::Schedule`] and the eq. 11 memory estimate for
+//! paper-scale cost evaluation. The CA3DMM-S
 //! ablation variant (§III-E, SUMMA inside the k-task groups) lives with
 //! the other plain-grid algorithms, in `baselines::summa`.
 //!

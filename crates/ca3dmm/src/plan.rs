@@ -1,19 +1,20 @@
-//! Reusable multiplication plans (the `ca3dmm-serve` plan cache's unit).
+//! Multiplication plans: Algorithm 1 on user layouts, built once and run
+//! any number of times — the one user-layout entry point, and the unit of
+//! the `ca3dmm-serve` plan cache.
 //!
 //! [`Ca3dmm::new`] + the redistribution geometry of Algorithm 1 steps 4/8
-//! are pure arithmetic, identical for every request with the same
-//! `(m, n, k, p, ops, layouts, options)` — exactly the part a long-running
-//! PGEMM service should pay once per shape, not once per request. A
-//! [`Plan`] bundles the solved grid ([`Ca3dmm`], including its precomputed
-//! sub-communicator membership) with the three [`RedistPlan`]s
-//! (user A → native A, user B → native B, native C → user C), and a
-//! [`PlanKey`] identifies it in a cache.
+//! are pure arithmetic, identical for every multiply with the same
+//! `(m, n, k, p, ops, layouts, options)` — exactly the part an iterative
+//! application or a long-running PGEMM service should pay once per shape,
+//! not once per multiply. A [`Plan`] bundles the solved grid ([`Ca3dmm`],
+//! including its precomputed sub-communicator membership) with the three
+//! [`RedistPlan`]s (user A → native A, user B → native B, native C → user
+//! C), and a [`PlanKey`] identifies it in a cache.
 //!
-//! Determinism: [`Plan::multiply_async`] delegates to the same step 5–7
-//! code as [`Ca3dmm::multiply`] and to [`layout::multiply_planned`], which is
-//! bitwise identical to the on-the-fly path — so a cached plan produces
-//! exactly the bytes a fresh [`Ca3dmm::multiply`] would (property-tested in
-//! this module).
+//! Determinism: [`Plan::multiply_async`] runs [`layout::multiply_planned`]
+//! around [`Ca3dmm::multiply_native_in_async`], and neither depends on how
+//! many multiplies the plan has run — so a cached plan produces exactly the
+//! bytes a freshly built one would (property-tested in this module).
 
 use crate::exec::{Ca3dmm, Ca3dmmOptions};
 use crate::grid3d::GridComms;
@@ -158,17 +159,17 @@ impl Plan {
         b_layout: &Layout,
         c_layout: &Layout,
     ) -> Plan {
+        assert_eq!(
+            c_layout.nranks(),
+            prob.p,
+            "C layout must span exactly P ranks"
+        );
         let t0 = std::time::Instant::now();
         let mm = Ca3dmm::new(prob, opts);
         let gc = mm.grid_context();
         let redist_a = RedistPlan::new(a_layout, &gc.layout_a(), op_a);
         let redist_b = RedistPlan::new(b_layout, &gc.layout_b(), op_b);
         let redist_c = RedistPlan::new(&gc.layout_c(), c_layout, GemmOp::NoTrans);
-        assert_eq!(
-            c_layout.nranks(),
-            prob.p,
-            "C layout must span exactly P ranks"
-        );
         Plan {
             mm,
             opts: *opts,
@@ -251,9 +252,16 @@ impl Plan {
         ctx.block_on(self.multiply_async(ctx, world, a_blocks, b_blocks))
     }
 
-    /// Algorithm 1 via the precomputed programs — semantically (and
-    /// bitwise) identical to [`Ca3dmm::multiply`] with this plan's
-    /// layouts/ops. Collective over `world` (`P` ranks).
+    /// The full Algorithm 1 via the precomputed programs: redistributes `A`
+    /// and `B` from this plan's layouts into the native distributions
+    /// (applying `op_a`/`op_b` on the way), multiplies, and redistributes
+    /// `C` into the plan's `C` layout. Collective over `world` (`P` ranks);
+    /// idle ranks take part in the redistribution steps only, as in the
+    /// paper.
+    ///
+    /// `a_blocks` are this rank's blocks of the stored `A` in
+    /// [`Plan::a_layout`] (shape `k×m` when `op_a == Trans`); likewise for
+    /// `B`. Returns this rank's blocks of `C` in [`Plan::c_layout`].
     pub async fn multiply_async<T: Scalar>(
         &self,
         ctx: &RankCtx,
@@ -345,6 +353,7 @@ mod tests {
     use msgpass::World;
     use proptest::prelude::*;
 
+    /// One multiply through a plan built for it alone.
     #[allow(clippy::too_many_arguments)]
     fn run_fresh(
         prob: Problem,
@@ -356,22 +365,13 @@ mod tests {
         a: &Mat<f64>,
         b: &Mat<f64>,
     ) -> Vec<Vec<Mat<f64>>> {
-        let mm = Ca3dmm::new(prob, &Ca3dmmOptions::default());
+        let opts = Ca3dmmOptions::default();
+        let plan = Plan::build(prob, &opts, Dtype::F64, op_a, la, op_b, lb, lc);
         World::run(prob.p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
-            mm.multiply(
-                ctx,
-                &world,
-                op_a,
-                la,
-                &la.extract(a, me),
-                op_b,
-                lb,
-                &lb.extract(b, me),
-                lc,
-            )
-            .await
+            plan.multiply_async(ctx, &world, &la.extract(a, me), &lb.extract(b, me))
+                .await
         })
     }
 
@@ -399,10 +399,9 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
-        /// The serve cache's core contract: running through a cached
-        /// (pre-built, reused) Plan is bitwise identical to a fresh
-        /// Ca3dmm::multiply, for every rank and block — including when the
-        /// plan is reused back-to-back in one batch.
+        /// The serve cache's core contract: one Plan reused back-to-back
+        /// across a batch is bitwise identical, for every rank, block and
+        /// repetition, to a Plan built for a single multiply.
         #[test]
         fn cached_plan_reuse_is_bitwise_identical(
             m in 1usize..40,
@@ -424,12 +423,12 @@ mod tests {
             let prob = Problem::new(m, n, k, p);
 
             let fresh = run_fresh(prob, op_a, op_b, &la, &lb, &lc, &a, &b);
-            let plan = Plan::build(
+            let reused = Plan::build(
                 prob, &Ca3dmmOptions::default(), Dtype::F64,
                 op_a, &la, op_b, &lb, &lc,
             );
             // two batched reps through the same plan: both must equal fresh
-            let planned = run_planned(&plan, p, &a, &b, 2);
+            let planned = run_planned(&reused, p, &a, &b, 2);
             for (rank, (f, reps)) in fresh.iter().zip(&planned).enumerate() {
                 for (rep, got) in reps.iter().enumerate() {
                     prop_assert_eq!(f.len(), got.len(), "rank {} rep {} block count", rank, rep);
@@ -537,5 +536,49 @@ mod tests {
         );
         assert_eq!(plan.key(), direct);
         assert!(plan.build_secs() >= 0.0);
+    }
+
+    /// `C = op_a(A) × B` with `m, n, k = 8, 10, 6` on `p = 4` ranks.
+    fn build_8x10x6(op_a: GemmOp, la: &Layout, lb: &Layout, lc: &Layout) -> Plan {
+        let opts = Ca3dmmOptions::default();
+        let prob = Problem::new(8, 10, 6, 4);
+        Plan::build(prob, &opts, Dtype::F64, op_a, la, GemmOp::NoTrans, lb, lc)
+    }
+
+    #[test]
+    #[should_panic(expected = "dst layout shape must equal op(src) shape")]
+    fn build_rejects_an_operand_shape_that_disagrees_with_the_problem() {
+        // op(A) = Aᵀ is 6×8 where the problem needs m×k = 8×6
+        let la = Layout::one_d_col(8, 6, 4);
+        build_8x10x6(
+            GemmOp::Trans,
+            &la,
+            &Layout::one_d_col(6, 10, 4),
+            &Layout::one_d_col(8, 10, 4),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "C layout must span exactly P ranks")]
+    fn build_rejects_a_c_layout_over_another_rank_count() {
+        let lc = Layout::one_d_col(8, 10, 5);
+        build_8x10x6(
+            GemmOp::NoTrans,
+            &Layout::one_d_col(8, 6, 4),
+            &Layout::one_d_col(6, 10, 4),
+            &lc,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "src/dst layouts span different rank counts")]
+    fn build_rejects_an_operand_layout_over_another_rank_count() {
+        let la = Layout::one_d_col(8, 6, 3);
+        build_8x10x6(
+            GemmOp::NoTrans,
+            &la,
+            &Layout::one_d_col(6, 10, 4),
+            &Layout::one_d_col(8, 10, 4),
+        );
     }
 }

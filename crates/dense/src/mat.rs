@@ -172,17 +172,6 @@ impl<T: Scalar> Mat<T> {
         }
     }
 
-    /// Accumulates `src` into the sub-block at `rect` (`self[rect] += src`).
-    pub fn add_block(&mut self, rect: Rect, src: &Mat<T>) {
-        assert_eq!((rect.rows, rect.cols), src.shape(), "block shape mismatch");
-        for i in 0..rect.rows {
-            let dst = (rect.row0 + i) * self.cols + rect.col0;
-            for (d, s) in self.data[dst..dst + rect.cols].iter_mut().zip(src.row(i)) {
-                *d += *s;
-            }
-        }
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Mat<T> {
         let mut out = Mat::zeros(self.cols, self.rows);
@@ -302,16 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn add_block_accumulates() {
-        let mut m = Mat::from_fn(3, 3, |_, _| 1.0f64);
-        let b = Mat::from_fn(2, 2, |_, _| 2.0f64);
-        m.add_block(Rect::new(1, 1, 2, 2), &b);
-        assert_eq!(m.get(0, 0), 1.0);
-        assert_eq!(m.get(1, 1), 3.0);
-        assert_eq!(m.get(2, 2), 3.0);
-    }
-
-    #[test]
     fn transpose_small_and_rect() {
         let m = Mat::from_fn(2, 3, |i, j| (i * 3 + j) as f64);
         let t = m.transpose();
@@ -368,7 +347,6 @@ mod tests {
         let b = m.block(r);
         assert_eq!(b.shape(), (N - 7, N / 2));
         m.set_block(r, &b);
-        m.add_block(Rect::new(0, 0, 5, 9), &Mat::zeros(5, 9));
         assert_eq!(m.shape(), (N, N));
 
         let v = b.into_vec();

@@ -10,17 +10,19 @@
 //! each receiver copies its elements once (see [`redist`]).
 //!
 //! A [`Layout`] assigns every element of a global matrix to exactly one rank
-//! as a list of rectangles per rank; [`redistribute`] moves data between any
-//! two layouts over the same communicator by rectangle intersection + a
-//! neighbour all-to-all, optionally applying a transpose on the way (this is
-//! how CA3DMM "utilizes the redistribution steps of A and B for computing
-//! `C = op(A) × op(B)`").
+//! as a list of rectangles per rank. A [`RankRedistPlan`] is one rank's
+//! program for moving data between any two layouts over the same
+//! communicator — rectangle intersections computed once — and
+//! [`redistribute_planned_async`] runs it as a neighbour all-to-all,
+//! optionally applying a transpose on the way (this is how CA3DMM
+//! "utilizes the redistribution steps of A and B for computing
+//! `C = op(A) × op(B)`"). [`multiply_planned`] wraps a native-layout
+//! multiply in the two redistribution steps.
 
 pub mod dist;
 pub mod redist;
 
 pub use dist::Layout;
 pub use redist::{
-    multiply_in_layouts, multiply_planned, redistribute, redistribute_planned,
-    redistribute_planned_async, RankRedistPlan, RedistPlan,
+    multiply_planned, redistribute_planned, redistribute_planned_async, RankRedistPlan, RedistPlan,
 };

@@ -31,12 +31,12 @@
 //! zero-filled; no staging buffer exists, and the source blocks are freed
 //! when their last reader drops them.
 //!
-//! Two entry points share this one engine: [`redistribute`] computes the
-//! rectangle intersections on the fly (one-shot calls), while a
-//! [`RedistPlan`] precomputes them once per `(src, dst, op)` triple so an
-//! iterative caller — or the `ca3dmm-serve` plan cache — pays the geometry
-//! only on the first multiply of a shape. Both execute the same program, so
-//! their results are bitwise identical.
+//! A [`RankRedistPlan`] is one rank's program for a fixed `(src, dst, op)`
+//! triple and a [`RedistPlan`] every rank's: the rectangle intersections
+//! are computed once, so an iterative caller — or the `ca3dmm-serve` plan
+//! cache — pays the geometry only on the first multiply of a shape.
+//! [`redistribute_planned_async`] executes a program; a one-off exchange
+//! builds its rank's plan with [`RankRedistPlan::new`] and runs it at once.
 
 use crate::dist::Layout;
 use dense::gemm::GemmOp;
@@ -303,14 +303,16 @@ pub fn redistribute_planned<T: Scalar>(
     ctx.block_on(redistribute_planned_async(comm, ctx, plan, src_blocks))
 }
 
-/// Executes a precomputed redistribution program. Collective over `comm`
-/// (which must span the plan's rank count); semantically identical to
-/// [`redistribute`] on the layouts the plan was built from, without
-/// recomputing any rectangle intersection. The borrowed blocks are cloned
-/// once so the peers can read them.
+/// Moves a distributed matrix from the plan's `src` layout (describing
+/// `X`) to its `dst` layout (describing `op(X)`), applying the transpose
+/// while gathering when `op == Trans`. Collective over `comm` (which must
+/// span the plan's rank count); every rank passes its local blocks (one
+/// [`Mat`] per owned rectangle of `src`, in order) and receives its local
+/// blocks of `dst`. No rectangle intersection is recomputed. The borrowed
+/// blocks are cloned once so the peers can read them.
 ///
 /// # Panics
-/// If the local blocks disagree with the plan's source rectangles.
+/// If the communicator size or the local blocks disagree with the plan.
 pub async fn redistribute_planned_async<T: Scalar>(
     comm: &Comm,
     ctx: &RankCtx,
@@ -404,34 +406,6 @@ fn gather<T: Scalar>(block: &DstBlock, op: GemmOp, sources: &[&[Mat<T>]]) -> Mat
     Mat::from_vec(rows, cols, data)
 }
 
-/// Moves a distributed matrix from `src` (describing `X`) to `dst`
-/// (describing `op(X)`), applying the transpose while gathering when
-/// `op == Trans`. Collective over `comm`; every rank passes its local
-/// blocks (one [`Mat`] per owned rectangle of `src`, in order) and receives
-/// its local blocks of the destination layout.
-///
-/// This is the paper's pack → `MPI_Neighbor_alltoallv` → unpack subroutine
-/// (§III-F) with the same messages and the same charged bytes — the pieces
-/// each peer needs — but each element is copied only once, by the rank
-/// that receives it (see the module docs). Internally it builds this
-/// rank's [`RankRedistPlan`] on the fly and executes it, so it is bitwise
-/// identical to the planned path.
-///
-/// # Panics
-/// On shape mismatches between the layouts, the communicator, and the local
-/// blocks.
-pub async fn redistribute<T: Scalar>(
-    comm: &Comm,
-    ctx: &RankCtx,
-    src: &Layout,
-    src_blocks: &[Mat<T>],
-    dst: &Layout,
-    op: GemmOp,
-) -> Vec<Mat<T>> {
-    let plan = RankRedistPlan::new(src, dst, op, comm.rank());
-    redistribute_planned_async(comm, ctx, &plan, src_blocks).await
-}
-
 /// Algorithm 1 steps 4 and 8 around a native-layout multiply, shared by
 /// every algorithm (the paper's unified view: they differ only in the native
 /// layouts and in what happens between the two redistributions).
@@ -464,40 +438,6 @@ pub async fn multiply_planned<T: Scalar>(
     gather_shared(c_shared, world, ctx, redist_c).await
 }
 
-/// [`multiply_planned`] for one-shot callers: `a` and `b` are
-/// `(op, layout of the stored matrix, this rank's blocks)`, `native` the
-/// algorithm's `[A, B, C]` layouts; this rank's three redistribution
-/// programs are computed on the fly and the borrowed blocks cloned.
-///
-/// # Panics
-/// On shape or rank-count mismatches between the layouts and `world`.
-pub async fn multiply_in_layouts<T: Scalar>(
-    world: &Comm,
-    ctx: &RankCtx,
-    (op_a, a_layout, a_blocks): (GemmOp, &Layout, &[Mat<T>]),
-    (op_b, b_layout, b_blocks): (GemmOp, &Layout, &[Mat<T>]),
-    c_layout: &Layout,
-    [native_a, native_b, native_c]: [&Layout; 3],
-    multiply_native: impl AsyncFnOnce(Option<Mat<T>>, Option<Mat<T>>) -> Option<Mat<T>>,
-) -> Vec<Mat<T>> {
-    let me = world.rank();
-    multiply_planned(
-        world,
-        ctx,
-        (
-            &RankRedistPlan::new(a_layout, native_a, op_a, me),
-            a_blocks.to_vec(),
-        ),
-        (
-            &RankRedistPlan::new(b_layout, native_b, op_b, me),
-            b_blocks.to_vec(),
-        ),
-        &RankRedistPlan::new(native_c, c_layout, GemmOp::NoTrans, me),
-        multiply_native,
-    )
-    .await
-}
-
 /// The overlap of a destination rectangle (in `op(X)` coordinates) with a
 /// source rectangle (in `X` coordinates), expressed in destination
 /// coordinates.
@@ -527,7 +467,8 @@ mod tests {
         let results = World::run(p, async |ctx| {
             let comm = Comm::world(ctx);
             let mine = src.extract(&global, comm.rank());
-            redistribute(&comm, ctx, &src, &mine, &dst, op).await
+            let plan = RankRedistPlan::new(&src, &dst, op, comm.rank());
+            redistribute_planned_async(&comm, ctx, &plan, &mine).await
         });
         for (rank, got) in results.iter().enumerate() {
             let want = dst.extract(&expect_global, rank);
@@ -642,36 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_path_is_bitwise_identical_to_direct() {
-        // The daemon's plan cache depends on this: a precomputed
-        // RedistPlan must produce exactly the bytes the on-the-fly path
-        // produces, block for block.
-        let (rows, cols, p) = (11, 13, 5);
-        let src = Layout::one_d_col(rows, cols, p);
-        let dst = Layout::two_d_block(cols, rows, 5, 1);
-        let op = GemmOp::Trans;
-        let plan = RedistPlan::new(&src, &dst, op);
-        assert_eq!(plan.nranks(), p);
-        let global = random_mat::<f64>(rows, cols, 99);
-        let direct = World::run(p, async |ctx| {
-            let comm = Comm::world(ctx);
-            let mine = src.extract(&global, comm.rank());
-            redistribute(&comm, ctx, &src, &mine, &dst, op).await
-        });
-        let planned = World::run(p, async |ctx| {
-            let comm = Comm::world(ctx);
-            let mine = src.extract(&global, comm.rank());
-            redistribute_planned_async(&comm, ctx, plan.for_rank(comm.rank()), &mine).await
-        });
-        for (rank, (d, pl)) in direct.iter().zip(&planned).enumerate() {
-            assert_eq!(d.len(), pl.len(), "rank {rank} block count");
-            for (a, b) in d.iter().zip(pl) {
-                assert_eq!(a.as_slice(), b.as_slice(), "rank {rank} differs");
-            }
-        }
-    }
-
-    #[test]
     fn redistribution_traffic_excludes_local_data() {
         // identity redistribution must move zero bytes
         let l = Layout::one_d_col(8, 8, 4);
@@ -680,7 +591,8 @@ mod tests {
             let comm = Comm::world(ctx);
             ctx.set_phase("redist");
             let mine = l.extract(&global, comm.rank());
-            redistribute(&comm, ctx, &l, &mine, &l, GemmOp::NoTrans).await
+            let plan = RankRedistPlan::new(&l, &l, GemmOp::NoTrans, comm.rank());
+            redistribute_planned_async(&comm, ctx, &plan, &mine).await
         });
         assert_eq!(report.phase_total("redist").bytes, 0);
     }

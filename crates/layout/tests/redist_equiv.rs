@@ -11,7 +11,9 @@ use dense::gemm::GemmOp;
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::{Mat, Scalar, Shape64};
-use layout::{redistribute, redistribute_planned, redistribute_planned_async, Layout, RedistPlan};
+use layout::{
+    redistribute_planned, redistribute_planned_async, Layout, RankRedistPlan, RedistPlan,
+};
 use msgpass::{Comm, RunReport, SimOptions, SizeHistogram, World};
 use netmodel::Machine;
 use proptest::prelude::*;
@@ -127,20 +129,22 @@ fn check<T: Scalar>(src: &Layout, dst: &Layout, op: GemmOp) {
         GemmOp::NoTrans => global.clone(),
         GemmOp::Trans => global.transpose(),
     };
-    let (direct, direct_report) = run(src, &global, async |comm, ctx, mine| {
-        redistribute(comm, ctx, src, mine, dst, op).await
+    // One path builds each rank's program on that rank, the other shares
+    // one prebuilt `RedistPlan` and goes through the blocking façade.
+    let (rank_built, rank_built_report) = run(src, &global, async |comm, ctx, mine| {
+        let plan = RankRedistPlan::new(src, dst, op, comm.rank());
+        redistribute_planned_async(comm, ctx, &plan, mine).await
     });
-    // The planned path goes through the blocking façade, on rank threads.
     let plan = RedistPlan::new(src, dst, op);
     let (planned, planned_report) = run(src, &global, async |comm, ctx, mine| {
         redistribute_planned(comm, ctx, plan.for_rank(comm.rank()), mine)
     });
     for rank in 0..src.nranks() {
         let want = dst.extract(&expect, rank);
-        assert_eq!(direct[rank], want, "rank {rank}, one-shot path");
-        assert_eq!(planned[rank], want, "rank {rank}, planned path");
+        assert_eq!(rank_built[rank], want, "rank {rank}, rank-built plan");
+        assert_eq!(planned[rank], want, "rank {rank}, shared plan");
     }
-    assert_pack_traffic::<T>(&direct_report, src, dst, op);
+    assert_pack_traffic::<T>(&rank_built_report, src, dst, op);
     assert_pack_traffic::<T>(&planned_report, src, dst, op);
 }
 
@@ -236,7 +240,8 @@ fn observed(src: &Layout, dst: &Layout, op: GemmOp) -> Pinned {
     let (rows, cols) = src.shape();
     let global = global_block::<f64>(99, Rect::full(rows, cols));
     let (_, report) = run(src, &global, async |comm, ctx, mine| {
-        redistribute(comm, ctx, src, mine, dst, op).await
+        let plan = RankRedistPlan::new(src, dst, op, comm.rank());
+        redistribute_planned_async(comm, ctx, &plan, mine).await
     });
     let t = &report.traffic;
     let per_rank = (0..src.nranks())
@@ -261,8 +266,7 @@ fn pinned_traffic_of_the_pack_based_engine() {
         observed(&l, &l, GemmOp::NoTrans),
         (vec![(0, 0, 0, 0); 4], vec![])
     );
-    // redist.rs `planned_path_is_bitwise_identical_to_direct`: column
-    // blocks of X are row blocks of Xᵀ, so nothing leaves its rank
+    // column blocks of X are row blocks of Xᵀ, so nothing leaves its rank
     assert_eq!(
         observed(
             &Layout::one_d_col(11, 13, 5),

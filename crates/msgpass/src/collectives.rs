@@ -263,7 +263,7 @@ impl<P: Payload> PostedExchange<P> {
 /// payloads in the order of `sources`. A peer that is not named gets no
 /// message, not an empty one. `P` is any payload — `Vec<T>` buffers, or a
 /// shared handle charged as the bytes its receiver reads
-/// (`layout::redistribute`).
+/// (`layout::redistribute_planned_async`).
 pub async fn neighbor_alltoallv<P: Payload>(
     comm: &Comm,
     ctx: &RankCtx,

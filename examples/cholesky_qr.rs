@@ -16,7 +16,7 @@
 //! cargo run --release --example cholesky_qr -- [nprocs] [m] [n]
 //! ```
 
-use ca3dmm::{Ca3dmm, Ca3dmmOptions};
+use ca3dmm::{Ca3dmmOptions, Dtype, Plan};
 use dense::gemm::GemmOp;
 use dense::Mat;
 use gridopt::Problem;
@@ -38,16 +38,39 @@ fn main() {
     // Small matrices are 1D column partitioned across ranks.
     let g_layout = Layout::one_d_col(n, n, nprocs);
 
-    // Step 1: G = A^T A  (large-K: n x n x m)
-    let gram = Ca3dmm::new(Problem::new(n, n, m, nprocs), &Ca3dmmOptions::default());
-    let gg = gram.stats().grid;
+    // R^{-1} enters replicated; CA3DMM gets the copy on rank 0.
+    let rinv_layout = Layout::on_single_rank(n, n, nprocs, 0);
+    let opts = Ca3dmmOptions::default();
+
+    // Step 1: G = A^T A  (large-K: n x n x m), op(A) = Trans with the stored
+    // A layout for both sides; step 4 reuses the plan for Q^T Q.
+    let gram = Plan::build(
+        Problem::new(n, n, m, nprocs),
+        &opts,
+        Dtype::F64,
+        GemmOp::Trans,
+        &a_layout,
+        GemmOp::NoTrans,
+        &a_layout,
+        &g_layout,
+    );
+    let gg = gram.ca3dmm().stats().grid;
     println!(
         "Gram PGEMM grid (n x n x m): {} x {} x {}",
         gg.pm, gg.pn, gg.pk
     );
-    // Step 3: Q = A R^{-1}  (large-M: m x n x n)
-    let apply = Ca3dmm::new(Problem::new(m, n, n, nprocs), &Ca3dmmOptions::default());
-    let ga = apply.stats().grid;
+    // Step 3: Q = A R^{-1}  (large-M: m x n x n), Q in A's row layout.
+    let apply = Plan::build(
+        Problem::new(m, n, n, nprocs),
+        &opts,
+        Dtype::F64,
+        GemmOp::NoTrans,
+        &a_layout,
+        GemmOp::NoTrans,
+        &rinv_layout,
+        &a_layout,
+    );
+    let ga = apply.ca3dmm().stats().grid;
     println!(
         "Apply PGEMM grid (m x n x n): {} x {} x {}",
         ga.pm, ga.pn, ga.pk
@@ -74,20 +97,8 @@ fn main() {
             })
             .collect();
 
-        // G = A^T A: op(A) = Trans with the stored A layout for both sides.
-        let g_parts = gram
-            .multiply(
-                ctx,
-                &world,
-                GemmOp::Trans,
-                &a_layout,
-                &a_blocks,
-                GemmOp::NoTrans,
-                &a_layout,
-                &a_blocks,
-                &g_layout,
-            )
-            .await;
+        // G = A^T A
+        let g_parts = gram.multiply_async(ctx, &world, &a_blocks, &a_blocks).await;
         // replicate G on every rank (it is tiny) and factorize redundantly
         let mine: Vec<f64> = g_parts.iter().flat_map(|b| b.as_slice().to_vec()).collect();
         let counts: Vec<usize> = (0..nprocs).map(|r| g_layout.owned_elems(r)).collect();
@@ -96,38 +107,14 @@ fn main() {
         let r_up = cholesky_upper(&g_full);
         let r_inv = upper_triangular_inverse(&r_up);
 
-        // Q = A R^{-1}: R^{-1} enters replicated; hand CA3DMM the copy on
-        // rank 0 (a single-rank layout) and keep Q in A's row layout.
-        let rinv_layout = Layout::on_single_rank(n, n, nprocs, 0);
+        // Q = A R^{-1}
         let rinv_blocks = if me == 0 { vec![r_inv] } else { vec![] };
         let q_parts = apply
-            .multiply(
-                ctx,
-                &world,
-                GemmOp::NoTrans,
-                &a_layout,
-                &a_blocks,
-                GemmOp::NoTrans,
-                &rinv_layout,
-                &rinv_blocks,
-                &a_layout,
-            )
+            .multiply_async(ctx, &world, &a_blocks, &rinv_blocks)
             .await;
 
         // Verify: ||Q^T Q - I||_max via one more large-K PGEMM.
-        let qtq_parts = gram
-            .multiply(
-                ctx,
-                &world,
-                GemmOp::Trans,
-                &a_layout,
-                &q_parts,
-                GemmOp::NoTrans,
-                &a_layout,
-                &q_parts,
-                &g_layout,
-            )
-            .await;
+        let qtq_parts = gram.multiply_async(ctx, &world, &q_parts, &q_parts).await;
         let mut err = 0.0f64;
         for (rect, blk) in g_layout.owned(me).iter().zip(&qtq_parts) {
             for i in 0..rect.rows {

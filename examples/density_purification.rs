@@ -22,7 +22,7 @@
 //! cargo run --release --example density_purification -- [nprocs] [n] [iters]
 //! ```
 
-use ca3dmm::{Ca3dmm, Ca3dmmOptions};
+use ca3dmm::{Ca3dmmOptions, Dtype, Plan};
 use dense::gemm::GemmOp;
 use dense::Mat;
 use gridopt::Problem;
@@ -64,17 +64,26 @@ fn main() {
     let iters: usize = args.get(2).map(|s| s.parse().unwrap()).unwrap_or(30);
 
     println!("McWeeny purification: n = {n}, {nprocs} ranks, {iters} iterations");
-    let prob = Problem::new(n, n, n, nprocs);
-    let mm = Ca3dmm::new(prob, &Ca3dmmOptions::default());
-    let g = mm.stats().grid;
-    println!("CA3DMM grid: {} x {} x {}\n", g.pm, g.pn, g.pk);
-
     // P lives in a 2D block layout between iterations (a "natural"
     // application layout; CA3DMM redistributes it in and out each call).
     let pr = (nprocs as f64).sqrt().floor() as usize;
     let pc = nprocs / pr;
     let layout = Layout::two_d_block(n, n, pr, pc);
     let layout_all = pad_layout(layout, nprocs, n);
+    // Both products of every iteration, P·P and P²·P, have the same shape
+    // and layouts: one plan serves all 2·iters multiplies.
+    let plan = Plan::build(
+        Problem::new(n, n, n, nprocs),
+        &Ca3dmmOptions::default(),
+        Dtype::F64,
+        GemmOp::NoTrans,
+        &layout_all,
+        GemmOp::NoTrans,
+        &layout_all,
+        &layout_all,
+    );
+    let g = plan.ca3dmm().stats().grid;
+    println!("CA3DMM grid: {} x {} x {}\n", g.pm, g.pn, g.pk);
 
     let traces = World::run(nprocs, async |ctx| {
         let world = Comm::world(ctx);
@@ -89,33 +98,9 @@ fn main() {
         let mut history = Vec::new();
         for it in 0..iters {
             // P2 = P * P
-            let p2 = mm
-                .multiply(
-                    ctx,
-                    &world,
-                    GemmOp::NoTrans,
-                    &layout_all,
-                    &p,
-                    GemmOp::NoTrans,
-                    &layout_all,
-                    &p,
-                    &layout_all,
-                )
-                .await;
+            let p2 = plan.multiply_async(ctx, &world, &p, &p).await;
             // P3 = P2 * P
-            let p3 = mm
-                .multiply(
-                    ctx,
-                    &world,
-                    GemmOp::NoTrans,
-                    &layout_all,
-                    &p2,
-                    GemmOp::NoTrans,
-                    &layout_all,
-                    &p,
-                    &layout_all,
-                )
-                .await;
+            let p3 = plan.multiply_async(ctx, &world, &p2, &p).await;
             // local diagnostics before the update: idempotency and trace
             let mut idem2 = 0.0f64;
             let mut trace = 0.0f64;

@@ -21,7 +21,7 @@
 //! serial reference. As in the artifact, the input A and B and the output C
 //! use a 1D column partitioning.
 
-use ca3dmm::{memory_elements_per_rank, Ca3dmm, Ca3dmmOptions};
+use ca3dmm::{memory_elements_per_rank, Ca3dmmOptions, Dtype, Plan};
 use dense::gemm::{gemm, GemmOp};
 use dense::part::Rect;
 use dense::random::global_block;
@@ -68,17 +68,38 @@ fn main() {
     println!("Check result correctness    : {}", validate as u8);
     println!("Number of ranks (threads)   : {nprocs}");
 
+    // Stored shapes honour the transpose flags, as in the artifact.
+    let (ar, ac) = match trans_a {
+        GemmOp::NoTrans => (m, k),
+        GemmOp::Trans => (k, m),
+    };
+    let (br, bc) = match trans_b {
+        GemmOp::NoTrans => (k, n),
+        GemmOp::Trans => (n, k),
+    };
+    let a_layout = Layout::one_d_col(ar, ac, nprocs);
+    let b_layout = Layout::one_d_col(br, bc, nprocs);
+    let c_layout = Layout::one_d_col(m, n, nprocs);
+
+    // Initialization: the grid search and the redistribution programs,
+    // built once and reused by every execution.
     let prob = Problem::new(m, n, k, nprocs);
-    let t0 = Instant::now();
-    let mm = Ca3dmm::new(
+    let opts = Ca3dmmOptions {
+        grid_override,
+        ..Default::default()
+    };
+    let plan = Plan::build(
         prob,
-        &Ca3dmmOptions {
-            grid_override,
-            ..Default::default()
-        },
+        &opts,
+        Dtype::F64,
+        trans_a,
+        &a_layout,
+        trans_b,
+        &b_layout,
+        &c_layout,
     );
-    let init_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let st = mm.stats();
+    let init_ms = plan.build_secs() * 1e3;
+    let st = plan.ca3dmm().stats();
     let grid = st.grid;
     println!("\nCA3DMM partition info:");
     println!(
@@ -98,19 +119,6 @@ fn main() {
         "Rank 0 work buffer size     : {:.2} MBytes",
         memory_elements_per_rank(&prob, &grid) * 8.0 / 1048576.0
     );
-
-    // Stored shapes honour the transpose flags, as in the artifact.
-    let (ar, ac) = match trans_a {
-        GemmOp::NoTrans => (m, k),
-        GemmOp::Trans => (k, m),
-    };
-    let (br, bc) = match trans_b {
-        GemmOp::NoTrans => (k, n),
-        GemmOp::Trans => (n, k),
-    };
-    let a_layout = Layout::one_d_col(ar, ac, nprocs);
-    let b_layout = Layout::one_d_col(br, bc, nprocs);
-    let c_layout = Layout::one_d_col(m, n, nprocs);
 
     let mut totals_ms: Vec<f64> = Vec::with_capacity(ntest);
     let mut phase_ms: std::collections::BTreeMap<String, f64> = Default::default();
@@ -132,12 +140,7 @@ fn main() {
                 .map(|r| global_block(2, *r))
                 .collect();
             let t = Instant::now();
-            let c = mm
-                .multiply(
-                    ctx, &world, trans_a, &a_layout, &a_blocks, trans_b, &b_layout, &b_blocks,
-                    &c_layout,
-                )
-                .await;
+            let c = plan.multiply_async(ctx, &world, &a_blocks, &b_blocks).await;
             (c, t.elapsed().as_secs_f64() * 1e3)
         });
         let total = parts_and_time

@@ -23,7 +23,7 @@
 //! cargo run --release --example rayleigh_ritz -- [nprocs] [n] [b]
 //! ```
 
-use ca3dmm::{Ca3dmm, Ca3dmmOptions};
+use ca3dmm::{Ca3dmmOptions, Dtype, Plan};
 use dense::gemm::GemmOp;
 use dense::linalg::{cholesky_upper, upper_triangular_inverse};
 use dense::Mat;
@@ -110,16 +110,46 @@ fn main() {
     let v_layout = Layout::one_d_row(n, b, nprocs);
     let s_layout = Layout::one_d_col(b, b, nprocs);
 
-    // Three PGEMM shapes (grids chosen by CA3DMM's search):
-    let gram = Ca3dmm::new(Problem::new(b, b, n, nprocs), &Ca3dmmOptions::default()); // large-K
-    let tall = Ca3dmm::new(Problem::new(n, b, b, nprocs), &Ca3dmmOptions::default()); // large-M
-    let apply = Ca3dmm::new(Problem::new(n, b, n, nprocs), &Ca3dmmOptions::default()); // operator
-    for (what, mm) in [
+    // The small right-hand factors (R^{-1}, U) enter replicated; CA3DMM
+    // gets the copy on rank 0.
+    let root_layout = Layout::on_single_rank(b, b, nprocs, 0);
+
+    // Three PGEMM shapes (grids chosen by CA3DMM's search), one plan each,
+    // each built once for every multiply of its shape:
+    let plan = |prob, op_a, la: &Layout, lb: &Layout, lc: &Layout| {
+        let opts = Ca3dmmOptions::default();
+        Plan::build(prob, &opts, Dtype::F64, op_a, la, GemmOp::NoTrans, lb, lc)
+    };
+    // large-K: V^T V and V^T W
+    let gram = plan(
+        Problem::new(b, b, n, nprocs),
+        GemmOp::Trans,
+        &v_layout,
+        &v_layout,
+        &s_layout,
+    );
+    // large-M: V R^{-1}, V U and W U
+    let tall = plan(
+        Problem::new(n, b, b, nprocs),
+        GemmOp::NoTrans,
+        &v_layout,
+        &root_layout,
+        &v_layout,
+    );
+    // the operator: H V
+    let apply = plan(
+        Problem::new(n, b, n, nprocs),
+        GemmOp::NoTrans,
+        &h_layout,
+        &v_layout,
+        &v_layout,
+    );
+    for (what, plan) in [
         ("V^T W (large-K)", &gram),
         ("V*U   (large-M)", &tall),
         ("H*V   (apply) ", &apply),
     ] {
-        let g = mm.stats().grid;
+        let g = plan.ca3dmm().stats().grid;
         println!("grid for {what}: {} x {} x {}", g.pm, g.pn, g.pk);
     }
 
@@ -143,100 +173,30 @@ fn main() {
             .collect();
 
         // Step 1: CholeskyQR orthonormalization of V.
-        let g_parts = gram
-            .multiply(
-                ctx,
-                &world,
-                GemmOp::Trans,
-                &v_layout,
-                &v_blocks,
-                GemmOp::NoTrans,
-                &v_layout,
-                &v_blocks,
-                &s_layout,
-            )
-            .await;
+        let g_parts = gram.multiply_async(ctx, &world, &v_blocks, &v_blocks).await;
         let g_full = replicate_small(ctx, &world, &s_layout, &g_parts, b).await;
         let r_inv = upper_triangular_inverse(&cholesky_upper(&g_full));
-        let rinv_layout = Layout::on_single_rank(b, b, world.size(), 0);
         let rinv_blocks = if me == 0 { vec![r_inv] } else { vec![] };
         v_blocks = tall
-            .multiply(
-                ctx,
-                &world,
-                GemmOp::NoTrans,
-                &v_layout,
-                &v_blocks,
-                GemmOp::NoTrans,
-                &rinv_layout,
-                &rinv_blocks,
-                &v_layout,
-            )
+            .multiply_async(ctx, &world, &v_blocks, &rinv_blocks)
             .await;
 
         // Step 2: W = H V (the operator apply).
         let w_blocks = apply
-            .multiply(
-                ctx,
-                &world,
-                GemmOp::NoTrans,
-                &h_layout,
-                &h_blocks,
-                GemmOp::NoTrans,
-                &v_layout,
-                &v_blocks,
-                &v_layout,
-            )
+            .multiply_async(ctx, &world, &h_blocks, &v_blocks)
             .await;
 
         // Step 3: G = V^T W.
-        let g_parts = gram
-            .multiply(
-                ctx,
-                &world,
-                GemmOp::Trans,
-                &v_layout,
-                &v_blocks,
-                GemmOp::NoTrans,
-                &v_layout,
-                &w_blocks,
-                &s_layout,
-            )
-            .await;
+        let g_parts = gram.multiply_async(ctx, &world, &v_blocks, &w_blocks).await;
         let g_full = replicate_small(ctx, &world, &s_layout, &g_parts, b).await;
 
         // Step 4: small eigenproblem, redundant on every rank.
         let (theta, u) = jacobi_eig(&g_full);
 
         // Step 5: Ritz vectors X = V U, residuals R = W U - X diag(theta).
-        let u_layout = Layout::on_single_rank(b, b, world.size(), 0);
         let u_blocks = if me == 0 { vec![u.clone()] } else { vec![] };
-        let x_blocks = tall
-            .multiply(
-                ctx,
-                &world,
-                GemmOp::NoTrans,
-                &v_layout,
-                &v_blocks,
-                GemmOp::NoTrans,
-                &u_layout,
-                &u_blocks,
-                &v_layout,
-            )
-            .await;
-        let wu_blocks = tall
-            .multiply(
-                ctx,
-                &world,
-                GemmOp::NoTrans,
-                &v_layout,
-                &w_blocks,
-                GemmOp::NoTrans,
-                &u_layout,
-                &u_blocks,
-                &v_layout,
-            )
-            .await;
+        let x_blocks = tall.multiply_async(ctx, &world, &v_blocks, &u_blocks).await;
+        let wu_blocks = tall.multiply_async(ctx, &world, &w_blocks, &u_blocks).await;
         // local residual column sums of squares
         let mut local = vec![0.0f64; b];
         for ((rect, x_b), wu_b) in v_layout.owned(me).iter().zip(&x_blocks).zip(&wu_blocks) {

@@ -5,14 +5,14 @@
 //! all six.
 
 use baselines::{C25d, Ca3dmmSumma, CosmaLike, Orig3d, SummaPgemm};
-use ca3dmm::{Ca3dmm, Ca3dmmOptions};
+use ca3dmm::{Ca3dmm, Ca3dmmOptions, Dtype, Plan};
 use dense::gemm::{gemm, GemmOp};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::testing::assert_gemm_close;
 use dense::Mat;
 use gridopt::{Grid, Problem};
-use layout::Layout;
+use layout::{multiply_planned, Layout, RankRedistPlan};
 use msgpass::{Comm, RankCtx, RunReport, World};
 use proptest::prelude::*;
 
@@ -440,22 +440,14 @@ fn ca3dmm_full_pipeline_layout_matrix() {
             let lc = Layout::two_d_block(m, n, 3, 4);
             let a_stored = global_block::<f64>(1, Rect::new(0, 0, ar, ac));
             let b_stored = global_block::<f64>(2, Rect::new(0, 0, br, bc));
-            let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
+            let prob = Problem::new(m, n, k, p);
+            let opts = Ca3dmmOptions::default();
+            let plan = Plan::build(prob, &opts, Dtype::F64, op_a, la, op_b, lb, &lc);
             let parts = World::run(p, async |ctx| {
                 let world = Comm::world(ctx);
                 let me = world.rank();
-                mm.multiply(
-                    ctx,
-                    &world,
-                    op_a,
-                    la,
-                    &la.extract(&a_stored, me),
-                    op_b,
-                    lb,
-                    &lb.extract(&b_stored, me),
-                    &lc,
-                )
-                .await
+                let (a, b) = (la.extract(&a_stored, me), lb.extract(&b_stored, me));
+                plan.multiply_async(ctx, &world, &a, &b).await
             });
             let mut c_ref = Mat::zeros(m, n);
             gemm(op_a, op_b, 1.0, &a_stored, &b_stored, 0.0, &mut c_ref);
@@ -469,7 +461,7 @@ fn ca3dmm_full_pipeline_layout_matrix() {
     }
 }
 
-/// One algorithm behind `layout::multiply_in_layouts`: `op(A)`, `op(B)` and
+/// One algorithm behind `layout::multiply_planned`: `op(A)`, `op(B)` and
 /// `C` in user layouts (1D rows, block-cyclic, 1D columns), redistribution
 /// in and out.
 fn run_pipeline<F>(name: &str, prob: Problem, native: [Layout; 3], alg: F)
@@ -493,13 +485,18 @@ where
         let parts = World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
-            layout::multiply_in_layouts(
+            multiply_planned(
                 &world,
                 ctx,
-                (op_a, &la, &la.extract(&a_stored, me)),
-                (op_b, &lb, &lb.extract(&b_stored, me)),
-                &lc,
-                [na, nb, nc],
+                (
+                    &RankRedistPlan::new(&la, na, op_a, me),
+                    la.extract(&a_stored, me),
+                ),
+                (
+                    &RankRedistPlan::new(&lb, nb, op_b, me),
+                    lb.extract(&b_stored, me),
+                ),
+                &RankRedistPlan::new(nc, &lc, GemmOp::NoTrans, me),
                 async |a, b| alg(ctx, &world, a, b).await,
             )
             .await

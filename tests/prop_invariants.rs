@@ -5,14 +5,14 @@
 //! redistribution losslessness, and end-to-end CA3DMM correctness on
 //! arbitrary problem shapes.
 
-use ca3dmm::{Ca3dmm, Ca3dmmOptions, GridContext};
+use ca3dmm::{Ca3dmmOptions, Dtype, GridContext, Plan};
 use dense::gemm::{gemm_naive, GemmOp};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::testing::assert_gemm_close;
 use dense::Mat;
 use gridopt::{brute_force_grid, ca3dmm_grid, cosma_grid, Problem};
-use layout::{redistribute, Layout};
+use layout::{redistribute_planned_async, Layout, RankRedistPlan};
 use msgpass::{Comm, World};
 use proptest::prelude::*;
 
@@ -127,7 +127,8 @@ proptest! {
         let parts = World::run(p, async |ctx| {
             let comm = Comm::world(ctx);
             let mine = src.extract(&global, comm.rank());
-            redistribute(&comm, ctx, &src, &mine, &dst, op).await
+            let plan = RankRedistPlan::new(&src, &dst, op, comm.rank());
+            redistribute_planned_async(&comm, ctx, &plan, &mine).await
         });
         for (rank, got) in parts.iter().enumerate() {
             let want = dst.extract(&expect, rank);
@@ -158,16 +159,15 @@ proptest! {
         let la = Layout::one_d_col(ar, ac, p);
         let lb = Layout::one_d_row(br, bc, p);
         let lc = Layout::one_d_col(m, n, p);
-        let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
+        let plan = Plan::build(
+            Problem::new(m, n, k, p), &Ca3dmmOptions::default(), Dtype::F64,
+            op_a, &la, op_b, &lb, &lc,
+        );
         let parts = World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
-            mm.multiply(
-                ctx, &world,
-                op_a, &la, &la.extract(&a_stored, me),
-                op_b, &lb, &lb.extract(&b_stored, me),
-                &lc,
-            ).await
+            plan.multiply_async(ctx, &world, &la.extract(&a_stored, me), &lb.extract(&b_stored, me))
+                .await
         });
         let mut c_ref = Mat::zeros(m, n);
         gemm_naive(op_a, op_b, 1.0, &a_stored, &b_stored, 0.0, &mut c_ref);
@@ -226,7 +226,8 @@ fn redistribution_regression_1x1_p3_2d_to_col() {
     let parts = World::run(p, async |ctx| {
         let comm = Comm::world(ctx);
         let mine = src.extract(&global, comm.rank());
-        redistribute(&comm, ctx, &src, &mine, &dst, GemmOp::NoTrans).await
+        let plan = RankRedistPlan::new(&src, &dst, GemmOp::NoTrans, comm.rank());
+        redistribute_planned_async(&comm, ctx, &plan, &mine).await
     });
     for (rank, got) in parts.iter().enumerate() {
         let want = dst.extract(&global, rank);

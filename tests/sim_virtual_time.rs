@@ -19,7 +19,7 @@
 //!   multi-shift batching and node sizes).
 
 use baselines::{C25d, Ca3dmmSumma, CosmaLike, Orig3d, SummaPgemm};
-use ca3dmm::{Ca3dmm, Ca3dmmOptions};
+use ca3dmm::{Ca3dmm, Ca3dmmOptions, Dtype, Plan};
 use dense::gemm::{gemm_naive, GemmOp};
 use dense::part::Rect;
 use dense::random::global_block;
@@ -112,7 +112,16 @@ fn ca3dmm_at_p768_sim_matches_serial_gemm() {
     let a_layout = Layout::one_d_col(m, k, p);
     let b_layout = Layout::one_d_col(k, n, p);
     let c_layout = Layout::one_d_col(m, n, p);
-    let mm = Ca3dmm::new(Problem::new(m, n, k, p), &Ca3dmmOptions::default());
+    let plan = Plan::build(
+        Problem::new(m, n, k, p),
+        &Ca3dmmOptions::default(),
+        Dtype::F64,
+        GemmOp::NoTrans,
+        &a_layout,
+        GemmOp::NoTrans,
+        &b_layout,
+        &c_layout,
+    );
 
     let machine = Machine::phoenix_cpu();
     let (parts, report) = World::simulate(p, &machine, SimOptions::default(), async |ctx| {
@@ -120,18 +129,7 @@ fn ca3dmm_at_p768_sim_matches_serial_gemm() {
         let me = world.rank();
         let a_blocks = a_layout.extract(&a_full, me);
         let b_blocks = b_layout.extract(&b_full, me);
-        mm.multiply(
-            ctx,
-            &world,
-            GemmOp::NoTrans,
-            &a_layout,
-            &a_blocks,
-            GemmOp::NoTrans,
-            &b_layout,
-            &b_blocks,
-            &c_layout,
-        )
-        .await
+        plan.multiply_async(ctx, &world, &a_blocks, &b_blocks).await
     });
 
     let mut c_ref = Mat::zeros(m, n);
