@@ -15,8 +15,9 @@
 //!   the per-rank compute-attribution table: Gflop/s vs probed peak,
 //!   pack/compute/idle split, imbalance, and pool wake latency.
 //! * `netdiff` compares a measured run against the §III-D analytic model:
-//!   the problem and grid are reconstructed from the report's own `meta`
-//!   block and joined per phase. For a wall-clock report the model is
+//!   the problem, grid, overlap flag and collective mode are reconstructed
+//!   from the report's own `meta` block (a missing key is an error, not a
+//!   default) and joined per phase. For a wall-clock report the model is
 //!   priced on [`Machine::uniform`] and times are structural only (thread
 //!   simulation vs cluster model). For a **virtual-time** report the model
 //!   is priced on the *same machine and placement the simulation charged*
@@ -63,9 +64,11 @@ fn load(path: &str) -> Result<RunReportDoc, String> {
     RunReportDoc::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Rebuilds the modeled schedule from a report's `meta` block
-/// (`Ca3dmm::report_meta` wrote m/n/k/p and the executed grid).
-fn meta_problem(doc: &RunReportDoc) -> Result<(Problem, Grid), String> {
+/// The run a report's `meta` block describes: `Ca3dmm::report_meta` wrote
+/// m/n/k/p, the executed grid, whether Cannon ran its dual-buffered
+/// pipeline (`overlap`) and the collective mode (`collectives`). Every key
+/// is required: the model must price the configuration that ran.
+fn meta_problem(doc: &RunReportDoc) -> Result<(Problem, Grid, bool, Collectives), String> {
     let dim = |f: &str| -> Result<usize, String> {
         doc.meta
             .get(f)
@@ -86,9 +89,22 @@ fn meta_problem(doc: &RunReportDoc) -> Result<(Problem, Grid), String> {
             .map(|v| v as usize)
             .ok_or_else(|| format!("meta.grid.{f} missing or not a positive integer"))
     };
+    let overlap = doc
+        .meta
+        .get("overlap")
+        .and_then(Json::as_bool)
+        .ok_or_else(|| "meta.overlap missing or not a boolean".to_owned())?;
+    let collectives = doc
+        .meta
+        .get("collectives")
+        .and_then(Json::as_str)
+        .and_then(Collectives::parse)
+        .ok_or_else(|| "meta.collectives missing or not a collective mode".to_owned())?;
     Ok((
         Problem::new(m, n, k, p),
         Grid::new(gdim("pm")?, gdim("pn")?, gdim("pk")?),
+        overlap,
+        collectives,
     ))
 }
 
@@ -112,7 +128,10 @@ fn cmd_netdiff(
         Ok(d) => d,
         Err(e) => return fail(&e),
     };
-    let (prob, grid) = match meta_problem(&doc) {
+    // The model must price the configuration that ran, or the seconds
+    // tiers compare different algorithms and hierarchical artifacts lose
+    // their byte-exact closed forms.
+    let (prob, grid, overlap, collectives) = match meta_problem(&doc) {
         Ok(v) => v,
         Err(e) => {
             return fail(&format!(
@@ -127,25 +146,6 @@ fn cmd_netdiff(
             doc.ranks, prob.p
         ));
     }
-    // The run records whether Cannon ran its dual-buffered pipeline in
-    // `meta.overlap` (written by `Ca3dmm::report_meta`); the model's branch
-    // must match or the seconds tiers compare different algorithms.
-    // Artifacts written before the flag existed ran the blocking path.
-    let overlap = doc
-        .meta
-        .get("overlap")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    // Likewise the collective mode the run executed (`meta.collectives`):
-    // the model applies the same structural node-aware selection the
-    // runtime used, so hierarchical artifacts stay byte-exact against the
-    // hierarchical closed forms. Artifacts from before the flag ran flat.
-    let collectives = doc
-        .meta
-        .get("collectives")
-        .and_then(Json::as_str)
-        .and_then(Collectives::parse)
-        .unwrap_or(Collectives::Flat);
     // Wall-clock artifacts: same model configuration as the traced fig5 run
     // that wrote them — a uniform machine, pure-MPI placement, f64 payloads,
     // no redistribution (the run feeds the native layouts directly).

@@ -82,9 +82,8 @@ fn traced_run(
         report.timeline.span_count(),
     );
     if let Some(path) = path {
-        // RunReport-level export: merges kernel-thread tracks (profiled
-        // runs) under each rank; identical to the plain timeline export
-        // when profiling is off.
+        // The one Chrome exporter: rank tracks, plus each profiled rank's
+        // kernel-thread tracks on the same clock.
         let json = report.to_chrome_json();
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("chrome trace -> {path}");

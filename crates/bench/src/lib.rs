@@ -141,14 +141,6 @@ pub fn csv_writer(name: &str) -> Option<std::io::BufWriter<std::fs::File>> {
 
 pub mod timing;
 
-/// Pretty-prints one row of dotted columns.
-pub fn row(cols: &[String]) -> String {
-    cols.iter()
-        .map(|c| format!("{c:>12}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -396,9 +396,9 @@ unsafe fn gemm_raw<T: Scalar>(
     let ldc = n;
     let c_ptr = SendPtr(c);
 
-    // Kernel profiling (off: one relaxed load, `cp` stays `None` and every
-    // instrumentation site below is an untaken branch). The counters live
-    // on this stack frame; region closures bump them through `cpr`.
+    // Kernel profiling (off: one thread-local read, `cp` stays `None` and
+    // every instrumentation site below is an untaken branch). The counters
+    // live on this stack frame; region closures bump them through `cpr`.
     let cp = prof::call_begin();
     let cpr = cp.as_ref();
     let elem = std::mem::size_of::<T>();

@@ -29,8 +29,8 @@
 //! * [`pool`] — the lazy global worker pool and the kernel-thread knobs
 //!   (`DENSE_GEMM_THREADS`, [`pool::set_gemm_threads`], and the per-rank cap
 //!   `msgpass::World::run` applies via [`pool::set_rank_gemm_threads`]);
-//! * [`prof`] — kernel-level observability: a per-thread lock-free span
-//!   recorder plus the pool's submit→wake latency, aggregated per capture
+//! * [`prof`] — kernel-level observability: a span buffer owned by each
+//!   capture plus the pool's submit→wake latency, aggregated per capture
 //!   into a [`prof::KernelProfile`] with a roofline summary (records only
 //!   inside a [`prof::begin_capture`] … [`prof::end_capture`] window);
 //! * [`part`] — block-partition arithmetic: [`part::split_even`] (the

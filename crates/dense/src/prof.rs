@@ -1,4 +1,4 @@
-//! Kernel-level profiling for the blocked GEMM: per-thread span recording,
+//! Kernel-level profiling for the blocked GEMM: span recording,
 //! submit→wake latency, and roofline attribution.
 //!
 //! The message-passing side of this repository can attribute every byte and
@@ -11,14 +11,14 @@
 //!   thread's totals. `pack_a + pack_b + compute + idle ≡ width · wall` by
 //!   construction (idle is derived as the remainder, clamped at zero), so
 //!   the attribution always reconciles with the call's wall time;
-//! * **per-thread spans** — each phase interval is also written into a
-//!   fixed-capacity lock-free ring buffer owned by the recording thread
-//!   (one cache-line-padded slot per thread, [`RING_CAPACITY`] records,
-//!   *oldest records overwritten first*). Spans are best-effort: the
-//!   profile's `coverage` states what fraction of the exact busy seconds
-//!   the retained spans represent. Spans feed the merged Perfetto trace
-//!   (`msgpass::Timeline::to_chrome_json_with_kernel`) and the per-thread
-//!   imbalance estimate;
+//! * **spans** — each phase interval is also pushed into the capture's
+//!   own bounded span buffer, whichever thread ran the phase. Once the
+//!   buffer holds its capacity, later spans are left out: the profile's
+//!   `coverage` states what fraction of the exact busy seconds the
+//!   retained spans represent. Spans share the trace's clock
+//!   (nanoseconds since [`epoch`]) and feed the Chrome trace
+//!   (`msgpass::RunReport::to_chrome_json`) and the per-thread imbalance
+//!   estimate;
 //! * **submit→wake latency** — the enqueue→pop seconds of every pool helper
 //!   job, attributed to the capture whose GEMM submitted the work.
 //!
@@ -27,12 +27,12 @@
 //! Whether a GEMM is profiled is decided in exactly one place: *the calling
 //! thread has an open capture*. A rank thread (or a bench) calls
 //! [`begin_capture`], runs its GEMMs, and [`end_capture`] returns the
-//! aggregated [`KernelProfile`]. Every span and counter is tagged with the
-//! capture id, so concurrent ranks profiling on the shared pool do not mix,
-//! and a profiled run next to an unprofiled one in the same process cannot
-//! affect it. Without an open capture a GEMM call costs one thread-local
-//! read (plus one per parallel region) — no timestamps, no ring writes, no
-//! allocation.
+//! aggregated [`KernelProfile`]. Every span and counter goes to its own
+//! capture (each pool job carries its capture's handle), so concurrent
+//! ranks profiling on the shared pool do not mix, and a profiled run next
+//! to an unprofiled one in the same process cannot affect it. Without an
+//! open capture a GEMM call costs one thread-local read (plus one per
+//! parallel region) — no timestamps, no span writes, no allocation.
 //!
 //! Runs ask for captures through `msgpass::RunOptions::gemm_prof` (off by
 //! default; `fig5_breakdown --prof` turns it on).
@@ -53,24 +53,17 @@ use crate::kernel::{self, KernelKind};
 use crate::tune;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Span records each thread's ring can hold; older records are overwritten
-/// (the exact aggregate counters are unaffected by truncation).
-pub const RING_CAPACITY: usize = 1024;
+/// Spans one capture retains; later ones are left out (the exact
+/// aggregate counters are unaffected, and `coverage` reports the
+/// shortfall).
+const SPAN_CAPACITY: usize = 1 << 14;
 
-/// Threads that can ever own a profiling slot (workers + submitters). A
-/// thread past the cap still contributes to the exact aggregates; only its
-/// spans are dropped (and [`KernelProfile::coverage`] falls below 1).
-pub const MAX_PROFILED_THREADS: usize = 320;
-
-/// Words per ring record: tag (`capture_id << 8 | phase`), t0, t1.
-const REC_WORDS: usize = 3;
-
-/// The process-wide instant all span timestamps are nanoseconds since.
-/// Exposed so `msgpass` can rebase kernel spans onto a run's own epoch when
-/// merging them into the Chrome trace.
+/// The process-wide instant all span timestamps are nanoseconds since —
+/// the profiler's and `msgpass`'s trace clock alike, so kernel spans and
+/// rank spans line up without rebasing.
 pub fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -84,18 +77,17 @@ pub(crate) fn now_ns() -> u64 {
 
 /// The kernel phase a span or counter is attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum SpanPhase {
     /// Per-thread packing of an `MC×KC` A block (loop 3 prologue).
-    PackA = 1,
+    PackA,
     /// Cooperative packing of a `KC×NC` B slab (loop 4 prologue).
-    PackB = 2,
+    PackB,
     /// Macro-tile compute: the `MR×NR` microkernel over one C band.
-    Compute = 3,
+    Compute,
     /// Pool gap: from job enqueue to the worker popping it.
-    Wake = 4,
+    Wake,
     /// The submitting thread's wait for region completion.
-    Barrier = 5,
+    Barrier,
 }
 
 impl SpanPhase {
@@ -118,24 +110,14 @@ impl SpanPhase {
             SpanPhase::PackA | SpanPhase::PackB | SpanPhase::Compute
         )
     }
-
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(SpanPhase::PackA),
-            2 => Some(SpanPhase::PackB),
-            3 => Some(SpanPhase::Compute),
-            4 => Some(SpanPhase::Wake),
-            5 => Some(SpanPhase::Barrier),
-            _ => None,
-        }
-    }
 }
 
-/// One harvested span: `[t0_ns, t1_ns]` since [`epoch`], recorded by the
-/// thread owning profiling slot `thread`.
+/// One recorded span: `[t0_ns, t1_ns]` since [`epoch`], on OS thread
+/// `thread`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProfSpan {
-    /// Process-wide profiling slot of the recording thread.
+    /// Process-wide id of the recording OS thread (assigned on the
+    /// thread's first span).
     pub thread: usize,
     /// Which kernel phase the interval covers.
     pub phase: SpanPhase,
@@ -145,55 +127,20 @@ pub struct ProfSpan {
     pub t1_ns: u64,
 }
 
-/// One thread's profiling slot: padded to a cache line so the hot `seq`
-/// counters of adjacent workers never share one.
-#[repr(align(64))]
-struct Slot {
-    /// Records written by the owning thread (monotone; the ring index is
-    /// `seq % RING_CAPACITY`, so old records are overwritten first).
-    seq: AtomicU64,
-    /// The ring storage, allocated on the slot's first record.
-    ring: OnceLock<Box<[AtomicU64]>>,
-}
-
-fn slots() -> &'static [Slot] {
-    static SLOTS: OnceLock<Vec<Slot>> = OnceLock::new();
-    SLOTS.get_or_init(|| {
-        (0..MAX_PROFILED_THREADS)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                ring: OnceLock::new(),
-            })
-            .collect()
-    })
-}
-
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 
 std::thread_local! {
-    /// This thread's slot index; `usize::MAX` = not yet assigned.
-    static MY_SLOT: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+    /// This OS thread's [`ProfSpan::thread`] id.
+    static THREAD_ID: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
 }
 
-/// This thread's profiling slot, assigned on first use; `None` once the
-/// slot table is exhausted (spans are then dropped, aggregates unaffected).
-fn my_slot() -> Option<usize> {
-    MY_SLOT.with(|c| {
-        let mut s = c.get();
-        if s == usize::MAX {
-            s = NEXT_SLOT.fetch_add(1, Ordering::Relaxed);
-            c.set(s);
-        }
-        (s < MAX_PROFILED_THREADS).then_some(s)
-    })
-}
-
-/// Per-capture counters shared (via `Arc`) with the pool jobs and region
+/// Per-capture state shared (via `Arc`) with the pool jobs and region
 /// closures the capture's GEMM calls create.
 pub(crate) struct CaptureInner {
-    id: u64,
     /// Total enqueue→pop nanoseconds over this capture's helper jobs.
     wake_ns: AtomicU64,
+    /// The capture's retained spans, at most [`SPAN_CAPACITY`].
+    spans: Mutex<Vec<ProfSpan>>,
 }
 
 /// Per-GEMM-call counters. The region closures bump these (atomically,
@@ -235,20 +182,17 @@ std::thread_local! {
     static CAPTURE: RefCell<Option<CaptureState>> = const { RefCell::new(None) };
 }
 
-static NEXT_CAPTURE_ID: AtomicU64 = AtomicU64::new(1);
-
 /// Starts a capture on the calling thread: subsequent [`crate::gemm()`]
 /// calls *from this thread* record into it (their pool
-/// helper jobs inherit the capture tag). Replaces any capture already
+/// helper jobs inherit the capture). Replaces any capture already
 /// active on this thread.
 pub fn begin_capture() {
     let _ = epoch(); // pin t = 0 before any span can be recorded
-    let id = NEXT_CAPTURE_ID.fetch_add(1, Ordering::Relaxed);
     CAPTURE.with(|c| {
         *c.borrow_mut() = Some(CaptureState {
             inner: Arc::new(CaptureInner {
-                id,
                 wake_ns: AtomicU64::new(0),
+                spans: Mutex::new(Vec::new()),
             }),
             totals: Totals::default(),
         });
@@ -266,40 +210,7 @@ pub fn end_capture() -> Option<KernelProfile> {
     let st = CAPTURE.with(|c| c.borrow_mut().take())?;
     let t = st.totals;
     let inner = &st.inner;
-
-    // Harvest the retained spans carrying this capture's tag. A record is
-    // accepted only if its tag word reads identically before and after the
-    // payload loads — a concurrent overwrite (by a *different* capture;
-    // this capture's own writers are quiescent by now) changes the tag and
-    // the record is skipped.
-    let mut spans: Vec<ProfSpan> = Vec::new();
-    for (slot_idx, slot) in slots().iter().enumerate() {
-        let Some(ring) = slot.ring.get() else {
-            continue;
-        };
-        let n = (slot.seq.load(Ordering::Acquire) as usize).min(RING_CAPACITY);
-        for rec in 0..n {
-            let base = rec * REC_WORDS;
-            let tag = ring[base].load(Ordering::Acquire);
-            if tag == 0 || tag >> 8 != inner.id {
-                continue;
-            }
-            let t0_ns = ring[base + 1].load(Ordering::Relaxed);
-            let t1_ns = ring[base + 2].load(Ordering::Relaxed);
-            if ring[base].load(Ordering::Acquire) != tag || t1_ns < t0_ns {
-                continue;
-            }
-            let Some(phase) = SpanPhase::from_u8((tag & 0xff) as u8) else {
-                continue;
-            };
-            spans.push(ProfSpan {
-                thread: slot_idx,
-                phase,
-                t0_ns,
-                t1_ns,
-            });
-        }
-    }
+    let mut spans = std::mem::take(&mut *inner.spans.lock().unwrap_or_else(|e| e.into_inner()));
     spans.sort_by_key(|s| (s.thread, s.t0_ns, s.t1_ns));
 
     let busy_secs = t.pack_a_secs + t.pack_b_secs + t.compute_secs;
@@ -392,7 +303,7 @@ pub(crate) fn call_end(
     CAPTURE.with(|c| {
         let mut borrow = c.borrow_mut();
         let Some(st) = borrow.as_mut() else { return };
-        if st.inner.id != cp.inner.id {
+        if !Arc::ptr_eq(&st.inner, &cp.inner) {
             return; // the capture this call started under has ended
         }
         let t = &mut st.totals;
@@ -411,26 +322,19 @@ pub(crate) fn call_end(
     });
 }
 
-/// Writes one span into the recording thread's ring, tagged with the
-/// capture. Lock-free and single-writer per slot; the tag is published
-/// last (release) so a concurrent harvest never stitches fields from two
-/// records together.
+/// Pushes one span into the capture's buffer, or leaves it out once the
+/// buffer is full.
 pub(crate) fn record_span(inner: &CaptureInner, phase: SpanPhase, t0_ns: u64, t1_ns: u64) {
-    let Some(slot_idx) = my_slot() else { return };
-    let slot = &slots()[slot_idx];
-    let ring = slot.ring.get_or_init(|| {
-        (0..RING_CAPACITY * REC_WORDS)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice()
-    });
-    let seq = slot.seq.load(Ordering::Relaxed);
-    let base = (seq as usize % RING_CAPACITY) * REC_WORDS;
-    ring[base].store(0, Ordering::Release); // invalidate while fields change
-    ring[base + 1].store(t0_ns, Ordering::Relaxed);
-    ring[base + 2].store(t1_ns, Ordering::Relaxed);
-    ring[base].store((inner.id << 8) | phase as u64, Ordering::Release);
-    slot.seq.store(seq + 1, Ordering::Release);
+    let span = ProfSpan {
+        thread: THREAD_ID.with(|&id| id),
+        phase,
+        t0_ns,
+        t1_ns,
+    };
+    let mut spans = inner.spans.lock().unwrap_or_else(|e| e.into_inner());
+    if spans.len() < SPAN_CAPACITY {
+        spans.push(span);
+    }
 }
 
 /// The calling thread's capture handle, for the pool to tag helper jobs
@@ -499,12 +403,12 @@ pub struct KernelProfile {
     /// at most one thread recorded).
     pub imbalance: f64,
     /// Fraction of the exact busy seconds the retained spans represent
-    /// (1.0 = no ring truncation or slot-table exhaustion).
+    /// (1.0 = the capture's span buffer never filled).
     pub coverage: f64,
     /// Total enqueue→pop seconds over the capture's pool helper jobs.
     pub submit_wake_secs: f64,
     /// The retained spans, sorted by `(thread, t0)`. Not serialized into
-    /// RunReport JSON; they feed the merged Chrome trace.
+    /// RunReport JSON; they feed the Chrome trace's kernel tracks.
     pub spans: Vec<ProfSpan>,
 }
 
@@ -600,7 +504,7 @@ mod tests {
             p.spans.iter().any(|s| s.phase == SpanPhase::Barrier),
             "the submitter's region waits must be recorded"
         );
-        // Spans from the helper jobs land on other threads' slots when a
+        // Spans from the helper jobs carry the worker's thread id when a
         // worker picks them up; the caller always records at least its own.
         assert!(!p.spans.is_empty());
         let sum = p.pack_a_secs + p.pack_b_secs + p.compute_secs + p.idle_secs;
@@ -623,6 +527,22 @@ mod tests {
             assert_eq!(p.flops, 2.0 * d * d * d, "capture mixed in foreign calls");
             assert_eq!(p.gemm_calls, 1);
         }
+    }
+
+    /// Spans live in their capture, not in a per-thread table: a thread
+    /// that records after hundreds of short-lived threads (a fresh rank
+    /// thread per run) keeps its spans.
+    #[test]
+    fn spans_survive_many_short_lived_threads() {
+        // One thread at a time, each joined before the next starts.
+        let mut last = None;
+        for _ in 0..330 {
+            let thread = std::thread::spawn(|| profiled_square(16, 1));
+            last = Some(thread.join().expect("capture thread"));
+        }
+        let p = last.expect("330 threads ran");
+        assert!(!p.spans.is_empty(), "the last thread's spans were dropped");
+        assert!(p.coverage > 0.0, "coverage {}", p.coverage);
     }
 
     #[test]

@@ -47,8 +47,9 @@
 //!   ([`World::run_traced`]) records begin/end spans for every phase
 //!   region, point-to-point send/recv, and collective (with its algorithm
 //!   name and payload size) and assembles them into a [`Timeline`]:
-//!   exportable as Chrome-trace JSON ([`Timeline::to_chrome_json`], view in
-//!   Perfetto), and the source of a traced run's critical-path
+//!   exportable, with a profiled run's kernel spans on the same clock, as
+//!   Chrome-trace JSON ([`RunReport::to_chrome_json`], view in Perfetto),
+//!   and the source of a traced run's critical-path
 //!   communication seconds. With tracing off ([`World::run`]) every hook is
 //!   a single untaken branch.
 //!
@@ -82,6 +83,6 @@ pub use metrics::{CellCounts, CommMatrix, SizeHistogram};
 pub use persist::{JobPanic, PersistentWorld};
 pub use report::RunReportDoc;
 pub use sim::{SimInfo, SimOptions};
-pub use trace::{KernelSpan, Span, SpanKind, Timeline};
+pub use trace::{Span, SpanKind, Timeline};
 pub use traffic::{PhaseCounts, TrafficReport};
-pub use world::{ComputeProfile, RankCtx, RunOptions, RunReport, World};
+pub use world::{RankCtx, RunOptions, RunReport, World};

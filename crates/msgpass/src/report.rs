@@ -181,15 +181,14 @@ impl RunReport {
             matrix: t.matrix.clone(),
             hist_by_algo: t.hist_by_algo.clone(),
             critical_path: self.critical_rows(),
-            // Aggregates only: the spans go to the Chrome trace instead (a
-            // profiled run retains up to threads × RING_CAPACITY of them).
+            // Aggregates only: the spans go to the Chrome trace instead.
             compute: self.compute.iter().any(Option::is_some).then(|| {
                 self.compute
                     .iter()
                     .map(|c| {
-                        c.as_ref().map(|cp| KernelProfile {
+                        c.as_ref().map(|k| KernelProfile {
                             spans: Vec::new(),
-                            ..cp.profile.clone()
+                            ..k.clone()
                         })
                     })
                     .collect()

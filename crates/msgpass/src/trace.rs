@@ -9,13 +9,20 @@
 //! every hook reduces to a single branch on a `bool`, which is what makes
 //! the runtime's zero-overhead-when-off guarantee hold.
 //!
+//! Timestamps are seconds since [`dense::prof::epoch`], the kernel
+//! profiler's clock, so a profiled run's kernel spans land on the same
+//! axis without rebasing.
+//!
 //! After the ranks join, [`crate::World::run_traced`] assembles the streams
-//! into a [`Timeline`]: properly nested [`Span`]s per rank, exportable as
-//! Chrome-trace JSON (open in Perfetto / `chrome://tracing`). Its
+//! into a [`Timeline`]: properly nested [`Span`]s per rank, exportable with
+//! the kernel spans as Chrome-trace JSON ([`RunReport::to_chrome_json`],
+//! open in Perfetto / `chrome://tracing`). Its
 //! [`Timeline::phase_comm_secs`] is the communication share of the
 //! critical path [`crate::RunReport::summary`] computes — the measured
 //! counterpart of the paper's Fig. 5 per-phase breakdown.
 
+use crate::RunReport;
+use dense::prof::KernelProfile;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -89,9 +96,9 @@ pub(crate) enum RawEvent {
 pub struct Span {
     /// What this span is.
     pub kind: SpanKind,
-    /// Start, seconds since the world's epoch.
+    /// Start, seconds since [`dense::prof::epoch`].
     pub t0: f64,
-    /// End, seconds since the world's epoch.
+    /// End, seconds since [`dense::prof::epoch`].
     pub t1: f64,
     /// Payload bytes attributed to the span (0 for phases).
     pub bytes: u64,
@@ -111,15 +118,16 @@ impl Span {
 /// touches it; the `RefCell` is never contended.
 pub(crate) struct Recorder {
     enabled: bool,
-    epoch: Instant,
     events: RefCell<Vec<RawEvent>>,
 }
 
 impl Recorder {
-    pub(crate) fn new(enabled: bool, epoch: Instant) -> Recorder {
+    pub(crate) fn new(enabled: bool) -> Recorder {
+        if enabled {
+            let _ = dense::prof::epoch(); // pin t = 0 before any stamp is taken
+        }
         Recorder {
             enabled,
-            epoch,
             events: RefCell::new(Vec::new()),
         }
     }
@@ -130,7 +138,7 @@ impl Recorder {
     }
 
     fn stamp(&self, at: Instant) -> f64 {
-        at.duration_since(self.epoch).as_secs_f64()
+        at.duration_since(dense::prof::epoch()).as_secs_f64()
     }
 
     /// Opens a span now. No-op when tracing is off.
@@ -290,24 +298,20 @@ impl Timeline {
         }
         total
     }
+}
 
-    /// Renders the timeline as Chrome-trace JSON ("JSON Array Format" with
-    /// an object envelope), loadable in Perfetto or `chrome://tracing`.
-    /// Spans become `B`/`E` duration-event pairs (one `tid` per rank);
-    /// thread-name metadata events label each rank.
+impl RunReport {
+    /// Renders the run as Chrome-trace JSON ("JSON Array Format" with an
+    /// object envelope), loadable in Perfetto or `chrome://tracing`. Each
+    /// rank's timeline spans become `B`/`E` duration-event pairs on
+    /// `tid = rank`; a profiled rank's kernel spans ([`RunReport::compute`])
+    /// follow as flat kernel-thread tracks, `tid = 1000·(rank+1) + track`,
+    /// under the same process, so one view shows communication and compute
+    /// interleaved. Thread-name metadata events label every track.
     pub fn to_chrome_json(&self) -> String {
-        self.to_chrome_json_with_kernel(&[])
-    }
-
-    /// [`Timeline::to_chrome_json`] plus per-rank *kernel-thread* tracks:
-    /// `kernel[rank]` holds that rank's GEMM profiler spans (see
-    /// `msgpass::ComputeProfile::kernel_spans`), rendered as extra threads
-    /// `tid = 1000·(rank+1) + track` under the same process so Perfetto
-    /// shows communication and compute interleaved. Ranks beyond
-    /// `kernel.len()`, and empty span lists, get no kernel tracks.
-    pub fn to_chrome_json_with_kernel(&self, kernel: &[Vec<KernelSpan>]) -> String {
+        let timeline = &self.timeline;
         let mut events = String::new();
-        for rank in 0..self.ranks() {
+        for rank in 0..timeline.ranks() {
             if !events.is_empty() {
                 events.push(',');
             }
@@ -319,7 +323,7 @@ impl Timeline {
             // order, and single-threaded ranks guarantee proper nesting, so
             // an open span either contains the next span or ended before it.
             let mut open: Vec<&Span> = Vec::new();
-            for s in &self.per_rank[rank] {
+            for s in timeline.spans(rank) {
                 while open.last().is_some_and(|top| top.t1 <= s.t0) {
                     let top = open.pop().unwrap();
                     push_end(&mut events, rank, top.t1);
@@ -330,70 +334,47 @@ impl Timeline {
             while let Some(top) = open.pop() {
                 push_end(&mut events, rank, top.t1);
             }
-            if let Some(spans) = kernel.get(rank) {
-                push_kernel_tracks(&mut events, rank, spans);
+            if let Some(Some(profile)) = self.compute.get(rank) {
+                push_kernel_tracks(&mut events, rank, profile);
             }
         }
         format!(
             r#"{{"traceEvents":[{events}],"displayTimeUnit":"ms","otherData":{{"producer":"msgpass","ranks":{}}}}}"#,
-            self.ranks()
+            timeline.ranks()
         )
     }
 }
 
-/// A kernel-profiler span rebased onto the run epoch, ready to render as a
-/// kernel-thread track under a rank in the Chrome export. `thread` is the
-/// profiler's worker-slot id (0 = the span was recorded on the rank thread
-/// itself or the first pool slot it touched — slots are process-global, so
-/// the ids are opaque labels, not pool indices).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct KernelSpan {
-    /// Profiler worker-slot id the span was recorded on.
-    pub thread: usize,
-    /// Phase label (`pack_a`, `pack_b`, `compute`, `wake`, `barrier`).
-    pub label: &'static str,
-    /// Span start, seconds on the run epoch.
-    pub t0: f64,
-    /// Span end, seconds on the run epoch.
-    pub t1: f64,
-}
-
-/// Emits one flat `B`/`E` track per distinct kernel thread seen in `spans`,
-/// as `tid = 1000·(rank+1) + track` (track = order of first appearance, so
-/// tids stay compact regardless of which process-global pool slots the rank
-/// happened to use). Wake spans start at *enqueue* time and can overlap the
-/// same worker's previous span, so each track is sorted by `t0` and clamped
-/// to be non-overlapping (spans fully swallowed by a predecessor are
-/// dropped).
-fn push_kernel_tracks(out: &mut String, rank: usize, spans: &[KernelSpan]) {
-    let mut tracks: Vec<(usize, Vec<KernelSpan>)> = Vec::new();
-    for s in spans {
-        match tracks.iter_mut().find(|(slot, _)| *slot == s.thread) {
-            Some((_, v)) => v.push(*s),
-            None => tracks.push((s.thread, vec![*s])),
-        }
-    }
-    for (track, (slot, mut spans)) in tracks.into_iter().enumerate() {
+/// Emits one flat `B`/`E` track per OS thread seen in the profile's spans,
+/// as `tid = 1000·(rank+1) + track` (tracks numbered in thread-id order, so
+/// tids stay compact whatever the process-wide thread ids are). The spans
+/// come sorted by `(thread, t0)`, so each thread's run is one track in
+/// start order. Wake spans start at *enqueue* time and can overlap the same
+/// worker's previous span, so each track is clamped to be non-overlapping
+/// (spans fully swallowed by a predecessor are dropped).
+fn push_kernel_tracks(out: &mut String, rank: usize, profile: &KernelProfile) {
+    let tracks = profile.spans.chunk_by(|a, b| a.thread == b.thread);
+    for (track, spans) in tracks.enumerate() {
         let tid = 1000 * (rank + 1) + track;
+        let thread = spans[0].thread;
         let _ = write!(
             out,
-            r#",{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":"rank {rank} kern {slot}"}}}}"#
+            r#",{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":"rank {rank} kern {thread}"}}}}"#
         );
-        spans.sort_by(|a, b| a.t0.total_cmp(&b.t0));
-        let mut prev_t1 = f64::NEG_INFINITY;
+        let mut prev_t1 = 0;
         for s in spans {
-            let t0 = s.t0.max(prev_t1);
-            if s.t1 <= t0 {
+            let t0 = s.t0_ns.max(prev_t1);
+            if s.t1_ns <= t0 {
                 continue;
             }
-            let name = jsonlite::Json::Str(s.label.to_string()).to_string();
             let _ = write!(
                 out,
-                r#",{{"name":{name},"cat":"kernel","ph":"B","ts":{},"pid":0,"tid":{tid}}},{{"ph":"E","ts":{},"pid":0,"tid":{tid}}}"#,
-                micros(t0),
-                micros(s.t1)
+                r#",{{"name":"{}","cat":"kernel","ph":"B","ts":{},"pid":0,"tid":{tid}}},{{"ph":"E","ts":{},"pid":0,"tid":{tid}}}"#,
+                s.phase.label(),
+                micros(t0 as f64 * 1e-9),
+                micros(s.t1_ns as f64 * 1e-9)
             );
-            prev_t1 = s.t1;
+            prev_t1 = s.t1_ns;
         }
     }
 }
@@ -425,6 +406,16 @@ fn micros(secs: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dense::prof::SpanPhase;
+
+    /// The Chrome export of a report holding only `tl`.
+    fn chrome_json(tl: Timeline) -> String {
+        RunReport {
+            timeline: tl,
+            ..RunReport::default()
+        }
+        .to_chrome_json()
+    }
 
     fn raw_begin(t: f64, kind: SpanKind) -> RawEvent {
         RawEvent::Begin { t, kind, bytes: 0 }
@@ -513,43 +504,34 @@ mod tests {
             raw_begin(0.0, SpanKind::Phase("mult".into())),
             raw_end(4.0, 0),
         ];
-        let tl = Timeline::from_raw(vec![stream.clone(), stream]);
-        // Rank 0: two kernel threads, with a wake span overlapping slot 3's
-        // previous span (starts at enqueue time) and one fully-swallowed
-        // span. Rank 1: none.
-        let kernel = vec![
-            vec![
-                KernelSpan {
-                    thread: 3,
-                    label: "compute",
-                    t0: 1.0,
-                    t1: 2.0,
-                },
-                KernelSpan {
-                    thread: 3,
-                    label: "wake",
-                    t0: 1.5,
-                    t1: 2.5,
-                },
-                KernelSpan {
-                    thread: 3,
-                    label: "pack_a",
-                    t0: 1.2,
-                    t1: 1.8,
-                },
-                KernelSpan {
-                    thread: 7,
-                    label: "pack_b",
-                    t0: 0.5,
-                    t1: 1.0,
-                },
+        // Rank 0: two kernel threads, with a wake span overlapping thread
+        // 3's previous span (starts at enqueue time) and one fully-swallowed
+        // span, sorted by (thread, t0) as `end_capture` returns them.
+        // Rank 1: none.
+        let span = |thread, phase, t0: f64, t1: f64| dense::prof::ProfSpan {
+            thread,
+            phase,
+            t0_ns: (t0 * 1e9) as u64,
+            t1_ns: (t1 * 1e9) as u64,
+        };
+        let profile = KernelProfile {
+            spans: vec![
+                span(3, SpanPhase::Compute, 1.0, 2.0),
+                span(3, SpanPhase::PackA, 1.2, 1.8),
+                span(3, SpanPhase::Wake, 1.5, 2.5),
+                span(7, SpanPhase::PackB, 0.5, 1.0),
             ],
-            Vec::new(),
-        ];
-        let text = tl.to_chrome_json_with_kernel(&kernel);
+            ..KernelProfile::default()
+        };
+        let report = RunReport {
+            timeline: Timeline::from_raw(vec![stream.clone(), stream]),
+            compute: vec![Some(profile), None],
+            ..RunReport::default()
+        };
+        let text = report.to_chrome_json();
         let doc = jsonlite::Json::parse(&text).expect("exported trace parses");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        // Compact track ids under rank 0: slots {3, 7} → tids 1000, 1001.
+        // Compact track ids under rank 0: threads {3, 7} → tids 1000, 1001.
         let tids: std::collections::BTreeSet<u64> = events
             .iter()
             .filter_map(|e| e.get("tid").and_then(|t| t.as_f64()))
@@ -597,8 +579,6 @@ mod tests {
             }
             assert_eq!(depth, 0);
         }
-        // Without kernel spans the export is byte-identical to the plain one.
-        assert_eq!(tl.to_chrome_json(), tl.to_chrome_json_with_kernel(&[]));
     }
 
     #[test]
@@ -611,8 +591,7 @@ mod tests {
             raw_begin(3.0, SpanKind::Phase("b".into())),
             raw_end(4.0, 0),
         ];
-        let tl = Timeline::from_raw(vec![stream.clone(), stream]);
-        let text = tl.to_chrome_json();
+        let text = chrome_json(Timeline::from_raw(vec![stream.clone(), stream]));
         let doc = jsonlite::Json::parse(&text).expect("exported trace parses");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let b = events
@@ -657,8 +636,7 @@ mod tests {
             raw_begin(0.0, SpanKind::Phase(hostile.into())),
             raw_end(1.0, 0),
         ];
-        let tl = Timeline::from_raw(vec![stream]);
-        let text = tl.to_chrome_json();
+        let text = chrome_json(Timeline::from_raw(vec![stream]));
         let doc = jsonlite::Json::parse(&text).expect("hostile name must stay valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let name = events
@@ -677,7 +655,7 @@ mod tests {
         assert_eq!(tl.ranks(), 4);
         assert!(tl.is_empty());
         assert!(tl.phases().is_empty());
-        let doc = jsonlite::Json::parse(&tl.to_chrome_json()).unwrap();
+        let doc = jsonlite::Json::parse(&chrome_json(tl)).unwrap();
         assert!(doc.get("traceEvents").is_some());
     }
 

@@ -104,7 +104,7 @@ pub struct RunReport {
     /// Per-rank kernel profiles, captured when a *wall-clock* run asked for
     /// them ([`RunOptions::gemm_prof`]). Empty for unprofiled and
     /// virtual-time runs. Serialized as the report's `compute` block.
-    pub compute: Vec<Option<ComputeProfile>>,
+    pub compute: Vec<Option<dense::prof::KernelProfile>>,
 }
 
 impl Deref for RunReport {
@@ -112,53 +112,6 @@ impl Deref for RunReport {
 
     fn deref(&self) -> &TrafficReport {
         &self.traffic
-    }
-}
-
-impl RunReport {
-    /// Chrome-trace JSON with per-rank *kernel-thread* tracks merged under
-    /// the comm timeline, so one Perfetto view shows communication and
-    /// compute interleaved. Identical to `self.timeline.to_chrome_json()`
-    /// when no rank captured a kernel profile.
-    pub fn to_chrome_json(&self) -> String {
-        let kernel: Vec<Vec<crate::trace::KernelSpan>> = (0..self.timeline.ranks())
-            .map(|rank| {
-                self.compute
-                    .get(rank)
-                    .and_then(Option::as_ref)
-                    .map_or_else(Vec::new, ComputeProfile::kernel_spans)
-            })
-            .collect();
-        self.timeline.to_chrome_json_with_kernel(&kernel)
-    }
-}
-
-/// One rank's captured kernel profile, plus the offset rebasing its span
-/// timestamps (nanoseconds since [`dense::prof::epoch`]) onto the run's own
-/// epoch (the trace timeline's `t = 0`).
-#[derive(Clone, Debug)]
-pub struct ComputeProfile {
-    /// The aggregated profile (see [`dense::prof::KernelProfile`]).
-    pub profile: dense::prof::KernelProfile,
-    /// Seconds to add to a span's `t_ns · 1e-9` to express it on the run
-    /// epoch.
-    pub epoch_offset_secs: f64,
-}
-
-impl ComputeProfile {
-    /// The profile's retained spans rebased onto the run epoch, ready for
-    /// [`Timeline::to_chrome_json_with_kernel`].
-    pub fn kernel_spans(&self) -> Vec<crate::trace::KernelSpan> {
-        self.profile
-            .spans
-            .iter()
-            .map(|s| crate::trace::KernelSpan {
-                thread: s.thread,
-                label: s.phase.label(),
-                t0: (s.t0_ns as f64 * 1e-9 + self.epoch_offset_secs).max(0.0),
-                t1: (s.t1_ns as f64 * 1e-9 + self.epoch_offset_secs).max(0.0),
-            })
-            .collect()
     }
 }
 
@@ -235,7 +188,7 @@ impl RankCtx {
             phase_started_v: Cell::new(0.0),
             send_seq: Cell::new(0),
             ctx_seq: Cell::new(0),
-            recorder: Recorder::new(setup.trace, setup.epoch),
+            recorder: Recorder::new(setup.trace),
             coll: Cell::new(None),
         }
     }
@@ -545,16 +498,13 @@ impl World {
 }
 
 /// What every rank of one run (or one persistent-world job) shares: the
-/// fabric, the time domain and trace origin, and the per-rank settings
-/// resolved from the [`RunOptions`].
+/// fabric, the time domain, and the per-rank settings resolved from the
+/// [`RunOptions`].
 pub(crate) struct RunSetup {
     pub(crate) fabric: Arc<Fabric>,
     /// Virtual-time charging parameters; `None` for wall clock.
     sim: Option<Arc<SimParams>>,
     trace: bool,
-    /// One epoch for the whole world so per-rank timestamps are mutually
-    /// comparable in the merged timeline.
-    epoch: Instant,
     pub(crate) kernel_threads: usize,
     gemm_prof: bool,
 }
@@ -582,7 +532,6 @@ impl RunSetup {
         let setup = RunSetup {
             fabric,
             trace: opts.trace,
-            epoch: Instant::now(),
             kernel_threads: opts
                 .kernel_threads_per_rank
                 .map_or_else(|| dense::pool::rank_threads_for(p), |n| n.max(1)),
@@ -643,23 +592,7 @@ impl RunSetup {
             makespan_secs,
         });
         let compute = if profiles.iter().any(Option::is_some) {
-            // Rebase profiler timestamps (ns since the profiler's process-wide
-            // epoch) onto this run's epoch. The profiler epoch may pre- or
-            // post-date the run epoch depending on which was touched first.
-            let prof_epoch = dense::prof::epoch();
-            let offset = match self.epoch.checked_duration_since(prof_epoch) {
-                Some(d) => -d.as_secs_f64(),
-                None => prof_epoch.duration_since(self.epoch).as_secs_f64(),
-            };
             profiles
-                .into_iter()
-                .map(|p| {
-                    p.map(|profile| ComputeProfile {
-                        profile,
-                        epoch_offset_secs: offset,
-                    })
-                })
-                .collect()
         } else {
             Vec::new()
         };

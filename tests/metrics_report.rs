@@ -156,12 +156,7 @@ fn concurrent_profiled_and_unprofiled_runs_do_not_interfere() {
     });
 
     assert_eq!(on.compute.len(), P, "every profiled rank captured");
-    let calls: u64 = on
-        .compute
-        .iter()
-        .flatten()
-        .map(|c| c.profile.gemm_calls)
-        .sum();
+    let calls: u64 = on.compute.iter().flatten().map(|c| c.gemm_calls).sum();
     assert!(calls > 0, "the profiled world recorded its GEMMs");
     assert_eq!(meta_gemm_prof(&alg_on, &on), Some(true));
 

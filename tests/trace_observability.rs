@@ -2,11 +2,13 @@
 //! traced, the resulting timeline must agree with the traffic report's
 //! independent phase clock, the Chrome-trace export must be valid JSON with
 //! perfectly matched B/E pairs (including the kernel-thread tracks a
-//! profiled run merges in), and the critical-path and model-diff reports
-//! must be self-consistent.
+//! profiled run merges in), a profiled run's kernel spans must lie on the
+//! trace's own clock, and the critical-path and model-diff reports must be
+//! self-consistent.
 
 use ca3dmm::{ca3dmm_schedule, diff_model_vs_measured, Ca3dmm, Ca3dmmOptions, ModelConfig};
 use dense::part::Rect;
+use dense::prof::SpanPhase;
 use dense::random::global_block;
 use dense::Mat;
 use gridopt::{Grid, Problem};
@@ -90,7 +92,7 @@ fn timeline_agrees_with_traffic_phase_clock() {
 fn chrome_export_is_valid_and_balanced() {
     let p = 8;
     let report = traced_ca3dmm(48, 48, 96, p, Grid::new(2, 2, 2));
-    let text = report.timeline.to_chrome_json();
+    let text = report.to_chrome_json();
     let json = Json::parse(&text).expect("chrome trace must be valid JSON");
 
     let events = json
@@ -182,7 +184,7 @@ fn profiled_chrome_export_has_kernel_thread_tracks() {
         }
         kernel_tids.insert(tid);
         let ts = ev.get("ts").and_then(Json::as_f64).expect("ts");
-        assert!(ts >= 0.0, "kernel span before the run epoch");
+        assert!(ts >= 0.0, "kernel span before the trace epoch");
         let prev = last_ts.entry(tid).or_insert(f64::NEG_INFINITY);
         assert!(ts >= *prev, "kernel timestamps monotone per tid");
         *prev = ts;
@@ -215,6 +217,61 @@ fn profiled_chrome_export_has_kernel_thread_tracks() {
         kernel_labels.iter().any(|l| l.starts_with("pack")),
         "kernel labels: {kernel_labels:?}"
     );
+}
+
+/// Rank spans and kernel spans share one clock: in a traced, profiled run,
+/// every kernel span a rank's capture recorded lies inside that rank's
+/// traced interval as recorded, with no offset applied. Each rank's GEMM
+/// is big enough to engage a helper job, so pool-worker spans are checked
+/// too. A wake span ends when a worker pops the helper job, which may be
+/// after its region finished without it, so only its start (the enqueue,
+/// inside the GEMM) is bound.
+#[test]
+fn kernel_spans_lie_within_their_rank_on_one_clock() {
+    let p = 4;
+    let opts = RunOptions {
+        gemm_prof: true,
+        kernel_threads_per_rank: Some(2),
+        ..RunOptions::traced()
+    };
+    let (_, report) = World::run_opts(p, opts, async |ctx| {
+        ctx.set_phase("mult");
+        let a = dense::random::random_mat::<f64>(96, 96, 7);
+        let b = dense::random::random_mat::<f64>(96, 96, 8);
+        let mut c = Mat::<f64>::zeros(96, 96);
+        dense::gemm(
+            dense::GemmOp::NoTrans,
+            dense::GemmOp::NoTrans,
+            1.0,
+            &a,
+            &b,
+            0.0,
+            &mut c,
+        );
+        msgpass::collectives::barrier(&Comm::world(ctx), ctx).await;
+    });
+    assert_eq!(report.compute.len(), p, "all ranks captured");
+    for rank in 0..p {
+        let spans = report.timeline.spans(rank);
+        let lo = spans.iter().map(|s| s.t0).fold(f64::INFINITY, f64::min);
+        let hi = spans.iter().map(|s| s.t1).fold(f64::NEG_INFINITY, f64::max);
+        assert!(lo < hi, "rank {rank} traced nothing");
+        let profile = report.compute[rank].as_ref().expect("rank captured");
+        assert!(
+            !profile.spans.is_empty(),
+            "rank {rank} recorded no kernel span"
+        );
+        // One nanosecond of slack for the two float conversions.
+        let inside = |t: f64| lo - 1e-9 <= t && t <= hi + 1e-9;
+        for s in &profile.spans {
+            let (t0, t1) = (s.t0_ns as f64 * 1e-9, s.t1_ns as f64 * 1e-9);
+            assert!(
+                inside(t0) && (s.phase == SpanPhase::Wake || inside(t1)),
+                "rank {rank}: {} span [{t0}, {t1}] outside the traced [{lo}, {hi}]",
+                s.phase.label()
+            );
+        }
+    }
 }
 
 /// The summary's critical path names a real phase, its per-phase split sums
