@@ -16,15 +16,8 @@ fn main() {
     let placement = machine.pure_mpi();
     println!("Figure 3: strong scaling, % of peak ({})", machine.name);
     println!("All series pure MPI: 1 rank/core, 24 ranks/node.\n");
-    let mut csv = bench::csv_writer("fig3");
-    if let Some(w) = csv.as_mut() {
-        use std::io::Write;
-        writeln!(
-            w,
-            "class,cores,cosma_native,cosma_custom,ca3dmm_native,ca3dmm_custom,ctf"
-        )
-        .ok();
-    }
+    let mut csv =
+        String::from("class,cores,cosma_native,cosma_custom,ca3dmm_native,ca3dmm_custom,ctf\n");
 
     for (name, m, n, k) in CPU_CLASSES {
         println!("--- {name} ---");
@@ -53,24 +46,12 @@ fn main() {
                 "{:>6} | {:>12.1}% {:>12.1}% {:>12.1}% {:>12.1}% {:>8.1}%",
                 p, vals[0], vals[1], vals[2], vals[3], vals[4],
             );
-            if let Some(w) = csv.as_mut() {
-                use std::io::Write;
-                writeln!(
-                    w,
-                    "{},{},{:.2},{:.2},{:.2},{:.2},{:.2}",
-                    name.trim(),
-                    p,
-                    vals[0],
-                    vals[1],
-                    vals[2],
-                    vals[3],
-                    vals[4]
-                )
-                .ok();
-            }
+            let cols: Vec<String> = vals.iter().map(|v| format!("{v:.2}")).collect();
+            csv += &format!("{},{},{}\n", name.trim(), p, cols.join(","));
         }
         println!();
     }
+    bench::write_csv("fig3", &csv);
     println!("Shape checks (paper Fig. 3):");
     println!(" * COSMA and CA3DMM native scale well on every class;");
     println!(" * CA3DMM >= COSMA on square and flat, ~equal on large-K/M;");

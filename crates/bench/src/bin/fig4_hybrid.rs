@@ -18,15 +18,9 @@ fn main() {
         "Figure 4: pure MPI vs MPI+OpenMP, % of peak ({})\n",
         machine.name
     );
-    let mut csv = bench::csv_writer("fig4");
-    if let Some(w) = csv.as_mut() {
-        use std::io::Write;
-        writeln!(
-            w,
-            "class,cores,cosma_pure,cosma_hybrid,ca3dmm_pure,ca3dmm_hybrid,ctf_pure,ctf_hybrid"
-        )
-        .ok();
-    }
+    let mut csv = String::from(
+        "class,cores,cosma_pure,cosma_hybrid,ca3dmm_pure,ca3dmm_hybrid,ctf_pure,ctf_hybrid\n",
+    );
 
     for (name, m, n, k) in CPU_CLASSES {
         println!("--- {name} ---");
@@ -63,25 +57,12 @@ fn main() {
                 "{:>6} | {:>11.1}% {:>11.1}% | {:>11.1}% {:>11.1}% | {:>9.1}% {:>9.1}%",
                 cores, vals[0], vals[1], vals[2], vals[3], vals[4], vals[5],
             );
-            if let Some(w) = csv.as_mut() {
-                use std::io::Write;
-                writeln!(
-                    w,
-                    "{},{},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2}",
-                    name.trim(),
-                    cores,
-                    vals[0],
-                    vals[1],
-                    vals[2],
-                    vals[3],
-                    vals[4],
-                    vals[5]
-                )
-                .ok();
-            }
+            let cols: Vec<String> = vals.iter().map(|v| format!("{v:.2}")).collect();
+            csv += &format!("{},{},{}\n", name.trim(), cores, cols.join(","));
         }
         println!();
     }
+    bench::write_csv("fig4", &csv);
     println!("Shape checks (paper Fig. 4):");
     println!(" * square: pure MPI beats hybrid for COSMA and CA3DMM");
     println!("   (24 ranks/node saturate the NIC; 1 rank/node cannot);");

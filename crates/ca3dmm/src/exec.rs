@@ -151,7 +151,7 @@ impl Ca3dmm {
     /// reused a cached plan (when the caller ran through a plan cache), and
     /// the local-GEMM microkernel the dispatcher selected. Kept separate
     /// from `report_meta` because these are host-dependent — the
-    /// deterministic figure artifacts (which CI diffs byte-for-byte) must
+    /// deterministic figure artifacts (which the tests diff byte for byte) must
     /// not embed them, while serving reports want them front and center.
     pub fn report_meta_serving(
         &self,

@@ -1163,8 +1163,8 @@ mod tests {
         let doc = sample_doc();
         assert!(gate(&doc, &doc, None).is_ok());
 
-        // Perturb one byte count end to end through the JSON (as the CI
-        // negative test does) and the gate must fail.
+        // Perturb one byte count end to end through the JSON (as
+        // `tests/metrics_report.rs` does) and the gate must fail.
         let report = sample_report();
         let text = report
             .to_json(Json::obj([("name", Json::Str("sample".into()))]))

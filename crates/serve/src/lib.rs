@@ -30,6 +30,6 @@ pub mod stats;
 pub use cache::{CacheStats, PlanCache};
 pub use engine::{BatchOutcome, Engine, ItemResult};
 pub use protocol::{Limits, MultiplyRequest, ProtoError, Request};
-pub use scheduler::{ResponseSink, Scheduler, SchedulerConfig};
+pub use scheduler::{channel_sink, ResponseSink, Scheduler, SchedulerConfig};
 pub use server::{run, Listen, Server, ServerConfig};
 pub use stats::{LatencyHist, ServerStats};

@@ -234,21 +234,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-
-    fn channel_sink() -> (ResponseSink, mpsc::Receiver<Json>) {
-        let (tx, rx) = mpsc::channel();
-        let tx = Mutex::new(tx);
-        (
-            Arc::new(move |j: Json| {
-                let _ = tx
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .send(j);
-            }),
-            rx,
-        )
-    }
+    use crate::channel_sink;
 
     fn test_server(p: usize, slots: usize) -> Server {
         let cfg = ServerConfig {

@@ -4,12 +4,14 @@
 # `--sim-only` regenerates only the deterministic virtual-time artifacts
 # (REPORT_fig3_sim*.json and fig3_sim*.csv). Those are exact functions of
 # the algorithm, the machine model, and the placement — no host timing
-# enters them — so CI's artifact-freshness job re-runs this mode and fails
-# if the committed copies drift from what HEAD produces. The fig3_sim*.txt
-# tables carry a host wall-clock column and are left untouched in this
-# mode. Of the figure/table binaries below only ablation_2d_algo embeds
-# wall time; the others (and grid_explorer) are analytic, and the same CI
-# job regenerates them into a temp dir and `cmp`s them against results/.
+# enters them — so tests/committed_artifacts.rs reruns each sweep and
+# fails if a committed copy differs from what HEAD produces. The
+# fig3_sim*.txt tables carry a host wall-clock column and are left
+# untouched in this mode. Of the figure/table binaries below only
+# ablation_2d_algo embeds wall time (its message columns are pinned in
+# tests/e2e_all_algorithms.rs); the others (and grid_explorer) are
+# analytic, and CI regenerates them into a temp dir and `cmp`s them
+# against results/.
 set -e
 cd "$(dirname "$0")"
 export BENCH_CSV_DIR=results
@@ -52,7 +54,7 @@ if [ "$SIM_ONLY" = 0 ]; then
 fi
 
 # Executed (virtual-time) strong scaling; also refreshes the RunReport
-# that CI's sim-smoke job gates exactly. Deterministic: the
+# that tests/committed_artifacts.rs gates exactly. Deterministic: the
 # regenerated artifact only changes when the algorithm's traffic or the
 # machine model does.
 echo "== fig3_sim"
@@ -63,9 +65,9 @@ cargo run --release -q -p bench --bin fig3_sim -- \
 # flat vs two-level node-aware collectives, same problem and sweep. The
 # paper's 24/node placement puts every reduce-group member on a distinct
 # node, so the hierarchical variants only engage — and their inter-node
-# win only shows — when several members share a node. CI's sim-smoke job
-# recomputes both artifacts and gates that hier moves strictly fewer
-# inter-node bytes (and at most half the inter-node messages) than flat.
+# win only shows — when several members share a node. The tests rerun
+# both sweeps and gate that hier moves strictly fewer inter-node bytes
+# (and at most half the inter-node messages) than flat.
 echo "== fig3_sim collectives ablation (flat vs hier, 384 ranks/node)"
 cargo run --release -q -p bench --bin fig3_sim -- \
   --ranks-per-node 384 --collectives flat \
@@ -77,7 +79,8 @@ cargo run --release -q -p bench --bin fig3_sim -- \
   > "$(sim_txt fig3_sim_hier_r384.txt)"
 
 if [ "$SIM_ONLY" = 0 ]; then
-  # The small traced-run RunReport that CI's report-smoke job gates exactly.
+  # The small traced-run RunReport that tests/committed_artifacts.rs gates
+  # exactly.
   # Traffic is deterministic; only the (ungated) wall times vary run to run.
   echo "== REPORT_fig5_small"
   cargo run --release -q -p bench --bin fig5_breakdown -- \
@@ -87,8 +90,8 @@ if [ "$SIM_ONLY" = 0 ]; then
   # The profiled counterpart: the same 4-rank run with the dense::prof
   # kernel profiler capturing, so the committed artifact carries a
   # compute block (per-rank pack/compute/idle attribution and
-  # roofline numbers). CI's artifact-freshness job regenerates this to
-  # /tmp and gates the *traffic* exactly against the committed copy —
+  # roofline numbers). tests/committed_artifacts.rs reruns it and gates
+  # the *traffic* exactly against the committed copy —
   # compute timings are host-specific and are only checked for presence
   # and internal reconciliation (which RunReportDoc::parse enforces).
   echo "== REPORT_fig5_prof"

@@ -261,7 +261,9 @@ type Pinned = (&'static str, fn() -> Run, &'static str);
 /// `p = 12`, forced grids and grids with idle ranks, recorded from the
 /// separate implementations before they were re-expressed on
 /// `ca3dmm::grid3d`: the five plain-grid algorithms at commit d8cf79e,
-/// CA3DMM on its own `GridContext` executor at commit ce5f68f.
+/// CA3DMM on its own `GridContext` executor at commit ce5f68f. Then the
+/// message columns of `ablation_2d_algo`: the most messages any rank
+/// sends under CA3DMM-C and CA3DMM-S on the same grid at p = 16.
 #[test]
 fn pinned_traffic_of_the_six_separate_implementations() {
     let table: [Pinned; 19] = [
@@ -388,6 +390,19 @@ fn pinned_traffic_of_the_six_separate_implementations() {
     ];
     for (name, run, want) in table {
         assert_eq!(traffic_signature(&run().1), want, "{name}");
+    }
+    for ((m, n, k), want) in [
+        ((240, 240, 240), (6, 22)),
+        ((120, 120, 960), (8, 10)),
+        ((480, 480, 60), (8, 30)),
+    ] {
+        let grid = Some(gridopt::ca3dmm_grid(&Problem::new(m, n, k, 16), 0.95).grid);
+        let msgs = |run: Run| run.1.max_rank_msgs();
+        let got = (
+            msgs(ca3dmm((m, n, k, 16, grid))),
+            msgs(ca3dmm_s((m, n, k, 16, grid))),
+        );
+        assert_eq!(got, want, "{m}x{n}x{k}: max msgs CA3DMM-C / CA3DMM-S");
     }
 }
 

@@ -13,6 +13,7 @@ use dense::part::Rect;
 use dense::random::global_block;
 use dense::Mat;
 use gridopt::{Grid, Problem};
+use jsonlite::Json;
 use msgpass::metrics::{bucket_label, size_bucket, HIST_BUCKETS};
 use msgpass::{Comm, RunOptions, RunReport, RunReportDoc, SizeHistogram, World};
 use proptest::prelude::*;
@@ -349,24 +350,69 @@ fn run_report_artifact_round_trips_and_gates() {
         assert!(dash.contains(needle), "dashboard missing {needle:?}");
     }
 
-    // Perturb the busiest phase's byte count in the raw JSON. The redundant
-    // views disagree afterwards, so either the parser's consistency check
-    // or the gate must reject it — silently passing is the only failure.
-    let busiest = doc
-        .phases
-        .iter()
-        .max_by_key(|ph| ph.sent_bytes)
-        .expect("phases present");
-    let from = format!("\"sent_bytes\": {}", busiest.sent_bytes);
-    let to = format!("\"sent_bytes\": {}", busiest.sent_bytes + 64);
-    let perturbed = text.replacen(&from, &to, 1);
-    assert_ne!(perturbed, text, "perturbation must hit");
-    match RunReportDoc::parse(&perturbed) {
-        Err(_) => {} // internal consistency caught it
-        Ok(bad) => {
-            let errs = msgpass::report::gate(&doc, &bad, None)
-                .expect_err("gate must flag perturbed traffic");
-            assert!(!errs.is_empty());
-        }
+    // Bump the busiest phase's byte count consistently across every view
+    // of the sent traffic — its phase row, one matrix cell, one algorithm
+    // histogram — so the artifact still parses; the exact gate must then
+    // catch the drift.
+    let mut json = Json::parse(&text).expect("artifact is JSON");
+    let bump = |v: &mut Json| match v {
+        Json::Num(x) => *x += 8.0,
+        other => panic!("not a number: {other}"),
+    };
+    let Json::Arr(phases) = field(&mut json, "phases") else {
+        panic!("phases is not an array")
+    };
+    let sent = |ph: &Json| ph.get("sent_bytes").and_then(Json::as_f64).unwrap_or(0.0);
+    let busiest = phases.iter_mut().max_by(|a, b| sent(a).total_cmp(&sent(b)));
+    bump(field(busiest.expect("phases present"), "sent_bytes"));
+    let Json::Arr(cells) = field(field(&mut json, "matrix"), "send") else {
+        panic!("matrix.send is not an array")
+    };
+    let cell = cells.iter_mut().find_map(|cell| match cell {
+        Json::Arr(quad) if quad[2].as_f64() != Some(0.0) => Some(&mut quad[2]),
+        _ => None,
+    });
+    bump(cell.expect("a nonzero matrix cell"));
+    let Json::Obj(by_algo) = field(field(&mut json, "histograms"), "by_algo") else {
+        panic!("histograms.by_algo is not an object")
+    };
+    bump(field(
+        by_algo.values_mut().next().expect("a histogram"),
+        "bytes",
+    ));
+    let perturbed = json.to_string_pretty();
+    RunReportDoc::parse(&perturbed).expect("a consistent perturbation parses");
+    let err = bench::report::gate(&text, &perturbed, None).expect_err("gate accepted the drift");
+    assert!(err.contains("report-gate FAILED"), "{err}");
+}
+
+/// `key` of a JSON object, for editing an artifact in place.
+fn field<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+    match json {
+        Json::Obj(map) => map.get_mut(key).unwrap_or_else(|| panic!("no {key}")),
+        other => panic!("{key}: not an object: {other}"),
     }
+}
+
+/// `netdiff` prices the configuration a run's own `meta` records: it
+/// renders a traced 16-rank run (`fig5_breakdown --report-out` at its
+/// default 256³) against the model, and refuses a report whose
+/// `meta.overlap` is missing — guessing the blocking model would compare
+/// different algorithms.
+#[test]
+fn netdiff_prices_the_run_its_meta_describes() {
+    let prob = Problem::new(256, 256, 256, 16);
+    let (alg, report) = bench::run_ca3dmm(prob, &Ca3dmmOptions::default(), RunOptions::traced());
+    let meta = alg.report_meta("fig5_breakdown_s256_p16", &report);
+    let text = report.summary(meta).to_json().to_string_pretty();
+    bench::report::show(&text).expect("dashboard renders");
+    bench::report::netdiff(&text, Default::default()).expect("netdiff prices the run");
+    let mut json = Json::parse(&text).expect("artifact is JSON");
+    let Json::Obj(meta) = field(&mut json, "meta") else {
+        panic!("meta is not an object")
+    };
+    meta.remove("overlap").expect("meta.overlap recorded");
+    let err = bench::report::netdiff(&json.to_string_pretty(), Default::default())
+        .expect_err("netdiff priced a report without meta.overlap");
+    assert!(err.contains("meta.overlap"), "{err}");
 }

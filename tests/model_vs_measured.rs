@@ -8,36 +8,28 @@
 //! tolerance.
 
 use baselines::CosmaLike;
-use ca3dmm::{ca3dmm_schedule, Ca3dmm, Ca3dmmOptions, ModelConfig};
+use ca3dmm::{ca3dmm_schedule, Ca3dmmOptions, ModelConfig};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::Mat;
 use gridopt::{Grid, Problem};
-use msgpass::{Comm, World};
+use msgpass::{Comm, RunOptions, RunReport, World};
 use netmodel::Machine;
 
-/// Runs CA3DMM natively and returns (measured max-rank bytes, measured
-/// total bytes, modeled per-rank bytes).
+/// Runs CA3DMM natively, traced, on a forced grid.
+fn traced_ca3dmm(prob: Problem, grid: Grid) -> RunReport {
+    let options = Ca3dmmOptions {
+        grid_override: Some(grid),
+        ..Default::default()
+    };
+    bench::run_ca3dmm(prob, &options, RunOptions::traced()).1
+}
+
+/// Runs CA3DMM natively and returns (measured max-rank bytes, modeled
+/// per-rank bytes).
 fn measure_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid) -> (u64, f64) {
     let prob = Problem::new(m, n, k, p);
-    let alg = Ca3dmm::new(
-        prob,
-        &Ca3dmmOptions {
-            grid_override: Some(grid),
-            ..Default::default()
-        },
-    );
-    let gc = alg.grid_context();
-    let (la, lb) = (gc.layout_a(), gc.layout_b());
-    let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-    let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_traced(p, async |ctx| {
-        let world = Comm::world(ctx);
-        let me = world.rank();
-        let a = la.extract(&a_full, me).into_iter().next();
-        let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
-    });
+    let report = traced_ca3dmm(prob, grid);
     let cfg = ModelConfig {
         placement: Machine::uniform().pure_mpi(),
         elem_bytes: 8.0,
@@ -132,25 +124,7 @@ fn cosma_volume_exact_on_divisible_problems() {
 fn phase_labels_match_between_model_and_runtime() {
     let (m, n, k, p) = (32, 64, 16, 8);
     let grid = Grid::new(2, 4, 1);
-    let prob = Problem::new(m, n, k, p);
-    let alg = Ca3dmm::new(
-        prob,
-        &Ca3dmmOptions {
-            grid_override: Some(grid),
-            ..Default::default()
-        },
-    );
-    let gc = alg.grid_context();
-    let (la, lb) = (gc.layout_a(), gc.layout_b());
-    let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-    let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_traced(p, async |ctx| {
-        let world = Comm::world(ctx);
-        let me = world.rank();
-        let a = la.extract(&a_full, me).into_iter().next();
-        let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
-    });
+    let report = traced_ca3dmm(Problem::new(m, n, k, p), grid);
     // replication: allgather of one A block over c=2 -> each rank sends
     // half a block = 16*4 elements
     let repl = report.phase(0, "replicate_ab").bytes;
@@ -166,24 +140,7 @@ fn phase_labels_match_between_model_and_runtime() {
 fn phase_times_are_recorded() {
     let (m, n, k, p) = (64, 64, 64, 8);
     let grid = Grid::new(2, 2, 2);
-    let alg = Ca3dmm::new(
-        Problem::new(m, n, k, p),
-        &Ca3dmmOptions {
-            grid_override: Some(grid),
-            ..Default::default()
-        },
-    );
-    let gc = alg.grid_context();
-    let (la, lb) = (gc.layout_a(), gc.layout_b());
-    let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-    let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_traced(p, async |ctx| {
-        let world = Comm::world(ctx);
-        let me = world.rank();
-        let a = la.extract(&a_full, me).into_iter().next();
-        let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
-    });
+    let report = traced_ca3dmm(Problem::new(m, n, k, p), grid);
     assert!(report.phase_secs_max("cannon_shift") > 0.0);
     assert!(report.phase_secs_max("reduce_c") > 0.0);
     assert!(report.phases().contains(&"cannon_shift".to_owned()));

@@ -1,8 +1,9 @@
 //! A virtual-time `RunReport` is a function of the algorithm and the
 //! machine model only: the host that writes it, and the kernel-thread
-//! budget that host runs with, must not show up in the artifact. CI diffs
-//! the committed `results/REPORT_fig3_sim*.json` byte for byte against
-//! fresh runs on whatever runner it gets.
+//! budget that host runs with, must not show up in the artifact.
+//! `tests/committed_artifacts.rs` diffs the committed
+//! `results/REPORT_fig3_sim*.json` byte for byte against fresh runs on
+//! whatever host runs it.
 //!
 //! The test changes the process-wide GEMM thread cap, so it stays the only
 //! test in its binary.

@@ -6,10 +6,8 @@
 //! trace's own clock, and the critical-path and model-diff reports must be
 //! self-consistent.
 
-use ca3dmm::{ca3dmm_schedule, diff_model_vs_measured, Ca3dmm, Ca3dmmOptions, ModelConfig};
-use dense::part::Rect;
+use ca3dmm::{ca3dmm_schedule, diff_model_vs_measured, Ca3dmmOptions, ModelConfig};
 use dense::prof::SpanPhase;
-use dense::random::global_block;
 use dense::Mat;
 use gridopt::{Grid, Problem};
 use jsonlite::Json;
@@ -22,28 +20,13 @@ fn traced_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid) -> RunRepor
     run_ca3dmm(m, n, k, p, grid, RunOptions::traced())
 }
 
-/// Runs CA3DMM (native layouts) under `opts` and returns the report.
+/// Runs CA3DMM (native layouts) on a forced grid under `opts`.
 fn run_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid, opts: RunOptions) -> RunReport {
-    let prob = Problem::new(m, n, k, p);
-    let alg = Ca3dmm::new(
-        prob,
-        &Ca3dmmOptions {
-            grid_override: Some(grid),
-            ..Default::default()
-        },
-    );
-    let gc = alg.grid_context();
-    let (la, lb) = (gc.layout_a(), gc.layout_b());
-    let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-    let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_opts(p, opts, async |ctx| {
-        let world = Comm::world(ctx);
-        let me = world.rank();
-        let a = la.extract(&a_full, me).into_iter().next();
-        let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
-    });
-    report
+    let options = Ca3dmmOptions {
+        grid_override: Some(grid),
+        ..Default::default()
+    };
+    bench::run_ca3dmm(Problem::new(m, n, k, p), &options, opts).1
 }
 
 /// The timeline's per-phase seconds agree with the traffic report's
@@ -137,6 +120,9 @@ fn chrome_export_is_valid_and_balanced() {
             "unclosed B events on tid {tid}: {stack:?}"
         );
     }
+    // every rank owns a track
+    let tids: Vec<i64> = last_ts.into_keys().collect();
+    assert_eq!(tids, (0..p as i64).collect::<Vec<_>>(), "rank tracks");
     // the phases and at least one collective appear by name
     assert!(names.iter().any(|n| n.contains("cannon_shift")));
     assert!(names.iter().any(|n| n.contains("reduce_c")));
@@ -165,6 +151,7 @@ fn profiled_chrome_export_has_kernel_thread_tracks() {
         .and_then(Json::as_arr)
         .expect("traceEvents array");
 
+    let mut rank_tids = std::collections::BTreeSet::new();
     let mut kernel_tids = std::collections::BTreeSet::new();
     let mut kernel_labels = std::collections::BTreeSet::new();
     let mut depth: std::collections::BTreeMap<i64, i64> = Default::default();
@@ -174,6 +161,9 @@ fn profiled_chrome_export_has_kernel_thread_tracks() {
         let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
         if tid < 1000 {
             assert!((tid as usize) < p, "comm tid {tid} out of range");
+            if ph != "M" {
+                rank_tids.insert(tid);
+            }
             continue;
         }
         // Kernel track: rank index recoverable from the tid scheme.
@@ -203,6 +193,12 @@ fn profiled_chrome_export_has_kernel_thread_tracks() {
     for (tid, d) in &depth {
         assert_eq!(*d, 0, "unbalanced kernel B/E on tid {tid}");
     }
+    let want: Vec<i64> = (0..p as i64).collect();
+    assert_eq!(
+        rank_tids.into_iter().collect::<Vec<_>>(),
+        want,
+        "rank tracks"
+    );
     assert!(
         !kernel_tids.is_empty(),
         "a profiled run must emit kernel-thread tracks"
@@ -360,25 +356,7 @@ fn tracing_does_not_change_traffic() {
     let grid = Grid::new(2, 2, 2);
     let traced = traced_ca3dmm(m, n, k, p, grid);
 
-    let prob = Problem::new(m, n, k, p);
-    let alg = Ca3dmm::new(
-        prob,
-        &Ca3dmmOptions {
-            grid_override: Some(grid),
-            ..Default::default()
-        },
-    );
-    let gc = alg.grid_context();
-    let (la, lb) = (gc.layout_a(), gc.layout_b());
-    let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-    let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, untraced) = World::run_opts(p, RunOptions::default(), async |ctx| {
-        let world = Comm::world(ctx);
-        let me = world.rank();
-        let a = la.extract(&a_full, me).into_iter().next();
-        let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
-    });
+    let untraced = run_ca3dmm(m, n, k, p, grid, RunOptions::default());
     assert!(untraced.timeline.is_empty());
     assert_eq!(untraced.max_rank_bytes(), traced.max_rank_bytes());
     assert_eq!(untraced.total_bytes(), traced.total_bytes());

@@ -11,8 +11,7 @@
 use jsonlite::Json;
 use proptest::prelude::*;
 use serve::protocol::{parse_request, Limits};
-use serve::{ResponseSink, SchedulerConfig, Server, ServerConfig};
-use std::sync::{mpsc, Arc, Mutex};
+use serve::{SchedulerConfig, Server, ServerConfig};
 use std::time::Duration;
 
 const P: usize = 4;
@@ -206,14 +205,7 @@ fn server_answers_each_junk_line_once_and_keeps_serving() {
         },
         ..ServerConfig::default()
     });
-    let (tx, rx) = mpsc::channel::<Json>();
-    let tx = Mutex::new(tx);
-    let sink: ResponseSink = Arc::new(move |resp| {
-        let _ = tx
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .send(resp);
-    });
+    let (sink, rx) = serve::channel_sink();
     let mut junk = killer_lines().to_vec();
     junk.extend(
         [
