@@ -7,7 +7,7 @@
 //! entry-count based with least-recently-*used* eviction: a lookup hit
 //! refreshes recency, an insert of a full cache evicts the stalest entry.
 //!
-//! Hit/miss/eviction counters feed the `stats` endpoint; the CI smoke test
+//! Hit/miss/eviction counters feed the `stats` endpoint; `tests/serve_mix.rs`
 //! asserts `hits > 0` after a repeated-shape request stream.
 
 use ca3dmm::{Plan, PlanKey};
