@@ -6,9 +6,8 @@
 //! re-checks every structural invariant (the matrix cells and the
 //! algorithm histograms must sum to the per-phase table's sent traffic).
 
-use ca3dmm::{ca3dmm_schedule, diff_phase_rows, Collectives, ModelConfig};
-use gridopt::{Grid, Problem};
-use jsonlite::Json;
+use ca3dmm::{ca3dmm_schedule, diff_phase_rows, ModelConfig, RunMeta};
+use jsonlite::Value;
 use msgpass::report::render_gate_failures;
 use msgpass::RunReportDoc;
 use netmodel::eval::evaluate;
@@ -31,40 +30,6 @@ pub struct NetdiffLimits {
     pub msgs_pct: Option<f64>,
 }
 
-/// The run a report's `meta` block describes: `Ca3dmm::report_meta` wrote
-/// m/n/k/p, the executed grid, whether Cannon ran its dual-buffered
-/// pipeline (`overlap`) and the collective mode (`collectives`). Every key
-/// is required: the model must price the configuration that ran.
-fn meta_problem(doc: &RunReportDoc) -> Result<(Problem, Grid, bool, Collectives), String> {
-    let positive = |obj: &Json, f: &str, what: &str| -> Result<usize, String> {
-        obj.get(f)
-            .and_then(Json::as_f64)
-            .filter(|v| *v >= 1.0 && v.fract() == 0.0)
-            .map(|v| v as usize)
-            .ok_or_else(|| format!("{what}{f} missing or not a positive integer"))
-    };
-    let dim = |f: &str| positive(&doc.meta, f, "meta.");
-    let grid = doc.meta.get("grid").ok_or("meta.grid missing")?;
-    let gdim = |f: &str| positive(grid, f, "meta.grid.");
-    let overlap = doc
-        .meta
-        .get("overlap")
-        .and_then(Json::as_bool)
-        .ok_or("meta.overlap missing or not a boolean")?;
-    let collectives = doc
-        .meta
-        .get("collectives")
-        .and_then(Json::as_str)
-        .and_then(Collectives::parse)
-        .ok_or("meta.collectives missing or not a collective mode")?;
-    Ok((
-        Problem::new(dim("m")?, dim("n")?, dim("k")?, dim("p")?),
-        Grid::new(gdim("pm")?, gdim("pn")?, gdim("pk")?),
-        overlap,
-        collectives,
-    ))
-}
-
 /// `netdiff`: compares a measured run against the §III-D analytic model.
 /// The problem, grid, overlap flag and collective mode are reconstructed
 /// from the report's own `meta` block (a missing key is an error, not a
@@ -85,12 +50,13 @@ pub fn netdiff(text: &str, limits: NetdiffLimits) -> Result<String, String> {
     // The model must price the configuration that ran, or the seconds
     // tiers compare different algorithms and hierarchical artifacts lose
     // their byte-exact closed forms.
-    let (prob, grid, overlap, collectives) = meta_problem(&doc).map_err(|e| {
+    let meta = RunMeta::read(&doc.meta, "report.meta").map_err(|e| {
         format!(
             "cannot reconstruct the run from meta ({e}); \
              netdiff needs a report written with Ca3dmm::report_meta"
         )
     })?;
+    let (prob, grid) = (meta.problem(), meta.grid);
     if doc.ranks != prob.p {
         return Err(format!(
             "report has {} ranks but meta says p = {}",
@@ -111,9 +77,9 @@ pub fn netdiff(text: &str, limits: NetdiffLimits) -> Result<String, String> {
     let cfg = ModelConfig {
         placement,
         elem_bytes: 8.0,
-        overlap,
+        overlap: meta.overlap,
         include_redist: false,
-        collectives,
+        collectives: meta.collectives,
     };
     let cost = evaluate(
         &machine,
@@ -122,15 +88,7 @@ pub fn netdiff(text: &str, limits: NetdiffLimits) -> Result<String, String> {
     );
     let mut out = format!(
         "{} — {}×{}×{} on {} ranks (grid {}×{}×{}) vs analytic model on {}\n",
-        doc.name().unwrap_or("report"),
-        prob.m,
-        prob.n,
-        prob.k,
-        prob.p,
-        grid.pm,
-        grid.pn,
-        grid.pk,
-        machine.name
+        meta.name, prob.m, prob.n, prob.k, prob.p, grid.pm, grid.pn, grid.pk, machine.name
     );
     out += if doc.sim.is_some() {
         "(virtual-time run: bytes and seconds both comparable to the model)\n\n"

@@ -58,6 +58,47 @@ pub struct RunStats {
     pub cuboid: (usize, usize, usize),
 }
 
+jsonlite::record! {
+    /// The `meta` block of a CA3DMM `RunReport`: enough of the run that
+    /// `ca3dmm-report netdiff` can rebuild the schedule it executed and price
+    /// it on a model machine, with no side channel beyond the report file.
+    /// Written by [`Ca3dmm::report_meta`] and [`Ca3dmm::report_meta_serving`].
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct RunMeta {
+        /// The artifact's name.
+        pub name: String,
+        /// Rows of C.
+        pub m: usize as jsonlite::Positive,
+        /// Columns of C.
+        pub n: usize as jsonlite::Positive,
+        /// Inner dimension.
+        pub k: usize as jsonlite::Positive,
+        /// Ranks.
+        pub p: usize as jsonlite::Positive,
+        /// The executed process grid.
+        pub grid: Grid,
+        /// Whether Cannon ran its dual-buffered pipeline.
+        pub overlap: bool,
+        /// The collective mode of the replication and reduction phases.
+        pub collectives: Collectives,
+        /// Whether the run carries kernel profiles.
+        pub gemm_prof: bool,
+        /// Serving only: wall seconds the step-1 grid search took.
+        pub grid_search_secs: Option<f64> as jsonlite::Optional,
+        /// Serving only: whether the run reused a cached plan.
+        pub plan_cached: Option<bool> as jsonlite::Optional,
+        /// Serving only: the local-GEMM microkernel the dispatcher selected.
+        pub gemm_kernel: Option<String> as jsonlite::Optional,
+    }
+}
+
+impl RunMeta {
+    /// The problem the run multiplied.
+    pub fn problem(&self) -> Problem {
+        Problem::new(self.m, self.n, self.k, self.p)
+    }
+}
+
 /// A configured CA3DMM multiplication `C = op(A) × op(B)` on `P` ranks, in
 /// the native layouts. For operands in user layouts build a
 /// [`crate::Plan`], which owns one of these.
@@ -112,68 +153,50 @@ impl Ca3dmm {
     }
 
     /// The `meta` block for a `RunReport` artifact
-    /// ([`msgpass::RunReport::to_json`]): enough of the problem and grid
-    /// that `ca3dmm-report netdiff` can rebuild the schedule this run
-    /// executed and price it on a model machine — without any side-channel
-    /// beyond the report file itself. `report` is the run the meta will
-    /// describe: `gemm_prof` records whether it carries kernel profiles.
+    /// ([`msgpass::RunReport::to_json`]): this run's [`RunMeta`]. `report`
+    /// is the run the meta will describe: `gemm_prof` records whether it
+    /// carries kernel profiles.
     pub fn report_meta(&self, name: &str, report: &msgpass::RunReport) -> jsonlite::Json {
-        let prob = self.gc.problem();
-        let grid = self.gc.grid();
-        jsonlite::Json::obj([
-            ("name", jsonlite::Json::Str(name.to_owned())),
-            ("m", jsonlite::Json::Num(prob.m as f64)),
-            ("n", jsonlite::Json::Num(prob.n as f64)),
-            ("k", jsonlite::Json::Num(prob.k as f64)),
-            ("p", jsonlite::Json::Num(prob.p as f64)),
-            ("overlap", jsonlite::Json::Bool(self.overlap)),
-            (
-                "gemm_prof",
-                jsonlite::Json::Bool(!report.compute.is_empty()),
-            ),
-            (
-                "collectives",
-                jsonlite::Json::Str(self.collectives.as_str().to_owned()),
-            ),
-            (
-                "grid",
-                jsonlite::Json::obj([
-                    ("pm", jsonlite::Json::Num(grid.pm as f64)),
-                    ("pn", jsonlite::Json::Num(grid.pn as f64)),
-                    ("pk", jsonlite::Json::Num(grid.pk as f64)),
-                ]),
-            ),
-        ])
+        self.run_meta(name, report).to_json()
     }
 
-    /// [`Ca3dmm::report_meta`] plus plan-construction provenance: the wall
-    /// seconds the grid search took (`grid_search_secs`), whether this run
-    /// reused a cached plan (when the caller ran through a plan cache), and
-    /// the local-GEMM microkernel the dispatcher selected. Kept separate
-    /// from `report_meta` because these are host-dependent — the
-    /// deterministic figure artifacts (which the tests diff byte for byte) must
-    /// not embed them, while serving reports want them front and center.
+    /// [`Ca3dmm::report_meta`] plus plan-construction provenance: the
+    /// [`RunMeta`] fields that are host-dependent, so the deterministic
+    /// figure artifacts (which the tests diff byte for byte) must not embed
+    /// them, while serving reports want them front and center.
+    /// `plan_cached` is whether this run reused a cached plan, when the
+    /// caller ran through a plan cache.
     pub fn report_meta_serving(
         &self,
         name: &str,
         report: &msgpass::RunReport,
         plan_cached: Option<bool>,
     ) -> jsonlite::Json {
-        let mut meta = self.report_meta(name, report);
-        if let jsonlite::Json::Obj(m) = &mut meta {
-            m.insert(
-                "grid_search_secs".to_owned(),
-                jsonlite::Json::Num(self.grid_search_secs),
-            );
-            if let Some(hit) = plan_cached {
-                m.insert("plan_cached".to_owned(), jsonlite::Json::Bool(hit));
-            }
-            m.insert(
-                "gemm_kernel".to_owned(),
-                jsonlite::Json::Str(dense::kernel::gemm_kernel().name().to_owned()),
-            );
+        RunMeta {
+            grid_search_secs: Some(self.grid_search_secs),
+            plan_cached,
+            gemm_kernel: Some(dense::kernel::gemm_kernel().name().to_owned()),
+            ..self.run_meta(name, report)
         }
-        meta
+        .to_json()
+    }
+
+    fn run_meta(&self, name: &str, report: &msgpass::RunReport) -> RunMeta {
+        let prob = self.gc.problem();
+        RunMeta {
+            name: name.to_owned(),
+            m: prob.m,
+            n: prob.n,
+            k: prob.k,
+            p: prob.p,
+            grid: *self.gc.grid(),
+            overlap: self.overlap,
+            collectives: self.collectives,
+            gemm_prof: !report.compute.is_empty(),
+            grid_search_secs: None,
+            plan_cached: None,
+            gemm_kernel: None,
+        }
     }
 
     /// The partition-info summary.

@@ -56,7 +56,7 @@ pub use cannon::{cannon_multi_shift, charged_gemm, charged_product, LocalC};
 pub use diff::{
     diff_model_vs_measured, diff_phase_rows, model_phase_label, ModelDiffReport, PhaseDiff,
 };
-pub use exec::{Ca3dmm, Ca3dmmOptions, RunStats};
+pub use exec::{Ca3dmm, Ca3dmmOptions, RunMeta, RunStats};
 pub use grid_ctx::{GridContext, RankCoord};
 pub use model::{ca3dmm_schedule, memory_elements_per_rank, ModelConfig};
 pub use msgpass::collectives::Collectives;

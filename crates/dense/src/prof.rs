@@ -359,57 +359,76 @@ pub(crate) fn note_barrier(inner: &CaptureInner, t0_ns: u64) {
     record_span(inner, SpanPhase::Barrier, t0_ns, now_ns());
 }
 
-/// One capture's aggregated kernel profile.
-///
-/// The seconds fields are *thread-seconds* summed over every participating
-/// thread: `pack_a_secs + pack_b_secs + compute_secs + idle_secs ==
-/// thread_secs` (within float rounding), and `thread_secs` is the sum of
-/// `width · wall` over the capture's GEMM calls.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct KernelProfile {
-    /// GEMM calls folded into this capture.
-    pub gemm_calls: u64,
-    /// Nominal flop count (`Σ 2mnk`) of those calls.
-    pub flops: f64,
-    /// Summed wall seconds of the calls (as seen by the submitting thread).
-    pub gemm_wall_secs: f64,
-    /// Summed `width · wall` thread-seconds.
-    pub thread_secs: f64,
-    /// Thread-seconds packing A blocks.
-    pub pack_a_secs: f64,
-    /// Thread-seconds cooperatively packing B slabs.
-    pub pack_b_secs: f64,
-    /// Thread-seconds in the macro-tile microkernel phase.
-    pub compute_secs: f64,
-    /// Derived remainder: `thread_secs − busy`, clamped at zero — time
-    /// participating threads were idle (scheduling gaps, barrier tails).
-    pub idle_secs: f64,
-    /// Bytes actually written by the pack routines.
-    pub pack_bytes: u64,
-    /// The analytic `O(MC·KC + KC·NC)` packed-working-set bound summed over
-    /// the same calls (full-block sizes; measured traffic must stay ≤ it).
-    pub pack_bound_bytes: u64,
-    /// `flops / compute_secs / 1e9` — achieved per-busy-core Gflop/s.
-    pub achieved_gflops: f64,
-    /// Name of the dispatched microkernel the capture's calls ran
-    /// (`"portable"` / `"avx2"` / `"avx512"`; the session-selected kernel
-    /// when the capture folded no calls).
-    pub kernel: &'static str,
-    /// The probed single-core microkernel ceiling for the capture's
-    /// element size *and kernel* (so `achieved/peak` stays ≤ 1 whichever
-    /// kernel the dispatcher picked).
-    pub peak_gflops: f64,
-    /// Max/mean per-thread busy seconds over the retained spans (1.0 when
-    /// at most one thread recorded).
-    pub imbalance: f64,
-    /// Fraction of the exact busy seconds the retained spans represent
-    /// (1.0 = the capture's span buffer never filled).
-    pub coverage: f64,
-    /// Total enqueue→pop seconds over the capture's pool helper jobs.
-    pub submit_wake_secs: f64,
-    /// The retained spans, sorted by `(thread, t0)`. Not serialized into
-    /// RunReport JSON; they feed the Chrome trace's kernel tracks.
-    pub spans: Vec<ProfSpan>,
+jsonlite::record! {
+    /// One capture's aggregated kernel profile.
+    ///
+    /// The seconds fields are *thread-seconds* summed over every participating
+    /// thread: `pack_a_secs + pack_b_secs + compute_secs + idle_secs ==
+    /// thread_secs` (within float rounding), and `thread_secs` is the sum of
+    /// `width · wall` over the capture's GEMM calls.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct KernelProfile {
+        /// GEMM calls folded into this capture.
+        pub gemm_calls: u64,
+        /// Nominal flop count (`Σ 2mnk`) of those calls.
+        pub flops: f64,
+        /// Summed wall seconds of the calls (as seen by the submitting thread).
+        pub gemm_wall_secs: f64,
+        /// Summed `width · wall` thread-seconds.
+        pub thread_secs: f64,
+        /// Thread-seconds packing A blocks.
+        pub pack_a_secs: f64,
+        /// Thread-seconds cooperatively packing B slabs.
+        pub pack_b_secs: f64,
+        /// Thread-seconds in the macro-tile microkernel phase.
+        pub compute_secs: f64,
+        /// Derived remainder: `thread_secs − busy`, clamped at zero — time
+        /// participating threads were idle (scheduling gaps, barrier tails).
+        pub idle_secs: f64,
+        /// Bytes actually written by the pack routines.
+        pub pack_bytes: u64,
+        /// The analytic `O(MC·KC + KC·NC)` packed-working-set bound summed over
+        /// the same calls (full-block sizes; measured traffic must stay ≤ it).
+        pub pack_bound_bytes: u64,
+        /// `flops / compute_secs / 1e9` — achieved per-busy-core Gflop/s.
+        pub achieved_gflops: f64,
+        /// Name of the dispatched microkernel the capture's calls ran
+        /// (`"portable"` / `"avx2"` / `"avx512"`; the session-selected kernel
+        /// when the capture folded no calls).
+        pub kernel: &'static str as KernelName,
+        /// The probed single-core microkernel ceiling for the capture's
+        /// element size *and kernel* (so `achieved/peak` stays ≤ 1 whichever
+        /// kernel the dispatcher picked).
+        pub peak_gflops: f64,
+        /// Max/mean per-thread busy seconds over the retained spans (1.0 when
+        /// at most one thread recorded).
+        pub imbalance: f64,
+        /// Fraction of the exact busy seconds the retained spans represent
+        /// (1.0 = the capture's span buffer never filled).
+        pub coverage: f64,
+        /// Total enqueue→pop seconds over the capture's pool helper jobs.
+        pub submit_wake_secs: f64,
+        /// The retained spans, sorted by `(thread, t0)`. Not serialized:
+        /// they feed the Chrome trace's kernel tracks.
+        pub spans: Vec<ProfSpan> as jsonlite::Skip,
+    }
+}
+
+/// The [`jsonlite::Codec`] of [`KernelProfile::kernel`]: a name
+/// [`KernelKind::parse`] knows, read back as its `'static` spelling.
+pub struct KernelName;
+
+impl jsonlite::Codec<&'static str> for KernelName {
+    fn write(v: &&'static str) -> Option<jsonlite::Json> {
+        Some(jsonlite::Json::Str((*v).to_owned()))
+    }
+
+    fn read(v: Option<&jsonlite::Json>, what: &str, key: &str) -> Result<&'static str, String> {
+        let name: String = <jsonlite::Required as jsonlite::Codec<_>>::read(v, what, key)?;
+        KernelKind::parse(&name)
+            .map(KernelKind::name)
+            .ok_or_else(|| format!("{what}.{key} {name:?} is not a known microkernel"))
+    }
 }
 
 impl KernelProfile {

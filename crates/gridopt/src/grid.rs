@@ -32,16 +32,18 @@ impl Problem {
     }
 }
 
-/// A 3D process grid `pm × pn × pk` (paper notation: `pm × pk × pn`; we
-/// order fields m, n, k for readability).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Grid {
-    /// Processes along the m-dimension.
-    pub pm: usize,
-    /// Processes along the n-dimension.
-    pub pn: usize,
-    /// Processes along the k-dimension (number of k-task groups).
-    pub pk: usize,
+jsonlite::record! {
+    /// A 3D process grid `pm × pn × pk` (paper notation: `pm × pk × pn`; we
+    /// order fields m, n, k for readability).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub struct Grid {
+        /// Processes along the m-dimension.
+        pub pm: usize as jsonlite::Positive,
+        /// Processes along the n-dimension.
+        pub pn: usize as jsonlite::Positive,
+        /// Processes along the k-dimension (number of k-task groups).
+        pub pk: usize as jsonlite::Positive,
+    }
 }
 
 impl Grid {

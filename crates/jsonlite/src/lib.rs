@@ -1,12 +1,55 @@
-//! A dependency-free JSON value type with a parser and writer.
+//! A dependency-free JSON value type with a parser, a writer and a record
+//! codec.
 //!
-//! This workspace builds in containers with no crates.io access, so it
-//! cannot pull in `serde`/`serde_json`. Everything that needs JSON — the
-//! Chrome-trace exporter in `msgpass`, the schedule artifacts in
-//! `netmodel`, and the golden-trace tests — goes through this crate
-//! instead. The surface is deliberately small: a [`Json`] tree, strict
-//! [`Json::parse`], and compact `Json::to_string` (its `Display`) / pretty
-//! [`Json::to_string_pretty`] output.
+//! This workspace builds with no crates.io access, so it cannot pull in
+//! `serde`/`serde_json`. Everything that needs JSON — the RunReport
+//! artifacts, the Chrome-trace exporter in `msgpass`, the serving protocol
+//! and the golden tests — goes through this crate instead: a [`Json`] tree,
+//! strict [`Json::parse`], and compact `Json::to_string` (its `Display`) /
+//! pretty [`Json::to_string_pretty`] output.
+//!
+//! # Records
+//!
+//! A *record* is a flat struct whose JSON form is one object with a member
+//! per field, keyed by the field's name. [`record!`] declares the struct and
+//! its codec from one field list, so each key is spelled once — as its
+//! field — and a field added to the struct is written and read with no
+//! further edit. Each field goes through a [`Codec`]: [`Required`] unless the
+//! declaration names another after `as`:
+//!
+//! * [`Required`] — the key must be present and hold a [`Value`] of the
+//!   field's type: a number, `bool`, `String`, nested record, `Vec` of
+//!   values, or `Option` of one (`null` for `None`);
+//! * [`Positive`] — a `usize` of at least 1;
+//! * [`NullIsInf`] — an `f64` whose `+∞` ("disabled") is written as `null`
+//!   and read back from it;
+//! * [`Optional`] — an `Option<T>` whose key is left out when `None`;
+//! * [`Skip`] — not serialized; reads as `Default::default()`.
+//!
+//! The reader is strict: integers must be whole and non-negative, a missing
+//! key is an error, and every error names the JSON path of the offending
+//! value, e.g. `phases[0].sent_bytes = -1 is not a non-negative integer` or
+//! `phases[0].sent_bytes: phases[0] is missing field "sent_bytes"`. Keys the
+//! record does not declare are ignored. Members are written in key order,
+//! like every [`Json::Obj`].
+//!
+//! ```
+//! jsonlite::record! {
+//!     /// A toy record.
+//!     #[derive(Debug, PartialEq)]
+//!     pub struct Link {
+//!         pub name: String,
+//!         pub bytes: u64,
+//!         pub bw: f64 as jsonlite::NullIsInf,
+//!     }
+//! }
+//! let link = Link { name: "nic".into(), bytes: 8, bw: f64::INFINITY };
+//! let text = link.to_json().to_string();
+//! assert_eq!(text, r#"{"bw":null,"bytes":8,"name":"nic"}"#);
+//! assert_eq!(Link::from_json(&jsonlite::Json::parse(&text).unwrap()), Ok(link));
+//! let e = Link::from_json(&jsonlite::Json::parse(r#"{"name":"x","bw":1}"#).unwrap());
+//! assert_eq!(e.unwrap_err(), r#"Link.bytes: Link is missing field "bytes""#);
+//! ```
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -436,6 +479,255 @@ impl<'a> Parser<'a> {
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
+}
+
+/// A type a record field can hold: its JSON form and a strict reader.
+pub trait Value: Sized {
+    /// The JSON form.
+    fn to_json(&self) -> Json;
+    /// Reads the JSON form back; `path` names `v` in errors.
+    fn read(v: &Json, path: &str) -> Result<Self, String>;
+}
+
+impl Value for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn read(v: &Json, path: &str) -> Result<f64, String> {
+        v.as_f64().ok_or_else(|| format!("{path} is not a number"))
+    }
+}
+
+impl Value for u64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+    fn read(v: &Json, path: &str) -> Result<u64, String> {
+        let f = f64::read(v, path)?;
+        if f < 0.0 || f.fract() != 0.0 {
+            return Err(format!("{path} = {f} is not a non-negative integer"));
+        }
+        Ok(f as u64)
+    }
+}
+
+impl Value for usize {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+    fn read(v: &Json, path: &str) -> Result<usize, String> {
+        u64::read(v, path).map(|n| n as usize)
+    }
+}
+
+impl Value for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn read(v: &Json, path: &str) -> Result<bool, String> {
+        v.as_bool()
+            .ok_or_else(|| format!("{path} is not a boolean"))
+    }
+}
+
+impl Value for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn read(v: &Json, path: &str) -> Result<String, String> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| format!("{path} is not a string"))
+    }
+}
+
+/// A JSON array; `path[i]` names element `i` in errors.
+impl<T: Value> Value for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn read(v: &Json, path: &str) -> Result<Vec<T>, String> {
+        v.as_arr()
+            .ok_or_else(|| format!("{path} is not an array"))?
+            .iter()
+            .enumerate()
+            .map(|(i, e)| T::read(e, &format!("{path}[{i}]")))
+            .collect()
+    }
+}
+
+/// `null` when `None`.
+impl<T: Value> Value for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+    fn read(v: &Json, path: &str) -> Result<Option<T>, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::read(v, path).map(Some),
+        }
+    }
+}
+
+/// How a record writes and reads one field of type `T` (see the crate
+/// docs' list).
+pub trait Codec<T> {
+    /// The member's value, or `None` to leave the key out.
+    fn write(v: &T) -> Option<Json>;
+    /// Reads member `key` of the object at `what`; `v` is `None` when the
+    /// key is absent.
+    fn read(v: Option<&Json>, what: &str, key: &str) -> Result<T, String>;
+}
+
+/// The default [`Codec`]: the key must be present.
+pub struct Required;
+
+impl<T: Value> Codec<T> for Required {
+    fn write(v: &T) -> Option<Json> {
+        Some(v.to_json())
+    }
+    fn read(v: Option<&Json>, what: &str, key: &str) -> Result<T, String> {
+        T::read(
+            v.ok_or_else(|| missing(what, key))?,
+            &format!("{what}.{key}"),
+        )
+    }
+}
+
+/// A required `usize` of at least 1.
+pub struct Positive;
+
+impl Codec<usize> for Positive {
+    fn write(v: &usize) -> Option<Json> {
+        Some(v.to_json())
+    }
+    fn read(v: Option<&Json>, what: &str, key: &str) -> Result<usize, String> {
+        match <Required as Codec<usize>>::read(v, what, key)? {
+            0 => Err(format!("{what}.{key} = 0 is not a positive integer")),
+            n => Ok(n),
+        }
+    }
+}
+
+/// A required `f64` where `+∞` means "disabled": [`Json`] writes every
+/// non-finite number as `null`, and this reads `null` back as `+∞`.
+pub struct NullIsInf;
+
+impl Codec<f64> for NullIsInf {
+    fn write(v: &f64) -> Option<Json> {
+        Some(v.to_json())
+    }
+    fn read(v: Option<&Json>, what: &str, key: &str) -> Result<f64, String> {
+        match v {
+            Some(Json::Null) => Ok(f64::INFINITY),
+            v => <Required as Codec<f64>>::read(v, what, key),
+        }
+    }
+}
+
+/// An `Option<T>` whose key is absent exactly when it is `None`.
+pub struct Optional;
+
+impl<T: Value> Codec<Option<T>> for Optional {
+    fn write(v: &Option<T>) -> Option<Json> {
+        v.as_ref().map(T::to_json)
+    }
+    fn read(v: Option<&Json>, what: &str, key: &str) -> Result<Option<T>, String> {
+        v.map(|v| T::read(v, &format!("{what}.{key}"))).transpose()
+    }
+}
+
+/// A field kept out of the JSON form; it reads as `Default::default()`.
+pub struct Skip;
+
+impl<T: Default> Codec<T> for Skip {
+    fn write(_: &T) -> Option<Json> {
+        None
+    }
+    fn read(_: Option<&Json>, _: &str, _: &str) -> Result<T, String> {
+        Ok(T::default())
+    }
+}
+
+impl Json {
+    /// Member `key` of this object, read strictly as a `T` with the
+    /// [`Required`] codec; `what` names this object in errors.
+    pub fn member<T: Value>(&self, what: &str, key: &str) -> Result<T, String> {
+        <Required as Codec<T>>::read(self.get(key), what, key)
+    }
+
+    /// Member `key` of this object, unread; `what` names this object in the
+    /// error when it is missing.
+    pub fn require(&self, what: &str, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| missing(what, key))
+    }
+}
+
+fn missing(what: &str, key: &str) -> String {
+    format!("{what}.{key}: {what} is missing field {key:?}")
+}
+
+/// Declares a record: the struct exactly as written, plus its [`Value`]
+/// impl and inherent `to_json(&self) -> Json` / `from_json(&Json) ->
+/// Result<Self, String>` (errors rooted at the struct's name). A field
+/// followed by `as Codec` goes through that [`Codec`] instead of
+/// [`Required`]. See the crate docs.
+#[macro_export]
+macro_rules! record {
+    (@codec) => { $crate::Required };
+    (@codec $codec:ty) => { $codec };
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_attr:meta])*
+                $field_vis:vis $field:ident : $ty:ty $(as $codec:ty)?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$field_attr])* $field_vis $field: $ty,)*
+        }
+
+        impl $name {
+            /// The JSON object form: one member per serialized field.
+            pub fn to_json(&self) -> $crate::Json {
+                $crate::Value::to_json(self)
+            }
+
+            /// Reads the object form back strictly; errors name the path
+            /// from this record's type name.
+            pub fn from_json(v: &$crate::Json) -> ::std::result::Result<Self, String> {
+                <Self as $crate::Value>::read(v, stringify!($name))
+            }
+        }
+
+        impl $crate::Value for $name {
+            fn to_json(&self) -> $crate::Json {
+                let mut members = ::std::collections::BTreeMap::new();
+                $(
+                    if let Some(v) = <$crate::record!(@codec $($codec)?) as $crate::Codec<$ty>>::write(&self.$field) {
+                        members.insert(stringify!($field).to_owned(), v);
+                    }
+                )*
+                $crate::Json::Obj(members)
+            }
+
+            fn read(v: &$crate::Json, what: &str) -> ::std::result::Result<Self, String> {
+                if v.as_obj().is_none() {
+                    return Err(format!("{what} is not an object"));
+                }
+                Ok($name {
+                    $($field: <$crate::record!(@codec $($codec)?) as $crate::Codec<$ty>>::read(
+                        v.get(stringify!($field)),
+                        what,
+                        stringify!($field),
+                    )?,)*
+                })
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -589,6 +589,19 @@ impl Collectives {
     }
 }
 
+/// A report's `meta.collectives`: the [`Collectives::as_str`] name.
+impl jsonlite::Value for Collectives {
+    fn to_json(&self) -> jsonlite::Json {
+        jsonlite::Json::Str(self.as_str().to_owned())
+    }
+
+    fn read(v: &jsonlite::Json, path: &str) -> Result<Collectives, String> {
+        let name = <String as jsonlite::Value>::read(v, path)?;
+        Collectives::parse(&name)
+            .ok_or_else(|| format!("{path} = {name:?} is not a collective mode"))
+    }
+}
+
 /// Ring allgather with per-rank contribution sizes `counts` (known to all
 /// members, as in `MPI_Allgatherv`). Returns the concatenation in rank
 /// order. Runs over the [`node_map`] grouping when `mode` is `Hier` and the

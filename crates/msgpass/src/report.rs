@@ -10,7 +10,10 @@
 //! behaviour. [`RunReportDoc::to_json`] is the only writer of the artifact —
 //! under an explicit `schema_version`, so reports written by different
 //! builds can be compared mechanically — and [`RunReportDoc::parse`] the
-//! only reader, re-checking every invariant the writer guarantees.
+//! only reader, re-checking every invariant the writer guarantees. The flat
+//! records inside it — [`PhaseRow`], [`CritRow`], [`Totals`], the `sim`
+//! block's [`SimInfo`] and the compute rows' [`KernelProfile`] — are
+//! `jsonlite::record!` declarations: each key is spelled once, as its field.
 //! [`RunReportDoc::render_dashboard`] turns a summary into a text
 //! dashboard, and [`gate`] — the CI regression gate — is the one
 //! comparison of two reports.
@@ -40,10 +43,8 @@
 use crate::metrics::{fmt_bytes, CellCounts, CommMatrix, SizeHistogram};
 use crate::sim::SimInfo;
 use crate::world::RunReport;
-use dense::kernel::KernelKind;
 use dense::prof::KernelProfile;
-use jsonlite::Json;
-use netmodel::{Machine, Placement};
+use jsonlite::{Json, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -203,55 +204,61 @@ impl RunReport {
     }
 }
 
-/// One phase row of a run summary.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseRow {
-    /// Phase label.
-    pub phase: String,
-    /// Bytes sent by all ranks during the phase.
-    pub sent_bytes: u64,
-    /// Messages sent by all ranks.
-    pub sent_msgs: u64,
-    /// Bytes matched in `recv` by all ranks.
-    pub recv_bytes: u64,
-    /// Messages matched in `recv`.
-    pub recv_msgs: u64,
-    /// The busiest single rank's sent bytes (the paper's per-phase `Q`).
-    pub max_rank_sent_bytes: u64,
-    /// The busiest single rank's sent messages (the paper's per-phase `L`).
-    pub max_rank_sent_msgs: u64,
-    /// Slowest rank's wall seconds in the phase.
-    pub secs_max: f64,
-    /// Slowest rank's seconds blocked in `recv` during the phase.
-    pub wait_max: f64,
+jsonlite::record! {
+    /// One phase row of a run summary.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct PhaseRow {
+        /// Phase label.
+        pub phase: String,
+        /// Bytes sent by all ranks during the phase.
+        pub sent_bytes: u64,
+        /// Messages sent by all ranks.
+        pub sent_msgs: u64,
+        /// Bytes matched in `recv` by all ranks.
+        pub recv_bytes: u64,
+        /// Messages matched in `recv`.
+        pub recv_msgs: u64,
+        /// The busiest single rank's sent bytes (the paper's per-phase `Q`).
+        pub max_rank_sent_bytes: u64,
+        /// The busiest single rank's sent messages (the paper's per-phase `L`).
+        pub max_rank_sent_msgs: u64,
+        /// Slowest rank's wall seconds in the phase.
+        pub secs_max: f64,
+        /// Slowest rank's seconds blocked in `recv` during the phase.
+        pub wait_max: f64,
+    }
 }
 
-/// One critical-path row of a run summary (see the module docs for the
-/// rule).
-#[derive(Clone, Debug, PartialEq)]
-pub struct CritRow {
-    /// Phase label.
-    pub phase: String,
-    /// Seconds on the slowest rank.
-    pub crit_secs: f64,
-    /// The slowest rank.
-    pub crit_rank: usize,
-    /// Communication seconds on the slowest rank.
-    pub comm_secs: f64,
-    /// Compute seconds on the slowest rank.
-    pub comp_secs: f64,
-    /// Mean over ranks that entered the phase.
-    pub mean_secs: f64,
+jsonlite::record! {
+    /// One critical-path row of a run summary (see the module docs for the
+    /// rule).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct CritRow {
+        /// Phase label.
+        pub phase: String,
+        /// Seconds on the slowest rank.
+        pub crit_secs: f64,
+        /// The slowest rank.
+        pub crit_rank: usize,
+        /// Communication seconds on the slowest rank.
+        pub comm_secs: f64,
+        /// Compute seconds on the slowest rank.
+        pub comp_secs: f64,
+        /// Mean over ranks that entered the phase.
+        pub mean_secs: f64,
+    }
 }
 
-/// Run-wide per-rank maxima of a run summary (the run's sums are those of
-/// the phase rows).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Totals {
-    /// The busiest rank's sent bytes (the paper's `Q`).
-    pub max_rank_bytes: u64,
-    /// The busiest rank's message count (the paper's `L`).
-    pub max_rank_msgs: u64,
+jsonlite::record! {
+    /// Run-wide per-rank maxima of a run summary (the run's sums are those of
+    /// the phase rows).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct Totals {
+        /// The busiest rank's sent bytes (the paper's `Q`).
+        pub max_rank_bytes: u64,
+        /// The busiest rank's message count (the paper's `L`).
+        pub max_rank_msgs: u64,
+    }
 }
 
 /// One finished run's summary: built from a live run by
@@ -285,24 +292,16 @@ pub struct RunReportDoc {
     pub compute: Option<Vec<Option<KernelProfile>>>,
 }
 
-fn num_u(n: u64) -> Json {
-    Json::Num(n as f64)
-}
-
-fn num_f(f: f64) -> Json {
-    Json::Num(f)
-}
-
 fn hist_json(h: &SizeHistogram) -> Json {
     Json::obj([
-        ("msgs", num_u(h.msgs)),
-        ("bytes", num_u(h.bytes)),
+        ("msgs", h.msgs.to_json()),
+        ("bytes", h.bytes.to_json()),
         (
             "buckets",
             Json::Arr(
                 h.nonzero()
                     .into_iter()
-                    .map(|(b, c)| Json::Arr(vec![num_u(b as u64), num_u(c)]))
+                    .map(|(b, c)| Json::Arr(vec![b.to_json(), c.to_json()]))
                     .collect(),
             ),
         ),
@@ -314,66 +313,14 @@ fn sparse_cells(cells: impl Iterator<Item = (usize, usize, CellCounts)>) -> Json
         cells
             .map(|(row, col, c)| {
                 Json::Arr(vec![
-                    num_u(row as u64),
-                    num_u(col as u64),
-                    num_u(c.bytes),
-                    num_u(c.msgs),
+                    row.to_json(),
+                    col.to_json(),
+                    c.bytes.to_json(),
+                    c.msgs.to_json(),
                 ])
             })
             .collect(),
     )
-}
-
-fn compute_json(k: &KernelProfile) -> Json {
-    Json::obj([
-        ("gemm_calls", num_u(k.gemm_calls)),
-        ("flops", num_f(k.flops)),
-        ("gemm_wall_secs", num_f(k.gemm_wall_secs)),
-        ("thread_secs", num_f(k.thread_secs)),
-        ("pack_a_secs", num_f(k.pack_a_secs)),
-        ("pack_b_secs", num_f(k.pack_b_secs)),
-        ("compute_secs", num_f(k.compute_secs)),
-        ("idle_secs", num_f(k.idle_secs)),
-        ("pack_bytes", num_u(k.pack_bytes)),
-        ("pack_bound_bytes", num_u(k.pack_bound_bytes)),
-        ("achieved_gflops", num_f(k.achieved_gflops)),
-        ("kernel", Json::Str(k.kernel.to_owned())),
-        ("peak_gflops", num_f(k.peak_gflops)),
-        ("imbalance", num_f(k.imbalance)),
-        ("coverage", num_f(k.coverage)),
-        ("submit_wake_secs", num_f(k.submit_wake_secs)),
-    ])
-}
-
-fn want_u64(v: &Json, what: &str) -> Result<u64, String> {
-    let f = v
-        .as_f64()
-        .ok_or_else(|| format!("{what} is not a number"))?;
-    if f < 0.0 || f.fract() != 0.0 {
-        return Err(format!("{what} = {f} is not a non-negative integer"));
-    }
-    Ok(f as u64)
-}
-
-fn field<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("{what} is missing field {key:?}"))
-}
-
-fn field_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    want_u64(field(obj, key, what)?, &format!("{what}.{key}"))
-}
-
-fn field_f64(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
-    field(obj, key, what)?
-        .as_f64()
-        .ok_or_else(|| format!("{what}.{key} is not a number"))
-}
-
-fn field_str<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
-    field(obj, key, what)?
-        .as_str()
-        .ok_or_else(|| format!("{what}.{key} is not a string"))
 }
 
 /// Parses one sparse cell list: an array of `[row, col, bytes, msgs]`
@@ -392,8 +339,8 @@ fn parse_sparse_cells(
                 .as_arr()
                 .filter(|a| a.len() == 4)
                 .ok_or_else(|| format!("{what}[{i}] is not a [row, col, bytes, msgs] quad"))?;
-            let row = want_u64(&quad[0], &format!("{what}[{i}] row"))? as usize;
-            let col = want_u64(&quad[1], &format!("{what}[{i}] col"))? as usize;
+            let row = usize::read(&quad[0], &format!("{what}[{i}] row"))?;
+            let col = usize::read(&quad[1], &format!("{what}[{i}] col"))?;
             if row >= p || col >= p {
                 return Err(format!(
                     "{what}[{i}] indexes rank ({row},{col}) beyond p={p}"
@@ -403,8 +350,8 @@ fn parse_sparse_cells(
                 row,
                 col,
                 CellCounts {
-                    bytes: want_u64(&quad[2], &format!("{what}[{i}] bytes"))?,
-                    msgs: want_u64(&quad[3], &format!("{what}[{i}] msgs"))?,
+                    bytes: u64::read(&quad[2], &format!("{what}[{i}] bytes"))?,
+                    msgs: u64::read(&quad[3], &format!("{what}[{i}] msgs"))?,
                 },
             ))
         })
@@ -418,9 +365,10 @@ fn parse_hists(v: &Json, what: &str) -> Result<BTreeMap<String, SizeHistogram>, 
     obj.iter()
         .map(|(k, h)| {
             let what = format!("{what}.{k}");
-            let msgs = field_u64(h, "msgs", &what)?;
-            let bytes = field_u64(h, "bytes", &what)?;
-            let buckets = field(h, "buckets", &what)?
+            let msgs: u64 = h.member(&what, "msgs")?;
+            let bytes = h.member(&what, "bytes")?;
+            let buckets = h
+                .require(&what, "buckets")?
                 .as_arr()
                 .ok_or_else(|| format!("{what}.buckets is not an array"))?
                 .iter()
@@ -432,8 +380,8 @@ fn parse_hists(v: &Json, what: &str) -> Result<BTreeMap<String, SizeHistogram>, 
                         return Err(format!("{what}: bucket entry is not a [bucket,count] pair"));
                     }
                     Ok((
-                        want_u64(&pair[0], &format!("{what} bucket index"))? as usize,
-                        want_u64(&pair[1], &format!("{what} bucket count"))?,
+                        usize::read(&pair[0], &format!("{what} bucket index"))?,
+                        u64::read(&pair[1], &format!("{what} bucket count"))?,
                     ))
                 })
                 .collect::<Result<Vec<_>, String>>()?;
@@ -450,32 +398,10 @@ fn parse_hists(v: &Json, what: &str) -> Result<BTreeMap<String, SizeHistogram>, 
         .collect()
 }
 
-/// Parses one rank's `compute` entry; the four thread-second shares must
-/// rebuild `thread_secs` (the profiler derives idle as the remainder, so a
+/// One rank's `compute` entry must rebuild `thread_secs` from its four
+/// thread-second shares (the profiler derives idle as the remainder, so a
 /// larger gap means the file was hand-edited).
-fn parse_compute_row(c: &Json, what: &str) -> Result<KernelProfile, String> {
-    let name = field_str(c, "kernel", what)?;
-    let row = KernelProfile {
-        gemm_calls: field_u64(c, "gemm_calls", what)?,
-        flops: field_f64(c, "flops", what)?,
-        gemm_wall_secs: field_f64(c, "gemm_wall_secs", what)?,
-        thread_secs: field_f64(c, "thread_secs", what)?,
-        pack_a_secs: field_f64(c, "pack_a_secs", what)?,
-        pack_b_secs: field_f64(c, "pack_b_secs", what)?,
-        compute_secs: field_f64(c, "compute_secs", what)?,
-        idle_secs: field_f64(c, "idle_secs", what)?,
-        pack_bytes: field_u64(c, "pack_bytes", what)?,
-        pack_bound_bytes: field_u64(c, "pack_bound_bytes", what)?,
-        achieved_gflops: field_f64(c, "achieved_gflops", what)?,
-        kernel: KernelKind::parse(name)
-            .ok_or_else(|| format!("{what}.kernel {name:?} is not a known microkernel"))?
-            .name(),
-        peak_gflops: field_f64(c, "peak_gflops", what)?,
-        imbalance: field_f64(c, "imbalance", what)?,
-        coverage: field_f64(c, "coverage", what)?,
-        submit_wake_secs: field_f64(c, "submit_wake_secs", what)?,
-        spans: Vec::new(),
-    };
+fn check_compute_row(row: &KernelProfile, what: &str) -> Result<(), String> {
     let rebuilt = row.busy_secs() + row.idle_secs;
     if (rebuilt - row.thread_secs).abs() > 0.05 * row.thread_secs.max(1e-12) {
         return Err(format!(
@@ -484,73 +410,23 @@ fn parse_compute_row(c: &Json, what: &str) -> Result<KernelProfile, String> {
             row.thread_secs
         ));
     }
-    Ok(row)
+    Ok(())
 }
 
 impl RunReportDoc {
     /// Serializes the summary as the schema-versioned JSON artifact — the
     /// only writer of it.
     pub fn to_json(&self) -> Json {
-        let sim = self.sim.as_ref().map_or(Json::Null, |s| {
-            Json::obj([
-                ("machine", s.machine.to_json()),
-                ("placement", s.placement.to_json()),
-                ("execute_compute", Json::Bool(s.execute_compute)),
-                ("makespan_secs", num_f(s.makespan_secs)),
-            ])
-        });
-        let phases = self.phases.iter().map(|r| {
-            Json::obj([
-                ("phase", Json::Str(r.phase.clone())),
-                ("sent_bytes", num_u(r.sent_bytes)),
-                ("sent_msgs", num_u(r.sent_msgs)),
-                ("recv_bytes", num_u(r.recv_bytes)),
-                ("recv_msgs", num_u(r.recv_msgs)),
-                ("max_rank_sent_bytes", num_u(r.max_rank_sent_bytes)),
-                ("max_rank_sent_msgs", num_u(r.max_rank_sent_msgs)),
-                ("secs_max", num_f(r.secs_max)),
-                ("wait_max", num_f(r.wait_max)),
-            ])
-        });
-        let critical_path = self.critical_path.as_ref().map_or(Json::Null, |rows| {
-            Json::Arr(
-                rows.iter()
-                    .map(|c| {
-                        Json::obj([
-                            ("phase", Json::Str(c.phase.clone())),
-                            ("crit_secs", num_f(c.crit_secs)),
-                            ("crit_rank", num_u(c.crit_rank as u64)),
-                            ("comm_secs", num_f(c.comm_secs)),
-                            ("comp_secs", num_f(c.comp_secs)),
-                            ("mean_secs", num_f(c.mean_secs)),
-                        ])
-                    })
-                    .collect(),
-            )
-        });
-        let compute = self.compute.as_ref().map_or(Json::Null, |rows| {
-            Json::Arr(
-                rows.iter()
-                    .map(|c| c.as_ref().map_or(Json::Null, compute_json))
-                    .collect(),
-            )
-        });
         Json::obj([
-            ("schema_version", num_u(SCHEMA_VERSION)),
+            ("schema_version", SCHEMA_VERSION.to_json()),
             ("kind", Json::Str(REPORT_KIND.to_owned())),
-            ("time_domain", Json::Str(self.time_domain.clone())),
-            ("sim", sim),
+            ("time_domain", self.time_domain.to_json()),
+            ("sim", self.sim.to_json()),
             ("meta", self.meta.clone()),
             ("machine", self.machine.clone()),
-            ("ranks", num_u(self.ranks as u64)),
-            ("phases", Json::Arr(phases.collect())),
-            (
-                "totals",
-                Json::obj([
-                    ("max_rank_bytes", num_u(self.totals.max_rank_bytes)),
-                    ("max_rank_msgs", num_u(self.totals.max_rank_msgs)),
-                ]),
-            ),
+            ("ranks", self.ranks.to_json()),
+            ("phases", self.phases.to_json()),
+            ("totals", self.totals.to_json()),
             (
                 "matrix",
                 Json::obj([("send", sparse_cells(self.matrix.cells()))]),
@@ -567,46 +443,35 @@ impl RunReportDoc {
                     ),
                 )]),
             ),
-            ("critical_path", critical_path),
-            ("compute", compute),
+            ("critical_path", self.critical_path.to_json()),
+            ("compute", self.compute.to_json()),
         ])
     }
 
     /// Parses and shape-validates a RunReport JSON document — the only
     /// reader of it. Every structural invariant the writer guarantees is
     /// re-checked here, so a hand-edited or truncated file fails loudly
-    /// rather than gating against garbage.
+    /// rather than gating against garbage. Errors name the JSON path from
+    /// the document root, `report`.
     pub fn parse(text: &str) -> Result<RunReportDoc, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = field_u64(&doc, "schema_version", "report")?;
+        let version: u64 = doc.member("report", "schema_version")?;
         if version != SCHEMA_VERSION {
             return Err(format!(
                 "unsupported schema_version {version} (this build reads v{SCHEMA_VERSION} only)"
             ));
         }
-        let kind = field_str(&doc, "kind", "report")?;
+        let kind: String = doc.member("report", "kind")?;
         if kind != REPORT_KIND {
             return Err(format!("kind {kind:?} is not {REPORT_KIND:?}"));
         }
-        let time_domain = field_str(&doc, "time_domain", "report")?.to_owned();
+        let time_domain: String = doc.member("report", "time_domain")?;
         if time_domain != "wall" && time_domain != "virtual" {
             return Err(format!(
                 "time_domain {time_domain:?} is neither \"wall\" nor \"virtual\""
             ));
         }
-        let sim = match field(&doc, "sim", "report")? {
-            Json::Null => None,
-            v => Some(SimInfo {
-                machine: Machine::from_json(field(v, "machine", "sim")?)
-                    .map_err(|e| format!("sim.machine: {e}"))?,
-                placement: Placement::from_json(field(v, "placement", "sim")?)
-                    .map_err(|e| format!("sim.placement: {e}"))?,
-                execute_compute: field(v, "execute_compute", "sim")?
-                    .as_bool()
-                    .ok_or("sim.execute_compute is not a boolean")?,
-                makespan_secs: field_f64(v, "makespan_secs", "sim")?,
-            }),
-        };
+        let sim: Option<SimInfo> = doc.member("report", "sim")?;
         if (time_domain == "virtual") != sim.is_some() {
             return Err(format!(
                 "time_domain {time_domain:?} disagrees with the sim block being {}",
@@ -614,104 +479,52 @@ impl RunReportDoc {
             ));
         }
         // Checked before anything is sized by `ranks`.
-        let ranks = field_u64(&doc, "ranks", "report")? as usize;
+        let ranks: usize = doc.member("report", "ranks")?;
         if !(1..=MAX_RANKS).contains(&ranks) {
             return Err(format!("ranks = {ranks} is outside 1..={MAX_RANKS}"));
         }
 
-        let phases = field(&doc, "phases", "report")?
-            .as_arr()
-            .ok_or("phases is not an array")?
-            .iter()
-            .enumerate()
-            .map(|(i, ph)| {
-                let what = format!("phases[{i}]");
-                Ok(PhaseRow {
-                    phase: field_str(ph, "phase", &what)?.to_owned(),
-                    sent_bytes: field_u64(ph, "sent_bytes", &what)?,
-                    sent_msgs: field_u64(ph, "sent_msgs", &what)?,
-                    recv_bytes: field_u64(ph, "recv_bytes", &what)?,
-                    recv_msgs: field_u64(ph, "recv_msgs", &what)?,
-                    max_rank_sent_bytes: field_u64(ph, "max_rank_sent_bytes", &what)?,
-                    max_rank_sent_msgs: field_u64(ph, "max_rank_sent_msgs", &what)?,
-                    secs_max: field_f64(ph, "secs_max", &what)?,
-                    wait_max: field_f64(ph, "wait_max", &what)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        let totals_json = field(&doc, "totals", "report")?;
-        let totals = Totals {
-            max_rank_bytes: field_u64(totals_json, "max_rank_bytes", "totals")?,
-            max_rank_msgs: field_u64(totals_json, "max_rank_msgs", "totals")?,
-        };
-
-        let mj = field(&doc, "matrix", "report")?;
-        let send = parse_sparse_cells(field(mj, "send", "matrix")?, ranks, "matrix.send")?;
-        let matrix =
-            CommMatrix::from_sparse(ranks, &send).map_err(|e| format!("matrix.send: {e}"))?;
-
-        let hj = field(&doc, "histograms", "report")?;
-        let hist_by_algo = parse_hists(field(hj, "by_algo", "histograms")?, "histograms.by_algo")?;
-
-        let critical_path = match field(&doc, "critical_path", "report")? {
-            Json::Null => None,
-            Json::Arr(rows) => Some(
-                rows.iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        let what = format!("critical_path[{i}]");
-                        Ok(CritRow {
-                            phase: field_str(c, "phase", &what)?.to_owned(),
-                            crit_secs: field_f64(c, "crit_secs", &what)?,
-                            crit_rank: field_u64(c, "crit_rank", &what)? as usize,
-                            comm_secs: field_f64(c, "comm_secs", &what)?,
-                            comp_secs: field_f64(c, "comp_secs", &what)?,
-                            mean_secs: field_f64(c, "mean_secs", &what)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            ),
-            _ => return Err("critical_path is neither null nor an array".to_owned()),
-        };
+        let send = doc
+            .require("report", "matrix")?
+            .require("report.matrix", "send")?;
+        let send = parse_sparse_cells(send, ranks, "report.matrix.send")?;
+        let matrix = CommMatrix::from_sparse(ranks, &send)
+            .map_err(|e| format!("report.matrix.send: {e}"))?;
+        let by_algo = doc
+            .require("report", "histograms")?
+            .require("report.histograms", "by_algo")?;
+        let hist_by_algo = parse_hists(by_algo, "report.histograms.by_algo")?;
 
         // `null` unless the run was profiled.
-        let compute = match field(&doc, "compute", "report")? {
-            Json::Null => None,
-            Json::Arr(rows) => {
-                if rows.len() != ranks {
-                    return Err(format!(
-                        "compute has {} entries, expected {ranks}",
-                        rows.len()
-                    ));
-                }
-                Some(
-                    rows.iter()
-                        .enumerate()
-                        .map(|(r, c)| match c {
-                            Json::Null => Ok(None),
-                            c => parse_compute_row(c, &format!("compute[{r}]")).map(Some),
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                )
+        let compute: Option<Vec<Option<KernelProfile>>> = doc.member("report", "compute")?;
+        if let Some(rows) = &compute {
+            if rows.len() != ranks {
+                return Err(format!(
+                    "compute has {} entries, expected {ranks}",
+                    rows.len()
+                ));
             }
-            _ => return Err("compute is neither null nor an array".to_owned()),
-        };
-        if compute.is_some() && time_domain != "wall" {
-            return Err("compute block present on a virtual-time report".to_owned());
+            if time_domain != "wall" {
+                return Err("compute block present on a virtual-time report".to_owned());
+            }
+            for (r, row) in rows.iter().enumerate() {
+                if let Some(row) = row {
+                    check_compute_row(row, &format!("report.compute[{r}]"))?;
+                }
+            }
         }
 
         let parsed = RunReportDoc {
             time_domain,
             sim,
-            meta: field(&doc, "meta", "report")?.clone(),
-            machine: field(&doc, "machine", "report")?.clone(),
+            meta: doc.require("report", "meta")?.clone(),
+            machine: doc.require("report", "machine")?.clone(),
             ranks,
-            phases,
-            totals,
+            phases: doc.member("report", "phases")?,
+            totals: doc.member("report", "totals")?,
             matrix,
             hist_by_algo,
-            critical_path,
+            critical_path: doc.member("report", "critical_path")?,
             compute,
         };
         parsed.check_internal_consistency()?;

@@ -119,19 +119,21 @@ impl Default for SimOptions {
     }
 }
 
-/// What a virtual-time run ran on — embedded in the [`RunReport`] (and its
-/// summary's JSON `sim` block) so downstream tooling can re-price the
-/// analytic model on the same machine.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SimInfo {
-    /// The machine model the run was charged against.
-    pub machine: Machine,
-    /// The rank→node placement used.
-    pub placement: Placement,
-    /// Whether local GEMMs were actually executed.
-    pub execute_compute: bool,
-    /// Virtual makespan: the largest rank clock at rank exit, seconds.
-    pub makespan_secs: f64,
+jsonlite::record! {
+    /// What a virtual-time run ran on — embedded in the [`RunReport`] (and
+    /// its summary's JSON `sim` block) so downstream tooling can re-price the
+    /// analytic model on the same machine.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SimInfo {
+        /// The machine model the run was charged against.
+        pub machine: Machine,
+        /// The rank→node placement used.
+        pub placement: Placement,
+        /// Whether local GEMMs were actually executed.
+        pub execute_compute: bool,
+        /// Virtual makespan: the largest rank clock at rank exit, seconds.
+        pub makespan_secs: f64,
+    }
 }
 
 /// Resolved per-run charging parameters, shared by every rank. Scalars only:

@@ -26,7 +26,6 @@
 //! degradation threshold the paper observes in §IV-C.
 
 pub mod eval;
-pub mod json;
 pub mod machine;
 pub mod schedule;
 

@@ -1,59 +1,64 @@
 //! Machine descriptions: the hardware parameters the cost model needs.
 
-/// How ranks map onto nodes in one experiment.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Placement {
-    /// MPI ranks per node (24 in the paper's pure-MPI runs, 1 in hybrid,
-    /// 2 in the GPU runs).
-    pub ranks_per_node: usize,
-    /// Compute throughput available to one rank, in FLOP/s (one core's worth
-    /// in pure MPI, a whole node in MPI+OpenMP, one V100 in the GPU runs).
-    pub flops_per_rank: f64,
+jsonlite::record! {
+    /// How ranks map onto nodes in one experiment.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct Placement {
+        /// MPI ranks per node (24 in the paper's pure-MPI runs, 1 in hybrid,
+        /// 2 in the GPU runs).
+        pub ranks_per_node: usize,
+        /// Compute throughput available to one rank, in FLOP/s (one core's
+        /// worth in pure MPI, a whole node in MPI+OpenMP, one V100 in the GPU
+        /// runs).
+        pub flops_per_rank: f64,
+    }
 }
 
-/// An α–β–γ machine: network latency and bandwidth per link class plus a
-/// local GEMM rate. All times in seconds, sizes in bytes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Machine {
-    /// Human-readable name for reports.
-    pub name: String,
-    /// Point-to-point latency within a node (shared-memory transport).
-    pub alpha_intra: f64,
-    /// Point-to-point latency across nodes.
-    pub alpha_inter: f64,
-    /// Inverse bandwidth within a node, s/byte.
-    pub beta_intra: f64,
-    /// Per-node network injection bandwidth, bytes/s (shared by all ranks of
-    /// the node that communicate concurrently).
-    pub node_injection_bw: f64,
-    /// Fraction of the node injection bandwidth a *single* rank can drive.
-    /// < 1 models the paper's Fig. 4 observation that one rank per node
-    /// cannot saturate the NIC, while many ranks per node can.
-    pub single_rank_bw_frac: f64,
-    /// Cores per node (24 on PACE-Phoenix).
-    pub cores_per_node: usize,
-    /// Peak FLOP/s of one core.
-    pub flops_per_core: f64,
-    /// Fraction of peak the local GEMM actually achieves.
-    pub gemm_efficiency: f64,
-    /// Effective per-rank pack/unpack bandwidth (bytes/s) for the
-    /// redistribution subroutine's strided block copies (§III-F: the
-    /// artifact's layout conversion "simply packs and unpacks matrix
-    /// blocks" with no optimization — narrow strided pieces copy far below
-    /// memcpy speed). Charged once for packing and once for unpacking in
-    /// `Alltoallv` phases. `f64::INFINITY` disables it.
-    pub pack_bw: f64,
-    /// Message size (bytes) above which reduce-scatter bandwidth degrades
-    /// (the MVAPICH2 behaviour the paper hits in §IV-C on GPUs and in the
-    /// hybrid square runs). `f64::INFINITY` disables it.
-    pub reduce_scatter_degrade_threshold: f64,
-    /// Bandwidth degradation factor applied above the threshold (≥ 1).
-    pub reduce_scatter_degrade_factor: f64,
-    /// Extra bandwidth factor for reduce-scatter on *odd* group sizes
-    /// (recursive-halving collectives pair ranks at every level; odd sizes
-    /// break the pairing — the paper's §IV-B observation that `pk = 341`
-    /// is "unfavorable" for collectives). 1.0 disables it.
-    pub reduce_scatter_odd_factor: f64,
+jsonlite::record! {
+    /// An α–β–γ machine: network latency and bandwidth per link class plus a
+    /// local GEMM rate. All times in seconds, sizes in bytes.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Machine {
+        /// Human-readable name for reports.
+        pub name: String,
+        /// Point-to-point latency within a node (shared-memory transport).
+        pub alpha_intra: f64,
+        /// Point-to-point latency across nodes.
+        pub alpha_inter: f64,
+        /// Inverse bandwidth within a node, s/byte.
+        pub beta_intra: f64,
+        /// Per-node network injection bandwidth, bytes/s (shared by all ranks of
+        /// the node that communicate concurrently).
+        pub node_injection_bw: f64,
+        /// Fraction of the node injection bandwidth a *single* rank can drive.
+        /// < 1 models the paper's Fig. 4 observation that one rank per node
+        /// cannot saturate the NIC, while many ranks per node can.
+        pub single_rank_bw_frac: f64,
+        /// Cores per node (24 on PACE-Phoenix).
+        pub cores_per_node: usize,
+        /// Peak FLOP/s of one core.
+        pub flops_per_core: f64,
+        /// Fraction of peak the local GEMM actually achieves.
+        pub gemm_efficiency: f64,
+        /// Effective per-rank pack/unpack bandwidth (bytes/s) for the
+        /// redistribution subroutine's strided block copies (§III-F: the
+        /// artifact's layout conversion "simply packs and unpacks matrix
+        /// blocks" with no optimization — narrow strided pieces copy far below
+        /// memcpy speed). Charged once for packing and once for unpacking in
+        /// `Alltoallv` phases. `f64::INFINITY` disables it.
+        pub pack_bw: f64 as jsonlite::NullIsInf,
+        /// Message size (bytes) above which reduce-scatter bandwidth degrades
+        /// (the MVAPICH2 behaviour the paper hits in §IV-C on GPUs and in the
+        /// hybrid square runs). `f64::INFINITY` disables it.
+        pub reduce_scatter_degrade_threshold: f64 as jsonlite::NullIsInf,
+        /// Bandwidth degradation factor applied above the threshold (≥ 1).
+        pub reduce_scatter_degrade_factor: f64,
+        /// Extra bandwidth factor for reduce-scatter on *odd* group sizes
+        /// (recursive-halving collectives pair ranks at every level; odd sizes
+        /// break the pairing — the paper's §IV-B observation that `pk = 341`
+        /// is "unfavorable" for collectives). 1.0 disables it.
+        pub reduce_scatter_odd_factor: f64,
+    }
 }
 
 impl Machine {

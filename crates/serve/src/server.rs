@@ -12,8 +12,8 @@ use crate::protocol::{parse_request, Limits, Request};
 use crate::scheduler::{ResponseSink, Scheduler, SchedulerConfig};
 use jsonlite::Json;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -175,20 +175,35 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
         }
         Listen::Tcp(addr) => {
             let listener = TcpListener::bind(addr)?;
-            serve_listener(&server, || {
-                let (s, _) = listener.accept()?;
-                let w = s.try_clone()?;
-                Ok((s, w))
-            })?;
+            let mut wake_addr = listener.local_addr()?;
+            if wake_addr.ip().is_unspecified() {
+                wake_addr.set_ip(match wake_addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            serve_listener(
+                &server,
+                || {
+                    let (s, _) = listener.accept()?;
+                    let w = s.try_clone()?;
+                    Ok((s, w))
+                },
+                || drop(TcpStream::connect(wake_addr)),
+            )?;
         }
         Listen::Unix(path) => {
             let _ = std::fs::remove_file(path);
             let listener = UnixListener::bind(path)?;
-            let result = serve_listener(&server, || {
-                let (s, _) = listener.accept()?;
-                let w = s.try_clone()?;
-                Ok((s, w))
-            });
+            let result = serve_listener(
+                &server,
+                || {
+                    let (s, _) = listener.accept()?;
+                    let w = s.try_clone()?;
+                    Ok((s, w))
+                },
+                || drop(UnixStream::connect(path)),
+            );
             let _ = std::fs::remove_file(path);
             result?;
         }
@@ -199,35 +214,41 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
 
 /// Accept loop shared by the socket transports. `accept` yields a
 /// (reader, writer) pair per connection; each connection gets a reader
-/// thread. Returns when some connection requests shutdown.
-fn serve_listener<R, W, A>(server: &Server, accept: A) -> std::io::Result<()>
+/// thread. Returns when some connection requests shutdown and every
+/// reader has stopped.
+///
+/// `accept` blocks, so the reader that sees the shutdown latch set calls
+/// `wake`, which connects to the listener once: the acceptor returns with
+/// that connection, finds the latch set and stops. A reader blocked on an
+/// idle connection still holds the return until its client closes.
+fn serve_listener<R, W, A, K>(server: &Server, accept: A, wake: K) -> std::io::Result<()>
 where
     R: Read + Send + 'static,
     W: Write + Send + 'static,
     A: Fn() -> std::io::Result<(R, W)>,
+    K: Fn() + Sync,
 {
-    // The accept call blocks, so shutdown is noticed on the next
-    // connection attempt (or immediately when the initiating connection
-    // closes). Good enough for a single-host daemon; CI drives stdio.
-    std::thread::scope(|scope| {
-        while !server.shutdown_requested() {
-            let (r, w) = match accept() {
-                Ok(pair) => pair,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            scope.spawn(move || {
-                let sink = writer_sink(w);
-                for line in BufReader::new(r).lines() {
-                    let Ok(line) = line else { break };
-                    server.handle_line(&line, &sink);
-                    if server.shutdown_requested() {
-                        break;
-                    }
-                }
-            });
+    let wake = &wake;
+    std::thread::scope(|scope| loop {
+        let (r, w) = match accept() {
+            Ok(pair) => pair,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if server.shutdown_requested() {
+            return Ok(());
         }
-        Ok(())
+        scope.spawn(move || {
+            let sink = writer_sink(w);
+            for line in BufReader::new(r).lines() {
+                let Ok(line) = line else { break };
+                server.handle_line(&line, &sink);
+                if server.shutdown_requested() {
+                    wake();
+                    break;
+                }
+            }
+        });
     })
 }
 

@@ -9,9 +9,9 @@
 # fig3_sim*.txt tables carry a host wall-clock column and are left
 # untouched in this mode. Of the figure/table binaries below only
 # ablation_2d_algo embeds wall time (its message columns are pinned in
-# tests/e2e_all_algorithms.rs); the others (and grid_explorer) are
-# analytic, and CI regenerates them into a temp dir and `cmp`s them
-# against results/.
+# tests/e2e_all_algorithms.rs); the others are analytic, and
+# crates/bench/tests/committed_tables.rs reruns them and compares their
+# stdout and CSVs with results/ byte for byte (CI `cmp`s grid_explorer).
 set -e
 cd "$(dirname "$0")"
 export BENCH_CSV_DIR=results

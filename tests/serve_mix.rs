@@ -2,8 +2,8 @@
 //! p = 4 on two slots with the request mix an operator sends:
 //!
 //! 1. the first request for a shape is a plan-cache miss; repeats are hits
-//!    with bitwise-identical checksums and at most half the miss's
-//!    `plan_ms` (the amortisation the cache exists for);
+//!    with bitwise-identical checksums, the fastest of which takes at most
+//!    half the miss's `plan_ms` (the amortisation the cache exists for);
 //! 2. malformed, oversized and invalid requests get structured errors and
 //!    the daemon keeps serving;
 //! 3. `stats` reports the hits, the error count and a per-shape latency
@@ -11,14 +11,17 @@
 //! 4. a `report: true` request writes a RunReport into the report
 //!    directory, whose neighbour-exchange histogram shows the pinned
 //!    message count of the redistribution and no 0 B message;
-//! 5. `shutdown` with multiplies in flight still answers every one of them.
+//! 5. `shutdown` with multiplies in flight still answers every one of them;
+//!    sent over a Unix socket, it also stops the daemon's accept loop.
 
 use jsonlite::Json;
 use msgpass::RunReportDoc;
-use serve::{ResponseSink, SchedulerConfig, Server, ServerConfig};
+use serve::{Listen, ResponseSink, SchedulerConfig, Server, ServerConfig};
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc::Receiver;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A server and every response it has sent, by id (`<null>` for none).
 struct Client {
@@ -115,6 +118,7 @@ fn scripted_request_mix_keeps_the_protocol_contract() {
         s.send(&shape(id, ""));
     }
     s.send(&small("other", "f32"));
+    let mut fastest_hit = f64::INFINITY;
     for rep in s.wait(reps) {
         assert!(ok(&rep) && str_at(&rep, "cache") == "hit", "{rep}");
         assert_eq!(
@@ -122,12 +126,15 @@ fn scripted_request_mix_keeps_the_protocol_contract() {
             str_at(&cold, "checksum"),
             "a hit changed bits"
         );
-        let (hit, miss) = (num(&rep, &["plan_ms"]), num(&cold, &["plan_ms"]));
-        assert!(
-            hit * 2.0 <= miss,
-            "hit plan_ms {hit} not below half of the miss's {miss}"
-        );
+        fastest_hit = fastest_hit.min(num(&rep, &["plan_ms"]));
     }
+    // Noise (steal, a preempted thread) only adds CPU time, so the fastest
+    // of the four concurrent hits is the one that measures the hit path.
+    let miss = num(&cold, &["plan_ms"]);
+    assert!(
+        fastest_hit * 2.0 <= miss,
+        "fastest hit plan_ms {fastest_hit} not below half of the miss's {miss}"
+    );
     let [other] = s.wait(["other"]);
     assert!(ok(&other) && str_at(&other, "cache") == "miss", "{other}");
     assert_ne!(str_at(&other, "checksum"), str_at(&cold, "checksum"));
@@ -209,4 +216,59 @@ fn scripted_request_mix_keeps_the_protocol_contract() {
         assert!(s.got.get(id).is_some_and(ok), "{id} unanswered or failed");
     }
     std::fs::remove_dir_all(&reports).expect("remove report dir");
+}
+
+/// `serve::run` on a Unix socket returns once a client sends `shutdown`:
+/// the accept loop is woken, not left blocked until another client
+/// connects. The multiply sent before it is still answered.
+#[test]
+fn socket_daemon_returns_after_shutdown() {
+    let dir = std::env::temp_dir().join(format!("serve_socket_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("socket dir");
+    let path = dir.join("daemon.sock");
+    let cfg = ServerConfig {
+        sched: SchedulerConfig {
+            p: 2,
+            slots: 1,
+            ..SchedulerConfig::default()
+        },
+        listen: Listen::Unix(path.to_str().expect("UTF-8 temp path").to_owned()),
+        ..ServerConfig::default()
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let daemon = std::thread::spawn(move || {
+        let result = serve::run(&cfg);
+        let _ = done_tx.send(());
+        result
+    });
+    let t0 = Instant::now();
+    let mut stream = loop {
+        match UnixStream::connect(&path) {
+            Ok(s) => break s,
+            Err(e) if t0.elapsed() > Duration::from_secs(60) => {
+                panic!("daemon never listened: {e}")
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    };
+    writeln!(
+        stream,
+        r#"{{"cmd":"multiply","id":"a","m":48,"n":64,"k":32}}"#
+    )
+    .and_then(|()| writeln!(stream, r#"{{"cmd":"shutdown","id":"bye"}}"#))
+    .expect("send");
+    let mut answers = HashMap::new();
+    for line in BufReader::new(&stream).lines().take(2) {
+        let resp = Json::parse(&line.expect("answer")).expect("answer is JSON");
+        answers.insert(str_at(&resp, "id").to_owned(), ok(&resp));
+    }
+    assert_eq!(
+        answers,
+        HashMap::from([("a".to_owned(), true), ("bye".to_owned(), true)])
+    );
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve::run still running 5 s after shutdown");
+    daemon.join().expect("daemon thread").expect("serve::run");
+    std::fs::remove_dir_all(&dir).expect("remove socket dir");
 }
