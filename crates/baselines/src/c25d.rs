@@ -14,15 +14,14 @@
 //! ("CTF is not fine tuned for matrix multiplication").
 
 use crate::ELEM_BYTES;
-use ca3dmm::grid3d::{Coord, Family, Grid3d};
+use ca3dmm::grid3d::{Coord, Family, Grid3d, GridComms};
 use ca3dmm::model::{push_reduce_c, with_redist};
-use ca3dmm::{cannon_multi_shift, LocalC};
+use ca3dmm::{cannon_multi_shift, LocalC, Pgemm};
 use dense::part::Rect;
 use dense::{Mat, Scalar};
 use gridopt::{Grid, Problem};
-use layout::Layout;
 use msgpass::collectives::{bcast, Collectives};
-use msgpass::{Comm, RankCtx};
+use msgpass::RankCtx;
 use netmodel::machine::Placement;
 use netmodel::{NetGroup, Phase, Schedule};
 
@@ -79,76 +78,6 @@ impl C25d {
         self.geo.grid().active()
     }
 
-    /// Layer 0 holds the one copy of `A` and `B` as 2D blocks of the
-    /// `s × s` grid: `A(m_i, k_j)`, `B(k_i, n_j)` with the whole of `k`
-    /// split `s` ways (layers select Cannon steps, not k-ranges).
-    fn native(&self, (i, j, l): Coord) -> [Option<Rect>; 2] {
-        let Problem { m, n, k, .. } = *self.geo.prob();
-        let block = |rows, cols| {
-            Rect::full(rows, cols)
-                .row_part(self.s, i)
-                .col_part(self.s, j)
-        };
-        [(l == 0).then(|| block(m, k)), (l == 0).then(|| block(k, n))]
-    }
-
-    /// Initial layout of `A`: 2D blocks on layer 0 only.
-    pub fn layout_a(&self) -> Layout {
-        self.geo.layout_a(|at| self.native(at))
-    }
-
-    /// Initial layout of `B`: 2D blocks on layer 0 only.
-    pub fn layout_b(&self) -> Layout {
-        self.geo.layout_b(|at| self.native(at))
-    }
-
-    /// Output layout: row-strip `l` of C block `(i, j)`.
-    pub fn layout_c(&self) -> Layout {
-        self.geo.layout_c()
-    }
-
-    /// Blocking façade over [`C25d::multiply_native_async`], kept for the frozen
-    /// benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
-    pub fn multiply_native<T: Scalar>(
-        &self,
-        ctx: &RankCtx,
-        world: &Comm,
-        a_init: Option<Mat<T>>,
-        b_init: Option<Mat<T>>,
-    ) -> Option<Mat<T>> {
-        ctx.block_on(self.multiply_native_async(ctx, world, a_init, b_init))
-    }
-
-    /// Native-layout multiply. Collective over `world`.
-    pub async fn multiply_native_async<T: Scalar>(
-        &self,
-        ctx: &RankCtx,
-        world: &Comm,
-        a_init: Option<Mat<T>>,
-        b_init: Option<Mat<T>>,
-    ) -> Option<Mat<T>> {
-        let (s, steps) = (self.s, self.s / self.c);
-        let comms = self.geo.comms(ctx, world)?;
-        let ((_, _, l), flat) = (comms.at(), Collectives::Flat);
-        let native = self.native(comms.at());
-        let c_strip = comms
-            .multiply_native(ctx, [a_init, b_init], native, flat, async |[a, b]| {
-                // Replicate A and B from layer 0 along the layer axis.
-                ctx.set_phase("replicate_ab");
-                let layers = comms.of(Family::Depth);
-                let a_blk: Mat<T> = bcast(layers, ctx, 0, a).await;
-                let b_blk: Mat<T> = bcast(layers, ctx, 0, b).await;
-                // This layer's s/c Cannon rounds, blocking and one GEMM per
-                // round (CTF overlaps nothing).
-                ctx.set_phase("cannon_shift");
-                let (tile, window) = (comms.of(Family::Tile), (l * steps, steps));
-                let c = LocalC::reserve(a_blk.rows(), b_blk.cols());
-                cannon_multi_shift(ctx, tile, s, window, a_blk, b_blk, c, 0, false).await
-            })
-            .await;
-        Some(c_strip)
-    }
-
     /// Schedule: CTF's cyclic-layout conversions around layer broadcasts,
     /// unoverlapped shifts + GEMM, and the layer reduce-scatter.
     pub fn schedule(&self, placement: &Placement) -> Schedule {
@@ -200,6 +129,47 @@ impl C25d {
         // CTF converts every operand into its internal cyclic layout and the
         // result back out of it, even when the caller's layout is native.
         with_redist(sched, prob, self.active(), rpn, ELEM_BYTES, 4 * s)
+    }
+}
+
+/// `A` and `B` start on layer 0, are broadcast along the layers, and each
+/// layer runs its window of the Cannon rounds.
+impl Pgemm for C25d {
+    fn geo(&self) -> &Grid3d {
+        &self.geo
+    }
+
+    /// Layer 0 holds the one copy of `A` and `B` as 2D blocks of the
+    /// `s × s` grid: `A(m_i, k_j)`, `B(k_i, n_j)` with the whole of `k`
+    /// split `s` ways (layers select Cannon steps, not k-ranges).
+    fn native(&self, (i, j, l): Coord) -> [Option<Rect>; 2] {
+        let Problem { m, n, k, .. } = *self.geo.prob();
+        let block = |rows, cols| {
+            Rect::full(rows, cols)
+                .row_part(self.s, i)
+                .col_part(self.s, j)
+        };
+        [(l == 0).then(|| block(m, k)), (l == 0).then(|| block(k, n))]
+    }
+
+    async fn partial_c<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        comms: &GridComms,
+        [a, b]: [Option<Mat<T>>; 2],
+    ) -> Mat<T> {
+        // Replicate A and B from layer 0 along the layer axis.
+        ctx.set_phase("replicate_ab");
+        let layers = comms.of(Family::Depth);
+        let a_blk: Mat<T> = bcast(layers, ctx, 0, a).await;
+        let b_blk: Mat<T> = bcast(layers, ctx, 0, b).await;
+        // This layer's s/c Cannon rounds, blocking and one GEMM per round
+        // (CTF overlaps nothing).
+        ctx.set_phase("cannon_shift");
+        let (steps, (_, _, l)) = (self.s / self.c, comms.at());
+        let (tile, window) = (comms.of(Family::Tile), (l * steps, steps));
+        let c = LocalC::reserve(a_blk.rows(), b_blk.cols());
+        cannon_multi_shift(ctx, tile, self.s, window, a_blk, b_blk, c, 0, false).await
     }
 }
 

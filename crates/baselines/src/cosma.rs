@@ -12,14 +12,13 @@
 //! finishes, exactly as in CA3DMM.
 
 use crate::ELEM_BYTES;
-use ca3dmm::charged_product;
-use ca3dmm::grid3d::{Family, Grid3d};
+use ca3dmm::grid3d::{Coord, Family, Grid3d, GridComms};
 use ca3dmm::model::{push_reduce_c, with_redist};
 use ca3dmm::replicate::replicate_block;
-use dense::part::split_even;
+use ca3dmm::{charged_product, Pgemm};
+use dense::part::{split_even, Rect};
 use dense::{Mat, Scalar};
 use gridopt::{cosma_grid, Grid, Problem};
-use layout::Layout;
 use msgpass::collectives::{allgatherv_mode, Collectives};
 use msgpass::{Comm, RankCtx};
 use netmodel::machine::Placement;
@@ -39,73 +38,6 @@ impl CosmaLike {
         CosmaLike {
             geo: Grid3d::new(prob, grid, grid.pm, &[Family::Row, Family::Col]),
         }
-    }
-
-    /// The grid in use.
-    pub fn grid(&self) -> &Grid {
-        self.geo.grid()
-    }
-
-    /// Native input layout of `A`: rank `(i, j, kt)` initially owns
-    /// column-slice `j` of its A block (one copy total; the row-allgather
-    /// completes it).
-    pub fn layout_a(&self) -> Layout {
-        self.geo.layout_a(|at| self.geo.slices(at))
-    }
-
-    /// Native input layout of `B`: row-slice `i` of the B block.
-    pub fn layout_b(&self) -> Layout {
-        self.geo.layout_b(|at| self.geo.slices(at))
-    }
-
-    /// Native output layout of `C`: row-strip `kt` of block `(m_i, n_j)`.
-    pub fn layout_c(&self) -> Layout {
-        self.geo.layout_c()
-    }
-
-    /// Blocking façade over [`CosmaLike::multiply_native_async`], kept for the
-    /// frozen benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
-    pub fn multiply_native<T: Scalar>(
-        &self,
-        ctx: &RankCtx,
-        world: &Comm,
-        a_init: Option<Mat<T>>,
-        b_init: Option<Mat<T>>,
-    ) -> Option<Mat<T>> {
-        ctx.block_on(self.multiply_native_async(ctx, world, a_init, b_init))
-    }
-
-    /// Native-layout multiply (the §III-C procedure). Collective over
-    /// `world`; idle ranks pass `None` and get `None`.
-    pub async fn multiply_native_async<T: Scalar>(
-        &self,
-        ctx: &RankCtx,
-        world: &Comm,
-        a_init: Option<Mat<T>>,
-        b_init: Option<Mat<T>>,
-    ) -> Option<Mat<T>> {
-        let (geo, Grid { pm, pn, .. }) = (&self.geo, *self.geo.grid());
-        let comms = geo.comms(ctx, world)?;
-        let (at, flat) = (comms.at(), Collectives::Flat);
-        let c_strip = comms
-            .multiply_native(ctx, [a_init, b_init], geo.slices(at), flat, async |ab| {
-                let [Some(a_slice), Some(b_slice)] = ab else {
-                    unreachable!("every position holds an A and a B slice")
-                };
-                // Replicate A across the row (allgather of column-slices) and
-                // B across the column (allgather of row-slices).
-                ctx.set_phase("replicate_ab");
-                let (i, j, kt) = at;
-                let (a_blk, b_blk) = (geo.a_block(i, kt), geo.b_block(j, kt));
-                let (row, a_widths) = (comms.of(Family::Row), split_even(a_blk.cols, pn));
-                let a_full = replicate_block(ctx, row, a_slice, a_blk.rows, &a_widths, flat).await;
-                let (col, b_heights) = (comms.of(Family::Col), split_even(b_blk.rows, pm));
-                let b_full = gather_row_slices(ctx, col, b_slice, b_blk.cols, &b_heights).await;
-                ctx.set_phase("local_gemm");
-                charged_product(ctx, &a_full, &b_full)
-            })
-            .await;
-        Some(c_strip)
     }
 
     /// The §III-C schedule: allgather A, allgather B, one GEMM, reduce.
@@ -167,6 +99,39 @@ impl CosmaLike {
         // replicated blocks + send/recv buffering (factor 2, as COSMA keeps
         // the pre-replication slices and the gathered blocks alive)
         2.0 * (mk / (pm * pk) + kn / (pn * pk)) + mn / (pm * pn)
+    }
+}
+
+/// The §III-C procedure: allgather the A slices along the row and the B
+/// slices along the column, then one local GEMM.
+impl Pgemm for CosmaLike {
+    fn geo(&self) -> &Grid3d {
+        &self.geo
+    }
+
+    fn native(&self, at: Coord) -> [Option<Rect>; 2] {
+        self.geo.slices(at)
+    }
+
+    async fn partial_c<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        comms: &GridComms,
+        ab: [Option<Mat<T>>; 2],
+    ) -> Mat<T> {
+        let [Some(a_slice), Some(b_slice)] = ab else {
+            unreachable!("every position holds an A and a B slice")
+        };
+        ctx.set_phase("replicate_ab");
+        let ((i, j, kt), Grid { pm, pn, .. }) = (comms.at(), *self.geo.grid());
+        let (a_blk, b_blk) = (self.geo.a_block(i, kt), self.geo.b_block(j, kt));
+        let (row, a_widths) = (comms.of(Family::Row), split_even(a_blk.cols, pn));
+        let flat = Collectives::Flat;
+        let a_full = replicate_block(ctx, row, a_slice, a_blk.rows, &a_widths, flat).await;
+        let (col, b_heights) = (comms.of(Family::Col), split_even(b_blk.rows, pm));
+        let b_full = gather_row_slices(ctx, col, b_slice, b_blk.cols, &b_heights).await;
+        ctx.set_phase("local_gemm");
+        charged_product(ctx, &a_full, &b_full)
     }
 }
 

@@ -11,14 +11,14 @@
 //!   2D-block-distributed A, B, C, no k-parallelism. SUMMA "cannot utilize
 //!   extra memory to reduce communication costs" (§I).
 
-use ca3dmm::grid3d::{Family, Grid3d};
-use ca3dmm::{charged_gemm, LocalC};
+use ca3dmm::grid3d::{Coord, Family, Grid3d, GridComms};
+use ca3dmm::{charged_gemm, LocalC, Pgemm};
 use dense::part::{offsets, split_even, Rect};
 use dense::{Mat, Scalar};
 use gridopt::{cosma_grid, summa_grid, Grid, Problem};
-use layout::Layout;
-use msgpass::collectives::{bcast_large, Collectives};
+use msgpass::collectives::bcast_large;
 use msgpass::{Comm, RankCtx};
+use std::future::Future;
 
 /// SUMMA on a `pr × pc` grid (stationary C).
 ///
@@ -103,7 +103,8 @@ pub async fn summa<T: Scalar>(
 /// No Cannon groups exist, so eq. 7 is not required and the default grid
 /// comes from the unconstrained search. Initially position `(i, j, kt)`
 /// holds `A(m_i, ·)` and `B(·, n_j)` restricted to slice `j` (of `pn`)
-/// resp. `i` (of `pm`) of its group's k-range.
+/// resp. `i` (of `pm`) of its group's k-range; the output is row strip `kt`
+/// of block `(m_i, n_j)`.
 pub struct Ca3dmmSumma {
     geo: Grid3d,
 }
@@ -117,55 +118,38 @@ impl Ca3dmmSumma {
             geo: Grid3d::new(prob, grid, grid.pm, &[Family::Row, Family::Col]),
         }
     }
+}
 
-    /// The grid in use.
-    pub fn grid(&self) -> &Grid {
-        self.geo.grid()
+impl Pgemm for Ca3dmmSumma {
+    fn geo(&self) -> &Grid3d {
+        &self.geo
     }
 
-    /// Native layout of `A` (`m × k`).
-    pub fn layout_a(&self) -> Layout {
-        self.geo.layout_a(|at| self.geo.slices(at))
+    fn native(&self, at: Coord) -> [Option<Rect>; 2] {
+        self.geo.slices(at)
     }
 
-    /// Native layout of `B` (`k × n`).
-    pub fn layout_b(&self) -> Layout {
-        self.geo.layout_b(|at| self.geo.slices(at))
-    }
-
-    /// Native output layout of `C`: row-strip `kt` of block `(m_i, n_j)`.
-    pub fn layout_c(&self) -> Layout {
-        self.geo.layout_c()
-    }
-
-    /// Steps 5–7 with SUMMA: native-layout multiply. Collective over
-    /// `world`; idle ranks pass `None` and get `None`.
-    pub async fn multiply_native_async<T: Scalar>(
+    /// SUMMA over the k-task group's row and column communicators.
+    async fn partial_c<T: Scalar>(
         &self,
         ctx: &RankCtx,
-        world: &Comm,
-        a_init: Option<Mat<T>>,
-        b_init: Option<Mat<T>>,
-    ) -> Option<Mat<T>> {
-        let comms = self.geo.comms(ctx, world)?;
-        let (at, flat) = (comms.at(), Collectives::Flat);
-        let native = self.geo.slices(at);
-        let c_strip = comms
-            .multiply_native(ctx, [a_init, b_init], native, flat, async |ab| {
-                let [Some(a), Some(b)] = ab else {
-                    unreachable!("every position holds an A and a B block")
-                };
-                ctx.set_phase("summa_bcast");
-                let k_kt = self.geo.a_block(at.0, at.2).cols;
-                let (row, col) = (comms.of(Family::Row), comms.of(Family::Col));
-                summa(ctx, row, col, k_kt, &a, &b).await
-            })
-            .await;
-        Some(c_strip)
+        comms: &GridComms,
+        ab: [Option<Mat<T>>; 2],
+    ) -> Mat<T> {
+        let [Some(a), Some(b)] = ab else {
+            unreachable!("every position holds an A and a B block")
+        };
+        ctx.set_phase("summa_bcast");
+        let (i, _, kt) = comms.at();
+        let k_kt = self.geo.a_block(i, kt).cols;
+        let (row, col) = (comms.of(Family::Row), comms.of(Family::Col));
+        summa(ctx, row, col, k_kt, &a, &b).await
     }
 }
 
-/// The 2D baseline: [`Ca3dmmSumma`] on `Grid(pr, pc, 1)`.
+/// The 2D baseline: [`Ca3dmmSumma`] on `Grid(pr, pc, 1)`. `A` is in 2D
+/// blocks `m_i × ka_j` (k split `pc` ways), `B` in `kb_i × n_j` (k split
+/// `pr` ways), `C` in `m_i × n_j`.
 pub struct SummaPgemm(Ca3dmmSumma);
 
 impl SummaPgemm {
@@ -174,46 +158,24 @@ impl SummaPgemm {
         let (pr, pc) = grid_override.unwrap_or_else(|| summa_grid(&prob));
         SummaPgemm(Ca3dmmSumma::new(prob, Some(Grid::new(pr, pc, 1))))
     }
+}
 
-    /// Native layout of `A`: 2D blocks `m_i × ka_j` (k split `pc` ways).
-    pub fn layout_a(&self) -> Layout {
-        self.0.layout_a()
+impl Pgemm for SummaPgemm {
+    fn geo(&self) -> &Grid3d {
+        self.0.geo()
     }
 
-    /// Native layout of `B`: 2D blocks `kb_i × n_j` (k split `pr` ways).
-    pub fn layout_b(&self) -> Layout {
-        self.0.layout_b()
+    fn native(&self, at: Coord) -> [Option<Rect>; 2] {
+        self.0.native(at)
     }
 
-    /// Native layout of `C`: 2D blocks `m_i × n_j`.
-    pub fn layout_c(&self) -> Layout {
-        self.0.layout_c()
-    }
-
-    /// Blocking façade over [`SummaPgemm::multiply_native_async`], kept for the
-    /// frozen benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
-    pub fn multiply_native<T: Scalar>(
+    fn partial_c<T: Scalar>(
         &self,
         ctx: &RankCtx,
-        world: &Comm,
-        a_init: Option<Mat<T>>,
-        b_init: Option<Mat<T>>,
-    ) -> Option<Mat<T>> {
-        ctx.block_on(self.multiply_native_async(ctx, world, a_init, b_init))
-    }
-
-    /// Native-layout multiply. Collective over `world`; ranks beyond the
-    /// grid pass `None`.
-    pub async fn multiply_native_async<T: Scalar>(
-        &self,
-        ctx: &RankCtx,
-        world: &Comm,
-        a_init: Option<Mat<T>>,
-        b_init: Option<Mat<T>>,
-    ) -> Option<Mat<T>> {
-        self.0
-            .multiply_native_async(ctx, world, a_init, b_init)
-            .await
+        comms: &GridComms,
+        ab: [Option<Mat<T>>; 2],
+    ) -> impl Future<Output = Mat<T>> {
+        self.0.partial_c(ctx, comms, ab)
     }
 }
 

@@ -15,12 +15,10 @@
 //! ```
 
 use baselines::Ca3dmmSumma;
-use ca3dmm::Ca3dmmOptions;
-use dense::part::Rect;
-use dense::random::global_block;
-use dense::Mat;
+use bench::run_seeded;
+use ca3dmm::{Ca3dmm, Ca3dmmOptions};
 use gridopt::{ca3dmm_grid, Grid, Problem};
-use msgpass::{Comm, RunOptions, World};
+use msgpass::RunOptions;
 use std::time::Instant;
 
 fn eq10_latency(g: &Grid) -> f64 {
@@ -77,29 +75,17 @@ fn main() {
     ] {
         let prob = Problem::new(m, n, k, p);
         let grid = ca3dmm_grid(&prob, 0.95).grid;
-        // CA3DMM-C
         let options = Ca3dmmOptions {
             grid_override: Some(grid),
             ..Default::default()
         };
+        // Both timings include building the algorithm on the same forced
+        // grid and generating the operands.
         let t = Instant::now();
-        let (_, rep_c) = bench::run_ca3dmm(prob, &options, RunOptions::traced());
+        let (_, rep_c) = run_seeded(&Ca3dmm::new(prob, &options), RunOptions::traced());
         let t_c = t.elapsed().as_secs_f64() * 1e3;
-
-        // CA3DMM-S on the same grid; both timings include generating the
-        // operands and building the algorithm on its forced grid
         let t = Instant::now();
-        let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-        let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-        let alg_s = Ca3dmmSumma::new(prob, Some(grid));
-        let (la, lb) = (alg_s.layout_a(), alg_s.layout_b());
-        let (_, rep_s) = World::run_traced(p, async |ctx| {
-            let world = Comm::world(ctx);
-            let me = world.rank();
-            let a = la.extract(&a_full, me).into_iter().next();
-            let b = lb.extract(&b_full, me).into_iter().next();
-            let _: Option<Mat<f64>> = alg_s.multiply_native_async(ctx, &world, a, b).await;
-        });
+        let (_, rep_s) = run_seeded(&Ca3dmmSumma::new(prob, Some(grid)), RunOptions::traced());
         let t_s = t.elapsed().as_secs_f64() * 1e3;
 
         println!(

@@ -12,7 +12,7 @@
 //! root tests run them on the committed artifacts in `results/`.
 
 use baselines::{C25d, CosmaLike};
-use ca3dmm::{ca3dmm_schedule, Ca3dmm, Ca3dmmOptions, ModelConfig};
+use ca3dmm::{ca3dmm_schedule, Ca3dmm, ModelConfig, Pgemm};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::Mat;
@@ -149,28 +149,29 @@ pub fn write_csv(name: &str, text: &str) {
         .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
 }
 
-/// Runs CA3DMM on its native layouts on `prob.p` threaded ranks under
-/// `opts` — A and B are the seeded blocks `global_block(1, ·)` and
-/// `global_block(2, ·)` — and returns the plan with the run's report.
-pub fn run_ca3dmm(prob: Problem, options: &Ca3dmmOptions, opts: RunOptions) -> (Ca3dmm, RunReport) {
-    let Problem { m, n, k, p } = prob;
-    let alg = Ca3dmm::new(prob, options);
-    let gc = alg.grid_context();
-    let (la, lb) = (gc.layout_a(), gc.layout_b());
+/// Runs `alg` on its native layouts on `P` threaded ranks under `opts`,
+/// with A and B the seeded blocks `global_block(1, ·)` and
+/// `global_block(2, ·)`. Returns every rank's native `C` strip (`None` on
+/// idle ranks) and the run's report.
+pub fn run_seeded(
+    alg: &(impl Pgemm + Sync),
+    opts: RunOptions,
+) -> (Vec<Option<Mat<f64>>>, RunReport) {
+    let Problem { m, n, k, p } = *alg.geo().prob();
+    let (la, lb) = (alg.layout_a(), alg.layout_b());
     let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
     let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (_, report) = World::run_opts(p, opts, async |ctx| {
+    World::run_opts(p, opts, async |ctx| {
         let world = Comm::world(ctx);
         let me = world.rank();
         let a = la.extract(&a_full, me).into_iter().next();
         let b = lb.extract(&b_full, me).into_iter().next();
-        let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
-    });
-    (alg, report)
+        alg.multiply_native_async(ctx, &world, a, b).await
+    })
 }
 
 /// `fig5_breakdown`'s traced run: CA3DMM at `size`³ on `ranks` threaded
-/// ranks with default options ([`run_ca3dmm`]), and the run's summary under
+/// ranks with default options ([`run_seeded`]), and the run's summary under
 /// the meta name `fig5_breakdown_s{size}_p{ranks}` — the document its
 /// `--report-out` writes and `results/REPORT_fig5_*.json` hold.
 pub fn fig5_traced_run(
@@ -178,8 +179,8 @@ pub fn fig5_traced_run(
     ranks: usize,
     opts: RunOptions,
 ) -> (Ca3dmm, RunReport, RunReportDoc) {
-    let prob = Problem::new(size, size, size, ranks);
-    let (alg, report) = run_ca3dmm(prob, &Ca3dmmOptions::default(), opts);
+    let alg = Ca3dmm::new(Problem::new(size, size, size, ranks), &Default::default());
+    let (_, report) = run_seeded(&alg, opts);
     let meta = alg.report_meta(&format!("fig5_breakdown_s{size}_p{ranks}"), &report);
     let summary = report.summary(meta);
     (alg, report, summary)
@@ -200,6 +201,7 @@ pub fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
+pub mod grid_explorer;
 pub mod report;
 pub mod sim;
 pub mod timing;

@@ -227,6 +227,7 @@ pub fn diff_phase_rows(rows: &[PhaseRow], cost: &CostReport) -> ModelDiffReport 
 mod tests {
     use super::*;
     use crate::exec::{Ca3dmm, Ca3dmmOptions};
+    use crate::grid3d::Pgemm;
     use crate::model::{ca3dmm_schedule, ModelConfig};
     use dense::part::Rect;
     use dense::random::global_block;
@@ -244,8 +245,9 @@ mod tests {
         assert_eq!(model_phase_label("reduce_c"), "reduce_c");
     }
 
-    #[test]
-    fn diff_joins_timeline_and_model() {
+    /// A traced CA3DMM run of 32×32×64 on a forced 2×2×2 grid, and the
+    /// model's cost of the same problem and grid.
+    fn traced_run_and_model() -> (Ca3dmm, RunReport, CostReport) {
         let (m, n, k, p) = (32, 32, 64, 8);
         let grid = Grid::new(2, 2, 2);
         let prob = Problem::new(m, n, k, p);
@@ -282,6 +284,12 @@ mod tests {
             flops_per_rank,
             &ca3dmm_schedule(&prob, &grid, &cfg),
         );
+        (alg, report, cost)
+    }
+
+    #[test]
+    fn diff_joins_timeline_and_model() {
+        let (_, report, cost) = traced_run_and_model();
         let diff = diff_model_vs_measured(&report, &cost);
         assert!(!diff.phases.is_empty());
         // every runtime phase landed under a model label with nonzero time
@@ -298,42 +306,7 @@ mod tests {
 
     #[test]
     fn doc_diff_matches_live_diff_on_bytes() {
-        let (m, n, k, p) = (32, 32, 64, 8);
-        let grid = Grid::new(2, 2, 2);
-        let prob = Problem::new(m, n, k, p);
-        let alg = Ca3dmm::new(
-            prob,
-            &Ca3dmmOptions {
-                grid_override: Some(grid),
-                ..Default::default()
-            },
-        );
-        let gc = alg.grid_context();
-        let (la, lb) = (gc.layout_a(), gc.layout_b());
-        let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-        let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-        let (_, report) = World::run_traced(p, async |ctx| {
-            let world = Comm::world(ctx);
-            let me = world.rank();
-            let a = la.extract(&a_full, me).into_iter().next();
-            let b = lb.extract(&b_full, me).into_iter().next();
-            let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
-        });
-        let machine = Machine::uniform();
-        let placement = machine.pure_mpi();
-        let flops_per_rank = placement.flops_per_rank;
-        let cfg = ModelConfig {
-            placement,
-            elem_bytes: 8.0,
-            overlap: true,
-            include_redist: false,
-            collectives: msgpass::collectives::Collectives::Flat,
-        };
-        let cost = evaluate(
-            &machine,
-            flops_per_rank,
-            &ca3dmm_schedule(&prob, &grid, &cfg),
-        );
+        let (alg, report, cost) = traced_run_and_model();
 
         // Round-trip the run through its JSON artifact…
         let text = report

@@ -3,11 +3,11 @@
 //! wrap it in [`crate::Plan`].
 
 use crate::cannon::{cannon_multi_shift, LocalC};
-use crate::grid3d::{Family, GridComms};
+use crate::grid3d::{Coord, Family, Grid3d, GridComms, Pgemm};
 use crate::grid_ctx::GridContext;
 use crate::replicate::replicate_block;
 use dense::part::{split_even, Rect};
-use dense::{Mat, Scalar, Shape64};
+use dense::{Mat, Scalar};
 use gridopt::{ca3dmm_grid, Grid, Problem, DEFAULT_UTILIZATION_FLOOR};
 use msgpass::collectives::Collectives;
 use msgpass::{Comm, RankCtx};
@@ -223,13 +223,13 @@ impl Ca3dmm {
     /// and reduction groups), each from this rank's own group, so the cost
     /// follows the group sizes, not `P`. Collective over `world`; `None` on
     /// idle ranks. Any number of multiplies on the same grid can reuse one
-    /// set ([`Ca3dmm::multiply_native_in`], [`crate::Plan::multiply_in`]).
+    /// set ([`Pgemm::multiply_native_in_async`], [`crate::Plan::multiply_in`]).
     pub fn comms(&self, ctx: &RankCtx, world: &Comm) -> Option<GridComms> {
         self.gc.geo().comms(ctx, world)
     }
 
-    /// Blocking façade over [`Ca3dmm::multiply_native_async`], kept for the frozen
-    /// benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
+    /// Blocking façade over [`Pgemm::multiply_native_async`], kept for the
+    /// frozen benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
     pub fn multiply_native<T: Scalar>(
         &self,
         ctx: &RankCtx,
@@ -240,28 +240,7 @@ impl Ca3dmm {
         ctx.block_on(self.multiply_native_async(ctx, world, a_init, b_init))
     }
 
-    /// Steps 5–7 only: inputs already in the native layouts
-    /// ([`GridContext::layout_a`] / [`GridContext::layout_b`]), output left
-    /// in the native C layout. This is the configuration §III-D analyses
-    /// (steps 4/8 skipped) and the one the strong-scaling figures call
-    /// "library-native partitioning".
-    ///
-    /// Collective over `world`. Active ranks pass their initial block
-    /// (`None` if their native rectangle is empty) and receive their final
-    /// C strip; idle ranks pass `None` and receive `None`.
-    pub async fn multiply_native_async<T: Scalar>(
-        &self,
-        ctx: &RankCtx,
-        world: &Comm,
-        a_init: Option<Mat<T>>,
-        b_init: Option<Mat<T>>,
-    ) -> Option<Mat<T>> {
-        let comms = self.comms(ctx, world);
-        self.multiply_native_in_async(ctx, world, &comms, a_init, b_init)
-            .await
-    }
-
-    /// Blocking façade over [`Ca3dmm::multiply_native_in_async`], kept for the
+    /// Blocking façade over [`Pgemm::multiply_native_in_async`], kept for the
     /// frozen benchmark until item 7 (ROADMAP.md). Panics on a virtual rank.
     pub fn multiply_native_in<T: Scalar>(
         &self,
@@ -274,105 +253,73 @@ impl Ca3dmm {
         ctx.block_on(self.multiply_native_in_async(ctx, world, comms, a_init, b_init))
     }
 
-    /// Steps 5–7 with caller-provided sub-communicators (see
-    /// [`Ca3dmm::comms`]), which must have been built over `world`: the
-    /// unified driver ([`GridComms::multiply_native`]) with CA3DMM's
-    /// closure — allgather the replicated operand over the `c` peers, then
-    /// Cannon on the tile.
-    pub async fn multiply_native_in_async<T: Scalar>(
-        &self,
-        ctx: &RankCtx,
-        world: &Comm,
-        comms: &Option<GridComms>,
-        a_init: Option<Mat<T>>,
-        b_init: Option<Mat<T>>,
-    ) -> Option<Mat<T>> {
-        let (gc, comms) = (&self.gc, comms.as_ref()?);
-        debug_assert_eq!(gc.geo().coord(world.rank()), Some(comms.at()));
-        let coord = gc.coord_at(comms.at());
-        let (init, native) = ([a_init, b_init], gc.native(comms.at()));
-        let partial_c = async |ab: [Option<Mat<T>>; 2]| {
-            let [Some(a_blk), Some(b_blk)] = ab else {
-                unreachable!("every position holds an A and a B block")
-            };
-            // Step 5: replicate A or B across the Cannon groups.
-            ctx.set_phase("replicate_ab");
-            let replicate = async |slice: Mat<T>, blk: Rect| {
-                let widths = split_even(blk.cols, gc.c);
-                let peers = comms.of(Family::Peers);
-                replicate_block(ctx, peers, slice, blk.rows, &widths, self.collectives).await
-            };
-            let (a_full, b_full) = if gc.a_replicated {
-                (replicate(a_blk, gc.a_block(&coord)).await, b_blk)
-            } else {
-                (a_blk, replicate(b_blk, gc.b_block(&coord)).await)
-            };
-            // Step 6: Cannon within the group.
-            ctx.set_phase("cannon_shift");
-            let c = LocalC::reserve(a_full.rows(), b_full.cols());
-            cannon_multi_shift(
-                ctx,
-                comms.of(Family::Tile),
-                gc.s,
-                (0, gc.s),
-                a_full,
-                b_full,
-                c,
-                self.multi_shift_min_k,
-                self.overlap,
-            )
-            .await
-        };
-        // Step 7, the reduction of the pk partial results, is the driver's.
-        let reduce = self.collectives;
-        Some(
-            comms
-                .multiply_native(ctx, init, native, reduce, partial_c)
-                .await,
-        )
-    }
-
-    /// Runs steps 5–7 under the virtual-time backend
-    /// ([`msgpass::World::simulate`]): the *same*
-    /// [`Ca3dmm::multiply_native_async`] program every wall-clock test
-    /// executes, but on `P` simulated ranks
-    /// whose sends, receives, and local GEMMs are charged against
-    /// `machine`. This is how the strong-scaling figures run CA3DMM at
-    /// paper-scale process counts (`p` in the thousands) on one host.
-    ///
-    /// The communication pattern, which is what virtual time measures, does
-    /// not depend on the matrix values, so numerical output is meaningless
-    /// here. `opts.execute_compute` picks the element type the one generic
-    /// schedule runs over: `f64` zero blocks when the arithmetic is to be
-    /// executed, [`Shape64`] when it is skipped (the configuration to use at
-    /// scale) — then no block, message or partial result owns any memory
-    /// and nothing is copied or summed, while message sizes, counts, clocks
-    /// and the report are identical to the `f64` run.
+    /// [`Pgemm::simulate_native`], kept for the frozen benchmark until
+    /// item 7 (ROADMAP.md).
     pub fn simulate_native(
         &self,
         machine: &netmodel::Machine,
         opts: msgpass::SimOptions,
     ) -> msgpass::RunReport {
-        if opts.execute_compute {
-            self.simulate_native_over::<f64>(machine, opts)
-        } else {
-            self.simulate_native_over::<Shape64>(machine, opts)
-        }
+        Pgemm::simulate_native(self, machine, opts)
+    }
+}
+
+/// Steps 5–7 on the native layouts ([`GridContext::layout_a`] /
+/// [`GridContext::layout_b`] in, the native C layout out): the
+/// configuration §III-D analyses (steps 4/8 skipped) and the one the
+/// strong-scaling figures call "library-native partitioning".
+impl Pgemm for Ca3dmm {
+    fn geo(&self) -> &Grid3d {
+        self.gc.geo()
     }
 
-    fn simulate_native_over<T: Scalar>(
+    fn native(&self, at: Coord) -> [Option<Rect>; 2] {
+        self.gc.native(at)
+    }
+
+    fn reduce(&self) -> Collectives {
+        self.collectives
+    }
+
+    /// Step 5, allgather the replicated operand over the `c` peers, and
+    /// step 6, Cannon on the tile; step 7 is the trait's reduction.
+    async fn partial_c<T: Scalar>(
         &self,
-        machine: &netmodel::Machine,
-        opts: msgpass::SimOptions,
-    ) -> msgpass::RunReport {
-        let p = self.gc.problem().p;
-        // Missing initial blocks default to zeros of the native shape.
-        let (_, report) = msgpass::World::simulate(p, machine, opts, async |ctx| {
-            let world = Comm::world(ctx);
-            self.multiply_native_async::<T>(ctx, &world, None, None)
-                .await;
-        });
-        report
+        ctx: &RankCtx,
+        comms: &GridComms,
+        ab: [Option<Mat<T>>; 2],
+    ) -> Mat<T> {
+        let [Some(a_blk), Some(b_blk)] = ab else {
+            unreachable!("every position holds an A and a B block")
+        };
+        let (gc, coord) = (&self.gc, self.gc.coord_at(comms.at()));
+        // Step 5: replicate A or B across the Cannon groups.
+        ctx.set_phase("replicate_ab");
+        let replicate = async |slice: Mat<T>, blk: Rect| {
+            let widths = split_even(blk.cols, gc.c);
+            let peers = comms.of(Family::Peers);
+            replicate_block(ctx, peers, slice, blk.rows, &widths, self.collectives).await
+        };
+        let (a_full, b_full) = if gc.a_replicated {
+            (replicate(a_blk, gc.a_block(&coord)).await, b_blk)
+        } else {
+            (a_blk, replicate(b_blk, gc.b_block(&coord)).await)
+        };
+        // Step 6: Cannon within the group.
+        ctx.set_phase("cannon_shift");
+        let c = LocalC::reserve(a_full.rows(), b_full.cols());
+        cannon_multi_shift(
+            ctx,
+            comms.of(Family::Tile),
+            gc.s,
+            (0, gc.s),
+            a_full,
+            b_full,
+            c,
+            self.multi_shift_min_k,
+            self.overlap,
+        )
+        .await
     }
 }
 

@@ -2,12 +2,10 @@
 //! `m × n × k` cuboid over a `pm × pn × pk` grid, complete each position's
 //! A and B blocks, run a 2D step, and reduce-scatter the `pk` partial
 //! results of each C block. [`Grid3d`] is the geometry (rank order, block
-//! rectangles, native layouts, communicator families) and
-//! [`GridComms::multiply_native`] the driver all six algorithms run: take
-//! the initial blocks, let the algorithm replicate and run its inner 2D
-//! step, reduce-scatter the partial `C` over `pk`. An algorithm is a grid
-//! rule, an initial placement and the closure that turns its initial blocks
-//! into a partial `C`:
+//! rectangles, native layouts, communicator families). [`Pgemm`] is where
+//! an algorithm is a grid rule, an initial placement and a step; from those
+//! the trait derives, once for all six, the native layouts, the native
+//! multiply and its shape-only virtual-time simulation:
 //!
 //! | algorithm | grid rule | initial A / B placement | replication | inner 2D step | reduce |
 //! |---|---|---|---|---|---|
@@ -30,11 +28,13 @@
 
 use crate::reduce::reduce_partial_c;
 use dense::part::Rect;
-use dense::{Mat, Scalar};
+use dense::{Mat, Scalar, Shape64};
 use gridopt::{Grid, Problem};
 use layout::Layout;
 use msgpass::collectives::Collectives;
-use msgpass::{Comm, RankCtx};
+use msgpass::{Comm, RankCtx, RunReport, SimOptions, World};
+use netmodel::Machine;
+use std::future::Future;
 
 /// Grid position `(i, j, kt)` along `(m, n, k)`.
 pub type Coord = (usize, usize, usize);
@@ -259,34 +259,140 @@ impl GridComms {
         let found = self.comms.iter().find(|(f, _)| *f == family);
         &found.expect("the grid was built without this family").1
     }
+}
 
-    /// The native-layout multiply all six algorithms share. `init` holds
-    /// this rank's initial A and B blocks, `native` the rectangles they must
-    /// match (`None`: the position starts without that operand); a missing
-    /// block is taken as zeros. `partial_c` is the algorithm: it completes
-    /// the operands and returns this position's partial `C(m_i, n_j)`, which
-    /// is then reduce-scattered (`reduce` picks the collective family) over
-    /// the `pk` positions sharing `(i, j)`.
-    pub async fn multiply_native<T: Scalar>(
+/// A parallel GEMM on the unified grid. An implementation supplies what
+/// makes it that algorithm ([`Pgemm::geo`], [`Pgemm::native`],
+/// [`Pgemm::reduce`], [`Pgemm::partial_c`]); the provided methods are the
+/// native layouts, multiply and simulation all six share.
+///
+/// The async methods return futures that are not `Send`: a rank's
+/// [`RankCtx`] is single-threaded.
+pub trait Pgemm {
+    /// The grid the cuboid is partitioned over.
+    fn geo(&self) -> &Grid3d;
+
+    /// The initial `[A, B]` placement of a grid position (`None`: the
+    /// position starts without that operand).
+    fn native(&self, at: Coord) -> [Option<Rect>; 2];
+
+    /// The collective family of the `pk` reduction.
+    fn reduce(&self) -> Collectives {
+        Collectives::Flat
+    }
+
+    /// The algorithm's step at position `comms.at()`: complete the initial
+    /// blocks `ab` (shaped as [`Pgemm::native`] places them) and return the
+    /// partial `C(m_i, n_j)`.
+    fn partial_c<T: Scalar>(
         &self,
         ctx: &RankCtx,
-        init: [Option<Mat<T>>; 2],
-        native: [Option<Rect>; 2],
-        reduce: Collectives,
-        partial_c: impl AsyncFnOnce([Option<Mat<T>>; 2]) -> Mat<T>,
-    ) -> Mat<T> {
-        let take = |given: Option<Mat<T>>, rect: Option<Rect>| {
-            rect.map(|r| {
-                let blk = given.unwrap_or_else(|| Mat::zeros(r.rows, r.cols));
-                assert_eq!(blk.shape(), (r.rows, r.cols), "initial block shape");
-                blk
-            })
-        };
-        let ([a, b], [a_rect, b_rect]) = (init, native);
-        let c_partial = partial_c([take(a, a_rect), take(b, b_rect)]).await;
-        ctx.set_phase("reduce_c");
-        reduce_partial_c(ctx, self.of(Family::Depth), c_partial, reduce).await
+        comms: &GridComms,
+        ab: [Option<Mat<T>>; 2],
+    ) -> impl Future<Output = Mat<T>>;
+
+    /// The native input layout of `A` (`m × k`) over all `P` ranks (idle
+    /// ranks own nothing).
+    fn layout_a(&self) -> Layout {
+        self.geo().layout_a(|at| self.native(at))
     }
+
+    /// The native input layout of `B` (`k × n`).
+    fn layout_b(&self) -> Layout {
+        self.geo().layout_b(|at| self.native(at))
+    }
+
+    /// The native output layout of `C`: row strip `kt` of block `(i, j)`.
+    fn layout_c(&self) -> Layout {
+        self.geo().layout_c()
+    }
+
+    /// The native-layout multiply. Collective over `world`: active ranks
+    /// pass their initial blocks (`None` for an empty or missing one, taken
+    /// as zeros) and receive their `C` strip; idle ranks pass `None` and
+    /// receive `None`.
+    fn multiply_native_async<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        a_init: Option<Mat<T>>,
+        b_init: Option<Mat<T>>,
+    ) -> impl Future<Output = Option<Mat<T>>> {
+        async move {
+            let comms = self.geo().comms(ctx, world);
+            self.multiply_native_in_async(ctx, world, &comms, a_init, b_init)
+                .await
+        }
+    }
+
+    /// [`Pgemm::multiply_native_async`] on communicators built beforehand by
+    /// [`Grid3d::comms`] over `world`: the initial blocks are checked
+    /// against [`Pgemm::native`], [`Pgemm::partial_c`] runs, and the partial
+    /// results are reduce-scattered over the `pk` positions sharing
+    /// `(i, j)`.
+    fn multiply_native_in_async<T: Scalar>(
+        &self,
+        ctx: &RankCtx,
+        world: &Comm,
+        comms: &Option<GridComms>,
+        a_init: Option<Mat<T>>,
+        b_init: Option<Mat<T>>,
+    ) -> impl Future<Output = Option<Mat<T>>> {
+        async move {
+            let comms = comms.as_ref()?;
+            debug_assert_eq!(self.geo().coord(world.rank()), Some(comms.at()));
+            let take = |given: Option<Mat<T>>, rect: Option<Rect>| {
+                rect.map(|r| {
+                    let blk = given.unwrap_or_else(|| Mat::zeros(r.rows, r.cols));
+                    assert_eq!(blk.shape(), (r.rows, r.cols), "initial block shape");
+                    blk
+                })
+            };
+            let [a_rect, b_rect] = self.native(comms.at());
+            let ab = [take(a_init, a_rect), take(b_init, b_rect)];
+            let c_partial = self.partial_c(ctx, comms, ab).await;
+            ctx.set_phase("reduce_c");
+            let depth = comms.of(Family::Depth);
+            Some(reduce_partial_c(ctx, depth, c_partial, self.reduce()).await)
+        }
+    }
+
+    /// Runs the native multiply under virtual time
+    /// ([`World::simulate`]): the *same* program every wall-clock run
+    /// executes, on `P` simulated ranks whose sends, receives and local
+    /// GEMMs are charged against `machine`. This is how the strong-scaling
+    /// figures run at paper-scale process counts on one host.
+    ///
+    /// The communication pattern does not depend on the matrix values, so
+    /// the product is not returned. `opts.execute_compute` picks the element
+    /// type: `f64` zero blocks when the arithmetic is to be executed,
+    /// [`Shape64`] when it is skipped (the configuration to use at scale) —
+    /// then no block, message or partial result owns any memory and nothing
+    /// is copied or summed, while message sizes, counts, clocks and the
+    /// report are identical to the `f64` run.
+    fn simulate_native(&self, machine: &Machine, opts: SimOptions) -> RunReport {
+        if opts.execute_compute {
+            simulate_over::<f64>(self, machine, opts)
+        } else {
+            simulate_over::<Shape64>(self, machine, opts)
+        }
+    }
+}
+
+/// [`Pgemm::simulate_native`] over one element type; missing initial
+/// blocks default to zeros of the native shape.
+fn simulate_over<T: Scalar>(
+    alg: &(impl Pgemm + ?Sized),
+    machine: &Machine,
+    opts: SimOptions,
+) -> RunReport {
+    let p = alg.geo().prob().p;
+    let (_, report) = World::simulate(p, machine, opts, async |ctx| {
+        let world = Comm::world(ctx);
+        alg.multiply_native_async::<T>(ctx, &world, None, None)
+            .await;
+    });
+    report
 }
 
 #[cfg(test)]

@@ -6,12 +6,12 @@
 //! 1. **Grid selection** (Algorithm 1 step 1) — delegated to the `gridopt`
 //!    crate: minimize eq. 4 under eq. 5/7, maximizing utilization (eq. 6).
 //! 2. **Process organization** (steps 2–3) — [`grid3d::Grid3d`], the
-//!    `pm × pn × pk` geometry and native driver CA3DMM shares with the five
-//!    baselines (the paper's unified view; the algorithm table lives
-//!    there), and [`GridContext`], CA3DMM's placement on it: `pk` k-task
-//!    groups, each split into `c = max(pm,pn)/min(pm,pn)` Cannon groups of
-//!    `s²` contiguous ranks, `s = min(pm,pn)`; surplus ranks stay idle
-//!    outside redistribution (paper Example 3).
+//!    `pm × pn × pk` geometry, and [`Pgemm`], the trait CA3DMM and the
+//!    five baselines implement on it (the paper's unified view; the
+//!    algorithm table lives there), and [`GridContext`], CA3DMM's placement
+//!    on it: `pk` k-task groups, each split into `c = max(pm,pn)/min(pm,pn)`
+//!    Cannon groups of `s²` contiguous ranks, `s = min(pm,pn)`; surplus
+//!    ranks stay idle outside redistribution (paper Example 3).
 //! 3. **Redistribution** (steps 4, 8) — via the `layout` crate: user
 //!    layouts ⇄ CA3DMM-native layouts, with `op(A)`/`op(B)` transposes
 //!    folded into the conversion.
@@ -57,6 +57,7 @@ pub use diff::{
     diff_model_vs_measured, diff_phase_rows, model_phase_label, ModelDiffReport, PhaseDiff,
 };
 pub use exec::{Ca3dmm, Ca3dmmOptions, RunMeta, RunStats};
+pub use grid3d::Pgemm;
 pub use grid_ctx::{GridContext, RankCoord};
 pub use model::{ca3dmm_schedule, memory_elements_per_rank, ModelConfig};
 pub use msgpass::collectives::Collectives;

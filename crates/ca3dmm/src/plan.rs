@@ -12,12 +12,13 @@
 //! C), and a [`PlanKey`] identifies it in a cache.
 //!
 //! Determinism: [`Plan::multiply_async`] runs [`layout::multiply_planned`]
-//! around [`Ca3dmm::multiply_native_in_async`], and neither depends on how
-//! many multiplies the plan has run — so a cached plan produces exactly the
-//! bytes a freshly built one would (property-tested in this module).
+//! around its [`Ca3dmm`]'s [`Pgemm::multiply_native_in_async`], and neither
+//! depends on how many multiplies the plan has run — so a cached plan
+//! produces exactly the bytes a freshly built one would (property-tested in
+//! this module).
 
 use crate::exec::{Ca3dmm, Ca3dmmOptions};
-use crate::grid3d::GridComms;
+use crate::grid3d::{GridComms, Pgemm};
 use dense::gemm::GemmOp;
 use dense::{Mat, Scalar};
 use gridopt::Problem;

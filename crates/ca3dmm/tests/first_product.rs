@@ -1,7 +1,7 @@
 //! CA3DMM's Cannon step creates each rank's partial `C` from its first
 //! product instead of zero-filling it and accumulating every product into
 //! it with `beta = 1`. The two must agree bit for bit: this test runs the
-//! real native multiply (`Ca3dmm::multiply_native_async`) and, as the
+//! real native multiply (`Pgemm::multiply_native_async`) and, as the
 //! reference, the same Cannon groups over the same blocks into a
 //! zero-filled `C` (`cannon_multi_shift` from `LocalC::Sum(zeros)`).
 //!
@@ -11,7 +11,7 @@
 //! runs with multi-shift batching off, partial and total, overlap on and
 //! off.
 
-use ca3dmm::{cannon_multi_shift, Ca3dmm, Ca3dmmOptions, LocalC};
+use ca3dmm::{cannon_multi_shift, Ca3dmm, Ca3dmmOptions, LocalC, Pgemm};
 use dense::random::global_block;
 use dense::Mat;
 use gridopt::{Grid, Problem};

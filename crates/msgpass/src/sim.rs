@@ -56,7 +56,7 @@
 //! message body compiles to nothing, and what remains of a simulated rank
 //! is its future, its mailbox and its counters. Sizes, message counts,
 //! clocks and the report are identical to the `f64` run.
-//! `Ca3dmm::simulate_native` makes exactly that choice from the flag.
+//! `ca3dmm::Pgemm::simulate_native` makes exactly that choice from the flag.
 //!
 //! # Determinism
 //!
@@ -105,8 +105,8 @@ pub struct SimOptions {
     /// but the real arithmetic is skipped. Nothing then reads a matrix
     /// value, so a generic program should also *store* none: instantiate
     /// it over [`dense::Shape64`] instead of `f64` (as
-    /// `Ca3dmm::simulate_native` does) and the run carries shapes, not
-    /// data, with an identical report.
+    /// `ca3dmm::Pgemm::simulate_native` does) and the run carries shapes,
+    /// not data, with an identical report.
     pub execute_compute: bool,
 }
 

@@ -311,7 +311,6 @@ fn run_one(shared: &Shared, engine: &Engine, item: Queued) {
         }
     };
 
-    let grid = *plan.ca3dmm().grid_context().grid();
     let total_secs = enqueued.elapsed().as_secs_f64();
     let mut resp = Json::obj([
         ("id", Json::Str(req.id.clone())),
@@ -322,14 +321,7 @@ fn run_one(shared: &Shared, engine: &Engine, item: Queued) {
         ("total_ms", Json::Num(total_secs * 1e3)),
         ("checksum", Json::Str(outcome.items[0].checksum.clone())),
         ("sum", Json::Num(outcome.items[0].sum)),
-        (
-            "grid",
-            Json::obj([
-                ("pm", Json::Num(grid.pm as f64)),
-                ("pn", Json::Num(grid.pn as f64)),
-                ("pk", Json::Num(grid.pk as f64)),
-            ]),
-        ),
+        ("grid", plan.ca3dmm().grid_context().grid().to_json()),
     ]);
     if req.report {
         let meta = plan.ca3dmm().report_meta_serving(

@@ -11,11 +11,12 @@
 use crate::protocol::{parse_request, Limits, Request};
 use crate::scheduler::{ResponseSink, Scheduler, SchedulerConfig};
 use jsonlite::Json;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Where the daemon listens.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -152,7 +153,7 @@ fn extract_id(line: &str) -> Option<String> {
 fn writer_sink<W: Write + Send + 'static>(w: W) -> ResponseSink {
     let w = Mutex::new(w);
     Arc::new(move |resp: Json| {
-        let mut w = w.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut w = w.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = writeln!(w, "{resp}");
         let _ = w.flush();
     })
@@ -186,8 +187,8 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
                 &server,
                 || {
                     let (s, _) = listener.accept()?;
-                    let w = s.try_clone()?;
-                    Ok((s, w))
+                    let (w, stop) = (s.try_clone()?, s.try_clone()?);
+                    Ok((s, w, move || drop(stop.shutdown(Shutdown::Read))))
                 },
                 || drop(TcpStream::connect(wake_addr)),
             )?;
@@ -199,8 +200,8 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
                 &server,
                 || {
                     let (s, _) = listener.accept()?;
-                    let w = s.try_clone()?;
-                    Ok((s, w))
+                    let (w, stop) = (s.try_clone()?, s.try_clone()?);
+                    Ok((s, w, move || drop(stop.shutdown(Shutdown::Read))))
                 },
                 || drop(UnixStream::connect(path)),
             );
@@ -213,42 +214,55 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
 }
 
 /// Accept loop shared by the socket transports. `accept` yields a
-/// (reader, writer) pair per connection; each connection gets a reader
-/// thread. Returns when some connection requests shutdown and every
-/// reader has stopped.
+/// (reader, writer, stop) triple per connection; each connection gets a
+/// reader thread, and `stop` shuts its read half. Returns when some
+/// connection requests shutdown and every reader has stopped.
 ///
 /// `accept` blocks, so the reader that sees the shutdown latch set calls
 /// `wake`, which connects to the listener once: the acceptor returns with
-/// that connection, finds the latch set and stops. A reader blocked on an
-/// idle connection still holds the return until its client closes.
-fn serve_listener<R, W, A, K>(server: &Server, accept: A, wake: K) -> std::io::Result<()>
+/// that connection, finds the latch set, and stops every live connection's
+/// read half, so a reader blocked on an idle connection sees end of input.
+/// Write halves stay open: queued multiplies still answer.
+fn serve_listener<R, W, S, A, K>(server: &Server, accept: A, wake: K) -> std::io::Result<()>
 where
     R: Read + Send + 'static,
     W: Write + Send + 'static,
-    A: Fn() -> std::io::Result<(R, W)>,
+    S: FnOnce() + Send,
+    A: Fn() -> std::io::Result<(R, W, S)>,
     K: Fn() + Sync,
 {
-    let wake = &wake;
-    std::thread::scope(|scope| loop {
-        let (r, w) = match accept() {
-            Ok(pair) => pair,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if server.shutdown_requested() {
-            return Ok(());
-        }
-        scope.spawn(move || {
-            let sink = writer_sink(w);
-            for line in BufReader::new(r).lines() {
-                let Ok(line) = line else { break };
-                server.handle_line(&line, &sink);
-                if server.shutdown_requested() {
-                    wake();
-                    break;
-                }
+    // The `stop` of every connection whose reader is still running.
+    let live = Mutex::new(BTreeMap::<usize, S>::new());
+    let lock = || live.lock().unwrap_or_else(PoisonError::into_inner);
+    let (wake, lock) = (&wake, &lock);
+    std::thread::scope(|scope| {
+        for id in 0usize.. {
+            let (r, w, stop) = match accept() {
+                Ok(conn) => conn,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if server.shutdown_requested() {
+                std::mem::take(&mut *lock())
+                    .into_values()
+                    .for_each(|stop| stop());
+                return Ok(());
             }
-        });
+            lock().insert(id, stop);
+            scope.spawn(move || {
+                let sink = writer_sink(w);
+                for line in BufReader::new(r).lines() {
+                    let Ok(line) = line else { break };
+                    server.handle_line(&line, &sink);
+                    if server.shutdown_requested() {
+                        wake();
+                        break;
+                    }
+                }
+                lock().remove(&id);
+            });
+        }
+        unreachable!("connection numbers ran out")
     })
 }
 

@@ -4,65 +4,13 @@
 //!
 //! For each shape and P it prints both searches' grids, the process
 //! utilization, the communication-volume-to-lower-bound ratio, and the
-//! modeled runtime on the paper's cluster (pure MPI placement).
+//! modeled runtime on the paper's cluster (pure MPI placement). The table
+//! is `bench::grid_explorer::table`.
 //!
 //! ```text
 //! cargo run --release --example grid_explorer
 //! ```
 
-use ca3dmm::{ca3dmm_schedule, ModelConfig};
-use gridopt::{ca3dmm_grid, cosma_grid, GridChoice, Problem, DEFAULT_UTILIZATION_FLOOR};
-use netmodel::eval::evaluate;
-use netmodel::Machine;
-
 fn main() {
-    let machine = Machine::phoenix_cpu();
-    let placement = machine.pure_mpi();
-    let shapes: [(&str, usize, usize, usize); 4] = [
-        ("square  (50k^3)", 50_000, 50_000, 50_000),
-        ("large-K (6k,6k,1.2M)", 6_000, 6_000, 1_200_000),
-        ("large-M (1.2M,6k,6k)", 1_200_000, 6_000, 6_000),
-        ("flat    (100k,100k,5k)", 100_000, 100_000, 5_000),
-    ];
-    let procs = [192usize, 384, 768, 1536, 2048, 3072];
-
-    for (name, m, n, k) in shapes {
-        println!("== {name}: m={m} n={n} k={k} ==");
-        println!(
-            "{:>6} | {:>14} {:>5} {:>6} {:>9} | {:>14} {:>6}",
-            "P", "CA3DMM grid", "util", "Q/LB", "t_model", "COSMA grid", "util"
-        );
-        for p in procs {
-            let prob = Problem::new(m, n, k, p);
-            let ca: GridChoice = ca3dmm_grid(&prob, DEFAULT_UTILIZATION_FLOOR);
-            let co: GridChoice = cosma_grid(&prob, DEFAULT_UTILIZATION_FLOOR);
-            let cfg = ModelConfig {
-                placement,
-                elem_bytes: 8.0,
-                overlap: true,
-                include_redist: false,
-                collectives: ca3dmm::Collectives::Flat,
-            };
-            let sched = ca3dmm_schedule(&prob, &ca.grid, &cfg);
-            let cost = evaluate(&machine, placement.flops_per_rank, &sched);
-            println!(
-                "{:>6} | {:>4}x{:<4}x{:<4} {:>4.0}% {:>6.2} {:>8.2}s | {:>4}x{:<4}x{:<4} {:>5.0}%",
-                p,
-                ca.grid.pm,
-                ca.grid.pn,
-                ca.grid.pk,
-                ca.utilization(p) * 100.0,
-                ca.volume_ratio(&prob),
-                cost.total_s,
-                co.grid.pm,
-                co.grid.pn,
-                co.grid.pk,
-                co.utilization(p) * 100.0,
-            );
-        }
-        println!();
-    }
-    println!("Q/LB: per-process communication volume over the eq. 9 lower bound.");
-    println!("t_model: CA3DMM runtime under the alpha-beta-gamma machine model");
-    println!("         ({}; pure MPI, 1 rank per core).", machine.name);
+    print!("{}", bench::grid_explorer::table());
 }

@@ -11,7 +11,8 @@
 # ablation_2d_algo embeds wall time (its message columns are pinned in
 # tests/e2e_all_algorithms.rs); the others are analytic, and
 # crates/bench/tests/committed_tables.rs reruns them and compares their
-# stdout and CSVs with results/ byte for byte (CI `cmp`s grid_explorer).
+# stdout and CSVs with results/ byte for byte; tests/committed_artifacts.rs
+# does the same for the grid_explorer example's table.
 set -e
 cd "$(dirname "$0")"
 export BENCH_CSV_DIR=results

@@ -203,3 +203,13 @@ fn fig5_artifacts_match_fresh_traced_runs_exactly() {
     // The gate refuses to compare a profiled report with an unprofiled one.
     assert!(gate(&committed_prof, &small, None).is_err());
 }
+
+/// The `grid_explorer` example's table (`bench::grid_explorer::table`) is
+/// what `results/grid_explorer.txt` holds.
+#[test]
+fn grid_explorer_table_matches_committed() {
+    assert!(
+        bench::grid_explorer::table() == committed("grid_explorer.txt"),
+        "results/grid_explorer.txt drifted from HEAD; run ./regen_results.sh"
+    );
+}

@@ -1,11 +1,12 @@
 //! Cross-crate end-to-end battery: every distributed algorithm in the
 //! workspace through one harness — the paper's problem classes plus each
 //! algorithm's awkward cases (forced grids, idle ranks, `p = 1`, uneven
-//! `k`) versus the serial reference — and the pinned per-rank traffic of
-//! all six.
+//! `k`) versus the serial reference — the pinned per-rank traffic of all
+//! six, and the same traffic from each one's virtual-time run.
 
 use baselines::{C25d, Ca3dmmSumma, CosmaLike, Orig3d, SummaPgemm};
-use ca3dmm::{Ca3dmm, Ca3dmmOptions, Dtype, Plan};
+use bench::run_seeded;
+use ca3dmm::{Ca3dmm, Ca3dmmOptions, Dtype, Pgemm, Plan};
 use dense::gemm::{gemm, GemmOp};
 use dense::part::Rect;
 use dense::random::global_block;
@@ -13,95 +14,78 @@ use dense::testing::assert_gemm_close;
 use dense::Mat;
 use gridopt::{Grid, Problem};
 use layout::{multiply_planned, Layout, RankRedistPlan};
-use msgpass::{Comm, RankCtx, RunReport, World};
+use msgpass::{Comm, RunOptions, RunReport, SimOptions, World};
+use netmodel::Machine;
 use proptest::prelude::*;
 
 /// Every rank's native C block (`None` on idle ranks) and the traced run.
 type Run = (Vec<Option<Mat<f64>>>, RunReport);
 
-/// Runs one algorithm on its native `[A, B, C]` layouts and compares the
-/// assembled product with the serial reference.
-fn run_native<F>(name: &str, prob: Problem, [la, lb, lc]: [Layout; 3], alg: F) -> Run
-where
-    F: AsyncFn(&RankCtx, &Comm, Option<Mat<f64>>, Option<Mat<f64>>) -> Option<Mat<f64>> + Sync,
-{
-    let Problem { m, n, k, p } = prob;
-    for l in [&la, &lb, &lc] {
+/// Runs one algorithm on its native layouts, traced, and compares the
+/// assembled product with the serial reference. Its compute-free
+/// virtual-time run must carry the same traffic: per-phase counts in both
+/// directions, the send matrix and the size histograms.
+fn run_native(name: &str, alg: &(impl Pgemm + Sync)) -> Run {
+    let Problem { m, n, k, p } = *alg.geo().prob();
+    let lc = alg.layout_c();
+    for l in [&alg.layout_a(), &alg.layout_b(), &lc] {
         l.validate();
     }
-    let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-    let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-    let (blocks, report) = World::run_traced(p, async |ctx| {
-        let world = Comm::world(ctx);
-        let me = world.rank();
-        let a = la.extract(&a_full, me).into_iter().next();
-        let b = lb.extract(&b_full, me).into_iter().next();
-        alg(ctx, &world, a, b).await
-    });
+    let (blocks, report) = run_seeded(alg, RunOptions::traced());
     let parts: Vec<Vec<Mat<f64>>> = blocks
         .iter()
         .map(|c| c.iter().filter(|m| !m.is_empty()).cloned().collect())
         .collect();
+    let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
+    let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
     let mut c_ref = Mat::zeros(m, n);
     let op = GemmOp::NoTrans;
     gemm(op, op, 1.0, &a_full, &b_full, 0.0, &mut c_ref);
     let what = format!("{name} {m}x{n}x{k} p={p}");
     assert_gemm_close(&lc.assemble(&parts), &c_ref, k, &what);
+    let shapes_only = SimOptions {
+        execute_compute: false,
+        ..Default::default()
+    };
+    let sim = alg.simulate_native(&Machine::uniform(), shapes_only);
+    assert_eq!(sim.per_rank, report.per_rank, "{what}: wall vs sim counts");
+    assert_eq!(sim.matrix, report.matrix, "{what}: wall vs sim matrix");
+    let hist = (&sim.hist_by_algo, &report.hist_by_algo);
+    assert_eq!(hist.0, hist.1, "{what}: wall vs sim histograms");
     (blocks, report)
-}
-
-/// Hands a harness ([`run_native`], [`run_pipeline`]) an algorithm's own
-/// layouts and native multiply: the five baselines share these method
-/// names, not a trait.
-macro_rules! native {
-    ($harness:ident, $name:expr, $prob:expr, $alg:expr) => {{
-        let alg = $alg;
-        let layouts = [alg.layout_a(), alg.layout_b(), alg.layout_c()];
-        $harness($name, $prob, layouts, async |ctx, w, a, b| {
-            alg.multiply_native_async(ctx, w, a, b).await
-        })
-    }};
 }
 
 type Case<G> = (usize, usize, usize, usize, Option<G>);
 
 fn summa((m, n, k, p, grid): Case<(usize, usize)>) -> Run {
-    let prob = Problem::new(m, n, k, p);
-    native!(run_native, "summa", prob, SummaPgemm::new(prob, grid))
+    run_native("summa", &SummaPgemm::new(Problem::new(m, n, k, p), grid))
 }
 
 fn ca3dmm_s((m, n, k, p, grid): Case<Grid>) -> Run {
-    let prob = Problem::new(m, n, k, p);
-    native!(run_native, "ca3dmm-s", prob, Ca3dmmSumma::new(prob, grid))
+    run_native(
+        "ca3dmm-s",
+        &Ca3dmmSumma::new(Problem::new(m, n, k, p), grid),
+    )
 }
 
 fn cosma((m, n, k, p, grid): Case<Grid>) -> Run {
-    let prob = Problem::new(m, n, k, p);
-    native!(run_native, "cosma", prob, CosmaLike::new(prob, grid))
+    run_native("cosma", &CosmaLike::new(Problem::new(m, n, k, p), grid))
 }
 
 fn orig3d(m: usize, n: usize, k: usize, p: usize) -> Run {
-    let prob = Problem::new(m, n, k, p);
-    native!(run_native, "orig3d", prob, Orig3d::new(prob))
+    run_native("orig3d", &Orig3d::new(Problem::new(m, n, k, p)))
 }
 
 fn c25d((m, n, k, p, sc): Case<(usize, usize)>) -> Run {
-    let prob = Problem::new(m, n, k, p);
-    native!(run_native, "c25d", prob, C25d::new(prob, sc))
+    run_native("c25d", &C25d::new(Problem::new(m, n, k, p), sc))
 }
 
 fn ca3dmm((m, n, k, p, grid_override): Case<Grid>) -> Run {
-    let prob = Problem::new(m, n, k, p);
     let opts = Ca3dmmOptions {
         grid_override,
         ..Default::default()
     };
-    let alg = Ca3dmm::new(prob, &opts);
-    let gc = alg.grid_context();
-    let layouts = [gc.layout_a(), gc.layout_b(), gc.layout_c()];
-    run_native("ca3dmm", prob, layouts, async |ctx, w, a, b| {
-        alg.multiply_native_async(ctx, w, a, b).await
-    })
+    run_native("ca3dmm", &Ca3dmm::new(Problem::new(m, n, k, p), &opts))
 }
 
 /// The paper's four problem classes at test scale, plus degenerate shapes.
@@ -479,11 +463,9 @@ fn ca3dmm_full_pipeline_layout_matrix() {
 /// One algorithm behind `layout::multiply_planned`: `op(A)`, `op(B)` and
 /// `C` in user layouts (1D rows, block-cyclic, 1D columns), redistribution
 /// in and out.
-fn run_pipeline<F>(name: &str, prob: Problem, native: [Layout; 3], alg: F)
-where
-    F: AsyncFn(&RankCtx, &Comm, Option<Mat<f64>>, Option<Mat<f64>>) -> Option<Mat<f64>> + Sync,
-{
-    let Problem { m, n, k, p } = prob;
+fn run_pipeline(name: &str, alg: &(impl Pgemm + Sync)) {
+    let Problem { m, n, k, p } = *alg.geo().prob();
+    let (na, nb, nc) = (alg.layout_a(), alg.layout_b(), alg.layout_c());
     for (op_a, op_b) in [
         (GemmOp::Trans, GemmOp::NoTrans),
         (GemmOp::NoTrans, GemmOp::NoTrans),
@@ -496,7 +478,6 @@ where
         let la = Layout::one_d_row(ar, ac, p);
         let lb = Layout::block_cyclic(br, bc, 3, 4, 4, 5);
         let lc = Layout::one_d_col(m, n, p);
-        let [na, nb, nc] = &native;
         let parts = World::run(p, async |ctx| {
             let world = Comm::world(ctx);
             let me = world.rank();
@@ -504,15 +485,15 @@ where
                 &world,
                 ctx,
                 (
-                    &RankRedistPlan::new(&la, na, op_a, me),
+                    &RankRedistPlan::new(&la, &na, op_a, me),
                     la.extract(&a_stored, me),
                 ),
                 (
-                    &RankRedistPlan::new(&lb, nb, op_b, me),
+                    &RankRedistPlan::new(&lb, &nb, op_b, me),
                     lb.extract(&b_stored, me),
                 ),
-                &RankRedistPlan::new(nc, &lc, GemmOp::NoTrans, me),
-                async |a, b| alg(ctx, &world, a, b).await,
+                &RankRedistPlan::new(&nc, &lc, GemmOp::NoTrans, me),
+                async |a, b| alg.multiply_native_async(ctx, &world, a, b).await,
             )
             .await
         });
@@ -529,7 +510,7 @@ where
 #[test]
 fn baseline_full_pipelines() {
     let prob = Problem::new(22, 26, 30, 12);
-    native!(run_pipeline, "cosma", prob, CosmaLike::new(prob, None));
-    native!(run_pipeline, "summa", prob, SummaPgemm::new(prob, None));
-    native!(run_pipeline, "ca3dmm-s", prob, Ca3dmmSumma::new(prob, None));
+    run_pipeline("cosma", &CosmaLike::new(prob, None));
+    run_pipeline("summa", &SummaPgemm::new(prob, None));
+    run_pipeline("ca3dmm-s", &Ca3dmmSumma::new(prob, None));
 }

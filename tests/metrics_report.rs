@@ -8,7 +8,7 @@
 //! a property test that the profiler's retained spans cover exactly its
 //! stated `coverage` fraction of the exact busy time.
 
-use ca3dmm::{Ca3dmm, Ca3dmmOptions};
+use ca3dmm::{Ca3dmm, Ca3dmmOptions, Pgemm};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::Mat;
@@ -402,7 +402,8 @@ fn field<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
 #[test]
 fn netdiff_prices_the_run_its_meta_describes() {
     let prob = Problem::new(256, 256, 256, 16);
-    let (alg, report) = bench::run_ca3dmm(prob, &Ca3dmmOptions::default(), RunOptions::traced());
+    let alg = Ca3dmm::new(prob, &Ca3dmmOptions::default());
+    let (_, report) = bench::run_seeded(&alg, RunOptions::traced());
     let meta = alg.report_meta("fig5_breakdown_s256_p16", &report);
     let text = report.summary(meta).to_json().to_string_pretty();
     bench::report::show(&text).expect("dashboard renders");

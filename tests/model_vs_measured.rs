@@ -8,12 +8,10 @@
 //! tolerance.
 
 use baselines::CosmaLike;
-use ca3dmm::{ca3dmm_schedule, Ca3dmmOptions, ModelConfig};
-use dense::part::Rect;
-use dense::random::global_block;
-use dense::Mat;
+use bench::run_seeded;
+use ca3dmm::{ca3dmm_schedule, Ca3dmm, Ca3dmmOptions, ModelConfig};
 use gridopt::{Grid, Problem};
-use msgpass::{Comm, RunOptions, RunReport, World};
+use msgpass::{RunOptions, RunReport};
 use netmodel::Machine;
 
 /// Runs CA3DMM natively, traced, on a forced grid.
@@ -22,7 +20,7 @@ fn traced_ca3dmm(prob: Problem, grid: Grid) -> RunReport {
         grid_override: Some(grid),
         ..Default::default()
     };
-    bench::run_ca3dmm(prob, &options, RunOptions::traced()).1
+    run_seeded(&Ca3dmm::new(prob, &options), RunOptions::traced()).1
 }
 
 /// Runs CA3DMM natively and returns (measured max-rank bytes, modeled
@@ -98,16 +96,7 @@ fn cosma_volume_exact_on_divisible_problems() {
     for (m, n, k, p, grid) in cases {
         let prob = Problem::new(m, n, k, p);
         let alg = CosmaLike::new(prob, Some(grid));
-        let (la, lb) = (alg.layout_a(), alg.layout_b());
-        let a_full = global_block::<f64>(1, Rect::new(0, 0, m, k));
-        let b_full = global_block::<f64>(2, Rect::new(0, 0, k, n));
-        let (_, report) = World::run_traced(p, async |ctx| {
-            let world = Comm::world(ctx);
-            let me = world.rank();
-            let a = la.extract(&a_full, me).into_iter().next();
-            let b = lb.extract(&b_full, me).into_iter().next();
-            let _: Option<Mat<f64>> = alg.multiply_native_async(ctx, &world, a, b).await;
-        });
+        let (_, report) = run_seeded(&alg, RunOptions::traced());
         let sched = alg.schedule(&Machine::uniform().pure_mpi(), false);
         assert_eq!(
             report.max_rank_bytes() as f64,

@@ -12,7 +12,8 @@
 //!    directory, whose neighbour-exchange histogram shows the pinned
 //!    message count of the redistribution and no 0 B message;
 //! 5. `shutdown` with multiplies in flight still answers every one of them;
-//!    sent over a Unix socket, it also stops the daemon's accept loop.
+//!    sent over a Unix socket, it also stops the daemon's accept loop, even
+//!    while another connection sits idle.
 
 use jsonlite::Json;
 use msgpass::RunReportDoc;
@@ -20,7 +21,9 @@ use serve::{Listen, ResponseSink, SchedulerConfig, Server, ServerConfig};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::Receiver;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A server and every response it has sent, by id (`<null>` for none).
@@ -218,13 +221,10 @@ fn scripted_request_mix_keeps_the_protocol_contract() {
     std::fs::remove_dir_all(&reports).expect("remove report dir");
 }
 
-/// `serve::run` on a Unix socket returns once a client sends `shutdown`:
-/// the accept loop is woken, not left blocked until another client
-/// connects. The multiply sent before it is still answered.
-#[test]
-fn socket_daemon_returns_after_shutdown() {
-    let dir = std::env::temp_dir().join(format!("serve_socket_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("socket dir");
+/// `serve::run` on a Unix socket at `dir/daemon.sock`, on its own thread,
+/// and a channel that reports its return.
+fn unix_daemon(dir: &Path) -> (PathBuf, Receiver<()>, JoinHandle<std::io::Result<()>>) {
+    std::fs::create_dir_all(dir).expect("socket dir");
     let path = dir.join("daemon.sock");
     let cfg = ServerConfig {
         sched: SchedulerConfig {
@@ -241,34 +241,76 @@ fn socket_daemon_returns_after_shutdown() {
         let _ = done_tx.send(());
         result
     });
+    (path, done_rx, daemon)
+}
+
+/// Connects to the daemon's socket once it listens.
+fn connect(path: &Path) -> UnixStream {
     let t0 = Instant::now();
-    let mut stream = loop {
-        match UnixStream::connect(&path) {
-            Ok(s) => break s,
+    loop {
+        match UnixStream::connect(path) {
+            Ok(s) => return s,
             Err(e) if t0.elapsed() > Duration::from_secs(60) => {
                 panic!("daemon never listened: {e}")
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
+    }
+}
+
+/// Reads `n` answers from a connection, as `id → ok`.
+fn answers(stream: &UnixStream, n: usize) -> HashMap<String, bool> {
+    let lines = BufReader::new(stream).lines().take(n);
+    let parse = |line: std::io::Result<String>| {
+        let resp = Json::parse(&line.expect("answer")).expect("answer is JSON");
+        (str_at(&resp, "id").to_owned(), ok(&resp))
     };
+    lines.map(parse).collect()
+}
+
+/// `serve::run` on a Unix socket returns once a client sends `shutdown`:
+/// the accept loop is woken, not left blocked until another client
+/// connects. The multiply sent before it is still answered.
+#[test]
+fn socket_daemon_returns_after_shutdown() {
+    let dir = std::env::temp_dir().join(format!("serve_socket_{}", std::process::id()));
+    let (path, done_rx, daemon) = unix_daemon(&dir);
+    let mut stream = connect(&path);
     writeln!(
         stream,
         r#"{{"cmd":"multiply","id":"a","m":48,"n":64,"k":32}}"#
     )
     .and_then(|()| writeln!(stream, r#"{{"cmd":"shutdown","id":"bye"}}"#))
     .expect("send");
-    let mut answers = HashMap::new();
-    for line in BufReader::new(&stream).lines().take(2) {
-        let resp = Json::parse(&line.expect("answer")).expect("answer is JSON");
-        answers.insert(str_at(&resp, "id").to_owned(), ok(&resp));
-    }
     assert_eq!(
-        answers,
+        answers(&stream, 2),
         HashMap::from([("a".to_owned(), true), ("bye".to_owned(), true)])
     );
     done_rx
         .recv_timeout(Duration::from_secs(5))
         .expect("serve::run still running 5 s after shutdown");
+    daemon.join().expect("daemon thread").expect("serve::run");
+    std::fs::remove_dir_all(&dir).expect("remove socket dir");
+}
+
+/// A connection that stays open and silent does not keep `serve::run`
+/// alive after another client's `shutdown`: the accept loop shuts every
+/// live connection's read half, so the idle reader sees end of input.
+#[test]
+fn idle_connection_does_not_hold_the_daemon_after_shutdown() {
+    let dir = std::env::temp_dir().join(format!("serve_idle_{}", std::process::id()));
+    let (path, done_rx, daemon) = unix_daemon(&dir);
+    let idle = connect(&path);
+    let mut stream = connect(&path);
+    writeln!(stream, r#"{{"cmd":"shutdown","id":"bye"}}"#).expect("send");
+    assert_eq!(
+        answers(&stream, 1),
+        HashMap::from([("bye".to_owned(), true)])
+    );
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve::run still running 5 s after shutdown, held by an idle connection");
+    drop(idle);
     daemon.join().expect("daemon thread").expect("serve::run");
     std::fs::remove_dir_all(&dir).expect("remove socket dir");
 }

@@ -52,7 +52,7 @@ static ALLOC: Counting = Counting;
 /// Both grow with any per-rank or per-message allocation added to the
 /// simulator, such as a rank scanning the whole world (3 × 384 × 384 B).
 const ALLOCS_PER_OP: u64 = 25_601;
-const BYTES_PER_OP: u64 = 4_308_097;
+const BYTES_PER_OP: u64 = 4_150_657;
 const SLACK: f64 = 0.02;
 
 #[test]

@@ -8,7 +8,8 @@
 //! * the simulated executor is still the real executor: CA3DMM at p = 768
 //!   virtual ranks with compute executed produces the same numbers as a
 //!   serial GEMM;
-//! * the five baselines charge their local GEMMs to the virtual clock too;
+//! * the five baselines charge their local GEMMs to the virtual clock too,
+//!   shape-only or executed alike;
 //! * wait attribution is in *virtual* seconds: an imbalanced 4-rank run
 //!   (one rank computes while three wait) shows the imbalance as nonzero
 //!   wait% in its dashboard;
@@ -19,17 +20,17 @@
 //!   multi-shift batching and node sizes).
 
 use baselines::{C25d, Ca3dmmSumma, CosmaLike, Orig3d, SummaPgemm};
-use ca3dmm::{Ca3dmm, Ca3dmmOptions, Dtype, Plan};
+use ca3dmm::{Ca3dmm, Ca3dmmOptions, Dtype, Pgemm, Plan};
 use dense::gemm::{gemm_naive, GemmOp};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::testing::assert_gemm_close;
 use dense::Mat;
-use gridopt::{Grid, Problem};
+use gridopt::Problem;
 use jsonlite::Json;
 use layout::Layout;
 use msgpass::collectives::{neighbor_alltoallv, Collectives};
-use msgpass::{Comm, RankCtx, RunReport, RunReportDoc, SimOptions, World};
+use msgpass::{Comm, RunReport, RunReportDoc, SimOptions, World};
 use netmodel::{Machine, Placement};
 use proptest::prelude::*;
 
@@ -270,12 +271,23 @@ fn overlapped_ca3dmm_sim_is_no_slower_than_blocking() {
 /// The five baselines charge their local GEMMs to the virtual clock, as
 /// CA3DMM's Cannon does. On a machine whose γ dwarfs the network, every
 /// makespan covers the busiest rank's `γ·2·m_i·n_j·k_kt`; skipping the
-/// arithmetic (`execute_compute = false`) changes neither the traffic nor
-/// the makespan.
+/// arithmetic (`execute_compute = false`, shape-only blocks) changes
+/// neither the traffic nor the makespan.
 #[test]
 fn baselines_charge_their_local_gemms_under_virtual_time() {
-    let (m, n, k, p) = (48, 48, 48, 8);
-    let prob = Problem::new(m, n, k, p);
+    let prob = Problem::new(48, 48, 48, 8);
+    check_charged_gemms("summa", &SummaPgemm::new(prob, None));
+    check_charged_gemms("ca3dmm-s", &Ca3dmmSumma::new(prob, None));
+    check_charged_gemms("cosma", &CosmaLike::new(prob, None));
+    check_charged_gemms("orig3d", &Orig3d::new(prob));
+    check_charged_gemms("c25d", &C25d::new(prob, None));
+}
+
+/// One algorithm of [`baselines_charge_their_local_gemms_under_virtual_time`]
+/// on a problem its grid divides evenly.
+fn check_charged_gemms(name: &str, alg: &impl Pgemm) {
+    let (Problem { m, n, k, .. }, grid) = (*alg.geo().prob(), *alg.geo().grid());
+    assert!(m % grid.pm == 0 && n % grid.pn == 0 && k % grid.pk == 0);
     let machine = Machine::uniform();
     // 1 Mflop/s per rank: one rank's share of 2·48³ flops takes tens of
     // virtual milliseconds, the whole exchange tens of microseconds.
@@ -283,50 +295,25 @@ fn baselines_charge_their_local_gemms_under_virtual_time() {
         flops_per_rank: 1e6,
         ..machine.pure_mpi()
     };
-    let (pr, pc) = gridopt::summa_grid(&prob);
-    let c25d = C25d::new(prob, None);
-    let (summa, ca3dmm_s) = (SummaPgemm::new(prob, None), Ca3dmmSumma::new(prob, None));
-    let (cosma, orig3d) = (CosmaLike::new(prob, None), Orig3d::new(prob));
-    let check = |name: &str, grid: Grid, alg: &dyn Fn(SimOptions) -> RunReport| {
-        assert!(m % grid.pm == 0 && n % grid.pn == 0 && k % grid.pk == 0);
-        let run = |execute_compute: bool| {
-            alg(SimOptions {
-                placement: Some(placement),
-                execute_compute,
-            })
+    let run = |execute_compute: bool| {
+        let opts = SimOptions {
+            placement: Some(placement),
+            execute_compute,
         };
-        let (executed, skipped) = (run(true), run(false));
-        let makespan = |r: &RunReport| r.sim.as_ref().expect("sim info").makespan_secs;
-        let flops = 2.0 * ((m / grid.pm) * (n / grid.pn) * (k / grid.pk)) as f64;
-        let gemm_secs = flops / placement.flops_per_rank;
-        assert!(
-            makespan(&executed) >= gemm_secs,
-            "{name}: makespan {} misses the busiest rank's GEMM {gemm_secs}",
-            makespan(&executed)
-        );
-        assert_eq!(makespan(&executed), makespan(&skipped), "{name}");
-        assert_eq!(executed.per_rank, skipped.per_rank, "{name}");
-        assert_eq!(executed.matrix, skipped.matrix, "{name}");
+        alg.simulate_native(&machine, opts)
     };
-    // Each algorithm's native multiply on `p` virtual ranks under `opts`.
-    macro_rules! native {
-        ($alg:expr) => {
-            &|opts| {
-                let alg = $alg;
-                let go = async |ctx: &RankCtx| {
-                    let world = Comm::world(ctx);
-                    alg.multiply_native_async::<f64>(ctx, &world, None, None)
-                        .await
-                };
-                World::simulate(p, &machine, opts, go).1
-            }
-        };
-    }
-    check("summa", Grid::new(pr, pc, 1), native!(&summa));
-    check("ca3dmm-s", *ca3dmm_s.grid(), native!(&ca3dmm_s));
-    check("cosma", *cosma.grid(), native!(&cosma));
-    check("orig3d", gridopt::cube_grid(p), native!(&orig3d));
-    check("c25d", Grid::new(c25d.s, c25d.s, c25d.c), native!(&c25d));
+    let (executed, skipped) = (run(true), run(false));
+    let makespan = |r: &RunReport| r.sim.as_ref().expect("sim info").makespan_secs;
+    let flops = 2.0 * ((m / grid.pm) * (n / grid.pn) * (k / grid.pk)) as f64;
+    let gemm_secs = flops / placement.flops_per_rank;
+    assert!(
+        makespan(&executed) >= gemm_secs,
+        "{name}: makespan {} misses the busiest rank's GEMM {gemm_secs}",
+        makespan(&executed)
+    );
+    assert_eq!(makespan(&executed), makespan(&skipped), "{name}");
+    assert_eq!(executed.per_rank, skipped.per_rank, "{name}");
+    assert_eq!(executed.matrix, skipped.matrix, "{name}");
 }
 
 /// An imbalanced 4-rank run — rank 0 charges a long local compute before

@@ -6,7 +6,7 @@
 //! trace's own clock, and the critical-path and model-diff reports must be
 //! self-consistent.
 
-use ca3dmm::{ca3dmm_schedule, diff_model_vs_measured, Ca3dmmOptions, ModelConfig};
+use ca3dmm::{ca3dmm_schedule, diff_model_vs_measured, Ca3dmm, Ca3dmmOptions, ModelConfig};
 use dense::prof::SpanPhase;
 use dense::Mat;
 use gridopt::{Grid, Problem};
@@ -26,7 +26,8 @@ fn run_ca3dmm(m: usize, n: usize, k: usize, p: usize, grid: Grid, opts: RunOptio
         grid_override: Some(grid),
         ..Default::default()
     };
-    bench::run_ca3dmm(Problem::new(m, n, k, p), &options, opts).1
+    let alg = Ca3dmm::new(Problem::new(m, n, k, p), &options);
+    bench::run_seeded(&alg, opts).1
 }
 
 /// The timeline's per-phase seconds agree with the traffic report's
