@@ -7,7 +7,6 @@
 //! keeps the pre-replication storage of the operand at one copy, 2D
 //! partitioned over all active ranks, with balanced memory (§III-B).
 
-use dense::part::offsets;
 use dense::{Mat, Scalar};
 use msgpass::collectives::{allgatherv_mode, Collectives};
 use msgpass::{Comm, RankCtx};
@@ -40,23 +39,13 @@ pub async fn replicate_block<T: Scalar>(
     }
     let counts: Vec<usize> = widths.iter().map(|w| rows * w).collect();
     let gathered = allgatherv_mode(mode, group, ctx, my_slice.into_vec(), &counts).await;
-    // Reassemble column-slices into one block: row `i` of the block is row
-    // `i` of every slice in turn, copied straight out of `gathered`.
-    let seg_starts = offsets(&counts);
-    let total_cols: usize = widths.iter().sum();
-    let mut out = Vec::with_capacity(rows * total_cols);
-    for i in 0..rows {
-        for (&start, &w) in seg_starts.iter().zip(widths) {
-            out.extend_from_slice(&gathered[start + i * w..start + (i + 1) * w]);
-        }
-    }
-    Mat::from_vec(rows, total_cols, out)
+    Mat::join_cols(rows, widths, gathered)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dense::part::{split_even, Rect};
+    use dense::part::{offsets, split_even, Rect};
     use dense::random::global_block;
     use msgpass::World;
 

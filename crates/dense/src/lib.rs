@@ -58,7 +58,7 @@ pub mod tune;
 
 pub use gemm::{gemm, gemm_naive, gemm_new, GemmOp};
 pub use kernel::{gemm_kernel, set_gemm_kernel, KernelKind};
-pub use mat::Mat;
+pub use mat::{add_slice, Mat};
 pub use part::{split_even, Rect};
 pub use pool::{gemm_threads, set_gemm_threads};
 pub use prof::{KernelProfile, ProfSpan};

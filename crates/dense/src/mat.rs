@@ -2,6 +2,7 @@
 
 use crate::part::Rect;
 use crate::scalar::Scalar;
+use std::ops::AddAssign;
 
 /// An owned, row-major, densely stored matrix.
 ///
@@ -17,11 +18,24 @@ pub struct Mat<T: Scalar> {
     data: Vec<T>,
 }
 
-/// `n` zeros. For a zero-sized element ([`crate::Shape64`]) there is
-/// nothing to fill, yet `vec![x; n]` still clones `n` times in unoptimised
-/// builds; doubling appends reach any `n` in `log2(n)` constant-time steps.
+/// Whether `T` is zero-sized, like [`crate::Shape64`]: a shape-only
+/// element with one value and no bytes.
+///
+/// Every copy, join and sum of such elements is only its length, and this
+/// module enforces that with an explicit branch rather than trusting the
+/// optimiser to delete an element loop — unoptimised builds run those loops
+/// in full, one iteration per element of a matrix that stores nothing.
+/// (The branch belongs in synchronous helpers like these: written inside an
+/// `async fn`, it can grow the future of every instantiation.)
+const fn shape_only<T>() -> bool {
+    std::mem::size_of::<T>() == 0
+}
+
+/// `n` zeros. For a zero-sized element there is nothing to fill, yet
+/// `vec![x; n]` still clones `n` times in unoptimised builds; doubling
+/// appends reach any `n` in `log2(n)` constant-time steps.
 fn zeros_vec<T: Scalar>(n: usize) -> Vec<T> {
-    if std::mem::size_of::<T>() != 0 {
+    if !shape_only::<T>() {
         return vec![T::ZERO; n];
     }
     let mut v = vec![T::ZERO; n.min(1)];
@@ -30,6 +44,21 @@ fn zeros_vec<T: Scalar>(n: usize) -> Vec<T> {
         v.extend_from_within(..take);
     }
     v
+}
+
+/// `dst += src`, elementwise: the one sum loop of a reduction. For a
+/// zero-sized element it does nothing, in every build.
+///
+/// # Panics
+/// If the lengths differ.
+pub fn add_slice<T: Copy + AddAssign>(dst: &mut [T], src: &[T]) {
+    assert_eq!(dst.len(), src.len(), "add_slice length mismatch");
+    if shape_only::<T>() {
+        return;
+    }
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += *s;
+    }
 }
 
 impl<T: Scalar> Mat<T> {
@@ -65,6 +94,36 @@ impl<T: Scalar> Mat<T> {
             data.len()
         );
         Self { rows, cols, data }
+    }
+
+    /// Joins column slices side by side. `slices` holds the row-major
+    /// `rows × widths[s]` slices one after another (what an allgather of
+    /// column slices returns); the result is the `rows × Σ widths` matrix
+    /// whose row `i` is row `i` of every slice in turn. Zero-sized elements
+    /// are joined by their length alone, without a copy.
+    ///
+    /// # Panics
+    /// If `slices.len() != rows * Σ widths`.
+    pub fn join_cols(rows: usize, widths: &[usize], slices: Vec<T>) -> Self {
+        let cols = widths.iter().sum();
+        assert_eq!(
+            slices.len(),
+            rows * cols,
+            "slices do not fill {rows}x{cols}"
+        );
+        if shape_only::<T>() {
+            return Mat::from_vec(rows, cols, slices);
+        }
+        let mut data = Vec::with_capacity(rows * cols);
+        for i in 0..rows {
+            let mut start = 0;
+            for &w in widths {
+                let row = start + i * w;
+                data.extend_from_slice(&slices[row..row + w]);
+                start += rows * w;
+            }
+        }
+        Mat::from_vec(rows, cols, data)
     }
 
     /// Number of rows.
@@ -146,6 +205,9 @@ impl<T: Scalar> Mat<T> {
             self.rows,
             self.cols
         );
+        if shape_only::<T>() {
+            return Mat::zeros(rect.rows, rect.cols);
+        }
         let mut out = Vec::with_capacity(rect.rows * rect.cols);
         for i in 0..rect.rows {
             let src = (rect.row0 + i) * self.cols + rect.col0;
@@ -166,6 +228,9 @@ impl<T: Scalar> Mat<T> {
             self.rows,
             self.cols
         );
+        if shape_only::<T>() {
+            return;
+        }
         for i in 0..rect.rows {
             let dst = (rect.row0 + i) * self.cols + rect.col0;
             self.data[dst..dst + rect.cols].copy_from_slice(src.row(i));
@@ -198,9 +263,7 @@ impl<T: Scalar> Mat<T> {
     /// If shapes differ.
     pub fn add_assign(&mut self, other: &Mat<T>) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += *b;
-        }
+        add_slice(&mut self.data, &other.data);
     }
 
     /// Scales every element by `alpha`.
@@ -254,6 +317,7 @@ impl<T: Scalar> std::fmt::Debug for Mat<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Shape64;
 
     #[test]
     fn zeros_shape_and_content() {
@@ -335,7 +399,6 @@ mod tests {
     /// written in no time.
     #[test]
     fn shape_only_matrices_keep_shapes_and_store_nothing() {
-        use crate::Shape64;
         const N: usize = 1 << 20;
         let mut m = Mat::<Shape64>::zeros(N, N);
         assert_eq!(m.shape(), (N, N));
@@ -359,6 +422,38 @@ mod tests {
             assert_eq!(Mat::<Shape64>::zeros(n, 1).len(), n, "n = {n}");
             assert_eq!(Mat::<Shape64>::zeros(1, n).is_empty(), n == 0);
         }
+
+        // A join and a sum of 2⁴⁰ elements: an element loop would not end.
+        let joined = Mat::join_cols(N, &[N / 2, N / 2], m.clone().into_vec());
+        assert_eq!(joined.shape(), (N, N));
+        add_slice(m.as_mut_slice(), joined.as_slice());
+        m.add_assign(&joined);
+        assert_eq!(m.len(), N * N);
+    }
+
+    #[test]
+    fn join_cols_places_each_slice_row_by_row() {
+        let full = Mat::from_fn(3, 7, |i, j| (i * 10 + j) as f64);
+        let widths = [2, 0, 4, 1];
+        let mut slices = Vec::new();
+        let mut col0 = 0;
+        for w in widths {
+            slices.extend(full.block(Rect::new(0, col0, 3, w)).into_vec());
+            col0 += w;
+        }
+        assert_eq!(Mat::join_cols(3, &widths, slices), full);
+    }
+
+    #[test]
+    #[should_panic(expected = "slices do not fill 2x3")]
+    fn join_cols_checks_the_length() {
+        let _ = Mat::join_cols(2, &[1, 2], vec![Shape64; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_slice length mismatch")]
+    fn add_slice_checks_the_length() {
+        add_slice(&mut [Shape64; 2], &[Shape64; 3]);
     }
 
     #[test]

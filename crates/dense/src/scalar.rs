@@ -114,9 +114,12 @@ impl Scalar for f32 {
 /// Compute-free virtual-time runs (`msgpass::SimOptions::execute_compute =
 /// false`) need message sizes, counts and clocks — never values. Running the
 /// generic algorithms over `Shape64` keeps every length, shape and
-/// `nbytes()` exactly what `f64` gives while each buffer, copy and sum
-/// compiles to nothing: a `Vec<Shape64>` of any length owns no allocation.
-/// All arithmetic is the identity on the single value.
+/// `nbytes()` exactly what `f64` gives while storing nothing: a
+/// `Vec<Shape64>` of any length owns no allocation. A copy, join or sum of
+/// its elements is only its length where it goes through [`crate::Mat`]'s
+/// block and join methods or [`crate::add_slice`], which branch on the
+/// element size instead of looping, so that holds in unoptimised builds
+/// too. All arithmetic is the identity on the single value.
 #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
 pub struct Shape64;
 

@@ -17,7 +17,7 @@
 
 use crate::comm::{Comm, Payload, ReduceElem};
 use crate::world::RankCtx;
-use dense::WireElem;
+use dense::{add_slice, WireElem};
 
 /// Dissemination barrier: ⌈log₂ P⌉ rounds.
 pub async fn barrier(comm: &Comm, ctx: &RankCtx) {
@@ -504,10 +504,7 @@ async fn ring_reduce_scatter<T: ReduceElem>(
     let mut acc = data;
     for &m in &own[1..] {
         let got: Vec<T> = comm.recv_internal(ctx, m, tag).await;
-        assert_eq!(got.len(), acc.len(), "reduce_scatter length mismatch");
-        for (s, d) in acc.iter_mut().zip(&got) {
-            *s += *d;
-        }
+        add_slice(&mut acc, &got);
     }
     let offsets = offsets_of(counts);
     let right = members(hier, &((l + 1) % lc))[0];
@@ -537,9 +534,7 @@ async fn ring_reduce_scatter<T: ReduceElem>(
         let mut off = 0;
         for &m in members(hier, &recv_node) {
             let seg = &acc[offsets[m]..offsets[m] + counts[m]];
-            for (s, d) in sum[off..off + seg.len()].iter_mut().zip(seg) {
-                *s += *d;
-            }
+            add_slice(&mut sum[off..off + seg.len()], seg);
             off += seg.len();
         }
         carry = sum;

@@ -52,10 +52,16 @@
 //! compile-time property of the element type. A program that does not need
 //! its values (a compute-free run, `execute_compute = false`) can therefore
 //! run over the zero-sized [`dense::Shape64`] element — 0 bytes in memory,
-//! the 8 bytes of an `f64` on the wire: every buffer, copy, ring sum and
-//! message body compiles to nothing, and what remains of a simulated rank
-//! is its future, its mailbox and its counters. Sizes, message counts,
-//! clocks and the report are identical to the `f64` run.
+//! the 8 bytes of an `f64` on the wire. A `Vec` of it owns no allocation,
+//! and every element-wise step of a shape-only data path costs only its
+//! length, in every build, because `dense` branches on the element size
+//! where it would otherwise loop: [`dense::Mat::zeros`], [`dense::Mat::block`]
+//! and [`dense::Mat::set_block`] (SUMMA's panels), [`dense::Mat::join_cols`]
+//! (the column join after an allgather of column slices) and
+//! [`dense::add_slice`] (the ring sum of the reduce-scatter). What remains
+//! of a simulated rank is its future, its mailbox and its counters, so a
+//! simulated op costs its messages, not its elements. Sizes, message
+//! counts, clocks and the report are identical to the `f64` run.
 //! `ca3dmm::Pgemm::simulate_native` makes exactly that choice from the flag.
 //!
 //! # Determinism
@@ -106,7 +112,10 @@ pub struct SimOptions {
     /// value, so a generic program should also *store* none: instantiate
     /// it over [`dense::Shape64`] instead of `f64` (as
     /// `ca3dmm::Pgemm::simulate_native` does) and the run carries shapes,
-    /// not data, with an identical report.
+    /// not data, with an identical report. Its copies, joins and sums then
+    /// cost nothing per element as long as they go through the `dense`
+    /// helpers the module docs name; an element loop written elsewhere
+    /// still runs in full in an unoptimised build.
     pub execute_compute: bool,
 }
 

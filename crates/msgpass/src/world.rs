@@ -142,8 +142,9 @@ pub struct RankCtx {
     /// [`RankCtx::finish`] hands them to the report when it exits.
     stats: RefCell<RankStats>,
     /// Wall-clock of the current phase's start (for the per-phase timing
-    /// report).
-    phase_started: Cell<Instant>,
+    /// report); `None` on a virtual rank, which times its phases on the
+    /// virtual clock and never reads the wall clock.
+    phase_started: Cell<Option<Instant>>,
     /// Virtual-time charging parameters (`None` in wall-clock runs, where
     /// every sim hook reduces to an untaken branch).
     sim: Option<Arc<SimParams>>,
@@ -181,7 +182,7 @@ impl RankCtx {
             posted: RefCell::new(Vec::new()),
             post_seq: Cell::new(0),
             stats: RefCell::default(),
-            phase_started: Cell::new(Instant::now()),
+            phase_started: Cell::new(setup.sim.is_none().then(Instant::now)),
             sim: setup.sim.clone(),
             clock: Cell::new(0.0),
             nic_clock: Cell::new(0.0),
@@ -212,10 +213,9 @@ impl RankCtx {
     /// rank's phase spans and [`TrafficReport::phase_secs`] agree exactly
     /// (up to float rounding).
     pub fn set_phase(&self, phase: &str) {
-        let now = Instant::now();
-        self.flush_phase_time(now);
+        let now = self.flush_phase_time();
         let mut stats = self.stats.borrow_mut();
-        if self.recorder.enabled() {
+        if let Some(now) = now.filter(|_| self.recorder.enabled()) {
             if !stats.phase().is_empty() {
                 self.recorder.end_at(now, 0);
             }
@@ -229,17 +229,24 @@ impl RankCtx {
 
     /// Accumulates elapsed time into the current phase and restarts the
     /// phase clock. Called on phase switches and at rank exit. Wall runs
-    /// use the monotonic clock; sim runs use the rank's virtual clock, so
-    /// the per-phase seconds report is in the run's own time domain.
-    fn flush_phase_time(&self, now: Instant) {
-        let elapsed = if self.sim.is_some() {
-            let c = self.clock.get();
-            c - self.phase_started_v.replace(c)
-        } else {
-            now.duration_since(self.phase_started.replace(now))
-                .as_secs_f64()
+    /// use the monotonic clock and return the instant they read, for the
+    /// trace; sim runs use the rank's virtual clock, so the per-phase
+    /// seconds report is in the run's own time domain, and read no wall
+    /// clock (`None`).
+    fn flush_phase_time(&self) -> Option<Instant> {
+        let (elapsed, now) = match self.phase_started.get() {
+            None => {
+                let c = self.clock.get();
+                (c - self.phase_started_v.replace(c), None)
+            }
+            Some(started) => {
+                let now = Instant::now();
+                self.phase_started.set(Some(now));
+                (now.duration_since(started).as_secs_f64(), Some(now))
+            }
         };
         self.stats.borrow_mut().add_secs(elapsed);
+        now
     }
 
     /// Final bookkeeping when the rank's closure returns `result`: closes
@@ -252,10 +259,9 @@ impl RankCtx {
             self.world_rank,
             self.posted.borrow().len()
         );
-        let now = Instant::now();
-        self.flush_phase_time(now);
+        let now = self.flush_phase_time();
         let mut stats = self.stats.borrow_mut();
-        if self.recorder.enabled() && !stats.phase().is_empty() {
+        if let Some(now) = now.filter(|_| self.recorder.enabled() && !stats.phase().is_empty()) {
             self.recorder.end_at(now, 0);
         }
         RankOutput {

@@ -13,6 +13,9 @@
 //! * wait attribution is in *virtual* seconds: an imbalanced 4-rank run
 //!   (one rank computes while three wait) shows the imbalance as nonzero
 //!   wait% in its dashboard;
+//! * the twelve Fig. 3 points at p = 192 keep their pinned makespans and
+//!   message counts, and cost their messages, not their elements, in a
+//!   debug build;
 //! * compute-free runs carry shapes, not data: `execute_compute = false`
 //!   (zero-sized `Shape64` blocks) yields the same artifact as
 //!   `execute_compute = true` (`f64` blocks, GEMMs executed) except for
@@ -314,6 +317,78 @@ fn check_charged_gemms(name: &str, alg: &impl Pgemm) {
     assert_eq!(makespan(&executed), makespan(&skipped), "{name}");
     assert_eq!(executed.per_rank, skipped.per_rank, "{name}");
     assert_eq!(executed.matrix, skipped.matrix, "{name}");
+}
+
+/// The paper's Fig. 3 problems at its smallest process count, shape-only:
+/// CA3DMM, COSMA-like and CTF-like (2.5D) on the four classes of
+/// [`bench::CPU_CLASSES`] at p = 192 on `phoenix_cpu`, each makespan's bits
+/// and message count pinned. Large-M's CA3DMM joins its replicated operand
+/// over c = 192 peers.
+///
+/// A shape-only op costs its messages, not its elements, in every build:
+/// all twelve take a fraction of a second in a debug build. Before every
+/// copy, join and sum of a zero-sized element was only its length, a
+/// single debug square point took 70–100 s; the time bound catches that
+/// with two orders of magnitude to spare.
+#[test]
+fn fig3_points_at_p192_cost_their_messages_in_every_build() {
+    /// Per class: (makespan bits, messages) of CA3DMM, COSMA-like, CTF-like.
+    const PINS: [[(u64, u64); 3]; 4] = [
+        [
+            (0x403474f3129fce21, 2592),
+            (0x4034ed3ed64a521c, 2880),
+            (0x4051a16eb410c49c, 384),
+        ],
+        [
+            (0x401c3e5300ca9ca6, 36672),
+            (0x401c3e5300ca9ca6, 36672),
+            (0x404b5bccb6fd57af, 384),
+        ],
+        [
+            (0x401c3e5300ca9ce4, 36672),
+            (0x401c3e5300ca9ce4, 36672),
+            (0x4046c2fe46c25c31, 384),
+        ],
+        [
+            (0x401ef54a6acef288, 3408),
+            (0x4020592db37bd76f, 4992),
+            (0x40237d0dc3854bb7, 4368),
+        ],
+    ];
+    const P: usize = 192;
+    let machine = Machine::phoenix_cpu();
+    let opts = || SimOptions {
+        placement: Some(machine.pure_mpi()),
+        execute_compute: false,
+    };
+    let point = |report: RunReport| {
+        let makespan = report.sim.as_ref().expect("sim info").makespan_secs;
+        let msgs: u64 = (0..P).map(|r| report.rank_total(r).msgs).sum();
+        (makespan.to_bits(), msgs)
+    };
+    let start = std::time::Instant::now();
+    for ((class, m, n, k), pins) in bench::CPU_CLASSES.into_iter().zip(PINS) {
+        let prob = Problem::new(m, n, k, P);
+        let got = [
+            point(Ca3dmm::new(prob, &Ca3dmmOptions::default()).simulate_native(&machine, opts())),
+            point(CosmaLike::new(prob, None).simulate_native(&machine, opts())),
+            point(C25d::new(prob, None).simulate_native(&machine, opts())),
+        ];
+        for ((name, got), pin) in ["CA3DMM", "COSMA-like", "CTF-like"]
+            .iter()
+            .zip(got)
+            .zip(pins)
+        {
+            assert_eq!(
+                got,
+                pin,
+                "{class} {name}: (makespan {} s, msgs) moved",
+                f64::from_bits(got.0)
+            );
+        }
+    }
+    let secs = start.elapsed().as_secs_f64();
+    assert!(secs < 20.0, "twelve shape-only points took {secs:.1} s");
 }
 
 /// An imbalanced 4-rank run — rank 0 charges a long local compute before
