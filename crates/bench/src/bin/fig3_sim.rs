@@ -3,7 +3,7 @@
 //! describe the machine, the fixed problem and the model cross-check.
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig3_sim [--report-out PATH] [--overlap on|off]
+//! cargo run --release -p bench --bin fig3_sim [--out DIR] [--overlap on|off]
 //!     [--collectives flat|hier] [--ranks-per-node N] [--ranks P]
 //! ```
 //!
@@ -16,25 +16,26 @@
 //! nodes (e.g. 384) are where the hierarchical variants engage. `--ranks P`
 //! simulates one point instead of the sweep.
 //!
-//! The CSV goes to `$BENCH_CSV_DIR/{name}.csv` when that variable is set;
-//! `--report-out PATH` writes the last point's virtual-time `RunReport`.
-//! Non-default flags suffix both names (see [`bench::sim::fig3_sim`]).
+//! `--out DIR` writes the sweep's CSV, `DIR/{name}.csv`, and the last
+//! point's virtual-time `RunReport`, `DIR/REPORT_{name}.json`. Non-default
+//! flags suffix the name (see [`bench::sim::fig3_sim`]).
 //! The last stdout line is the process's peak resident set
 //! (`peak RSS: N MiB`).
 
 use bench::sim::{fig3_sim, SimConfig};
 use ca3dmm::Collectives;
+use std::path::PathBuf;
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let (mut cfg, mut report_out) = (SimConfig::default(), None::<String>);
+    let (mut cfg, mut out) = (SimConfig::default(), None::<PathBuf>);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next()
                 .unwrap_or_else(|| panic!("{name} requires a value"))
         };
         match arg.as_str() {
-            "--report-out" => report_out = Some(value("--report-out")),
+            "--out" => out = Some(value("--out").into()),
             "--ranks" => cfg.ranks = Some(value("--ranks").parse().expect("rank count")),
             "--overlap" => {
                 cfg.overlap = match value("--overlap").as_str() {
@@ -58,10 +59,15 @@ fn main() {
 
     let sweep = fig3_sim(&cfg);
     print!("{}", sweep.table);
-    bench::write_csv(&sweep.csv_name, &sweep.csv);
-    if let Some(path) = report_out {
-        std::fs::write(&path, &sweep.report).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("run report -> {path}");
+    if let Some(dir) = out {
+        let name = &sweep.csv_name;
+        bench::write_files(
+            &dir,
+            &[
+                (format!("{name}.csv"), sweep.csv),
+                (format!("REPORT_{name}.json"), sweep.report),
+            ],
+        );
     }
     match bench::peak_rss_mib() {
         Some(mib) => println!("peak RSS: {mib:.1} MiB (VmHWM)"),

@@ -1,22 +1,23 @@
 //! The experiment harness: shared machinery for regenerating every table
 //! and figure of the paper's evaluation (§IV).
 //!
-//! Each binary in `src/bin/` regenerates one table or figure; this library
-//! holds what they share — the calibrated machine description, the paper's
+//! This library holds the calibrated machine description, the paper's
 //! problem classes, and the per-algorithm runtime predictors built on the
 //! `netmodel` schedule evaluator. The model is validated against the real
 //! threaded runtime by the `model_vs_measured` integration test; see
 //! DESIGN.md §1 for the substitution argument and EXPERIMENTS.md for the
-//! paper-vs-measured record. The `fig3_sim` sweep ([`sim`]) and the
-//! `ca3dmm-report` subcommands ([`report`]) are functions here, so the
-//! root tests run them on the committed artifacts in `results/`.
+//! paper-vs-measured record. The analytic tables ([`paper`]), the
+//! `fig3_sim` sweep ([`sim`]) and the `ca3dmm-report` subcommands
+//! ([`report`]) are functions here, so the root tests run them against the
+//! committed artifacts in `results/`; the binaries in `src/bin/` parse
+//! flags and write files.
 
 use baselines::{C25d, CosmaLike};
 use ca3dmm::{ca3dmm_schedule, Ca3dmm, ModelConfig, Pgemm};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::Mat;
-use gridopt::{ca3dmm_grid, cosma_grid, Grid, Problem, DEFAULT_UTILIZATION_FLOOR};
+use gridopt::{ca3dmm_grid, Grid, Problem, DEFAULT_UTILIZATION_FLOOR};
 use msgpass::{Comm, RunOptions, RunReport, RunReportDoc, World};
 use netmodel::eval::{evaluate, CostReport};
 use netmodel::machine::Placement;
@@ -52,17 +53,6 @@ pub enum Algo {
     Ctf,
 }
 
-impl Algo {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::Ca3dmm => "CA3DMM",
-            Algo::Cosma => "COSMA",
-            Algo::Ctf => "CTF",
-        }
-    }
-}
-
 /// One modeled run configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
@@ -89,11 +79,8 @@ pub fn predict_with_grid(
         Algo::Ca3dmm => {
             let grid = grid.unwrap_or_else(|| ca3dmm_grid(prob, DEFAULT_UTILIZATION_FLOOR).grid);
             let mc = ModelConfig {
-                placement: cfg.placement,
-                elem_bytes: 8.0,
-                overlap: true,
                 include_redist: cfg.custom_layout,
-                collectives: ca3dmm::Collectives::Flat,
+                ..native_model(cfg.placement)
             };
             ca3dmm_schedule(prob, &grid, &mc)
         }
@@ -110,15 +97,15 @@ pub fn predict_with_grid(
     evaluate(machine, cfg.placement.flops_per_rank, &sched)
 }
 
-/// The default CA3DMM/COSMA grid for a problem (for reporting).
-pub fn default_grid(algo: Algo, prob: &Problem) -> Grid {
-    match algo {
-        Algo::Ca3dmm => ca3dmm_grid(prob, DEFAULT_UTILIZATION_FLOOR).grid,
-        Algo::Cosma => cosma_grid(prob, DEFAULT_UTILIZATION_FLOOR).grid,
-        Algo::Ctf => {
-            let alg = C25d::new(*prob, None);
-            Grid::new(alg.s, alg.s, alg.c)
-        }
+/// The model of CA3DMM's default run on `placement`: f64 elements on the
+/// library-native layouts, overlapped Cannon, flat collectives.
+pub fn native_model(placement: Placement) -> ModelConfig {
+    ModelConfig {
+        placement,
+        elem_bytes: 8.0,
+        overlap: true,
+        include_redist: false,
+        collectives: ca3dmm::Collectives::Flat,
     }
 }
 
@@ -135,18 +122,18 @@ pub fn percent_of_peak(
     100.0 * (flops / total_s) / peak
 }
 
-/// Writes an experiment's series to `$BENCH_CSV_DIR/{name}.csv` when
-/// `BENCH_CSV_DIR` is set: the machine-readable artifact next to the
-/// human-readable stdout table. Panics, naming the path, on any I/O error,
-/// so a figure run that cannot refresh its CSV does not exit 0.
-pub fn write_csv(name: &str, text: &str) {
-    let Ok(dir) = std::env::var("BENCH_CSV_DIR") else {
-        return;
-    };
-    let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-    std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(&path, text))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+/// Writes each `(file name, contents)` pair into `dir`, creating it first,
+/// and names each path on stderr, so stdout stays the table. Panics,
+/// naming the path, on any I/O error, so a run that cannot refresh an
+/// artifact does not exit 0.
+pub fn write_files<N: AsRef<str>>(dir: &std::path::Path, files: &[(N, String)]) {
+    for (name, text) in files {
+        let path = dir.join(name.as_ref());
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, text))
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        eprintln!("wrote {}", path.display());
+    }
 }
 
 /// Runs `alg` on its native layouts on `P` threaded ranks under `opts`,
@@ -201,7 +188,7 @@ pub fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-pub mod grid_explorer;
+pub mod paper;
 pub mod report;
 pub mod sim;
 pub mod timing;
@@ -212,11 +199,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "Cargo.toml/csv/fig.csv: ")]
-    fn a_failed_csv_write_panics_naming_the_path() {
+    fn a_failed_write_panics_naming_the_path() {
         // A directory below a regular file can never be created.
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/csv");
-        std::env::set_var("BENCH_CSV_DIR", dir);
-        write_csv("fig", "a,b\n");
+        write_files(std::path::Path::new(dir), &[("fig.csv", "a,b\n".into())]);
     }
 
     #[test]

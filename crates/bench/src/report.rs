@@ -75,11 +75,9 @@ pub fn netdiff(text: &str, limits: NetdiffLimits) -> Result<String, String> {
         }
     };
     let cfg = ModelConfig {
-        placement,
-        elem_bytes: 8.0,
         overlap: meta.overlap,
-        include_redist: false,
         collectives: meta.collectives,
+        ..crate::native_model(placement)
     };
     let cost = evaluate(
         &machine,

@@ -68,6 +68,8 @@ pub struct SimSweep {
     /// to run).
     pub table: String,
     /// The CSV's file stem: `fig3_sim` plus the configuration's suffix.
+    /// `fig3_sim --out DIR` writes `DIR/{csv_name}.csv` and the report as
+    /// `DIR/REPORT_{csv_name}.json`.
     pub csv_name: String,
     /// `cores,grid,sim_secs,pct_peak,model_secs`, one row per point.
     pub csv: String,
@@ -145,11 +147,9 @@ pub fn fig3_sim(cfg: &SimConfig) -> SimSweep {
         let makespan = run.sim.as_ref().expect("virtual-time run").makespan_secs;
 
         let model_cfg = ModelConfig {
-            placement,
-            elem_bytes: 8.0,
             overlap: cfg.overlap,
-            include_redist: false,
             collectives: cfg.collectives,
+            ..crate::native_model(placement)
         };
         let model = evaluate(
             &machine,

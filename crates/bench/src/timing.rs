@@ -9,7 +9,8 @@
 //! Every bench binary also records its results into a [`BenchReport`] and
 //! writes them as `BENCH_<name>.json` — one shared shape (see
 //! [`BenchReport::to_json`]) so `BENCH_gemm.json` and future baselines can
-//! be diffed mechanically (`bin/validate_bench_json.rs` consumes it in CI).
+//! be diffed mechanically; [`validate_bench_json`] checks it (the
+//! `validate_bench_json` binary in CI, a root test on `results/`).
 
 use jsonlite::Json;
 use std::path::{Path, PathBuf};
@@ -277,6 +278,203 @@ fn resolve_upward(dir: &Path, cwd: &Path) -> Option<PathBuf> {
     cwd.ancestors()
         .map(|a| a.join(dir))
         .find(|cand| cand.is_dir())
+}
+
+/// Checks a `BENCH_*.json` document and returns what it found, one line per
+/// check; an error names the first broken rule.
+///
+/// Always checks the shared [`BenchReport`] shape (`bench` / `samples` /
+/// non-empty `entries[]`, each with `label` + timing fields). With
+/// `gemm_tiers` it also enforces the committed `BENCH_gemm.json` contract:
+/// every `(shape, type)` the blocked kernel was benchmarked at carries the
+/// complete `t1/t2/t4/tauto` thread-tier sweep, and every multi-thread tier
+/// records a positive `gflops`, `threads` and `scaling_efficiency`; every
+/// blocked-kernel entry (`packed…/`) names its dispatched microkernel in
+/// `kernel`, matching the label of a pinned head-to-head entry
+/// (`packed_avx2/…`); at least one `packed_prof/…` entry records a finite
+/// `prof_overhead_pct` below 5 %, and none is above; and the serving path's
+/// two memory passes (`operand_gen/global_block-f64-1024x1024`,
+/// `serve_digest/f64-1024x1024`) record a positive `gbs` beside the same
+/// run's `memcpy_gbs`. With `ratio = (baseline, subject, min)` the subject
+/// entry's `gflops` must be at least `min` times the baseline's — a
+/// same-machine ratio, not an absolute threshold.
+pub fn validate_bench_json(
+    doc: &Json,
+    gemm_tiers: bool,
+    ratio: Option<(&str, &str, f64)>,
+) -> Result<String, String> {
+    let bench_name = doc
+        .get("bench")
+        .and_then(Json::as_str)
+        .ok_or("missing string field \"bench\"")?;
+    if doc.get("samples").and_then(Json::as_f64).is_none() {
+        return Err("missing numeric field \"samples\"".into());
+    }
+    let entries = doc
+        .get("entries")
+        .and_then(Json::as_arr)
+        .ok_or("missing array field \"entries\"")?;
+    if entries.is_empty() {
+        return Err("\"entries\" is empty".into());
+    }
+    for (i, e) in entries.iter().enumerate() {
+        if e.get("label").and_then(Json::as_str).is_none() {
+            return Err(format!("entry {i} has no string \"label\""));
+        }
+        for field in ["min_s", "median_s", "p95_s", "mean_s"] {
+            if e.get(field).and_then(Json::as_f64).is_none() {
+                return Err(format!("entry {i} has no numeric {field:?}"));
+            }
+        }
+    }
+    let mut found = format!(
+        "bench {bench_name:?}, {} entries, shape OK\n",
+        entries.len()
+    );
+    if gemm_tiers {
+        found += &validate_gemm_tiers(entries)?;
+    }
+    if let Some((base, subject, min_ratio)) = ratio {
+        let base_g = entry_field(entries, base, "gflops")?;
+        let subj_g = entry_field(entries, subject, "gflops")?;
+        let ratio = subj_g / base_g;
+        // `>= is false` rather than `< is true`: a NaN ratio must fail.
+        if matches!(
+            ratio.partial_cmp(&min_ratio),
+            None | Some(std::cmp::Ordering::Less)
+        ) {
+            return Err(format!("ratio {ratio:.2}x below required {min_ratio}x"));
+        }
+        found += &format!(
+            "{subject} = {subj_g:.2} Gop/s, {base} = {base_g:.2} Gop/s, \
+             ratio {ratio:.2}x (need >= {min_ratio}x)\n"
+        );
+    }
+    Ok(found)
+}
+
+fn entry_field(entries: &[Json], label: &str, field: &str) -> Result<f64, String> {
+    let entry = entries
+        .iter()
+        .find(|e| e.get("label").and_then(Json::as_str) == Some(label))
+        .ok_or_else(|| format!("no entry labelled {label:?}"))?;
+    entry
+        .get(field)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("entry {label:?} has no numeric {field:?} field"))
+}
+
+/// The `gemm_tiers` rules of [`validate_bench_json`].
+fn validate_gemm_tiers(entries: &[Json]) -> Result<String, String> {
+    use std::collections::BTreeMap;
+    const REQUIRED_TIERS: [&str; 4] = ["t1", "t2", "t4", "tauto"];
+
+    let mut tiers_by_case: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for e in entries {
+        let label = e.get("label").and_then(Json::as_str).unwrap_or_default();
+        let parts: Vec<&str> = label.split('/').collect();
+        // Every blocked-kernel entry (dispatcher-selected tiers, profiled
+        // runs, and pinned head-to-heads alike) must say which microkernel
+        // ran; a pinned entry's annotation must agree with its label.
+        if let [first, _, _, _] = parts.as_slice() {
+            if let Some(pin) = first.strip_prefix("packed") {
+                let kernel = e.get("kernel").and_then(Json::as_str).unwrap_or_default();
+                if kernel.is_empty() {
+                    return Err(format!(
+                        "entry {label:?} lacks the \"kernel\" annotation \
+                         (which microkernel was dispatched?)"
+                    ));
+                }
+                let pinned = pin.strip_prefix('_').filter(|&p| p != "prof");
+                if let Some(pinned) = pinned.filter(|&p| p != kernel) {
+                    return Err(format!(
+                        "entry {label:?} is pinned to {pinned:?} but its \
+                         kernel annotation says {kernel:?}"
+                    ));
+                }
+            }
+        }
+        let ["packed", shape, ty, tier] = parts.as_slice() else {
+            continue;
+        };
+        tiers_by_case
+            .entry(format!("{shape}/{ty}"))
+            .or_default()
+            .push((*tier).to_owned());
+        if *tier != "t1" {
+            for field in ["gflops", "threads", "scaling_efficiency"] {
+                let v = e.get(field).and_then(Json::as_f64);
+                if !v.is_some_and(|v| v.is_finite() && v > 0.0) {
+                    return Err(format!(
+                        "entry {label:?} lacks a positive numeric {field:?}"
+                    ));
+                }
+            }
+        }
+    }
+    if tiers_by_case.is_empty() {
+        return Err("no packed/<shape>/<type>/tN entries at all".into());
+    }
+    for (case, tiers) in &tiers_by_case {
+        for required in REQUIRED_TIERS {
+            if !tiers.iter().any(|t| t == required) {
+                return Err(format!(
+                    "packed/{case} is missing thread tier {required:?} \
+                     (has {tiers:?}) — multi-thread sweep regressed to partial tiers"
+                ));
+            }
+        }
+    }
+
+    // Profiler-overhead contract: at least one `packed_prof` entry must
+    // record `prof_overhead_pct`, and every recorded overhead must stay
+    // under 5% — the profiler's capture path regressing into the hot loop
+    // shows up here before it shows up in application runs.
+    let mut overheads = 0usize;
+    for e in entries {
+        let label = e.get("label").and_then(Json::as_str).unwrap_or_default();
+        if !label.starts_with("packed_prof/") {
+            continue;
+        }
+        let Some(pct) = e.get("prof_overhead_pct").and_then(Json::as_f64) else {
+            return Err(format!(
+                "entry {label:?} lacks a numeric \"prof_overhead_pct\""
+            ));
+        };
+        if !pct.is_finite() || pct >= 5.0 {
+            return Err(format!(
+                "entry {label:?} records {pct:.2}% profiling overhead (limit 5%)"
+            ));
+        }
+        overheads += 1;
+    }
+    if overheads == 0 {
+        return Err("no packed_prof entry with \"prof_overhead_pct\" — the \
+                    profiling-overhead measurement is missing from the artifact"
+            .into());
+    }
+
+    // The serving path's memory passes: throughput beside its memcpy bound.
+    // Presence only — the digest is a latency chain (4 cycles an element),
+    // so its share of memcpy bandwidth is a property of the host.
+    for label in [
+        "operand_gen/global_block-f64-1024x1024",
+        "serve_digest/f64-1024x1024",
+    ] {
+        for field in ["gbs", "memcpy_gbs"] {
+            let v = entry_field(entries, label, field)?;
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("entry {label:?} has {field:?} = {v}"));
+            }
+        }
+    }
+
+    Ok(format!(
+        "{} packed shape/type cases, all with t1/t2/t4/tauto tiers and scaling \
+         fields; {overheads} profiled entries within the 5% overhead bound; \
+         operand_gen and serve_digest report GB/s beside memcpy\n",
+        tiers_by_case.len()
+    ))
 }
 
 #[cfg(test)]

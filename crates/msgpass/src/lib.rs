@@ -42,7 +42,7 @@
 //!   [`RunReportDoc`], whose `to_json` is the only writer of the versioned
 //!   JSON artifact and whose `parse` is the only reader; plus a text
 //!   dashboard and the one report-vs-report comparison, the exact/ratio
-//!   regression [`report::gate`] CI runs.
+//!   [`report::gate`] the root tests hold the committed references to.
 //! * [`trace`]: structured event tracing. A traced run
 //!   ([`World::run_traced`]) records begin/end spans for every phase
 //!   region, point-to-point send/recv, and collective (with its algorithm

@@ -5,12 +5,14 @@
 //! For each shape and P it prints both searches' grids, the process
 //! utilization, the communication-volume-to-lower-bound ratio, and the
 //! modeled runtime on the paper's cluster (pure MPI placement). The table
-//! is `bench::grid_explorer::table`.
+//! is the `grid_explorer` entry of `bench::paper`, which `paper --out
+//! results` writes to `results/grid_explorer.txt`.
 //!
 //! ```text
 //! cargo run --release --example grid_explorer
 //! ```
 
 fn main() {
-    print!("{}", bench::grid_explorer::table());
+    let entry = bench::paper::entry("grid_explorer").expect("a registered entry");
+    print!("{}", entry.table());
 }

@@ -7,15 +7,13 @@
 # enters them — so tests/committed_artifacts.rs reruns each sweep and
 # fails if a committed copy differs from what HEAD produces. The
 # fig3_sim*.txt tables carry a host wall-clock column and are left
-# untouched in this mode. Of the figure/table binaries below only
-# ablation_2d_algo embeds wall time (its message columns are pinned in
-# tests/e2e_all_algorithms.rs); the others are analytic, and
-# crates/bench/tests/committed_tables.rs reruns them and compares their
-# stdout and CSVs with results/ byte for byte; tests/committed_artifacts.rs
-# does the same for the grid_explorer example's table.
+# untouched in this mode. The analytic tables and figures are the
+# `bench::paper` registry, written by `paper --out results`; the same test
+# file compares every one of their files with results/ byte for byte.
+# Of the other binaries below only ablation_2d_algo embeds wall time (its
+# message columns are pinned in tests/e2e_all_algorithms.rs).
 set -e
 cd "$(dirname "$0")"
-export BENCH_CSV_DIR=results
 
 SIM_ONLY=0
 if [ "${1:-}" = "--sim-only" ]; then
@@ -28,17 +26,16 @@ sim_txt() {
 }
 
 if [ "$SIM_ONLY" = 0 ]; then
-  for b in fig3_strong_scaling fig4_hybrid fig5_breakdown table1_memory \
-           table2_grids table3_gpu ablation_l ablation_2d_algo ablation_design; do
-    echo "== $b"
-    cargo run --release -q -p bench --bin $b > results/$b.txt
-  done
-  cargo run --release -q --example grid_explorer > results/grid_explorer.txt
+  echo "== paper (analytic tables and CSVs)"
+  cargo run --release -q -p bench --bin paper -- --out results
+  echo "== ablation_2d_algo"
+  cargo run --release -q -p bench --bin ablation_2d_algo > results/ablation_2d_algo.txt
 
   # Local GEMM thread-tier sweep -> results/BENCH_gemm.json. The absolute
   # gflops are host-specific; what the committed artifact pins is the tier
   # contract (t1/t2/t4/tauto + scaling_efficiency for every shape/type),
-  # which CI checks structurally via `validate_bench_json --gemm-tiers`.
+  # which tests/committed_artifacts.rs checks with the rules of
+  # `validate_bench_json --gemm-tiers`.
   echo "== local_gemm (BENCH_gemm.json)"
   # Absolute path: `cargo bench` runs the binary from crates/bench, not here.
   # A failed JSON write panics the bench (nonzero exit), so stderr can stay
@@ -54,13 +51,13 @@ if [ "$SIM_ONLY" = 0 ]; then
     cargo bench -q -p bench --bench grid_search > results/grid_search.txt
 fi
 
-# Executed (virtual-time) strong scaling; also refreshes the RunReport
-# that tests/committed_artifacts.rs gates exactly. Deterministic: the
-# regenerated artifact only changes when the algorithm's traffic or the
-# machine model does.
+# Executed (virtual-time) strong scaling: `--out results` refreshes the
+# CSV and the RunReport that tests/committed_artifacts.rs gates exactly.
+# Deterministic: the regenerated artifacts only change when the
+# algorithm's traffic or the machine model does.
 echo "== fig3_sim"
 cargo run --release -q -p bench --bin fig3_sim -- \
-  --report-out results/REPORT_fig3_sim.json > "$(sim_txt fig3_sim.txt)"
+  --out results > "$(sim_txt fig3_sim.txt)"
 
 # Collectives ablation on fat nodes (384 ranks/node = 8 nodes at p = 3072):
 # flat vs two-level node-aware collectives, same problem and sweep. The
@@ -71,12 +68,10 @@ cargo run --release -q -p bench --bin fig3_sim -- \
 # (and at most half the inter-node messages) than flat.
 echo "== fig3_sim collectives ablation (flat vs hier, 384 ranks/node)"
 cargo run --release -q -p bench --bin fig3_sim -- \
-  --ranks-per-node 384 --collectives flat \
-  --report-out results/REPORT_fig3_sim_flat_r384.json \
+  --ranks-per-node 384 --collectives flat --out results \
   > "$(sim_txt fig3_sim_flat_r384.txt)"
 cargo run --release -q -p bench --bin fig3_sim -- \
-  --ranks-per-node 384 --collectives hier \
-  --report-out results/REPORT_fig3_sim_hier_r384.json \
+  --ranks-per-node 384 --collectives hier --out results \
   > "$(sim_txt fig3_sim_hier_r384.txt)"
 
 if [ "$SIM_ONLY" = 0 ]; then

@@ -1,19 +1,23 @@
 //! The committed artifacts in `results/` are what HEAD produces, and they
 //! pass the deterministic gates on the paper's communication claims. Every
-//! artifact is read through the `ca3dmm-report` functions
+//! RunReport is read through the `ca3dmm-report` functions
 //! (`bench::report`), which parse with `RunReportDoc::parse`, the one
 //! reader.
 //!
 //! Virtual time is a function of the algorithm and the machine model only,
 //! so each `fig3_sim` sweep is rerun in-process and must reproduce its
-//! committed CSV and report byte for byte. A PR that changes traffic, the
-//! machine model or the report schema without running `./regen_results.sh`
-//! fails here. The wall-clock `REPORT_fig5_*` artifacts are gated on their
-//! deterministic traffic only.
+//! committed CSV and report byte for byte, and so must every analytic table
+//! of `bench::paper`. A change to traffic, the machine model, the cost
+//! model or the report schema that does not run `./regen_results.sh` fails
+//! here. The wall-clock `REPORT_fig5_*` artifacts are gated on their
+//! deterministic traffic only, and the `BENCH_*.json` timings on their
+//! contract.
 
 use bench::report::{gate, netdiff, show, NetdiffLimits};
 use bench::sim::{fig3_sim, SimConfig};
+use bench::timing::validate_bench_json;
 use ca3dmm::Collectives;
+use jsonlite::Json;
 use msgpass::{RunOptions, RunReportDoc};
 
 fn committed(name: &str) -> String {
@@ -204,12 +208,72 @@ fn fig5_artifacts_match_fresh_traced_runs_exactly() {
     assert!(gate(&committed_prof, &small, None).is_err());
 }
 
-/// The `grid_explorer` example's table (`bench::grid_explorer::table`) is
-/// what `results/grid_explorer.txt` holds.
+/// Every file of every `bench::paper` entry is what `results/` holds, byte
+/// for byte: the tables of Figs. 3–5, Tables I–III, the l-sweep, the design
+/// ablations and the grid explorer, and the Fig. 3/4 CSVs. Computing them
+/// also runs the claims `ablation_l` and `ablation_design` assert.
 #[test]
-fn grid_explorer_table_matches_committed() {
+fn paper_tables_reproduce_committed_results() {
+    let (mut written, mut drifted) = (Vec::new(), Vec::new());
+    for entry in &bench::paper::ENTRIES {
+        let files = (entry.files)();
+        assert_eq!(files[0].0, format!("{}.txt", entry.name), "table first");
+        for (name, text) in files {
+            if text != committed(name) {
+                drifted.push(name);
+            }
+            written.push(name);
+        }
+    }
+    let expected = "fig3_strong_scaling.txt fig3.csv fig4_hybrid.txt fig4.csv \
+                    fig5_breakdown.txt table1_memory.txt table2_grids.txt table3_gpu.txt \
+                    ablation_l.txt ablation_design.txt grid_explorer.txt";
+    assert_eq!(written.join(" "), expected);
     assert!(
-        bench::grid_explorer::table() == committed("grid_explorer.txt"),
-        "results/grid_explorer.txt drifted from HEAD; run ./regen_results.sh"
+        drifted.is_empty(),
+        "results/{drifted:?} drifted from HEAD; run ./regen_results.sh"
     );
+}
+
+fn label(entry: &Json) -> &str {
+    entry
+        .get("label")
+        .and_then(Json::as_str)
+        .unwrap_or_default()
+}
+
+/// The committed `BENCH_gemm.json` keeps the thread-tier, kernel,
+/// profiling-overhead and memory-pass contract (`validate_bench_json
+/// --gemm-tiers`), and `BENCH_grid_search.json` the shared shape. In-memory
+/// copies without one `t4` tier, or with a profiling overhead at the 5 %
+/// limit, fail it.
+#[test]
+fn committed_bench_json_keeps_its_contract() {
+    let read = |name: &str| Json::parse(&committed(name)).expect("valid JSON");
+    let gemm = read("BENCH_gemm.json");
+    validate_bench_json(&gemm, true, None).unwrap_or_else(|e| panic!("BENCH_gemm.json: {e}"));
+    validate_bench_json(&read("BENCH_grid_search.json"), false, None)
+        .unwrap_or_else(|e| panic!("BENCH_grid_search.json: {e}"));
+
+    // The error of a copy of `gemm` whose entries `edit` changed.
+    let edited = |edit: fn(&mut Vec<Json>)| {
+        let mut doc = gemm.clone();
+        if let Json::Obj(top) = &mut doc {
+            if let Some(Json::Arr(entries)) = top.get_mut("entries") {
+                edit(entries);
+            }
+        }
+        validate_bench_json(&doc, true, None).expect_err("the edited copy passes")
+    };
+    let no_t4 = edited(|e| e.retain(|e| label(e) != "packed/256x256x256/f64/t4"));
+    assert!(no_t4.contains("missing thread tier \"t4\""), "{no_t4}");
+    let slow = edited(|e| {
+        let prof = e
+            .iter_mut()
+            .find(|e| label(e) == "packed_prof/256x256x256/f64/tauto");
+        if let Some(Json::Obj(fields)) = prof {
+            fields.insert("prof_overhead_pct".into(), Json::Num(5.0));
+        }
+    });
+    assert!(slow.contains("5.00% profiling overhead"), "{slow}");
 }
