@@ -93,7 +93,7 @@ pub async fn summa<T: Scalar>(
             let data = bcast_large(col_comm, ctx, rb, mine, (k1 - k0) * b_blk.cols()).await;
             Mat::from_vec(k1 - k0, b_blk.cols(), data)
         };
-        charged_gemm(ctx, &a_panel, &b_panel, &mut c);
+        charged_gemm(ctx, &[(&a_panel, &b_panel)], &mut c);
     }
     c.into_mat(a_blk.rows(), b_blk.cols())
 }

@@ -15,9 +15,10 @@
 //! The group communicator indexes ranks in column-major order,
 //! `idx = i + j·s`.
 
-use dense::gemm::{gemm, gemm_flops, gemm_new, GemmOp};
+use dense::gemm::{gemm_flops, gemm_ksplit, gemm_ksplit_new, GemmOp};
 use dense::{Mat, Scalar};
 use msgpass::{Comm, RankCtx, RecvReq};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Message tag for A-block movement.
@@ -30,12 +31,12 @@ const TAG_B: u64 = 102;
 type BlockPair<T> = (Arc<Mat<T>>, Arc<Mat<T>>);
 
 /// A rank's local `C` block while its products arrive: reserved memory
-/// until the first product overwrites it ([`gemm_new`]: never zero-filled,
-/// never read back with `beta = 1`), then the running sum. Reserve it where
-/// the algorithm starts, before its messages and products allocate: the
-/// block then takes the same heap slot on every op, where allocating it at
-/// the first product fragments a heap shared by the ranks (measured: +9 MiB
-/// peak RSS for 1536³ on 8 ranks with one glibc arena).
+/// until the first product overwrites it ([`gemm_ksplit_new`]: never
+/// zero-filled, never read back with `beta = 1`), then the running sum.
+/// Reserve it where the algorithm starts, before its messages and products
+/// allocate: the block then takes the same heap slot on every op, where
+/// allocating it at the first product fragments a heap shared by the ranks
+/// (measured: +9 MiB peak RSS for 1536³ on 8 ranks with one glibc arena).
 pub enum LocalC<T: Scalar> {
     /// Room for the block; no product yet.
     Reserved(Vec<T>),
@@ -59,18 +60,32 @@ impl<T: Scalar> LocalC<T> {
     }
 }
 
-/// `C += A·B` into `c` (the first product overwrites it, see [`LocalC`]),
-/// charged to the rank's virtual clock: the local GEMM of all six
-/// algorithms (Cannon's rounds, SUMMA's panels, the single products of
-/// COSMA-like and original 3D). The flop count is always charged (a no-op
-/// in wall-clock runs), and the kernel itself runs unless a virtual-time
-/// run asked to skip compute (`SimOptions::execute_compute = false`, the
-/// paper-scale configuration where executing ~p·mnk flops on one host
-/// would dwarf the simulation).
-pub fn charged_gemm<T: Scalar>(ctx: &RankCtx, a: &Mat<T>, b: &Mat<T>, c: &mut LocalC<T>) {
-    ctx.charge_flops(gemm_flops(a.rows(), b.cols(), a.cols()));
+/// `C += Σ_r A_r·B_r` into `c` (the first product overwrites it, see
+/// [`LocalC`]) as one GEMM of the pairs' k-concatenation
+/// ([`gemm_ksplit`]), charged to the rank's virtual clock: the local GEMM
+/// of all six algorithms (Cannon's batched rounds, SUMMA's panels, the
+/// single products of COSMA-like and original 3D — one pair each). The
+/// flop count `2·rows·cols·Σ k_r` is charged once (a no-op in wall-clock
+/// runs), and the kernel itself runs unless a virtual-time run asked to
+/// skip compute (`SimOptions::execute_compute = false`, the paper-scale
+/// configuration where executing ~p·mnk flops on one host would dwarf the
+/// simulation).
+pub fn charged_gemm<T: Scalar, M: Borrow<Mat<T>> + Sync>(
+    ctx: &RankCtx,
+    pairs: &[(M, M)],
+    c: &mut LocalC<T>,
+) {
+    let (a, b) = (pairs[0].0.borrow(), pairs[0].1.borrow());
+    let k: usize = pairs.iter().map(|(a, _)| a.borrow().cols()).sum();
+    ctx.charge_flops(gemm_flops(a.rows(), b.cols(), k));
     if ctx.executes_compute() {
-        multiply_into(a, b, c);
+        let (nt, one) = (GemmOp::NoTrans, T::ONE);
+        match c {
+            LocalC::Sum(sum) => gemm_ksplit(nt, nt, one, pairs, one, sum),
+            LocalC::Reserved(buf) => {
+                *c = LocalC::Sum(gemm_ksplit_new(nt, nt, one, pairs, std::mem::take(buf)));
+            }
+        }
     }
 }
 
@@ -78,19 +93,8 @@ pub fn charged_gemm<T: Scalar>(ctx: &RankCtx, a: &Mat<T>, b: &Mat<T>, c: &mut Lo
 /// contribution.
 pub fn charged_product<T: Scalar>(ctx: &RankCtx, a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
     let mut c = LocalC::Reserved(Vec::new());
-    charged_gemm(ctx, a, b, &mut c);
+    charged_gemm(ctx, &[(a, b)], &mut c);
     c.into_mat(a.rows(), b.cols())
-}
-
-/// `c += A·B`; the first product overwrites the reserved memory.
-fn multiply_into<T: Scalar>(a: &Mat<T>, b: &Mat<T>, c: &mut LocalC<T>) {
-    let (nt, one) = (GemmOp::NoTrans, T::ONE);
-    match c {
-        LocalC::Sum(sum) => gemm(nt, nt, one, a, b, one, sum),
-        LocalC::Reserved(buf) => {
-            *c = LocalC::Sum(gemm_new(nt, nt, one, a, b, std::mem::take(buf)));
-        }
-    }
 }
 
 /// The initial skew to round `off`: A(i, j) moves left by `i + off`,
@@ -135,11 +139,16 @@ async fn skew<T: Scalar>(
 /// efficiency of local matrix multiplication, we perform multiple shifts
 /// for one local matrix multiplication if A and B blocks … do not have a
 /// large enough k-dimension size." While the batched k-extent is below it,
-/// consecutive blocks are accumulated (A blocks concatenated column-wise, B
-/// blocks row-wise — the k-sub-ranges circulate in matching order, so the
-/// concatenations stay aligned) and multiplied in one larger GEMM. `0` is
-/// plain Cannon: one GEMM per round. Communication is the same either way —
-/// the same rounds move the same bytes; only the GEMM granularity changes.
+/// consecutive rounds' blocks are held and then multiplied in one
+/// [`charged_gemm`] over the batch — the k-sub-ranges circulate in
+/// matching order, so the A blocks side by side and the B blocks stacked
+/// are one product, which the kernel packs straight from the blocks: one
+/// pass over `C` per batch instead of per round. CA3DMM passes
+/// [`dense::tune::KC_FLOOR`] (64) by default (`Ca3dmmOptions`), the
+/// shallowest depth slab of any host's blocking; `0` is plain Cannon, one
+/// GEMM per round (the ablation, and what CTF-like 2.5D runs).
+/// Communication is the same either way — the same rounds move the same
+/// bytes; only the GEMM granularity changes.
 ///
 /// `overlap` selects the §III-F communication/computation overlap, a
 /// double-buffered pipeline on nonblocking point-to-point: each round posts
@@ -210,7 +219,8 @@ pub async fn cannon_multi_shift<T: Scalar>(
         batched_k += a_cur.cols();
         batch.push((a_cur, b_cur));
         if batched_k >= min_k_per_gemm || last {
-            flush_batch(ctx, &mut batch, &mut c);
+            charged_gemm(ctx, &batch, &mut c);
+            batch.clear();
             batched_k = 0;
         }
         match next {
@@ -227,47 +237,6 @@ pub async fn cannon_multi_shift<T: Scalar>(
     }
     debug_assert!(batch.is_empty(), "all batched blocks multiplied");
     c.into_mat(rows, cols)
-}
-
-/// Multiplies the batched `(A, B)` block pairs into `c` with one GEMM
-/// (concatenating along k) when there is more than one pair.
-fn flush_batch<T: Scalar>(ctx: &RankCtx, batch: &mut Vec<BlockPair<T>>, c: &mut LocalC<T>) {
-    match batch.len() {
-        0 => {}
-        1 => {
-            let (a, b) = &batch[0];
-            charged_gemm(ctx, a, b, c);
-        }
-        _ => {
-            let rows = batch[0].0.rows();
-            let cols = batch[0].1.cols();
-            let k_total: usize = batch.iter().map(|(a, _)| a.cols()).sum();
-            // Charging the concatenated GEMM equals charging each pair
-            // (2·rows·cols·k sums over the k partition), so compute-skipping
-            // runs also skip the concatenation buffers.
-            ctx.charge_flops(gemm_flops(rows, cols, k_total));
-            if ctx.executes_compute() {
-                // A blocks concatenate column-wise …
-                let mut a_cat = Mat::zeros(rows, k_total);
-                // … and B blocks row-wise; their k-sub-ranges arrive in the
-                // same circulation order, so offsets line up.
-                let mut b_cat = Mat::zeros(k_total, cols);
-                let mut off = 0usize;
-                for (a, b) in batch.iter() {
-                    debug_assert_eq!(a.cols(), b.rows(), "batched pair k mismatch");
-                    if !a.is_empty() {
-                        a_cat.set_block(dense::Rect::new(0, off, rows, a.cols()), a);
-                    }
-                    if !b.is_empty() {
-                        b_cat.set_block(dense::Rect::new(off, 0, b.rows(), cols), b);
-                    }
-                    off += a.cols();
-                }
-                multiply_into(&a_cat, &b_cat, c);
-            }
-        }
-    }
-    batch.clear();
 }
 
 #[cfg(test)]

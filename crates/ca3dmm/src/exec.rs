@@ -20,7 +20,12 @@ pub struct Ca3dmmOptions {
     /// search.
     pub grid_override: Option<Grid>,
     /// §III-F multi-shift batching: when the Cannon blocks' k-extent is
-    /// below this, several shifts feed one local GEMM. 0 disables.
+    /// below this, several shifts feed one local GEMM
+    /// ([`crate::cannon_multi_shift`]'s `min_k_per_gemm`). Defaults to
+    /// [`dense::tune::KC_FLOOR`] (64), the shallowest depth slab of any
+    /// host's GEMM blocking: a thinner product under-fills the slab and
+    /// pays a full pass over the `C` block for it. 0 is plain Cannon, one
+    /// GEMM per round (the ablation).
     pub multi_shift_min_k: usize,
     /// §III-F communication/computation overlap: run the Cannon shifts as
     /// a double-buffered nonblocking pipeline (default). `false` is the
@@ -37,7 +42,7 @@ impl Default for Ca3dmmOptions {
     fn default() -> Self {
         Ca3dmmOptions {
             grid_override: None,
-            multi_shift_min_k: 0,
+            multi_shift_min_k: dense::tune::KC_FLOOR,
             overlap: true,
             collectives: Collectives::Flat,
         }

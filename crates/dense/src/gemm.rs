@@ -38,6 +38,11 @@
 //!   thread-local scratch. Both scratch buffers are reused across calls
 //!   and zero-filled on growth by the thread that owns them (the submitter
 //!   for the B slab).
+//! * An operand may arrive in pieces along `k` ([`gemm_ksplit`]: Cannon's
+//!   batched rounds): each depth slab is packed straight from the pieces
+//!   it spans, so one call makes one pass over `C` per slab whatever the
+//!   number of pieces, and the result equals the concatenated product's
+//!   bit for bit.
 //! * The parallel width honours [`pool::gemm_threads`] — process-wide
 //!   `set_gemm_threads()` / `DENSE_GEMM_THREADS`, divided per rank by
 //!   `msgpass::World::run` so P ranks do not oversubscribe the host.
@@ -59,7 +64,9 @@ use crate::prof;
 use crate::scalar::Scalar;
 use crate::tune;
 use std::any::Any;
+use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 std::thread_local! {
@@ -258,23 +265,55 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> f64 {
     2.0 * m as f64 * n as f64 * k as f64
 }
 
-/// The `m×k · k×n` shape of `op(A)·op(B)`.
+/// The `m×k · k×n` shape of `Σ_r op(A_r)·op(B_r)`, `k = Σ_r k_r`.
 ///
 /// # Panics
-/// If the inner dimensions disagree.
-fn product_shape<T: Scalar>(
+/// If there are no pairs, a pair's inner dimensions disagree, or two
+/// pairs' `m` or `n` do.
+fn product_shape<T: Scalar, M: Borrow<Mat<T>>>(
     op_a: GemmOp,
-    a: &Mat<T>,
     op_b: GemmOp,
-    b: &Mat<T>,
+    pairs: &[(M, M)],
 ) -> (usize, usize, usize) {
-    let (m, k) = op_a.apply_shape(a.rows(), a.cols());
-    let (kb, n) = op_b.apply_shape(b.rows(), b.cols());
-    assert_eq!(
-        k, kb,
-        "inner dimensions disagree: op(A) is {m}x{k}, op(B) is {kb}x{n}"
-    );
+    let mut shape = None;
+    let mut k = 0;
+    for (a, b) in pairs {
+        let (a, b) = (a.borrow(), b.borrow());
+        let (m, ka) = op_a.apply_shape(a.rows(), a.cols());
+        let (kb, n) = op_b.apply_shape(b.rows(), b.cols());
+        assert_eq!(
+            ka, kb,
+            "inner dimensions disagree: op(A) is {m}x{ka}, op(B) is {kb}x{n}"
+        );
+        let (m0, n0) = *shape.get_or_insert((m, n));
+        assert_eq!((m, n), (m0, n0), "k-split parts disagree on m×n");
+        k += ka;
+    }
+    let (m, n) = shape.expect("a product needs at least one (A, B) pair");
     (m, n, k)
+}
+
+/// The parts of a k-split product that meet the depth window `[p0, p0 +
+/// kk)` of the concatenated `op(A)`/`op(B)`: `(A_r, B_r, first depth in
+/// the part, window depths d0..d1 it supplies)`, in k order.
+fn depth_pieces<T: Scalar, M: Borrow<Mat<T>>>(
+    op_a: GemmOp,
+    pairs: &[(M, M)],
+    p0: usize,
+    kk: usize,
+) -> impl Iterator<Item = (&Mat<T>, &Mat<T>, usize, Range<usize>)> {
+    pairs
+        .iter()
+        .scan(0, move |k0, (a, b)| {
+            let (a, b) = (a.borrow(), b.borrow());
+            let start = *k0;
+            *k0 += op_a.apply_shape(a.rows(), a.cols()).1;
+            Some((a, b, start, *k0))
+        })
+        .filter_map(move |(a, b, start, end)| {
+            let (lo, hi) = (start.max(p0), end.min(p0 + kk));
+            (lo < hi).then(|| (a, b, lo - start, lo - p0..hi - p0))
+        })
 }
 
 /// `C = alpha * op(A) * op(B) + beta * C`, cache-blocked (five-loop
@@ -298,7 +337,28 @@ pub fn gemm<T: Scalar>(
     beta: T,
     c: &mut Mat<T>,
 ) {
-    let (m, n, k) = product_shape(op_a, a, op_b, b);
+    gemm_ksplit(op_a, op_b, alpha, &[(a, b)], beta, c)
+}
+
+/// [`gemm`] of a product split along `k`: `C = alpha · Σ_r op(A_r) ·
+/// op(B_r) + beta · C`, where `op(A) = [op(A_0) op(A_1) …]` and `op(B)`
+/// stacks the `op(B_r)` in the same order. The packers fill each depth
+/// slab straight from the parts, so the packed panels — and the result —
+/// equal [`gemm`] of the concatenated operands bit for bit, without
+/// building them: one pass over `C` per depth slab, not per part. A part
+/// may be empty (`k_r = 0`); a single product is the one-element slice.
+///
+/// # Panics
+/// On any shape mismatch, or if `pairs` is empty.
+pub fn gemm_ksplit<T: Scalar, M: Borrow<Mat<T>> + Sync>(
+    op_a: GemmOp,
+    op_b: GemmOp,
+    alpha: T,
+    pairs: &[(M, M)],
+    beta: T,
+    c: &mut Mat<T>,
+) {
+    let (m, n, k) = product_shape(op_a, op_b, pairs);
     assert_eq!(c.shape(), (m, n), "C is {:?}, expected {m}x{n}", c.shape());
     if m == 0 || n == 0 {
         return;
@@ -313,13 +373,10 @@ pub fn gemm<T: Scalar>(
             op_a,
             op_b,
             alpha,
-            a,
-            b,
+            pairs,
             beta,
             c.as_mut_slice().as_mut_ptr(),
-            m,
-            n,
-            k,
+            (m, n, k),
         )
     }
 }
@@ -343,43 +400,55 @@ pub fn gemm_new<T: Scalar>(
     alpha: T,
     a: &Mat<T>,
     b: &Mat<T>,
+    buf: Vec<T>,
+) -> Mat<T> {
+    gemm_ksplit_new(op_a, op_b, alpha, &[(a, b)], buf)
+}
+
+/// [`gemm_new`] of a product split along `k`, as [`gemm_ksplit`] is
+/// [`gemm`]'s.
+///
+/// # Panics
+/// On any shape mismatch, or if `pairs` is empty.
+pub fn gemm_ksplit_new<T: Scalar, M: Borrow<Mat<T>> + Sync>(
+    op_a: GemmOp,
+    op_b: GemmOp,
+    alpha: T,
+    pairs: &[(M, M)],
     mut buf: Vec<T>,
 ) -> Mat<T> {
-    let (m, n, k) = product_shape(op_a, a, op_b, b);
+    let (m, n, k) = product_shape(op_a, op_b, pairs);
     if std::mem::size_of::<T>() == 0 || m == 0 || n == 0 || k == 0 || alpha == T::ZERO {
         return Mat::zeros(m, n);
     }
     buf.clear();
     buf.reserve(m * n);
+    let c = buf.as_mut_ptr();
     // SAFETY: the buffer has room for m·n elements; with beta = 0 every
     // one of them is written (and none read) before `gemm_raw` returns, so
     // the length may then cover them.
     unsafe {
-        gemm_raw(op_a, op_b, alpha, a, b, T::ZERO, buf.as_mut_ptr(), m, n, k);
+        gemm_raw(op_a, op_b, alpha, pairs, T::ZERO, c, (m, n, k));
         buf.set_len(m * n);
     }
     Mat::from_vec(m, n, buf)
 }
 
-/// The blocked multiply behind [`gemm`] and [`gemm_new`] for `m, n, k ≥ 1`
-/// and `alpha ≠ 0`, writing through a raw `C` pointer.
+/// The blocked multiply behind [`gemm_ksplit`] and [`gemm_ksplit_new`]
+/// for `m, n, k ≥ 1` and `alpha ≠ 0`, writing through a raw `C` pointer.
 ///
 /// # Safety
 /// `c` must address `m·n` row-major elements, valid for writes, not
 /// aliased while this runs, and initialised unless `beta = 0` (the first
 /// depth slab then writes every element before a later slab reads it).
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_raw<T: Scalar>(
+unsafe fn gemm_raw<T: Scalar, M: Borrow<Mat<T>> + Sync>(
     op_a: GemmOp,
     op_b: GemmOp,
     alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
+    pairs: &[(M, M)],
     beta: T,
     c: *mut T,
-    m: usize,
-    n: usize,
-    k: usize,
+    (m, n, k): (usize, usize, usize),
 ) {
     let kind = kernel::gemm_kernel_for::<T>();
     let (mr, nr) = kind.geom(std::mem::size_of::<T>());
@@ -441,16 +510,18 @@ unsafe fn gemm_raw<T: Scalar>(
                             )
                         };
                         let j0 = t * nr;
-                        pack::pack_b_strip_into(
-                            op_b,
-                            b,
-                            pc,
-                            jc + j0,
-                            kc_here,
-                            nr.min(nc_here - j0),
-                            nr,
-                            strip,
-                        );
+                        for (_, b, p0, d) in depth_pieces(op_a, pairs, pc, kc_here) {
+                            pack::pack_b_strip_into(
+                                op_b,
+                                b,
+                                p0,
+                                jc + j0,
+                                d.len(),
+                                nr.min(nc_here - j0),
+                                nr,
+                                &mut strip[d.start * nr..d.end * nr],
+                            );
+                        }
                     }
                     if let (Some(cp), Some(p0)) = (cpr, prof_t0) {
                         let p1 = prof::now_ns();
@@ -476,17 +547,20 @@ unsafe fn gemm_raw<T: Scalar>(
                     let ap_len = rows.div_ceil(mr) * kc_here * mr;
                     with_scratch(&AP_SCRATCH, ap_len, |ap: &mut Vec<T>| {
                         let prof_t0 = cpr.map(|_| prof::now_ns());
-                        pack::pack_a_block_into(
-                            op_a,
-                            alpha,
-                            a,
-                            i0,
-                            pc,
-                            rows,
-                            kc_here,
-                            mr,
-                            &mut ap[..ap_len],
-                        );
+                        for (a, _, p0, d) in depth_pieces(op_a, pairs, pc, kc_here) {
+                            pack::pack_a_block_into(
+                                op_a,
+                                alpha,
+                                a,
+                                i0,
+                                p0,
+                                rows,
+                                d,
+                                kc_here,
+                                mr,
+                                &mut ap[..ap_len],
+                            );
+                        }
                         let prof_t1 = cpr.map(|cp| {
                             let p1 = prof::now_ns();
                             let p0 = prof_t0.expect("pack timestamp taken above");

@@ -13,8 +13,10 @@
 //!   over;
 //! * [`gemm`](mod@gemm) — a packed, register-blocked local matrix
 //!   multiplication `C = alpha * op(A) * op(B) + beta * C` parallelized over
-//!   the persistent [`pool`] worker threads, plus a naive reference kernel
-//!   ([`gemm::gemm_naive`]) used to validate it;
+//!   the persistent [`pool`] worker threads, its k-split form
+//!   ([`gemm::gemm_ksplit`]: one product of operands that arrive in pieces
+//!   along `k`, packed straight from the pieces), plus a naive reference
+//!   kernel ([`gemm::gemm_naive`]) used to validate it;
 //! * [`kernel`] — the runtime-dispatched `mr×nr` register microkernels:
 //!   a portable fallback plus AVX2+FMA and AVX-512 intrinsics kernels
 //!   (wider `MR` on the f32 AVX-512 path), selected once per process from
@@ -56,7 +58,7 @@ pub mod scalar;
 pub mod testing;
 pub mod tune;
 
-pub use gemm::{gemm, gemm_naive, gemm_new, GemmOp};
+pub use gemm::{gemm, gemm_ksplit, gemm_ksplit_new, gemm_naive, gemm_new, GemmOp};
 pub use kernel::{gemm_kernel, set_gemm_kernel, KernelKind};
 pub use mat::{add_slice, Mat};
 pub use part::{split_even, Rect};

@@ -23,6 +23,9 @@
 //! (never a full `m×k`/`k×n` packed copy) and the strips can be packed in
 //! parallel by the [`pool`](crate::pool) workers. A whole operand is the
 //! degenerate case: one block spanning all of `op(A)`, every strip of `op(B)`.
+//! A product split along `k` ([`gemm_ksplit`](crate::gemm::gemm_ksplit))
+//! packs each part into its own depth range of the slab's panels, so the
+//! packed panels equal those of the concatenated operands.
 //!
 //! Since the dispatched-microkernel rewrite the panel geometry is a
 //! *runtime parameter*: the block/strip packers take the `mr`/`nr` of the
@@ -44,6 +47,7 @@
 use crate::gemm::GemmOp;
 use crate::mat::Mat;
 use crate::scalar::Scalar;
+use std::ops::Range;
 
 /// Rows per A panel strip for the *portable* kernel. The packers take the
 /// selected kernel's `mr` instead — see [`crate::kernel::KernelKind::geom`].
@@ -56,12 +60,15 @@ pub const MR: usize = 4;
 /// kernels use their own shapes.
 pub const NR: usize = 16;
 
-/// Packs the `rows × kk` block of `alpha * op(A)` starting at row `i0`,
-/// depth `p0`, into `mr`-row panels in `buf`.
+/// Packs rows `i0 .. i0+rows` of `alpha * op(A)`, depths `p0 ..
+/// p0+depths.len()`, into the `mr`-row panels in `buf` at panel depths
+/// `depths` — a whole operand is `depths = 0..kk`; one part of a k-split
+/// product fills its own range of each `kk`-deep panel, the contiguous
+/// `panel[d0*mr..d1*mr]`.
 ///
 /// `buf` must hold exactly `rows.div_ceil(mr) * kk * mr` elements; every
-/// element is written (rows beyond `rows` are zeroed), so the buffer needs
-/// no pre-clearing.
+/// element in `depths` is written (rows beyond `rows` are zeroed), so the
+/// buffer needs no pre-clearing.
 #[allow(clippy::too_many_arguments)]
 pub fn pack_a_block_into<T: Scalar>(
     op: GemmOp,
@@ -70,18 +77,21 @@ pub fn pack_a_block_into<T: Scalar>(
     i0: usize,
     p0: usize,
     rows: usize,
+    depths: Range<usize>,
     kk: usize,
     mr: usize,
     buf: &mut [T],
 ) {
     let strips = rows.div_ceil(mr);
     assert_eq!(buf.len(), strips * kk * mr, "A pack buffer size mismatch");
+    assert!(depths.end <= kk, "depth range outside the panel");
+    let depth = depths.len();
     let ld = a.cols();
     let src = a.as_slice();
     for s in 0..strips {
         let r0 = s * mr;
         let rows_here = mr.min(rows - r0);
-        let panel = &mut buf[s * kk * mr..(s + 1) * kk * mr];
+        let panel = &mut buf[s * kk * mr..(s + 1) * kk * mr][depths.start * mr..depths.end * mr];
         if rows_here < mr {
             panel.fill(T::ZERO);
         }
@@ -90,7 +100,7 @@ pub fn pack_a_block_into<T: Scalar>(
             // l-major.
             GemmOp::NoTrans => {
                 for di in 0..rows_here {
-                    let row = &src[(i0 + r0 + di) * ld + p0..(i0 + r0 + di) * ld + p0 + kk];
+                    let row = &src[(i0 + r0 + di) * ld + p0..(i0 + r0 + di) * ld + p0 + depth];
                     for (l, &v) in row.iter().enumerate() {
                         panel[l * mr + di] = alpha * v;
                     }
@@ -99,7 +109,7 @@ pub fn pack_a_block_into<T: Scalar>(
             // op(A)[i][l] = a[l][i] (a stored k × m): each source row l
             // already holds the mr destination values contiguously.
             GemmOp::Trans => {
-                for l in 0..kk {
+                for l in 0..depth {
                     let run = &src[(p0 + l) * ld + i0 + r0..(p0 + l) * ld + i0 + r0 + rows_here];
                     for (di, &v) in run.iter().enumerate() {
                         panel[l * mr + di] = alpha * v;
@@ -115,7 +125,8 @@ pub fn pack_a_block_into<T: Scalar>(
 ///
 /// Every element is written (columns beyond `cols_here` are zeroed), so
 /// strips can be packed independently — and therefore in parallel — into
-/// disjoint regions of one slab buffer.
+/// disjoint regions of one slab buffer. One part of a k-split product
+/// fills depths `d0 .. d1` of a strip: the contiguous `buf[d0*nr..d1*nr]`.
 #[allow(clippy::too_many_arguments)]
 pub fn pack_b_strip_into<T: Scalar>(
     op: GemmOp,
@@ -177,7 +188,7 @@ mod tests {
                 GemmOp::Trans => Mat::from_fn(k, m, |i, j| (j * 10 + i) as f64),
             };
             let mut buf = vec![9.0; 2 * k * MR];
-            pack_a_block_into(op, 1.0, &a, 0, 0, m, k, MR, &mut buf);
+            pack_a_block_into(op, 1.0, &a, 0, 0, m, 0..k, k, MR, &mut buf);
             for s in 0..2 {
                 for l in 0..k {
                     for di in 0..MR {
@@ -201,7 +212,7 @@ mod tests {
     fn pack_a_folds_alpha() {
         let a = Mat::from_fn(2, 2, |i, j| (i * 2 + j + 1) as f64);
         let mut buf = vec![0.0; 2 * MR];
-        pack_a_block_into(GemmOp::NoTrans, 3.0, &a, 0, 0, 2, 2, MR, &mut buf);
+        pack_a_block_into(GemmOp::NoTrans, 3.0, &a, 0, 0, 2, 0..2, 2, MR, &mut buf);
         assert_eq!(buf[0], 3.0); // (0,0) * alpha
         assert_eq!(buf[MR], 6.0); // (0,1) * alpha at l=1
     }
@@ -250,7 +261,7 @@ mod tests {
                 GemmOp::Trans => Mat::from_fn(k, m, |i, j| (j * 31 + i) as f64),
             };
             let mut buf = vec![9.0; rows.div_ceil(MR) * kk * MR];
-            pack_a_block_into(op, 2.0, &a, i0, p0, rows, kk, MR, &mut buf);
+            pack_a_block_into(op, 2.0, &a, i0, p0, rows, 0..kk, kk, MR, &mut buf);
             for s in 0..rows.div_ceil(MR) {
                 for l in 0..kk {
                     for di in 0..MR {
@@ -279,7 +290,18 @@ mod tests {
         let (rows, kk) = (mr + 2, 5usize);
         let a = Mat::from_fn(rows, kk, |i, j| (i * 10 + j) as f64);
         let mut abuf = vec![9.0; rows.div_ceil(mr) * kk * mr];
-        pack_a_block_into(GemmOp::NoTrans, 1.0, &a, 0, 0, rows, kk, mr, &mut abuf);
+        pack_a_block_into(
+            GemmOp::NoTrans,
+            1.0,
+            &a,
+            0,
+            0,
+            rows,
+            0..kk,
+            kk,
+            mr,
+            &mut abuf,
+        );
         for s in 0..rows.div_ceil(mr) {
             for l in 0..kk {
                 for di in 0..mr {

@@ -55,6 +55,13 @@ pub struct Blocking {
     pub nc: usize,
 }
 
+/// The shallowest depth slab a derived blocking uses: `KC` is clamped to at
+/// least this on every host. A product shallower than it under-fills the
+/// slab, and the microkernel loads and stores each `C` tile once per call
+/// whatever the depth, so a caller that can batch thin products along `k`
+/// (CA3DMM's §III-F multi-shift) batches them up to this depth.
+pub const KC_FLOOR: usize = 64;
+
 /// What the one-shot probe discovered about this machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheInfo {
@@ -205,7 +212,7 @@ pub fn derive(ci: CacheInfo, elem: usize, mr: usize, nr: usize) -> Blocking {
     // (Half-of-L1 is the textbook figure; measured on AVX-512 hosts the
     // larger panel wins a few percent by amortizing loop overhead — 48K L1
     // lands on the classic KC = 256 for the portable f64 geometry.)
-    let kc = (ci.l1d * 2 / 3 / (nr * elem)).clamp(64, 1024);
+    let kc = (ci.l1d * 2 / 3 / (nr * elem)).clamp(KC_FLOOR, 1024);
     let mc = ci.l2 / 2 / (kc * elem);
     let nc = ci.l3_share / 2 / (kc * elem);
     normalize_for(Blocking { mc, kc, nc }, mr, nr)

@@ -475,6 +475,14 @@ mod tests {
     /// at `961ffcb` before the microkernels wrote `C` directly, is an f64
     /// product with edge tiles in both m and n on a two-round Cannon
     /// (grid 2×2×1): no change to how a tile reaches `C` may move it.
+    ///
+    /// Its Cannon k-blocks are 30 deep, below the default multi-shift
+    /// threshold (64), so by default both rounds feed one GEMM: one
+    /// accumulation chain of 60 terms per element, in the same k order,
+    /// where plain Cannon rounds each 30-term partial sum into `C` — the
+    /// default pin moved there, and `"multi_shift_min_k":0` still yields
+    /// the frozen one. The other two run one GEMM per Cannon block either
+    /// way (k-block 64 at grid 2×2×1; one round at 1×1×4).
     #[test]
     fn served_checksums_are_pinned() {
         let sched = Scheduler::new(SchedulerConfig {
@@ -482,31 +490,41 @@ mod tests {
             slots: 1,
             ..SchedulerConfig::default()
         });
+        // (request fields, default checksum, plain-Cannon checksum)
         let pins = [
             (
-                r#"{"cmd":"multiply","id":"sq","m":128,"n":128,"k":128,"seed_a":1,"seed_b":2}"#,
+                r#""id":"sq","m":128,"n":128,"k":128,"seed_a":1,"seed_b":2"#,
+                "43edfb4b46c80c65",
                 "43edfb4b46c80c65",
             ),
             (
-                r#"{"cmd":"multiply","id":"flat","m":96,"n":40,"k":1000,"dtype":"f32","seed_a":3,"seed_b":4,"layout_a":"row","layout_c":"cyclic:2x2:8x8"}"#,
+                r#""id":"flat","m":96,"n":40,"k":1000,"dtype":"f32","seed_a":3,"seed_b":4,"layout_a":"row","layout_c":"cyclic:2x2:8x8""#,
+                "348853ae8e6d0558",
                 "348853ae8e6d0558",
             ),
             (
-                r#"{"cmd":"multiply","id":"edge","m":100,"n":100,"k":60,"seed_a":5,"seed_b":6}"#,
+                r#""id":"edge","m":100,"n":100,"k":60,"seed_a":5,"seed_b":6"#,
+                "ce0f78b3b7e1234c",
                 "26d2e6f0a5e7b5ea",
             ),
         ];
-        for (line, want) in pins {
-            let (sink, rx) = channel_sink();
-            sched.submit(parse_multiply(line, P), sink);
-            let resp = rx
-                .recv_timeout(std::time::Duration::from_secs(60))
-                .expect("response timed out");
-            assert_eq!(
-                resp.get("checksum").and_then(Json::as_str),
-                Some(want),
-                "{resp:?}"
-            );
+        for (fields, default_pin, plain_pin) in pins {
+            for (opts, want) in [
+                ("", default_pin),
+                (r#","opts":{"multi_shift_min_k":0}"#, plain_pin),
+            ] {
+                let line = format!(r#"{{"cmd":"multiply",{fields}{opts}}}"#);
+                let (sink, rx) = channel_sink();
+                sched.submit(parse_multiply(&line, P), sink);
+                let resp = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .expect("response timed out");
+                assert_eq!(
+                    resp.get("checksum").and_then(Json::as_str),
+                    Some(want),
+                    "{line}: {resp:?}"
+                );
+            }
         }
         sched.shutdown();
     }
