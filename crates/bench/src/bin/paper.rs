@@ -1,6 +1,8 @@
-//! The paper's analytic tables and figures (§IV), from the [`bench::paper`]
-//! registry: Figs. 3–5, Tables I–III, the l-sweep, the design ablations
-//! and the grid explorer.
+//! The paper's deterministic tables and figures (§IV), from the
+//! [`bench::paper`] registry: Figs. 3–5, Tables I–III, the l-sweep, the
+//! design ablations, the grid explorer and the executed Fig. 3 sweeps
+//! (`fig3_sim`, and the fat-node collectives ablation `fig3_sim_flat_r384`,
+//! `fig3_sim_hier_r384`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin paper [--out DIR] [NAME ...]
@@ -8,8 +10,8 @@
 //!
 //! Without `--out` it prints the named entries' tables (every entry's when
 //! none is named) to stdout; with `--out DIR` it writes each entry's files
-//! — its table `NAME.txt` and any CSV — into DIR. `paper --out results`
-//! regenerates the committed copies.
+//! — its table `NAME.txt` and any CSV and report — into DIR.
+//! `paper --out results` regenerates the committed copies.
 
 use bench::paper::{entry, Entry, ENTRIES};
 use std::path::PathBuf;

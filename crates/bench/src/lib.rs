@@ -6,11 +6,11 @@
 //! `netmodel` schedule evaluator. The model is validated against the real
 //! threaded runtime by the `model_vs_measured` integration test; see
 //! DESIGN.md §1 for the substitution argument and EXPERIMENTS.md for the
-//! paper-vs-measured record. The analytic tables ([`paper`]), the
-//! `fig3_sim` sweep ([`sim`]) and the `ca3dmm-report` subcommands
-//! ([`report`]) are functions here, so the root tests run them against the
-//! committed artifacts in `results/`; the binaries in `src/bin/` parse
-//! flags and write files.
+//! paper-vs-measured record. The paper's deterministic tables ([`paper`]),
+//! the executed Fig. 3 sweep behind three of them ([`sim`]) and the
+//! `ca3dmm-report` subcommands ([`report`]) are functions here, so the
+//! root tests run them against the committed artifacts in `results/`; the
+//! binaries in `src/bin/` parse flags and write files.
 
 use baselines::{C25d, CosmaLike};
 use ca3dmm::{ca3dmm_schedule, Ca3dmm, ModelConfig, Pgemm};
@@ -126,9 +126,9 @@ pub fn percent_of_peak(
 /// and names each path on stderr, so stdout stays the table. Panics,
 /// naming the path, on any I/O error, so a run that cannot refresh an
 /// artifact does not exit 0.
-pub fn write_files<N: AsRef<str>>(dir: &std::path::Path, files: &[(N, String)]) {
+pub fn write_files(dir: &std::path::Path, files: &[(String, String)]) {
     for (name, text) in files {
-        let path = dir.join(name.as_ref());
+        let path = dir.join(name);
         std::fs::create_dir_all(dir)
             .and_then(|()| std::fs::write(&path, text))
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
@@ -173,21 +173,6 @@ pub fn fig5_traced_run(
     (alg, report, summary)
 }
 
-/// This process's peak resident set in MiB — `VmHWM` from
-/// `/proc/self/status`, the figure the repo benchmark reports as
-/// `peak_rss_mb`. `None` where procfs is missing.
-pub fn peak_rss_mib() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kib: f64 = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))?
-        .split_whitespace()
-        .next()?
-        .parse()
-        .ok()?;
-    Some(kib / 1024.0)
-}
-
 pub mod paper;
 pub mod report;
 pub mod sim;
@@ -202,7 +187,10 @@ mod tests {
     fn a_failed_write_panics_naming_the_path() {
         // A directory below a regular file can never be created.
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/csv");
-        write_files(std::path::Path::new(dir), &[("fig.csv", "a,b\n".into())]);
+        write_files(
+            std::path::Path::new(dir),
+            &[("fig.csv".into(), "a,b\n".into())],
+        );
     }
 
     #[test]

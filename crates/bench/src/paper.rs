@@ -1,19 +1,23 @@
-//! The paper's analytic evaluation (§IV) as a registry of named entries.
+//! The paper's evaluation (§IV) as a registry of named entries: every
+//! deterministic artifact in `results/`.
 //!
-//! Each [`Entry`] evaluates the grid search and the cost model only — no
-//! wall time enters its files — and returns the files it owns as
+//! Each [`Entry`] evaluates the grid search and the cost model, or executes
+//! Algorithm 1 on the virtual-time backend ([`crate::sim`]) — no wall time
+//! enters its files — and returns the files it owns as
 //! `(file name, contents)` pairs: its table `{name}.txt` first, then any
-//! CSV series (`fig3_strong_scaling` also owns `fig3.csv`,
-//! `fig4_hybrid` owns `fig4.csv`). The `paper` binary prints entries or
-//! writes them all into a directory (`paper --out results`), and the root
-//! test `tests/committed_artifacts.rs` compares every file with `results/`
-//! byte for byte, so the asserts inside `ablation_l` and
-//! `ablation_design` run on every test pass.
+//! CSV series and report (`fig3_strong_scaling` also owns `fig3.csv`,
+//! `fig4_hybrid` owns `fig4.csv`, each `fig3_sim*` sweep its CSV and
+//! `REPORT_*.json`). The `paper` binary prints entries or writes them all
+//! into a directory (`paper --out results`), and the root test
+//! `tests/committed_artifacts.rs` compares every file with `results/` byte
+//! for byte, so the asserts inside `ablation_l` and `ablation_design` run
+//! on every test pass.
 
+use crate::sim::{self, SimConfig};
 use crate::{native_model, percent_of_peak, predict, predict_with_grid, Algo, RunConfig};
 use crate::{CPU_CLASSES, CPU_SWEEP, GPU_CLASSES};
 use baselines::CosmaLike;
-use ca3dmm::{ca3dmm_schedule, memory_elements_per_rank, ModelConfig};
+use ca3dmm::{ca3dmm_schedule, memory_elements_per_rank, Collectives, ModelConfig};
 use gridopt::{ca3dmm_grid, cosma_grid, Grid, Problem, DEFAULT_UTILIZATION_FLOOR};
 use netmodel::eval::evaluate;
 use netmodel::Machine;
@@ -26,7 +30,7 @@ pub struct Entry {
     pub name: &'static str,
     /// Computes the entry's files as `(file name, contents)`, the table
     /// `{name}.txt` first.
-    pub files: fn() -> Vec<(&'static str, String)>,
+    pub files: fn() -> Vec<(String, String)>,
 }
 
 impl Entry {
@@ -42,8 +46,11 @@ macro_rules! entries {
 }
 
 /// Every entry, in the paper's order.
-pub static ENTRIES: [Entry; 9] = entries![
+pub static ENTRIES: [Entry; 12] = entries![
     fig3_strong_scaling,
+    fig3_sim,
+    fig3_sim_flat_r384,
+    fig3_sim_hier_r384,
     fig4_hybrid,
     fig5_breakdown,
     table1_memory,
@@ -62,7 +69,7 @@ pub fn entry(name: &str) -> Option<&'static Entry> {
 /// Figure 3: strong scaling of COSMA, CA3DMM and CTF for the four problem
 /// classes, pure MPI (one rank per core), native vs 1D-column ("custom")
 /// matrix layouts, as the percentage of machine peak the paper plots.
-fn fig3_strong_scaling() -> Vec<(&'static str, String)> {
+fn fig3_strong_scaling() -> Vec<(String, String)> {
     let machine = Machine::phoenix_cpu();
     let placement = machine.pure_mpi();
     let mut out = format!("Figure 3: strong scaling, % of peak ({})\n", machine.name);
@@ -108,13 +115,43 @@ fn fig3_strong_scaling() -> Vec<(&'static str, String)> {
     out += " * CA3DMM >= COSMA on square and flat, ~equal on large-K/M;\n";
     out += " * custom 1D layouts hurt, worst for the tall-skinny classes;\n";
     out += " * CTF trails on every class.\n";
-    vec![("fig3_strong_scaling.txt", out), ("fig3.csv", csv)]
+    vec![
+        ("fig3_strong_scaling.txt".into(), out),
+        ("fig3.csv".into(), csv),
+    ]
+}
+
+/// Figure 3 by execution: the p = 192…3072 sweep on the virtual-time
+/// backend, 24 ranks/node, with the model's seconds beside each point.
+fn fig3_sim() -> Vec<(String, String)> {
+    sim::fig3_sim(&SimConfig::default())
+}
+
+/// The collectives ablation on fat nodes (8 nodes of 384 ranks at
+/// p = 3072): at the paper's 24/node every reduce-group member sits on a
+/// distinct node and the two-level variants degenerate to flat.
+fn fat_nodes(collectives: Collectives) -> Vec<(String, String)> {
+    sim::fig3_sim(&SimConfig {
+        collectives,
+        ranks_per_node: Some(384),
+        ..SimConfig::default()
+    })
+}
+
+/// The flat side of the fat-node collectives ablation.
+fn fig3_sim_flat_r384() -> Vec<(String, String)> {
+    fat_nodes(Collectives::Flat)
+}
+
+/// The two-level side of the fat-node collectives ablation.
+fn fig3_sim_hier_r384() -> Vec<(String, String)> {
+    fat_nodes(Collectives::Hier)
 }
 
 /// Figure 4: pure MPI (24 ranks/node, 1 core each) versus MPI + OpenMP
 /// hybrid (1 rank/node, 24 threads) for the four problem classes,
 /// library-native layouts, as % of peak over the total core count.
-fn fig4_hybrid() -> Vec<(&'static str, String)> {
+fn fig4_hybrid() -> Vec<(String, String)> {
     let machine = Machine::phoenix_cpu();
     let pure = machine.pure_mpi();
     let hybrid = machine.hybrid();
@@ -173,7 +210,7 @@ fn fig4_hybrid() -> Vec<(&'static str, String)> {
     out += " * large-K / large-M: hybrid wins (one small collective in a\n";
     out += "   much smaller group dominates; fewer ranks = less traffic);\n";
     out += " * flat: hybrid also ahead.\n";
-    vec![("fig4_hybrid.txt", out), ("fig4.csv", csv)]
+    vec![("fig4_hybrid.txt".into(), out), ("fig4.csv".into(), csv)]
 }
 
 /// Figure 5: relative runtime breakdowns of COSMA and CA3DMM for the
@@ -181,7 +218,7 @@ fn fig4_hybrid() -> Vec<(&'static str, String)> {
 /// the paper). CA3DMM's "replicate A,B" includes Algorithm 1 step 5 *and*
 /// the cost of shifting A and B blocks in Cannon's algorithm, exactly as
 /// the paper's caption states.
-fn fig5_breakdown() -> Vec<(&'static str, String)> {
+fn fig5_breakdown() -> Vec<(String, String)> {
     let machine = Machine::phoenix_cpu();
     let cfg = RunConfig {
         placement: machine.pure_mpi(),
@@ -245,14 +282,14 @@ fn fig5_breakdown() -> Vec<(&'static str, String)> {
     out += "Paper shape: similar local computation; similar total\n";
     out += "communication (replicate + reduce); CA3DMM total <= COSMA,\n";
     out += "because the Cannon shifts pipeline under the local GEMM.\n";
-    vec![("fig5_breakdown.txt", out)]
+    vec![("fig5_breakdown.txt".into(), out)]
 }
 
 /// Table I: memory usage per process (MB) of COSMA and CA3DMM for the four
 /// problem classes and P ∈ {192 … 3072}. COSMA runs with no limit on extra
 /// memory; both libraries use library-native distributions, as in the
 /// paper.
-fn table1_memory() -> Vec<(&'static str, String)> {
+fn table1_memory() -> Vec<(String, String)> {
     let classes: [(&str, usize, usize, usize); 4] = [
         ("50, 50, 50", 50_000, 50_000, 50_000),
         ("6, 6, 1200", 6_000, 6_000, 1_200_000),
@@ -289,7 +326,7 @@ fn table1_memory() -> Vec<(&'static str, String)> {
     out += " * other classes: CA3DMM uses more at small P, but its usage\n";
     out += "   falls faster and crosses below COSMA by P = 1536-3072;\n";
     out += " * CA3DMM shows step drops where the chosen grid changes.\n";
-    vec![("table1_memory.txt", out)]
+    vec![("table1_memory.txt".into(), out)]
 }
 
 /// Table II: COSMA and CA3DMM runtime for different problem dimensions and
@@ -299,7 +336,7 @@ fn table1_memory() -> Vec<(&'static str, String)> {
 /// paper's large-K observation that the theoretically optimal grid
 /// `3×3×341` loses to the sub-optimal `4×2×384` because `pk = 341` is
 /// unfavourable for the reduce-scatter.
-fn table2_grids() -> Vec<(&'static str, String)> {
+fn table2_grids() -> Vec<(String, String)> {
     let machine = Machine::phoenix_cpu();
     let cfg = RunConfig {
         placement: machine.pure_mpi(),
@@ -386,7 +423,7 @@ fn table2_grids() -> Vec<(&'static str, String)> {
     out += "   allgathers are exposed;\n";
     out += " * large-K: the 'optimal' 3x3x341 grid loses to 4x2x384 —\n";
     out += "   pk = 341 is unfavourable for the reduce-scatter.\n";
-    vec![("table2_grids.txt", out)]
+    vec![("table2_grids.txt".into(), out)]
 }
 
 /// Table III: GPU runs — COSMA, CA3DMM and CTF on 16 and 32 V100 GPUs (one
@@ -395,7 +432,7 @@ fn table2_grids() -> Vec<(&'static str, String)> {
 /// preset models: a much larger per-rank compute rate against the same
 /// host network, with the MVAPICH2 reduce-scatter degradation the paper
 /// observes on large partial-C blocks.
-fn table3_gpu() -> Vec<(&'static str, String)> {
+fn table3_gpu() -> Vec<(String, String)> {
     let machine = Machine::phoenix_gpu();
     let cfg = RunConfig {
         placement: machine.pure_mpi(), // "cores" per node = 2 GPUs
@@ -428,7 +465,7 @@ fn table3_gpu() -> Vec<(&'static str, String)> {
     out += "   GPU-fast GEMMs leave nothing to hide the shifts under);\n";
     out += " * flat and large-M: both essentially equal;\n";
     out += " * CTF far behind on every shape.\n";
-    vec![("table3_gpu.txt", out)]
+    vec![("table3_gpu.txt".into(), out)]
 }
 
 /// The utilization floor `l` of eq. 5. §IV-A (text): "We test different l
@@ -436,7 +473,7 @@ fn table3_gpu() -> Vec<(&'static str, String)> {
 /// 3D process grid as using the value l = 0.95 in almost all cases."
 /// Sweeps `l` for every problem class × process count, reports where the
 /// grid differs from the `l = 0.95` default, and asserts the claim.
-fn ablation_l() -> Vec<(&'static str, String)> {
+fn ablation_l() -> Vec<(String, String)> {
     let ls = [0.85, 0.87, 0.90, 0.92, 0.95, 0.97, 0.99];
     let mut out = String::from("Ablation: grid stability across l in [0.85, 0.99] (eq. 5)\n\n");
     let mut total = 0usize;
@@ -477,7 +514,7 @@ fn ablation_l() -> Vec<(&'static str, String)> {
         same as f64 / total as f64 > 0.85,
         "grid stability claim violated"
     );
-    vec![("ablation_l.txt", out)]
+    vec![("ablation_l.txt".into(), out)]
 }
 
 /// Ablations of CA3DMM's remaining design choices (DESIGN.md §4): the
@@ -486,7 +523,7 @@ fn ablation_l() -> Vec<(&'static str, String)> {
 /// constraint (7) versus the unconstrained (COSMA) grid; and the §V
 /// memory/communication trade — fewer k-task groups move CA3DMM toward a
 /// 2D algorithm: less memory (eq. 11), more volume (eq. 4).
-fn ablation_design() -> Vec<(&'static str, String)> {
+fn ablation_design() -> Vec<(String, String)> {
     let machine = Machine::phoenix_cpu();
     let placement = machine.pure_mpi();
     let base = native_model(placement);
@@ -583,7 +620,7 @@ fn ablation_design() -> Vec<(&'static str, String)> {
         );
     }
     out += "(fewer k-task groups -> toward 2D: less memory, more volume.)\n";
-    vec![("ablation_design.txt", out)]
+    vec![("ablation_design.txt".into(), out)]
 }
 
 /// How CA3DMM and COSMA choose 3D process grids across the paper's four
@@ -592,7 +629,7 @@ fn ablation_design() -> Vec<(&'static str, String)> {
 /// grids, the process utilization, the communication-volume-to-lower-bound
 /// ratio, and the modeled runtime on the paper's cluster (pure MPI
 /// placement).
-fn grid_explorer() -> Vec<(&'static str, String)> {
+fn grid_explorer() -> Vec<(String, String)> {
     let machine = Machine::phoenix_cpu();
     let placement = machine.pure_mpi();
     let shapes: [(&str, usize, usize, usize); 4] = [
@@ -641,5 +678,5 @@ fn grid_explorer() -> Vec<(&'static str, String)> {
         "         ({}; pure MPI, 1 rank per core).",
         machine.name
     );
-    vec![("grid_explorer.txt", out)]
+    vec![("grid_explorer.txt".into(), out)]
 }

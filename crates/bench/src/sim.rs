@@ -1,5 +1,6 @@
-//! Figure 3 by *execution*: the `fig3_sim` sweep as a function. Algorithm 1
-//! runs on the `msgpass` virtual-time backend at paper-scale process counts
+//! Figure 3 by *execution*: the sweep behind the three `fig3_sim*`
+//! entries of [`crate::paper`], for any [`SimConfig`]. Algorithm 1 runs on
+//! the `msgpass` virtual-time backend at paper-scale process counts
 //! (p = 192…3072). Every send, receive, collective and local GEMM of the
 //! real executor is charged virtual seconds against the paper's machine
 //! ([`Machine::phoenix_cpu`], 24 ranks/node by default); the local GEMMs
@@ -35,18 +36,17 @@ const M: usize = 3072;
 const N: usize = 3072;
 const K: usize = 6144;
 
-/// One configuration of the sweep: `fig3_sim`'s flags.
+/// One configuration of the sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// Cannon's §III-F dual-buffered pipeline (`--overlap on`, the default)
-    /// or the blocking ablation (`--overlap off`).
+    /// Cannon's §III-F dual-buffered pipeline (the default) or the
+    /// blocking ablation.
     pub overlap: bool,
-    /// Flat or two-level node-aware allgather / reduce-scatter
-    /// (`--collectives`).
+    /// Flat or two-level node-aware allgather / reduce-scatter.
     pub collectives: Collectives,
-    /// Overrides the placement's 24 ranks/node (`--ranks-per-node`).
+    /// Overrides the placement's 24 ranks/node.
     pub ranks_per_node: Option<usize>,
-    /// Simulates one point instead of the sweep (`--ranks`).
+    /// Simulates one point instead of the sweep.
     pub ranks: Option<usize>,
 }
 
@@ -61,33 +61,21 @@ impl Default for SimConfig {
     }
 }
 
-/// What one sweep produces.
-pub struct SimSweep {
-    /// Stdout table: virtual seconds, % of peak, the model's seconds and
-    /// the host wall time each point cost (the one column that varies run
-    /// to run).
-    pub table: String,
-    /// The CSV's file stem: `fig3_sim` plus the configuration's suffix.
-    /// `fig3_sim --out DIR` writes `DIR/{csv_name}.csv` and the report as
-    /// `DIR/REPORT_{csv_name}.json`.
-    pub csv_name: String,
-    /// `cores,grid,sim_secs,pct_peak,model_secs`, one row per point.
-    pub csv: String,
-    /// The last point's virtual-time `RunReport` JSON, named
-    /// `fig3_sim{suffix}_p{P}`.
-    pub report: String,
-}
-
-/// Runs the sweep. Every non-default setting adds to the artifacts'
-/// suffix, so its CSV and report sit next to the default ones instead of
+/// Runs the sweep and returns its files as `(file name, contents)`: the
+/// table `{stem}.txt` (virtual seconds, % of peak and the model's seconds
+/// per point), the CSV `{stem}.csv` (`cores,grid,sim_secs,pct_peak,
+/// model_secs`) and the last point's virtual-time `RunReport`
+/// `REPORT_{stem}.json`. Every non-default setting adds to the stem
+/// `fig3_sim`, so its files sit next to the default ones instead of
 /// clobbering them: `_{flat|hier}_r{N}` when the collective mode or the
-/// node size is set, `_blocking` without overlap, and `_p{P}` on the CSV of
-/// a single point.
-pub fn fig3_sim(cfg: &SimConfig) -> SimSweep {
+/// node size is set, `_blocking` without overlap, and `_p{P}` for a single
+/// point. The report is named after the stem without that `_p{P}`, plus
+/// the last point's `_p{P}`.
+pub fn fig3_sim(cfg: &SimConfig) -> Vec<(String, String)> {
     let machine = Machine::phoenix_cpu();
     let mut placement = machine.pure_mpi();
     if let Some(rpn) = cfg.ranks_per_node {
-        assert!(rpn >= 1, "--ranks-per-node must be at least 1");
+        assert!(rpn >= 1, "ranks per node must be at least 1");
         placement.ranks_per_node = rpn;
     }
     let mut suffix = String::new();
@@ -101,7 +89,7 @@ pub fn fig3_sim(cfg: &SimConfig) -> SimSweep {
     if !cfg.overlap {
         suffix += "_blocking";
     }
-    let (sweep, csv_name) = match cfg.ranks {
+    let (sweep, stem) = match cfg.ranks {
         Some(p) => (vec![p], format!("fig3_sim{suffix}_p{p}")),
         None => (CPU_SWEEP.to_vec(), format!("fig3_sim{suffix}")),
     };
@@ -109,7 +97,7 @@ pub fn fig3_sim(cfg: &SimConfig) -> SimSweep {
     let mut table = format!(
         "Figure 3 (executed): CA3DMM {M}x{N}x{K} on {} — virtual time, overlap {}, {} collectives\n\
          Pure MPI placement: {} ranks/node.\n\n\
-         {:>6} {:>10} | {:>12} {:>8} | {:>12} | {:>9}\n",
+         {:>6} {:>10} | {:>12} {:>8} | {:>12}\n",
         machine.name,
         if cfg.overlap { "on" } else { "off" },
         cfg.collectives.as_str(),
@@ -118,8 +106,7 @@ pub fn fig3_sim(cfg: &SimConfig) -> SimSweep {
         "grid",
         "sim (s)",
         "% peak",
-        "model (s)",
-        "wall (s)"
+        "model (s)"
     );
     let mut csv = String::from("cores,grid,sim_secs,pct_peak,model_secs\n");
     let (mut report, last) = (String::new(), *sweep.last().expect("non-empty sweep"));
@@ -135,7 +122,6 @@ pub fn fig3_sim(cfg: &SimConfig) -> SimSweep {
         );
         let grid = *alg.grid_context().grid();
 
-        let started = std::time::Instant::now();
         let run = alg.simulate_native(
             &machine,
             SimOptions {
@@ -143,7 +129,6 @@ pub fn fig3_sim(cfg: &SimConfig) -> SimSweep {
                 execute_compute: false,
             },
         );
-        let wall = started.elapsed().as_secs_f64();
         let makespan = run.sim.as_ref().expect("virtual-time run").makespan_secs;
 
         let model_cfg = ModelConfig {
@@ -161,7 +146,7 @@ pub fn fig3_sim(cfg: &SimConfig) -> SimSweep {
         let pct = percent_of_peak(&machine, &prob, &placement, makespan);
         let _ = writeln!(
             table,
-            "{p:>6} {grid:>10} | {makespan:>12.6} {pct:>7.1}% | {model:>12.6} | {wall:>9.2}"
+            "{p:>6} {grid:>10} | {makespan:>12.6} {pct:>7.1}% | {model:>12.6}"
         );
         let _ = writeln!(csv, "{p},{grid},{makespan:.9},{pct:.2},{model:.9}");
         if p == last {
@@ -169,15 +154,13 @@ pub fn fig3_sim(cfg: &SimConfig) -> SimSweep {
             report = run.to_json(meta).to_string_pretty();
         }
     }
-    table += "\nSeconds are virtual (machine-model) time; 'wall' is what the\n\
-              simulation itself cost on this host. The executed sim and the\n\
+    table += "\nSeconds are virtual (machine-model) time. The executed sim and the\n\
               closed-form model agree on traffic exactly; times differ only\n\
               because the sim prices every hop individually while the model\n\
               prices each phase's critical link.\n";
-    SimSweep {
-        table,
-        csv_name,
-        csv,
-        report,
-    }
+    vec![
+        (format!("{stem}.txt"), table),
+        (format!("{stem}.csv"), csv),
+        (format!("REPORT_{stem}.json"), report),
+    ]
 }

@@ -144,9 +144,9 @@ async fn skew<T: Scalar>(
 /// matching order, so the A blocks side by side and the B blocks stacked
 /// are one product, which the kernel packs straight from the blocks: one
 /// pass over `C` per batch instead of per round. CA3DMM passes
-/// [`dense::tune::KC_FLOOR`] (64) by default (`Ca3dmmOptions`), the
-/// shallowest depth slab of any host's blocking; `0` is plain Cannon, one
-/// GEMM per round (the ablation, and what CTF-like 2.5D runs).
+/// [`dense::tune::KC_FLOOR`] (64), the shallowest depth slab of any
+/// host's blocking; `0` is plain Cannon, one GEMM per round (what CTF-like
+/// 2.5D runs), and `usize::MAX` batches every round into one GEMM.
 /// Communication is the same either way — the same rounds move the same
 /// bytes; only the GEMM granularity changes.
 ///

@@ -19,14 +19,6 @@ pub struct Ca3dmmOptions {
     /// `mp np kp` arguments, used by Table II); `None` runs the step-1
     /// search.
     pub grid_override: Option<Grid>,
-    /// §III-F multi-shift batching: when the Cannon blocks' k-extent is
-    /// below this, several shifts feed one local GEMM
-    /// ([`crate::cannon_multi_shift`]'s `min_k_per_gemm`). Defaults to
-    /// [`dense::tune::KC_FLOOR`] (64), the shallowest depth slab of any
-    /// host's GEMM blocking: a thinner product under-fills the slab and
-    /// pays a full pass over the `C` block for it. 0 is plain Cannon, one
-    /// GEMM per round (the ablation).
-    pub multi_shift_min_k: usize,
     /// §III-F communication/computation overlap: run the Cannon shifts as
     /// a double-buffered nonblocking pipeline (default). `false` is the
     /// blocking ablation — every shift completes before its GEMM starts.
@@ -42,7 +34,6 @@ impl Default for Ca3dmmOptions {
     fn default() -> Self {
         Ca3dmmOptions {
             grid_override: None,
-            multi_shift_min_k: dense::tune::KC_FLOOR,
             overlap: true,
             collectives: Collectives::Flat,
         }
@@ -113,7 +104,6 @@ impl RunMeta {
 /// [`msgpass::World::run`] and shared, or independently inside each rank.
 pub struct Ca3dmm {
     gc: GridContext,
-    multi_shift_min_k: usize,
     overlap: bool,
     collectives: Collectives,
     /// Wall seconds the step-1 grid search took (0 for a forced grid).
@@ -138,7 +128,6 @@ impl Ca3dmm {
         };
         Ca3dmm {
             gc: GridContext::new(prob, grid),
-            multi_shift_min_k: opts.multi_shift_min_k,
             overlap: opts.overlap,
             collectives: opts.collectives,
             grid_search_secs: search_secs,
@@ -310,7 +299,10 @@ impl Pgemm for Ca3dmm {
         } else {
             (a_blk, replicate(b_blk, gc.b_block(&coord)).await)
         };
-        // Step 6: Cannon within the group.
+        // Step 6: Cannon within the group. §III-F multi-shift: rounds
+        // shallower than the smallest depth slab of any host's GEMM
+        // blocking (KC_FLOOR, 64) share one local GEMM, since a thinner
+        // product under-fills the slab and pays a full pass over `C`.
         ctx.set_phase("cannon_shift");
         let c = LocalC::reserve(a_full.rows(), b_full.cols());
         cannon_multi_shift(
@@ -321,7 +313,7 @@ impl Pgemm for Ca3dmm {
             a_full,
             b_full,
             c,
-            self.multi_shift_min_k,
+            dense::tune::KC_FLOOR,
             self.overlap,
         )
         .await

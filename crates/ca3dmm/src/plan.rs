@@ -76,7 +76,6 @@ pub struct PlanKey {
     pub a_layout: u64,
     pub b_layout: u64,
     pub c_layout: u64,
-    pub multi_shift_min_k: usize,
     pub overlap: bool,
     pub hier_collectives: bool,
     pub grid_override: Option<(usize, usize, usize)>,
@@ -108,7 +107,6 @@ impl PlanKey {
             a_layout: a_layout.fingerprint(),
             b_layout: b_layout.fingerprint(),
             c_layout: c_layout.fingerprint(),
-            multi_shift_min_k: opts.multi_shift_min_k,
             overlap: opts.overlap,
             hier_collectives: matches!(opts.collectives, crate::Collectives::Hier),
             grid_override: opts.grid_override.map(|g| (g.pm, g.pn, g.pk)),
@@ -478,10 +476,10 @@ mod tests {
         };
         assert_ne!(base, f32_key);
         // option changes flip the key
-        let ms = PlanKey::new(
+        let blocking = PlanKey::new(
             &prob,
             &Ca3dmmOptions {
-                multi_shift_min_k: 4,
+                overlap: false,
                 ..Default::default()
             },
             Dtype::F64,
@@ -491,7 +489,7 @@ mod tests {
             &lb,
             &lc,
         );
-        assert_ne!(base, ms);
+        assert_ne!(base, blocking);
         // a different layout with the same shape flips the key
         let la_row = Layout::one_d_row(8, 6, p);
         let diff_layout = PlanKey::new(

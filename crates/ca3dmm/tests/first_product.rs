@@ -7,12 +7,14 @@
 //!
 //! Grids have `pk = 1`, so a rank's output strip is its whole Cannon
 //! block. They cover both replication directions with `c > 1`, uneven
-//! shapes, `k < s` (empty k-ranges), `s = 1` and idle ranks; every grid
-//! runs with multi-shift batching off, partial and total, overlap on and
-//! off.
+//! shapes, `k < s` (empty k-ranges), `s = 1` and idle ranks, overlap on
+//! and off. Beside CA3DMM's own multi-shift threshold, the same blocks run
+//! through `cannon_multi_shift` with batching off, partial and total, from
+//! a reserved and from a zero-filled `C`.
 
 use ca3dmm::{cannon_multi_shift, Ca3dmm, Ca3dmmOptions, LocalC, Pgemm};
 use dense::random::global_block;
+use dense::tune::KC_FLOOR;
 use dense::Mat;
 use gridopt::{Grid, Problem};
 use msgpass::{Comm, World};
@@ -43,9 +45,9 @@ fn native(mm: &Ca3dmm, p: usize) -> Bits {
     })
 }
 
-/// Every Cannon group over its replicated blocks, accumulating from a
-/// zero-filled `C`.
-fn zero_fill_reference(mm: &Ca3dmm, p: usize, min_k: usize, overlap: bool) -> Bits {
+/// Every Cannon group over its replicated blocks, batching rounds thinner
+/// than `min_k`, into a reserved `C` or accumulating from a zero-filled one.
+fn cannon(mm: &Ca3dmm, p: usize, zero_fill: bool, min_k: usize, overlap: bool) -> Bits {
     let gc = mm.grid_context();
     World::run(p, async |ctx| {
         let world = Comm::world(ctx);
@@ -58,9 +60,13 @@ fn zero_fill_reference(mm: &Ca3dmm, p: usize, min_k: usize, overlap: bool) -> Bi
         let at = gc.coord_of(me);
         let a = global_block::<f64>(1, gc.a_block(&at));
         let b = global_block::<f64>(2, gc.b_block(&at));
-        let zeros = LocalC::Sum(Mat::zeros(a.rows(), b.cols()));
+        let c = if zero_fill {
+            LocalC::Sum(Mat::zeros(a.rows(), b.cols()))
+        } else {
+            LocalC::reserve(a.rows(), b.cols())
+        };
         let (s, window) = (gc.s, (0, gc.s));
-        let c = cannon_multi_shift(ctx, &tile, s, window, a, b, zeros, min_k, overlap).await;
+        let c = cannon_multi_shift(ctx, &tile, s, window, a, b, c, min_k, overlap).await;
         Some(bits(c))
     })
 }
@@ -78,21 +84,20 @@ fn first_product_overwrites_like_zero_fill_and_accumulate() {
         (64, 64, 6, 9, (2, 4)),  // flat-like, with an idle rank
     ];
     for (m, n, k, p, (pm, pn)) in cases {
-        for min_k in [0, 3, 1000] {
-            for overlap in [false, true] {
-                let opts = Ca3dmmOptions {
-                    grid_override: Some(Grid::new(pm, pn, 1)),
-                    multi_shift_min_k: min_k,
-                    overlap,
-                    ..Ca3dmmOptions::default()
-                };
-                let mm = Ca3dmm::new(Problem::new(m, n, k, p), &opts);
-                let got = native(&mm, p);
-                let want = zero_fill_reference(&mm, p, min_k, overlap);
-                assert_eq!(
-                    got, want,
-                    "{m}x{n}x{k} on {pm}x{pn}x1 (p = {p}), min_k {min_k}, overlap {overlap}"
-                );
+        for overlap in [false, true] {
+            let opts = Ca3dmmOptions {
+                grid_override: Some(Grid::new(pm, pn, 1)),
+                overlap,
+                ..Ca3dmmOptions::default()
+            };
+            let mm = Ca3dmm::new(Problem::new(m, n, k, p), &opts);
+            let at = format!("{m}x{n}x{k} on {pm}x{pn}x1 (p = {p}), overlap {overlap}");
+            let want = cannon(&mm, p, true, KC_FLOOR, overlap);
+            assert_eq!(native(&mm, p), want, "{at}");
+            for min_k in [0, 3, usize::MAX] {
+                let got = cannon(&mm, p, false, min_k, overlap);
+                let want = cannon(&mm, p, true, min_k, overlap);
+                assert_eq!(got, want, "{at}, min_k {min_k}");
             }
         }
     }

@@ -23,7 +23,8 @@
 //!   own `beta` epilogue); only edge tiles go through a stack tile and a
 //!   clipped store. `C` is therefore touched once per element and depth
 //!   slab, and a `beta = 0` pass never reads it — which is what lets
-//!   [`gemm_new`] return a product in memory that was never zero-filled.
+//!   [`gemm_ksplit_new`] return a product in memory that was never
+//!   zero-filled.
 //! * Only one `KC×NC` slab of `op(B)` and one `MC×KC` block of
 //!   `alpha·op(A)` are ever packed at a time (see [`pack`]) — the packed
 //!   working set is bounded by the cache-derived blocking, not by the
@@ -381,9 +382,10 @@ pub fn gemm_ksplit<T: Scalar, M: Borrow<Mat<T>> + Sync>(
     }
 }
 
-/// `alpha * op(A) * op(B)` as a new `m×n` matrix in `buf`'s memory —
-/// its elements are discarded and it grows if it is too small; pass
-/// `Vec::new()` to allocate — never zero-filled: the `beta = 0` pass
+/// `alpha · Σ_r op(A_r) · op(B_r)` ([`gemm_ksplit`]'s product; a single
+/// product is the one-element slice) as a new `m×n` matrix in `buf`'s
+/// memory — its elements are discarded and it grows if it is too small;
+/// pass `Vec::new()` to allocate — never zero-filled: the `beta = 0` pass
 /// writes every element of `C` before anything reads it. A caller that
 /// reserves `buf` early keeps the allocation where a zero-filled `C` used
 /// to be made. It equals [`gemm`] with `beta = 1` into [`Mat::zeros`] bit
@@ -391,22 +393,6 @@ pub fn gemm_ksplit<T: Scalar, M: Borrow<Mat<T>> + Sync>(
 /// except where an FMA kernel's sum underflows to `−0.0`, which the
 /// zero-filled `C` would turn into `+0.0`. `k = 0` or `alpha = 0` yields
 /// zeros; a zero-sized scalar ([`crate::Shape64`]) allocates nothing.
-///
-/// # Panics
-/// On any shape mismatch.
-pub fn gemm_new<T: Scalar>(
-    op_a: GemmOp,
-    op_b: GemmOp,
-    alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
-    buf: Vec<T>,
-) -> Mat<T> {
-    gemm_ksplit_new(op_a, op_b, alpha, &[(a, b)], buf)
-}
-
-/// [`gemm_new`] of a product split along `k`, as [`gemm_ksplit`] is
-/// [`gemm`]'s.
 ///
 /// # Panics
 /// On any shape mismatch, or if `pairs` is empty.
@@ -923,9 +909,10 @@ mod tests {
         kernel::set_gemm_kernel(None);
     }
 
-    /// `gemm_new` is `gemm` with `beta = 1` into zeros, bit for bit, for
-    /// every available kernel, both scalar types, k below and above KC,
-    /// `k = 0` and empty `m` or `n`, into a new or a reused buffer.
+    /// `gemm_ksplit_new` of one product is `gemm` with `beta = 1` into
+    /// zeros, bit for bit, for every available kernel, both scalar types,
+    /// k below and above KC, `k = 0` and empty `m` or `n`, into a new or a
+    /// reused buffer.
     #[test]
     fn fresh_product_equals_zeros_plus_accumulate() {
         fn check<T: Scalar>(kind: KernelKind) {
@@ -938,10 +925,11 @@ mod tests {
                     let a = crate::random::random_mat::<T>(ar, ac, 41);
                     let b = crate::random::random_mat::<T>(k, n, 42);
                     let alpha = T::from_f64(1.5);
-                    let fresh = gemm_new(op_a, GemmOp::NoTrans, alpha, &a, &b, Vec::new());
+                    let new = |buf| gemm_ksplit_new(op_a, GemmOp::NoTrans, alpha, &[(&a, &b)], buf);
+                    let fresh = new(Vec::new());
                     // A reused buffer, too small and holding stale values.
                     let stale = vec![T::from_f64(9.0); 3];
-                    let reused = gemm_new(op_a, GemmOp::NoTrans, alpha, &a, &b, stale);
+                    let reused = new(stale);
                     assert_eq!(bits(&reused), bits(&fresh));
                     let mut acc = Mat::zeros(m, n);
                     gemm(op_a, GemmOp::NoTrans, alpha, &a, &b, T::ONE, &mut acc);
@@ -968,12 +956,11 @@ mod tests {
         // A zero-sized scalar has a shape and nothing else.
         let s = Mat::<crate::Shape64>::zeros(3, 4);
         let t = Mat::<crate::Shape64>::zeros(4, 5);
-        let p = gemm_new(
+        let p = gemm_ksplit_new(
             GemmOp::NoTrans,
             GemmOp::NoTrans,
             crate::Shape64,
-            &s,
-            &t,
+            &[(&s, &t)],
             Vec::new(),
         );
         assert_eq!(p.shape(), (3, 5));

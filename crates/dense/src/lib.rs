@@ -58,7 +58,7 @@ pub mod scalar;
 pub mod testing;
 pub mod tune;
 
-pub use gemm::{gemm, gemm_ksplit, gemm_ksplit_new, gemm_naive, gemm_new, GemmOp};
+pub use gemm::{gemm, gemm_ksplit, gemm_ksplit_new, gemm_naive, GemmOp};
 pub use kernel::{gemm_kernel, set_gemm_kernel, KernelKind};
 pub use mat::{add_slice, Mat};
 pub use part::{split_even, Rect};

@@ -10,7 +10,7 @@
 
 use dense::gemm::GemmOp;
 use dense::random::random_mat;
-use dense::{gemm, gemm_ksplit, gemm_ksplit_new, gemm_new, Blocking, KernelKind, Mat, Scalar};
+use dense::{gemm, gemm_ksplit, gemm_ksplit_new, Blocking, KernelKind, Mat, Scalar};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -108,7 +108,7 @@ fn check<T: Scalar>(kind: KernelKind) {
             );
 
             let split = gemm_ksplit_new(op_a, op_b, alpha, &pairs, Vec::new());
-            let whole = gemm_new(op_a, op_b, alpha, &a, &b, Vec::new());
+            let whole = gemm_ksplit_new(op_a, op_b, alpha, &[(&a, &b)], Vec::new());
             assert_eq!(bits(&split), bits(&whole), "{what}: fresh product");
 
             let c0 = random_mat::<T>(m, n, 300);

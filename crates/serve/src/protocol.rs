@@ -198,7 +198,7 @@ pub struct MultiplyRequest {
     pub a_layout: Layout,
     pub b_layout: Layout,
     pub c_layout: Layout,
-    /// Algorithm options (grid override, multi-shift, overlap, …).
+    /// Algorithm options (grid override, overlap, …).
     pub opts: Ca3dmmOptions,
     /// Emit a RunReport for this request (runs traced).
     pub report: bool,
@@ -310,9 +310,6 @@ fn parse_opts(obj: &Json, p: usize) -> Result<Ca3dmmOptions, ProtoError> {
     if let Some(o) = obj.get("opts") {
         if o.as_obj().is_none() {
             return Err(ProtoError::bad("opts must be an object"));
-        }
-        if let Some(v) = get_uint(o, "multi_shift_min_k", 1 << 20)? {
-            opts.multi_shift_min_k = v as usize;
         }
         opts.overlap = get_bool(o, "overlap", opts.overlap)?;
     }
@@ -583,6 +580,11 @@ mod tests {
         assert_ne!(a.key, d.key);
         let e = parse(r#"{"cmd":"multiply","id":"5","m":16,"n":12,"k":8,"layout_c":"row"}"#);
         assert_ne!(a.key, e.key);
+        // The retired `multi_shift_min_k` is ignored like any unknown key.
+        let old = parse(
+            r#"{"cmd":"multiply","id":"6","m":16,"n":12,"k":8,"opts":{"multi_shift_min_k":0}}"#,
+        );
+        assert_eq!(a.key, old.key);
     }
 
     #[test]

@@ -5,18 +5,17 @@
 //! reader.
 //!
 //! Virtual time is a function of the algorithm and the machine model only,
-//! so each `fig3_sim` sweep is rerun in-process and must reproduce its
-//! committed CSV and report byte for byte, and so must every analytic table
-//! of `bench::paper`. A change to traffic, the machine model, the cost
-//! model or the report schema that does not run `./regen_results.sh` fails
-//! here. The wall-clock `REPORT_fig5_*` artifacts are gated on their
-//! deterministic traffic only, and the `BENCH_*.json` timings on their
-//! contract.
+//! so every entry of `bench::paper` — the analytic tables and the executed
+//! `fig3_sim*` sweeps with their CSVs and reports — is recomputed
+//! in-process and must reproduce its committed files byte for byte. A
+//! change to traffic, the machine model, the cost model or the report
+//! schema that does not run `./regen_results.sh` fails here. The
+//! wall-clock `REPORT_fig5_*` artifacts are gated on their deterministic
+//! traffic only, and the `BENCH_*.json` timings on their contract.
 
 use bench::report::{gate, netdiff, show, NetdiffLimits};
 use bench::sim::{fig3_sim, SimConfig};
 use bench::timing::validate_bench_json;
-use ca3dmm::Collectives;
 use jsonlite::Json;
 use msgpass::{RunOptions, RunReportDoc};
 
@@ -39,57 +38,23 @@ const SIM_VS_MODEL: NetdiffLimits = NetdiffLimits {
     msgs_pct: Some(1.0),
 };
 
-/// A fresh sweep of `cfg` writes `{stem}.csv` and a report named
-/// `{stem}_p3072`, both byte-equal to the committed `results/{stem}.csv`
-/// and `results/REPORT_{stem}.json`. The report agrees with the model
-/// within [`SIM_VS_MODEL`], and its dashboard bins 3072 ranks into a
-/// heatmap that stays under 64 KiB (a p×p grid was 28 MB).
-fn sweep_reproduces_committed(cfg: SimConfig, stem: &str) {
-    let sweep = fig3_sim(&cfg);
-    assert_eq!(sweep.csv_name, stem);
-    let drifted = "drifted from HEAD; run ./regen_results.sh";
-    assert!(
-        sweep.csv == committed(&format!("{stem}.csv")),
-        "results/{stem}.csv {drifted}"
-    );
-    assert!(
-        sweep.report == committed(&format!("REPORT_{stem}.json")),
-        "results/REPORT_{stem}.json {drifted}"
-    );
-    assert_eq!(parse(&sweep.report).name(), Some(&*format!("{stem}_p3072")));
-    netdiff(&sweep.report, SIM_VS_MODEL).unwrap_or_else(|e| panic!("{e}"));
-    let dashboard = show(&sweep.report).expect("dashboard");
-    assert!(
-        dashboard.len() < 64 << 10,
-        "dashboard is {} bytes",
-        dashboard.len()
-    );
-}
-
+/// Each committed sweep report (the last point, p = 3072) carries its
+/// stem's name, agrees with the model within [`SIM_VS_MODEL`], and its
+/// dashboard bins 3072 ranks into a heatmap that stays under 64 KiB (a p×p
+/// grid was 28 MB).
 #[test]
-fn default_sweep_reproduces_committed_artifacts() {
-    sweep_reproduces_committed(SimConfig::default(), "fig3_sim");
-}
-
-/// The collectives ablation on fat nodes (8 nodes of 384 ranks at
-/// p = 3072): at the paper's 24/node every reduce-group member sits on a
-/// distinct node and the two-level variants degenerate to flat.
-fn fat_nodes(collectives: Collectives) -> SimConfig {
-    SimConfig {
-        collectives,
-        ranks_per_node: Some(384),
-        ..SimConfig::default()
+fn committed_sweep_reports_agree_with_the_model() {
+    for stem in ["fig3_sim", "fig3_sim_flat_r384", "fig3_sim_hier_r384"] {
+        let report = committed(&format!("REPORT_{stem}.json"));
+        assert_eq!(parse(&report).name(), Some(&*format!("{stem}_p3072")));
+        netdiff(&report, SIM_VS_MODEL).unwrap_or_else(|e| panic!("{stem}: {e}"));
+        let dashboard = show(&report).expect("dashboard");
+        assert!(
+            dashboard.len() < 64 << 10,
+            "{stem}: dashboard is {} bytes",
+            dashboard.len()
+        );
     }
-}
-
-#[test]
-fn flat_r384_sweep_reproduces_committed_artifacts() {
-    sweep_reproduces_committed(fat_nodes(Collectives::Flat), "fig3_sim_flat_r384");
-}
-
-#[test]
-fn hier_r384_sweep_reproduces_committed_artifacts() {
-    sweep_reproduces_committed(fat_nodes(Collectives::Hier), "fig3_sim_hier_r384");
 }
 
 /// Inter-node bytes and messages of a virtual-time report's send matrix,
@@ -116,8 +81,9 @@ fn hier_wins(flat: &RunReportDoc, hier: &RunReportDoc) -> bool {
     hb < fb && hm * 2 <= fm
 }
 
-/// The freshness tests above prove the committed r384 reports are what
-/// HEAD produces, so the gate reads them instead of rerunning.
+/// `paper_tables_reproduce_committed_results` proves the committed r384
+/// reports are what HEAD produces, so the gate reads them instead of
+/// rerunning the fat-node ablation.
 #[test]
 fn hier_collectives_win_inter_node_on_fat_nodes() {
     let flat = parse(&committed("REPORT_fig3_sim_flat_r384.json"));
@@ -144,8 +110,9 @@ fn overlap_is_never_slower_than_blocking_at_p3072() {
         ranks: Some(3072),
         ..SimConfig::default()
     });
-    assert_eq!(blocking.csv_name, "fig3_sim_blocking_p3072");
-    let off = parse(&blocking.report);
+    let (name, report) = &blocking[2];
+    assert_eq!(name, "REPORT_fig3_sim_blocking_p3072.json");
+    let off = parse(report);
     assert_eq!(off.name(), Some("fig3_sim_blocking_p3072"));
     let on = parse(&committed("REPORT_fig3_sim.json"));
     let makespan = |d: &RunReportDoc| d.sim.as_ref().expect("virtual-time").makespan_secs;
@@ -210,22 +177,36 @@ fn fig5_artifacts_match_fresh_traced_runs_exactly() {
 
 /// Every file of every `bench::paper` entry is what `results/` holds, byte
 /// for byte: the tables of Figs. 3–5, Tables I–III, the l-sweep, the design
-/// ablations and the grid explorer, and the Fig. 3/4 CSVs. Computing them
-/// also runs the claims `ablation_l` and `ablation_design` assert.
+/// ablations and the grid explorer, the Fig. 3/4 CSVs, and the three
+/// executed Fig. 3 sweeps' tables, CSVs and virtual-time reports. Computing
+/// them also runs the claims `ablation_l` and `ablation_design` assert.
+/// Each entry is computed on a thread of its own: the three sweeps
+/// dominate, and they do not share anything.
 #[test]
 fn paper_tables_reproduce_committed_results() {
+    let entries = &bench::paper::ENTRIES;
+    let computed: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = entries.iter().map(|e| s.spawn(e.files)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("entry panicked"))
+            .collect()
+    });
     let (mut written, mut drifted) = (Vec::new(), Vec::new());
-    for entry in &bench::paper::ENTRIES {
-        let files = (entry.files)();
+    for (entry, files) in entries.iter().zip(computed) {
         assert_eq!(files[0].0, format!("{}.txt", entry.name), "table first");
         for (name, text) in files {
-            if text != committed(name) {
-                drifted.push(name);
+            if text != committed(&name) {
+                drifted.push(name.clone());
             }
             written.push(name);
         }
     }
-    let expected = "fig3_strong_scaling.txt fig3.csv fig4_hybrid.txt fig4.csv \
+    let expected = "fig3_strong_scaling.txt fig3.csv \
+                    fig3_sim.txt fig3_sim.csv REPORT_fig3_sim.json \
+                    fig3_sim_flat_r384.txt fig3_sim_flat_r384.csv REPORT_fig3_sim_flat_r384.json \
+                    fig3_sim_hier_r384.txt fig3_sim_hier_r384.csv REPORT_fig3_sim_hier_r384.json \
+                    fig4_hybrid.txt fig4.csv \
                     fig5_breakdown.txt table1_memory.txt table2_grids.txt table3_gpu.txt \
                     ablation_l.txt ablation_design.txt grid_explorer.txt";
     assert_eq!(written.join(" "), expected);

@@ -2,8 +2,8 @@
 //! machine model only: the host that writes it, and the kernel-thread
 //! budget that host runs with, must not show up in the artifact.
 //! `tests/committed_artifacts.rs` diffs the committed
-//! `results/REPORT_fig3_sim*.json` byte for byte against fresh runs on
-//! whatever host runs it.
+//! `results/REPORT_fig3_sim*.json` byte for byte against the `bench::paper`
+//! entries recomputed on whatever host runs it.
 //!
 //! The test changes the process-wide GEMM thread cap, so it stays the only
 //! test in its binary.

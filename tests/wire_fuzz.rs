@@ -76,11 +76,11 @@ const VALID: [(&str, &str); 16] = [
     ("layout_c", r#""cyclic:2x2:3x3""#),
     ("report", "false"),
     ("grid", "[2,2,1]"),
-    ("opts", r#"{"overlap":true,"multi_shift_min_k":4}"#),
+    ("opts", r#"{"overlap":true}"#),
 ];
 
 /// Hostile replacement values (raw JSON, some of it not JSON at all).
-const HOSTILE: [&str; 30] = [
+const HOSTILE: [&str; 29] = [
     "0",
     "-1",
     "8.5",
@@ -106,7 +106,6 @@ const HOSTILE: [&str; 30] = [
     "[1,2,1]",
     "{}",
     r#"{"overlap":1}"#,
-    r#"{"multi_shift_min_k":1e30}"#,
     r#""\ud800""#,
     r#""\u00""#,
     "[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[",
