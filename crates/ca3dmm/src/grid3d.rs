@@ -75,7 +75,8 @@ pub struct Grid3d {
 /// family, built collectively by [`Grid3d::comms`].
 pub struct GridComms {
     at: Coord,
-    comms: Vec<(Family, Comm)>,
+    /// Indexed by [`Family`]; `None` for a family the grid was built without.
+    comms: [Option<Comm>; 5],
 }
 
 impl Grid3d {
@@ -143,17 +144,34 @@ impl Grid3d {
 
     /// World ranks of the `family` group containing position `(i, j, kt)`,
     /// in communicator order.
-    pub fn members(&self, family: Family, (i, j, kt): Coord) -> Vec<usize> {
+    pub fn members(&self, family: Family, at: Coord) -> Vec<usize> {
+        self.member_ranks(family, at).collect()
+    }
+
+    /// [`Grid3d::members`], computed as they are read.
+    fn member_ranks(
+        &self,
+        family: Family,
+        (i, j, kt): Coord,
+    ) -> impl Iterator<Item = usize> + Clone + '_ {
         let Grid { pm, pn, pk } = self.grid;
         let s = self.grid.cannon_s();
-        let (len, member): (usize, &dyn Fn(usize) -> Coord) = match family {
-            Family::Row => (pn, &|x| (i, x, kt)),
-            Family::Col => (pm, &|x| (x, j, kt)),
-            Family::Depth => (pk, &|x| (i, j, x)),
-            Family::Tile => (s * s, &|x| (i - i % s + x % s, j - j % s + x / s, kt)),
-            Family::Peers => (pm.max(pn) / s, &|x| self.tile_coord(x, (i % s, j % s), kt)),
+        let len = match family {
+            Family::Row => pn,
+            Family::Col => pm,
+            Family::Depth => pk,
+            Family::Tile => s * s,
+            Family::Peers => pm.max(pn) / s,
         };
-        (0..len).map(|x| self.rank_of(member(x))).collect()
+        (0..len).map(move |x| {
+            self.rank_of(match family {
+                Family::Row => (i, x, kt),
+                Family::Col => (x, j, kt),
+                Family::Depth => (i, j, x),
+                Family::Tile => (i - i % s + x % s, j - j % s + x / s, kt),
+                Family::Peers => self.tile_coord(x, (i % s, j % s), kt),
+            })
+        })
     }
 
     /// Every group of a family, ordered by its lowest world rank.
@@ -235,12 +253,12 @@ impl Grid3d {
     /// [`GridComms`].
     pub fn comms(&self, ctx: &RankCtx, world: &Comm) -> Option<GridComms> {
         let at = self.coord(world.rank());
-        let comms = self.families.iter().filter_map(|&family| {
+        let mut comms: [Option<Comm>; 5] = Default::default();
+        for &family in &self.families {
             // Every rank makes every call; idle ranks are in no group.
-            let members = at.map(|at| self.members(family, at));
-            Some((family, world.group(ctx, members.as_deref())?))
-        });
-        let comms = comms.collect();
+            let members = at.map(|at| self.member_ranks(family, at));
+            comms[family as usize] = world.group(ctx, members);
+        }
         Some(GridComms { at: at?, comms })
     }
 }
@@ -256,8 +274,8 @@ impl GridComms {
     /// # Panics
     /// If the grid was built without that family.
     pub fn of(&self, family: Family) -> &Comm {
-        let found = self.comms.iter().find(|(f, _)| *f == family);
-        &found.expect("the grid was built without this family").1
+        let found = self.comms[family as usize].as_ref();
+        found.expect("the grid was built without this family")
     }
 }
 

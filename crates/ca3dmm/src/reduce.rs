@@ -6,7 +6,7 @@
 //! the flat `counts` of the reduce-scatter. (The paper allows row or column
 //! partitioning here; the artifact's examples show either. We use rows.)
 
-use dense::part::split_even;
+use dense::part::even_range;
 use dense::{Mat, Scalar};
 use msgpass::collectives::{reduce_scatter_mode, Collectives};
 use msgpass::{Comm, RankCtx};
@@ -27,10 +27,13 @@ pub async fn reduce_partial_c<T: Scalar>(
         return partial;
     }
     let (rows, cols) = partial.shape();
-    let strip_rows = split_even(rows, pk);
-    let counts: Vec<usize> = strip_rows.iter().map(|r| r * cols).collect();
+    let strip_rows = |i| {
+        let (start, end) = even_range(rows, pk, i);
+        end - start
+    };
+    let counts: Vec<usize> = (0..pk).map(|i| strip_rows(i) * cols).collect();
     let mine = reduce_scatter_mode(mode, group, ctx, partial.into_vec(), &counts).await;
-    Mat::from_vec(strip_rows[group.rank()], cols, mine)
+    Mat::from_vec(strip_rows(group.rank()), cols, mine)
 }
 
 #[cfg(test)]

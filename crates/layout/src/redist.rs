@@ -377,9 +377,16 @@ async fn gather_shared<T: Scalar>(
 }
 
 /// Builds one destination block row by row, appending each row's segments
-/// left to right.
+/// left to right. A zero-sized element (`dense::Shape64`) has nothing to
+/// copy: its block is only its shape, whatever the op, so a shape-only
+/// redistribution costs its messages, not its rows × segments, in every
+/// build. The branch is a compile-time constant, so `f64`/`f32` code is
+/// unchanged.
 fn gather<T: Scalar>(block: &DstBlock, op: GemmOp, sources: &[&[Mat<T>]]) -> Mat<T> {
     let Rect { rows, cols, .. } = block.rect;
+    if std::mem::size_of::<T>() == 0 {
+        return Mat::zeros(rows, cols);
+    }
     let mut data = Vec::with_capacity(rows * cols);
     for band in &block.bands {
         for r in 0..band.rows {

@@ -5,10 +5,10 @@
 //! senders, one receiver per rank, unbounded buffering (sends are eager and
 //! never block), and disconnect detection on both sides. The receiver has
 //! one operation, [`Receiver::poll_recv`]: an empty queue stores the
-//! caller's [`Waker`] and the next send wakes it. The runtime calls it from
-//! one place (the private `pull` in `comm`). Whoever owns the waker decides
-//! what waking means: a wall-clock rank thread is unparked, a virtual rank
-//! is put back on the simulator's run queue.
+//! caller's [`Waker`] and the next send wakes it: the wall-clock rank's
+//! thread is unparked. The runtime calls it from one place (the private
+//! `pull` in `comm`). Virtual ranks share one thread and need no channel:
+//! their mailboxes are the simulator's (`crate::sim`).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

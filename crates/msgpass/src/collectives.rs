@@ -360,14 +360,14 @@ pub fn node_map(comm: &Comm, ctx: &RankCtx) -> Option<NodeMap> {
     })
 }
 
-/// Prefix offsets of `counts`.
+/// Prefix offsets of `counts`, in one allocation.
 fn offsets_of(counts: &[usize]) -> Vec<usize> {
+    let mut acc = 0;
     counts
         .iter()
-        .scan(0, |acc, &c| {
-            let o = *acc;
-            *acc += c;
-            Some(o)
+        .map(|&c| {
+            acc += c;
+            acc - c
         })
         .collect()
 }

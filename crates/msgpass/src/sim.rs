@@ -8,9 +8,10 @@
 //! them from a FIFO run queue on the calling thread: it spawns no thread.
 //! A rank yields only where it waits for a message (the private `pull` in
 //! `comm`); the send that fills its mailbox puts it back on the queue. The
-//! program under test is *executed*, not interpreted, but every rank
-//! carries a **virtual clock** (seconds since run start) that advances only
-//! when the machine model says time passes:
+//! mailboxes and the queue belong to that one thread, so no send, receive
+//! or wake-up takes a lock. The program under test is *executed*, not
+//! interpreted, but every rank carries a **virtual clock** (seconds since
+//! run start) that advances only when the machine model says time passes:
 //!
 //! * every **send** is priced by the sender's **NIC pipe**: the transfer
 //!   starts at `max(compute clock, NIC clock)`, takes `α + β·bytes` (intra-
@@ -62,6 +63,15 @@
 //! of a simulated rank is its future, its mailbox and its counters, so a
 //! simulated op costs its messages, not its elements. Sizes, message
 //! counts, clocks and the report are identical to the `f64` run.
+//!
+//! A message costs one payload box and a slot in the fabric's shared
+//! envelope slab; counting it is a bump of the sender's phase slot, its
+//! matrix cell and one histogram cell, and of the receiver's phase slot. A
+//! rank costs O(1) allocations whatever it sends: its future, its phase
+//! slots (labels are `&'static str`, never copied), its histogram cells,
+//! its matrix row, its receive tables and the report's three maps; each
+//! communicator's member list is built once per group, not once per
+//! member. `tests/sim_op_work.rs` pins these counts exactly.
 //! `ca3dmm::Pgemm::simulate_native` makes exactly that choice from the flag.
 //!
 //! # Determinism
@@ -89,15 +99,19 @@
 //! would break the byte-identical-artifact guarantee). The `compute` block
 //! of a sim report is always absent.
 
-use crate::world::{panic_message, RankOutput, RunOptions, RunReport, RunSetup, World};
+use crate::comm::Envelope;
+use crate::world::{panic_message, Link, RankOutput, RunOptions, RunReport, RunSetup, World};
 use crate::RankCtx;
 use netmodel::{Machine, Placement};
-use std::collections::VecDeque;
+use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::rc::Rc;
+use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// Options for [`World::simulate`].
 #[derive(Clone, Debug)]
@@ -199,25 +213,141 @@ impl SimParams {
     }
 }
 
-/// The simulator's run queue: ids of ranks ready to be polled, FIFO.
-type RunQueue = Arc<Mutex<VecDeque<usize>>>;
-
-/// Puts a virtual rank back on the run queue. Only the rank's mailbox
-/// stores its waker, and a send takes the waker to wake it, so a waiting
-/// rank is queued once.
-struct RankWaker {
-    rank: usize,
-    queue: RunQueue,
+/// The fabric of one [`World::simulate`] run: every rank's mailbox and the
+/// run queue. All of it lives on the simulator's thread, so none of it
+/// takes a lock, and no rank needs a `Waker`: a rank waits only in the
+/// private `pull` of `comm`, which parks it on its empty mailbox, and the
+/// send that fills a parked mailbox puts the rank back on the queue — once,
+/// as a waker taken by the send would.
+///
+/// The mailboxes share one slab of envelopes, each a FIFO list threaded
+/// through it, with freed slots reused first: a message costs a slot, not
+/// a per-rank queue's growth.
+pub(crate) struct SimNet {
+    pub(crate) params: Arc<SimParams>,
+    state: RefCell<NetState>,
+    /// Member lists of the communicators built so far, by context id: the
+    /// members of a group compute the same list, and keep one copy.
+    groups: RefCell<HashMap<u64, Arc<[usize]>>>,
 }
 
-impl Wake for RankWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
+/// End of a slab list.
+const NIL: usize = usize::MAX;
+
+struct NetState {
+    /// Every envelope in flight, plus free slots.
+    slots: Vec<Slot>,
+    /// First free slot, or `NIL`.
+    free: usize,
+    /// Per rank: its list of undelivered envelopes, oldest first.
+    mailboxes: Vec<Mailbox>,
+    /// Ranks ready to be polled, FIFO; every rank starts here, in order.
+    ready: VecDeque<usize>,
+}
+
+struct Slot {
+    env: Option<Envelope>,
+    /// The next slot of the same mailbox (or of the free list).
+    next: usize,
+}
+
+#[derive(Clone, Copy)]
+struct Mailbox {
+    head: usize,
+    tail: usize,
+    /// Its rank found it empty and waits for the next send.
+    parked: bool,
+}
+
+impl SimNet {
+    pub(crate) fn new(p: usize, params: Arc<SimParams>) -> SimNet {
+        let empty = Mailbox {
+            head: NIL,
+            tail: NIL,
+            parked: false,
+        };
+        SimNet {
+            params,
+            state: RefCell::new(NetState {
+                slots: Vec::new(),
+                free: NIL,
+                mailboxes: vec![empty; p],
+                ready: (0..p).collect(),
+            }),
+            groups: RefCell::default(),
+        }
     }
 
-    fn wake_by_ref(self: &Arc<Self>) {
-        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        queue.push_back(self.rank);
+    /// The shared member list of the group with context `ctx_id`, built
+    /// from `world_ranks` by its first member.
+    pub(crate) fn group_members(
+        &self,
+        ctx_id: u64,
+        world_ranks: impl Iterator<Item = usize>,
+    ) -> Arc<[usize]> {
+        match self.groups.borrow_mut().entry(ctx_id) {
+            Entry::Occupied(shared) => {
+                debug_assert!(
+                    shared.get().iter().copied().eq(world_ranks),
+                    "two groups share context {ctx_id:#x}"
+                );
+                Arc::clone(shared.get())
+            }
+            Entry::Vacant(slot) => Arc::clone(slot.insert(world_ranks.collect())),
+        }
+    }
+
+    /// Appends `env` to rank `dst`'s mailbox, and queues `dst` if it was
+    /// parked on it.
+    pub(crate) fn deliver(&self, dst: usize, env: Envelope) {
+        let st = &mut *self.state.borrow_mut();
+        let slot = Slot {
+            env: Some(env),
+            next: NIL,
+        };
+        let i = match st.free {
+            NIL => {
+                st.slots.push(slot);
+                st.slots.len() - 1
+            }
+            i => {
+                st.free = std::mem::replace(&mut st.slots[i], slot).next;
+                i
+            }
+        };
+        let mailbox = &mut st.mailboxes[dst];
+        match mailbox.tail {
+            NIL => mailbox.head = i,
+            tail => st.slots[tail].next = i,
+        }
+        mailbox.tail = i;
+        if std::mem::take(&mut mailbox.parked) {
+            st.ready.push_back(dst);
+        }
+    }
+
+    /// The oldest envelope in `rank`'s mailbox; `None` parks the rank until
+    /// the next [`SimNet::deliver`] to it.
+    pub(crate) fn take(&self, rank: usize) -> Option<Envelope> {
+        let st = &mut *self.state.borrow_mut();
+        let mailbox = &mut st.mailboxes[rank];
+        let i = mailbox.head;
+        if i == NIL {
+            mailbox.parked = true;
+            return None;
+        }
+        let slot = &mut st.slots[i];
+        mailbox.head = std::mem::replace(&mut slot.next, st.free);
+        if mailbox.head == NIL {
+            mailbox.tail = NIL;
+        }
+        st.free = i;
+        slot.env.take()
+    }
+
+    /// The next rank to poll.
+    fn next_ready(&self) -> Option<usize> {
+        self.state.borrow_mut().ready.pop_front()
     }
 }
 
@@ -265,14 +395,15 @@ impl World {
         // Tracing and kernel profiling stay off (both would measure the
         // meaningless wall clock); executed GEMMs get the default per-rank
         // width, on this thread for the duration of the run.
-        let (setup, receivers) = RunSetup::new(p, &RunOptions::default(), Some(params));
+        let (setup, _) = RunSetup::new(p, &RunOptions::default(), Some(Arc::clone(&params)));
         let _restore = RestoreGemmThreads(dense::pool::rank_gemm_threads());
         dense::pool::set_rank_gemm_threads(Some(setup.kernel_threads));
-        let ctxs: Vec<RankCtx> = (receivers.into_iter().enumerate())
-            .map(|(rank, rx)| RankCtx::fresh(&setup, rank, rx))
+        let net = Rc::new(SimNet::new(p, params));
+        let ctxs: Vec<RankCtx> = (0..p)
+            .map(|rank| RankCtx::fresh(&setup, rank, Link::Virtual(Rc::clone(&net))))
             .collect();
-        let outputs = run_tasks(&ctxs, &f);
-        check_delivered(&ctxs);
+        let outputs = run_tasks(&ctxs, &net, &f);
+        check_delivered(&ctxs, &net);
         setup.assemble_report(outputs)
     }
 
@@ -287,35 +418,42 @@ impl World {
     }
 }
 
-/// The executor: one boxed future per rank, polled whenever its waker put
+std::thread_local! {
+    /// Rank polls made by simulators on this thread so far.
+    static POLLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times simulators on the calling thread have polled a virtual
+/// rank, over the thread's lifetime. A rank is polled once at its start
+/// and once per send that refills its parked mailbox, so the difference
+/// across one [`World::simulate`] is an exact, schedule-level work count
+/// of that run.
+pub fn polls_on_this_thread() -> u64 {
+    POLLS.with(Cell::get)
+}
+
+/// The executor: one boxed future per rank, polled whenever the fabric put
 /// it on the run queue (every rank starts there, in rank order). Returns
 /// every rank's output in rank order, or panics as [`World::simulate`]
 /// documents.
-fn run_tasks<R, F>(ctxs: &[RankCtx], f: &F) -> Vec<RankOutput<R>>
+fn run_tasks<R, F>(ctxs: &[RankCtx], net: &SimNet, f: &F) -> Vec<RankOutput<R>>
 where
     F: AsyncFn(&RankCtx) -> R,
 {
     let p = ctxs.len();
-    let queue: RunQueue = Arc::new(Mutex::new((0..p).collect()));
-    let wakers: Vec<Waker> = (0..p)
-        .map(|rank| {
-            let queue = Arc::clone(&queue);
-            Waker::from(Arc::new(RankWaker { rank, queue }))
-        })
-        .collect();
     let mut tasks: Vec<Option<Pin<Box<dyn Future<Output = R> + '_>>>> = ctxs
         .iter()
         .map(|ctx| Some(Box::pin(f(ctx)) as Pin<Box<_>>))
         .collect();
     let mut done: Vec<Option<RankOutput<R>>> = (0..p).map(|_| None).collect();
     let mut panicked: Option<(usize, String)> = None;
-    loop {
-        let next = queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
-        let Some(rank) = next else { break };
+    let mut cx = Context::from_waker(Waker::noop());
+    let mut polls = 0;
+    while let Some(rank) = net.next_ready() {
         let Some(task) = tasks[rank].as_mut() else {
             continue;
         };
-        let mut cx = Context::from_waker(&wakers[rank]);
+        polls += 1;
         let ctx = &ctxs[rank];
         let polled = catch_unwind(AssertUnwindSafe(|| {
             task.as_mut().poll(&mut cx).map(|result| ctx.finish(result))
@@ -332,6 +470,7 @@ where
         tasks[rank] = None;
     }
     drop(tasks);
+    POLLS.with(|n| n.set(n.get() + polls));
     if let Some((rank, msg)) = panicked {
         panic!("rank {rank} panicked: {msg}");
     }
@@ -355,14 +494,10 @@ where
 
 /// Every message sent must have been received: after the last rank
 /// finishes, each mailbox and each pending buffer is empty.
-fn check_delivered(ctxs: &[RankCtx]) {
-    let mut cx = Context::from_waker(Waker::noop());
+fn check_delivered(ctxs: &[RankCtx], net: &SimNet) {
     for ctx in ctxs {
-        let queued = ctx.rx.poll_recv(&mut cx);
-        let stray = match queued {
-            Poll::Ready(Ok(env)) => Some(env),
-            _ => ctx.pending.borrow_mut().pop(),
-        };
+        let queued = net.take(ctx.world_rank());
+        let stray = queued.or_else(|| ctx.pending.borrow_mut().pop());
         if let Some(env) = stray {
             panic!(
                 "undelivered message: rank {} never received the message from rank {} (tag {})",

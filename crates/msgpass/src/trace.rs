@@ -482,7 +482,7 @@ mod tests {
         let report = crate::RunReport {
             traffic: crate::TrafficReport {
                 per_rank: vec![Default::default(); 3],
-                secs_per_rank: secs.iter().map(|&s| [("x".to_owned(), s)].into()).collect(),
+                secs_per_rank: secs.iter().map(|&s| [("x", s)].into()).collect(),
                 wait_per_rank: vec![Default::default(); 3],
                 matrix: crate::CommMatrix::new(3),
                 ..Default::default()

@@ -22,7 +22,7 @@
 //! deterministic functions of the algorithm and problem; wall/wait seconds
 //! are not. The `report-gate` CI mode relies on exactly this split.
 
-use crate::metrics::{CellCounts, CommMatrix, Row, SizeHistogram};
+use crate::metrics::{size_bucket, CellCounts, CommMatrix, Row, SizeHistogram};
 use std::collections::BTreeMap;
 
 /// Bytes and message counts for one phase on one rank, both directions.
@@ -56,7 +56,7 @@ impl PhaseCounts {
 
 /// One phase label's counters on one rank.
 struct PhaseSlot {
-    label: String,
+    label: &'static str,
     counts: PhaseCounts,
     /// Seconds blocked inside `recv`; only positive waits are added.
     wait: f64,
@@ -65,9 +65,9 @@ struct PhaseSlot {
 }
 
 impl PhaseSlot {
-    fn new(label: &str) -> PhaseSlot {
+    fn new(label: &'static str) -> PhaseSlot {
         PhaseSlot {
-            label: label.to_owned(),
+            label,
             counts: PhaseCounts::default(),
             wait: 0.0,
             secs: None,
@@ -75,13 +75,27 @@ impl PhaseSlot {
     }
 }
 
+/// Messages one rank sent under one collective algorithm into one log2
+/// size bucket: a cell of that algorithm's [`SizeHistogram`].
+pub(crate) struct HistCell {
+    pub(crate) algo: &'static str,
+    pub(crate) bucket: usize,
+    pub(crate) msgs: u64,
+    pub(crate) bytes: u64,
+}
+
+/// Phase slots a rank reserves up front: the unlabelled phase plus every
+/// phase of a CA3DMM multiply fit, so a rank's phases cost one allocation.
+const PHASES_RESERVED: usize = 6;
+
 /// The counters of one rank, owned by its `RankCtx`: only the rank's own
 /// thread writes them, and the rank hands them to the report when it exits
 /// ([`RankStats::finish`]).
 ///
 /// Each phase label the rank enters gets one slot, in first-entry order.
 /// [`RankStats::enter`] resolves the label to its slot once per phase
-/// switch, so a message costs an index, not a lookup by label.
+/// switch, so a message costs an index, not a lookup by label. Labels are
+/// `&'static str`, so neither a slot nor the report's maps copy one.
 pub(crate) struct RankStats {
     /// Every label entered so far; starts with the unlabelled phase `""`.
     slots: Vec<PhaseSlot>,
@@ -91,19 +105,22 @@ pub(crate) struct RankStats {
     /// talks to a few dozen peers, whatever the world size).
     sent_to: Row,
     /// Send-side size histograms keyed by the collective algorithm actually
-    /// running ("ring_allgatherv", …); bare point-to-point sends land under
-    /// `"p2p"`. A rank runs a handful of algorithms, so a vector searched
-    /// by name beats a map.
-    hists: Vec<(&'static str, SizeHistogram)>,
+    /// running ("ring_allgatherv", …; bare point-to-point sends land under
+    /// `"p2p"`), one cell per touched `(algorithm, bucket)`. A rank runs a
+    /// handful of algorithms at a size or two each, so one short list beats
+    /// a histogram per algorithm.
+    hist: Vec<HistCell>,
 }
 
 impl Default for RankStats {
     fn default() -> Self {
+        let mut slots = Vec::with_capacity(PHASES_RESERVED);
+        slots.push(PhaseSlot::new(""));
         RankStats {
-            slots: vec![PhaseSlot::new("")],
+            slots,
             current: 0,
             sent_to: Row::new(),
-            hists: Vec::new(),
+            hist: Vec::new(),
         }
     }
 }
@@ -112,16 +129,16 @@ impl Default for RankStats {
 /// appear in `by_phase` once they sent or received, in `wait_by_phase`
 /// once a receive waited, in `secs_by_phase` once their clock stopped.
 pub(crate) struct RankTraffic {
-    pub(crate) by_phase: BTreeMap<String, PhaseCounts>,
+    pub(crate) by_phase: BTreeMap<&'static str, PhaseCounts>,
     pub(crate) sent_to: Row,
-    pub(crate) hist_by_algo: Vec<(&'static str, SizeHistogram)>,
-    pub(crate) wait_by_phase: BTreeMap<String, f64>,
-    pub(crate) secs_by_phase: BTreeMap<String, f64>,
+    pub(crate) hist: Vec<HistCell>,
+    pub(crate) wait_by_phase: BTreeMap<&'static str, f64>,
+    pub(crate) secs_by_phase: BTreeMap<&'static str, f64>,
 }
 
 impl RankStats {
     /// Makes `label` the current phase, adding its slot on first entry.
-    pub(crate) fn enter(&mut self, label: &str) {
+    pub(crate) fn enter(&mut self, label: &'static str) {
         self.current = match self.slots.iter().position(|s| s.label == label) {
             Some(i) => i,
             None => {
@@ -132,8 +149,8 @@ impl RankStats {
     }
 
     /// The current phase's label.
-    pub(crate) fn phase(&self) -> &str {
-        &self.slots[self.current].label
+    pub(crate) fn phase(&self) -> &'static str {
+        self.slots[self.current].label
     }
 
     /// Records one outgoing message: phase totals, the matrix row and the
@@ -147,15 +164,23 @@ impl RankStats {
             .entry(dst_world)
             .or_default()
             .add(CellCounts { bytes, msgs: 1 });
-        let algo = algo.unwrap_or("p2p");
-        let hist = match self.hists.iter().position(|(a, _)| *a == algo) {
-            Some(i) => &mut self.hists[i].1,
-            None => {
-                self.hists.push((algo, SizeHistogram::default()));
-                &mut self.hists.last_mut().expect("pushed above").1
-            }
-        };
-        hist.record(bytes);
+        let (algo, bucket) = (algo.unwrap_or("p2p"), size_bucket(bytes));
+        let found = self
+            .hist
+            .iter()
+            .position(|c| c.bucket == bucket && c.algo == algo);
+        let i = found.unwrap_or_else(|| {
+            self.hist.push(HistCell {
+                algo,
+                bucket,
+                msgs: 0,
+                bytes: 0,
+            });
+            self.hist.len() - 1
+        });
+        let cell = &mut self.hist[i];
+        cell.msgs += 1;
+        cell.bytes += bytes;
     }
 
     /// Records one matched receive: phase totals and the seconds this
@@ -184,16 +209,16 @@ impl RankStats {
         let mut t = RankTraffic {
             by_phase: BTreeMap::new(),
             sent_to: std::mem::take(&mut self.sent_to),
-            hist_by_algo: std::mem::take(&mut self.hists),
+            hist: std::mem::take(&mut self.hist),
             wait_by_phase: BTreeMap::new(),
             secs_by_phase: BTreeMap::new(),
         };
         for s in self.slots.drain(..) {
             if s.counts.msgs + s.counts.recv_msgs > 0 {
-                t.by_phase.insert(s.label.clone(), s.counts);
+                t.by_phase.insert(s.label, s.counts);
             }
             if s.wait > 0.0 {
-                t.wait_by_phase.insert(s.label.clone(), s.wait);
+                t.wait_by_phase.insert(s.label, s.wait);
             }
             if let Some(secs) = s.secs {
                 t.secs_by_phase.insert(s.label, secs);
@@ -203,21 +228,32 @@ impl RankStats {
     }
 }
 
+/// Adds one rank's histogram cells into the run's histograms by algorithm.
+pub(crate) fn merge_hist(into: &mut BTreeMap<String, SizeHistogram>, cells: &[HistCell]) {
+    for c in cells {
+        let h = match into.get_mut(c.algo) {
+            Some(h) => h,
+            None => into.entry(c.algo.to_owned()).or_default(),
+        };
+        h.add_bucket(c.bucket, c.msgs, c.bytes);
+    }
+}
+
 /// Traffic measured during one [`crate::World::run`], indexed by
 /// `[rank][phase]`, plus the run-wide communication matrix, size
 /// histograms, and wait attribution.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficReport {
     /// `per_rank[r]` maps phase name → counts for world rank `r`.
-    pub per_rank: Vec<BTreeMap<String, PhaseCounts>>,
+    pub per_rank: Vec<BTreeMap<&'static str, PhaseCounts>>,
     /// `secs_per_rank[r]` maps phase name → wall seconds spent in the phase
     /// on rank `r` (communication *and* computation while the phase label
     /// was active).
-    pub secs_per_rank: Vec<BTreeMap<String, f64>>,
+    pub secs_per_rank: Vec<BTreeMap<&'static str, f64>>,
     /// `wait_per_rank[r]` maps phase name → seconds rank `r` spent blocked
     /// inside `recv` while that phase was active. Always ≤ the phase's
     /// wall seconds; the remainder is compute plus non-blocking overhead.
-    pub wait_per_rank: Vec<BTreeMap<String, f64>>,
+    pub wait_per_rank: Vec<BTreeMap<&'static str, f64>>,
     /// The rank×rank communication matrix, as the senders counted it.
     pub matrix: CommMatrix,
     /// Message-size histograms by collective algorithm actually executed
@@ -326,14 +362,14 @@ impl TrafficReport {
 
     /// All phase labels seen on any rank, sorted.
     pub fn phases(&self) -> Vec<String> {
-        let mut set: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+        let mut set: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
         for m in &self.per_rank {
-            set.extend(m.keys().cloned());
+            set.extend(m.keys());
         }
         for m in &self.secs_per_rank {
-            set.extend(m.keys().cloned());
+            set.extend(m.keys());
         }
-        set.into_iter().collect()
+        set.into_iter().map(str::to_owned).collect()
     }
 
     /// Cross-checks the views that can disagree and returns the first
@@ -427,9 +463,14 @@ mod tests {
             }
         );
         assert_eq!(t.sent_to.len(), 2, "only touched cells are stored");
-        let hist = |algo| &t.hist_by_algo.iter().find(|(a, _)| *a == algo).unwrap().1;
-        assert_eq!(hist("p2p").msgs, 3);
-        assert_eq!(hist("ring_allgatherv").msgs, 1);
+        let mut hists = BTreeMap::new();
+        merge_hist(&mut hists, &t.hist);
+        assert_eq!(hists["p2p"].msgs, 3);
+        assert_eq!(hists["p2p"].count(size_bucket(100)), 1);
+        assert_eq!(hists["ring_allgatherv"].msgs, 1);
+        // One cell per touched (algorithm, bucket): 100, 50, 1 and 4 bytes
+        // fall into four buckets.
+        assert_eq!(t.hist.len(), 4);
         // Only a receive that waited enters the wait map; every labelled
         // phase whose clock stopped enters the seconds map, even at zero.
         assert_eq!(t.wait_by_phase.len(), 1);
@@ -470,9 +511,7 @@ mod tests {
         let mut matrix = CommMatrix::new(2);
         matrix.set_row(0, tx.sent_to);
         let mut hist_by_algo = BTreeMap::new();
-        for (algo, h) in tx.hist_by_algo {
-            hist_by_algo.insert(algo.to_owned(), h);
-        }
+        merge_hist(&mut hist_by_algo, &tx.hist);
         TrafficReport {
             per_rank: vec![tx.by_phase, rx.by_phase],
             matrix,
@@ -505,6 +544,6 @@ mod tests {
             "rank 1: senders counted",
         );
         // A histogram that lost its messages.
-        fails(|tx, _| tx.hist_by_algo.clear(), "algo histograms");
+        fails(|tx, _| tx.hist.clear(), "algo histograms");
     }
 }

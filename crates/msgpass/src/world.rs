@@ -4,14 +4,15 @@
 use crate::chan::{channel, Receiver, Sender};
 use crate::comm::{Envelope, PostedRecv};
 use crate::metrics::{CommMatrix, SizeHistogram};
-use crate::sim::{SimInfo, SimParams};
+use crate::sim::{SimInfo, SimNet, SimParams};
 use crate::trace::{RawEvent, Recorder, SpanKind, Timeline};
-use crate::traffic::{RankStats, RankTraffic, TrafficReport};
+use crate::traffic::{merge_hist, RankStats, RankTraffic, TrafficReport};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::future::Future;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Instant;
@@ -20,29 +21,36 @@ use std::time::Instant;
 /// the world's member list. The counters are not here — each rank owns its
 /// own ([`RankCtx`]) and hands them back when it exits.
 pub(crate) struct Fabric {
+    /// One channel per wall-clock rank; empty under virtual time, whose
+    /// mailboxes are the simulator's ([`crate::sim`]).
     pub(crate) senders: Vec<Sender<Envelope>>,
     /// `0..p`: the member list every rank's world communicator shares.
-    pub(crate) world_ranks: Arc<Vec<usize>>,
+    pub(crate) world_ranks: Arc<[usize]>,
 }
 
 impl Fabric {
-    /// A fresh `p`-rank fabric plus each rank's receiving end. One fabric
-    /// serves exactly one run (messages of one job must never reach the
-    /// next), so persistent worlds build a new one per job.
-    pub(crate) fn new(p: usize) -> (Arc<Fabric>, Vec<Receiver<Envelope>>) {
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+    /// A fresh `p`-rank fabric plus each rank's receiving end, or, with
+    /// `channels` false, a fabric without channels. One fabric serves
+    /// exactly one run (messages of one job must never reach the next), so
+    /// persistent worlds build a new one per job.
+    pub(crate) fn new(p: usize, channels: bool) -> (Arc<Fabric>, Vec<Receiver<Envelope>>) {
+        let (senders, receivers) = (0..if channels { p } else { 0 }).map(|_| channel()).unzip();
         let fabric = Arc::new(Fabric {
             senders,
-            world_ranks: Arc::new((0..p).collect()),
+            world_ranks: (0..p).collect(),
         });
         (fabric, receivers)
     }
+}
+
+/// Where a rank's messages arrive.
+pub(crate) enum Link {
+    /// A wall-clock rank: its end of the channel its peers send on through
+    /// the shared [`Fabric`].
+    Wall(Receiver<Envelope>),
+    /// A virtual rank: the simulator's fabric, which holds every rank's
+    /// mailbox, the run queue and the charging parameters on one thread.
+    Virtual(Rc<SimNet>),
 }
 
 /// Stack size of every wall-clock rank thread, bytes — of
@@ -125,7 +133,9 @@ pub struct RankCtx {
     world_rank: usize,
     world_size: usize,
     pub(crate) fabric: Arc<Fabric>,
-    pub(crate) rx: Receiver<Envelope>,
+    /// Where this rank's messages arrive, and whether it runs under
+    /// virtual time.
+    link: Link,
     /// Messages received but not yet matched by a `recv`.
     pub(crate) pending: RefCell<Vec<Envelope>>,
     /// Receives posted and not yet completed: by `irecv` until `wait`, by a
@@ -145,9 +155,6 @@ pub struct RankCtx {
     /// report); `None` on a virtual rank, which times its phases on the
     /// virtual clock and never reads the wall clock.
     phase_started: Cell<Option<Instant>>,
-    /// Virtual-time charging parameters (`None` in wall-clock runs, where
-    /// every sim hook reduces to an untaken branch).
-    sim: Option<Arc<SimParams>>,
     /// This rank's virtual clock, seconds since run start (sim runs only).
     clock: Cell<f64>,
     /// Virtual time at which this rank's NIC injection pipe frees up (sim
@@ -172,18 +179,18 @@ pub struct RankCtx {
 
 impl RankCtx {
     /// Builds one rank's context for one run (or one persistent-world job).
-    pub(crate) fn fresh(setup: &RunSetup, rank: usize, rx: Receiver<Envelope>) -> RankCtx {
+    pub(crate) fn fresh(setup: &RunSetup, rank: usize, link: Link) -> RankCtx {
+        let wall = matches!(link, Link::Wall(_));
         RankCtx {
             world_rank: rank,
-            world_size: setup.fabric.senders.len(),
+            world_size: setup.fabric.world_ranks.len(),
             fabric: Arc::clone(&setup.fabric),
-            rx,
+            link,
             pending: RefCell::new(Vec::new()),
             posted: RefCell::new(Vec::new()),
             post_seq: Cell::new(0),
             stats: RefCell::default(),
-            phase_started: Cell::new(setup.sim.is_none().then(Instant::now)),
-            sim: setup.sim.clone(),
+            phase_started: Cell::new(wall.then(Instant::now)),
             clock: Cell::new(0.0),
             nic_clock: Cell::new(0.0),
             phase_started_v: Cell::new(0.0),
@@ -212,7 +219,7 @@ impl RankCtx {
     /// The traffic clock and the trace span share one timestamp, so a
     /// rank's phase spans and [`TrafficReport::phase_secs`] agree exactly
     /// (up to float rounding).
-    pub fn set_phase(&self, phase: &str) {
+    pub fn set_phase(&self, phase: &'static str) {
         let now = self.flush_phase_time();
         let mut stats = self.stats.borrow_mut();
         if let Some(now) = now.filter(|_| self.recorder.enabled()) {
@@ -274,8 +281,8 @@ impl RankCtx {
     }
 
     /// The current phase label.
-    pub fn phase(&self) -> String {
-        self.stats.borrow().phase().to_owned()
+    pub fn phase(&self) -> &'static str {
+        self.stats.borrow().phase()
     }
 
     /// Ranks per node under the block mapping (`node = world_rank /
@@ -284,9 +291,53 @@ impl RankCtx {
     /// node holding every rank, so topology-aware collectives take their
     /// flat paths there.
     pub fn ranks_per_node(&self) -> usize {
-        self.sim
-            .as_ref()
-            .map_or(self.world_size, |sim| sim.ranks_per_node())
+        self.sim()
+            .map_or(self.world_size, SimParams::ranks_per_node)
+    }
+
+    /// Virtual-time charging parameters; `None` in wall-clock runs, where
+    /// every sim hook reduces to an untaken branch.
+    fn sim(&self) -> Option<&SimParams> {
+        match &self.link {
+            Link::Wall(_) => None,
+            Link::Virtual(net) => Some(&net.params),
+        }
+    }
+
+    /// Hands `env` to world rank `dst`'s mailbox.
+    pub(crate) fn deliver(&self, dst: usize, env: Envelope) {
+        match &self.link {
+            Link::Wall(_) => self.fabric.senders[dst]
+                .send(env)
+                .expect("receiving rank has exited with messages in flight"),
+            Link::Virtual(net) => net.deliver(dst, env),
+        }
+    }
+
+    /// The world ranks of the group with context `ctx_id`, as this member
+    /// computes them. Every member of a group computes the same list, so
+    /// virtual ranks, which share one thread, share one copy of it.
+    pub(crate) fn group_members(
+        &self,
+        ctx_id: u64,
+        world_ranks: impl Iterator<Item = usize>,
+    ) -> Arc<[usize]> {
+        match &self.link {
+            Link::Wall(_) => world_ranks.collect(),
+            Link::Virtual(net) => net.group_members(ctx_id, world_ranks),
+        }
+    }
+
+    /// The next message in this rank's mailbox, or `Pending` until a send
+    /// fills it: a wall-clock rank leaves `cx`'s waker for the sender, a
+    /// virtual rank is put back on the run queue by the send itself.
+    pub(crate) fn poll_mail(&self, cx: &mut Context<'_>) -> Poll<Envelope> {
+        match &self.link {
+            Link::Wall(rx) => rx
+                .poll_recv(cx)
+                .map(|env| env.expect("all senders dropped while waiting for a message")),
+            Link::Virtual(net) => net.take(self.world_rank).map_or(Poll::Pending, Poll::Ready),
+        }
     }
 
     /// Charges `flops` floating-point operations of local compute to this
@@ -295,7 +346,7 @@ impl RankCtx {
     /// GEMM path) call this *instead of* doing the arithmetic when
     /// [`RankCtx::executes_compute`] is false.
     pub fn charge_flops(&self, flops: f64) {
-        if let Some(sim) = &self.sim {
+        if let Some(sim) = self.sim() {
             self.clock.set(self.clock.get() + sim.compute_secs(flops));
         }
     }
@@ -303,7 +354,7 @@ impl RankCtx {
     /// Whether this rank runs under virtual time, as a task of
     /// [`World::simulate`].
     pub(crate) fn is_virtual(&self) -> bool {
-        self.sim.is_some()
+        matches!(self.link, Link::Virtual(_))
     }
 
     /// The `(source world rank, tag)` of every receive this rank has posted
@@ -336,7 +387,7 @@ impl RankCtx {
     /// wall-clock runs; in sim runs it follows
     /// [`crate::sim::SimOptions::execute_compute`].
     pub fn executes_compute(&self) -> bool {
-        self.sim.as_ref().is_none_or(|s| s.execute_compute)
+        self.sim().is_none_or(|s| s.execute_compute)
     }
 
     /// Stamps one *blocking* outgoing message: like [`RankCtx::stamp_isend`]
@@ -347,7 +398,7 @@ impl RankCtx {
     /// that never call `isend`.
     pub(crate) fn stamp_send(&self, dst_world: usize, bytes: u64) -> (f64, u64) {
         let (arrival, seq) = self.stamp_isend(dst_world, bytes);
-        if self.sim.is_some() {
+        if self.is_virtual() {
             self.clock.set(arrival);
         }
         (arrival, seq)
@@ -363,7 +414,7 @@ impl RankCtx {
     pub(crate) fn stamp_isend(&self, dst_world: usize, bytes: u64) -> (f64, u64) {
         let seq = self.send_seq.get();
         self.send_seq.set(seq + 1);
-        let arrival = match &self.sim {
+        let arrival = match self.sim() {
             Some(sim) => {
                 let start = self.clock.get().max(self.nic_clock.get());
                 let t = start + sim.transfer_secs(self.world_rank, dst_world, bytes);
@@ -386,7 +437,7 @@ impl RankCtx {
     /// `max(own clock, arrival)`; advances the clock there and returns the
     /// virtual seconds this rank was blocked. `None` in wall-clock runs.
     pub(crate) fn virtual_recv_wait(&self, arrival: f64) -> Option<f64> {
-        self.sim.as_ref()?;
+        self.sim()?;
         let now = self.clock.get();
         let done = now.max(arrival);
         self.clock.set(done);
@@ -527,14 +578,15 @@ pub(crate) struct RankOutput<R> {
 }
 
 impl RunSetup {
-    /// A fresh `p`-rank fabric under `opts`, plus each rank's mailbox.
+    /// A fresh `p`-rank fabric under `opts`, plus each wall-clock rank's
+    /// mailbox (none under virtual time: the simulator keeps them).
     pub(crate) fn new(
         p: usize,
         opts: &RunOptions,
         sim: Option<Arc<SimParams>>,
     ) -> (RunSetup, Vec<Receiver<Envelope>>) {
         assert!(p > 0, "world size must be positive");
-        let (fabric, receivers) = Fabric::new(p);
+        let (fabric, receivers) = Fabric::new(p, sim.is_none());
         let setup = RunSetup {
             fabric,
             trace: opts.trace,
@@ -566,14 +618,7 @@ impl RunSetup {
             secs_per_rank.push(st.secs_by_phase);
             wait_per_rank.push(st.wait_by_phase);
             matrix.set_row(rank, st.sent_to);
-            for (algo, h) in st.hist_by_algo {
-                match hist_by_algo.get_mut(algo) {
-                    Some(sum) => sum.merge(&h),
-                    None => {
-                        hist_by_algo.insert(algo.to_owned(), h);
-                    }
-                }
-            }
+            merge_hist(&mut hist_by_algo, &st.hist);
             results.push(out.result);
             streams.push(out.events);
             makespan_secs = makespan_secs.max(out.clock);
@@ -633,7 +678,7 @@ pub(crate) fn run_rank<R>(
         dense::prof::begin_capture();
     }
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        let ctx = RankCtx::fresh(setup, rank, rx);
+        let ctx = RankCtx::fresh(setup, rank, Link::Wall(rx));
         let result = f(&ctx);
         ctx.finish(result)
     }));

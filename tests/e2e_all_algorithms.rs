@@ -218,9 +218,9 @@ fn algorithms_agree() {
 fn traffic_signature(report: &RunReport) -> String {
     let t = &report.traffic;
     let p = t.per_rank.len();
-    let phases: std::collections::BTreeSet<&String> =
-        t.per_rank.iter().flat_map(|m| m.keys()).collect();
-    let of_phase = |phase: &String| {
+    let phases: std::collections::BTreeSet<&str> =
+        t.per_rank.iter().flat_map(|m| m.keys().copied()).collect();
+    let of_phase = |phase: &str| {
         let sent = |r: usize| (t.phase(r, phase).bytes, t.phase(r, phase).msgs);
         let mut out = format!("{phase}:");
         let mut r = 0;

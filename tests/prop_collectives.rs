@@ -179,13 +179,17 @@ async fn every_collective(ctx: &RankCtx) {
     let sends = [1, 3].map(|d| ((me + d) % p, vec![me as u8; 1 + (me + d) % 4]));
     let sources = [1, 3].map(|d| (me + p - d) % p);
     let _ = neighbor_alltoallv(&comm, ctx, sends.to_vec(), &sources).await;
-    for mode in [Collectives::Flat, Collectives::Hier] {
-        ctx.set_phase(&format!("allgatherv_{}", mode.as_str()));
+    // Phase labels are `&'static str`: one pair of names per mode.
+    for (mode, ag, rs) in [
+        (Collectives::Flat, "allgatherv_flat", "reduce_scatter_flat"),
+        (Collectives::Hier, "allgatherv_hier", "reduce_scatter_hier"),
+    ] {
+        ctx.set_phase(ag);
         assert_eq!(
             allgatherv_mode(mode, &comm, ctx, mine(), &counts).await,
             gathered
         );
-        ctx.set_phase(&format!("reduce_scatter_{}", mode.as_str()));
+        ctx.set_phase(rs);
         assert_eq!(
             reduce_scatter_mode(mode, &comm, ctx, data(), &counts).await,
             reduced

@@ -28,7 +28,7 @@ use dense::gemm::{gemm_naive, GemmOp};
 use dense::part::Rect;
 use dense::random::global_block;
 use dense::testing::assert_gemm_close;
-use dense::Mat;
+use dense::{Mat, Shape64};
 use gridopt::Problem;
 use jsonlite::Json;
 use layout::Layout;
@@ -389,6 +389,72 @@ fn fig3_points_at_p192_cost_their_messages_in_every_build() {
     }
     let secs = start.elapsed().as_secs_f64();
     assert!(secs < 20.0, "twelve shape-only points took {secs:.1} s");
+}
+
+/// The custom half of Fig. 3 at its smallest process count: CA3DMM on the
+/// 1D-column user layouts of §IV (A, B and C each split into column
+/// blocks over all 192 ranks), shape-only, through
+/// `Plan::multiply_async`: Algorithm 1 redistributes A and B into the
+/// native layouts (step 4) and C back out (step 8). Each makespan's bits
+/// and message count are pinned.
+///
+/// The four points must take under 10 s in a debug build; they take about
+/// one. A shape-only redistribution costs its messages, not its rows ×
+/// segments: `gather` in `layout::redist` returns a zero-sized element's
+/// block by its shape. Without that branch the four points took 25 s in a
+/// debug build, and large-M alone 2.5 s in release.
+#[test]
+fn fig3_custom_points_at_p192_cost_their_messages_in_every_build() {
+    /// Per class: (makespan bits, messages) of CA3DMM.
+    const PINS: [(u64, u64); 4] = [
+        (0x40350e564f9ce660, 12_996),
+        (0x401e58653bc93ff9, 110_016),
+        (0x4020304000da53cf, 110_016),
+        (0x401f636f698bfc69, 8_151),
+    ];
+    const P: usize = 192;
+    let machine = Machine::phoenix_cpu();
+    let opts = || SimOptions {
+        placement: Some(machine.pure_mpi()),
+        execute_compute: false,
+    };
+    let start = std::time::Instant::now();
+    let point = |(m, n, k)| {
+        let col = |rows, cols| Layout::one_d_col(rows, cols, P);
+        let (a_layout, b_layout) = (col(m, k), col(k, n));
+        let plan = Plan::build(
+            Problem::new(m, n, k, P),
+            &Ca3dmmOptions::default(),
+            Dtype::F64,
+            GemmOp::NoTrans,
+            &a_layout,
+            GemmOp::NoTrans,
+            &b_layout,
+            &col(m, n),
+        );
+        let (_, report) = World::simulate(P, &machine, opts(), async |ctx| {
+            let world = Comm::world(ctx);
+            let blocks = |layout: &Layout| -> Vec<Mat<Shape64>> {
+                let owned = layout.owned(world.rank()).iter();
+                owned.map(|r| Mat::zeros(r.rows, r.cols)).collect()
+            };
+            plan.multiply_async(ctx, &world, &blocks(&a_layout), &blocks(&b_layout))
+                .await;
+        });
+        let makespan = report.sim.as_ref().expect("sim info").makespan_secs;
+        let msgs: u64 = (0..P).map(|r| report.rank_total(r).msgs).sum();
+        (makespan.to_bits(), msgs)
+    };
+    let got = bench::CPU_CLASSES.map(|(_, m, n, k)| point((m, n, k)));
+    let secs = start.elapsed().as_secs_f64();
+    let shown: Vec<String> = (got.iter())
+        .map(|&(bits, msgs)| format!("({bits:#x}, {msgs}) {} s", f64::from_bits(bits)))
+        .collect();
+    assert_eq!(got, PINS, "(makespan bits, msgs) moved: {shown:?}");
+    assert!(
+        secs < 10.0,
+        "four shape-only custom points took {secs:.1} s"
+    );
 }
 
 /// An imbalanced 4-rank run — rank 0 charges a long local compute before

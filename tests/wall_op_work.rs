@@ -66,8 +66,8 @@ const P: usize = 8;
 /// is the 31-slot block of `PersistentWorld::run_job`'s result channel
 /// (`std::sync::mpsc`), so it follows the size of a rank's output,
 /// `dense::KernelProfile` included.
-const FLAT_PER_OP: (u64, u64) = (705, 10_920);
-const NATIVE_PER_OP: (u64, u64) = (381, 11_416);
+const FLAT_PER_OP: (u64, u64) = (527, 10_920);
+const NATIVE_PER_OP: (u64, u64) = (242, 11_416);
 /// Slack on the allocation count: rank threads interleave, so a mailbox
 /// may grow on one op and not the next. Zero-filled bytes are exact.
 const SLACK: f64 = 0.02;
