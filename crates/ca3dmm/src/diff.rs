@@ -294,7 +294,7 @@ mod tests {
         assert!(!diff.phases.is_empty());
         // every runtime phase landed under a model label with nonzero time
         for phase in report.timeline.phases() {
-            let label = model_phase_label(&phase).to_owned();
+            let label = model_phase_label(phase).to_owned();
             let entry = diff.phases.iter().find(|d| d.phase == label);
             assert!(entry.is_some(), "runtime phase {phase} missing from diff");
             assert!(entry.unwrap().measured_s > 0.0);

@@ -232,7 +232,7 @@ impl Comm {
         let dst_world = self.ranks[dst];
         let bytes = payload.nbytes() as u64;
         ctx.record_send(dst_world, bytes);
-        ctx.tracer()
+        ctx.recorder
             .begin(SpanKind::Send { peer: dst_world }, bytes);
         let (arrival, seq) = stamp(ctx, dst_world, bytes);
         let env = Envelope {
@@ -245,7 +245,7 @@ impl Comm {
             payload: Box::new(payload),
         };
         ctx.deliver(dst_world, env);
-        ctx.tracer().end(0);
+        ctx.recorder.end(0);
     }
 
     /// Blocking façade over [`Comm::recv_async`], kept for the frozen benchmark
@@ -501,7 +501,7 @@ impl<P: Payload> RecvReq<P> {
     /// for another receive, is this receive's wait: wall time this rank
     /// could not compute.
     async fn complete(self, ctx: &RankCtx, kind: SpanKind) -> P {
-        ctx.tracer().begin(kind, 0);
+        ctx.recorder.begin(kind, 0);
         let mut waited = 0.0;
         let env = loop {
             if let Some(env) = self.take_if_filled(ctx) {
@@ -515,7 +515,7 @@ impl<P: Payload> RecvReq<P> {
         // parked seconds accumulated above.
         let wait = ctx.virtual_recv_wait(env.arrival).unwrap_or(waited);
         ctx.record_recv(env.bytes, wait);
-        ctx.tracer().end(env.bytes);
+        ctx.recorder.end(env.bytes);
         Comm::downcast(env)
     }
 

@@ -44,9 +44,10 @@
 //!   dashboard and the one report-vs-report comparison, the exact/ratio
 //!   [`report::gate`] the root tests hold the committed references to.
 //! * [`trace`]: structured event tracing. A traced run
-//!   ([`World::run_traced`]) records begin/end spans for every phase
-//!   region, point-to-point send/recv, and collective (with its algorithm
-//!   name and payload size) and assembles them into a [`Timeline`]:
+//!   ([`World::run_traced`]) records a span for every phase region,
+//!   point-to-point send/recv, and collective (with its algorithm name and
+//!   payload size); each rank closes its spans in place, nested and in
+//!   begin order, and the report moves them into a [`Timeline`]:
 //!   exportable, with a profiled run's kernel spans on the same clock, as
 //!   Chrome-trace JSON ([`RunReport::to_chrome_json`], view in Perfetto),
 //!   and the source of a traced run's critical-path

@@ -2,8 +2,9 @@
 //! and the rank×rank communication matrix.
 //!
 //! Both are deterministic functions of the algorithm and problem (unlike
-//! wall times), which is what lets the `report-gate` CI mode compare them
-//! *exactly* against a committed reference report.
+//! wall times), which is what lets the report gate ([`crate::report::gate`],
+//! held by the root tests against the committed references) compare them
+//! *exactly*.
 
 use std::fmt::Write as _;
 

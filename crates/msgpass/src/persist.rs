@@ -262,6 +262,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.timeline.ranks(), 2);
         assert!(report.timeline.spans(0)[0].secs() >= 0.0);
-        assert_eq!(report.timeline.phases(), vec!["work".to_owned()]);
+        assert_eq!(report.timeline.phases(), ["work"]);
     }
 }

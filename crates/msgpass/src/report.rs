@@ -42,6 +42,7 @@
 
 use crate::metrics::{fmt_bytes, CellCounts, CommMatrix, SizeHistogram};
 use crate::sim::SimInfo;
+use crate::traffic::PhaseCounts;
 use crate::world::RunReport;
 use dense::prof::KernelProfile;
 use jsonlite::{Json, Value};
@@ -89,23 +90,28 @@ impl RunReport {
     /// needs, without copying the matrix or the histograms.
     pub fn phase_rows(&self) -> Vec<PhaseRow> {
         let t = &self.traffic;
-        t.phases()
-            .into_iter()
-            .map(|phase| {
-                let total = t.phase_total(&phase);
-                PhaseRow {
-                    sent_bytes: total.bytes,
-                    sent_msgs: total.msgs,
-                    recv_bytes: total.recv_bytes,
-                    recv_msgs: total.recv_msgs,
-                    max_rank_sent_bytes: t.phase_bytes_max(&phase),
-                    max_rank_sent_msgs: t.phase_msgs_max(&phase),
-                    secs_max: t.phase_secs_max(&phase),
-                    wait_max: t.wait_secs_max(&phase),
-                    phase,
-                }
-            })
-            .collect()
+        let row = |phase: &'static str| {
+            let (mut total, mut max) = (PhaseCounts::default(), PhaseCounts::default());
+            let (mut secs_max, mut wait_max) = (0.0f64, 0.0f64);
+            for r in 0..t.per_rank.len() {
+                let (c, (secs, wait)) = (t.phase(r, phase), t.phase_time(r, phase));
+                total.add(c);
+                (max.bytes, max.msgs) = (max.bytes.max(c.bytes), max.msgs.max(c.msgs));
+                (secs_max, wait_max) = (secs_max.max(secs), wait_max.max(wait));
+            }
+            PhaseRow {
+                phase: phase.to_owned(),
+                sent_bytes: total.bytes,
+                sent_msgs: total.msgs,
+                recv_bytes: total.recv_bytes,
+                recv_msgs: total.recv_msgs,
+                max_rank_sent_bytes: max.bytes,
+                max_rank_sent_msgs: max.msgs,
+                secs_max,
+                wait_max,
+            }
+        };
+        t.phases().into_iter().map(row).collect()
     }
 
     /// The critical-path rule of the module docs; `None` for untraced wall
@@ -121,7 +127,7 @@ impl RunReport {
             let (mut crit_rank, mut crit_secs) = (0, f64::MIN);
             let (mut entered, mut sum) = (0usize, 0.0);
             for r in 0..p {
-                let secs = t.phase_secs(r, &phase);
+                let secs = t.phase_secs(r, phase);
                 if secs > crit_secs {
                     (crit_rank, crit_secs) = (r, secs);
                 }
@@ -132,13 +138,13 @@ impl RunReport {
             }
             let comm_secs = if traced {
                 self.timeline
-                    .phase_comm_secs(crit_rank, &phase)
+                    .phase_comm_secs(crit_rank, phase)
                     .min(crit_secs)
             } else {
-                t.wait_secs(crit_rank, &phase)
+                t.wait_secs(crit_rank, phase)
             };
             CritRow {
-                phase,
+                phase: phase.to_owned(),
                 crit_secs,
                 crit_rank,
                 comm_secs,

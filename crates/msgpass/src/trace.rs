@@ -1,25 +1,28 @@
-//! Structured event tracing: per-rank span streams, the assembled
+//! Structured event tracing: per-rank span recorders, the assembled
 //! [`Timeline`], and the Chrome-trace exporter.
 //!
-//! Every rank records begin/end events for its phases (labelled with
-//! [`crate::RankCtx::set_phase`]), every collective (with its algorithm
-//! name and payload size), and every point-to-point send/recv — into a
-//! plain per-thread `Vec`, so recording is append-only and lock-free during
-//! the run. When tracing is disabled (the default for [`crate::World::run`])
-//! every hook reduces to a single branch on a `bool`, which is what makes
-//! the runtime's zero-overhead-when-off guarantee hold.
+//! Every traced rank records a [`Span`] for each of its phases (labelled
+//! with [`crate::RankCtx::set_phase`]), every collective (with its
+//! algorithm name and payload size), and every point-to-point send/recv.
+//! A span is pushed when it opens, its index waits on a stack of open
+//! spans, and its end closes it in place — so a rank's spans come out
+//! nested and in begin order from one plain per-rank `Vec`, append-only and
+//! lock-free during the run. When tracing is disabled (the default for
+//! [`crate::World::run`]) every hook reduces to a single branch on a
+//! `bool`, which is what makes the runtime's zero-overhead-when-off
+//! guarantee hold.
 //!
 //! Timestamps are seconds since [`dense::prof::epoch`], the kernel
 //! profiler's clock, so a profiled run's kernel spans land on the same
 //! axis without rebasing.
 //!
-//! After the ranks join, [`crate::World::run_traced`] assembles the streams
-//! into a [`Timeline`]: properly nested [`Span`]s per rank, exportable with
-//! the kernel spans as Chrome-trace JSON ([`RunReport::to_chrome_json`],
-//! open in Perfetto / `chrome://tracing`). Its
-//! [`Timeline::phase_comm_secs`] is the communication share of the
-//! critical path [`crate::RunReport::summary`] computes — the measured
-//! counterpart of the paper's Fig. 5 per-phase breakdown.
+//! After the ranks join, [`crate::World::run_traced`] moves each rank's
+//! spans into the run's [`Timeline`], exportable with the kernel spans as
+//! Chrome-trace JSON ([`RunReport::to_chrome_json`], open in Perfetto /
+//! `chrome://tracing`). Its [`Timeline::phase_comm_secs`] is the
+//! communication share of the critical path [`crate::RunReport::summary`]
+//! computes — the measured counterpart of the paper's Fig. 5 per-phase
+//! breakdown.
 
 use crate::RunReport;
 use dense::prof::KernelProfile;
@@ -31,7 +34,7 @@ use std::time::Instant;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpanKind {
     /// A `set_phase` region (depth 0): "redist", "replicate_ab", ….
-    Phase(String),
+    Phase(&'static str),
     /// One point-to-point send; `peer` is the destination world rank.
     Send {
         /// Destination world rank.
@@ -61,11 +64,10 @@ impl SpanKind {
     /// Display name for trace viewers.
     pub fn label(&self) -> String {
         match self {
-            SpanKind::Phase(name) => name.clone(),
+            SpanKind::Phase(name) | SpanKind::Collective(name) => (*name).to_owned(),
             SpanKind::Send { peer } => format!("send→{peer}"),
             SpanKind::Recv { peer } => format!("recv←{peer}"),
             SpanKind::Wait { peer } => format!("wait←{peer}"),
-            SpanKind::Collective(algo) => (*algo).to_owned(),
         }
     }
 
@@ -82,13 +84,6 @@ impl SpanKind {
     pub fn is_comm(&self) -> bool {
         !matches!(self, SpanKind::Phase(_))
     }
-}
-
-/// One raw begin/end event as recorded by a rank.
-#[derive(Clone, Debug)]
-pub(crate) enum RawEvent {
-    Begin { t: f64, kind: SpanKind, bytes: u64 },
-    End { t: f64, bytes: u64 },
 }
 
 /// A completed span on one rank's timeline.
@@ -114,11 +109,19 @@ impl Span {
     }
 }
 
-/// The per-rank recorder embedded in `RankCtx`. Only the owning thread
+/// The per-rank recorder embedded in `RankCtx`. Only the owning rank
 /// touches it; the `RefCell` is never contended.
 pub(crate) struct Recorder {
     enabled: bool,
-    events: RefCell<Vec<RawEvent>>,
+    spans: RefCell<Spans>,
+}
+
+/// A rank's spans in begin order, and the indices of the open ones,
+/// innermost last: a span's depth is the stack's height when it opens.
+#[derive(Default)]
+struct Spans {
+    done: Vec<Span>,
+    open: Vec<usize>,
 }
 
 impl Recorder {
@@ -128,7 +131,7 @@ impl Recorder {
         }
         Recorder {
             enabled,
-            events: RefCell::new(Vec::new()),
+            spans: RefCell::default(),
         }
     }
 
@@ -162,89 +165,57 @@ impl Recorder {
     /// wall-time accounting).
     pub(crate) fn begin_at(&self, at: Instant, kind: SpanKind, bytes: u64) {
         if self.enabled {
-            let t = self.stamp(at);
-            self.events
-                .borrow_mut()
-                .push(RawEvent::Begin { t, kind, bytes });
+            let t0 = self.stamp(at);
+            let mut spans = self.spans.borrow_mut();
+            let Spans { done, open } = &mut *spans;
+            open.push(done.len());
+            done.push(Span {
+                kind,
+                t0,
+                t1: f64::NAN,
+                bytes,
+                depth: open.len() - 1,
+            });
         }
     }
 
-    /// Closes the innermost open span at an externally taken timestamp.
+    /// Closes the innermost open span at an externally taken timestamp,
+    /// adding `bytes` to its payload.
     pub(crate) fn end_at(&self, at: Instant, bytes: u64) {
         if self.enabled {
-            let t = self.stamp(at);
-            self.events.borrow_mut().push(RawEvent::End { t, bytes });
+            let t1 = self.stamp(at);
+            let mut spans = self.spans.borrow_mut();
+            let idx = spans
+                .open
+                .pop()
+                .expect("trace end without a matching begin");
+            let span = &mut spans.done[idx];
+            span.t1 = t1;
+            span.bytes += bytes;
         }
     }
 
-    /// Takes the recorded stream (called once, after the rank's closure
-    /// returns).
-    pub(crate) fn take(&self) -> Vec<RawEvent> {
-        self.events.take()
+    /// Takes the recorded spans (called once, after the rank's closure
+    /// returns). Spans still open — possible only if the rank dropped an
+    /// operation mid-flight — are closed at the latest recorded time.
+    pub(crate) fn take(&self) -> Vec<Span> {
+        let Spans { mut done, open } = self.spans.take();
+        let last = done.iter().map(|s| s.t0.max(s.t1)).fold(0.0, f64::max);
+        for idx in open {
+            done[idx].t1 = last;
+        }
+        done
     }
 }
 
-/// The merged per-rank event timeline of one traced run.
+/// The merged per-rank span timeline of one traced run.
 #[derive(Clone, Debug, Default)]
 pub struct Timeline {
     /// `per_rank[r]` holds rank `r`'s completed spans in begin order.
-    per_rank: Vec<Vec<Span>>,
+    pub(crate) per_rank: Vec<Vec<Span>>,
 }
 
 impl Timeline {
-    /// Assembles per-rank raw streams into nested spans. Unclosed spans
-    /// (possible only if a rank panicked) are closed at the stream's last
-    /// timestamp.
-    pub(crate) fn from_raw(streams: Vec<Vec<RawEvent>>) -> Timeline {
-        let per_rank = streams
-            .into_iter()
-            .map(|events| {
-                let last_t = events
-                    .iter()
-                    .map(|e| match e {
-                        RawEvent::Begin { t, .. } | RawEvent::End { t, .. } => *t,
-                    })
-                    .fold(0.0, f64::max);
-                let mut spans: Vec<Span> = Vec::new();
-                let mut stack: Vec<usize> = Vec::new();
-                for ev in events {
-                    match ev {
-                        RawEvent::Begin { t, kind, bytes } => {
-                            let depth = stack.len();
-                            stack.push(spans.len());
-                            spans.push(Span {
-                                kind,
-                                t0: t,
-                                t1: f64::NAN,
-                                bytes,
-                                depth,
-                            });
-                        }
-                        RawEvent::End { t, bytes } => {
-                            let idx = stack
-                                .pop()
-                                .expect("trace end event without a matching begin");
-                            spans[idx].t1 = t;
-                            spans[idx].bytes += bytes;
-                        }
-                    }
-                }
-                for idx in stack {
-                    spans[idx].t1 = last_t;
-                }
-                spans
-            })
-            .collect();
-        Timeline { per_rank }
-    }
-
-    /// An empty timeline for `p` ranks (what an untraced run reports).
-    pub(crate) fn empty(p: usize) -> Timeline {
-        Timeline {
-            per_rank: vec![Vec::new(); p],
-        }
-    }
-
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.per_rank.len()
@@ -267,14 +238,12 @@ impl Timeline {
     }
 
     /// Phase labels in order of first appearance (rank order breaks ties).
-    pub fn phases(&self) -> Vec<String> {
-        let mut seen: Vec<String> = Vec::new();
-        for spans in &self.per_rank {
-            for s in spans {
-                if let SpanKind::Phase(name) = &s.kind {
-                    if !seen.contains(name) {
-                        seen.push(name.clone());
-                    }
+    pub fn phases(&self) -> Vec<&'static str> {
+        let mut seen = Vec::new();
+        for s in self.per_rank.iter().flatten() {
+            if let SpanKind::Phase(name) = s.kind {
+                if !seen.contains(&name) {
+                    seen.push(name);
                 }
             }
         }
@@ -291,7 +260,7 @@ impl Timeline {
         let mut in_phase = false;
         for s in spans {
             match &s.kind {
-                SpanKind::Phase(name) if s.depth == 0 => in_phase = name == phase,
+                SpanKind::Phase(name) if s.depth == 0 => in_phase = *name == phase,
                 k if in_phase && s.depth == 1 && k.is_comm() => total += s.secs(),
                 _ => {}
             }
@@ -407,6 +376,7 @@ fn micros(secs: f64) -> f64 {
 mod tests {
     use super::*;
     use dense::prof::SpanPhase;
+    use std::time::Duration;
 
     /// The Chrome export of a report holding only `tl`.
     fn chrome_json(tl: Timeline) -> String {
@@ -417,29 +387,40 @@ mod tests {
         .to_chrome_json()
     }
 
-    fn raw_begin(t: f64, kind: SpanKind) -> RawEvent {
-        RawEvent::Begin { t, kind, bytes: 0 }
+    /// The instant `t` seconds after the trace clock's epoch.
+    fn at(t: f64) -> Instant {
+        dense::prof::epoch() + Duration::from_secs_f64(t)
     }
 
-    fn raw_end(t: f64, bytes: u64) -> RawEvent {
-        RawEvent::End { t, bytes }
+    /// A timeline of one rank per recorder.
+    fn timeline(ranks: impl IntoIterator<Item = Recorder>) -> Timeline {
+        Timeline {
+            per_rank: ranks.into_iter().map(|r| r.take()).collect(),
+        }
+    }
+
+    /// One phase span over `[t0, t1]`, recorded.
+    fn phase(name: &'static str, t0: f64, t1: f64) -> Recorder {
+        let r = Recorder::new(true);
+        r.begin_at(at(t0), SpanKind::Phase(name), 0);
+        r.end_at(at(t1), 0);
+        r
     }
 
     #[test]
     fn spans_nest_and_order() {
         // phase [0,10] containing a collective [1,5] containing a send
         // [2,3], then a second phase [10,12].
-        let stream = vec![
-            raw_begin(0.0, SpanKind::Phase("a".into())),
-            raw_begin(1.0, SpanKind::Collective("ring_allgatherv")),
-            raw_begin(2.0, SpanKind::Send { peer: 1 }),
-            raw_end(3.0, 64),
-            raw_end(5.0, 0),
-            raw_end(10.0, 0),
-            raw_begin(10.0, SpanKind::Phase("b".into())),
-            raw_end(12.0, 0),
-        ];
-        let tl = Timeline::from_raw(vec![stream]);
+        let r = Recorder::new(true);
+        r.begin_at(at(0.0), SpanKind::Phase("a"), 0);
+        r.begin_at(at(1.0), SpanKind::Collective("ring_allgatherv"), 0);
+        r.begin_at(at(2.0), SpanKind::Send { peer: 1 }, 0);
+        r.end_at(at(3.0), 64);
+        r.end_at(at(5.0), 0);
+        r.end_at(at(10.0), 0);
+        r.begin_at(at(10.0), SpanKind::Phase("b"), 0);
+        r.end_at(at(12.0), 0);
+        let tl = timeline([r]);
         let spans = tl.spans(0);
         assert_eq!(spans.len(), 4);
         assert_eq!(spans[0].depth, 0);
@@ -449,7 +430,7 @@ mod tests {
         assert_eq!(spans[2].bytes, 64);
         // begin order is preserved
         assert!(spans.windows(2).all(|w| w[0].t0 <= w[1].t0));
-        assert_eq!(tl.phases(), vec!["a".to_owned(), "b".to_owned()]);
+        assert_eq!(tl.phases(), ["a", "b"]);
         assert_eq!(spans[0].secs(), 10.0);
         assert_eq!(spans[3].secs(), 2.0);
         // comm under "a" counts the collective (4 s), not its inner send
@@ -459,35 +440,27 @@ mod tests {
 
     #[test]
     fn unclosed_spans_are_closed_at_stream_end() {
-        let stream = vec![
-            raw_begin(0.0, SpanKind::Phase("p".into())),
-            raw_begin(1.0, SpanKind::Recv { peer: 0 }),
-            raw_end(4.0, 8),
-        ];
-        let tl = Timeline::from_raw(vec![stream]);
-        assert_eq!(tl.spans(0)[0].t1, 4.0); // closed at last event time
+        let r = Recorder::new(true);
+        r.begin_at(at(0.0), SpanKind::Phase("p"), 0);
+        r.begin_at(at(1.0), SpanKind::Recv { peer: 0 }, 0);
+        r.end_at(at(4.0), 8);
+        let tl = timeline([r]);
+        assert_eq!(tl.spans(0)[0].t1, 4.0); // closed at the last recorded time
     }
 
     #[test]
     fn critical_path_finds_slowest_rank() {
-        let mk = |secs: f64| {
-            vec![
-                raw_begin(0.0, SpanKind::Phase("x".into())),
-                raw_end(secs, 0),
-            ]
-        };
         // The summary reads the crit rank off the traffic report's phase
         // clock, which a real run stamps from the same `set_phase` instants.
         let secs = [1.0, 5.0, 2.0];
         let report = crate::RunReport {
             traffic: crate::TrafficReport {
                 per_rank: vec![Default::default(); 3],
-                secs_per_rank: secs.iter().map(|&s| [("x", s)].into()).collect(),
-                wait_per_rank: vec![Default::default(); 3],
+                time_per_rank: secs.iter().map(|&s| [("x", (s, 0.0))].into()).collect(),
                 matrix: crate::CommMatrix::new(3),
                 ..Default::default()
             },
-            timeline: Timeline::from_raw(secs.map(mk).into()),
+            timeline: timeline(secs.map(|s| phase("x", 0.0, s))),
             ..Default::default()
         };
         let cp = report.summary(jsonlite::Json::Null).critical_path.unwrap();
@@ -500,10 +473,6 @@ mod tests {
 
     #[test]
     fn chrome_export_merges_kernel_tracks() {
-        let stream = vec![
-            raw_begin(0.0, SpanKind::Phase("mult".into())),
-            raw_end(4.0, 0),
-        ];
         // Rank 0: two kernel threads, with a wake span overlapping thread
         // 3's previous span (starts at enqueue time) and one fully-swallowed
         // span, sorted by (thread, t0) as `end_capture` returns them.
@@ -524,7 +493,7 @@ mod tests {
             ..KernelProfile::default()
         };
         let report = RunReport {
-            timeline: Timeline::from_raw(vec![stream.clone(), stream]),
+            timeline: timeline([phase("mult", 0.0, 4.0), phase("mult", 0.0, 4.0)]),
             compute: vec![Some(profile), None],
             ..RunReport::default()
         };
@@ -583,15 +552,17 @@ mod tests {
 
     #[test]
     fn chrome_export_balances_b_and_e() {
-        let stream = vec![
-            raw_begin(0.0, SpanKind::Phase("a".into())),
-            raw_begin(1.0, SpanKind::Collective("barrier")),
-            raw_end(2.0, 0),
-            raw_end(3.0, 0),
-            raw_begin(3.0, SpanKind::Phase("b".into())),
-            raw_end(4.0, 0),
-        ];
-        let text = chrome_json(Timeline::from_raw(vec![stream.clone(), stream]));
+        let rank = || {
+            let r = Recorder::new(true);
+            r.begin_at(at(0.0), SpanKind::Phase("a"), 0);
+            r.begin_at(at(1.0), SpanKind::Collective("barrier"), 0);
+            r.end_at(at(2.0), 0);
+            r.end_at(at(3.0), 0);
+            r.begin_at(at(3.0), SpanKind::Phase("b"), 0);
+            r.end_at(at(4.0), 0);
+            r
+        };
+        let text = chrome_json(timeline([rank(), rank()]));
         let doc = jsonlite::Json::parse(&text).expect("exported trace parses");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let b = events
@@ -632,11 +603,7 @@ mod tests {
         // not break the exported JSON (span names are routed through the
         // jsonlite string writer, never raw format! interpolation).
         let hostile = "evil \"phase\"\\ with \n newline and \u{7} bell";
-        let stream = vec![
-            raw_begin(0.0, SpanKind::Phase(hostile.into())),
-            raw_end(1.0, 0),
-        ];
-        let text = chrome_json(Timeline::from_raw(vec![stream]));
+        let text = chrome_json(timeline([phase(hostile, 0.0, 1.0)]));
         let doc = jsonlite::Json::parse(&text).expect("hostile name must stay valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let name = events
@@ -651,7 +618,7 @@ mod tests {
 
     #[test]
     fn empty_timeline() {
-        let tl = Timeline::empty(4);
+        let tl = timeline((0..4).map(|_| Recorder::new(false)));
         assert_eq!(tl.ranks(), 4);
         assert!(tl.is_empty());
         assert!(tl.phases().is_empty());
@@ -661,17 +628,16 @@ mod tests {
 
     #[test]
     fn sent_bytes_by_phase() {
-        let stream = vec![
-            raw_begin(0.0, SpanKind::Phase("p".into())),
-            raw_begin(1.0, SpanKind::Send { peer: 2 }),
-            raw_end(1.1, 100),
-            raw_begin(2.0, SpanKind::Collective("ring_allgatherv")),
-            raw_begin(2.1, SpanKind::Send { peer: 1 }),
-            raw_end(2.2, 50),
-            raw_end(3.0, 0),
-            raw_end(4.0, 0),
-        ];
-        let tl = Timeline::from_raw(vec![stream]);
+        let r = Recorder::new(true);
+        r.begin_at(at(0.0), SpanKind::Phase("p"), 0);
+        r.begin_at(at(1.0), SpanKind::Send { peer: 2 }, 0);
+        r.end_at(at(1.1), 100);
+        r.begin_at(at(2.0), SpanKind::Collective("ring_allgatherv"), 0);
+        r.begin_at(at(2.1), SpanKind::Send { peer: 1 }, 0);
+        r.end_at(at(2.2), 50);
+        r.end_at(at(3.0), 0);
+        r.end_at(at(4.0), 0);
+        let tl = timeline([r]);
         // counts both the bare send and the one inside the collective
         let sent: u64 = tl
             .spans(0)

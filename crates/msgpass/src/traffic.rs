@@ -15,15 +15,17 @@
 //! A rank counts into one slot per phase label, which
 //! [`crate::RankCtx::set_phase`] resolves once per phase switch; a message
 //! then costs an index into the slot vector, not a lookup by label. When
-//! the rank exits, its slots become the label-keyed maps of
-//! [`TrafficReport`], with every float summed in the same order.
+//! the rank exits, its slots become two label-keyed maps of
+//! [`TrafficReport`]: one of counts, one of `(seconds, wait)` times.
 //!
 //! Byte and message counts (totals, matrix cells, histogram buckets) are
 //! deterministic functions of the algorithm and problem; wall/wait seconds
-//! are not. The `report-gate` CI mode relies on exactly this split.
+//! are not. The two maps keep them apart, and the report gate
+//! ([`crate::report::gate`], held by the root tests against the committed
+//! references) relies on exactly this split.
 
 use crate::metrics::{size_bucket, CellCounts, CommMatrix, Row, SizeHistogram};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Bytes and message counts for one phase on one rank, both directions.
 ///
@@ -125,15 +127,19 @@ impl Default for RankStats {
     }
 }
 
+/// One rank's `(seconds in the phase, seconds blocked in recv)` by phase
+/// label: [`TrafficReport`]'s host-or-virtual times, kept apart from its
+/// deterministic counts.
+pub(crate) type PhaseTimes = BTreeMap<&'static str, (f64, f64)>;
+
 /// A rank's counters as the report holds them, keyed by label: phases
-/// appear in `by_phase` once they sent or received, in `wait_by_phase`
-/// once a receive waited, in `secs_by_phase` once their clock stopped.
+/// appear in `by_phase` once they sent or received, and in `time_by_phase`
+/// once their clock stopped or a receive waited.
 pub(crate) struct RankTraffic {
     pub(crate) by_phase: BTreeMap<&'static str, PhaseCounts>,
+    pub(crate) time_by_phase: PhaseTimes,
     pub(crate) sent_to: Row,
     pub(crate) hist: Vec<HistCell>,
-    pub(crate) wait_by_phase: BTreeMap<&'static str, f64>,
-    pub(crate) secs_by_phase: BTreeMap<&'static str, f64>,
 }
 
 impl RankStats {
@@ -208,20 +214,17 @@ impl RankStats {
     pub(crate) fn finish(&mut self) -> RankTraffic {
         let mut t = RankTraffic {
             by_phase: BTreeMap::new(),
+            time_by_phase: BTreeMap::new(),
             sent_to: std::mem::take(&mut self.sent_to),
             hist: std::mem::take(&mut self.hist),
-            wait_by_phase: BTreeMap::new(),
-            secs_by_phase: BTreeMap::new(),
         };
         for s in self.slots.drain(..) {
             if s.counts.msgs + s.counts.recv_msgs > 0 {
                 t.by_phase.insert(s.label, s.counts);
             }
-            if s.wait > 0.0 {
-                t.wait_by_phase.insert(s.label, s.wait);
-            }
-            if let Some(secs) = s.secs {
-                t.secs_by_phase.insert(s.label, secs);
+            if s.secs.is_some() || s.wait > 0.0 {
+                t.time_by_phase
+                    .insert(s.label, (s.secs.unwrap_or(0.0), s.wait));
             }
         }
         t
@@ -246,14 +249,12 @@ pub(crate) fn merge_hist(into: &mut BTreeMap<String, SizeHistogram>, cells: &[Hi
 pub struct TrafficReport {
     /// `per_rank[r]` maps phase name → counts for world rank `r`.
     pub per_rank: Vec<BTreeMap<&'static str, PhaseCounts>>,
-    /// `secs_per_rank[r]` maps phase name → wall seconds spent in the phase
-    /// on rank `r` (communication *and* computation while the phase label
-    /// was active).
-    pub secs_per_rank: Vec<BTreeMap<&'static str, f64>>,
-    /// `wait_per_rank[r]` maps phase name → seconds rank `r` spent blocked
-    /// inside `recv` while that phase was active. Always ≤ the phase's
-    /// wall seconds; the remainder is compute plus non-blocking overhead.
-    pub wait_per_rank: Vec<BTreeMap<&'static str, f64>>,
+    /// `time_per_rank[r]` maps phase name → rank `r`'s seconds in the phase
+    /// (communication *and* computation while the label was active) and
+    /// the seconds of those it spent blocked inside `recv` — wall seconds,
+    /// or virtual ones for a simulated run. Read through
+    /// [`TrafficReport::phase_secs`] and [`TrafficReport::wait_secs`].
+    pub(crate) time_per_rank: Vec<PhaseTimes>,
     /// The rank×rank communication matrix, as the senders counted it.
     pub matrix: CommMatrix,
     /// Message-size histograms by collective algorithm actually executed
@@ -309,67 +310,41 @@ impl TrafficReport {
         t
     }
 
-    /// Maximum over ranks of the bytes *sent* in one phase — the
-    /// maximally-loaded-rank volume the §III-D cost model predicts.
-    pub fn phase_bytes_max(&self, phase: &str) -> u64 {
-        (0..self.per_rank.len())
-            .map(|r| self.phase(r, phase).bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Maximum over ranks of the messages *sent* in one phase — the
-    /// maximally-loaded-rank count behind the paper's latency measure `L`.
-    pub fn phase_msgs_max(&self, phase: &str) -> u64 {
-        (0..self.per_rank.len())
-            .map(|r| self.phase(r, phase).msgs)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Wall seconds one rank spent in one phase (0 if never entered).
-    pub fn phase_secs(&self, rank: usize, phase: &str) -> f64 {
-        self.secs_per_rank
+    /// One rank's `(seconds, wait)` in one phase (zeros if never entered).
+    pub(crate) fn phase_time(&self, rank: usize, phase: &str) -> (f64, f64) {
+        self.time_per_rank
             .get(rank)
             .and_then(|m| m.get(phase))
             .copied()
-            .unwrap_or(0.0)
+            .unwrap_or_default()
     }
 
-    /// Maximum over ranks of the wall seconds spent in one phase — the
+    /// Seconds one rank spent in one phase (0 if never entered).
+    pub fn phase_secs(&self, rank: usize, phase: &str) -> f64 {
+        self.phase_time(rank, phase).0
+    }
+
+    /// Maximum over ranks of the seconds spent in one phase — the
     /// critical-path estimate the artifact's per-phase report prints.
     pub fn phase_secs_max(&self, phase: &str) -> f64 {
-        (0..self.secs_per_rank.len())
+        (0..self.time_per_rank.len())
             .map(|r| self.phase_secs(r, phase))
             .fold(0.0, f64::max)
     }
 
-    /// Seconds one rank spent blocked in `recv` during one phase.
+    /// Seconds one rank spent blocked in `recv` during one phase. Always ≤
+    /// its [`TrafficReport::phase_secs`]; the remainder is compute plus
+    /// non-blocking overhead.
     pub fn wait_secs(&self, rank: usize, phase: &str) -> f64 {
-        self.wait_per_rank
-            .get(rank)
-            .and_then(|m| m.get(phase))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// Maximum over ranks of [`TrafficReport::wait_secs`].
-    pub fn wait_secs_max(&self, phase: &str) -> f64 {
-        (0..self.wait_per_rank.len())
-            .map(|r| self.wait_secs(r, phase))
-            .fold(0.0, f64::max)
+        self.phase_time(rank, phase).1
     }
 
     /// All phase labels seen on any rank, sorted.
-    pub fn phases(&self) -> Vec<String> {
-        let mut set: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        for m in &self.per_rank {
-            set.extend(m.keys());
-        }
-        for m in &self.secs_per_rank {
-            set.extend(m.keys());
-        }
-        set.into_iter().map(str::to_owned).collect()
+    pub fn phases(&self) -> Vec<&'static str> {
+        let counted = self.per_rank.iter().flat_map(BTreeMap::keys);
+        let timed = self.time_per_rank.iter().flat_map(BTreeMap::keys);
+        let set: BTreeSet<&'static str> = counted.chain(timed).copied().collect();
+        set.into_iter().collect()
     }
 
     /// Cross-checks the views that can disagree and returns the first
@@ -471,19 +446,27 @@ mod tests {
         // One cell per touched (algorithm, bucket): 100, 50, 1 and 4 bytes
         // fall into four buckets.
         assert_eq!(t.hist.len(), 4);
-        // Only a receive that waited enters the wait map; every labelled
-        // phase whose clock stopped enters the seconds map, even at zero.
-        assert_eq!(t.wait_by_phase.len(), 1);
-        assert_eq!(t.wait_by_phase["a"], 0.25);
-        assert_eq!(t.secs_by_phase.len(), 2);
-        assert_eq!((t.secs_by_phase["a"], t.secs_by_phase["c"]), (0.5, 0.0));
+        // Every labelled phase whose clock stopped enters the time map,
+        // even at zero, and so does a phase whose receive waited; the
+        // unlabelled phase is not timed.
+        assert_eq!(t.time_by_phase.len(), 2);
+        assert_eq!(t.time_by_phase["a"], (0.5, 0.25));
+        assert_eq!(t.time_by_phase["c"], (0.0, 0.0));
 
         let report = TrafficReport {
             per_rank: vec![t.by_phase, BTreeMap::new()],
-            secs_per_rank: vec![BTreeMap::new(), BTreeMap::new()],
-            wait_per_rank: vec![BTreeMap::new(), BTreeMap::new()],
+            time_per_rank: vec![t.time_by_phase, BTreeMap::new()],
             ..TrafficReport::default()
         };
+        assert_eq!(report.phases(), ["", "a", "b", "c"]);
+        assert_eq!(
+            (report.phase_secs(0, "a"), report.wait_secs(0, "a")),
+            (0.5, 0.25)
+        );
+        assert_eq!(
+            (report.phase_secs(1, "a"), report.wait_secs(0, "b")),
+            (0.0, 0.0)
+        );
         assert_eq!(report.rank_total(0).bytes, 155);
         assert_eq!(report.rank_total(0).recv_msgs, 2);
         assert_eq!(report.rank_total(1).msgs, 0);

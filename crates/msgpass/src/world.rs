@@ -5,7 +5,7 @@ use crate::chan::{channel, Receiver, Sender};
 use crate::comm::{Envelope, PostedRecv};
 use crate::metrics::{CommMatrix, SizeHistogram};
 use crate::sim::{SimInfo, SimNet, SimParams};
-use crate::trace::{RawEvent, Recorder, SpanKind, Timeline};
+use crate::trace::{Recorder, Span, SpanKind, Timeline};
 use crate::traffic::{merge_hist, RankStats, RankTraffic, TrafficReport};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -97,8 +97,10 @@ impl RunOptions {
 /// Everything a traced run measured: the per-phase traffic counters and
 /// (when [`RunOptions::trace`] was set) the assembled event [`Timeline`].
 ///
-/// Dereferences to [`TrafficReport`], so code written against the older
-/// `(results, TrafficReport)` return type keeps working unchanged.
+/// Dereferences to [`TrafficReport`] because the frozen benchmark (ROADMAP
+/// item 7) reads its counters through the report (`report.rank_total(r)`,
+/// `report.phase_secs(r, phase)`, …), as code written against the older
+/// `(results, TrafficReport)` return type did.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Per-rank, per-phase bytes/messages and seconds — wall seconds for
@@ -227,8 +229,7 @@ impl RankCtx {
                 self.recorder.end_at(now, 0);
             }
             if !phase.is_empty() {
-                self.recorder
-                    .begin_at(now, SpanKind::Phase(phase.to_owned()), 0);
+                self.recorder.begin_at(now, SpanKind::Phase(phase), 0);
             }
         }
         stats.enter(phase);
@@ -258,7 +259,7 @@ impl RankCtx {
 
     /// Final bookkeeping when the rank's closure returns `result`: closes
     /// the open phase (clock and trace span) and hands back the result with
-    /// the raw event stream, the counters and the final virtual clock.
+    /// the spans, the counters and the final virtual clock.
     pub(crate) fn finish<R>(&self, result: R) -> RankOutput<R> {
         assert!(
             self.posted.borrow().is_empty(),
@@ -274,7 +275,7 @@ impl RankCtx {
         RankOutput {
             result,
             stats: stats.finish(),
-            events: self.recorder.take(),
+            spans: self.recorder.take(),
             clock: self.clock.get(),
             profile: None,
         }
@@ -471,11 +472,6 @@ impl RankCtx {
             prev: self.coll.replace(Some(algo)),
         }
     }
-
-    /// The rank's trace recorder (for internal instrumentation hooks).
-    pub(crate) fn tracer(&self) -> &Recorder {
-        &self.recorder
-    }
 }
 
 /// RAII scope for one collective call: restores the previous algorithm
@@ -567,12 +563,12 @@ pub(crate) struct RunSetup {
 }
 
 /// What one rank hands back from [`run_rank`]: its closure's result plus
-/// the counters, trace stream, final virtual clock, and kernel profile the
+/// the counters, trace spans, final virtual clock, and kernel profile the
 /// report assembler needs.
 pub(crate) struct RankOutput<R> {
     pub(crate) result: R,
     pub(crate) stats: RankTraffic,
-    pub(crate) events: Vec<RawEvent>,
+    pub(crate) spans: Vec<Span>,
     pub(crate) clock: f64,
     pub(crate) profile: Option<dense::prof::KernelProfile>,
 }
@@ -605,36 +601,28 @@ impl RunSetup {
         let p = outputs.len();
         let mut results = Vec::with_capacity(p);
         let mut per_rank = Vec::with_capacity(p);
-        let mut secs_per_rank = Vec::with_capacity(p);
-        let mut wait_per_rank = Vec::with_capacity(p);
+        let mut time_per_rank = Vec::with_capacity(p);
         let mut matrix = CommMatrix::new(p);
         let mut hist_by_algo: BTreeMap<String, SizeHistogram> = BTreeMap::new();
-        let mut streams = Vec::with_capacity(p);
+        let mut spans = Vec::with_capacity(p);
         let mut makespan_secs = 0.0f64;
         let mut profiles = Vec::with_capacity(p);
         for (rank, out) in outputs.into_iter().enumerate() {
             let st = out.stats;
             per_rank.push(st.by_phase);
-            secs_per_rank.push(st.secs_by_phase);
-            wait_per_rank.push(st.wait_by_phase);
+            time_per_rank.push(st.time_by_phase);
             matrix.set_row(rank, st.sent_to);
             merge_hist(&mut hist_by_algo, &st.hist);
             results.push(out.result);
-            streams.push(out.events);
+            spans.push(out.spans);
             makespan_secs = makespan_secs.max(out.clock);
             profiles.push(out.profile);
         }
         let traffic = TrafficReport {
             per_rank,
-            secs_per_rank,
-            wait_per_rank,
+            time_per_rank,
             matrix,
             hist_by_algo,
-        };
-        let timeline = if self.trace {
-            Timeline::from_raw(streams)
-        } else {
-            Timeline::empty(p)
         };
         let sim = self.sim.as_ref().map(|params| SimInfo {
             machine: params.machine.clone(),
@@ -649,7 +637,7 @@ impl RunSetup {
         };
         let report = RunReport {
             traffic,
-            timeline,
+            timeline: Timeline { per_rank: spans },
             sim,
             compute,
         };
@@ -816,7 +804,7 @@ mod tests {
                     .timeline
                     .spans(rank)
                     .iter()
-                    .filter(|s| s.kind == SpanKind::Phase(phase.to_owned()))
+                    .filter(|s| s.kind == SpanKind::Phase(phase))
                     .map(crate::Span::secs)
                     .sum();
                 let from_clock = report.traffic.phase_secs(rank, phase);
@@ -827,10 +815,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            report.timeline.phases(),
-            vec!["alpha".to_owned(), "beta".to_owned()]
-        );
+        assert_eq!(report.timeline.phases(), ["alpha", "beta"]);
     }
 
     #[test]
@@ -840,6 +825,6 @@ mod tests {
         });
         // methods resolved through Deref<Target = TrafficReport>
         assert_eq!(report.rank_total(0).msgs, 0);
-        assert_eq!(report.phases(), vec!["only".to_owned()]);
+        assert_eq!(report.phases(), ["only"]);
     }
 }

@@ -121,7 +121,7 @@ fn main() {
     );
 
     let mut totals_ms: Vec<f64> = Vec::with_capacity(ntest);
-    let mut phase_ms: std::collections::BTreeMap<String, f64> = Default::default();
+    let mut phase_ms: std::collections::BTreeMap<&str, f64> = Default::default();
     let mut c_result: Option<Mat<f64>> = None;
 
     for run in 0..ntest {
@@ -149,7 +149,7 @@ fn main() {
             .fold(0.0f64, f64::max);
         totals_ms.push(total);
         for ph in report.phases() {
-            *phase_ms.entry(ph.clone()).or_insert(0.0) += report.phase_secs_max(&ph) * 1e3;
+            *phase_ms.entry(ph).or_insert(0.0) += report.phase_secs_max(ph) * 1e3;
         }
         if run == 0 && validate {
             let parts: Vec<Vec<Mat<f64>>> = parts_and_time.into_iter().map(|(c, _)| c).collect();

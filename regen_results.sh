@@ -2,15 +2,15 @@
 # Regenerates every experiment artifact in results/ (text + CSV + JSON).
 #
 # `paper --out results` writes every deterministic artifact: the
-# `bench::paper` registry's analytic tables and figures and the executed
+# `bench::paper` registry's analytic tables and figures, the
+# Cannon-vs-SUMMA ablation (ablation_2d_algo.txt) and the executed
 # (virtual-time) Fig. 3 sweeps, fig3_sim*.{txt,csv} and
 # REPORT_fig3_sim*.json. Those are exact functions of the algorithm, the
 # machine model, and the placement — no host timing enters them — so
 # tests/committed_artifacts.rs recomputes every one and fails if a
 # committed copy differs from what HEAD produces. `--sim-only` runs that
-# one call and nothing else. Of the other binaries below only
-# ablation_2d_algo embeds wall time in a table (its message columns are
-# pinned in tests/e2e_all_algorithms.rs).
+# one call and nothing else; the steps below write the host-timed
+# artifacts.
 set -e
 cd "$(dirname "$0")"
 
@@ -20,9 +20,6 @@ if [ "${1:-}" = "--sim-only" ]; then
   echo "done; artifacts in results/"
   exit 0
 fi
-
-echo "== ablation_2d_algo"
-cargo run --release -q -p bench --bin ablation_2d_algo > results/ablation_2d_algo.txt
 
 # Local GEMM thread-tier sweep -> results/BENCH_gemm.json. The absolute
 # gflops are host-specific; what the committed artifact pins is the tier

@@ -177,9 +177,10 @@ fn fig5_artifacts_match_fresh_traced_runs_exactly() {
 
 /// Every file of every `bench::paper` entry is what `results/` holds, byte
 /// for byte: the tables of Figs. 3–5, Tables I–III, the l-sweep, the design
-/// ablations and the grid explorer, the Fig. 3/4 CSVs, and the three
-/// executed Fig. 3 sweeps' tables, CSVs and virtual-time reports. Computing
-/// them also runs the claims `ablation_l` and `ablation_design` assert.
+/// ablations, the Cannon-vs-SUMMA ablation and the grid explorer, the
+/// Fig. 3/4 CSVs, and the three executed Fig. 3 sweeps' tables, CSVs and
+/// virtual-time reports. Computing them also runs the claims `ablation_l`,
+/// `ablation_design` and `ablation_2d_algo` assert.
 /// Each entry is computed on a thread of its own: the three sweeps
 /// dominate, and they do not share anything.
 #[test]
@@ -208,7 +209,7 @@ fn paper_tables_reproduce_committed_results() {
                     fig3_sim_hier_r384.txt fig3_sim_hier_r384.csv REPORT_fig3_sim_hier_r384.json \
                     fig4_hybrid.txt fig4.csv \
                     fig5_breakdown.txt table1_memory.txt table2_grids.txt table3_gpu.txt \
-                    ablation_l.txt ablation_design.txt grid_explorer.txt";
+                    ablation_l.txt ablation_design.txt ablation_2d_algo.txt grid_explorer.txt";
     assert_eq!(written.join(" "), expected);
     assert!(
         drifted.is_empty(),

@@ -246,8 +246,9 @@ type Pinned = (&'static str, fn() -> Run, &'static str);
 /// separate implementations before they were re-expressed on
 /// `ca3dmm::grid3d`: the five plain-grid algorithms at commit d8cf79e,
 /// CA3DMM on its own `GridContext` executor at commit ce5f68f. Then the
-/// message columns of `ablation_2d_algo`: the most messages any rank
-/// sends under CA3DMM-C and CA3DMM-S on the same grid at p = 16.
+/// message counts the `ablation_2d_algo` entry of `bench::paper` prints
+/// from virtual-time runs: the most messages any rank sends under
+/// CA3DMM-C and CA3DMM-S on the same grid at p = 16, here on wall runs.
 #[test]
 fn pinned_traffic_of_the_six_separate_implementations() {
     let table: [Pinned; 19] = [

@@ -15,6 +15,7 @@ use dense::Mat;
 use gridopt::{Grid, Problem};
 use jsonlite::Json;
 use msgpass::metrics::{bucket_label, size_bucket, HIST_BUCKETS};
+use msgpass::report::PhaseRow;
 use msgpass::{Comm, RunOptions, RunReport, RunReportDoc, SizeHistogram, World};
 use proptest::prelude::*;
 
@@ -416,4 +417,53 @@ fn netdiff_prices_the_run_its_meta_describes() {
     let err = bench::report::netdiff(&json.to_string_pretty(), Default::default())
         .expect_err("netdiff priced a report without meta.overlap");
     assert!(err.contains("meta.overlap"), "{err}");
+}
+
+/// A labelled phase that only computes, and the unlabelled phase carrying
+/// traffic: the first is timed but counts nothing, the second counts its
+/// message and its receiver's wait but is never timed. Under virtual time
+/// every figure is exact, so the phase list, both clocks and the report's
+/// phase rows are pinned as literals.
+#[test]
+fn compute_only_and_unlabelled_phases_keep_their_rows() {
+    let machine = netmodel::Machine::phoenix_cpu();
+    let opts = msgpass::SimOptions {
+        placement: Some(machine.pure_mpi()),
+        execute_compute: false,
+    };
+    let (_, report) = World::simulate(2, &machine, opts, async |ctx| {
+        let comm = Comm::world(ctx);
+        if comm.rank() == 0 {
+            ctx.charge_flops(1e6);
+            comm.send(ctx, 1, 0, vec![0.0f64; 64]);
+        } else {
+            let _: Vec<f64> = comm.recv_async(ctx, 0, 0).await;
+        }
+        ctx.set_phase("gemm");
+        ctx.charge_flops(1e9 * (1 + comm.rank()) as f64);
+    });
+    assert_eq!(report.phases(), ["", "gemm"]);
+    let clocks: Vec<(f64, f64)> = (0..2)
+        .flat_map(|r| ["", "gemm"].map(|ph| (report.phase_secs(r, ph), report.wait_secs(r, ph))))
+        .collect();
+    let (gemm, wait) = (0.014467592592592593, 1.5052925925925926e-5);
+    assert_eq!(
+        clocks,
+        [(0.0, 0.0), (gemm, 0.0), (0.0, wait), (2.0 * gemm, 0.0)]
+    );
+    let row = |phase: &str, msg: u64, secs_max, wait_max| PhaseRow {
+        phase: phase.to_owned(),
+        sent_bytes: 512 * msg,
+        sent_msgs: msg,
+        recv_bytes: 512 * msg,
+        recv_msgs: msg,
+        max_rank_sent_bytes: 512 * msg,
+        max_rank_sent_msgs: msg,
+        secs_max,
+        wait_max,
+    };
+    assert_eq!(
+        report.phase_rows(),
+        [row("", 1, 0.0, wait), row("gemm", 0, 2.0 * gemm, 0.0)]
+    );
 }

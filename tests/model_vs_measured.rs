@@ -132,5 +132,5 @@ fn phase_times_are_recorded() {
     let report = traced_ca3dmm(Problem::new(m, n, k, p), grid);
     assert!(report.phase_secs_max("cannon_shift") > 0.0);
     assert!(report.phase_secs_max("reduce_c") > 0.0);
-    assert!(report.phases().contains(&"cannon_shift".to_owned()));
+    assert!(report.phases().contains(&"cannon_shift"));
 }

@@ -205,7 +205,7 @@ fn traffic_table(report: &RunReport) -> Vec<String> {
         .map(|phase| {
             let ranks: Vec<String> = (0..report.per_rank.len())
                 .map(|r| {
-                    let c = report.phase(r, &phase);
+                    let c = report.phase(r, phase);
                     format!("{}/{}:{}/{}", c.bytes, c.msgs, c.recv_bytes, c.recv_msgs)
                 })
                 .collect();

@@ -125,8 +125,8 @@ fn one_simulated_op_allocates_a_pinned_amount() {
     );
 }
 
-const ALLOCS_PER_OP: u64 = 14_294;
-const BYTES_PER_OP: u64 = 3_047_525;
+const ALLOCS_PER_OP: u64 = 13_908;
+const BYTES_PER_OP: u64 = 2_930_885;
 const POLLS_PER_OP: u64 = 1_888;
 
 /// Fig. 3's large-M class at p = 192, CA3DMM, shape-only: a c = 192
@@ -152,6 +152,6 @@ fn a_c192_ring_allocates_and_polls_a_pinned_amount() {
     );
 }
 
-const RING_ALLOCS: u64 = 39_784;
-const RING_BYTES: u64 = 3_671_791;
+const RING_ALLOCS: u64 = 39_598;
+const RING_BYTES: u64 = 3_615_759;
 const RING_POLLS: u64 = 383;

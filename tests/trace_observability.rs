@@ -55,14 +55,14 @@ fn timeline_agrees_with_traffic_phase_clock() {
                     _ => {}
                 }
             }
-            let clock_s = report.traffic.phase_secs(rank, &phase);
+            let clock_s = report.traffic.phase_secs(rank, phase);
             assert!(
                 (trace_s - clock_s).abs() < 1e-6,
                 "rank {rank} phase {phase}: timeline {trace_s} vs traffic {clock_s}"
             );
             assert_eq!(
                 trace_bytes,
-                report.traffic.phase(rank, &phase).bytes,
+                report.traffic.phase(rank, phase).bytes,
                 "rank {rank} phase {phase} bytes"
             );
         }
@@ -340,7 +340,7 @@ fn model_diff_covers_all_phases() {
     assert!(diff.measured_total_s > 0.0);
     assert!(diff.modeled_total_s > 0.0);
     for phase in report.timeline.phases() {
-        let label = ca3dmm::model_phase_label(&phase);
+        let label = ca3dmm::model_phase_label(phase);
         assert!(
             diff.phases.iter().any(|d| d.phase == label),
             "phase {phase} (label {label}) missing"
